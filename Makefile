@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race bench bench-save bench-save-smoke fuzz-smoke metrics-lint torture torture-smoke torture-long slo-smoke slo-full replica-smoke segment-smoke cover
+.PHONY: ci fmt-check vet build test race bench bench-save bench-save-smoke bench-repo bench-repo-smoke fuzz-smoke metrics-lint torture torture-smoke torture-long slo-smoke slo-full replica-smoke segment-smoke cover
 
-ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke torture segment-smoke slo-smoke replica-smoke bench-save-smoke
+ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke torture segment-smoke slo-smoke replica-smoke bench-save-smoke bench-repo-smoke
 
 # Fails (and lists the offenders) if any file is not gofmt-clean.
 fmt-check:
@@ -136,3 +136,28 @@ bench-save-smoke:
 		-trace-out /tmp/bench8_smoke.json \
 		-recovery-out /tmp/bench10_smoke.json -recovery-small 5000 \
 		-recovery-large 20000 -recovery-checkpoint-every 1000
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): the
+# four workloads at the length the driver runs them, end-to-end metrics
+# only. Numbers are this host's; compare only runs taken in alternation.
+BENCH_WORKLOADS = wire_bid_durable http_read_mix store_recover paper_sim
+BENCH_SEED ?= 1
+bench-repo:
+	@for w in $(BENCH_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w --seed $(BENCH_SEED) --seconds 12 --trace 0 || exit 1; \
+	done
+
+# CI variant: one second per workload, and the last line of each must
+# say "correct":true — so a change that breaks a benchmark correctness
+# check (money conservation, seq accounting, byte-identical recovery,
+# byte-identical paper_sim rounds) fails here, before the pipeline that
+# compares it against its parent ever runs it.
+bench-repo-smoke:
+	@for w in $(BENCH_WORKLOADS); do \
+		out="$$(bash benchmark/run.sh --workload $$w --seed $(BENCH_SEED) --seconds 1 --trace 0)"; status=$$?; \
+		if [ $$status -ne 0 ] || ! printf '%s\n' "$$out" | tail -1 | grep -q '"correct":true'; then \
+			printf '%s\n' "$$out" | tail -25; \
+			echo "bench-repo-smoke: $$w failed (exit $$status, or last line lacks \"correct\":true)"; exit 1; \
+		fi; \
+		echo "bench-repo-smoke: $$w ok"; \
+	done

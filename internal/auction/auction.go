@@ -11,7 +11,7 @@ package auction
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/datamarket/shield/internal/rng"
 )
@@ -38,25 +38,72 @@ func Revenue(bids []float64, p float64) float64 {
 // revenue M(b̄). Ties in revenue break toward the larger b_k, as the paper
 // specifies. Empty input or all-non-positive bids yield (0, 0).
 func OptimalPrice(bids []float64) (price, revenue float64) {
-	if len(bids) == 0 {
-		return 0, 0
+	var c Curve
+	c.Sort(bids)
+	return c.Optimal()
+}
+
+// Curve is the revenue curve of one epoch of bids: the epoch sorted once
+// into storage the curve keeps and reuses, from which Equation 2's optimum
+// and the revenue of any number of posting prices are read without
+// sorting again, rescanning the raw epoch, or allocating. It is what the
+// pricing engine scores every candidate against at an epoch close and in
+// the first round of a wait-period replay. The zero value is ready.
+type Curve struct {
+	asc []float64 // the epoch, ascending
+}
+
+// Sort loads an epoch: bids are copied (the argument is left untouched)
+// into the curve's buffer, which grows to the largest epoch seen and is
+// reused from then on, and sorted.
+func (c *Curve) Sort(bids []float64) {
+	c.asc = append(c.asc[:0], bids...)
+	slices.Sort(c.asc)
+}
+
+// Fill loads an epoch of n copies of v, which needs no sorting.
+func (c *Curve) Fill(v float64, n int) {
+	c.asc = c.asc[:0]
+	for range n {
+		c.asc = append(c.asc, v)
 	}
-	sorted := make([]float64, len(bids))
-	copy(sorted, bids)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	for k, b := range sorted {
+}
+
+// Optimal returns OptimalPrice of the loaded epoch.
+func (c *Curve) Optimal() (price, revenue float64) {
+	n := len(c.asc)
+	for i := n - 1; i >= 0; i-- {
+		b := c.asc[i]
 		if b <= 0 {
-			break // descending order: no further bid can contribute
+			break // scanning downward: no further bid can contribute
 		}
-		r := float64(k+1) * b
+		r := float64(n-i) * b
 		// Strict > also implements the tie-break: equal revenue at a
-		// larger b_k is seen first in the descending scan.
+		// larger b_k is seen first in the downward scan.
 		if r > revenue {
 			revenue = r
 			price = b
 		}
 	}
 	return price, revenue
+}
+
+// Revenue returns Revenue(bids, p) for the loaded epoch: the winners are
+// the sorted epoch's upper tail, found by binary search.
+func (c *Curve) Revenue(p float64) float64 {
+	if p <= 0 {
+		return 0
+	}
+	lo, hi := 0, len(c.asc)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.asc[mid] >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return p * float64(len(c.asc)-lo)
 }
 
 // OptimalRevenue returns only M(b̄) from Equation 2.
@@ -206,9 +253,8 @@ func MedianSummary(bids []float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	sorted := make([]float64, n)
-	copy(sorted, bids)
-	sort.Float64s(sorted)
+	sorted := slices.Clone(bids)
+	slices.Sort(sorted)
 	if n%2 == 1 {
 		return sorted[n/2]
 	}

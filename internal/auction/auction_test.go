@@ -2,6 +2,7 @@ package auction
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -349,5 +350,111 @@ func BenchmarkOptimalPrice(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		OptimalPrice(bids)
+	}
+}
+
+// referenceOptimalPrice is the pre-Curve OptimalPrice (a descending
+// sort.Sort(sort.Reverse(...)) scanned from the front), kept as the
+// oracle for the ascending-sort, scan-from-the-top implementation.
+func referenceOptimalPrice(bids []float64) (price, revenue float64) {
+	sorted := append([]float64(nil), bids...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	for k, b := range sorted {
+		if b <= 0 {
+			break
+		}
+		if r := float64(k+1) * b; r > revenue {
+			revenue, price = r, b
+		}
+	}
+	return price, revenue
+}
+
+// TestCurveMatchesScans holds Curve (and OptimalPrice, which is built on
+// it) bit-identical to the raw-epoch scans over epochs with duplicates,
+// zeros, negatives, infinities and NaNs, and prices below, on, between
+// and above the bids.
+func TestCurveMatchesScans(t *testing.T) {
+	r := rng.New(11)
+	specials := []float64{0, math.Copysign(0, -1), -3, math.Inf(1), math.Inf(-1), math.NaN()}
+	var c Curve
+	for trial := 0; trial < 2000; trial++ {
+		bids := make([]float64, r.Intn(20))
+		for i := range bids {
+			switch r.Intn(5) {
+			case 0:
+				bids[i] = specials[r.Intn(len(specials))]
+			case 1:
+				bids[i] = float64(r.Intn(4)) * 25 // duplicates
+			default:
+				bids[i] = r.Uniform(0, 200)
+			}
+		}
+		orig := append([]float64(nil), bids...)
+		c.Sort(bids)
+		for i := range bids {
+			if math.Float64bits(bids[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("trial %d: Sort mutated its argument", trial)
+			}
+		}
+		wantP, wantR := referenceOptimalPrice(bids)
+		for name, got := range map[string][2]float64{"Curve.Optimal": pair(c.Optimal()), "OptimalPrice": pair(OptimalPrice(bids))} {
+			if math.Float64bits(got[0]) != math.Float64bits(wantP) || math.Float64bits(got[1]) != math.Float64bits(wantR) {
+				t.Fatalf("trial %d: %s(%v) = %v, reference (%v, %v)", trial, name, bids, got, wantP, wantR)
+			}
+		}
+		prices := append([]float64{-1, 0, 0.5, 1e9, math.NaN(), math.Inf(1)}, bids...)
+		for i := 0; i < 8; i++ {
+			prices = append(prices, r.Uniform(0, 220))
+		}
+		for _, p := range prices {
+			if got, want := c.Revenue(p), Revenue(bids, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: Curve.Revenue(%v) over %v = %v, scan %v", trial, p, bids, got, want)
+			}
+		}
+	}
+}
+
+// TestCurveFill: an epoch of n copies of one value loaded with Fill reads
+// exactly like the same epoch loaded with Sort.
+func TestCurveFill(t *testing.T) {
+	var filled, sorted Curve
+	for _, v := range []float64{37, 1, 0, -2, math.Inf(1), math.NaN()} {
+		for _, n := range []int{0, 1, 8} {
+			uniform := make([]float64, n)
+			for i := range uniform {
+				uniform[i] = v
+			}
+			filled.Fill(v, n)
+			sorted.Sort(uniform)
+			if got, want := pair(filled.Optimal()), pair(sorted.Optimal()); math.Float64bits(got[0]) != math.Float64bits(want[0]) ||
+				math.Float64bits(got[1]) != math.Float64bits(want[1]) {
+				t.Fatalf("Fill(%v, %d).Optimal() = %v, sorted %v", v, n, got, want)
+			}
+			for _, p := range []float64{-1, 0, 1, 36.5, 37, 37.5, math.Inf(1)} {
+				if got, want := filled.Revenue(p), Revenue(uniform, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Fill(%v, %d).Revenue(%v) = %v, scan %v", v, n, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+func pair(a, b float64) [2]float64 { return [2]float64{a, b} }
+
+// TestCurveReusesItsBuffer pins the allocation contract the engine's
+// zero-allocation epoch close rests on.
+func TestCurveReusesItsBuffer(t *testing.T) {
+	bids := []float64{40, 10, 30, 20, 30, 5, 90, 60}
+	var c Curve
+	c.Sort(bids)
+	var sink float64
+	n := testing.AllocsPerRun(100, func() {
+		c.Sort(bids)
+		_, r := c.Optimal()
+		sink += r + c.Revenue(30)
+	})
+	if n != 0 {
+		t.Fatalf("Curve allocates %.1f times per epoch, want 0", n)
 	}
 }

@@ -61,6 +61,14 @@ func Apply(st *State, cmd Command) ([]Event, error) {
 	return ApplyInto(st, cmd, nil)
 }
 
+// Apply is Apply(st, cmd) as a method, so a bare State and the live
+// market (whose Apply adds locking and view publication) are driven
+// through one interface — journal replay and the store's checkpoint
+// shadow share their record-applying helper that way.
+func (st *State) Apply(cmd Command) ([]Event, error) {
+	return ApplyInto(st, cmd, nil)
+}
+
 // ApplyBid is the typed fast path for SubmitBid: semantically identical
 // to ApplyInto(st, c, buf), but the concrete command never boxes into
 // the Command interface — that conversion is a heap allocation per

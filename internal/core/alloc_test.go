@@ -1,0 +1,73 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/datamarket/shield/internal/auction"
+)
+
+// allocEngine is a Time-Shield-on engine taught that demand sits near 80,
+// so a bid of 25 loses and pays for a full wait-period replay.
+func allocEngine(t *testing.T, epochSize int, wait WaitStrategy) *Engine {
+	t.Helper()
+	e := MustNew(Config{
+		Candidates: auction.LinearGrid(10, 100, 10),
+		EpochSize:  epochSize,
+		Wait:       wait,
+		MinBid:     1,
+		Seed:       3,
+	})
+	for i := 0; i < 40*epochSize; i++ {
+		e.SubmitBid(80)
+	}
+	return e
+}
+
+// TestSubmitBidZeroAlloc pins the kernel's allocation contract on the
+// three paths the issue names: a losing bid with Time-Shield on (the
+// wait-period replay), a bid that closes an epoch (score, MW update,
+// price draw), and ComputeWaitPeriod on its own.
+func TestSubmitBidZeroAlloc(t *testing.T) {
+	for _, wait := range []WaitStrategy{WaitBound, WaitStable} {
+		t.Run("losing/"+wait.String(), func(t *testing.T) {
+			e := allocEngine(t, 8, wait)
+			replays := 0
+			n := testing.AllocsPerRun(200, func() {
+				e.SubmitBid(80) // keeps demand, and the price, high
+				if d := e.SubmitBid(25); !d.Allocated && d.Wait > 8 {
+					replays++
+				}
+			})
+			if n != 0 {
+				t.Errorf("SubmitBid allocates %.2f times per winning+losing pair, want 0", n)
+			}
+			if replays < 150 {
+				t.Errorf("only %d of 201 low bids lost to a full replay; the test is not measuring Time-Shield", replays)
+			}
+		})
+	}
+	t.Run("epoch-close", func(t *testing.T) {
+		e := allocEngine(t, 1, WaitBound)
+		before := e.Epochs()
+		n := testing.AllocsPerRun(200, func() { e.SubmitBid(80); e.SubmitBid(25) })
+		if n != 0 {
+			t.Errorf("an epoch-closing SubmitBid allocates %.2f times per pair, want 0", n)
+		}
+		if closed := e.Epochs() - before; closed != 2*201 {
+			t.Errorf("%d epochs closed over 402 bids, want one per bid", closed)
+		}
+	})
+	t.Run("ComputeWaitPeriod", func(t *testing.T) {
+		e := allocEngine(t, 8, WaitBound)
+		e.SubmitBid(80)
+		e.SubmitBid(60)
+		var wait int
+		n := testing.AllocsPerRun(200, func() { wait = e.ComputeWaitPeriod(25) })
+		if n != 0 {
+			t.Errorf("ComputeWaitPeriod allocates %.2f times per call, want 0", n)
+		}
+		if wait <= 8 {
+			t.Errorf("wait %d: the probe did not replay past the current epoch", wait)
+		}
+	})
+}

@@ -178,6 +178,14 @@ type Engine struct {
 	price float64
 	epoch []float64
 
+	// Scratch of the epoch-scoring kernel (see scoreEpoch), sized once at
+	// construction and overwritten by every use — none of it is state:
+	// the sorted epoch, one cost per candidate and, for the wait-period
+	// replay, a private copy of the weights and every candidate's revenue
+	// on an all-synthetic epoch.
+	curve               auction.Curve
+	costs, simW, synthR []float64
+
 	// running statistics
 	revenue     float64
 	bids        int
@@ -279,11 +287,20 @@ func New(cfg Config) (*Engine, error) {
 		origHi:         maxCand,
 		epoch:          make([]float64, 0, cfg.EpochSize),
 	}
+	e.initScratch()
 	if cfg.ShareFraction > 0 {
 		e.learner.SetShare(cfg.ShareFraction)
 	}
 	e.price = e.drawPrice()
 	return e, nil
+}
+
+// initScratch sizes the kernel's scratch for the engine's candidate
+// count, which regridding never changes.
+func (e *Engine) initScratch() {
+	k := len(e.cfg.Candidates)
+	buf := make([]float64, 3*k)
+	e.costs, e.simW, e.synthR = buf[:k:k], buf[k:2*k:2*k], buf[2*k:]
 }
 
 // MustNew is New for static configurations; it panics on config errors.
@@ -352,23 +369,35 @@ func (e *Engine) maybeUpdatePrice() {
 		return
 	}
 	e.epochs++
-	optR := auction.OptimalRevenue(e.epoch)
-	if optR > 0 {
-		revenue := auction.Revenue(e.epoch, e.price)
-		costs := make([]float64, e.learner.Len())
-		for i, p := range e.learner.Values() {
-			altR := auction.Revenue(e.epoch, p)
-			costs[i] = (revenue - altR) / optR
-		}
+	e.curve.Sort(e.epoch)
+	if e.scoreEpoch(e.price) {
 		// The played expert's cost is 0 by construction in this relative
 		// formulation, so the incurred-cost argument is 0.
-		e.learner.Update(costs, 0)
+		e.learner.Update(e.costs, 0)
 	}
 	e.epoch = e.epoch[:0]
 	if e.cfg.RegridEvery > 0 && e.epochs%e.cfg.RegridEvery == 0 {
 		e.regrid()
 	}
 	e.price = e.drawPrice()
+}
+
+// scoreEpoch is the scoring half of the kernel the live price update and
+// the wait-period replay share: for the epoch loaded in e.curve, priced
+// at chosen, it writes every candidate's cost — its relative revenue
+// difference (R(chosen) - R(p)) / R_opt, Algorithm 1 lines 15-20 — into
+// e.costs, ready for mw.Step. It reports false, writing nothing, for an
+// epoch with no positive bid: the cost is undefined and no weight moves.
+func (e *Engine) scoreEpoch(chosen float64) bool {
+	_, optR := e.curve.Optimal()
+	if optR <= 0 {
+		return false
+	}
+	revenue := e.curve.Revenue(chosen)
+	for i, p := range e.cfg.Candidates {
+		e.costs[i] = (revenue - e.curve.Revenue(p)) / optR
+	}
+	return true
 }
 
 // regrid re-centers the candidate grid on the current weight mass: the
@@ -491,16 +520,23 @@ func (e *Engine) ComputeWaitPeriod(b float64) int {
 }
 
 // computeWaitPeriod implements compute_wait_period (Section 6.2.2). It
-// forks the learner, completes the current epoch and then replays whole
-// synthetic epochs of hypothetical future bids (Bound: all at the bid
-// floor; Stable: all equal to b), counting the bids consumed until b
-// becomes competitive — at least the most likely posting price (the
-// highest-weight expert). The bid count converts to buyer periods at the
-// configured arrival rate. Both strategies are optimistic for the buyer,
-// so a truthful losing buyer cannot have won before the wait expires
-// (Claim 3).
+// replays hypothetical futures on a scratch copy of the weights: the
+// current epoch completed with synthetic bids (Bound: all at the bid
+// floor; Stable: all equal to b), then whole synthetic epochs, counting
+// the bids consumed until b becomes competitive — at least the most
+// likely posting price (the highest-weight expert). The bid count
+// converts to buyer periods at the configured arrival rate. Both
+// strategies are optimistic for the buyer, so a truthful losing buyer
+// cannot have won before the wait expires (Claim 3).
+//
+// Every replayed round moves the scratch weights exactly as a live epoch
+// close would: round one goes through scoreEpoch, and every round
+// through mw.Step, the routine Learner.Update itself runs. Rounds two
+// onward see E copies of one value s, whose revenue curve is a closed
+// form — R_opt = E*s, and R(p) = p*E if p <= s, else 0 — so it is read
+// off auction.Curve once per call (no sort, no scan per round) and each
+// later round costs one subtraction, division and Pow per candidate.
 func (e *Engine) computeWaitPeriod(b float64) int {
-	sim := e.learner.Clone()
 	synthetic := e.cfg.MinBid
 	if e.cfg.Wait == WaitStable {
 		synthetic = b
@@ -512,70 +548,75 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 		synthetic = e.minCandidate
 	}
 
-	likely := e.cfg.Candidates[sim.ArgMax()]
-	if b >= likely {
+	cands, size := e.cfg.Candidates, e.cfg.EpochSize
+	remaining := size - len(e.epoch)
+	if b >= cands[e.learner.ArgMax()] {
 		// The bid already matches the most likely price; it lost only to
 		// draw randomness. The earliest new opportunity is the next
 		// price draw, i.e. the end of the current epoch.
-		remaining := e.cfg.EpochSize - len(e.epoch)
 		return ceilDiv(remaining, e.cfg.BidsPerPeriod)
 	}
 	if b < e.minCandidate {
 		// No candidate price can ever fall to b: the bid can never become
 		// competitive, so waiting cannot cost the buyer an opportunity
 		// (Section 4.2) and the wait is the full simulation cap.
-		remaining := e.cfg.EpochSize - len(e.epoch)
-		return ceilDiv(remaining+e.cfg.MaxWaitEpochs*e.cfg.EpochSize, e.cfg.BidsPerPeriod)
+		return ceilDiv(remaining+e.cfg.MaxWaitEpochs*size, e.cfg.BidsPerPeriod)
 	}
 
-	// Complete the current epoch with synthetic bids, then replay whole
-	// synthetic epochs.
-	epochBids := make([]float64, len(e.epoch), e.cfg.EpochSize)
-	copy(epochBids, e.epoch)
-	simulated := 0
-	for len(epochBids) < e.cfg.EpochSize {
-		epochBids = append(epochBids, synthetic)
-		simulated++
+	// Round one: the current epoch completed with synthetic bids, priced
+	// at the posting price in force. The padding is written into the
+	// epoch buffer's spare capacity, past its length, where the next real
+	// bids overwrite it.
+	first := e.epoch
+	for len(first) < size {
+		first = append(first, synthetic)
+	}
+	e.curve.Sort(first)
+	moved := e.scoreEpoch(e.price)
+	simulated := remaining
+
+	// Rounds two onward replay E copies of the synthetic bid, whose
+	// revenues are read off the curve once and tabulated — unless the
+	// live epoch opens with a bid equal to the synthetic value. The
+	// reference replay tested "already all-synthetic" by its first
+	// element alone and so kept re-scoring the round-one epoch in that
+	// case; recorded waits are replayed from journals, so the quirk is
+	// part of the contract (DESIGN.md, "Wait-period computation").
+	keepFirst := len(e.epoch) > 0 && e.epoch[0] == synthetic
+	var synthOpt float64 // R_opt of an all-synthetic epoch
+	if !keepFirst {
+		e.curve.Fill(synthetic, size)
+		_, synthOpt = e.curve.Optimal()
+		for i, p := range cands {
+			e.synthR[i] = e.curve.Revenue(p)
+		}
 	}
 
-	chosen := e.price
+	w := e.learner.WeightsInto(e.simW)
+	eta, share := e.learner.Eta(), e.learner.Share()
 	for round := 0; round < e.cfg.MaxWaitEpochs; round++ {
-		applyEpoch(sim, epochBids, chosen)
-		likely = e.cfg.Candidates[sim.ArgMax()]
-		if b >= likely {
+		if moved {
+			mw.Step(w, e.costs, eta, share)
+		}
+		likely := mw.ArgMax(w)
+		if b >= cands[likely] {
 			return ceilDiv(simulated, e.cfg.BidsPerPeriod)
 		}
 		// Subsequent epochs are all-synthetic; the replay plays the most
 		// likely price each round (the buyer's best bet, Section 6.2.2).
-		if len(epochBids) != e.cfg.EpochSize || epochBids[0] != synthetic {
-			epochBids = epochBids[:0]
-			for i := 0; i < e.cfg.EpochSize; i++ {
-				epochBids = append(epochBids, synthetic)
+		simulated += size
+		if keepFirst {
+			moved = e.scoreEpoch(cands[likely])
+		} else if moved = synthOpt > 0; moved {
+			revenue := e.synthR[likely]
+			for i, r := range e.synthR {
+				e.costs[i] = (revenue - r) / synthOpt
 			}
 		}
-		chosen = likely
-		simulated += e.cfg.EpochSize
 	}
 	// Never became competitive within the cap: per Section 4.2, waiting
 	// cannot harm a buyer whose bid would never have won; return the cap.
 	return ceilDiv(simulated, e.cfg.BidsPerPeriod)
-}
-
-// applyEpoch applies one MW update round for an epoch of bids priced at
-// chosen, mirroring maybeUpdatePrice.
-func applyEpoch(l *mw.Learner, epoch []float64, chosen float64) {
-	optR := auction.OptimalRevenue(epoch)
-	if optR <= 0 {
-		// An epoch with no positive bid moves no weights (cost undefined);
-		// mirror the live engine and leave the learner unchanged.
-		return
-	}
-	revenue := auction.Revenue(epoch, chosen)
-	costs := make([]float64, l.Len())
-	for i, p := range l.Values() {
-		costs[i] = (revenue - auction.Revenue(epoch, p)) / optR
-	}
-	l.Update(costs, 0)
 }
 
 func ceilDiv(a, b int) int {

@@ -75,6 +75,15 @@ func RestoreSnapshot(s Snapshot) (*Engine, error) {
 			learner.Len(), len(s.Config.Candidates))
 	}
 
+	// The scoring kernel reads prices from Config.Candidates and weights
+	// from the learner; an engine keeps the two aligned by construction.
+	for i, v := range s.Learner.Values {
+		if v != s.Config.Candidates[i] {
+			return nil, fmt.Errorf("core: snapshot learner expert %d plays %v, candidate is %v",
+				i, v, s.Config.Candidates[i])
+		}
+	}
+
 	cfg := s.Config
 	cfg.applyDefaults()
 	cands := make([]float64, len(cfg.Candidates))
@@ -113,5 +122,6 @@ func RestoreSnapshot(s Snapshot) (*Engine, error) {
 		allocations:    s.Allocations,
 		epochs:         s.Epochs,
 	}
+	e.initScratch()
 	return e, nil
 }

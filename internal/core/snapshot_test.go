@@ -107,8 +107,9 @@ func TestEngineSnapshotValidation(t *testing.T) {
 			s.Learner.Weights = s.Learner.Weights[:1]
 			s.Learner.CumCost = s.Learner.CumCost[:1]
 		}),
-		"bad weight": mutate(func(s *Snapshot) { s.Learner.Weights[0] = -1 }),
-		"bad eta":    mutate(func(s *Snapshot) { s.Learner.Eta = 2 }),
+		"bad weight":     mutate(func(s *Snapshot) { s.Learner.Weights[0] = -1 }),
+		"bad eta":        mutate(func(s *Snapshot) { s.Learner.Eta = 2 }),
+		"learner values": mutate(func(s *Snapshot) { s.Learner.Values[1] += 0.5 }),
 	}
 	for name, s := range cases {
 		if _, err := RestoreSnapshot(s); err == nil {

@@ -778,30 +778,40 @@ func Bootstrap(events []Event) (*market.Market, error) {
 	return m, nil
 }
 
-// marketFromHead builds the market a log head describes: a genesis
-// head seeds a fresh market from its recorded config, a snapshot head
-// restores full state. Heads carrying a format version this build does
-// not know fail with ErrVersion; anything that is not a well-formed
+// stateFromHead builds the state machine a log head describes: a
+// genesis head seeds a fresh state from its recorded config, a snapshot
+// head restores full state. Heads carrying a format version this build
+// does not know fail with ErrVersion; anything that is not a well-formed
 // head fails with ErrNoGenesis.
-func marketFromHead(e Event) (*market.Market, error) {
+func stateFromHead(e Event) (*command.State, error) {
 	if v := e.V; v != 0 && v != FormatVersion {
 		return nil, fmt.Errorf("%w: %d (this build reads 0 and %d)", ErrVersion, v, FormatVersion)
 	}
 	switch {
 	case e.Op == OpGenesis && e.Config != nil:
-		m, err := market.New(*e.Config)
+		st, err := command.NewState(*e.Config)
 		if err != nil {
 			return nil, fmt.Errorf("journal: genesis config: %w", err)
 		}
-		return m, nil
+		return st, nil
 	case e.Op == OpSnapshot && e.Snapshot != nil:
-		m, err := market.RestoreSnapshot(*e.Snapshot)
+		st, err := command.RestoreState(*e.Snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("journal: snapshot head: %w", err)
 		}
-		return m, nil
+		return st, nil
 	}
 	return nil, ErrNoGenesis
+}
+
+// marketFromHead is stateFromHead wrapped in the concurrent shell, for
+// the recovery paths whose result goes on to serve.
+func marketFromHead(e Event) (*market.Market, error) {
+	st, err := stateFromHead(e)
+	if err != nil {
+		return nil, err
+	}
+	return market.FromState(st), nil
 }
 
 // Replay applies events to m in order: each record upgrades to its
@@ -820,11 +830,18 @@ func Replay(m *market.Market, events []Event) error {
 	return nil
 }
 
-// applyEvent replays one body record onto m; see Replay.
-func applyEvent(m *market.Market, e Event) error {
+// applier is what a body record replays onto: a market on the recovery
+// paths (locks taken, read views republished), the bare command.State
+// of a store's checkpoint shadow.
+type applier interface {
+	Apply(command.Command) ([]command.Event, error)
+}
+
+// applyEvent replays one body record onto to; see Replay.
+func applyEvent(to applier, e Event) error {
 	cmd, err := CommandFromEvent(e)
 	if err == nil {
-		_, err = m.Apply(cmd)
+		_, err = to.Apply(cmd)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: event %d (%s): %v", ErrReplay, e.Seq, e.Op, err)

@@ -34,7 +34,7 @@
 // # Checkpoints and compaction
 //
 // Every CheckpointEvery committed records the store snapshots its
-// shadow market (advanced by the Writer's commit hook, so the snapshot
+// shadow state (advanced by the Writer's commit hook, so the snapshot
 // is exactly the state at a committed seq) and writes it to a
 // checkpoint file with the temp+rename+dir-fsync discipline — a crash
 // leaves either the old checkpoint set or the new one, never a torn
@@ -68,6 +68,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -170,12 +171,19 @@ type Store struct {
 	err    error // sticky store failure
 	closed bool
 
-	// Checkpoint state. In leader mode shadow is the store's own
-	// market, advanced by the commit hook so snapshots land exactly at
-	// a committed seq. In replica mode (replicaShadow) shadow is the
+	// Checkpoint state. shadow is what a checkpoint snapshots, and the
+	// store asks nothing else of it. In leader mode it is state, the
+	// store's own copy of the state machine, advanced by the commit
+	// hook so snapshots land exactly at a committed seq — a bare
+	// command.State driven by command.Apply, not a second market: the
+	// hook already runs one record at a time under mu and Snapshot is
+	// the shadow's only reader, so a market's locks and read views
+	// would be a second cell per buyer and a second transaction log
+	// kept for nobody. In replica mode (replicaShadow) it is the
 	// follower's serving market, already advanced by the apply loop
 	// before each append.
-	shadow        *market.Market
+	shadow        interface{ Snapshot() market.Snapshot }
+	state         *command.State // leader mode only
 	replicaShadow bool
 	appliedSeq    int64
 	lastCkpt      int64   // newest durable checkpoint seq, 0 = none
@@ -362,7 +370,7 @@ func createSegment(dir string, index, base int64, truncate bool) (*os.File, int6
 }
 
 // commit is installed as the journal Writer's commit hook: it advances
-// the shadow market, triggers checkpoints, and forwards the record to
+// the shadow state, triggers checkpoints, and forwards the record to
 // the chained observer (the replication feed). The Writer serializes
 // commit calls, so downstream ordering holds even though the call runs
 // outside mu.
@@ -396,13 +404,13 @@ func (s *Store) commit(e Event) {
 func (s *Store) advanceShadowLocked(e Event) error {
 	switch e.Op {
 	case OpGenesis, OpSnapshot:
-		m, err := marketFromHead(e)
+		st, err := stateFromHead(e)
 		if err != nil {
 			return fmt.Errorf("journal: shadow head: %w", err)
 		}
-		s.shadow = m
+		s.state, s.shadow = st, st
 	default:
-		if err := applyEvent(s.shadow, e); err != nil {
+		if err := applyEvent(s.state, e); err != nil {
 			return fmt.Errorf("journal: shadow: %w", err)
 		}
 	}
@@ -595,7 +603,7 @@ func (s *Store) TailEvents(afterSeq, uptoSeq int64, fn func(Event) error) error 
 // CatchupSnapshot returns canonical snapshot bytes and the seq they
 // capture, for replication catch-up: the newest durable checkpoint
 // file when one exists (no live-state re-encoding, no commit-path
-// stall), the shadow market otherwise (a store younger than its first
+// stall), the shadow state otherwise (a store younger than its first
 // checkpoint).
 func (s *Store) CatchupSnapshot() ([]byte, int64, error) {
 	s.mu.Lock()

@@ -668,3 +668,85 @@ func TestStoreNoCheckpoints(t *testing.T) {
 		t.Fatal(d)
 	}
 }
+
+// TestStoreShadowSnapshotIdentity pins the bare-state shadow to the
+// market it shadows: after a mixed single-writer run, the snapshot
+// Store.Checkpoint takes from the shadow is byte-identical to the live
+// market's, to what RecoverDir restores from that checkpoint, and to a
+// full replay of the segments with the checkpoint deleted — and again
+// after a reopen, where the shadow is cloned from the recovered state
+// instead of grown from genesis.
+func TestStoreShadowSnapshotIdentity(t *testing.T) {
+	const seed, ops = 23, 400
+	cfg := testConfig()
+	dir := t.TempDir()
+	sc := smallStoreConfig()
+	sc.CheckpointEvery = -1
+	sc.RetainSegments = -1
+
+	canonical := func(what string, s market.Snapshot) []byte {
+		t.Helper()
+		b, err := s.Canonical()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return b
+	}
+	check := func(stage string, jm *Market) {
+		t.Helper()
+		if err := jm.Store().Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		seq := jm.LastSeq()
+		ck, err := readCheckpointFile(dir, seq)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		shadow := canonical(stage+": checkpoint", ck.Snapshot)
+		if live := canonical(stage+": live", jm.Snapshot()); !bytes.Equal(shadow, live) {
+			t.Fatalf("%s: shadow checkpoint differs from the live market: %s", stage, ck.Snapshot.Diff(jm.Snapshot()))
+		}
+		m, gotSeq, replayed, err := RecoverDir(dir)
+		if err != nil || gotSeq != seq || replayed != 0 {
+			t.Fatalf("%s: RecoverDir = seq %d, %d replayed, %v; want seq %d from the checkpoint alone", stage, gotSeq, replayed, err, seq)
+		}
+		if !bytes.Equal(shadow, canonical(stage+": recovered", m.Snapshot())) {
+			t.Fatalf("%s: shadow checkpoint differs from its own recovery", stage)
+		}
+		if err := os.Remove(filepath.Join(dir, ckptName(seq))); err != nil {
+			t.Fatal(err)
+		}
+		m, gotSeq, replayed, err = RecoverDir(dir)
+		if err != nil || gotSeq != seq || int64(replayed) != seq {
+			t.Fatalf("%s: full replay = seq %d, %d replayed, %v; want all %d records", stage, gotSeq, replayed, err, seq)
+		}
+		if !bytes.Equal(shadow, canonical(stage+": replayed", m.Snapshot())) {
+			t.Fatalf("%s: shadow checkpoint differs from a full replay: %s", stage, ck.Snapshot.Diff(m.Snapshot()))
+		}
+	}
+
+	jm, _, err := OpenStore(cfg, dir, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveWorkload(t, jm, seed, ops)
+	check("grown from genesis", jm)
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jm, _, err = OpenStore(cfg, dir, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jm.Close()
+	for i := 0; i < 40; i++ {
+		if _, err := jm.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 6; b++ {
+			jm.SubmitBid(market.BuyerID(fmt.Sprintf("b%d", b)), market.DatasetID(fmt.Sprintf("d%d", i%5)), 30+float64(7*i%90))
+		}
+	}
+	check("cloned on reopen", jm)
+}

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -334,11 +335,11 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 
 	// The store's shadow must independently track the live market for
 	// checkpointing; clone the recovered state once.
-	shadow, err := market.RestoreSnapshot(st.m.Snapshot())
+	s.state, err = command.RestoreState(st.m.Snapshot())
 	if err != nil {
 		return nil, 0, err
 	}
-	s.shadow = shadow
+	s.shadow = s.state
 	s.appliedSeq = st.lastSeq
 	s.sinceCkpt = st.lastSeq - st.lastCkpt // keep the cadence across restarts
 

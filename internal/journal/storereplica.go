@@ -3,8 +3,9 @@
 // durable seq instead of re-snapshotting from the leader. The follower
 // applies each replicated command to its serving market first, then
 // appends the record here; the serving market doubles as the store's
-// checkpoint shadow (there is no journal Writer on a follower — the
-// replication stream is the writer).
+// checkpoint shadow, through the one method the store calls on it,
+// Snapshot (there is no journal Writer on a follower — the replication
+// stream is the writer).
 package journal
 
 import (

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -72,22 +73,21 @@ func TestLockPathZeroAlloc(t *testing.T) {
 }
 
 // TestBidHotPathSteadyStateAllocs drives whole losing bids — cadence
-// check, engine evaluation, view publication — through SubmitBid and
-// asserts the steady state is allocation-free per bid. Wait periods are
-// disabled (computeWaitPeriod clones the learner by design — that is
-// core pricing work, not shell overhead) and the epoch is larger than
-// the measured bid count so no epoch-boundary price update lands inside
-// the measurement. Each run pays one Tick (its event slice is the only
-// tolerated allocation) and then bids once per buyer.
+// check, engine evaluation with the full Time-Shield wait-period replay,
+// an epoch close every eighth bid, view publication — through SubmitBid
+// and asserts the steady state is allocation-free per bid. Each run
+// pays one Tick (its event slice is the only tolerated allocation) and
+// then bids once per buyer.
 func TestBidHotPathSteadyStateAllocs(t *testing.T) {
-	const buyers = 64
+	const buyers, teachers = 64, 4000
 	cfg := Config{
 		Engine: core.Config{
-			Candidates:         auction.LinearGrid(10, 100, 10),
-			EpochSize:          1 << 20,
-			BidsPerPeriod:      buyers,
-			MinBid:             1,
-			DisableWaitPeriods: true,
+			Candidates: auction.LinearGrid(10, 100, 10),
+			EpochSize:  8,
+			// More than the replay's 64-epoch cap, so every loser waits
+			// exactly one period and may bid again after the next Tick.
+			BidsPerPeriod: 1024,
+			MinBid:        1,
 		},
 		Seed:   42,
 		Shards: 8,
@@ -99,6 +99,19 @@ func TestBidHotPathSteadyStateAllocs(t *testing.T) {
 	if err := m.UploadDataset("s", "d"); err != nil {
 		t.Fatal(err)
 	}
+	// Five hundred epochs of one-shot buyers at 80 pin the weight on the
+	// high candidates, so the low bids measured below keep losing (the
+	// engine needs ~450 all-low epochs per 500 taught to climb back) and
+	// each pays for a replay that runs to the cap.
+	for i := 0; i < teachers; i++ {
+		id := BuyerID(fmt.Sprintf("teacher%d", i))
+		if err := m.RegisterBuyer(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.SubmitBid(id, "d", 80); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ids := make([]BuyerID, buyers)
 	for i := range ids {
 		ids[i] = BuyerID(string(rune('A'+i%26)) + string(rune('a'+i/26)))
@@ -106,26 +119,25 @@ func TestBidHotPathSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm every per-buyer map: one losing bid each.
-	for _, id := range ids {
-		if _, err := m.SubmitBid(id, "d", 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	bidAll := func() {
 		m.Tick()
 		for _, id := range ids {
-			if _, err := m.SubmitBid(id, "d", 5); err != nil {
-				t.Fatal(err)
+			if d, err := m.SubmitBid(id, "d", 12); err != nil || d.Allocated || d.WaitPeriods != 1 {
+				t.Fatalf("bid by %s: %+v, %v; want a loss with a one-period wait", id, d, err)
 			}
 		}
-	})
-	// Budget: 1 for the Tick's event slice plus slack for the engine's
-	// amortized epoch-slice growth. Anything above ~2 means a per-bid
-	// allocation crept back into the shell.
+	}
+	bidAll() // warms every per-buyer map
+	before, _ := m.Stats("d")
+	allocs := testing.AllocsPerRun(100, bidAll)
+	// Budget: 1 for the Tick's event slice plus slack. Anything above ~2
+	// means a per-bid allocation crept back into the shell or the engine.
 	if allocs > 3 {
 		perBid := (allocs - 1) / buyers
 		t.Fatalf("hot path allocates %.2f per tick+%d bids (%.3f per bid), want <= 3 per run", allocs, buyers, perBid)
 	}
 	t.Logf("%.2f allocs per tick+%d-bid run", allocs, buyers)
+	if after, _ := m.Stats("d"); after.Epochs-before.Epochs != 101*buyers/8 {
+		t.Fatalf("%d epochs closed inside the measurement, want %d", after.Epochs-before.Epochs, 101*buyers/8)
+	}
 }

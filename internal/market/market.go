@@ -117,13 +117,21 @@ func New(cfg Config) (*Market, error) {
 	if err != nil {
 		return nil, err
 	}
+	return FromState(st), nil
+}
+
+// FromState wraps a state machine the caller built — fresh, restored
+// from a snapshot, or replayed from a journal head — in the concurrent
+// shell: lock shards sized from its config, read views derived from its
+// contents. The market takes ownership of st.
+func FromState(st *command.State) *Market {
 	m := &Market{
-		cfg:    cfg,
+		cfg:    st.Config(),
 		st:     st,
-		shards: newShards(cfg.Shards),
+		shards: newShards(st.Config().Shards),
 	}
-	m.initViews()
-	return m, nil
+	m.rebuildViews()
+	return m
 }
 
 // MustNew is New for static configurations; it panics on config errors.

@@ -34,12 +34,5 @@ func RestoreSnapshot(s Snapshot) (*Market, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Market{
-		cfg:    st.Config(),
-		st:     st,
-		shards: newShards(st.Config().Shards),
-	}
-	m.initViews()
-	m.rebuildViews()
-	return m, nil
+	return FromState(st), nil
 }

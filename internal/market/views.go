@@ -146,16 +146,8 @@ type booksView struct {
 	txs      []Transaction
 }
 
-func (m *Market) initViews() {
-	stats := make(map[DatasetID]*statsCell)
-	buyers := make(map[BuyerID]*buyerCell)
-	m.vw.stats.Store(&stats)
-	m.vw.buyers.Store(&buyers)
-	m.vw.books.Store(&booksView{})
-}
-
 // rebuildViews derives every view from the current state. Callers must
-// have exclusive access (restore path, before the market is shared).
+// have exclusive access (construction, before the market is shared).
 func (m *Market) rebuildViews() {
 	m.vw.clock.Store(int64(m.st.Period()))
 

@@ -12,22 +12,21 @@ package mw
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/datamarket/shield/internal/rng"
 )
 
-// Expert is one option the learner can play; Value is its payload (for the
-// pricing algorithm, a candidate posting price) and Weight its current
-// multiplicative weight.
-type Expert struct {
-	Value  float64
-	Weight float64
-}
-
 // Learner runs the multiplicative weights method over a fixed expert set.
 // It is not safe for concurrent use.
 type Learner struct {
-	experts []Expert
+	// values and weights are parallel: expert i plays values[i] (for the
+	// pricing algorithm, a candidate posting price) with multiplicative
+	// weight weights[i]. The weights are a bare vector so Update, Draw
+	// and ArgMax run the same slice routines (Step, ArgMax) a caller can
+	// run on its own scratch copy.
+	values  []float64
+	weights []float64
 	eta     float64
 	share   float64
 	rounds  int
@@ -82,24 +81,23 @@ func NewLearnerWithWeights(values, weights []float64, eta float64) *Learner {
 	if eta <= 0 || eta > 0.5 {
 		panic(fmt.Sprintf("mw: eta %v outside (0, 0.5]", eta))
 	}
-	l := &Learner{
-		experts: make([]Expert, len(values)),
-		eta:     eta,
-		cumCost: make([]float64, len(values)),
-	}
-	for i, v := range values {
-		w := weights[i]
+	for i, w := range weights {
 		if !(w > 0) || math.IsInf(w, 1) {
 			panic(fmt.Sprintf("mw: weight[%d] = %v must be positive and finite", i, w))
 		}
-		l.experts[i] = Expert{Value: v, Weight: w}
 	}
-	l.renormalize()
+	l := &Learner{
+		values:  slices.Clone(values),
+		weights: slices.Clone(weights),
+		eta:     eta,
+		cumCost: make([]float64, len(values)),
+	}
+	renormalize(l.weights)
 	return l
 }
 
 // Len returns the number of experts.
-func (l *Learner) Len() int { return len(l.experts) }
+func (l *Learner) Len() int { return len(l.weights) }
 
 // Eta returns the learning rate.
 func (l *Learner) Eta() float64 { return l.eta }
@@ -107,38 +105,25 @@ func (l *Learner) Eta() float64 { return l.eta }
 // Rounds returns how many Update calls have been applied.
 func (l *Learner) Rounds() int { return l.rounds }
 
-// Experts returns a copy of the expert set (values and current weights).
-func (l *Learner) Experts() []Expert {
-	out := make([]Expert, len(l.experts))
-	copy(out, l.experts)
-	return out
-}
-
 // Values returns the expert values in order.
-func (l *Learner) Values() []float64 {
-	out := make([]float64, len(l.experts))
-	for i, e := range l.experts {
-		out[i] = e.Value
-	}
-	return out
-}
+func (l *Learner) Values() []float64 { return slices.Clone(l.values) }
 
 // Weights returns a copy of the current weights.
-func (l *Learner) Weights() []float64 {
-	out := make([]float64, len(l.experts))
-	for i, e := range l.experts {
-		out[i] = e.Weight
-	}
-	return out
-}
+func (l *Learner) Weights() []float64 { return l.WeightsInto(nil) }
+
+// WeightsInto copies the current weights into dst's storage (grown if
+// too small) and returns the copy: a caller that replays hypothetical
+// rounds with Step keeps one scratch vector instead of a fresh copy per
+// replay.
+func (l *Learner) WeightsInto(dst []float64) []float64 { return append(dst[:0], l.weights...) }
 
 // Probabilities returns the current weight distribution normalized to sum
 // to one.
 func (l *Learner) Probabilities() []float64 {
-	out := make([]float64, len(l.experts))
+	out := make([]float64, len(l.weights))
 	var total float64
-	for _, e := range l.experts {
-		total += e.Weight
+	for _, w := range l.weights {
+		total += w
 	}
 	if total <= 0 {
 		// Degenerate (should not happen with costs in [-1,1]); fall back
@@ -148,8 +133,8 @@ func (l *Learner) Probabilities() []float64 {
 		}
 		return out
 	}
-	for i, e := range l.experts {
-		out[i] = e.Weight / total
+	for i, w := range l.weights {
+		out[i] = w / total
 	}
 	return out
 }
@@ -158,92 +143,120 @@ func (l *Learner) Probabilities() []float64 {
 // randomized selection rule that implements Uncertainty-Shield while
 // preserving the MW guarantee (Algorithm 1 line 25).
 func (l *Learner) Draw(r *rng.RNG) int {
-	return r.WeightedIndex(l.Weights())
+	return r.WeightedIndex(l.weights)
 }
 
 // DrawValue samples an expert and returns its value.
 func (l *Learner) DrawValue(r *rng.RNG) float64 {
-	return l.experts[l.Draw(r)].Value
+	return l.values[l.Draw(r)]
 }
 
 // ArgMax returns the index of the highest-weight expert (ties break toward
 // the lower index). This is the deterministic MW-Max selection rule of
 // Figure 4a, which forgoes Uncertainty-Shield.
-func (l *Learner) ArgMax() int {
+func (l *Learner) ArgMax() int { return ArgMax(l.weights) }
+
+// ArgMax returns the index of the largest weight (ties break toward the
+// lower index).
+func ArgMax(weights []float64) int {
 	best := 0
-	for i, e := range l.experts {
-		if e.Weight > l.experts[best].Weight {
+	for i, w := range weights {
+		if w > weights[best] {
 			best = i
 		}
 	}
 	return best
 }
 
-// Update applies one round of the multiplicative weights rule. costs[i]
-// must lie in [-1, 1]: positive costs shrink weights by (1-eta)^cost,
-// negative costs (gains) grow them by (1+eta)^(-cost), exactly the
-// two-branch rule of Algorithm 1 lines 21-24. incurred is the cost of the
-// expert actually played this round (used only for regret accounting; pass
-// 0 if not tracking regret). Update panics if the cost vector length
-// mismatches or any cost falls outside [-1, 1].
+// Update applies one round of the multiplicative weights rule: Step on
+// the learner's own weights, plus regret accounting. costs[i] must lie
+// in [-1, 1]. incurred is the cost of the expert actually played this
+// round (used only for regret accounting; pass 0 if not tracking
+// regret). Update panics if the cost vector length mismatches or any
+// cost falls outside [-1, 1].
 func (l *Learner) Update(costs []float64, incurred float64) {
-	if len(costs) != len(l.experts) {
-		panic(fmt.Sprintf("mw: %d costs for %d experts", len(costs), len(l.experts)))
+	Step(l.weights, costs, l.eta, l.share)
+	for i, c := range costs {
+		l.cumCost[i] += clampCost(c)
 	}
+	l.cumIncurred += incurred
+	l.rounds++
+}
+
+// Step applies one round of the multiplicative weights rule to a bare
+// weight vector, in place and without allocating. Positive costs shrink
+// weights by (1-eta)^cost, negative costs (gains) grow them by
+// (1+eta)^(-cost), exactly the two-branch rule of Algorithm 1 lines
+// 21-24; then, with share > 0, a fraction share of the total weight is
+// redistributed uniformly (see SetShare); then the vector is rescaled if
+// its maximum has left [1e-6, 1e6]. It is the whole update rule:
+// Learner.Update calls it on the live weights, and the Time-Shield wait
+// replay calls it on a scratch copy, so a replayed round moves weights
+// bit for bit as the live round would. Step panics if the lengths differ
+// or any cost falls outside [-1, 1].
+func Step(weights, costs []float64, eta, share float64) {
+	if len(costs) != len(weights) {
+		panic(fmt.Sprintf("mw: %d costs for %d experts", len(costs), len(weights)))
+	}
+	// math.Pow is most of a round's cost and runs of equal costs are the
+	// common case — every candidate priced above an epoch's highest bid
+	// earns nothing and so costs the same — so the factor of the previous
+	// expert is reused when the cost repeats. Pow is a pure function: the
+	// product is the one a fresh call would give.
+	lastCost, factor := math.NaN(), 0.0
 	for i, c := range costs {
 		if math.IsNaN(c) || c < -1-1e-9 || c > 1+1e-9 {
 			panic(fmt.Sprintf("mw: cost[%d] = %v outside [-1, 1]", i, c))
 		}
-		if c > 1 {
-			c = 1
+		if c = clampCost(c); c != lastCost {
+			lastCost = c
+			if c >= 0 {
+				factor = math.Pow(1-eta, c)
+			} else {
+				factor = math.Pow(1+eta, -c)
+			}
 		}
-		if c < -1 {
-			c = -1
-		}
-		if c >= 0 {
-			l.experts[i].Weight *= math.Pow(1-l.eta, c)
-		} else {
-			l.experts[i].Weight *= math.Pow(1+l.eta, -c)
-		}
-		l.cumCost[i] += c
+		weights[i] *= factor
 	}
-	l.cumIncurred += incurred
-	l.rounds++
-	if l.share > 0 {
+	if share > 0 {
 		var total float64
-		for _, e := range l.experts {
-			total += e.Weight
+		for _, w := range weights {
+			total += w
 		}
-		mix := l.share * total / float64(len(l.experts))
-		for i := range l.experts {
-			l.experts[i].Weight = (1-l.share)*l.experts[i].Weight + mix
+		mix := share * total / float64(len(weights))
+		for i := range weights {
+			weights[i] = (1-share)*weights[i] + mix
 		}
 	}
-	l.renormalize()
+	renormalize(weights)
 }
+
+// clampCost pulls a cost inside Step's 1e-9 validation slack back onto
+// [-1, 1].
+func clampCost(c float64) float64 { return max(-1, min(1, c)) }
 
 // renormalize rescales weights so the maximum is 1, preventing underflow
 // or overflow over long runs. Rescaling all weights by a constant does not
 // change the induced probability distribution, so the algorithm's behavior
 // is unaffected.
-func (l *Learner) renormalize() {
+func renormalize(weights []float64) {
 	maxW := 0.0
-	for _, e := range l.experts {
-		if e.Weight > maxW {
-			maxW = e.Weight
+	for _, w := range weights {
+		if w > maxW {
+			maxW = w
 		}
 	}
 	switch {
 	case maxW <= 0 || math.IsInf(maxW, 1):
 		// Degenerate: reset to uniform as a last resort.
-		for i := range l.experts {
-			l.experts[i].Weight = 1
+		for i := range weights {
+			weights[i] = 1
 		}
 	case maxW > 1e-6 && maxW < 1e6:
 		// Comfortably in range; skip the division.
 	default:
-		for i := range l.experts {
-			l.experts[i].Weight /= maxW
+		for i := range weights {
+			weights[i] /= maxW
 		}
 	}
 }
@@ -272,7 +285,7 @@ func (l *Learner) Regret() float64 {
 // RegretBound returns the Arora-Hazan-Kale bound on expected regret after
 // the learner's rounds: eta*T + ln(n)/eta, valid for costs in [-1, 1].
 func (l *Learner) RegretBound() float64 {
-	return l.eta*float64(l.rounds) + math.Log(float64(len(l.experts)))/l.eta
+	return l.eta*float64(l.rounds) + math.Log(float64(len(l.weights)))/l.eta
 }
 
 // OptimalEta returns the learning rate minimizing the regret bound for a
@@ -289,22 +302,6 @@ func OptimalEta(n, T int) float64 {
 		return DefaultEta
 	}
 	return eta
-}
-
-// Clone returns a deep copy of the learner, used by the wait-period
-// simulation to replay hypothetical futures without disturbing live state.
-func (l *Learner) Clone() *Learner {
-	c := &Learner{
-		experts:     make([]Expert, len(l.experts)),
-		eta:         l.eta,
-		share:       l.share,
-		rounds:      l.rounds,
-		cumCost:     make([]float64, len(l.cumCost)),
-		cumIncurred: l.cumIncurred,
-	}
-	copy(c.experts, l.experts)
-	copy(c.cumCost, l.cumCost)
-	return c
 }
 
 // Snapshot is the learner's full serializable state.
@@ -366,8 +363,8 @@ func Restore(s Snapshot) (*Learner, error) {
 
 // Reset restores all weights to 1 and clears regret accounting.
 func (l *Learner) Reset() {
-	for i := range l.experts {
-		l.experts[i].Weight = 1
+	for i := range l.weights {
+		l.weights[i] = 1
 	}
 	for i := range l.cumCost {
 		l.cumCost[i] = 0

@@ -250,19 +250,135 @@ func TestOptimalEta(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	l := newTestLearner(t, 3)
-	l.Update([]float64{0.5, 0, -0.5}, 0)
-	c := l.Clone()
-	c.Update([]float64{1, 1, 1}, 0)
-	if l.Rounds() != 1 || c.Rounds() != 2 {
-		t.Fatalf("rounds: live %d, clone %d", l.Rounds(), c.Rounds())
+// referenceUpdate is the pre-kernel Learner.Update body (expert-struct
+// weights, update and regret accounting in one loop), kept as the
+// oracle TestStepMatchesReference holds Step and Update to.
+func referenceUpdate(weights, cumCost, costs []float64, eta, share float64) {
+	type expert struct{ Weight float64 }
+	experts := make([]expert, len(weights))
+	for i, w := range weights {
+		experts[i].Weight = w
 	}
-	lw, cw := l.Weights(), c.Weights()
-	for i := range lw {
-		if lw[i] == cw[i] {
-			t.Fatalf("clone shares weight state at %d", i)
+	for i, c := range costs {
+		if c > 1 {
+			c = 1
 		}
+		if c < -1 {
+			c = -1
+		}
+		if c >= 0 {
+			experts[i].Weight *= math.Pow(1-eta, c)
+		} else {
+			experts[i].Weight *= math.Pow(1+eta, -c)
+		}
+		cumCost[i] += c
+	}
+	if share > 0 {
+		var total float64
+		for _, e := range experts {
+			total += e.Weight
+		}
+		mix := share * total / float64(len(experts))
+		for i := range experts {
+			experts[i].Weight = (1-share)*experts[i].Weight + mix
+		}
+	}
+	maxW := 0.0
+	for _, e := range experts {
+		if e.Weight > maxW {
+			maxW = e.Weight
+		}
+	}
+	switch {
+	case maxW <= 0 || math.IsInf(maxW, 1):
+		for i := range experts {
+			experts[i].Weight = 1
+		}
+	case maxW > 1e-6 && maxW < 1e6:
+	default:
+		for i := range experts {
+			experts[i].Weight /= maxW
+		}
+	}
+	for i, e := range experts {
+		weights[i] = e.Weight
+	}
+}
+
+// TestStepMatchesReference drives a learner, a bare Step vector and the
+// reference through the same long cost sequences — long enough for the
+// rescale branch to fire — and requires all three bit-identical every
+// round, with and without fixed-share mixing.
+func TestStepMatchesReference(t *testing.T) {
+	for _, share := range []float64{0, 0.05} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			r := rng.New(seed)
+			const n = 12
+			l := newTestLearner(t, n)
+			l.SetShare(share)
+			bare := l.Weights()
+			ref, refCum := l.Weights(), make([]float64, n)
+			costs := make([]float64, n)
+			rescaled := false
+			for round := 0; round < 400; round++ {
+				before := ref[ArgMax(ref)]
+				for i := range costs {
+					switch r.Intn(4) {
+					case 0:
+						costs[i] = 0
+					case 1:
+						costs[i] = float64(r.Intn(3) - 1) // -1, 0, 1: the Pow fast paths
+					default:
+						// Mostly losses: every weight decays, so the
+						// maximum leaves [1e-6, 1e6] and the rescale fires.
+						costs[i] = r.Uniform(-0.3, 1)
+					}
+				}
+				l.Update(costs, 0)
+				Step(bare, costs, l.Eta(), share)
+				referenceUpdate(ref, refCum, costs, l.Eta(), share)
+				// No single round grows a weight by more than 1+eta.
+				rescaled = rescaled || ref[ArgMax(ref)] > before*(1+l.Eta())
+				got, cum := l.Weights(), l.Snapshot().CumCost
+				for i := range ref {
+					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) ||
+						math.Float64bits(bare[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("share %v seed %d round %d: weight[%d] learner %v, Step %v, reference %v",
+							share, seed, round, i, got[i], bare[i], ref[i])
+					}
+					if math.Float64bits(cum[i]) != math.Float64bits(refCum[i]) {
+						t.Fatalf("share %v seed %d round %d: cumCost[%d] = %v, reference %v",
+							share, seed, round, i, cum[i], refCum[i])
+					}
+				}
+			}
+			if !rescaled {
+				t.Fatalf("share %v seed %d: the rescale branch never fired", share, seed)
+			}
+		}
+	}
+}
+
+// TestHotPathAllocs pins the kernel's allocation contract: Update, Step,
+// Draw and WeightsInto a large-enough buffer do not allocate.
+func TestHotPathAllocs(t *testing.T) {
+	l := newTestLearner(t, 16)
+	l.SetShare(0.05)
+	costs := make([]float64, 16)
+	for i := range costs {
+		costs[i] = float64(i%3-1) * 0.4
+	}
+	scratch := make([]float64, 16)
+	r := rng.New(7)
+	n := testing.AllocsPerRun(100, func() {
+		l.Update(costs, 0)
+		scratch = l.WeightsInto(scratch)
+		Step(scratch, costs, l.Eta(), l.Share())
+		_ = l.Draw(r)
+		_ = ArgMax(scratch)
+	})
+	if n != 0 {
+		t.Fatalf("Update+WeightsInto+Step+Draw allocate %.1f times per round, want 0", n)
 	}
 }
 
@@ -280,12 +396,12 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestExpertsCopySemantics(t *testing.T) {
+func TestAccessorsCopy(t *testing.T) {
 	l := newTestLearner(t, 2)
-	ex := l.Experts()
-	ex[0].Weight = 999
-	if l.Weights()[0] == 999 {
-		t.Fatal("Experts() leaked internal state")
+	vs := l.Values()
+	vs[0] = 999
+	if l.Values()[0] == 999 {
+		t.Fatal("Values() leaked internal state")
 	}
 	ws := l.Weights()
 	ws[0] = 999
@@ -414,14 +530,6 @@ func TestSetSharePanics(t *testing.T) {
 			}()
 			l.SetShare(s)
 		}()
-	}
-}
-
-func TestCloneCopiesShare(t *testing.T) {
-	l := newTestLearner(t, 3)
-	l.SetShare(0.1)
-	if c := l.Clone(); c.Share() != 0.1 {
-		t.Fatalf("clone share = %v", c.Share())
 	}
 }
 

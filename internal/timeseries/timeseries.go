@@ -192,25 +192,16 @@ func Transform(valuations []float64, cfg StrategicConfig, r *rng.RNG) ([]Bid, er
 	if cfg.PCT == 0 {
 		return TruthfulStream(valuations), nil
 	}
-	seqs := make([][]Bid, len(valuations))
+	// Counting pass: one draw per buyer, in arrival order, decides who is
+	// strategic and so how many bids each buyer contributes.
+	strategic := make([]bool, len(valuations))
 	total := 0
-	for i, v := range valuations {
-		if !r.Bool(cfg.PCT) {
-			seqs[i] = []Bid{{Buyer: i, Valuation: v, Amount: v, Final: true}}
+	for i := range valuations {
+		if strategic[i] = r.Bool(cfg.PCT); strategic[i] {
+			total += cfg.Horizon
+		} else {
 			total++
-			continue
 		}
-		low := cfg.Beta * v
-		if low < cfg.Floor {
-			low = cfg.Floor
-		}
-		seq := make([]Bid, 0, cfg.Horizon)
-		for k := 0; k < cfg.Horizon-1; k++ {
-			seq = append(seq, Bid{Buyer: i, Valuation: v, Amount: low, Strategic: true})
-		}
-		seq = append(seq, Bid{Buyer: i, Valuation: v, Amount: v, Strategic: true, Final: true})
-		seqs[i] = seq
-		total += len(seq)
 	}
 	// Random riffle: shuffle a multiset of buyer indices, then emit each
 	// buyer's next bid as its index comes up — a uniformly random
@@ -218,19 +209,30 @@ func Transform(valuations []float64, cfg StrategicConfig, r *rng.RNG) ([]Bid, er
 	// Burst the multiset stays ordered, yielding consecutive per-buyer
 	// bursts.
 	order := make([]int, 0, total)
-	for bi, s := range seqs {
-		for range s {
+	for bi, strat := range strategic {
+		order = append(order, bi)
+		for k := 1; strat && k < cfg.Horizon; k++ {
 			order = append(order, bi)
 		}
 	}
 	if !cfg.Burst {
 		r.ShuffleInts(order)
 	}
-	out := make([]Bid, 0, total)
-	next := make([]int, len(seqs))
-	for _, bi := range order {
-		out = append(out, seqs[bi][next[bi]])
-		next[bi]++
+	// A buyer's k-th bid is a function of (strategic, k, valuation), so
+	// the per-buyer sequences are never materialized: next[bi] counts how
+	// many of buyer bi's bids have been emitted.
+	out := make([]Bid, total)
+	next := make([]int, len(valuations))
+	for n, bi := range order {
+		v := valuations[bi]
+		bid := Bid{Buyer: bi, Valuation: v, Amount: v, Strategic: strategic[bi], Final: true}
+		if next[bi]++; strategic[bi] && next[bi] < cfg.Horizon {
+			bid.Final = false
+			if bid.Amount = cfg.Beta * v; bid.Amount < cfg.Floor {
+				bid.Amount = cfg.Floor
+			}
+		}
+		out[n] = bid
 	}
 	return out, nil
 }

@@ -339,3 +339,102 @@ func TestPaperARGrid(t *testing.T) {
 		}
 	}
 }
+
+// referenceTransform is the pre-rewrite Transform body (one slice per
+// buyer, riffled afterwards), kept as the oracle for the version that
+// derives each bid from (strategic, k, valuation) without materializing
+// the per-buyer sequences.
+func referenceTransform(valuations []float64, cfg StrategicConfig, r *rng.RNG) []Bid {
+	seqs := make([][]Bid, len(valuations))
+	total := 0
+	for i, v := range valuations {
+		if !r.Bool(cfg.PCT) {
+			seqs[i] = []Bid{{Buyer: i, Valuation: v, Amount: v, Final: true}}
+			total++
+			continue
+		}
+		low := cfg.Beta * v
+		if low < cfg.Floor {
+			low = cfg.Floor
+		}
+		seq := make([]Bid, 0, cfg.Horizon)
+		for k := 0; k < cfg.Horizon-1; k++ {
+			seq = append(seq, Bid{Buyer: i, Valuation: v, Amount: low, Strategic: true})
+		}
+		seq = append(seq, Bid{Buyer: i, Valuation: v, Amount: v, Strategic: true, Final: true})
+		seqs[i] = seq
+		total += len(seq)
+	}
+	order := make([]int, 0, total)
+	for bi, s := range seqs {
+		for range s {
+			order = append(order, bi)
+		}
+	}
+	if !cfg.Burst {
+		r.ShuffleInts(order)
+	}
+	out := make([]Bid, 0, total)
+	next := make([]int, len(seqs))
+	for _, bi := range order {
+		out = append(out, seqs[bi][next[bi]])
+		next[bi]++
+	}
+	return out
+}
+
+// TestTransformMatchesReference holds Transform to the reference bid
+// for bid — and draw for draw: the generators must leave both in the
+// same state.
+func TestTransformMatchesReference(t *testing.T) {
+	vals, err := GenerateValuations(ARConfig{AR: 0.9, Sigma: 0.01, Mean: 100, Floor: 1, N: 250}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pct := range []float64{0.1, 0.5, 1} {
+		for _, beta := range []float64{0, 0.6} {
+			for _, horizon := range []int{1, 2, 5} {
+				for _, burst := range []bool{false, true} {
+					cfg := StrategicConfig{PCT: pct, Beta: beta, Horizon: horizon, Floor: 3, Burst: burst}
+					r1, r2 := rng.New(77), rng.New(77)
+					got, err := Transform(vals, cfg, r1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := referenceTransform(vals, cfg, r2)
+					if len(got) != len(want) {
+						t.Fatalf("%+v: %d bids, reference %d", cfg, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%+v: bid %d = %+v, reference %+v", cfg, i, got[i], want[i])
+						}
+					}
+					if r1.Uint64() != r2.Uint64() {
+						t.Fatalf("%+v: generator state diverged from the reference", cfg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTransformAllocations pins the allocation count: four slices per
+// call (who is strategic, the riffle order, the cursor per buyer, the
+// output), not one per buyer.
+func TestTransformAllocations(t *testing.T) {
+	vals := make([]float64, 250)
+	for i := range vals {
+		vals[i] = 50 + float64(i%40)
+	}
+	r := rng.New(1)
+	cfg := StrategicConfig{PCT: 0.5, Beta: 0.5, Horizon: 4}
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := Transform(vals, cfg, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 4 {
+		t.Fatalf("Transform allocates %.0f times for 250 buyers, want <= 4", n)
+	}
+}
