@@ -24,13 +24,17 @@ build:
 	$(GO) build ./...
 
 # The concurrency-sensitive packages run under the race detector: the
-# sharded market arbiter, the HTTP layer that fans batches into it, the
-# journal (crash-recovery harness appends concurrently), the
-# telemetry registry/tracer (scraped while updated), the replication
-# feed/follower (commit hook racing subscribers and kills), and the
-# shieldtop poller (refresh loop racing terminal resize/teardown).
+# market arbiter (one writer, lock-free readers), the command core it
+# drives, the HTTP layer, the journal (the commit stage — the
+# hot-dataset ordering probe and the nothing-visible-before-durable
+# tests live here — and the crash-recovery harness), the telemetry
+# registry/tracer (scraped while updated), the replication
+# feed/follower (commit hook racing subscribers and kills), the
+# shieldtop poller (refresh loop racing terminal resize/teardown), and
+# the torture harness's concurrent storm with its ordering canary.
 race:
-	$(GO) test -race ./internal/market/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/...
+	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/...
+	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
 
 test:
 	$(GO) test ./...
@@ -50,18 +54,22 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzReplicateDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 
-# Model-based torture: seeded workloads differentially tested against the
-# sequential reference model at shard counts {1,4,16} (~30s). Failures
-# print a `shieldstorm -seed N -ops M` reproduction line.
+# Model-based torture, two halves. The sequential differential: seeded
+# workloads against the reference model through direct, instrumented,
+# wire and follower twins. The concurrent storm (-hot): goroutines piled
+# onto one dataset of a store-backed journaled market, with journal
+# replay, store recovery and the follower pinned byte-identical to the
+# leader at every checkpoint. Failures print a `shieldstorm [-hot] -seed
+# N -ops M` reproduction line.
 TORTURE_SEED ?= 1
 torture:
 	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -seeds 2 -ops 100000
+	$(GO) run ./cmd/shieldstorm -hot -seed $(TORTURE_SEED) -seeds 2 -ops 100000
 
-# Quick differential pass at the shard extremes (1 = fully serialized,
-# 16 = default parallelism) — catches sharding bugs in seconds before
-# ci pays for the full matrix.
+# Quick concurrent pass — catches an ordering bug in the commit stage in
+# seconds before ci pays for the full runs.
 torture-smoke:
-	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -seeds 1 -ops 20000 -shards 1,16
+	$(GO) run ./cmd/shieldstorm -hot -seed $(TORTURE_SEED) -seeds 1 -ops 20000
 
 # Nightly soak: many seeds, longer histories.
 torture-long:
@@ -73,7 +81,7 @@ torture-long:
 # then the load rig's -compact-every scenario, where checkpointing and
 # compaction run against live load and the bid tail must hold the SLO.
 segment-smoke:
-	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -ops 20000 -shards 1,16 \
+	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -ops 20000 \
 		-store -segment-records 512 -checkpoint-every 2000 -disk-ceiling-mb 64
 	$(GO) run ./cmd/shieldload -transport both -clients 512 -rate 1500 \
 		-ops 6000 -tick-every 400 -store -compact-every 1000 -segment-records 512 \
@@ -151,7 +159,9 @@ bench-repo:
 # say "correct":true — so a change that breaks a benchmark correctness
 # check (money conservation, seq accounting, byte-identical recovery,
 # byte-identical paper_sim rounds) fails here, before the pipeline that
-# compares it against its parent ever runs it.
+# compares it against its parent ever runs it. The two serving
+# workloads must also report replay_identical=1: the benchmark only
+# reports that bit (its clients are concurrent), this gate requires it.
 bench-repo-smoke:
 	@for w in $(BENCH_WORKLOADS); do \
 		out="$$(bash benchmark/run.sh --workload $$w --seed $(BENCH_SEED) --seconds 1 --trace 0)"; status=$$?; \
@@ -159,5 +169,11 @@ bench-repo-smoke:
 			printf '%s\n' "$$out" | tail -25; \
 			echo "bench-repo-smoke: $$w failed (exit $$status, or last line lacks \"correct\":true)"; exit 1; \
 		fi; \
+		case $$w in wire_bid_durable|http_read_mix) \
+			if ! printf '%s\n' "$$out" | grep '^check reported:' | grep -q 'replay_identical=1'; then \
+				printf '%s\n' "$$out" | grep '^check'; \
+				echo "bench-repo-smoke: $$w: journal replay does not rebuild the live market (replay_identical != 1)"; exit 1; \
+			fi;; \
+		esac; \
 		echo "bench-repo-smoke: $$w ok"; \
 	done

@@ -12,12 +12,14 @@ package shield_test
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
 	shield "github.com/datamarket/shield"
 	"github.com/datamarket/shield/internal/experiments"
+	"github.com/datamarket/shield/internal/journal"
 )
 
 // benchOpts is the reduced scale used by the benchmark harness.
@@ -300,65 +302,64 @@ func BenchmarkX7_BestResponse(b *testing.B) {
 	b.ReportMetric(advGap, "strategic-edge-removed-by-waits")
 }
 
-// BenchmarkMarketParallel measures concurrent bid throughput against the
-// sharded market arbiter: every goroutine bids on a rotation of 64
-// datasets with a fresh buyer per rotation, so each bid is a winning bid
-// exercising the full path (engine, accounts, ledger, payout). Run with
-// -cpu 1,2,4,... on a multicore machine to see throughput scale with
-// parallelism; the shards=1 variant is the unsharded baseline the
-// speedup should be measured against (with a single shard every bid
-// serializes on one lock regardless of GOMAXPROCS).
-func BenchmarkMarketParallel(b *testing.B) {
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const numDatasets = 64
-			m, datasets := benchMarket(b, numDatasets, shards)
-			// Pre-register every buyer the run can need: registration
-			// takes the registry write lock (a full bid barrier), which
-			// belongs in setup, not in the measured hot path.
-			buyers := make([]shield.BuyerID, b.N/numDatasets+runtime.GOMAXPROCS(0)+1)
-			for i := range buyers {
-				buyers[i] = shield.BuyerID(fmt.Sprintf("buyer-%d", i))
-				if err := m.RegisterBuyer(buyers[i]); err != nil {
-					b.Fatal(err)
-				}
+// BenchmarkJournaledParallelBids measures concurrent bid throughput
+// through the one ordered commit stage: goroutines bid on a rotation of
+// 64 datasets with a fresh buyer per rotation, so each bid is a winning
+// bid exercising the full path (engine, accounts, ledger, payout), and
+// every bid is applied, encoded and written by the group-commit leader
+// in journal order. Run with -cpu 1,2,4,...: the stage is serial by
+// design, so what parallelism buys is larger groups (records/group),
+// not parallel applies.
+func BenchmarkJournaledParallelBids(b *testing.B) {
+	const numDatasets = 64
+	jm, err := journal.NewMarket(benchMarketConfig(), io.Discard, journal.WithGroupCommit(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	datasets := benchCatalog(b, jm, numDatasets)
+	// Registration is a command like any other; it belongs in setup, not
+	// in the measured hot path.
+	buyers := make([]shield.BuyerID, b.N/numDatasets+runtime.GOMAXPROCS(0)+1)
+	for i := range buyers {
+		buyers[i] = shield.BuyerID(fmt.Sprintf("buyer-%d", i))
+		if err := jm.RegisterBuyer(buyers[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	seeded := jm.LastSeq()
+	var buyerSeq atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var buyer shield.BuyerID
+		i := numDatasets // force a fresh buyer on the first iteration
+		for pb.Next() {
+			if i == numDatasets {
+				buyer = buyers[buyerSeq.Add(1)-1]
+				i = 0
 			}
-			var buyerSeq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var buyer shield.BuyerID
-				i := numDatasets // force a fresh buyer on the first iteration
-				for pb.Next() {
-					if i == numDatasets {
-						buyer = buyers[buyerSeq.Add(1)-1]
-						i = 0
-					}
-					if _, err := m.SubmitBid(buyer, datasets[i], 150); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			var bids, contention int64
-			for _, sh := range m.ShardStats() {
-				bids += sh.Bids
-				contention += sh.Contention
+			if _, err := jm.SubmitBid(buyer, datasets[i], 150); err != nil {
+				b.Error(err)
+				return
 			}
-			if bids > 0 {
-				b.ReportMetric(float64(contention)/float64(bids), "contention/bid")
-			}
-		})
+			i++
+		}
+	})
+	b.StopTimer()
+	if got := jm.LastSeq() - seeded; got != int64(b.N) {
+		b.Fatalf("journal holds %d bid records, want %d", got, b.N)
 	}
 }
 
 // BenchmarkMarketBatchBids measures the batch entry point: one
 // SubmitBids call per iteration carrying a fresh buyer's bids across all
-// 64 datasets, fanned out internally across the shards.
+// 64 datasets, applied in request order.
 func BenchmarkMarketBatchBids(b *testing.B) {
 	const numDatasets = 64
-	m, datasets := benchMarket(b, numDatasets, 0)
+	m, err := shield.NewMarket(benchMarketConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	datasets := benchCatalog(b, m, numDatasets)
 	var buyerSeq atomic.Int64
 	reqs := make([]shield.BidRequest, numDatasets)
 	b.ResetTimer()
@@ -378,22 +379,24 @@ func BenchmarkMarketBatchBids(b *testing.B) {
 	}
 }
 
-// benchMarket builds a market with n base datasets for the concurrency
-// benchmarks (shards <= 0 selects the default shard count).
-func benchMarket(b *testing.B, n, shards int) (*shield.Market, []shield.DatasetID) {
-	b.Helper()
-	m, err := shield.NewMarket(shield.MarketConfig{
+func benchMarketConfig() shield.MarketConfig {
+	return shield.MarketConfig{
 		Engine: shield.EngineConfig{
 			Candidates: shield.LinearGrid(1, 100, 40),
 			EpochSize:  8,
 			MinBid:     1,
 		},
-		Seed:   2022,
-		Shards: shards,
-	})
-	if err != nil {
-		b.Fatal(err)
+		Seed: 2022,
 	}
+}
+
+// benchCatalog registers one seller and n base datasets on m, plain or
+// journaled, for the concurrency benchmarks.
+func benchCatalog(b *testing.B, m interface {
+	RegisterSeller(shield.SellerID) error
+	UploadDataset(shield.SellerID, shield.DatasetID) error
+}, n int) []shield.DatasetID {
+	b.Helper()
 	if err := m.RegisterSeller("bench-seller"); err != nil {
 		b.Fatal(err)
 	}
@@ -404,5 +407,5 @@ func benchMarket(b *testing.B, n, shards int) (*shield.Market, []shield.DatasetI
 			b.Fatal(err)
 		}
 	}
-	return m, datasets
+	return datasets
 }

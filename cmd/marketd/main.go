@@ -6,7 +6,7 @@
 // Usage:
 //
 //	marketd [-addr :8080] [-epoch 8] [-candidates 40] [-min 1] [-max 200]
-//	        [-seed 2022] [-shards 16] [-journal market.log] [-fsync] [-auth]
+//	        [-seed 2022] [-journal market.log] [-fsync] [-auth]
 //	        [-journal-dir market.d] [-checkpoint-every 10000]
 //	        [-retain-segments 0] [-segment-bytes 8388608]
 //	        [-group-commit] [-group-commit-window 0s] [-wire-addr :9090]
@@ -116,7 +116,6 @@ func main() {
 		maxPrice    = flag.Float64("max", 200, "highest candidate price")
 		bpp         = flag.Int("bpp", 1, "expected bids per market period (Time-Shield conversion)")
 		seed        = flag.Uint64("seed", 2022, "pricing randomness seed")
-		shards      = flag.Int("shards", market.DefaultShards, "lock shards for concurrent bidding (pricing is shard-count independent)")
 		journalPath = flag.String("journal", "", "flat event-journal file (created, or replayed if present); with -journal-dir it is instead the one-time migration source")
 		journalDir  = flag.String("journal-dir", "", "segmented journal directory: rotated segment files plus snapshot checkpoints, recovery replays only the tail past the newest checkpoint")
 		ckptEvery   = flag.Int64("checkpoint-every", 0, "with -journal-dir: write a snapshot checkpoint every N committed records (0 = default 10000, negative disables)")
@@ -196,8 +195,10 @@ func main() {
 			BidsPerPeriod: *bpp,
 			MinBid:        *minPrice,
 		},
-		Seed:   *seed,
-		Shards: *shards,
+		Seed: *seed,
+		// Recorded, selects nothing; kept so a fresh log's genesis is
+		// byte-identical to one written before -shards was removed.
+		Shards: market.DefaultShards,
 	}
 
 	storeCfg := journal.StoreConfig{

@@ -1,12 +1,21 @@
 // Command shieldstorm runs the deterministic model-based torture
 // harness (internal/torture) from the command line: a seeded workload
 // replays against a sequential reference model and real journaled
-// markets at several shard counts, checking decision equivalence,
-// canonical snapshot equality, journal replayability and ledger
-// invariants at every step. Failures print a one-line reproduction
-// command and exit non-zero.
+// markets (direct, instrumented, over the wire), checking decision
+// equivalence, canonical snapshot equality, journal replayability and
+// ledger invariants at every step. Failures print a one-line
+// reproduction command and exit non-zero.
 //
-// Usage:
+// With -hot it runs the concurrent storm instead: eight goroutines
+// on one store-backed journaled market, four bids in five on the same
+// dataset, ticks, registrations and batches interleaved, a replication
+// follower attached; at every quiescent checkpoint the journal replayed
+// from genesis, the store recovered from its newest checkpoint, and the
+// follower's snapshot must each equal the leader byte for byte, and the
+// books must balance.
+//
+// The -shards flag is gone: the market has one applier, so there is no
+// shard matrix to run. Drop the flag; -hot is the concurrency test.
 //
 // With -store the fleet gains a segmented-store twin: a replica whose
 // journal is a directory of rotated segment files with snapshot
@@ -18,7 +27,7 @@
 //
 //	shieldstorm -seed 1 -ops 100000
 //	shieldstorm -seed 1 -seeds 16 -ops 250000     # nightly soak
-//	shieldstorm -seed 7 -ops 100000 -shards 1,2,8 # custom shard matrix
+//	shieldstorm -hot -seed 7 -ops 100000
 //	shieldstorm -seed 1 -ops 10000000 -store -checkpoint-every 500000 -disk-ceiling-mb 1024
 package main
 
@@ -28,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -41,7 +49,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "first workload seed")
 		seeds      = flag.Int("seeds", 1, "number of consecutive seeds to run")
 		ops        = flag.Int("ops", 100_000, "operations per seed")
-		shards     = flag.String("shards", "", "comma-separated shard counts (default 1,4,16)")
+		hot        = flag.Bool("hot", false, "run the concurrent hot-dataset storm instead of the sequential differential")
 		checkEvery = flag.Int("check-every", 0, "ops between full-state checkpoints (default ops/16)")
 		verbose    = flag.Bool("v", false, "print per-checkpoint progress")
 
@@ -55,26 +63,13 @@ func main() {
 	)
 	flag.Parse()
 
-	var shardCounts []int
-	if *shards != "" {
-		for _, part := range strings.Split(*shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "shieldstorm: bad -shards entry %q\n", part)
-				os.Exit(2)
-			}
-			shardCounts = append(shardCounts, n)
-		}
-	}
-
 	for s := *seed; s < *seed+uint64(*seeds); s++ {
 		cfg := torture.Config{
 			Seed:       s,
 			Ops:        *ops,
-			Shards:     shardCounts,
 			CheckEvery: *checkEvery,
 		}
-		if *store || *storeDir != "" {
+		if *hot || *store || *storeDir != "" {
 			dir := *storeDir
 			if dir == "" {
 				tmp, err := os.MkdirTemp("", "shieldstorm-store-*")
@@ -106,14 +101,25 @@ func main() {
 			}
 		}
 		start := time.Now()
-		rep, err := torture.Run(cfg)
+		var rep *torture.Report
+		var err error
+		what := ""
+		if *hot {
+			what = "hot storm, "
+			rep, err = torture.RunHot(torture.HotConfig{Seed: s, Ops: *ops, Dir: cfg.StoreDir, Logf: cfg.Logf})
+		} else {
+			rep, err = torture.Run(cfg)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("seed %d: PASS %d ops in %v — %d allocations, revenue %s, %d rejections, %d checkpoints\n",
-			s, rep.Ops, time.Since(start).Round(time.Millisecond),
+		fmt.Printf("seed %d: PASS %s%d ops in %v — %d allocations, revenue %s, %d rejections, %d checkpoints\n",
+			s, what, rep.Ops, time.Since(start).Round(time.Millisecond),
 			rep.Allocations, rep.Revenue, rep.Rejections, rep.Checkpoints)
+		if *hot {
+			continue
+		}
 		if cfg.StoreDir != "" {
 			fmt.Printf("seed %d: store twin %d segments, %d snapshot checkpoints, %d crash cuts, disk peak %.1f MiB\n",
 				s, rep.StoreSegments, rep.StoreCheckpoints, rep.StoreCrashCuts,

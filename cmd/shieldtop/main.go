@@ -154,9 +154,10 @@ func (a *app) traces() ([]obs.TraceSnapshot, uint64, error) {
 // alphabetically.
 var stageOrder = []string{
 	"http.parse", "wire.read", "decode",
-	"group_commit.queue_wait", "group_commit.append", "group_commit.fsync",
+	"group_commit.queue_wait", "apply",
+	"group_commit.append", "group_commit.fsync",
 	"journal.append", "journal.fsync",
-	"shard.lock_wait", "apply", "publish", "ack.flush",
+	"publish", "ack.flush",
 }
 
 // render writes one dashboard frame.

@@ -3,6 +3,7 @@ package command
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/datamarket/shield/internal/provenance"
 )
@@ -56,40 +57,9 @@ type Event struct {
 // (only BidBatch can partially apply: its events are the bids that
 // succeeded before the failing one).
 //
-// Serialization requirements are per command kind; see State.
+// Apply needs exclusive access to st; see State.
 func Apply(st *State, cmd Command) ([]Event, error) {
-	return ApplyInto(st, cmd, nil)
-}
-
-// Apply is Apply(st, cmd) as a method, so a bare State and the live
-// market (whose Apply adds locking and view publication) are driven
-// through one interface — journal replay and the store's checkpoint
-// shadow share their record-applying helper that way.
-func (st *State) Apply(cmd Command) ([]Event, error) {
-	return ApplyInto(st, cmd, nil)
-}
-
-// ApplyBid is the typed fast path for SubmitBid: semantically identical
-// to ApplyInto(st, c, buf), but the concrete command never boxes into
-// the Command interface — that conversion is a heap allocation per
-// call, and the bid path is the one place the market makes millions of
-// Apply calls a second. Serialization requirements match SubmitBid's
-// (see State).
-func ApplyBid(st *State, c SubmitBid, buf []Event) ([]Event, error) {
-	evs := buf[:0]
-	ev, err := st.applyBid(c.Buyer, c.Dataset, c.Amount)
-	if err != nil {
-		return evs, err
-	}
-	return append(evs, ev), nil
-}
-
-// ApplyInto is Apply appending into buf (sliced to zero length) so a
-// hot caller can reuse one scratch buffer per serialization domain.
-// Events may alias buf's backing array; the caller owns their lifetime
-// until the next ApplyInto with the same buffer.
-func ApplyInto(st *State, cmd Command, buf []Event) ([]Event, error) {
-	evs := buf[:0]
+	var evs []Event
 	switch c := cmd.(type) {
 	case RegisterBuyer:
 		if c.Buyer == "" {
@@ -215,13 +185,22 @@ func ApplyInto(st *State, cmd Command, buf []Event) ([]Event, error) {
 	}
 }
 
+// ApplyBid is Apply for one SubmitBid without boxing the command into
+// the Command interface or its event into a slice — each a heap
+// allocation per call, on the one path the market takes millions of
+// times a second.
+func ApplyBid(st *State, c SubmitBid) (Event, error) {
+	return st.applyBid(c.Buyer, c.Dataset, c.Amount)
+}
+
 // applyBid is the bid rule: cadence and Time-Shield checks against the
 // buyer's account, one engine interaction (plus demand propagation to
 // the leaves of a derived dataset), then the money movement of a win.
-// The caller must hold shared access plus serialization of every engine
-// the bid touches.
+// An infinite amount is refused with the non-positive ones: no journal
+// record can carry it, and a bid the log cannot hold must not move
+// state.
 func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Event, error) {
-	if !(amount > 0) {
+	if !(amount > 0) || math.IsInf(amount, 1) {
 		return Event{}, ErrBadBid
 	}
 	acct, ok := st.buyers[buyer]
@@ -241,21 +220,16 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 
 	clock := st.clock
 
-	acct.mu.Lock()
 	if acct.acquired[dataset] {
-		acct.mu.Unlock()
 		return Event{}, fmt.Errorf("%w: %s", ErrAlreadyAcquired, dataset)
 	}
 	if last, ok := acct.lastBid[dataset]; ok && last == clock {
-		acct.mu.Unlock()
 		return Event{}, fmt.Errorf("%w: period %d", ErrBidTooSoon, clock)
 	}
 	if until := acct.blockedUntil[dataset]; clock < until {
-		acct.mu.Unlock()
 		return Event{}, fmt.Errorf("%w: %d periods remain", ErrWaitActive, until-clock)
 	}
 	acct.lastBid[dataset] = clock
-	acct.mu.Unlock()
 
 	d := eng.SubmitBid(amount)
 	for _, leaf := range leaves {
@@ -273,20 +247,14 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 		Leaves:  leaves,
 	}
 	if !d.Allocated {
-		acct.mu.Lock()
 		acct.blockedUntil[dataset] = clock + d.Wait
-		acct.mu.Unlock()
 		ev.Decision = Decision{WaitPeriods: d.Wait}
 		return ev, nil
 	}
 
 	price := FromFloat(d.Price)
-	acct.mu.Lock()
 	acct.acquired[dataset] = true
 	acct.spent += price
-	acct.mu.Unlock()
-
-	st.ledger.Lock()
 	st.revenue += price
 	paid := st.paySellers(dataset, leaves, price)
 	tx := Transaction{
@@ -297,7 +265,6 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 		Period:  clock,
 	}
 	st.txs = append(st.txs, tx)
-	st.ledger.Unlock()
 
 	ev.Decision = Decision{Allocated: true, PricePaid: price}
 	ev.Tx = &tx

@@ -5,8 +5,8 @@
 //
 // Everything above it is a shell around the same state machine:
 //
-//   - the live market (internal/market) is a concurrent shell — shards
-//     serialize commands into Apply and publish lock-free read views;
+//   - the live market (internal/market) is a single-writer shell — one
+//     applier at a time runs Apply and publishes lock-free read views;
 //   - journal replay (internal/journal) upgrades recorded events to
 //     commands and runs Apply in a loop;
 //   - the torture harness's reference model (internal/torture) runs the
@@ -22,11 +22,10 @@
 // Apply is deterministic: the same command sequence applied to states
 // built from the same Config yields byte-identical canonical snapshots.
 // All randomness flows through per-dataset engine seeds derived from
-// Config.Seed and the dataset ID, so neither shard count nor scheduling
-// can influence outcomes. State methods use internal fine-grained locks
-// (per-buyer accounts, the ledger) which make concurrent Apply calls for
-// different datasets race-free, but serialization — and therefore
-// determinism — is the caller's contract; see State.
+// Config.Seed and the dataset ID, so scheduling cannot influence
+// outcomes — provided commands reach Apply one at a time, in the order
+// the journal records them. That ordering is the caller's contract; see
+// State.
 package command
 
 // Op names one command kind. The values double as the journal's

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/provenance"
 )
 
 type buyerAccount struct {
-	mu           sync.Mutex        // guards all fields below
 	lastBid      map[DatasetID]int // last period with a bid per dataset
 	blockedUntil map[DatasetID]int // first period allowed to bid again
 	acquired     map[DatasetID]bool
@@ -19,8 +17,8 @@ type buyerAccount struct {
 }
 
 type sellerAccount struct {
-	balance  Money       // guarded by State.ledger
-	datasets []DatasetID // requires exclusive access (structural command)
+	balance  Money
+	datasets []DatasetID
 }
 
 // State is the market state machine Apply mutates: participants, the
@@ -29,23 +27,16 @@ type sellerAccount struct {
 //
 // # Concurrency contract
 //
-// State is thread-compatible, not thread-safe; serialization is the
-// caller's job and follows the live market's sharding discipline:
+// State is thread-compatible, not thread-safe, and holds no locks of
+// its own: it has exactly one applier at a time. Every Apply, Snapshot
+// and accessor below requires that nothing else is touching the state —
+// the live market's writer lock (held by the journal's commit stage for
+// a whole group), a follower's apply loop, a single-threaded replay.
+// Concurrent readers are served from the market's published views,
+// never from a State.
 //
-//   - structural commands (registrations, uploads, composition,
-//     withdrawal, Tick) and Snapshot require exclusive access — no other
-//     Apply or read may be in flight;
-//   - SubmitBid/BidBatch commands require shared access plus external
-//     serialization per engine they touch (the primary dataset and, for a
-//     derived dataset, its leaves) — internal/market uses lock shards,
-//     the replay and reference shells are single-threaded;
-//   - per-buyer account mutexes and the ledger mutex make the money
-//     bookkeeping of concurrent shared-access bids race-free on their
-//     own.
-//
-// Under that contract Apply is deterministic: the same command sequence
-// against the same Config yields a byte-identical canonical Snapshot,
-// regardless of shard count or scheduling.
+// Apply is deterministic: the same command sequence against the same
+// Config yields a byte-identical canonical Snapshot.
 type State struct {
 	cfg     Config
 	clock   int
@@ -55,9 +46,6 @@ type State struct {
 	buyers  map[BuyerID]*buyerAccount
 	sellers map[SellerID]*sellerAccount
 
-	// ledger guards money movement: total revenue, the transaction log,
-	// and seller balances.
-	ledger  sync.Mutex
 	txs     []Transaction
 	revenue Money
 
@@ -109,38 +97,13 @@ func (st *State) newEngine(id DatasetID) *core.Engine {
 // Config returns the configuration the state was built with.
 func (st *State) Config() Config { return st.cfg }
 
-// Period returns the current period. Requires shared access.
+// Period returns the current period.
 func (st *State) Period() int { return st.clock }
 
-// HasBuyer reports whether the buyer is registered. Requires shared
-// access.
-func (st *State) HasBuyer(id BuyerID) bool {
-	_, ok := st.buyers[id]
-	return ok
-}
-
-// BidLeaves resolves what a bid on dataset will touch: it verifies the
-// dataset is priced and returns the leaf datasets a bid on it propagates
-// demand to (nil for a base dataset). The live market uses it to compute
-// a bid's lock set before serializing the bid into Apply. Requires
-// shared access.
-func (st *State) BidLeaves(dataset DatasetID) ([]string, error) {
-	if _, ok := st.engines[dataset]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownDataset, dataset)
-	}
-	var leaves []string
-	if parts, ok := st.graph.Constituents(string(dataset)); ok && len(parts) > 0 {
-		leaves, _ = st.graph.Leaves(string(dataset))
-	}
-	return leaves, nil
-}
-
-// NumDatasets returns the number of priced datasets. Requires shared
-// access.
+// NumDatasets returns the number of priced datasets.
 func (st *State) NumDatasets() int { return len(st.engines) }
 
-// DatasetIDs returns the registered dataset IDs, sorted. Requires
-// shared access.
+// DatasetIDs returns the registered dataset IDs, sorted.
 func (st *State) DatasetIDs() []DatasetID {
 	out := make([]DatasetID, 0, len(st.engines))
 	for id := range st.engines {
@@ -150,9 +113,7 @@ func (st *State) DatasetIDs() []DatasetID {
 	return out
 }
 
-// Stats returns the diagnostic snapshot for a dataset. Requires shared
-// access plus serialization of the dataset's engine (the live market
-// holds its shard lock; single-threaded shells need nothing extra).
+// Stats returns the diagnostic snapshot for a dataset.
 func (st *State) Stats(dataset DatasetID) (DatasetStats, error) {
 	eng, ok := st.engines[dataset]
 	if !ok {
@@ -171,7 +132,6 @@ func (st *State) Stats(dataset DatasetID) (DatasetStats, error) {
 
 // ComputeWait returns the Time-Shield wait the dataset's engine would
 // assign a losing bid of amount right now, without mutating anything.
-// Requires shared access plus serialization of the dataset's engine.
 func (st *State) ComputeWait(dataset DatasetID, amount float64) (int, error) {
 	eng, ok := st.engines[dataset]
 	if !ok {
@@ -182,82 +142,39 @@ func (st *State) ComputeWait(dataset DatasetID, amount float64) (int, error) {
 
 // Totals returns the money books in one view: total revenue, the sum of
 // every buyer's spend, and the sum of every seller's balance. In a
-// conserving market all three are equal. Requires shared access.
+// conserving market all three are equal.
 func (st *State) Totals() (revenue, spent, balances Money) {
 	for _, acct := range st.buyers {
-		acct.mu.Lock()
 		spent += acct.spent
-		acct.mu.Unlock()
 	}
-	st.ledger.Lock()
-	revenue = st.revenue
 	for _, acct := range st.sellers {
 		balances += acct.balance
 	}
-	st.ledger.Unlock()
-	return revenue, spent, balances
+	return st.revenue, spent, balances
 }
 
-// Revenue returns the total revenue raised so far. Requires shared
-// access.
-func (st *State) Revenue() Money {
-	st.ledger.Lock()
-	defer st.ledger.Unlock()
-	return st.revenue
-}
+// Revenue returns the total revenue raised so far.
+func (st *State) Revenue() Money { return st.revenue }
 
-// SellerBalance returns a seller's accumulated compensation. Requires
-// shared access.
+// SellerBalance returns a seller's accumulated compensation.
 func (st *State) SellerBalance(id SellerID) (Money, error) {
 	acct, ok := st.sellers[id]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownSeller, id)
 	}
-	st.ledger.Lock()
-	defer st.ledger.Unlock()
 	return acct.balance, nil
 }
 
-// BuyerSpend returns the total a buyer has paid. Requires shared access.
+// BuyerSpend returns the total a buyer has paid.
 func (st *State) BuyerSpend(id BuyerID) (Money, error) {
 	acct, ok := st.buyers[id]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, id)
 	}
-	acct.mu.Lock()
-	defer acct.mu.Unlock()
 	return acct.spent, nil
 }
 
-// Owns reports whether the buyer has acquired the dataset. Requires
-// shared access.
-func (st *State) Owns(buyer BuyerID, dataset DatasetID) (bool, error) {
-	acct, ok := st.buyers[buyer]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
-	}
-	acct.mu.Lock()
-	defer acct.mu.Unlock()
-	return acct.acquired[dataset], nil
-}
-
-// WaitRemaining returns how many periods remain before the buyer may bid
-// on the dataset again (0 when unblocked). Requires shared access.
-func (st *State) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
-	acct, ok := st.buyers[buyer]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
-	}
-	acct.mu.Lock()
-	defer acct.mu.Unlock()
-	if until := acct.blockedUntil[dataset]; st.clock < until {
-		return until - st.clock, nil
-	}
-	return 0, nil
-}
-
-// BuyerIDs returns the registered buyer IDs, sorted. Requires shared
-// access.
+// BuyerIDs returns the registered buyer IDs, sorted.
 func (st *State) BuyerIDs() []BuyerID {
 	out := make([]BuyerID, 0, len(st.buyers))
 	for id := range st.buyers {
@@ -267,24 +184,37 @@ func (st *State) BuyerIDs() []BuyerID {
 	return out
 }
 
-// InspectBuyer calls f with the buyer's live acquisition set and spend,
-// under the buyer's account mutex, and reports whether the buyer exists.
-// f must not retain or mutate the map. The live market uses it to
-// publish read views that are consistent with concurrent wins on other
-// datasets by the same buyer.
-func (st *State) InspectBuyer(id BuyerID, f func(acquired map[DatasetID]bool, spent Money)) bool {
+// InspectBuyer calls f with the buyer's live acquisition set, wait
+// table (first period each dataset may be bid on again) and spend, and
+// reports whether the buyer exists. f must not retain or mutate the
+// maps. The live market builds its read views from it.
+func (st *State) InspectBuyer(id BuyerID, f func(acquired map[DatasetID]bool, blockedUntil map[DatasetID]int, spent Money)) bool {
 	acct, ok := st.buyers[id]
 	if !ok {
 		return false
 	}
-	acct.mu.Lock()
-	f(acct.acquired, acct.spent)
-	acct.mu.Unlock()
+	f(acct.acquired, acct.blockedUntil, acct.spent)
 	return true
 }
 
+// SellerIDs returns the registered seller IDs, sorted.
+func (st *State) SellerIDs() []SellerID {
+	out := make([]SellerID, 0, len(st.sellers))
+	for id := range st.sellers {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Owner returns the seller of a base dataset; false for derived and
+// unknown datasets.
+func (st *State) Owner(dataset DatasetID) (SellerID, bool) {
+	owner, ok := st.owners[dataset]
+	return owner, ok
+}
+
 // SellerDatasets returns the base datasets a seller has uploaded.
-// Requires shared access.
 func (st *State) SellerDatasets(id SellerID) ([]DatasetID, error) {
 	acct, ok := st.sellers[id]
 	if !ok {
@@ -295,26 +225,14 @@ func (st *State) SellerDatasets(id SellerID) ([]DatasetID, error) {
 	return out, nil
 }
 
-// TxCount returns the number of recorded transactions. Requires shared
-// access.
-func (st *State) TxCount() int {
-	st.ledger.Lock()
-	defer st.ledger.Unlock()
-	return len(st.txs)
-}
+// TxCount returns the number of recorded transactions.
+func (st *State) TxCount() int { return len(st.txs) }
 
-// TxAt returns transaction i (0-based). Requires shared access.
-func (st *State) TxAt(i int) Transaction {
-	st.ledger.Lock()
-	defer st.ledger.Unlock()
-	return st.txs[i]
-}
+// TxAt returns transaction i (0-based).
+func (st *State) TxAt(i int) Transaction { return st.txs[i] }
 
-// Transactions returns a copy of the transaction log. Requires shared
-// access.
+// Transactions returns a copy of the transaction log.
 func (st *State) Transactions() []Transaction {
-	st.ledger.Lock()
-	defer st.ledger.Unlock()
 	out := make([]Transaction, len(st.txs))
 	copy(out, st.txs)
 	return out
@@ -323,8 +241,7 @@ func (st *State) Transactions() []Transaction {
 // paySellers splits price across the owners of the base datasets backing
 // dataset, exactly (no micro lost), deterministically (leaves are
 // sorted), and returns the total actually credited. leaves may be
-// pre-resolved by the caller (nil means "resolve here"). Callers must
-// hold the ledger lock and have at least shared access.
+// pre-resolved by the caller (nil means "resolve here").
 func (st *State) paySellers(dataset DatasetID, leaves []string, price Money) Money {
 	if leaves == nil {
 		var err error
@@ -354,8 +271,7 @@ func (st *State) paySellers(dataset DatasetID, leaves []string, price Money) Mon
 // TestPerturbPrices installs f as a price perturbation on every current
 // and future engine (nil removes it). It exists for mutation-canary
 // tests that prove the differential harness still detects a seeded
-// pricing bug; production code must never call it. Requires exclusive
-// access.
+// pricing bug; production code must never call it.
 func (st *State) TestPerturbPrices(f func(price float64) float64) {
 	st.perturb = f
 	for _, eng := range st.engines {
@@ -363,7 +279,7 @@ func (st *State) TestPerturbPrices(f func(price float64) float64) {
 	}
 }
 
-// Snapshot captures the whole state. Requires exclusive access.
+// Snapshot captures the whole state.
 func (st *State) Snapshot() Snapshot {
 	s := Snapshot{
 		Config:       st.cfg,

@@ -67,10 +67,10 @@ type Config struct {
 	Engine core.Config
 	// Seed is the market-level seed.
 	Seed uint64
-	// Shards is the number of lock shards the live market partitions
-	// datasets across for concurrent bidding; 0 selects the market's
-	// default. Shard count never affects pricing, only parallelism — the
-	// command core ignores it entirely.
+	// Shards is a recorded field that selects nothing: it once sized the
+	// live market's lock shards and is inside byte-pinned genesis and
+	// snapshot records, so it still round-trips (and must not be
+	// negative), but one applier runs every command now.
 	Shards int
 }
 

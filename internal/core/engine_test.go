@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -335,7 +337,20 @@ func TestClaim3BoundWaitNeverHidesAWin(t *testing.T) {
 	// likely price first reaches the losing bid exactly when the computed
 	// wait expires — never earlier. We run the engine deterministically
 	// (MW-Max) and compare the first competitive time with the wait.
-	f := func(seed uint64) bool {
+	//
+	// "The floor" is the Bound strategy's floor: MinBid clamped up to the
+	// cheapest candidate, because a bid below every candidate earns every
+	// expert nothing and moves no weight (see computeWaitPeriod). This
+	// test used to feed cfg.MinBid (1, under a grid starting at 10) and
+	// failed about once in 60 clock-seeded runs: the unclamped bids pad
+	// the open epoch differently from the replay, the first real epoch
+	// close moves the weights further than the simulated one, and the bid
+	// turns competitive a few periods early. That future is not the one
+	// Claim 3 quantifies over, so the property as written was wrong, not
+	// the engine: fed the clamped floor, 20 000 seeds (and the recorded
+	// counterexamples below) hold. Seeds come from a fixed generator so
+	// tier-1 is the same run every time.
+	holds := func(seed uint64) bool {
 		rr := rng.New(seed)
 		cfg := testConfig()
 		cfg.Rule = DrawMWMax
@@ -361,16 +376,28 @@ func TestClaim3BoundWaitNeverHidesAWin(t *testing.T) {
 		}
 		// Feed the Bound future for w-1 periods (1 bid per period): the
 		// bid must not become competitive early.
+		floor := math.Max(cfg.MinBid, cfg.Candidates[0])
 		for i := 0; i < w-1; i++ {
-			e.SubmitBid(cfg.MinBid)
+			e.SubmitBid(floor)
 			if b >= e.MostLikelyPrice() {
 				return false // would-have-won inside the wait: harm
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	// Inputs the clock-seeded version failed on (CHANGES.md, PRs 14-15).
+	for _, seed := range []uint64{0xde021fa12266867a, 0x200487e1c5fa756b} {
+		t.Run(fmt.Sprintf("counterexample-%#x", seed), func(t *testing.T) {
+			if !holds(seed) {
+				t.Fatalf("seed %#x: bid became competitive inside its wait", seed)
+			}
+		})
+	}
+	seeds := rng.New(3)
+	for i := 0; i < 600; i++ {
+		if seed := seeds.Uint64(); !holds(seed) {
+			t.Errorf("seed %#x: bid became competitive inside its wait", seed)
+		}
 	}
 }
 

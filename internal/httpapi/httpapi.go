@@ -22,8 +22,8 @@ import (
 
 // mutator is the write interface shared by market.Market and the
 // journaling wrapper journal.Market. Bids take the request context so
-// the obs trace and request ID ride into the shard-lock, pricing and
-// journal layers.
+// the obs trace and request ID ride into the journal's commit stage
+// (pricing included).
 type mutator interface {
 	RegisterBuyer(market.BuyerID) error
 	RegisterSeller(market.SellerID) error

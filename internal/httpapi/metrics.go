@@ -4,7 +4,7 @@ import "net/http"
 
 // handleMetrics serves the shared obs registry in the Prometheus text
 // exposition format. Every family — market books, per-dataset engine
-// diagnostics, shard lock behaviour, HTTP latency, journal durability —
+// diagnostics, HTTP latency, journal durability —
 // is registered on the registry by the layer that owns it, and
 // WritePrometheus owns ordering and escaping; nothing is hand-written
 // here. Like the stats endpoint this is operator-facing: posting prices

@@ -147,11 +147,6 @@ func validateExposition(t *testing.T, r io.Reader) {
 		"shield_market_revenue_units",
 		"shield_dataset_bids_total",
 		"shield_dataset_posting_price",
-		"shield_shard_bids_total",
-		"shield_shard_lock_contention_total",
-		"shield_shard_bid_latency_seconds_total",
-		"shield_shard_datasets",
-		"shield_shard_lock_wait_seconds",
 		"shield_price_evaluate_seconds",
 		"shield_http_request_seconds",
 		"shield_metrics_scrape_errors_total",

@@ -133,9 +133,15 @@ func TestReadyz(t *testing.T) {
 	if resp := get(t, jts, "/readyz", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("journaled readyz before poison = %d, want 200", resp.StatusCode)
 	}
-	// This write poisons the journal: the market mutates but the append
-	// fails, so the daemon must stop taking writes.
-	post(t, jts, "/v1/sellers", map[string]string{"id": "s"})
+	// This write poisons the journal: the command is applied but its
+	// record never lands, so it is refused, stays invisible, and the
+	// daemon must stop taking writes.
+	if resp, _ := post(t, jts, "/v1/sellers", map[string]string{"id": "s"}); resp.StatusCode < 500 {
+		t.Fatalf("registration whose record could not be written = %d, want 5xx", resp.StatusCode)
+	}
+	if resp := get(t, jts, "/v1/sellers/s/balance", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unpersisted seller's balance = %d, want 404: nothing is visible before it is durable", resp.StatusCode)
+	}
 	var unready map[string]string
 	if resp := get(t, jts, "/readyz", &unready); resp.StatusCode != http.StatusServiceUnavailable || unready["status"] != "unready" {
 		t.Fatalf("journaled readyz after poison: %d %v", resp.StatusCode, unready)
@@ -258,7 +264,7 @@ func TestBidTraceRetrievable(t *testing.T) {
 			spans = append(spans, sp.Name)
 		}
 	}
-	for _, want := range []string{"http.parse", "shard.lock_wait", "price.evaluate", "journal.append", "journal.fsync"} {
+	for _, want := range []string{"http.parse", "apply", "price.evaluate", "journal.append", "journal.fsync", "publish"} {
 		if !slices.Contains(spans, want) {
 			t.Errorf("trace %s missing span %q (got %v)", bidID, want, spans)
 		}

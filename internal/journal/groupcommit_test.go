@@ -2,12 +2,14 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/datamarket/shield/internal/faultfs"
+	"github.com/datamarket/shield/internal/market"
 )
 
 // syncBuffer is a syncable in-memory sink that counts Sync calls, so
@@ -226,47 +228,59 @@ func TestGroupCommitCrashNoAckedLoss(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFaultFailsWholeGroup forces a multi-record group onto
-// a sink that dies mid-flush and asserts the all-or-nothing contract:
-// members of the failed group all see the error, and the writer is
-// poisoned for everything after.
+// TestGroupCommitFaultFailsWholeGroup forces a multi-member group of a
+// journaled market onto a sink that dies mid-flush and asserts the
+// all-or-nothing contract: every member of the failed group sees the
+// error, nothing the group did becomes visible to readers, and the
+// market is poisoned — unhealthy, every later command refused with the
+// original error — for everything after.
 func TestGroupCommitFaultFailsWholeGroup(t *testing.T) {
 	var disk bytes.Buffer
 	// The head record survives intact; the first body flush tears.
 	fw := faultfs.NewWriter(&disk, faultfs.Tear, genesisSize(t)+20)
-	w := NewWriter(fw, WithFsync(), WithGroupCommit(5*time.Millisecond))
-	if err := w.Genesis(testConfig()); err != nil {
+	jm, err := NewMarket(testConfig(), fw, WithFsync(), WithGroupCommit(5*time.Millisecond))
+	if err != nil {
 		t.Fatal(err)
 	}
 	const members = 4
-	errs := make(chan error, members)
+	errs := make([]error, members)
 	var wg sync.WaitGroup
 	for i := 0; i < members; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs <- w.Append(Event{Op: OpRegisterBuyer, Buyer: fmt.Sprintf("b%d", i)})
+			errs[i] = jm.RegisterBuyer(market.BuyerID(fmt.Sprintf("b%d", i)))
 		}(i)
 	}
 	wg.Wait()
-	close(errs)
-	var failed int
-	for err := range errs {
-		if err != nil {
-			failed++
+	// The first body flush tears and every later group meets the
+	// poisoned writer, so however the four were grouped all of them must
+	// have been told, with the one error.
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("sink tore mid-group but member %d was acked", i)
+		}
+		if err.Error() != errs[0].Error() {
+			t.Fatalf("members saw different errors: %v / %v", errs[0], err)
+		}
+		if _, verr := jm.BuyerSpend(market.BuyerID(fmt.Sprintf("b%d", i))); !errors.Is(verr, market.ErrUnknownBuyer) {
+			t.Fatalf("buyer b%d is visible (%v) though its registration never reached the disk", i, verr)
 		}
 	}
-	// At least one group flushed into the tear; every member of each
-	// failed group must have been told. With a 5ms window all four
-	// appends normally share the one doomed group.
-	if failed == 0 {
-		t.Fatal("sink tore mid-group but every member was acked")
+	if seq := jm.LastSeq(); seq != 1 {
+		t.Fatalf("LastSeq = %d after a failed group; only the head is durable", seq)
 	}
-	if err := w.Append(Event{Op: OpTick}); err == nil {
-		t.Fatal("writer accepted an append after a failed group flush")
+	if _, err := jm.Tick(); err == nil || err.Error() != errs[0].Error() {
+		t.Fatalf("command after a failed group flush = %v, want the sticky %v", err, errs[0])
 	}
-	if err := w.Healthy(); err == nil {
-		t.Fatal("writer reports healthy after a failed group flush")
+	if jm.Period() != 0 {
+		t.Fatal("a command refused by the poisoned journal moved the clock")
+	}
+	if err := jm.Healthy(); err == nil {
+		t.Fatal("market reports healthy after a failed group flush")
+	}
+	if _, _, err := jm.CommittedSnapshot(); err == nil {
+		t.Fatal("a poisoned journal handed out a snapshot as committed")
 	}
 	// Whatever survived is still a clean prefix.
 	if _, _, _, err := Recover(bytes.NewReader(disk.Bytes())); err != nil {

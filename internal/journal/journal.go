@@ -242,65 +242,105 @@ type writerTelemetry struct {
 	stFsync       *obs.Histogram // journal.fsync (per-record mode)
 }
 
-// Writer appends events to a log. Safe for concurrent use.
+// Writer appends records to a log and, for a journaled market, is the
+// market's one sequencer: the commit stage. Safe for concurrent use.
 //
-// Every record reaches the sink as a single newline-terminated Write.
-// A sink failure poisons the writer: the failed record may be torn on
-// disk, so all subsequent appends return the original error instead of
-// writing after the tear (which would turn a recoverable torn tail into
-// unrecoverable mid-log corruption).
+// # The commit stage
+//
+// Callers hand the writer a command (or, through Append, a raw record).
+// One goroutine at a time — holding stageMu — walks a group of them in
+// arrival order: apply the command to the live market (a rejected
+// command completes with its error, consumes no sequence number and
+// logs nothing), stamp the next sequence number, encode the record into
+// the group buffer; then one sink Write (and one fsync, WithFsync) for
+// the whole group; then publish the group's effects to the market's
+// read views, run the commit hooks, and only then wake the callers. The
+// log is therefore exactly the order the market applied, the market is
+// exactly at the last written seq whenever a hook runs, and no reader
+// sees a command before it reached the sink. Without WithGroupCommit a
+// group is always one record; with it, the next group keeps forming
+// while this one is applied, written and synced.
+//
+// A sink failure poisons the writer (see "Crash safety" above): the
+// market has applied commands the log does not hold, so every member of
+// the group gets the error, nothing is published, and every later
+// append returns the original error.
 type Writer struct {
-	mu      sync.Mutex
-	sink    io.Writer
-	scratch bytes.Buffer
+	sink        io.Writer
+	fsync       bool
+	tel         *writerTelemetry
+	grouped     bool
+	groupWindow time.Duration
+
+	// live, when set (journaled markets), is the market the stage applies
+	// commands to and publishes on; a bare writer only appends records.
+	live *market.Market
+	// onGroup, when set (store-backed markets), runs once per written
+	// group inside the stage, with the group's last seq and record count
+	// — the store's checkpoint cadence.
+	onGroup func(lastSeq int64, records int)
+	// enter is how a journaled market's commands reach the stage: submit,
+	// always, except under the torture canary (Market.TestUnorderedCommit).
+	enter func(member) member
+
+	// stageMu is held across one whole commit stage, so groups are
+	// applied, written and published in formation order. buf and enc are
+	// the stage's encode buffer. Lock order: stageMu, then the market's
+	// writer mutex, then mu.
+	stageMu sync.Mutex
+	buf     bytes.Buffer
 	enc     *json.Encoder
-	fsync   bool
-	tel     *writerTelemetry
-	seq     int64
+
+	// mu guards the writer's lifecycle, its durable high-water mark and
+	// the forming group.
+	mu      sync.Mutex
+	seq     int64 // newest record that reached the sink
 	started bool
 	closed  bool
 	err     error // sticky append failure
-
-	// commit, when set (OnCommit), observes every durably committed
-	// record in strict sequence order — the hook behind the replication
-	// feed. It runs after the record's write (and fsync) succeeds and
-	// before the append is acknowledged to its caller.
+	// commit, when set (OnCommit), observes every committed record in
+	// strict sequence order — the hook behind the replication feed.
 	commit func(Event)
-
-	// Group commit (WithGroupCommit). cur is the forming group
-	// concurrent appends pile onto (guarded by mu); flushMu serializes
-	// group flushes so groups reach the sink in formation order — the
-	// lock order is flushMu before mu. groups and maxGroup are
-	// diagnostics (tests read them; telemetry exports the histogram).
-	grouped     bool
-	groupWindow time.Duration
-	cur         *commitGroup
-	flushMu     sync.Mutex
-	groups      int64
-	maxGroup    int
+	// cur is the forming group concurrent appends pile onto
+	// (WithGroupCommit). groups and maxGroup are diagnostics (tests read
+	// them; telemetry exports the histogram).
+	cur      *commitGroup
+	groups   int64
+	maxGroup int
 }
 
-// commitGroup is one batch of records bound for a single sink Write
-// (plus one fsync). Members append their encoded records to buf under
-// the writer mutex; the member that created the group leads the flush.
-// done closes once the group's fate is decided, and err is the shared
-// outcome every member returns — the whole group succeeds or the whole
-// group fails, never a silent prefix.
+// member is one caller's place in a commit group: what it asked for and,
+// once the stage has run, what came of it.
+type member struct {
+	ctx context.Context
+	// Exactly one of cmd, bids and rec is the request: a command for the
+	// stage to apply and record; a SubmitBids batch, applied entry by
+	// entry with failures skipped and the successes recorded as one
+	// bid_batch; or a raw record to append as is.
+	cmd  command.Command
+	bids []market.BidRequest
+	rec  Event // the record as written (Seq stamped) when logged is set
+
+	logged bool
+	evs    []command.Event
+	res    []market.BidResult // per-entry outcomes of bids
+	err    error
+}
+
+// commitGroup is one batch of members bound for a single sink Write
+// (plus one fsync). Members join under the writer mutex; the member that
+// created the group leads the stage. done closes once the group's fate
+// is decided — nil for the group of one a per-record append runs as.
 type commitGroup struct {
-	buf  bytes.Buffer
-	n    int
-	done chan struct{}
-	err  error
-	// events retains the group's records, in sequence order, when a
-	// commit hook is installed — flushGroup replays them to the hook
-	// after the group reaches the sink.
-	events []Event
+	members []member
+	done    chan struct{}
 }
 
 // NewWriter wraps w. Call Genesis before any other append.
 func NewWriter(w io.Writer, opts ...Option) *Writer {
 	jw := &Writer{sink: w}
-	jw.enc = json.NewEncoder(&jw.scratch)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enter = jw.submit
 	for _, o := range opts {
 		o(jw)
 	}
@@ -308,13 +348,12 @@ func NewWriter(w io.Writer, opts ...Option) *Writer {
 }
 
 // OnCommit installs fn as the writer's commit hook: it is invoked once
-// per durably committed record, in strict sequence order, with the
-// record exactly as written (Seq assigned). Per-record mode calls it
-// after the write (and fsync) succeeds, before the append returns;
-// group-commit mode calls it per member after the group's flush
-// succeeds, before any member is woken. Failed appends never reach the
-// hook. fn must not call back into the writer and should return
-// quickly — it runs on the append path.
+// per committed record, in strict sequence order, with the record
+// exactly as written (Seq assigned), after the record's group reached
+// the sink (and was fsynced) and was published, before any member of
+// the group is woken. Failed appends never reach the hook. fn must not
+// call back into the writer or take the market's writer mutex — it runs
+// inside the commit stage — and should return quickly.
 //
 // Install the hook before traffic flows (records appended while no
 // hook is set are not replayed to a later hook), and install at most
@@ -326,11 +365,10 @@ func (w *Writer) OnCommit(fn func(Event)) {
 	w.commit = fn
 }
 
-// LastSeq returns the sequence number of the last record the writer
-// accepted (head included), 0 when nothing has been written. In
-// group-commit mode the newest records may still be in flight to the
-// sink; quiesce appends before treating LastSeq as a durable high-water
-// mark.
+// LastSeq returns the sequence number of the newest record that reached
+// the sink (head included), 0 when nothing has been written: sequence
+// numbers are assigned at flush, so this is the durable high-water mark
+// (with WithFsync; otherwise the mark of what the sink accepted).
 func (w *Writer) LastSeq() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -351,16 +389,18 @@ func (w *Writer) Snapshot(s market.Snapshot) error {
 
 func (w *Writer) head(e Event) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		w.mu.Unlock()
 		return ErrClosed
 	}
 	if w.started {
+		w.mu.Unlock()
 		return ErrDoubleStart
 	}
 	w.started = true
+	w.mu.Unlock()
 	e.V = FormatVersion
-	return w.append(context.Background(), e)
+	return w.solo(member{ctx: context.Background(), rec: e}).err
 }
 
 // Append journals one event (Seq is assigned by the writer).
@@ -375,57 +415,32 @@ func (w *Writer) Append(e Event) error {
 // flush spans land on the group leader's trace; a follower sees only
 // its queue wait).
 func (w *Writer) AppendCtx(ctx context.Context, e Event) error {
-	if w.grouped {
-		return w.appendGrouped(ctx, e)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	if !w.started {
-		return ErrNoGenesis
-	}
 	if e.Op == OpGenesis || e.Op == OpSnapshot {
 		return ErrDoubleStart
 	}
-	return w.append(ctx, e)
+	return w.submit(member{ctx: ctx, rec: e}).err
 }
 
-// appendGrouped enqueues one record onto the pending commit group and
-// returns once the group's flush decides its fate. The sequence number
-// advances at enqueue time: groups flush in formation order and a
-// failed flush poisons the writer, so no later record can ever occupy
-// a failed record's slot.
-func (w *Writer) appendGrouped(ctx context.Context, e Event) error {
+// submit runs one member through the commit stage — alone, or as part
+// of the forming group under WithGroupCommit — and returns it once its
+// fate is decided.
+func (w *Writer) submit(mb member) member {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
+	switch {
+	case w.closed:
+		mb.err = ErrClosed
+	case !w.started:
+		mb.err = ErrNoGenesis
+	default:
+		mb.err = w.err
 	}
-	if !w.started {
+	if mb.err != nil {
 		w.mu.Unlock()
-		return ErrNoGenesis
+		return mb
 	}
-	if e.Op == OpGenesis || e.Op == OpSnapshot {
+	if !w.grouped {
 		w.mu.Unlock()
-		return ErrDoubleStart
-	}
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	e.Seq = w.seq + 1
-	w.scratch.Reset()
-	if err := w.enc.Encode(e); err != nil {
-		// Nothing was enqueued; the writer stays usable.
-		w.mu.Unlock()
-		return fmt.Errorf("journal: encoding event %d: %w", e.Seq, err)
-	}
-	w.seq = e.Seq
-	if w.tel != nil {
-		w.tel.recordBytes.Observe(float64(w.scratch.Len()))
+		return w.solo(mb)
 	}
 	g := w.cur
 	leader := g == nil
@@ -433,190 +448,250 @@ func (w *Writer) appendGrouped(ctx context.Context, e Event) error {
 		g = &commitGroup{done: make(chan struct{})}
 		w.cur = g
 	}
-	g.buf.Write(w.scratch.Bytes())
-	g.n++
-	if w.commit != nil {
-		g.events = append(g.events, e)
-	}
+	i := len(g.members)
+	g.members = append(g.members, mb)
 	w.mu.Unlock()
 
+	waitStart := time.Now()
 	if !leader {
-		// A follower's queue wait runs from enqueue to the group's fate;
-		// it is the price of riding someone else's fsync.
-		waitStart := time.Now()
+		// A follower's queue wait runs from enqueue to the group's fate:
+		// the leader applying the members ahead of it, the write, the
+		// sync. It is the price of riding someone else's fsync.
 		<-g.done
 		wait := time.Since(waitStart)
-		obs.TraceFrom(ctx).AddSpan("group_commit.queue_wait", waitStart, wait)
+		obs.TraceFrom(mb.ctx).AddSpan("group_commit.queue_wait", waitStart, wait)
 		if w.tel != nil {
-			w.tel.stQueueWait.ObserveTrace(wait.Seconds(), obs.ExemplarID(ctx))
+			w.tel.stQueueWait.ObserveTrace(wait.Seconds(), obs.ExemplarID(mb.ctx))
 		}
-		return g.err
+		return g.members[i]
 	}
-	// Leader: give followers the commit window to pile on, then flush.
-	// The sleep happens before taking flushMu, so it overlaps the
-	// previous group's sink write instead of adding to it. The leader's
-	// queue wait — window plus flushMu acquisition — is measured inside
-	// flushGroup, where the wait actually ends.
-	waitStart := time.Now()
+	// Leader: give followers the commit window to pile on, then run the
+	// stage. The sleep happens before taking stageMu, so it overlaps the
+	// previous group's stage instead of adding to it, and w.cur stays
+	// open until this leader holds stageMu — the next group forms while
+	// the previous one applies, writes and syncs.
 	if w.groupWindow > 0 {
 		time.Sleep(w.groupWindow)
 	}
-	w.flushGroup(ctx, g, waitStart)
-	return g.err
+	w.stage(g, waitStart)
+	return g.members[0]
 }
 
-// flushGroup detaches g from the writer and commits it: one sink Write,
-// one fsync (WithFsync), one shared outcome. flushMu serializes flushes
-// in group-formation order; a sticky writer error fails the group
-// without touching the sink. waitStart is when the leader began waiting
-// (window start); the span and histograms charge everything up to the
-// flushMu acquisition to group_commit.queue_wait.
-func (w *Writer) flushGroup(ctx context.Context, g *commitGroup, waitStart time.Time) {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
+// solo runs one member as a group of its own.
+func (w *Writer) solo(mb member) member {
+	one := [1]member{mb}
+	w.stage(&commitGroup{members: one[:]}, time.Time{})
+	return one[0]
+}
+
+// stage is the commit stage; see Writer. waitStart is when a group's
+// leader began waiting (window start): everything up to the stageMu
+// acquisition is charged to group_commit.queue_wait.
+func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
+	w.stageMu.Lock()
+	defer w.stageMu.Unlock()
 	wait := time.Since(waitStart)
-	obs.TraceFrom(ctx).AddSpan("group_commit.queue_wait", waitStart, wait)
-	if w.tel != nil {
-		w.tel.leaderWait.Observe(wait.Seconds())
-		w.tel.stQueueWait.ObserveTrace(wait.Seconds(), obs.ExemplarID(ctx))
-	}
 	w.mu.Lock()
 	if w.cur == g {
 		w.cur = nil // no further members may join
 	}
-	if w.err != nil {
-		// An earlier group tore the sink; writing after the tear would
-		// turn a recoverable torn tail into mid-log corruption.
-		g.err = w.err
+	if w.closed && g.done == nil {
+		// Close overtook a per-record caller between its closed check and
+		// here (a pending group it drains instead): nothing may run.
 		w.mu.Unlock()
-		close(g.done)
+		g.members[0].err = ErrClosed
 		return
 	}
+	err, seq, commit := w.err, w.seq, w.commit
 	w.mu.Unlock()
-
-	endAppend := obs.StartSpan(ctx, "group_commit.append")
-	var start time.Time
-	if w.tel != nil {
-		start = time.Now()
-	}
-	n, err := w.sink.Write(g.buf.Bytes())
-	if w.tel != nil {
-		id := obs.ExemplarID(ctx)
-		w.tel.appendLatency.ObserveSinceTrace(start, id)
-		w.tel.stGroupAppend.ObserveSinceTrace(start, id)
-	}
-	endAppend.End()
-	if err != nil {
-		err = fmt.Errorf("journal: writing group of %d records: %w", g.n, err)
-	} else if w.fsync {
-		if s, ok := w.sink.(syncer); ok {
-			endFsync := obs.StartSpan(ctx, "group_commit.fsync")
-			if w.tel != nil {
-				start = time.Now()
-			}
-			serr := s.Sync()
-			if w.tel != nil {
-				id := obs.ExemplarID(ctx)
-				w.tel.fsyncLatency.ObserveSinceTrace(start, id)
-				w.tel.stGroupFsync.ObserveSinceTrace(start, id)
-			}
-			endFsync.End()
-			if serr != nil {
-				err = fmt.Errorf("journal: syncing group of %d records: %w", g.n, serr)
-			}
-		}
-	}
-
-	w.mu.Lock()
-	var commit func(Event)
-	if err != nil {
+	ctx := g.members[0].ctx // the stage's spans land on the leader's trace
+	if g.done != nil {
+		defer close(g.done)
+		obs.TraceFrom(ctx).AddSpan("group_commit.queue_wait", waitStart, wait)
 		if w.tel != nil {
-			w.tel.appendErrors.Inc()
+			w.tel.leaderWait.Observe(wait.Seconds())
+			w.tel.stQueueWait.ObserveTrace(wait.Seconds(), obs.ExemplarID(ctx))
 		}
-		w.err = err
-	} else {
+	}
+
+	var live market.Stage
+	if err == nil && w.live != nil {
+		live = w.live.Stage()
+		live.Lock()
+		defer live.Unlock()
+	}
+	w.buf.Reset()
+	records := 0
+	for i := range g.members {
+		if err != nil {
+			break // an earlier group tore the sink, or this one cannot be logged
+		}
+		mb := &g.members[i]
+		applied := mb.cmd != nil || mb.bids != nil
+		if applied && !mb.apply(live) {
+			continue
+		}
+		mb.rec.Seq = seq + int64(records) + 1
+		before := w.buf.Len()
+		if eerr := w.enc.Encode(mb.rec); eerr != nil {
+			eerr = fmt.Errorf("journal: encoding event %d: %w", mb.rec.Seq, eerr)
+			if applied {
+				err = eerr // the market moved and the log cannot follow
+			} else {
+				mb.err = eerr // nothing happened; the writer stays usable
+			}
+			continue
+		}
+		mb.logged = true
+		records++
+		if w.tel != nil {
+			w.tel.recordBytes.Observe(float64(w.buf.Len() - before))
+		}
+	}
+	if err == nil && records > 0 {
+		err = w.write(ctx, records)
+	}
+	if err != nil {
+		w.mu.Lock()
+		if w.err == nil {
+			if w.tel != nil {
+				w.tel.appendErrors.Inc()
+			}
+			w.err = err
+		}
+		w.mu.Unlock()
+		for i := range g.members {
+			g.members[i].err = err
+		}
+		return
+	}
+
+	if records > 0 {
+		w.mu.Lock()
+		w.seq = seq + int64(records)
 		w.groups++
-		if g.n > w.maxGroup {
-			w.maxGroup = g.n
+		if records > w.maxGroup {
+			w.maxGroup = records
 		}
-		if w.tel != nil {
-			w.tel.bytesTotal.Add(uint64(n))
-			w.tel.groupSize.Observe(float64(g.n))
-		}
-		commit = w.commit
+		w.mu.Unlock()
 	}
-	w.mu.Unlock()
+	if w.live != nil {
+		for i := range g.members {
+			live.Publish(g.members[i].ctx, g.members[i].evs)
+		}
+	}
+	if records == 0 {
+		return
+	}
+	if w.onGroup != nil {
+		w.onGroup(seq+int64(records), records)
+	}
 	if commit != nil {
-		// Still under flushMu, so groups reach the hook in flush ==
-		// formation == sequence order, and before any member is acked.
-		for _, e := range g.events {
-			commit(e)
+		for i := range g.members {
+			if g.members[i].logged {
+				commit(g.members[i].rec)
+			}
 		}
 	}
-	g.err = err
-	close(g.done)
 }
 
-func (w *Writer) append(ctx context.Context, e Event) error {
-	if w.err != nil {
-		return w.err
+// apply runs the member's command through the market and settles what
+// the log records for it; it reports whether there is a record. Every
+// command but a batch is recorded on success only. A batch may partly
+// apply — a BidBatch stops at its first failing bid, a SubmitBids batch
+// skips failures — and the log records exactly the bids that applied,
+// as one bid_batch; the command's own error, if any, still reaches the
+// caller.
+func (mb *member) apply(live market.Stage) bool {
+	cmd := mb.cmd
+	if mb.bids != nil {
+		applied := make([]command.SubmitBid, 0, len(mb.bids))
+		for i, r := range mb.bids {
+			c := command.SubmitBid{Buyer: r.Buyer, Dataset: r.Dataset, Amount: r.Amount}
+			ev, err := live.ApplyBid(mb.ctx, c)
+			if err != nil {
+				mb.res[i].Err = err
+				continue
+			}
+			mb.res[i].Decision = ev.Decision
+			mb.evs = append(mb.evs, ev)
+			applied = append(applied, c)
+		}
+		cmd = command.BidBatch{Bids: applied}
+	} else {
+		mb.evs, mb.err = live.Apply(mb.ctx, cmd)
 	}
-	e.Seq = w.seq + 1
-	w.scratch.Reset()
-	if err := w.enc.Encode(e); err != nil {
-		// Nothing reached the sink; the writer stays usable.
-		return fmt.Errorf("journal: encoding event %d: %w", e.Seq, err)
+	if b, ok := cmd.(command.BidBatch); ok {
+		if len(mb.evs) == 0 {
+			return false
+		}
+		cmd = command.BidBatch{Bids: b.Bids[:len(mb.evs)]}
+	} else if mb.err != nil {
+		return false
 	}
-	endAppend := obs.StartSpan(ctx, "journal.append")
+	// Every command that applies has a journal form, so a failure here
+	// is a programming error.
+	rec, err := EventFromCommand(cmd)
+	if err != nil {
+		panic(err)
+	}
+	rec.Trace = obs.RequestIDFrom(mb.ctx)
+	mb.rec = rec
+	return true
+}
+
+// write hands the stage's buffer to the sink as one Write and, with
+// WithFsync, syncs it.
+func (w *Writer) write(ctx context.Context, records int) error {
+	spanAppend, spanFsync := "journal.append", "journal.fsync"
+	var stAppend, stFsync *obs.Histogram
+	if w.tel != nil {
+		stAppend, stFsync = w.tel.stAppend, w.tel.stFsync
+	}
+	if w.grouped {
+		spanAppend, spanFsync = "group_commit.append", "group_commit.fsync"
+		if w.tel != nil {
+			stAppend, stFsync = w.tel.stGroupAppend, w.tel.stGroupFsync
+		}
+	}
+	endAppend := obs.StartSpan(ctx, spanAppend)
 	var start time.Time
 	if w.tel != nil {
 		start = time.Now()
 	}
-	n, err := w.sink.Write(w.scratch.Bytes())
+	n, err := w.sink.Write(w.buf.Bytes())
 	if w.tel != nil {
 		id := obs.ExemplarID(ctx)
 		w.tel.appendLatency.ObserveSinceTrace(start, id)
-		w.tel.stAppend.ObserveSinceTrace(start, id)
+		stAppend.ObserveSinceTrace(start, id)
 	}
 	endAppend.End()
 	if err != nil {
-		if w.tel != nil {
-			w.tel.appendErrors.Inc()
-		}
-		w.err = fmt.Errorf("journal: writing event %d: %w", e.Seq, err)
-		return w.err
+		return fmt.Errorf("journal: writing %d records: %w", records, err)
 	}
 	if w.tel != nil {
 		w.tel.bytesTotal.Add(uint64(n))
-		w.tel.recordBytes.Observe(float64(n))
-	}
-	if w.fsync {
-		if s, ok := w.sink.(syncer); ok {
-			endFsync := obs.StartSpan(ctx, "journal.fsync")
-			if w.tel != nil {
-				start = time.Now()
-			}
-			serr := s.Sync()
-			if w.tel != nil {
-				id := obs.ExemplarID(ctx)
-				w.tel.fsyncLatency.ObserveSinceTrace(start, id)
-				w.tel.stFsync.ObserveSinceTrace(start, id)
-			}
-			endFsync.End()
-			if serr != nil {
-				if w.tel != nil {
-					w.tel.appendErrors.Inc()
-				}
-				w.err = fmt.Errorf("journal: syncing event %d: %w", e.Seq, serr)
-				return w.err
-			}
+		if w.grouped {
+			w.tel.groupSize.Observe(float64(records))
 		}
 	}
-	w.seq = e.Seq
-	if w.commit != nil {
-		// Under w.mu: per-record appends reach the hook in sequence
-		// order, after durability, before the caller is acked.
-		w.commit(e)
+	s, ok := w.sink.(syncer)
+	if !w.fsync || !ok {
+		return nil
+	}
+	endFsync := obs.StartSpan(ctx, spanFsync)
+	if w.tel != nil {
+		start = time.Now()
+	}
+	err = s.Sync()
+	if w.tel != nil {
+		id := obs.ExemplarID(ctx)
+		w.tel.fsyncLatency.ObserveSinceTrace(start, id)
+		stFsync.ObserveSinceTrace(start, id)
+	}
+	endFsync.End()
+	if err != nil {
+		return fmt.Errorf("journal: syncing %d records: %w", records, err)
 	}
 	return nil
 }
@@ -653,10 +728,10 @@ func (w *Writer) Close() error {
 	g := w.cur
 	w.mu.Unlock()
 	if g != nil {
-		<-g.done // the group's leader is mid-window or mid-flush; let it finish
+		<-g.done // the group's leader is mid-window or mid-stage; let it finish
 	}
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
+	w.stageMu.Lock()
+	defer w.stageMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -778,40 +853,30 @@ func Bootstrap(events []Event) (*market.Market, error) {
 	return m, nil
 }
 
-// stateFromHead builds the state machine a log head describes: a
-// genesis head seeds a fresh state from its recorded config, a snapshot
-// head restores full state. Heads carrying a format version this build
-// does not know fail with ErrVersion; anything that is not a well-formed
-// head fails with ErrNoGenesis.
-func stateFromHead(e Event) (*command.State, error) {
+// marketFromHead builds the market a log head describes: a genesis head
+// seeds a fresh market from its recorded config, a snapshot head
+// restores full state. Heads carrying a format version this build does
+// not know fail with ErrVersion; anything that is not a well-formed head
+// fails with ErrNoGenesis.
+func marketFromHead(e Event) (*market.Market, error) {
 	if v := e.V; v != 0 && v != FormatVersion {
 		return nil, fmt.Errorf("%w: %d (this build reads 0 and %d)", ErrVersion, v, FormatVersion)
 	}
 	switch {
 	case e.Op == OpGenesis && e.Config != nil:
-		st, err := command.NewState(*e.Config)
+		m, err := market.New(*e.Config)
 		if err != nil {
 			return nil, fmt.Errorf("journal: genesis config: %w", err)
 		}
-		return st, nil
+		return m, nil
 	case e.Op == OpSnapshot && e.Snapshot != nil:
-		st, err := command.RestoreState(*e.Snapshot)
+		m, err := market.RestoreSnapshot(*e.Snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("journal: snapshot head: %w", err)
 		}
-		return st, nil
+		return m, nil
 	}
 	return nil, ErrNoGenesis
-}
-
-// marketFromHead is stateFromHead wrapped in the concurrent shell, for
-// the recovery paths whose result goes on to serve.
-func marketFromHead(e Event) (*market.Market, error) {
-	st, err := stateFromHead(e)
-	if err != nil {
-		return nil, err
-	}
-	return market.FromState(st), nil
 }
 
 // Replay applies events to m in order: each record upgrades to its
@@ -830,15 +895,8 @@ func Replay(m *market.Market, events []Event) error {
 	return nil
 }
 
-// applier is what a body record replays onto: a market on the recovery
-// paths (locks taken, read views republished), the bare command.State
-// of a store's checkpoint shadow.
-type applier interface {
-	Apply(command.Command) ([]command.Event, error)
-}
-
 // applyEvent replays one body record onto to; see Replay.
-func applyEvent(to applier, e Event) error {
+func applyEvent(to *market.Market, e Event) error {
 	cmd, err := CommandFromEvent(e)
 	if err == nil {
 		_, err = to.Apply(cmd)
@@ -996,8 +1054,10 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Market wraps a market.Market, journaling every successful mutating
-// operation. Reads pass through to the embedded market.
+// Market is a market.Market whose every mutating operation goes through
+// the journal's commit stage: applied, logged and published in one
+// order. Reads pass through to the embedded market's views, which the
+// stage publishes only after a command's group reached the sink.
 type Market struct {
 	*market.Market
 	w *Writer
@@ -1021,6 +1081,7 @@ func NewMarket(cfg market.Config, sink io.Writer, opts ...Option) (*Market, erro
 		return nil, err
 	}
 	w := NewWriter(sink, opts...)
+	w.live = m
 	if err := w.Genesis(cfg); err != nil {
 		return nil, err
 	}
@@ -1081,129 +1142,117 @@ func OpenFile(cfg market.Config, path string, opts ...Option) (*Market, int, err
 // record (1 + the event count returned by Read, counting genesis).
 func Resume(m *market.Market, sink io.Writer, lastSeq int64, opts ...Option) *Market {
 	w := NewWriter(sink, opts...)
+	w.live = m
 	w.started = true
 	w.seq = lastSeq
 	return &Market{Market: m, w: w}
 }
 
-// record encodes cmd as its journal event. Every command this file
-// builds has a journal form, so a failure is a programming error.
-func record(cmd command.Command) Event {
-	e, err := EventFromCommand(cmd)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Apply routes one command through the market and journals it; see
-// ApplyCtx. It shadows the embedded market's Apply so command-level
-// callers (the wire server, replay tooling) cannot accidentally mutate
-// state without persisting it.
+// Apply routes one command through the commit stage; see ApplyCtx. It
+// shadows the embedded market's Apply so command-level callers (the
+// wire server, replay tooling) cannot accidentally mutate state without
+// persisting it.
 func (m *Market) Apply(cmd command.Command) ([]command.Event, error) {
 	return m.ApplyCtx(context.Background(), cmd)
 }
 
-// ApplyCtx executes cmd against the embedded market and journals the
-// applied state change. For every command but BidBatch that means
-// journaling on success only. A BidBatch may partially apply — the
-// core stops at the first failing bid — so the journal records exactly
-// the applied prefix (as an OpBidBatch of the succeeded bids); the
-// original command error, if any, is still returned. A journal failure
-// takes precedence: the operation applied but did not persist, and the
-// caller must know the log is behind the in-memory state.
+// ApplyCtx runs cmd through the writer's commit stage (see Writer) and
+// returns once its group has reached the sink and been published. What
+// is logged for a command that fails or partly applies is member.apply's
+// business; a journal failure takes precedence over the command's own
+// error. Every other mutating method is a call into this one.
 func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error) {
-	evs, err := m.Market.ApplyCtx(ctx, cmd)
-	switch cmd.(type) {
-	case command.BidBatch:
-		if len(evs) == 0 {
-			return evs, err
+	mb := m.w.enter(member{ctx: ctx, cmd: cmd})
+	return mb.evs, mb.err
+}
+
+// TestUnorderedCommit reintroduces the defect the commit stage exists
+// to rule out: after it, every command and batch is applied and
+// published on its own (the stage's own member.apply, outside the
+// stage), yield runs, and only then is the settled record queued for a
+// sequence number — so two concurrent commands can be logged in the
+// opposite order to the one they were applied in. It exists for the
+// torture harness's mutation canary, which must catch the resulting
+// replay divergence; production code must never call it. Call it before
+// traffic flows.
+func (m *Market) TestUnorderedCommit(yield func()) {
+	m.w.enter = func(mb member) member {
+		live := m.Market.Stage()
+		live.Lock()
+		logged := mb.apply(live)
+		live.Publish(mb.ctx, mb.evs)
+		live.Unlock()
+		if !logged {
+			return mb
 		}
-		bids := make([]command.SubmitBid, len(evs))
-		for i, ev := range evs {
-			bids[i] = command.SubmitBid{Buyer: ev.Buyer, Dataset: ev.Dataset, Amount: ev.Amount}
+		yield()
+		if err := m.w.submit(member{ctx: mb.ctx, rec: mb.rec}).err; err != nil {
+			mb.err = err
 		}
-		e := record(command.BidBatch{Bids: bids})
-		e.Trace = obs.RequestIDFrom(ctx)
-		if jerr := m.w.AppendCtx(ctx, e); jerr != nil {
-			return evs, jerr
-		}
-		return evs, err
-	case command.Settle:
-		return evs, err // never applies; nothing to journal
-	default:
-		if err != nil {
-			return evs, err
-		}
-		e := record(cmd)
-		e.Trace = obs.RequestIDFrom(ctx)
-		if jerr := m.w.AppendCtx(ctx, e); jerr != nil {
-			return evs, jerr
-		}
-		return evs, nil
+		return mb
 	}
 }
 
-// RegisterBuyer journals on success.
+// RegisterBuyer adds a buyer.
 func (m *Market) RegisterBuyer(id market.BuyerID) error {
-	if err := m.Market.RegisterBuyer(id); err != nil {
-		return err
-	}
-	return m.w.Append(record(command.RegisterBuyer{Buyer: id}))
+	_, err := m.Apply(command.RegisterBuyer{Buyer: id})
+	return err
 }
 
-// RegisterSeller journals on success.
+// RegisterSeller adds a seller.
 func (m *Market) RegisterSeller(id market.SellerID) error {
-	if err := m.Market.RegisterSeller(id); err != nil {
-		return err
-	}
-	return m.w.Append(record(command.RegisterSeller{Seller: id}))
+	_, err := m.Apply(command.RegisterSeller{Seller: id})
+	return err
 }
 
-// UploadDataset journals on success.
+// UploadDataset registers a base dataset.
 func (m *Market) UploadDataset(seller market.SellerID, id market.DatasetID) error {
-	if err := m.Market.UploadDataset(seller, id); err != nil {
-		return err
-	}
-	return m.w.Append(record(command.UploadDataset{Seller: seller, Dataset: id}))
+	_, err := m.Apply(command.UploadDataset{Seller: seller, Dataset: id})
+	return err
 }
 
-// ComposeDataset journals on success.
+// ComposeDataset registers a derived dataset.
 func (m *Market) ComposeDataset(id market.DatasetID, constituents ...market.DatasetID) error {
-	if err := m.Market.ComposeDataset(id, constituents...); err != nil {
-		return err
-	}
-	return m.w.Append(record(command.ComposeDataset{Dataset: id, Constituents: constituents}))
+	_, err := m.Apply(command.ComposeDataset{Dataset: id, Constituents: constituents})
+	return err
 }
 
-// SubmitBid journals on success (including losing bids: they move
-// engine and wait state).
+// WithdrawDataset removes a base dataset.
+func (m *Market) WithdrawDataset(seller market.SellerID, id market.DatasetID) error {
+	_, err := m.Apply(command.WithdrawDataset{Seller: seller, Dataset: id})
+	return err
+}
+
+// Tick advances the clock and returns the new period.
+func (m *Market) Tick() (int, error) {
+	evs, err := m.Apply(command.Tick{})
+	if err != nil {
+		return 0, err
+	}
+	return evs[0].Period, nil
+}
+
+// SubmitBid places one bid (journaled whether it wins or loses: a
+// losing bid moves engine and wait state).
 func (m *Market) SubmitBid(buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
 	return m.SubmitBidCtx(context.Background(), buyer, dataset, amount)
 }
 
 // SubmitBidCtx is SubmitBid with request context: the obs trace rides
-// through the market's locking and pricing spans into the journal's
-// append and fsync spans, and the journaled event records the request
-// ID so operators can join a log record to its trace.
+// through the stage's queue-wait, apply, append, fsync and publish
+// spans, and the journaled event records the request ID so operators
+// can join a log record to its trace.
 func (m *Market) SubmitBidCtx(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
-	d, err := m.Market.SubmitBidCtx(ctx, buyer, dataset, amount)
+	evs, err := m.ApplyCtx(ctx, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
 	if err != nil {
-		return d, err
+		return market.Decision{}, err
 	}
-	e := record(command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
-	e.Trace = obs.RequestIDFrom(ctx)
-	if err := m.w.AppendCtx(ctx, e); err != nil {
-		return d, err
-	}
-	return d, nil
+	return evs[0].Decision, nil
 }
 
-// SubmitBids places a batch of bids and journals the successful ones as
-// a single OpBidBatch event. Unlike the unjournaled market's SubmitBids,
-// entries execute sequentially in request order: the journal is a total
-// order of operations, and replay must reproduce the exact engine state,
-// so the batch's application order has to be the recorded order.
+// SubmitBids places a batch of bids in request order and journals the
+// successful ones as a single bid_batch record; one failed bid never
+// aborts the rest of the batch.
 func (m *Market) SubmitBids(reqs []market.BidRequest) []market.BidResult {
 	return m.SubmitBidsCtx(context.Background(), reqs)
 }
@@ -1211,22 +1260,13 @@ func (m *Market) SubmitBids(reqs []market.BidRequest) []market.BidResult {
 // SubmitBidsCtx is SubmitBids with request context; see SubmitBidCtx.
 func (m *Market) SubmitBidsCtx(ctx context.Context, reqs []market.BidRequest) []market.BidResult {
 	out := make([]market.BidResult, len(reqs))
-	bids := make([]command.SubmitBid, 0, len(reqs))
-	for i, r := range reqs {
-		out[i].Decision, out[i].Err = m.Market.SubmitBidCtx(ctx, r.Buyer, r.Dataset, r.Amount)
-		if out[i].Err == nil {
-			bids = append(bids, command.SubmitBid{Buyer: r.Buyer, Dataset: r.Dataset, Amount: r.Amount})
-		}
-	}
-	if len(bids) == 0 {
+	if len(reqs) == 0 {
 		return out
 	}
-	e := record(command.BidBatch{Bids: bids})
-	e.Trace = obs.RequestIDFrom(ctx)
-	if err := m.w.AppendCtx(ctx, e); err != nil {
-		// The bids applied but did not persist; surface the journal
-		// failure on every applied entry so callers know the log is
-		// behind the in-memory state.
+	if err := m.w.enter(member{ctx: ctx, bids: reqs, res: out}).err; err != nil {
+		// The bids that applied did not persist; surface the journal
+		// failure on each of them so callers know the log is behind the
+		// in-memory state.
 		for i := range out {
 			if out[i].Err == nil {
 				out[i].Err = err
@@ -1236,31 +1276,25 @@ func (m *Market) SubmitBidsCtx(ctx context.Context, reqs []market.BidRequest) []
 	return out
 }
 
-// WithdrawDataset journals on success.
-func (m *Market) WithdrawDataset(seller market.SellerID, id market.DatasetID) error {
-	if err := m.Market.WithdrawDataset(seller, id); err != nil {
-		return err
-	}
-	return m.w.Append(record(command.WithdrawDataset{Seller: seller, Dataset: id}))
-}
-
-// Tick journals the clock advance.
-func (m *Market) Tick() (int, error) {
-	p := m.Market.Tick()
-	return p, m.w.Append(record(command.Tick{}))
-}
-
 // OnCommit installs fn as the journal's commit hook; see Writer.OnCommit.
 // It is the attachment point for the replication feed: install it after
-// building the market but before serving traffic. On a store-backed
-// market the store owns the Writer's hook (it drives checkpoints), so
-// fn chains after the store's bookkeeping — same ordering guarantees.
-func (m *Market) OnCommit(fn func(Event)) {
-	if m.store != nil {
-		m.store.OnCommit(fn)
-		return
+// building the market but before serving traffic.
+func (m *Market) OnCommit(fn func(Event)) { m.w.OnCommit(fn) }
+
+// CommittedSnapshot captures the whole market state together with the
+// sequence number of the record that produced it. It takes the market's
+// writer mutex, which the commit stage holds from a group's first apply
+// to its last hook, so the pair is always aligned; on a poisoned
+// journal, whose market has applied commands the log does not hold, it
+// returns the writer's error instead.
+func (m *Market) CommittedSnapshot() (market.Snapshot, int64, error) {
+	live := m.Market.Stage()
+	live.Lock()
+	defer live.Unlock()
+	if err := m.w.Healthy(); err != nil && !errors.Is(err, ErrClosed) {
+		return market.Snapshot{}, 0, err
 	}
-	m.w.OnCommit(fn)
+	return live.Snapshot(), m.w.LastSeq(), nil
 }
 
 // LastSeq returns the sequence number of the journal's newest record;

@@ -33,13 +33,14 @@
 //
 // # Checkpoints and compaction
 //
-// Every CheckpointEvery committed records the store snapshots its
-// shadow state (advanced by the Writer's commit hook, so the snapshot
-// is exactly the state at a committed seq) and writes it to a
-// checkpoint file with the temp+rename+dir-fsync discipline — a crash
-// leaves either the old checkpoint set or the new one, never a torn
-// checkpoint. The file write runs on a background goroutine; only the
-// in-memory snapshot extraction happens on the commit path. After a
+// Every CheckpointEvery committed records the store snapshots the
+// serving market from inside the commit stage, right after a group
+// reached the sink — the one applier holds the market there, so the
+// snapshot is exactly the state at that group's last seq — and writes
+// it to a checkpoint file with the temp+rename+dir-fsync discipline: a
+// crash leaves either the old checkpoint set or the new one, never a
+// torn checkpoint. The file write runs on a background goroutine; only
+// the in-memory snapshot extraction happens on the commit path. After a
 // checkpoint lands, compaction deletes sealed segments wholly covered
 // by it (keeping RetainSegments spares) and old checkpoint files,
 // while appends keep flowing.
@@ -68,7 +69,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -159,7 +159,7 @@ func ckptName(seq int64) string  { return fmt.Sprintf("%014d%s", seq, ckptSuffix
 
 // Store is a segmented, checkpointed journal sink. It implements
 // io.Writer (with Sync) so a journal Writer appends through it
-// unchanged, plus the commit-hook bookkeeping that drives checkpoints.
+// unchanged, plus the per-group bookkeeping that drives checkpoints.
 // Safe for concurrent use.
 type Store struct {
 	dir string
@@ -171,30 +171,19 @@ type Store struct {
 	err    error // sticky store failure
 	closed bool
 
-	// Checkpoint state. shadow is what a checkpoint snapshots, and the
-	// store asks nothing else of it. In leader mode it is state, the
-	// store's own copy of the state machine, advanced by the commit
-	// hook so snapshots land exactly at a committed seq — a bare
-	// command.State driven by command.Apply, not a second market: the
-	// hook already runs one record at a time under mu and Snapshot is
-	// the shadow's only reader, so a market's locks and read views
-	// would be a second cell per buyer and a second transaction log
-	// kept for nobody. In replica mode (replicaShadow) it is the
-	// follower's serving market, already advanced by the apply loop
-	// before each append.
-	shadow        interface{ Snapshot() market.Snapshot }
-	state         *command.State // leader mode only
-	replicaShadow bool
-	appliedSeq    int64
-	lastCkpt      int64   // newest durable checkpoint seq, 0 = none
-	ckpts         []int64 // durable checkpoint seqs, ascending
-	sinceCkpt     int64
-	ckptBusy      bool
-
-	// downstream is the chained commit observer (the replication
-	// feed); called outside mu, in commit order — the Writer
-	// serializes commits.
-	downstream func(Event)
+	// Checkpoint state. live is the serving market — the leader's live
+	// market, or a follower's — and the only copy of the state there is:
+	// whoever applies commands to it (the Writer's commit stage, the
+	// follower's apply loop) calls committed with the market's writer
+	// mutex held and the market exactly at the seq just written, and
+	// that is where cadence checkpoints are cut. Nil on a replica store
+	// before its first Reset.
+	live       *market.Market
+	appliedSeq int64
+	lastCkpt   int64   // newest durable checkpoint seq, 0 = none
+	ckpts      []int64 // durable checkpoint seqs, ascending
+	sinceCkpt  int64
+	ckptBusy   bool
 
 	wg sync.WaitGroup // in-flight checkpoint writes
 }
@@ -245,13 +234,20 @@ func (s *Store) Checkpoint() error {
 		s.mu.Unlock()
 		time.Sleep(time.Millisecond)
 	}
-	if s.shadow == nil || s.appliedSeq == 0 || s.lastCkpt == s.appliedSeq {
+	if s.live == nil || s.appliedSeq == 0 || s.lastCkpt == s.appliedSeq {
 		s.mu.Unlock()
 		return nil
 	}
-	snap := s.shadow.Snapshot()
-	seq := s.appliedSeq
 	s.ckptBusy = true
+	s.mu.Unlock()
+	snap, seq, err := s.committedSnapshot()
+	if err != nil {
+		s.mu.Lock()
+		s.ckptBusy = false
+		s.mu.Unlock()
+		return err
+	}
+	s.mu.Lock()
 	s.sinceCkpt = 0
 	s.mu.Unlock()
 	s.wg.Add(1)
@@ -259,14 +255,29 @@ func (s *Store) Checkpoint() error {
 	return s.Err()
 }
 
-// OnCommit chains fn after the store's own commit bookkeeping: fn sees
-// every durably committed record in strict order, exactly like
-// Writer.OnCommit. This is the replication feed's attachment point on
-// a store-backed market.
-func (s *Store) OnCommit(fn func(Event)) {
+// committedSnapshot captures the serving market, and the seq it stands
+// at, from outside the commit stage. Holding the market's writer mutex
+// keeps the stage out — it holds that mutex from a group's first apply
+// until committed has run — so state and seq are aligned; a store whose
+// sink failed refuses, because its market has applied commands the
+// segments do not hold.
+func (s *Store) committedSnapshot() (market.Snapshot, int64, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.downstream = fn
+	m := s.live
+	s.mu.Unlock()
+	if m == nil {
+		return market.Snapshot{}, 0, errors.New("journal: store has no state to snapshot")
+	}
+	live := m.Stage()
+	live.Lock()
+	defer live.Unlock()
+	s.mu.Lock()
+	seq, err := s.appliedSeq, s.err
+	s.mu.Unlock()
+	if err != nil {
+		return market.Snapshot{}, 0, err
+	}
+	return live.Snapshot(), seq, nil
 }
 
 // Write appends one record (or one group-commit batch) to the active
@@ -292,7 +303,11 @@ func (s *Store) Write(p []byte) (int, error) {
 	}
 	n, err := s.active.Write(p)
 	if err != nil {
-		return n, err // the Writer poisons itself on this
+		// The Writer poisons itself on this; the store does too, because
+		// the market above it has applied what this write lost and must
+		// never be checkpointed again.
+		s.err = err
+		return n, err
 	}
 	cur.bytes += int64(n)
 	cur.records += int64(bytes.Count(p, []byte{'\n'}))
@@ -310,7 +325,11 @@ func (s *Store) Sync() error {
 	if s.active == nil {
 		return nil
 	}
-	return s.active.Sync()
+	if err := s.active.Sync(); err != nil {
+		s.err = err // as in Write: the market is ahead of the disk
+		return err
+	}
+	return nil
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens the
@@ -369,59 +388,32 @@ func createSegment(dir string, index, base int64, truncate bool) (*os.File, int6
 	return f, int64(len(head)), nil
 }
 
-// commit is installed as the journal Writer's commit hook: it advances
-// the shadow state, triggers checkpoints, and forwards the record to
-// the chained observer (the replication feed). The Writer serializes
-// commit calls, so downstream ordering holds even though the call runs
-// outside mu.
-func (s *Store) commit(e Event) {
+// committed is the store's per-group bookkeeping: records more records
+// have reached the segments, the newest is lastSeq, and the serving
+// market stands exactly there. The caller is the market's one applier
+// and holds its writer mutex, so a due checkpoint snapshots the market
+// on the spot; only the file write moves to a goroutine.
+func (s *Store) committed(lastSeq int64, records int) {
 	s.mu.Lock()
-	if s.replicaShadow {
-		s.appliedSeq = e.Seq
-	} else if err := s.advanceShadowLocked(e); err != nil && s.err == nil {
-		s.err = err
-	}
-	s.sinceCkpt++
-	var snap *market.Snapshot
-	var snapSeq int64
-	if s.shouldCheckpointLocked() {
-		sn := s.shadow.Snapshot()
-		snap, snapSeq = &sn, s.appliedSeq
+	s.appliedSeq = lastSeq
+	s.sinceCkpt += int64(records)
+	due := s.shouldCheckpointLocked()
+	if due {
 		s.ckptBusy = true
 		s.sinceCkpt = 0
 	}
-	fn := s.downstream
+	live := s.live
 	s.mu.Unlock()
-	if snap != nil {
+	if due {
 		s.wg.Add(1)
-		go s.checkpoint(*snap, snapSeq)
+		go s.checkpoint(live.Stage().Snapshot(), lastSeq)
 	}
-	if fn != nil {
-		fn(e)
-	}
-}
-
-func (s *Store) advanceShadowLocked(e Event) error {
-	switch e.Op {
-	case OpGenesis, OpSnapshot:
-		st, err := stateFromHead(e)
-		if err != nil {
-			return fmt.Errorf("journal: shadow head: %w", err)
-		}
-		s.state, s.shadow = st, st
-	default:
-		if err := applyEvent(s.state, e); err != nil {
-			return fmt.Errorf("journal: shadow: %w", err)
-		}
-	}
-	s.appliedSeq = e.Seq
-	return nil
 }
 
 func (s *Store) shouldCheckpointLocked() bool {
 	return !s.ckptBusy && s.err == nil && !s.closed &&
 		s.sc.CheckpointEvery > 0 && s.sinceCkpt >= s.sc.CheckpointEvery &&
-		s.shadow != nil
+		s.live != nil
 }
 
 // checkpoint writes one snapshot checkpoint on a background goroutine
@@ -600,36 +592,24 @@ func (s *Store) TailEvents(afterSeq, uptoSeq int64, fn func(Event) error) error 
 	return nil
 }
 
-// CatchupSnapshot returns canonical snapshot bytes and the seq they
-// capture, for replication catch-up: the newest durable checkpoint
-// file when one exists (no live-state re-encoding, no commit-path
-// stall), the shadow state otherwise (a store younger than its first
-// checkpoint).
+// CatchupSnapshot returns the newest durable checkpoint as canonical
+// snapshot bytes with the seq they capture, for replication catch-up:
+// no live-state re-encoding, no commit-path stall. A store younger than
+// its first checkpoint returns nil bytes; the caller snapshots the live
+// market instead.
 func (s *Store) CatchupSnapshot() ([]byte, int64, error) {
 	s.mu.Lock()
 	seq := s.lastCkpt
 	s.mu.Unlock()
-	if seq > 0 {
-		ck, err := readCheckpointFile(s.dir, seq)
-		if err != nil {
-			return nil, 0, err
-		}
-		data, err := ck.Snapshot.Canonical()
-		if err != nil {
-			return nil, 0, err
-		}
-		return data, ck.Seq, nil
+	if seq == 0 {
+		return nil, 0, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shadow == nil {
-		return nil, 0, errors.New("journal: store has no state to snapshot")
-	}
-	data, err := s.shadow.Snapshot().Canonical()
+	ck, err := readCheckpointFile(s.dir, seq)
 	if err != nil {
 		return nil, 0, err
 	}
-	return data, s.appliedSeq, nil
+	data, err := ck.Snapshot.Canonical()
+	return data, ck.Seq, err
 }
 
 func readCheckpointFile(dir string, seq int64) (*checkpointFile, error) {

@@ -669,14 +669,13 @@ func TestStoreNoCheckpoints(t *testing.T) {
 	}
 }
 
-// TestStoreShadowSnapshotIdentity pins the bare-state shadow to the
-// market it shadows: after a mixed single-writer run, the snapshot
-// Store.Checkpoint takes from the shadow is byte-identical to the live
-// market's, to what RecoverDir restores from that checkpoint, and to a
-// full replay of the segments with the checkpoint deleted — and again
-// after a reopen, where the shadow is cloned from the recovered state
-// instead of grown from genesis.
-func TestStoreShadowSnapshotIdentity(t *testing.T) {
+// TestStoreCheckpointIdentity pins what a checkpoint is cut from: after
+// a mixed single-writer run, the snapshot Store.Checkpoint takes of the
+// serving market is byte-identical to the live market's, to what
+// RecoverDir restores from that checkpoint, and to a full replay of the
+// segments with the checkpoint deleted — and again after a reopen,
+// where the serving market is the recovered one.
+func TestStoreCheckpointIdentity(t *testing.T) {
 	const seed, ops = 23, 400
 	cfg := testConfig()
 	dir := t.TempDir()
@@ -684,14 +683,7 @@ func TestStoreShadowSnapshotIdentity(t *testing.T) {
 	sc.CheckpointEvery = -1
 	sc.RetainSegments = -1
 
-	canonical := func(what string, s market.Snapshot) []byte {
-		t.Helper()
-		b, err := s.Canonical()
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		return b
-	}
+	canonical := func(what string, s market.Snapshot) []byte { return canonicalOf(t, what, s) }
 	check := func(stage string, jm *Market) {
 		t.Helper()
 		if err := jm.Store().Checkpoint(); err != nil {
@@ -702,16 +694,16 @@ func TestStoreShadowSnapshotIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		shadow := canonical(stage+": checkpoint", ck.Snapshot)
-		if live := canonical(stage+": live", jm.Snapshot()); !bytes.Equal(shadow, live) {
-			t.Fatalf("%s: shadow checkpoint differs from the live market: %s", stage, ck.Snapshot.Diff(jm.Snapshot()))
+		ckpt := canonical(stage+": checkpoint", ck.Snapshot)
+		if live := canonical(stage+": live", jm.Snapshot()); !bytes.Equal(ckpt, live) {
+			t.Fatalf("%s: checkpoint differs from the live market: %s", stage, ck.Snapshot.Diff(jm.Snapshot()))
 		}
 		m, gotSeq, replayed, err := RecoverDir(dir)
 		if err != nil || gotSeq != seq || replayed != 0 {
 			t.Fatalf("%s: RecoverDir = seq %d, %d replayed, %v; want seq %d from the checkpoint alone", stage, gotSeq, replayed, err, seq)
 		}
-		if !bytes.Equal(shadow, canonical(stage+": recovered", m.Snapshot())) {
-			t.Fatalf("%s: shadow checkpoint differs from its own recovery", stage)
+		if !bytes.Equal(ckpt, canonical(stage+": recovered", m.Snapshot())) {
+			t.Fatalf("%s: checkpoint differs from its own recovery", stage)
 		}
 		if err := os.Remove(filepath.Join(dir, ckptName(seq))); err != nil {
 			t.Fatal(err)
@@ -720,8 +712,8 @@ func TestStoreShadowSnapshotIdentity(t *testing.T) {
 		if err != nil || gotSeq != seq || int64(replayed) != seq {
 			t.Fatalf("%s: full replay = seq %d, %d replayed, %v; want all %d records", stage, gotSeq, replayed, err, seq)
 		}
-		if !bytes.Equal(shadow, canonical(stage+": replayed", m.Snapshot())) {
-			t.Fatalf("%s: shadow checkpoint differs from a full replay: %s", stage, ck.Snapshot.Diff(m.Snapshot()))
+		if !bytes.Equal(ckpt, canonical(stage+": replayed", m.Snapshot())) {
+			t.Fatalf("%s: checkpoint differs from a full replay: %s", stage, ck.Snapshot.Diff(m.Snapshot()))
 		}
 	}
 
@@ -748,5 +740,56 @@ func TestStoreShadowSnapshotIdentity(t *testing.T) {
 			jm.SubmitBid(market.BuyerID(fmt.Sprintf("b%d", b)), market.DatasetID(fmt.Sprintf("d%d", i%5)), 30+float64(7*i%90))
 		}
 	}
-	check("cloned on reopen", jm)
+	check("recovered on reopen", jm)
+}
+
+// TestStorePoisonedNeverCheckpoints: once a segment write fails, the
+// serving market has applied a command the segments do not hold, and it
+// is the only copy of the state — so the store must refuse to checkpoint
+// it, on the cadence, on demand and on Close, and recovery must come
+// back to exactly what was durable before the failure.
+func TestStorePoisonedNeverCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	jm, _, err := OpenStore(testConfig(), dir, StoreConfig{CheckpointEvery: 2, RetainSegments: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{jm.RegisterSeller("s"), jm.UploadDataset("s", "d"), jm.RegisterBuyer("b")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	durable := canonicalOf(t, "live", jm.Snapshot())
+	seq := jm.LastSeq()
+
+	jm.store.mu.Lock()
+	jm.store.active.Close() // the disk goes away under the store
+	jm.store.mu.Unlock()
+	if err := jm.RegisterBuyer("late"); err == nil {
+		t.Fatal("a write to a closed segment was acknowledged")
+	}
+	if _, err := jm.BuyerSpend("late"); !errors.Is(err, market.ErrUnknownBuyer) {
+		t.Fatalf("the unpersisted registration is visible: %v", err)
+	}
+	if err := jm.Store().Checkpoint(); err == nil {
+		t.Fatal("a poisoned store took a checkpoint on demand")
+	}
+	if err := jm.Close(); err == nil {
+		t.Fatal("closing a poisoned store reported success")
+	}
+
+	inv, err := InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inv.LastCheckpoint > seq {
+		t.Fatalf("checkpoint at seq %d past the last durable record %d", inv.LastCheckpoint, seq)
+	}
+	m, gotSeq, _, err := RecoverDir(dir)
+	if err != nil || gotSeq != seq {
+		t.Fatalf("RecoverDir = seq %d, %v; want %d", gotSeq, err, seq)
+	}
+	if !bytes.Equal(durable, canonicalOf(t, "recovered", m.Snapshot())) {
+		t.Fatal("recovery after a poisoned shutdown differs from the last durable state")
+	}
 }

@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -319,8 +318,9 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 		}
 		s.segs = []segMeta{{index: 0, base: 1, bytes: headLen}}
 		s.active = f
+		s.live = live
 		w := NewWriter(s, opts...)
-		w.OnCommit(s.commit)
+		w.live, w.onGroup = live, s.committed
 		if err := w.Genesis(cfg); err != nil {
 			s.Close()
 			return nil, 0, err
@@ -333,21 +333,14 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 		return nil, 0, err
 	}
 
-	// The store's shadow must independently track the live market for
-	// checkpointing; clone the recovered state once.
-	s.state, err = command.RestoreState(st.m.Snapshot())
-	if err != nil {
-		return nil, 0, err
-	}
-	s.shadow = s.state
+	s.live = st.m
 	s.appliedSeq = st.lastSeq
 	s.sinceCkpt = st.lastSeq - st.lastCkpt // keep the cadence across restarts
 
-	w := NewWriter(s, opts...)
-	w.started = true
-	w.seq = st.lastSeq
-	w.OnCommit(s.commit)
-	return &Market{Market: st.m, w: w, sink: s, store: s}, st.replayed, nil
+	jm := Resume(st.m, s, st.lastSeq, opts...)
+	jm.w.onGroup = s.committed
+	jm.sink, jm.store = s, s
+	return jm, st.replayed, nil
 }
 
 // attachTail repairs the recovered chain's final segment and opens it

@@ -2,10 +2,9 @@
 // follower persists through, so a cold restart resumes from its own
 // durable seq instead of re-snapshotting from the leader. The follower
 // applies each replicated command to its serving market first, then
-// appends the record here; the serving market doubles as the store's
-// checkpoint shadow, through the one method the store calls on it,
-// Snapshot (there is no journal Writer on a follower — the replication
-// stream is the writer).
+// appends the record here; the serving market is what the store
+// checkpoints, exactly as on a leader (there is no journal Writer on a
+// follower — the replication stream is the writer).
 package journal
 
 import (
@@ -45,7 +44,7 @@ func OpenReplicaStore(dir string, sc StoreConfig) (*ReplicaStore, *market.Market
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	s := &Store{dir: dir, sc: sc, segs: st.segs, ckpts: st.ckpts, lastCkpt: st.lastCkpt, replicaShadow: true}
+	s := &Store{dir: dir, sc: sc, segs: st.segs, ckpts: st.ckpts, lastCkpt: st.lastCkpt}
 	rs := &ReplicaStore{st: s}
 	rs.enc = json.NewEncoder(&rs.buf)
 	if st.m == nil {
@@ -56,7 +55,7 @@ func OpenReplicaStore(dir string, sc StoreConfig) (*ReplicaStore, *market.Market
 	if err := s.attachTail(st); err != nil {
 		return nil, nil, 0, err
 	}
-	s.shadow = st.m
+	s.live = st.m
 	s.appliedSeq = st.lastSeq
 	s.sinceCkpt = st.lastSeq - st.lastCkpt
 	rs.next = st.lastSeq + 1
@@ -66,8 +65,8 @@ func OpenReplicaStore(dir string, sc StoreConfig) (*ReplicaStore, *market.Market
 // Reset wipes the store and reseeds it from a leader snapshot: every
 // segment and checkpoint is deleted, the snapshot lands synchronously
 // as the checkpoint at seq, and a fresh segment 0 opens at seq+1. It
-// returns the restored market, which becomes both the follower's
-// serving view and the store's checkpoint shadow.
+// returns the restored market, which the follower serves and the store
+// checkpoints.
 func (rs *ReplicaStore) Reset(snap market.Snapshot, seq int64) (*market.Market, error) {
 	m, err := market.RestoreSnapshot(snap)
 	if err != nil {
@@ -110,7 +109,7 @@ func (rs *ReplicaStore) Reset(snap market.Snapshot, seq int64) (*market.Market, 
 	s.active = f
 	s.ckpts = []int64{seq}
 	s.lastCkpt = seq
-	s.shadow = m
+	s.live = m
 	s.appliedSeq = seq
 	s.sinceCkpt = 0
 	s.err = nil
@@ -140,15 +139,15 @@ func (rs *ReplicaStore) Append(e Event) error {
 		return err
 	}
 	if _, err := rs.st.Write(rs.buf.Bytes()); err != nil {
-		rs.st.mu.Lock()
-		if rs.st.err == nil {
-			rs.st.err = err
-		}
-		rs.st.mu.Unlock()
-		return err
+		return err // sticky: Write recorded it
 	}
 	rs.next++
-	rs.st.commit(e)
+	// The apply loop is this market's one applier and is between two
+	// commands here, so the market stands exactly at e.Seq.
+	live := rs.st.live.Stage()
+	live.Lock()
+	rs.st.committed(e.Seq, 1)
+	live.Unlock()
 	return nil
 }
 

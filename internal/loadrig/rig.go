@@ -225,8 +225,8 @@ func StartRig(rc RigConfig) (*Rig, error) {
 
 	ws := wire.NewServer(jm).WithTelemetry(r.Tel).WithBufferSize(rc.WireBufferSize)
 	if rc.Followers > 0 {
-		// The feed must attach before the listener serves so no commit
-		// can slip between its shadow snapshot and the first subscriber.
+		// The feed must attach before the listener serves: commits made
+		// while no hook is installed never reach its ring.
 		feed, err := replica.NewFeed(jm, 0)
 		if err != nil {
 			_ = r.Close()

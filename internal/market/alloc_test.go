@@ -10,12 +10,11 @@ import (
 )
 
 // These assertions pin the zero-alloc audit of the bid hot path: the
-// market-shell work around command.Apply — shard resolution, lock-set
-// construction, and copy-on-write view publication — must not allocate
-// for the common case (a bid on a base dataset). X9 measured the view
-// publication at ~540 ns and +3 allocs per bid before the audit; the
-// seqlock stats cells, the inline FNV hash, and the stack lock-set
-// buffer bring the shell's own contribution to zero.
+// market-shell work around command.Apply — view publication — must not
+// allocate for the common case (a losing bid on a base dataset). X9
+// measured the view publication at ~540 ns and +3 allocs per bid before
+// the audit; the seqlock stats cells and the in-place wait table bring
+// the shell's own contribution to zero.
 
 // allocMarket builds an uninstrumented market with one base dataset and
 // one registered buyer that has already bid once (so every map the bid
@@ -39,36 +38,22 @@ func allocMarket(t testing.TB) *Market {
 }
 
 // TestPublishBidZeroAlloc asserts the per-bid view publication — the
-// seqlock stats-cell store for a losing bid on a base dataset — does
-// not allocate. (A winning bid additionally republishes the books and
+// seqlock stats-cell store and the wait-table write for a losing bid on
+// a base dataset — does not allocate. (A winning bid additionally republishes the books and
 // the buyer view; sales are orders of magnitude rarer than bids and
 // keep their copy-on-write allocations.)
 func TestPublishBidZeroAlloc(t *testing.T) {
 	m := allocMarket(t)
 	ev := command.Event{
-		Kind:    command.EvBidDecided,
-		Buyer:   "b",
-		Dataset: "d",
-		Amount:  5,
+		Kind:     command.EvBidDecided,
+		Buyer:    "b",
+		Dataset:  "d",
+		Amount:   5,
+		Period:   3,
+		Decision: Decision{WaitPeriods: 2},
 	}
-	if n := testing.AllocsPerRun(200, func() { m.publishBid(ev) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { m.publishBid(&ev) }); n != 0 {
 		t.Fatalf("publishBid allocates %.1f times per losing bid, want 0", n)
-	}
-}
-
-// TestLockPathZeroAlloc asserts shard resolution and lock-set
-// construction for a base dataset allocate nothing: the FNV hash is a
-// pure function and the lock set lives in the caller's stack buffer.
-func TestLockPathZeroAlloc(t *testing.T) {
-	m := allocMarket(t)
-	n := testing.AllocsPerRun(200, func() {
-		var buf [maxStackLocks]int
-		locked := m.lockSet("d", nil, buf[:0])
-		m.lockShards(locked)
-		m.unlockShards(locked)
-	})
-	if n != 0 {
-		t.Fatalf("lock path allocates %.1f times per bid, want 0", n)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package market is the concurrent shell around the deterministic
+// Package market is the single-writer shell around the deterministic
 // command core (internal/command): buyers, sellers, and an arbiter that
 // prices seller-provided datasets with the protected pricing algorithm,
 // allocates them to bidding buyers, enforces the bid cadence (at most
@@ -10,13 +10,15 @@
 // All market rules live in command.Apply — this package adds exactly
 // two things on top of the state machine:
 //
-//   - serialization: lock shards turn concurrent requests into the
-//     per-engine-serialized Apply calls the core's contract requires,
-//     so bids on distinct datasets proceed in parallel;
-//   - lock-free reads: every Apply publishes immutable copy-on-write
-//     views of the books, so Stats, StatsAll, Totals, Transactions,
-//     Owns and the /metrics collectors read an atomic pointer and take
-//     no locks at all.
+//   - one writer at a time: a single mutex turns concurrent requests
+//     into the one-at-a-time Apply calls the core requires. A caller
+//     that orders commands itself — the journal's commit stage, which
+//     applies a whole group, writes it, and only then publishes — takes
+//     the same mutex through Stage and splits apply from publication;
+//   - lock-free reads: every read method is served from immutable or
+//     atomically-updated views published after Apply, never from the
+//     state machine, so reads never wait for a writer and never see a
+//     command the writer has not published.
 //
 // One core.Engine prices each dataset. Derived datasets are combinations
 // of base datasets (Figure 1, step 3); a bid on a derived dataset
@@ -24,29 +26,26 @@
 //
 // # Concurrency
 //
-// The arbiter is sharded by dataset: each dataset hashes to one of
-// Config.Shards lock shards (FNV hash of the dataset ID), so bids on
-// distinct datasets proceed in parallel while bids on the same dataset
-// serialize on its shard. A read-mostly registry lock (sync.RWMutex)
-// spans the whole state machine: bids hold it for read; structural
-// commands (registration, uploads, composition, withdrawal, Tick,
-// Snapshot) hold it for write, which quiesces every in-flight bid and
-// acts as the coordinated all-shard lock. Money movement is race-free
-// under the core's own per-buyer account mutexes and ledger mutex.
-// The lock order is registry -> shards (ascending index) -> buyer
-// account -> ledger -> view publication; see DESIGN.md "Concurrency
-// model".
+// Posting prices and wait periods are functions of the order bids reach
+// the arbiter, so the market has one sequencer: whoever holds the writer
+// mutex. See DESIGN.md "Concurrency model".
 package market
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/obs"
 )
+
+// DefaultShards is the value Config.Shards has carried by default since
+// the market was sharded by dataset. One applier runs every command
+// now, so the field selects nothing; the constant remains because the
+// field is inside byte-pinned genesis and snapshot records and callers
+// that want logs identical to earlier releases' still write it.
+const DefaultShards = 16
 
 // Sentinel errors returned by Market operations. They are the command
 // core's errors re-exported under their historical home: identities
@@ -87,22 +86,30 @@ type (
 	DatasetStats = command.DatasetStats
 )
 
-// Market is the arbiter plus its books: a concurrent shell around one
-// command.State. All methods are safe for concurrent use; bids on
-// datasets in different shards run in parallel, and read endpoints
-// never block behind writers.
+// BidRequest is one bid of a batch submitted through SubmitBids.
+type BidRequest struct {
+	Buyer   BuyerID   `json:"buyer"`
+	Dataset DatasetID `json:"dataset"`
+	Amount  float64   `json:"amount"`
+}
+
+// BidResult is the outcome of one bid of a batch: either a Decision or
+// the error the equivalent SubmitBid call would have returned.
+type BidResult struct {
+	Decision Decision
+	Err      error
+}
+
+// Market is the arbiter plus its books: one command.State behind a
+// writer mutex, and the read views published from it. All methods are
+// safe for concurrent use; writes run one at a time, reads never block.
 type Market struct {
-	cfg    Config
-	st     *command.State
-	shards []*shard
+	// mu is the writer mutex: it guards st and orders view publication.
+	// No read method takes it.
+	mu sync.Mutex
+	st *command.State
 
-	// reg is the registry lock spanning the state machine: bids hold it
-	// for read (the shared access the core's contract requires),
-	// structural commands hold it for write, which excludes every
-	// in-flight bid (the all-shard coordination point).
-	reg sync.RWMutex
-
-	// vw holds the lock-free read views every Apply publishes.
+	// vw holds the lock-free read views.
 	vw views
 
 	// tel holds pre-bound hot-path instruments; nil until Instrument is
@@ -121,15 +128,11 @@ func New(cfg Config) (*Market, error) {
 }
 
 // FromState wraps a state machine the caller built — fresh, restored
-// from a snapshot, or replayed from a journal head — in the concurrent
-// shell: lock shards sized from its config, read views derived from its
-// contents. The market takes ownership of st.
+// from a snapshot, or replayed from a journal head — in the shell, with
+// read views derived from its contents. The market takes ownership of
+// st.
 func FromState(st *command.State) *Market {
-	m := &Market{
-		cfg:    st.Config(),
-		st:     st,
-		shards: newShards(st.Config().Shards),
-	}
+	m := &Market{st: st}
 	m.rebuildViews()
 	return m
 }
@@ -143,51 +146,105 @@ func MustNew(cfg Config) *Market {
 	return m
 }
 
-// Apply executes one command against the market with the serialization
-// its kind requires: bids take the registry read lock plus the shard
-// locks of every engine they touch, everything else takes the registry
-// write lock. It returns the command core's events. All public
-// mutation methods are wrappers around Apply.
-func (m *Market) Apply(cmd command.Command) ([]command.Event, error) {
-	return m.ApplyCtx(context.Background(), cmd)
-}
+// Stage is a market's writer side, for a caller that sequences commands
+// itself and must separate applying them from making them visible: the
+// journal's commit stage locks, applies a group of commands in order,
+// makes the group durable, publishes its events, and unlocks. Every
+// method but Lock requires the lock; Market.Apply is the same sequence
+// for one command with nothing in between.
+type Stage struct{ m *Market }
 
-// ApplyCtx is Apply with request context: when ctx carries an obs
-// trace, a bid records shard.lock_wait and price.evaluate spans. The
-// context does not cancel the command — a command that reached the
-// market always completes (partial application would desynchronize
-// engines and books).
-func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error) {
+// Stage returns the market's writer side.
+func (m *Market) Stage() Stage { return Stage{m} }
+
+// Lock takes the market's writer mutex.
+func (s Stage) Lock() { s.m.mu.Lock() }
+
+// Unlock releases the market's writer mutex.
+func (s Stage) Unlock() { s.m.mu.Unlock() }
+
+// Apply runs one command against the state machine and returns the
+// core's events without publishing them: no read observes the command
+// until Publish. When ctx carries an obs trace a bid records apply and
+// price.evaluate spans. The context does not cancel the command — a
+// command that reached the market always completes (partial application
+// would desynchronize engines and books).
+func (s Stage) Apply(ctx context.Context, cmd command.Command) ([]command.Event, error) {
 	switch c := cmd.(type) {
 	case command.SubmitBid:
-		ev, err := m.applyBidCtx(ctx, c)
+		ev, err := s.ApplyBid(ctx, c)
 		if err != nil {
 			return nil, err
 		}
 		return []command.Event{ev}, nil
 	case command.BidBatch:
-		// A batch replays strictly in order through the same hot path as
-		// individual bids; the first failure stops it (a recorded batch
-		// contains only bids that succeeded originally, so a failure
-		// during replay is a divergence the caller must see).
+		// A batch applies strictly in order through the same path as
+		// individual bids; the first failure stops it, and the events
+		// returned are the applied prefix.
 		evs := make([]command.Event, 0, len(c.Bids))
 		for _, b := range c.Bids {
-			ev, err := m.applyBidCtx(ctx, b)
+			ev, err := s.ApplyBid(ctx, b)
 			if err != nil {
 				return evs, err
 			}
 			evs = append(evs, ev)
 		}
 		return evs, nil
-	case command.Settle:
-		return command.Apply(m.st, cmd) // ErrNotMarket; no state touched
 	default:
-		m.reg.Lock()
-		defer m.reg.Unlock()
-		evs, err := command.Apply(m.st, cmd)
-		m.publishStructural(evs)
-		return evs, err
+		return command.Apply(s.m.st, cmd)
 	}
+}
+
+// ApplyBid is Apply for one bid without boxing it into the Command
+// interface (an allocation per call on the one path that makes millions
+// of them).
+func (s Stage) ApplyBid(ctx context.Context, c command.SubmitBid) (command.Event, error) {
+	m := s.m
+	var applyH *obs.Histogram
+	if m.tel != nil {
+		applyH = m.tel.applyStage
+	}
+	endApply := obs.StageTimer(ctx, applyH, "apply")
+	endEvalSpan := obs.StartSpan(ctx, "price.evaluate")
+	var evalStart time.Time
+	if m.tel != nil {
+		evalStart = time.Now()
+	}
+	ev, err := command.ApplyBid(m.st, c)
+	endEvalSpan.End()
+	if m.tel != nil {
+		m.tel.priceEval.ObserveSinceTrace(evalStart, obs.ExemplarID(ctx))
+	}
+	endApply.End()
+	return ev, err
+}
+
+// Publish makes applied events visible to readers. Events must be
+// published in the order Apply returned them.
+func (s Stage) Publish(ctx context.Context, evs []command.Event) {
+	for i := range evs {
+		s.m.publish(ctx, &evs[i])
+	}
+}
+
+// Snapshot captures the whole market state.
+func (s Stage) Snapshot() Snapshot { return s.m.st.Snapshot() }
+
+// Apply executes one command and publishes its effects. It returns the
+// command core's events. All public mutation methods are wrappers
+// around Apply.
+func (m *Market) Apply(cmd command.Command) ([]command.Event, error) {
+	return m.ApplyCtx(context.Background(), cmd)
+}
+
+// ApplyCtx is Apply with request context; see Stage.Apply.
+func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error) {
+	s := m.Stage()
+	s.Lock()
+	defer s.Unlock()
+	evs, err := s.Apply(ctx, cmd)
+	s.Publish(ctx, evs)
+	return evs, err
 }
 
 // RegisterBuyer adds a buyer.
@@ -229,9 +286,7 @@ func (m *Market) WithdrawDataset(seller SellerID, id DatasetID) error {
 }
 
 // Tick advances the market clock by one period and returns the new
-// period. Buyers may bid once per period per dataset. Tick takes the
-// registry write lock, so it linearizes against every in-flight bid on
-// every shard.
+// period. Buyers may bid once per period per dataset.
 func (m *Market) Tick() int {
 	evs, _ := m.Apply(command.Tick{})
 	return evs[0].Period
@@ -241,197 +296,38 @@ func (m *Market) Tick() int {
 // pay the posting price immediately; the payment is split across the
 // sellers whose base datasets back the product. Losers receive a
 // Time-Shield wait and may not bid on this dataset again until it passes.
-//
-// Bids on datasets in different shards execute concurrently; a bid on a
-// derived dataset additionally holds the shards of the leaf engines it
-// propagates demand to, so the whole engine interaction is atomic with
-// respect to any overlapping bid.
 func (m *Market) SubmitBid(buyer BuyerID, dataset DatasetID, amount float64) (Decision, error) {
 	return m.SubmitBidCtx(context.Background(), buyer, dataset, amount)
 }
 
-// SubmitBidCtx is SubmitBid with request context: when ctx carries an
-// obs trace, the bid records shard.lock_wait and price.evaluate spans,
-// so one request's trace shows where its time went. The context does
-// not cancel the bid — a bid that reached the market always completes
-// (partial application would desynchronize engines and books).
+// SubmitBidCtx is SubmitBid with request context; see Stage.Apply.
 func (m *Market) SubmitBidCtx(ctx context.Context, buyer BuyerID, dataset DatasetID, amount float64) (Decision, error) {
-	ev, err := m.applyBidCtx(ctx, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
+	s := m.Stage()
+	s.Lock()
+	defer s.Unlock()
+	ev, err := s.ApplyBid(ctx, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
 	if err != nil {
 		return Decision{}, err
 	}
+	m.publish(ctx, &ev)
 	return ev.Decision, nil
 }
 
-// applyBidCtx is the hot path: it serializes one SubmitBid command into
-// the core under the registry read lock plus the shard locks of every
-// engine the bid touches, then publishes the read views the bid
-// invalidated before the locks are released.
-func (m *Market) applyBidCtx(ctx context.Context, c command.SubmitBid) (command.Event, error) {
-	if !(c.Amount > 0) {
-		return command.Event{}, ErrBadBid
-	}
-	var applyH, publishH *obs.Histogram
-	if m.tel != nil {
-		applyH, publishH = m.tel.applyStage, m.tel.publishStage
-	}
-	m.reg.RLock()
-	defer m.reg.RUnlock()
-
-	// Pre-resolve what the bid will touch (and surface unknown-buyer /
-	// unknown-dataset errors) before any shard lock is taken, so the
-	// lock set is complete and failed lookups never count as shard
-	// traffic.
-	if !m.st.HasBuyer(c.Buyer) {
-		return command.Event{}, fmt.Errorf("%w: %s", ErrUnknownBuyer, c.Buyer)
-	}
-	leaves, err := m.st.BidLeaves(c.Dataset)
-	if err != nil {
-		return command.Event{}, err
-	}
-
-	// The apply stage covers the whole engine interaction — lock
-	// acquisition, pricing, books — up to but excluding view
-	// publication, which is its own stage below. Failed pre-resolution
-	// above is request validation, not pipeline work, so it stays
-	// outside the stage.
-	endApply := obs.StageTimer(ctx, applyH, "apply")
-	var lockBuf [maxStackLocks]int
-	locked := m.lockSet(c.Dataset, leaves, lockBuf[:0])
-	endLockSpan := obs.StartSpan(ctx, "shard.lock_wait")
-	m.lockShards(locked)
-	endLockSpan.End()
-	defer m.unlockShards(locked)
-
-	primary := m.shardFor(c.Dataset)
-	start := time.Now()
-	primary.bids.Add(1)
-	defer func() { primary.latencyNs.Add(int64(time.Since(start))) }()
-
-	endEvalSpan := obs.StartSpan(ctx, "price.evaluate")
-	var evalStart time.Time
-	if m.tel != nil {
-		evalStart = time.Now()
-	}
-	// The scratch buffer is owned by the primary shard, whose lock we
-	// hold; the event is copied out by value before the locks drop.
-	// ApplyBid (not ApplyInto) keeps the command out of the Command
-	// interface — boxing it would allocate on every bid.
-	evs, err := command.ApplyBid(m.st, c, primary.evbuf)
-	primary.evbuf = evs[:0]
-	endEvalSpan.End()
-	if m.tel != nil {
-		m.tel.priceEval.ObserveSinceTrace(evalStart, obs.ExemplarID(ctx))
-	}
-	if err != nil {
-		endApply.End()
-		return command.Event{}, err
-	}
-	ev := evs[0]
-	endApply.End()
-	endPublish := obs.StageTimer(ctx, publishH, "publish")
-	m.publishBid(ev)
-	endPublish.End()
-	return ev, nil
+// SubmitBids places a batch of bids in request order. Results are
+// returned one per request, and one failed bid never aborts the rest of
+// the batch.
+func (m *Market) SubmitBids(reqs []BidRequest) []BidResult {
+	return m.SubmitBidsCtx(context.Background(), reqs)
 }
 
-// Period returns the current period (lock-free).
-func (m *Market) Period() int {
-	return int(m.vw.clock.Load())
-}
-
-// Revenue returns the total revenue raised so far (lock-free).
-func (m *Market) Revenue() Money {
-	return m.vw.books.Load().revenue
-}
-
-// Totals returns the market's money books in one consistent view:
-// total revenue, the sum of every buyer's spend, and the sum of every
-// seller's balance. In a conserving market all three are equal — the
-// torture harness (internal/torture) asserts exactly that after every
-// operation. The three sums come from one immutable books view
-// published atomically per sale, so the read is both consistent and
-// lock-free.
-func (m *Market) Totals() (revenue, spent, balances Money) {
-	b := m.vw.books.Load()
-	return b.revenue, b.spent, b.balances
-}
-
-// SellerBalance returns a seller's accumulated compensation.
-func (m *Market) SellerBalance(id SellerID) (Money, error) {
-	m.reg.RLock()
-	defer m.reg.RUnlock()
-	return m.st.SellerBalance(id)
-}
-
-// BuyerSpend returns the total a buyer has paid (lock-free).
-func (m *Market) BuyerSpend(id BuyerID) (Money, error) {
-	cell, ok := (*m.vw.buyers.Load())[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, id)
+// SubmitBidsCtx is SubmitBids with request context: a batch request's
+// trace accumulates the spans of all its bids.
+func (m *Market) SubmitBidsCtx(ctx context.Context, reqs []BidRequest) []BidResult {
+	out := make([]BidResult, len(reqs))
+	for i, r := range reqs {
+		out[i].Decision, out[i].Err = m.SubmitBidCtx(ctx, r.Buyer, r.Dataset, r.Amount)
 	}
-	return Money(cell.spent.Load()), nil
-}
-
-// Owns reports whether the buyer has acquired the dataset (lock-free).
-func (m *Market) Owns(buyer BuyerID, dataset DatasetID) (bool, error) {
-	cell, ok := (*m.vw.buyers.Load())[buyer]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
-	}
-	_, owns := cell.acquired.Load(dataset)
-	return owns, nil
-}
-
-// WaitRemaining returns how many periods remain before the buyer may bid
-// on the dataset again (0 when unblocked).
-func (m *Market) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
-	m.reg.RLock()
-	defer m.reg.RUnlock()
-	return m.st.WaitRemaining(buyer, dataset)
-}
-
-// Transactions returns a defensive copy of the transaction log, sorted
-// by sequence number (lock-free). Sorting is needed because concurrent
-// sales may publish their view updates out of sequence order; the
-// sequence numbers themselves are assigned under the core's ledger
-// mutex and are gapless.
-func (m *Market) Transactions() []Transaction {
-	txs := m.vw.books.Load().txs
-	out := make([]Transaction, len(txs))
-	copy(out, txs)
-	sortTransactions(out)
 	return out
-}
-
-// Datasets returns a fresh slice of the registered dataset IDs, sorted
-// (lock-free).
-func (m *Market) Datasets() []DatasetID {
-	stats := *m.vw.stats.Load()
-	out := make([]DatasetID, 0, len(stats))
-	for id := range stats {
-		out = append(out, id)
-	}
-	sortDatasetIDs(out)
-	return out
-}
-
-// Stats returns the diagnostic snapshot for a dataset (lock-free): a
-// copy of the immutable per-dataset view published by the last bid that
-// touched its engine.
-func (m *Market) Stats(dataset DatasetID) (DatasetStats, error) {
-	cell, ok := (*m.vw.stats.Load())[dataset]
-	if !ok {
-		return DatasetStats{}, fmt.Errorf("%w: %s", ErrUnknownDataset, dataset)
-	}
-	return cell.load(), nil
-}
-
-// SellerDatasets returns the base datasets a seller has uploaded.
-func (m *Market) SellerDatasets(id SellerID) ([]DatasetID, error) {
-	m.reg.RLock()
-	defer m.reg.RUnlock()
-	return m.st.SellerDatasets(id)
 }
 
 // TestPerturbPrices forwards a price perturbation to every current and
@@ -439,7 +335,7 @@ func (m *Market) SellerDatasets(id SellerID) ([]DatasetID, error) {
 // the torture harness's mutation canary; production code must never
 // call it.
 func (m *Market) TestPerturbPrices(f func(price float64) float64) {
-	m.reg.Lock()
-	defer m.reg.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.st.TestPerturbPrices(f)
 }

@@ -17,12 +17,12 @@ type (
 	Snapshot = command.Snapshot
 )
 
-// Snapshot captures the whole market state. It takes the registry write
-// lock, quiescing every in-flight bid, so the snapshot is a consistent
-// point-in-time view.
+// Snapshot captures the whole market state. It takes the writer mutex,
+// so the snapshot is a consistent point-in-time view between two
+// commands — on a journaled market, between two durable groups.
 func (m *Market) Snapshot() Snapshot {
-	m.reg.Lock()
-	defer m.reg.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.st.Snapshot()
 }
 

@@ -2,7 +2,6 @@ package market
 
 import (
 	"sort"
-	"strconv"
 
 	"github.com/datamarket/shield/internal/obs"
 )
@@ -12,27 +11,16 @@ import (
 // traffic, so the bid path reads them without synchronization; a nil
 // telemetry (the default) costs one pointer check per site.
 type telemetry struct {
-	// lockWait, indexed by shard, observes every shard-lock
-	// acquisition: 0 for uncontended fast-path takes, the measured
-	// wait otherwise — so _count is total acquisitions and the upper
-	// buckets isolate real contention.
-	lockWait []*obs.Histogram
 	// priceEval times the engine interaction of one bid: allocation
 	// decision, wait-period simulation, demand propagation and the
 	// epoch price update.
 	priceEval *obs.Histogram
-	// batchDepth is the number of batch-submitted bids accepted but
-	// not yet decided (worker-pool queue depth).
-	batchDepth *obs.Gauge
-	// batchSaturated counts batch bids that found every worker busy
-	// and had to queue.
-	batchSaturated *obs.Counter
 	// scrapeErrors counts metric families whose collector failed
 	// mid-scrape instead of silently dropping their samples.
 	scrapeErrors *obs.Counter
 	// applyStage and publishStage are the market's stages on the shared
 	// shield_stage_seconds family: applying one bid to the engine state
-	// (locks, pricing, books) and publishing the invalidated read views.
+	// (pricing, books) and publishing the invalidated read views.
 	applyStage   *obs.Histogram
 	publishStage *obs.Histogram
 }
@@ -41,11 +29,10 @@ type telemetry struct {
 // hot-path instruments. Call once, before the market serves traffic
 // (registering the same family twice panics by design).
 //
-// Scrape-time families read market state through StatsAll and
-// ShardStats, each of which reads the lock-free copy-on-write views in
-// one consistent pass — a dataset withdrawn mid-scrape is either fully
-// present or fully absent, never half-reported, and a scrape never
-// blocks a bid.
+// Scrape-time families read market state through StatsAll, which reads
+// the lock-free copy-on-write views in one consistent pass — a dataset
+// withdrawn mid-scrape is either fully present or fully absent, never
+// half-reported, and a scrape never blocks a bid.
 func (m *Market) Instrument(t *obs.Telemetry) {
 	r := t.Registry
 
@@ -53,21 +40,10 @@ func (m *Market) Instrument(t *obs.Telemetry) {
 		priceEval: r.Histogram("shield_price_evaluate_seconds",
 			"Time inside the pricing engine per bid: allocation, wait simulation, demand propagation, epoch update.",
 			obs.LatencyBuckets()),
-		batchDepth: r.Gauge("shield_batch_queue_depth",
-			"Batch-submitted bids accepted but not yet decided by the worker pool."),
-		batchSaturated: r.Counter("shield_batch_pool_saturated_total",
-			"Batch bids that found every worker busy and had to queue."),
 		scrapeErrors: r.Counter("shield_metrics_scrape_errors_total",
 			"Metric families whose collector failed during a scrape (samples would otherwise be silently dropped)."),
 		applyStage:   t.Stage("apply"),
 		publishStage: t.Stage("publish"),
-	}
-	lockWaitVec := r.HistogramVec("shield_shard_lock_wait_seconds",
-		"Shard-lock acquisition wait per shard (0 for uncontended takes; _count is total acquisitions).",
-		obs.LatencyBuckets(), "shard")
-	tel.lockWait = make([]*obs.Histogram, len(m.shards))
-	for i := range m.shards {
-		tel.lockWait[i] = lockWaitVec.With(strconv.Itoa(i))
 	}
 	r.OnCollectError(func(string) { tel.scrapeErrors.Inc() })
 
@@ -106,32 +82,14 @@ func (m *Market) Instrument(t *obs.Telemetry) {
 	perDataset("shield_dataset_posting_price", "Current posting price per dataset (operator only).",
 		obs.KindGauge, func(d DatasetStats) float64 { return d.PostingPrice })
 
-	// Per-shard lock diagnostics.
-	perShard := func(name, help string, kind obs.Kind, value func(ShardStats) float64) {
-		r.Collect(name, help, kind, func(emit func(float64, ...string)) {
-			for _, sh := range m.ShardStats() {
-				emit(value(sh), "shard", strconv.Itoa(sh.Shard))
-			}
-		})
-	}
-	perShard("shield_shard_datasets", "Datasets currently hashed to each lock shard.",
-		obs.KindGauge, func(s ShardStats) float64 { return float64(s.Datasets) })
-	perShard("shield_shard_bids_total", "Bids routed through each lock shard.",
-		obs.KindCounter, func(s ShardStats) float64 { return float64(s.Bids) })
-	perShard("shield_shard_lock_contention_total", "Shard-lock acquisitions that had to wait.",
-		obs.KindCounter, func(s ShardStats) float64 { return float64(s.Contention) })
-	perShard("shield_shard_bid_latency_seconds_total", "Cumulative wall time inside locked bid sections per shard.",
-		obs.KindCounter, func(s ShardStats) float64 { return s.BidLatency.Seconds() })
-
 	m.tel = tel
 }
 
 // StatsAll returns the diagnostic snapshot of every dataset, sorted by
 // ID, lock-free: one atomic load of the copy-on-write stats view fixes
 // the dataset population (a concurrent withdraw or upload is either
-// fully reflected or not at all), and each dataset's value is the
-// immutable cell published by the last bid that touched its engine
-// under that engine's shard lock.
+// fully reflected or not at all), and each dataset's value is the cell
+// published by the last bid that touched its engine.
 func (m *Market) StatsAll() []DatasetStats {
 	stats := *m.vw.stats.Load()
 	out := make([]DatasetStats, 0, len(stats))

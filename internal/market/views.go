@@ -1,6 +1,9 @@
 package market
 
 import (
+	"context"
+	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sort"
@@ -8,61 +11,58 @@ import (
 	"sync/atomic"
 
 	"github.com/datamarket/shield/internal/command"
+	"github.com/datamarket/shield/internal/obs"
 )
 
-// views holds the market's lock-free read state: immutable
-// copy-on-write values behind atomic pointers, republished by every
-// Apply before its locks drop. Readers load one pointer and observe a
-// consistent value; they never take the registry, shard, account, or
-// ledger locks.
+// views holds the market's read state: everything a read method
+// returns, published by the writer after it applies a command (for a
+// journaled market, after the command's group is durable). Readers load
+// an atomic pointer or cell and never take the writer mutex, so a read
+// neither waits for a writer — not even one stuck in an fsync — nor
+// observes a command that has not been published.
+//
+// Publication has one writer at a time (the holder of Market.mu), so
+// cells only need to make concurrent reads safe, not concurrent writes.
 //
 // Granularity is chosen per write rate:
 //
-//   - the outer stats and buyers maps change only on structural
-//     commands (upload, withdraw, registration), which already hold the
-//     registry write lock — cloning the whole map there is rare and
-//     safe;
-//   - each dataset's stats and each buyer's view live in their own
-//     atomic cell, so the per-bid publication (every bid moves a bid
-//     counter, possibly a posting price) swaps one small pointer
-//     instead of cloning a map of all datasets;
+//   - the outer stats, buyers and sellers maps change only on
+//     structural commands (upload, withdraw, registration): cloning the
+//     whole map there is rare;
+//   - each dataset's stats, each buyer's view and each seller's view
+//     live in their own cell, so the per-bid publication (every bid
+//     moves a bid counter, possibly a posting price, and a loser's
+//     wait) updates a few words in place instead of cloning a map;
 //   - the books (revenue, total spend, total balances, transactions)
 //     change only on sales, which are far rarer than bids; one
-//     immutable booksView is republished per sale under a dedicated
-//     publication mutex.
+//     immutable booksView is republished per sale.
 type views struct {
 	clock atomic.Int64
 
 	// stats maps each priced dataset to its diagnostic cell. The outer
-	// map is copy-on-write (cloned under the registry write lock on
-	// upload/compose/withdraw); each cell is overwritten in place — a
+	// map is copy-on-write; each cell is overwritten in place — a
 	// seqlock over per-field atomics, so the per-bid publication
-	// allocates nothing — under the dataset's shard lock on every bid
-	// that touches its engine.
+	// allocates nothing.
 	stats atomic.Pointer[map[DatasetID]*statsCell]
 
 	// buyers maps each registered buyer to its view cell. The outer map
-	// is copy-on-write (cloned under the registry write lock on
-	// registration); cells are updated in place under the buyer's
-	// account mutex, and only when the buyer wins — losing bids touch no
-	// buyer-visible read state.
+	// is copy-on-write (cloned on registration); cells are updated in
+	// place.
 	buyers atomic.Pointer[map[BuyerID]*buyerCell]
 
-	// books is the money view. booksMu serializes publication (an
-	// atomic pointer swap alone would lose concurrent sales); readers
-	// only Load.
-	booksMu sync.Mutex
-	books   atomic.Pointer[booksView]
+	// sellers maps each registered seller to its view cell, like buyers.
+	sellers atomic.Pointer[map[SellerID]*sellerCell]
+
+	// books is the money view; readers only Load.
+	books atomic.Pointer[booksView]
 }
 
 // statsCell publishes one dataset's DatasetStats without allocating: a
 // seqlock over per-field atomics instead of a freshly heap-allocated
-// value behind an atomic pointer. Writers — bid publication under the
-// dataset's shard lock, structural publication under the registry
-// write lock, rebuild before sharing — are already mutually serialized
-// per cell, so the sequence only has to make torn reads detectable:
-// store flips it odd, writes every field, flips it even; load retries
-// until it reads the same even sequence on both sides of the copy.
+// value behind an atomic pointer. There is one writer at a time, so the
+// sequence only has to make torn reads detectable: store flips it odd,
+// writes every field, flips it even; load retries until it reads the
+// same even sequence on both sides of the copy.
 type statsCell struct {
 	seq atomic.Uint64 // odd while a store is in flight
 
@@ -114,31 +114,98 @@ func (c *statsCell) load() DatasetStats {
 	}
 }
 
-// buyerCell is one buyer's lock-free read state. The acquisition set is
-// add-only (a win is its only mutation, and withdrawals don't revoke
-// ownership), so it lives in a sync.Map grown in place for the buyer's
-// lifetime instead of an immutable map re-copied on every win: hot
-// buyers accumulate thousands of acquisitions, and an O(own
-// acquisitions) copy per sale made long storms quadratic in sales.
-// spent holds the absolute total, republished under the buyer's account
-// mutex. The two readers (Owns, BuyerSpend) are single-field lookups,
-// so no cross-field consistency is needed.
+// buyerCell is one buyer's read state. The acquisition set is add-only
+// (a win is its only mutation, and withdrawals don't revoke ownership),
+// so it lives in a sync.Map grown in place for the buyer's lifetime
+// instead of an immutable map re-copied on every win: hot buyers
+// accumulate thousands of acquisitions, and an O(own acquisitions) copy
+// per sale made long storms quadratic in sales. spent holds the
+// absolute total. The readers are single-field lookups, so no
+// cross-field consistency is needed.
+//
+// waits is the buyer's running Time-Shield waits — per dataset, the
+// first period the buyer may bid again — rewritten by every losing bid,
+// which is most bids, so its publication must not allocate (a sync.Map
+// boxes every stored value). It is a short slice under a mutex of the
+// cell's own: a wait that has run out is a free slot, so the slice is
+// as long as the most waits the buyer ever had running at once, not as
+// long as its history. The mutex is held for one scan, by the publisher
+// or by a WaitRemaining call on this same buyer, and never across
+// anything that can block.
 type buyerCell struct {
 	acquired sync.Map     // DatasetID → true; add-only
 	spent    atomic.Int64 // Money
+
+	waitMu sync.Mutex
+	waits  []wait
 }
 
-func (c *buyerCell) publish(acquired map[DatasetID]bool, spent Money) {
+type wait struct {
+	dataset DatasetID
+	until   int
+}
+
+// rebuild fills a fresh cell from the buyer's account; waits that have
+// run out by clock are not worth a slot.
+func (c *buyerCell) rebuild(clock int, acquired map[DatasetID]bool, blockedUntil map[DatasetID]int, spent Money) {
 	for k := range acquired {
 		c.acquired.Store(k, true)
 	}
 	c.spent.Store(int64(spent))
+	for k, until := range blockedUntil {
+		if until > clock {
+			c.block(k, until, clock)
+		}
+	}
+}
+
+// block publishes a wait decided at period clock, over the buyer's
+// earlier wait on the same dataset or else over one that has run out.
+func (c *buyerCell) block(dataset DatasetID, until, clock int) {
+	c.waitMu.Lock()
+	defer c.waitMu.Unlock()
+	free := -1
+	for i := range c.waits {
+		if c.waits[i].dataset == dataset {
+			free = i
+			break
+		}
+		if free < 0 && c.waits[i].until <= clock {
+			free = i
+		}
+	}
+	if free < 0 {
+		c.waits = append(c.waits, wait{})
+		free = len(c.waits) - 1
+	}
+	c.waits[free] = wait{dataset, until}
+}
+
+// blockedUntil returns the first period the buyer may bid on dataset
+// again; 0 when no wait was ever published or its slot was reused.
+func (c *buyerCell) blockedUntil(dataset DatasetID) int {
+	c.waitMu.Lock()
+	defer c.waitMu.Unlock()
+	for i := range c.waits {
+		if c.waits[i].dataset == dataset {
+			return c.waits[i].until
+		}
+	}
+	return 0
+}
+
+// sellerCell is one seller's read state: the balance as an absolute
+// total, and the uploaded datasets as an immutable slice replaced on
+// upload and withdrawal.
+type sellerCell struct {
+	balance  atomic.Int64 // Money
+	datasets atomic.Pointer[[]DatasetID]
 }
 
 // booksView is the immutable money view: the three conservation sums
 // and the transaction log. txs grows by appending to the latest view's
-// slice under booksMu — older views keep their shorter length and never
-// observe the new element, so sharing the backing array is safe.
+// slice — older views keep their shorter length and never observe the
+// new element, so sharing the backing array is safe.
 type booksView struct {
 	revenue  Money
 	spent    Money
@@ -166,10 +233,22 @@ func (m *Market) rebuildViews() {
 	buyers := make(map[BuyerID]*buyerCell, len(buyerIDs))
 	for _, id := range buyerIDs {
 		cell := new(buyerCell)
-		m.st.InspectBuyer(id, cell.publish)
+		m.st.InspectBuyer(id, func(acquired map[DatasetID]bool, blockedUntil map[DatasetID]int, spent Money) {
+			cell.rebuild(m.st.Period(), acquired, blockedUntil, spent)
+		})
 		buyers[id] = cell
 	}
 	m.vw.buyers.Store(&buyers)
+
+	sellerIDs := m.st.SellerIDs()
+	sellers := make(map[SellerID]*sellerCell, len(sellerIDs))
+	for _, id := range sellerIDs {
+		sellers[id] = new(sellerCell)
+	}
+	m.vw.sellers.Store(&sellers)
+	for _, id := range sellerIDs {
+		m.publishSeller(id)
+	}
 
 	revenue, spent, balances := m.st.Totals()
 	m.vw.books.Store(&booksView{
@@ -180,55 +259,65 @@ func (m *Market) rebuildViews() {
 	})
 }
 
-// publishStructural updates the views invalidated by a structural
-// command's events. Callers hold the registry write lock, so outer-map
-// clones race with nothing.
-func (m *Market) publishStructural(evs []command.Event) {
-	for _, ev := range evs {
-		switch ev.Kind {
-		case command.EvTicked:
-			m.vw.clock.Store(int64(ev.Period))
-
-		case command.EvBuyerRegistered:
-			old := *m.vw.buyers.Load()
-			next := make(map[BuyerID]*buyerCell, len(old)+1)
-			for k, v := range old {
-				next[k] = v
-			}
-			next[ev.Buyer] = new(buyerCell)
-			m.vw.buyers.Store(&next)
-
-		case command.EvDatasetAdded:
-			ds, err := m.st.Stats(ev.Dataset)
-			if err != nil {
-				continue
-			}
-			old := *m.vw.stats.Load()
-			next := make(map[DatasetID]*statsCell, len(old)+1)
-			for k, v := range old {
-				next[k] = v
-			}
-			next[ev.Dataset] = newStatsCell(ds)
-			m.vw.stats.Store(&next)
-
-		case command.EvDatasetRemoved:
-			old := *m.vw.stats.Load()
-			next := make(map[DatasetID]*statsCell, len(old))
-			for k, v := range old {
-				if k != ev.Dataset {
-					next[k] = v
-				}
-			}
-			m.vw.stats.Store(&next)
+// publish makes one applied event visible. The caller holds the writer
+// mutex. Cells republish absolute values read back from the state, which
+// may already be past this event when a whole group is published at
+// once; that is still a state every reader is allowed to see, because
+// the group became durable together.
+func (m *Market) publish(ctx context.Context, ev *command.Event) {
+	switch ev.Kind {
+	case command.EvBidDecided:
+		var publishH *obs.Histogram
+		if m.tel != nil {
+			publishH = m.tel.publishStage
 		}
+		end := obs.StageTimer(ctx, publishH, "publish")
+		m.publishBid(ev)
+		end.End()
+
+	case command.EvTicked:
+		m.vw.clock.Store(int64(ev.Period))
+
+	case command.EvBuyerRegistered:
+		old := *m.vw.buyers.Load()
+		next := make(map[BuyerID]*buyerCell, len(old)+1)
+		for k, v := range old {
+			next[k] = v
+		}
+		next[ev.Buyer] = new(buyerCell)
+		m.vw.buyers.Store(&next)
+
+	case command.EvSellerRegistered:
+		next := maps.Clone(*m.vw.sellers.Load())
+		next[ev.Seller] = new(sellerCell)
+		m.vw.sellers.Store(&next)
+		m.publishSeller(ev.Seller)
+
+	case command.EvDatasetAdded:
+		if !ev.Derived {
+			m.publishSeller(ev.Seller)
+		}
+		ds, err := m.st.Stats(ev.Dataset)
+		if err != nil {
+			return // withdrawn again later in the same group
+		}
+		next := maps.Clone(*m.vw.stats.Load())
+		next[ev.Dataset] = newStatsCell(ds)
+		m.vw.stats.Store(&next)
+
+	case command.EvDatasetRemoved:
+		// The owner's balance is republished with its dataset list: a
+		// sale of this dataset earlier in the same group can no longer
+		// find its payee through the ownership table.
+		m.publishSeller(ev.Seller)
+		next := maps.Clone(*m.vw.stats.Load())
+		delete(next, ev.Dataset)
+		m.vw.stats.Store(&next)
 	}
 }
 
-// publishBid updates the views invalidated by one decided bid. The
-// caller holds the registry read lock and the shard locks of the
-// primary dataset and every leaf, which serializes each stats cell's
-// publication with every other bid that could touch the same engines.
-func (m *Market) publishBid(ev command.Event) {
+// publishBid updates the views invalidated by one decided bid.
+func (m *Market) publishBid(ev *command.Event) {
 	m.publishStats(ev.Dataset)
 	for _, leaf := range ev.Leaves {
 		// A base dataset is its own only leaf; don't publish it twice.
@@ -236,12 +325,16 @@ func (m *Market) publishBid(ev command.Event) {
 			m.publishStats(DatasetID(leaf))
 		}
 	}
+	cell := (*m.vw.buyers.Load())[ev.Buyer]
 	if ev.Tx == nil {
+		// A zero wait is already over; there is nothing to publish.
+		if cell != nil && ev.Decision.WaitPeriods > 0 {
+			cell.block(ev.Dataset, ev.Period+ev.Decision.WaitPeriods, ev.Period)
+		}
 		return
 	}
 
 	// A sale: republish the books...
-	m.vw.booksMu.Lock()
 	old := m.vw.books.Load()
 	m.vw.books.Store(&booksView{
 		revenue:  old.revenue + ev.Tx.Price,
@@ -249,27 +342,32 @@ func (m *Market) publishBid(ev command.Event) {
 		balances: old.balances + ev.Paid,
 		txs:      append(old.txs, *ev.Tx),
 	})
-	m.vw.booksMu.Unlock()
 
-	// ...and the winner's cell: the won dataset joins the add-only set
-	// and spent is republished as the absolute total — O(1) per sale,
-	// independent of how many datasets the buyer already owns.
-	// Publication happens under the buyer's account mutex (inside
-	// InspectBuyer) so concurrent wins by the same buyer on other shards
-	// cannot overwrite this win's spend with a stale total.
-	if cell, ok := (*m.vw.buyers.Load())[ev.Buyer]; ok {
-		m.st.InspectBuyer(ev.Buyer, func(_ map[DatasetID]bool, spent Money) {
-			cell.acquired.Store(ev.Dataset, true)
+	// ...the winner's cell: the won dataset joins the add-only set and
+	// spent is republished as the absolute total — O(1) per sale,
+	// independent of how many datasets the buyer already owns...
+	if cell != nil {
+		cell.acquired.Store(ev.Dataset, true)
+		if spent, err := m.st.BuyerSpend(ev.Buyer); err == nil {
 			cell.spent.Store(int64(spent))
-		})
+		}
+	}
+
+	// ...and the balance of every seller the sale paid.
+	if len(ev.Leaves) == 0 {
+		if owner, ok := m.st.Owner(ev.Dataset); ok {
+			m.publishBalance(owner)
+		}
+	}
+	for _, leaf := range ev.Leaves {
+		if owner, ok := m.st.Owner(DatasetID(leaf)); ok {
+			m.publishBalance(owner)
+		}
 	}
 }
 
 // publishStats republishes one dataset's stats cell, in place and
-// without allocating (the seqlock store). The caller holds the
-// dataset's shard lock (serializing against every other publisher of
-// the same cell) and the registry read lock (so the dataset cannot be
-// withdrawn mid-publication).
+// without allocating (the seqlock store).
 func (m *Market) publishStats(id DatasetID) {
 	cell, ok := (*m.vw.stats.Load())[id]
 	if !ok {
@@ -282,10 +380,132 @@ func (m *Market) publishStats(id DatasetID) {
 	cell.store(ds)
 }
 
-func sortDatasetIDs(ids []DatasetID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// publishBalance republishes one seller's balance as the absolute
+// total.
+func (m *Market) publishBalance(id SellerID) {
+	cell, ok := (*m.vw.sellers.Load())[id]
+	if !ok {
+		return
+	}
+	if bal, err := m.st.SellerBalance(id); err == nil {
+		cell.balance.Store(int64(bal))
+	}
 }
 
-func sortTransactions(txs []Transaction) {
-	sort.Slice(txs, func(i, j int) bool { return txs[i].Seq < txs[j].Seq })
+// publishSeller republishes a seller's dataset list (the state hands
+// back a fresh copy) and balance.
+func (m *Market) publishSeller(id SellerID) {
+	cell, ok := (*m.vw.sellers.Load())[id]
+	if !ok {
+		return
+	}
+	if ds, err := m.st.SellerDatasets(id); err == nil {
+		cell.datasets.Store(&ds)
+	}
+	m.publishBalance(id)
+}
+
+// Period returns the current period.
+func (m *Market) Period() int {
+	return int(m.vw.clock.Load())
+}
+
+// Revenue returns the total revenue raised so far.
+func (m *Market) Revenue() Money {
+	return m.vw.books.Load().revenue
+}
+
+// Totals returns the market's money books in one consistent view:
+// total revenue, the sum of every buyer's spend, and the sum of every
+// seller's balance. In a conserving market all three are equal — the
+// torture harness (internal/torture) asserts exactly that after every
+// operation. The three sums come from one immutable books view
+// published atomically per sale.
+func (m *Market) Totals() (revenue, spent, balances Money) {
+	b := m.vw.books.Load()
+	return b.revenue, b.spent, b.balances
+}
+
+// SellerBalance returns a seller's accumulated compensation.
+func (m *Market) SellerBalance(id SellerID) (Money, error) {
+	cell, ok := (*m.vw.sellers.Load())[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrUnknownSeller, id)
+	}
+	return Money(cell.balance.Load()), nil
+}
+
+// SellerDatasets returns the base datasets a seller has uploaded.
+func (m *Market) SellerDatasets(id SellerID) ([]DatasetID, error) {
+	cell, ok := (*m.vw.sellers.Load())[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownSeller, id)
+	}
+	ds := *cell.datasets.Load()
+	out := make([]DatasetID, len(ds))
+	copy(out, ds)
+	return out, nil
+}
+
+// BuyerSpend returns the total a buyer has paid.
+func (m *Market) BuyerSpend(id BuyerID) (Money, error) {
+	cell, ok := (*m.vw.buyers.Load())[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, id)
+	}
+	return Money(cell.spent.Load()), nil
+}
+
+// Owns reports whether the buyer has acquired the dataset.
+func (m *Market) Owns(buyer BuyerID, dataset DatasetID) (bool, error) {
+	cell, ok := (*m.vw.buyers.Load())[buyer]
+	if !ok {
+		return false, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
+	}
+	_, owns := cell.acquired.Load(dataset)
+	return owns, nil
+}
+
+// WaitRemaining returns how many periods remain before the buyer may bid
+// on the dataset again (0 when unblocked).
+func (m *Market) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
+	cell, ok := (*m.vw.buyers.Load())[buyer]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
+	}
+	until := cell.blockedUntil(dataset)
+	if clock := m.Period(); clock < until {
+		return until - clock, nil
+	}
+	return 0, nil
+}
+
+// Transactions returns a defensive copy of the transaction log, in
+// sequence order.
+func (m *Market) Transactions() []Transaction {
+	txs := m.vw.books.Load().txs
+	out := make([]Transaction, len(txs))
+	copy(out, txs)
+	return out
+}
+
+// Datasets returns a fresh slice of the registered dataset IDs, sorted.
+func (m *Market) Datasets() []DatasetID {
+	stats := *m.vw.stats.Load()
+	out := make([]DatasetID, 0, len(stats))
+	for id := range stats {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Stats returns the diagnostic snapshot for a dataset: a copy of the
+// per-dataset view published by the last bid that touched its engine.
+func (m *Market) Stats(dataset DatasetID) (DatasetStats, error) {
+	cell, ok := (*m.vw.stats.Load())[dataset]
+	if !ok {
+		return DatasetStats{}, fmt.Errorf("%w: %s", ErrUnknownDataset, dataset)
+	}
+	return cell.load(), nil
 }

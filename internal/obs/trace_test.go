@@ -20,7 +20,7 @@ func TestTraceSpansThroughContext(t *testing.T) {
 		t.Fatalf("request id = %q, want %q", got, id)
 	}
 
-	end := StartSpan(ctx, "shard.lock_wait")
+	end := StartSpan(ctx, "apply")
 	time.Sleep(time.Millisecond)
 	end.End()
 	end = StartSpan(ctx, "price.evaluate")
@@ -35,7 +35,7 @@ func TestTraceSpansThroughContext(t *testing.T) {
 	if got.ID != id || got.Name != "POST /v1/bids" {
 		t.Fatalf("trace header = %+v", got)
 	}
-	if len(got.Spans) != 2 || got.Spans[0].Name != "shard.lock_wait" || got.Spans[1].Name != "price.evaluate" {
+	if len(got.Spans) != 2 || got.Spans[0].Name != "apply" || got.Spans[1].Name != "price.evaluate" {
 		t.Fatalf("spans = %+v", got.Spans)
 	}
 	if got.Spans[0].DurationUS < 900 {

@@ -40,23 +40,25 @@ var ErrFollowerAhead = errors.New("replica: follower ahead of leader")
 
 // Feed is the leader-side replication source (wire.ReplicationSource).
 //
-// On a flat-file journal it maintains a shadow market advanced only by
-// the journal's commit hook, so its (snapshot, seq) pairs are exactly
-// aligned — the live market applies commands before journaling them,
-// so snapshotting the live market directly could capture state ahead
-// of the log. On a segmented store the shadow is dropped entirely: the
-// store already keeps a checkpoint-aligned shadow, snapshot catch-up
-// is served from the newest checkpoint file, and the records between
-// that checkpoint and the feed's head are preloaded from the segment
-// tail on disk.
+// It keeps no copy of the market. The journal's commit stage runs the
+// hook only after a record's group has reached the sink, with the live
+// market exactly at the group's last seq, so an aligned (snapshot, seq)
+// pair is one call away: on a flat-file journal the live market itself
+// (journal.Market.CommittedSnapshot), on a segmented store the newest
+// checkpoint file, with the records between that checkpoint and the
+// feed's head preloaded from the segment tail on disk.
 //
 // Attach a Feed with NewFeed after building the journaled market and
 // before serving traffic: records committed while no hook is installed
 // are not replayable to subscribers.
 type Feed struct {
+	jm    *journal.Market
+	store *journal.Store // nil on a flat-file journal
+
+	// mu is taken by the commit hook, which runs inside the commit
+	// stage with the market's writer mutex held — so nothing that takes
+	// that mutex (a catch-up snapshot) may run under mu.
 	mu      sync.Mutex
-	shadow  *market.Market // nil when store-backed
-	store   *journal.Store // nil on a flat-file journal
 	lastSeq int64
 
 	ring     []wire.RepRecord
@@ -67,7 +69,7 @@ type Feed struct {
 	// below the floor are not fanned out to that subscriber (they are
 	// already inside its catch-up snapshot or preloaded tail).
 	subs map[chan wire.RepRecord]int64
-	err  error // sticky feed failure (a record the shadow could not apply)
+	err  error // sticky feed failure (a record the hook could not encode or order)
 }
 
 // NewFeed builds a feed over jm and installs it as the journal's
@@ -78,34 +80,38 @@ func NewFeed(jm *journal.Market, ringMax int) (*Feed, error) {
 		ringMax = DefaultRingSize
 	}
 	f := &Feed{
+		jm:       jm,
 		store:    jm.Store(),
 		lastSeq:  jm.LastSeq(),
 		ringMax:  ringMax,
 		subs:     make(map[chan wire.RepRecord]int64),
 		ringBase: jm.LastSeq() + 1,
 	}
-	if f.store == nil {
-		shadow, err := market.RestoreSnapshot(jm.Snapshot())
-		if err != nil {
-			return nil, fmt.Errorf("replica: building shadow market: %w", err)
-		}
-		f.shadow = shadow
-	}
 	jm.OnCommit(f.commit)
 	return f, nil
 }
 
-// commit is the journal's commit hook: one durably committed record,
-// in strict sequence order. It advances the shadow market, retains the
-// encoded record frame in the ring, and fans it out to subscribers —
-// dropping (closing) any subscriber whose channel is full, because a
-// blocked send here would stall the leader's append path.
-func (f *Feed) commit(e journal.Event) {
+// recordFrame encodes one committed record as the replication frame a
+// follower applies.
+func recordFrame(e journal.Event) (wire.RepRecord, error) {
 	cmd, err := journal.CommandFromEvent(e)
-	var enc []byte
-	if err == nil {
-		enc, err = command.EncodeBinary(cmd)
+	if err != nil {
+		return wire.RepRecord{}, err
 	}
+	enc, err := command.EncodeBinary(cmd)
+	if err != nil {
+		return wire.RepRecord{}, err
+	}
+	return wire.RepRecord{Seq: e.Seq, Payload: wire.AppendRecordFrame(nil, e.Seq, enc)}, nil
+}
+
+// commit is the journal's commit hook: one durably committed record,
+// in strict sequence order. It retains the encoded record frame in the
+// ring and fans it out to subscribers — dropping (closing) any
+// subscriber whose channel is full, because a blocked send here would
+// stall the leader's commit stage.
+func (f *Feed) commit(e journal.Event) {
+	rec, err := recordFrame(e)
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -114,13 +120,6 @@ func (f *Feed) commit(e journal.Event) {
 	}
 	if err == nil && e.Seq != f.lastSeq+1 {
 		err = fmt.Errorf("replica: commit hook saw seq %d, want %d", e.Seq, f.lastSeq+1)
-	}
-	if err == nil && f.shadow != nil {
-		// The journal only records operations that succeeded on the live
-		// market, and Apply is deterministic, so this cannot fail unless
-		// the shadow has diverged — which poisons the feed. Store-backed
-		// feeds skip this: the store keeps its own checkpoint shadow.
-		_, err = f.shadow.Apply(cmd)
 	}
 	if err != nil {
 		f.err = fmt.Errorf("replica: feed poisoned at seq %d (%s): %w", e.Seq, e.Op, err)
@@ -132,7 +131,6 @@ func (f *Feed) commit(e journal.Event) {
 	}
 	f.lastSeq = e.Seq
 
-	rec := wire.RepRecord{Seq: e.Seq, Payload: wire.AppendRecordFrame(nil, e.Seq, enc)}
 	f.ring = append(f.ring, rec)
 	if len(f.ring) >= 2*f.ringMax {
 		// Amortized trim: keep the newest ringMax records.
@@ -159,65 +157,80 @@ func (f *Feed) commit(e journal.Event) {
 // Subscribe implements wire.ReplicationSource: it attaches a consumer
 // that has applied through afterSeq. A gap that fits the ring is
 // served as a tail (the missed records are preloaded onto the
-// channel); anything older gets the shadow market's canonical snapshot
-// at the feed's current seq.
+// channel); anything older gets a canonical snapshot — the store's
+// newest checkpoint, or the live market at a committed seq — plus the
+// records committed since.
 func (f *Feed) Subscribe(afterSeq int64) (wire.Subscription, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.err != nil {
-		return wire.Subscription{}, f.err
+	if sub, ok, err := f.attachLocked(afterSeq, nil); ok || err != nil {
+		f.mu.Unlock()
+		return sub, err
 	}
-	if afterSeq > f.lastSeq {
-		return wire.Subscription{}, fmt.Errorf("%w: follower at seq %d, leader at %d", ErrFollowerAhead, afterSeq, f.lastSeq)
+	f.mu.Unlock()
+
+	// The gap predates the ring: snapshot catch-up, taken with mu
+	// released (see Feed.mu). Commits keep flowing meanwhile; whatever
+	// lands between the snapshot and the attach below comes out of the
+	// ring or, on a store, the segment tail.
+	var snap []byte
+	var snapSeq int64
+	var err error
+	if f.store != nil {
+		snap, snapSeq, err = f.store.CatchupSnapshot()
+	}
+	if snap == nil && err == nil {
+		var s market.Snapshot
+		if s, snapSeq, err = f.jm.CommittedSnapshot(); err == nil {
+			snap, err = s.Canonical()
+		}
+	}
+	if err != nil {
+		return wire.Subscription{}, fmt.Errorf("replica: catch-up snapshot: %w", err)
 	}
 
-	var sub wire.Subscription
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	sub, ok, err := f.attachLocked(snapSeq, snap)
+	if err == nil && !ok {
+		// Only a ring smaller than one commit burst gets here; the
+		// follower redials and tries again.
+		err = fmt.Errorf("replica: %d records committed during catch-up, past the ring", f.lastSeq-snapSeq)
+	}
+	return sub, err
+}
+
+// attachLocked registers a subscriber that will hold state through
+// fromSeq (its own applied seq when snap is nil, the snapshot's seq
+// otherwise), preloading the records between fromSeq and the feed's
+// head. ok is false, with nothing attached, when those records are no
+// longer at hand. Callers hold mu.
+func (f *Feed) attachLocked(fromSeq int64, snap []byte) (sub wire.Subscription, ok bool, err error) {
+	if f.err != nil {
+		return sub, false, f.err
+	}
+	if snap == nil && fromSeq > f.lastSeq {
+		return sub, false, fmt.Errorf("%w: follower at seq %d, leader at %d", ErrFollowerAhead, fromSeq, f.lastSeq)
+	}
 	var pending []wire.RepRecord
 	floor := f.lastSeq
-	if afterSeq == f.lastSeq {
-		sub.StartSeq = afterSeq
-	} else if len(f.ring) > 0 && afterSeq+1 >= f.ringBase {
-		sub.StartSeq = afterSeq
-		pending = f.ring[afterSeq+1-f.ringBase:]
-	} else if f.store != nil {
-		// Segmented store: catch up from the newest durable checkpoint
-		// file, then preload the segment-tail records between the
-		// checkpoint and the feed's head. A background checkpoint can
-		// land ahead of the commit hook, so the per-subscriber floor
-		// (not the preload) keeps live fanout duplicate-free.
-		snap, snapSeq, err := f.store.CatchupSnapshot()
-		if err != nil {
-			return wire.Subscription{}, fmt.Errorf("replica: checkpoint catch-up: %w", err)
-		}
-		sub.Snapshot = snap
-		sub.StartSeq = snapSeq
-		if snapSeq > floor {
-			floor = snapSeq
-		}
-		err = f.store.TailEvents(snapSeq, f.lastSeq, func(e journal.Event) error {
-			cmd, err := journal.CommandFromEvent(e)
-			if err != nil {
-				return err
-			}
-			enc, err := command.EncodeBinary(cmd)
-			if err != nil {
-				return err
-			}
-			pending = append(pending, wire.RepRecord{Seq: e.Seq, Payload: wire.AppendRecordFrame(nil, e.Seq, enc)})
-			return nil
+	switch {
+	case fromSeq >= f.lastSeq:
+		// Current — or a checkpoint that landed ahead of the commit hook,
+		// in which case the floor keeps live fanout duplicate-free.
+		floor = fromSeq
+	case len(f.ring) > 0 && fromSeq+1 >= f.ringBase:
+		pending = f.ring[fromSeq+1-f.ringBase:]
+	case snap != nil && f.store != nil:
+		err = f.store.TailEvents(fromSeq, f.lastSeq, func(e journal.Event) error {
+			rec, err := recordFrame(e)
+			pending = append(pending, rec)
+			return err
 		})
 		if err != nil {
-			return wire.Subscription{}, fmt.Errorf("replica: reading segment tail: %w", err)
+			return sub, false, fmt.Errorf("replica: reading segment tail: %w", err)
 		}
-	} else {
-		// The gap predates the ring: snapshot catch-up. The shadow is at
-		// exactly lastSeq — that alignment is the reason it exists.
-		snap, err := f.shadow.Snapshot().Canonical()
-		if err != nil {
-			return wire.Subscription{}, fmt.Errorf("replica: encoding snapshot: %w", err)
-		}
-		sub.Snapshot = snap
-		sub.StartSeq = f.lastSeq
+	default:
+		return sub, false, nil
 	}
 
 	ch := make(chan wire.RepRecord, len(pending)+subSlack)
@@ -225,7 +238,7 @@ func (f *Feed) Subscribe(afterSeq int64) (wire.Subscription, error) {
 		ch <- rec
 	}
 	f.subs[ch] = floor
-	sub.Records = ch
+	sub = wire.Subscription{Snapshot: snap, StartSeq: fromSeq, Records: ch}
 	sub.Cancel = func() {
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -234,7 +247,7 @@ func (f *Feed) Subscribe(afterSeq int64) (wire.Subscription, error) {
 			close(ch)
 		}
 	}
-	return sub, nil
+	return sub, true, nil
 }
 
 // LeaderSeq implements wire.ReplicationSource: the newest committed
@@ -246,7 +259,8 @@ func (f *Feed) LeaderSeq() int64 {
 }
 
 // Healthy returns nil while the feed can serve subscribers, and the
-// sticky poisoning error after a record failed to apply to the shadow.
+// sticky poisoning error after a record arrived out of order or could
+// not be encoded.
 func (f *Feed) Healthy() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -2,9 +2,11 @@ package torture
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"time"
 
+	"github.com/datamarket/shield/internal/journal"
 	replication "github.com/datamarket/shield/internal/replica"
 	"github.com/datamarket/shield/internal/wire"
 )
@@ -31,12 +33,12 @@ type followerTwin struct {
 // newFollowerTwin attaches a replication feed to the lead replica and
 // boots the follower. Must run before the first op so the feed's
 // commit hook never misses a record.
-func newFollowerTwin(cfg Config, leader *replica) (*followerTwin, error) {
-	feed, err := replication.NewFeed(leader.jm, 0)
+func newFollowerTwin(cfg Config, leader *journal.Market) (*followerTwin, error) {
+	feed, err := replication.NewFeed(leader, 0)
 	if err != nil {
 		return nil, err
 	}
-	ws := wire.NewServer(leader.jm).WithReplication(feed).
+	ws := wire.NewServer(leader).WithReplication(feed).
 		WithHeartbeatInterval(10 * time.Millisecond)
 	rcfg := replication.Config{
 		Dial: func() (net.Conn, error) {
@@ -89,41 +91,47 @@ func (t *followerTwin) close() {
 	t.f.Close()
 }
 
-// checkFollower is the checkpoint gate for the replication twin: wait
+// check is the checkpoint gate for the replication twin: wait
 // (bounded) for the follower to reach the leader's newest committed
-// seq, then pin its snapshot byte-identical to the leader's.
+// seq, then pin its snapshot byte-identical to the leader's. It returns
+// "" on success and the failure reason otherwise. The leader must be
+// quiescent.
+func (t *followerTwin) check(leader *journal.Market, converge time.Duration) string {
+	want := t.feed.LeaderSeq()
+	deadline := time.Now().Add(converge)
+	for t.f.Applied() < want {
+		if time.Now().After(deadline) {
+			applied, observed, lag, connected := t.f.Staleness()
+			return fmt.Sprintf("follower twin: replication lag gate tripped: applied %d < leader %d after %s (observed leader %d, lag %.2fs, connected %v)",
+				applied, want, converge, observed, lag, connected)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fm := t.f.Market()
+	if fm == nil {
+		return fmt.Sprintf("follower twin converged to seq %d with no state", want)
+	}
+	wantBytes, err := leader.Snapshot().Canonical()
+	if err != nil {
+		return fmt.Sprintf("leader snapshot: %v", err)
+	}
+	gotBytes, err := fm.Snapshot().Canonical()
+	if err != nil {
+		return fmt.Sprintf("follower twin snapshot: %v", err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		return fmt.Sprintf("follower twin snapshot diverges from leader at seq %d (%d vs %d bytes)",
+			want, len(gotBytes), len(wantBytes))
+	}
+	return ""
+}
+
 func (h *harness) checkFollower(opIdx int) *Failure {
 	if h.twin == nil {
 		return nil
 	}
-	op := Op{Kind: OpTick}
-	want := h.twin.feed.LeaderSeq()
-	deadline := time.Now().Add(h.cfg.followerConverge)
-	for h.twin.f.Applied() < want {
-		if time.Now().After(deadline) {
-			applied, leader, lag, connected := h.twin.f.Staleness()
-			return h.fail(opIdx, op,
-				"follower twin: replication lag gate tripped: applied %d < leader %d after %s (observed leader %d, lag %.2fs, connected %v)",
-				applied, want, h.cfg.followerConverge, leader, lag, connected)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fm := h.twin.f.Market()
-	if fm == nil {
-		return h.fail(opIdx, op, "follower twin converged to seq %d with no state", want)
-	}
-	wantBytes, err := h.replicas[0].jm.Snapshot().Canonical()
-	if err != nil {
-		return h.fail(opIdx, op, "leader snapshot: %v", err)
-	}
-	gotBytes, err := fm.Snapshot().Canonical()
-	if err != nil {
-		return h.fail(opIdx, op, "follower twin snapshot: %v", err)
-	}
-	if !bytes.Equal(gotBytes, wantBytes) {
-		return h.fail(opIdx, op,
-			"follower twin snapshot diverges from leader at seq %d (%d vs %d bytes)",
-			want, len(gotBytes), len(wantBytes))
+	if reason := h.twin.check(h.replicas[0].jm, h.cfg.followerConverge); reason != "" {
+		return h.fail(opIdx, Op{Kind: OpTick}, "%s", reason)
 	}
 	return nil
 }

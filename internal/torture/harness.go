@@ -4,11 +4,13 @@
 // price queries, ex-post settlements) driven by the buyer personas of
 // internal/buyers and AR(1) valuation series from internal/timeseries.
 // Every history is applied simultaneously to a single-goroutine
-// reference model (reference.go) and to real journaled markets at
-// several shard counts, plus a telemetry-instrumented twin; decisions,
-// errors, canonical snapshots, journals, and ledger invariants must all
-// agree at every step. Any failure reports a one-line reproduction
-// command: shieldstorm -seed N -ops M.
+// reference model (reference.go) and to real journaled markets — called
+// directly, instrumented with telemetry, and reached over the wire
+// protocol; decisions, errors, canonical snapshots, journals, and ledger
+// invariants must all agree at every step. The harness drives every
+// replica from one goroutine; what concurrency does to the journaled
+// market is RunHot's subject (hot.go). Any failure reports a one-line
+// reproduction command: shieldstorm -seed N -ops M.
 package torture
 
 import (
@@ -36,9 +38,6 @@ type Config struct {
 	Seed uint64
 	// Ops is the number of operations to generate (default 10_000).
 	Ops int
-	// Shards lists the shard counts to run real replicas at
-	// (default 1, 4, 16). State must be bit-identical across all of them.
-	Shards []int
 	// CheckEvery is the interval, in ops, between full-state checkpoints
 	// (default Ops/16, at least 512). Cheap per-op invariants run on
 	// every op regardless.
@@ -121,9 +120,6 @@ func (c *Config) applyDefaults() {
 	if c.Ops == 0 {
 		c.Ops = 10_000
 	}
-	if len(c.Shards) == 0 {
-		c.Shards = []int{1, 4, 16}
-	}
 	if c.CheckEvery == 0 {
 		c.CheckEvery = c.Ops / 16
 		if c.CheckEvery < 512 {
@@ -177,6 +173,7 @@ type Report struct {
 type Failure struct {
 	Seed    uint64
 	Ops     int
+	Hot     bool // a RunHot failure: the repro line carries -hot
 	OpIndex int
 	OpDesc  string
 	Reason  string
@@ -184,8 +181,12 @@ type Failure struct {
 
 // Error implements error.
 func (f *Failure) Error() string {
-	return fmt.Sprintf("torture failure at op %d (%s): %s\nrepro: shieldstorm -seed %d -ops %d",
-		f.OpIndex, f.OpDesc, f.Reason, f.Seed, f.Ops)
+	mode := ""
+	if f.Hot {
+		mode = " -hot"
+	}
+	return fmt.Sprintf("torture failure at op %d (%s): %s\nrepro: shieldstorm%s -seed %d -ops %d",
+		f.OpIndex, f.OpDesc, f.Reason, mode, f.Seed, f.Ops)
 }
 
 // opResult is the outcome of one op against one implementation.
@@ -201,13 +202,12 @@ type opResult struct {
 // every op reaches the market through the binary wire protocol instead
 // of direct method calls — the codec round trip must be invisible.
 type replica struct {
-	name   string
-	shards int
-	jm     *journal.Market
-	buf    *bytes.Buffer // flat journal bytes; nil for the store twin
-	dir    string        // segmented-store directory; "" for flat replicas
-	conn   *wire.Conn
-	close  func()
+	name  string
+	jm    *journal.Market
+	buf   *bytes.Buffer // flat journal bytes; nil for the store twin
+	dir   string        // segmented-store directory; "" for flat replicas
+	conn  *wire.Conn
+	close func()
 }
 
 func (r *replica) apply(op Op) opResult {
@@ -380,25 +380,19 @@ func Run(cfg Config) (*Report, error) {
 		report:  Report{Seed: cfg.Seed, Ops: cfg.Ops, OpCounts: make(map[string]int)},
 	}
 
-	for _, shardCount := range cfg.Shards {
-		r, err := newReplica(fmt.Sprintf("shards=%d", shardCount), cfg, shardCount, false)
+	// The instrumented twin runs with live telemetry: metrics and
+	// tracing must never perturb market state.
+	for _, instrument := range []bool{false, true} {
+		r, err := newReplica(cfg, instrument)
 		if err != nil {
 			return nil, err
 		}
 		h.replicas = append(h.replicas, r)
 	}
-	// The instrumented twin runs at the highest shard count with live
-	// telemetry: metrics and tracing must never perturb market state.
-	twin, err := newReplica(fmt.Sprintf("telemetry shards=%d", cfg.Shards[len(cfg.Shards)-1]),
-		cfg, cfg.Shards[len(cfg.Shards)-1], true)
-	if err != nil {
-		return nil, err
-	}
-	h.replicas = append(h.replicas, twin)
 	// The wire twin reaches its journaled market only through the binary
 	// wire protocol: every decision, error string, journal record and
 	// snapshot must still match the in-process replicas byte for byte.
-	wt, err := newWireReplica(cfg, cfg.Shards[0])
+	wt, err := newWireReplica(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +401,7 @@ func Run(cfg Config) (*Report, error) {
 		// The segmented-store twin journals into rotated segments with
 		// checkpoints; its crash-cut drills run at seeded op indexes,
 		// spread over the middle half like the follower kills.
-		sr, err := newStoreReplica(cfg, cfg.Shards[0])
+		sr, err := newStoreReplica(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -433,7 +427,7 @@ func Run(cfg Config) (*Report, error) {
 	// the first op so no commit slips past it. Kill points are seeded,
 	// spread over the middle half of the run, and consumed in the op
 	// loop — reports stay deterministic per (seed, ops).
-	h.twin, err = newFollowerTwin(cfg, h.replicas[0])
+	h.twin, err = newFollowerTwin(cfg, h.replicas[0].jm)
 	if err != nil {
 		return nil, fmt.Errorf("torture: follower twin: %w", err)
 	}
@@ -506,9 +500,13 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-func newReplica(name string, cfg Config, shards int, instrument bool) (*replica, error) {
+func newReplica(cfg Config, instrument bool) (*replica, error) {
+	name := "direct"
+	if instrument {
+		name = "telemetry"
+	}
 	buf := &bytes.Buffer{}
-	jm, err := journal.NewMarket(market.Config{Engine: cfg.Engine, Seed: cfg.Seed, Shards: shards}, buf)
+	jm, err := journal.NewMarket(market.Config{Engine: cfg.Engine, Seed: cfg.Seed}, buf)
 	if err != nil {
 		return nil, fmt.Errorf("torture: replica %s: %w", name, err)
 	}
@@ -520,7 +518,7 @@ func newReplica(name string, cfg Config, shards int, instrument bool) (*replica,
 		// reference — the differential must notice.
 		jm.Market.TestPerturbPrices(cfg.canaryPerturb)
 	}
-	return &replica{name: name, shards: shards, jm: jm, buf: buf}, nil
+	return &replica{name: name, jm: jm, buf: buf}, nil
 }
 
 // newWireReplica builds a journaled replica reached exclusively through
@@ -528,30 +526,20 @@ func newReplica(name string, cfg Config, shards int, instrument bool) (*replica,
 // uninstrumented wire server backed by the journaled market. The server
 // mints no request IDs, so journaled events carry empty traces exactly
 // like the direct-call replicas and the tails stay comparable.
-func newWireReplica(cfg Config, shards int) (*replica, error) {
-	buf := &bytes.Buffer{}
-	jm, err := journal.NewMarket(market.Config{Engine: cfg.Engine, Seed: cfg.Seed, Shards: shards}, buf)
+func newWireReplica(cfg Config) (*replica, error) {
+	r, err := newReplica(cfg, false)
 	if err != nil {
-		return nil, fmt.Errorf("torture: wire replica: %w", err)
-	}
-	if cfg.canaryPerturb != nil {
-		jm.Market.TestPerturbPrices(cfg.canaryPerturb)
+		return nil, err
 	}
 	srvConn, cliConn := net.Pipe()
-	go func() { _ = wire.NewServer(jm).ServeConn(srvConn) }()
+	go func() { _ = wire.NewServer(r.jm).ServeConn(srvConn) }()
 	conn, err := wire.NewConn(cliConn)
 	if err != nil {
 		srvConn.Close()
 		return nil, fmt.Errorf("torture: wire replica handshake: %w", err)
 	}
-	return &replica{
-		name:   fmt.Sprintf("wire shards=%d", shards),
-		shards: shards,
-		jm:     jm,
-		buf:    buf,
-		conn:   conn,
-		close:  func() { _ = conn.Close() },
-	}, nil
+	r.name, r.conn, r.close = "wire", conn, func() { _ = conn.Close() }
+	return r, nil
 }
 
 func (h *harness) fail(opIdx int, op Op, format string, args ...any) *Failure {
@@ -671,7 +659,6 @@ func (h *harness) checkpoint(opIdx int) *Failure {
 	}
 	for _, r := range h.replicas {
 		got := r.jm.Snapshot()
-		got.Config.Shards = 0 // parallelism knob, not market state
 		gotBytes, err := got.Canonical()
 		if err != nil {
 			return h.fail(opIdx, op, "replica %s snapshot: %v", r.name, err)
@@ -701,7 +688,7 @@ func (h *harness) checkpoint(opIdx int) *Failure {
 
 // finalChecks verifies journal equivalence: the journal tails (everything
 // after the config-bearing genesis record) must be byte-identical across
-// shard counts, and replaying any journal must rebuild the exact live
+// replicas, and replaying any journal must rebuild the exact live
 // state.
 func (h *harness) finalChecks() *Failure {
 	op := Op{Kind: OpTick}

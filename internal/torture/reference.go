@@ -7,13 +7,13 @@ import (
 
 // The reference model is the deterministic command core itself
 // (internal/command), run single-threaded with none of the real
-// system's sharding, locking, journaling, or telemetry. Before the
+// system's locking, journaling, or telemetry. Before the
 // command-core refactor this file hand-mirrored the market semantics in
 // ~560 lines of duplicated rules; now "the reference agrees with the
 // live market on the rules" is structural — both are the same Apply —
 // and what the differential actually tests is everything the live
-// market layers on top: shard serialization, lock ordering, the
-// lock-free read views, journaling, and replay. The mutation canary
+// market layers on top: the commit stage, the lock-free read views,
+// journaling, and replay. The mutation canary
 // (TestMutationCanary) keeps the harness honest by perturbing only the
 // live replicas' engines and asserting the differential still trips.
 //
@@ -27,12 +27,8 @@ type refMarket struct {
 	st *command.State
 }
 
-// newRefMarket builds the reference arbiter. cfg.Shards is forced to
-// zero: shard count is a parallelism knob that must never affect state,
-// and zeroing it here matches the normalization the harness applies to
-// real snapshots before comparison.
+// newRefMarket builds the reference arbiter.
 func newRefMarket(cfg market.Config) *refMarket {
-	cfg.Shards = 0
 	return &refMarket{st: command.MustNewState(cfg)}
 }
 
@@ -94,7 +90,7 @@ func (r *refMarket) totals() (revenue, spent, balances market.Money) {
 }
 
 // snapshot builds the market.Snapshot the real arbiter would produce in
-// this state (modulo Config.Shards, already zero here).
+// this state.
 func (r *refMarket) snapshot() market.Snapshot {
 	return r.st.Snapshot()
 }

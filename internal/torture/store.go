@@ -16,10 +16,10 @@ import (
 )
 
 // newStoreReplica opens the store twin under cfg.StoreDir/leader.
-func newStoreReplica(cfg Config, shards int) (*replica, error) {
+func newStoreReplica(cfg Config) (*replica, error) {
 	dir := filepath.Join(cfg.StoreDir, "leader")
 	jm, _, err := journal.OpenStore(
-		market.Config{Engine: cfg.Engine, Seed: cfg.Seed, Shards: shards}, dir, cfg.Store)
+		market.Config{Engine: cfg.Engine, Seed: cfg.Seed}, dir, cfg.Store)
 	if err != nil {
 		return nil, fmt.Errorf("torture: store replica: %w", err)
 	}
@@ -27,11 +27,10 @@ func newStoreReplica(cfg Config, shards int) (*replica, error) {
 		jm.Market.TestPerturbPrices(cfg.canaryPerturb)
 	}
 	return &replica{
-		name:   fmt.Sprintf("store shards=%d", shards),
-		shards: shards,
-		jm:     jm,
-		dir:    dir,
-		close:  func() { _ = jm.Close() },
+		name:  "store",
+		jm:    jm,
+		dir:   dir,
+		close: func() { _ = jm.Close() },
 	}, nil
 }
 
@@ -57,17 +56,10 @@ func (h *harness) storeCrashCut(opIdx int) *Failure {
 	if err := copyDir(r.dir, whole); err != nil {
 		return h.fail(opIdx, op, "store crash-cut copy: %v", err)
 	}
-	rm, rseq, _, err := journal.RecoverDir(whole)
-	if err != nil {
-		return h.fail(opIdx, op, "store uncut recovery: %v", err)
-	}
-	if rseq != liveSeq {
-		return h.fail(opIdx, op, "store uncut recovery reached seq %d, live at %d", rseq, liveSeq)
+	if reason := recoveryDiff(whole, r.jm); reason != "" {
+		return h.fail(opIdx, op, "store uncut recovery %s", reason)
 	}
 	liveSnap := r.jm.Snapshot()
-	if d := rm.Snapshot().Diff(liveSnap); d != "" {
-		return h.fail(opIdx, op, "store uncut recovery diverges from live state in sections %v", d)
-	}
 
 	// Torn copy: cut the active segment at a seeded offset. Anything
 	// from an empty file to a half-written record must recover to a
@@ -108,6 +100,23 @@ func (h *harness) storeCrashCut(opIdx int) *Failure {
 	return nil
 }
 
+// recoveryDiff recovers a store directory read-only and returns "" when
+// that rebuilds the quiescent leader exactly — same seq, same snapshot
+// — and what went wrong otherwise.
+func recoveryDiff(dir string, leader *journal.Market) string {
+	m, seq, _, err := journal.RecoverDir(dir)
+	if err != nil {
+		return fmt.Sprintf("failed: %v", err)
+	}
+	if live := leader.LastSeq(); seq != live {
+		return fmt.Sprintf("reached seq %d, live at %d", seq, live)
+	}
+	if d := m.Snapshot().Diff(leader.Snapshot()); d != "" {
+		return fmt.Sprintf("diverges from live state in sections %v", d)
+	}
+	return ""
+}
+
 // checkStoreDisk enforces the disk ceiling at checkpoints and tracks
 // the peak footprint for the report.
 func (h *harness) checkStoreDisk(opIdx int) *Failure {
@@ -136,23 +145,16 @@ func (h *harness) checkStoreDisk(opIdx int) *Failure {
 func (h *harness) storeFinalChecks(flatTail []byte) *Failure {
 	op := Op{Kind: OpTick}
 	r := h.storeRep
-	rm, rseq, _, err := journal.RecoverDir(r.dir)
-	if err != nil {
-		return h.fail(h.cfg.Ops-1, op, "store twin recovery: %v", err)
-	}
-	if rseq != r.jm.LastSeq() {
-		return h.fail(h.cfg.Ops-1, op, "store twin recovery reached seq %d, live at %d", rseq, r.jm.LastSeq())
-	}
-	if d := rm.Snapshot().Diff(r.jm.Snapshot()); d != "" {
-		return h.fail(h.cfg.Ops-1, op, "store twin recovery diverges from live state in sections %v", d)
+	if reason := recoveryDiff(r.dir, r.jm); reason != "" {
+		return h.fail(h.cfg.Ops-1, op, "store twin recovery %s", reason)
 	}
 	if h.cfg.Store.RetainSegments < 0 {
 		body, err := storeBodyBytes(r.dir)
 		if err != nil {
 			return h.fail(h.cfg.Ops-1, op, "store twin body: %v", err)
 		}
-		// The first record is the genesis head, which carries the
-		// (shard-count-bearing) config exactly like a flat journal's.
+		// The first record is the genesis head, which carries the config
+		// exactly like a flat journal's.
 		idx := bytes.IndexByte(body, '\n')
 		if idx < 0 {
 			return h.fail(h.cfg.Ops-1, op, "store twin has no genesis record")

@@ -152,13 +152,10 @@ type BidRequest = market.BidRequest
 // the error the equivalent single-bid call would have returned.
 type BidResult = market.BidResult
 
-// MarketShardStats reports one lock shard's datasets, bid traffic,
-// contention and cumulative bid latency (see Market.ShardStats).
-type MarketShardStats = market.ShardStats
-
-// DefaultMarketShards is the lock-shard count used when
-// MarketConfig.Shards is zero. Sharding affects only concurrency, never
-// pricing.
+// DefaultMarketShards is the value MarketConfig.Shards carried by
+// default while the market was sharded by dataset. The field is still
+// recorded in journals and snapshots but selects nothing: one applier
+// runs every command.
 const DefaultMarketShards = market.DefaultShards
 
 // Utility is the deadline-patience buyer utility of Equation 1.
