@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race bench bench-save bench-save-smoke bench-repo bench-repo-smoke fuzz-smoke metrics-lint torture torture-smoke torture-long slo-smoke slo-full replica-smoke segment-smoke cover
+.PHONY: ci fmt-check vet build test race bench bench-save bench-save-smoke bench-repo bench-repo-smoke fuzz-smoke metrics-lint torture torture-smoke torture-long bitrot-smoke slo-smoke slo-full replica-smoke segment-smoke cover
 
-ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke torture segment-smoke slo-smoke replica-smoke bench-save-smoke bench-repo-smoke
+ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke bitrot-smoke torture segment-smoke slo-smoke replica-smoke bench-save-smoke bench-repo-smoke
 
 # Fails (and lists the offenders) if any file is not gofmt-clean.
 fmt-check:
@@ -41,7 +41,9 @@ test:
 
 # Every fuzz target gets a short randomized run on each CI pass; real
 # corpus-growing sessions use `go test -fuzz <target> -fuzztime 10m` by
-# hand. Go allows one -fuzz target per invocation, hence the loop.
+# hand. Go allows one -fuzz target per invocation, hence the loop. The
+# journal fuzzer's seed corpus holds JSON-line logs, v3 frame logs, mixed
+# line+frame logs, flipped checksums and giant lengths.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzReadNeverPanics$$' -fuzztime $(FUZZ_TIME) ./internal/journal/
@@ -71,6 +73,14 @@ torture:
 torture-smoke:
 	$(GO) run ./cmd/shieldstorm -hot -seed $(TORTURE_SEED) -seeds 1 -ops 20000
 
+# Integrity gate: 200 seeded stores, a dozen single-bit flips each across
+# frames, checkpoints, segheads and legacy JSON lines. Recovery, a
+# leader's open, a follower's cold restart and the offline verifier must
+# each name the damage (checksum error with file, seq and offset) or —
+# past bytes they never read — rebuild the builder's market exactly.
+bitrot-smoke:
+	$(GO) run ./cmd/shieldstorm -bitrot -seed $(TORTURE_SEED) -seeds 200 -ops 400
+
 # Nightly soak: many seeds, longer histories.
 torture-long:
 	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -seeds 16 -ops 250000 -v
@@ -80,7 +90,11 @@ torture-long:
 # and two seeded crash-cut recovery drills, all under a disk ceiling —
 # then the load rig's -compact-every scenario, where checkpointing and
 # compaction run against live load and the bid tail must hold the SLO.
+# First, upgrade-in-place: a copy of the frozen store a version-2 build
+# wrote (JSON-line segments, trailer-less checkpoint) must open, append
+# frames, rotate, checkpoint and recover byte-identically.
 segment-smoke:
+	$(GO) test -count=1 -run '^TestV2StoreUpgradesInPlace$$' ./internal/journal/
 	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -ops 20000 \
 		-store -segment-records 512 -checkpoint-every 2000 -disk-ceiling-mb 64
 	$(GO) run ./cmd/shieldload -transport both -clients 512 -rate 1500 \

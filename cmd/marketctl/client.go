@@ -95,10 +95,18 @@ func run(c *client, args []string, out io.Writer) error {
 	case "journal-info":
 		// Offline: inspects a segmented journal directory on local disk,
 		// no server required.
-		if err := need(1, "journal-info <journal-dir>"); err != nil {
+		if len(rest) == 2 && rest[0] == "-dump" {
+			return journalDump(rest[1], out)
+		}
+		if err := need(1, "journal-info [-dump] <journal-dir>"); err != nil {
 			return err
 		}
 		return journalInfo(rest[0], out)
+	case "journal-verify":
+		if err := need(1, "journal-verify <journal-dir>"); err != nil {
+			return err
+		}
+		return journalVerify(rest[0], out)
 	}
 
 	cl, err := c.dial()

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,9 +15,10 @@ import (
 	"github.com/datamarket/shield/internal/market"
 )
 
-// TestJournalInfoCLI: journal-info inspects a store directory offline
-// and prints the segment/checkpoint inventory with a recovery summary.
-func TestJournalInfoCLI(t *testing.T) {
+// buildStore writes a small store — 31 records over four segments, a few
+// checkpoints — and returns its directory.
+func buildStore(t *testing.T) string {
+	t.Helper()
 	cfg := market.Config{
 		Engine: core.Config{
 			Candidates: auction.LinearGrid(10, 100, 10),
@@ -36,6 +41,13 @@ func TestJournalInfoCLI(t *testing.T) {
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestJournalInfoCLI: journal-info inspects a store directory offline
+// and prints the segment/checkpoint inventory with a recovery summary.
+func TestJournalInfoCLI(t *testing.T) {
+	dir := buildStore(t)
 
 	out := runCmd(t, &client{}, "journal-info", dir)
 	for _, want := range []string{"segments (", "checkpoints (", "00000000.seg", "recovery: restore checkpoint"} {
@@ -57,5 +69,79 @@ func TestJournalInfoCLI(t *testing.T) {
 	// A missing directory is a plain error, not a panic.
 	if err := run(&client{}, []string{"journal-info", dir + "-nope"}, &strings.Builder{}); err == nil {
 		t.Fatal("journal-info on a missing directory succeeded")
+	}
+}
+
+// TestJournalDumpCLI: journal-info -dump prints every record as one JSON
+// event per line, segment by segment — the replacement for `cat` now
+// that records are binary frames.
+func TestJournalDumpCLI(t *testing.T) {
+	dir := buildStore(t)
+	out := runCmd(t, &client{}, "journal-info", "-dump", dir)
+	var seqs []int64
+	segments := 0
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			segments++
+			continue
+		}
+		var e journal.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("dump line %q is not a JSON event: %v", line, err)
+		}
+		seqs = append(seqs, e.Seq)
+		if e.Seq == 1 && (e.Op != journal.OpGenesis || e.Config == nil || e.V != journal.FormatVersion) {
+			t.Fatalf("first dumped record is not the genesis head: %s", line)
+		}
+		if e.Seq == 5 && (e.Op != journal.OpRegisterBuyer || e.Buyer != "b3") {
+			t.Fatalf("record 5 dumped as %s", line)
+		}
+	}
+	if segments != 4 || len(seqs) != 31 || seqs[0] != 1 || seqs[30] != 31 {
+		t.Fatalf("dump shows %d segments and seqs %v, want 4 segments and 1..31", segments, seqs)
+	}
+}
+
+// TestJournalVerifyCLI: journal-verify passes a healthy store and, for
+// one flipped bit in a sealed, checkpoint-covered segment that recovery
+// never reads, fails naming the file, the seq and the byte offset.
+func TestJournalVerifyCLI(t *testing.T) {
+	dir := buildStore(t)
+	if out := runCmd(t, &client{}, "journal-verify", dir); !strings.Contains(out, ": ok") {
+		t.Fatalf("journal-verify on a healthy store:\n%s", out)
+	}
+
+	inv, err := journal.InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := inv.Segments[0]
+	if !victim.Covered {
+		t.Fatalf("segment %s is not checkpoint-covered; the test wants one recovery skips", victim.Name)
+	}
+	path := filepath.Join(dir, victim.Name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0x08 // inside the segment's last record, seq 8
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := journal.RecoverDir(dir); err != nil {
+		t.Fatalf("recovery reads the covered segment after all: %v", err)
+	}
+	err = run(&client{}, []string{"journal-verify", dir}, &strings.Builder{})
+	var ce *journal.CorruptError
+	if !errors.Is(err, journal.ErrChecksum) || !errors.As(err, &ce) {
+		t.Fatalf("journal-verify on a rotted segment: %v, want ErrChecksum", err)
+	}
+	if ce.File != victim.Name || ce.Seq != 8 || ce.Offset <= 0 || ce.Offset >= int64(len(data)) {
+		t.Fatalf("journal-verify located the damage at %s seq %d byte %d: %v", ce.File, ce.Seq, ce.Offset, err)
+	}
+	for _, want := range []string{victim.Name, "event 8", fmt.Sprintf("byte %d", ce.Offset)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("journal-verify error %q does not mention %q", err, want)
+		}
 	}
 }

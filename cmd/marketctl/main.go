@@ -38,6 +38,15 @@
 //	                                       journal directory (marketd
 //	                                       -journal-dir), with the
 //	                                       recovery replay summary
+//	journal-info -dump <journal-dir>       offline: every record of every
+//	                                       segment as one JSON event per
+//	                                       line (records are binary
+//	                                       frames; this is their `cat`)
+//	journal-verify <journal-dir>           offline: checksum-scan every
+//	                                       segment and checkpoint, sealed
+//	                                       and covered ones included;
+//	                                       prints the first bad file, seq
+//	                                       and offset and exits nonzero
 //
 // Examples:
 //

@@ -17,6 +17,13 @@
 // The -shards flag is gone: the market has one applier, so there is no
 // shard matrix to run. Drop the flag; -hot is the concurrency test.
 //
+// With -bitrot it runs the bit-rot mode: a seeded store is built, single
+// bits are flipped at seeded offsets of its segments and checkpoints, and
+// recovery, a leader's open, a follower's cold restart and the offline
+// verifier must each refuse the damaged copy with the checksum error
+// that names file, seq and offset — or, where a reader never touches the
+// damaged bytes, rebuild the builder's market byte for byte.
+//
 // With -store the fleet gains a segmented-store twin: a replica whose
 // journal is a directory of rotated segment files with snapshot
 // checkpoints and background compaction. The twin joins every
@@ -28,6 +35,7 @@
 //	shieldstorm -seed 1 -ops 100000
 //	shieldstorm -seed 1 -seeds 16 -ops 250000     # nightly soak
 //	shieldstorm -hot -seed 7 -ops 100000
+//	shieldstorm -bitrot -seed 1 -seeds 200 -ops 400
 //	shieldstorm -seed 1 -ops 10000000 -store -checkpoint-every 500000 -disk-ceiling-mb 1024
 package main
 
@@ -50,6 +58,7 @@ func main() {
 		seeds      = flag.Int("seeds", 1, "number of consecutive seeds to run")
 		ops        = flag.Int("ops", 100_000, "operations per seed")
 		hot        = flag.Bool("hot", false, "run the concurrent hot-dataset storm instead of the sequential differential")
+		bitrot     = flag.Bool("bitrot", false, "run the bit-rot mode instead: seeded single-bit flips in a built store, every reader must name the damage")
 		checkEvery = flag.Int("check-every", 0, "ops between full-state checkpoints (default ops/16)")
 		verbose    = flag.Bool("v", false, "print per-checkpoint progress")
 
@@ -69,7 +78,7 @@ func main() {
 			Ops:        *ops,
 			CheckEvery: *checkEvery,
 		}
-		if *hot || *store || *storeDir != "" {
+		if *hot || *bitrot || *store || *storeDir != "" {
 			dir := *storeDir
 			if dir == "" {
 				tmp, err := os.MkdirTemp("", "shieldstorm-store-*")
@@ -104,10 +113,14 @@ func main() {
 		var rep *torture.Report
 		var err error
 		what := ""
-		if *hot {
+		switch {
+		case *hot:
 			what = "hot storm, "
 			rep, err = torture.RunHot(torture.HotConfig{Seed: s, Ops: *ops, Dir: cfg.StoreDir, Logf: cfg.Logf})
-		} else {
+		case *bitrot:
+			what = "bit rot, "
+			rep, err = torture.RunBitrot(torture.BitrotConfig{Seed: s, Ops: *ops, Dir: cfg.StoreDir, Logf: cfg.Logf})
+		default:
 			rep, err = torture.Run(cfg)
 		}
 		if err != nil {
@@ -117,7 +130,7 @@ func main() {
 		fmt.Printf("seed %d: PASS %s%d ops in %v — %d allocations, revenue %s, %d rejections, %d checkpoints\n",
 			s, what, rep.Ops, time.Since(start).Round(time.Millisecond),
 			rep.Allocations, rep.Revenue, rep.Rejections, rep.Checkpoints)
-		if *hot {
+		if *hot || *bitrot {
 			continue
 		}
 		if cfg.StoreDir != "" {

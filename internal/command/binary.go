@@ -25,7 +25,15 @@ const (
 
 // EncodeBinary returns cmd's canonical binary encoding.
 func EncodeBinary(cmd Command) ([]byte, error) {
-	var b []byte
+	return AppendBinary(nil, cmd)
+}
+
+// AppendBinary appends cmd's canonical binary encoding to dst and
+// returns the extended slice — the encoder for callers that own a
+// buffer (the journal's commit stage encodes a whole group into one).
+// On error dst is returned unextended.
+func AppendBinary(dst []byte, cmd Command) ([]byte, error) {
+	b := dst
 	switch c := cmd.(type) {
 	case RegisterBuyer:
 		b = append(b, bopRegisterBuyer)
@@ -55,7 +63,7 @@ func EncodeBinary(cmd Command) ([]byte, error) {
 		b = appendFloat(b, c.Amount)
 	case BidBatch:
 		if len(c.Bids) == 0 {
-			return nil, fmt.Errorf("%w: bid_batch with no bids", ErrMalformed)
+			return dst, fmt.Errorf("%w: bid_batch with no bids", ErrMalformed)
 		}
 		b = append(b, bopBidBatch)
 		b = binary.AppendUvarint(b, uint64(len(c.Bids)))
@@ -77,7 +85,7 @@ func EncodeBinary(cmd Command) ([]byte, error) {
 			b = append(b, 0)
 		}
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnknownOp, cmd)
+		return dst, fmt.Errorf("%w: %T", ErrUnknownOp, cmd)
 	}
 	return b, nil
 }

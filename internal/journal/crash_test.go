@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -158,14 +159,20 @@ func driveSeededWorkload(t *testing.T, cfg market.Config, seed uint64, sink io.W
 	return m
 }
 
-// recordBoundaries returns the byte offset just past each record of a
-// journal (records are newline-terminated).
-func recordBoundaries(log []byte) []int {
+// recordBoundaries returns the byte offset just past each complete
+// record of a journal whose first record carries firstSeq, as the record
+// scanner enumerates them (frames, and JSON lines in logs begun before
+// v3).
+func recordBoundaries(t testing.TB, log []byte, firstSeq int64) []int {
+	t.Helper()
 	var bounds []int
-	for i, b := range log {
-		if b == '\n' {
-			bounds = append(bounds, i+1)
-		}
+	end := 0
+	if _, _, err := ScanRecords(bytes.NewReader(log), firstSeq, func(rec Record) error {
+		end += rec.Size
+		bounds = append(bounds, end)
+		return nil
+	}); err != nil {
+		t.Fatalf("enumerating record boundaries: %v", err)
 	}
 	return bounds
 }
@@ -190,7 +197,7 @@ func TestCrashRecoveryPrefixConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 			log := append([]byte(nil), buf.Bytes()...)
-			bounds := recordBoundaries(log)
+			bounds := recordBoundaries(t, log, 1)
 			if len(bounds) < 2 { // a late compaction legitimately shrinks the log
 				t.Fatalf("workload produced only %d records", len(bounds))
 			}
@@ -272,6 +279,7 @@ func TestCrashRecoveryFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			bounds := recordBoundaries(t, cleanLog, 1)
 			for trial := 0; trial < 6; trial++ {
 				var disk bytes.Buffer
 				fw := faultfs.NewSeeded(&disk, seed*101+uint64(trial)+1, int64(len(cleanLog)))
@@ -287,7 +295,8 @@ func TestCrashRecoveryFaultInjection(t *testing.T) {
 				if !bytes.HasPrefix(cleanLog, durable) {
 					t.Fatalf("%s: durable bytes are not a prefix of the fault-free log", label)
 				}
-				k := bytes.Count(durable, []byte("\n"))
+				// Complete records in the surviving prefix.
+				k := sort.SearchInts(bounds, len(durable)+1)
 				got, err := Restore(bytes.NewReader(durable))
 				if k == 0 {
 					if !errors.Is(err, ErrNoGenesis) {
@@ -339,9 +348,9 @@ func TestOpenFileTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := recordBoundaries(data)
+	bounds := recordBoundaries(t, data, 1)
 	durable := bounds[len(bounds)-2] // last complete boundary after the tear
-	// Tear the final record (the bid) seven bytes short of its newline.
+	// Tear the final record (the bid) seven bytes short of its end.
 	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +548,7 @@ func TestShardsFieldIsInert(t *testing.T) {
 			t.Fatalf("genesis recorded Shards=%d, want %d", got, shards)
 		}
 	}
-	tail := func(b []byte) []byte { return b[bytes.IndexByte(b, '\n')+1:] }
+	tail := func(b []byte) []byte { return b[recordBoundaries(t, b, 1)[0]:] }
 	if !bytes.Equal(tail(bufs[0].Bytes()), tail(bufs[1].Bytes())) {
 		t.Fatal("journals differ past the genesis record: Config.Shards selected something")
 	}

@@ -1,0 +1,440 @@
+package journal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/datamarket/shield/internal/command"
+	"github.com/datamarket/shield/internal/market"
+)
+
+// bidLog returns a v3 log of a genesis head plus n bid frames (written
+// through a bare writer: nothing is applied).
+func bidLog(t testing.TB, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Genesis(testConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		e := Event{Op: OpBid, Buyer: fmt.Sprintf("buyer-%d", i%7), Dataset: "dataset", Amount: float64(10 + i%90)}
+		if err := w.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wantCorrupt asserts err is a *CorruptError for sentinel at the given
+// expected seq and byte offset.
+func wantCorrupt(t *testing.T, label string, err, sentinel error, seq, offset int64) {
+	t.Helper()
+	var ce *CorruptError
+	if !errors.Is(err, sentinel) || !errors.As(err, &ce) {
+		t.Fatalf("%s: got %v, want a CorruptError wrapping %v", label, err, sentinel)
+	}
+	if ce.Seq != seq || ce.Offset != offset {
+		t.Fatalf("%s: error locates seq %d at byte %d, want seq %d at byte %d (%v)", label, ce.Seq, ce.Offset, seq, offset, err)
+	}
+}
+
+// TestTornVersusCorrupt pins the reader's one rule: an incomplete final
+// frame is a torn tail and is dropped; every other anomaly is a hard,
+// located error wherever it sits — the final frame included.
+func TestTornVersusCorrupt(t *testing.T) {
+	log := bidLog(t, 5)
+	bounds := recordBoundaries(t, log, 1)
+	if len(bounds) != 6 {
+		t.Fatalf("%d records, want 6", len(bounds))
+	}
+	scan := func(b []byte) (n int, durable int64, torn bool, err error) {
+		durable, torn, err = ScanRecords(bytes.NewReader(b), 1, func(Record) error { n++; return nil })
+		return
+	}
+
+	// Every proper prefix is a clean log or a torn tail, never an error.
+	for cut := 0; cut < len(log); cut++ {
+		n, durable, torn, err := scan(log[:cut])
+		if err != nil {
+			t.Fatalf("prefix of %d bytes: %v", cut, err)
+		}
+		want := 0
+		for want < len(bounds) && bounds[want] <= cut {
+			want++
+		}
+		wantDurable := 0
+		if want > 0 {
+			wantDurable = bounds[want-1]
+		}
+		if n != want || durable != int64(wantDurable) || torn != (cut != wantDurable) {
+			t.Fatalf("prefix of %d bytes: %d records, durable %d, torn %v; want %d, %d, %v", cut, n, durable, torn, want, wantDurable, cut != wantDurable)
+		}
+	}
+
+	// One flipped bit anywhere in a frame's checksum or body — the final
+	// frame's too — is a checksum failure naming the record.
+	for rec := 1; rec < len(bounds); rec++ {
+		start, end := bounds[rec-1], bounds[rec]
+		for _, off := range []int{start + 5, start + frameHeader, end - 1} {
+			bad := bytes.Clone(log)
+			bad[off] ^= 0x10
+			_, _, _, err := scan(bad)
+			wantCorrupt(t, fmt.Sprintf("record %d, bit flipped at byte %d", rec+1, off), err, ErrChecksum, int64(rec+1), int64(start))
+		}
+	}
+
+	// A flipped length: mid-log the frame swallows its successors and
+	// fails its checksum; when it claims more than the log holds — the
+	// final frame, or any frame with a high bit set — it is told from a
+	// torn write by verifying one length bit shorter.
+	bad := bytes.Clone(log)
+	bad[bounds[1]+1] ^= 0x01
+	if _, _, _, err := scan(bad); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("flipped length: %v, want ErrChecksum", err)
+	}
+	for _, rec := range []int{2, 5} {
+		bad = bytes.Clone(log)
+		bad[bounds[rec-1]+2] ^= 0x40 // the frame now claims 16 KiB more than the log holds
+		_, _, _, err := scan(bad)
+		wantCorrupt(t, fmt.Sprintf("oversized length in record %d", rec+1), err, ErrChecksum, int64(rec+1), int64(bounds[rec-1]))
+	}
+	// The hole that is left: a length wrong in two bits, overrunning the
+	// log, reads as a torn tail.
+	bad = bytes.Clone(log)
+	bad[bounds[4]+2] ^= 0x41
+	if n, _, torn, err := scan(bad); err != nil || !torn || n != 5 {
+		t.Fatalf("two-bit oversized final length: %d records, torn %v, err %v; want the documented torn-tail reading", n, torn, err)
+	}
+
+	// A length no record may have is refused before any read is sized by it.
+	bad = bytes.Clone(log)
+	binary.LittleEndian.PutUint32(bad[bounds[2]+1:], maxFrameBody+1)
+	_, _, _, err := scan(bad)
+	wantCorrupt(t, "giant length", err, ErrBadEvent, 4, int64(bounds[2]))
+
+	// A byte that opens neither a frame nor a JSON line — at the tail too.
+	_, _, _, err = scan(append(bytes.Clone(log), 'x'))
+	wantCorrupt(t, "stray tail byte", err, ErrBadEvent, 7, int64(len(log)))
+
+	// A dropped record is a sequence gap.
+	gapped := append(bytes.Clone(log[:bounds[2]]), log[bounds[3]:]...)
+	_, _, _, err = scan(gapped)
+	wantCorrupt(t, "gap", err, ErrSeqGap, 4, int64(bounds[2]))
+
+	// The skip-CRC canary hook really does disarm the check.
+	bad = bytes.Clone(log)
+	bad[bounds[2]-1] ^= 0x01 // last amount byte of record 3
+	TestSkipChecksum(true)
+	n, _, _, err := scan(bad)
+	TestSkipChecksum(false)
+	if err != nil || n != 6 {
+		t.Fatalf("with checksums skipped: %d records, err %v", n, err)
+	}
+}
+
+// TestScanAllocationGuard: scanning and decoding a bid frame costs at
+// most three allocations — the two ID strings and the boxed command.
+// Nothing per record comes from the reader itself.
+func TestScanAllocationGuard(t *testing.T) {
+	const n = 2000
+	log := bidLog(t, n)
+	rd := bytes.NewReader(log)
+	allocs := testing.AllocsPerRun(10, func() {
+		rd.Reset(log)
+		seen := 0
+		if _, _, err := ScanRecords(rd, 1, func(rec Record) error {
+			if rec.Head {
+				return nil
+			}
+			seen++
+			_, err := rec.Command()
+			return err
+		}); err != nil || seen != n {
+			t.Fatalf("scan: %d records, err %v", seen, err)
+		}
+	})
+	// The reader's own allocations (its bufio buffer, the frame buffer)
+	// are a constant per scan.
+	if allocs > 3*n+16 {
+		t.Fatalf("scan+decode of %d bid frames allocates %.0f times, want <= 3 per record", n, allocs)
+	}
+}
+
+// TestFlatLogUpgradesInPlace: a version-2 flat log reopens under this
+// build, continues with frames after its last line, and restores.
+func TestFlatLogUpgradesInPlace(t *testing.T) {
+	v2, err := os.ReadFile(v2LogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.log")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jm, replayed, err := OpenFile(market.Config{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Count(v2, []byte("\n")) - 1; replayed != want {
+		t.Fatalf("replayed %d records, want %d", replayed, want)
+	}
+	if err := jm.RegisterBuyer("late"); err != nil {
+		t.Fatal(err)
+	}
+	want := jm.Snapshot()
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(mixed, v2) || mixed[len(v2)] != frameTag {
+		t.Fatal("reopened v2 log was not continued with a frame after its last line")
+	}
+	restored, err := Restore(bytes.NewReader(mixed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := restored.Snapshot().Diff(want); d != "" {
+		t.Fatalf("mixed log restores differently: %s", d)
+	}
+}
+
+// v2storeScript is the op script behind testdata/v2store, which was
+// written by the last version-2 build (the parent of the commit that
+// introduced frames) with SegmentRecords 12, a manual checkpoint after
+// seq 11 and no checkpoint on close, and is frozen: two segments of
+// JSON lines (seqs 1–12 and 13–20) and one trailer-less checkpoint.
+func v2storeScript(t *testing.T, m *market.Market) {
+	t.Helper()
+	for _, cmd := range []command.Command{
+		command.RegisterSeller{Seller: "acme"},
+		command.RegisterSeller{Seller: "globex"},
+		command.UploadDataset{Seller: "acme", Dataset: "weather"},
+		command.UploadDataset{Seller: "globex", Dataset: "traffic"},
+		command.ComposeDataset{Dataset: "weather+traffic", Constituents: []command.DatasetID{"weather", "traffic"}},
+		command.RegisterBuyer{Buyer: "alice"},
+		command.RegisterBuyer{Buyer: "bob"},
+		command.RegisterBuyer{Buyer: "carol"},
+		command.SubmitBid{Buyer: "alice", Dataset: "weather", Amount: 55},
+		command.BidBatch{Bids: []command.SubmitBid{
+			{Buyer: "bob", Dataset: "traffic", Amount: 70},
+			{Buyer: "alice", Dataset: "weather+traffic", Amount: 130},
+		}},
+		command.Tick{},
+		command.SubmitBid{Buyer: "bob", Dataset: "weather", Amount: 95},
+		command.SubmitBid{Buyer: "carol", Dataset: "traffic", Amount: 80},
+		command.Tick{},
+		command.RegisterSeller{Seller: "initech"},
+		command.UploadDataset{Seller: "initech", Dataset: "logs"},
+		command.WithdrawDataset{Seller: "initech", Dataset: "logs"},
+		command.SubmitBid{Buyer: "carol", Dataset: "weather", Amount: 65},
+		command.Tick{},
+	} {
+		if _, err := m.Apply(cmd); err != nil {
+			t.Fatalf("v2store script: %s: %v", cmd.Op(), err)
+		}
+	}
+}
+
+// TestV2StoreUpgradesInPlace: a store directory written by a version-2
+// build opens under this one with no migration step — trailer-less
+// checkpoint, JSON-line segments and all — then appends (frames after
+// lines in the same segment), rotates, checkpoints and recovers to
+// exactly the state the same commands build in memory.
+func TestV2StoreUpgradesInPlace(t *testing.T) {
+	dir := copyStoreDir(t, "testdata/v2store")
+	ref := market.MustNew(testConfig())
+	v2storeScript(t, ref)
+
+	sc := StoreConfig{SegmentRecords: 12, CheckpointEvery: -1, RetainSegments: -1}
+	jm, replayed, err := OpenStore(market.Config{}, dir, sc)
+	if err != nil {
+		t.Fatalf("opening the v2 store: %v", err)
+	}
+	if jm.LastSeq() != 20 || replayed != 9 {
+		t.Fatalf("v2 store opened at seq %d after replaying %d records, want 20 and 9", jm.LastSeq(), replayed)
+	}
+	if d := jm.Snapshot().Diff(ref.Snapshot()); d != "" {
+		t.Fatalf("v2 store recovered differently from its script: %s", d)
+	}
+
+	// Both markets take the same continuation: enough records to finish
+	// segment 1 in frames and rotate, with a checkpoint in the middle.
+	step := func(i int) command.Command {
+		switch i % 3 {
+		case 0:
+			return command.RegisterBuyer{Buyer: command.BuyerID(fmt.Sprintf("late-%d", i))}
+		case 1:
+			return command.SubmitBid{Buyer: command.BuyerID(fmt.Sprintf("late-%d", i-1)), Dataset: "traffic", Amount: float64(40 + i)}
+		default:
+			return command.Tick{}
+		}
+	}
+	for i := 0; i < 15; i++ {
+		if _, err := jm.Apply(step(i)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if _, err := ref.Apply(step(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 8 {
+			if err := jm.Store().Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Snapshot().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inv, err := InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inv.Segments) != 3 || inv.Segments[1].Records != 12 || inv.LastSeq != 35 || inv.LastCheckpoint != 29 {
+		t.Fatalf("upgraded store inventory: %+v", inv)
+	}
+	// Segment 1: the version-2 seghead and lines, then frames.
+	seg1, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join("testdata/v2store", segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(seg1, old) || seg1[len(old)] != frameTag {
+		t.Fatal("segment 1 is not the v2 segment continued with frames")
+	}
+	if err := VerifyDir(dir); err != nil {
+		t.Fatalf("upgraded store does not verify: %v", err)
+	}
+
+	// Recovery from the new checkpoint, and — with it gone — from the v2
+	// checkpoint across lines and frames, both rebuild the same bytes.
+	for _, dropNew := range []bool{false, true} {
+		clone := copyStoreDir(t, dir)
+		if dropNew {
+			if err := os.Remove(filepath.Join(clone, ckptName(29))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, seq, _, err := RecoverDir(clone)
+		if err != nil {
+			t.Fatalf("recover (new checkpoint dropped: %v): %v", dropNew, err)
+		}
+		got, err := m.Snapshot().Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != 35 || !bytes.Equal(got, want) {
+			t.Fatalf("recover (new checkpoint dropped: %v): seq %d, state differs from the reference", dropNew, seq)
+		}
+	}
+}
+
+// TestFutureVersionsRejectedByName: a seghead or checkpoint claiming a
+// format version outside the closed set this build reads fails with
+// ErrVersion and names the file, rather than being read under guessed
+// semantics; the versions that are legal stay legal.
+func TestFutureVersionsRejectedByName(t *testing.T) {
+	rewrite := func(dir, name, old, new string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(old)) {
+			t.Fatalf("%s does not contain %s", name, old)
+		}
+		if err := os.WriteFile(path, bytes.Replace(data, []byte(old), []byte(new), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ file, old, new string }{
+		{segName(1), `"v":2`, `"v":4`},
+		{segName(0), `"v":2`, `"v":1`},
+		{ckptName(11), `"v":2`, `"v":4`},
+		{ckptName(11), `"v":2`, `"v":0`}, // checkpoints did not exist before version 2
+	} {
+		dir := copyStoreDir(t, "testdata/v2store")
+		rewrite(dir, tc.file, tc.old, tc.new)
+		_, _, _, err := RecoverDir(dir)
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), tc.file) {
+			t.Fatalf("%s with %s: got %v, want ErrVersion naming the file", tc.file, tc.new, err)
+		}
+	}
+	// A seghead may say 0 (a migrated pre-versioning log) or 3.
+	for _, v := range []string{`"v":0`, `"v":3`} {
+		dir := copyStoreDir(t, "testdata/v2store")
+		rewrite(dir, segName(1), `"v":2`, v)
+		if _, _, _, err := RecoverDir(dir); err != nil {
+			t.Fatalf("seghead with %s: %v", v, err)
+		}
+	}
+}
+
+// TestCheckpointTrailer: a checkpoint written by this build carries a
+// CRC32C trailer; any single flipped bit in the file — body, trailer or
+// the newlines between — fails recovery with ErrChecksum naming the
+// checkpoint, never with a market.
+func TestCheckpointTrailer(t *testing.T) {
+	dir := t.TempDir()
+	jm, _, err := OpenStore(testConfig(), dir, StoreConfig{CheckpointEvery: -1, RetainSegments: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveWorkload(t, jm, 4, 60)
+	if err := jm.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seq := jm.LastSeq()
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := ckptName(seq)
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := len(data) - ckptTrailerLen
+	if trailer <= 0 || !bytes.HasPrefix(data[trailer:], []byte(ckptTrailer)) || bytes.Count(data, []byte("\n")) != 2 {
+		t.Fatalf("checkpoint is not a body line plus a trailer line: ...%q", data[max(0, trailer-8):])
+	}
+	if _, err := readCheckpointFile(dir, seq); err != nil {
+		t.Fatal(err)
+	}
+	offsets := []int{0, 7, trailer / 2, trailer - 1, trailer, trailer + 3, trailer + len(ckptTrailer), len(data) - 2, len(data) - 1}
+	for _, off := range offsets {
+		for _, bit := range []byte{0x01, 0x20} {
+			clone := copyStoreDir(t, dir)
+			bad := bytes.Clone(data)
+			bad[off] ^= bit
+			if err := os.WriteFile(filepath.Join(clone, name), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m, _, _, err := RecoverDir(clone)
+			var ce *CorruptError
+			if m != nil || !errors.Is(err, ErrChecksum) || !errors.As(err, &ce) || ce.File != name || ce.Seq != seq {
+				t.Fatalf("bit %#x flipped at byte %d of %d: market %v, err %v; want ErrChecksum naming %s", bit, off, len(data), m != nil, err, name)
+			}
+		}
+	}
+}

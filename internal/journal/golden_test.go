@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,13 +21,17 @@ const (
 	// it exists precisely to prove old logs stay readable.
 	legacyLogPath  = "testdata/pr1.log"
 	legacySnapPath = "testdata/pr1.snapshot.json"
+	// The version-2 (JSON-lines) fixture. Frozen for the same reason:
+	// writers emit only frames now.
+	v2LogPath  = "testdata/v2.log"
+	v2SnapPath = "testdata/v2.snapshot.json"
 	// The current-format fixture, regenerated with -update on
 	// deliberate format bumps.
-	goldenLogPath  = "testdata/v2.log"
-	goldenSnapPath = "testdata/v2.snapshot.json"
+	goldenLogPath  = "testdata/v3.log"
+	goldenSnapPath = "testdata/v3.snapshot.json"
 )
 
-// goldenWorkload is the fixed operation script behind both checked-in
+// goldenWorkload is the fixed operation script behind all the checked-in
 // fixtures: every journaled op kind, including a bid_batch with a
 // rejected entry and a sold-then-bid dataset mix. It must never change —
 // the fixtures pin the on-disk format and replay semantics.
@@ -148,12 +153,35 @@ func TestGoldenPR1JournalReplays(t *testing.T) {
 	restoreMatches(t, logBytes, want)
 }
 
-// TestGoldenV2JournalStable pins the current on-disk format: the
-// checked-in version-2 log must parse with its stamped version, restore
+// TestGoldenV2JournalReplays: the checked-in version-2 JSON-lines log —
+// what every store and flat journal written before frames holds — must
+// keep parsing with its stamped version and restoring to its checked-in
+// snapshot. Frozen, like the PR-1 fixture.
+func TestGoldenV2JournalReplays(t *testing.T) {
+	logBytes, err := os.ReadFile(v2LogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := Read(bytes.NewReader(logBytes))
+	if err != nil {
+		t.Fatalf("v2 journal no longer parses: %v", err)
+	}
+	if events[0].V != 2 {
+		t.Fatalf("v2 head carries version %d, want 2", events[0].V)
+	}
+	want, err := os.ReadFile(v2SnapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoreMatches(t, logBytes, want)
+}
+
+// TestGoldenV3JournalStable pins the current on-disk format: the
+// checked-in version-3 log must parse with its stamped version, restore
 // to its checked-in snapshot, and — format stability cuts both ways —
 // the current writer must still emit it byte-identically for the same
 // operations.
-func TestGoldenV2JournalStable(t *testing.T) {
+func TestGoldenV3JournalStable(t *testing.T) {
 	if *updateGolden {
 		var buf bytes.Buffer
 		m := goldenWorkload(t, &buf)
@@ -177,12 +205,15 @@ func TestGoldenV2JournalStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if logBytes[0] != frameTag {
+		t.Fatal("v3 fixture does not open with a frame")
+	}
 	events, err := Read(bytes.NewReader(logBytes))
 	if err != nil {
-		t.Fatalf("v2 journal no longer parses: %v", err)
+		t.Fatalf("v3 journal no longer parses: %v", err)
 	}
 	if events[0].V != FormatVersion {
-		t.Fatalf("v2 head carries version %d, want %d", events[0].V, FormatVersion)
+		t.Fatalf("v3 head carries version %d, want %d", events[0].V, FormatVersion)
 	}
 	want, err := os.ReadFile(goldenSnapPath)
 	if err != nil {
@@ -195,23 +226,40 @@ func TestGoldenV2JournalStable(t *testing.T) {
 	var buf bytes.Buffer
 	goldenWorkload(t, &buf)
 	if !bytes.Equal(buf.Bytes(), logBytes) {
-		t.Fatal("writer output drifted from the v2 on-disk format")
+		t.Fatal("writer output drifted from the v3 on-disk format")
+	}
+
+	// The frame log and the JSON-lines log record the same commands: the
+	// decoded Event views agree but for the head's version.
+	v2Bytes, err := os.ReadFile(v2LogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Events, err := Read(bytes.NewReader(v2Bytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Events[0].V = FormatVersion
+	if !reflect.DeepEqual(events, v2Events) {
+		t.Fatalf("v3 and v2 fixtures decode to different events:\n%+v\n%+v", events, v2Events)
 	}
 }
 
-// TestGoldenFixturesAgree: the two fixtures record the same workload in
+// TestGoldenFixturesAgree: the fixtures record the same workload in
 // different format versions, so they must rebuild identical markets.
 func TestGoldenFixturesAgree(t *testing.T) {
 	legacy, err := os.ReadFile(legacySnapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	current, err := os.ReadFile(goldenSnapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacy, current) {
-		t.Fatal("version-0 and version-2 fixtures no longer rebuild the same market")
+	for _, path := range []string{v2SnapPath, goldenSnapPath} {
+		other, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(legacy, other) {
+			t.Fatalf("version-0 fixture and %s no longer rebuild the same market", path)
+		}
 	}
 }
 
@@ -219,11 +267,11 @@ func TestGoldenFixturesAgree(t *testing.T) {
 // not know fails with ErrVersion instead of replaying under guessed
 // semantics.
 func TestUnknownVersionRejected(t *testing.T) {
-	logBytes, err := os.ReadFile(goldenLogPath)
+	logBytes, err := os.ReadFile(v2LogPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 3} {
+	for _, v := range []int{1, 4} {
 		bumped := bytes.Replace(logBytes, []byte(`"v":2`), []byte(`"v":`+string(rune('0'+v))), 1)
 		if bytes.Equal(bumped, logBytes) {
 			t.Fatal("fixture head lost its version field")

@@ -3,8 +3,7 @@
 package journal
 
 import (
-	"bufio"
-	"io"
+	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -89,9 +88,10 @@ func (s *Store) Inventory() Inventory {
 
 // InspectDir builds a store directory's inventory offline, without
 // recovering any market state: seghead chaining gives each segment's
-// base, and record counts come from counting complete lines (a torn
-// trailing record in the final segment is not counted, matching what
-// recovery would keep). The backing tool is `marketctl journal-info`.
+// base, and record counts come from the record scanner (a torn trailing
+// record in the final segment is not counted, matching what recovery
+// would keep; a damaged record fails the inspection by name). The
+// backing tool is `marketctl journal-info`.
 func InspectDir(dir string) (*Inventory, error) {
 	l, err := listStoreDir(dir)
 	if err != nil {
@@ -107,14 +107,14 @@ func InspectDir(dir string) (*Inventory, error) {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			si.Bytes = fi.Size()
 		}
-		head, _, torn, err := readSegHead(dir, idx)
+		head, torn, err := readSegHead(dir, idx)
 		if err != nil {
 			return nil, err
 		}
 		if !torn {
 			si.Base = head.Base
-			n, err := countRecords(filepath.Join(dir, name))
-			if err != nil {
+			var n int64
+			if _, _, err := scanSegment(dir, idx, head.Base, func(Record) error { n++; return nil }); err != nil {
 				return nil, err
 			}
 			si.Records = n
@@ -143,31 +143,6 @@ func InspectDir(dir string) (*Inventory, error) {
 	return inv, nil
 }
 
-// countRecords counts the complete (newline-terminated) record lines
-// in a segment, excluding the seghead.
-func countRecords(path string) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	n := int64(-1) // first complete line is the seghead
-	for {
-		_, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			if n < 0 {
-				return 0, nil
-			}
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		n++
-	}
-}
-
 // DiskBytes sums the store directory's on-disk footprint — segments,
 // checkpoints, and any in-flight temp files. The torture harness's
 // disk ceiling reads this.
@@ -183,4 +158,77 @@ func (s *Store) DiskBytes() (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// VerifyDir checks every byte a store directory holds, including the
+// ones recovery never reads: each segment — sealed and checkpoint-
+// covered ones too — is scanned record by record (checksums, framing,
+// sequence continuity from its seghead; a torn tail only in the final
+// segment), every checkpoint is loaded and its trailer verified, and
+// finally the chain is recovered read-only, which catches what no
+// single file shows (a missing segment, bases that do not chain). It
+// returns the first damage found — a *CorruptError naming file, seq and
+// offset when a record or checkpoint is bad. The backing tool is
+// `marketctl journal-verify`.
+func VerifyDir(dir string) error {
+	l, err := listStoreDir(dir)
+	if err != nil {
+		return err
+	}
+	for i, idx := range l.segIdx {
+		final := i == len(l.segIdx)-1
+		head, torn, err := readSegHead(dir, idx)
+		if err != nil {
+			return err
+		}
+		if !torn {
+			_, torn, err = scanSegment(dir, idx, head.Base, func(Record) error { return nil })
+			if err != nil {
+				return err
+			}
+		}
+		if torn && !final {
+			return fmt.Errorf("%w: sealed segment %s is torn", ErrStoreCorrupt, segName(idx))
+		}
+	}
+	for _, seq := range l.ckptSeqs {
+		if _, err := readCheckpointFile(dir, seq); err != nil {
+			return err
+		}
+	}
+	if len(l.segIdx) == 0 {
+		return nil
+	}
+	_, err = recoverStoreDir(dir, true)
+	return err
+}
+
+// ScanDir streams every record of every segment in dir, oldest segment
+// first, as its decoded Event view, naming the segment each came from —
+// the read behind `marketctl journal-info -dump`. It stops at the first
+// damaged record with the error that locates it.
+func ScanDir(dir string, fn func(segment string, e Event) error) error {
+	l, err := listStoreDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, idx := range l.segIdx {
+		head, torn, err := readSegHead(dir, idx)
+		if err != nil {
+			return err
+		}
+		if torn {
+			continue // a rotation cut before its seghead landed: no records
+		}
+		if _, _, err := scanSegment(dir, idx, head.Base, func(rec Record) error {
+			e, err := rec.Event()
+			if err != nil {
+				return err
+			}
+			return fn(segName(idx), e)
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }

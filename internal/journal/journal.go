@@ -1,51 +1,56 @@
 // Package journal provides durable, replayable persistence for the
 // market arbiter via command sourcing: every successful mutating
 // operation (registrations, uploads, compositions, bids, clock ticks)
-// is appended to a JSON-lines log as the command that produced it, and
-// replaying the log into a fresh market re-applies those commands
-// through the same deterministic core (internal/command) the live
-// market runs — engines are deterministic in their seeds, so the same
-// command sequence yields the same prices, allocations, waits and
-// ledgers. CommandFromEvent and EventFromCommand convert between the
-// on-disk record and the typed command; Replay is a CommandFromEvent +
-// Apply loop.
+// is appended to a log as the command that produced it, and replaying
+// the log into a fresh market re-applies those commands through the
+// same deterministic core (internal/command) the live market runs —
+// engines are deterministic in their seeds, so the same command
+// sequence yields the same prices, allocations, waits and ledgers.
 //
-// The first record is a genesis event carrying the market configuration,
-// so a log is self-contained: Restore reads a log and returns a running
-// market.
+// A record is one checksummed binary frame around the command's
+// command.EncodeBinary bytes (frame.go): the commit stage encodes each
+// command once, and those bytes are what the segment holds, what the
+// replication feed fans out, what a follower's local store appends and
+// what replay decodes. Event is the decoded view of a record — what
+// inspection tooling, `marketctl journal-info -dump` and tests read —
+// and the line format of logs written before v3; CommandFromEvent and
+// EventFromCommand convert between it and the typed command.
+//
+// The first record is a head carrying the market configuration
+// (genesis) or full state (snapshot), so a log is self-contained:
+// Restore reads a log and returns a running market.
 //
 // # Format versions
 //
-// The head record (genesis or snapshot) carries the log's format
-// version in its "v" field. Logs written before versioning omit the
-// field (version 0) and remain readable forever: their records upgrade
-// to commands through CommandFromEvent. Current writers stamp
-// FormatVersion. Read rejects versions it does not know with
-// ErrVersion rather than guessing at future semantics.
+// The head record carries the format version of the build that started
+// the log in its "v" field; see FormatVersion. Records are
+// self-describing — a frame or a JSON line — so a log begun at version
+// 0 or 2 is read in place and continues with frames: there is no
+// migration step. Heads claiming a version outside the closed set this
+// build knows fail with ErrVersion rather than guessing at future
+// semantics.
 //
 // # Crash safety
 //
-// Each record is encoded off to the side and handed to the sink as one
-// Write call, newline-terminated, so the only way a record lands
-// partially is the operating system or hardware dying mid-write. Read
-// and Restore therefore tolerate exactly one trailing torn record — a
-// final line without its newline terminator — by truncating to the last
-// complete event; any anomaly before the tail (unparseable line,
-// sequence gap) is a hard error carrying the expected sequence number
-// and byte offset, because no crash can produce it. A writer whose sink
-// fails is poisoned: the failed record may be torn on disk, so every
-// subsequent append returns the original error rather than writing
-// after the tear. With WithFsync, every append is fsynced before the
-// corresponding operation is acknowledged; Close always syncs syncable
-// sinks. Compaction builds the replacement log in a temporary sibling
-// file, syncs it, and atomically renames it over the original (then
-// syncs the directory), so an interrupted compaction leaves either the
-// old or the new log — never a hybrid.
+// Each group of records is encoded off to the side and handed to the
+// sink as one Write call, so the only way a record lands partially is
+// the operating system or hardware dying mid-write. Readers therefore
+// tolerate exactly one trailing torn record — a final frame shorter
+// than its declared length — by truncating to the last complete record;
+// anything else (a failed checksum, an unparseable record, a sequence
+// gap) is a hard error carrying the expected sequence number and byte
+// offset, because no crash can produce it (frame.go, "Torn versus
+// corrupt"). A writer whose sink fails is poisoned: the failed record
+// may be torn on disk, so every subsequent append returns the original
+// error rather than writing after the tear. With WithFsync, every
+// append is fsynced before the corresponding operation is acknowledged;
+// Close always syncs syncable sinks. Compaction builds the replacement
+// log in a temporary sibling file, syncs it, and atomically renames it
+// over the original (then syncs the directory), so an interrupted
+// compaction leaves either the old or the new log — never a hybrid.
 package journal
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -69,10 +74,18 @@ import (
 //	2 — the command-core log: op names coincide with internal/command
 //	    op names and replay is an Apply loop. Byte-compatible with
 //	    version 0 except for the head's "v" field.
+//	3 — checksummed binary frames (frame.go) instead of JSON lines.
+//	    Versions 0 and 2 stay readable, and a log or store begun under
+//	    them continues in place with frames; a build older than this one
+//	    cannot read what this one appends.
 //
 // (Version 1 is skipped: a pre-release draft used it and rejecting it
 // outright is safer than guessing which draft wrote a given log.)
-const FormatVersion = 2
+const FormatVersion = 3
+
+// knownVersion reports whether a log head, seghead or checkpoint may
+// carry format version v: the closed set this build reads.
+func knownVersion(v int) bool { return v == 0 || v == 2 || v == 3 }
 
 // Op enumerates journaled operations. Every Op except the two head
 // records (OpGenesis, OpSnapshot) names the internal/command operation
@@ -145,6 +158,14 @@ var (
 // syncer is the durability hook *os.File (and fault-injection shims)
 // provide.
 type syncer interface{ Sync() error }
+
+// groupSink is a sink that accounts in records as well as bytes (the
+// segmented Store rotates and checkpoints by record count): the writer
+// knows how many records a group holds and says so, where a plain
+// io.Writer sink just gets the bytes.
+type groupSink interface {
+	writeGroup(p []byte, records int) (int, error)
+}
 
 // Option configures a Writer (and the constructors that build one).
 type Option func(*Writer)
@@ -251,10 +272,11 @@ type writerTelemetry struct {
 // One goroutine at a time — holding stageMu — walks a group of them in
 // arrival order: apply the command to the live market (a rejected
 // command completes with its error, consumes no sequence number and
-// logs nothing), stamp the next sequence number, encode the record into
-// the group buffer; then one sink Write (and one fsync, WithFsync) for
-// the whole group; then publish the group's effects to the market's
-// read views, run the commit hooks, and only then wake the callers. The
+// logs nothing), stamp the next sequence number, encode the command —
+// once — as a frame in the group buffer; then one sink Write (and one
+// fsync, WithFsync) for the whole group; then publish the group's
+// effects to the market's read views, run the commit hooks (which see
+// those same encoded bytes), and only then wake the callers. The
 // log is therefore exactly the order the market applied, the market is
 // exactly at the last written seq whenever a hook runs, and no reader
 // sees a command before it reached the sink. Without WithGroupCommit a
@@ -284,12 +306,11 @@ type Writer struct {
 	enter func(member) member
 
 	// stageMu is held across one whole commit stage, so groups are
-	// applied, written and published in formation order. buf and enc are
-	// the stage's encode buffer. Lock order: stageMu, then the market's
-	// writer mutex, then mu.
+	// applied, written and published in formation order. buf is the
+	// stage's group buffer: the frames of the group being committed.
+	// Lock order: stageMu, then the market's writer mutex, then mu.
 	stageMu sync.Mutex
-	buf     bytes.Buffer
-	enc     *json.Encoder
+	buf     []byte
 
 	// mu guards the writer's lifecycle, its durable high-water mark and
 	// the forming group.
@@ -300,7 +321,7 @@ type Writer struct {
 	err     error // sticky append failure
 	// commit, when set (OnCommit), observes every committed record in
 	// strict sequence order — the hook behind the replication feed.
-	commit func(Event)
+	commit func(Record)
 	// cur is the forming group concurrent appends pile onto
 	// (WithGroupCommit). groups and maxGroup are diagnostics (tests read
 	// them; telemetry exports the histogram).
@@ -313,18 +334,30 @@ type Writer struct {
 // once the stage has run, what came of it.
 type member struct {
 	ctx context.Context
-	// Exactly one of cmd, bids and rec is the request: a command for the
-	// stage to apply and record; a SubmitBids batch, applied entry by
-	// entry with failures skipped and the successes recorded as one
-	// bid_batch; or a raw record to append as is.
+	// Exactly one of cmd, bids, rec and head is the request: a command
+	// for the stage to apply and record; a SubmitBids batch, applied
+	// entry by entry with failures skipped and the successes recorded as
+	// one bid_batch; a command to record without applying it (Append);
+	// or a head record.
 	cmd  command.Command
 	bids []market.BidRequest
-	rec  Event // the record as written (Seq stamped) when logged is set
+	// rec is the command the log records for this member, with the trace
+	// ID it carries — the request itself for Append, otherwise what apply
+	// settled.
+	rec   command.Command
+	trace string
+	head  *Event
 
-	logged bool
-	evs    []command.Event
-	res    []market.BidResult // per-entry outcomes of bids
-	err    error
+	// Once logged is set the member's record is seq, framed at
+	// buf[off:end] of the stage's group buffer with its payload at
+	// buf[pay:end].
+	logged        bool
+	seq           int64
+	off, pay, end int
+
+	evs []command.Event
+	res []market.BidResult // per-entry outcomes of bids
+	err error
 }
 
 // commitGroup is one batch of members bound for a single sink Write
@@ -339,7 +372,6 @@ type commitGroup struct {
 // NewWriter wraps w. Call Genesis before any other append.
 func NewWriter(w io.Writer, opts ...Option) *Writer {
 	jw := &Writer{sink: w}
-	jw.enc = json.NewEncoder(&jw.buf)
 	jw.enter = jw.submit
 	for _, o := range opts {
 		o(jw)
@@ -349,17 +381,18 @@ func NewWriter(w io.Writer, opts ...Option) *Writer {
 
 // OnCommit installs fn as the writer's commit hook: it is invoked once
 // per committed record, in strict sequence order, with the record
-// exactly as written (Seq assigned), after the record's group reached
-// the sink (and was fsynced) and was published, before any member of
-// the group is woken. Failed appends never reach the hook. fn must not
-// call back into the writer or take the market's writer mutex — it runs
+// exactly as written — its Payload is the very bytes the sink holds,
+// valid only until fn returns — after the record's group reached the
+// sink (and was fsynced) and was published, before any member of the
+// group is woken. Failed appends never reach the hook. fn must not call
+// back into the writer or take the market's writer mutex — it runs
 // inside the commit stage — and should return quickly.
 //
 // Install the hook before traffic flows (records appended while no
 // hook is set are not replayed to a later hook), and install at most
 // one: this is the feed point for replication, not a general event
 // bus.
-func (w *Writer) OnCommit(fn func(Event)) {
+func (w *Writer) OnCommit(fn func(Record)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.commit = fn
@@ -400,10 +433,11 @@ func (w *Writer) head(e Event) error {
 	w.started = true
 	w.mu.Unlock()
 	e.V = FormatVersion
-	return w.solo(member{ctx: context.Background(), rec: e}).err
+	return w.solo(member{ctx: context.Background(), head: &e}).err
 }
 
-// Append journals one event (Seq is assigned by the writer).
+// Append journals the command e describes without applying it anywhere
+// (Seq is assigned by the writer) — the bare writer's entry point.
 func (w *Writer) Append(e Event) error {
 	return w.AppendCtx(context.Background(), e)
 }
@@ -415,10 +449,11 @@ func (w *Writer) Append(e Event) error {
 // flush spans land on the group leader's trace; a follower sees only
 // its queue wait).
 func (w *Writer) AppendCtx(ctx context.Context, e Event) error {
-	if e.Op == OpGenesis || e.Op == OpSnapshot {
-		return ErrDoubleStart
+	cmd, err := CommandFromEvent(e)
+	if err != nil {
+		return err
 	}
-	return w.submit(member{ctx: ctx, rec: e}).err
+	return w.submit(member{ctx: ctx, rec: cmd, trace: e.Trace}).err
 }
 
 // submit runs one member through the commit stage — alone, or as part
@@ -520,7 +555,7 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 		live.Lock()
 		defer live.Unlock()
 	}
-	w.buf.Reset()
+	w.buf = w.buf[:0]
 	records := 0
 	for i := range g.members {
 		if err != nil {
@@ -531,10 +566,9 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 		if applied && !mb.apply(live) {
 			continue
 		}
-		mb.rec.Seq = seq + int64(records) + 1
-		before := w.buf.Len()
-		if eerr := w.enc.Encode(mb.rec); eerr != nil {
-			eerr = fmt.Errorf("journal: encoding event %d: %w", mb.rec.Seq, eerr)
+		mb.seq = seq + int64(records) + 1
+		if eerr := w.encode(mb); eerr != nil {
+			eerr = fmt.Errorf("journal: encoding event %d: %w", mb.seq, eerr)
 			if applied {
 				err = eerr // the market moved and the log cannot follow
 			} else {
@@ -545,7 +579,7 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 		mb.logged = true
 		records++
 		if w.tel != nil {
-			w.tel.recordBytes.Observe(float64(w.buf.Len() - before))
+			w.tel.recordBytes.Observe(float64(mb.end - mb.off))
 		}
 	}
 	if err == nil && records > 0 {
@@ -588,11 +622,44 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 	}
 	if commit != nil {
 		for i := range g.members {
-			if g.members[i].logged {
-				commit(g.members[i].rec)
+			if mb := &g.members[i]; mb.logged {
+				commit(Record{Seq: mb.seq, Trace: mb.trace, Head: mb.head != nil,
+					Payload: w.buf[mb.pay:mb.end], Size: mb.end - mb.off})
 			}
 		}
 	}
+}
+
+// encode frames mb's record at the end of the group buffer: the one
+// time a command is encoded on its way to segment, feed and follower.
+// On error the buffer is left as it was.
+func (w *Writer) encode(mb *member) error {
+	kind := kindCommand
+	if mb.head != nil {
+		kind = kindHead
+	}
+	mb.off = len(w.buf)
+	buf := beginFrame(w.buf, mb.seq, mb.trace, kind)
+	mb.pay = len(buf)
+	var err error
+	if mb.head != nil {
+		var head []byte
+		mb.head.Seq = mb.seq
+		if head, err = json.Marshal(mb.head); err == nil {
+			buf = append(buf, head...)
+		}
+	} else {
+		buf, err = command.AppendBinary(buf, mb.rec)
+	}
+	if err == nil && len(buf)-mb.off-frameHeader > maxFrameBody {
+		err = fmt.Errorf("record of %d bytes exceeds the %d-byte frame limit", len(buf)-mb.off, maxFrameBody)
+	}
+	if err != nil {
+		return err
+	}
+	endFrame(buf, mb.off)
+	w.buf, mb.end = buf, len(buf)
+	return nil
 }
 
 // apply runs the member's command through the market and settles what
@@ -629,14 +696,7 @@ func (mb *member) apply(live market.Stage) bool {
 	} else if mb.err != nil {
 		return false
 	}
-	// Every command that applies has a journal form, so a failure here
-	// is a programming error.
-	rec, err := EventFromCommand(cmd)
-	if err != nil {
-		panic(err)
-	}
-	rec.Trace = obs.RequestIDFrom(mb.ctx)
-	mb.rec = rec
+	mb.rec, mb.trace = cmd, obs.RequestIDFrom(mb.ctx)
 	return true
 }
 
@@ -659,7 +719,13 @@ func (w *Writer) write(ctx context.Context, records int) error {
 	if w.tel != nil {
 		start = time.Now()
 	}
-	n, err := w.sink.Write(w.buf.Bytes())
+	var n int
+	var err error
+	if gs, ok := w.sink.(groupSink); ok {
+		n, err = gs.writeGroup(w.buf, records)
+	} else {
+		n, err = w.sink.Write(w.buf)
+	}
 	if w.tel != nil {
 		id := obs.ExemplarID(ctx)
 		w.tel.appendLatency.ObserveSinceTrace(start, id)
@@ -746,53 +812,18 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Scan streams a log record by record, tolerating exactly one trailing
-// torn record: a final line without its newline terminator is dropped
-// (a crash killed the writer mid-record), and torn reports whether that
-// happened. fn is invoked once per complete record, in order; a non-nil
-// fn error aborts the scan and is returned verbatim. Scan returns the
-// byte length of the durable prefix — the log up to and including the
-// last complete record — which callers resuming appends must truncate
-// the file to. Any malformed or out-of-sequence record before the tail
-// is a hard error carrying the expected sequence number and byte
-// offset, because crashes cannot produce mid-log damage: it is real
-// corruption. The first record's sequence number must be firstSeq
-// (records are contiguous from there); a whole-log scan passes 1, a
-// segment scan passes the segment's base. Scan does not validate the
-// header; Read and Bootstrap do.
-//
-// Scan is the O(1)-memory primitive under Recover, Restore, OpenFile
-// and the segmented Store: none of them materialize the history as a
-// slice, so recovery cost is bounded by the tail being replayed, not by
-// what it allocates.
+// Scan is ScanRecords with each record decoded to its Event view: the
+// reader for inspection tooling, legacy callers and tests. Recovery
+// paths use ScanRecords directly and never build an Event for a body
+// record.
 func Scan(r io.Reader, firstSeq int64, fn func(Event) error) (durable int64, torn bool, err error) {
-	br := bufio.NewReader(r)
-	seq := firstSeq - 1
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr == io.EOF {
-			if len(line) > 0 {
-				// Trailing bytes without a newline: the torn tail.
-				return durable, true, nil
-			}
-			return durable, false, nil
+	return ScanRecords(r, firstSeq, func(rec Record) error {
+		e, err := rec.Event()
+		if err != nil {
+			return err
 		}
-		if rerr != nil {
-			return 0, false, fmt.Errorf("journal: reading event %d at byte %d: %w", seq+1, durable, rerr)
-		}
-		var e Event
-		if uerr := json.Unmarshal(line, &e); uerr != nil {
-			return 0, false, fmt.Errorf("%w: event %d at byte %d: %v", ErrBadEvent, seq+1, durable, uerr)
-		}
-		seq++
-		if e.Seq != seq {
-			return 0, false, fmt.Errorf("%w: got %d, want %d at byte %d", ErrSeqGap, e.Seq, seq, durable)
-		}
-		if ferr := fn(e); ferr != nil {
-			return 0, false, ferr
-		}
-		durable += int64(len(line))
-	}
+		return fn(e)
+	})
 }
 
 // Recover is the slice-returning wrapper over Scan kept for tests and
@@ -813,7 +844,8 @@ func Recover(r io.Reader) (events []Event, durable int64, torn bool, err error) 
 // Read parses a log, validating sequence continuity and the header: the
 // first event must be a genesis (fresh log) or a snapshot (compacted
 // log) carrying a known format version — 0 (pre-versioning logs, which
-// omit the field) or FormatVersion; anything else fails with ErrVersion.
+// omit the field), 2 or FormatVersion; anything else fails with
+// ErrVersion.
 // It returns every event, header included. A single trailing torn
 // record — the signature of a crash mid-append — is silently dropped;
 // see Recover.
@@ -831,8 +863,8 @@ func Read(r io.Reader) ([]Event, error) {
 	default:
 		return nil, ErrNoGenesis
 	}
-	if v := events[0].V; v != 0 && v != FormatVersion {
-		return nil, fmt.Errorf("%w: %d (this build reads 0 and %d)", ErrVersion, v, FormatVersion)
+	if v := events[0].V; !knownVersion(v) {
+		return nil, fmt.Errorf("%w: %d (this build reads 0, 2 and %d)", ErrVersion, v, FormatVersion)
 	}
 	return events, nil
 }
@@ -859,8 +891,8 @@ func Bootstrap(events []Event) (*market.Market, error) {
 // not know fail with ErrVersion; anything that is not a well-formed head
 // fails with ErrNoGenesis.
 func marketFromHead(e Event) (*market.Market, error) {
-	if v := e.V; v != 0 && v != FormatVersion {
-		return nil, fmt.Errorf("%w: %d (this build reads 0 and %d)", ErrVersion, v, FormatVersion)
+	if v := e.V; !knownVersion(v) {
+		return nil, fmt.Errorf("%w: %d (this build reads 0, 2 and %d)", ErrVersion, v, FormatVersion)
 	}
 	switch {
 	case e.Op == OpGenesis && e.Config != nil:
@@ -907,6 +939,31 @@ func applyEvent(to *market.Market, e Event) error {
 	return nil
 }
 
+// replayRecord is the one step of streaming recovery: the first record a
+// market sees is the head that builds it, every later one is a command
+// decoded straight from its payload and applied — payload →
+// command.DecodeBinary → Apply, no Event in between. It returns the
+// market to carry into the next step.
+func replayRecord(m *market.Market, rec Record) (*market.Market, error) {
+	if m == nil {
+		// A body record here decodes to a non-head Event, which
+		// marketFromHead refuses with ErrNoGenesis.
+		head, err := rec.Event()
+		if err != nil {
+			return nil, err
+		}
+		return marketFromHead(head)
+	}
+	cmd, err := rec.Command()
+	if err != nil {
+		return nil, fmt.Errorf("%w: event %d: %v", ErrReplay, rec.Seq, err)
+	}
+	if _, err := m.Apply(cmd); err != nil {
+		return nil, fmt.Errorf("%w: event %d (%s): %v", ErrReplay, rec.Seq, cmd.Op(), err)
+	}
+	return m, nil
+}
+
 // restoreStream rebuilds a market from a log in one streaming pass: the
 // head seeds the market and every subsequent record applies as it is
 // scanned, so the whole-log []Event slice Recover would build never
@@ -915,17 +972,12 @@ func applyEvent(to *market.Market, e Event) error {
 // last replayed record, the durable byte prefix, and whether a torn
 // tail was dropped.
 func restoreStream(r io.Reader) (m *market.Market, lastSeq, durable int64, torn bool, err error) {
-	durable, torn, err = Scan(r, 1, func(e Event) error {
-		if m == nil {
-			var herr error
-			m, herr = marketFromHead(e)
-			if herr != nil {
-				return herr
-			}
-		} else if aerr := applyEvent(m, e); aerr != nil {
-			return aerr
+	durable, torn, err = ScanRecords(r, 1, func(rec Record) error {
+		var rerr error
+		if m, rerr = replayRecord(m, rec); rerr != nil {
+			return rerr
 		}
-		lastSeq = e.Seq
+		lastSeq = rec.Seq
 		return nil
 	})
 	if err != nil {
@@ -1186,7 +1238,7 @@ func (m *Market) TestUnorderedCommit(yield func()) {
 			return mb
 		}
 		yield()
-		if err := m.w.submit(member{ctx: mb.ctx, rec: mb.rec}).err; err != nil {
+		if err := m.w.submit(member{ctx: mb.ctx, rec: mb.rec, trace: mb.trace}).err; err != nil {
 			mb.err = err
 		}
 		return mb
@@ -1279,7 +1331,7 @@ func (m *Market) SubmitBidsCtx(ctx context.Context, reqs []market.BidRequest) []
 // OnCommit installs fn as the journal's commit hook; see Writer.OnCommit.
 // It is the attachment point for the replication feed: install it after
 // building the market but before serving traffic.
-func (m *Market) OnCommit(fn func(Event)) { m.w.OnCommit(fn) }
+func (m *Market) OnCommit(fn func(Record)) { m.w.OnCommit(fn) }
 
 // CommittedSnapshot captures the whole market state together with the
 // sequence number of the record that produced it. It takes the market's

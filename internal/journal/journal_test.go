@@ -125,7 +125,7 @@ func TestFailedOpsAreNotJournaled(t *testing.T) {
 	if err := m.RegisterBuyer("b"); err != nil {
 		t.Fatal(err)
 	}
-	linesBefore := strings.Count(buf.String(), "\n")
+	lenBefore := buf.Len()
 	// Failing operations must leave the journal untouched.
 	if err := m.RegisterBuyer("b"); err == nil {
 		t.Fatal("duplicate accepted")
@@ -133,8 +133,8 @@ func TestFailedOpsAreNotJournaled(t *testing.T) {
 	if _, err := m.SubmitBid("b", "missing", 10); err == nil {
 		t.Fatal("bid on missing dataset accepted")
 	}
-	if got := strings.Count(buf.String(), "\n"); got != linesBefore {
-		t.Fatalf("journal grew on failed ops: %d -> %d", linesBefore, got)
+	if got := buf.Len(); got != lenBefore {
+		t.Fatalf("journal grew on failed ops: %d -> %d bytes", lenBefore, got)
 	}
 	// And the journal still restores.
 	if err := m.Close(); err != nil {
@@ -153,21 +153,21 @@ func TestReadValidation(t *testing.T) {
 	if _, err := Read(strings.NewReader("")); !errors.Is(err, ErrNoGenesis) {
 		t.Errorf("empty log: %v", err)
 	}
-	// Missing genesis: drop the first line.
-	rest := good[strings.Index(good, "\n")+1:]
-	if _, err := Read(strings.NewReader(rest)); err == nil {
+	bounds := recordBoundaries(t, buf.Bytes(), 1)
+	// Missing genesis: drop the first record.
+	if _, err := Read(strings.NewReader(good[bounds[0]:])); err == nil {
 		t.Error("headless log accepted")
 	}
-	// Sequence gap: drop a middle line.
-	lines := strings.Split(strings.TrimRight(good, "\n"), "\n")
-	gapped := strings.Join(append(append([]string{}, lines[:5]...), lines[6:]...), "\n")
+	// Sequence gap: drop a middle record.
+	gapped := good[:bounds[4]] + good[bounds[5]:]
 	if _, err := Read(strings.NewReader(gapped)); !errors.Is(err, ErrSeqGap) {
 		t.Errorf("gapped log: %v", err)
 	}
-	// Corrupt JSON.
-	corrupt := good + "{not json\n"
-	if _, err := Read(strings.NewReader(corrupt)); !errors.Is(err, ErrBadEvent) {
-		t.Errorf("corrupt log: %v", err)
+	// A record that is neither a frame nor parseable JSON.
+	for _, junk := range []string{"{not json\n", "junk\n"} {
+		if _, err := Read(strings.NewReader(good + junk)); !errors.Is(err, ErrBadEvent) {
+			t.Errorf("log ending in %q: %v", junk, err)
+		}
 	}
 	// Intact log round-trips.
 	events, err := Read(strings.NewReader(good))
@@ -378,11 +378,11 @@ func TestWithdrawIsJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Failed withdrawals are not journaled.
-	lines := strings.Count(buf.String(), "\n")
+	before := buf.Len()
 	if err := m.WithdrawDataset("s", "d"); err == nil {
 		t.Fatal("double withdraw accepted")
 	}
-	if strings.Count(buf.String(), "\n") != lines {
+	if buf.Len() != before {
 		t.Fatal("failed withdraw journaled")
 	}
 	if err := m.Close(); err != nil {

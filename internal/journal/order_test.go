@@ -233,10 +233,10 @@ func (s *gatedSink) Write(p []byte) (int, error) {
 }
 
 // records counts the complete records the sink holds.
-func (s *gatedSink) records() int64 {
+func (s *gatedSink) records(t testing.TB) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(bytes.Count(s.buf.Bytes(), []byte{'\n'}))
+	return int64(len(recordBoundaries(t, s.buf.Bytes(), 1)))
 }
 
 // readings is every public read of a market, taken through the same
@@ -352,7 +352,7 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	if before.Transactions != 1 || before.Period != 0 || before.WaitRemaining != 0 || before.SellerDatasets != 1 || before.Owns {
 		t.Fatalf("reads while group two is stuck show part of it: %+v", before)
 	}
-	if seq, held := jm.LastSeq(), sink.records(); seq != held {
+	if seq, held := jm.LastSeq(), sink.records(t); seq != held {
 		t.Fatalf("LastSeq %d while the sink holds %d records", seq, held)
 	}
 	if again := readAll(t, jm); again != before {
@@ -368,7 +368,7 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 		after.WaitRemaining == 0 || after.Stats.Bids != before.Stats.Bids+2 {
 		t.Fatalf("reads after the group landed do not show it:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if seq, held := jm.LastSeq(), sink.records(); seq != held {
+	if seq, held := jm.LastSeq(), sink.records(t); seq != held {
 		t.Fatalf("LastSeq %d, sink holds %d records", seq, held)
 	}
 	restored, err := Restore(bytes.NewReader(sink.buf.Bytes()))

@@ -14,11 +14,16 @@
 //	dir/*.tmp               in-flight checkpoint/migration; removed on open
 //
 // A segment's records are exactly the journal byte format the flat log
-// uses — concatenating every segment's body (head lines stripped)
-// reproduces the flat log byte for byte. The seghead line is store
-// metadata, not an Event: it carries the format version and the
-// sequence number of the segment's first record, so recovery can chain
-// segments and skip sealed ones without scanning them.
+// uses (frame.go) — concatenating every segment's body (seghead lines
+// stripped) reproduces the flat log byte for byte. The seghead is one
+// newline-terminated JSON line of store metadata, not a record: it
+// carries the format version of the build that created the segment and
+// the sequence number of the segment's first record, so recovery can
+// chain segments and skip sealed ones without scanning them. A segment
+// begun by a version-2 build holds JSON-line records after its seghead
+// and, once this build appends to it, frames after those. A checkpoint
+// is the snapshot as one JSON line followed by a CRC32C trailer line
+// over it.
 //
 // # Rotation and durability
 //
@@ -64,8 +69,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -280,11 +287,14 @@ func (s *Store) committedSnapshot() (market.Snapshot, int64, error) {
 	return live.Snapshot(), seq, nil
 }
 
-// Write appends one record (or one group-commit batch) to the active
-// segment, rotating first when the segment is full. p is whole
-// newline-terminated records by the Writer's contract, so counting
-// newlines counts records.
-func (s *Store) Write(p []byte) (int, error) {
+// Write appends one record to the active segment (io.Writer; the
+// replica store's path).
+func (s *Store) Write(p []byte) (int, error) { return s.writeGroup(p, 1) }
+
+// writeGroup appends one group-commit batch — records whole records in
+// p, by the Writer's contract — to the active segment, rotating first
+// when the segment is full.
+func (s *Store) writeGroup(p []byte, records int) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
@@ -310,7 +320,7 @@ func (s *Store) Write(p []byte) (int, error) {
 		return n, err
 	}
 	cur.bytes += int64(n)
-	cur.records += int64(bytes.Count(p, []byte{'\n'}))
+	cur.records += int64(records)
 	return n, nil
 }
 
@@ -437,6 +447,13 @@ func (s *Store) checkpoint(snap market.Snapshot, seq int64) {
 	s.compactOnce()
 }
 
+// ckptTrailer is the last line of a checkpoint file: the CRC32C of every
+// byte before it, as eight hex digits.
+const (
+	ckptTrailer    = "#crc32c "
+	ckptTrailerLen = len(ckptTrailer) + 8 + 1
+)
+
 // writeCheckpointFile lands dir/<seq>.ckpt atomically: build in a
 // temporary sibling, fsync it, rename into place, fsync the directory.
 func writeCheckpointFile(dir string, seq int64, snap market.Snapshot) error {
@@ -445,6 +462,7 @@ func writeCheckpointFile(dir string, seq int64, snap market.Snapshot) error {
 		return err
 	}
 	data = append(data, '\n')
+	data = fmt.Appendf(data, "%s%08x\n", ckptTrailer, crc32.Checksum(data, castagnoli()))
 	tmp, err := os.CreateTemp(dir, "ckpt-*"+tmpSuffix)
 	if err != nil {
 		return err
@@ -545,16 +563,17 @@ func (s *Store) Close() error {
 	return err
 }
 
-// errStopScan aborts a TailEvents scan once the requested upper bound
+// errStopScan aborts a TailRecords scan once the requested upper bound
 // has been delivered.
 var errStopScan = errors.New("journal: stop scan")
 
-// TailEvents streams the records with afterSeq < seq <= uptoSeq from
+// TailRecords streams the records with afterSeq < seq <= uptoSeq from
 // the store's segments, in order — the replication feed's catch-up
-// read. It holds the store lock for the duration, so appends stall
-// while a subscriber catches up from disk; the records it reads are
-// bounded by the checkpoint cadence.
-func (s *Store) TailEvents(afterSeq, uptoSeq int64, fn func(Event) error) error {
+// read, which forwards each payload as it sits on disk. It holds the
+// store lock for the duration, so appends stall while a subscriber
+// catches up from disk; the records it reads are bounded by the
+// checkpoint cadence.
+func (s *Store) TailRecords(afterSeq, uptoSeq int64, fn func(Record) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if uptoSeq <= afterSeq {
@@ -567,17 +586,17 @@ func (s *Store) TailEvents(afterSeq, uptoSeq int64, fn func(Event) error) error 
 		if seg.base > uptoSeq {
 			break
 		}
-		err := scanSegment(s.dir, seg, func(e Event) error {
-			if e.Seq <= afterSeq {
+		_, _, err := scanSegment(s.dir, seg.index, seg.base, func(rec Record) error {
+			if rec.Seq <= afterSeq {
 				return nil
 			}
-			if e.Seq > uptoSeq {
+			if rec.Seq > uptoSeq {
 				return errStopScan
 			}
-			if err := fn(e); err != nil {
+			if err := fn(rec); err != nil {
 				return err
 			}
-			if e.Seq == uptoSeq {
+			if rec.Seq == uptoSeq {
 				return errStopScan
 			}
 			return nil
@@ -612,39 +631,69 @@ func (s *Store) CatchupSnapshot() ([]byte, int64, error) {
 	return data, ck.Seq, err
 }
 
+// readCheckpointFile loads and verifies dir/<seq>.ckpt. A version-3
+// checkpoint ends in a CRC32C trailer line and fails with ErrChecksum
+// when the trailer is damaged or does not match; a version-2 checkpoint
+// has none and is accepted as it is.
 func readCheckpointFile(dir string, seq int64) (*checkpointFile, error) {
 	name := ckptName(seq)
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return nil, err
 	}
-	var ck checkpointFile
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrStoreCorrupt, name, err)
+	corrupt := func(sentinel error, format string, args ...any) error {
+		return &CorruptError{File: name, Seq: seq, Err: sentinel, Detail: fmt.Sprintf(format, args...)}
 	}
-	if ck.V != FormatVersion {
+	body := data
+	trailer := len(data) - ckptTrailerLen
+	sealed := trailer > 0 && string(data[trailer:trailer+len(ckptTrailer)]) == ckptTrailer && data[len(data)-1] == '\n'
+	if sealed {
+		body = data[:trailer]
+		want, perr := strconv.ParseUint(string(data[trailer+len(ckptTrailer):len(data)-1]), 16, 32)
+		if got := crc32.Checksum(body, castagnoli()); (perr != nil || uint32(want) != got) && !skipChecksum.Load() {
+			return nil, corrupt(ErrChecksum, "trailer %q, computed %08x", data[trailer:len(data)-1], got)
+		}
+	} else if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		body = data[:i+1] // a version-2 checkpoint, or a trailer too damaged to recognize
+	}
+	var ck checkpointFile
+	if err := json.Unmarshal(body, &ck); err != nil {
+		return nil, corrupt(ErrStoreCorrupt, "checkpoint does not decode: %v", err)
+	}
+	if ck.V != 2 && ck.V != 3 {
 		return nil, fmt.Errorf("%w: checkpoint %s has version %d", ErrVersion, name, ck.V)
 	}
+	if !sealed && ck.V == 3 {
+		return nil, corrupt(ErrChecksum, "checksum trailer missing or damaged")
+	}
 	if ck.Seq != seq {
-		return nil, fmt.Errorf("%w: checkpoint %s records seq %d", ErrStoreCorrupt, name, ck.Seq)
+		return nil, corrupt(ErrStoreCorrupt, "checkpoint records seq %d", ck.Seq)
 	}
 	return &ck, nil
 }
 
 // scanSegment streams one segment's records (seghead skipped) through
-// fn, enforcing seq continuity from the seghead's base. Sealed
-// segments are fsynced before the next one is created, so a torn tail
-// here is only legal in the store's final segment — callers decide.
-func scanSegment(dir string, seg segMeta, fn func(Event) error) error {
-	f, err := os.Open(filepath.Join(dir, segName(seg.index)))
+// fn, enforcing seq continuity from base; durable and torn are
+// ScanRecords', with durable counting from the start of the file.
+// Sealed segments are fsynced before the next one is created, so a torn
+// tail here is only legal in the store's final segment — callers decide.
+// Damage is reported as a *CorruptError naming the segment file.
+func scanSegment(dir string, index, base int64, fn func(Record) error) (durable int64, torn bool, err error) {
+	name := segName(index)
+	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
-		return err
+		return 0, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if _, err := br.ReadBytes('\n'); err != nil {
-		return fmt.Errorf("%w: segment %s seghead: %v", ErrStoreCorrupt, segName(seg.index), err)
+	br := bufio.NewReaderSize(f, 64<<10)
+	head, err := br.ReadBytes('\n')
+	if err != nil {
+		return 0, false, &CorruptError{File: name, Seq: base, Err: ErrStoreCorrupt, Detail: fmt.Sprintf("seghead: %v", err)}
 	}
-	_, _, err = Scan(br, seg.base, fn)
-	return err
+	durable, torn, err = ScanRecords(br, base, fn)
+	var ce *CorruptError
+	if errors.As(err, &ce) && ce.File == "" {
+		ce.File, ce.Offset = name, ce.Offset+int64(len(head))
+	}
+	return durable + int64(len(head)), torn, err
 }

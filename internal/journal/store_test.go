@@ -337,9 +337,13 @@ func TestStoreMigrateFlat(t *testing.T) {
 	if d := sm.Snapshot().Diff(wantSnap); d != "" {
 		t.Fatalf("migrated state: %s", d)
 	}
-	// Segment 0 holds the flat log verbatim.
+	// Segment 0 holds the flat log verbatim, under a seghead that says
+	// which format version wrote those bytes.
 	if got := storeBody(t, dir); !bytes.Equal(got, flatBytes) {
 		t.Fatal("migrated segment 0 is not the flat log verbatim")
+	}
+	if head, _, err := readSegHead(dir, 0); err != nil || head.V != FormatVersion {
+		t.Fatalf("migrated seghead: version %d, err %v; want %d", head.V, err, FormatVersion)
 	}
 	if err := sm.RegisterBuyer("migrated"); err != nil {
 		t.Fatal(err)
@@ -383,6 +387,11 @@ func TestStoreMigrateLegacyV0(t *testing.T) {
 	}
 	if got := storeBody(t, dir); !bytes.Equal(got, legacy) {
 		t.Fatal("legacy bytes did not survive migration verbatim")
+	}
+	// The seghead describes the bytes below it: version 0, not this
+	// build's.
+	if head, _, err := readSegHead(dir, 0); err != nil || head.V != 0 {
+		t.Fatalf("migrated legacy seghead: version %d, err %v; want 0", head.V, err)
 	}
 }
 
@@ -474,12 +483,11 @@ func TestReplicaStoreRoundTrip(t *testing.T) {
 		if _, err := m.Apply(cmd); err != nil {
 			t.Fatal(err)
 		}
-		e, err := EventFromCommand(cmd)
+		payload, err := command.EncodeBinary(cmd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Seq = 11 + int64(i)
-		if err := rs.Append(e); err != nil {
+		if err := rs.Append(11+int64(i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -503,16 +511,14 @@ func TestReplicaStoreRoundTrip(t *testing.T) {
 		t.Fatalf("cold restart state: %s", d)
 	}
 	// A gap must be rejected, the next contiguous seq accepted.
-	e, _ := EventFromCommand(command.Tick{})
-	e.Seq = 25
-	if err := rs2.Append(e); !errors.Is(err, ErrSeqGap) {
+	tick, _ := command.EncodeBinary(command.Tick{})
+	if err := rs2.Append(25, tick); !errors.Is(err, ErrSeqGap) {
 		t.Fatalf("gap append: %v, want ErrSeqGap", err)
 	}
 	if _, err := m2.Apply(command.Tick{}); err != nil {
 		t.Fatal(err)
 	}
-	e.Seq = 21
-	if err := rs2.Append(e); err != nil {
+	if err := rs2.Append(21, tick); err != nil {
 		t.Fatal(err)
 	}
 }

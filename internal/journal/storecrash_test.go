@@ -96,6 +96,10 @@ func TestStoreCrashRecoveryPrefixConsistency(t *testing.T) {
 			if headLen == 0 {
 				t.Fatalf("final segment %s has no seghead", finalSeg)
 			}
+			finalHead, _, err := readSegHead(dir, l.segIdx[len(l.segIdx)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			check := func(cut int, plantTmp bool, label string) {
 				t.Helper()
@@ -146,7 +150,7 @@ func TestStoreCrashRecoveryPrefixConsistency(t *testing.T) {
 				check(1+int(seed)%(headLen-1), false, "torn seghead")
 			}
 			// Every record boundary inside the active segment.
-			bounds := recordBoundaries(finalBytes[headLen:])
+			bounds := recordBoundaries(t, finalBytes[headLen:], finalHead.Base)
 			for k, b := range bounds {
 				check(headLen+b, k == 0, fmt.Sprintf("boundary after tail record %d", k+1))
 			}

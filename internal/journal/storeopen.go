@@ -60,30 +60,30 @@ func listStoreDir(dir string) (*dirListing, error) {
 // newline-less first line is reported as torn (legal only for the
 // final segment, whose seghead write may have been cut mid-rotation);
 // any parse failure is corruption.
-func readSegHead(dir string, index int64) (head segHead, headLen int64, torn bool, err error) {
+func readSegHead(dir string, index int64) (head segHead, torn bool, err error) {
 	name := segName(index)
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
-		return segHead{}, 0, false, err
+		return segHead{}, false, err
 	}
 	defer f.Close()
 	line, rerr := bufio.NewReader(f).ReadBytes('\n')
 	if rerr == io.EOF {
-		return segHead{}, 0, true, nil // empty or torn seghead
+		return segHead{}, true, nil // empty or torn seghead
 	}
 	if rerr != nil {
-		return segHead{}, 0, false, rerr
+		return segHead{}, false, rerr
 	}
 	if uerr := json.Unmarshal(line, &head); uerr != nil || head.Op != opSegHead {
-		return segHead{}, 0, false, fmt.Errorf("%w: %s has no seghead", ErrStoreCorrupt, name)
+		return segHead{}, false, fmt.Errorf("%w: %s has no seghead", ErrStoreCorrupt, name)
 	}
-	if head.V != FormatVersion {
-		return segHead{}, 0, false, fmt.Errorf("%w: segment %s has version %d (this build writes %d)", ErrVersion, name, head.V, FormatVersion)
+	if !knownVersion(head.V) {
+		return segHead{}, false, fmt.Errorf("%w: segment %s has version %d (this build reads 0, 2 and %d)", ErrVersion, name, head.V, FormatVersion)
 	}
 	if head.Index != index {
-		return segHead{}, 0, false, fmt.Errorf("%w: %s claims index %d", ErrStoreCorrupt, name, head.Index)
+		return segHead{}, false, fmt.Errorf("%w: %s claims index %d", ErrStoreCorrupt, name, head.Index)
 	}
-	return head, int64(len(line)), false, nil
+	return head, false, nil
 }
 
 // storeState is what recovery learned about a directory.
@@ -148,9 +148,8 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 	// skip a sealed segment's body entirely.
 	last := len(l.segIdx) - 1
 	heads := make([]segHead, len(l.segIdx))
-	headLens := make([]int64, len(l.segIdx))
 	for i, idx := range l.segIdx {
-		head, headLen, torn, err := readSegHead(dir, idx)
+		head, torn, err := readSegHead(dir, idx)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +162,6 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 			// seq after everything the previous segments hold.
 			st.resetTail = true
 			heads = heads[:last]
-			headLens = headLens[:last]
 			break
 		}
 		if i > 0 && head.Base <= heads[i-1].Base {
@@ -171,7 +169,6 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 				ErrStoreCorrupt, segName(idx), head.Base, segName(l.segIdx[i-1]), heads[i-1].Base)
 		}
 		heads[i] = head
-		headLens[i] = headLen
 	}
 
 	// The oldest segment must reach back to the checkpoint: its base
@@ -211,59 +208,36 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 			}
 		}
 		final := i == len(heads)-1 && !st.resetTail
-		var segTorn bool
-		var segDurable int64
-		err := func() error {
-			f, err := os.Open(filepath.Join(dir, segName(seg.index)))
-			if err != nil {
-				return err
+		n := int64(0)
+		durable, torn, err := scanSegment(dir, seg.index, seg.base, func(rec Record) error {
+			n++
+			if rec.Seq <= st.lastCkpt {
+				return nil // already inside the checkpoint
 			}
-			defer f.Close()
-			br := bufio.NewReader(f)
-			if _, err := br.ReadBytes('\n'); err != nil {
-				return err
+			var rerr error
+			if st.m, rerr = replayRecord(st.m, rec); rerr != nil {
+				return rerr
 			}
-			n := int64(0)
-			durable, torn, err := Scan(br, seg.base, func(e Event) error {
-				n++
-				if e.Seq <= st.lastCkpt {
-					return nil // already inside the checkpoint
-				}
-				if st.m == nil {
-					m, herr := marketFromHead(e)
-					if herr != nil {
-						return herr
-					}
-					st.m = m
-				} else if aerr := applyEvent(st.m, e); aerr != nil {
-					return aerr
-				}
-				st.replayed++
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			if torn && !final {
-				return fmt.Errorf("%w: sealed segment %s has a torn tail", ErrStoreCorrupt, segName(seg.index))
-			}
-			segTorn, segDurable = torn, headLens[i]+durable
-			if i < len(heads)-1 && n != seg.records {
-				return fmt.Errorf("%w: segment %s holds %d records, next seghead implies %d",
-					ErrStoreCorrupt, segName(seg.index), n, seg.records)
-			}
-			seg.records = n
+			st.replayed++
 			return nil
-		}()
+		})
 		if err != nil {
 			return nil, err
 		}
+		if torn && !final {
+			return nil, fmt.Errorf("%w: sealed segment %s has a torn tail", ErrStoreCorrupt, segName(seg.index))
+		}
+		if i < len(heads)-1 && n != seg.records {
+			return nil, fmt.Errorf("%w: segment %s holds %d records, next seghead implies %d",
+				ErrStoreCorrupt, segName(seg.index), n, seg.records)
+		}
+		seg.records = n
 		if seg.records > 0 {
 			st.lastSeq = seg.maxSeq()
 		}
 		prevEnd = seg.maxSeq()
 		if final {
-			st.torn, st.durable = segTorn, segDurable
+			st.torn, st.durable = torn, durable
 		}
 		st.segs = append(st.segs, seg)
 	}
@@ -390,7 +364,9 @@ func segIndexAfter(segs []segMeta) int64 {
 // migrateFlatFile absorbs a flat journal as segment 0 of an empty
 // store: a seghead line followed by the flat log's durable bytes,
 // verbatim — v0 records included, so a pre-versioning log replays
-// byte-identically inside the store. The segment lands atomically
+// byte-identically inside the store. The seghead carries the flat
+// log's own format version, not this build's: it describes the bytes
+// below it. The segment lands atomically
 // (temp+rename+dir-fsync); the flat file is left untouched. A
 // directory that already holds segments is already migrated: no-op.
 func migrateFlatFile(dir, flat string) error {
@@ -415,9 +391,18 @@ func migrateFlatFile(dir, flat string) error {
 	if err != nil {
 		return err
 	}
-	// Validate and find the durable prefix; a torn tail in the flat
-	// log is dropped here, exactly as OpenFile would.
-	durable, _, err := Scan(bufio.NewReader(f), 1, func(Event) error { return nil })
+	// Validate, find the durable prefix and learn the log's version; a
+	// torn tail in the flat log is dropped here, exactly as OpenFile
+	// would.
+	version := 0
+	durable, _, err := ScanRecords(f, 1, func(rec Record) error {
+		if rec.Seq != 1 {
+			return nil
+		}
+		head, err := rec.Event()
+		version = head.V
+		return err
+	})
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("journal: migrating %s: %w", flat, err)
@@ -431,7 +416,7 @@ func migrateFlatFile(dir, flat string) error {
 		f.Close()
 		return err
 	}
-	head, _ := json.Marshal(segHead{Op: opSegHead, V: FormatVersion, Base: 1, Index: 0})
+	head, _ := json.Marshal(segHead{Op: opSegHead, V: version, Base: 1, Index: 0})
 	if _, err = tmp.Write(append(head, '\n')); err == nil {
 		_, err = io.Copy(tmp, io.LimitReader(f, durable))
 	}

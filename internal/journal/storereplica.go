@@ -8,8 +8,6 @@
 package journal
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,9 +23,8 @@ type ReplicaStore struct {
 	st *Store
 
 	mu   sync.Mutex
-	buf  bytes.Buffer
-	enc  *json.Encoder
-	next int64 // seq the next appended record must carry
+	buf  []byte // the frame being appended, reused
+	next int64  // seq the next appended record must carry
 }
 
 // OpenReplicaStore opens (or creates) a follower's local store and
@@ -46,7 +43,6 @@ func OpenReplicaStore(dir string, sc StoreConfig) (*ReplicaStore, *market.Market
 	}
 	s := &Store{dir: dir, sc: sc, segs: st.segs, ckpts: st.ckpts, lastCkpt: st.lastCkpt}
 	rs := &ReplicaStore{st: s}
-	rs.enc = json.NewEncoder(&rs.buf)
 	if st.m == nil {
 		// Empty (or unrecoverable-fresh) store: no active segment yet;
 		// Reset creates the chain once the first snapshot arrives.
@@ -120,33 +116,35 @@ func (rs *ReplicaStore) Reset(snap market.Snapshot, seq int64) (*market.Market, 
 }
 
 // Append persists one replicated record after the follower applied it
-// to the serving market. Rotation and checkpointing work exactly as on
-// the leader; the periodic checkpoint snapshots the serving market at
-// the just-applied seq. Append failures are sticky — the follower
-// keeps serving from memory, but the store stops accepting records and
-// reports the fault through Err.
-func (rs *ReplicaStore) Append(e Event) error {
+// to the serving market. payload is the command's command.EncodeBinary
+// bytes exactly as the leader's commit stage produced them and the
+// replication stream carried them: they are framed, not re-encoded, so
+// the follower's segments hold the leader's payloads byte for byte.
+// Rotation and checkpointing work exactly as on the leader; the
+// periodic checkpoint snapshots the serving market at the just-applied
+// seq. Append failures are sticky — the follower keeps serving from
+// memory, but the store stops accepting records and reports the fault
+// through Err.
+func (rs *ReplicaStore) Append(seq int64, payload []byte) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.next == 0 {
 		return fmt.Errorf("journal: replica store has no chain yet (missing Reset)")
 	}
-	if e.Seq != rs.next {
-		return fmt.Errorf("%w: replica append seq %d, want %d", ErrSeqGap, e.Seq, rs.next)
+	if seq != rs.next {
+		return fmt.Errorf("%w: replica append seq %d, want %d", ErrSeqGap, seq, rs.next)
 	}
-	rs.buf.Reset()
-	if err := rs.enc.Encode(e); err != nil {
-		return err
-	}
-	if _, err := rs.st.Write(rs.buf.Bytes()); err != nil {
+	rs.buf = append(beginFrame(rs.buf[:0], seq, "", kindCommand), payload...)
+	endFrame(rs.buf, 0)
+	if _, err := rs.st.Write(rs.buf); err != nil {
 		return err // sticky: Write recorded it
 	}
 	rs.next++
 	// The apply loop is this market's one applier and is between two
-	// commands here, so the market stands exactly at e.Seq.
+	// commands here, so the market stands exactly at seq.
 	live := rs.st.live.Stage()
 	live.Lock()
-	rs.st.committed(e.Seq, 1)
+	rs.st.committed(seq, 1)
 	live.Unlock()
 	return nil
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/wire"
@@ -69,7 +68,7 @@ type Feed struct {
 	// below the floor are not fanned out to that subscriber (they are
 	// already inside its catch-up snapshot or preloaded tail).
 	subs map[chan wire.RepRecord]int64
-	err  error // sticky feed failure (a record the hook could not encode or order)
+	err  error // sticky feed failure (a record the hook could not frame or order)
 }
 
 // NewFeed builds a feed over jm and installs it as the journal's
@@ -91,45 +90,42 @@ func NewFeed(jm *journal.Market, ringMax int) (*Feed, error) {
 	return f, nil
 }
 
-// recordFrame encodes one committed record as the replication frame a
-// follower applies.
-func recordFrame(e journal.Event) (wire.RepRecord, error) {
-	cmd, err := journal.CommandFromEvent(e)
-	if err != nil {
-		return wire.RepRecord{}, err
+// recordFrame wraps one journal record as the replication frame a
+// follower applies: the record's payload is already the command's
+// binary encoding — the bytes the commit stage wrote to the segment —
+// so it is copied into the frame as is.
+func recordFrame(r journal.Record) (wire.RepRecord, error) {
+	if r.Head {
+		return wire.RepRecord{}, errors.New("replica: a head record cannot be replicated")
 	}
-	enc, err := command.EncodeBinary(cmd)
-	if err != nil {
-		return wire.RepRecord{}, err
-	}
-	return wire.RepRecord{Seq: e.Seq, Payload: wire.AppendRecordFrame(nil, e.Seq, enc)}, nil
+	return wire.RepRecord{Seq: r.Seq, Payload: wire.AppendRecordFrame(nil, r.Seq, r.Payload)}, nil
 }
 
 // commit is the journal's commit hook: one durably committed record,
-// in strict sequence order. It retains the encoded record frame in the
-// ring and fans it out to subscribers — dropping (closing) any
+// in strict sequence order. It retains the record's replication frame
+// in the ring and fans it out to subscribers — dropping (closing) any
 // subscriber whose channel is full, because a blocked send here would
 // stall the leader's commit stage.
-func (f *Feed) commit(e journal.Event) {
-	rec, err := recordFrame(e)
+func (f *Feed) commit(r journal.Record) {
+	rec, err := recordFrame(r)
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.err != nil {
 		return
 	}
-	if err == nil && e.Seq != f.lastSeq+1 {
-		err = fmt.Errorf("replica: commit hook saw seq %d, want %d", e.Seq, f.lastSeq+1)
+	if err == nil && r.Seq != f.lastSeq+1 {
+		err = fmt.Errorf("replica: commit hook saw seq %d, want %d", r.Seq, f.lastSeq+1)
 	}
 	if err != nil {
-		f.err = fmt.Errorf("replica: feed poisoned at seq %d (%s): %w", e.Seq, e.Op, err)
+		f.err = fmt.Errorf("replica: feed poisoned at seq %d: %w", r.Seq, err)
 		for ch := range f.subs {
 			close(ch)
 			delete(f.subs, ch)
 		}
 		return
 	}
-	f.lastSeq = e.Seq
+	f.lastSeq = r.Seq
 
 	f.ring = append(f.ring, rec)
 	if len(f.ring) >= 2*f.ringMax {
@@ -221,8 +217,8 @@ func (f *Feed) attachLocked(fromSeq int64, snap []byte) (sub wire.Subscription, 
 	case len(f.ring) > 0 && fromSeq+1 >= f.ringBase:
 		pending = f.ring[fromSeq+1-f.ringBase:]
 	case snap != nil && f.store != nil:
-		err = f.store.TailEvents(fromSeq, f.lastSeq, func(e journal.Event) error {
-			rec, err := recordFrame(e)
+		err = f.store.TailRecords(fromSeq, f.lastSeq, func(r journal.Record) error {
+			rec, err := recordFrame(r)
 			pending = append(pending, rec)
 			return err
 		})
@@ -260,7 +256,7 @@ func (f *Feed) LeaderSeq() int64 {
 
 // Healthy returns nil while the feed can serve subscribers, and the
 // sticky poisoning error after a record arrived out of order or could
-// not be encoded.
+// not be framed.
 func (f *Feed) Healthy() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -280,12 +280,7 @@ func (f *Follower) persist(fr wire.RepFrame) {
 	if rs == nil || broken {
 		return
 	}
-	e, err := journal.EventFromCommand(fr.Cmd)
-	if err == nil {
-		e.Seq = fr.Seq
-		err = rs.Append(e)
-	}
-	if err != nil {
+	if err := rs.Append(fr.Seq, fr.Payload); err != nil {
 		f.mu.Lock()
 		if f.persistErr == nil {
 			f.persistErr = fmt.Errorf("replica: local store append seq %d: %w", fr.Seq, err)

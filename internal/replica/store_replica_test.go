@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +11,7 @@ import (
 
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
+	"github.com/datamarket/shield/internal/obs"
 	"github.com/datamarket/shield/internal/wire"
 )
 
@@ -161,5 +164,99 @@ func TestFollowerPersistentColdRestart(t *testing.T) {
 	mustMatchLeader(t, r, f2)
 	if err := f2.PersistErr(); err != nil {
 		t.Fatalf("local persistence failed after restart: %v", err)
+	}
+}
+
+// TestOnePayloadFromStageToFollower: a committed command is encoded
+// once. The payload a feed subscriber receives, the payload in the
+// leader's segment and the payload the follower's local store appended
+// are the same bytes for every record — registrations, bids, a batch
+// with a rejected entry, ticks, traced and untraced alike.
+func TestOnePayloadFromStageToFollower(t *testing.T) {
+	keepAll := journal.StoreConfig{SegmentRecords: 16, CheckpointEvery: -1, RetainSegments: -1}
+	jm, _, err := journal.OpenStore(testConfig(), t.TempDir(), keepAll, journal.WithGroupCommit(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jm.Close()
+	for _, err := range []error{jm.RegisterSeller("s1"), jm.UploadDataset("s1", "d1"), jm.RegisterBuyer("b0")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed, err := NewFeed(jm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &leaderRig{jm: jm, feed: feed,
+		ws: wire.NewServer(jm).WithReplication(feed).WithHeartbeatInterval(10 * time.Millisecond)}
+	sub, err := feed.Subscribe(feed.LeaderSeq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	f, err := Start(Config{Dial: r.dial, Dir: t.TempDir(), Store: keepAll,
+		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitConverged(t, f, feed, 5*time.Second)
+	first := feed.LeaderSeq() + 1
+
+	appendChurn(t, r, "p", 20)
+	r.churn(t, 30)
+	traced := obs.WithRequestID(context.Background(), "req-payload-test")
+	if _, err := jm.SubmitBidCtx(traced, "p-1", "d1", 64); err != nil {
+		t.Fatal(err)
+	}
+	res := jm.SubmitBids([]market.BidRequest{
+		{Buyer: "p-2", Dataset: "d1", Amount: 33},
+		{Buyer: "nobody", Dataset: "d1", Amount: 33},
+		{Buyer: "p-3", Dataset: "d1", Amount: 71},
+	})
+	if res[0].Err != nil || res[1].Err == nil || res[2].Err != nil {
+		t.Fatalf("batch: %+v", res)
+	}
+	last := feed.LeaderSeq()
+	waitConverged(t, f, feed, 5*time.Second)
+	if err := f.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+
+	sawTrace := false
+	segmentPayloads := func(st *journal.Store) map[int64][]byte {
+		t.Helper()
+		out := make(map[int64][]byte)
+		if err := st.TailRecords(first-1, last, func(rec journal.Record) error {
+			out[rec.Seq] = append([]byte(nil), rec.Payload...)
+			sawTrace = sawTrace || rec.Trace == "req-payload-test"
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	leader := segmentPayloads(jm.Store())
+	if !sawTrace {
+		t.Fatal("the traced bid's record does not carry its request ID")
+	}
+	follower := segmentPayloads(f.LocalStore().Store())
+	for seq := first; seq <= last; seq++ {
+		rec := <-sub.Records
+		fr, err := wire.DecodeReplicationFrame(rec.Payload, seq-1)
+		if err != nil {
+			t.Fatalf("subscriber frame %d: %v", seq, err)
+		}
+		want, ok := leader[seq]
+		if !ok || len(want) == 0 {
+			t.Fatalf("leader segments hold no record %d", seq)
+		}
+		if !bytes.Equal(fr.Payload, want) {
+			t.Fatalf("seq %d: feed payload %x, leader segment payload %x", seq, fr.Payload, want)
+		}
+		if !bytes.Equal(follower[seq], want) {
+			t.Fatalf("seq %d: follower segment payload %x, leader segment payload %x", seq, follower[seq], want)
+		}
 	}
 }

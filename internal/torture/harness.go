@@ -16,6 +16,7 @@ package torture
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -173,7 +174,7 @@ type Report struct {
 type Failure struct {
 	Seed    uint64
 	Ops     int
-	Hot     bool // a RunHot failure: the repro line carries -hot
+	Mode    string // "hot" or "bitrot" for a RunHot or RunBitrot failure: the repro line carries the flag
 	OpIndex int
 	OpDesc  string
 	Reason  string
@@ -182,8 +183,8 @@ type Failure struct {
 // Error implements error.
 func (f *Failure) Error() string {
 	mode := ""
-	if f.Hot {
-		mode = " -hot"
+	if f.Mode != "" {
+		mode = " -" + f.Mode
 	}
 	return fmt.Sprintf("torture failure at op %d (%s): %s\nrepro: shieldstorm%s -seed %d -ops %d",
 		f.OpIndex, f.OpDesc, f.Reason, mode, f.Seed, f.Ops)
@@ -686,6 +687,24 @@ func (h *harness) checkpoint(opIdx int) *Failure {
 	return nil
 }
 
+// journalTail returns a journal's bytes past its first record, the
+// config-bearing genesis head.
+func journalTail(log []byte) ([]byte, error) {
+	stop := errors.New("stop")
+	head := -1
+	_, _, err := journal.ScanRecords(bytes.NewReader(log), 1, func(rec journal.Record) error {
+		head = rec.Size
+		return stop
+	})
+	if err != stop {
+		if err == nil {
+			err = errors.New("no genesis record")
+		}
+		return nil, err
+	}
+	return log[head:], nil
+}
+
 // finalChecks verifies journal equivalence: the journal tails (everything
 // after the config-bearing genesis record) must be byte-identical across
 // replicas, and replaying any journal must rebuild the exact live
@@ -700,11 +719,10 @@ func (h *harness) finalChecks() *Failure {
 			continue
 		}
 		b := r.buf.Bytes()
-		idx := bytes.IndexByte(b, '\n')
-		if idx < 0 {
-			return h.fail(h.cfg.Ops-1, op, "replica %s journal has no genesis record", r.name)
+		t, err := journalTail(b)
+		if err != nil {
+			return h.fail(h.cfg.Ops-1, op, "replica %s journal: %v", r.name, err)
 		}
-		t := b[idx+1:]
 		if i == 0 {
 			tail = t
 		} else if !bytes.Equal(tail, t) {

@@ -159,7 +159,7 @@ type hotStorm struct {
 
 func (h *hotStorm) fail(opIdx int, format string, args ...any) *Failure {
 	return &Failure{
-		Seed: h.cfg.Seed, Ops: h.cfg.Ops, Hot: true,
+		Seed: h.cfg.Seed, Ops: h.cfg.Ops, Mode: "hot",
 		OpIndex: opIdx, OpDesc: fmt.Sprintf("%d goroutines", hotGoroutines),
 		Reason: fmt.Sprintf(format, args...),
 	}

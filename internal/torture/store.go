@@ -155,11 +155,11 @@ func (h *harness) storeFinalChecks(flatTail []byte) *Failure {
 		}
 		// The first record is the genesis head, which carries the config
 		// exactly like a flat journal's.
-		idx := bytes.IndexByte(body, '\n')
-		if idx < 0 {
-			return h.fail(h.cfg.Ops-1, op, "store twin has no genesis record")
+		tail, err := journalTail(body)
+		if err != nil {
+			return h.fail(h.cfg.Ops-1, op, "store twin body: %v", err)
 		}
-		if !bytes.Equal(body[idx+1:], flatTail) {
+		if !bytes.Equal(tail, flatTail) {
 			return h.fail(h.cfg.Ops-1, op, "store twin segment bodies diverge from %s journal tail",
 				h.replicas[0].name)
 		}

@@ -86,12 +86,16 @@ type RepRecord struct {
 }
 
 // RepFrame is one decoded replication stream frame. For records, Seq
-// is the record's journal sequence number and Cmd its command; for
-// heartbeats, Seq is the leader's current sequence number and Cmd nil.
+// is the record's journal sequence number, Cmd its command and Payload
+// the command's command.EncodeBinary bytes as received (they alias the
+// frame buffer: a ReplicationStream reuses it on the next call to
+// Next); for heartbeats, Seq is the leader's current sequence number
+// and Cmd and Payload are nil.
 type RepFrame struct {
 	Heartbeat bool
 	Seq       int64
 	Cmd       command.Command
+	Payload   []byte
 }
 
 // Subscription is an attached replication consumer. Snapshot (nil in
@@ -151,14 +155,15 @@ func DecodeReplicationFrame(payload []byte, lastSeq int64) (RepFrame, error) {
 		if seq > math.MaxInt64 {
 			return RepFrame{}, fmt.Errorf("%w: sequence number overflows int64", ErrReplicaPayload)
 		}
-		cmd, err := command.DecodeBinary(r.rest())
+		body := r.rest()
+		cmd, err := command.DecodeBinary(body)
 		if err != nil {
 			return RepFrame{}, fmt.Errorf("%w: record %d: %v", ErrReplicaPayload, seq, err)
 		}
 		if int64(seq) != lastSeq+1 {
 			return RepFrame{}, fmt.Errorf("%w: got record seq %d, want %d", ErrReplicaSeq, seq, lastSeq+1)
 		}
-		return RepFrame{Seq: int64(seq), Cmd: cmd}, nil
+		return RepFrame{Seq: int64(seq), Cmd: cmd, Payload: body}, nil
 	case t == repHeartbeat:
 		seq := r.uvarint()
 		if r.err != nil || !r.done() {
