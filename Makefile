@@ -43,7 +43,10 @@ test:
 # corpus-growing sessions use `go test -fuzz <target> -fuzztime 10m` by
 # hand. Go allows one -fuzz target per invocation, hence the loop. The
 # journal fuzzer's seed corpus holds JSON-line logs, v3 frame logs, mixed
-# line+frame logs, flipped checksums and giant lengths.
+# line+frame logs, flipped checksums and giant lengths. The snapshot
+# fuzzer's seeds are whole market snapshots, kilobytes each, so its
+# minimizer is capped: left alone it spends the whole smoke shrinking the
+# first interesting input.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzReadNeverPanics$$' -fuzztime $(FUZZ_TIME) ./internal/journal/
@@ -53,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzEpochPricerNeverPanics$$' -fuzztime $(FUZZ_TIME) ./internal/auction/
 	$(GO) test -run xxx -fuzz '^FuzzBidBatchDecode$$' -fuzztime $(FUZZ_TIME) ./internal/httpapi/
 	$(GO) test -run xxx -fuzz '^FuzzCommandDecode$$' -fuzztime $(FUZZ_TIME) ./internal/command/
+	$(GO) test -run xxx -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 10x ./internal/command/
 	$(GO) test -run xxx -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzReplicateDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 
@@ -90,11 +94,12 @@ torture-long:
 # and two seeded crash-cut recovery drills, all under a disk ceiling —
 # then the load rig's -compact-every scenario, where checkpointing and
 # compaction run against live load and the bid tail must hold the SLO.
-# First, upgrade-in-place: a copy of the frozen store a version-2 build
-# wrote (JSON-line segments, trailer-less checkpoint) must open, append
-# frames, rotate, checkpoint and recover byte-identically.
+# First, upgrade-in-place: copies of the frozen stores a version-2 build
+# (JSON-line segments, trailer-less checkpoint) and a version-3 build
+# (frames, JSON checkpoint) wrote must open, append frames, rotate,
+# checkpoint in binary and recover byte-identically.
 segment-smoke:
-	$(GO) test -count=1 -run '^TestV2StoreUpgradesInPlace$$' ./internal/journal/
+	$(GO) test -count=1 -run '^TestV[23]StoreUpgradesInPlace$$' ./internal/journal/
 	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -ops 20000 \
 		-store -segment-records 512 -checkpoint-every 2000 -disk-ceiling-mb 64
 	$(GO) run ./cmd/shieldload -transport both -clients 512 -rate 1500 \

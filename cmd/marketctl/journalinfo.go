@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"github.com/datamarket/shield/internal/journal"
+	"github.com/datamarket/shield/internal/market"
 )
 
 // journalInfo prints a segmented journal directory's inventory: one
@@ -36,7 +37,7 @@ func journalInfo(dir string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  checkpoints (%d):\n", len(inv.Checkpoints))
 	for _, c := range inv.Checkpoints {
-		fmt.Fprintf(out, "    %s  seq %d, %d bytes\n", c.Name, c.Seq, c.Bytes)
+		fmt.Fprintf(out, "    %s  seq %d, %d bytes (%s)\n", c.Name, c.Seq, c.Bytes, c.Encoding)
 	}
 	tail := inv.LastSeq - inv.LastCheckpoint
 	if tail < 0 {
@@ -49,17 +50,25 @@ func journalInfo(dir string, out io.Writer) error {
 
 // journalDump prints every record of every segment in dir as its JSON
 // Event view, one per line under a line naming the segment — what `cat`
-// showed when records were JSON lines. It stops at the first damaged
-// record with the error that names it.
+// showed when records were JSON lines — then every checkpoint's snapshot
+// as one JSON line, binary checkpoints included. It stops at the first
+// damaged record or checkpoint with the error that names it.
 func journalDump(dir string, out io.Writer) error {
 	enc := json.NewEncoder(out)
 	current := ""
-	return journal.ScanDir(dir, func(segment string, e journal.Event) error {
+	err := journal.ScanDir(dir, func(segment string, e journal.Event) error {
 		if segment != current {
 			current = segment
 			fmt.Fprintf(out, "# %s\n", segment)
 		}
 		return enc.Encode(e)
+	})
+	if err != nil {
+		return err
+	}
+	return journal.ScanCheckpoints(dir, func(c journal.CheckpointInfo, snap market.Snapshot) error {
+		fmt.Fprintf(out, "# %s (%s, %d bytes)\n", c.Name, c.Encoding, c.Bytes)
+		return enc.Encode(snap)
 	})
 }
 

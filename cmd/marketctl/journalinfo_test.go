@@ -66,6 +66,17 @@ func TestJournalInfoCLI(t *testing.T) {
 		t.Fatalf("journal-info checkpoint %d missing:\n%s", inv.LastCheckpoint, out)
 	}
 
+	// Every checkpoint line names its encoding and size: binary from this
+	// build, JSON in the frozen store a version-3 build left.
+	for _, c := range inv.Checkpoints {
+		if want := fmt.Sprintf("%s  seq %d, %d bytes (binary)", c.Name, c.Seq, c.Bytes); c.Bytes == 0 || !strings.Contains(out, want) {
+			t.Fatalf("journal-info output missing %q:\n%s", want, out)
+		}
+	}
+	if out := runCmd(t, &client{}, "journal-info", "../../internal/journal/testdata/v3store"); !strings.Contains(out, "bytes (json)") {
+		t.Fatalf("journal-info on the v3 fixture does not call its checkpoint JSON:\n%s", out)
+	}
+
 	// A missing directory is a plain error, not a panic.
 	if err := run(&client{}, []string{"journal-info", dir + "-nope"}, &strings.Builder{}); err == nil {
 		t.Fatal("journal-info on a missing directory succeeded")
@@ -79,10 +90,24 @@ func TestJournalDumpCLI(t *testing.T) {
 	dir := buildStore(t)
 	out := runCmd(t, &client{}, "journal-info", "-dump", dir)
 	var seqs []int64
-	segments := 0
+	segments, checkpoints := 0, 0
+	inCheckpoint := false
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if strings.HasPrefix(line, "# ") {
-			segments++
+			if inCheckpoint = strings.Contains(line, ".ckpt (binary, "); inCheckpoint {
+				checkpoints++
+			} else {
+				segments++
+			}
+			continue
+		}
+		if inCheckpoint {
+			// A binary checkpoint's snapshot, rendered as JSON: the store
+			// registers one buyer per record after the genesis.
+			var snap market.Snapshot
+			if err := json.Unmarshal([]byte(line), &snap); err != nil || len(snap.Buyers) == 0 || len(snap.Engines) != 0 {
+				t.Fatalf("dumped checkpoint %.80q is not the snapshot as JSON: %v", line, err)
+			}
 			continue
 		}
 		var e journal.Event
@@ -99,6 +124,9 @@ func TestJournalDumpCLI(t *testing.T) {
 	}
 	if segments != 4 || len(seqs) != 31 || seqs[0] != 1 || seqs[30] != 31 {
 		t.Fatalf("dump shows %d segments and seqs %v, want 4 segments and 1..31", segments, seqs)
+	}
+	if inv, err := journal.InspectDir(dir); err != nil || checkpoints == 0 || checkpoints != len(inv.Checkpoints) {
+		t.Fatalf("dump shows %d checkpoints, the store holds %+v (%v)", checkpoints, inv, err)
 	}
 }
 
@@ -143,5 +171,30 @@ func TestJournalVerifyCLI(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("journal-verify error %q does not mention %q", err, want)
 		}
+	}
+
+	// A binary checkpoint is checksummed too: one flipped bit in the
+	// oldest one, which recovery never opens, fails the verifier with
+	// ErrChecksum naming the file and its seq.
+	dir = buildStore(t)
+	inv, err = journal.InspectDir(dir)
+	if err != nil || len(inv.Checkpoints) < 2 {
+		t.Fatalf("store holds %+v (%v), want at least two checkpoints", inv, err)
+	}
+	ckpt := inv.Checkpoints[0]
+	path = filepath.Join(dir, ckpt.Name)
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := journal.RecoverDir(dir); err != nil {
+		t.Fatalf("recovery reads the older checkpoint after all: %v", err)
+	}
+	err = run(&client{}, []string{"journal-verify", dir}, &strings.Builder{})
+	if !errors.Is(err, journal.ErrChecksum) || !errors.As(err, &ce) || ce.File != ckpt.Name || ce.Seq != ckpt.Seq {
+		t.Fatalf("journal-verify on a rotted binary checkpoint: %v, want ErrChecksum naming %s", err, ckpt.Name)
 	}
 }

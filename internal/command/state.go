@@ -3,7 +3,6 @@ package command
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/provenance"
@@ -104,14 +103,7 @@ func (st *State) Period() int { return st.clock }
 func (st *State) NumDatasets() int { return len(st.engines) }
 
 // DatasetIDs returns the registered dataset IDs, sorted.
-func (st *State) DatasetIDs() []DatasetID {
-	out := make([]DatasetID, 0, len(st.engines))
-	for id := range st.engines {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (st *State) DatasetIDs() []DatasetID { return sortedKeys(st.engines) }
 
 // Stats returns the diagnostic snapshot for a dataset.
 func (st *State) Stats(dataset DatasetID) (DatasetStats, error) {
@@ -175,14 +167,7 @@ func (st *State) BuyerSpend(id BuyerID) (Money, error) {
 }
 
 // BuyerIDs returns the registered buyer IDs, sorted.
-func (st *State) BuyerIDs() []BuyerID {
-	out := make([]BuyerID, 0, len(st.buyers))
-	for id := range st.buyers {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (st *State) BuyerIDs() []BuyerID { return sortedKeys(st.buyers) }
 
 // InspectBuyer calls f with the buyer's live acquisition set, wait
 // table (first period each dataset may be bid on again) and spend, and
@@ -198,14 +183,7 @@ func (st *State) InspectBuyer(id BuyerID, f func(acquired map[DatasetID]bool, bl
 }
 
 // SellerIDs returns the registered seller IDs, sorted.
-func (st *State) SellerIDs() []SellerID {
-	out := make([]SellerID, 0, len(st.sellers))
-	for id := range st.sellers {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (st *State) SellerIDs() []SellerID { return sortedKeys(st.sellers) }
 
 // Owner returns the seller of a base dataset; false for derived and
 // unknown datasets.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/mw"
 	"github.com/datamarket/shield/internal/rng"
 )
@@ -49,6 +50,39 @@ func (e *Engine) Snapshot() Snapshot {
 	copy(s.OrigCandidates, e.origCandidates)
 	copy(s.Epoch, e.epoch)
 	return s
+}
+
+// Binary walks the configuration's fields, in declaration order, for
+// the binary snapshot codec.
+func (c *Config) Binary(bc *binenc.Codec) {
+	bc.Floats(&c.Candidates)
+	binenc.Int(bc, &c.EpochSize)
+	bc.Float(&c.Eta)
+	binenc.Int(bc, &c.Rule)
+	binenc.Int(bc, &c.Wait)
+	binenc.Int(bc, &c.BidsPerPeriod)
+	binenc.Int(bc, &c.MaxWaitEpochs)
+	bc.Float(&c.MinBid)
+	binenc.Int(bc, &c.AdHocNeighborhood)
+	bc.Bool(&c.DisableWaitPeriods)
+	binenc.Int(bc, &c.RegridEvery)
+	bc.Float(&c.ShareFraction)
+	bc.Uint64(&c.Seed)
+}
+
+// Binary walks the snapshot's fields, in declaration order;
+// RestoreSnapshot validates what it decodes.
+func (s *Snapshot) Binary(bc *binenc.Codec) {
+	s.Config.Binary(bc)
+	bc.Floats(&s.OrigCandidates)
+	s.Learner.Binary(bc)
+	s.Rand.Binary(bc)
+	bc.Float(&s.Price)
+	bc.Floats(&s.Epoch)
+	bc.Float(&s.Revenue)
+	binenc.Int(bc, &s.Bids)
+	binenc.Int(bc, &s.Allocations)
+	binenc.Int(bc, &s.Epochs)
 }
 
 // RestoreSnapshot reconstructs an engine from a snapshot.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -349,6 +350,80 @@ func TestV2StoreUpgradesInPlace(t *testing.T) {
 	}
 }
 
+// TestV3StoreUpgradesInPlace: a store written by the last build that
+// checkpointed in JSON (testdata/v3store: v2storeScript again, two frame
+// segments and one trailer-sealed JSON checkpoint after seq 11, written
+// by commit c8fe02c and frozen) opens under this one with no migration
+// step, appends, checkpoints in binary, and recovers to the same bytes
+// from the new checkpoint and — with it gone — from the JSON one.
+func TestV3StoreUpgradesInPlace(t *testing.T) {
+	dir := copyStoreDir(t, "testdata/v3store")
+	ref := market.MustNew(testConfig())
+	v2storeScript(t, ref)
+
+	sc := StoreConfig{SegmentRecords: 12, CheckpointEvery: -1, RetainSegments: -1}
+	jm, replayed, err := OpenStore(market.Config{}, dir, sc)
+	if err != nil {
+		t.Fatalf("opening the v3 store: %v", err)
+	}
+	if jm.LastSeq() != 20 || replayed != 9 {
+		t.Fatalf("v3 store opened at seq %d after replaying %d records, want 20 and 9", jm.LastSeq(), replayed)
+	}
+	if d := jm.Snapshot().Diff(ref.Snapshot()); d != "" {
+		t.Fatalf("v3 store recovered differently from its script: %s", d)
+	}
+	// A follower attaching now is served from the JSON checkpoint, in
+	// the canonical encoding.
+	if catchup, seq, err := jm.Store().CatchupSnapshot(); err != nil || seq != 11 || len(catchup) == 0 || catchup[0] == '{' {
+		t.Fatalf("CatchupSnapshot over a JSON checkpoint = %.20q at seq %d, %v", catchup, seq, err)
+	}
+	for i := 0; i < 6; i++ {
+		cmd := command.RegisterBuyer{Buyer: command.BuyerID(fmt.Sprintf("late-%d", i))}
+		if _, err := jm.Apply(cmd); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if _, err := ref.Apply(cmd); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			if err := jm.Store().Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := canonicalOf(t, "reference", ref.Snapshot())
+
+	inv, err := InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inv.Segments) != 3 || inv.LastSeq != 26 || inv.LastCheckpoint != 24 || len(inv.Checkpoints) != 2 ||
+		inv.Checkpoints[0].Encoding != "json" || inv.Checkpoints[1].Encoding != "binary" {
+		t.Fatalf("upgraded store inventory: %+v", inv)
+	}
+	if err := VerifyDir(dir); err != nil {
+		t.Fatalf("upgraded store does not verify: %v", err)
+	}
+	for _, dropNew := range []bool{false, true} {
+		clone := copyStoreDir(t, dir)
+		if dropNew {
+			if err := os.Remove(filepath.Join(clone, ckptName(24))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, seq, replayed, err := RecoverDir(clone)
+		if err != nil {
+			t.Fatalf("recover (new checkpoint dropped: %v): %v", dropNew, err)
+		}
+		if wantTail := map[bool]int{false: 2, true: 15}[dropNew]; seq != 26 || replayed != wantTail || !bytes.Equal(canonicalOf(t, "recovered", m.Snapshot()), want) {
+			t.Fatalf("recover (new checkpoint dropped: %v): seq %d after %d records, state differs from the reference", dropNew, seq, replayed)
+		}
+	}
+}
+
 // TestFutureVersionsRejectedByName: a seghead or checkpoint claiming a
 // format version outside the closed set this build reads fails with
 // ErrVersion and names the file, rather than being read under guessed
@@ -371,7 +446,7 @@ func TestFutureVersionsRejectedByName(t *testing.T) {
 	for _, tc := range []struct{ file, old, new string }{
 		{segName(1), `"v":2`, `"v":4`},
 		{segName(0), `"v":2`, `"v":1`},
-		{ckptName(11), `"v":2`, `"v":4`},
+		{ckptName(11), `"v":2`, `"v":5`},
 		{ckptName(11), `"v":2`, `"v":0`}, // checkpoints did not exist before version 2
 	} {
 		dir := copyStoreDir(t, "testdata/v2store")
@@ -380,6 +455,17 @@ func TestFutureVersionsRejectedByName(t *testing.T) {
 		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), tc.file) {
 			t.Fatalf("%s with %s: got %v, want ErrVersion naming the file", tc.file, tc.new, err)
 		}
+	}
+	// A binary checkpoint names its own version: one past ckptVersion,
+	// under a checksum that holds, is refused the same way.
+	dir := copyStoreDir(t, "testdata/v2store")
+	future := binary.LittleEndian.AppendUint64([]byte{ckptTag, ckptVersion + 1}, 11)
+	future = binary.LittleEndian.AppendUint32(future, crc32.Checksum(future, castagnoli()))
+	if err := os.WriteFile(filepath.Join(dir, ckptName(11)), future, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := RecoverDir(dir); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), ckptName(11)) {
+		t.Fatalf("binary checkpoint of version %d: got %v, want ErrVersion naming the file", ckptVersion+1, err)
 	}
 	// A seghead may say 0 (a migrated pre-versioning log) or 3.
 	for _, v := range []string{`"v":0`, `"v":3`} {
@@ -391,10 +477,11 @@ func TestFutureVersionsRejectedByName(t *testing.T) {
 	}
 }
 
-// TestCheckpointTrailer: a checkpoint written by this build carries a
-// CRC32C trailer; any single flipped bit in the file — body, trailer or
-// the newlines between — fails recovery with ErrChecksum naming the
-// checkpoint, never with a market.
+// TestCheckpointTrailer: a checkpoint written by this build is the
+// header, Canonical's bytes and a CRC32C over both; the frozen version-3
+// checkpoint is a JSON line and a CRC32C trailer line. In either, any
+// single flipped bit — tag, seq, body, checksum — fails recovery with
+// ErrChecksum naming the checkpoint, never with a market.
 func TestCheckpointTrailer(t *testing.T) {
 	dir := t.TempDir()
 	jm, _, err := OpenStore(testConfig(), dir, StoreConfig{CheckpointEvery: -1, RetainSegments: -1})
@@ -406,34 +493,58 @@ func TestCheckpointTrailer(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := jm.LastSeq()
+	canonical := canonicalOf(t, "live", jm.Snapshot())
+	catchup, catchupSeq, err := jm.Store().CatchupSnapshot()
+	if err != nil || catchupSeq != seq || !bytes.Equal(catchup, canonical) {
+		t.Fatalf("CatchupSnapshot = %d bytes at seq %d, %v; want the live market's %d canonical bytes at %d", len(catchup), catchupSeq, err, len(canonical), seq)
+	}
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	name := ckptName(seq)
-	data, err := os.ReadFile(filepath.Join(dir, name))
+	data, err := os.ReadFile(filepath.Join(dir, ckptName(seq)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trailer := len(data) - ckptTrailerLen
-	if trailer <= 0 || !bytes.HasPrefix(data[trailer:], []byte(ckptTrailer)) || bytes.Count(data, []byte("\n")) != 2 {
-		t.Fatalf("checkpoint is not a body line plus a trailer line: ...%q", data[max(0, trailer-8):])
+	if data[0] != ckptTag || !bytes.Equal(data[ckptHeader:len(data)-4], canonical) {
+		t.Fatal("checkpoint body is not the snapshot's canonical bytes")
 	}
-	if _, err := readCheckpointFile(dir, seq); err != nil {
+
+	v3 := copyStoreDir(t, "testdata/v3store")
+	v3data, err := os.ReadFile(filepath.Join(v3, ckptName(11)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	offsets := []int{0, 7, trailer / 2, trailer - 1, trailer, trailer + 3, trailer + len(ckptTrailer), len(data) - 2, len(data) - 1}
-	for _, off := range offsets {
-		for _, bit := range []byte{0x01, 0x20} {
-			clone := copyStoreDir(t, dir)
-			bad := bytes.Clone(data)
-			bad[off] ^= bit
-			if err := os.WriteFile(filepath.Join(clone, name), bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			m, _, _, err := RecoverDir(clone)
-			var ce *CorruptError
-			if m != nil || !errors.Is(err, ErrChecksum) || !errors.As(err, &ce) || ce.File != name || ce.Seq != seq {
-				t.Fatalf("bit %#x flipped at byte %d of %d: market %v, err %v; want ErrChecksum naming %s", bit, off, len(data), m != nil, err, name)
+	trailer := len(v3data) - ckptTrailerLen
+	if v3data[0] != '{' || !bytes.HasPrefix(v3data[trailer:], []byte(ckptTrailer)) || bytes.Count(v3data, []byte("\n")) != 2 {
+		t.Fatalf("the version-3 fixture is not a body line plus a trailer line: ...%q", v3data[max(0, trailer-8):])
+	}
+
+	for _, tc := range []struct {
+		dir     string
+		seq     int64
+		data    []byte
+		offsets []int
+	}{
+		{dir, seq, data, []int{0, 1, 2, 9, ckptHeader, len(data) / 2, len(data) - 5, len(data) - 4, len(data) - 1}},
+		{v3, 11, v3data, []int{0, 7, trailer / 2, trailer - 1, trailer, trailer + 3, trailer + len(ckptTrailer), len(v3data) - 2, len(v3data) - 1}},
+	} {
+		name := ckptName(tc.seq)
+		if _, err := readCheckpointFile(tc.dir, tc.seq); err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range tc.offsets {
+			for _, bit := range []byte{0x01, 0x20} {
+				clone := copyStoreDir(t, tc.dir)
+				bad := bytes.Clone(tc.data)
+				bad[off] ^= bit
+				if err := os.WriteFile(filepath.Join(clone, name), bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				m, _, _, err := RecoverDir(clone)
+				var ce *CorruptError
+				if m != nil || !errors.Is(err, ErrChecksum) || !errors.As(err, &ce) || ce.File != name || ce.Seq != tc.seq {
+					t.Fatalf("bit %#x flipped at byte %d of %d: market %v, err %v; want ErrChecksum naming %s", bit, off, len(tc.data), m != nil, err, name)
+				}
 			}
 		}
 	}

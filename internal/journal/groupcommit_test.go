@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -285,5 +287,30 @@ func TestGroupCommitFaultFailsWholeGroup(t *testing.T) {
 	// Whatever survived is still a clean prefix.
 	if _, _, _, err := Recover(bytes.NewReader(disk.Bytes())); err != nil {
 		t.Fatalf("failed group left mid-log corruption: %v", err)
+	}
+}
+
+// TestSubmitLoneCallerAllocs: an uncontended append under WithGroupCommit
+// is a group of one — the common case on the serving path — and must not
+// pay for the machinery of a real group: no done channel (nobody waits),
+// and the group and its members array are recycled, not made. What is
+// left is at most one allocation per append.
+func TestSubmitLoneCallerAllocs(t *testing.T) {
+	w := NewWriter(io.Discard, WithGroupCommit(0))
+	if err := w.Genesis(testConfig()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	e := Event{Op: OpBid, Buyer: "buyer-1", Dataset: "dataset", Amount: 42}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := w.AppendCtx(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a lone grouped append allocates %.1f times, want <= 1", allocs)
+	}
+	if w.groups != 501+1 || w.maxGroup != 1 || len(w.free) != 1 {
+		t.Fatalf("%d groups, largest %d, %d on the free list; want 502 groups of one sharing one recycled group", w.groups, w.maxGroup, len(w.free))
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"github.com/datamarket/shield/internal/market"
 )
 
 // SegmentInfo describes one segment file.
@@ -20,11 +22,28 @@ type SegmentInfo struct {
 	Covered bool `json:"covered"`
 }
 
-// CheckpointInfo describes one checkpoint file.
+// CheckpointInfo describes one checkpoint file. Encoding is "binary"
+// (version 4) or "json" (what older builds wrote), told by the first byte.
 type CheckpointInfo struct {
-	Name  string `json:"name"`
-	Seq   int64  `json:"seq"`
-	Bytes int64  `json:"bytes"`
+	Name     string `json:"name"`
+	Seq      int64  `json:"seq"`
+	Bytes    int64  `json:"bytes"`
+	Encoding string `json:"encoding"`
+}
+
+func checkpointInfo(dir string, seq int64) CheckpointInfo {
+	ci := CheckpointInfo{Name: ckptName(seq), Seq: seq, Encoding: "binary"}
+	if f, err := os.Open(filepath.Join(dir, ci.Name)); err == nil {
+		defer f.Close()
+		if fi, err := f.Stat(); err == nil {
+			ci.Bytes = fi.Size()
+		}
+		var first [1]byte
+		if n, _ := f.Read(first[:]); n == 1 && first[0] == '{' {
+			ci.Encoding = "json"
+		}
+	}
+	return ci
 }
 
 // Inventory is a store directory's full accounting.
@@ -76,10 +95,7 @@ func (s *Store) Inventory() Inventory {
 		inv.LastSeq = lastCkpt
 	}
 	for _, seq := range ckpts {
-		ci := CheckpointInfo{Name: ckptName(seq), Seq: seq}
-		if fi, err := os.Stat(filepath.Join(dir, ci.Name)); err == nil {
-			ci.Bytes = fi.Size()
-		}
+		ci := checkpointInfo(dir, seq)
 		inv.Checkpoints = append(inv.Checkpoints, ci)
 		inv.TotalBytes += ci.Bytes
 	}
@@ -133,10 +149,7 @@ func InspectDir(dir string) (*Inventory, error) {
 		inv.LastSeq = inv.LastCheckpoint
 	}
 	for _, seq := range l.ckptSeqs {
-		ci := CheckpointInfo{Name: ckptName(seq), Seq: seq}
-		if fi, err := os.Stat(filepath.Join(dir, ci.Name)); err == nil {
-			ci.Bytes = fi.Size()
-		}
+		ci := checkpointInfo(dir, seq)
 		inv.TotalBytes += ci.Bytes
 		inv.Checkpoints = append(inv.Checkpoints, ci)
 	}
@@ -164,7 +177,8 @@ func (s *Store) DiskBytes() (int64, error) {
 // ones recovery never reads: each segment — sealed and checkpoint-
 // covered ones too — is scanned record by record (checksums, framing,
 // sequence continuity from its seghead; a torn tail only in the final
-// segment), every checkpoint is loaded and its trailer verified, and
+// segment), every checkpoint is loaded, its checksum verified and its
+// snapshot decoded, and
 // finally the chain is recovered read-only, which catches what no
 // single file shows (a missing segment, bases that do not chain). It
 // returns the first damage found — a *CorruptError naming file, seq and
@@ -227,6 +241,26 @@ func ScanDir(dir string, fn func(segment string, e Event) error) error {
 			}
 			return fn(segName(idx), e)
 		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ScanCheckpoints loads, verifies and decodes every checkpoint in dir,
+// oldest first — the other half of `marketctl journal-info -dump`, which
+// prints each snapshot as JSON whatever its encoding on disk.
+func ScanCheckpoints(dir string, fn func(CheckpointInfo, market.Snapshot) error) error {
+	l, err := listStoreDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, seq := range l.ckptSeqs {
+		ck, err := readCheckpointFile(dir, seq)
+		if err == nil {
+			err = fn(checkpointInfo(dir, seq), ck.Snapshot)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -59,6 +59,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/datamarket/shield/internal/command"
@@ -323,9 +324,11 @@ type Writer struct {
 	// strict sequence order — the hook behind the replication feed.
 	commit func(Record)
 	// cur is the forming group concurrent appends pile onto
-	// (WithGroupCommit). groups and maxGroup are diagnostics (tests read
+	// (WithGroupCommit); free holds groups every member is done with, to
+	// be formed again. groups and maxGroup are diagnostics (tests read
 	// them; telemetry exports the histogram).
 	cur      *commitGroup
+	free     []*commitGroup
 	groups   int64
 	maxGroup int
 }
@@ -363,10 +366,14 @@ type member struct {
 // commitGroup is one batch of members bound for a single sink Write
 // (plus one fsync). Members join under the writer mutex; the member that
 // created the group leads the stage. done closes once the group's fate
-// is decided — nil for the group of one a per-record append runs as.
+// is decided; whoever first has to wait for that makes it — a second
+// member, Close — so a leader nobody joined never has one, and neither
+// has the group of one a per-record append runs as. unread counts the
+// members yet to copy their slot out; the last one recycles the group.
 type commitGroup struct {
 	members []member
 	done    chan struct{}
+	unread  atomic.Int32
 }
 
 // NewWriter wraps w. Call Genesis before any other append.
@@ -480,10 +487,16 @@ func (w *Writer) submit(mb member) member {
 	g := w.cur
 	leader := g == nil
 	if leader {
-		g = &commitGroup{done: make(chan struct{})}
+		if n := len(w.free); n > 0 {
+			g, w.free = w.free[n-1], w.free[:n-1]
+		} else {
+			g = new(commitGroup)
+		}
 		w.cur = g
+	} else if g.done == nil {
+		g.done = make(chan struct{})
 	}
-	i := len(g.members)
+	i, done := len(g.members), g.done
 	g.members = append(g.members, mb)
 	w.mu.Unlock()
 
@@ -492,24 +505,32 @@ func (w *Writer) submit(mb member) member {
 		// A follower's queue wait runs from enqueue to the group's fate:
 		// the leader applying the members ahead of it, the write, the
 		// sync. It is the price of riding someone else's fsync.
-		<-g.done
+		<-done
 		wait := time.Since(waitStart)
 		obs.TraceFrom(mb.ctx).AddSpan("group_commit.queue_wait", waitStart, wait)
 		if w.tel != nil {
 			w.tel.stQueueWait.ObserveTrace(wait.Seconds(), obs.ExemplarID(mb.ctx))
 		}
-		return g.members[i]
+	} else {
+		// Leader: give followers the commit window to pile on, then run
+		// the stage. The sleep happens before taking stageMu, so it
+		// overlaps the previous group's stage instead of adding to it, and
+		// w.cur stays open until this leader holds stageMu — the next
+		// group forms while the previous one applies, writes and syncs.
+		if w.groupWindow > 0 {
+			time.Sleep(w.groupWindow)
+		}
+		w.stage(g, waitStart)
 	}
-	// Leader: give followers the commit window to pile on, then run the
-	// stage. The sleep happens before taking stageMu, so it overlaps the
-	// previous group's stage instead of adding to it, and w.cur stays
-	// open until this leader holds stageMu — the next group forms while
-	// the previous one applies, writes and syncs.
-	if w.groupWindow > 0 {
-		time.Sleep(w.groupWindow)
+	mb = g.members[i]
+	if g.unread.Add(-1) == 0 {
+		clear(g.members) // drop what the members referenced
+		g.members, g.done = g.members[:0], nil
+		w.mu.Lock()
+		w.free = append(w.free, g)
+		w.mu.Unlock()
 	}
-	w.stage(g, waitStart)
-	return g.members[0]
+	return mb
 }
 
 // solo runs one member as a group of its own.
@@ -520,17 +541,19 @@ func (w *Writer) solo(mb member) member {
 }
 
 // stage is the commit stage; see Writer. waitStart is when a group's
-// leader began waiting (window start): everything up to the stageMu
+// leader began waiting (window start) — the zero time for the group of
+// one a per-record append runs as: everything up to the stageMu
 // acquisition is charged to group_commit.queue_wait.
 func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 	w.stageMu.Lock()
 	defer w.stageMu.Unlock()
 	wait := time.Since(waitStart)
+	grouped := !waitStart.IsZero()
 	w.mu.Lock()
 	if w.cur == g {
 		w.cur = nil // no further members may join
 	}
-	if w.closed && g.done == nil {
+	if w.closed && !grouped {
 		// Close overtook a per-record caller between its closed check and
 		// here (a pending group it drains instead): nothing may run.
 		w.mu.Unlock()
@@ -540,8 +563,12 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 	err, seq, commit := w.err, w.seq, w.commit
 	w.mu.Unlock()
 	ctx := g.members[0].ctx // the stage's spans land on the leader's trace
-	if g.done != nil {
-		defer close(g.done)
+	if grouped {
+		// Membership is final: nobody else makes done or joins members.
+		g.unread.Store(int32(len(g.members)))
+		if g.done != nil {
+			defer close(g.done)
+		}
 		obs.TraceFrom(ctx).AddSpan("group_commit.queue_wait", waitStart, wait)
 		if w.tel != nil {
 			w.tel.leaderWait.Observe(wait.Seconds())
@@ -791,10 +818,16 @@ func (w *Writer) Close() error {
 		return err
 	}
 	w.closed = true
-	g := w.cur
+	var pending chan struct{}
+	if g := w.cur; g != nil {
+		if g.done == nil {
+			g.done = make(chan struct{})
+		}
+		pending = g.done
+	}
 	w.mu.Unlock()
-	if g != nil {
-		<-g.done // the group's leader is mid-window or mid-stage; let it finish
+	if pending != nil {
+		<-pending // the group's leader is mid-window or mid-stage; let it finish
 	}
 	w.stageMu.Lock()
 	defer w.stageMu.Unlock()

@@ -22,8 +22,14 @@
 // chain segments and skip sealed ones without scanning them. A segment
 // begun by a version-2 build holds JSON-line records after its seghead
 // and, once this build appends to it, frames after those. A checkpoint
-// is the snapshot as one JSON line followed by a CRC32C trailer line
-// over it.
+// is
+//
+//	tag(1) | version(1) | seq u64 | snapshot | crc32c u32
+//
+// little-endian, the snapshot being market.Snapshot.Canonical's bytes and
+// the CRC32C covering every byte before it. Checkpoints written before
+// version 4 are one JSON line (version 3: plus a CRC32C trailer line)
+// and are still read; the first byte tells the two apart.
 //
 // # Rotation and durability
 //
@@ -66,16 +72,18 @@ package journal
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
-	"time"
 
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -143,8 +151,8 @@ type segHead struct {
 	Index int64  `json:"index"`
 }
 
-// checkpointFile is the on-disk checkpoint format: the full market
-// state as of Seq, written atomically (temp+rename+dir-fsync).
+// checkpointFile is a decoded checkpoint: the full market state as of
+// Seq. The JSON tags are the version-2 and version-3 file format.
 type checkpointFile struct {
 	V        int             `json:"v"`
 	Seq      int64           `json:"seq"`
@@ -190,7 +198,7 @@ type Store struct {
 	lastCkpt   int64   // newest durable checkpoint seq, 0 = none
 	ckpts      []int64 // durable checkpoint seqs, ascending
 	sinceCkpt  int64
-	ckptBusy   bool
+	ckptDone   chan struct{} // non-nil while a checkpoint is being cut; closed when it lands or fails
 
 	wg sync.WaitGroup // in-flight checkpoint writes
 }
@@ -225,32 +233,32 @@ func (s *Store) LastCheckpoint() int64 {
 // background checkpoint is waited out first; a checkpoint that is
 // already current is a no-op.
 func (s *Store) Checkpoint() error {
-	for {
-		s.mu.Lock()
-		if s.err != nil {
-			defer s.mu.Unlock()
-			return s.err
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		if !s.ckptBusy {
-			break // mu still held
-		}
+	s.mu.Lock()
+	for s.err == nil && !s.closed && s.ckptDone != nil {
+		done := s.ckptDone
 		s.mu.Unlock()
-		time.Sleep(time.Millisecond)
+		<-done
+		s.mu.Lock()
+	}
+	if s.err != nil {
+		defer s.mu.Unlock()
+		return s.err
+	}
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
 	}
 	if s.live == nil || s.appliedSeq == 0 || s.lastCkpt == s.appliedSeq {
 		s.mu.Unlock()
 		return nil
 	}
-	s.ckptBusy = true
+	s.ckptDone = make(chan struct{})
 	s.mu.Unlock()
 	snap, seq, err := s.committedSnapshot()
 	if err != nil {
 		s.mu.Lock()
-		s.ckptBusy = false
+		close(s.ckptDone)
+		s.ckptDone = nil
 		s.mu.Unlock()
 		return err
 	}
@@ -409,7 +417,7 @@ func (s *Store) committed(lastSeq int64, records int) {
 	s.sinceCkpt += int64(records)
 	due := s.shouldCheckpointLocked()
 	if due {
-		s.ckptBusy = true
+		s.ckptDone = make(chan struct{})
 		s.sinceCkpt = 0
 	}
 	live := s.live
@@ -421,7 +429,7 @@ func (s *Store) committed(lastSeq int64, records int) {
 }
 
 func (s *Store) shouldCheckpointLocked() bool {
-	return !s.ckptBusy && s.err == nil && !s.closed &&
+	return s.ckptDone == nil && s.err == nil && !s.closed &&
 		s.sc.CheckpointEvery > 0 && s.sinceCkpt >= s.sc.CheckpointEvery &&
 		s.live != nil
 }
@@ -431,9 +439,10 @@ func (s *Store) shouldCheckpointLocked() bool {
 // the snapshot extraction happened on the commit path.
 func (s *Store) checkpoint(snap market.Snapshot, seq int64) {
 	defer s.wg.Done()
-	err := writeCheckpointFile(s.dir, seq, snap)
+	err := writeCheckpointFile(s.dir, seq, snap.WriteCanonical)
 	s.mu.Lock()
-	s.ckptBusy = false
+	close(s.ckptDone)
+	s.ckptDone = nil
 	if err != nil {
 		if s.err == nil {
 			s.err = fmt.Errorf("journal: checkpoint at seq %d: %w", seq, err)
@@ -447,8 +456,16 @@ func (s *Store) checkpoint(snap market.Snapshot, seq int64) {
 	s.compactOnce()
 }
 
-// ckptTrailer is the last line of a checkpoint file: the CRC32C of every
-// byte before it, as eight hex digits.
+// The version-4 checkpoint header; see "Layout" above. ckptVersion is the
+// checkpoint's own format version: 2 and 3 were JSON.
+const (
+	ckptTag     = 0xC4
+	ckptVersion = 4
+	ckptHeader  = 1 + 1 + 8
+)
+
+// ckptTrailer is the last line of a version-3 checkpoint file: the CRC32C
+// of every byte before it, as eight hex digits.
 const (
 	ckptTrailer    = "#crc32c "
 	ckptTrailerLen = len(ckptTrailer) + 8 + 1
@@ -456,18 +473,24 @@ const (
 
 // writeCheckpointFile lands dir/<seq>.ckpt atomically: build in a
 // temporary sibling, fsync it, rename into place, fsync the directory.
-func writeCheckpointFile(dir string, seq int64, snap market.Snapshot) error {
-	data, err := json.Marshal(checkpointFile{V: FormatVersion, Seq: seq, Snapshot: snap})
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	data = fmt.Appendf(data, "%s%08x\n", ckptTrailer, crc32.Checksum(data, castagnoli()))
+// snapshot writes the snapshot's canonical bytes — streamed from a
+// market.Snapshot, or the very bytes a leader sent — and the checksum is
+// kept as they pass, so the checkpoint is never held whole.
+func writeCheckpointFile(dir string, seq int64, snapshot func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(dir, "ckpt-*"+tmpSuffix)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err == nil {
+	crc := crc32.New(castagnoli())
+	w := io.MultiWriter(tmp, crc)
+	_, err = w.Write(binary.LittleEndian.AppendUint64([]byte{ckptTag, ckptVersion}, uint64(seq)))
+	if err == nil {
+		err = snapshot(w)
+	}
+	if err == nil {
+		_, err = tmp.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	}
+	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -612,10 +635,11 @@ func (s *Store) TailRecords(afterSeq, uptoSeq int64, fn func(Record) error) erro
 }
 
 // CatchupSnapshot returns the newest durable checkpoint as canonical
-// snapshot bytes with the seq they capture, for replication catch-up:
-// no live-state re-encoding, no commit-path stall. A store younger than
-// its first checkpoint returns nil bytes; the caller snapshots the live
-// market instead.
+// snapshot bytes with the seq they capture, for replication catch-up: the
+// checksum-verified file body as it sits on disk — no decode, no
+// re-encode, no commit-path stall. A store younger than its first
+// checkpoint returns nil bytes; the caller snapshots the live market
+// instead.
 func (s *Store) CatchupSnapshot() ([]byte, int64, error) {
 	s.mu.Lock()
 	seq := s.lastCkpt
@@ -623,53 +647,86 @@ func (s *Store) CatchupSnapshot() ([]byte, int64, error) {
 	if seq == 0 {
 		return nil, 0, nil
 	}
-	ck, err := readCheckpointFile(s.dir, seq)
-	if err != nil {
-		return nil, 0, err
+	body, legacy, err := readCheckpointBody(s.dir, seq)
+	if legacy != nil { // a JSON checkpoint an older build left
+		body, err = legacy.Snapshot.Canonical()
 	}
-	data, err := ck.Snapshot.Canonical()
-	return data, ck.Seq, err
+	return body, seq, err
 }
 
-// readCheckpointFile loads and verifies dir/<seq>.ckpt. A version-3
-// checkpoint ends in a CRC32C trailer line and fails with ErrChecksum
-// when the trailer is damaged or does not match; a version-2 checkpoint
-// has none and is accepted as it is.
+// readCheckpointFile loads, verifies and decodes dir/<seq>.ckpt.
 func readCheckpointFile(dir string, seq int64) (*checkpointFile, error) {
+	body, ck, err := readCheckpointBody(dir, seq)
+	if err != nil || ck != nil {
+		return ck, err
+	}
+	snap, err := command.DecodeSnapshot(body)
+	if err != nil {
+		return nil, &CorruptError{File: ckptName(seq), Seq: seq, Err: ErrStoreCorrupt, Detail: fmt.Sprintf("checkpoint does not decode: %v", err)}
+	}
+	return &checkpointFile{Seq: seq, Snapshot: snap}, nil
+}
+
+// readCheckpointBody loads and verifies dir/<seq>.ckpt and returns the
+// snapshot it holds: still encoded (body) from a version-4 checkpoint,
+// decoded (legacy) from a JSON one. A version-4 checkpoint's CRC32C is
+// checked before anything else is believed, so any damaged bit is
+// ErrChecksum; a version-3 checkpoint fails the same way when its
+// trailer line is damaged or does not match; a version-2 checkpoint has
+// no checksum and is accepted as it is.
+func readCheckpointBody(dir string, seq int64) (body []byte, legacy *checkpointFile, err error) {
 	name := ckptName(seq)
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	corrupt := func(sentinel error, format string, args ...any) error {
 		return &CorruptError{File: name, Seq: seq, Err: sentinel, Detail: fmt.Sprintf(format, args...)}
 	}
-	body := data
+	if len(data) == 0 || data[0] != '{' {
+		end := len(data) - 4
+		if end < ckptHeader {
+			return nil, nil, corrupt(ErrChecksum, "%d bytes cannot hold a checkpoint", len(data))
+		}
+		if got, want := crc32.Checksum(data[:end], castagnoli()), binary.LittleEndian.Uint32(data[end:]); got != want && !skipChecksum.Load() {
+			return nil, nil, corrupt(ErrChecksum, "stored %08x, computed %08x", want, got)
+		}
+		switch {
+		case data[0] != ckptTag:
+			return nil, nil, corrupt(ErrStoreCorrupt, "not a checkpoint: opens with %#02x", data[0])
+		case data[1] != ckptVersion:
+			return nil, nil, fmt.Errorf("%w: checkpoint %s has version %d", ErrVersion, name, data[1])
+		case binary.LittleEndian.Uint64(data[2:]) != uint64(seq):
+			return nil, nil, corrupt(ErrStoreCorrupt, "checkpoint records seq %d", binary.LittleEndian.Uint64(data[2:]))
+		}
+		return data[ckptHeader:end], nil, nil
+	}
+	body = data
 	trailer := len(data) - ckptTrailerLen
 	sealed := trailer > 0 && string(data[trailer:trailer+len(ckptTrailer)]) == ckptTrailer && data[len(data)-1] == '\n'
 	if sealed {
 		body = data[:trailer]
 		want, perr := strconv.ParseUint(string(data[trailer+len(ckptTrailer):len(data)-1]), 16, 32)
 		if got := crc32.Checksum(body, castagnoli()); (perr != nil || uint32(want) != got) && !skipChecksum.Load() {
-			return nil, corrupt(ErrChecksum, "trailer %q, computed %08x", data[trailer:len(data)-1], got)
+			return nil, nil, corrupt(ErrChecksum, "trailer %q, computed %08x", data[trailer:len(data)-1], got)
 		}
 	} else if i := bytes.IndexByte(data, '\n'); i >= 0 {
 		body = data[:i+1] // a version-2 checkpoint, or a trailer too damaged to recognize
 	}
 	var ck checkpointFile
 	if err := json.Unmarshal(body, &ck); err != nil {
-		return nil, corrupt(ErrStoreCorrupt, "checkpoint does not decode: %v", err)
+		return nil, nil, corrupt(ErrStoreCorrupt, "checkpoint does not decode: %v", err)
 	}
 	if ck.V != 2 && ck.V != 3 {
-		return nil, fmt.Errorf("%w: checkpoint %s has version %d", ErrVersion, name, ck.V)
+		return nil, nil, fmt.Errorf("%w: checkpoint %s has version %d", ErrVersion, name, ck.V)
 	}
 	if !sealed && ck.V == 3 {
-		return nil, corrupt(ErrChecksum, "checksum trailer missing or damaged")
+		return nil, nil, corrupt(ErrChecksum, "checksum trailer missing or damaged")
 	}
 	if ck.Seq != seq {
-		return nil, corrupt(ErrStoreCorrupt, "checkpoint records seq %d", ck.Seq)
+		return nil, nil, corrupt(ErrStoreCorrupt, "checkpoint records seq %d", ck.Seq)
 	}
-	return &ck, nil
+	return nil, &ck, nil
 }
 
 // scanSegment streams one segment's records (seghead skipped) through

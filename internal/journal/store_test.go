@@ -473,7 +473,7 @@ func TestReplicaStoreRoundTrip(t *testing.T) {
 	if m0 != nil || applied != 0 {
 		t.Fatalf("empty replica store returned market=%v applied=%d", m0, applied)
 	}
-	m, err := rs.Reset(snap, 10)
+	m, err := rs.Reset(canonicalOf(t, "leader", snap), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,6 +675,43 @@ func TestStoreNoCheckpoints(t *testing.T) {
 	}
 }
 
+// TestStoreCheckpointWaitsOutBackgroundWrite: a synchronous Checkpoint
+// issued while the cadence's background write is in flight waits for
+// that write itself — no polling — and returns with a checkpoint at the
+// newest committed seq, records appended meanwhile included.
+func TestStoreCheckpointWaitsOutBackgroundWrite(t *testing.T) {
+	sc := smallStoreConfig()
+	sc.CheckpointEvery = 8
+	jm, _, err := OpenStore(testConfig(), t.TempDir(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jm.Close()
+	st := jm.Store()
+	overlapped := 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 11; i++ { // crosses the cadence once, then three more records
+			if err := jm.RegisterBuyer(market.BuyerID(fmt.Sprintf("b%d-%d", round, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.mu.Lock()
+		if st.ckptDone != nil {
+			overlapped++
+		}
+		st.mu.Unlock()
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := st.LastCheckpoint(), jm.LastSeq(); got != want {
+			t.Fatalf("round %d: Checkpoint returned with the newest checkpoint at seq %d, committed seq %d", round, got, want)
+		}
+	}
+	if overlapped == 0 {
+		t.Skip("no background checkpoint was ever still in flight; nothing was waited out")
+	}
+}
+
 // TestStoreCheckpointIdentity pins what a checkpoint is cut from: after
 // a mixed single-writer run, the snapshot Store.Checkpoint takes of the
 // serving market is byte-identical to the live market's, to what
@@ -798,4 +835,48 @@ func TestStorePoisonedNeverCheckpoints(t *testing.T) {
 	if !bytes.Equal(durable, canonicalOf(t, "recovered", m.Snapshot())) {
 		t.Fatal("recovery after a poisoned shutdown differs from the last durable state")
 	}
+}
+
+// TestCheckpointAllocsAreFlat: writing a checkpoint streams the snapshot
+// through one buffer, so what it allocates does not grow with the books:
+// a 4 096-buyer market costs at most twice what a 64-buyer one does
+// (JSON cost several allocations per buyer and dataset pair).
+func TestCheckpointAllocsAreFlat(t *testing.T) {
+	dir := t.TempDir()
+	checkpointAllocs := func(buyers int) float64 {
+		m := market.MustNew(testConfig())
+		if err := m.RegisterSeller("s"); err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < 8; d++ {
+			if err := m.UploadDataset("s", market.DatasetID(fmt.Sprintf("d%d", d))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for b := 0; b < buyers; b++ {
+			id := market.BuyerID(fmt.Sprintf("buyer-%04d", b))
+			if err := m.RegisterBuyer(id); err != nil {
+				t.Fatal(err)
+			}
+			for d := 0; d < 3; d++ { // wins and losses: all three per-buyer maps fill
+				if _, err := m.SubmitBid(id, market.DatasetID(fmt.Sprintf("d%d", (b+d)%8)), float64(5+(b*7+d*31)%120)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		snap := m.Snapshot()
+		if len(snap.Buyers) != buyers || len(snap.Transactions) == 0 {
+			t.Fatalf("market of %d buyers snapshots %d buyers and %d sales", buyers, len(snap.Buyers), len(snap.Transactions))
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := writeCheckpointFile(dir, int64(buyers), snap.WriteCanonical); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := checkpointAllocs(64), checkpointAllocs(4096)
+	if large > 2*small {
+		t.Fatalf("checkpointing 4096 buyers allocates %.0f times, 64 buyers %.0f: want within 2x", large, small)
+	}
+	t.Logf("allocations per checkpoint: %.0f at 64 buyers, %.0f at 4096", small, large)
 }

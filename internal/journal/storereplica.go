@@ -9,6 +9,7 @@ package journal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -58,13 +59,14 @@ func OpenReplicaStore(dir string, sc StoreConfig) (*ReplicaStore, *market.Market
 	return rs, st.m, st.lastSeq, nil
 }
 
-// Reset wipes the store and reseeds it from a leader snapshot: every
-// segment and checkpoint is deleted, the snapshot lands synchronously
-// as the checkpoint at seq, and a fresh segment 0 opens at seq+1. It
+// Reset wipes the store and reseeds it from a leader snapshot —
+// canonical, the market.Snapshot.Canonical bytes the leader sent: every
+// segment and checkpoint is deleted, those bytes land synchronously as
+// the checkpoint at seq, and a fresh segment 0 opens at seq+1. It
 // returns the restored market, which the follower serves and the store
 // checkpoints.
-func (rs *ReplicaStore) Reset(snap market.Snapshot, seq int64) (*market.Market, error) {
-	m, err := market.RestoreSnapshot(snap)
+func (rs *ReplicaStore) Reset(canonical []byte, seq int64) (*market.Market, error) {
+	m, err := market.RestoreCanonical(canonical)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +96,11 @@ func (rs *ReplicaStore) Reset(snap market.Snapshot, seq int64) (*market.Market, 
 	if err := syncDir(s.dir); err != nil {
 		return nil, err
 	}
-	if err := writeCheckpointFile(s.dir, seq, snap); err != nil {
+	err = writeCheckpointFile(s.dir, seq, func(w io.Writer) error {
+		_, err := w.Write(canonical)
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("journal: replica reset checkpoint: %w", err)
 	}
 	f, headLen, err := createSegment(s.dir, 0, seq+1, false)

@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/rng"
 )
 
@@ -328,6 +329,18 @@ func (l *Learner) Snapshot() Snapshot {
 	}
 	copy(s.CumCost, l.cumCost)
 	return s
+}
+
+// Binary walks the snapshot's fields for the binary snapshot codec;
+// Restore validates what it decodes.
+func (s *Snapshot) Binary(c *binenc.Codec) {
+	c.Floats(&s.Values)
+	c.Floats(&s.Weights)
+	c.Float(&s.Eta)
+	c.Float(&s.Share)
+	binenc.Int(c, &s.Rounds)
+	c.Floats(&s.CumCost)
+	c.Float(&s.CumIncurred)
 }
 
 // Restore reconstructs a learner from a snapshot, validating the same

@@ -75,6 +75,7 @@ type Follower struct {
 	connected   bool
 	nc          net.Conn // current transport, for Kill/Close interrupts
 	diverged    error    // sticky fatal apply failure
+	lastErr     error    // why the newest stream ended, for Ready
 	closed      bool
 
 	// rs is the local segmented store when Config.Dir is set. A
@@ -145,6 +146,9 @@ func (f *Follower) run() {
 	backoff := f.cfg.BackoffMin
 	for {
 		err := f.stream()
+		f.mu.Lock()
+		f.lastErr = err
+		f.mu.Unlock()
 		if f.isClosed() || errors.Is(err, errDiverged) {
 			return
 		}
@@ -198,12 +202,18 @@ func (f *Follower) stream() error {
 		return err
 	}
 
-	if st.Snapshot != nil {
-		var snap market.Snapshot
-		if err := json.Unmarshal(st.Snapshot, &snap); err != nil {
-			return fmt.Errorf("replica: decoding leader snapshot: %w", err)
+	if canonical := st.Snapshot; canonical != nil {
+		if len(canonical) > 0 && canonical[0] == '{' {
+			// A leader older than the binary snapshot codec sends JSON.
+			var snap market.Snapshot
+			if err = json.Unmarshal(canonical, &snap); err == nil {
+				canonical, err = snap.Canonical()
+			}
+			if err != nil {
+				return fmt.Errorf("replica: decoding leader snapshot: %w", err)
+			}
 		}
-		m, err := f.reseed(snap, st.StartSeq)
+		m, err := f.reseed(canonical, st.StartSeq)
 		if err != nil {
 			return fmt.Errorf("replica: restoring leader snapshot: %w", err)
 		}
@@ -247,18 +257,19 @@ func (f *Follower) stream() error {
 	}
 }
 
-// reseed builds the follower's market from a leader snapshot. With a
-// local store it runs through ReplicaStore.Reset, which wipes the old
-// chain and lands the snapshot as a durable checkpoint; a store
-// failure falls back to a purely in-memory restore with the sticky
-// persistErr recording why local durability is gone.
-func (f *Follower) reseed(snap market.Snapshot, seq int64) (*market.Market, error) {
+// reseed builds the follower's market from a leader snapshot's
+// canonical bytes, decoded once. With a local store it runs through
+// ReplicaStore.Reset, which wipes the old chain and lands the bytes as
+// received as a durable checkpoint; a store failure falls back to a
+// purely in-memory restore with the sticky persistErr recording why
+// local durability is gone.
+func (f *Follower) reseed(canonical []byte, seq int64) (*market.Market, error) {
 	f.mu.Lock()
 	rs := f.rs
 	broken := f.persistErr != nil
 	f.mu.Unlock()
 	if rs != nil && !broken {
-		m, err := rs.Reset(snap, seq)
+		m, err := rs.Reset(canonical, seq)
 		if err == nil {
 			return m, nil
 		}
@@ -266,7 +277,7 @@ func (f *Follower) reseed(snap market.Snapshot, seq int64) (*market.Market, erro
 		f.persistErr = fmt.Errorf("replica: local store reseed: %w", err)
 		f.mu.Unlock()
 	}
-	return market.RestoreSnapshot(snap)
+	return market.RestoreCanonical(canonical)
 }
 
 // persist appends one applied record to the local store, if one is
@@ -384,11 +395,14 @@ func (f *Follower) Staleness() (applied, leader int64, lagSeconds float64, conne
 // staler than Config.MaxLag.
 func (f *Follower) Ready() error {
 	f.mu.Lock()
-	diverged := f.diverged
+	diverged, lastErr := f.diverged, f.lastErr
 	hasState := f.m != nil
 	f.mu.Unlock()
 	if diverged != nil {
 		return diverged
+	}
+	if !hasState && lastErr != nil {
+		return fmt.Errorf("replica: no state yet (first catch-up pending; last attempt: %v)", lastErr)
 	}
 	if !hasState {
 		return errors.New("replica: no state yet (first catch-up pending)")

@@ -3,12 +3,17 @@ package replica
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/obs"
@@ -257,6 +262,106 @@ func TestOnePayloadFromStageToFollower(t *testing.T) {
 		}
 		if !bytes.Equal(follower[seq], want) {
 			t.Fatalf("seq %d: follower segment payload %x, leader segment payload %x", seq, follower[seq], want)
+		}
+	}
+}
+
+// TestFollowerLandsLeaderCheckpointBytes: the snapshot a store-backed
+// leader sends is its newest checkpoint's body as it sits on disk, and a
+// follower with a local store lands those bytes as its own checkpoint —
+// the two files are identical — without either side re-encoding.
+func TestFollowerLandsLeaderCheckpointBytes(t *testing.T) {
+	r := newStoreLeaderRig(t, 8)
+	appendChurn(t, r, "cua", 80)
+	if err := r.jm.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seq := r.jm.Store().LastCheckpoint()
+
+	dir := t.TempDir()
+	f, err := Start(Config{Dial: r.dial, Dir: dir, Store: journal.StoreConfig{CheckpointEvery: -1},
+		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitConverged(t, f, r.feed, 5*time.Second)
+	mustMatchLeader(t, r, f)
+
+	name := fmt.Sprintf("%014d.ckpt", seq)
+	want, err := os.ReadFile(filepath.Join(r.jm.Store().Dir(), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatalf("follower did not land the leader's checkpoint %s: %v", name, err)
+	}
+	if !bytes.Equal(got, want) || want[0] == '{' {
+		t.Fatalf("follower's %s (%d bytes) is not the leader's (%d bytes)", name, len(got), len(want))
+	}
+}
+
+// jsonLeader is a replication source that sends its snapshots the way a
+// leader older than the binary snapshot codec did: as JSON.
+type jsonLeader struct{ *Feed }
+
+func (l jsonLeader) Subscribe(afterSeq int64) (wire.Subscription, error) {
+	sub, err := l.Feed.Subscribe(afterSeq)
+	if err == nil && sub.Snapshot != nil {
+		var snap market.Snapshot
+		if snap, err = command.DecodeSnapshot(sub.Snapshot); err == nil {
+			sub.Snapshot, err = json.Marshal(snap)
+		}
+	}
+	return sub, err
+}
+
+// TestFollowerReadsAnOlderLeadersJSONSnapshot: upgrade followers first —
+// a new follower attached to an old leader gets a JSON snapshot, restores
+// it all the same, and lands it locally in the binary encoding.
+func TestFollowerReadsAnOlderLeadersJSONSnapshot(t *testing.T) {
+	r := newStoreLeaderRig(t, 8)
+	r.ws = wire.NewServer(r.jm).WithReplication(jsonLeader{r.feed}).WithHeartbeatInterval(10 * time.Millisecond)
+	appendChurn(t, r, "cua", 60)
+	r.churn(t, 30)
+
+	dir := t.TempDir()
+	f, err := Start(Config{Dial: r.dial, Dir: dir, Store: journal.StoreConfig{CheckpointEvery: -1},
+		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitConverged(t, f, r.feed, 5*time.Second)
+	mustMatchLeader(t, r, f)
+	if err := f.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	inv, err := journal.InspectDir(dir)
+	if err != nil || len(inv.Checkpoints) != 1 || inv.Checkpoints[0].Encoding != "binary" {
+		t.Fatalf("follower's local store after a JSON catch-up: %+v, %v", inv, err)
+	}
+}
+
+// TestFollowerReadyNamesTheLastRefusal: a follower the leader keeps
+// refusing says why in its readiness reason, which is what /readyz
+// prints — not just that it has no state.
+func TestFollowerReadyNamesTheLastRefusal(t *testing.T) {
+	r := newStoreLeaderRig(t, 8)
+	r.ws = wire.NewServer(r.jm) // replication not enabled: every subscribe is refused
+	f, err := Start(Config{Dial: r.dial, BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		err := f.Ready()
+		if err != nil && strings.Contains(err.Error(), "no state yet") && strings.Contains(err.Error(), "replication not enabled") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Ready() = %v, want the no-state reason naming the leader's refusal", err)
 		}
 	}
 }

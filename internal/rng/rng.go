@@ -11,7 +11,11 @@
 // for simulation work.
 package rng
 
-import "math"
+import (
+	"math"
+
+	"github.com/datamarket/shield/internal/binenc"
+)
 
 // RNG is a deterministic pseudo-random number generator. It is not safe for
 // concurrent use; give each goroutine its own RNG (see Split).
@@ -86,6 +90,14 @@ type Snapshot struct {
 // Snapshot captures the generator state.
 func (r *RNG) Snapshot() Snapshot {
 	return Snapshot{State: r.state, Inc: r.inc, Spare: r.spare, HasSpare: r.hasSpare}
+}
+
+// Binary walks the snapshot's fields for the binary snapshot codec.
+func (s *Snapshot) Binary(c *binenc.Codec) {
+	c.Uint64(&s.State)
+	c.Uint64(&s.Inc)
+	c.Float(&s.Spare)
+	c.Bool(&s.HasSpare)
 }
 
 // Restore reconstructs a generator from a snapshot. The increment is

@@ -1,14 +1,15 @@
 // The bit-rot mode: what the crash matrices cannot test. They cut files;
 // this flips bits in them. A seeded store is built (rotated segments,
-// several checkpoints, optionally a first segment rewritten as the JSON
-// lines a pre-v3 build would have left), then one bit at a seeded
-// offset of a seeded file is flipped in a copy, and every way a store is
-// read — read-only recovery, a leader's open, a follower's cold restart
-// and the offline verifier — must either refuse the directory with the
-// error that names the damage, or (where that reader never touches the
-// damaged bytes, or the flip is in one of the few bytes no checksum
-// covers and happens to change nothing) rebuild the builder's market
-// byte for byte. Never anything else: never a different market.
+// several checkpoints — binary, as this build writes them — optionally a
+// first segment rewritten as the JSON lines a pre-v3 build would have
+// left), then one bit at a seeded offset of a seeded file is flipped in a
+// copy, and every way a store is read — read-only recovery, a leader's
+// open, a follower's cold restart and the offline verifier — must either
+// refuse the directory with the error that names the damage, or (where
+// that reader never touches the damaged bytes, or the flip is in one of
+// the few bytes no checksum covers and happens to change nothing) rebuild
+// the builder's market byte for byte. Never anything else: never a
+// different market.
 package torture
 
 import (
@@ -56,7 +57,7 @@ type rotRegion int
 const (
 	rotFrameBody   rotRegion = iota // checksum or checksummed bytes of a frame: ErrChecksum
 	rotFrameHeader                  // tag or length of a frame: ErrChecksum or ErrBadEvent
-	rotCheckpoint                   // anywhere in a checkpoint file: ErrChecksum
+	rotCheckpoint                   // anywhere in a checkpoint file, header and checksum included: ErrChecksum
 	rotLegacyLine                   // the opening of a JSON-line record: ErrBadEvent or ErrSeqGap, or no effect
 	rotSeghead                      // a seghead line: a named structural error, or no effect
 )

@@ -14,14 +14,17 @@ package wire
 //	request id | statusOK | mode (1 byte) | startSeq (uvarint) | [snapshot]
 //
 // mode 1 (snapshot catch-up): the body carries the leader's canonical
-// market snapshot (command.Snapshot JSON) representing the state after
-// startSeq; the follower restores it and resumes from there. This is
+// market snapshot (command.Snapshot.Canonical's bytes — opaque here; a
+// leader older than that codec sends the snapshot as JSON) representing
+// the state after startSeq; the follower restores it and resumes from
+// there. This is
 // the one frame in the protocol allowed past MaxFrame, bounded by
 // MaxSnapshotFrame. mode 0 (tail catch-up): no snapshot; startSeq
 // echoes afterSeq and the missed records stream as ordinary record
 // frames. A statusErr envelope (closed apierr code set) means the
-// subscription was refused — replication not enabled, or the follower
-// claims a seq ahead of the leader.
+// subscription was refused — replication not enabled, the follower
+// claims a seq ahead of the leader, or the snapshot does not fit
+// MaxSnapshotFrame.
 //
 // After the response the stream is one-way, server to client, framed
 // exactly like every other frame:
@@ -239,8 +242,14 @@ func (s *Server) serveReplication(bw *bufio.Writer, frames <-chan frame, id uint
 		resp = append(resp, 0)
 	}
 	resp = binary.AppendUvarint(resp, uint64(sub.StartSeq))
+	if n := len(resp) + len(sub.Snapshot); n > s.snapshotLimit {
+		// Refused like any other subscription, not a dropped connection:
+		// the follower must learn why, or it redials forever and every
+		// attempt costs the leader a snapshot.
+		return refuse(apierr.CodeInternal, fmt.Sprintf("catch-up snapshot makes a %d-byte frame, over the %d-byte limit", n, s.snapshotLimit))
+	}
 	resp = append(resp, sub.Snapshot...)
-	if err := writeFrameLimit(bw, resp, MaxSnapshotFrame); err != nil {
+	if err := writeFrameLimit(bw, resp, s.snapshotLimit); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {

@@ -5,13 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"io"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/command"
 )
 
@@ -281,5 +284,66 @@ func TestReplicateRejectedOnV2(t *testing.T) {
 	}
 	if code := r.str(); code != "bad_request" {
 		t.Fatalf("v2 replicate request refused with code %q, want bad_request", code)
+	}
+}
+
+// snapshotSource is a ReplicationSource that answers every subscriber
+// with the same snapshot.
+type snapshotSource struct {
+	snap     []byte
+	canceled chan struct{}
+}
+
+func (s snapshotSource) Subscribe(int64) (Subscription, error) {
+	return Subscription{Snapshot: s.snap, StartSeq: 9, Records: make(chan RepRecord), Cancel: func() { close(s.canceled) }}, nil
+}
+
+func (s snapshotSource) LeaderSeq() int64 { return 9 }
+
+// TestOversizedSnapshotIsRefused: a catch-up snapshot that does not fit
+// the subscribe frame is a refusal the follower can read — an internal
+// error naming the size and the limit — not a connection that just
+// closes, and the subscription is released.
+func TestOversizedSnapshotIsRefused(t *testing.T) {
+	srvConn, cliConn := net.Pipe()
+	src := snapshotSource{snap: bytes.Repeat([]byte{0xAB}, 4096), canceled: make(chan struct{})}
+	srv := NewServer(testMarket(t)).WithReplication(src)
+	srv.snapshotLimit = 1024
+	go func() { _ = srv.ServeConn(srvConn) }()
+
+	conn, err := NewConn(cliConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = conn.OpenReplication(ctx, 0)
+	var ae *apierr.APIError
+	if !errors.As(err, &ae) || ae.Code != apierr.CodeInternal {
+		t.Fatalf("oversized snapshot: %v, want an internal-error envelope", err)
+	}
+	for _, want := range []string{"4100-byte frame", "1024-byte limit"} {
+		if !strings.Contains(ae.Message, want) {
+			t.Fatalf("refusal %q does not name %q", ae.Message, want)
+		}
+	}
+	select {
+	case <-src.canceled:
+	case <-ctx.Done():
+		t.Fatal("the refused subscription was never canceled")
+	}
+
+	// At the limit it still goes through.
+	srvConn, cliConn = net.Pipe()
+	srv.snapshotLimit = 4100
+	srv.repl = snapshotSource{snap: src.snap, canceled: make(chan struct{})}
+	go func() { _ = srv.ServeConn(srvConn) }()
+	if conn, err = NewConn(cliConn); err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if st, err := conn.OpenReplication(ctx, 0); err != nil || !bytes.Equal(st.Snapshot, src.snap) || st.StartSeq != 9 {
+		t.Fatalf("snapshot at the frame limit: %v", err)
 	}
 }

@@ -43,6 +43,8 @@ type Server struct {
 	// heartbeat overrides the idle stream heartbeat interval.
 	repl      ReplicationSource
 	heartbeat time.Duration
+	// snapshotLimit bounds the subscribe response; tests shrink it.
+	snapshotLimit int
 
 	tel     *obs.Telemetry
 	latency *obs.Vec[*obs.Histogram]
@@ -62,7 +64,7 @@ type Server struct {
 
 // NewServer returns a wire server over b.
 func NewServer(b Backend) *Server {
-	return &Server{b: b, bufSize: DefaultBufferSize}
+	return &Server{b: b, bufSize: DefaultBufferSize, snapshotLimit: MaxSnapshotFrame}
 }
 
 // WithBufferSize sets the per-connection read and write buffer size in
