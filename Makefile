@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race bench bench-save bench-save-smoke bench-repo bench-repo-smoke fuzz-smoke metrics-lint torture torture-smoke torture-long bitrot-smoke slo-smoke slo-full replica-smoke segment-smoke cover
+.PHONY: ci fmt-check vet build test race bench bench-save bench-save-smoke bench-repo bench-repo-smoke bench-pairs fuzz-smoke metrics-lint torture torture-smoke torture-long bitrot-smoke slo-smoke slo-full replica-smoke segment-smoke cover
 
 ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke bitrot-smoke torture segment-smoke slo-smoke replica-smoke bench-save-smoke bench-repo-smoke
 
@@ -173,6 +173,18 @@ bench-repo:
 	@for w in $(BENCH_WORKLOADS); do \
 		bash benchmark/run.sh --workload $$w --seed $(BENCH_SEED) --seconds 12 --trace 0 || exit 1; \
 	done
+
+# A performance claim's evidence (benchmark/README "Naming a claim"):
+# PAIRS alternating runs of one workload on PARENT — extracted with git
+# archive under .bench_build/parent/ — and on this working tree, each
+# with its own unedited benchmark/run.sh, then per gated metric both
+# sides' quartiles, spread over own median, and the pairs the change won.
+# Use a SEED the change was not developed on.
+PARENT ?= HEAD
+WORKLOAD ?= store_recover
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(or $(SEED),$(BENCH_SEED)) $(PAIRS)
 
 # CI variant: one second per workload, and the last line of each must
 # say "correct":true — so a change that breaks a benchmark correctness

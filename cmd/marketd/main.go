@@ -264,6 +264,7 @@ func main() {
 			replayed int
 			err      error
 		)
+		openStart := time.Now()
 		if *journalDir != "" {
 			// Segmented store; a -journal path alongside names a flat log
 			// to absorb as segment 0 if the directory is still empty.
@@ -279,7 +280,9 @@ func main() {
 		jm = opened
 		closeJournal = jm.Close
 		if replayed > 0 {
-			logger.Info("marketd: replayed journal", "events", replayed, "path", *journalPath, "dir", *journalDir)
+			took := time.Since(openStart)
+			logger.Info("marketd: replayed journal", "events", replayed, "path", *journalPath, "dir", *journalDir,
+				"duration", took, "records_per_s", int(float64(replayed)/took.Seconds()))
 		}
 		if st := jm.Store(); st != nil {
 			inv := st.Inventory()

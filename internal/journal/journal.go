@@ -205,9 +205,13 @@ func WithGroupCommit(window time.Duration) Option {
 // WithTelemetry instruments the writer: append and fsync latency
 // histograms, a per-record size histogram, group-size and leader-wait
 // histograms (WithGroupCommit), counters for appended bytes and failed
-// appends, and the journal's stages on the shared shield_stage_seconds
-// family (group_commit.queue_wait/append/fsync when grouped,
-// journal.append/fsync otherwise), all registered on t's registry.
+// appends, two gauges a store sets once when it is opened — how long
+// recovery took and how many records it replayed
+// (shield_journal_recovery_seconds/_records; OpenReplicaStore takes this
+// option for them alone) — and the journal's stages on the shared
+// shield_stage_seconds family (group_commit.queue_wait/append/fsync when
+// grouped, journal.append/fsync otherwise), all registered on t's
+// registry.
 // Latency observations stamp the requesting trace's ID as a bucket
 // exemplar, so a slow fsync on /metrics links to its full trace on
 // /debug/traces. Register at most one writer per registry (families
@@ -236,6 +240,10 @@ func WithTelemetry(t *obs.Telemetry) Option {
 				"Bytes appended to the journal."),
 			appendErrors: r.Counter("shield_journal_append_errors_total",
 				"Appends that failed and poisoned the writer."),
+			recoverySeconds: r.Gauge("shield_journal_recovery_seconds",
+				"Time this process spent recovering its store when it opened it: checkpoint load plus tail replay."),
+			recoveryRecords: r.Gauge("shield_journal_recovery_records",
+				"Records replayed past the checkpoint when this process opened its store."),
 			stQueueWait:   t.Stage("group_commit.queue_wait"),
 			stGroupAppend: t.Stage("group_commit.append"),
 			stGroupFsync:  t.Stage("group_commit.fsync"),
@@ -257,11 +265,24 @@ type writerTelemetry struct {
 	bytesTotal    *obs.Counter
 	appendErrors  *obs.Counter
 
+	// Set once, when a store is opened (OpenStore, OpenReplicaStore).
+	recoverySeconds *obs.Gauge
+	recoveryRecords *obs.Gauge
+
 	stQueueWait   *obs.Histogram // group_commit.queue_wait
 	stGroupAppend *obs.Histogram // group_commit.append
 	stGroupFsync  *obs.Histogram // group_commit.fsync
 	stAppend      *obs.Histogram // journal.append (per-record mode)
 	stFsync       *obs.Histogram // journal.fsync (per-record mode)
+}
+
+// recovered reports what opening a store cost; a no-op without
+// telemetry.
+func (t *writerTelemetry) recovered(st *storeState) {
+	if t != nil {
+		t.recoverySeconds.Set(st.took.Seconds())
+		t.recoveryRecords.Set(float64(st.replayed))
+	}
 }
 
 // Writer appends records to a log and, for a journaled market, is the
@@ -908,38 +929,39 @@ func Bootstrap(events []Event) (*market.Market, error) {
 	if len(events) == 0 {
 		return nil, ErrNoGenesis
 	}
-	m, err := marketFromHead(events[0])
+	st, err := stateFromHead(events[0])
 	if err != nil {
 		return nil, err
 	}
+	m := market.FromState(st)
 	if err := Replay(m, events[1:]); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// marketFromHead builds the market a log head describes: a genesis head
-// seeds a fresh market from its recorded config, a snapshot head
-// restores full state. Heads carrying a format version this build does
-// not know fail with ErrVersion; anything that is not a well-formed head
-// fails with ErrNoGenesis.
-func marketFromHead(e Event) (*market.Market, error) {
+// stateFromHead builds the state a log head describes: a genesis head
+// seeds a fresh state from its recorded config, a snapshot head restores
+// full state. Heads carrying a format version this build does not know
+// fail with ErrVersion; anything that is not a well-formed head fails
+// with ErrNoGenesis.
+func stateFromHead(e Event) (*command.State, error) {
 	if v := e.V; !knownVersion(v) {
 		return nil, fmt.Errorf("%w: %d (this build reads 0, 2 and %d)", ErrVersion, v, FormatVersion)
 	}
 	switch {
 	case e.Op == OpGenesis && e.Config != nil:
-		m, err := market.New(*e.Config)
+		st, err := command.NewState(*e.Config)
 		if err != nil {
 			return nil, fmt.Errorf("journal: genesis config: %w", err)
 		}
-		return m, nil
+		return st, nil
 	case e.Op == OpSnapshot && e.Snapshot != nil:
-		m, err := market.RestoreSnapshot(*e.Snapshot)
+		st, err := command.RestoreState(*e.Snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("journal: snapshot head: %w", err)
 		}
-		return m, nil
+		return st, nil
 	}
 	return nil, ErrNoGenesis
 }
@@ -973,41 +995,46 @@ func applyEvent(to *market.Market, e Event) error {
 }
 
 // replayRecord is the one step of streaming recovery: the first record a
-// market sees is the head that builds it, every later one is a command
+// state sees is the head that builds it, every later one is a command
 // decoded straight from its payload and applied — payload →
-// command.DecodeBinary → Apply, no Event in between. It returns the
-// market to carry into the next step.
-func replayRecord(m *market.Market, rec Record) (*market.Market, error) {
-	if m == nil {
+// command.DecodeBinary → command.Apply, no Event in between. Recovery
+// runs on the bare state — no writer mutex, no stage timers, nothing
+// published per record — and the caller wraps the final state in a
+// market once (market.FromState), which derives the read views exactly
+// as a checkpoint load does. It returns the state to carry into the next
+// step.
+func replayRecord(st *command.State, rec Record) (*command.State, error) {
+	if st == nil {
 		// A body record here decodes to a non-head Event, which
-		// marketFromHead refuses with ErrNoGenesis.
+		// stateFromHead refuses with ErrNoGenesis.
 		head, err := rec.Event()
 		if err != nil {
 			return nil, err
 		}
-		return marketFromHead(head)
+		return stateFromHead(head)
 	}
 	cmd, err := rec.Command()
 	if err != nil {
 		return nil, fmt.Errorf("%w: event %d: %v", ErrReplay, rec.Seq, err)
 	}
-	if _, err := m.Apply(cmd); err != nil {
+	if _, err := command.Apply(st, cmd); err != nil {
 		return nil, fmt.Errorf("%w: event %d (%s): %v", ErrReplay, rec.Seq, cmd.Op(), err)
 	}
-	return m, nil
+	return st, nil
 }
 
 // restoreStream rebuilds a market from a log in one streaming pass: the
-// head seeds the market and every subsequent record applies as it is
+// head seeds the state and every subsequent record applies as it is
 // scanned, so the whole-log []Event slice Recover would build never
 // exists. It returns the market (nil when not even the head survived —
 // a crash during the very first append), the sequence number of the
 // last replayed record, the durable byte prefix, and whether a torn
 // tail was dropped.
 func restoreStream(r io.Reader) (m *market.Market, lastSeq, durable int64, torn bool, err error) {
+	var st *command.State
 	durable, torn, err = ScanRecords(r, 1, func(rec Record) error {
 		var rerr error
-		if m, rerr = replayRecord(m, rec); rerr != nil {
+		if st, rerr = replayRecord(st, rec); rerr != nil {
 			return rerr
 		}
 		lastSeq = rec.Seq
@@ -1015,6 +1042,9 @@ func restoreStream(r io.Reader) (m *market.Market, lastSeq, durable int64, torn 
 	})
 	if err != nil {
 		return nil, 0, 0, false, err
+	}
+	if st != nil {
+		m = market.FromState(st)
 	}
 	return m, lastSeq, durable, torn, nil
 }

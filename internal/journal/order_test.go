@@ -254,6 +254,7 @@ type readings struct {
 	WaitRemaining  int
 	SellerBalance  market.Money
 	SellerDatasets int
+	NewcomerKnown  bool
 }
 
 // readAll takes every reading, failing the test if the lot does not
@@ -274,6 +275,8 @@ func readAll(t *testing.T, jm *Market) readings {
 		r.SellerBalance, _ = jm.SellerBalance("s")
 		ds, _ := jm.SellerDatasets("s")
 		r.SellerDatasets = len(ds)
+		_, err := jm.BuyerSpend("newcomer")
+		r.NewcomerKnown = !errors.Is(err, market.ErrUnknownBuyer)
 		done <- r
 	}()
 	select {
@@ -327,6 +330,7 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 		func() error { _, err := jm.Tick(); return err },                        // the clock
 		func() error { _, err := jm.SubmitBid("loser", "d", 2); return err },    // a loss: a Time-Shield wait
 		func() error { return jm.UploadDataset("s", "d2") },                     // the catalog
+		func() error { return jm.RegisterBuyer("newcomer") },                    // the buyer registry
 	}
 	for i, op := range group {
 		submit(op)
@@ -349,7 +353,7 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	<-sink.entered             // group two: applied, encoded, parked in Write
 
 	before := readAll(t, jm)
-	if before.Transactions != 1 || before.Period != 0 || before.WaitRemaining != 0 || before.SellerDatasets != 1 || before.Owns {
+	if before.Transactions != 1 || before.Period != 0 || before.WaitRemaining != 0 || before.SellerDatasets != 1 || before.Owns || before.NewcomerKnown {
 		t.Fatalf("reads while group two is stuck show part of it: %+v", before)
 	}
 	if seq, held := jm.LastSeq(), sink.records(t); seq != held {
@@ -363,7 +367,7 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	sink.release <- struct{}{}
 	wg.Wait()
 	after := readAll(t, jm)
-	if after.Transactions != 2 || after.Period != 1 || after.SellerDatasets != 2 || !after.Owns ||
+	if after.Transactions != 2 || after.Period != 1 || after.SellerDatasets != 2 || !after.Owns || !after.NewcomerKnown ||
 		after.BuyerSpend == 0 || after.SellerBalance != after.Revenue || after.Revenue <= before.Revenue ||
 		after.WaitRemaining == 0 || after.Stats.Bids != before.Stats.Bids+2 {
 		t.Fatalf("reads after the group landed do not show it:\nbefore %+v\nafter  %+v", before, after)

@@ -59,14 +59,15 @@
 // # Recovery
 //
 // Recovery is O(tail): open the newest checkpoint, restore its
-// snapshot, and stream only the segments holding records past the
-// checkpoint seq through Apply — sealed segments wholly covered by the
-// checkpoint are skipped using seghead chaining alone, and no
-// whole-history []Event slice is ever built. A torn tail in the final
-// segment is truncated and the repair fsynced (file then directory); a
-// final segment whose own seghead was torn mid-rotation is rebuilt in
-// place. A missing segment — compaction gone wrong, operator error —
-// fails recovery with the missing file's name.
+// snapshot as a bare command.State, stream only the segments holding
+// records past the checkpoint seq through command.Apply, and wrap the
+// finished state in a market once (replayRecord) — sealed segments
+// wholly covered by the checkpoint are skipped using seghead chaining
+// alone, and no whole-history []Event slice is ever built. A torn tail
+// in the final segment is truncated and the repair fsynced (file then
+// directory); a final segment whose own seghead was torn mid-rotation is
+// rebuilt in place. A missing segment — compaction gone wrong, operator
+// error — fails recovery with the missing file's name.
 package journal
 
 import (

@@ -271,3 +271,66 @@ func TestStoreSealedSegmentTornTail(t *testing.T) {
 		t.Fatalf("error does not name %s: %v", sealed, err)
 	}
 }
+
+// TestStoreRottedSegheadNewline: the final segment's seghead may be cut
+// short by a crash mid-rotation, and recovery then rebuilds the segment
+// empty — but only a prefix of the line can be a crash's doing. A
+// seghead whose newline rotted (one flipped bit) in front of live
+// records, none of which happens to contain a 0x0A byte, also reads as
+// "no newline before EOF"; believing that tear dropped the records and
+// returned an older market (`shieldstorm -bitrot -seed 83` found it).
+// It must be refused as corruption, by name.
+func TestStoreRottedSegheadNewline(t *testing.T) {
+	cfg := testConfig()
+	sc := StoreConfig{SegmentRecords: 10, SegmentBytes: 1 << 20, CheckpointEvery: -1, RetainSegments: -1}
+	dir := t.TempDir()
+	jm, _, err := OpenStore(cfg, dir, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 22 records with genesis: two sealed segments and a final one
+	// holding two ticks, whose frames contain no newline byte.
+	for i := 0; i < 21; i++ {
+		if _, err := jm.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := listStoreDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := segName(l.segIdx[len(l.segIdx)-1])
+	path := filepath.Join(dir, final)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := bytes.IndexByte(data, '\n')
+	if len(l.segIdx) != 3 || nl < 0 || nl == len(data)-1 || bytes.IndexByte(data[nl+1:], '\n') >= 0 {
+		t.Fatalf("want a third segment whose records hold no newline, got %d segments, %q", len(l.segIdx), data)
+	}
+	data[nl] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() error{
+		"RecoverDir": func() error { _, _, _, err := RecoverDir(dir); return err },
+		"VerifyDir":  func() error { return VerifyDir(dir) },
+		"OpenStore":  func() error { _, _, err := OpenStore(cfg, dir, sc); return err },
+	} {
+		if err := open(); !errors.Is(err, ErrStoreCorrupt) || !strings.Contains(err.Error(), final) {
+			t.Errorf("%s over a rotted seghead newline: %v, want ErrStoreCorrupt naming %s", name, err, final)
+		}
+	}
+	// A seghead really cut short — even just before its newline — is
+	// still a crash artifact, and recovery still repairs it.
+	if err := os.WriteFile(path, data[:nl], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, seq, _, err := RecoverDir(dir); err != nil || seq != 20 {
+		t.Fatalf("recovery over a seghead cut before its newline: seq %d, %v; want 20", seq, err)
+	}
+}

@@ -6,6 +6,7 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,7 +16,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -58,8 +61,11 @@ func listStoreDir(dir string) (*dirListing, error) {
 
 // readSegHead reads and validates a segment's first line. A missing or
 // newline-less first line is reported as torn (legal only for the
-// final segment, whose seghead write may have been cut mid-rotation);
-// any parse failure is corruption.
+// final segment, whose seghead write may have been cut mid-rotation) —
+// unless bytes follow its closing brace: a cut seghead is a prefix of
+// the line, so that is a rotted newline in front of live records, and
+// believing the tear would rebuild the segment over them. Any parse
+// failure is corruption.
 func readSegHead(dir string, index int64) (head segHead, torn bool, err error) {
 	name := segName(index)
 	f, err := os.Open(filepath.Join(dir, name))
@@ -69,6 +75,9 @@ func readSegHead(dir string, index int64) (head segHead, torn bool, err error) {
 	defer f.Close()
 	line, rerr := bufio.NewReader(f).ReadBytes('\n')
 	if rerr == io.EOF {
+		if i := bytes.IndexByte(line, '}'); i >= 0 && i < len(line)-1 {
+			return segHead{}, false, fmt.Errorf("%w: %s: %d bytes follow a seghead with no newline", ErrStoreCorrupt, name, len(line)-1-i)
+		}
 		return segHead{}, true, nil // empty or torn seghead
 	}
 	if rerr != nil {
@@ -90,7 +99,8 @@ func readSegHead(dir string, index int64) (head segHead, torn bool, err error) {
 type storeState struct {
 	m        *market.Market // nil when the store holds no durable state
 	lastSeq  int64
-	replayed int // records streamed through Apply — the bounded tail
+	replayed int           // records streamed through command.Apply — the bounded tail
+	took     time.Duration // the walk, checkpoint load and view derivation included
 	segs     []segMeta
 	ckpts    []int64
 	lastCkpt int64
@@ -108,6 +118,7 @@ type storeState struct {
 // the directory untouched; writable ones remove stray tmp files, and
 // the caller applies the tail-repair instructions.
 func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
+	start := time.Now()
 	l, err := listStoreDir(dir)
 	if err != nil {
 		return nil, err
@@ -128,16 +139,18 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 		}
 	}
 
-	// Newest decodable checkpoint seeds the market. Checkpoints are
-	// written atomically, so a present-but-undecodable one is
-	// corruption, not a crash artifact.
+	// Newest decodable checkpoint seeds the state the tail replays onto
+	// (replayRecord); the market and its read views are built from it
+	// once, after the walk. Checkpoints are written atomically, so a
+	// present-but-undecodable one is corruption, not a crash artifact.
+	var state *command.State
 	if n := len(l.ckptSeqs); n > 0 {
 		ck, err := readCheckpointFile(dir, l.ckptSeqs[n-1])
 		if err != nil {
 			return nil, err
 		}
 		st.lastCkpt = ck.Seq
-		st.m, err = market.RestoreSnapshot(ck.Snapshot)
+		state, err = command.RestoreState(ck.Snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("journal: checkpoint %s: %w", ckptName(ck.Seq), err)
 		}
@@ -215,7 +228,7 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 				return nil // already inside the checkpoint
 			}
 			var rerr error
-			if st.m, rerr = replayRecord(st.m, rec); rerr != nil {
+			if state, rerr = replayRecord(state, rec); rerr != nil {
 				return rerr
 			}
 			st.replayed++
@@ -251,6 +264,10 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 	if st.resetTail {
 		st.tailBase = st.lastSeq + 1
 	}
+	if state != nil {
+		st.m = market.FromState(state)
+	}
+	st.took = time.Since(start)
 	return st, nil
 }
 
@@ -294,6 +311,7 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 		s.active = f
 		s.live = live
 		w := NewWriter(s, opts...)
+		w.tel.recovered(st)
 		w.live, w.onGroup = live, s.committed
 		if err := w.Genesis(cfg); err != nil {
 			s.Close()
@@ -312,6 +330,7 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 	s.sinceCkpt = st.lastSeq - st.lastCkpt // keep the cadence across restarts
 
 	jm := Resume(st.m, s, st.lastSeq, opts...)
+	jm.w.tel.recovered(st)
 	jm.w.onGroup = s.committed
 	jm.sink, jm.store = s, s
 	return jm, st.replayed, nil

@@ -32,8 +32,10 @@ type ReplicaStore struct {
 // recovers whatever state it holds: the newest checkpoint plus the
 // segment tail, exactly like leader recovery. It returns the restored
 // serving market (nil when the store is empty — the follower's first
-// catch-up will Reset it) and the seq of the newest durable record.
-func OpenReplicaStore(dir string, sc StoreConfig) (*ReplicaStore, *market.Market, int64, error) {
+// catch-up will Reset it) and the seq of the newest durable record. A
+// follower has no journal Writer — of opts only WithTelemetry matters,
+// for the recovery gauges.
+func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore, *market.Market, int64, error) {
 	sc.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, err
@@ -42,6 +44,7 @@ func OpenReplicaStore(dir string, sc StoreConfig) (*ReplicaStore, *market.Market
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	NewWriter(nil, opts...).tel.recovered(st)
 	s := &Store{dir: dir, sc: sc, segs: st.segs, ckpts: st.ckpts, lastCkpt: st.lastCkpt}
 	rs := &ReplicaStore{st: s}
 	if st.m == nil {

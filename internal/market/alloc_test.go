@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -124,5 +125,85 @@ func TestBidHotPathSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.2f allocs per tick+%d-bid run", allocs, buyers)
 	if after, _ := m.Stats("d"); after.Epochs-before.Epochs != 101*buyers/8 {
 		t.Fatalf("%d epochs closed inside the measurement, want %d", after.Epochs-before.Epochs, 101*buyers/8)
+	}
+}
+
+// registrationBytes registers n buyers and n sellers, then returns the
+// bytes allocated per RegisterBuyer and per RegisterSeller over the next
+// window of each (IDs are built beforehand, so the figure is the
+// market's own).
+func registrationBytes(t *testing.T, n, window int) (perBuyer, perSeller float64) {
+	t.Helper()
+	m := MustNew(benchConfig())
+	buyers := make([]BuyerID, n+window)
+	sellers := make([]SellerID, n+window)
+	for i := range buyers {
+		buyers[i] = BuyerID(fmt.Sprintf("buyer-%06d", i))
+		sellers[i] = SellerID(fmt.Sprintf("seller-%06d", i))
+	}
+	for i := 0; i < n; i++ {
+		if err := m.RegisterBuyer(buyers[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RegisterSeller(sellers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measure := func(register func(i int) error) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := n; i < n+window; i++ {
+			if err := register(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(window)
+	}
+	perBuyer = measure(func(i int) error { return m.RegisterBuyer(buyers[i]) })
+	perSeller = measure(func(i int) error { return m.RegisterSeller(sellers[i]) })
+	return perBuyer, perSeller
+}
+
+// TestStructuralPublishCostIsFlat pins O(1) registration publication: a
+// registration must cost the same whether 200 or 20 000 participants
+// came before it. The buyers and sellers views were copy-on-write maps
+// once, re-copied whole per registration — this test read 874 216 B per
+// RegisterBuyer at n = 20 000 against 13 326 B at n = 200 then — which
+// made seeding and every journal replay quadratic in the population.
+// Bytes, not time, so the bound holds on a noisy host; the window is
+// long enough to spread the state's own amortised map growth.
+func TestStructuralPublishCostIsFlat(t *testing.T) {
+	const small, large, window = 200, 20000, 200
+	smallBuyer, smallSeller := registrationBytes(t, small, window)
+	largeBuyer, largeSeller := registrationBytes(t, large, window)
+	t.Logf("bytes per RegisterBuyer: %.0f at n=%d, %.0f at n=%d", smallBuyer, small, largeBuyer, large)
+	t.Logf("bytes per RegisterSeller: %.0f at n=%d, %.0f at n=%d", smallSeller, small, largeSeller, large)
+	if largeBuyer > 2*smallBuyer {
+		t.Errorf("RegisterBuyer allocates %.0f B at n=%d against %.0f B at n=%d: publication grows with the population", largeBuyer, large, smallBuyer, small)
+	}
+	if largeSeller > 2*smallSeller {
+		t.Errorf("RegisterSeller allocates %.0f B at n=%d against %.0f B at n=%d: publication grows with the population", largeSeller, large, smallSeller, small)
+	}
+}
+
+// TestViewReadsDoNotAllocate pins the read side of the registries: a
+// point read of a known buyer, seller or dataset — one registry lookup
+// and a few atomic loads — allocates nothing.
+func TestViewReadsDoNotAllocate(t *testing.T) {
+	m := allocMarket(t)
+	// IDs built at run time: a constant converts to the registry's key
+	// interface for free and would hide a boxing allocation.
+	b, s, d := BuyerID(fmt.Sprint("b")), SellerID(fmt.Sprint("s")), DatasetID(fmt.Sprint("d"))
+	for name, read := range map[string]func(){
+		"Owns":          func() { m.Owns(b, d) },
+		"WaitRemaining": func() { m.WaitRemaining(b, d) },
+		"BuyerSpend":    func() { m.BuyerSpend(b) },
+		"SellerBalance": func() { m.SellerBalance(s) },
+		"Stats":         func() { m.Stats(d) },
+	} {
+		if n := testing.AllocsPerRun(200, read); n != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, n)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package market
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -242,5 +244,110 @@ func TestSubmitBidsMatchesSubmitBid(t *testing.T) {
 	}
 	if out := batch.SubmitBids(nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %d results", len(out))
+	}
+}
+
+// TestRegistrationRacesReaders is the -race check on the buyer and
+// seller registries: one writer registers 5 000 sellers (some uploading
+// a dataset) and 5 000 buyers while readers hammer ids on both sides of
+// the writer's frontier. A read of an id answers "unknown" or with a
+// whole cell — never a half-built one, never a panic — and because
+// registrations are published in order, a reader that has seen
+// participant k never again finds an earlier one unknown.
+func TestRegistrationRacesReaders(t *testing.T) {
+	const n, readers = 5000, 4
+	m := MustNew(benchConfig())
+	buyers := make([]BuyerID, n)
+	sellers := make([]SellerID, n)
+	datasets := make([]DatasetID, n)
+	for i := range buyers {
+		buyers[i] = BuyerID(fmt.Sprintf("b%d", i))
+		sellers[i] = SellerID(fmt.Sprintf("s%d", i))
+		datasets[i] = DatasetID(fmt.Sprintf("d%d", i))
+	}
+
+	// readOne reads participant i every way there is and reports whether
+	// it was registered yet.
+	readOne := func(i int) (buyerKnown, sellerKnown bool) {
+		spent, err := m.BuyerSpend(buyers[i])
+		switch {
+		case err == nil:
+			buyerKnown = true
+			owns, oerr := m.Owns(buyers[i], datasets[i])
+			wait, werr := m.WaitRemaining(buyers[i], datasets[i])
+			if spent != 0 || owns || wait != 0 || oerr != nil || werr != nil {
+				t.Errorf("buyer %s, who never bid: spent %v owns %v (%v) wait %d (%v)", buyers[i], spent, owns, oerr, wait, werr)
+			}
+		case !errors.Is(err, ErrUnknownBuyer):
+			t.Errorf("BuyerSpend(%s): %v", buyers[i], err)
+		}
+		ds, err := m.SellerDatasets(sellers[i])
+		switch {
+		case err == nil:
+			sellerKnown = true
+			bal, berr := m.SellerBalance(sellers[i])
+			if bal != 0 || berr != nil || ds == nil || len(ds) > 1 || (len(ds) == 1 && ds[0] != datasets[i]) {
+				t.Errorf("seller %s, who sold nothing: balance %v (%v) datasets %v", sellers[i], bal, berr, ds)
+			}
+		case !errors.Is(err, ErrUnknownSeller):
+			t.Errorf("SellerDatasets(%s): %v", sellers[i], err)
+		}
+		return buyerKnown, sellerKnown
+	}
+
+	var frontier atomic.Int64 // participants the writer has finished
+	var known, unknown atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for step := r; frontier.Load() < n; step += 7 {
+				// Around the frontier: mostly just-registered and
+				// about-to-be-registered ids, some far on either side.
+				i := (int(frontier.Load()) + step%64 - 32 + n) % n
+				if step%16 == 0 {
+					i = step % n
+				}
+				buyerKnown, sellerKnown := readOne(i)
+				if !(buyerKnown || sellerKnown) {
+					unknown.Add(1)
+					continue
+				}
+				known.Add(1)
+				if i == 0 {
+					continue
+				}
+				// Seller i registers before buyer i, and both after
+				// everyone below i.
+				if b, s := readOne(i - 1); !b || !s {
+					t.Errorf("participant %d is visible but %d is not (buyer %v, seller %v)", i, i-1, b, s)
+				}
+				if _, s := readOne(i); buyerKnown && !s {
+					t.Errorf("buyer %d is visible but seller %d, registered first, is not", i, i)
+				}
+			}
+		}(r)
+	}
+	must := func(err error) {
+		if err != nil {
+			frontier.Store(n) // release the readers
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		must(m.RegisterSeller(sellers[i]))
+		if i%16 == 0 { // the catalogue view is copy-on-write: keep it small
+			must(m.UploadDataset(sellers[i], datasets[i]))
+		}
+		must(m.RegisterBuyer(buyers[i]))
+		frontier.Store(int64(i + 1))
+	}
+	wg.Wait()
+	t.Logf("racing reads: %d found a participant, %d found none yet", known.Load(), unknown.Load())
+	for i := 0; i < n; i++ {
+		if b, s := readOne(i); !b || !s {
+			t.Fatalf("participant %d missing after the writer finished (buyer %v, seller %v)", i, b, s)
+		}
 	}
 }

@@ -24,11 +24,15 @@ import (
 // Publication has one writer at a time (the holder of Market.mu), so
 // cells only need to make concurrent reads safe, not concurrent writes.
 //
-// Granularity is chosen per write rate:
+// Granularity is chosen per write rate and per population:
 //
-//   - the outer stats, buyers and sellers maps change only on
-//     structural commands (upload, withdraw, registration): cloning the
-//     whole map there is rare;
+//   - buyers and sellers only ever join, and there are as many of them as
+//     the market has participants — the system's scale axis. Each outer
+//     map is an add-only concurrent registry (a sync.Map of cells), so a
+//     registration publishes one cell, whatever the population;
+//   - the outer stats map is catalogue-sized and changes only on upload,
+//     compose and withdraw, and a scrape (StatsAll, Datasets) is promised
+//     one point-in-time population: it stays copy-on-write;
 //   - each dataset's stats, each buyer's view and each seller's view
 //     live in their own cell, so the per-bid publication (every bid
 //     moves a bid counter, possibly a posting price, and a loser's
@@ -40,21 +44,42 @@ type views struct {
 	clock atomic.Int64
 
 	// stats maps each priced dataset to its diagnostic cell. The outer
-	// map is copy-on-write; each cell is overwritten in place — a
+	// map is copy-on-write on purpose — it is as small as the catalogue,
+	// and StatsAll and Datasets hand a scrape the population of one
+	// instant (DESIGN §4 "Consistent scrapes"), which a registry ranged
+	// while it grows cannot. Each cell is overwritten in place — a
 	// seqlock over per-field atomics, so the per-bid publication
 	// allocates nothing.
 	stats atomic.Pointer[map[DatasetID]*statsCell]
 
-	// buyers maps each registered buyer to its view cell. The outer map
-	// is copy-on-write (cloned on registration); cells are updated in
-	// place.
-	buyers atomic.Pointer[map[BuyerID]*buyerCell]
+	// buyers maps each registered buyer to its view cell: BuyerID →
+	// *buyerCell, add-only (nobody deregisters), read through buyerView.
+	// Cells are updated in place.
+	buyers sync.Map
 
-	// sellers maps each registered seller to its view cell, like buyers.
-	sellers atomic.Pointer[map[SellerID]*sellerCell]
+	// sellers maps each registered seller to its view cell, like buyers:
+	// SellerID → *sellerCell, read through sellerView.
+	sellers sync.Map
 
 	// books is the money view; readers only Load.
 	books atomic.Pointer[booksView]
+}
+
+// buyerView returns a registered buyer's cell, nil for an unknown buyer.
+func (v *views) buyerView(id BuyerID) *buyerCell {
+	if c, ok := v.buyers.Load(id); ok {
+		return c.(*buyerCell)
+	}
+	return nil
+}
+
+// sellerView returns a registered seller's cell, nil for an unknown
+// seller.
+func (v *views) sellerView(id SellerID) *sellerCell {
+	if c, ok := v.sellers.Load(id); ok {
+		return c.(*sellerCell)
+	}
+	return nil
 }
 
 // statsCell publishes one dataset's DatasetStats without allocating: a
@@ -202,6 +227,15 @@ type sellerCell struct {
 	datasets atomic.Pointer[[]DatasetID]
 }
 
+// newSellerCell returns the cell of a seller who has just registered —
+// no datasets, no balance — so the registry never holds a cell a reader
+// cannot use.
+func newSellerCell() *sellerCell {
+	c := new(sellerCell)
+	c.datasets.Store(new([]DatasetID))
+	return c
+}
+
 // booksView is the immutable money view: the three conservation sums
 // and the transaction log. txs grows by appending to the latest view's
 // slice — older views keep their shorter length and never observe the
@@ -229,24 +263,16 @@ func (m *Market) rebuildViews() {
 	}
 	m.vw.stats.Store(&stats)
 
-	buyerIDs := m.st.BuyerIDs()
-	buyers := make(map[BuyerID]*buyerCell, len(buyerIDs))
-	for _, id := range buyerIDs {
+	for _, id := range m.st.BuyerIDs() {
 		cell := new(buyerCell)
 		m.st.InspectBuyer(id, func(acquired map[DatasetID]bool, blockedUntil map[DatasetID]int, spent Money) {
 			cell.rebuild(m.st.Period(), acquired, blockedUntil, spent)
 		})
-		buyers[id] = cell
+		m.vw.buyers.Store(id, cell)
 	}
-	m.vw.buyers.Store(&buyers)
 
-	sellerIDs := m.st.SellerIDs()
-	sellers := make(map[SellerID]*sellerCell, len(sellerIDs))
-	for _, id := range sellerIDs {
-		sellers[id] = new(sellerCell)
-	}
-	m.vw.sellers.Store(&sellers)
-	for _, id := range sellerIDs {
+	for _, id := range m.st.SellerIDs() {
+		m.vw.sellers.Store(id, newSellerCell())
 		m.publishSeller(id)
 	}
 
@@ -279,18 +305,10 @@ func (m *Market) publish(ctx context.Context, ev *command.Event) {
 		m.vw.clock.Store(int64(ev.Period))
 
 	case command.EvBuyerRegistered:
-		old := *m.vw.buyers.Load()
-		next := make(map[BuyerID]*buyerCell, len(old)+1)
-		for k, v := range old {
-			next[k] = v
-		}
-		next[ev.Buyer] = new(buyerCell)
-		m.vw.buyers.Store(&next)
+		m.vw.buyers.Store(ev.Buyer, new(buyerCell))
 
 	case command.EvSellerRegistered:
-		next := maps.Clone(*m.vw.sellers.Load())
-		next[ev.Seller] = new(sellerCell)
-		m.vw.sellers.Store(&next)
+		m.vw.sellers.Store(ev.Seller, newSellerCell())
 		m.publishSeller(ev.Seller)
 
 	case command.EvDatasetAdded:
@@ -325,7 +343,7 @@ func (m *Market) publishBid(ev *command.Event) {
 			m.publishStats(DatasetID(leaf))
 		}
 	}
-	cell := (*m.vw.buyers.Load())[ev.Buyer]
+	cell := m.vw.buyerView(ev.Buyer)
 	if ev.Tx == nil {
 		// A zero wait is already over; there is nothing to publish.
 		if cell != nil && ev.Decision.WaitPeriods > 0 {
@@ -383,8 +401,8 @@ func (m *Market) publishStats(id DatasetID) {
 // publishBalance republishes one seller's balance as the absolute
 // total.
 func (m *Market) publishBalance(id SellerID) {
-	cell, ok := (*m.vw.sellers.Load())[id]
-	if !ok {
+	cell := m.vw.sellerView(id)
+	if cell == nil {
 		return
 	}
 	if bal, err := m.st.SellerBalance(id); err == nil {
@@ -395,8 +413,8 @@ func (m *Market) publishBalance(id SellerID) {
 // publishSeller republishes a seller's dataset list (the state hands
 // back a fresh copy) and balance.
 func (m *Market) publishSeller(id SellerID) {
-	cell, ok := (*m.vw.sellers.Load())[id]
-	if !ok {
+	cell := m.vw.sellerView(id)
+	if cell == nil {
 		return
 	}
 	if ds, err := m.st.SellerDatasets(id); err == nil {
@@ -428,8 +446,8 @@ func (m *Market) Totals() (revenue, spent, balances Money) {
 
 // SellerBalance returns a seller's accumulated compensation.
 func (m *Market) SellerBalance(id SellerID) (Money, error) {
-	cell, ok := (*m.vw.sellers.Load())[id]
-	if !ok {
+	cell := m.vw.sellerView(id)
+	if cell == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownSeller, id)
 	}
 	return Money(cell.balance.Load()), nil
@@ -437,8 +455,8 @@ func (m *Market) SellerBalance(id SellerID) (Money, error) {
 
 // SellerDatasets returns the base datasets a seller has uploaded.
 func (m *Market) SellerDatasets(id SellerID) ([]DatasetID, error) {
-	cell, ok := (*m.vw.sellers.Load())[id]
-	if !ok {
+	cell := m.vw.sellerView(id)
+	if cell == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSeller, id)
 	}
 	ds := *cell.datasets.Load()
@@ -449,8 +467,8 @@ func (m *Market) SellerDatasets(id SellerID) ([]DatasetID, error) {
 
 // BuyerSpend returns the total a buyer has paid.
 func (m *Market) BuyerSpend(id BuyerID) (Money, error) {
-	cell, ok := (*m.vw.buyers.Load())[id]
-	if !ok {
+	cell := m.vw.buyerView(id)
+	if cell == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, id)
 	}
 	return Money(cell.spent.Load()), nil
@@ -458,8 +476,8 @@ func (m *Market) BuyerSpend(id BuyerID) (Money, error) {
 
 // Owns reports whether the buyer has acquired the dataset.
 func (m *Market) Owns(buyer BuyerID, dataset DatasetID) (bool, error) {
-	cell, ok := (*m.vw.buyers.Load())[buyer]
-	if !ok {
+	cell := m.vw.buyerView(buyer)
+	if cell == nil {
 		return false, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
 	}
 	_, owns := cell.acquired.Load(dataset)
@@ -469,8 +487,8 @@ func (m *Market) Owns(buyer BuyerID, dataset DatasetID) (bool, error) {
 // WaitRemaining returns how many periods remain before the buyer may bid
 // on the dataset again (0 when unblocked).
 func (m *Market) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
-	cell, ok := (*m.vw.buyers.Load())[buyer]
-	if !ok {
+	cell := m.vw.buyerView(buyer)
+	if cell == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
 	}
 	until := cell.blockedUntil(dataset)

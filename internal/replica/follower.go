@@ -119,7 +119,11 @@ func Start(cfg Config) (*Follower, error) {
 		done:        make(chan struct{}),
 	}
 	if cfg.Dir != "" {
-		rs, m, lastSeq, err := journal.OpenReplicaStore(cfg.Dir, cfg.Store)
+		var opts []journal.Option
+		if cfg.Telemetry != nil {
+			opts = append(opts, journal.WithTelemetry(cfg.Telemetry))
+		}
+		rs, m, lastSeq, err := journal.OpenReplicaStore(cfg.Dir, cfg.Store, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("replica: opening local store %s: %w", cfg.Dir, err)
 		}

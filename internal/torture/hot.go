@@ -52,7 +52,7 @@ const (
 	hotShare      = 0.8 // of bids, on the hot dataset (a tenth of those via the derived one)
 	hotTickGap    = 64  // ops between one goroutine's ticks
 
-	hotRegisterShare = 0.03 // of ops, registering a fresh buyer mid-storm
+	hotRegisterShare = 0.10 // of ops, registering a fresh buyer mid-storm
 	hotBatchShare    = 0.03 // of ops, a three-bid SubmitBids batch
 	hotRecentBuyers  = 24   // bids come from a goroutine's newest buyers
 	hotCheckpoints   = 8    // quiescent checkpoints per storm

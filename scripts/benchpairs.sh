@@ -1,0 +1,113 @@
+#!/usr/bin/env bash
+# Paired benchmark runs, parent against this tree:
+#
+#   bash scripts/benchpairs.sh <parent-ref> <workload> <seed> [pairs]
+#   make bench-pairs PARENT=<ref> WORKLOAD=<w> SEED=<n> PAIRS=10
+#
+# Extracts <parent-ref> with `git archive` under .bench_build/parent/ and
+# runs each tree's own, unedited benchmark/run.sh — the working tree is
+# the "change" side, uncommitted edits included — in alternation, the
+# order flipped every pair, at the run length BENCHMARK.json fixes. Then,
+# for every end-to-end metric BENCHMARK.json gates: each run's value,
+# both sides' quartiles, the spread (q3 - q1) relative to that side's own
+# median, and the pairs the change won (ties count for neither). This is
+# the table benchmark/README "Naming a claim" asks a PR to report.
+#
+# A run that fails, or whose result line does not say "correct":true with
+# no failed operations, stops the script: nothing is averaged over it.
+# Numbers are this host's, and only runs taken in one session compare.
+set -euo pipefail
+
+if [ $# -lt 3 ]; then
+	sed -n '2,5p' "$0" >&2
+	exit 2
+fi
+parent_ref=$1 workload=$2 seed=$3 pairs=${4:-10}
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
+parent="$root/.bench_build/parent"
+out="$root/.bench_build/pairs"
+rm -rf "$out"
+mkdir -p "$parent" "$out"
+# A fresh copy of the parent's files; its own .bench_build (the Go build
+# cache of an earlier session) is worth keeping.
+find "$parent" -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
+git archive "$parent_ref" | tar -x -C "$parent"
+
+# run <side> <pair>: one benchmark run in that side's tree; its output is
+# kept, its result line appended to <side>.results.
+run() {
+	local side=$1 pair=$2 dir=$root log
+	[ "$side" = parent ] && dir=$parent
+	log="$out/$side.$pair.log"
+	if ! (cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) >"$log" 2>&1; then
+		tail -20 "$log" >&2
+		echo "benchpairs: $side run of pair $pair failed (see $log)" >&2
+		exit 1
+	fi
+	local result
+	result=$(tail -1 "$log")
+	case $result in
+	*'"correct":true'*'"failed":0,'*) ;;
+	*)
+		grep '^check' "$log" >&2 || true
+		echo "benchpairs: $side run of pair $pair is not correct: $result" >&2
+		exit 1
+		;;
+	esac
+	echo "$result" >>"$out/$side.results"
+	echo "pair $pair $side: $(grep '^check' "$log" | head -1)"
+}
+
+echo "benchpairs: $workload seed=$seed seconds=$seconds pairs=$pairs parent=$(git rev-parse --short "$parent_ref") change=working tree at $(git rev-parse --short HEAD)"
+for pair in $(seq 1 "$pairs"); do
+	if [ $((pair % 2)) -eq 1 ]; then
+		run parent "$pair"
+		run change "$pair"
+	else
+		run change "$pair"
+		run parent "$pair"
+	fi
+done
+
+# values <side> <metric>: that metric's value in each run, in run order.
+values() {
+	sed -n "s/.*\"$2\":{\"value\":\([^,]*\),.*/\1/p" "$out/$1.results"
+}
+
+# The gated metrics and which way is better, from BENCHMARK.json's
+# end_to_end block.
+awk '/"end_to_end"/ {on = 1} on && /"name"/ {gsub(/[",]/, ""); name = $2}
+	on && /"better"/ {gsub(/[",]/, ""); print name, $2} on && /\]/ {exit}' BENCHMARK.json |
+	while read -r metric better; do
+		echo
+		echo "$metric ($better is better)"
+		for side in parent change; do
+			echo "  $side runs: $(values "$side" "$metric" | tr '\n' ' ')"
+		done
+		paste <(values parent "$metric") <(values change "$metric") | awk -v better="$better" '
+			function quartile(v, n, p,    pos, lo) {
+				pos = (n - 1) * p; lo = int(pos)
+				return lo + 1 >= n ? v[n] : v[lo + 1] + (pos - lo) * (v[lo + 2] - v[lo + 1])
+			}
+			function summary(side, v, n,    q1, med, q3) {
+				q1 = quartile(v, n, 0.25); med = quartile(v, n, 0.5); q3 = quartile(v, n, 0.75)
+				printf "  %-6s q1 %-12.6g median %-12.6g q3 %-12.6g (q3-q1)/median %.1f%%\n", side, q1, med, q3, med ? 100 * (q3 - q1) / med : 0
+				return med
+			}
+			function sorted(v, n,    i, j, t) {
+				for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+			}
+			{
+				p[NR] = $1 + 0; c[NR] = $2 + 0
+				if (p[NR] == c[NR]) ties++
+				else if ((better == "higher") == (c[NR] > p[NR])) wins++
+			}
+			END {
+				sorted(p, NR); sorted(c, NR)
+				pm = summary("parent", p, NR); cm = summary("change", c, NR)
+				printf "  change wins %d of %d pairs (%d ties); change median / parent median = %.3f\n", wins, NR, ties, pm ? cm / pm : 0
+			}'
+	done
