@@ -30,10 +30,13 @@ build:
 # tests live here — and the crash-recovery harness), the telemetry
 # registry/tracer (scraped while updated), the replication
 # feed/follower (commit hook racing subscribers and kills), the
-# shieldtop poller (refresh loop racing terminal resize/teardown), and
-# the torture harness's concurrent storm with its ordering canary.
+# shieldtop poller (refresh loop racing terminal resize/teardown), the
+# torture harness's concurrent storm with its ordering canary, and the
+# simulation path — sim.RunGrid's workers share the output slots, the
+# failure record and every factory a figure hands them, and each
+# experiment and marketsim formatter runs on top of it.
 race:
-	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/...
+	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
 
 test:

@@ -3,7 +3,9 @@ package main
 import (
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"github.com/datamarket/shield/internal/experiments"
 	"github.com/datamarket/shield/internal/render"
@@ -231,9 +233,11 @@ func runIntegration(o experiments.Options, csv string, out io.Writer) error {
 	t.AddRowf("revenue", res.Revenue)
 	t.AddRowf("transactions", res.Transactions)
 	var total float64
-	for s, b := range res.SellerBalances {
-		t.AddRowf("balance "+s, b)
-		total += b
+	// In id order: map order would shuffle the rows, and the order the
+	// floats are summed in, from one run to the next.
+	for _, s := range slices.Sorted(maps.Keys(res.SellerBalances)) {
+		t.AddRowf("balance "+s, res.SellerBalances[s])
+		total += res.SellerBalances[s]
 	}
 	t.AddRowf("balances sum", total)
 	if err := t.Render(out); err != nil {

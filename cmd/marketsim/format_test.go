@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,6 +46,43 @@ func TestEveryExperimentFormats(t *testing.T) {
 				t.Errorf("%s csv header %q", e.id, lines[0])
 			}
 		})
+	}
+}
+
+// A negative scale is refused by every experiment, with the one error
+// experiments.Options names — not rendered as -0, NaN or "-3 sessions".
+func TestEveryExperimentRefusesNegativeOptions(t *testing.T) {
+	for _, e := range experimentList() {
+		for _, o := range []experiments.Options{{Series: -3}, {Panel: -3}, {Series: -1, Panel: -1}} {
+			var sb strings.Builder
+			err := e.run(o, "", &sb)
+			if !errors.Is(err, experiments.ErrNegativeOption) {
+				t.Errorf("%s %+v: err = %v, want ErrNegativeOption", e.id, o, err)
+			}
+			if sb.Len() != 0 {
+				t.Errorf("%s %+v: printed %q before refusing", e.id, o, sb.String())
+			}
+		}
+	}
+}
+
+// The integration report lists sellers in id order, not map order: run
+// to run the bytes are the same.
+func TestIntegrationRendersTheSameBytes(t *testing.T) {
+	var first string
+	for i := 0; i < 20; i++ {
+		var sb strings.Builder
+		if err := runIntegration(quickOpts(), "", &sb); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sb.String()
+			if s1, s2 := strings.Index(first, "balance s1"), strings.Index(first, "balance s2"); s1 < 0 || s2 < s1 {
+				t.Fatalf("sellers not in id order:\n%s", first)
+			}
+		} else if sb.String() != first {
+			t.Fatalf("run %d rendered\n%s\nrun 0 rendered\n%s", i, sb.String(), first)
+		}
 	}
 }
 

@@ -8,7 +8,9 @@
 //
 // Each experiment prints an ASCII rendering of the corresponding paper
 // artifact; -csv additionally writes the raw numbers for external
-// replotting.
+// replotting. Standard output is a function of the flags alone; each
+// experiment's elapsed time, and the total, go to standard error. The
+// simulated figures use GOMAXPROCS cores.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"github.com/datamarket/shield/internal/experiments"
 )
@@ -105,14 +108,19 @@ func main() {
 		return indexOf(order, selected[i]) < indexOf(order, selected[j])
 	})
 
+	// Timings go to stderr: stdout is the reproducible artifact.
+	begin := time.Now()
 	for _, id := range selected {
 		e := ids[id]
 		fmt.Printf("== %s — %s ==\n", e.id, e.about)
+		start := time.Now()
 		if err := e.run(opts, csvPath(*csvDir, e.id), os.Stdout); err != nil {
 			fatal(fmt.Errorf("%s: %w", e.id, err))
 		}
 		fmt.Println()
+		fmt.Fprintf(os.Stderr, "marketsim: %-12s %8.3fs\n", e.id, time.Since(start).Seconds())
 	}
+	fmt.Fprintf(os.Stderr, "marketsim: %-12s %8.3fs\n", "total", time.Since(begin).Seconds())
 }
 
 func indexOf(xs []string, x string) int {

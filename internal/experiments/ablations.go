@@ -19,7 +19,9 @@ import (
 // prices, hence lower revenue; MW's revenue is the protection-for-free
 // reference the paper argues for.
 func X1DPAblation(o Options) (BoxSeries, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BoxSeries{}, err
+	}
 	epsilons := []float64{0.1, 0.5, 1, 5, 10, 100}
 	xs := make([]string, len(epsilons))
 	for i, e := range epsilons {
@@ -72,7 +74,9 @@ type ExPostResult struct {
 
 // X2ExPost runs the ex-post ablation.
 func X2ExPost(o Options) (ExPostResult, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return ExPostResult{}, err
+	}
 	const rounds = 200
 	const cheatFraction = 0.3
 
@@ -168,7 +172,9 @@ type WaitPeriodResult struct {
 
 // X3WaitPeriods runs the wait-period ablation.
 func X3WaitPeriods(o Options) (WaitPeriodResult, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return WaitPeriodResult{}, err
+	}
 	warm := func(ws core.WaitStrategy) *core.Engine {
 		cfg := engineConfig(8)
 		cfg.Rule = core.DrawMWMax
@@ -209,7 +215,9 @@ type InterleavingResult struct {
 // under concurrent bidding but almost never when each buyer's H-1 low
 // bids arrive as a burst shorter than the epoch.
 func X4Interleaving(o Options) (InterleavingResult, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return InterleavingResult{}, err
+	}
 	res := InterleavingResult{PCTs: PCTGrid()}
 	const epochSize = 8
 	collapseThreshold := 0.25 * meanValuation
@@ -269,7 +277,9 @@ func X4Interleaving(o Options) (InterleavingResult, error) {
 // of presentation"; this ablation quantifies what a deployment gains by
 // not fixing it.
 func X5AdaptiveGrid(o Options) (BoxSeries, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BoxSeries{}, err
+	}
 	budgets := []int{4, 6, 8, 16, 40}
 	xs := make([]string, len(budgets))
 	for i, n := range budgets {
@@ -311,7 +321,9 @@ func X5AdaptiveGrid(o Options) (BoxSeries, error) {
 // adaptive grid, and both combined. Longer 1000-bid streams let drift
 // actually unfold.
 func X6DriftTracking(o Options) (BoxSeries, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BoxSeries{}, err
+	}
 	ars := []float64{0.5, 0.9, 0.99, 0.999}
 	xs := make([]string, len(ars))
 	for i, ar := range ars {
@@ -340,22 +352,16 @@ func X6DriftTracking(o Options) (BoxSeries, error) {
 			return c
 		},
 	}
-	for i, ar := range ars {
-		spec := truthfulSpec(o, ar, 0.01)
-		spec.AR.N = 1000
-		factories := make(map[string]sim.PricerFactory, len(variants))
-		for name, mk := range variants {
-			factories[name] = sim.EngineFactory(mk())
-		}
-		results, err := sim.Run(spec, factories)
-		if err != nil {
-			return BoxSeries{}, err
-		}
-		for name, rs := range results {
-			col.add(name, i, sim.Revenues(rs))
-		}
+	factories := make(map[string]sim.PricerFactory, len(variants))
+	for name, mk := range variants {
+		factories[name] = sim.EngineFactory(mk())
 	}
-	return col.finish(), nil
+	specs := make([]sim.Spec, len(ars))
+	for i, ar := range ars {
+		specs[i] = truthfulSpec(o, ar, 0.01)
+		specs[i].AR.N = 1000
+	}
+	return col.sweep(specs, factories, sim.Revenues)
 }
 
 // MarketIntegration is a smoke experiment over the full market substrate:
@@ -370,7 +376,9 @@ type MarketIntegrationResult struct {
 
 // MarketIntegration runs the smoke experiment.
 func MarketIntegration(o Options) (MarketIntegrationResult, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return MarketIntegrationResult{}, err
+	}
 	m := market.MustNew(market.Config{Engine: engineConfig(4), Seed: o.Seed})
 	for _, s := range []market.SellerID{"s1", "s2"} {
 		if err := m.RegisterSeller(s); err != nil {

@@ -56,7 +56,9 @@ func (r BestResponseResult) StrategicAdvantageCautious() float64 {
 // catch while waiting costs nothing; once losing low bids trigger waits,
 // the dips they can catch shrink with their remaining opportunities.
 func X7BestResponse(o Options) (BestResponseResult, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BestResponseResult{}, err
+	}
 	const (
 		buyersPerSide = 10
 		periods       = 20

@@ -2,14 +2,18 @@
 // evaluation (Section 7) plus the design-choice ablations DESIGN.md
 // calls out. Each experiment is a pure function of an Options value, so
 // the CLI (cmd/marketsim), the benchmark harness (bench_test.go), and
-// EXPERIMENTS.md all regenerate identical numbers.
+// EXPERIMENTS.md all regenerate identical numbers — at any core count:
+// a simulated figure hands all its sweep points to one sim.RunGrid, and
+// testdata/golden.json pins every result's digest.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/core"
+	"github.com/datamarket/shield/internal/sim"
 	"github.com/datamarket/shield/internal/stats"
 	"github.com/datamarket/shield/internal/timeseries"
 )
@@ -26,7 +30,15 @@ type Options struct {
 	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
+// ErrNegativeOption is what every experiment returns for a negative
+// Series or Panel.
+var ErrNegativeOption = errors.New("experiments: Series and Panel must be >= 0")
+
+// resolve fills in the defaults; every experiment calls it first.
+func (o *Options) resolve() error {
+	if o.Series < 0 || o.Panel < 0 {
+		return ErrNegativeOption
+	}
 	if o.Series == 0 {
 		o.Series = 100
 	}
@@ -36,7 +48,7 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 2022
 	}
-	return o
+	return nil
 }
 
 // Simulation-wide constants: valuations fluctuate around 100 with the
@@ -148,6 +160,21 @@ func newBoxCollector(xlabel string, xs []string, order []string) *boxCollector {
 
 func (b *boxCollector) add(group string, x int, samples []float64) {
 	b.samples[cell{group, x}] = samples
+}
+
+// sweep runs factories over specs, one per x position, in one grid, and
+// summarizes measure of each factory's results as the group of its name.
+func (b *boxCollector) sweep(specs []sim.Spec, factories map[string]sim.PricerFactory, measure func([]sim.Result) []float64) (BoxSeries, error) {
+	grid, err := sim.RunGrid(specs, factories)
+	if err != nil {
+		return BoxSeries{}, err
+	}
+	for x, results := range grid {
+		for name, rs := range results {
+			b.add(name, x, measure(rs))
+		}
+	}
+	return b.finish(), nil
 }
 
 // finish normalizes samples and summarizes.

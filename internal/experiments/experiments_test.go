@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -398,9 +399,14 @@ func TestMarketIntegrationLedger(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Series != 100 || o.Panel != 50 || o.Seed != 2022 {
-		t.Fatalf("defaults = %+v", o)
+	var o Options
+	if err := o.resolve(); err != nil || o.Series != 100 || o.Panel != 50 || o.Seed != 2022 {
+		t.Fatalf("defaults = %+v, %v", o, err)
+	}
+	for _, bad := range []Options{{Series: -1}, {Panel: -1}} {
+		if err := bad.resolve(); !errors.Is(err, ErrNegativeOption) {
+			t.Errorf("%+v: err = %v, want ErrNegativeOption", bad, err)
+		}
 	}
 }
 

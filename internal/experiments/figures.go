@@ -36,7 +36,9 @@ func strategicSpec(o Options, pct, beta float64, horizon int) sim.Spec {
 // posting price (Opt) and the MW engine across the paper's AR
 // parameterizations (footnote 8), on truthful streams.
 func Fig3a(o Options) (BoxSeries, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BoxSeries{}, err
+	}
 	grid := timeseries.PaperARGrid()
 	xs := make([]string, len(grid))
 	for i, p := range grid {
@@ -47,24 +49,22 @@ func Fig3a(o Options) (BoxSeries, error) {
 	// different total value (AR=0.999 wanders far from the mean), so
 	// normalize within each AR point rather than across the figure.
 	col.perX = true
+	specs := make([]sim.Spec, len(grid))
 	for i, p := range grid {
-		results, err := sim.Run(truthfulSpec(o, p[0], p[1]), map[string]sim.PricerFactory{
-			"Opt": sim.OptFactory(),
-			"MW":  sim.EngineFactory(engineConfig(8)),
-		})
-		if err != nil {
-			return BoxSeries{}, err
-		}
-		col.add("Opt", i, sim.Revenues(results["Opt"]))
-		col.add("MW", i, sim.Revenues(results["MW"]))
+		specs[i] = truthfulSpec(o, p[0], p[1])
 	}
-	return col.finish(), nil
+	return col.sweep(specs, map[string]sim.PricerFactory{
+		"Opt": sim.OptFactory(),
+		"MW":  sim.EngineFactory(engineConfig(8)),
+	}, sim.Revenues)
 }
 
 // fig3 runs the Epoch-Shield sweep of Figures 3b/3c: epoch sizes against
 // growing PCT with strategic buyers bidding the minimum over horizon H.
 func fig3(o Options, measure func([]sim.Result) []float64) (BoxSeries, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BoxSeries{}, err
+	}
 	pcts := PCTGrid()
 	xs := make([]string, len(pcts))
 	for i, p := range pcts {
@@ -78,17 +78,11 @@ func fig3(o Options, measure func([]sim.Result) []float64) (BoxSeries, error) {
 		order[i] = name
 		factories[name] = sim.EngineFactory(engineConfig(e))
 	}
-	col := newBoxCollector("PCT", xs, order)
+	specs := make([]sim.Spec, len(pcts))
 	for i, pct := range pcts {
-		results, err := sim.Run(strategicSpec(o, pct, 0, defaultH), factories)
-		if err != nil {
-			return BoxSeries{}, err
-		}
-		for name, rs := range results {
-			col.add(name, i, measure(rs))
-		}
+		specs[i] = strategicSpec(o, pct, 0, defaultH)
 	}
-	return col.finish(), nil
+	return newBoxCollector("PCT", xs, order).sweep(specs, factories, measure)
 }
 
 // Fig3b reproduces Figure 3b: normalized revenue of epoch sizes
@@ -104,7 +98,9 @@ func Fig3c(o Options) (BoxSeries, error) { return fig3(o, sim.Surpluses) }
 // no protection), AdHoc (random neighborhood of the argmax), and Random —
 // across epoch sizes on truthful streams.
 func Fig4a(o Options) (BoxSeries, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BoxSeries{}, err
+	}
 	epochs := EpochGrid()
 	xs := make([]string, len(epochs))
 	for i, e := range epochs {
@@ -141,7 +137,9 @@ func Fig4a(o Options) (BoxSeries, error) {
 // fig4bc runs the Time-Shield sweep of Figures 4b/4c: E=8, strategic-bid
 // beta against growing PCT.
 func fig4bc(o Options, measure func([]sim.Result) []float64) (BoxSeries, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BoxSeries{}, err
+	}
 	pcts := PCTGrid()
 	xs := make([]string, len(pcts))
 	for i, p := range pcts {
@@ -152,17 +150,21 @@ func fig4bc(o Options, measure func([]sim.Result) []float64) (BoxSeries, error) 
 	for i, b := range betas {
 		order[i] = BetaLabel(b)
 	}
-	col := newBoxCollector("PCT", xs, order)
-	for i, pct := range pcts {
+	var specs []sim.Spec
+	for _, pct := range pcts {
 		for _, beta := range betas {
-			results, err := sim.Run(strategicSpec(o, pct, beta, defaultH), map[string]sim.PricerFactory{
-				"MW": sim.EngineFactory(engineConfig(8)),
-			})
-			if err != nil {
-				return BoxSeries{}, err
-			}
-			col.add(BetaLabel(beta), i, measure(results["MW"]))
+			specs = append(specs, strategicSpec(o, pct, beta, defaultH))
 		}
+	}
+	grid, err := sim.RunGrid(specs, map[string]sim.PricerFactory{
+		"MW": sim.EngineFactory(engineConfig(8)),
+	})
+	if err != nil {
+		return BoxSeries{}, err
+	}
+	col := newBoxCollector("PCT", xs, order)
+	for i, results := range grid { // PCT-major, as specs was built
+		col.add(order[i%len(betas)], i/len(betas), measure(results["MW"]))
 	}
 	return col.finish(), nil
 }
@@ -179,34 +181,32 @@ func Fig4c(o Options) (BoxSeries, error) { return fig4bc(o, sim.Surpluses) }
 // Fig5a reproduces Figure 5a: normalized revenue of the update
 // algorithms avg, p50 (median), MW, and Opt as PCT increases.
 func Fig5a(o Options) (BoxSeries, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return BoxSeries{}, err
+	}
 	pcts := PCTGrid()
 	xs := make([]string, len(pcts))
 	for i, p := range pcts {
 		xs[i] = fmt.Sprintf("%.1f", p)
 	}
 	order := []string{"Opt", "MW", "avg", "p50"}
-	col := newBoxCollector("PCT", xs, order)
+	specs := make([]sim.Spec, len(pcts))
 	for i, pct := range pcts {
-		results, err := sim.Run(strategicSpec(o, pct, 0, defaultH), map[string]sim.PricerFactory{
-			"Opt": sim.OptFactory(),
-			"MW":  sim.EngineFactory(engineConfig(8)),
-			"avg": sim.EpochSummaryFactory(8, auction.AvgSummary, meanValuation),
-			"p50": sim.EpochSummaryFactory(8, auction.MedianSummary, meanValuation),
-		})
-		if err != nil {
-			return BoxSeries{}, err
-		}
-		for name, rs := range results {
-			col.add(name, i, sim.Revenues(rs))
-		}
+		specs[i] = strategicSpec(o, pct, 0, defaultH)
 	}
-	return col.finish(), nil
+	return newBoxCollector("PCT", xs, order).sweep(specs, map[string]sim.PricerFactory{
+		"Opt": sim.OptFactory(),
+		"MW":  sim.EngineFactory(engineConfig(8)),
+		"avg": sim.EpochSummaryFactory(8, auction.AvgSummary, meanValuation),
+		"p50": sim.EpochSummaryFactory(8, auction.MedianSummary, meanValuation),
+	}, sim.Revenues)
 }
 
 // fig5Heatmap runs the horizon x beta revenue heat map at one PCT.
 func fig5Heatmap(o Options, pct float64) (HeatmapResult, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return HeatmapResult{}, err
+	}
 	horizons := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	betas := []float64{0, 0.25, 0.5, 0.75, 0.9}
 	res := HeatmapResult{
@@ -215,17 +215,23 @@ func fig5Heatmap(o Options, pct float64) (HeatmapResult, error) {
 		Betas:    betas,
 		Values:   make([][]float64, len(horizons)),
 	}
+	var specs []sim.Spec
+	for _, h := range horizons {
+		for _, beta := range betas {
+			specs = append(specs, strategicSpec(o, pct, beta, h))
+		}
+	}
+	grid, err := sim.RunGrid(specs, map[string]sim.PricerFactory{
+		"MW": sim.EngineFactory(engineConfig(8)),
+	})
+	if err != nil {
+		return HeatmapResult{}, err
+	}
 	var max float64
-	for hi, h := range horizons {
+	for hi := range horizons {
 		res.Values[hi] = make([]float64, len(betas))
-		for bi, beta := range betas {
-			results, err := sim.Run(strategicSpec(o, pct, beta, h), map[string]sim.PricerFactory{
-				"MW": sim.EngineFactory(engineConfig(8)),
-			})
-			if err != nil {
-				return HeatmapResult{}, err
-			}
-			mean := stats.Mean(sim.Revenues(results["MW"]))
+		for bi := range betas {
+			mean := stats.Mean(sim.Revenues(grid[hi*len(betas)+bi]["MW"]))
 			res.Values[hi][bi] = mean
 			if mean > max {
 				max = mean

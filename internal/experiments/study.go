@@ -8,7 +8,9 @@ import (
 // Table1 reproduces Table 1 (RQ1): descriptive statistics of panel bids
 // at valuations 500 and 1500 with the one-sample Wilcoxon test.
 func Table1(o Options) ([]userstudy.Table1Row, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return nil, err
+	}
 	return userstudy.NewPanel(o.Panel, o.Seed).Table1(500, 1500)
 }
 
@@ -26,7 +28,9 @@ type LeakFigure struct {
 }
 
 func leakFigure(o Options, v float64) (LeakFigure, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return LeakFigure{}, err
+	}
 	// Mix the valuation into the panel seed: the study controls for the
 	// price effect by asking about different price magnitudes, so the
 	// two figures should not share a bit-identical draw sequence.
@@ -58,6 +62,8 @@ func Fig2b(o Options) (LeakFigure, error) { return leakFigure(o, 1500) }
 // over 4 hours, with (W) and without (NW) Time-Shield, reduced to
 // p25/median/p75 curves (RQ4-RQ5).
 func Fig2c(o Options) (userstudy.TimeShieldStudy, error) {
-	o = o.withDefaults()
+	if err := o.resolve(); err != nil {
+		return userstudy.TimeShieldStudy{}, err
+	}
 	return userstudy.NewPanel(o.Panel, o.Seed).RunTimeShieldStudy(2000, 4)
 }

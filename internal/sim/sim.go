@@ -3,11 +3,20 @@
 // engines and baselines behind one interface, measures revenue and buyer
 // social surplus, and aggregates across the paper's 100 random series per
 // configuration into the percentile boxes the figures report.
+//
+// A figure is a sweep of Specs, each over independent random series:
+// RunGrid spreads the (spec, series) pairs over GOMAXPROCS cores and
+// returns a serial walk's result bit for bit (DESIGN.md §4, "Parallel
+// sweeps").
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/core"
@@ -71,11 +80,18 @@ type Result struct {
 // Replay runs stream through p. When skipWon is true (the realistic
 // setting), a buyer who has already won stops bidding: its remaining
 // stream entries are dropped, since a buyer needs the dataset only once.
+// Winners are kept in a slice indexed by Bid.Buyer and sized by the
+// largest: Buyer must be >= 0 and is expected to be what
+// timeseries.Transform produces, an index into the valuation series.
 func Replay(p Pricer, stream []timeseries.Bid, skipWon bool) Result {
 	var res Result
-	var won map[int]bool
+	var won []bool
 	if skipWon {
-		won = make(map[int]bool)
+		last := -1
+		for _, b := range stream {
+			last = max(last, b.Buyer)
+		}
+		won = make([]bool, last+1)
 	}
 	for _, b := range stream {
 		if skipWon && won[b.Buyer] {
@@ -105,8 +121,8 @@ type Spec struct {
 	Series int
 	// BaseSeed derives the per-series generator and transform seeds.
 	BaseSeed uint64
-	// SkipWon controls Replay's skip-after-win behavior (default true via
-	// Run; set KeepWonBids to replay every bid).
+	// KeepWonBids replays every bid; by default a buyer who has won stops
+	// bidding (Replay's skipWon).
 	KeepWonBids bool
 	// Window truncates each transformed stream to at most this many bids
 	// (0 keeps the whole stream). The paper measures fixed-length
@@ -123,54 +139,122 @@ type Spec struct {
 // posting price in hindsight — online pricers must ignore it.
 type PricerFactory func(seed uint64, hindsight []float64) Pricer
 
-// Run generates Spec.Series random series, replays each through every
-// factory's pricer, and returns per-factory sample slices of Results in
-// series order. Every factory faces the identical stream for a given
-// series index.
+// Run is RunGrid over the one spec.
 func Run(spec Spec, factories map[string]PricerFactory) (map[string][]Result, error) {
+	out, err := RunGrid([]Spec{spec}, factories)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// RunGrid generates each spec's Series random series, replays each
+// through every factory's pricer, and returns per spec the per-factory
+// Results in series order. Every factory faces the identical stream for
+// a given (spec, series) pair.
+//
+// The pairs are independent, each seeded on its own, so GOMAXPROCS
+// goroutines — the caller one of them, all returned before RunGrid is —
+// claim them one at a time and call the factories concurrently. A pair
+// writes only its own slots of the pre-sized output, and the error is
+// the lowest failing pair's, so result and error are a serial walk's at
+// any core count. Give a sweep's points to one call, not to a Run each:
+// every fan-out strands goroutine descriptors on the other Ps (DESIGN.md
+// §4, "Parallel sweeps").
+func RunGrid(specs []Spec, factories map[string]PricerFactory) ([]map[string][]Result, error) {
 	if len(factories) == 0 {
 		return nil, errors.New("sim: no pricer factories")
 	}
-	series := spec.Series
-	if series == 0 {
-		series = 100
+	out := make([]map[string][]Result, len(specs))
+	// Pairs first[i] to first[i+1]-1 are spec i's series.
+	first := make([]int, len(specs)+1)
+	for i, spec := range specs {
+		series := spec.Series
+		if series == 0 {
+			series = 100
+		}
+		if series < 1 {
+			return nil, errors.New("sim: Series must be >= 1")
+		}
+		first[i+1] = first[i] + series
+		out[i] = make(map[string][]Result, len(factories))
+		for name := range factories {
+			out[i][name] = make([]Result, series)
+		}
 	}
-	if series < 1 {
-		return nil, errors.New("sim: Series must be >= 1")
+	pairs := first[len(specs)]
+	// Pairs are claimed in rising order, so when one fails every pair
+	// below it is already claimed and will finish: the lowest failure
+	// seen is the lowest there is.
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		failedAt = pairs
+		failure  error
+	)
+	work := func() {
+		for {
+			pair := int(next.Add(1)) - 1
+			if pair >= pairs {
+				return
+			}
+			i := sort.SearchInts(first, pair+1) - 1
+			if err := runPair(specs[i], pair-first[i], factories, out[i]); err != nil {
+				next.Store(int64(pairs))
+				mu.Lock()
+				if pair < failedAt {
+					failedAt, failure = pair, err
+				}
+				mu.Unlock()
+				return
+			}
+		}
 	}
-	out := make(map[string][]Result, len(factories))
-	for name := range factories {
-		out[name] = make([]Result, 0, series)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), pairs); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	for s := 0; s < series; s++ {
-		seed := spec.BaseSeed + uint64(s)*2654435761
-		genR := rng.New(seed)
-		vals, err := timeseries.GenerateValuations(spec.AR, genR)
-		if err != nil {
-			return nil, fmt.Errorf("sim: series %d: %w", s, err)
-		}
-		stream, err := timeseries.Transform(vals, spec.Strategic, genR.Split())
-		if err != nil {
-			return nil, fmt.Errorf("sim: series %d: %w", s, err)
-		}
-		if spec.Window > 0 && len(stream) > spec.Window {
-			// A window is a stationary snapshot of an ongoing market:
-			// the buyers observed mid-window are at arbitrary phases of
-			// their bidding plans (some started before the window, some
-			// finish after it). Shuffle fully before truncating so the
-			// window composition matches the steady-state bid mix rather
-			// than the transient where every buyer has just arrived.
-			shuf := rng.New(seed ^ 0x9e3779b97f4a7c15)
-			shuffleBids(stream, shuf)
-			stream = stream[:spec.Window]
-		}
-		hindsight := timeseries.Amounts(stream)
-		for name, mk := range factories {
-			p := mk(seed, hindsight)
-			out[name] = append(out[name], Replay(p, stream, !spec.KeepWonBids))
-		}
+	work()
+	wg.Wait()
+	if failure != nil {
+		return nil, failure
 	}
 	return out, nil
+}
+
+// runPair generates series s of spec and writes every factory's replay
+// of it to out[name][s].
+func runPair(spec Spec, s int, factories map[string]PricerFactory, out map[string][]Result) error {
+	seed := spec.BaseSeed + uint64(s)*2654435761
+	genR := rng.New(seed)
+	vals, err := timeseries.GenerateValuations(spec.AR, genR)
+	if err != nil {
+		return fmt.Errorf("sim: series %d: %w", s, err)
+	}
+	stream, err := timeseries.Transform(vals, spec.Strategic, genR.Split())
+	if err != nil {
+		return fmt.Errorf("sim: series %d: %w", s, err)
+	}
+	if spec.Window > 0 && len(stream) > spec.Window {
+		// A window is a stationary snapshot of an ongoing market:
+		// the buyers observed mid-window are at arbitrary phases of
+		// their bidding plans (some started before the window, some
+		// finish after it). Shuffle fully before truncating so the
+		// window composition matches the steady-state bid mix rather
+		// than the transient where every buyer has just arrived.
+		shuf := rng.New(seed ^ 0x9e3779b97f4a7c15)
+		shuffleBids(stream, shuf)
+		stream = stream[:spec.Window]
+	}
+	hindsight := timeseries.Amounts(stream)
+	for name, mk := range factories {
+		out[name][s] = Replay(mk(seed, hindsight), stream, !spec.KeepWonBids)
+	}
+	return nil
 }
 
 // shuffleBids is a Fisher-Yates shuffle over a bid stream.
