@@ -55,25 +55,3 @@ func (m Money) String() string {
 	}
 	return s
 }
-
-// Split divides m into n non-negative parts that sum exactly to m, with
-// the remainder distributed one micro at a time to the earliest parts.
-// It panics if n <= 0 or m < 0.
-func (m Money) Split(n int) []Money {
-	if n <= 0 {
-		panic("market: Split with n <= 0")
-	}
-	if m < 0 {
-		panic("market: Split of negative Money")
-	}
-	base := m / Money(n)
-	rem := m % Money(n)
-	out := make([]Money, n)
-	for i := range out {
-		out[i] = base
-		if Money(i) < rem {
-			out[i]++
-		}
-	}
-	return out
-}

@@ -217,9 +217,11 @@ func (st *State) Transactions() []Transaction {
 }
 
 // paySellers splits price across the owners of the base datasets backing
-// dataset, exactly (no micro lost), deterministically (leaves are
-// sorted), and returns the total actually credited. leaves may be
-// pre-resolved by the caller (nil means "resolve here").
+// dataset, exactly (no micro lost: every leaf's share is price/n, and
+// the remainder goes one micro each to the earliest leaves),
+// deterministically (leaves are sorted), and returns the total actually
+// credited. leaves may be pre-resolved by the caller (nil means
+// "resolve here").
 func (st *State) paySellers(dataset DatasetID, leaves []string, price Money) Money {
 	if leaves == nil {
 		var err error
@@ -232,15 +234,20 @@ func (st *State) paySellers(dataset DatasetID, leaves []string, price Money) Mon
 		return 0
 	}
 	var credited Money
-	parts := price.Split(len(leaves))
+	n := Money(len(leaves))
+	base, rem := price/n, price%n
 	for i, leaf := range leaves {
+		part := base
+		if Money(i) < rem {
+			part++
+		}
 		owner, ok := st.owners[DatasetID(leaf)]
 		if !ok {
 			continue
 		}
 		if acct, ok := st.sellers[owner]; ok {
-			acct.balance += parts[i]
-			credited += parts[i]
+			acct.balance += part
+			credited += part
 		}
 	}
 	return credited

@@ -1,0 +1,100 @@
+package command
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/core"
+)
+
+// paidOut sells a dataset backed by n base datasets — uploaded in
+// reverse of their sorted order, one seller each — for price, through
+// paySellers itself, and returns what each leaf's owner was credited,
+// in sorted leaf order, with the total paySellers reported.
+func paidOut(t *testing.T, price Money, n int) ([]Money, Money) {
+	t.Helper()
+	st, err := NewState(Config{
+		Engine: core.Config{Candidates: auction.LinearGrid(10, 100, 10), EpochSize: 4, MinBid: 1},
+		Seed:   7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := make([]DatasetID, n)
+	for i := n - 1; i >= 0; i-- {
+		leaves[i] = DatasetID(fmt.Sprintf("leaf-%02d", i))
+		seller := SellerID("owner-of-" + leaves[i])
+		for _, cmd := range []Command{RegisterSeller{Seller: seller}, UploadDataset{Seller: seller, Dataset: leaves[i]}} {
+			if _, err := Apply(st, cmd); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sold := leaves[0]
+	if n > 1 {
+		sold = "bundle"
+		shuffled := slices.Clone(leaves)
+		slices.Reverse(shuffled)
+		if _, err := Apply(st, ComposeDataset{Dataset: sold, Constituents: shuffled}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := st.paySellers(sold, nil, price)
+	parts := make([]Money, n)
+	for i, leaf := range leaves {
+		if parts[i], err = st.SellerBalance(SellerID("owner-of-" + leaf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return parts, total
+}
+
+// TestPaySellersSplitsExactly pins the sale split on paySellers itself:
+// a price that does not divide evenly is distributed with the remainder
+// going micro-by-micro to the earliest leaves in sorted order —
+// whatever order they were uploaded or composed in — and no micro is
+// ever minted or lost.
+func TestPaySellersSplitsExactly(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		price Money
+		want  []Money
+	}{
+		{"one leaf takes it all", 7, []Money{7}},
+		{"one micro two ways", 1, []Money{1, 0}},
+		{"seven micros three ways", 7, []Money{3, 2, 2}},
+		{"divides evenly", 9, []Money{3, 3, 3}},
+		{"cent across three sellers", 10_000, []Money{3334, 3333, 3333}},
+		{"unit across seven", Micro, []Money{142858, 142857, 142857, 142857, 142857, 142857, 142857}},
+		{"zero", 0, []Money{0, 0, 0, 0}},
+		{"more leaves than micros", 3, []Money{1, 1, 1, 0, 0}},
+	} {
+		got, total := paidOut(t, c.price, len(c.want))
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: leaves credited %v, want %v", c.name, got, c.want)
+		}
+		if total != c.price {
+			t.Errorf("%s: credited %d in total, want %d", c.name, total, c.price)
+		}
+	}
+
+	// Any price over any leaf count: parts are non-negative, sum to the
+	// price, differ by at most one micro, and never grow along the sorted
+	// leaves.
+	property := func(raw uint32, nRaw uint8) bool {
+		price, n := Money(raw), 1+int(nRaw%10)
+		parts, total := paidOut(t, price, n)
+		var sum Money
+		for _, p := range parts {
+			sum += p
+		}
+		return sum == price && total == price && parts[n-1] >= 0 && parts[0]-parts[n-1] <= 1 &&
+			slices.IsSortedFunc(parts, func(a, b Money) int { return int(b - a) })
+	}
+	if err := quick.Check(property, nil); err != nil {
+		t.Error(err)
+	}
+}

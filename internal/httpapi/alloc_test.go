@@ -1,0 +1,46 @@
+package httpapi
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"github.com/datamarket/shield/internal/market"
+	"github.com/datamarket/shield/internal/obs"
+)
+
+// TestHTTPInstrumentAllocs is the request middleware's allocation
+// budget: what instrument adds to one GET /v1/period, measured as the
+// instrumented handler minus the bare mux over the same request and a
+// recorder. With tracing sampled out that is the minted request ID, the
+// one struct holding the status writer and the request context, the
+// X-Request-ID header value, and the request copy WithContext makes.
+// (With a separate status writer, two context links, the trace name
+// built whether or not the request is traced, header keys canonicalized
+// per request, and a strconv plus label join for the latency series,
+// this read 11.)
+func TestHTTPInstrumentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := NewServer(market.MustNew(testConfig())).
+		WithTelemetry(&obs.Telemetry{Registry: obs.NewRegistry(), Tracer: obs.NewTracer(16, 0, 1)})
+	s.ensureTelemetry()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/period", s.handlePeriod)
+	req := httptest.NewRequest(http.MethodGet, "/v1/period", nil)
+	allocs := func(h http.Handler) float64 {
+		return testing.AllocsPerRun(200, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET /v1/period = %d", rec.Code)
+			}
+		})
+	}
+	if own := allocs(s.instrument(mux)) - allocs(mux); own > 4 {
+		t.Fatalf("instrument adds %.1f allocations to a request, want <= 4", own)
+	} else {
+		t.Logf("instrument adds %.1f allocations", own)
+	}
+}

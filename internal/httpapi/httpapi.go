@@ -93,8 +93,13 @@ type Server struct {
 	tel         *obs.Telemetry
 	telOnce     sync.Once
 	httpLatency *obs.Vec[*obs.Histogram]
-	logger      *slog.Logger
-	opToken     string
+	// latencyBy binds each (route, status) latency series on first use —
+	// both sets are closed — so the per-request lookup is a map read,
+	// not strconv plus a label join under the family's mutex.
+	latencyMu sync.RWMutex
+	latencyBy map[routeStatus]*obs.Histogram
+	logger    *slog.Logger
+	opToken   string
 }
 
 func NewServer(m *market.Market) *Server {

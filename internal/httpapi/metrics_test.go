@@ -147,7 +147,7 @@ func validateExposition(t *testing.T, r io.Reader) {
 		"shield_market_revenue_units",
 		"shield_dataset_bids_total",
 		"shield_dataset_posting_price",
-		"shield_price_evaluate_seconds",
+		"shield_stage_seconds",
 		"shield_http_request_seconds",
 		"shield_metrics_scrape_errors_total",
 	} {

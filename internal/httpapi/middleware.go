@@ -58,24 +58,48 @@ func (s *Server) ensureTelemetry() {
 		s.httpLatency = s.tel.Registry.HistogramVec("shield_http_request_seconds",
 			"HTTP request latency by route pattern and status code.",
 			obs.LatencyBuckets(), "route", "status")
+		s.latencyBy = map[routeStatus]*obs.Histogram{}
 	})
 }
 
-// statusWriter captures the response status for the latency histogram
-// and the request log.
-type statusWriter struct {
-	http.ResponseWriter
+// routeStatus keys the bound latency series.
+type routeStatus struct {
+	route  string
 	status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+// latencyFor returns the bound series for route/status (Server.latencyBy).
+func (s *Server) latencyFor(route string, status int) *obs.Histogram {
+	k := routeStatus{route, status}
+	s.latencyMu.RLock()
+	h := s.latencyBy[k]
+	s.latencyMu.RUnlock()
+	if h == nil {
+		h = s.httpLatency.With(route, strconv.Itoa(status))
+		s.latencyMu.Lock()
+		s.latencyBy[k] = h
+		s.latencyMu.Unlock()
+	}
+	return h
+}
+
+// requestState is the one allocation instrument makes per request: the
+// writer that captures the response status for the latency histogram
+// and the request log, and the request's context.
+type requestState struct {
+	http.ResponseWriter
+	status int
+	ctx    obs.RequestCtx
+}
+
+func (w *requestState) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
+func (w *requestState) Write(b []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
@@ -92,23 +116,26 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // sampled trace here regardless of the local sampling rate — the
 // HTTP-side twin of the wire protocol's v2 trace field. The route
 // label is the mux pattern that matched — a bounded set — never the
-// raw URL.
+// raw URL; the trace takes it as its name once routing has decided it.
 func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		var tr *obs.Trace
-		id := r.Header.Get("X-Trace-ID")
+		// Header names are spelled canonically (X-Trace-Id), as they are
+		// stored either way: Get and Set then copy no key per request.
+		id := r.Header.Get("X-Trace-Id")
 		if id == "" {
 			id = s.tel.Tracer.NewRequestID()
-			tr = s.tel.Tracer.Begin(id, r.Method+" "+r.URL.Path)
+			tr = s.tel.Tracer.BeginAt(id, "http", start)
 		} else if r.Header.Get("X-Trace-Sampled") == "1" {
-			tr = s.tel.Tracer.Adopt(id, r.Method+" "+r.URL.Path, time.Now())
+			tr = s.tel.Tracer.Adopt(id, "http", start)
 		}
-		ctx := obs.WithRequestTrace(r.Context(), id, tr)
-		w.Header().Set("X-Request-ID", id)
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		r = r.WithContext(ctx)
-		mux.ServeHTTP(sw, r)
+		st := &requestState{ResponseWriter: w}
+		st.ctx.Context = r.Context()
+		st.ctx.Reset(id, tr)
+		w.Header().Set("X-Request-Id", id)
+		r = r.WithContext(&st.ctx)
+		mux.ServeHTTP(st, r)
 		// ServeMux writes the matched pattern back onto this request
 		// before dispatching (Go 1.22+), so it is readable here.
 		route := r.Pattern
@@ -117,15 +144,15 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 		}
 		tr.SetName(route)
 		s.tel.Tracer.Finish(tr)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
+		if st.status == 0 {
+			st.status = http.StatusOK
 		}
 		elapsed := time.Since(start)
-		s.httpLatency.With(route, strconv.Itoa(sw.status)).ObserveTrace(elapsed.Seconds(), obs.ExemplarID(ctx))
-		s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
+		s.latencyFor(route, st.status).ObserveTrace(elapsed.Seconds(), obs.ExemplarID(&st.ctx))
+		s.logger.LogAttrs(&st.ctx, slog.LevelInfo, "request",
 			slog.String("id", id),
 			slog.String("route", route),
-			slog.Int("status", sw.status),
+			slog.Int("status", st.status),
 			slog.Duration("elapsed", elapsed),
 			slog.String("remote", r.RemoteAddr),
 		)

@@ -264,7 +264,7 @@ func TestBidTraceRetrievable(t *testing.T) {
 			spans = append(spans, sp.Name)
 		}
 	}
-	for _, want := range []string{"http.parse", "apply", "price.evaluate", "journal.append", "journal.fsync", "publish"} {
+	for _, want := range []string{"http.parse", "apply", "journal.append", "journal.fsync", "publish"} {
 		if !slices.Contains(spans, want) {
 			t.Errorf("trace %s missing span %q (got %v)", bidID, want, spans)
 		}

@@ -72,7 +72,7 @@ func TestInboundTraceHeadersAdopted(t *testing.T) {
 	for _, sp := range out.Trace.Spans {
 		names = append(names, sp.Name)
 	}
-	if !strings.Contains(strings.Join(names, " "), "price.evaluate") {
+	if !strings.Contains(strings.Join(names, " "), "apply") {
 		t.Fatalf("adopted trace spans %v missing the bid lifecycle", names)
 	}
 

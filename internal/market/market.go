@@ -34,7 +34,6 @@ package market
 import (
 	"context"
 	"sync"
-	"time"
 
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/obs"
@@ -165,8 +164,8 @@ func (s Stage) Unlock() { s.m.mu.Unlock() }
 
 // Apply runs one command against the state machine and returns the
 // core's events without publishing them: no read observes the command
-// until Publish. When ctx carries an obs trace a bid records apply and
-// price.evaluate spans. The context does not cancel the command — a
+// until Publish. When ctx carries an obs trace a bid records an apply
+// span. The context does not cancel the command — a
 // command that reached the market always completes (partial application
 // would desynchronize engines and books).
 func (s Stage) Apply(ctx context.Context, cmd command.Command) ([]command.Event, error) {
@@ -205,16 +204,7 @@ func (s Stage) ApplyBid(ctx context.Context, c command.SubmitBid) (command.Event
 		applyH = m.tel.applyStage
 	}
 	endApply := obs.StageTimer(ctx, applyH, "apply")
-	endEvalSpan := obs.StartSpan(ctx, "price.evaluate")
-	var evalStart time.Time
-	if m.tel != nil {
-		evalStart = time.Now()
-	}
 	ev, err := command.ApplyBid(m.st, c)
-	endEvalSpan.End()
-	if m.tel != nil {
-		m.tel.priceEval.ObserveSinceTrace(evalStart, obs.ExemplarID(ctx))
-	}
 	endApply.End()
 	return ev, err
 }

@@ -89,41 +89,6 @@ func TestFromFloatMonotoneAcrossBoundary(t *testing.T) {
 	}
 }
 
-func TestSplitFractionalCents(t *testing.T) {
-	// Epoch-revenue splits that do not divide evenly must distribute the
-	// remainder micro-by-micro to the earliest parts and never mint or
-	// lose a micro.
-	cases := []struct {
-		name string
-		m    Money
-		n    int
-		want []Money
-	}{
-		{"one micro two ways", 1, 2, []Money{1, 0}},
-		{"seven micros three ways", 7, 3, []Money{3, 2, 2}},
-		{"cent across three sellers", 10_000, 3, []Money{3334, 3333, 3333}},
-		{"unit across seven", Micro, 7, []Money{142858, 142857, 142857, 142857, 142857, 142857, 142857}},
-		{"zero", 0, 4, []Money{0, 0, 0, 0}},
-		{"n exceeds micros", 3, 5, []Money{1, 1, 1, 0, 0}},
-	}
-	for _, c := range cases {
-		got := c.m.Split(c.n)
-		if len(got) != len(c.want) {
-			t.Fatalf("%s: got %d parts, want %d", c.name, len(got), len(c.want))
-		}
-		var sum Money
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%s: part %d = %d, want %d", c.name, i, got[i], c.want[i])
-			}
-			sum += got[i]
-		}
-		if sum != c.m {
-			t.Errorf("%s: parts sum to %d, want %d", c.name, sum, c.m)
-		}
-	}
-}
-
 func TestSubmitBidRejectsBadAmounts(t *testing.T) {
 	m := MustNew(Config{
 		Engine: core.Config{
@@ -176,54 +141,6 @@ func TestMoneyString(t *testing.T) {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("%d.String() = %q, want %q", c.in, got, c.want)
 		}
-	}
-}
-
-func TestSplitExact(t *testing.T) {
-	f := func(raw uint32, nRaw uint8) bool {
-		m := Money(raw)
-		n := 1 + int(nRaw%10)
-		parts := m.Split(n)
-		if len(parts) != n {
-			return false
-		}
-		var sum Money
-		for _, p := range parts {
-			if p < 0 {
-				return false
-			}
-			sum += p
-		}
-		// Parts differ by at most one micro.
-		min, max := parts[0], parts[0]
-		for _, p := range parts {
-			if p < min {
-				min = p
-			}
-			if p > max {
-				max = p
-			}
-		}
-		return sum == m && max-min <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplitPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"n=0":      func() { Money(10).Split(0) },
-		"negative": func() { Money(-1).Split(2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }
 

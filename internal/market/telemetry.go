@@ -11,16 +11,13 @@ import (
 // traffic, so the bid path reads them without synchronization; a nil
 // telemetry (the default) costs one pointer check per site.
 type telemetry struct {
-	// priceEval times the engine interaction of one bid: allocation
-	// decision, wait-period simulation, demand propagation and the
-	// epoch price update.
-	priceEval *obs.Histogram
 	// scrapeErrors counts metric families whose collector failed
 	// mid-scrape instead of silently dropping their samples.
 	scrapeErrors *obs.Counter
 	// applyStage and publishStage are the market's stages on the shared
 	// shield_stage_seconds family: applying one bid to the engine state
-	// (pricing, books) and publishing the invalidated read views.
+	// (allocation, wait simulation, demand propagation, epoch price
+	// update, books) and publishing the invalidated read views.
 	applyStage   *obs.Histogram
 	publishStage *obs.Histogram
 }
@@ -37,9 +34,6 @@ func (m *Market) Instrument(t *obs.Telemetry) {
 	r := t.Registry
 
 	tel := &telemetry{
-		priceEval: r.Histogram("shield_price_evaluate_seconds",
-			"Time inside the pricing engine per bid: allocation, wait simulation, demand propagation, epoch update.",
-			obs.LatencyBuckets()),
 		scrapeErrors: r.Counter("shield_metrics_scrape_errors_total",
 			"Metric families whose collector failed during a scrape (samples would otherwise be silently dropped)."),
 		applyStage:   t.Stage("apply"),

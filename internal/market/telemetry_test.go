@@ -86,8 +86,7 @@ func BenchmarkBidUninstrumented(b *testing.B) {
 }
 
 // BenchmarkBidInstrumented is the same workload with the full metric
-// set bound (shard lock-wait and price-evaluate histograms on the bid
-// path). The delta against BenchmarkBidUninstrumented is the per-bid
+// set bound (the apply and publish stage histograms on the bid path). The delta against BenchmarkBidUninstrumented is the per-bid
 // cost of telemetry.
 func BenchmarkBidInstrumented(b *testing.B) {
 	m := setupBenchMarket(b, true)

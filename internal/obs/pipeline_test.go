@@ -23,7 +23,7 @@ func TestTracerConcurrentHammer(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				id := tr.NewRequestID()
 				trace := tr.Begin(id, "hammer")
-				trace.StartSpan("stage")()
+				trace.AddSpan("stage", time.Now(), 0)
 				trace.AddSpan("external", time.Now(), time.Microsecond)
 				tr.Finish(trace)
 				if i%17 == 0 {

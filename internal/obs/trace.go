@@ -245,25 +245,6 @@ type Span struct {
 	Duration time.Duration
 }
 
-// StartSpan opens a named span and returns the function that closes
-// it. On a nil trace both are no-ops.
-func (tr *Trace) StartSpan(name string) func() {
-	if tr == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() {
-		end := time.Now()
-		tr.mu.Lock()
-		tr.spans = append(tr.spans, Span{
-			Name:     name,
-			Start:    begin.Sub(tr.start),
-			Duration: end.Sub(begin),
-		})
-		tr.mu.Unlock()
-	}
-}
-
 // AddSpan records a span that was timed externally — a stage measured
 // before the trace existed (the wire server's frame read happens on the
 // reader goroutine, before the request is even parsed) or on a
@@ -347,24 +328,43 @@ func (ts TraceSnapshot) StageSummary() string {
 
 type ctxKey int
 
-// traceKey holds the request's identity as ONE context link: a *Trace
-// when the request is sampled (a trace carries its own ID), a plain
-// string ID otherwise. One link instead of two halves the context
-// allocations on the per-request hot path.
+// traceKey is the one context key a request's identity lives under; its
+// value is always the *RequestCtx that carries it.
 const traceKey ctxKey = iota
 
-// WithRequestTrace attaches a request's identity to the context in a
-// single link: the trace when the request is sampled (tr non-nil, its
-// ID becomes the context's request ID), the bare ID otherwise. This is
-// the transport servers' per-request entry point.
-func WithRequestTrace(ctx context.Context, id string, tr *Trace) context.Context {
+// RequestCtx is a context.Context carrying one request's identity: its
+// ID and, when the request is sampled, its trace. A serving loop keeps
+// one per connection and rebinds it to each request with Reset, so
+// identity costs no allocation per request.
+//
+// Reuse rests on one invariant: every consumer downstream of ApplyCtx
+// (journal group members, stage timers, view publication) is done with
+// the context before the request is answered. Nothing may retain a
+// RequestCtx, or a context derived from one, past the call it was
+// handed to; its owner Resets it only between requests.
+type RequestCtx struct {
+	context.Context // the parent: deadline, cancellation, other values
+
+	id string
+	tr *Trace
+}
+
+// Reset rebinds c to a request: the trace when it is sampled (tr
+// non-nil, its own ID becomes the request ID), the bare ID otherwise.
+func (c *RequestCtx) Reset(id string, tr *Trace) {
 	if tr != nil {
-		return context.WithValue(ctx, traceKey, tr)
+		id = tr.ID
 	}
-	if id == "" {
-		return ctx
+	c.id, c.tr = id, tr
+}
+
+// Value answers the identity key with c itself — a pointer, so nothing
+// is boxed — and defers every other key to the parent.
+func (c *RequestCtx) Value(key any) any {
+	if key == traceKey {
+		return c
 	}
-	return context.WithValue(ctx, traceKey, id)
+	return c.Context.Value(key)
 }
 
 // WithTrace attaches a trace (possibly nil) to the context. The
@@ -374,13 +374,15 @@ func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	if tr == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, traceKey, tr)
+	return &RequestCtx{Context: ctx, id: tr.ID, tr: tr}
 }
 
 // TraceFrom returns the context's trace, or nil.
 func TraceFrom(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey).(*Trace)
-	return tr
+	if c, ok := ctx.Value(traceKey).(*RequestCtx); ok {
+		return c.tr
+	}
+	return nil
 }
 
 // StartSpan opens a named span on the context's trace; a no-op when
@@ -393,16 +395,13 @@ func StartSpan(ctx context.Context, name string) StageEnd {
 // WithRequestID attaches a request ID to the context (for requests
 // that carry no sampled trace; a later WithTrace supersedes it).
 func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceKey, id)
+	return &RequestCtx{Context: ctx, id: id}
 }
 
 // RequestIDFrom returns the context's request ID, or "".
 func RequestIDFrom(ctx context.Context) string {
-	switch v := ctx.Value(traceKey).(type) {
-	case *Trace:
-		return v.ID
-	case string:
-		return v
+	if c, ok := ctx.Value(traceKey).(*RequestCtx); ok {
+		return c.id
 	}
 	return ""
 }

@@ -172,7 +172,10 @@ func BenchmarkTransportWireBidTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := clientTel.Tracer.NewRequestID()
 		tr := clientTel.Tracer.Begin(id, "bench.bid")
-		ctx := obs.WithRequestTrace(context.Background(), id, tr)
+		ctx := obs.WithRequestID(context.Background(), id)
+		if tr != nil {
+			ctx = obs.WithTrace(ctx, tr)
+		}
 		for {
 			requests++
 			if _, err := c.SubmitBid(ctx, "b", "d", 5); err == nil {
@@ -229,7 +232,7 @@ func benchBidPath(b *testing.B, sample int, traceID string) {
 
 	bid := encodePayload(b, 1, command.SubmitBid{Buyer: "b", Dataset: "d", Amount: 5}, traceID)
 	tick := encodePayload(b, 2, command.Tick{}, traceID)
-	ctx := context.Background()
+	rc := &obs.RequestCtx{Context: context.Background()}
 	const readDur = time.Microsecond
 	var resp []byte
 
@@ -237,9 +240,9 @@ func benchBidPath(b *testing.B, sample int, traceID string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var tr *obs.Trace
-		resp, tr = s.handle(ctx, bid, resp[:0], Version, readDur)
+		resp, tr = s.handle(rc, bid, resp[:0], Version, readDur)
 		tel.Tracer.Finish(tr)
-		resp, tr = s.handle(ctx, tick, resp[:0], Version, readDur)
+		resp, tr = s.handle(rc, tick, resp[:0], Version, readDur)
 		tel.Tracer.Finish(tr)
 	}
 	b.ReportMetric(2, "requests/op")

@@ -20,12 +20,14 @@ import (
 
 // Conn is a client connection speaking the wire protocol. All methods
 // are safe for concurrent use; concurrent calls serialize on the
-// connection (one request-response round trip at a time). A Conn whose
-// underlying stream fails is dead — every later call returns the same
-// sticky error, which wraps ErrConnClosed — and should be closed and
-// redialed. Calls respect their context: a deadline bounds the round
-// trip via the socket's I/O deadline, and cancellation of a
-// deadline-less context interrupts an in-flight call promptly.
+// connection (one request-response round trip at a time). A request is
+// encoded straight into the connection's scratch buffer and its response
+// parsed in place, so the transport itself allocates nothing per call.
+// A Conn whose underlying stream fails is dead — every later call
+// returns the same sticky error, which wraps ErrConnClosed — and should
+// be closed and redialed. Calls respect their context: a deadline
+// bounds the round trip via the socket's I/O deadline, and cancellation
+// of a deadline-less context interrupts an in-flight call promptly.
 type Conn struct {
 	mu      sync.Mutex
 	nc      net.Conn
@@ -33,9 +35,10 @@ type Conn struct {
 	bw      *bufio.Writer
 	version byte // negotiated protocol version
 	nextID  uint64
-	req     []byte // scratch request payload
-	resp    []byte // scratch response payload
-	broken  error  // sticky stream failure
+	req     []byte        // scratch request payload
+	resp    []byte        // scratch response payload
+	rd      payloadReader // scratch cursor over resp
+	broken  error         // sticky stream failure
 }
 
 // DefaultBufferSize is the per-direction buffered-I/O size a connection
@@ -108,7 +111,9 @@ func (c *Conn) ProtocolVersion() byte { return c.version }
 func (c *Conn) Close() error { return c.nc.Close() }
 
 // roundTrip sends one request payload of the given kind (body appends
-// the payload after the header) and, on a statusOK response, decodes
+// the payload after the header; if it fails, its error is returned
+// before a byte reaches the stream and the connection stays usable)
+// and, on a statusOK response, decodes
 // the result body with decode while still holding the connection lock —
 // the body aliases the connection's scratch buffer, which the next
 // round trip overwrites. On a version >= 2 connection, a context
@@ -117,7 +122,7 @@ func (c *Conn) Close() error { return c.nc.Close() }
 // server-side. A statusErr envelope comes back as an *apierr.APIError,
 // whose Error() is the server-side error's exact message; decode never
 // runs for it. A nil decode requires an empty result body.
-func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) []byte, decode func(r *payloadReader) error) error {
+func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) ([]byte, error), decode func(r *payloadReader) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken != nil {
@@ -178,54 +183,71 @@ func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) [
 			req = append(req, 0)
 		}
 	}
-	c.req = body(req)
-	if err := writeFrame(c.bw, c.req); err != nil {
+	req, err := body(req)
+	if err != nil {
+		return err
+	}
+	c.req = req
+	if err := writeFrame(c.bw, c.req, MaxFrame); err != nil {
 		return c.fail(ctx, err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return c.fail(ctx, err)
 	}
 
-	var err error
-	c.resp, err = readFrame(c.br, c.resp)
+	r, err := c.readResponse(ctx, id, MaxFrame)
 	if err != nil {
+		return err
+	}
+	if decode == nil {
+		if len(r.rest()) != 0 {
+			return c.fail(ctx, fmt.Errorf("wire: unexpected result body"))
+		}
+		return nil
+	}
+	if err := decode(r); err != nil {
 		return c.fail(ctx, err)
 	}
-	r := &payloadReader{data: c.resp}
+	if !r.done() {
+		return c.fail(ctx, fmt.Errorf("wire: malformed result body"))
+	}
+	return nil
+}
+
+// readResponse reads the response to request id — one frame of at most
+// limit bytes, into the connection's scratch buffer — and opens its
+// envelope: a statusOK response yields the connection's cursor at the
+// result body, a statusErr one the server's *apierr.APIError. Anything
+// else marks the connection dead. The caller holds c.mu.
+func (c *Conn) readResponse(ctx context.Context, id uint64, limit int) (*payloadReader, error) {
+	var err error
+	if c.resp, err = readFrame(c.br, c.resp, limit); err != nil {
+		return nil, c.fail(ctx, err)
+	}
+	r := &c.rd
+	*r = payloadReader{data: c.resp}
 	gotID := r.uvarint()
 	status := r.byte()
 	if r.err != nil {
-		return c.fail(ctx, fmt.Errorf("wire: malformed response envelope"))
+		return nil, c.fail(ctx, fmt.Errorf("wire: malformed response envelope"))
 	}
 	if gotID != id {
 		// Responses come back in request order on a serialized
 		// connection; a mismatch means the stream is desynchronized.
-		return c.fail(ctx, fmt.Errorf("wire: response id %d for request %d", gotID, id))
+		return nil, c.fail(ctx, fmt.Errorf("wire: response id %d for request %d", gotID, id))
 	}
 	switch status {
 	case statusOK:
-		if decode == nil {
-			if len(r.rest()) != 0 {
-				return c.fail(ctx, fmt.Errorf("wire: unexpected result body"))
-			}
-			return nil
-		}
-		if err := decode(r); err != nil {
-			return c.fail(ctx, err)
-		}
-		if !r.done() {
-			return c.fail(ctx, fmt.Errorf("wire: malformed result body"))
-		}
-		return nil
+		return r, nil
 	case statusErr:
 		code := r.str()
 		msg := r.str()
 		if r.err != nil {
-			return c.fail(ctx, fmt.Errorf("wire: malformed error envelope"))
+			return nil, c.fail(ctx, fmt.Errorf("wire: malformed error envelope"))
 		}
-		return &apierr.APIError{Code: code, Message: msg}
+		return nil, &apierr.APIError{Code: code, Message: msg}
 	default:
-		return c.fail(ctx, fmt.Errorf("wire: unknown response status %d", status))
+		return nil, c.fail(ctx, fmt.Errorf("wire: unknown response status %d", status))
 	}
 }
 
@@ -252,45 +274,37 @@ func (c *Conn) fail(ctx context.Context, err error) error {
 	return c.broken
 }
 
-// apply sends one command, decoding any result body with decode.
+// apply sends one command, decoding any result body with decode (nil
+// for a command whose success carries none).
 func (c *Conn) apply(ctx context.Context, cmd command.Command, decode func(r *payloadReader) error) error {
-	enc, err := command.EncodeBinary(cmd)
-	if err != nil {
-		return err
-	}
-	return c.roundTrip(ctx, kindCommand, func(req []byte) []byte {
-		return append(req, enc...)
+	return c.roundTrip(ctx, kindCommand, func(req []byte) ([]byte, error) {
+		return command.AppendBinary(req, cmd)
 	}, decode)
-}
-
-// applyVoid sends one command whose success carries no result body.
-func (c *Conn) applyVoid(ctx context.Context, cmd command.Command) error {
-	return c.apply(ctx, cmd, nil)
 }
 
 // RegisterBuyer registers a buyer account.
 func (c *Conn) RegisterBuyer(ctx context.Context, id market.BuyerID) error {
-	return c.applyVoid(ctx, command.RegisterBuyer{Buyer: id})
+	return c.apply(ctx, command.RegisterBuyer{Buyer: id}, nil)
 }
 
 // RegisterSeller registers a seller account.
 func (c *Conn) RegisterSeller(ctx context.Context, id market.SellerID) error {
-	return c.applyVoid(ctx, command.RegisterSeller{Seller: id})
+	return c.apply(ctx, command.RegisterSeller{Seller: id}, nil)
 }
 
 // UploadDataset registers a base dataset for seller.
 func (c *Conn) UploadDataset(ctx context.Context, seller market.SellerID, id market.DatasetID) error {
-	return c.applyVoid(ctx, command.UploadDataset{Seller: seller, Dataset: id})
+	return c.apply(ctx, command.UploadDataset{Seller: seller, Dataset: id}, nil)
 }
 
 // ComposeDataset registers a derived dataset.
 func (c *Conn) ComposeDataset(ctx context.Context, id market.DatasetID, constituents ...market.DatasetID) error {
-	return c.applyVoid(ctx, command.ComposeDataset{Dataset: id, Constituents: constituents})
+	return c.apply(ctx, command.ComposeDataset{Dataset: id, Constituents: constituents}, nil)
 }
 
 // WithdrawDataset removes a base dataset.
 func (c *Conn) WithdrawDataset(ctx context.Context, seller market.SellerID, id market.DatasetID) error {
-	return c.applyVoid(ctx, command.WithdrawDataset{Seller: seller, Dataset: id})
+	return c.apply(ctx, command.WithdrawDataset{Seller: seller, Dataset: id}, nil)
 }
 
 // SubmitBid places one bid and returns the market's decision.
@@ -370,12 +384,12 @@ func (c *Conn) Tick(ctx context.Context) (int, error) {
 
 // query sends one query frame, decoding the result body with decode.
 func (c *Conn) query(ctx context.Context, op byte, args func(req []byte) []byte, decode func(r *payloadReader) error) error {
-	return c.roundTrip(ctx, kindQuery, func(req []byte) []byte {
+	return c.roundTrip(ctx, kindQuery, func(req []byte) ([]byte, error) {
 		req = append(req, op)
 		if args != nil {
 			req = args(req)
 		}
-		return req
+		return req, nil
 	}, decode)
 }
 

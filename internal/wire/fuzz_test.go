@@ -7,6 +7,7 @@ import (
 
 	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/command"
+	"github.com/datamarket/shield/internal/obs"
 )
 
 // validCodes is the closed set of error codes a wire response may
@@ -85,10 +86,10 @@ func FuzzWireDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	s := NewServer(m)
-	ctx := context.Background()
+	rc := &obs.RequestCtx{Context: context.Background()}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		resp, _ := s.handle(ctx, payload, nil, Version, 0)
+		resp, _ := s.handle(rc, payload, nil, Version, 0)
 		r := &payloadReader{data: resp}
 		r.uvarint() // request id (possibly 0 when the header was garbage)
 		status := r.byte()

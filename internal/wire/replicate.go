@@ -49,7 +49,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"time"
 
 	"github.com/datamarket/shield/internal/apierr"
@@ -204,15 +206,17 @@ func (s *Server) WithHeartbeatInterval(d time.Duration) *Server {
 
 // serveReplication converts an established connection into a one-way
 // replication stream, after ServeConn recognized a kindReplicate
-// request. r is positioned after the kind byte; the reader goroutine
-// keeps draining the socket so a peer close (or a protocol-violating
-// client frame) surfaces through frames and ends the stream. Any
-// return closes the connection — replication failures are never
-// per-request errors, the follower redials.
-func (s *Server) serveReplication(bw *bufio.Writer, frames <-chan frame, id uint64, r *payloadReader) error {
+// request. r is positioned after the kind byte. Once the subscription
+// is answered this goroutine only writes, so a watcher — the one
+// goroutine a connection ever starts — takes over the read side: a peer
+// close or a protocol-violating client frame surfaces through it and
+// ends the stream. Any return closes the connection (replication
+// failures are never per-request errors, the follower redials) and
+// waits for the watcher to exit.
+func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, id uint64, r *payloadReader) error {
 	refuse := func(code, msg string) error {
 		resp := appendError(binary.AppendUvarint(nil, id), code, msg)
-		if err := writeFrame(bw, resp); err != nil {
+		if err := writeFrame(bw, resp, MaxFrame); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
@@ -249,12 +253,26 @@ func (s *Server) serveReplication(bw *bufio.Writer, frames <-chan frame, id uint
 		return refuse(apierr.CodeInternal, fmt.Sprintf("catch-up snapshot makes a %d-byte frame, over the %d-byte limit", n, s.snapshotLimit))
 	}
 	resp = append(resp, sub.Snapshot...)
-	if err := writeFrameLimit(bw, resp, s.snapshotLimit); err != nil {
+	if err := writeFrame(bw, resp, s.snapshotLimit); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
+
+	// The watcher's one send is its verdict on the read side; closing
+	// conn unblocks its read, so the deferred drain always ends.
+	peer := make(chan error, 1)
+	go func() {
+		defer close(peer)
+		_, err := readFrameLen(br, MaxFrame)
+		peer <- err
+	}()
+	defer func() {
+		conn.Close()
+		for range peer {
+		}
+	}()
 
 	hb := s.heartbeat
 	if hb <= 0 {
@@ -269,7 +287,7 @@ func (s *Server) serveReplication(bw *bufio.Writer, frames <-chan frame, id uint
 			if !ok {
 				return errors.New("wire: replication subscriber fell behind and was dropped")
 			}
-			if err := writeFrame(bw, rec.Payload); err != nil {
+			if err := writeFrame(bw, rec.Payload, MaxFrame); err != nil {
 				return err
 			}
 			// Drain the already-queued burst before paying for a flush.
@@ -278,7 +296,7 @@ func (s *Server) serveReplication(bw *bufio.Writer, frames <-chan frame, id uint
 				if !ok {
 					return errors.New("wire: replication subscriber fell behind and was dropped")
 				}
-				if err := writeFrame(bw, rec.Payload); err != nil {
+				if err := writeFrame(bw, rec.Payload, MaxFrame); err != nil {
 					return err
 				}
 			}
@@ -287,18 +305,18 @@ func (s *Server) serveReplication(bw *bufio.Writer, frames <-chan frame, id uint
 			}
 		case <-ticker.C:
 			scratch = AppendHeartbeatFrame(scratch[:0], s.repl.LeaderSeq())
-			if err := writeFrame(bw, scratch); err != nil {
+			if err := writeFrame(bw, scratch, MaxFrame); err != nil {
 				return err
 			}
 			if err := bw.Flush(); err != nil {
 				return err
 			}
-		case f, ok := <-frames:
-			if !ok {
+		case err := <-peer:
+			if err == io.EOF {
 				return nil // peer closed; clean end of stream
 			}
-			if f.err != nil {
-				return f.err
+			if err != nil {
+				return err
 			}
 			return errors.New("wire: unexpected frame from replication subscriber")
 		}
@@ -353,52 +371,31 @@ func (c *Conn) OpenReplication(ctx context.Context, afterSeq int64) (*Replicatio
 	req := binary.AppendUvarint(c.req[:0], id)
 	req = append(req, kindReplicate)
 	c.req = binary.AppendUvarint(req, uint64(afterSeq))
-	if err := writeFrame(c.bw, c.req); err != nil {
+	if err := writeFrame(c.bw, c.req, MaxFrame); err != nil {
 		return nil, c.fail(ctx, err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return nil, c.fail(ctx, err)
 	}
 
-	// A fresh buffer, not the scratch one: the snapshot escapes to the
-	// caller and may be large.
-	payload, err := readFrameLimit(c.br, nil, MaxSnapshotFrame)
+	r, err := c.readResponse(ctx, id, MaxSnapshotFrame)
 	if err != nil {
-		return nil, c.fail(ctx, err)
+		return nil, err
 	}
-	r := &payloadReader{data: payload}
-	gotID := r.uvarint()
-	status := r.byte()
-	if r.err != nil {
-		return nil, c.fail(ctx, errors.New("wire: malformed response envelope"))
+	mode := r.byte()
+	start := r.uvarint()
+	if r.err != nil || mode > 1 || start > math.MaxInt64 {
+		return nil, c.fail(ctx, errors.New("wire: malformed replicate response"))
 	}
-	if gotID != id {
-		return nil, c.fail(ctx, fmt.Errorf("wire: response id %d for request %d", gotID, id))
+	st := &ReplicationStream{c: c, StartSeq: int64(start), lastSeq: int64(start)}
+	if mode == 1 {
+		// The snapshot escapes to the caller inside the response buffer;
+		// the connection gives it up (the stream reads into its own).
+		st.Snapshot, c.resp = r.rest(), nil
+	} else if !r.done() {
+		return nil, c.fail(ctx, errors.New("wire: unexpected body on tail-mode response"))
 	}
-	switch status {
-	case statusOK:
-		mode := r.byte()
-		start := r.uvarint()
-		if r.err != nil || mode > 1 || start > math.MaxInt64 {
-			return nil, c.fail(ctx, errors.New("wire: malformed replicate response"))
-		}
-		st := &ReplicationStream{c: c, StartSeq: int64(start), lastSeq: int64(start)}
-		if mode == 1 {
-			st.Snapshot = r.rest()
-		} else if !r.done() {
-			return nil, c.fail(ctx, errors.New("wire: unexpected body on tail-mode response"))
-		}
-		return st, nil
-	case statusErr:
-		code := r.str()
-		msg := r.str()
-		if r.err != nil {
-			return nil, c.fail(ctx, errors.New("wire: malformed error envelope"))
-		}
-		return nil, &apierr.APIError{Code: code, Message: msg}
-	default:
-		return nil, c.fail(ctx, fmt.Errorf("wire: unknown response status %d", status))
-	}
+	return st, nil
 }
 
 // Next blocks for the next stream frame, decoding and sequence-checking
@@ -417,7 +414,7 @@ func (st *ReplicationStream) Next(ctx context.Context) (RepFrame, error) {
 		}
 		defer c.nc.SetDeadline(time.Time{})
 	}
-	payload, err := readFrame(c.br, st.buf)
+	payload, err := readFrame(c.br, st.buf, MaxFrame)
 	if err != nil {
 		return RepFrame{}, err
 	}

@@ -265,13 +265,13 @@ func TestReplicateRejectedOnV2(t *testing.T) {
 		t.Fatalf("v2 hello answered %x, want SHW v2", answer)
 	}
 
-	if err := writeFrame(bw, []byte{1, kindReplicate, 0}); err != nil {
+	if err := writeFrame(bw, []byte{1, kindReplicate, 0}, MaxFrame); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := readFrame(br, nil)
+	payload, err := readFrame(br, nil, MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
 	"net"
 	"time"
@@ -127,14 +125,6 @@ func (s *Server) latencyFor(op, status string) *obs.Histogram {
 	return s.latency.With(op, status)
 }
 
-// frame is one decoded length-prefixed frame crossing from a
-// connection's reader goroutine to its execution loop.
-type frame struct {
-	payload []byte
-	readDur time.Duration // payload transfer time (0 when untimed)
-	err     error
-}
-
 // Serve accepts connections on l until it closes, running each
 // connection on its own goroutine. It always returns a non-nil error
 // (net.ErrClosed after a clean shutdown).
@@ -153,108 +143,85 @@ func (s *Server) Serve(l net.Listener) error {
 // before returning and reports why the connection ended (nil for a
 // clean peer close).
 //
-// Execution is pipelined: a reader goroutine decodes frames while this
-// goroutine executes them strictly in order, and responses are flushed
-// only when the pipeline drains — a burst of N requests costs one write
-// syscall, not N.
+// The connection is this one goroutine: read a frame into the
+// connection's payload buffer, execute it, buffer the response, and
+// flush once the input is drained — N requests that arrived together
+// cost one write syscall, a lone request is answered at once. The next
+// frame overwrites the payload buffer, so nothing downstream may keep a
+// sub-slice of it (decoders copy the strings they keep). Only a
+// conversion to a replication stream starts a second goroutine.
 func (s *Server) ServeConn(conn net.Conn) error {
 	defer conn.Close()
 	if s.conns != nil {
 		s.conns.Add(1)
 		defer s.conns.Add(-1)
 	}
-	bufSize := s.bufSize
-	if bufSize <= 0 {
-		bufSize = DefaultBufferSize
-	}
-	br := bufio.NewReaderSize(conn, bufSize)
-	bw := bufio.NewWriterSize(conn, bufSize)
+	br := bufio.NewReaderSize(conn, s.bufSize)
+	bw := bufio.NewWriterSize(conn, s.bufSize)
 
 	version, err := s.handshake(br, bw)
 	if err != nil {
 		return err
 	}
 
-	// The channel depth bounds how far the reader runs ahead of
-	// execution; beyond it, backpressure propagates to the client
-	// through TCP flow control.
-	frames := make(chan frame, 64)
+	// One request context for the connection's lifetime, rebound to each
+	// request by handle (obs.RequestCtx states why that is legal).
+	rc := &obs.RequestCtx{Context: context.Background()}
 	timed := s.tel != nil
-	go func() {
-		defer close(frames)
-		for {
-			// Payload buffers cross a channel, so each frame needs its
-			// own; the reader cannot reuse one. The length header is read
-			// untimed — the wait for it is idle time between requests, not
-			// part of any request — and only the payload transfer is
-			// charged to the wire.read stage.
-			var hdr [4]byte
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				if !errors.Is(err, io.EOF) {
-					frames <- frame{err: err}
-				}
-				return
+	var payload, resp []byte
+	for {
+		// The wait for a length header is idle time between requests,
+		// not part of any request: only the payload transfer is charged
+		// to the wire.read stage.
+		n, err := readFrameLen(br, MaxFrame)
+		if err != nil {
+			if err == io.EOF {
+				return nil
 			}
-			n := binary.LittleEndian.Uint32(hdr[:])
-			if n == 0 || n > MaxFrame {
-				frames <- frame{err: fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)}
-				return
-			}
-			var start time.Time
-			if timed {
-				start = time.Now()
-			}
-			p := make([]byte, n)
-			if _, err := io.ReadFull(br, p); err != nil {
-				frames <- frame{err: err}
-				return
-			}
-			var d time.Duration
-			if timed {
-				d = time.Since(start)
-			}
-			frames <- frame{payload: p, readDur: d}
+			return err
 		}
-	}()
-
-	ctx := context.Background()
-	var resp []byte
-	for f := range frames {
-		if f.err != nil {
-			return f.err
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
+		if payload, err = readFrameBody(br, payload, n); err != nil {
+			return err
+		}
+		var readDur time.Duration
+		if timed {
+			readDur = time.Since(start)
 		}
 		// A v3 replicate request converts the connection into a one-way
 		// replication stream; it never returns to the request loop.
 		if version >= 3 {
-			r := &payloadReader{data: f.payload}
+			r := &payloadReader{data: payload}
 			id := r.uvarint()
 			if kind := r.byte(); r.err == nil && kind == kindReplicate {
-				return s.serveReplication(bw, frames, id, r)
+				return s.serveReplication(conn, br, bw, id, r)
 			}
 		}
 		var tr *obs.Trace
-		resp, tr = s.handle(ctx, f.payload, resp[:0], version, f.readDur)
-		err := writeFrame(bw, resp)
-		if err == nil && len(frames) == 0 {
-			// The pipeline drained: this flush is the write that makes
+		resp, tr = s.handle(rc, payload, resp[:0], version, readDur)
+		err = writeFrame(bw, resp, MaxFrame)
+		if err == nil && br.Buffered() == 0 {
+			// The input is drained: this flush is the write that makes
 			// the acknowledgment visible to the client, so it is charged
 			// to the request as the ack.flush stage.
 			start := time.Now()
 			err = bw.Flush()
-			if s.tel != nil {
+			if timed {
 				d := time.Since(start)
 				tr.AddSpan("ack.flush", start, d)
 				s.stageFlush.ObserveTrace(d.Seconds(), exemplarOf(tr))
 			}
 		}
-		if s.tel != nil {
+		if timed {
 			s.tel.Tracer.Finish(tr)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // handshake validates the client hello and answers it with the
@@ -324,11 +291,13 @@ func traceName(op string) string {
 // handle executes one request payload and appends the response payload
 // to resp, returning the request's trace (nil when unsampled or
 // uninstrumented) so ServeConn can attach the ack.flush stage before
-// finishing it. handle never panics on malformed input and never closes
+// finishing it. An instrumented server rebinds rc, the connection's
+// request context, to this request's ID and trace; an uninstrumented
+// one leaves it blank. handle never panics on malformed input and never closes
 // the connection: every per-request failure becomes an error envelope
 // whose code is drawn from the closed apierr set, leaving the stream
 // usable for the requests pipelined behind it.
-func (s *Server) handle(ctx context.Context, payload, resp []byte, version byte, readDur time.Duration) ([]byte, *obs.Trace) {
+func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, version byte, readDur time.Duration) ([]byte, *obs.Trace) {
 	r := &payloadReader{data: payload}
 	reqID := r.uvarint()
 	kind := r.byte()
@@ -372,7 +341,7 @@ func (s *Server) handle(ctx context.Context, payload, resp []byte, version byte,
 			// regardless of the local sampling rate.
 			tr = s.tel.Tracer.Adopt(id, "wire", start)
 		}
-		ctx = obs.WithRequestTrace(ctx, id, tr)
+		rc.Reset(id, tr)
 		if tr != nil {
 			tr.AddSpan("wire.read", start, readDur)
 		}
@@ -382,7 +351,7 @@ func (s *Server) handle(ctx context.Context, payload, resp []byte, version byte,
 	resp = binary.AppendUvarint(resp, reqID)
 	switch kind {
 	case kindCommand:
-		op, resp = s.handleCommand(ctx, r.rest(), resp)
+		op, resp = s.handleCommand(rc, r.rest(), resp)
 	case kindQuery:
 		op, resp = s.handleQuery(r, resp)
 	default:

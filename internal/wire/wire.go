@@ -58,9 +58,13 @@
 // Requests on one connection execute strictly in order and responses
 // are written in the same order, so a client may stream any number of
 // frames before reading the first response; request ids exist so a
-// pipelining client can match responses without counting. The server
-// decouples reading from execution and batches response flushes, so a
-// deep pipeline pays for one syscall per burst, not per frame.
+// pipelining client can match responses without counting. One goroutine
+// serves a connection: it reads a frame, executes it, buffers the
+// response, and flushes when its input is drained (nothing more is
+// buffered from the socket) — requests that arrived together cost one
+// write, a lone request is answered at once. Nothing queues frames ahead
+// of execution: read-ahead is bounded by the kernel socket buffer plus
+// the 64 KiB read buffer, and past that TCP flow control pushes back.
 package wire
 
 import (
@@ -144,47 +148,59 @@ var ErrConnClosed = errors.New("wire: connection unusable")
 // ErrHandshake reports a malformed or version-incompatible handshake.
 var ErrHandshake = errors.New("wire: handshake failed")
 
-// writeFrame writes one length-prefixed frame. The caller flushes.
-func writeFrame(w *bufio.Writer, payload []byte) error {
-	return writeFrameLimit(w, payload, MaxFrame)
-}
-
-// writeFrameLimit is writeFrame with an explicit payload bound — the
-// replication subscribe response is the one frame allowed past
-// MaxFrame (up to MaxSnapshotFrame).
-func writeFrameLimit(w *bufio.Writer, payload []byte, limit int) error {
+// writeFrame writes one length-prefixed frame whose payload is at most
+// limit bytes — MaxFrame for every frame but the replication subscribe
+// response (MaxSnapshotFrame) — building the prefix in the writer's own
+// spare buffer, so a frame allocates nothing. The caller flushes.
+func writeFrame(w *bufio.Writer, payload []byte, limit int) error {
 	if len(payload) == 0 || len(payload) > limit {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// readFrame reads one frame's payload, appending into buf (sliced to
-// zero length) so a long-lived connection reuses one buffer. A zero or
-// oversized length prefix is a protocol error that poisons the stream;
-// the caller must close the connection.
-func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	return readFrameLimit(r, buf, MaxFrame)
-}
-
-// readFrameLimit is readFrame with an explicit payload bound; see
-// writeFrameLimit.
-func readFrameLimit(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame's payload of at most limit bytes into buf,
+// reusing its storage when large enough, so a long-lived connection
+// keeps one buffer: the next call overwrites the returned slice, and
+// nothing may hold a sub-slice of it. A zero or oversized length prefix
+// is a protocol error that poisons the stream; the caller must close
+// the connection.
+func readFrame(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
+	n, err := readFrameLen(r, limit)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > uint32(limit) {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	return readFrameBody(r, buf, n)
+}
+
+// readFrameLen is the first half of readFrame: it blocks for a length
+// prefix — peeked in the reader's buffer (never under bufio's 16-byte
+// floor), not copied out — and checks it against limit. A stream ending
+// on a frame boundary reports io.EOF, inside the prefix ErrUnexpectedEOF.
+func readFrameLen(r *bufio.Reader, limit int) (int, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
 	}
-	if cap(buf) < int(n) {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n == 0 || n > uint32(limit) {
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	_, err = r.Discard(4)
+	return int(n), err
+}
+
+// readFrameBody is the second half of readFrame: the n payload bytes.
+func readFrameBody(r *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]

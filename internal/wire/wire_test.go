@@ -18,9 +18,8 @@ import (
 	"github.com/datamarket/shield/internal/obs"
 )
 
-func testMarket(t testing.TB) *market.Market {
-	t.Helper()
-	m, err := market.New(market.Config{
+func testConfig() market.Config {
+	return market.Config{
 		Engine: core.Config{
 			Candidates:    auction.LinearGrid(10, 100, 10),
 			EpochSize:     4,
@@ -28,7 +27,12 @@ func testMarket(t testing.TB) *market.Market {
 			MinBid:        1,
 		},
 		Seed: 7,
-	})
+	}
+}
+
+func testMarket(t testing.TB) *market.Market {
+	t.Helper()
+	m, err := market.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +218,7 @@ func TestErrorsMirrorInProcess(t *testing.T) {
 	}
 
 	// Settle is in the codec but not a market command.
-	if err := c.applyVoid(ctx, command.Settle{Buyer: "b", Dataset: "d", Amount: 5}); err == nil {
+	if err := c.apply(ctx, command.Settle{Buyer: "b", Dataset: "d", Amount: 5}, nil); err == nil {
 		t.Fatal("settle over wire succeeded, want error")
 	} else {
 		var api *apierr.APIError
@@ -303,7 +307,7 @@ func TestPipelining(t *testing.T) {
 			payload := binary.AppendUvarint(nil, uint64(i))
 			payload = append(payload, kindCommand)
 			payload = append(payload, enc...)
-			if err := writeFrame(bw, payload); err != nil {
+			if err := writeFrame(bw, payload, MaxFrame); err != nil {
 				t.Error(err)
 				return
 			}
@@ -314,7 +318,7 @@ func TestPipelining(t *testing.T) {
 	}()
 
 	for i := 1; i <= depth; i++ {
-		payload, err := readFrame(br, nil)
+		payload, err := readFrame(br, nil, MaxFrame)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -380,8 +384,8 @@ func TestMalformedFrameKeepsConnection(t *testing.T) {
 	c := pipeClient(t, NewServer(m))
 	ctx := context.Background()
 
-	if err := c.roundTrip(ctx, 0xFF, func(req []byte) []byte {
-		return append(req, 0xDE, 0xAD)
+	if err := c.roundTrip(ctx, 0xFF, func(req []byte) ([]byte, error) {
+		return append(req, 0xDE, 0xAD), nil
 	}, nil); err == nil {
 		t.Fatal("garbage request succeeded")
 	} else {
