@@ -38,6 +38,7 @@ build:
 race:
 	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
+	$(GO) test -race -run 'TestSharedLogAndBitsetsUnderReaders' -count=10 ./internal/market/
 
 test:
 	$(GO) test ./...

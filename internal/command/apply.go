@@ -33,9 +33,10 @@ const (
 //   - EvTicked: Period (the new period)
 //   - EvBidDecided: Buyer, Dataset, Amount, Period, Decision, Leaves
 //     (demand-propagation targets, aliasing the provenance query — do
-//     not mutate), and for wins Tx (the recorded sale) and Paid (the
-//     total credited to sellers, which the market's books views apply
-//     as an exact balance delta).
+//     not mutate), and for wins Tx (the recorded sale: the log's own
+//     element, not a copy — legal because the log never rewrites one;
+//     do not write through it) and Paid (the total credited to sellers,
+//     which the market's books views apply as an exact balance delta).
 type Event struct {
 	Kind     EventKind
 	Buyer    BuyerID
@@ -68,11 +69,7 @@ func Apply(st *State, cmd Command) ([]Event, error) {
 		if _, ok := st.buyers[c.Buyer]; ok {
 			return evs, fmt.Errorf("%w: buyer %s", ErrDuplicateID, c.Buyer)
 		}
-		st.buyers[c.Buyer] = &buyerAccount{
-			lastBid:      make(map[DatasetID]int),
-			blockedUntil: make(map[DatasetID]int),
-			acquired:     make(map[DatasetID]bool),
-		}
+		st.buyers[c.Buyer] = &buyerAccount{id: c.Buyer, pairs: make(map[uint32]pair)}
 		return append(evs, Event{Kind: EvBuyerRegistered, Buyer: c.Buyer}), nil
 
 	case RegisterSeller:
@@ -96,7 +93,8 @@ func Apply(st *State, cmd Command) ([]Event, error) {
 		if err := st.graph.AddBase(string(c.Dataset)); err != nil {
 			return evs, fmt.Errorf("%w: dataset %s", ErrDuplicateID, c.Dataset)
 		}
-		st.engines[c.Dataset] = st.newEngine(c.Dataset)
+		i := st.intern(c.Dataset)
+		st.engines[i] = st.newEngine(c.Dataset)
 		st.owners[c.Dataset] = c.Seller
 		acct.datasets = append(acct.datasets, c.Dataset)
 		return append(evs, Event{Kind: EvDatasetAdded, Seller: c.Seller, Dataset: c.Dataset}), nil
@@ -119,7 +117,8 @@ func Apply(st *State, cmd Command) ([]Event, error) {
 				return evs, err
 			}
 		}
-		st.engines[c.Dataset] = st.newEngine(c.Dataset)
+		i := st.intern(c.Dataset)
+		st.engines[i] = st.newEngine(c.Dataset)
 		return append(evs, Event{Kind: EvDatasetAdded, Dataset: c.Dataset, Derived: true}), nil
 
 	case WithdrawDataset:
@@ -146,7 +145,7 @@ func Apply(st *State, cmd Command) ([]Event, error) {
 		if err := st.graph.Remove(string(c.Dataset)); err != nil {
 			return evs, err
 		}
-		delete(st.engines, c.Dataset)
+		st.engines[st.index[c.Dataset]] = nil // the name keeps its index
 		delete(st.owners, c.Dataset)
 		for i, d := range acct.datasets {
 			if d == c.Dataset {
@@ -207,10 +206,13 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 	if !ok {
 		return Event{}, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
 	}
-	eng, ok := st.engines[dataset]
-	if !ok {
+	idx, eng := st.engine(dataset)
+	if eng == nil {
 		return Event{}, fmt.Errorf("%w: %s", ErrUnknownDataset, dataset)
 	}
+	// From here on, the spellings the state registered: the event and the
+	// transaction outlive the request, and its strings must not.
+	buyer, dataset = acct.id, st.names[idx]
 
 	// Resolve demand-propagation targets (Figure 1, step 2).
 	var leaves []string
@@ -220,20 +222,20 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 
 	clock := st.clock
 
-	if acct.acquired[dataset] {
+	p := acct.pairs[idx]
+	switch {
+	case p.flags&acquired != 0:
 		return Event{}, fmt.Errorf("%w: %s", ErrAlreadyAcquired, dataset)
-	}
-	if last, ok := acct.lastBid[dataset]; ok && last == clock {
+	case p.flags&hasLastBid != 0 && p.lastBid == clock:
 		return Event{}, fmt.Errorf("%w: period %d", ErrBidTooSoon, clock)
+	case clock < p.blockedUntil:
+		return Event{}, fmt.Errorf("%w: %d periods remain", ErrWaitActive, p.blockedUntil-clock)
 	}
-	if until := acct.blockedUntil[dataset]; clock < until {
-		return Event{}, fmt.Errorf("%w: %d periods remain", ErrWaitActive, until-clock)
-	}
-	acct.lastBid[dataset] = clock
+	p.lastBid, p.flags = clock, p.flags|hasLastBid
 
 	d := eng.SubmitBid(amount)
 	for _, leaf := range leaves {
-		if le, ok := st.engines[DatasetID(leaf)]; ok {
+		if _, le := st.engine(DatasetID(leaf)); le != nil {
 			le.Observe(amount)
 		}
 	}
@@ -247,27 +249,27 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 		Leaves:  leaves,
 	}
 	if !d.Allocated {
-		acct.blockedUntil[dataset] = clock + d.Wait
+		p.blockedUntil, p.flags = clock+d.Wait, p.flags|hasBlockedUntil
+		acct.pairs[idx] = p
 		ev.Decision = Decision{WaitPeriods: d.Wait}
 		return ev, nil
 	}
 
 	price := FromFloat(d.Price)
-	acct.acquired[dataset] = true
+	p.flags |= hasAcquired | acquired
+	acct.pairs[idx] = p
 	acct.spent += price
 	st.revenue += price
-	paid := st.paySellers(dataset, leaves, price)
-	tx := Transaction{
+	ev.Paid = st.paySellers(dataset, leaves, price)
+	st.txs = append(st.txs, Transaction{
 		Seq:     len(st.txs) + 1,
 		Buyer:   buyer,
 		Dataset: dataset,
 		Price:   price,
 		Period:  clock,
-	}
-	st.txs = append(st.txs, tx)
+	})
 
 	ev.Decision = Decision{Allocated: true, PricePaid: price}
-	ev.Tx = &tx
-	ev.Paid = paid
+	ev.Tx = &st.txs[len(st.txs)-1]
 	return ev, nil
 }

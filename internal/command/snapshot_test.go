@@ -408,7 +408,10 @@ func TestSnapshotDecodeBoundsCounts(t *testing.T) {
 // count larger than the bytes left never becomes an allocation (the
 // fuzzer's memory limit is the witness), and whatever it accepts
 // re-encodes to the very bytes it was given — there is one encoding per
-// state, and the decoder takes no other.
+// state, and the decoder takes no other — and so does the state
+// RestoreState builds from it, when it is a market at all: whatever keys
+// a buyer's three maps held, each gets its own back. (The engines aside:
+// core fills a restored engine's unset configuration defaults in.)
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, s := range tortureSnapshots(f, 1, 600, 200) {
 		enc := mustCanonical(f, s)
@@ -432,6 +435,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if enc := mustCanonical(t, s); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(data), len(enc))
+		}
+		if st, err := command.RestoreState(s); err == nil {
+			again := st.Snapshot()
+			if again.Engines = s.Engines; !bytes.Equal(mustCanonical(t, again), data) {
+				t.Fatalf("restored and re-snapshotted: %s", s.Diff(again))
+			}
 		}
 	})
 }

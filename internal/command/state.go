@@ -3,16 +3,34 @@ package command
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/provenance"
 )
 
+// pair is everything the state remembers about one (buyer, dataset):
+// the bid cadence of §4.1, the Time-Shield wait of §4.2 and the
+// allocation. It holds no pointer, so the collector never scans a
+// buyer's records. The has* flags say which of BuyerSnapshot's three
+// maps hold the dataset's key, so a snapshot round-trips byte for byte.
+type pair struct {
+	lastBid      int // last period with a bid
+	blockedUntil int // first period allowed to bid again
+	flags        uint8
+}
+
+const (
+	hasLastBid uint8 = 1 << iota
+	hasBlockedUntil
+	hasAcquired // Acquired holds the key...
+	acquired    // ...and this is its value
+)
+
 type buyerAccount struct {
-	lastBid      map[DatasetID]int // last period with a bid per dataset
-	blockedUntil map[DatasetID]int // first period allowed to bid again
-	acquired     map[DatasetID]bool
-	spent        Money
+	id    BuyerID         // as registered: the spelling events and transactions carry
+	pairs map[uint32]pair // by dataset index
+	spent Money
 }
 
 type sellerAccount struct {
@@ -37,14 +55,27 @@ type sellerAccount struct {
 // Apply is deterministic: the same command sequence against the same
 // Config yields a byte-identical canonical Snapshot.
 type State struct {
-	cfg     Config
-	clock   int
-	graph   *provenance.Graph
-	engines map[DatasetID]*core.Engine
+	cfg   Config
+	clock int
+	graph *provenance.Graph
+
+	// index interns every dataset name the state has met: add-only, so a
+	// withdrawn name keeps its index and a re-upload finds what buyers
+	// hold on it. names is the back-table, engines the pricing engine per
+	// index, nil while the name is not on sale. Indices are local to the
+	// process — a restored state numbers datasets differently from the
+	// one that wrote its snapshot — so nothing that leaves it (snapshot,
+	// event, error text) may carry one or follow their order.
+	index   map[DatasetID]uint32
+	names   []DatasetID
+	engines []*core.Engine
+
 	owners  map[DatasetID]SellerID // base datasets only
 	buyers  map[BuyerID]*buyerAccount
 	sellers map[SellerID]*sellerAccount
 
+	// txs is append-only and never rewrites a transaction: TxLog and
+	// Event.Tx hand out views of it, not copies.
 	txs     []Transaction
 	revenue Money
 
@@ -64,7 +95,7 @@ func NewState(cfg Config) (*State, error) {
 	return &State{
 		cfg:     cfg,
 		graph:   provenance.NewGraph(),
-		engines: make(map[DatasetID]*core.Engine),
+		index:   make(map[DatasetID]uint32),
 		owners:  make(map[DatasetID]SellerID),
 		buyers:  make(map[BuyerID]*buyerAccount),
 		sellers: make(map[SellerID]*sellerAccount),
@@ -79,6 +110,26 @@ func MustNewState(cfg Config) *State {
 		panic(err)
 	}
 	return st
+}
+
+// intern returns the dataset's index, the next free one for a new name.
+func (st *State) intern(id DatasetID) uint32 {
+	i, ok := st.index[id]
+	if !ok {
+		i = uint32(len(st.names))
+		st.index[id] = i
+		st.names = append(st.names, id)
+		st.engines = append(st.engines, nil)
+	}
+	return i
+}
+
+// engine returns the dataset's index and engine, nil when not on sale.
+func (st *State) engine(id DatasetID) (uint32, *core.Engine) {
+	if i, ok := st.index[id]; ok {
+		return i, st.engines[i]
+	}
+	return 0, nil
 }
 
 func (st *State) newEngine(id DatasetID) *core.Engine {
@@ -100,15 +151,29 @@ func (st *State) Config() Config { return st.cfg }
 func (st *State) Period() int { return st.clock }
 
 // NumDatasets returns the number of priced datasets.
-func (st *State) NumDatasets() int { return len(st.engines) }
+func (st *State) NumDatasets() int { return st.graph.Len() }
 
 // DatasetIDs returns the registered dataset IDs, sorted.
-func (st *State) DatasetIDs() []DatasetID { return sortedKeys(st.engines) }
+func (st *State) DatasetIDs() []DatasetID {
+	ids := make([]DatasetID, 0, st.graph.Len())
+	for i, eng := range st.engines {
+		if eng != nil {
+			ids = append(ids, st.names[i])
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// DatasetNames returns the dataset index's back-table — position i is
+// the name of index i, withdrawn names included — as a read-only view
+// that stays valid while the state grows.
+func (st *State) DatasetNames() []DatasetID { return st.names[:len(st.names):len(st.names)] }
 
 // Stats returns the diagnostic snapshot for a dataset.
 func (st *State) Stats(dataset DatasetID) (DatasetStats, error) {
-	eng, ok := st.engines[dataset]
-	if !ok {
+	_, eng := st.engine(dataset)
+	if eng == nil {
 		return DatasetStats{}, fmt.Errorf("%w: %s", ErrUnknownDataset, dataset)
 	}
 	return DatasetStats{
@@ -125,8 +190,8 @@ func (st *State) Stats(dataset DatasetID) (DatasetStats, error) {
 // ComputeWait returns the Time-Shield wait the dataset's engine would
 // assign a losing bid of amount right now, without mutating anything.
 func (st *State) ComputeWait(dataset DatasetID, amount float64) (int, error) {
-	eng, ok := st.engines[dataset]
-	if !ok {
+	_, eng := st.engine(dataset)
+	if eng == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownDataset, dataset)
 	}
 	return eng.ComputeWaitPeriod(amount), nil
@@ -169,17 +234,20 @@ func (st *State) BuyerSpend(id BuyerID) (Money, error) {
 // BuyerIDs returns the registered buyer IDs, sorted.
 func (st *State) BuyerIDs() []BuyerID { return sortedKeys(st.buyers) }
 
-// InspectBuyer calls f with the buyer's live acquisition set, wait
-// table (first period each dataset may be bid on again) and spend, and
-// reports whether the buyer exists. f must not retain or mutate the
-// maps. The live market builds its read views from it.
-func (st *State) InspectBuyer(id BuyerID, f func(acquired map[DatasetID]bool, blockedUntil map[DatasetID]int, spent Money)) bool {
+// InspectBuyer calls f for every dataset the buyer has a record on —
+// its index (a position in DatasetNames), whether the buyer owns it and
+// the first period the buyer may bid on it again — in no particular
+// order, and returns the buyer's spend; false for an unknown buyer. The
+// live market builds its read views from it.
+func (st *State) InspectBuyer(id BuyerID, f func(dataset uint32, owned bool, blockedUntil int)) (Money, bool) {
 	acct, ok := st.buyers[id]
 	if !ok {
-		return false
+		return 0, false
 	}
-	f(acct.acquired, acct.blockedUntil, acct.spent)
-	return true
+	for i, p := range acct.pairs {
+		f(i, p.flags&acquired != 0, p.blockedUntil)
+	}
+	return acct.spent, true
 }
 
 // SellerIDs returns the registered seller IDs, sorted.
@@ -206,32 +274,24 @@ func (st *State) SellerDatasets(id SellerID) ([]DatasetID, error) {
 // TxCount returns the number of recorded transactions.
 func (st *State) TxCount() int { return len(st.txs) }
 
-// TxAt returns transaction i (0-based).
-func (st *State) TxAt(i int) Transaction { return st.txs[i] }
-
-// Transactions returns a copy of the transaction log.
-func (st *State) Transactions() []Transaction {
-	out := make([]Transaction, len(st.txs))
-	copy(out, st.txs)
-	return out
-}
+// TxLog returns the first n transactions as a read-only view of the log
+// itself, which stays valid and unchanged while Apply goes on appending.
+func (st *State) TxLog(n int) []Transaction { return st.txs[:n:n] }
 
 // paySellers splits price across the owners of the base datasets backing
 // dataset, exactly (no micro lost: every leaf's share is price/n, and
 // the remainder goes one micro each to the earliest leaves),
 // deterministically (leaves are sorted), and returns the total actually
-// credited. leaves may be pre-resolved by the caller (nil means
-// "resolve here").
+// credited. leaves are a derived dataset's, resolved by the caller; a
+// base dataset has none, and its owner is credited the whole price.
 func (st *State) paySellers(dataset DatasetID, leaves []string, price Money) Money {
-	if leaves == nil {
-		var err error
-		leaves, err = st.graph.Leaves(string(dataset))
-		if err != nil {
+	if len(leaves) == 0 {
+		acct, ok := st.sellers[st.owners[dataset]]
+		if !ok {
 			return 0
 		}
-	}
-	if len(leaves) == 0 {
-		return 0
+		acct.balance += price
+		return price
 	}
 	var credited Money
 	n := Money(len(leaves))
@@ -260,7 +320,9 @@ func (st *State) paySellers(dataset DatasetID, leaves []string, price Money) Mon
 func (st *State) TestPerturbPrices(f func(price float64) float64) {
 	st.perturb = f
 	for _, eng := range st.engines {
-		eng.TestSetPricePerturb(f)
+		if eng != nil {
+			eng.TestSetPricePerturb(f)
+		}
 	}
 }
 
@@ -277,27 +339,38 @@ func (st *State) Snapshot() Snapshot {
 		Transactions: make([]Transaction, len(st.txs)),
 		Revenue:      st.revenue,
 	}
-	for id, eng := range st.engines {
-		s.Engines[id] = eng.Snapshot()
+	for i, eng := range st.engines {
+		if eng != nil {
+			s.Engines[st.names[i]] = eng.Snapshot()
+		}
 	}
 	for id, owner := range st.owners {
 		s.Owners[id] = owner
 	}
 	for id, acct := range st.buyers {
+		var keys [hasAcquired + 1]int // at each has* flag, the records carrying it; at 0, the misses
+		for _, p := range acct.pairs {
+			keys[p.flags&hasLastBid]++
+			keys[p.flags&hasBlockedUntil]++
+			keys[p.flags&hasAcquired]++
+		}
 		bs := BuyerSnapshot{
-			LastBid:      make(map[DatasetID]int, len(acct.lastBid)),
-			BlockedUntil: make(map[DatasetID]int, len(acct.blockedUntil)),
-			Acquired:     make(map[DatasetID]bool, len(acct.acquired)),
+			LastBid:      make(map[DatasetID]int, keys[hasLastBid]),
+			BlockedUntil: make(map[DatasetID]int, keys[hasBlockedUntil]),
+			Acquired:     make(map[DatasetID]bool, keys[hasAcquired]),
 			Spent:        acct.spent,
 		}
-		for k, v := range acct.lastBid {
-			bs.LastBid[k] = v
-		}
-		for k, v := range acct.blockedUntil {
-			bs.BlockedUntil[k] = v
-		}
-		for k, v := range acct.acquired {
-			bs.Acquired[k] = v
+		for i, p := range acct.pairs {
+			name := st.names[i]
+			if p.flags&hasLastBid != 0 {
+				bs.LastBid[name] = p.lastBid
+			}
+			if p.flags&hasBlockedUntil != 0 {
+				bs.BlockedUntil[name] = p.blockedUntil
+			}
+			if p.flags&hasAcquired != 0 {
+				bs.Acquired[name] = p.flags&acquired != 0
+			}
 		}
 		s.Buyers[id] = bs
 	}
@@ -331,7 +404,7 @@ func RestoreState(s Snapshot) (*State, error) {
 		cfg:     s.Config,
 		clock:   s.Clock,
 		graph:   graph,
-		engines: make(map[DatasetID]*core.Engine, len(s.Engines)),
+		index:   make(map[DatasetID]uint32, len(s.Engines)),
 		owners:  make(map[DatasetID]SellerID, len(s.Owners)),
 		buyers:  make(map[BuyerID]*buyerAccount, len(s.Buyers)),
 		sellers: make(map[SellerID]*sellerAccount, len(s.Sellers)),
@@ -346,7 +419,8 @@ func RestoreState(s Snapshot) (*State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("market: snapshot engine %s: %w", id, err)
 		}
-		st.engines[id] = eng
+		i := st.intern(id)
+		st.engines[i] = eng
 	}
 	for id := range s.Graph {
 		if _, ok := s.Engines[DatasetID(id)]; !ok {
@@ -360,21 +434,14 @@ func RestoreState(s Snapshot) (*State, error) {
 		st.owners[id] = owner
 	}
 	for id, bs := range s.Buyers {
-		acct := &buyerAccount{
-			lastBid:      make(map[DatasetID]int, len(bs.LastBid)),
-			blockedUntil: make(map[DatasetID]int, len(bs.BlockedUntil)),
-			acquired:     make(map[DatasetID]bool, len(bs.Acquired)),
-			spent:        bs.Spent,
-		}
-		for k, v := range bs.LastBid {
-			acct.lastBid[k] = v
-		}
-		for k, v := range bs.BlockedUntil {
-			acct.blockedUntil[k] = v
-		}
-		for k, v := range bs.Acquired {
-			acct.acquired[k] = v
-		}
+		acct := &buyerAccount{id: id, pairs: make(map[uint32]pair, len(bs.LastBid)), spent: bs.Spent}
+		restorePairs(st, acct, bs.LastBid, func(p *pair, v int) { p.lastBid, p.flags = v, p.flags|hasLastBid })
+		restorePairs(st, acct, bs.BlockedUntil, func(p *pair, v int) { p.blockedUntil, p.flags = v, p.flags|hasBlockedUntil })
+		restorePairs(st, acct, bs.Acquired, func(p *pair, v bool) {
+			if p.flags |= hasAcquired; v {
+				p.flags |= acquired
+			}
+		})
 		st.buyers[id] = acct
 	}
 	for id, ss := range s.Sellers {
@@ -392,4 +459,15 @@ func RestoreState(s Snapshot) (*State, error) {
 		st.txs[i] = tx
 	}
 	return st, nil
+}
+
+// restorePairs folds one of a BuyerSnapshot's maps into the account's
+// records, interning each key: it need not name a dataset on sale.
+func restorePairs[V any](st *State, acct *buyerAccount, m map[DatasetID]V, set func(*pair, V)) {
+	for name, v := range m {
+		i := st.intern(name)
+		p := acct.pairs[i]
+		set(&p, v)
+		acct.pairs[i] = p
+	}
 }

@@ -13,7 +13,9 @@ import (
 // paidOut sells a dataset backed by n base datasets — uploaded in
 // reverse of their sorted order, one seller each — for price, through
 // paySellers itself, and returns what each leaf's owner was credited,
-// in sorted leaf order, with the total paySellers reported.
+// in sorted leaf order, with the total paySellers reported. With n == 1
+// the dataset sold is the base dataset itself, which has no leaves to
+// resolve: its owner comes straight from the ownership table.
 func paidOut(t *testing.T, price Money, n int) ([]Money, Money) {
 	t.Helper()
 	st, err := NewState(Config{
@@ -34,6 +36,7 @@ func paidOut(t *testing.T, price Money, n int) ([]Money, Money) {
 		}
 	}
 	sold := leaves[0]
+	var resolved []string
 	if n > 1 {
 		sold = "bundle"
 		shuffled := slices.Clone(leaves)
@@ -41,8 +44,11 @@ func paidOut(t *testing.T, price Money, n int) ([]Money, Money) {
 		if _, err := Apply(st, ComposeDataset{Dataset: sold, Constituents: shuffled}); err != nil {
 			t.Fatal(err)
 		}
+		if resolved, err = st.graph.Leaves(string(sold)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	total := st.paySellers(sold, nil, price)
+	total := st.paySellers(sold, resolved, price)
 	parts := make([]Money, n)
 	for i, leaf := range leaves {
 		if parts[i], err = st.SellerBalance(SellerID("owner-of-" + leaf)); err != nil {
@@ -63,7 +69,8 @@ func TestPaySellersSplitsExactly(t *testing.T) {
 		price Money
 		want  []Money
 	}{
-		{"one leaf takes it all", 7, []Money{7}},
+		{"a base dataset's owner takes it all", 7, []Money{7}},
+		{"a base dataset sold for nothing", 0, []Money{0}},
 		{"one micro two ways", 1, []Money{1, 0}},
 		{"seven micros three ways", 7, []Money{3, 2, 2}},
 		{"divides evenly", 9, []Money{3, 3, 3}},
@@ -96,5 +103,23 @@ func TestPaySellersSplitsExactly(t *testing.T) {
 	}
 	if err := quick.Check(property, nil); err != nil {
 		t.Error(err)
+	}
+
+	// A withdrawn base dataset has no owner left to credit: nothing is
+	// paid, and paySellers says so, so the books never count money that
+	// reached nobody.
+	st := MustNewState(Config{Engine: core.Config{Candidates: auction.LinearGrid(10, 100, 10), EpochSize: 4, MinBid: 1}})
+	for _, cmd := range []Command{
+		RegisterSeller{Seller: "s"}, UploadDataset{Seller: "s", Dataset: "d"}, WithdrawDataset{Seller: "s", Dataset: "d"},
+	} {
+		if _, err := Apply(st, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if paid := st.paySellers("d", nil, 7); paid != 0 {
+		t.Errorf("a withdrawn dataset's sale credited %d, want 0", paid)
+	}
+	if bal, err := st.SellerBalance("s"); err != nil || bal != 0 {
+		t.Errorf("former owner's balance = %v, %v; want 0", bal, err)
 	}
 }

@@ -414,7 +414,7 @@ func MarketIntegration(o Options) (MarketIntegrationResult, error) {
 	res := MarketIntegrationResult{
 		Revenue:        m.Revenue().Float(),
 		SellerBalances: make(map[string]float64),
-		Transactions:   len(m.Transactions()),
+		Transactions:   m.TxCount(),
 	}
 	for _, s := range []market.SellerID{"s1", "s2"} {
 		bal, err := m.SellerBalance(s)

@@ -224,15 +224,14 @@ func TestBidTraceRetrievable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := journal.Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var bidEvent *journal.Event
-	for i := range events {
-		if events[i].Op == journal.OpBid {
-			bidEvent = &events[i]
+	if _, _, err := journal.Scan(bytes.NewReader(raw), 1, func(e journal.Event) error {
+		if e.Op == journal.OpBid {
+			bidEvent = &e
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if bidEvent == nil {
 		t.Fatal("no bid event journaled")

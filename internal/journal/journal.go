@@ -880,66 +880,6 @@ func Scan(r io.Reader, firstSeq int64, fn func(Event) error) (durable int64, tor
 	})
 }
 
-// Recover is the slice-returning wrapper over Scan kept for tests and
-// small logs: it materializes every event in memory. Production
-// recovery paths (OpenFile, Restore, the segmented Store) stream
-// through Scan instead.
-func Recover(r io.Reader) (events []Event, durable int64, torn bool, err error) {
-	durable, torn, err = Scan(r, 1, func(e Event) error {
-		events = append(events, e)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return events, durable, torn, nil
-}
-
-// Read parses a log, validating sequence continuity and the header: the
-// first event must be a genesis (fresh log) or a snapshot (compacted
-// log) carrying a known format version — 0 (pre-versioning logs, which
-// omit the field), 2 or FormatVersion; anything else fails with
-// ErrVersion.
-// It returns every event, header included. A single trailing torn
-// record — the signature of a crash mid-append — is silently dropped;
-// see Recover.
-func Read(r io.Reader) ([]Event, error) {
-	events, _, _, err := Recover(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(events) == 0 {
-		return nil, ErrNoGenesis
-	}
-	switch head := events[0]; {
-	case head.Op == OpGenesis && head.Config != nil:
-	case head.Op == OpSnapshot && head.Snapshot != nil:
-	default:
-		return nil, ErrNoGenesis
-	}
-	if v := events[0].V; !knownVersion(v) {
-		return nil, fmt.Errorf("%w: %d (this build reads 0, 2 and %d)", ErrVersion, v, FormatVersion)
-	}
-	return events, nil
-}
-
-// Bootstrap builds a market from a validated event slice: the head
-// (genesis or snapshot) seeds the market and the tail replays onto it.
-func Bootstrap(events []Event) (*market.Market, error) {
-	if len(events) == 0 {
-		return nil, ErrNoGenesis
-	}
-	st, err := stateFromHead(events[0])
-	if err != nil {
-		return nil, err
-	}
-	m := market.FromState(st)
-	if err := Replay(m, events[1:]); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // stateFromHead builds the state a log head describes: a genesis head
 // seeds a fresh state from its recorded config, a snapshot head restores
 // full state. Heads carrying a format version this build does not know
@@ -964,34 +904,6 @@ func stateFromHead(e Event) (*command.State, error) {
 		return st, nil
 	}
 	return nil, ErrNoGenesis
-}
-
-// Replay applies events to m in order: each record upgrades to its
-// command through CommandFromEvent and goes through Market.Apply — the
-// same deterministic core the live market ran when the record was
-// written. Every event must succeed: the journal only contains
-// operations that succeeded when recorded, and engines are
-// deterministic, so any failure means the log does not match the market
-// configuration.
-func Replay(m *market.Market, events []Event) error {
-	for _, e := range events {
-		if err := applyEvent(m, e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyEvent replays one body record onto to; see Replay.
-func applyEvent(to *market.Market, e Event) error {
-	cmd, err := CommandFromEvent(e)
-	if err == nil {
-		_, err = to.Apply(cmd)
-	}
-	if err != nil {
-		return fmt.Errorf("%w: event %d (%s): %v", ErrReplay, e.Seq, e.Op, err)
-	}
-	return nil
 }
 
 // replayRecord is the one step of streaming recovery: the first record a
@@ -1025,8 +937,7 @@ func replayRecord(st *command.State, rec Record) (*command.State, error) {
 
 // restoreStream rebuilds a market from a log in one streaming pass: the
 // head seeds the state and every subsequent record applies as it is
-// scanned, so the whole-log []Event slice Recover would build never
-// exists. It returns the market (nil when not even the head survived —
+// scanned, so no whole-log []Event slice ever exists. It returns the market (nil when not even the head survived —
 // a crash during the very first append), the sequence number of the
 // last replayed record, the durable byte prefix, and whether a torn
 // tail was dropped.
@@ -1254,7 +1165,7 @@ func OpenFile(cfg market.Config, path string, opts ...Option) (*Market, int, err
 // Resume wraps an already-restored market with a writer that continues
 // an existing log: sink should append to the same file the market was
 // restored from, and lastSeq is the sequence number of the log's final
-// record (1 + the event count returned by Read, counting genesis).
+// record (the record count, genesis included).
 func Resume(m *market.Market, sink io.Writer, lastSeq int64, opts ...Option) *Market {
 	w := NewWriter(sink, opts...)
 	w.live = m

@@ -218,11 +218,11 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	if _, err := Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrReplay) {
 		t.Fatalf("diverging log: %v", err)
 	}
-	// Unknown op.
-	m := market.MustNew(testConfig())
-	err := Replay(m, []Event{{Seq: 1, Op: "warp"}})
-	if !errors.Is(err, ErrReplay) {
-		t.Fatalf("unknown op: %v", err)
+	// A record whose checksum holds but whose payload is no command.
+	genesis := buf.Bytes()[:recordBoundaries(t, buf.Bytes(), 1)[0]]
+	log := append(bytes.Clone(genesis), endedFrame(beginFrame(nil, 2, "", kindCommand), 0xEE)...)
+	if _, err := Restore(bytes.NewReader(log)); !errors.Is(err, ErrReplay) {
+		t.Fatalf("undecodable command: %v", err)
 	}
 }
 
@@ -577,16 +577,18 @@ func TestBidBatchJournalRoundTrip(t *testing.T) {
 }
 
 func TestBidBatchReplayDivergenceDetected(t *testing.T) {
-	cfg := testConfig()
-	m, err := market.New(cfg)
-	if err != nil {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Genesis(testConfig()); err != nil {
 		t.Fatal(err)
 	}
-	err = Replay(m, []Event{{
-		Seq: 2, Op: OpBidBatch,
-		Bids: []BatchBid{{Buyer: "nobody", Dataset: "nothing", Amount: 10}},
-	}})
-	if !errors.Is(err, ErrReplay) {
+	if err := w.Append(Event{Op: OpBidBatch, Bids: []BatchBid{{Buyer: "nobody", Dataset: "nothing", Amount: 10}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrReplay) {
 		t.Fatalf("replay error = %v, want ErrReplay", err)
 	}
 }

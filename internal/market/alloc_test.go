@@ -2,12 +2,14 @@ package market
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
+	"github.com/datamarket/shield/internal/rng"
 )
 
 // These assertions pin the zero-alloc audit of the bid hot path: the
@@ -40,9 +42,11 @@ func allocMarket(t testing.TB) *Market {
 
 // TestPublishBidZeroAlloc asserts the per-bid view publication — the
 // seqlock stats-cell store and the wait-table write for a losing bid on
-// a base dataset — does not allocate. (A winning bid additionally republishes the books and
-// the buyer view; sales are orders of magnitude rarer than bids and
-// keep their copy-on-write allocations.)
+// a base dataset — does not allocate. (A winning bid additionally
+// republishes the books: one small booksView allocation per sale, which
+// is most bids where buyers bid what the data is worth to them — three
+// in four on the repository benchmark — and none for the log, which the
+// view shares with the state.)
 func TestPublishBidZeroAlloc(t *testing.T) {
 	m := allocMarket(t)
 	ev := command.Event{
@@ -126,6 +130,64 @@ func TestBidHotPathSteadyStateAllocs(t *testing.T) {
 	if after, _ := m.Stats("d"); after.Epochs-before.Epochs != 101*buyers/8 {
 		t.Fatalf("%d epochs closed inside the measurement, want %d", after.Epochs-before.Epochs, 101*buyers/8)
 	}
+}
+
+// liveHeap is the live heap after two collections (the second finishes
+// the first's sweep), as the repository benchmark's heap_live_mb reads it.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestStateBytesPerDecidedBid is the footprint budget: what one decided
+// bid leaves live in a serving market — its (buyer, dataset) record, the
+// sale in the transaction log if it won, the winner's ownership bit —
+// over the wire_bid_durable workload's market (4 096 buyers, 64
+// datasets, the benchmark's engine, a tick every 512 ops, each pair bid
+// on at most once, three bids in four winning). Bytes per decided bid is
+// how many bids one arbiter can remember, so it is budgeted like an
+// allocation count. The change that introduced the pair records measured
+// 116 B per bid here (to ±0.1 B: the history is seeded); the budget is
+// 1.25× that. Its parent — three string-keyed maps per buyer, every
+// acquisition again in a per-buyer sync.Map, the log again in the books
+// view, each request's strings pinned as keys — measured 306 B.
+func TestStateBytesPerDecidedBid(t *testing.T) {
+	const buyers, datasets, bids, tickEvery = 4096, 64, 150_000, 512
+	const measured, budget, parent = 116, 145, 306 // bytes per decided bid
+	m := MustNew(Config{
+		Engine: core.Config{
+			Candidates:    auction.LinearGrid(1, 200, 40),
+			EpochSize:     8,
+			BidsPerPeriod: 1,
+			MinBid:        1,
+		},
+		Seed:   42,
+		Shards: DefaultShards,
+	})
+	bs, ds := populate(t, m, buyers, datasets)
+	r := rng.New(42)
+	before := liveHeap()
+	for k := 0; k < bids; k++ {
+		if k%tickEvery == tickEvery-1 {
+			m.Tick()
+		}
+		// The benchmark's walk: each (buyer, dataset) pair once before any
+		// repeats. The strings are built per bid, as a decoded request's
+		// are: the market must not keep them.
+		b, d := k%buyers, (k%buyers+k/buyers)%datasets
+		if _, err := m.SubmitBid(BuyerID(fmt.Sprint(bs[b])), DatasetID(fmt.Sprint(ds[d])), math.Max(1, r.Normal(100, 30))); err != nil {
+			t.Fatalf("bid %d by %s on %s: %v", k, bs[b], ds[d], err)
+		}
+	}
+	perBid := float64(liveHeap()-before) / bids
+	t.Logf("%.1f live bytes per decided bid over %d bids, %d of them sales", perBid, bids, m.TxCount())
+	if perBid > budget {
+		t.Fatalf("%.1f live bytes per decided bid, budget %d (1.25 × the %d B the pair records measured; their parent measured %d B)", perBid, budget, measured, parent)
+	}
+	runtime.KeepAlive(m)
 }
 
 // registrationBytes registers n buyers and n sellers, then returns the

@@ -3,6 +3,7 @@ package market
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -348,6 +349,118 @@ func TestRegistrationRacesReaders(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if b, s := readOne(i); !b || !s {
 			t.Fatalf("participant %d missing after the writer finished (buyer %v, seller %v)", i, b, s)
+		}
+	}
+}
+
+// TestSharedLogAndBitsetsUnderReaders is the -race check on the two
+// structures readers share with the writer without a copy: the books
+// view, a prefix of the state's own transaction log, and the buyer
+// cells' ownership bitsets. One writer sells every dataset of a
+// catalogue that grows from 60 to 200 names mid-storm to 64 buyers —
+// half of whom skip the first 64 datasets, so their first purchase lands
+// past word 0 — while readers loop over Transactions, Totals and Owns.
+// Every books view adds up (Σ price == revenue == spend, over exactly
+// the sales it holds), every observed log is a prefix of the final one,
+// and no ownership bit, once published, is ever lost to a bitset growing
+// or the index mirror being republished.
+func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
+	const buyers, datasets, seeded, readers = 64, 200, 60, 4
+	m := MustNew(benchConfig())
+	bs, ds := populate(t, m, buyers, seeded)
+	for i := seeded; i < datasets; i++ { // uploaded mid-storm
+		ds = append(ds, DatasetID(fmt.Sprintf("late-%03d", i)))
+	}
+	skips := func(b, d int) bool { return b >= buyers/2 && d < 64 }
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	longest := make([][]Transaction, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for step := 0; !done.Load(); step++ {
+				// One view: its sums are the sums of its own log.
+				b := m.vw.books.Load()
+				var sum Money
+				for i, tx := range b.txs {
+					if sum += tx.Price; tx.Seq != i+1 {
+						t.Errorf("view of %d sales: transaction %d has seq %d", len(b.txs), i, tx.Seq)
+						return
+					}
+				}
+				if sum != b.revenue || sum != b.spent || sum != b.balances {
+					t.Errorf("view of %d sales: Σ price %v, revenue %v, spend %v, balances %v", len(b.txs), sum, b.revenue, b.spent, b.balances)
+					return
+				}
+
+				// The public copy, then Totals: the books only grow.
+				txs := m.Transactions()
+				if revenue, _, _ := m.Totals(); revenue < sum {
+					t.Errorf("revenue went back from %v to %v", sum, revenue)
+					return
+				}
+				short, long := txs, longest[r]
+				if len(short) > len(long) {
+					short, long = long, short
+				}
+				if !slices.Equal(short, long[:len(short)]) {
+					t.Errorf("a log of %d sales and one of %d disagree on their common prefix", len(short), len(long))
+					return
+				}
+				longest[r] = long
+
+				// Every sale but the newest is published whole — the books
+				// come first, the winner's bit after — so a stride of them,
+				// from a moving start, must all be owned.
+				for i := step % 37; i < len(txs)-1; i += 37 {
+					if owns, err := m.Owns(txs[i].Buyer, txs[i].Dataset); err != nil || !owns {
+						t.Errorf("with %d sales published, Owns(%s, %s) = %v, %v", len(txs), txs[i].Buyer, txs[i].Dataset, owns, err)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+
+	sales := 0
+	for d := range ds {
+		if d >= seeded {
+			if err := m.UploadDataset("s", ds[d]); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+		for b := range bs {
+			if skips(b, d) {
+				continue
+			}
+			// Above the grid's top candidate: every bid wins.
+			if dec, err := m.SubmitBid(bs[b], ds[d], 150); err != nil || !dec.Allocated {
+				t.Errorf("bid by %s on %s: %+v, %v; want a win", bs[b], ds[d], dec, err)
+			}
+			sales++
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+
+	final := m.Transactions()
+	if len(final) != sales || m.TxCount() != sales {
+		t.Fatalf("%d transactions (TxCount %d) after %d sales", len(final), m.TxCount(), sales)
+	}
+	for r, log := range longest {
+		if !slices.Equal(log, final[:len(log)]) {
+			t.Errorf("reader %d's longest log, %d sales, is not a prefix of the final one", r, len(log))
+		}
+	}
+	t.Logf("readers' longest logs: %d %d %d %d of %d sales", len(longest[0]), len(longest[1]), len(longest[2]), len(longest[3]), sales)
+	for b := range bs {
+		for d := range ds {
+			if owns, err := m.Owns(bs[b], ds[d]); err != nil || owns == skips(b, d) {
+				t.Fatalf("Owns(%s, %s) = %v, %v; want %v", bs[b], ds[d], owns, err, !skips(b, d))
+			}
 		}
 	}
 }

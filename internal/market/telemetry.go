@@ -48,7 +48,7 @@ func (m *Market) Instrument(t *obs.Telemetry) {
 		})
 	r.Collect("shield_market_transactions_total", "Completed sales.",
 		obs.KindCounter, func(emit func(float64, ...string)) {
-			emit(float64(len(m.Transactions())))
+			emit(float64(m.TxCount()))
 		})
 	r.Collect("shield_market_period", "Current market period.",
 		obs.KindGauge, func(emit func(float64, ...string)) {

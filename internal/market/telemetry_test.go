@@ -1,7 +1,11 @@
 package market
 
 import (
+	"fmt"
+	"io"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/core"
@@ -73,6 +77,66 @@ func TestInstrumentationPreservesDecisions(t *testing.T) {
 		if plain[i] != instr[i] {
 			t.Fatalf("decision %d differs: %+v vs %+v", i, plain[i], instr[i])
 		}
+	}
+}
+
+// populate registers seller "s" with the given number of datasets, and
+// the given number of buyers, named as the repository benchmark names
+// them; it returns the ids.
+func populate(tb testing.TB, m *Market, buyers, datasets int) ([]BuyerID, []DatasetID) {
+	tb.Helper()
+	if err := m.RegisterSeller("s"); err != nil {
+		tb.Fatal(err)
+	}
+	bs, ds := make([]BuyerID, buyers), make([]DatasetID, datasets)
+	for i := range ds {
+		ds[i] = DatasetID(fmt.Sprintf("ds-%03d", i))
+		if err := m.UploadDataset("s", ds[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := range bs {
+		bs[i] = BuyerID(fmt.Sprintf("buyer-%04d", i))
+		if err := m.RegisterBuyer(bs[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return bs, ds
+}
+
+// TestScrapeDoesNotCopyTheLog: shield_market_transactions_total counts
+// the sales, it does not fetch them. A scrape of a market with 10 000
+// sales on its books must allocate less than those 10 000 transactions
+// occupy — it read 1.1× the log, one defensive copy per scrape, while the
+// collector called len(m.Transactions()).
+func TestScrapeDoesNotCopyTheLog(t *testing.T) {
+	const buyers, datasets = 1000, 10
+	tel := obs.NewTelemetry()
+	m := MustNew(benchConfig())
+	m.Instrument(tel)
+	bs, ds := populate(t, m, buyers, datasets)
+	for _, b := range bs {
+		for _, d := range ds {
+			// Above the grid's top candidate: every bid wins.
+			if dec, err := m.SubmitBid(b, d, 150); err != nil || !dec.Allocated {
+				t.Fatalf("bid by %s on %s: %+v, %v; want a win", b, d, dec, err)
+			}
+		}
+	}
+	if n := m.TxCount(); n != buyers*datasets {
+		t.Fatalf("TxCount = %d, want %d", n, buyers*datasets)
+	}
+	logBytes := uint64(buyers * datasets * int(unsafe.Sizeof(Transaction{})))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := tel.Registry.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= logBytes {
+		t.Fatalf("one scrape allocated %d B over a transaction log of %d B: it copies the log to count it", got, logBytes)
+	} else {
+		t.Logf("one scrape allocated %d B; the log holds %d B", got, logBytes)
 	}
 }
 

@@ -38,10 +38,16 @@ import (
 //     moves a bid counter, possibly a posting price, and a loser's
 //     wait) updates a few words in place instead of cloning a map;
 //   - the books (revenue, total spend, total balances, transactions)
-//     change only on sales, which are far rarer than bids; one
-//     immutable booksView is republished per sale.
+//     change only on sales; one small immutable booksView is republished
+//     per sale, over the state's own transaction log.
 type views struct {
 	clock atomic.Int64
+
+	// index mirrors the state's dataset index (name → index, withdrawn
+	// names included) for readers, who may not touch the state: add-only
+	// like the table, and copy-on-write because it is catalogue-sized and
+	// changes only when a name is first registered.
+	index atomic.Pointer[map[DatasetID]uint32]
 
 	// stats maps each priced dataset to its diagnostic cell. The outer
 	// map is copy-on-write on purpose — it is as small as the catalogue,
@@ -141,25 +147,25 @@ func (c *statsCell) load() DatasetStats {
 
 // buyerCell is one buyer's read state. The acquisition set is add-only
 // (a win is its only mutation, and withdrawals don't revoke ownership),
-// so it lives in a sync.Map grown in place for the buyer's lifetime
-// instead of an immutable map re-copied on every win: hot buyers
-// accumulate thousands of acquisitions, and an O(own acquisitions) copy
-// per sale made long storms quadratic in sales. spent holds the
+// so it is a bitset over the dataset index (views.index): a win stores
+// one word in place, and the words are replaced only to grow — at most
+// one bit per name the catalogue ever held (8 bytes at 64 datasets,
+// 12.5 KB at 100 000), whatever the buyer owns. spent holds the
 // absolute total. The readers are single-field lookups, so no
 // cross-field consistency is needed.
 //
 // waits is the buyer's running Time-Shield waits — per dataset, the
 // first period the buyer may bid again — rewritten by every losing bid,
-// which is most bids, so its publication must not allocate (a sync.Map
-// boxes every stored value). It is a short slice under a mutex of the
-// cell's own: a wait that has run out is a free slot, so the slice is
+// so its publication must not allocate (a sync.Map would box every
+// stored value). It is a short slice under a mutex of the cell's
+// own: a wait that has run out is a free slot, so the slice is
 // as long as the most waits the buyer ever had running at once, not as
 // long as its history. The mutex is held for one scan, by the publisher
 // or by a WaitRemaining call on this same buyer, and never across
 // anything that can block.
 type buyerCell struct {
-	acquired sync.Map     // DatasetID → true; add-only
-	spent    atomic.Int64 // Money
+	acquired atomic.Pointer[[]atomic.Uint64] // bit i: owns the dataset of index i
+	spent    atomic.Int64                    // Money
 
 	waitMu sync.Mutex
 	waits  []wait
@@ -170,18 +176,27 @@ type wait struct {
 	until   int
 }
 
-// rebuild fills a fresh cell from the buyer's account; waits that have
-// run out by clock are not worth a slot.
-func (c *buyerCell) rebuild(clock int, acquired map[DatasetID]bool, blockedUntil map[DatasetID]int, spent Money) {
-	for k := range acquired {
-		c.acquired.Store(k, true)
+// owned returns the ownership bitset, nil before the first purchase.
+func (c *buyerCell) owned() []atomic.Uint64 {
+	if ws := c.acquired.Load(); ws != nil {
+		return *ws
 	}
-	c.spent.Store(int64(spent))
-	for k, until := range blockedUntil {
-		if until > clock {
-			c.block(k, until, clock)
+	return nil
+}
+
+// acquire publishes the buyer's ownership of the dataset of index i.
+// Like every publication it has one caller at a time.
+func (c *buyerCell) acquire(i uint32) {
+	ws, word := c.owned(), int(i/64)
+	if word >= len(ws) {
+		grown := make([]atomic.Uint64, word+1)
+		for w := range ws {
+			grown[w].Store(ws[w].Load())
 		}
+		c.acquired.Store(&grown)
+		ws = grown
 	}
+	ws[word].Store(ws[word].Load() | 1<<(i%64))
 }
 
 // block publishes a wait decided at period clock, over the buyer's
@@ -237,9 +252,10 @@ func newSellerCell() *sellerCell {
 }
 
 // booksView is the immutable money view: the three conservation sums
-// and the transaction log. txs grows by appending to the latest view's
-// slice — older views keep their shorter length and never observe the
-// new element, so sharing the backing array is safe.
+// and the transaction log they add up — a clipped prefix of the state's
+// own log (command.State.TxLog), not a copy. A view never observes what
+// the state appends behind it and no recorded transaction is ever
+// rewritten, so sharing the log is safe.
 type booksView struct {
 	revenue  Money
 	spent    Money
@@ -263,11 +279,20 @@ func (m *Market) rebuildViews() {
 	}
 	m.vw.stats.Store(&stats)
 
+	m.vw.index.Store(&map[DatasetID]uint32{})
+	m.publishNames()
+	clock, names := m.st.Period(), m.st.DatasetNames()
 	for _, id := range m.st.BuyerIDs() {
 		cell := new(buyerCell)
-		m.st.InspectBuyer(id, func(acquired map[DatasetID]bool, blockedUntil map[DatasetID]int, spent Money) {
-			cell.rebuild(m.st.Period(), acquired, blockedUntil, spent)
+		spent, _ := m.st.InspectBuyer(id, func(dataset uint32, owned bool, blockedUntil int) {
+			if owned {
+				cell.acquire(dataset)
+			}
+			if blockedUntil > clock { // a wait that has run out is not worth a slot
+				cell.block(names[dataset], blockedUntil, clock)
+			}
 		})
+		cell.spent.Store(int64(spent))
 		m.vw.buyers.Store(id, cell)
 	}
 
@@ -281,8 +306,22 @@ func (m *Market) rebuildViews() {
 		revenue:  revenue,
 		spent:    spent,
 		balances: balances,
-		txs:      m.st.Transactions(),
+		txs:      m.st.TxLog(m.st.TxCount()),
 	})
+}
+
+// publishNames extends the index mirror to the names the state has
+// interned since it was last published.
+func (m *Market) publishNames() {
+	names, old := m.st.DatasetNames(), *m.vw.index.Load()
+	if len(names) == len(old) {
+		return
+	}
+	next := maps.Clone(old)
+	for i := len(old); i < len(names); i++ {
+		next[names[i]] = uint32(i)
+	}
+	m.vw.index.Store(&next)
 }
 
 // publish makes one applied event visible. The caller holds the writer
@@ -312,6 +351,7 @@ func (m *Market) publish(ctx context.Context, ev *command.Event) {
 		m.publishSeller(ev.Seller)
 
 	case command.EvDatasetAdded:
+		m.publishNames() // before anything can return: a sale of it may follow in this group
 		if !ev.Derived {
 			m.publishSeller(ev.Seller)
 		}
@@ -352,20 +392,23 @@ func (m *Market) publishBid(ev *command.Event) {
 		return
 	}
 
-	// A sale: republish the books...
+	// A sale: republish the books, one transaction further along the
+	// state's log (the rest of this group may already be on it)...
 	old := m.vw.books.Load()
 	m.vw.books.Store(&booksView{
 		revenue:  old.revenue + ev.Tx.Price,
 		spent:    old.spent + ev.Tx.Price,
 		balances: old.balances + ev.Paid,
-		txs:      append(old.txs, *ev.Tx),
+		txs:      m.st.TxLog(len(old.txs) + 1),
 	})
 
 	// ...the winner's cell: the won dataset joins the add-only set and
 	// spent is republished as the absolute total — O(1) per sale,
 	// independent of how many datasets the buyer already owns...
 	if cell != nil {
-		cell.acquired.Store(ev.Dataset, true)
+		if i, ok := (*m.vw.index.Load())[ev.Dataset]; ok {
+			cell.acquire(i)
+		}
 		if spent, err := m.st.BuyerSpend(ev.Buyer); err == nil {
 			cell.spent.Store(int64(spent))
 		}
@@ -480,8 +523,9 @@ func (m *Market) Owns(buyer BuyerID, dataset DatasetID) (bool, error) {
 	if cell == nil {
 		return false, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
 	}
-	_, owns := cell.acquired.Load(dataset)
-	return owns, nil
+	i, ok := (*m.vw.index.Load())[dataset]
+	ws, word := cell.owned(), int(i/64)
+	return ok && word < len(ws) && ws[word].Load()>>(i%64)&1 != 0, nil
 }
 
 // WaitRemaining returns how many periods remain before the buyer may bid
@@ -497,6 +541,9 @@ func (m *Market) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
 	}
 	return 0, nil
 }
+
+// TxCount returns the number of completed sales, without copying them.
+func (m *Market) TxCount() int { return len(m.vw.books.Load().txs) }
 
 // Transactions returns a defensive copy of the transaction log, in
 // sequence order.

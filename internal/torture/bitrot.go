@@ -151,7 +151,7 @@ func (b *bitrot) build() (*Report, error) {
 	}
 	b.lastSeq = jm.LastSeq()
 	rep := &Report{Seed: b.cfg.Seed, Ops: b.cfg.Ops, Rejections: w.reject,
-		Allocations: len(jm.Transactions()), Revenue: jm.Revenue()}
+		Allocations: jm.TxCount(), Revenue: jm.Revenue()}
 	if b.truth, err = jm.Snapshot().Canonical(); err != nil {
 		jm.Close()
 		return nil, err

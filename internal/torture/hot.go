@@ -145,7 +145,7 @@ func RunHot(cfg HotConfig) (*Report, error) {
 	for _, w := range workers {
 		rep.Rejections += w.reject
 	}
-	rep.Allocations = len(jm.Transactions())
+	rep.Allocations = jm.TxCount()
 	rep.Revenue = jm.Revenue()
 	return rep, nil
 }

@@ -123,8 +123,9 @@ func candidateRange(cands []float64) (lo, hi float64) {
 // O(accounts) sweep would make 10⁷-op storms quadratic in ops.
 func (h *harness) checkConservation() string {
 	revenue := h.ref.st.Revenue()
-	for n := h.ref.st.TxCount(); h.txCount < n; h.txCount++ {
-		h.txSum += h.ref.st.TxAt(h.txCount).Price
+	for _, tx := range h.ref.st.TxLog(h.ref.st.TxCount())[h.txCount:] {
+		h.txSum += tx.Price
+		h.txCount++
 	}
 	if revenue != h.txSum {
 		return fmt.Sprintf("money not conserved: revenue=%s txsum=%s", revenue, h.txSum)

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -73,6 +74,19 @@ func commandFrame(t *testing.T, id uint64, cmd command.Command, traceID string) 
 // the server has read everything, and the server may be blocked writing
 // responses nobody reads yet, so the write runs on its own goroutine; a
 // write that fails shows as the response that never comes.
+// journalEvents returns every event of a journal.
+func journalEvents(t *testing.T, log io.Reader) []journal.Event {
+	t.Helper()
+	var events []journal.Event
+	if _, _, err := journal.Scan(log, 1, func(e journal.Event) error {
+		events = append(events, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
 func (c *rawClient) burst(frames ...[]byte) {
 	go func() { _, _ = c.Write(bytes.Join(frames, nil)) }()
 }
@@ -190,10 +204,7 @@ func TestPayloadBufferDoesNotAlias(t *testing.T) {
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, _, _, err := journal.Recover(bytes.NewReader(sink.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := journalEvents(t, bytes.NewReader(sink.Bytes()))
 	var journaled []sale
 	for _, e := range events {
 		if e.Op == journal.OpBid {
@@ -258,10 +269,7 @@ func TestRequestContextDoesNotLeakIdentity(t *testing.T) {
 		if err := jm.Close(); err != nil {
 			t.Fatal(err)
 		}
-		events, _, _, err := journal.Recover(bytes.NewReader(sink.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		events := journalEvents(t, bytes.NewReader(sink.Bytes()))
 		minted := map[string]bool{}
 		records := 0
 		for _, e := range events {

@@ -253,10 +253,7 @@ func TestWireJournalCarriesPropagatedTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		events, _, _, err := journal.Recover(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		events := journalEvents(t, f)
 		// The journal opens with a genesis record; the command's event
 		// follows it.
 		var got *journal.Event
