@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race bench bench-save bench-save-smoke bench-repo bench-repo-smoke bench-pairs fuzz-smoke metrics-lint torture torture-smoke torture-long bitrot-smoke slo-smoke slo-full replica-smoke segment-smoke cover
+.PHONY: ci fmt-check vet build test race bench bench-compile bench-repo bench-repo-smoke bench-pairs loc fuzz-smoke metrics-lint torture torture-smoke torture-long bitrot-smoke slo-smoke slo-full replica-smoke segment-smoke cover
 
-ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke bitrot-smoke torture segment-smoke slo-smoke replica-smoke bench-save-smoke bench-repo-smoke
+ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke bitrot-smoke torture segment-smoke slo-smoke replica-smoke bench-compile bench-repo-smoke
 
 # Fails (and lists the offenders) if any file is not gofmt-clean.
 fmt-check:
@@ -107,7 +107,7 @@ segment-smoke:
 	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -ops 20000 \
 		-store -segment-records 512 -checkpoint-every 2000 -disk-ceiling-mb 64
 	$(GO) run ./cmd/shieldload -transport both -clients 512 -rate 1500 \
-		-ops 6000 -tick-every 400 -store -compact-every 1000 -segment-records 512 \
+		-ops 6000 -tick-every 400 -compact-every 1000 -segment-records 512 \
 		-slo 'bid.p99<1s,error_rate<0.1%,throughput>=500'
 
 # Aggregate statement coverage across all packages; the closing line is
@@ -118,6 +118,17 @@ cover:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
+
+# Every microbenchmark — the journal's, the wire protocol's and the 21
+# per-figure ones — compiles and runs one iteration, so none rots
+# between the sessions that use them.
+bench-compile:
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/journal/ ./internal/wire/ .
+
+# Non-test Go lines, in total and per top-level directory — the figure
+# every PR states — beside PARENT's (default HEAD) and the net.
+loc:
+	@bash scripts/loc.sh $(PARENT)
 
 # Cluster-in-process load rig with SLO gates (cmd/shieldload): one
 # process boots a real marketd-equivalent server (HTTP + wire over a
@@ -148,25 +159,6 @@ slo-full:
 	$(GO) run ./cmd/shieldload -transport both -clients 2048 -rate 2500 \
 		-ops 50000 -tick-every 500 \
 		-slo 'bid.p99<500ms,bid.p999<2s,query.p99<500ms,error_rate<0.1%,throughput>=2000'
-
-# Runs the journal-durability and transport benchmarks and records them
-# (with the derived group-commit and wire-vs-HTTP speedups) in
-# BENCH_6.json, the load rig's whole-system measurement in BENCH_7.json,
-# the tracing-overhead-per-bid measurement in BENCH_8.json, and the
-# segmented store's O(tail) recovery-ratio measurement in BENCH_10.json,
-# keeping the performance claims in DESIGN.md reproducible.
-bench-save:
-	$(GO) run ./cmd/benchsave -benchtime 1s
-
-# CI variant: a short benchtime, a small rig and scaled-down recovery
-# stores keep the gate fast while still proving the benchmarks run and
-# all four artifact pipelines work end to end.
-bench-save-smoke:
-	$(GO) run ./cmd/benchsave -benchtime 50ms -out /tmp/bench_smoke.json \
-		-rig-out /tmp/bench7_smoke.json -rig-clients 128 -rig-ops 3000 \
-		-trace-out /tmp/bench8_smoke.json \
-		-recovery-out /tmp/bench10_smoke.json -recovery-small 5000 \
-		-recovery-large 20000 -recovery-checkpoint-every 1000
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): the
 # four workloads at the length the driver runs them, end-to-end metrics

@@ -11,15 +11,9 @@
 package shield_test
 
 import (
-	"fmt"
-	"io"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
-	shield "github.com/datamarket/shield"
 	"github.com/datamarket/shield/internal/experiments"
-	"github.com/datamarket/shield/internal/journal"
 )
 
 // benchOpts is the reduced scale used by the benchmark harness.
@@ -300,112 +294,4 @@ func BenchmarkX7_BestResponse(b *testing.B) {
 		advGap = res.StrategicAdvantageNoShield() - res.StrategicAdvantageShield()
 	}
 	b.ReportMetric(advGap, "strategic-edge-removed-by-waits")
-}
-
-// BenchmarkJournaledParallelBids measures concurrent bid throughput
-// through the one ordered commit stage: goroutines bid on a rotation of
-// 64 datasets with a fresh buyer per rotation, so each bid is a winning
-// bid exercising the full path (engine, accounts, ledger, payout), and
-// every bid is applied, encoded and written by the group-commit leader
-// in journal order. Run with -cpu 1,2,4,...: the stage is serial by
-// design, so what parallelism buys is larger groups (records/group),
-// not parallel applies.
-func BenchmarkJournaledParallelBids(b *testing.B) {
-	const numDatasets = 64
-	jm, err := journal.NewMarket(benchMarketConfig(), io.Discard, journal.WithGroupCommit(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	datasets := benchCatalog(b, jm, numDatasets)
-	// Registration is a command like any other; it belongs in setup, not
-	// in the measured hot path.
-	buyers := make([]shield.BuyerID, b.N/numDatasets+runtime.GOMAXPROCS(0)+1)
-	for i := range buyers {
-		buyers[i] = shield.BuyerID(fmt.Sprintf("buyer-%d", i))
-		if err := jm.RegisterBuyer(buyers[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	seeded := jm.LastSeq()
-	var buyerSeq atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var buyer shield.BuyerID
-		i := numDatasets // force a fresh buyer on the first iteration
-		for pb.Next() {
-			if i == numDatasets {
-				buyer = buyers[buyerSeq.Add(1)-1]
-				i = 0
-			}
-			if _, err := jm.SubmitBid(buyer, datasets[i], 150); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-	b.StopTimer()
-	if got := jm.LastSeq() - seeded; got != int64(b.N) {
-		b.Fatalf("journal holds %d bid records, want %d", got, b.N)
-	}
-}
-
-// BenchmarkMarketBatchBids measures the batch entry point: one
-// SubmitBids call per iteration carrying a fresh buyer's bids across all
-// 64 datasets, applied in request order.
-func BenchmarkMarketBatchBids(b *testing.B) {
-	const numDatasets = 64
-	m, err := shield.NewMarket(benchMarketConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	datasets := benchCatalog(b, m, numDatasets)
-	var buyerSeq atomic.Int64
-	reqs := make([]shield.BidRequest, numDatasets)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buyer := shield.BuyerID(fmt.Sprintf("buyer-%d", buyerSeq.Add(1)))
-		if err := m.RegisterBuyer(buyer); err != nil {
-			b.Fatal(err)
-		}
-		for j, ds := range datasets {
-			reqs[j] = shield.BidRequest{Buyer: buyer, Dataset: ds, Amount: 150}
-		}
-		for _, res := range m.SubmitBids(reqs) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-	}
-}
-
-func benchMarketConfig() shield.MarketConfig {
-	return shield.MarketConfig{
-		Engine: shield.EngineConfig{
-			Candidates: shield.LinearGrid(1, 100, 40),
-			EpochSize:  8,
-			MinBid:     1,
-		},
-		Seed: 2022,
-	}
-}
-
-// benchCatalog registers one seller and n base datasets on m, plain or
-// journaled, for the concurrency benchmarks.
-func benchCatalog(b *testing.B, m interface {
-	RegisterSeller(shield.SellerID) error
-	UploadDataset(shield.SellerID, shield.DatasetID) error
-}, n int) []shield.DatasetID {
-	b.Helper()
-	if err := m.RegisterSeller("bench-seller"); err != nil {
-		b.Fatal(err)
-	}
-	datasets := make([]shield.DatasetID, n)
-	for i := range datasets {
-		datasets[i] = shield.DatasetID(fmt.Sprintf("ds-%03d", i))
-		if err := m.UploadDataset("bench-seller", datasets[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return datasets
 }

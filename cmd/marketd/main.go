@@ -6,32 +6,35 @@
 // Usage:
 //
 //	marketd [-addr :8080] [-epoch 8] [-candidates 40] [-min 1] [-max 200]
-//	        [-seed 2022] [-journal market.log] [-fsync] [-auth]
-//	        [-journal-dir market.d] [-checkpoint-every 10000]
+//	        [-seed 2022] [-journal-dir market.d] [-fsync] [-auth]
+//	        [-journal market.log] [-checkpoint-every 10000]
 //	        [-retain-segments 0] [-segment-bytes 8388608]
 //	        [-group-commit] [-group-commit-window 0s] [-wire-addr :9090]
 //	        [-follow wire://leader:9090] [-max-lag 5s]
 //	        [-operator-token secret] [-trace-sample 1] [-slow-op 50ms]
 //	        [-debug-addr 127.0.0.1:6060]
 //
-// With -journal, every successful operation is appended to an event log
-// and the full market state is rebuilt from it on restart; -fsync
-// additionally syncs the log to disk after every record, trading append
-// latency for zero data loss on power failure (without it a crash of the
-// machine — not just the process — can lose recently buffered events;
-// recovery still works either way, replaying the longest durable prefix).
+// With -journal-dir, every successful operation is appended to a
+// segmented journal in that directory and the full market state is
+// rebuilt from it on restart: the log rotates across sealed segment
+// files, a snapshot checkpoint lands every -checkpoint-every records,
+// restart replays only the records past the newest checkpoint, and
+// checkpoint-covered segments are deleted in the background
+// (-retain-segments spares; negative keeps all). -fsync additionally
+// syncs the log to disk after every record, trading append latency for
+// zero data loss on power failure (without it a crash of the machine —
+// not just the process — can lose recently buffered events; recovery
+// still works either way, replaying the longest durable prefix).
+// /readyz reports the segment/checkpoint inventory. With -follow,
+// -journal-dir gives the replica a local store so a cold restart resumes
+// from its own disk instead of re-downloading a leader snapshot.
 //
-// -journal-dir selects the segmented store instead: the log rotates
-// across sealed segment files, a snapshot checkpoint lands every
-// -checkpoint-every records, restart replays only the records past the
-// newest checkpoint, and checkpoint-covered segments are deleted in the
-// background (-retain-segments spares; negative keeps all). Giving both
-// -journal and -journal-dir migrates the flat log into the directory
-// once, verbatim, then serves from the store (the flat file is left in
-// place). /readyz on a store-backed daemon reports the
-// segment/checkpoint inventory. With -follow, -journal-dir gives the
-// replica a local store so a cold restart resumes from its own disk
-// instead of re-downloading a leader snapshot.
+// -journal FILE names a single-file journal written by an older
+// release. Beside -journal-dir it is migrated into the directory once,
+// verbatim, then the daemon serves from the store. Alone it is a
+// deprecated alias, kept for one release, for "-journal-dir FILE.d
+// -journal FILE", and says so at warn level. Either way FILE is left in
+// place and never written again.
 // -group-commit coalesces concurrent journal appends into one write and
 // one fsync without weakening the per-acknowledgment durability
 // guarantee; -group-commit-window bounds how long a group leader waits
@@ -116,13 +119,12 @@ func main() {
 		maxPrice    = flag.Float64("max", 200, "highest candidate price")
 		bpp         = flag.Int("bpp", 1, "expected bids per market period (Time-Shield conversion)")
 		seed        = flag.Uint64("seed", 2022, "pricing randomness seed")
-		journalPath = flag.String("journal", "", "flat event-journal file (created, or replayed if present); with -journal-dir it is instead the one-time migration source")
-		journalDir  = flag.String("journal-dir", "", "segmented journal directory: rotated segment files plus snapshot checkpoints, recovery replays only the tail past the newest checkpoint")
-		ckptEvery   = flag.Int64("checkpoint-every", 0, "with -journal-dir: write a snapshot checkpoint every N committed records (0 = default 10000, negative disables)")
-		retainSegs  = flag.Int("retain-segments", 0, "with -journal-dir: checkpoint-covered sealed segments to keep beyond what recovery needs (negative keeps all)")
-		segBytes    = flag.Int64("segment-bytes", 0, "with -journal-dir: rotate the active segment at this size (0 = default 8 MiB)")
+		journalPath = flag.String("journal", "", "single-file journal of an older release, migrated once into -journal-dir (left in place); alone, a deprecated alias for -journal-dir FILE.d -journal FILE")
+		journalDir  = flag.String("journal-dir", "", "journal directory: rotated segment files plus snapshot checkpoints, recovery replays only the tail past the newest checkpoint")
+		ckptEvery   = flag.Int64("checkpoint-every", 0, "write a snapshot checkpoint every N committed records (0 = default 10000, negative disables)")
+		retainSegs  = flag.Int("retain-segments", 0, "checkpoint-covered sealed segments to keep beyond what recovery needs (negative keeps all)")
+		segBytes    = flag.Int64("segment-bytes", 0, "rotate the active segment at this size (0 = default 8 MiB)")
 		fsync       = flag.Bool("fsync", false, "fsync the journal after every record (durable across power loss, slower appends)")
-		compact     = flag.Bool("compact", false, "compact the journal (snapshot head) before serving")
 		useAuth     = flag.Bool("auth", false, "require HMAC-signed bids")
 		opToken     = flag.String("operator-token", "", "bearer token for operator endpoints (auto-generated with -auth when empty)")
 		traceSample = flag.Int("trace-sample", 1, "record 1 in N bid-lifecycle traces (0 disables tracing)")
@@ -146,17 +148,11 @@ func main() {
 		os.Exit(1)
 	}
 	if *follow != "" && (*journalPath != "" || *wireAddr != "" || *useAuth) {
-		// A replica owns no flat journal (its state is the leader's),
-		// serves no wire protocol, and cannot enroll buyers (writes are
-		// rejected). -journal-dir is the exception: a follower uses it as
-		// its local store, for cold restarts without a leader snapshot.
+		// A replica has no older journal to migrate (its state is the
+		// leader's), serves no wire protocol, and cannot enroll buyers
+		// (writes are rejected). -journal-dir it does take: its local
+		// store, for cold restarts without a leader snapshot.
 		logger.Error("marketd: -follow is incompatible with -journal, -wire-addr and -auth")
-		os.Exit(1)
-	}
-	if *compact && *journalDir != "" {
-		// Store compaction is continuous (checkpoints retire covered
-		// segments); a one-shot -compact only makes sense on a flat file.
-		logger.Error("marketd: -compact applies to -journal only; -journal-dir compacts continuously")
 		os.Exit(1)
 	}
 
@@ -210,7 +206,6 @@ func main() {
 	var backend wire.Backend
 	var jm *journal.Market
 	var follower *replica.Follower
-	closeJournal := func() error { return nil }
 	switch {
 	case *follow != "":
 		target, ok := strings.CutPrefix(*follow, "wire://")
@@ -245,13 +240,6 @@ func main() {
 		srvHandler = httpapi.NewServer(m)
 		backend = m
 	default:
-		if *compact {
-			if err := journal.CompactFile(*journalPath); err != nil {
-				logger.Error("marketd: compacting journal", "path", *journalPath, "err", err)
-				os.Exit(1)
-			}
-			logger.Info("marketd: compacted journal", "path", *journalPath)
-		}
 		opts := []journal.Option{journal.WithTelemetry(tel)}
 		if *fsync {
 			opts = append(opts, journal.WithFsync())
@@ -259,36 +247,10 @@ func main() {
 		if *groupCommit {
 			opts = append(opts, journal.WithGroupCommit(*gcWindow))
 		}
-		var (
-			opened   *journal.Market
-			replayed int
-			err      error
-		)
-		openStart := time.Now()
-		if *journalDir != "" {
-			// Segmented store; a -journal path alongside names a flat log
-			// to absorb as segment 0 if the directory is still empty.
-			storeCfg.MigrateFlat = *journalPath
-			opened, replayed, err = journal.OpenStore(cfg, *journalDir, storeCfg, opts...)
-		} else {
-			opened, replayed, err = journal.OpenFile(cfg, *journalPath, opts...)
-		}
-		if err != nil {
+		var err error
+		if jm, err = openJournal(cfg, *journalPath, *journalDir, storeCfg, opts, logger); err != nil {
 			logger.Error("marketd: opening journal", "path", *journalPath, "dir", *journalDir, "err", err)
 			os.Exit(1)
-		}
-		jm = opened
-		closeJournal = jm.Close
-		if replayed > 0 {
-			took := time.Since(openStart)
-			logger.Info("marketd: replayed journal", "events", replayed, "path", *journalPath, "dir", *journalDir,
-				"duration", took, "records_per_s", int(float64(replayed)/took.Seconds()))
-		}
-		if st := jm.Store(); st != nil {
-			inv := st.Inventory()
-			logger.Info("marketd: segmented journal open", "dir", *journalDir,
-				"segments", len(inv.Segments), "checkpoints", len(inv.Checkpoints),
-				"last_seq", inv.LastSeq, "last_checkpoint", inv.LastCheckpoint)
 		}
 		srvHandler = httpapi.NewJournaled(jm)
 		backend = jm
@@ -392,12 +354,48 @@ func main() {
 		follower.Close()
 	}
 	if jm != nil {
-		if err := closeJournal(); err != nil {
+		if err := jm.Close(); err != nil {
 			logger.Error("marketd: closing journal", "path", *journalPath, "dir", *journalDir, "err", err)
 			os.Exit(1)
 		}
 		logger.Info("marketd: journal closed cleanly", "path", *journalPath, "dir", *journalDir)
 	}
+}
+
+// openJournal opens the daemon's store. flat, when set, is a single-file
+// journal of an older release: it is migrated into dir first — a no-op
+// once dir holds segments — and with no dir given the store lands
+// beside it, in flat+".d".
+func openJournal(cfg market.Config, flat, dir string, sc journal.StoreConfig, opts []journal.Option, logger *slog.Logger) (*journal.Market, error) {
+	if flat != "" {
+		if dir == "" {
+			dir = flat + ".d"
+			logger.Warn("marketd: -journal without -journal-dir is deprecated: the file is migrated once into a store beside it and never written again; start with -journal-dir from now on",
+				"path", flat, "dir", dir)
+		}
+		migrated, err := journal.MigrateFlat(dir, flat)
+		if err != nil {
+			return nil, err
+		}
+		if migrated {
+			logger.Info("marketd: migrated journal file into the store", "path", flat, "dir", dir)
+		}
+	}
+	openStart := time.Now()
+	jm, replayed, err := journal.OpenStore(cfg, dir, sc, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if replayed > 0 {
+		took := time.Since(openStart)
+		logger.Info("marketd: replayed journal", "events", replayed, "dir", dir,
+			"duration", took, "records_per_s", int(float64(replayed)/took.Seconds()))
+	}
+	inv := jm.Store().Inventory()
+	logger.Info("marketd: journal open", "dir", dir,
+		"segments", len(inv.Segments), "checkpoints", len(inv.Checkpoints),
+		"last_seq", inv.LastSeq, "last_checkpoint", inv.LastCheckpoint)
+	return jm, nil
 }
 
 // serveDebug runs the operator-only debug listener: net/http/pprof on

@@ -16,7 +16,7 @@
 //	shieldload [-transport both] [-clients 1024] [-rate 4000] [-ops 16000]
 //	           [-bid-fraction 0.8] [-tick-every 400] [-seed 2022]
 //	           [-datasets 16] [-group-commit=true] [-fsync] [-trace-sample 1]
-//	           [-store] [-compact-every 2000] [-segment-records 4096]
+//	           [-compact-every 2000] [-segment-records 4096]
 //	           [-followers 2] [-replica-fraction 0.1] [-replica-kill]
 //	           [-slo 'bid.p99<250ms,error_rate<0.1%,replica.lag<2s']
 //	           [-inject 'bid=2.5s'] [-json BENCH_7.json] [-q]
@@ -36,14 +36,15 @@
 // mutation-canary test injects a regression and asserts shieldload
 // exits nonzero naming the violated clause.
 //
-// -store backs the rig with a segmented journal store (the marketd
-// -journal-dir configuration): rotated segment files, snapshot
-// checkpoints every -compact-every committed records, and background
-// compaction deleting covered segments — all while bids are measured
-// against the SLO, so a checkpoint pause that stalls the commit path
-// shows up as a bid.p99 violation. The post-run invariant check
-// recovers the store from disk (checkpoint + tail segments) and pins
-// it byte-identical to the live state.
+// The rig runs on a journal store in a temporary directory (the marketd
+// -journal-dir configuration): segment files rotated every
+// -segment-records records, snapshot checkpoints every -compact-every
+// committed records, and background compaction deleting covered
+// segments — all while bids are measured against the SLO, so a
+// checkpoint pause that stalls the commit path shows up as a bid.p99
+// violation. The post-run invariant check recovers the store from disk
+// (checkpoint + tail segments) and pins it byte-identical to the live
+// state.
 //
 // -followers boots N read replicas beside the leader, each streaming
 // the committed command log over the wire protocol and serving reads on
@@ -73,7 +74,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// artifact is the -json schema (BENCH_7.json under make bench-save).
+// artifact is the -json schema (BENCH_7.json is one).
 type artifact struct {
 	GeneratedAt string                `json:"generated_at"`
 	GoVersion   string                `json:"go_version"`
@@ -133,9 +134,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut      = fs.String("json", "", "also write the report as a JSON artifact")
 		quiet        = fs.Bool("q", false, "suppress the report table (violations still print)")
 		timeout      = fs.Duration("timeout", 5*time.Second, "per-operation deadline")
-		store        = fs.Bool("store", false, "back the rig with a segmented journal store (marketd -journal-dir equivalent)")
-		compactEvery = fs.Int64("compact-every", 0, "store mode: snapshot-checkpoint and compact every N committed records (default 10000; negative disables)")
-		segRecords   = fs.Int64("segment-records", 0, "store mode: records per segment before rotation (default 65536)")
+		compactEvery = fs.Int64("compact-every", 0, "snapshot-checkpoint and compact the journal store every N committed records (default 10000; negative disables)")
+		segRecords   = fs.Int64("segment-records", 0, "records per journal segment before rotation (default 65536)")
 		followers    = fs.Int("followers", 0, "read replicas to boot beside the leader")
 		replicaFrac  = fs.Float64("replica-fraction", 0, "fraction of ops served by replicas (carved from the read share; needs -followers)")
 		replicaKill  = fs.Bool("replica-kill", false, "drop follower 0's replication connection at the schedule midpoint (needs -followers)")
@@ -163,7 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Fsync:       *fsync,
 		TraceSample: *traceSample,
 		Followers:   *followers,
-		Store:       *store,
 		StoreConfig: journal.StoreConfig{
 			SegmentRecords:  *segRecords,
 			CheckpointEvery: *compactEvery,

@@ -48,13 +48,13 @@ func TestRunMutationCanary(t *testing.T) {
 	}
 }
 
-// TestRunStoreGate drives the -compact-every scenario: the rig backed
-// by the segmented store, checkpointing and compacting under load,
-// must hold the bid.p99 SLO and pass the store-recovery invariant.
+// TestRunStoreGate drives the -compact-every scenario: the rig's
+// store, checkpointing and compacting under load, must hold the bid.p99
+// SLO and pass the store-recovery invariant.
 func TestRunStoreGate(t *testing.T) {
 	var out, errOut bytes.Buffer
 	args := append([]string{
-		"-store", "-compact-every", "300", "-segment-records", "128",
+		"-compact-every", "300", "-segment-records", "128",
 		"-slo", "bid.p99<10s,error_rate<0.1%",
 	}, small...)
 	if code := run(args, &out, &errOut); code != 0 {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -130,9 +128,9 @@ func TestBidBatchAuth(t *testing.T) {
 }
 
 // TestBidBatchJournaled drives batches through a journaled server and
-// confirms the market restored from the log matches the live one.
+// confirms the market recovered from the store matches the live one.
 func TestBidBatchJournaled(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "market.log")
+	dir := t.TempDir()
 	cfg := market.Config{
 		Engine: core.Config{
 			Candidates: auction.LinearGrid(10, 100, 10),
@@ -141,7 +139,7 @@ func TestBidBatchJournaled(t *testing.T) {
 		},
 		Seed: 13,
 	}
-	jm, _, err := journal.OpenFile(cfg, path)
+	jm, _, err := journal.OpenStore(cfg, dir, journal.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +165,7 @@ func TestBidBatchJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	restored, err := journal.Restore(f)
+	restored, _, _, err := journal.RecoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,9 @@ func TestAuthRequiredBids(t *testing.T) {
 
 func TestJournaledServerSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "market.log")
+	// No checkpoint cadence, so none on close either: every restart
+	// below replays the whole log.
+	sc := journal.StoreConfig{CheckpointEvery: -1}
 	cfg := market.Config{
 		Engine: core.Config{
 			Candidates: auction.LinearGrid(10, 100, 10),
@@ -97,7 +99,7 @@ func TestJournaledServerSurvivesRestart(t *testing.T) {
 	}
 
 	// First life: run a workload through a journaled Server.
-	jm, replayed, err := journal.OpenFile(cfg, path)
+	jm, replayed, err := journal.OpenStore(cfg, dir, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestJournaledServerSurvivesRestart(t *testing.T) {
 	}
 
 	// Second life: restart from the journal and continue.
-	jm2, replayed, err := journal.OpenFile(cfg, path)
+	jm2, replayed, err := journal.OpenStore(cfg, dir, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +145,10 @@ func TestJournaledServerSurvivesRestart(t *testing.T) {
 	}
 
 	// Third life: both lives' events replay cleanly.
-	jm3, replayed, err := journal.OpenFile(cfg, path)
+	jm3, replayed, err := journal.OpenStore(cfg, dir, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jm3.Close()
 	if jm3.Revenue() <= revenue1 {
 		t.Fatalf("third-life revenue %v not above first-life %v", jm3.Revenue(), revenue1)
 	}
@@ -157,10 +158,13 @@ func TestJournaledServerSurvivesRestart(t *testing.T) {
 	_ = replayed
 
 	// Corrupt journals are refused.
-	if err := os.WriteFile(path, []byte("{bogus\n"), 0o644); err != nil {
+	if err := jm3.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := journal.OpenFile(cfg, path); err == nil {
+	if err := os.WriteFile(filepath.Join(dir, "00000000.seg"), []byte("{bogus\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := journal.OpenStore(cfg, dir, sc); err == nil {
 		t.Fatal("corrupt journal accepted")
 	}
 }

@@ -1,13 +1,10 @@
 package httpapi
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -198,8 +195,8 @@ func TestRequestIDHeader(t *testing.T) {
 // lifecycle, and the journal record carries the same request ID so a
 // log line, a journal event and a trace all join on it.
 func TestBidTraceRetrievable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "market.journal")
-	jm, _, err := journal.OpenFile(testConfig(), path, journal.WithFsync())
+	dir := t.TempDir()
+	jm, _, err := journal.OpenStore(testConfig(), dir, journal.StoreConfig{}, journal.WithFsync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +217,8 @@ func TestBidTraceRetrievable(t *testing.T) {
 	}
 
 	// The journal event for the bid records the request ID.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var bidEvent *journal.Event
-	if _, _, err := journal.Scan(bytes.NewReader(raw), 1, func(e journal.Event) error {
+	if err := journal.ScanDir(dir, func(_ string, e journal.Event) error {
 		if e.Op == journal.OpBid {
 			bidEvent = &e
 		}

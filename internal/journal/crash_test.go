@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -19,18 +17,14 @@ import (
 // workloadOpts configures driveSeededWorkload.
 type workloadOpts struct {
 	ops int
-	// allowCompact lets the workload compact its own log mid-stream
-	// (sink must then be a *bytes.Buffer).
-	allowCompact bool
-	// strict makes harness plumbing failures (genesis, compaction,
-	// close during compaction) fatal. Fault-injection runs turn it off:
-	// there, journal errors are the point.
+	// strict makes a failed genesis fatal. Fault-injection runs turn it
+	// off: there, journal errors are the point.
 	strict bool
 }
 
 // driveSeededWorkload applies a deterministic mixed workload — seller
 // and buyer registrations, uploads, compositions, single and batch
-// bids, ticks, withdrawals, and (optionally) compactions — to a fresh
+// bids, ticks, withdrawals — to a fresh
 // journaling market writing to sink. Every random choice derives from
 // seed, and the market itself is deterministic, so the same seed always
 // produces the same operation sequence and the same journal bytes.
@@ -81,7 +75,7 @@ func driveSeededWorkload(t *testing.T, cfg market.Config, seed uint64, sink io.W
 	upload()
 
 	for op := 0; op < o.ops; op++ {
-		switch r.Intn(12) {
+		switch r.Intn(12) { // 11 is an idle step
 		case 0:
 			addSeller()
 		case 1:
@@ -129,31 +123,6 @@ func driveSeededWorkload(t *testing.T, cfg market.Config, seed uint64, sink io.W
 				m.WithdrawDataset(sellers[r.Intn(len(sellers))],
 					datasets[r.Intn(len(datasets))])
 			}
-		case 11: // compact the log in place and resume on the snapshot head
-			if !o.allowCompact || !r.Bool(0.3) {
-				continue
-			}
-			buf := sink.(*bytes.Buffer)
-			if err := m.Close(); err != nil && o.strict {
-				t.Fatalf("seed %d: close before compact: %v", seed, err)
-			}
-			var nb bytes.Buffer
-			if err := Compact(bytes.NewReader(buf.Bytes()), &nb); err != nil {
-				if o.strict {
-					t.Fatalf("seed %d: compact: %v", seed, err)
-				}
-				return m
-			}
-			restored, err := Restore(bytes.NewReader(nb.Bytes()))
-			if err != nil {
-				if o.strict {
-					t.Fatalf("seed %d: restore after compact: %v", seed, err)
-				}
-				return m
-			}
-			buf.Reset()
-			buf.Write(nb.Bytes())
-			m = Resume(restored, buf, 1)
 		}
 	}
 	return m
@@ -192,13 +161,13 @@ func TestCrashRecoveryPrefixConsistency(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
 			m := driveSeededWorkload(t, testConfig(), seed, &buf,
-				workloadOpts{ops: 60, allowCompact: true, strict: true})
+				workloadOpts{ops: 60, strict: true})
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
 			log := append([]byte(nil), buf.Bytes()...)
 			bounds := recordBoundaries(t, log, 1)
-			if len(bounds) < 2 { // a late compaction legitimately shrinks the log
+			if len(bounds) < 2 {
 				t.Fatalf("workload produced only %d records", len(bounds))
 			}
 			events, err := Read(bytes.NewReader(log))
@@ -316,214 +285,6 @@ func TestCrashRecoveryFaultInjection(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestOpenFileTruncatesTornTail proves the restart path end-to-end: a
-// journal file with a torn final record reopens, drops exactly the torn
-// record, truncates the file back to the durable prefix, and appends
-// cleanly from there.
-func TestOpenFileTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.log")
-	jm, _, err := OpenFile(testConfig(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, step := range []error{
-		jm.RegisterSeller("s"),
-		jm.UploadDataset("s", "d"),
-		jm.RegisterBuyer("b"),
-	} {
-		if step != nil {
-			t.Fatal(step)
-		}
-	}
-	if _, err := jm.SubmitBid("b", "d", 90); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := recordBoundaries(t, data, 1)
-	durable := bounds[len(bounds)-2] // last complete boundary after the tear
-	// Tear the final record (the bid) seven bytes short of its end.
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	jm2, replayed, err := OpenFile(testConfig(), path)
-	if err != nil {
-		t.Fatalf("reopening torn journal: %v", err)
-	}
-	if replayed != len(bounds)-2 { // events minus genesis minus the torn record
-		t.Fatalf("replayed %d events, want %d", replayed, len(bounds)-2)
-	}
-	if owned, _ := jm2.Owns("b", "d"); owned {
-		t.Fatal("torn bid record survived recovery")
-	}
-	// The file itself was repaired before appends resumed.
-	if info, err := os.Stat(path); err != nil || info.Size() != int64(durable) {
-		t.Fatalf("file size after recovery = %v (err %v), want %d", info.Size(), err, durable)
-	}
-	if err := jm2.RegisterBuyer("late"); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := Restore(mustOpen(t, path))
-	if err != nil {
-		t.Fatalf("journal corrupt after torn-tail recovery + append: %v", err)
-	}
-	if _, err := final.BuyerSpend("late"); err != nil {
-		t.Fatalf("post-recovery append lost: %v", err)
-	}
-}
-
-// TestOpenFileTornGenesisStartsFresh covers a crash inside the very
-// first record: nothing durable exists, so reopening starts a new log
-// instead of failing forever.
-func TestOpenFileTornGenesisStartsFresh(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.log")
-	if err := os.WriteFile(path, []byte(`{"seq":1,"op":"gene`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jm, replayed, err := OpenFile(testConfig(), path)
-	if err != nil {
-		t.Fatalf("open over torn genesis: %v", err)
-	}
-	if replayed != 0 {
-		t.Fatalf("replayed %d events from a torn genesis", replayed)
-	}
-	if err := jm.RegisterBuyer("b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(mustOpen(t, path)); err != nil {
-		t.Fatalf("fresh log after torn genesis: %v", err)
-	}
-}
-
-// TestCompactFileFaultAtomicity injects every fault kind at byte
-// offsets across the whole compacted image (boundaries and interiors)
-// and asserts compaction is atomic: on failure the original log is
-// byte-identical and no temporary litter remains; on success the new
-// log restores to the same snapshot.
-func TestCompactFileFaultAtomicity(t *testing.T) {
-	dir := t.TempDir()
-	build := filepath.Join(dir, "seed.log")
-	jm, _, err := OpenFile(testConfig(), build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveFileOps(t, jm)
-	if err := jm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	original, err := os.ReadFile(build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origM, err := Restore(bytes.NewReader(original))
-	if err != nil {
-		t.Fatal(err)
-	}
-	origSnap := origM.Snapshot()
-
-	// Learn the compacted image's size from a fault-free run.
-	scratch := filepath.Join(dir, "scratch.log")
-	if err := os.WriteFile(scratch, original, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CompactFile(scratch); err != nil {
-		t.Fatal(err)
-	}
-	compacted, err := os.ReadFile(scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := int64(len(compacted))
-
-	r := rng.New(2022)
-	offsets := []int64{0, 1, total / 2, total - 1, total, total + 64}
-	for i := 0; i < 6; i++ {
-		offsets = append(offsets, 1+int64(r.Intn(int(total-1))))
-	}
-	for _, kind := range []faultfs.Kind{faultfs.Truncate, faultfs.Tear, faultfs.Err} {
-		for _, off := range offsets {
-			label := fmt.Sprintf("%v@%d", kind, off)
-			target := filepath.Join(dir, "target.log")
-			if err := os.WriteFile(target, original, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			kind, off := kind, off
-			err := compactFile(target, func(w io.Writer) io.Writer {
-				return faultfs.NewWriter(w, kind, off)
-			})
-			got, rerr := os.ReadFile(target)
-			if rerr != nil {
-				t.Fatalf("%s: %v", label, rerr)
-			}
-			if err != nil {
-				if !bytes.Equal(got, original) {
-					t.Fatalf("%s: failed compaction mutated the log", label)
-				}
-			} else {
-				if off < total {
-					t.Fatalf("%s: compaction claimed success past an un-synced fault", label)
-				}
-				rm, err := Restore(bytes.NewReader(got))
-				if err != nil {
-					t.Fatalf("%s: compacted log does not restore: %v", label, err)
-				}
-				if d := rm.Snapshot().Diff(origSnap); d != "" {
-					t.Fatalf("%s: %s", label, d)
-				}
-			}
-			litter, err := filepath.Glob(filepath.Join(dir, "*.compact-*"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(litter) != 0 {
-				t.Fatalf("%s: temporary files left behind: %v", label, litter)
-			}
-		}
-	}
-}
-
-// driveFileOps puts a small, deterministic mixed history into a
-// file-backed journal (used by compaction and recovery tests).
-func driveFileOps(t *testing.T, jm *Market) {
-	t.Helper()
-	steps := []error{
-		jm.RegisterSeller("s1"),
-		jm.RegisterSeller("s2"),
-		jm.UploadDataset("s1", "a"),
-		jm.UploadDataset("s2", "b"),
-		jm.ComposeDataset("ab", "a", "b"),
-	}
-	for _, err := range steps {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		buyer := market.BuyerID(fmt.Sprintf("b%d", i))
-		if err := jm.RegisterBuyer(buyer); err != nil {
-			t.Fatal(err)
-		}
-		for _, ds := range []market.DatasetID{"a", "b", "ab"} {
-			jm.SubmitBid(buyer, ds, float64(20+17*i))
-		}
-		if _, err := jm.Tick(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -20,7 +20,7 @@
 // do is an incomplete final record: a frame cut short of its declared
 // length, or a JSON line without its newline. The reader drops that one
 // record and reports it as torn; callers allow it only at the end of a
-// flat log or of a store's final segment. Everything else no crash can
+// bare log or of a store's final segment. Everything else no crash can
 // produce, and it is a hard error carrying the expected sequence number
 // and byte offset wherever it sits, the tail included: a complete frame
 // whose checksum fails (ErrChecksum), a declared length above

@@ -171,47 +171,6 @@ func TestScanAllocationGuard(t *testing.T) {
 	}
 }
 
-// TestFlatLogUpgradesInPlace: a version-2 flat log reopens under this
-// build, continues with frames after its last line, and restores.
-func TestFlatLogUpgradesInPlace(t *testing.T) {
-	v2, err := os.ReadFile(v2LogPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "m.log")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jm, replayed, err := OpenFile(market.Config{}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := bytes.Count(v2, []byte("\n")) - 1; replayed != want {
-		t.Fatalf("replayed %d records, want %d", replayed, want)
-	}
-	if err := jm.RegisterBuyer("late"); err != nil {
-		t.Fatal(err)
-	}
-	want := jm.Snapshot()
-	if err := jm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(mixed, v2) || mixed[len(v2)] != frameTag {
-		t.Fatal("reopened v2 log was not continued with a frame after its last line")
-	}
-	restored, err := Restore(bytes.NewReader(mixed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := restored.Snapshot().Diff(want); d != "" {
-		t.Fatalf("mixed log restores differently: %s", d)
-	}
-}
-
 // v2storeScript is the op script behind testdata/v2store, which was
 // written by the last version-2 build (the parent of the commit that
 // introduced frames) with SegmentRecords 12, a manual checkpoint after

@@ -44,10 +44,9 @@
 // may be torn on disk, so every subsequent append returns the original
 // error rather than writing after the tear. With WithFsync, every
 // append is fsynced before the corresponding operation is acknowledged;
-// Close always syncs syncable sinks. Compaction builds the replacement
-// log in a temporary sibling file, syncs it, and atomically renames it
-// over the original (then syncs the directory), so an interrupted
-// compaction leaves either the old or the new log — never a hybrid.
+// Close always syncs syncable sinks. The one journal that owns files is
+// the segmented Store (store.go); NewMarket and Restore run the same
+// writer and reader over any io.Writer and io.Reader.
 package journal
 
 import (
@@ -108,9 +107,10 @@ const (
 	OpBidBatch Op = "bid_batch"
 	OpTick     Op = "tick"
 	OpWithdraw Op = "withdraw"
-	// OpSnapshot heads a compacted log: it embeds the full market state
-	// at the moment of compaction, and the remaining events replay on
-	// top of it.
+	// OpSnapshot heads a compacted flat log: it embeds the full market
+	// state at the moment of compaction, and the remaining events replay
+	// on top of it. No writer produces one any more; readers keep it so
+	// such a log still migrates (MigrateFlat).
 	OpSnapshot Op = "snapshot"
 )
 
@@ -215,8 +215,7 @@ func WithGroupCommit(window time.Duration) Option {
 // Latency observations stamp the requesting trace's ID as a bucket
 // exemplar, so a slow fsync on /metrics links to its full trace on
 // /debug/traces. Register at most one writer per registry (families
-// panic on double registration by design); short-lived internal
-// writers, like the one Compact builds, stay uninstrumented.
+// panic on double registration by design).
 func WithTelemetry(t *obs.Telemetry) Option {
 	return func(w *Writer) {
 		r := t.Registry
@@ -439,16 +438,6 @@ func (w *Writer) LastSeq() int64 {
 // Genesis writes the configuration header. Must be called exactly once,
 // first.
 func (w *Writer) Genesis(cfg market.Config) error {
-	return w.head(Event{Op: OpGenesis, Config: &cfg})
-}
-
-// Snapshot writes a full-state header (a compacted log's first record).
-// Must be called exactly once, first.
-func (w *Writer) Snapshot(s market.Snapshot) error {
-	return w.head(Event{Op: OpSnapshot, Snapshot: &s})
-}
-
-func (w *Writer) head(e Event) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -460,8 +449,8 @@ func (w *Writer) head(e Event) error {
 	}
 	w.started = true
 	w.mu.Unlock()
-	e.V = FormatVersion
-	return w.solo(member{ctx: context.Background(), head: &e}).err
+	head := Event{Op: OpGenesis, V: FormatVersion, Config: &cfg}
+	return w.solo(member{ctx: context.Background(), head: &head}).err
 }
 
 // Append journals the command e describes without applying it anywhere
@@ -935,103 +924,25 @@ func replayRecord(st *command.State, rec Record) (*command.State, error) {
 	return st, nil
 }
 
-// restoreStream rebuilds a market from a log in one streaming pass: the
-// head seeds the state and every subsequent record applies as it is
-// scanned, so no whole-log []Event slice ever exists. It returns the market (nil when not even the head survived —
-// a crash during the very first append), the sequence number of the
-// last replayed record, the durable byte prefix, and whether a torn
-// tail was dropped.
-func restoreStream(r io.Reader) (m *market.Market, lastSeq, durable int64, torn bool, err error) {
-	var st *command.State
-	durable, torn, err = ScanRecords(r, 1, func(rec Record) error {
-		var rerr error
-		if st, rerr = replayRecord(st, rec); rerr != nil {
-			return rerr
-		}
-		lastSeq = rec.Seq
-		return nil
-	})
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	if st != nil {
-		m = market.FromState(st)
-	}
-	return m, lastSeq, durable, torn, nil
-}
-
-// Restore reads a log and rebuilds the market it describes, streaming
-// one record at a time.
+// Restore reads a log and rebuilds the market it describes in one
+// streaming pass: the head seeds the state and every subsequent record
+// applies as it is scanned, so no whole-log []Event slice ever exists. A
+// torn trailing record is dropped; a log whose very head is torn (a
+// crash during the first append) fails with ErrNoGenesis.
 func Restore(r io.Reader) (*market.Market, error) {
-	m, _, _, _, err := restoreStream(r)
+	var st *command.State
+	_, _, err := ScanRecords(r, 1, func(rec Record) error {
+		var rerr error
+		st, rerr = replayRecord(st, rec)
+		return rerr
+	})
 	if err != nil {
 		return nil, err
 	}
-	if m == nil {
+	if st == nil {
 		return nil, ErrNoGenesis
 	}
-	return m, nil
-}
-
-// Compact reads a log from r and writes an equivalent single-snapshot
-// log to w: the rebuilt market's full state becomes the new head, so
-// restart cost no longer grows with history.
-func Compact(r io.Reader, w io.Writer, opts ...Option) error {
-	m, err := Restore(r)
-	if err != nil {
-		return err
-	}
-	nw := NewWriter(w, opts...)
-	if err := nw.Snapshot(m.Snapshot()); err != nil {
-		return err
-	}
-	return nw.Close()
-}
-
-// CompactFile compacts a journal file in place, atomically: the
-// snapshot log is built in a temporary sibling file, synced, and
-// renamed over the original (then the directory is synced). A crash or
-// error at any point leaves either the old log or the new log intact —
-// never a half-written hybrid.
-func CompactFile(path string) error {
-	return compactFile(path, nil)
-}
-
-// compactFile is CompactFile with a test hook: wrap, when non-nil,
-// wraps the temporary file's writer so crash tests can inject faults at
-// chosen byte offsets.
-func compactFile(path string, wrap func(io.Writer) io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".compact-*")
-	if err != nil {
-		f.Close()
-		return err
-	}
-	var sink io.Writer = tmp
-	if wrap != nil {
-		sink = wrap(tmp)
-	}
-	// Compact's writer syncs the sink on Close, so a silently-lost write
-	// surfaces here, before the rename can install a short log.
-	if err := Compact(f, sink); err != nil {
-		f.Close()
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	f.Close()
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return market.FromState(st), nil
 }
 
 // syncFileHook is the post-truncation fsync; crash tests swap it to
@@ -1087,16 +998,14 @@ func syncDir(dir string) error {
 type Market struct {
 	*market.Market
 	w *Writer
-	// sink, when the journal owns its file (OpenFile) or store
-	// (OpenStore), is closed by Close after the final sync.
-	sink io.Closer
-	// store is set on store-backed markets (OpenStore): the segmented
-	// sink that owns rotation, checkpoints and compaction.
+	// store is the segmented store a persistent market (OpenStore)
+	// commits to — the writer's sink, closed by Close after the final
+	// sync; nil over a plain sink (NewMarket).
 	store *Store
 }
 
-// Store returns the segmented store backing this market, nil for flat
-// single-file (OpenFile) and plain-sink (NewMarket) journals.
+// Store returns the segmented store backing this market, nil over a
+// plain sink (NewMarket).
 func (m *Market) Store() *Store { return m.store }
 
 // NewMarket builds a market from cfg and a journal writing to sink,
@@ -1112,66 +1021,6 @@ func NewMarket(cfg market.Config, sink io.Writer, opts ...Option) (*Market, erro
 		return nil, err
 	}
 	return &Market{Market: m, w: w}, nil
-}
-
-// OpenFile creates a fresh journaled market logging to path, or — when
-// path already holds a journal — rebuilds the market from it and resumes
-// appending. The log's genesis configuration wins over cfg on restore:
-// mixing configurations would silently diverge the replay. A torn
-// trailing record (crash mid-append) is truncated away before appends
-// resume, so the file only ever grows from a complete record boundary.
-// It returns the number of replayed events.
-func OpenFile(cfg market.Config, path string, opts ...Option) (*Market, int, error) {
-	if info, err := os.Stat(path); err == nil && info.Size() > 0 {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		m, lastSeq, durable, torn, err := restoreStream(f)
-		f.Close()
-		if err != nil {
-			return nil, 0, err
-		}
-		if torn {
-			if err := repairTornTail(path, durable); err != nil {
-				return nil, 0, err
-			}
-		}
-		if m != nil {
-			sink, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, 0, err
-			}
-			jm := Resume(m, sink, lastSeq, opts...)
-			jm.sink = sink
-			return jm, int(lastSeq) - 1, nil
-		}
-		// The crash hit the very first record: nothing durable, start
-		// a fresh log below.
-	}
-	sink, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, 0, err
-	}
-	jm, err := NewMarket(cfg, sink, opts...)
-	if err != nil {
-		sink.Close()
-		return nil, 0, err
-	}
-	jm.sink = sink
-	return jm, 0, nil
-}
-
-// Resume wraps an already-restored market with a writer that continues
-// an existing log: sink should append to the same file the market was
-// restored from, and lastSeq is the sequence number of the log's final
-// record (the record count, genesis included).
-func Resume(m *market.Market, sink io.Writer, lastSeq int64, opts ...Option) *Market {
-	w := NewWriter(sink, opts...)
-	w.live = m
-	w.started = true
-	w.seq = lastSeq
-	return &Market{Market: m, w: w}
 }
 
 // Apply routes one command through the commit stage; see ApplyCtx. It
@@ -1346,12 +1195,12 @@ func (m *Market) Healthy() error {
 	return nil
 }
 
-// Close syncs the journal and, when the journal owns its file, closes
-// it. After Close every mutating operation fails with ErrClosed.
+// Close syncs the journal and closes the store behind it, if there is
+// one. After Close every mutating operation fails with ErrClosed.
 func (m *Market) Close() error {
 	err := m.w.Close()
-	if m.sink != nil {
-		if cerr := m.sink.Close(); err == nil {
+	if m.store != nil {
+		if cerr := m.store.Close(); err == nil {
 			err = cerr
 		}
 	}

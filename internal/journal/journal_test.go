@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -191,8 +190,10 @@ func TestWriterRules(t *testing.T) {
 	if err := w.Genesis(testConfig()); !errors.Is(err, ErrDoubleStart) {
 		t.Errorf("double genesis: %v", err)
 	}
-	if err := w.Append(Event{Op: OpGenesis}); !errors.Is(err, ErrDoubleStart) {
-		t.Errorf("appended genesis: %v", err)
+	for _, head := range []Op{OpGenesis, OpSnapshot} {
+		if err := w.Append(Event{Op: head}); !errors.Is(err, ErrDoubleStart) {
+			t.Errorf("appended %s: %v", head, err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -230,135 +231,6 @@ func TestRestoreRejectsBadGenesisConfig(t *testing.T) {
 	log := `{"seq":1,"op":"genesis","config":{"Engine":{"EpochSize":0},"Seed":1}}` + "\n"
 	if _, err := Restore(strings.NewReader(log)); err == nil {
 		t.Fatal("invalid genesis config accepted")
-	}
-}
-
-func TestCompactPreservesState(t *testing.T) {
-	live, buf := driveMarket(t)
-
-	var compacted bytes.Buffer
-	if err := Compact(bytes.NewReader(buf.Bytes()), &compacted); err != nil {
-		t.Fatal(err)
-	}
-	// The compacted log is a single snapshot record.
-	events, err := Read(bytes.NewReader(compacted.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Op != OpSnapshot {
-		t.Fatalf("compacted log has %d events, head %v", len(events), events[0].Op)
-	}
-	restored, err := Restore(bytes.NewReader(compacted.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Revenue() != live.Revenue() {
-		t.Fatalf("revenue %v vs %v", restored.Revenue(), live.Revenue())
-	}
-	if len(restored.Transactions()) != len(live.Transactions()) {
-		t.Fatal("transactions differ after compaction")
-	}
-	// Future decisions stay identical across the original replay and the
-	// compacted snapshot.
-	fromLog, err := Restore(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		amount := 1 + float64(i%140)
-		d1, e1 := fromLog.SubmitBid("buyer-0", "b", amount)
-		d2, e2 := restored.SubmitBid("buyer-0", "b", amount)
-		if d1 != d2 || (e1 == nil) != (e2 == nil) {
-			t.Fatalf("bid %d diverged after compaction: %+v/%v vs %+v/%v", i, d1, e1, d2, e2)
-		}
-		fromLog.Tick()
-		restored.Tick()
-	}
-}
-
-func TestCompactFileAndResume(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/m.log"
-	jm, _, err := OpenFile(testConfig(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.RegisterSeller("s"); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.UploadDataset("s", "d"); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.RegisterBuyer("b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jm.SubmitBid("b", "d", 500); err != nil {
-		t.Fatal(err)
-	}
-	revenue := jm.Revenue()
-	if err := jm.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := CompactFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen the compacted journal and keep trading.
-	jm2, replayed, err := OpenFile(testConfig(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed != 0 {
-		t.Fatalf("compacted journal replayed %d tail events", replayed)
-	}
-	if jm2.Revenue() != revenue {
-		t.Fatalf("revenue after compaction: %v vs %v", jm2.Revenue(), revenue)
-	}
-	if err := jm2.RegisterBuyer("b2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jm2.SubmitBid("b2", "d", 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Third life: snapshot head plus appended tail replays cleanly.
-	m3, err := Restore(mustOpen(t, path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m3.Transactions()) != 2 {
-		t.Fatalf("transactions after compact+resume: %d", len(m3.Transactions()))
-	}
-}
-
-func mustOpen(t *testing.T, path string) *bytes.Reader {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.NewReader(data)
-}
-
-func TestSnapshotHeadWriterRules(t *testing.T) {
-	live, _ := driveMarket(t)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Snapshot(live.Market.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Snapshot(live.Market.Snapshot()); !errors.Is(err, ErrDoubleStart) {
-		t.Fatalf("double snapshot head: %v", err)
-	}
-	if err := w.Append(Event{Op: OpSnapshot}); !errors.Is(err, ErrDoubleStart) {
-		t.Fatalf("appended snapshot: %v", err)
-	}
-	if err := w.Append(Event{Op: OpTick}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Segmented journal storage: a directory of sealed segment files plus
-// snapshot checkpoints, replacing the single flat log for production
-// retention. The journal Writer above it is unchanged — the Store is an
-// io.Writer sink that rotates the file under the Writer's single-Write
-// record discipline — so group commit, fsync policy, telemetry and the
-// commit hook all work identically over a store.
+// snapshot checkpoints — what every persistent market is kept in. The
+// Store is the journal Writer's sink: it rotates the file under the
+// Writer's single-Write record discipline, so group commit, fsync
+// policy, telemetry and the commit hook are the Writer's alone.
 //
 // # Layout
 //
@@ -13,9 +12,9 @@
 //	dir/00000000000047.ckpt snapshot checkpoints, named by covered seq
 //	dir/*.tmp               in-flight checkpoint/migration; removed on open
 //
-// A segment's records are exactly the journal byte format the flat log
-// uses (frame.go) — concatenating every segment's body (seghead lines
-// stripped) reproduces the flat log byte for byte. The seghead is one
+// A segment's records are exactly the bytes the Writer hands any sink
+// (frame.go) — concatenating every segment's body (seghead lines
+// stripped) reproduces the log Restore reads. The seghead is one
 // newline-terminated JSON line of store metadata, not a record: it
 // carries the format version of the build that created the segment and
 // the sequence number of the segment's first record, so recovery can
@@ -104,6 +103,9 @@ var (
 	// ErrStoreCorrupt marks damage no crash can produce: a torn sealed
 	// segment, a malformed seghead, an undecodable checkpoint.
 	ErrStoreCorrupt = errors.New("journal: store corrupt")
+	// ErrNotStoreDir marks a store path that names a regular file; the
+	// wrapping error says what to do about it.
+	ErrNotStoreDir = errors.New("journal: not a store directory")
 )
 
 // StoreConfig tunes a segmented store. Zero values select defaults.
@@ -122,11 +124,6 @@ type StoreConfig struct {
 	// keep beyond what recovery needs (default 0: delete them all).
 	// Negative keeps every segment forever.
 	RetainSegments int
-	// MigrateFlat, when the directory holds no segments yet and this
-	// path names an existing flat journal, absorbs that log verbatim as
-	// segment 0 — the upgrade path from -journal to -journal-dir. The
-	// flat file itself is left untouched.
-	MigrateFlat string
 }
 
 func (sc *StoreConfig) applyDefaults() {

@@ -306,34 +306,58 @@ func TestStoreGroupCommit(t *testing.T) {
 	}
 }
 
-// TestStoreMigrateFlat: a flat log (current format) absorbed as
-// segment 0 replays to the same state, and subsequent appends land in
-// the store.
-func TestStoreMigrateFlat(t *testing.T) {
-	const seed, ops = 3, 120
-	cfg := testConfig()
-	flatPath := filepath.Join(t.TempDir(), "flat.log")
-	jm, _, err := OpenFile(cfg, flatPath)
+// writeFlatLog drives the seeded workload through a journal over a
+// plain file — what a flat log is — and returns the path, the log's
+// bytes and the state it describes.
+func writeFlatLog(t *testing.T, cfg market.Config, seed uint64, ops int) (string, []byte, market.Snapshot) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "flat.log")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	jm, err := NewMarket(cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveWorkload(t, jm, seed, ops)
-	wantSnap := jm.Snapshot()
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flatBytes, err := os.ReadFile(flatPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return path, mustRead(t, path), jm.Snapshot()
+}
 
-	dir := t.TempDir()
-	sc := smallStoreConfig()
-	sc.MigrateFlat = flatPath
-	sm, _, err := OpenStore(cfg, dir, sc)
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
+
+// migrateAndOpen is the one door a flat log has left: MigrateFlat, then
+// OpenStore on the directory.
+func migrateAndOpen(t *testing.T, dir, flat string) *Market {
+	t.Helper()
+	if _, err := MigrateFlat(dir, flat); err != nil {
+		t.Fatalf("migrating %s: %v", flat, err)
+	}
+	sm, _, err := OpenStore(testConfig(), dir, smallStoreConfig())
+	if err != nil {
+		t.Fatalf("opening the migrated store: %v", err)
+	}
+	return sm
+}
+
+// TestStoreMigrateFlat: a flat log (current format) absorbed as
+// segment 0 replays to the same state, subsequent appends land in the
+// store, and migrating again changes nothing.
+func TestStoreMigrateFlat(t *testing.T) {
+	flatPath, flatBytes, wantSnap := writeFlatLog(t, testConfig(), 3, 120)
+	dir := filepath.Join(t.TempDir(), "flat.log.d") // MigrateFlat creates it
+	sm := migrateAndOpen(t, dir, flatPath)
 	if d := sm.Snapshot().Diff(wantSnap); d != "" {
 		t.Fatalf("migrated state: %s", d)
 	}
@@ -351,11 +375,11 @@ func TestStoreMigrateFlat(t *testing.T) {
 	if err := sm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopening with MigrateFlat still set must NOT re-migrate.
-	sm2, _, err := OpenStore(cfg, dir, sc)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(mustRead(t, flatPath), flatBytes) {
+		t.Fatal("migration touched the flat file")
 	}
+	// Migrating into a directory that holds segments must NOT re-migrate.
+	sm2 := migrateAndOpen(t, dir, flatPath)
 	defer sm2.Close()
 	if _, err := sm2.BuyerSpend("migrated"); err != nil {
 		t.Fatalf("post-migration append lost on reopen: %v", err)
@@ -364,45 +388,228 @@ func TestStoreMigrateFlat(t *testing.T) {
 
 // TestStoreMigrateLegacyV0 absorbs the frozen pre-versioning fixture:
 // the v0 bytes ride into segment 0 untouched and replay through the
-// same upgrade path the flat reader uses.
-func TestStoreMigrateLegacyV0(t *testing.T) {
-	legacy, err := os.ReadFile(legacyLogPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+// same upgrade path Restore uses.
+func TestStoreMigrateLegacyV0(t *testing.T) { migrateLegacyFixture(t, legacyLogPath, 0) }
+
+// TestStoreMigrateV2ContinuesWithFrames: the frozen version-2 flat log
+// migrates, and the store continues its JSON lines with frames.
+func TestStoreMigrateV2ContinuesWithFrames(t *testing.T) { migrateLegacyFixture(t, v2LogPath, 2) }
+
+func migrateLegacyFixture(t *testing.T, path string, version int) {
+	legacy := mustRead(t, path)
 	want, err := Restore(bytes.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	sc := smallStoreConfig()
-	sc.MigrateFlat = legacyLogPath
-	sm, _, err := OpenStore(market.Config{}, dir, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sm.Close()
+	sm := migrateAndOpen(t, dir, path)
 	if d := sm.Snapshot().Diff(want.Snapshot()); d != "" {
 		t.Fatalf("legacy migration: %s", d)
 	}
 	if got := storeBody(t, dir); !bytes.Equal(got, legacy) {
 		t.Fatal("legacy bytes did not survive migration verbatim")
 	}
-	// The seghead describes the bytes below it: version 0, not this
-	// build's.
-	if head, _, err := readSegHead(dir, 0); err != nil || head.V != 0 {
-		t.Fatalf("migrated legacy seghead: version %d, err %v; want 0", head.V, err)
+	// The seghead describes the bytes below it, not this build.
+	if head, _, err := readSegHead(dir, 0); err != nil || head.V != version {
+		t.Fatalf("migrated legacy seghead: version %d, err %v; want %d", head.V, err, version)
+	}
+	if err := sm.RegisterBuyer("late"); err != nil {
+		t.Fatal(err)
+	}
+	wantLate := sm.Snapshot()
+	if err := sm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if mixed := storeBody(t, dir); !bytes.HasPrefix(mixed, legacy) || mixed[len(legacy)] != frameTag {
+		t.Fatal("migrated legacy log was not continued with a frame after its last line")
+	}
+	m, _, _, err := RecoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := m.Snapshot().Diff(wantLate); d != "" {
+		t.Fatalf("lines-then-frames store recovers differently: %s", d)
 	}
 }
 
-// TestOpenFileTornTailSyncFailure is the satellite regression for the
-// recovery-durability fix: OpenFile must fsync the truncated file and
-// its directory, and a failure in that sync path must fail the open —
-// silently resuming on a repair that might not be durable would risk
-// mid-log corruption after the next crash.
-func TestOpenFileTornTailSyncFailure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.log")
-	jm, _, err := OpenFile(testConfig(), path)
+// TestStoreMigrateCompacted migrates testdata/compacted.flat: a flat log
+// the parent of the commit that removed flat mode (d370139) wrote with
+// OpenFile (20 records), compacted with CompactFile and then appended 11
+// records to (5 bids, 6 ticks) — a snapshot head, then frames. No build
+// can write a snapshot head any more, so the fixture is frozen;
+// compacted.canonical is that build's
+// Restore(...).Snapshot().Canonical() of the same file.
+func TestStoreMigrateCompacted(t *testing.T) {
+	const flat = "testdata/compacted.flat"
+	want := mustRead(t, "testdata/compacted.canonical")
+	head := true
+	if _, _, err := Scan(bytes.NewReader(mustRead(t, flat)), 1, func(e Event) error {
+		if head != (e.Op == OpSnapshot) {
+			t.Fatalf("record %d is a %s", e.Seq, e.Op)
+		}
+		head = false
+		return nil
+	}); err != nil || head {
+		t.Fatalf("fixture is not a snapshot-headed log: err %v", err)
+	}
+	restored, err := Restore(bytes.NewReader(mustRead(t, flat)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonicalOf(t, "restored", restored.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("Restore of the compacted fixture differs from the build that wrote it")
+	}
+	dir := t.TempDir()
+	sm := migrateAndOpen(t, dir, flat)
+	if got := canonicalOf(t, "migrated", sm.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("migrated compacted log differs from the build that wrote it")
+	}
+	if err := sm.RegisterBuyer("late"); err != nil {
+		t.Fatal(err)
+	}
+	wantLate := canonicalOf(t, "continued", sm.Snapshot())
+	if err := sm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sm2 := migrateAndOpen(t, dir, flat)
+	defer sm2.Close()
+	if got := canonicalOf(t, "reopened", sm2.Snapshot()); !bytes.Equal(got, wantLate) {
+		t.Fatal("store begun from a compacted log reopens differently")
+	}
+}
+
+// TestStoreMigrateDamagedFlat: what a crash can leave in a flat log
+// migrates as its durable prefix; what no crash can produce is refused
+// by name and migrates nothing.
+func TestStoreMigrateDamagedFlat(t *testing.T) {
+	flatBytes, events := flatReference(t, testConfig(), 5, 60)
+	bounds := recordBoundaries(t, flatBytes, 1)
+	plant := func(t *testing.T, data []byte) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "m.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	t.Run("torn final record", func(t *testing.T) {
+		flat := plant(t, flatBytes[:len(flatBytes)-3])
+		dir := t.TempDir()
+		sm := migrateAndOpen(t, dir, flat)
+		prefix, err := Bootstrap(events[:len(events)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sm.Snapshot().Diff(prefix.Snapshot()); d != "" {
+			t.Fatalf("store does not hold the durable prefix: %s", d)
+		}
+		if got, want := storeBody(t, dir), flatBytes[:bounds[len(bounds)-2]]; !bytes.Equal(got, want) {
+			t.Fatalf("segment 0 holds %d bytes, want the %d-byte durable prefix", len(got), len(want))
+		}
+		// Appends land after the prefix and survive a reopen.
+		if err := sm.RegisterBuyer("late"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sm2 := migrateAndOpen(t, dir, flat)
+		defer sm2.Close()
+		if _, err := sm2.BuyerSpend("late"); err != nil {
+			t.Fatalf("append after a migrated torn tail lost on reopen: %v", err)
+		}
+		if got := sm2.LastSeq(); got != int64(len(events)) {
+			t.Fatalf("reopened at seq %d, want %d (prefix plus one append)", got, len(events))
+		}
+	})
+
+	for _, n := range []int{0, 1, 5} {
+		t.Run(fmt.Sprintf("genesis torn at %d bytes", n), func(t *testing.T) {
+			dir := t.TempDir()
+			sm := migrateAndOpen(t, dir, plant(t, flatBytes[:n]))
+			defer sm.Close()
+			if got := sm.LastSeq(); got != 1 {
+				t.Fatalf("fresh store stands at seq %d, want 1 (its own genesis)", got)
+			}
+			if err := sm.RegisterBuyer("b"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	t.Run("mid-log corruption", func(t *testing.T) {
+		rotten := append([]byte(nil), flatBytes...)
+		rotten[bounds[3]+frameHeader+2] ^= 0x10 // inside the fifth record's body
+		flat := plant(t, rotten)
+		dir := t.TempDir()
+		_, err := MigrateFlat(dir, flat)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !errors.Is(err, ErrChecksum) || ce.File != filepath.Base(flat) || ce.Seq != 5 {
+			t.Fatalf("migrating a rotted log: %v", err)
+		}
+		if l, err := listStoreDir(dir); err != nil || len(l.segIdx) != 0 || len(l.tmps) != 0 {
+			t.Fatalf("refused migration left files behind: %+v (err %v)", l, err)
+		}
+	})
+
+	t.Run("leftover temp of a killed migration", func(t *testing.T) {
+		flat := plant(t, flatBytes)
+		dir := t.TempDir()
+		stray := filepath.Join(dir, "migrate-123.tmp")
+		if err := os.WriteFile(stray, flatBytes[:len(flatBytes)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sm := migrateAndOpen(t, dir, flat)
+		defer sm.Close()
+		if got := sm.LastSeq(); got != int64(len(events)) {
+			t.Fatalf("migrated to seq %d, want %d", got, len(events))
+		}
+		if _, err := os.Stat(stray); !os.IsNotExist(err) {
+			t.Fatalf("stray migration temp survived the open: %v", err)
+		}
+	})
+}
+
+// TestStorePathIsRegularFile: the first mistake a flat-log user makes
+// is to hand the log to the option that wants a directory; both openers
+// say so and name the way out, where MkdirAll says "not a directory".
+func TestStorePathIsRegularFile(t *testing.T) {
+	flat, flatBytes, _ := writeFlatLog(t, testConfig(), 1, 10)
+	for name, open := range map[string]func() error{
+		"OpenStore": func() error {
+			_, _, err := OpenStore(testConfig(), flat, smallStoreConfig())
+			return err
+		},
+		"OpenReplicaStore": func() error {
+			_, _, _, err := OpenReplicaStore(flat, smallStoreConfig())
+			return err
+		},
+	} {
+		err := open()
+		if !errors.Is(err, ErrNotStoreDir) {
+			t.Fatalf("%s on a regular file: %v", name, err)
+		}
+		for _, want := range []string{flat, "flat journal", "marketd -journal", "MigrateFlat"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error does not mention %q: %v", name, want, err)
+			}
+		}
+	}
+	if !bytes.Equal(mustRead(t, flat), flatBytes) {
+		t.Fatal("a refused open touched the file")
+	}
+}
+
+// TestStoreTornTailSyncFailure is the regression for the
+// recovery-durability fix: opening a store whose final segment has a torn
+// tail must fsync the truncated file and its directory, and a failure in
+// that sync path must fail the open — silently resuming on a repair that
+// might not be durable would risk mid-log corruption after the next
+// crash.
+func TestStoreTornTailSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	jm, _, err := OpenStore(testConfig(), dir, smallStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +620,8 @@ func TestOpenFileTornTailSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the tail.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	seg := filepath.Join(dir, segName(0))
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,26 +632,22 @@ func TestOpenFileTornTailSyncFailure(t *testing.T) {
 
 	old := syncFileHook
 	syncFileHook = func(*os.File) error { return faultfs.ErrInjected }
-	_, _, err = OpenFile(testConfig(), path)
+	_, _, err = OpenStore(testConfig(), dir, smallStoreConfig())
 	syncFileHook = old
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("open with failing tail-repair sync: err=%v, want ErrInjected", err)
 	}
 	// With the sync healthy again the same open succeeds and the torn
 	// bytes are gone for good.
-	jm2, replayed, err := OpenFile(testConfig(), path)
+	jm2, _, err := OpenStore(testConfig(), dir, smallStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jm2.Close()
-	if replayed != 1 {
-		t.Fatalf("replayed %d, want 1", replayed)
+	if got := jm2.LastSeq(); got != 2 {
+		t.Fatalf("reopened at seq %d, want 2", got)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(data, []byte(`"seq":3,"op":"tick"`)) {
+	if bytes.Contains(mustRead(t, seg), []byte(`"seq":3,"op":"tick"`)) {
 		t.Fatal("torn bytes survived repair")
 	}
 }

@@ -277,30 +277,24 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 // O(history) — then resumes appending into the final segment. A torn
 // trailing record is truncated away and the repair fsynced; a segment
 // cut mid-rotation is rebuilt. The directory's own genesis wins over
-// cfg, exactly like OpenFile. It returns the number of tail records
-// replayed.
+// cfg: mixing configurations would silently diverge the replay. It
+// returns the number of tail records replayed.
 func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*Market, int, error) {
 	sc.applyDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := makeStoreDir(dir); err != nil {
 		return nil, 0, err
-	}
-	if sc.MigrateFlat != "" {
-		if err := migrateFlatFile(dir, sc.MigrateFlat); err != nil {
-			return nil, 0, err
-		}
 	}
 	st, err := recoverStoreDir(dir, false)
 	if err != nil {
 		return nil, 0, err
 	}
 
-	s := &Store{dir: dir, sc: sc, segs: st.segs, ckpts: st.ckpts, lastCkpt: st.lastCkpt}
+	s := &Store{dir: dir, sc: sc, segs: st.segs, ckpts: st.ckpts, lastCkpt: st.lastCkpt, live: st.m}
 	if st.m == nil {
 		// Nothing durable (fresh directory, or a crash before the very
 		// first record survived): start a store from scratch. Any
 		// broken segment 0 is rebuilt in place.
-		live, err := market.New(cfg)
-		if err != nil {
+		if s.live, err = market.New(cfg); err != nil {
 			return nil, 0, err
 		}
 		f, headLen, err := createSegment(dir, 0, 1, len(st.segs) > 0 || st.resetTail)
@@ -309,31 +303,38 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 		}
 		s.segs = []segMeta{{index: 0, base: 1, bytes: headLen}}
 		s.active = f
-		s.live = live
-		w := NewWriter(s, opts...)
-		w.tel.recovered(st)
-		w.live, w.onGroup = live, s.committed
+	} else {
+		// Tail repair, then resume appending into the final segment.
+		if err := s.attachTail(st); err != nil {
+			return nil, 0, err
+		}
+		s.appliedSeq = st.lastSeq
+		s.sinceCkpt = st.lastSeq - st.lastCkpt // keep the cadence across restarts
+	}
+
+	w := NewWriter(s, opts...)
+	w.tel.recovered(st)
+	w.live, w.onGroup = s.live, s.committed
+	if st.m == nil {
 		if err := w.Genesis(cfg); err != nil {
 			s.Close()
 			return nil, 0, err
 		}
-		return &Market{Market: live, w: w, sink: s, store: s}, 0, nil
+	} else {
+		w.started, w.seq = true, st.lastSeq // the log continues after its last record
 	}
+	return &Market{Market: s.live, w: w, store: s}, st.replayed, nil
+}
 
-	// Tail repair, then resume appending into the final segment.
-	if err := s.attachTail(st); err != nil {
-		return nil, 0, err
+// makeStoreDir creates dir if it is missing. A regular file there is
+// almost always a flat journal handed to the option that wants a
+// directory, so that case is named, with the way out, instead of
+// surfacing as MkdirAll's "not a directory".
+func makeStoreDir(dir string) error {
+	if fi, err := os.Stat(dir); err == nil && fi.Mode().IsRegular() {
+		return fmt.Errorf("%w: %s is a regular file — if it is a flat journal, start `marketd -journal %s` once (the store lands in %s.d) or call journal.MigrateFlat, then open the directory", ErrNotStoreDir, dir, dir, dir)
 	}
-
-	s.live = st.m
-	s.appliedSeq = st.lastSeq
-	s.sinceCkpt = st.lastSeq - st.lastCkpt // keep the cadence across restarts
-
-	jm := Resume(st.m, s, st.lastSeq, opts...)
-	jm.w.tel.recovered(st)
-	jm.w.onGroup = s.committed
-	jm.sink, jm.store = s, s
-	return jm, st.replayed, nil
+	return os.MkdirAll(dir, 0o755)
 }
 
 // attachTail repairs the recovered chain's final segment and opens it
@@ -380,39 +381,38 @@ func segIndexAfter(segs []segMeta) int64 {
 	return segs[len(segs)-1].index + 1
 }
 
-// migrateFlatFile absorbs a flat journal as segment 0 of an empty
-// store: a seghead line followed by the flat log's durable bytes,
-// verbatim — v0 records included, so a pre-versioning log replays
-// byte-identically inside the store. The seghead carries the flat
-// log's own format version, not this build's: it describes the bytes
-// below it. The segment lands atomically
-// (temp+rename+dir-fsync); the flat file is left untouched. A
-// directory that already holds segments is already migrated: no-op.
-func migrateFlatFile(dir, flat string) error {
+// MigrateFlat absorbs a flat journal — the single-file log builds
+// before the store-only release wrote — as segment 0 of the store
+// directory dir, creating dir if need be: a seghead line followed by
+// the flat log's durable bytes, verbatim — v0 records and a compacted
+// log's snapshot head included, so an old log replays byte-identically
+// inside the store. The seghead carries the flat log's own format
+// version, not this build's: it describes the bytes below it. A torn
+// final record is dropped; a log torn inside its first record, an empty
+// one and a missing one migrate nothing, and OpenStore then starts
+// fresh. The segment lands atomically (temp+rename+dir-fsync); the flat
+// file is left untouched. A directory that already holds segments is
+// already migrated: no-op. It reports whether it wrote the segment.
+func MigrateFlat(dir, flat string) (bool, error) {
+	if err := makeStoreDir(dir); err != nil {
+		return false, err
+	}
 	l, err := listStoreDir(dir)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if len(l.segIdx) > 0 {
-		return nil
-	}
-	info, err := os.Stat(flat)
-	if os.IsNotExist(err) {
-		return nil // nothing to migrate
-	}
-	if err != nil {
-		return err
-	}
-	if info.Size() == 0 {
-		return nil
+		return false, nil
 	}
 	f, err := os.Open(flat)
-	if err != nil {
-		return err
+	if os.IsNotExist(err) {
+		return false, nil // nothing to migrate
 	}
-	// Validate, find the durable prefix and learn the log's version; a
-	// torn tail in the flat log is dropped here, exactly as OpenFile
-	// would.
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	// Validate, find the durable prefix and learn the log's version.
 	version := 0
 	durable, _, err := ScanRecords(f, 1, func(rec Record) error {
 		if rec.Seq != 1 {
@@ -423,23 +423,26 @@ func migrateFlatFile(dir, flat string) error {
 		return err
 	})
 	if err != nil {
-		f.Close()
-		return fmt.Errorf("journal: migrating %s: %w", flat, err)
+		var ce *CorruptError
+		if errors.As(err, &ce) && ce.File == "" {
+			ce.File = filepath.Base(flat)
+		}
+		return false, fmt.Errorf("journal: migrating %s: %w", flat, err)
+	}
+	if durable == 0 {
+		return false, nil // not even the head survived
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return err
+		return false, err
 	}
 	tmp, err := os.CreateTemp(dir, "migrate-*"+tmpSuffix)
 	if err != nil {
-		f.Close()
-		return err
+		return false, err
 	}
 	head, _ := json.Marshal(segHead{Op: opSegHead, V: version, Base: 1, Index: 0})
 	if _, err = tmp.Write(append(head, '\n')); err == nil {
 		_, err = io.Copy(tmp, io.LimitReader(f, durable))
 	}
-	f.Close()
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -448,13 +451,13 @@ func migrateFlatFile(dir, flat string) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return false, err
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, segName(0))); err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return false, err
 	}
-	return syncDir(dir)
+	return true, syncDir(dir)
 }
 
 // RecoverDir rebuilds the market a store directory describes without

@@ -37,7 +37,7 @@ type ReplicaStore struct {
 // for the recovery gauges.
 func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore, *market.Market, int64, error) {
 	sc.applyDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := makeStoreDir(dir); err != nil {
 		return nil, nil, 0, err
 	}
 	st, err := recoverStoreDir(dir, false)

@@ -42,20 +42,12 @@ type RigConfig struct {
 	// measured path stays unperturbed. Turn it on to exercise the
 	// /metrics exemplar → /debug/traces lookup under load.
 	TraceSample int
-	// JournalPath is the journal file to create; empty means a
-	// temporary directory the rig owns and removes on Close.
-	JournalPath string
-	// Store backs the rig with a segmented journal store — a directory
-	// of rotated segment files with snapshot checkpoints and background
-	// compaction, the marketd -journal-dir configuration — instead of a
-	// flat journal file. JournalPath is ignored in store mode; the rig
-	// owns a temporary directory.
-	Store bool
-	// StoreConfig tunes the segmented store (zero values take the
-	// store's defaults). CheckpointEvery is the compaction cadence:
-	// every N committed records the store snapshots the market and
-	// deletes the segments the checkpoint covers. Only read when Store
-	// is set.
+	// StoreConfig tunes the journal store the rig runs on — the marketd
+	// -journal-dir configuration, in a temporary directory the rig owns
+	// and removes on Close (zero values take the store's defaults).
+	// CheckpointEvery is the compaction cadence: every N committed
+	// records the store snapshots the market and deletes the segments
+	// the checkpoint covers.
 	StoreConfig journal.StoreConfig
 	// WireBufferSize overrides the wire server's per-connection buffer
 	// (bytes). Rigs default to 4KiB so a thousand connections do not
@@ -93,11 +85,7 @@ type Rig struct {
 	Datasets []market.DatasetID
 	// Buyers is the registered buyer accounts.
 	Buyers []market.BuyerID
-	// JournalPath is the journal file backing Market; empty in store
-	// mode, where JournalDir is the segmented store directory instead.
-	JournalPath string
-	// JournalDir is the segmented store directory backing Market,
-	// non-empty only when the rig runs in store mode (RigConfig.Store).
+	// JournalDir is the store directory backing Market.
 	JournalDir string
 	// Feed is the leader's replication feed, non-nil when the rig runs
 	// followers.
@@ -112,7 +100,7 @@ type Rig struct {
 	wireLn       net.Listener
 	followerSrvs []*http.Server
 	followerLns  []net.Listener
-	tmpDir       string // non-empty when the rig owns the journal's directory
+	tmpDir       string // JournalDir's parent, removed on Close
 }
 
 // Seller is the account owning every seeded dataset.
@@ -136,23 +124,11 @@ func StartRig(rc RigConfig) (*Rig, error) {
 		rc.WireBufferSize = 4 << 10
 	}
 
-	r := &Rig{JournalPath: rc.JournalPath}
-	if rc.Store {
-		dir, err := os.MkdirTemp("", "shieldload-")
-		if err != nil {
-			return nil, fmt.Errorf("loadrig: store dir: %w", err)
-		}
-		r.tmpDir = dir
-		r.JournalPath = ""
-		r.JournalDir = filepath.Join(dir, "store")
-	} else if r.JournalPath == "" {
-		dir, err := os.MkdirTemp("", "shieldload-")
-		if err != nil {
-			return nil, fmt.Errorf("loadrig: journal dir: %w", err)
-		}
-		r.tmpDir = dir
-		r.JournalPath = filepath.Join(dir, "rig.journal")
+	tmpDir, err := os.MkdirTemp("", "shieldload-")
+	if err != nil {
+		return nil, fmt.Errorf("loadrig: store dir: %w", err)
 	}
+	r := &Rig{tmpDir: tmpDir, JournalDir: filepath.Join(tmpDir, "store")}
 
 	// The engine configuration mirrors marketd's defaults: a linear
 	// candidate grid spanning the personas' bid range, so lowball bids
@@ -183,13 +159,7 @@ func StartRig(rc RigConfig) (*Rig, error) {
 	if rc.Fsync {
 		opts = append(opts, journal.WithFsync())
 	}
-	var jm *journal.Market
-	var err error
-	if rc.Store {
-		jm, _, err = journal.OpenStore(cfg, r.JournalDir, rc.StoreConfig, opts...)
-	} else {
-		jm, _, err = journal.OpenFile(cfg, r.JournalPath, opts...)
-	}
+	jm, _, err := journal.OpenStore(cfg, r.JournalDir, rc.StoreConfig, opts...)
 	if err != nil {
 		r.cleanupTmp()
 		return nil, fmt.Errorf("loadrig: opening journal: %w", err)
@@ -354,11 +324,7 @@ func (r *Rig) Close() error {
 	return errors.Join(real...)
 }
 
-func (r *Rig) cleanupTmp() {
-	if r.tmpDir != "" {
-		_ = os.RemoveAll(r.tmpDir)
-	}
-}
+func (r *Rig) cleanupTmp() { _ = os.RemoveAll(r.tmpDir) }
 
 // CheckInvariants verifies the two whole-system invariants after a run,
 // while the rig is still serving:
@@ -392,50 +358,29 @@ func (r *Rig) CheckInvariants() (string, error) {
 
 	// The journal's group-commit writer acknowledges only written
 	// records, so the state read back here covers every operation the
-	// clients saw succeed. In store mode the replay is checkpoint +
-	// tail-segment recovery — the same bounded-tail path a restarted
-	// marketd -journal-dir takes.
+	// clients saw succeed. The replay is checkpoint + tail-segment
+	// recovery — the same bounded-tail path a restarted marketd takes.
 	liveBytes, err := r.Market.Snapshot().Canonical()
 	if err != nil {
 		return "", fmt.Errorf("loadrig: live snapshot: %w", err)
 	}
-	var replaySummary string
-	if r.JournalDir != "" {
-		restored, rseq, _, err := journal.RecoverDir(r.JournalDir)
-		if err != nil {
-			return "", fmt.Errorf("loadrig: store recovery: %w", err)
-		}
-		if want := r.Market.LastSeq(); rseq != want {
-			return "", fmt.Errorf("loadrig: store recovery reached seq %d, live at %d", rseq, want)
-		}
-		restoredBytes, err := restored.Snapshot().Canonical()
-		if err != nil {
-			return "", fmt.Errorf("loadrig: restored snapshot: %w", err)
-		}
-		if !bytes.Equal(liveBytes, restoredBytes) {
-			return "", errors.New("loadrig: store recovery does not rebuild live state")
-		}
-		inv := r.Market.Store().Inventory()
-		replaySummary = fmt.Sprintf("checkpointed recovery rebuilds live state (%d segments, %d checkpoints, %d bytes on disk)",
-			len(inv.Segments), len(inv.Checkpoints), inv.TotalBytes)
-	} else {
-		raw, err := os.ReadFile(r.JournalPath)
-		if err != nil {
-			return "", fmt.Errorf("loadrig: reading journal: %w", err)
-		}
-		restored, err := journal.Restore(bytes.NewReader(raw))
-		if err != nil {
-			return "", fmt.Errorf("loadrig: journal replay: %w", err)
-		}
-		restoredBytes, err := restored.Snapshot().Canonical()
-		if err != nil {
-			return "", fmt.Errorf("loadrig: restored snapshot: %w", err)
-		}
-		if !bytes.Equal(liveBytes, restoredBytes) {
-			return "", errors.New("loadrig: journal replay does not rebuild live state")
-		}
-		replaySummary = fmt.Sprintf("journal replay rebuilds live state (%d bytes)", len(raw))
+	restored, rseq, _, err := journal.RecoverDir(r.JournalDir)
+	if err != nil {
+		return "", fmt.Errorf("loadrig: store recovery: %w", err)
 	}
+	if want := r.Market.LastSeq(); rseq != want {
+		return "", fmt.Errorf("loadrig: store recovery reached seq %d, live at %d", rseq, want)
+	}
+	restoredBytes, err := restored.Snapshot().Canonical()
+	if err != nil {
+		return "", fmt.Errorf("loadrig: restored snapshot: %w", err)
+	}
+	if !bytes.Equal(liveBytes, restoredBytes) {
+		return "", errors.New("loadrig: store recovery does not rebuild live state")
+	}
+	inv := r.Market.Store().Inventory()
+	replaySummary := fmt.Sprintf("checkpointed recovery rebuilds live state (%d segments, %d checkpoints, %d bytes on disk)",
+		len(inv.Segments), len(inv.Checkpoints), inv.TotalBytes)
 
 	summary := fmt.Sprintf("money conserved (revenue=%v over %d transactions); %s",
 		revenue, len(txs), replaySummary)

@@ -7,8 +7,8 @@ import (
 	"github.com/datamarket/shield/internal/journal"
 )
 
-// TestStoreRigSmoke drives a run against a rig backed by the segmented
-// journal store with an aggressive checkpoint/compaction cadence: the
+// TestStoreRigSmoke drives a run against a rig whose journal store has
+// an aggressive checkpoint/compaction cadence: the
 // commit path rotates segments and compacts under live load, the SLO
 // stays evaluable, and the post-run invariant check recovers the store
 // from disk (checkpoint + tail segments) byte-identical to live state.
@@ -16,16 +16,11 @@ func TestStoreRigSmoke(t *testing.T) {
 	rig := startTestRig(t, RigConfig{
 		Datasets: 8,
 		Buyers:   64,
-		Store:    true,
 		StoreConfig: journal.StoreConfig{
 			SegmentRecords:  128,
 			CheckpointEvery: 300,
 		},
 	})
-	if rig.JournalDir == "" || rig.JournalPath != "" {
-		t.Fatalf("store rig misconfigured: dir=%q path=%q", rig.JournalDir, rig.JournalPath)
-	}
-
 	rep, err := Run(rig, Scenario{
 		Transport: TransportBoth,
 		Clients:   64,

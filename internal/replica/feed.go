@@ -42,17 +42,18 @@ var ErrFollowerAhead = errors.New("replica: follower ahead of leader")
 // It keeps no copy of the market. The journal's commit stage runs the
 // hook only after a record's group has reached the sink, with the live
 // market exactly at the group's last seq, so an aligned (snapshot, seq)
-// pair is one call away: on a flat-file journal the live market itself
-// (journal.Market.CommittedSnapshot), on a segmented store the newest
-// checkpoint file, with the records between that checkpoint and the
-// feed's head preloaded from the segment tail on disk.
+// pair is one call away: the store's newest checkpoint file, with the
+// records between that checkpoint and the feed's head preloaded from
+// the segment tail on disk — or, over a plain sink and on a store that
+// has not checkpointed yet, the live market itself
+// (journal.Market.CommittedSnapshot).
 //
 // Attach a Feed with NewFeed after building the journaled market and
 // before serving traffic: records committed while no hook is installed
 // are not replayable to subscribers.
 type Feed struct {
 	jm    *journal.Market
-	store *journal.Store // nil on a flat-file journal
+	store *journal.Store // nil over a plain sink
 
 	// mu is taken by the commit hook, which runs inside the commit
 	// stage with the market's writer mutex held — so nothing that takes

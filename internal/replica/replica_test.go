@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -35,10 +34,16 @@ type leaderRig struct {
 	ws   *wire.Server
 }
 
+// newLeaderRig's store never checkpoints, so a snapshot catch-up takes
+// the feed's other branch: the live market at a committed seq
+// (journal.Market.CommittedSnapshot) rather than a checkpoint file.
 func newLeaderRig(t *testing.T, ringMax int, opts ...journal.Option) *leaderRig {
+	return leaderRigOver(t, journal.StoreConfig{CheckpointEvery: -1}, ringMax, opts...)
+}
+
+func leaderRigOver(t *testing.T, sc journal.StoreConfig, ringMax int, opts ...journal.Option) *leaderRig {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "leader.journal")
-	jm, _, err := journal.OpenFile(testConfig(), path, opts...)
+	jm, _, err := journal.OpenStore(testConfig(), t.TempDir(), sc, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +149,16 @@ func TestFollowerSnapshotCatchUpThenStream(t *testing.T) {
 	// Catch-up from snapshot (fresh follower, history predates any ring).
 	waitConverged(t, f, r.feed, 5*time.Second)
 	mustMatchLeader(t, r, f)
+	// With no checkpoint on disk that snapshot was the live market's,
+	// taken at the leader's own seq.
+	sub, err := r.feed.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.Cancel()
+	if ck := r.jm.Store().LastCheckpoint(); ck != 0 || sub.Snapshot == nil || sub.StartSeq != r.feed.LeaderSeq() {
+		t.Fatalf("catch-up snapshot at seq %d (leader at %d, checkpoint at %d): not the live market's", sub.StartSeq, r.feed.LeaderSeq(), ck)
+	}
 	if err := f.Ready(); err != nil {
 		t.Fatalf("converged follower unready: %v", err)
 	}

@@ -20,32 +20,11 @@ import (
 	"github.com/datamarket/shield/internal/wire"
 )
 
-// newStoreLeaderRig is newLeaderRig over a segmented store: aggressive
-// rotation and checkpointing so catch-up exercises the checkpoint file
-// and segment-tail paths rather than the in-memory ring.
+// newStoreLeaderRig is a leader rig with aggressive rotation and
+// checkpointing, so catch-up exercises the checkpoint file and
+// segment-tail paths rather than the in-memory ring.
 func newStoreLeaderRig(t *testing.T, ringMax int, opts ...journal.Option) *leaderRig {
-	t.Helper()
-	sc := journal.StoreConfig{SegmentRecords: 16, CheckpointEvery: 24}
-	jm, _, err := journal.OpenStore(testConfig(), t.TempDir(), sc, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { jm.Close() })
-	if err := jm.RegisterSeller("s1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.UploadDataset("s1", "d1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.RegisterBuyer("b0"); err != nil {
-		t.Fatal(err)
-	}
-	feed, err := NewFeed(jm, ringMax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := wire.NewServer(jm).WithReplication(feed).WithHeartbeatInterval(10 * time.Millisecond)
-	return &leaderRig{jm: jm, feed: feed, ws: ws}
+	return leaderRigOver(t, journal.StoreConfig{SegmentRecords: 16, CheckpointEvery: 24}, ringMax, opts...)
 }
 
 // appendChurn drives n guaranteed-append records (unique buyer

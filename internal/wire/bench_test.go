@@ -23,7 +23,7 @@ import (
 // repeat — through the wire protocol and the HTTP/JSON API over real
 // loopback TCP, so the delta is pure transport overhead: framing,
 // header parsing, and JSON against length prefixes and binary fields.
-// BENCH_6.json records both (make bench-save).
+// BENCH_6.json recorded both at PR 6.
 
 func benchMarket(tb testing.TB) *market.Market {
 	tb.Helper()
@@ -145,8 +145,8 @@ func BenchmarkTransportWireBidInstrumented(b *testing.B) {
 // spans, stage histogram exemplars, and commits a trace to the ring,
 // and a client context propagating a sampled trace in every frame. The
 // delta against BenchmarkTransportWireBidInstrumented is the cost of
-// tracing itself (the metrics instrumentation is hot in both); benchsave
-// records it in BENCH_8.json against the budget.
+// tracing itself (the metrics instrumentation is hot in both);
+// BENCH_8.json recorded it against the budget at PR 8.
 func BenchmarkTransportWireBidTraced(b *testing.B) {
 	m := benchMarket(b)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -256,7 +256,7 @@ func BenchmarkWireBidPathInstrumented(b *testing.B) { benchBidPath(b, 0, "") }
 // request carries a sampled trace field, so the server adopts the
 // trace, records the span breakdown, stamps exemplars, and commits to
 // the ring. The delta against BenchmarkWireBidPathInstrumented is the
-// tracing overhead benchsave records in BENCH_8.json.
+// tracing overhead BENCH_8.json recorded.
 func BenchmarkWireBidPathTraced(b *testing.B) { benchBidPath(b, 1, "req-bench001") }
 
 func BenchmarkTransportHTTPBid(b *testing.B) {

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -218,7 +216,6 @@ func TestTracePropagatesAcrossWire(t *testing.T) {
 func TestWireJournalCarriesPropagatedTrace(t *testing.T) {
 	run := func(t *testing.T, instrument bool, wantTrace string) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "journal.log")
 		cfg := market.Config{
 			Engine: core.Config{
 				Candidates:    auction.LinearGrid(10, 100, 10),
@@ -228,7 +225,7 @@ func TestWireJournalCarriesPropagatedTrace(t *testing.T) {
 			},
 			Seed: 7,
 		}
-		jm, _, err := journal.OpenFile(cfg, path)
+		jm, _, err := journal.OpenStore(cfg, dir, journal.StoreConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,22 +245,19 @@ func TestWireJournalCarriesPropagatedTrace(t *testing.T) {
 		}
 		jm.Close()
 
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		events := journalEvents(t, f)
 		// The journal opens with a genesis record; the command's event
 		// follows it.
 		var got *journal.Event
-		for i := range events {
-			if events[i].Op == "register_seller" {
-				got = &events[i]
+		if err := journal.ScanDir(dir, func(_ string, e journal.Event) error {
+			if e.Op == "register_seller" {
+				got = &e
 			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		if got == nil {
-			t.Fatalf("no register_seller event among %d journal events", len(events))
+			t.Fatal("no register_seller event in the store")
 		}
 		if got.Trace != wantTrace {
 			t.Fatalf("journaled trace %q, want %q", got.Trace, wantTrace)

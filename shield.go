@@ -328,21 +328,25 @@ func NewJournaledMarket(cfg MarketConfig, sink io.Writer) (*JournaledMarket, err
 	return journal.NewMarket(cfg, sink)
 }
 
-// OpenJournaledMarket creates or resumes a file-backed journaled market,
-// returning the number of replayed events.
-func OpenJournaledMarket(cfg MarketConfig, path string) (*JournaledMarket, int, error) {
-	return journal.OpenFile(cfg, path)
+// OpenJournaledMarket creates or resumes a persistent journaled market
+// in the store directory dir (segment files plus snapshot checkpoints,
+// default tuning), returning the number of events replayed past the
+// newest checkpoint.
+func OpenJournaledMarket(cfg MarketConfig, dir string) (*JournaledMarket, int, error) {
+	return journal.OpenStore(cfg, dir, journal.StoreConfig{})
 }
 
 // RestoreMarket rebuilds a market from a journal.
 func RestoreMarket(r io.Reader) (*Market, error) { return journal.Restore(r) }
 
-// CompactJournal rewrites a journal as a single full-state snapshot plus
-// nothing: restart cost stops growing with history.
-func CompactJournal(r io.Reader, w io.Writer) error { return journal.Compact(r, w) }
-
-// CompactJournalFile compacts a journal file in place, atomically.
-func CompactJournalFile(path string) error { return journal.CompactFile(path) }
+// MigrateJournalFile absorbs the single-file journal flat, as releases
+// before the store-only one kept it, into the store directory dir for
+// OpenJournaledMarket to open; flat is left untouched, and a directory
+// that already holds a store is left alone.
+func MigrateJournalFile(flat, dir string) error {
+	_, err := journal.MigrateFlat(dir, flat)
+	return err
+}
 
 // MarketSnapshot is the market's full serializable state; restoring it
 // yields a market that behaves identically from that point on.

@@ -2,9 +2,12 @@ package shield_test
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	shield "github.com/datamarket/shield"
@@ -244,7 +247,7 @@ func TestJournaledMarketFacade(t *testing.T) {
 }
 
 func TestOpenJournaledMarketFacade(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.log")
+	dir := filepath.Join(t.TempDir(), "market.d")
 	cfg := shield.MarketConfig{
 		Engine: shield.EngineConfig{
 			Candidates: shield.LinearGrid(10, 100, 10),
@@ -253,7 +256,7 @@ func TestOpenJournaledMarketFacade(t *testing.T) {
 		},
 		Seed: 5,
 	}
-	jm, replayed, err := shield.OpenJournaledMarket(cfg, path)
+	jm, replayed, err := shield.OpenJournaledMarket(cfg, dir)
 	if err != nil || replayed != 0 {
 		t.Fatalf("open: %v, replayed %d", err, replayed)
 	}
@@ -263,9 +266,14 @@ func TestOpenJournaledMarketFacade(t *testing.T) {
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, replayed, err = shield.OpenJournaledMarket(cfg, path)
-	if err != nil || replayed != 1 {
+	// A clean close checkpoints, so the reopen replays no tail.
+	jm, replayed, err = shield.OpenJournaledMarket(cfg, dir)
+	if err != nil || replayed != 0 {
 		t.Fatalf("reopen: %v, replayed %d", err, replayed)
+	}
+	defer jm.Close()
+	if err := jm.RegisterSeller("s"); !errors.Is(err, shield.ErrDuplicateID) {
+		t.Fatalf("seller registered before the restart is not there after it: %v", err)
 	}
 }
 
@@ -309,7 +317,7 @@ func TestPatienceFacade(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndCompactFacade(t *testing.T) {
+func TestSnapshotAndMigrateFacade(t *testing.T) {
 	cfg := shield.MarketConfig{
 		Engine: shield.EngineConfig{
 			Candidates: shield.LinearGrid(10, 100, 10),
@@ -342,9 +350,15 @@ func TestSnapshotAndCompactFacade(t *testing.T) {
 		t.Fatalf("snapshot revenue %v vs %v", restored.Revenue(), m.Revenue())
 	}
 
-	// Journal + compact through the facade.
-	var log bytes.Buffer
-	jm, err := shield.NewJournaledMarket(cfg, &log)
+	// A single-file journal, as older releases kept it, moves into a
+	// store directory through the facade.
+	flat := filepath.Join(t.TempDir(), "market.log")
+	f, err := os.Create(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	jm, err := shield.NewJournaledMarket(cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +368,15 @@ func TestSnapshotAndCompactFacade(t *testing.T) {
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var compacted bytes.Buffer
-	if err := shield.CompactJournal(bytes.NewReader(log.Bytes()), &compacted); err != nil {
+	if err := shield.MigrateJournalFile(flat, flat+".d"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shield.RestoreMarket(bytes.NewReader(compacted.Bytes())); err != nil {
-		t.Fatal(err)
+	sm, replayed, err := shield.OpenJournaledMarket(cfg, flat+".d")
+	if err != nil || replayed != 2 {
+		t.Fatalf("opening the migrated store: %v, replayed %d", err, replayed)
+	}
+	defer sm.Close()
+	if _, _, err := shield.OpenJournaledMarket(cfg, flat); err == nil || !strings.Contains(err.Error(), "flat journal") {
+		t.Fatalf("opening the flat file as a store: %v", err)
 	}
 }
