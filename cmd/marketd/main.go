@@ -9,7 +9,7 @@
 //	        [-seed 2022] [-journal-dir market.d] [-fsync] [-auth]
 //	        [-journal market.log] [-checkpoint-every 10000]
 //	        [-retain-segments 0] [-segment-bytes 8388608]
-//	        [-group-commit] [-group-commit-window 0s] [-wire-addr :9090]
+//	        [-group-commit-window 0s] [-wire-addr :9090]
 //	        [-follow wire://leader:9090] [-max-lag 5s]
 //	        [-operator-token secret] [-trace-sample 1] [-slow-op 50ms]
 //	        [-debug-addr 127.0.0.1:6060]
@@ -35,7 +35,7 @@
 // deprecated alias, kept for one release, for "-journal-dir FILE.d
 // -journal FILE", and says so at warn level. Either way FILE is left in
 // place and never written again.
-// -group-commit coalesces concurrent journal appends into one write and
+// The journal always coalesces concurrent appends into one write and
 // one fsync without weakening the per-acknowledgment durability
 // guarantee; -group-commit-window bounds how long a group leader waits
 // for followers (see journal.WithGroupCommit).
@@ -131,8 +131,7 @@ func main() {
 		slowOp      = flag.Duration("slow-op", 0, "log a structured stage breakdown for sampled requests slower than this (0 disables)")
 		debugAddr   = flag.String("debug-addr", "", "operator-only debug listener with pprof, metrics and traces (off when empty; bind to localhost)")
 		wireAddr    = flag.String("wire-addr", "", "binary wire-protocol listener (off when empty; incompatible with -auth)")
-		groupCommit = flag.Bool("group-commit", false, "coalesce concurrent journal appends into one write (and one fsync with -fsync)")
-		gcWindow    = flag.Duration("group-commit-window", 0, "how long a group leader waits for followers with -group-commit (0 batches only what is already queued)")
+		gcWindow    = flag.Duration("group-commit-window", 0, "how long a journal group leader waits for followers (0 batches only what is already queued)")
 		follow      = flag.String("follow", "", "run as a read replica of the leader at wire://host:port (read-only HTTP; incompatible with -journal, -wire-addr and -auth)")
 		maxLag      = flag.Duration("max-lag", replica.DefaultMaxLag, "with -follow: /readyz turns 503 when the replica has not proven currency for this long")
 	)
@@ -240,12 +239,9 @@ func main() {
 		srvHandler = httpapi.NewServer(m)
 		backend = m
 	default:
-		opts := []journal.Option{journal.WithTelemetry(tel)}
+		opts := []journal.Option{journal.WithTelemetry(tel), journal.WithGroupCommit(*gcWindow)}
 		if *fsync {
 			opts = append(opts, journal.WithFsync())
-		}
-		if *groupCommit {
-			opts = append(opts, journal.WithGroupCommit(*gcWindow))
 		}
 		var err error
 		if jm, err = openJournal(cfg, *journalPath, *journalDir, storeCfg, opts, logger); err != nil {

@@ -1,9 +1,10 @@
 // Command metricslint is the CI gate for the /metrics contract: it
-// boots the full instrumented stack in-process (journaled group-commit
-// market, HTTP and wire transports, tracing at sampling 1, runtime
+// boots the full instrumented stack in-process (journaled market, HTTP
+// and wire transports, one read replica, tracing at sampling 1, runtime
 // self-metrics), drives real traffic through both transports so every
-// histogram family carries observations and bucket exemplars, scrapes
-// GET /metrics over HTTP, and lints the exposition with
+// histogram family carries observations and bucket exemplars, sends a
+// few reads to the replica, scrapes GET /metrics from the leader and
+// from the replica over HTTP, and lints both expositions with
 // obs.LintExposition:
 //
 //   - every family matches the shield_[a-z0-9_]+ naming convention,
@@ -40,9 +41,9 @@ func run(stdout, stderr io.Writer) int {
 	rig, err := loadrig.StartRig(loadrig.RigConfig{
 		Datasets:    4,
 		Buyers:      16,
-		GroupCommit: true,
 		Fsync:       true,
 		TraceSample: 1,
+		Followers:   1,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "metricslint: %v\n", err)
@@ -69,30 +70,47 @@ func run(stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	resp, err := http.Get(rig.HTTPAddr + "/metrics")
-	if err != nil {
-		fmt.Fprintf(stderr, "metricslint: scraping: %v\n", err)
-		return 2
+	// A follower serves its own /metrics — the shield_replica_* gauges
+	// and its HTTP histograms, which two reads populate — so after them
+	// both the leader's and the follower's expositions are scraped.
+	f := rig.FollowerAddrs[0]
+	var bodies []string
+	for _, url := range []string{f + "/v1/period", f + "/v1/datasets", rig.HTTPAddr + "/metrics", f + "/metrics"} {
+		body, err := get(url)
+		if err != nil {
+			fmt.Fprintf(stderr, "metricslint: GET %s: %v\n", url, err)
+			return 2
+		}
+		bodies = append(bodies, body)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fmt.Fprintf(stderr, "metricslint: reading scrape: %v\n", err)
-		return 2
-	}
-	exposition := string(raw)
+	exposition, follower := bodies[2], bodies[3]
 
-	if problems := obs.LintExposition(exposition); len(problems) > 0 {
+	problems := obs.LintExposition(exposition)
+	for _, p := range obs.LintExposition(follower) {
+		problems = append(problems, "follower: "+p)
+	}
+	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintf(stderr, "metricslint: %s\n", p)
 		}
-		fmt.Fprintf(stderr, "metricslint: %d problems in %d families\n",
-			len(problems), strings.Count(exposition, "# TYPE "))
+		fmt.Fprintf(stderr, "metricslint: %d problems\n", len(problems))
 		return 1
 	}
-	fmt.Fprintf(stdout, "metricslint: OK — %d families, %d exemplars, %d bytes\n",
+	fmt.Fprintf(stdout, "metricslint: OK — %d families, %d exemplars, %d bytes; follower %d families\n",
 		strings.Count(exposition, "# TYPE "),
 		strings.Count(exposition, "# {trace_id="),
-		len(exposition))
+		len(exposition),
+		strings.Count(follower, "# TYPE "))
 	return 0
+}
+
+// get fetches url's body.
+func get(url string) (string, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return string(raw), err
 }

@@ -1,8 +1,8 @@
 // Command shieldload is the cluster-in-process load rig: it boots a
 // real marketd-equivalent server — HTTP and wire transports over one
-// journaled, group-commit market with full telemetry — inside this
-// process, seeds a catalog, and drives thousands of concurrent
-// persona-driven client connections at an open-loop target rate.
+// journaled market with full telemetry — inside this process, seeds a
+// catalog, and drives thousands of concurrent persona-driven client
+// connections at an open-loop target rate.
 // Latency is measured from each operation's scheduled send time
 // (coordinated omission cannot hide queueing delay), cross-checked
 // against the server's own latency histograms, and the run is gated on
@@ -15,7 +15,7 @@
 //
 //	shieldload [-transport both] [-clients 1024] [-rate 4000] [-ops 16000]
 //	           [-bid-fraction 0.8] [-tick-every 400] [-seed 2022]
-//	           [-datasets 16] [-group-commit=true] [-fsync] [-trace-sample 1]
+//	           [-datasets 16] [-fsync] [-trace-sample 1]
 //	           [-compact-every 2000] [-segment-records 4096]
 //	           [-followers 2] [-replica-fraction 0.1] [-replica-kill]
 //	           [-slo 'bid.p99<250ms,error_rate<0.1%,replica.lag<2s']
@@ -126,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tickEvery    = fs.Int("tick-every", 400, "advance the market period every N ops (0 = never)")
 		seed         = fs.Uint64("seed", 2022, "scenario seed (workload replays bit-identically)")
 		datasets     = fs.Int("datasets", 16, "catalog size to seed")
-		groupCommit  = fs.Bool("group-commit", true, "journal group commit (the production configuration)")
 		fsync        = fs.Bool("fsync", false, "fsync every journal flush (durable production configuration)")
 		traceSample  = fs.Int("trace-sample", 0, "trace every Nth request (0 = tracing off; 1 = every request)")
 		sloSpec      = fs.String("slo", "", "SLO gate, e.g. 'bid.p99<250ms,error_rate<0.1%' (empty = report only)")
@@ -159,7 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Datasets:    *datasets,
 		Buyers:      *clients,
 		Seed:        *seed,
-		GroupCommit: *groupCommit,
 		Fsync:       *fsync,
 		TraceSample: *traceSample,
 		Followers:   *followers,

@@ -156,7 +156,6 @@ var stageOrder = []string{
 	"http.parse", "wire.read", "decode",
 	"group_commit.queue_wait", "apply",
 	"group_commit.append", "group_commit.fsync",
-	"journal.append", "journal.fsync",
 	"publish", "ack.flush",
 }
 

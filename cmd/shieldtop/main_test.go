@@ -1,14 +1,26 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/client"
+	"github.com/datamarket/shield/internal/core"
+	"github.com/datamarket/shield/internal/httpapi"
+	"github.com/datamarket/shield/internal/journal"
+	"github.com/datamarket/shield/internal/market"
+	"github.com/datamarket/shield/internal/obs"
+	"github.com/datamarket/shield/internal/wire"
 )
 
 // expositionFrame renders a canned /metrics body with the given bid
@@ -169,5 +181,75 @@ func TestParseExemplarLine(t *testing.T) {
 	series := snap.hists["shield_stage_seconds"]
 	if len(series) != 2 {
 		t.Fatalf("parsed %d stage series, want 2", len(series))
+	}
+}
+
+// TestOnePipelineOverBothTransports: the same writes driven over HTTP
+// and over wire into journaled, fsynced markets render the same stage
+// rows past the transport's own stages — one pipeline, one vocabulary,
+// whichever transport entered the commit stage.
+func TestOnePipelineOverBothTransports(t *testing.T) {
+	cfg := market.Config{Engine: core.Config{Candidates: auction.LinearGrid(10, 100, 10), EpochSize: 4, MinBid: 1}, Seed: 3}
+	transportOnly := map[string]bool{"http.parse": true, "wire.read": true, "decode": true, "ack.flush": true}
+	rows := map[string][]string{}
+	for _, transport := range []string{"http", "wire"} {
+		tel := obs.NewTelemetry()
+		jm, _, err := journal.OpenStore(cfg, t.TempDir(), journal.StoreConfig{}, journal.WithFsync(), journal.WithTelemetry(tel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jm.Close()
+		var target string
+		if transport == "http" {
+			srv := httptest.NewServer(httpapi.NewJournaled(jm).WithTelemetry(tel).Routes())
+			defer srv.Close()
+			target = srv.URL
+		} else {
+			jm.Instrument(tel)
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			go func() { _ = wire.NewServer(jm).WithTelemetry(tel).Serve(l) }()
+			target = "wire://" + l.Addr().String()
+		}
+		c, err := client.Dial(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for _, err := range []error{c.RegisterSeller(ctx, "s"), c.UploadDataset(ctx, "s", "d")} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			buyer := market.BuyerID(fmt.Sprintf("b%d", i))
+			if _, err := c.RegisterBuyer(ctx, buyer); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.SubmitBid(ctx, buyer, "d", 50); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+
+		var text, frame strings.Builder
+		if err := tel.Registry.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		renderStages(&frame, parseExposition(text.String(), time.Now()))
+		for _, line := range strings.Split(frame.String(), "\n")[1:] {
+			if f := strings.Fields(line); len(f) > 0 && !transportOnly[f[0]] {
+				rows[transport] = append(rows[transport], f[0])
+			}
+		}
+	}
+	want := []string{"group_commit.queue_wait", "apply", "group_commit.append", "group_commit.fsync", "publish"}
+	for transport, got := range rows {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s-driven stage rows %v, want %v", transport, got, want)
+		}
 	}
 }

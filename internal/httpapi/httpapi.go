@@ -15,21 +15,20 @@ import (
 	"sync"
 
 	"github.com/datamarket/shield/internal/auth"
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/obs"
 )
 
-// mutator is the write interface shared by market.Market and the
-// journaling wrapper journal.Market. Bids take the request context so
-// the obs trace and request ID ride into the journal's commit stage
-// (pricing included).
+// mutator is the write surface of market.Market and the journaling
+// wrapper journal.Market: ApplyCtx and SubmitBidsCtx are what the wire
+// server drives too, and SubmitBidCtx keeps the bare market's bid path
+// free of boxing. Every write takes the request context, so the obs
+// trace and request ID ride into the journal's commit stage and onto
+// the record.
 type mutator interface {
-	RegisterBuyer(market.BuyerID) error
-	RegisterSeller(market.SellerID) error
-	UploadDataset(market.SellerID, market.DatasetID) error
-	WithdrawDataset(market.SellerID, market.DatasetID) error
-	ComposeDataset(market.DatasetID, ...market.DatasetID) error
+	ApplyCtx(context.Context, command.Command) ([]command.Event, error)
 	SubmitBidCtx(context.Context, market.BuyerID, market.DatasetID, float64) (market.Decision, error)
 	SubmitBidsCtx(context.Context, []market.BidRequest) []market.BidResult
 }
@@ -70,9 +69,8 @@ type mutator interface {
 // {"error":{"code":"...","message":"..."}} with a stable machine-readable
 // code (see errors.go).
 type Server struct {
-	m    *market.Market // reads (leader mode; nil on a replica)
-	mut  mutator        // writes (possibly journaled; read-only on a replica)
-	tick func() (int, error)
+	m   *market.Market // reads (leader mode; nil on a replica)
+	mut mutator        // writes (possibly journaled; read-only on a replica)
 	// replica, when set, makes this a read-replica server: reads resolve
 	// through the follower's current view (see market()), writes are
 	// rejected, and /readyz carries staleness.
@@ -105,7 +103,6 @@ type Server struct {
 func NewServer(m *market.Market) *Server {
 	return &Server{
 		m: m, mut: m,
-		tick:   func() (int, error) { return m.Tick(), nil },
 		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 }
@@ -116,7 +113,6 @@ func NewServer(m *market.Market) *Server {
 func NewJournaled(jm *journal.Market) *Server {
 	return &Server{
 		m: jm.Market, mut: jm,
-		tick:   jm.Tick,
 		ready:  jm.Healthy,
 		store:  jm.Store(),
 		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -167,7 +163,7 @@ func (s *Server) handleRegisterSeller(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := s.mut.RegisterSeller(market.SellerID(req.ID)); err != nil {
+	if _, err := s.mut.ApplyCtx(r.Context(), command.RegisterSeller{Seller: market.SellerID(req.ID)}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -179,7 +175,7 @@ func (s *Server) handleRegisterBuyer(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := s.mut.RegisterBuyer(market.BuyerID(req.ID)); err != nil {
+	if _, err := s.mut.ApplyCtx(r.Context(), command.RegisterBuyer{Buyer: market.BuyerID(req.ID)}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -204,7 +200,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := s.mut.UploadDataset(market.SellerID(req.Seller), market.DatasetID(req.ID)); err != nil {
+	if _, err := s.mut.ApplyCtx(r.Context(), command.UploadDataset{Seller: market.SellerID(req.Seller), Dataset: market.DatasetID(req.ID)}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -220,7 +216,7 @@ func (s *Server) handleWithdrawDataset(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "missing seller query parameter")
 		return
 	}
-	if err := s.mut.WithdrawDataset(market.SellerID(seller), market.DatasetID(r.PathValue("id"))); err != nil {
+	if _, err := s.mut.ApplyCtx(r.Context(), command.WithdrawDataset{Seller: market.SellerID(seller), Dataset: market.DatasetID(r.PathValue("id"))}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -239,7 +235,7 @@ func (s *Server) handleComposeDataset(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Constituents {
 		parts[i] = market.DatasetID(c)
 	}
-	if err := s.mut.ComposeDataset(market.DatasetID(req.ID), parts...); err != nil {
+	if _, err := s.mut.ApplyCtx(r.Context(), command.ComposeDataset{Dataset: market.DatasetID(req.ID), Constituents: parts}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -393,13 +389,13 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]batchBidResult{"results": results})
 }
 
-func (s *Server) handleTick(w http.ResponseWriter, _ *http.Request) {
-	period, err := s.tick()
+func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
+	evs, err := s.mut.ApplyCtx(r.Context(), command.Tick{})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"period": period})
+	writeJSON(w, http.StatusOK, map[string]int{"period": evs[0].Period})
 }
 
 func (s *Server) handlePeriod(w http.ResponseWriter, _ *http.Request) {

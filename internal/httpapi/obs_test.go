@@ -256,9 +256,10 @@ func TestBidTraceRetrievable(t *testing.T) {
 			spans = append(spans, sp.Name)
 		}
 	}
-	for _, want := range []string{"http.parse", "apply", "journal.append", "journal.fsync", "publish"} {
-		if !slices.Contains(spans, want) {
-			t.Errorf("trace %s missing span %q (got %v)", bidID, want, spans)
-		}
+	// One pipeline, one vocabulary: the journal's stages are the group
+	// commit's whether or not anyone else shared the group.
+	want := []string{"http.parse", "group_commit.queue_wait", "apply", "group_commit.append", "group_commit.fsync", "publish"}
+	if !slices.Equal(spans, want) {
+		t.Errorf("trace %s spans %v, want %v", bidID, spans, want)
 	}
 }

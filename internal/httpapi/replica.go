@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"github.com/datamarket/shield/internal/apierr"
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -38,8 +39,7 @@ type ReplicaSource interface {
 func NewReplica(src ReplicaSource) *Server {
 	return &Server{
 		replica: src,
-		mut:     readOnlyMutator{},
-		tick:    func() (int, error) { return 0, apierr.ErrReadOnlyReplica },
+		mut:     readOnly{},
 		ready:   src.Ready,
 		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
@@ -60,25 +60,17 @@ func (s *Server) market() (*market.Market, error) {
 	return nil, apierr.ErrReplicaUnavailable
 }
 
-// readOnlyMutator rejects every write with the replica sentinel; the
-// generic error path classifies it to CodeReadOnlyReplica / 403.
-type readOnlyMutator struct{}
+// readOnly rejects every write with the replica sentinel; the generic
+// error path classifies it to CodeReadOnlyReplica / 403.
+type readOnly struct{}
 
-func (readOnlyMutator) RegisterBuyer(market.BuyerID) error   { return apierr.ErrReadOnlyReplica }
-func (readOnlyMutator) RegisterSeller(market.SellerID) error { return apierr.ErrReadOnlyReplica }
-func (readOnlyMutator) UploadDataset(market.SellerID, market.DatasetID) error {
-	return apierr.ErrReadOnlyReplica
+func (readOnly) ApplyCtx(context.Context, command.Command) ([]command.Event, error) {
+	return nil, apierr.ErrReadOnlyReplica
 }
-func (readOnlyMutator) WithdrawDataset(market.SellerID, market.DatasetID) error {
-	return apierr.ErrReadOnlyReplica
-}
-func (readOnlyMutator) ComposeDataset(market.DatasetID, ...market.DatasetID) error {
-	return apierr.ErrReadOnlyReplica
-}
-func (readOnlyMutator) SubmitBidCtx(context.Context, market.BuyerID, market.DatasetID, float64) (market.Decision, error) {
+func (readOnly) SubmitBidCtx(context.Context, market.BuyerID, market.DatasetID, float64) (market.Decision, error) {
 	return market.Decision{}, apierr.ErrReadOnlyReplica
 }
-func (readOnlyMutator) SubmitBidsCtx(_ context.Context, reqs []market.BidRequest) []market.BidResult {
+func (readOnly) SubmitBidsCtx(_ context.Context, reqs []market.BidRequest) []market.BidResult {
 	out := make([]market.BidResult, len(reqs))
 	for i := range out {
 		out[i].Err = apierr.ErrReadOnlyReplica

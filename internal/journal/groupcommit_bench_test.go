@@ -8,8 +8,7 @@ import (
 )
 
 // benchSink opens a real file so the fsync in these benchmarks is an
-// honest one — the per-record vs group-commit comparison is exactly the
-// fsync amortization BENCH_6.json tracks.
+// honest one — the fsync amortization BENCH_6.json tracks.
 func benchSink(b *testing.B) *os.File {
 	b.Helper()
 	f, err := os.Create(filepath.Join(b.TempDir(), "bench.log"))
@@ -31,28 +30,11 @@ func benchWriter(b *testing.B, opts ...Option) *Writer {
 
 var benchBid = Event{Op: OpBid, Buyer: "b", Dataset: "d", Amount: 42}
 
-// BenchmarkBidAppendFsyncPerRecord is the PR-2 baseline: one bid record,
-// one Write, one fsync, sequentially.
-func BenchmarkBidAppendFsyncPerRecord(b *testing.B) {
-	w := benchWriter(b, WithFsync())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Append(benchBid); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkBidAppendFsyncGroupCommit is the same durability contract
-// (ack after fsync) under group commit with concurrent appenders: the
-// flush cost amortizes across every record that piles onto a group.
+// BenchmarkBidAppendFsyncGroupCommit appends bid records, acked after
+// fsync, from concurrent appenders: the flush cost amortizes across
+// every record that piles onto a group.
 func BenchmarkBidAppendFsyncGroupCommit(b *testing.B) {
-	w := benchWriter(b, WithFsync(), WithGroupCommit(0))
+	w := benchWriter(b, WithFsync())
 	b.ReportAllocs()
 	b.SetParallelism(32)
 	b.ResetTimer()

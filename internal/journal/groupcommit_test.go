@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -109,31 +110,75 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		want, sink.syncs, w.groups, w.maxGroup)
 }
 
-// TestGroupCommitSequentialEquivalence pins that a single sequential
-// writer produces byte-identical logs in grouped and per-record mode:
-// grouping changes flush boundaries, never record content or order.
-func TestGroupCommitSequentialEquivalence(t *testing.T) {
-	write := func(opts ...Option) []byte {
-		var buf bytes.Buffer
-		w := NewWriter(&buf, opts...)
-		if err := w.Genesis(testConfig()); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 20; i++ {
-			e := Event{Op: OpBid, Buyer: fmt.Sprintf("b%d", i), Dataset: "d", Amount: float64(10 + i)}
-			if err := w.Append(e); err != nil {
-				t.Fatal(err)
+// queueGate wraps a writer's sink: its first write announces itself on
+// entered and then holds the stage until want members are queued in the
+// writer's forming group (or five seconds pass), so the test — not the
+// scheduler — decides how commands group.
+type queueGate struct {
+	io.Writer
+	w       *Writer
+	want    int
+	entered chan struct{}
+	once    sync.Once
+}
+
+func (g *queueGate) writeGroup(p []byte, records int) (int, error) {
+	g.once.Do(func() {
+		close(g.entered)
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+			g.w.mu.Lock()
+			queued := g.w.cur != nil && len(g.w.cur.members) >= g.want
+			g.w.mu.Unlock()
+			if queued {
+				return
 			}
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	})
+	if gs, ok := g.Writer.(groupSink); ok {
+		return gs.writeGroup(p, records)
 	}
-	plain := write()
-	grouped := write(WithGroupCommit(0))
-	if !bytes.Equal(plain, grouped) {
-		t.Fatal("grouped and per-record logs diverge for the same sequential workload")
+	return g.Writer.Write(p)
+}
+
+// TestDefaultWriterGroups: a market built with no options — over a plain
+// sink or as a store — coalesces concurrent commands. One command holds
+// the stage in the sink; the four that arrive meanwhile commit as one
+// group.
+func TestDefaultWriterGroups(t *testing.T) {
+	const queued = 4
+	for name, open := range map[string]func() (*Market, error){
+		"NewMarket": func() (*Market, error) { return NewMarket(testConfig(), &lockedBuffer{}) },
+		"OpenStore": func() (*Market, error) {
+			jm, _, err := OpenStore(testConfig(), t.TempDir(), StoreConfig{})
+			return jm, err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			jm, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jm.Close()
+			gate := &queueGate{Writer: jm.w.sink, w: jm.w, want: queued, entered: make(chan struct{})}
+			jm.w.sink = gate
+			var wg sync.WaitGroup
+			register := func(id market.BuyerID) {
+				defer wg.Done()
+				if err := jm.RegisterBuyer(id); err != nil {
+					t.Error(err)
+				}
+			}
+			wg.Add(1 + queued)
+			go register("first")
+			<-gate.entered
+			for i := 0; i < queued; i++ {
+				go register(market.BuyerID(fmt.Sprintf("b%d", i)))
+			}
+			wg.Wait()
+			if jm.w.maxGroup < queued {
+				t.Fatalf("largest group %d: the %d commands queued behind a running stage did not share a write", jm.w.maxGroup, queued)
+			}
+		})
 	}
 }
 
@@ -290,13 +335,12 @@ func TestGroupCommitFaultFailsWholeGroup(t *testing.T) {
 	}
 }
 
-// TestSubmitLoneCallerAllocs: an uncontended append under WithGroupCommit
-// is a group of one — the common case on the serving path — and must not
+// TestSubmitLoneCallerAllocs: an uncontended append is a group of one — the common case on the serving path — and must not
 // pay for the machinery of a real group: no done channel (nobody waits),
 // and the group and its members array are recycled, not made. What is
 // left is at most one allocation per append.
 func TestSubmitLoneCallerAllocs(t *testing.T) {
-	w := NewWriter(io.Discard, WithGroupCommit(0))
+	w := NewWriter(io.Discard)
 	if err := w.Genesis(testConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +352,7 @@ func TestSubmitLoneCallerAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("a lone grouped append allocates %.1f times, want <= 1", allocs)
+		t.Fatalf("a lone append allocates %.1f times, want <= 1", allocs)
 	}
 	if w.groups != 501+1 || w.maxGroup != 1 || len(w.free) != 1 {
 		t.Fatalf("%d groups, largest %d, %d on the free list; want 502 groups of one sharing one recycled group", w.groups, w.maxGroup, len(w.free))

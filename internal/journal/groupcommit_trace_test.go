@@ -14,11 +14,11 @@ import (
 // group_commit.queue_wait, group_commit.append and group_commit.fsync
 // spans, the same stages land on shield_stage_seconds with the
 // request's ID as a bucket exemplar, and the leader-wait histogram
-// counts one observation per group.
+// counts one observation per group — the genesis's and the append's.
 func TestGroupCommitStageSpans(t *testing.T) {
 	tel := obs.NewTelemetry() // sampling 1: every request records spans
 	var sink syncBuffer
-	w := NewWriter(&sink, WithFsync(), WithGroupCommit(0), WithTelemetry(tel))
+	w := NewWriter(&sink, WithFsync(), WithTelemetry(tel))
 	if err := w.Genesis(testConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,10 @@ func TestGroupCommitStageSpans(t *testing.T) {
 		}
 	}
 
-	lw, ok := tel.Registry.FindHistogram("shield_journal_group_leader_wait_seconds")
-	if !ok || lw.Count() != 1 {
-		t.Fatalf("leader-wait histogram count = %v, want 1", lw)
+	if lw, ok := tel.Registry.FindHistogram("shield_journal_group_leader_wait_seconds"); !ok {
+		t.Fatal("no leader-wait histogram")
+	} else if n := lw.Count(); n != 2 {
+		t.Fatalf("leader-wait histogram count = %d, want 2", n)
 	}
 
 	if err := w.Close(); err != nil {

@@ -178,109 +178,84 @@ func WithFsync() Option {
 	return func(w *Writer) { w.fsync = true }
 }
 
-// WithGroupCommit coalesces concurrent appends into one sink Write and
-// one fsync. An append joins the writer's pending group (creating it
-// when there is none); the record that created the group — the leader —
-// waits up to window for followers to pile on, then hands the whole
-// group to the sink as a single Write call, syncs it (WithFsync), and
-// wakes every member. Each member is acknowledged only after its
-// group's sync, so the durability guarantee per acknowledged operation
-// is unchanged — only the latency (bounded by window plus one flush)
-// and the fsync amortization differ. A window of 0 still batches: every
-// record that arrives while the previous group is flushing joins the
-// next group, so group size tracks the append parallelism.
-//
-// A group that fails to reach the sink fails every member with the same
-// error and poisons the writer — never a prefix of the group silently.
-// Groups flush in formation order, so the log remains an unbroken
-// sequence of complete records plus at most one torn tail, exactly as
-// in per-record mode.
+// WithGroupCommit sets the commit window: how long the leader of a
+// group — the append that found no group forming — waits for followers
+// to pile on before it runs the stage. Every writer groups (see Writer);
+// the window only trades latency for bigger groups. A window of 0 (the
+// default) still batches: every record that arrives while the previous
+// group is in the stage joins the next group, so group size tracks the
+// append parallelism.
 func WithGroupCommit(window time.Duration) Option {
-	return func(w *Writer) {
-		w.grouped = true
-		w.groupWindow = window
-	}
+	return func(w *Writer) { w.groupWindow = window }
 }
 
-// WithTelemetry instruments the writer: append and fsync latency
-// histograms, a per-record size histogram, group-size and leader-wait
-// histograms (WithGroupCommit), counters for appended bytes and failed
-// appends, two gauges a store sets once when it is opened — how long
-// recovery took and how many records it replayed
-// (shield_journal_recovery_seconds/_records; OpenReplicaStore takes this
-// option for them alone) — and the journal's stages on the shared
-// shield_stage_seconds family (group_commit.queue_wait/append/fsync when
-// grouped, journal.append/fsync otherwise), all registered on t's
+// WithTelemetry instruments the writer: an fsync latency histogram
+// (shield_journal_fsync_seconds, which the repository benchmark counts
+// fsyncs from), a per-record size histogram, group-size and leader-wait
+// histograms, counters for appended bytes and failed appends, two
+// gauges a store sets once when it is opened — how long recovery took
+// and how many records it replayed (shield_journal_recovery_seconds/
+// _records; the only instruments OpenReplicaStore registers) — and the
+// journal's stages on the shared shield_stage_seconds family
+// (group_commit.queue_wait/append/fsync), all registered on t's
 // registry.
 // Latency observations stamp the requesting trace's ID as a bucket
 // exemplar, so a slow fsync on /metrics links to its full trace on
 // /debug/traces. Register at most one writer per registry (families
 // panic on double registration by design).
 func WithTelemetry(t *obs.Telemetry) Option {
-	return func(w *Writer) {
-		r := t.Registry
-		w.tel = &writerTelemetry{
-			appendLatency: r.Histogram("shield_journal_append_seconds",
-				"Time to hand one encoded record to the journal sink.",
-				obs.LatencyBuckets()),
-			fsyncLatency: r.Histogram("shield_journal_fsync_seconds",
-				"Time to fsync the journal after an append (WithFsync only).",
-				obs.LatencyBuckets()),
-			recordBytes: r.Histogram("shield_journal_record_bytes",
-				"Encoded size of one journal record.",
-				obs.SizeBuckets()),
-			groupSize: r.Histogram("shield_journal_group_records",
-				"Records coalesced into one group-commit flush (WithGroupCommit).",
-				[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
-			leaderWait: r.Histogram("shield_journal_group_leader_wait_seconds",
-				"Time a group leader spends in the commit window plus waiting for the previous group's flush (WithGroupCommit).",
-				obs.LatencyBuckets()),
-			bytesTotal: r.Counter("shield_journal_appended_bytes_total",
-				"Bytes appended to the journal."),
-			appendErrors: r.Counter("shield_journal_append_errors_total",
-				"Appends that failed and poisoned the writer."),
-			recoverySeconds: r.Gauge("shield_journal_recovery_seconds",
-				"Time this process spent recovering its store when it opened it: checkpoint load plus tail replay."),
-			recoveryRecords: r.Gauge("shield_journal_recovery_records",
-				"Records replayed past the checkpoint when this process opened its store."),
-			stQueueWait:   t.Stage("group_commit.queue_wait"),
-			stGroupAppend: t.Stage("group_commit.append"),
-			stGroupFsync:  t.Stage("group_commit.fsync"),
-			stAppend:      t.Stage("journal.append"),
-			stFsync:       t.Stage("journal.fsync"),
-		}
-	}
+	return func(w *Writer) { w.telemetry = t }
 }
 
 // writerTelemetry holds a writer's pre-bound instruments; nil on
 // uninstrumented writers. The st* cells are this writer's stages on the
 // shared shield_stage_seconds family.
 type writerTelemetry struct {
-	appendLatency *obs.Histogram
-	fsyncLatency  *obs.Histogram
-	recordBytes   *obs.Histogram
-	groupSize     *obs.Histogram
-	leaderWait    *obs.Histogram
-	bytesTotal    *obs.Counter
-	appendErrors  *obs.Counter
+	fsyncLatency *obs.Histogram
+	recordBytes  *obs.Histogram
+	groupSize    *obs.Histogram
+	leaderWait   *obs.Histogram
+	bytesTotal   *obs.Counter
+	appendErrors *obs.Counter
 
-	// Set once, when a store is opened (OpenStore, OpenReplicaStore).
-	recoverySeconds *obs.Gauge
-	recoveryRecords *obs.Gauge
-
-	stQueueWait   *obs.Histogram // group_commit.queue_wait
-	stGroupAppend *obs.Histogram // group_commit.append
-	stGroupFsync  *obs.Histogram // group_commit.fsync
-	stAppend      *obs.Histogram // journal.append (per-record mode)
-	stFsync       *obs.Histogram // journal.fsync (per-record mode)
+	stQueueWait *obs.Histogram // group_commit.queue_wait
+	stAppend    *obs.Histogram // group_commit.append
+	stFsync     *obs.Histogram // group_commit.fsync
 }
 
-// recovered reports what opening a store cost; a no-op without
-// telemetry.
-func (t *writerTelemetry) recovered(st *storeState) {
+func newWriterTelemetry(t *obs.Telemetry) *writerTelemetry {
+	r := t.Registry
+	return &writerTelemetry{
+		fsyncLatency: r.Histogram("shield_journal_fsync_seconds",
+			"Time to fsync the journal after a group's write (WithFsync only); the same interval as shield_stage_seconds{stage=\"group_commit.fsync\"}, kept because the repository benchmark counts fsyncs from it.",
+			obs.LatencyBuckets()),
+		recordBytes: r.Histogram("shield_journal_record_bytes",
+			"Encoded size of one journal record.",
+			obs.SizeBuckets()),
+		groupSize: r.Histogram("shield_journal_group_records",
+			"Records coalesced into one group-commit flush.",
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
+		leaderWait: r.Histogram("shield_journal_group_leader_wait_seconds",
+			"Time a group leader spends in the commit window plus waiting for the previous group's flush.",
+			obs.LatencyBuckets()),
+		bytesTotal: r.Counter("shield_journal_appended_bytes_total",
+			"Bytes appended to the journal."),
+		appendErrors: r.Counter("shield_journal_append_errors_total",
+			"Appends that failed and poisoned the writer."),
+		stQueueWait: t.Stage("group_commit.queue_wait"),
+		stAppend:    t.Stage("group_commit.append"),
+		stFsync:     t.Stage("group_commit.fsync"),
+	}
+}
+
+// recovered reports on t's registry what opening a store cost; a no-op
+// without telemetry.
+func recovered(t *obs.Telemetry, st *storeState) {
 	if t != nil {
-		t.recoverySeconds.Set(st.took.Seconds())
-		t.recoveryRecords.Set(float64(st.replayed))
+		t.Registry.Gauge("shield_journal_recovery_seconds",
+			"Time this process spent recovering its store when it opened it: checkpoint load plus tail replay.").Set(st.took.Seconds())
+		t.Registry.Gauge("shield_journal_recovery_records",
+			"Records replayed past the checkpoint when this process opened its store.").Set(float64(st.replayed))
 	}
 }
 
@@ -300,19 +275,26 @@ func (t *writerTelemetry) recovered(st *storeState) {
 // those same encoded bytes), and only then wake the callers. The
 // log is therefore exactly the order the market applied, the market is
 // exactly at the last written seq whenever a hook runs, and no reader
-// sees a command before it reached the sink. Without WithGroupCommit a
-// group is always one record; with it, the next group keeps forming
-// while this one is applied, written and synced.
+// sees a command before it reached the sink.
+//
+// Every append is a member of a group. An append joins the forming
+// group, or creates it and leads it; the leader waits out the commit
+// window (WithGroupCommit), then runs the stage, while the next group
+// keeps forming behind it. Each member is acknowledged only after its
+// group's write and sync, so grouping changes latency and fsync
+// amortization, never durability: a lone caller is a group of one.
 //
 // A sink failure poisons the writer (see "Crash safety" above): the
 // market has applied commands the log does not hold, so every member of
 // the group gets the error, nothing is published, and every later
-// append returns the original error.
+// append returns the original error. Groups reach the sink in formation
+// order, so the log stays an unbroken sequence of complete records plus
+// at most one torn tail.
 type Writer struct {
 	sink        io.Writer
 	fsync       bool
+	telemetry   *obs.Telemetry // WithTelemetry's; tel is bound from it
 	tel         *writerTelemetry
-	grouped     bool
 	groupWindow time.Duration
 
 	// live, when set (journaled markets), is the market the stage applies
@@ -343,10 +325,10 @@ type Writer struct {
 	// commit, when set (OnCommit), observes every committed record in
 	// strict sequence order — the hook behind the replication feed.
 	commit func(Record)
-	// cur is the forming group concurrent appends pile onto
-	// (WithGroupCommit); free holds groups every member is done with, to
-	// be formed again. groups and maxGroup are diagnostics (tests read
-	// them; telemetry exports the histogram).
+	// cur is the forming group concurrent appends pile onto; free holds
+	// groups every member is done with, to be formed again. groups and
+	// maxGroup are diagnostics (tests read them; telemetry exports the
+	// histogram).
 	cur      *commitGroup
 	free     []*commitGroup
 	groups   int64
@@ -387,9 +369,9 @@ type member struct {
 // (plus one fsync). Members join under the writer mutex; the member that
 // created the group leads the stage. done closes once the group's fate
 // is decided; whoever first has to wait for that makes it — a second
-// member, Close — so a leader nobody joined never has one, and neither
-// has the group of one a per-record append runs as. unread counts the
-// members yet to copy their slot out; the last one recycles the group.
+// member, Close — so a leader nobody joined never has one. unread counts
+// the members yet to copy their slot out; the last one recycles the
+// group.
 type commitGroup struct {
 	members []member
 	done    chan struct{}
@@ -402,6 +384,9 @@ func NewWriter(w io.Writer, opts ...Option) *Writer {
 	jw.enter = jw.submit
 	for _, o := range opts {
 		o(jw)
+	}
+	if jw.telemetry != nil {
+		jw.tel = newWriterTelemetry(jw.telemetry)
 	}
 	return jw
 }
@@ -439,18 +424,14 @@ func (w *Writer) LastSeq() int64 {
 // first.
 func (w *Writer) Genesis(cfg market.Config) error {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
-	if w.started {
-		w.mu.Unlock()
-		return ErrDoubleStart
-	}
+	started := w.started
 	w.started = true
 	w.mu.Unlock()
+	if started {
+		return ErrDoubleStart
+	}
 	head := Event{Op: OpGenesis, V: FormatVersion, Config: &cfg}
-	return w.solo(member{ctx: context.Background(), head: &head}).err
+	return w.submit(member{ctx: context.Background(), head: &head}).err
 }
 
 // Append journals the command e describes without applying it anywhere
@@ -460,11 +441,9 @@ func (w *Writer) Append(e Event) error {
 }
 
 // AppendCtx is Append with request context: when ctx carries a sampled
-// obs trace, the record's sink write and fsync land as spans on it —
-// journal.append and journal.fsync in per-record mode, or
-// group_commit.queue_wait/append/fsync under WithGroupCommit (the
-// flush spans land on the group leader's trace; a follower sees only
-// its queue wait).
+// obs trace, the record's commit lands as spans on it —
+// group_commit.queue_wait/append/fsync (the write spans land on the
+// group leader's trace; a follower sees only its queue wait).
 func (w *Writer) AppendCtx(ctx context.Context, e Event) error {
 	cmd, err := CommandFromEvent(e)
 	if err != nil {
@@ -473,9 +452,8 @@ func (w *Writer) AppendCtx(ctx context.Context, e Event) error {
 	return w.submit(member{ctx: ctx, rec: cmd, trace: e.Trace}).err
 }
 
-// submit runs one member through the commit stage — alone, or as part
-// of the forming group under WithGroupCommit — and returns it once its
-// fate is decided.
+// submit runs one member through the commit stage as part of the
+// forming group and returns it once its fate is decided.
 func (w *Writer) submit(mb member) member {
 	w.mu.Lock()
 	switch {
@@ -489,10 +467,6 @@ func (w *Writer) submit(mb member) member {
 	if mb.err != nil {
 		w.mu.Unlock()
 		return mb
-	}
-	if !w.grouped {
-		w.mu.Unlock()
-		return w.solo(mb)
 	}
 	g := w.cur
 	leader := g == nil
@@ -543,47 +517,29 @@ func (w *Writer) submit(mb member) member {
 	return mb
 }
 
-// solo runs one member as a group of its own.
-func (w *Writer) solo(mb member) member {
-	one := [1]member{mb}
-	w.stage(&commitGroup{members: one[:]}, time.Time{})
-	return one[0]
-}
-
-// stage is the commit stage; see Writer. waitStart is when a group's
-// leader began waiting (window start) — the zero time for the group of
-// one a per-record append runs as: everything up to the stageMu
+// stage is the commit stage; see Writer. waitStart is when the group's
+// leader began waiting (window start): everything up to the stageMu
 // acquisition is charged to group_commit.queue_wait.
 func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 	w.stageMu.Lock()
 	defer w.stageMu.Unlock()
 	wait := time.Since(waitStart)
-	grouped := !waitStart.IsZero()
 	w.mu.Lock()
 	if w.cur == g {
 		w.cur = nil // no further members may join
 	}
-	if w.closed && !grouped {
-		// Close overtook a per-record caller between its closed check and
-		// here (a pending group it drains instead): nothing may run.
-		w.mu.Unlock()
-		g.members[0].err = ErrClosed
-		return
-	}
 	err, seq, commit := w.err, w.seq, w.commit
 	w.mu.Unlock()
+	// Membership is final: nobody else makes done or joins members.
+	g.unread.Store(int32(len(g.members)))
+	if g.done != nil {
+		defer close(g.done)
+	}
 	ctx := g.members[0].ctx // the stage's spans land on the leader's trace
-	if grouped {
-		// Membership is final: nobody else makes done or joins members.
-		g.unread.Store(int32(len(g.members)))
-		if g.done != nil {
-			defer close(g.done)
-		}
-		obs.TraceFrom(ctx).AddSpan("group_commit.queue_wait", waitStart, wait)
-		if w.tel != nil {
-			w.tel.leaderWait.Observe(wait.Seconds())
-			w.tel.stQueueWait.ObserveTrace(wait.Seconds(), obs.ExemplarID(ctx))
-		}
+	obs.TraceFrom(ctx).AddSpan("group_commit.queue_wait", waitStart, wait)
+	if w.tel != nil {
+		w.tel.leaderWait.Observe(wait.Seconds())
+		w.tel.stQueueWait.ObserveTrace(wait.Seconds(), obs.ExemplarID(ctx))
 	}
 
 	var live market.Stage
@@ -740,22 +696,11 @@ func (mb *member) apply(live market.Stage) bool {
 // write hands the stage's buffer to the sink as one Write and, with
 // WithFsync, syncs it.
 func (w *Writer) write(ctx context.Context, records int) error {
-	spanAppend, spanFsync := "journal.append", "journal.fsync"
-	var stAppend, stFsync *obs.Histogram
+	var stAppend *obs.Histogram
 	if w.tel != nil {
-		stAppend, stFsync = w.tel.stAppend, w.tel.stFsync
+		stAppend = w.tel.stAppend
 	}
-	if w.grouped {
-		spanAppend, spanFsync = "group_commit.append", "group_commit.fsync"
-		if w.tel != nil {
-			stAppend, stFsync = w.tel.stGroupAppend, w.tel.stGroupFsync
-		}
-	}
-	endAppend := obs.StartSpan(ctx, spanAppend)
-	var start time.Time
-	if w.tel != nil {
-		start = time.Now()
-	}
+	endAppend := obs.StageTimer(ctx, stAppend, "group_commit.append")
 	var n int
 	var err error
 	if gs, ok := w.sink.(groupSink); ok {
@@ -763,34 +708,25 @@ func (w *Writer) write(ctx context.Context, records int) error {
 	} else {
 		n, err = w.sink.Write(w.buf)
 	}
-	if w.tel != nil {
-		id := obs.ExemplarID(ctx)
-		w.tel.appendLatency.ObserveSinceTrace(start, id)
-		stAppend.ObserveSinceTrace(start, id)
-	}
 	endAppend.End()
 	if err != nil {
 		return fmt.Errorf("journal: writing %d records: %w", records, err)
 	}
 	if w.tel != nil {
 		w.tel.bytesTotal.Add(uint64(n))
-		if w.grouped {
-			w.tel.groupSize.Observe(float64(records))
-		}
+		w.tel.groupSize.Observe(float64(records))
 	}
 	s, ok := w.sink.(syncer)
 	if !w.fsync || !ok {
 		return nil
 	}
-	endFsync := obs.StartSpan(ctx, spanFsync)
-	if w.tel != nil {
-		start = time.Now()
-	}
+	endFsync := obs.StartSpan(ctx, "group_commit.fsync")
+	start := time.Now()
 	err = s.Sync()
 	if w.tel != nil {
 		id := obs.ExemplarID(ctx)
 		w.tel.fsyncLatency.ObserveSinceTrace(start, id)
-		stFsync.ObserveSinceTrace(start, id)
+		w.tel.stFsync.ObserveSinceTrace(start, id)
 	}
 	endFsync.End()
 	if err != nil {
@@ -816,8 +752,8 @@ func (w *Writer) Healthy() error {
 
 // Close marks the writer closed and syncs syncable sinks, so a graceful
 // shutdown is durable even without WithFsync. Further appends fail with
-// ErrClosed. In group-commit mode Close first drains the pending group
-// — its members were promised an answer and get a real one. Close does
+// ErrClosed. Close first drains the pending group — its members were
+// promised an answer and get a real one. Close does
 // not close the sink; callers that opened a file own closing it
 // (Market.Close does both).
 func (w *Writer) Close() error {

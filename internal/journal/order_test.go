@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -105,8 +103,8 @@ func TestReplayMatchesLiveUnderHotDatasetConcurrency(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"per-record", nil},
-		{"group-commit", []Option{WithGroupCommit(0)}},
+		{"group-commit", nil},
+		{"group-commit-window", []Option{WithGroupCommit(100 * time.Microsecond)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			var sink lockedBuffer
@@ -139,7 +137,7 @@ func TestReplayMatchesLiveUnderHotDatasetConcurrency(t *testing.T) {
 func TestStoreCheckpointsMatchReplayUnderHotDatasetConcurrency(t *testing.T) {
 	dir := t.TempDir()
 	sc := StoreConfig{SegmentRecords: 512, CheckpointEvery: 700, RetainSegments: -1}
-	jm, _, err := OpenStore(testConfig(), dir, sc, WithGroupCommit(0))
+	jm, _, err := OpenStore(testConfig(), dir, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +294,7 @@ func readAll(t *testing.T, jm *Market) readings {
 // never exceeds the records the sink holds.
 func TestNothingVisibleBeforeDurable(t *testing.T) {
 	sink := newGatedSink()
-	jm, err := NewMarket(testConfig(), sink, WithGroupCommit(0))
+	jm, err := NewMarket(testConfig(), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,36 +379,5 @@ func TestNothingVisibleBeforeDurable(t *testing.T) {
 	}
 	if live := jm.Snapshot(); !bytes.Equal(canonicalOf(t, "live", live), canonicalOf(t, "restored", restored.Snapshot())) {
 		t.Fatalf("replay differs from live in: %s", live.Diff(restored.Snapshot()))
-	}
-}
-
-// TestCloseOvertakesPerRecordCaller: in per-record mode a caller checks
-// closed, drops the writer mutex, and only then queues for the stage, so
-// Close can run to completion in between. solo is where such a caller
-// resumes. The stage must turn it away with ErrClosed before anything
-// is applied or written — the file behind the sink may be gone — and
-// without poisoning the writer.
-func TestCloseOvertakesPerRecordCaller(t *testing.T) {
-	var sink lockedBuffer
-	jm, err := NewMarket(testConfig(), &sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	held := len(sink.Bytes())
-	late := jm.w.solo(member{ctx: context.Background(), cmd: command.RegisterBuyer{Buyer: "late"}})
-	if !errors.Is(late.err, ErrClosed) {
-		t.Fatalf("overtaken caller got %v, want ErrClosed", late.err)
-	}
-	if _, err := jm.BuyerSpend("late"); err == nil {
-		t.Fatal("the overtaken command was applied to the live market")
-	}
-	if n := len(sink.Bytes()); n != held {
-		t.Fatalf("sink grew from %d to %d bytes after Close", held, n)
-	}
-	if err := jm.Healthy(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("writer is %v after turning the caller away, want plain ErrClosed", err)
 	}
 }

@@ -313,7 +313,7 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 	}
 
 	w := NewWriter(s, opts...)
-	w.tel.recovered(st)
+	recovered(w.telemetry, st)
 	w.live, w.onGroup = s.live, s.committed
 	if st.m == nil {
 		if err := w.Genesis(cfg); err != nil {

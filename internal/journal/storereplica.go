@@ -34,7 +34,7 @@ type ReplicaStore struct {
 // serving market (nil when the store is empty — the follower's first
 // catch-up will Reset it) and the seq of the newest durable record. A
 // follower has no journal Writer — of opts only WithTelemetry matters,
-// for the recovery gauges.
+// and it registers the two recovery gauges and nothing else.
 func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore, *market.Market, int64, error) {
 	sc.applyDefaults()
 	if err := makeStoreDir(dir); err != nil {
@@ -44,7 +44,11 @@ func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	NewWriter(nil, opts...).tel.recovered(st)
+	var w Writer
+	for _, o := range opts {
+		o(&w)
+	}
+	recovered(w.telemetry, st)
 	s := &Store{dir: dir, sc: sc, segs: st.segs, ckpts: st.ckpts, lastCkpt: st.lastCkpt}
 	rs := &ReplicaStore{st: s}
 	if st.m == nil {

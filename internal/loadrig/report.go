@@ -73,8 +73,8 @@ type Report struct {
 	// latency went — queue wait vs fsync vs apply — next to the
 	// client-side percentiles above. Populated by Run from the rig's
 	// shield_stage_seconds histograms; stages the run never exercised
-	// (e.g. group-commit stages without GroupCommit) are absent. SLO
-	// clauses can bound these directly: bid.fsync.p99<2ms.
+	// (e.g. group_commit.fsync without Fsync) are absent. SLO clauses can
+	// bound these directly: bid.fsync.p99<2ms.
 	ServerStages map[string]StageStats
 
 	// ReplicaMaxLag is the worst replication staleness (seconds) any

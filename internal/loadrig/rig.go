@@ -30,9 +30,6 @@ type RigConfig struct {
 	// Seed derives the market's pricing randomness and the seeded
 	// catalog (default 2022).
 	Seed uint64
-	// GroupCommit turns on journal group commit, the production
-	// configuration for concurrent load.
-	GroupCommit bool
 	// Fsync makes the journal fsync every flush, the durable production
 	// configuration. Off by default: most rig runs measure the software
 	// stack, not the disk.
@@ -106,10 +103,10 @@ type Rig struct {
 // Seller is the account owning every seeded dataset.
 const Seller = market.SellerID("rig-seller")
 
-// StartRig boots the in-process cluster: journaled market (group commit
-// per rc), HTTP and wire listeners on ephemeral localhost ports, shared
-// telemetry, and a seeded catalog of rc.Datasets datasets and rc.Buyers
-// registered buyers. Callers must Close the rig.
+// StartRig boots the in-process cluster: journaled market, HTTP and
+// wire listeners on ephemeral localhost ports, shared telemetry, and a
+// seeded catalog of rc.Datasets datasets and rc.Buyers registered
+// buyers. Callers must Close the rig.
 func StartRig(rc RigConfig) (*Rig, error) {
 	if rc.Datasets <= 0 {
 		rc.Datasets = 16
@@ -153,9 +150,6 @@ func StartRig(rc RigConfig) (*Rig, error) {
 	}
 
 	opts := []journal.Option{journal.WithTelemetry(r.Tel)}
-	if rc.GroupCommit {
-		opts = append(opts, journal.WithGroupCommit(0))
-	}
 	if rc.Fsync {
 		opts = append(opts, journal.WithFsync())
 	}

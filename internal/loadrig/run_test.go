@@ -6,10 +6,9 @@ import (
 	"time"
 )
 
-// startTestRig boots a small group-commit rig and registers cleanup.
+// startTestRig boots a small rig and registers cleanup.
 func startTestRig(t *testing.T, rc RigConfig) *Rig {
 	t.Helper()
-	rc.GroupCommit = true
 	rig, err := StartRig(rc)
 	if err != nil {
 		t.Fatal(err)

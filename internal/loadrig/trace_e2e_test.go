@@ -12,7 +12,7 @@ import (
 )
 
 // TestTraceExemplarLookupE2E is the acceptance path for full-pipeline
-// causal tracing: boot a traced, durable (group-commit + fsync) rig,
+// causal tracing: boot a traced, durable (fsync) rig,
 // drive wire bids through it, scrape /metrics, take the trace ID riding
 // a shield_stage_seconds bucket exemplar for the group_commit.fsync
 // stage, resolve that ID via /debug/traces?id=, and see the op's full
@@ -23,7 +23,6 @@ func TestTraceExemplarLookupE2E(t *testing.T) {
 	rig, err := StartRig(RigConfig{
 		Datasets:    8,
 		Buyers:      32,
-		GroupCommit: true,
 		Fsync:       true,
 		TraceSample: 1,
 	})

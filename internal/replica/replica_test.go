@@ -214,9 +214,9 @@ func TestFollowerSnapshotCatchUpAfterRingEviction(t *testing.T) {
 }
 
 func TestFollowerGroupCommitLeader(t *testing.T) {
-	// The commit hook's ordering contract is subtler under group
-	// commit; prove convergence there too.
-	r := newLeaderRig(t, 0, journal.WithGroupCommit(0))
+	// The commit hook's ordering contract is subtler when groups grow
+	// under a commit window; prove convergence there too.
+	r := newLeaderRig(t, 0, journal.WithGroupCommit(200*time.Microsecond))
 	f, err := Start(Config{Dial: r.dial, BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -151,6 +151,37 @@ func TestFollowerPersistentColdRestart(t *testing.T) {
 	}
 }
 
+// TestFollowerRegistersOnlyRecoveryGauges: a follower with a local
+// store has no journal writer, so of the journal's families its
+// registry — the /metrics of `marketd -follow -journal-dir` — holds the
+// two recovery gauges and nothing that would sit at zero forever.
+func TestFollowerRegistersOnlyRecoveryGauges(t *testing.T) {
+	r := newLeaderRig(t, 0)
+	tel := obs.NewTelemetry()
+	f, err := Start(Config{Dial: r.dial, Dir: t.TempDir(), Telemetry: tel,
+		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitConverged(t, f, r.feed, 5*time.Second)
+	var text strings.Builder
+	if err := tel.Registry.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	exposition := text.String()
+	for _, want := range []string{"shield_journal_recovery_seconds ", "shield_journal_recovery_records "} {
+		if !strings.Contains(exposition, want) {
+			t.Errorf("follower exposition lacks %q", want)
+		}
+	}
+	for _, idle := range []string{"shield_journal_group_records", "shield_journal_appended_bytes_total", `stage="group_commit.`} {
+		if strings.Contains(exposition, idle) {
+			t.Errorf("follower exposition carries the writer's %q, which no follower ever moves", idle)
+		}
+	}
+}
+
 // TestOnePayloadFromStageToFollower: a committed command is encoded
 // once. The payload a feed subscriber receives, the payload in the
 // leader's segment and the payload the follower's local store appended
@@ -158,7 +189,7 @@ func TestFollowerPersistentColdRestart(t *testing.T) {
 // with a rejected entry, ticks, traced and untraced alike.
 func TestOnePayloadFromStageToFollower(t *testing.T) {
 	keepAll := journal.StoreConfig{SegmentRecords: 16, CheckpointEvery: -1, RetainSegments: -1}
-	jm, _, err := journal.OpenStore(testConfig(), t.TempDir(), keepAll, journal.WithGroupCommit(0))
+	jm, _, err := journal.OpenStore(testConfig(), t.TempDir(), keepAll)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func RunHot(cfg HotConfig) (*Report, error) {
 	// whole history is retained, because every checkpoint replays it.
 	sc := journal.StoreConfig{SegmentRecords: 4096, CheckpointEvery: int64(max(cfg.Ops/12, 500)), RetainSegments: -1}
 	dir := filepath.Join(cfg.Dir, "leader")
-	jm, _, err := journal.OpenStore(market.Config{Engine: DefaultEngine(), Seed: cfg.Seed}, dir, sc, journal.WithGroupCommit(0))
+	jm, _, err := journal.OpenStore(market.Config{Engine: DefaultEngine(), Seed: cfg.Seed}, dir, sc)
 	if err != nil {
 		return nil, fmt.Errorf("torture: hot leader: %w", err)
 	}
