@@ -60,7 +60,11 @@ type Event struct {
 //
 // Apply needs exclusive access to st; see State.
 func Apply(st *State, cmd Command) ([]Event, error) {
-	var evs []Event
+	return apply(st, cmd, nil)
+}
+
+// apply is Apply appending the events to evs.
+func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 	switch c := cmd.(type) {
 	case RegisterBuyer:
 		if c.Buyer == "" {
@@ -179,8 +183,8 @@ func Apply(st *State, cmd Command) ([]Event, error) {
 	case Settle:
 		return evs, ErrNotMarket
 
-	default:
-		return evs, fmt.Errorf("command: unhandled command type %T", cmd)
+	default: // not one of the nine; %T would make cmd escape
+		return evs, fmt.Errorf("%w: no command", ErrUnknownOp)
 	}
 }
 
@@ -190,6 +194,28 @@ func Apply(st *State, cmd Command) ([]Event, error) {
 // times a second.
 func ApplyBid(st *State, c SubmitBid) (Event, error) {
 	return st.applyBid(c.Buyer, c.Dataset, c.Amount)
+}
+
+// ApplyEncoded is Apply for a binary-encoded command (a journal record's
+// payload), appending the events to evs. A bid's names are looked up
+// from the bytes (a map index by string(b) copies nothing) and it is
+// applied under the state's own spellings, allocating nothing. Other
+// opcodes, and names the state has never met, are decoded first.
+func ApplyEncoded(st *State, payload []byte, evs []Event) ([]Event, error) {
+	if len(payload) > 0 && payload[0] == bopBid {
+		r := binReader{data: payload[1:]}
+		buyer, dataset, amount := r.bid()
+		acct, known := st.buyers[BuyerID(buyer)]
+		i, indexed := st.index[DatasetID(dataset)]
+		if known && indexed && r.end() == nil {
+			return apply(st, SubmitBid{Buyer: acct.id, Dataset: st.names[i], Amount: amount}, evs)
+		}
+	}
+	cmd, err := DecodeBinary(payload)
+	if err != nil {
+		return evs, err
+	}
+	return apply(st, cmd, evs)
 }
 
 // applyBid is the bid rule: cadence and Time-Shield checks against the

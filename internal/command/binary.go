@@ -31,7 +31,8 @@ func EncodeBinary(cmd Command) ([]byte, error) {
 // AppendBinary appends cmd's canonical binary encoding to dst and
 // returns the extended slice — the encoder for callers that own a
 // buffer (the journal's commit stage encodes a whole group into one).
-// On error dst is returned unextended.
+// On error dst is returned unextended. cmd does not escape, so a caller
+// holding a bid as a value boxes it on its own stack to encode it.
 func AppendBinary(dst []byte, cmd Command) ([]byte, error) {
 	b := dst
 	switch c := cmd.(type) {
@@ -57,10 +58,7 @@ func AppendBinary(dst []byte, cmd Command) ([]byte, error) {
 		b = appendString(b, string(c.Seller))
 		b = appendString(b, string(c.Dataset))
 	case SubmitBid:
-		b = append(b, bopBid)
-		b = appendString(b, string(c.Buyer))
-		b = appendString(b, string(c.Dataset))
-		b = appendFloat(b, c.Amount)
+		b = appendBid(append(b, bopBid), c)
 	case BidBatch:
 		if len(c.Bids) == 0 {
 			return dst, fmt.Errorf("%w: bid_batch with no bids", ErrMalformed)
@@ -68,26 +66,30 @@ func AppendBinary(dst []byte, cmd Command) ([]byte, error) {
 		b = append(b, bopBidBatch)
 		b = binary.AppendUvarint(b, uint64(len(c.Bids)))
 		for _, bid := range c.Bids {
-			b = appendString(b, string(bid.Buyer))
-			b = appendString(b, string(bid.Dataset))
-			b = appendFloat(b, bid.Amount)
+			b = appendBid(b, bid)
 		}
 	case Tick:
 		b = append(b, bopTick)
 	case Settle:
 		b = append(b, bopSettle)
-		b = appendString(b, string(c.Buyer))
-		b = appendString(b, string(c.Dataset))
-		b = appendFloat(b, c.Amount)
+		b = appendBid(b, SubmitBid{Buyer: c.Buyer, Dataset: c.Dataset, Amount: c.Amount})
 		if c.Exante {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
 		}
-	default:
-		return dst, fmt.Errorf("%w: %T", ErrUnknownOp, cmd)
+	default: // not one of the nine; %T would make cmd escape
+		return dst, fmt.Errorf("%w: no command", ErrUnknownOp)
 	}
 	return b, nil
+}
+
+// appendBid writes the fields a bid, a bid_batch entry and a settlement
+// share — buyer, dataset, amount; binReader.bid reads them back.
+func appendBid(b []byte, c SubmitBid) []byte {
+	b = appendString(b, string(c.Buyer))
+	b = appendString(b, string(c.Dataset))
+	return appendFloat(b, c.Amount)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -126,18 +128,34 @@ func (r *binReader) uvarint() uint64 {
 	return v
 }
 
-func (r *binReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
+// bytes reads a length-prefixed string, aliasing the input.
+func (r *binReader) bytes() []byte {
+	if n := r.uvarint(); r.err == nil && n <= uint64(len(r.data)) {
+		s := r.data[:n:n]
+		r.data = r.data[n:]
+		return s
 	}
-	if n > uint64(len(r.data)) {
-		r.fail()
-		return ""
+	r.fail()
+	return nil
+}
+
+// bid reads the fields appendBid writes; the names alias the input.
+func (r *binReader) bid() (buyer, dataset []byte, amount float64) {
+	return r.bytes(), r.bytes(), r.float()
+}
+
+func (r *binReader) submitBid() SubmitBid {
+	buyer, dataset, amount := r.bid()
+	return SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}
+}
+
+// end is the reader's verdict once a command's fields are read: the
+// first failure, or an error for input left over.
+func (r *binReader) end() error {
+	if r.err == nil && len(r.data) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.data))
 	}
-	s := string(r.data[:n])
-	r.data = r.data[n:]
-	return s
+	return r.err
 }
 
 func (r *binReader) float() float64 {
@@ -191,13 +209,13 @@ func DecodeBinary(data []byte) (Command, error) {
 	var cmd Command
 	switch data[0] {
 	case bopRegisterBuyer:
-		cmd = RegisterBuyer{Buyer: BuyerID(r.str())}
+		cmd = RegisterBuyer{Buyer: BuyerID(r.bytes())}
 	case bopRegisterSeller:
-		cmd = RegisterSeller{Seller: SellerID(r.str())}
+		cmd = RegisterSeller{Seller: SellerID(r.bytes())}
 	case bopUpload:
-		cmd = UploadDataset{Seller: SellerID(r.str()), Dataset: DatasetID(r.str())}
+		cmd = UploadDataset{Seller: SellerID(r.bytes()), Dataset: DatasetID(r.bytes())}
 	case bopCompose:
-		c := ComposeDataset{Dataset: DatasetID(r.str())}
+		c := ComposeDataset{Dataset: DatasetID(r.bytes())}
 		n := r.uvarint()
 		// Each constituent needs at least one length byte, so a count
 		// beyond the remaining bytes is unsatisfiable — reject before
@@ -207,14 +225,14 @@ func DecodeBinary(data []byte) (Command, error) {
 		} else if n > 0 { // leave nil for zero, the canonical absent form
 			c.Constituents = make([]DatasetID, 0, n)
 			for i := uint64(0); i < n && r.err == nil; i++ {
-				c.Constituents = append(c.Constituents, DatasetID(r.str()))
+				c.Constituents = append(c.Constituents, DatasetID(r.bytes()))
 			}
 		}
 		cmd = c
 	case bopWithdraw:
-		cmd = WithdrawDataset{Seller: SellerID(r.str()), Dataset: DatasetID(r.str())}
+		cmd = WithdrawDataset{Seller: SellerID(r.bytes()), Dataset: DatasetID(r.bytes())}
 	case bopBid:
-		cmd = SubmitBid{Buyer: BuyerID(r.str()), Dataset: DatasetID(r.str()), Amount: r.float()}
+		cmd = r.submitBid()
 	case bopBidBatch:
 		n := r.uvarint()
 		if n == 0 && r.err == nil {
@@ -222,38 +240,39 @@ func DecodeBinary(data []byte) (Command, error) {
 		}
 		// Each bid occupies at least 10 bytes (two length prefixes plus
 		// a float64), bounding any claimed count.
-		if n > uint64(len(r.data)) {
+		if n > uint64(len(r.data)/10) {
 			r.fail()
 		}
 		var c BidBatch
 		if r.err == nil {
 			c.Bids = make([]SubmitBid, 0, n)
 			for i := uint64(0); i < n && r.err == nil; i++ {
-				c.Bids = append(c.Bids, SubmitBid{
-					Buyer:   BuyerID(r.str()),
-					Dataset: DatasetID(r.str()),
-					Amount:  r.float(),
-				})
+				c.Bids = append(c.Bids, r.submitBid())
 			}
 		}
 		cmd = c
 	case bopTick:
 		cmd = Tick{}
 	case bopSettle:
-		cmd = Settle{
-			Buyer:   BuyerID(r.str()),
-			Dataset: DatasetID(r.str()),
-			Amount:  r.float(),
-			Exante:  r.boolByte(),
-		}
+		b := r.submitBid()
+		cmd = Settle{Buyer: b.Buyer, Dataset: b.Dataset, Amount: b.Amount, Exante: r.boolByte()}
 	default:
 		return nil, fmt.Errorf("%w: opcode %d", ErrUnknownOp, data[0])
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.data))
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return cmd, nil
+}
+
+// DecodeBid is DecodeBinary for a caller that takes a bid as a value:
+// when data holds one, it comes back unboxed and cmd is nil; anything
+// else decodes into cmd.
+func DecodeBid(data []byte) (bid SubmitBid, cmd Command, err error) {
+	if len(data) == 0 || data[0] != bopBid {
+		cmd, err = DecodeBinary(data)
+		return bid, cmd, err
+	}
+	r := binReader{data: data[1:]}
+	return r.submitBid(), nil, r.end()
 }

@@ -2,8 +2,10 @@ package command_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -109,6 +111,39 @@ func TestDecodeErrorsAreClosedSet(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
+	}
+}
+
+// bidPerByte is a bid_batch of size bytes whose count claims a bid for
+// every byte after it: hostile, and the largest a wire frame can carry.
+func bidPerByte(size int) []byte {
+	n := size - 4 // the opcode and a three-byte count
+	return append(binary.AppendUvarint([]byte{0x07}, uint64(n)), make([]byte, n)...)
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBidBatchDecodeIsBounded: a bid_batch's count is held to the ten
+// bytes a bid takes at least before anything is reserved for it, so no
+// input makes the decoder allocate more than a few times its own size.
+// Bounded by the bytes left alone, a 1 MiB batch claiming a bid per byte
+// reserved 41 944 912 B before failing as truncated.
+func TestBidBatchDecodeIsBounded(t *testing.T) {
+	data := bidPerByte(1 << 20)
+	var err error
+	got := allocated(func() { _, err = command.DecodeBinary(data) })
+	if !errors.Is(err, command.ErrMalformed) {
+		t.Fatalf("a batch claiming %d bids: %v, want ErrMalformed", len(data)-4, err)
+	}
+	if got > 5*uint64(len(data)) {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package command_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -27,7 +29,11 @@ var codecs = []codec{
 // closed error set {ErrMalformed, ErrUnknownOp}; a successful decode
 // re-encodes canonically and decodes back to the identical command
 // (decode→encode→decode is the identity, and encode∘decode is
-// idempotent on bytes).
+// idempotent on bytes). And the bytes applied as they are, through
+// ApplyEncoded, do exactly what DecodeBinary and Apply do: on twin
+// states that know the corpus's participants and datasets, both give
+// the same events, the same error text — an unknown name spelled as sent
+// — and the same canonical snapshot after.
 //
 // The seed corpus is a torture-harness workload replay — every command
 // kind under realistic persona-driven traffic plus chaos ops' hostile
@@ -36,6 +42,21 @@ func FuzzCommandDecode(f *testing.F) {
 	corpus, err := torture.CommandCorpus(1, 300)
 	if err != nil {
 		f.Fatal(err)
+	}
+	// The corpus alternates each command's JSON and binary encodings.
+	var registrations []command.Command
+	for i := 1; i < len(corpus); i += 2 {
+		switch cmd, _ := command.DecodeBinary(corpus[i]); cmd.(type) {
+		case command.RegisterBuyer, command.RegisterSeller, command.UploadDataset, command.ComposeDataset:
+			registrations = append(registrations, cmd)
+		}
+	}
+	twin := func() *command.State {
+		st := command.MustNewState(command.Config{Engine: torture.DefaultEngine(), Seed: 1})
+		for _, cmd := range registrations {
+			_, _ = command.Apply(st, cmd) // the corpus's refusals refuse here too
+		}
+		return st
 	}
 	for _, b := range corpus {
 		f.Add(b)
@@ -89,6 +110,24 @@ func FuzzCommandDecode(f *testing.F) {
 			if !reflect.DeepEqual(enc, enc2) {
 				t.Fatalf("%s: encoding is not idempotent:\n  first:  %x\n  second: %x", c.name, enc, enc2)
 			}
+		}
+
+		encoded, decoded := twin(), twin()
+		got, gerr := command.ApplyEncoded(encoded, data, nil)
+		cmd, werr := command.DecodeBinary(data)
+		var want []command.Event
+		if werr == nil {
+			want, werr = command.Apply(decoded, cmd)
+		}
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("ApplyEncoded errs %v where DecodeBinary+Apply errs %v (input %x)", gerr, werr, data)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ApplyEncoded's events differ from DecodeBinary+Apply's (input %x):\n  encoded: %+v\n  decoded: %+v", data, got, want)
+		}
+		a, b := encoded.Snapshot(), decoded.Snapshot()
+		if x, y := mustCanonical(t, a), mustCanonical(t, b); !bytes.Equal(x, y) {
+			t.Fatalf("ApplyEncoded leaves a different state from DecodeBinary+Apply (input %x): %s", data, a.Diff(b))
 		}
 	})
 }

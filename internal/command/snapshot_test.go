@@ -410,10 +410,11 @@ func TestSnapshotDecodeBoundsCounts(t *testing.T) {
 // re-encodes to the very bytes it was given — there is one encoding per
 // state, and the decoder takes no other — and so does the state
 // RestoreState builds from it, when it is a market at all: whatever keys
-// a buyer's three maps held, each gets its own back. (The engines aside:
-// core fills a restored engine's unset configuration defaults in.)
+// a buyer's three maps held, each gets its own back, and every engine
+// keeps its configuration as recorded, unset defaults included.
 func FuzzSnapshotDecode(f *testing.F) {
-	for _, s := range tortureSnapshots(f, 1, 600, 200) {
+	var s command.Snapshot
+	for _, s = range tortureSnapshots(f, 1, 600, 200) {
 		enc := mustCanonical(f, s)
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
@@ -421,6 +422,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x40
 		f.Add(flipped)
 	}
+	for id, es := range s.Engines { // recorded with every default unset
+		es.Config.Eta, es.Config.BidsPerPeriod, es.Config.MaxWaitEpochs, es.Config.AdHocNeighborhood = 0, 0, 0, 0
+		s.Engines[id] = es
+	}
+	f.Add(mustCanonical(f, s))
 	f.Add(mustCanonical(f, command.Snapshot{}))
 	f.Add([]byte{})
 	f.Add([]byte("{}"))
@@ -437,8 +443,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(data), len(enc))
 		}
 		if st, err := command.RestoreState(s); err == nil {
-			again := st.Snapshot()
-			if again.Engines = s.Engines; !bytes.Equal(mustCanonical(t, again), data) {
+			if again := st.Snapshot(); !bytes.Equal(mustCanonical(t, again), data) {
 				t.Fatalf("restored and re-snapshotted: %s", s.Diff(again))
 			}
 		}

@@ -21,6 +21,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -242,19 +243,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Fields with a default are read through these (BidsPerPeriod through
+// ceilDiv): a restored engine keeps its configuration as recorded.
+func (c Config) eta() float64           { return cmp.Or(c.Eta, mw.DefaultEta) }
+func (c Config) maxWaitEpochs() int     { return cmp.Or(c.MaxWaitEpochs, 64) }
+func (c Config) adHocNeighborhood() int { return cmp.Or(c.AdHocNeighborhood, 1) }
+
 func (c *Config) applyDefaults() {
-	if c.Eta == 0 {
-		c.Eta = mw.DefaultEta
-	}
-	if c.BidsPerPeriod == 0 {
-		c.BidsPerPeriod = 1
-	}
-	if c.MaxWaitEpochs == 0 {
-		c.MaxWaitEpochs = 64
-	}
-	if c.AdHocNeighborhood == 0 {
-		c.AdHocNeighborhood = 1
-	}
+	c.Eta, c.MaxWaitEpochs, c.AdHocNeighborhood = c.eta(), c.maxWaitEpochs(), c.adHocNeighborhood()
+	c.BidsPerPeriod = cmp.Or(c.BidsPerPeriod, 1)
 }
 
 // New builds an Engine from cfg.
@@ -329,7 +326,8 @@ func (e *Engine) Allocations() int { return e.allocations }
 // Epochs returns the number of completed epochs.
 func (e *Engine) Epochs() int { return e.epochs }
 
-// Config returns the engine's configuration (with defaults applied).
+// Config returns the engine's configuration: with defaults applied when
+// New built the engine, as recorded when RestoreSnapshot did.
 func (e *Engine) Config() Config { return e.cfg }
 
 // SubmitBid runs Algorithm 1 lines 4-12 for one incoming bid: the bid is
@@ -463,7 +461,7 @@ func (e *Engine) regrid() {
 	}
 	e.cfg.Candidates = newCands
 	e.minCandidate = lo
-	e.learner = mw.NewLearnerWithWeights(newCands, newWeights, e.cfg.Eta)
+	e.learner = mw.NewLearnerWithWeights(newCands, newWeights, e.cfg.eta())
 	if e.cfg.ShareFraction > 0 {
 		e.learner.SetShare(e.cfg.ShareFraction)
 	}
@@ -490,7 +488,7 @@ func (e *Engine) drawPrice() float64 {
 	case DrawMWMax:
 		p = e.cfg.Candidates[e.learner.ArgMax()]
 	case DrawAdHoc:
-		k := e.cfg.AdHocNeighborhood
+		k := e.cfg.adHocNeighborhood()
 		center := e.learner.ArgMax()
 		lo, hi := center-k, center+k
 		if lo < 0 {
@@ -560,7 +558,7 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 		// No candidate price can ever fall to b: the bid can never become
 		// competitive, so waiting cannot cost the buyer an opportunity
 		// (Section 4.2) and the wait is the full simulation cap.
-		return ceilDiv(remaining+e.cfg.MaxWaitEpochs*size, e.cfg.BidsPerPeriod)
+		return ceilDiv(remaining+e.cfg.maxWaitEpochs()*size, e.cfg.BidsPerPeriod)
 	}
 
 	// Round one: the current epoch completed with synthetic bids, priced
@@ -594,7 +592,7 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 
 	w := e.learner.WeightsInto(e.simW)
 	eta, share := e.learner.Eta(), e.learner.Share()
-	for round := 0; round < e.cfg.MaxWaitEpochs; round++ {
+	for round := 0; round < e.cfg.maxWaitEpochs(); round++ {
 		if moved {
 			mw.Step(w, e.costs, eta, share)
 		}
@@ -647,7 +645,7 @@ func (e *Engine) Reset() {
 		copy(cands, e.origCandidates)
 		e.cfg.Candidates = cands
 		e.minCandidate = e.origLo
-		e.learner = mw.NewLearner(cands, e.cfg.Eta)
+		e.learner = mw.NewLearner(cands, e.cfg.eta())
 		if e.cfg.ShareFraction > 0 {
 			e.learner.SetShare(e.cfg.ShareFraction)
 		}

@@ -118,8 +118,7 @@ func RestoreSnapshot(s Snapshot) (*Engine, error) {
 		}
 	}
 
-	cfg := s.Config
-	cfg.applyDefaults()
+	cfg := s.Config // as recorded: see Config.eta
 	cands := make([]float64, len(cfg.Candidates))
 	copy(cands, cfg.Candidates)
 	cfg.Candidates = cands

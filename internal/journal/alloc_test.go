@@ -1,0 +1,113 @@
+package journal
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"testing"
+
+	"github.com/datamarket/shield/internal/command"
+	"github.com/datamarket/shield/internal/market"
+)
+
+// allocConfig is testConfig with buyers that wait exactly one period
+// after a losing bid of 5: the amount sits under every candidate, so the
+// Time-Shield wait is the simulation cap, at most 260 bids, which 1024
+// bids per period turn into one period.
+func allocConfig() market.Config {
+	cfg := testConfig()
+	cfg.Engine.BidsPerPeriod = 1024
+	return cfg
+}
+
+// TestReplayBidAllocs is replay's allocation budget: once the state has
+// met the buyer and the dataset, replaying a tick record and a losing bid
+// record allocates nothing — the bid's names are looked up in the state
+// from the payload's bytes, no command is boxed and the events land in
+// replay's scratch. Decoding the record and applying the command, as
+// replay did before, cost four allocations per bid: the command's box,
+// its two names and a one-event slice.
+func TestReplayBidAllocs(t *testing.T) {
+	st, err := command.NewState(allocConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := replay{st: st}
+	var records []Record
+	for _, cmd := range []command.Command{
+		command.RegisterSeller{Seller: "seller"},
+		command.UploadDataset{Seller: "seller", Dataset: "dataset"},
+		command.RegisterBuyer{Buyer: "buyer"},
+		command.Tick{},
+		command.SubmitBid{Buyer: "buyer", Dataset: "dataset", Amount: 5},
+	} {
+		payload, err := command.EncodeBinary(cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, Record{Payload: payload})
+	}
+	replayed := func(recs []Record) {
+		for _, rec := range recs {
+			if err := rp.record(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replayed(records[:3])
+	run := func() {
+		replayed(records[3:]) // a tick, then the bid
+		if ev := rp.evs[0]; ev.Kind != command.EvBidDecided || ev.Decision.Allocated || ev.Decision.WaitPeriods != 1 {
+			t.Fatalf("replayed bid: %+v; want a loss with a one-period wait", ev)
+		}
+	}
+	run() // the buyer's record on the dataset, replay's scratch
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Fatalf("replaying a tick and a losing bid allocates %.1f times, want 0", n)
+	}
+}
+
+// TestJournaledBidSteadyStateAllocs is TestBidHotPathSteadyStateAllocs
+// (internal/market) through the commit stage: losing bids submitted to
+// a journaled market — applied, framed, written to the sink, published —
+// allocate nothing in the steady state. The bid rides its group as a
+// value and its event comes back as one. Each run pays one Tick, whose
+// event slice is the run's one allocation, and a bid per buyer. Boxing
+// the bid into a command and its event into a slice cost two per bid.
+func TestJournaledBidSteadyStateAllocs(t *testing.T) {
+	const buyers = 64
+	jm, err := NewMarket(allocConfig(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jm.RegisterSeller("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := jm.UploadDataset("s", "d"); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]market.BuyerID, buyers)
+	for i := range ids {
+		ids[i] = market.BuyerID(fmt.Sprintf("buyer-%02d", i))
+		if err := jm.RegisterBuyer(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	bidAll := func() {
+		if _, err := jm.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if d, err := jm.SubmitBidCtx(ctx, id, "d", 5); err != nil || d.Allocated || d.WaitPeriods != 1 {
+				t.Fatalf("bid by %s: %+v, %v; want a loss with a one-period wait", id, d, err)
+			}
+		}
+	}
+	bidAll() // every buyer's record on the dataset, the writer's group
+	allocs := testing.AllocsPerRun(100, bidAll)
+	t.Logf("%.2f allocs per tick+%d-bid run", allocs, buyers)
+	if allocs > 1 {
+		t.Fatalf("a journaled tick and %d losing bids allocate %.2f times (%.3f per bid), want <= 1", buyers, allocs, (allocs-1)/buyers)
+	}
+}

@@ -124,14 +124,6 @@ type Record struct {
 	Size    int
 }
 
-// Command decodes a body record's command.
-func (r Record) Command() (command.Command, error) {
-	if r.Head {
-		return nil, ErrDoubleStart
-	}
-	return command.DecodeBinary(r.Payload)
-}
-
 // Event is the record's decoded view — what the log held before v3, and
 // still what inspection tooling and tests read.
 func (r Record) Event() (Event, error) {
@@ -145,7 +137,7 @@ func (r Record) Event() (Event, error) {
 		}
 		return e, nil
 	}
-	cmd, err := r.Command()
+	cmd, err := command.DecodeBinary(r.Payload)
 	if err == nil {
 		e, err = EventFromCommand(cmd)
 	}

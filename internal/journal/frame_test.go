@@ -158,7 +158,7 @@ func TestScanAllocationGuard(t *testing.T) {
 				return nil
 			}
 			seen++
-			_, err := rec.Command()
+			_, err := command.DecodeBinary(rec.Payload)
 			return err
 		}); err != nil || seen != n {
 			t.Fatalf("scan: %d records, err %v", seen, err)

@@ -11,7 +11,7 @@
 // command.EncodeBinary bytes (frame.go): the commit stage encodes each
 // command once, and those bytes are what the segment holds, what the
 // replication feed fans out, what a follower's local store appends and
-// what replay decodes. Event is the decoded view of a record — what
+// what replay applies. Event is the decoded view of a record — what
 // inspection tooling, `marketctl journal-info -dump` and tests read —
 // and the line format of logs written before v3; CommandFromEvent and
 // EventFromCommand convert between it and the typed command.
@@ -339,16 +339,17 @@ type Writer struct {
 // once the stage has run, what came of it.
 type member struct {
 	ctx context.Context
-	// Exactly one of cmd, bids, rec and head is the request: a command
+	// At most one of cmd, bids, rec and head is the request: a command
 	// for the stage to apply and record; a SubmitBids batch, applied
 	// entry by entry with failures skipped and the successes recorded as
 	// one bid_batch; a command to record without applying it (Append);
-	// or a head record.
+	// or a head record; with none, bid — one bid, by value, event in ev.
 	cmd  command.Command
+	bid  command.SubmitBid
 	bids []market.BidRequest
 	// rec is the command the log records for this member, with the trace
 	// ID it carries — the request itself for Append, otherwise what apply
-	// settled.
+	// settled; nil for a lone bid.
 	rec   command.Command
 	trace string
 	head  *Event
@@ -360,6 +361,7 @@ type member struct {
 	seq           int64
 	off, pay, end int
 
+	ev  command.Event
 	evs []command.Event
 	res []market.BidResult // per-entry outcomes of bids
 	err error
@@ -555,7 +557,7 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 			break // an earlier group tore the sink, or this one cannot be logged
 		}
 		mb := &g.members[i]
-		applied := mb.cmd != nil || mb.bids != nil
+		applied := mb.rec == nil && mb.head == nil
 		if applied && !mb.apply(live) {
 			continue
 		}
@@ -604,7 +606,9 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 	}
 	if w.live != nil {
 		for i := range g.members {
-			live.Publish(g.members[i].ctx, g.members[i].evs)
+			mb := &g.members[i]
+			live.Publish(mb.ctx, mb.evs...)
+			live.Publish(mb.ctx, mb.ev) // a zero Event publishes nothing
 		}
 	}
 	if records == 0 {
@@ -641,6 +645,8 @@ func (w *Writer) encode(mb *member) error {
 		if head, err = json.Marshal(mb.head); err == nil {
 			buf = append(buf, head...)
 		}
+	} else if mb.rec == nil { // a lone bid, boxed on this stack
+		buf, err = command.AppendBinary(buf, mb.bid)
 	} else {
 		buf, err = command.AppendBinary(buf, mb.rec)
 	}
@@ -655,42 +661,42 @@ func (w *Writer) encode(mb *member) error {
 	return nil
 }
 
-// apply runs the member's command through the market and settles what
+// apply runs the member's request through the market and settles what
 // the log records for it; it reports whether there is a record. Every
-// command but a batch is recorded on success only. A batch may partly
+// request but a batch is recorded on success only. A batch may partly
 // apply — a BidBatch stops at its first failing bid, a SubmitBids batch
 // skips failures — and the log records exactly the bids that applied,
 // as one bid_batch; the command's own error, if any, still reaches the
 // caller.
 func (mb *member) apply(live market.Stage) bool {
-	cmd := mb.cmd
-	if mb.bids != nil {
+	mb.trace = obs.RequestIDFrom(mb.ctx)
+	switch {
+	case mb.bids != nil:
 		applied := make([]command.SubmitBid, 0, len(mb.bids))
 		for i, r := range mb.bids {
-			c := command.SubmitBid{Buyer: r.Buyer, Dataset: r.Dataset, Amount: r.Amount}
-			ev, err := live.ApplyBid(mb.ctx, c)
+			bid := command.SubmitBid{Buyer: r.Buyer, Dataset: r.Dataset, Amount: r.Amount}
+			ev, err := live.ApplyBid(mb.ctx, bid)
 			if err != nil {
 				mb.res[i].Err = err
 				continue
 			}
 			mb.res[i].Decision = ev.Decision
 			mb.evs = append(mb.evs, ev)
-			applied = append(applied, c)
+			applied = append(applied, bid)
 		}
-		cmd = command.BidBatch{Bids: applied}
-	} else {
-		mb.evs, mb.err = live.Apply(mb.ctx, cmd)
+		mb.rec = command.BidBatch{Bids: applied}
+		return len(applied) > 0
+	case mb.cmd == nil:
+		mb.ev, mb.err = live.ApplyBid(mb.ctx, mb.bid)
+		return mb.err == nil
 	}
-	if b, ok := cmd.(command.BidBatch); ok {
-		if len(mb.evs) == 0 {
-			return false
-		}
-		cmd = command.BidBatch{Bids: b.Bids[:len(mb.evs)]}
-	} else if mb.err != nil {
-		return false
+	mb.evs, mb.err = live.Apply(mb.ctx, mb.cmd)
+	mb.rec = mb.cmd
+	if b, ok := mb.cmd.(command.BidBatch); ok {
+		mb.rec = command.BidBatch{Bids: b.Bids[:len(mb.evs)]}
+		return len(mb.evs) > 0
 	}
-	mb.rec, mb.trace = cmd, obs.RequestIDFrom(mb.ctx)
-	return true
+	return mb.err == nil
 }
 
 // write hands the stage's buffer to the sink as one Write and, with
@@ -831,33 +837,32 @@ func stateFromHead(e Event) (*command.State, error) {
 	return nil, ErrNoGenesis
 }
 
-// replayRecord is the one step of streaming recovery: the first record a
-// state sees is the head that builds it, every later one is a command
-// decoded straight from its payload and applied — payload →
-// command.DecodeBinary → command.Apply, no Event in between. Recovery
-// runs on the bare state — no writer mutex, no stage timers, nothing
-// published per record — and the caller wraps the final state in a
-// market once (market.FromState), which derives the read views exactly
-// as a checkpoint load does. It returns the state to carry into the next
-// step.
-func replayRecord(st *command.State, rec Record) (*command.State, error) {
-	if st == nil {
+// replay is streaming recovery: the head record builds the state, and
+// every later one is applied straight from its payload
+// (command.ApplyEncoded). It runs on the bare state — no writer mutex,
+// no stage timers, nothing published per record — and the caller wraps
+// the final state in a market once (market.FromState), which derives
+// the read views exactly as a checkpoint load does.
+type replay struct {
+	st  *command.State
+	evs []command.Event // scratch: replay keeps no event
+}
+
+func (rp *replay) record(rec Record) error {
+	if rp.st == nil {
 		// A body record here decodes to a non-head Event, which
 		// stateFromHead refuses with ErrNoGenesis.
 		head, err := rec.Event()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			rp.st, err = stateFromHead(head)
 		}
-		return stateFromHead(head)
+		return err
 	}
-	cmd, err := rec.Command()
-	if err != nil {
-		return nil, fmt.Errorf("%w: event %d: %v", ErrReplay, rec.Seq, err)
+	var err error
+	if rp.evs, err = command.ApplyEncoded(rp.st, rec.Payload, rp.evs[:0]); err != nil {
+		return fmt.Errorf("%w: event %d: %v", ErrReplay, rec.Seq, err)
 	}
-	if _, err := command.Apply(st, cmd); err != nil {
-		return nil, fmt.Errorf("%w: event %d (%s): %v", ErrReplay, rec.Seq, cmd.Op(), err)
-	}
-	return st, nil
+	return nil
 }
 
 // Restore reads a log and rebuilds the market it describes in one
@@ -866,19 +871,14 @@ func replayRecord(st *command.State, rec Record) (*command.State, error) {
 // torn trailing record is dropped; a log whose very head is torn (a
 // crash during the first append) fails with ErrNoGenesis.
 func Restore(r io.Reader) (*market.Market, error) {
-	var st *command.State
-	_, _, err := ScanRecords(r, 1, func(rec Record) error {
-		var rerr error
-		st, rerr = replayRecord(st, rec)
-		return rerr
-	})
-	if err != nil {
+	var rp replay
+	if _, _, err := ScanRecords(r, 1, rp.record); err != nil {
 		return nil, err
 	}
-	if st == nil {
+	if rp.st == nil {
 		return nil, ErrNoGenesis
 	}
-	return market.FromState(st), nil
+	return market.FromState(rp.st), nil
 }
 
 // syncFileHook is the post-truncation fsync; crash tests swap it to
@@ -971,7 +971,7 @@ func (m *Market) Apply(cmd command.Command) ([]command.Event, error) {
 // returns once its group has reached the sink and been published. What
 // is logged for a command that fails or partly applies is member.apply's
 // business; a journal failure takes precedence over the command's own
-// error. Every other mutating method is a call into this one.
+// error. Every other mutating method but SubmitBidCtx calls this one.
 func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error) {
 	mb := m.w.enter(member{ctx: ctx, cmd: cmd})
 	return mb.evs, mb.err
@@ -991,12 +991,16 @@ func (m *Market) TestUnorderedCommit(yield func()) {
 		live := m.Market.Stage()
 		live.Lock()
 		logged := mb.apply(live)
-		live.Publish(mb.ctx, mb.evs)
+		live.Publish(mb.ctx, mb.evs...)
+		live.Publish(mb.ctx, mb.ev)
 		live.Unlock()
 		if !logged {
 			return mb
 		}
 		yield()
+		if mb.rec == nil {
+			mb.rec = mb.bid // a lone bid: the canary may box it
+		}
 		if err := m.w.submit(member{ctx: mb.ctx, rec: mb.rec, trace: mb.trace}).err; err != nil {
 			mb.err = err
 		}
@@ -1052,13 +1056,14 @@ func (m *Market) SubmitBid(buyer market.BuyerID, dataset market.DatasetID, amoun
 // SubmitBidCtx is SubmitBid with request context: the obs trace rides
 // through the stage's queue-wait, apply, append, fsync and publish
 // spans, and the journaled event records the request ID so operators
-// can join a log record to its trace.
+// can join a log record to its trace. The bid and its event ride the
+// group as values, copied out before the group is recycled.
 func (m *Market) SubmitBidCtx(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
-	evs, err := m.ApplyCtx(ctx, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
-	if err != nil {
-		return market.Decision{}, err
+	mb := m.w.enter(member{ctx: ctx, bid: command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount}})
+	if mb.err != nil {
+		return market.Decision{}, mb.err
 	}
-	return evs[0].Decision, nil
+	return mb.ev.Decision, nil
 }
 
 // SubmitBids places a batch of bids in request order and journals the

@@ -10,7 +10,7 @@ import (
 
 // The slice-returning log readers. The package exported them until
 // nothing but tests called them (recovery streams: ScanRecords →
-// replayRecord); the crash, golden and fuzz tests still want a log as a
+// replay.record); the crash, golden and fuzz tests still want a log as a
 // slice of events and a market at each of its prefixes.
 
 // Recover materializes every event of a log; see Scan for the rest.

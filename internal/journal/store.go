@@ -59,8 +59,8 @@
 //
 // Recovery is O(tail): open the newest checkpoint, restore its
 // snapshot as a bare command.State, stream only the segments holding
-// records past the checkpoint seq through command.Apply, and wrap the
-// finished state in a market once (replayRecord) — sealed segments
+// records past the checkpoint seq through command.ApplyEncoded, and
+// wrap the finished state in a market once (replay) — sealed segments
 // wholly covered by the checkpoint are skipped using seghead chaining
 // alone, and no whole-history []Event slice is ever built. A torn tail
 // in the final segment is truncated and the repair fsynced (file then

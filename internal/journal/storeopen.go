@@ -99,7 +99,7 @@ func readSegHead(dir string, index int64) (head segHead, torn bool, err error) {
 type storeState struct {
 	m        *market.Market // nil when the store holds no durable state
 	lastSeq  int64
-	replayed int           // records streamed through command.Apply — the bounded tail
+	replayed int           // records streamed through command.ApplyEncoded — the bounded tail
 	took     time.Duration // the walk, checkpoint load and view derivation included
 	segs     []segMeta
 	ckpts    []int64
@@ -140,17 +140,17 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 	}
 
 	// Newest decodable checkpoint seeds the state the tail replays onto
-	// (replayRecord); the market and its read views are built from it
-	// once, after the walk. Checkpoints are written atomically, so a
+	// (replay); the market and its read views are built from it once,
+	// after the walk. Checkpoints are written atomically, so a
 	// present-but-undecodable one is corruption, not a crash artifact.
-	var state *command.State
+	var rp replay
 	if n := len(l.ckptSeqs); n > 0 {
 		ck, err := readCheckpointFile(dir, l.ckptSeqs[n-1])
 		if err != nil {
 			return nil, err
 		}
 		st.lastCkpt = ck.Seq
-		state, err = command.RestoreState(ck.Snapshot)
+		rp.st, err = command.RestoreState(ck.Snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("journal: checkpoint %s: %w", ckptName(ck.Seq), err)
 		}
@@ -227,9 +227,8 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 			if rec.Seq <= st.lastCkpt {
 				return nil // already inside the checkpoint
 			}
-			var rerr error
-			if state, rerr = replayRecord(state, rec); rerr != nil {
-				return rerr
+			if err := rp.record(rec); err != nil {
+				return err
 			}
 			st.replayed++
 			return nil
@@ -264,8 +263,8 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 	if st.resetTail {
 		st.tailBase = st.lastSeq + 1
 	}
-	if state != nil {
-		st.m = market.FromState(state)
+	if rp.st != nil {
+		st.m = market.FromState(rp.st)
 	}
 	st.took = time.Since(start)
 	return st, nil

@@ -211,7 +211,7 @@ func (s Stage) ApplyBid(ctx context.Context, c command.SubmitBid) (command.Event
 
 // Publish makes applied events visible to readers. Events must be
 // published in the order Apply returned them.
-func (s Stage) Publish(ctx context.Context, evs []command.Event) {
+func (s Stage) Publish(ctx context.Context, evs ...command.Event) {
 	for i := range evs {
 		s.m.publish(ctx, &evs[i])
 	}
@@ -233,7 +233,7 @@ func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.E
 	s.Lock()
 	defer s.Unlock()
 	evs, err := s.Apply(ctx, cmd)
-	s.Publish(ctx, evs)
+	s.Publish(ctx, evs...)
 	return evs, err
 }
 

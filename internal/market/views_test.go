@@ -176,7 +176,7 @@ func TestOneGroupUploadSaleWithdraw(t *testing.T) {
 		t.Fatalf("before publication: Owns = %v, TxCount = %d", owns, m.TxCount())
 	}
 	for _, evs := range group {
-		s.Publish(ctx, evs)
+		s.Publish(ctx, evs...)
 	}
 	s.Unlock()
 

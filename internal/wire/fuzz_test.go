@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"github.com/datamarket/shield/internal/apierr"
@@ -111,4 +112,29 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("response status %d for %x", status, payload)
 		}
 	})
+}
+
+// TestHandleBoundsBidBatchDecode: a frame-sized bid_batch whose count
+// claims a bid per byte is refused for what it is — a malformed command
+// — without the server allocating more than a few times the frame. The
+// decoder once reserved 40 B per byte of such a frame, 40 MiB a request.
+func TestHandleBoundsBidBatchDecode(t *testing.T) {
+	payload := append(binary.AppendUvarint(nil, 1), kindCommand)
+	n := MaxFrame - len(payload) - 4 // the opcode and a three-byte count
+	payload = binary.AppendUvarint(append(payload, 0x07), uint64(n))
+	payload = append(payload, make([]byte, n)...)
+	s := NewServer(testMarket(t))
+	rc := &obs.RequestCtx{Context: context.Background()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, _ := s.handle(rc, payload, nil, Version, 0)
+	runtime.ReadMemStats(&after)
+	r := &payloadReader{data: resp}
+	r.uvarint()
+	if status, code := r.byte(), r.str(); status != statusErr || code != apierr.CodeBadRequest {
+		t.Fatalf("response status %d, code %q; want a %s envelope", status, code, apierr.CodeBadRequest)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 5*uint64(len(payload)) {
+		t.Fatalf("handling a %d-byte frame allocated %d bytes", len(payload), got)
+	}
 }

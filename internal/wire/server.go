@@ -15,12 +15,13 @@ import (
 )
 
 // Backend is the market surface the wire server drives. Both
-// *market.Market and *journal.Market satisfy it: commands flow through
-// ApplyCtx (journaled on a journaled backend), batches through
-// SubmitBidsCtx (per-entry results, journaled successes), and queries
-// through the lock-free read views.
+// *market.Market and *journal.Market satisfy it: a bid flows through
+// SubmitBidCtx, other commands through ApplyCtx (journaled on a
+// journaled backend), batches through SubmitBidsCtx (per-entry results,
+// journaled successes), queries through the lock-free read views.
 type Backend interface {
 	ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error)
+	SubmitBidCtx(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error)
 	SubmitBidsCtx(ctx context.Context, reqs []market.BidRequest) []market.BidResult
 
 	Period() int
@@ -373,13 +374,21 @@ func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, version byte, 
 }
 
 // handleCommand decodes and executes one binary command, returning its
-// op name (for telemetry) and the response.
+// op name (for telemetry) and the response. A bid is decoded into a
+// value and submitted as one: nothing on the busiest request is boxed.
 func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, []byte) {
 	endDecode := obs.StageTimer(ctx, s.stageDecode, "decode")
-	cmd, err := command.DecodeBinary(body)
+	bid, cmd, err := command.DecodeBid(body)
 	endDecode.End()
 	if err != nil {
 		return "bad_command", appendError(resp, apierr.CodeBadRequest, err.Error())
+	}
+	if cmd == nil {
+		d, err := s.b.SubmitBidCtx(ctx, bid.Buyer, bid.Dataset, bid.Amount)
+		if err != nil {
+			return "bid", appendFailure(resp, err)
+		}
+		return "bid", appendDecision(append(resp, statusOK), d)
 	}
 	op := string(cmd.Op())
 
@@ -396,10 +405,7 @@ func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, 
 		resp = binary.AppendUvarint(resp, uint64(len(results)))
 		for _, res := range results {
 			if res.Err != nil {
-				resp = append(resp, statusErr)
-				code, _ := apierr.Classify(res.Err)
-				resp = appendString(resp, code)
-				resp = appendString(resp, res.Err.Error())
+				resp = appendFailure(resp, res.Err)
 				continue
 			}
 			resp = append(resp, statusOK)
@@ -410,19 +416,10 @@ func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, 
 
 	evs, err := s.b.ApplyCtx(ctx, cmd)
 	if err != nil {
-		code, _ := apierr.Classify(err)
-		return op, appendError(resp, code, err.Error())
+		return op, appendFailure(resp, err)
 	}
 	resp = append(resp, statusOK)
-	switch cmd.(type) {
-	case command.SubmitBid:
-		ev := evs[0]
-		resp = appendDecision(resp, market.Decision{
-			Allocated:   ev.Decision.Allocated,
-			PricePaid:   ev.Decision.PricePaid,
-			WaitPeriods: ev.Decision.WaitPeriods,
-		})
-	case command.Tick:
+	if _, ok := cmd.(command.Tick); ok {
 		resp = binary.AppendUvarint(resp, uint64(evs[0].Period))
 	}
 	return op, resp
@@ -468,8 +465,7 @@ func (s *Server) handleQuery(r *payloadReader, resp []byte) (string, []byte) {
 		}
 		st, err := s.b.Stats(market.DatasetID(ds))
 		if err != nil {
-			code, _ := apierr.Classify(err)
-			return "stats", appendError(resp, code, err.Error())
+			return "stats", appendFailure(resp, err)
 		}
 		resp = append(resp, statusOK)
 		resp = appendString(resp, string(st.Dataset))
@@ -488,8 +484,7 @@ func (s *Server) handleQuery(r *payloadReader, resp []byte) (string, []byte) {
 		}
 		bal, err := s.b.SellerBalance(market.SellerID(seller))
 		if err != nil {
-			code, _ := apierr.Classify(err)
-			return "balance", appendError(resp, code, err.Error())
+			return "balance", appendFailure(resp, err)
 		}
 		resp = append(resp, statusOK)
 		return "balance", appendInt64(resp, int64(bal))
@@ -502,8 +497,7 @@ func (s *Server) handleQuery(r *payloadReader, resp []byte) (string, []byte) {
 		}
 		periods, err := s.b.WaitRemaining(market.BuyerID(buyer), market.DatasetID(ds))
 		if err != nil {
-			code, _ := apierr.Classify(err)
-			return "wait", appendError(resp, code, err.Error())
+			return "wait", appendFailure(resp, err)
 		}
 		resp = append(resp, statusOK)
 		return "wait", binary.AppendUvarint(resp, uint64(periods))
@@ -534,6 +528,13 @@ func appendError(resp []byte, code, msg string) []byte {
 	resp = append(resp, statusErr)
 	resp = appendString(resp, code)
 	return appendString(resp, msg)
+}
+
+// appendFailure appends err's statusErr envelope, its code from the
+// closed apierr set.
+func appendFailure(resp []byte, err error) []byte {
+	code, _ := apierr.Classify(err)
+	return appendError(resp, code, err.Error())
 }
 
 // appendDecision appends a bid decision result body.
