@@ -108,24 +108,24 @@ func (c *httpClient) do(ctx context.Context, method, path string, body, dst any)
 	return json.NewDecoder(resp.Body).Decode(dst)
 }
 
+// httpBid is one bid's request body; a signed one carries amount_micros,
+// nonce and mac, and amount 0.
+type httpBid struct {
+	market.BidRequest
+	AmountMicros int64  `json:"amount_micros,omitempty"`
+	Nonce        uint64 `json:"nonce,omitempty"`
+	MAC          string `json:"mac,omitempty"`
+}
+
 // bidBody builds one bid's request body, signing it when the client
 // holds a credential.
-func (c *httpClient) bidBody(buyer market.BuyerID, dataset market.DatasetID, amount float64) (map[string]any, error) {
+func (c *httpClient) bidBody(buyer market.BuyerID, dataset market.DatasetID, amount float64) (httpBid, error) {
 	if c.credential == "" {
-		return map[string]any{"buyer": string(buyer), "dataset": string(dataset), "amount": amount}, nil
+		return httpBid{BidRequest: market.BidRequest{Buyer: buyer, Dataset: dataset, Amount: amount}}, nil
 	}
-	micros := int64(market.FromFloat(amount))
 	signed, err := auth.Sign(auth.Credential{BuyerID: string(buyer), Secret: c.credential},
-		string(dataset), micros, c.nonce.Add(1))
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"buyer": string(buyer), "dataset": string(dataset),
-		"amount_micros": signed.AmountMicros,
-		"nonce":         signed.Nonce,
-		"mac":           signed.MAC,
-	}, nil
+		string(dataset), int64(market.FromFloat(amount)), c.nonce.Add(1))
+	return httpBid{market.BidRequest{Buyer: buyer, Dataset: dataset}, signed.AmountMicros, signed.Nonce, signed.MAC}, err
 }
 
 func (c *httpClient) RegisterBuyer(ctx context.Context, id market.BuyerID) (string, error) {
@@ -192,7 +192,7 @@ func (c *httpClient) SubmitBids(ctx context.Context, reqs []market.BidRequest) (
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	bids := make([]map[string]any, len(reqs))
+	bids := make([]httpBid, len(reqs))
 	for i, r := range reqs {
 		body, err := c.bidBody(r.Buyer, r.Dataset, r.Amount)
 		if err != nil {
@@ -221,19 +221,19 @@ func (c *httpClient) SubmitBids(ctx context.Context, reqs []market.BidRequest) (
 }
 
 func (c *httpClient) Tick(ctx context.Context) (int, error) {
-	var resp map[string]int
+	var resp struct{ Period int }
 	if err := c.do(ctx, "POST", "/v1/tick", map[string]any{}, &resp); err != nil {
 		return 0, err
 	}
-	return resp["period"], nil
+	return resp.Period, nil
 }
 
 func (c *httpClient) Period(ctx context.Context) (int, error) {
-	var resp map[string]int
+	var resp struct{ Period int }
 	if err := c.do(ctx, "GET", "/v1/period", nil, &resp); err != nil {
 		return 0, err
 	}
-	return resp["period"], nil
+	return resp.Period, nil
 }
 
 func (c *httpClient) Datasets(ctx context.Context) ([]market.DatasetID, error) {
@@ -257,20 +257,22 @@ func (c *httpClient) Stats(ctx context.Context, dataset market.DatasetID) (marke
 }
 
 func (c *httpClient) SellerBalance(ctx context.Context, id market.SellerID) (market.Money, error) {
-	var resp map[string]float64
+	var resp struct{ Balance float64 }
 	if err := c.do(ctx, "GET", "/v1/sellers/"+url.PathEscape(string(id))+"/balance", nil, &resp); err != nil {
 		return 0, err
 	}
-	return market.FromFloat(resp["balance"]), nil
+	return market.FromFloat(resp.Balance), nil
 }
 
 func (c *httpClient) WaitRemaining(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID) (int, error) {
-	var resp map[string]int
+	var resp struct {
+		WaitPeriods int `json:"wait_periods"`
+	}
 	path := "/v1/buyers/" + url.PathEscape(string(buyer)) + "/wait?dataset=" + url.QueryEscape(string(dataset))
 	if err := c.do(ctx, "GET", path, nil, &resp); err != nil {
 		return 0, err
 	}
-	return resp["wait_periods"], nil
+	return resp.WaitPeriods, nil
 }
 
 func (c *httpClient) Transactions(ctx context.Context) ([]market.Transaction, error) {

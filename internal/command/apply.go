@@ -197,18 +197,13 @@ func ApplyBid(st *State, c SubmitBid) (Event, error) {
 }
 
 // ApplyEncoded is Apply for a binary-encoded command (a journal record's
-// payload), appending the events to evs. A bid's names are looked up
-// from the bytes (a map index by string(b) copies nothing) and it is
-// applied under the state's own spellings, allocating nothing. Other
-// opcodes, and names the state has never met, are decoded first.
+// payload), appending the events to evs. A bid is read by ResolveBid,
+// which allocates nothing when the state has registered both names;
+// other opcodes, and a malformed bid's error, come from DecodeBinary.
 func ApplyEncoded(st *State, payload []byte, evs []Event) ([]Event, error) {
 	if len(payload) > 0 && payload[0] == bopBid {
-		r := binReader{data: payload[1:]}
-		buyer, dataset, amount := r.bid()
-		acct, known := st.buyers[BuyerID(buyer)]
-		i, indexed := st.index[DatasetID(dataset)]
-		if known && indexed && r.end() == nil {
-			return apply(st, SubmitBid{Buyer: acct.id, Dataset: st.names[i], Amount: amount}, evs)
+		if c, err := ResolveBid(st, payload); err == nil {
+			return apply(st, c, evs)
 		}
 	}
 	cmd, err := DecodeBinary(payload)
@@ -216,6 +211,24 @@ func ApplyEncoded(st *State, payload []byte, evs []Event) ([]Event, error) {
 		return evs, err
 	}
 	return apply(st, cmd, evs)
+}
+
+// ResolveBid reads a bid's binary encoding under the state's spellings,
+// looked up from the bytes (a map index by string(b) copies nothing), or
+// as sent unless both names are registered. It needs Apply's exclusive
+// access; replay and the live market's encoded bids share it.
+func ResolveBid(st *State, payload []byte) (SubmitBid, error) {
+	if len(payload) == 0 || payload[0] != bopBid {
+		return SubmitBid{}, fmt.Errorf("%w: not a bid", ErrMalformed)
+	}
+	r := binReader{data: payload[1:]}
+	buyer, dataset, amount := r.bid()
+	acct, known := st.buyers[BuyerID(buyer)]
+	i, indexed := st.index[DatasetID(dataset)]
+	if known && indexed {
+		return SubmitBid{Buyer: acct.id, Dataset: st.names[i], Amount: amount}, r.end()
+	}
+	return SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}, r.end()
 }
 
 // applyBid is the bid rule: cadence and Time-Shield checks against the

@@ -144,11 +144,6 @@ func (r *binReader) bid() (buyer, dataset []byte, amount float64) {
 	return r.bytes(), r.bytes(), r.float()
 }
 
-func (r *binReader) submitBid() SubmitBid {
-	buyer, dataset, amount := r.bid()
-	return SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}
-}
-
 // end is the reader's verdict once a command's fields are read: the
 // first failure, or an error for input left over.
 func (r *binReader) end() error {
@@ -232,7 +227,8 @@ func DecodeBinary(data []byte) (Command, error) {
 	case bopWithdraw:
 		cmd = WithdrawDataset{Seller: SellerID(r.bytes()), Dataset: DatasetID(r.bytes())}
 	case bopBid:
-		cmd = r.submitBid()
+		buyer, dataset, amount := r.bid()
+		cmd = SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}
 	case bopBidBatch:
 		n := r.uvarint()
 		if n == 0 && r.err == nil {
@@ -247,15 +243,16 @@ func DecodeBinary(data []byte) (Command, error) {
 		if r.err == nil {
 			c.Bids = make([]SubmitBid, 0, n)
 			for i := uint64(0); i < n && r.err == nil; i++ {
-				c.Bids = append(c.Bids, r.submitBid())
+				buyer, dataset, amount := r.bid()
+				c.Bids = append(c.Bids, SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount})
 			}
 		}
 		cmd = c
 	case bopTick:
 		cmd = Tick{}
 	case bopSettle:
-		b := r.submitBid()
-		cmd = Settle{Buyer: b.Buyer, Dataset: b.Dataset, Amount: b.Amount, Exante: r.boolByte()}
+		buyer, dataset, amount := r.bid()
+		cmd = Settle{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount, Exante: r.boolByte()}
 	default:
 		return nil, fmt.Errorf("%w: opcode %d", ErrUnknownOp, data[0])
 	}
@@ -265,14 +262,13 @@ func DecodeBinary(data []byte) (Command, error) {
 	return cmd, nil
 }
 
-// DecodeBid is DecodeBinary for a caller that takes a bid as a value:
-// when data holds one, it comes back unboxed and cmd is nil; anything
-// else decodes into cmd.
-func DecodeBid(data []byte) (bid SubmitBid, cmd Command, err error) {
+// IsBid reports whether data encodes a bid and, if so, DecodeBinary's
+// verdict on it, copying nothing.
+func IsBid(data []byte) (bool, error) {
 	if len(data) == 0 || data[0] != bopBid {
-		cmd, err = DecodeBinary(data)
-		return bid, cmd, err
+		return false, nil
 	}
 	r := binReader{data: data[1:]}
-	return r.submitBid(), nil, r.end()
+	r.bid()
+	return true, r.end()
 }

@@ -96,6 +96,9 @@ func RestoreSnapshot(s Snapshot) (*Engine, error) {
 	if s.Bids < 0 || s.Allocations < 0 || s.Epochs < 0 || s.Revenue < 0 {
 		return nil, fmt.Errorf("core: snapshot statistics negative")
 	}
+	if s.Rand.Inc&1 == 0 { // no generator has one; restoring it would change it
+		return nil, fmt.Errorf("core: snapshot generator increment %d is even", s.Rand.Inc)
+	}
 	if len(s.Epoch) >= s.Config.EpochSize && s.Config.EpochSize > 0 {
 		return nil, fmt.Errorf("core: snapshot epoch buffer holds %d bids for epoch size %d",
 			len(s.Epoch), s.Config.EpochSize)

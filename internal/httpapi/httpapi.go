@@ -8,6 +8,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -395,7 +396,9 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"period": evs[0].Period})
+	writeJSON(w, http.StatusOK, struct {
+		Period int `json:"period"`
+	}{evs[0].Period})
 }
 
 func (s *Server) handlePeriod(w http.ResponseWriter, _ *http.Request) {
@@ -404,7 +407,9 @@ func (s *Server) handlePeriod(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"period": m.Period()})
+	writeJSON(w, http.StatusOK, struct {
+		Period int `json:"period"`
+	}{m.Period()})
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
@@ -441,7 +446,9 @@ func (s *Server) handleSellerBalance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"balance": bal.Float()})
+	writeJSON(w, http.StatusOK, struct {
+		Balance float64 `json:"balance"`
+	}{bal.Float()})
 }
 
 func (s *Server) handleBuyerWait(w http.ResponseWriter, r *http.Request) {
@@ -460,7 +467,9 @@ func (s *Server) handleBuyerWait(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"wait_periods": wait})
+	writeJSON(w, http.StatusOK, struct {
+		WaitPeriods int `json:"wait_periods"`
+	}{wait})
 }
 
 func (s *Server) handleTransactions(w http.ResponseWriter, _ *http.Request) {
@@ -474,10 +483,16 @@ func (s *Server) handleTransactions(w http.ResponseWriter, _ *http.Request) {
 
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	defer obs.StartSpan(r.Context(), "http.parse").End()
-	dec := json.NewDecoder(r.Body)
+	// A body is bounded (413 past it) at the wire protocol's frame limit,
+	// wire.MaxFrame; importing wire here would be a cycle.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "bad request: "+err.Error())
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeAPIError(w, status, CodeBadRequest, "bad request: "+err.Error())
 		return false
 	}
 	return true

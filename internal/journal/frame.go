@@ -151,7 +151,7 @@ func (r Record) Event() (Event, error) {
 // beginFrame appends a frame's header (length and checksum still zero)
 // and the body fields that precede the payload. The caller appends the
 // payload and seals the frame with endFrame.
-func beginFrame(dst []byte, seq int64, trace string, kind byte) []byte {
+func beginFrame(dst []byte, seq int64, trace []byte, kind byte) []byte {
 	dst = append(dst, frameTag, 0, 0, 0, 0, 0, 0, 0, 0)
 	dst = binary.AppendUvarint(dst, uint64(seq))
 	dst = binary.AppendUvarint(dst, uint64(len(trace)))

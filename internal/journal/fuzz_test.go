@@ -47,7 +47,7 @@ func FuzzReadNeverPanics(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tail := endedFrame(beginFrame(nil, 21, "", kindCommand), 8) // a tick, the v2 fixture's next seq
+	tail := endedFrame(beginFrame(nil, 21, nil, kindCommand), 8) // a tick, the v2 fixture's next seq
 	f.Add(string(v2) + string(tail))
 	f.Add(string(v2) + string(tail[:len(tail)-1]))
 	flip := func(s string, off int) string {
@@ -83,7 +83,7 @@ func FuzzReadNeverPanics(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Read accepted what Recover refuses: %v", err)
 		}
-		next := endedFrame(beginFrame(nil, int64(len(events))+1, "fuzz", kindCommand), 8)
+		next := endedFrame(beginFrame(nil, int64(len(events))+1, []byte("fuzz"), kindCommand), 8)
 		tails := []string{`{"to`}
 		for _, cut := range []int{1, 5, frameHeader, len(next) - 1} {
 			tails = append(tails, string(next[:cut]))

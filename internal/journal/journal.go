@@ -310,10 +310,11 @@ type Writer struct {
 
 	// stageMu is held across one whole commit stage, so groups are
 	// applied, written and published in formation order. buf is the
-	// stage's group buffer: the frames of the group being committed.
-	// Lock order: stageMu, then the market's writer mutex, then mu.
+	// stage's group buffer: the frames of the group being committed (id
+	// spells one's trace). Lock order: stageMu, then the market's writer
+	// mutex, then mu.
 	stageMu sync.Mutex
-	buf     []byte
+	buf, id []byte
 
 	// mu guards the writer's lifecycle, its durable high-water mark and
 	// the forming group.
@@ -343,23 +344,24 @@ type member struct {
 	// for the stage to apply and record; a SubmitBids batch, applied
 	// entry by entry with failures skipped and the successes recorded as
 	// one bid_batch; a command to record without applying it (Append);
-	// or a head record; with none, bid — one bid, by value, event in ev.
+	// or a head record; with none, one bid, event in ev — bid, or body
+	// (the caller's bytes, untouched until submit returns) resolved to it.
 	cmd  command.Command
 	bid  command.SubmitBid
+	body []byte
 	bids []market.BidRequest
 	// rec is the command the log records for this member, with the trace
 	// ID it carries — the request itself for Append, otherwise what apply
-	// settled; nil for a lone bid.
+	// settled (the trace then is ctx's); nil for a lone bid.
 	rec   command.Command
 	trace string
 	head  *Event
 
 	// Once logged is set the member's record is seq, framed at
-	// buf[off:end] of the stage's group buffer with its payload at
-	// buf[pay:end].
-	logged        bool
-	seq           int64
-	off, pay, end int
+	// buf[off:end] of the stage's group buffer.
+	logged   bool
+	seq      int64
+	off, end int
 
 	ev  command.Event
 	evs []command.Event
@@ -562,7 +564,7 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 			continue
 		}
 		mb.seq = seq + int64(records) + 1
-		if eerr := w.encode(mb); eerr != nil {
+		if eerr := w.encode(mb, applied); eerr != nil {
 			eerr = fmt.Errorf("journal: encoding event %d: %w", mb.seq, eerr)
 			if applied {
 				err = eerr // the market moved and the log cannot follow
@@ -620,24 +622,29 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 	if commit != nil {
 		for i := range g.members {
 			if mb := &g.members[i]; mb.logged {
-				commit(Record{Seq: mb.seq, Trace: mb.trace, Head: mb.head != nil,
-					Payload: w.buf[mb.pay:mb.end], Size: mb.end - mb.off})
+				rec := Record{Size: mb.end - mb.off} // read back: a trace is text only here
+				_ = parseBody(&rec, w.buf[mb.off+frameHeader:mb.end])
+				commit(rec)
 			}
 		}
 	}
 }
 
 // encode frames mb's record at the end of the group buffer: the one
-// time a command is encoded on its way to segment, feed and follower.
-// On error the buffer is left as it was.
-func (w *Writer) encode(mb *member) error {
+// time a command is encoded on its way to segment, feed and follower,
+// and an applied member's request ID spelled. On error the buffer is
+// left as it was.
+func (w *Writer) encode(mb *member, applied bool) error {
 	kind := kindCommand
 	if mb.head != nil {
 		kind = kindHead
 	}
+	w.id = append(w.id[:0], mb.trace...)
+	if applied {
+		w.id = obs.AppendRequestID(w.id, mb.ctx)
+	}
 	mb.off = len(w.buf)
-	buf := beginFrame(w.buf, mb.seq, mb.trace, kind)
-	mb.pay = len(buf)
+	buf := beginFrame(w.buf, mb.seq, w.id, kind)
 	var err error
 	if mb.head != nil {
 		var head []byte
@@ -669,7 +676,6 @@ func (w *Writer) encode(mb *member) error {
 // as one bid_batch; the command's own error, if any, still reaches the
 // caller.
 func (mb *member) apply(live market.Stage) bool {
-	mb.trace = obs.RequestIDFrom(mb.ctx)
 	switch {
 	case mb.bids != nil:
 		applied := make([]command.SubmitBid, 0, len(mb.bids))
@@ -686,6 +692,9 @@ func (mb *member) apply(live market.Stage) bool {
 		}
 		mb.rec = command.BidBatch{Bids: applied}
 		return len(applied) > 0
+	case mb.body != nil:
+		mb.bid, mb.ev, mb.err = live.ApplyEncodedBid(mb.ctx, mb.body)
+		return mb.err == nil
 	case mb.cmd == nil:
 		mb.ev, mb.err = live.ApplyBid(mb.ctx, mb.bid)
 		return mb.err == nil
@@ -1001,7 +1010,7 @@ func (m *Market) TestUnorderedCommit(yield func()) {
 		if mb.rec == nil {
 			mb.rec = mb.bid // a lone bid: the canary may box it
 		}
-		if err := m.w.submit(member{ctx: mb.ctx, rec: mb.rec, trace: mb.trace}).err; err != nil {
+		if err := m.w.submit(member{ctx: mb.ctx, rec: mb.rec, trace: obs.RequestIDFrom(mb.ctx)}).err; err != nil {
 			mb.err = err
 		}
 		return mb
@@ -1060,6 +1069,16 @@ func (m *Market) SubmitBid(buyer market.BuyerID, dataset market.DatasetID, amoun
 // group as values, copied out before the group is recycled.
 func (m *Market) SubmitBidCtx(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
 	mb := m.w.enter(member{ctx: ctx, bid: command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount}})
+	if mb.err != nil {
+		return market.Decision{}, mb.err
+	}
+	return mb.ev.Decision, nil
+}
+
+// SubmitEncodedBidCtx is SubmitBidCtx for a bid's binary encoding, read
+// in the stage (market.Stage.ApplyEncodedBid) and only until it returns.
+func (m *Market) SubmitEncodedBidCtx(ctx context.Context, body []byte) (market.Decision, error) {
+	mb := m.w.enter(member{ctx: ctx, body: body})
 	if mb.err != nil {
 		return market.Decision{}, mb.err
 	}

@@ -221,7 +221,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	}
 	// A record whose checksum holds but whose payload is no command.
 	genesis := buf.Bytes()[:recordBoundaries(t, buf.Bytes(), 1)[0]]
-	log := append(bytes.Clone(genesis), endedFrame(beginFrame(nil, 2, "", kindCommand), 0xEE)...)
+	log := append(bytes.Clone(genesis), endedFrame(beginFrame(nil, 2, nil, kindCommand), 0xEE)...)
 	if _, err := Restore(bytes.NewReader(log)); !errors.Is(err, ErrReplay) {
 		t.Fatalf("undecodable command: %v", err)
 	}

@@ -147,7 +147,7 @@ func (rs *ReplicaStore) Append(seq int64, payload []byte) error {
 	if seq != rs.next {
 		return fmt.Errorf("%w: replica append seq %d, want %d", ErrSeqGap, seq, rs.next)
 	}
-	rs.buf = append(beginFrame(rs.buf[:0], seq, "", kindCommand), payload...)
+	rs.buf = append(beginFrame(rs.buf[:0], seq, nil, kindCommand), payload...)
 	endFrame(rs.buf, 0)
 	if _, err := rs.st.Write(rs.buf); err != nil {
 		return err // sticky: Write recorded it

@@ -209,6 +209,15 @@ func (s Stage) ApplyBid(ctx context.Context, c command.SubmitBid) (command.Event
 	return ev, err
 }
 
+// ApplyEncodedBid is ApplyBid for a bid's binary encoding, resolved to
+// the state's spellings (command.ResolveBid), which it returns to record.
+func (s Stage) ApplyEncodedBid(ctx context.Context, body []byte) (bid command.SubmitBid, ev command.Event, err error) {
+	if bid, err = command.ResolveBid(s.m.st, body); err == nil {
+		ev, err = s.ApplyBid(ctx, bid)
+	}
+	return bid, ev, err
+}
+
 // Publish makes applied events visible to readers. Events must be
 // published in the order Apply returned them.
 func (s Stage) Publish(ctx context.Context, evs ...command.Event) {
@@ -296,11 +305,19 @@ func (m *Market) SubmitBidCtx(ctx context.Context, buyer BuyerID, dataset Datase
 	s.Lock()
 	defer s.Unlock()
 	ev, err := s.ApplyBid(ctx, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
-	if err != nil {
-		return Decision{}, err
-	}
-	m.publish(ctx, &ev)
-	return ev.Decision, nil
+	s.Publish(ctx, ev) // a failed bid's zero Event publishes nothing
+	return ev.Decision, err
+}
+
+// SubmitEncodedBidCtx is SubmitBidCtx for a bid's binary encoding (see
+// Stage.ApplyEncodedBid); body is read only until the call returns.
+func (m *Market) SubmitEncodedBidCtx(ctx context.Context, body []byte) (Decision, error) {
+	s := m.Stage()
+	s.Lock()
+	defer s.Unlock()
+	_, ev, err := s.ApplyEncodedBid(ctx, body)
+	s.Publish(ctx, ev)
+	return ev.Decision, err
 }
 
 // SubmitBids places a batch of bids in request order. Results are

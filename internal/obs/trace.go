@@ -2,7 +2,7 @@ package obs
 
 import (
 	"context"
-	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,21 +50,21 @@ func NewTracer(capacity, every int, seed uint64) *Tracer {
 }
 
 // NewRequestID mints a unique request identifier. Every request gets
-// one, sampled or not. The format is fmt.Sprintf("req-%08x", n),
-// hand-rolled because this runs once per request on the hot path.
+// one, sampled or not; RequestCtx.Mint keeps it a number.
 func (t *Tracer) NewRequestID() string {
-	n := t.seq.Add(1)
-	if n > 0xffffffff {
-		return fmt.Sprintf("req-%08x", n)
-	}
+	var buf [20]byte
+	return string(appendRequestID(buf[:0], t.seq.Add(1)))
+}
+
+// appendRequestID spells request n as "req-%08x", by hand: it runs once
+// per request on the hot path.
+func appendRequestID(dst []byte, n uint64) []byte {
 	const hexdigits = "0123456789abcdef"
-	var buf [12]byte
-	copy(buf[:4], "req-")
-	for i := 11; i >= 4; i-- {
-		buf[i] = hexdigits[n&0xf]
-		n >>= 4
+	dst = append(dst, "req-"...)
+	for shift := max(28, (bits.Len64(n)-1)/4*4); shift >= 0; shift -= 4 {
+		dst = append(dst, hexdigits[n>>shift&0xf])
 	}
-	return string(buf[:])
+	return dst
 }
 
 // sampled draws the seeded sampling decision.
@@ -334,8 +334,9 @@ const traceKey ctxKey = iota
 
 // RequestCtx is a context.Context carrying one request's identity: its
 // ID and, when the request is sampled, its trace. A serving loop keeps
-// one per connection and rebinds it to each request with Reset, so
-// identity costs no allocation per request.
+// one per connection and rebinds it to each request with Reset, or Mint
+// (an ID held as its number until something spells it), so identity
+// costs no allocation per request.
 //
 // Reuse rests on one invariant: every consumer downstream of ApplyCtx
 // (journal group members, stage timers, view publication) is done with
@@ -345,8 +346,9 @@ const traceKey ctxKey = iota
 type RequestCtx struct {
 	context.Context // the parent: deadline, cancellation, other values
 
-	id string
-	tr *Trace
+	id  string
+	seq uint64 // a minted ID not yet spelled (id is ""); 0 for none
+	tr  *Trace
 }
 
 // Reset rebinds c to a request: the trace when it is sampled (tr
@@ -355,7 +357,19 @@ func (c *RequestCtx) Reset(id string, tr *Trace) {
 	if tr != nil {
 		id = tr.ID
 	}
-	c.id, c.tr = id, tr
+	c.id, c.seq, c.tr = id, 0, tr
+}
+
+// Mint rebinds c to a freshly minted ID and returns its trace when t
+// samples the request, nil otherwise. Only a sampled trace, RequestIDFrom
+// and AppendRequestID (the journal frame) spell the ID.
+func (c *RequestCtx) Mint(t *Tracer, name string, start time.Time) *Trace {
+	c.Reset("", t.BeginAt("", name, start))
+	if c.seq = t.seq.Add(1); c.tr != nil {
+		c.tr.ID = string(appendRequestID(nil, c.seq))
+		c.id, c.seq = c.tr.ID, 0
+	}
+	return c.tr
 }
 
 // Value answers the identity key with c itself — a pointer, so nothing
@@ -400,10 +414,21 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 
 // RequestIDFrom returns the context's request ID, or "".
 func RequestIDFrom(ctx context.Context) string {
-	if c, ok := ctx.Value(traceKey).(*RequestCtx); ok {
+	if c, ok := ctx.Value(traceKey).(*RequestCtx); ok && c.seq == 0 {
 		return c.id
 	}
-	return ""
+	return string(AppendRequestID(nil, ctx))
+}
+
+// AppendRequestID appends the context's request ID to dst, spelling a
+// minted one from its number; with no ID it appends nothing.
+func AppendRequestID(dst []byte, ctx context.Context) []byte {
+	if c, ok := ctx.Value(traceKey).(*RequestCtx); ok && c.seq != 0 {
+		return appendRequestID(dst, c.seq)
+	} else if ok {
+		return append(dst, c.id...)
+	}
+	return dst
 }
 
 // ExemplarID returns the context's request ID when the request is

@@ -143,3 +143,33 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("spans = %d, want 800", len(got[0].Spans))
 	}
 }
+
+// TestMintedIDIsSpelledOnDemand: a minted ID is a number in the request
+// context, and every reader that needs text spells it as NewRequestID
+// would have — "req-%08x" past 32 bits too — while a sampled request's
+// trace carries it from the start.
+func TestMintedIDIsSpelledOnDemand(t *testing.T) {
+	unsampled, sampled := NewTracer(4, 0, 1), NewTracer(4, 1, 1)
+	rc := &RequestCtx{Context: context.Background()}
+	if tr := rc.Mint(unsampled, "wire", time.Now()); tr != nil {
+		t.Fatal("a disabled tracer sampled a minted request")
+	}
+	if got := RequestIDFrom(rc); got != "req-00000001" {
+		t.Fatalf("RequestIDFrom = %q, want req-00000001", got)
+	}
+	if got := string(AppendRequestID([]byte("x"), rc)); got != "xreq-00000001" {
+		t.Fatalf("AppendRequestID = %q, want xreq-00000001", got)
+	}
+	sampled.seq.Store(1<<32 - 1)
+	tr := rc.Mint(sampled, "wire", time.Now())
+	if want := fmt.Sprintf("req-%08x", uint64(1<<32)); tr == nil || tr.ID != want || RequestIDFrom(rc) != want {
+		t.Fatalf("sampled mint: trace %+v, RequestIDFrom %q, want both %q", tr, RequestIDFrom(rc), want)
+	}
+	rc.Reset("req-peer", nil)
+	if got := string(AppendRequestID(nil, rc)); got != "req-peer" {
+		t.Fatalf("after Reset, AppendRequestID = %q, want req-peer", got)
+	}
+	if got := AppendRequestID(nil, context.Background()); got != nil {
+		t.Fatalf("a context with no ID appended %q", got)
+	}
+}

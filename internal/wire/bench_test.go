@@ -25,9 +25,8 @@ import (
 // header parsing, and JSON against length prefixes and binary fields.
 // BENCH_6.json recorded both at PR 6.
 
-func benchMarket(tb testing.TB) *market.Market {
-	tb.Helper()
-	m, err := market.New(market.Config{
+func benchConfig() market.Config {
+	return market.Config{
 		Engine: core.Config{
 			Candidates:    auction.LinearGrid(10, 100, 10),
 			EpochSize:     8,
@@ -36,7 +35,12 @@ func benchMarket(tb testing.TB) *market.Market {
 		},
 		Seed:   42,
 		Shards: 8,
-	})
+	}
+}
+
+func benchMarket(tb testing.TB) *market.Market {
+	tb.Helper()
+	m, err := market.New(benchConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -217,49 +217,71 @@ func TestPayloadBufferDoesNotAlias(t *testing.T) {
 }
 
 // TestRequestContextDoesNotLeakIdentity drives several connections at
-// once, each pipelining registrations that alternate between carrying a
-// v2 trace field and carrying none, into a group-commit journal — so
-// one connection's reused request context is read by another
-// connection's goroutine (the group leader) while its owner waits. Run
+// once, each pipelining registrations and then bids that alternate
+// between carrying a v2 trace field and carrying none, into a
+// group-commit journal — so one connection's reused request context, and
+// the bid body still in its payload buffer, are read by another
+// connection's goroutine (the group leader) while their owner waits. Run
 // under -race this proves the leader is done with a member's context
-// before that member's connection rebinds it. Every journal record's
-// trace must be its own request's: the propagated ID where there was
-// one, a freshly minted one — never the previous request's — where
-// there was not. An uninstrumented server journals no trace at all,
-// whatever the client sent (the torture harness's byte-identity with
-// in-process journals relies on it).
+// and bytes before that member's connection rebinds the one and
+// overwrites the other. Every journal record must be its own request's:
+// its payload (buyer, dataset, amount), and its trace — the propagated
+// ID where there was one, a freshly minted one — never the previous
+// request's — where there was not. An uninstrumented server journals no
+// trace at all, whatever the client sent (the torture harness's
+// byte-identity with in-process journals relies on it).
 func TestRequestContextDoesNotLeakIdentity(t *testing.T) {
 	const conns, perConn = 4, 24
+	type request struct {
+		dataset string
+		amount  float64
+		trace   string // propagated; "" = none sent
+	}
 	run := func(t *testing.T, instrumented bool) {
 		var sink bytes.Buffer
 		jm, err := journal.NewMarket(testConfig(), &sink, journal.WithGroupCommit(200*time.Microsecond))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := jm.RegisterSeller("seller"); err != nil {
+			t.Fatal(err)
+		}
 		s := NewServer(jm)
 		if instrumented {
 			s.WithTelemetry(obs.NewTelemetry())
 		}
-		sent := map[string]string{} // buyer → propagated trace ID ("" = none sent)
+		sent := map[journal.Op]map[string]request{journal.OpRegisterBuyer: {}, journal.OpBid: {}} // by buyer
 		var wg sync.WaitGroup
 		for k := 0; k < conns; k++ {
+			dataset := fmt.Sprintf("dataset-%d", k)
+			if err := jm.UploadDataset("seller", market.DatasetID(dataset)); err != nil {
+				t.Fatal(err)
+			}
 			c := serveRaw(t, s, nil)
-			frames := make([][]byte, perConn)
+			frames := make([][]byte, 2*perConn)
 			for i := range frames {
-				buyer, traceID := fmt.Sprintf("buyer-%d-%d", k, i), ""
-				if i%2 == 0 {
-					traceID = fmt.Sprintf("req-peer-%d-%d", k, i)
+				buyer := fmt.Sprintf("buyer-%d-%d", k, i%perConn)
+				var cmd command.Command = command.RegisterBuyer{Buyer: market.BuyerID(buyer)}
+				req, op := request{}, journal.OpRegisterBuyer
+				if i >= perConn {
+					req, op = request{dataset: dataset, amount: float64(1 + i)}, journal.OpBid
+					cmd = command.SubmitBid{Buyer: market.BuyerID(buyer), Dataset: market.DatasetID(dataset), Amount: req.amount}
 				}
-				sent[buyer] = traceID
-				frames[i] = commandFrame(t, uint64(i+1), command.RegisterBuyer{Buyer: market.BuyerID(buyer)}, traceID)
+				if i%2 == 0 {
+					req.trace = fmt.Sprintf("req-peer-%d-%d", k, i)
+				}
+				sent[op][buyer] = req
+				frames[i] = commandFrame(t, uint64(i+1), cmd, req.trace)
 			}
 			c.burst(frames...)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := range frames {
-					if _, err := readFrame(c.br, nil, MaxFrame); err != nil {
-						t.Errorf("response %d: %v", i, err)
+					payload, err := readFrame(c.br, nil, MaxFrame)
+					r := &payloadReader{data: payload}
+					if id, status := r.uvarint(), r.byte(); err != nil || id != uint64(i+1) || status != statusOK {
+						t.Errorf("response %d: %v %x", i+1, err, payload)
 						return
 					}
 				}
@@ -271,32 +293,35 @@ func TestRequestContextDoesNotLeakIdentity(t *testing.T) {
 		}
 		events := journalEvents(t, bytes.NewReader(sink.Bytes()))
 		minted := map[string]bool{}
-		records := 0
+		records := map[journal.Op]int{}
 		for _, e := range events {
-			if e.Op != journal.OpRegisterBuyer {
+			byBuyer, ok := sent[e.Op]
+			if !ok {
 				continue
 			}
-			records++
-			propagated, known := sent[e.Buyer]
+			records[e.Op]++
+			req, known := byBuyer[e.Buyer]
 			switch {
-			case !known:
-				t.Errorf("journal holds a registration of %q nobody sent", e.Buyer)
+			case !known || e.Dataset != req.dataset || e.Amount != req.amount:
+				t.Errorf("journal holds a %s of %q on %q at %v nobody sent", e.Op, e.Buyer, e.Dataset, e.Amount)
 			case !instrumented:
 				if e.Trace != "" {
 					t.Errorf("uninstrumented server journaled trace %q for %s", e.Trace, e.Buyer)
 				}
-			case propagated != "":
-				if e.Trace != propagated {
-					t.Errorf("%s journaled under trace %q, want its own %q", e.Buyer, e.Trace, propagated)
+			case req.trace != "":
+				if e.Trace != req.trace {
+					t.Errorf("%s's %s journaled under trace %q, want its own %q", e.Buyer, e.Op, e.Trace, req.trace)
 				}
 			case !strings.HasPrefix(e.Trace, "req-") || strings.HasPrefix(e.Trace, "req-peer-") || minted[e.Trace]:
-				t.Errorf("%s sent no trace and journaled under %q, want a freshly minted ID", e.Buyer, e.Trace)
+				t.Errorf("%s's %s sent no trace and journaled under %q, want a freshly minted ID", e.Buyer, e.Op, e.Trace)
 			default:
 				minted[e.Trace] = true
 			}
 		}
-		if records != conns*perConn {
-			t.Errorf("journal holds %d registrations, want %d", records, conns*perConn)
+		for op := range sent {
+			if records[op] != conns*perConn {
+				t.Errorf("journal holds %d %s records, want %d", records[op], op, conns*perConn)
+			}
 		}
 	}
 	t.Run("instrumented", func(t *testing.T) { run(t, true) })

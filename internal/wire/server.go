@@ -16,12 +16,12 @@ import (
 
 // Backend is the market surface the wire server drives. Both
 // *market.Market and *journal.Market satisfy it: a bid flows through
-// SubmitBidCtx, other commands through ApplyCtx (journaled on a
-// journaled backend), batches through SubmitBidsCtx (per-entry results,
-// journaled successes), queries through the lock-free read views.
+// SubmitEncodedBidCtx as its bytes, other commands through ApplyCtx
+// (journaled on a journaled backend), batches through SubmitBidsCtx
+// (per-entry results, journaled successes), queries through the views.
 type Backend interface {
 	ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error)
-	SubmitBidCtx(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error)
+	SubmitEncodedBidCtx(ctx context.Context, body []byte) (market.Decision, error)
 	SubmitBidsCtx(ctx context.Context, reqs []market.BidRequest) []market.BidResult
 
 	Period() int
@@ -87,9 +87,9 @@ func (s *Server) WithBufferSize(n int) *Server {
 // connection count. It also turns on request IDs and tracing — a frame
 // carrying the v2 trace field executes under the client's propagated
 // ID (continuing its trace when the sampled bit is set), any other
-// frame under a freshly minted, locally sampled ID — and a journaled
-// backend records that ID as the entry's trace, closing the gap where
-// wire-journaled commands had no trace at all. Must be called before
+// frame under a freshly minted, locally sampled ID (a number until a
+// sampled trace or the journal frame spells it) — and a journaled
+// backend records that ID as the entry's trace. Must be called before
 // the server accepts connections; an uninstrumented server adds
 // nothing to the request context, so its journal entries carry no
 // trace ids (the torture harness relies on this to keep wire-driven
@@ -149,7 +149,8 @@ func (s *Server) Serve(l net.Listener) error {
 // flush once the input is drained — N requests that arrived together
 // cost one write syscall, a lone request is answered at once. The next
 // frame overwrites the payload buffer, so nothing downstream may keep a
-// sub-slice of it (decoders copy the strings they keep). Only a
+// sub-slice of it past its request (a bid's body is read in the commit
+// stage while this goroutine waits for the answer). Only a
 // conversion to a replication stream starts a second goroutine.
 func (s *Server) ServeConn(conn net.Conn) error {
 	defer conn.Close()
@@ -331,18 +332,18 @@ func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, version byte, 
 		// the trace covers the read and the latency histogram charges
 		// transfer time to the request that caused it.
 		start = time.Now().Add(-readDur)
-		id := traceID
-		if id == "" {
+		if traceID == "" {
 			// No propagated context: mint a local ID and let the local
 			// sampler decide.
-			id = s.tel.Tracer.NewRequestID()
-			tr = s.tel.Tracer.BeginAt(id, "wire", start)
-		} else if sampled {
-			// The client sampled this request; continue its trace here
-			// regardless of the local sampling rate.
-			tr = s.tel.Tracer.Adopt(id, "wire", start)
+			tr = rc.Mint(s.tel.Tracer, "wire", start)
+		} else {
+			if sampled {
+				// The client sampled this request; continue its trace here
+				// regardless of the local sampling rate.
+				tr = s.tel.Tracer.Adopt(traceID, "wire", start)
+			}
+			rc.Reset(traceID, tr)
 		}
-		rc.Reset(id, tr)
 		if tr != nil {
 			tr.AddSpan("wire.read", start, readDur)
 		}
@@ -374,17 +375,21 @@ func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, version byte, 
 }
 
 // handleCommand decodes and executes one binary command, returning its
-// op name (for telemetry) and the response. A bid is decoded into a
-// value and submitted as one: nothing on the busiest request is boxed.
+// op name (for telemetry) and the response. A bid is checked in place
+// and submitted as its bytes: nothing on the busiest request is copied.
 func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, []byte) {
 	endDecode := obs.StageTimer(ctx, s.stageDecode, "decode")
-	bid, cmd, err := command.DecodeBid(body)
+	var cmd command.Command
+	isBid, err := command.IsBid(body)
+	if !isBid {
+		cmd, err = command.DecodeBinary(body)
+	}
 	endDecode.End()
 	if err != nil {
 		return "bad_command", appendError(resp, apierr.CodeBadRequest, err.Error())
 	}
-	if cmd == nil {
-		d, err := s.b.SubmitBidCtx(ctx, bid.Buyer, bid.Dataset, bid.Amount)
+	if isBid {
+		d, err := s.b.SubmitEncodedBidCtx(ctx, body)
 		if err != nil {
 			return "bid", appendFailure(resp, err)
 		}
