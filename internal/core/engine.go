@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/mw"
@@ -260,26 +261,17 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	cands := make([]float64, len(cfg.Candidates))
-	copy(cands, cfg.Candidates)
+	// No candidate slice is ever written in place — regrid and Reset
+	// replace it — so the grid in force and its anchor start as one copy.
+	cands := slices.Clone(cfg.Candidates)
 	cfg.Candidates = cands
-	minCand, maxCand := cands[0], cands[0]
-	for _, c := range cands[1:] {
-		if c < minCand {
-			minCand = c
-		}
-		if c > maxCand {
-			maxCand = c
-		}
-	}
-	orig := make([]float64, len(cands))
-	copy(orig, cands)
+	minCand, maxCand := slices.Min(cands), slices.Max(cands)
 	e := &Engine{
 		cfg:            cfg,
 		learner:        mw.NewLearner(cfg.Candidates, cfg.Eta),
 		rand:           rng.New(cfg.Seed),
 		minCandidate:   minCand,
-		origCandidates: orig,
+		origCandidates: cands,
 		origLo:         minCand,
 		origHi:         maxCand,
 		epoch:          make([]float64, 0, cfg.EpochSize),
@@ -384,8 +376,9 @@ func (e *Engine) maybeUpdatePrice() {
 // the wait-period replay share: for the epoch loaded in e.curve, priced
 // at chosen, it writes every candidate's cost — its relative revenue
 // difference (R(chosen) - R(p)) / R_opt, Algorithm 1 lines 15-20 — into
-// e.costs, ready for mw.Step. It reports false, writing nothing, for an
-// epoch with no positive bid: the cost is undefined and no weight moves.
+// e.costs, ready for the learner's Update or Step. It reports false,
+// writing nothing, for an epoch with no positive bid: the cost is
+// undefined and no weight moves.
 func (e *Engine) scoreEpoch(chosen float64) bool {
 	_, optR := e.curve.Optimal()
 	if optR <= 0 {
@@ -529,11 +522,13 @@ func (e *Engine) ComputeWaitPeriod(b float64) int {
 //
 // Every replayed round moves the scratch weights exactly as a live epoch
 // close would: round one goes through scoreEpoch, and every round
-// through mw.Step, the routine Learner.Update itself runs. Rounds two
-// onward see E copies of one value s, whose revenue curve is a closed
-// form — R_opt = E*s, and R(p) = p*E if p <= s, else 0 — so it is read
-// off auction.Curve once per call (no sort, no scan per round) and each
-// later round costs one subtraction, division and Pow per candidate.
+// through the learner's Step, the routine its Update runs, with the
+// learner's own precomputed powers of 1-eta and 1+eta. Rounds two onward
+// see E copies of one value s, whose revenue curve is a closed form —
+// R_opt = E*s, and R(p) = p*E if p <= s, else 0 — so it is read off
+// auction.Curve once per call (no sort, no scan per round) and each later
+// round costs a subtraction and a division per candidate and an Exp per
+// run of equal costs.
 func (e *Engine) computeWaitPeriod(b float64) int {
 	synthetic := e.cfg.MinBid
 	if e.cfg.Wait == WaitStable {
@@ -591,10 +586,9 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 	}
 
 	w := e.learner.WeightsInto(e.simW)
-	eta, share := e.learner.Eta(), e.learner.Share()
 	for round := 0; round < e.cfg.maxWaitEpochs(); round++ {
 		if moved {
-			mw.Step(w, e.costs, eta, share)
+			e.learner.Step(w, e.costs)
 		}
 		likely := mw.ArgMax(w)
 		if b >= cands[likely] {
@@ -641,11 +635,9 @@ func (e *Engine) MostLikelyPrice() float64 {
 // seed.
 func (e *Engine) Reset() {
 	if e.cfg.RegridEvery > 0 {
-		cands := make([]float64, len(e.origCandidates))
-		copy(cands, e.origCandidates)
-		e.cfg.Candidates = cands
+		e.cfg.Candidates = e.origCandidates
 		e.minCandidate = e.origLo
-		e.learner = mw.NewLearner(cands, e.cfg.eta())
+		e.learner = mw.NewLearner(e.origCandidates, e.cfg.eta())
 		if e.cfg.ShareFraction > 0 {
 			e.learner.SetShare(e.cfg.ShareFraction)
 		}

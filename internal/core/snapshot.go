@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/mw"
@@ -32,7 +33,7 @@ type Snapshot struct {
 func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
 		Config:         e.cfg,
-		OrigCandidates: make([]float64, len(e.origCandidates)),
+		OrigCandidates: slices.Clone(e.origCandidates),
 		Learner:        e.learner.Snapshot(),
 		Rand:           e.rand.Snapshot(),
 		Price:          e.price,
@@ -44,10 +45,7 @@ func (e *Engine) Snapshot() Snapshot {
 	}
 	// Config.Candidates is shared internal state; deep-copy it so the
 	// snapshot is immune to further regrids.
-	cands := make([]float64, len(e.cfg.Candidates))
-	copy(cands, e.cfg.Candidates)
-	s.Config.Candidates = cands
-	copy(s.OrigCandidates, e.origCandidates)
+	s.Config.Candidates = slices.Clone(e.cfg.Candidates)
 	copy(s.Epoch, e.epoch)
 	return s
 }
@@ -121,19 +119,11 @@ func RestoreSnapshot(s Snapshot) (*Engine, error) {
 		}
 	}
 
-	cfg := s.Config // as recorded: see Config.eta
-	cands := make([]float64, len(cfg.Candidates))
-	copy(cands, cfg.Candidates)
-	cfg.Candidates = cands
-
-	minCand := cands[0]
-	for _, c := range cands[1:] {
-		if c < minCand {
-			minCand = c
-		}
-	}
-	orig := make([]float64, len(s.OrigCandidates))
-	copy(orig, s.OrigCandidates)
+	// Kept as recorded (see Config.eta). The original grid, unlike the
+	// validated candidates, is scanned: a NaN there is skipped, not taken.
+	cfg := s.Config
+	cfg.Candidates = slices.Clone(cfg.Candidates)
+	orig := slices.Clone(s.OrigCandidates)
 	origLo, origHi := orig[0], orig[0]
 	for _, c := range orig[1:] {
 		if c < origLo {
@@ -147,7 +137,7 @@ func RestoreSnapshot(s Snapshot) (*Engine, error) {
 		cfg:            cfg,
 		learner:        learner,
 		rand:           rng.Restore(s.Rand),
-		minCandidate:   minCand,
+		minCandidate:   slices.Min(cfg.Candidates),
 		origCandidates: orig,
 		origLo:         origLo,
 		origHi:         origHi,

@@ -28,24 +28,18 @@ func X1DPAblation(o Options) (BoxSeries, error) {
 		xs[i] = fmt.Sprintf("eps=%g", e)
 	}
 	col := newBoxCollector("epsilon", xs, []string{"MW", "DP-Laplace"})
-	for i, eps := range epsilons {
-		results, err := sim.Run(truthfulSpec(o, 0.1, 0.01), map[string]sim.PricerFactory{
-			"MW": sim.EngineFactory(engineConfig(8)),
-			"DP-Laplace": sim.DPFactory(dp.Config{
-				Epsilon:      eps,
-				MinBid:       0,
-				MaxBid:       maxPrice,
-				EpochSize:    8,
-				InitialPrice: meanValuation,
-			}),
-		})
-		if err != nil {
-			return BoxSeries{}, err
-		}
-		col.add("MW", i, sim.Revenues(results["MW"]))
-		col.add("DP-Laplace", i, sim.Revenues(results["DP-Laplace"]))
-	}
-	return col.finish(), nil
+	// MW ignores epsilon: it runs once and is the reference at every x.
+	return col.sweepPoints(truthfulSpec(o, 0.1, 0.01), map[string]sim.PricerFactory{
+		"MW": sim.EngineFactory(engineConfig(8)),
+	}, func(x int) map[string]sim.PricerFactory {
+		return map[string]sim.PricerFactory{"DP-Laplace": sim.DPFactory(dp.Config{
+			Epsilon:      epsilons[x],
+			MinBid:       0,
+			MaxBid:       maxPrice,
+			EpochSize:    8,
+			InitialPrice: meanValuation,
+		})}
+	}, sim.Revenues)
 }
 
 // ExPostResult summarizes the Section 8 ablation: the same stream of
@@ -296,22 +290,16 @@ func X5AdaptiveGrid(o Options) (BoxSeries, error) {
 	spec.AR.Scale = 5
 	spec.AR.N = 1000
 	col := newBoxCollector("candidates", xs, []string{"fixed", "adaptive"})
-	for i, n := range budgets {
+	return col.sweepPoints(spec, nil, func(x int) map[string]sim.PricerFactory {
 		cfg := engineConfig(4)
-		cfg.Candidates = auction.LinearGrid(bidFloor, maxPrice, n)
+		cfg.Candidates = auction.LinearGrid(bidFloor, maxPrice, budgets[x])
 		adaptive := cfg
 		adaptive.RegridEvery = 4
-		results, err := sim.Run(spec, map[string]sim.PricerFactory{
+		return map[string]sim.PricerFactory{
 			"fixed":    sim.EngineFactory(cfg),
 			"adaptive": sim.EngineFactory(adaptive),
-		})
-		if err != nil {
-			return BoxSeries{}, err
 		}
-		col.add("fixed", i, sim.Revenues(results["fixed"]))
-		col.add("adaptive", i, sim.Revenues(results["adaptive"]))
-	}
-	return col.finish(), nil
+	}, sim.Revenues)
 }
 
 // X6DriftTracking compares drift-tracking mechanisms on persistent

@@ -10,6 +10,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/core"
@@ -172,6 +173,34 @@ func (b *boxCollector) sweep(specs []sim.Spec, factories map[string]sim.PricerFa
 	for x, results := range grid {
 		for name, rs := range results {
 			b.add(name, x, measure(rs))
+		}
+	}
+	return b.finish(), nil
+}
+
+// sweepPoints runs spec through every x position's factories in one
+// sim.Run and summarizes measure of each as its group at that x. A shared
+// factory is the same at every x, so it runs once and fills its group at
+// every position; at(x) gives the rest, keyed by group.
+func (b *boxCollector) sweepPoints(spec sim.Spec, shared map[string]sim.PricerFactory, at func(x int) map[string]sim.PricerFactory, measure func([]sim.Result) []float64) (BoxSeries, error) {
+	factories := map[string]sim.PricerFactory{}
+	maps.Copy(factories, shared)
+	for x, label := range b.xs {
+		for g, f := range at(x) {
+			factories[g+"@"+label] = f
+		}
+	}
+	results, err := sim.Run(spec, factories)
+	if err != nil {
+		return BoxSeries{}, err
+	}
+	for x, label := range b.xs {
+		for _, g := range b.order {
+			rs, ok := results[g+"@"+label]
+			if !ok {
+				rs = results[g]
+			}
+			b.add(g, x, measure(rs))
 		}
 	}
 	return b.finish(), nil

@@ -115,23 +115,17 @@ func Fig4a(o Options) (BoxSeries, error) {
 	// range) is the fair comparison.
 	adhoc := engineConfig(0) // epoch filled per sweep point below
 	adhoc.AdHocNeighborhood = 6
-	for i, e := range epochs {
+	return col.sweepPoints(truthfulSpec(o, 0.1, 0.01), nil, func(x int) map[string]sim.PricerFactory {
+		e := epochs[x]
 		adhocCfg := adhoc
 		adhocCfg.EpochSize = e
-		results, err := sim.Run(truthfulSpec(o, 0.1, 0.01), map[string]sim.PricerFactory{
+		return map[string]sim.PricerFactory{
 			"MW-Max": sim.RuleFactory(engineConfig(e), core.DrawMWMax),
 			"MW":     sim.RuleFactory(engineConfig(e), core.DrawMW),
 			"AdHoc":  sim.RuleFactory(adhocCfg, core.DrawAdHoc),
 			"Random": sim.RuleFactory(engineConfig(e), core.DrawRandom),
-		})
-		if err != nil {
-			return BoxSeries{}, err
 		}
-		for name, rs := range results {
-			col.add(name, i, sim.Revenues(rs))
-		}
-	}
-	return col.finish(), nil
+	}, sim.Revenues)
 }
 
 // fig4bc runs the Time-Shield sweep of Figures 4b/4c: E=8, strategic-bid

@@ -7,6 +7,12 @@
 // The regret guarantee the paper appeals to — expected cost not much worse
 // than the best expert in hindsight — holds for learning rates eta in
 // (0, 1/2]; see RegretBound.
+//
+// The update only raises 1-eta and 1+eta to powers in [0, 1], so a
+// learner keeps both bases' logarithms and takes math.Pow's own steps
+// (Go 1.24 src/math/pow.go) with them hoisted: the same bits, which every
+// recorded price depends on, without a Log per factor. A Go release that
+// changes those steps breaks the equality; TestPowMatchesMathPow says so.
 package mw
 
 import (
@@ -23,14 +29,14 @@ import (
 type Learner struct {
 	// values and weights are parallel: expert i plays values[i] (for the
 	// pricing algorithm, a candidate posting price) with multiplicative
-	// weight weights[i]. The weights are a bare vector so Update, Draw
-	// and ArgMax run the same slice routines (Step, ArgMax) a caller can
-	// run on its own scratch copy.
-	values  []float64
-	weights []float64
-	eta     float64
-	share   float64
-	rounds  int
+	// weight weights[i]. The weights are a bare vector so a caller's
+	// scratch copy takes the same Step and ArgMax as the live weights.
+	values   []float64
+	weights  []float64
+	eta      float64
+	share    float64
+	rounds   int
+	down, up powBase // 1-eta and 1+eta
 
 	// cumulative per-expert cost, for regret accounting.
 	cumCost []float64
@@ -61,11 +67,7 @@ const DefaultEta = 0.5
 // (Algorithm 1 line 1). It panics on an empty value set or eta outside
 // (0, 0.5].
 func NewLearner(values []float64, eta float64) *Learner {
-	weights := make([]float64, len(values))
-	for i := range weights {
-		weights[i] = 1
-	}
-	return NewLearnerWithWeights(values, weights, eta)
+	return newLearner(values, slices.Repeat([]float64{1}, len(values)), eta)
 }
 
 // NewLearnerWithWeights builds a learner with explicit initial weights —
@@ -73,6 +75,11 @@ func NewLearner(values []float64, eta float64) *Learner {
 // expert set. Weights must be positive and finite; regret accounting
 // starts fresh. It panics on invalid input.
 func NewLearnerWithWeights(values, weights []float64, eta float64) *Learner {
+	return newLearner(values, slices.Clone(weights), eta)
+}
+
+// newLearner is NewLearnerWithWeights taking ownership of weights.
+func newLearner(values, weights []float64, eta float64) *Learner {
 	if len(values) == 0 {
 		panic("mw: NewLearner with no experts")
 	}
@@ -89,8 +96,10 @@ func NewLearnerWithWeights(values, weights []float64, eta float64) *Learner {
 	}
 	l := &Learner{
 		values:  slices.Clone(values),
-		weights: slices.Clone(weights),
+		weights: weights,
 		eta:     eta,
+		down:    newPowBase(1 - eta),
+		up:      newPowBase(1 + eta),
 		cumCost: make([]float64, len(values)),
 	}
 	renormalize(l.weights)
@@ -169,57 +178,59 @@ func ArgMax(weights []float64) int {
 	return best
 }
 
-// Update applies one round of the multiplicative weights rule: Step on
-// the learner's own weights, plus regret accounting. costs[i] must lie
-// in [-1, 1]. incurred is the cost of the expert actually played this
-// round (used only for regret accounting; pass 0 if not tracking
-// regret). Update panics if the cost vector length mismatches or any
-// cost falls outside [-1, 1].
+// Update applies Step to the learner's own weights, adding each cost to
+// its expert's regret account in the same pass. incurred is the cost of
+// the expert actually played this round (used only for regret
+// accounting; pass 0 if not tracking regret). Update panics, changing
+// nothing, if the cost vector length mismatches or any cost falls
+// outside [-1, 1].
 func (l *Learner) Update(costs []float64, incurred float64) {
-	Step(l.weights, costs, l.eta, l.share)
-	for i, c := range costs {
-		l.cumCost[i] += clampCost(c)
-	}
+	l.step(l.weights, costs, l.cumCost)
 	l.cumIncurred += incurred
 	l.rounds++
 }
 
-// Step applies one round of the multiplicative weights rule to a bare
-// weight vector, in place and without allocating. Positive costs shrink
-// weights by (1-eta)^cost, negative costs (gains) grow them by
-// (1+eta)^(-cost), exactly the two-branch rule of Algorithm 1 lines
-// 21-24; then, with share > 0, a fraction share of the total weight is
-// redistributed uniformly (see SetShare); then the vector is rescaled if
-// its maximum has left [1e-6, 1e6]. It is the whole update rule:
-// Learner.Update calls it on the live weights, and the Time-Shield wait
-// replay calls it on a scratch copy, so a replayed round moves weights
-// bit for bit as the live round would. Step panics if the lengths differ
+// Step applies one round of the learner's rule to a bare weight vector
+// (a scratch copy from WeightsInto), in place and without allocating.
+// Positive costs shrink weights by (1-eta)^cost, negative costs (gains)
+// grow them by (1+eta)^(-cost), exactly the two-branch rule of Algorithm
+// 1 lines 21-24; then, with a share set, that fraction of the total
+// weight is redistributed uniformly (see SetShare); then the vector is
+// rescaled if its maximum has left [1e-6, 1e6]. Update runs the same
+// step, so the Time-Shield wait replay moves its copy bit for bit as a
+// live round would. Step panics, changing nothing, if the lengths differ
 // or any cost falls outside [-1, 1].
-func Step(weights, costs []float64, eta, share float64) {
+func (l *Learner) Step(weights, costs []float64) { l.step(weights, costs, nil) }
+
+// step is Step, adding each clamped cost to cumCost when it is non-nil.
+func (l *Learner) step(weights, costs, cumCost []float64) {
 	if len(costs) != len(weights) {
 		panic(fmt.Sprintf("mw: %d costs for %d experts", len(costs), len(weights)))
 	}
-	// math.Pow is most of a round's cost and runs of equal costs are the
-	// common case — every candidate priced above an epoch's highest bid
-	// earns nothing and so costs the same — so the factor of the previous
-	// expert is reused when the cost repeats. Pow is a pure function: the
-	// product is the one a fresh call would give.
-	lastCost, factor := math.NaN(), 0.0
-	for i, c := range costs {
-		if math.IsNaN(c) || c < -1-1e-9 || c > 1+1e-9 {
+	for i, c := range costs { // all of them before any weight moves
+		if !(c >= -1-1e-9 && c <= 1+1e-9) { // NaN too
 			panic(fmt.Sprintf("mw: cost[%d] = %v outside [-1, 1]", i, c))
 		}
-		if c = clampCost(c); c != lastCost {
-			lastCost = c
-			if c >= 0 {
-				factor = math.Pow(1-eta, c)
+	}
+	// Runs of equal costs are the common case — every candidate priced
+	// above an epoch's highest bid earns nothing and so costs the same —
+	// so a cost with the previous one's bits reuses its clamp and factor.
+	last, y, factor := math.Float64bits(math.NaN()), 0.0, 0.0
+	for i, c := range costs {
+		if bits := math.Float64bits(c); bits != last {
+			last, y = bits, clampCost(c)
+			if y >= 0 {
+				factor = l.down.pow(y)
 			} else {
-				factor = math.Pow(1+eta, -c)
+				factor = l.up.pow(-y)
 			}
 		}
 		weights[i] *= factor
+		if cumCost != nil {
+			cumCost[i] += y
+		}
 	}
-	if share > 0 {
+	if share := l.share; share > 0 {
 		var total float64
 		for _, w := range weights {
 			total += w
@@ -230,6 +241,32 @@ func Step(weights, costs []float64, eta, share float64) {
 		}
 	}
 	renormalize(weights)
+}
+
+// powBase is math.Pow(x, y) for one x in [0.5, 1.5] and y in [0, 1],
+// bit for bit: pow.go's special cases, then for y > 0.5 its yf = y-1,
+// yi = 1 branch, Ldexp(Exp(yf*Log(x))*x1, xe) with x1, xe = Frexp(x),
+// else Ldexp(Exp(y*Log(x)), 0). Near 1 a power-of-two scaling is exact
+// and commutes with rounding, so those are Exp(yf*Log(x))*x and
+// Exp(y*Log(x)).
+type powBase struct{ x, ln, sqrt float64 }
+
+func newPowBase(x float64) powBase {
+	return powBase{x: x, ln: math.Log(x), sqrt: math.Sqrt(x)}
+}
+
+func (b *powBase) pow(y float64) float64 {
+	switch {
+	case y == 0: // and -0
+		return 1
+	case y == 1:
+		return b.x
+	case y == 0.5:
+		return b.sqrt
+	case y > 0.5:
+		return math.Exp((y-1)*b.ln) * b.x
+	}
+	return math.Exp(y * b.ln)
 }
 
 // clampCost pulls a cost inside Step's 1e-9 validation slack back onto

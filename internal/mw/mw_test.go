@@ -1,7 +1,10 @@
 package mw
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -305,55 +308,200 @@ func referenceUpdate(weights, cumCost, costs []float64, eta, share float64) {
 	}
 }
 
-// TestStepMatchesReference drives a learner, a bare Step vector and the
-// reference through the same long cost sequences — long enough for the
-// rescale branch to fire — and requires all three bit-identical every
-// round, with and without fixed-share mixing.
+// stepDifferential drives l's Update, l's Step on a bare copy of its
+// weights and the reference through the same long cost sequences — long
+// enough for the rescale branch to fire — and returns the first round
+// where any of the three differ in a bit. Halfway through, l is replaced
+// by a learner rebuilt with Restore from its own snapshot, so the derived
+// powers of 1-eta and 1+eta are checked as a restore recomputes them.
+func stepDifferential(l *Learner, seed uint64) error {
+	r := rng.New(seed)
+	n := l.Len()
+	bare := l.Weights()
+	ref, refCum := l.Weights(), l.Snapshot().CumCost
+	costs := make([]float64, n)
+	const rounds = 2000
+	rescaled := false
+	for round := 0; round < rounds; round++ {
+		if round == rounds/2 {
+			restored, err := Restore(l.Snapshot())
+			if err != nil {
+				return err
+			}
+			l = restored
+		}
+		before := ref[ArgMax(ref)]
+		for i := range costs {
+			switch r.Intn(4) {
+			case 0:
+				costs[i] = 0
+			case 1:
+				costs[i] = float64(r.Intn(3)-1) * 0.5 * float64(1+r.Intn(2)) // -1, -0.5, 0, 0.5, 1: the special cases
+			default:
+				// Mostly losses: every weight decays, so the
+				// maximum leaves [1e-6, 1e6] and the rescale fires.
+				costs[i] = r.Uniform(-0.3, 1)
+			}
+		}
+		l.Update(costs, 0)
+		l.Step(bare, costs)
+		referenceUpdate(ref, refCum, costs, l.Eta(), l.Share())
+		// No single round grows a weight by more than 1+eta.
+		rescaled = rescaled || ref[ArgMax(ref)] > before*(1+l.Eta())
+		got, cum := l.Weights(), l.Snapshot().CumCost
+		for i := range ref {
+			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) ||
+				math.Float64bits(bare[i]) != math.Float64bits(ref[i]) {
+				return fmt.Errorf("round %d: weight[%d]: Update %v, Step %v, reference %v",
+					round, i, got[i], bare[i], ref[i])
+			}
+			if math.Float64bits(cum[i]) != math.Float64bits(refCum[i]) {
+				return fmt.Errorf("round %d: cumCost[%d] = %v, reference %v", round, i, cum[i], refCum[i])
+			}
+		}
+	}
+	if !rescaled {
+		return errors.New("the rescale branch never fired")
+	}
+	return nil
+}
+
+// TestStepMatchesReference holds Update and Step to the pre-kernel
+// update (math.Pow per expert) bit for bit, at the default learning rate
+// and two others, with and without fixed-share mixing, across a
+// snapshot-and-restore.
 func TestStepMatchesReference(t *testing.T) {
-	for _, share := range []float64{0, 0.05} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			r := rng.New(seed)
-			const n = 12
-			l := newTestLearner(t, n)
-			l.SetShare(share)
-			bare := l.Weights()
-			ref, refCum := l.Weights(), make([]float64, n)
-			costs := make([]float64, n)
-			rescaled := false
-			for round := 0; round < 400; round++ {
-				before := ref[ArgMax(ref)]
-				for i := range costs {
-					switch r.Intn(4) {
-					case 0:
-						costs[i] = 0
-					case 1:
-						costs[i] = float64(r.Intn(3) - 1) // -1, 0, 1: the Pow fast paths
-					default:
-						// Mostly losses: every weight decays, so the
-						// maximum leaves [1e-6, 1e6] and the rescale fires.
-						costs[i] = r.Uniform(-0.3, 1)
-					}
-				}
-				l.Update(costs, 0)
-				Step(bare, costs, l.Eta(), share)
-				referenceUpdate(ref, refCum, costs, l.Eta(), share)
-				// No single round grows a weight by more than 1+eta.
-				rescaled = rescaled || ref[ArgMax(ref)] > before*(1+l.Eta())
-				got, cum := l.Weights(), l.Snapshot().CumCost
-				for i := range ref {
-					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) ||
-						math.Float64bits(bare[i]) != math.Float64bits(ref[i]) {
-						t.Fatalf("share %v seed %d round %d: weight[%d] learner %v, Step %v, reference %v",
-							share, seed, round, i, got[i], bare[i], ref[i])
-					}
-					if math.Float64bits(cum[i]) != math.Float64bits(refCum[i]) {
-						t.Fatalf("share %v seed %d round %d: cumCost[%d] = %v, reference %v",
-							share, seed, round, i, cum[i], refCum[i])
-					}
+	for _, eta := range []float64{DefaultEta, 0.3, 0.1} {
+		for _, share := range []float64{0, 0.05} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				l := NewLearner(make([]float64, 12), eta)
+				l.SetShare(share)
+				if err := stepDifferential(l, seed); err != nil {
+					t.Fatalf("eta %v share %v seed %d: %v", eta, share, seed, err)
 				}
 			}
-			if !rescaled {
-				t.Fatalf("share %v seed %d: the rescale branch never fired", share, seed)
+		}
+	}
+}
+
+// TestStepDifferentialCanary is the differential's mutation canary: a
+// learner whose shrink base was built for a learning rate 1e-9 off its
+// own must trip the weight comparison.
+func TestStepDifferentialCanary(t *testing.T) {
+	l := NewLearner(make([]float64, 12), 0.3)
+	l.down = newPowBase(1 - (0.3 + 1e-9))
+	err := stepDifferential(l, 1)
+	if err == nil || !strings.Contains(err.Error(), "weight[") {
+		t.Fatalf("a base for the wrong eta was not caught by the weight check: %v", err)
+	}
+	t.Logf("canary tripped: %v", err)
+}
+
+// powEtas are the learning rates the pow kernel is held to math.Pow at:
+// the default, just under it, the optimal rate of the paper's 40-candidate,
+// 250-bid setting, and a spread down to 0.01.
+func powEtas() []float64 {
+	return []float64{DefaultEta, 0.49999, 0.3333, 0.25, 0.1, 0.01, OptimalEta(40, 250)}
+}
+
+// powMismatch compares powBase against math.Pow at both of eta's bases.
+func powMismatch(eta, y float64) error {
+	for _, x := range []float64{1 - eta, 1 + eta} {
+		b := newPowBase(x)
+		if got, want := b.pow(y), math.Pow(x, y); math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("eta %v: pow(%v, %v) = %v (%#x), math.Pow %v (%#x)",
+				eta, x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	return nil
+}
+
+// TestPowMatchesMathPow is the guard on the kernel's premise: for every
+// exponent the update can ask for, powBase.pow is math.Pow bit for bit.
+// It fails first if a Go release changes pow.go's steps.
+func TestPowMatchesMathPow(t *testing.T) {
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, math.Nextafter(0.5, 0), 0.5,
+		math.Nextafter(0.5, 1), math.Nextafter(1, 0), 1}
+	n := 1_000_000
+	if testing.Short() {
+		n = 50_000
+	}
+	r := rng.New(29)
+	ys := make([]float64, 0, len(edges)+n)
+	ys = append(ys, edges...)
+	for i := 0; i < n; i++ {
+		y := r.Float64()
+		if i%2 == 1 {
+			y = math.Ldexp(y, -r.Intn(60)) // small exponents, down to 2^-60
+		}
+		ys = append(ys, y)
+	}
+	for _, eta := range powEtas() {
+		for _, y := range ys {
+			if err := powMismatch(eta, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// FuzzPowMatchesMathPow searches (eta, y) for a pair where the kernel and
+// math.Pow part; inputs outside eta in (0, 0.5], y in [0, 1] are skipped.
+func FuzzPowMatchesMathPow(f *testing.F) {
+	for _, eta := range powEtas() {
+		for _, y := range []float64{0, 0.25, 0.5, math.Nextafter(0.5, 1), 0.75, 1} {
+			f.Add(eta, y)
+		}
+	}
+	f.Fuzz(func(t *testing.T, eta, y float64) {
+		if !(eta > 0 && eta <= 0.5) || !(y >= 0 && y <= 1) {
+			t.Skip()
+		}
+		if err := powMismatch(eta, y); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestBadCostChangesNothing: a cost vector with one bad entry past the
+// first is refused whole — the weights before it are not multiplied and
+// no regret account moves, on the learner or on a scratch vector.
+func TestBadCostChangesNothing(t *testing.T) {
+	l := newTestLearner(t, 4)
+	l.Update([]float64{0.5, -0.25, 1, 0}, 0.1)
+	before, rounds, regret := l.Snapshot(), l.Rounds(), l.Regret()
+	for k := 1; k < 4; k++ {
+		for _, bad := range []float64{2, -2, math.NaN()} {
+			costs := []float64{0.5, -0.25, 1, 0}
+			costs[k] = bad
+			scratch := l.Weights()
+			for name, f := range map[string]func(){
+				"Update": func() { l.Update(costs, 0.3) },
+				"Step":   func() { l.Step(scratch, costs) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s with cost[%d] = %v did not panic", name, k, bad)
+						}
+					}()
+					f()
+				}()
+			}
+			after := l.Snapshot()
+			if l.Rounds() != rounds || math.Float64bits(l.Regret()) != math.Float64bits(regret) {
+				t.Fatalf("cost[%d] = %v: rounds %d regret %v moved", k, bad, l.Rounds(), l.Regret())
+			}
+			for i := range after.Weights {
+				for _, got := range [][2]float64{
+					{after.Weights[i], before.Weights[i]},
+					{after.CumCost[i], before.CumCost[i]},
+					{scratch[i], before.Weights[i]},
+				} {
+					if math.Float64bits(got[0]) != math.Float64bits(got[1]) {
+						t.Fatalf("cost[%d] = %v: index %d moved: %v, was %v", k, bad, i, got[0], got[1])
+					}
+				}
 			}
 		}
 	}
@@ -373,7 +521,7 @@ func TestHotPathAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(100, func() {
 		l.Update(costs, 0)
 		scratch = l.WeightsInto(scratch)
-		Step(scratch, costs, l.Eta(), l.Share())
+		l.Step(scratch, costs)
 		_ = l.Draw(r)
 		_ = ArgMax(scratch)
 	})
