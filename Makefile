@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzReplicateDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzPowMatchesMathPow$$' -fuzztime $(FUZZ_TIME) ./internal/mw/
+	$(GO) test -run xxx -fuzz '^FuzzRoundMatchesStep$$' -fuzztime $(FUZZ_TIME) ./internal/mw/
 
 # Model-based torture, two halves. The sequential differential: seeded
 # workloads against the reference model through direct, instrumented,
@@ -124,13 +125,14 @@ cover:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# Every microbenchmark — the journal's, the wire protocol's, the MW
-# learner's, the paper_sim round (BenchmarkPaperRound, the profile the
-# simulated figures are tuned against) and the 21 per-figure ones —
-# compiles and runs one iteration, so none rots between the sessions
-# that use them.
+# Every microbenchmark — the journal's (BenchmarkRecoverDir is the
+# store_recover profile), the wire protocol's, the MW learner's, the
+# engine's, the auction's, the market's, telemetry's, the RNG's, the
+# paper_sim round (BenchmarkPaperRound, the profile the simulated figures
+# are tuned against) and the 21 per-figure ones — compiles and runs one
+# iteration, so none rots between the sessions that use them.
 bench-compile:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/journal/ ./internal/wire/ ./internal/mw/ ./internal/experiments/ .
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/journal/ ./internal/wire/ ./internal/mw/ ./internal/core/ ./internal/auction/ ./internal/market/ ./internal/obs/ ./internal/rng/ ./internal/experiments/ .
 
 # Non-test Go lines, in total and per top-level directory — the figure
 # every PR states — beside PARENT's (default HEAD) and the net.

@@ -6,18 +6,31 @@ import (
 	"github.com/datamarket/shield/internal/auction"
 )
 
+// allocConfigs are the engines the allocation tests run: a small one and
+// marketd's (40 candidates, epochs of 8, the floor on the cheapest
+// candidate), the latter also with fixed-share mixing, whose replay
+// rounds move every weight.
+func allocConfigs(epochSize int, wait WaitStrategy) []namedConfig {
+	serving := Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: epochSize, Wait: wait, MinBid: 1, Seed: 3}
+	mixed := serving
+	mixed.ShareFraction = 0.05
+	return []namedConfig{
+		{"", Config{Candidates: auction.LinearGrid(10, 100, 10), EpochSize: epochSize, Wait: wait, MinBid: 1, Seed: 3}},
+		{"/serving", serving},
+		{"/serving-share", mixed},
+	}
+}
+
+type namedConfig struct {
+	name string
+	cfg  Config
+}
+
 // allocEngine is a Time-Shield-on engine taught that demand sits near 80,
 // so a bid of 25 loses and pays for a full wait-period replay.
-func allocEngine(t *testing.T, epochSize int, wait WaitStrategy) *Engine {
-	t.Helper()
-	e := MustNew(Config{
-		Candidates: auction.LinearGrid(10, 100, 10),
-		EpochSize:  epochSize,
-		Wait:       wait,
-		MinBid:     1,
-		Seed:       3,
-	})
-	for i := 0; i < 40*epochSize; i++ {
+func allocEngine(cfg Config) *Engine {
+	e := MustNew(cfg)
+	for i := 0; i < 40*cfg.EpochSize; i++ {
 		e.SubmitBid(80)
 	}
 	return e
@@ -29,25 +42,27 @@ func allocEngine(t *testing.T, epochSize int, wait WaitStrategy) *Engine {
 // price draw), and ComputeWaitPeriod on its own.
 func TestSubmitBidZeroAlloc(t *testing.T) {
 	for _, wait := range []WaitStrategy{WaitBound, WaitStable} {
-		t.Run("losing/"+wait.String(), func(t *testing.T) {
-			e := allocEngine(t, 8, wait)
-			replays := 0
-			n := testing.AllocsPerRun(200, func() {
-				e.SubmitBid(80) // keeps demand, and the price, high
-				if d := e.SubmitBid(25); !d.Allocated && d.Wait > 8 {
-					replays++
+		for _, c := range allocConfigs(8, wait) {
+			t.Run("losing/"+wait.String()+c.name, func(t *testing.T) {
+				e := allocEngine(c.cfg)
+				replays := 0
+				n := testing.AllocsPerRun(200, func() {
+					e.SubmitBid(80) // keeps demand, and the price, high
+					if d := e.SubmitBid(25); !d.Allocated && d.Wait > 8 {
+						replays++
+					}
+				})
+				if n != 0 {
+					t.Errorf("SubmitBid allocates %.2f times per winning+losing pair, want 0", n)
+				}
+				if replays < 150 {
+					t.Errorf("only %d of 201 low bids lost to a full replay; the test is not measuring Time-Shield", replays)
 				}
 			})
-			if n != 0 {
-				t.Errorf("SubmitBid allocates %.2f times per winning+losing pair, want 0", n)
-			}
-			if replays < 150 {
-				t.Errorf("only %d of 201 low bids lost to a full replay; the test is not measuring Time-Shield", replays)
-			}
-		})
+		}
 	}
 	t.Run("epoch-close", func(t *testing.T) {
-		e := allocEngine(t, 1, WaitBound)
+		e := allocEngine(allocConfigs(1, WaitBound)[0].cfg)
 		before := e.Epochs()
 		n := testing.AllocsPerRun(200, func() { e.SubmitBid(80); e.SubmitBid(25) })
 		if n != 0 {
@@ -58,7 +73,7 @@ func TestSubmitBidZeroAlloc(t *testing.T) {
 		}
 	})
 	t.Run("ComputeWaitPeriod", func(t *testing.T) {
-		e := allocEngine(t, 8, WaitBound)
+		e := allocEngine(allocConfigs(8, WaitBound)[0].cfg)
 		e.SubmitBid(80)
 		e.SubmitBid(60)
 		var wait int
@@ -70,4 +85,16 @@ func TestSubmitBidZeroAlloc(t *testing.T) {
 			t.Errorf("wait %d: the probe did not replay past the current epoch", wait)
 		}
 	})
+}
+
+// TestNewAllocs pins what building an engine allocates — the engine, its
+// learner and their slices, the RNG, the candidates, the epoch buffer and
+// one scratch block — so no per-engine storage is added unnoticed: a
+// market holds one engine per dataset.
+func TestNewAllocs(t *testing.T) {
+	for _, c := range allocConfigs(8, WaitBound) {
+		if n := testing.AllocsPerRun(100, func() { MustNew(c.cfg) }); n != 9 {
+			t.Errorf("%+v: New allocates %v times, want 9", c.cfg, n)
+		}
+	}
 }

@@ -182,11 +182,10 @@ type Engine struct {
 
 	// Scratch of the epoch-scoring kernel (see scoreEpoch), sized once at
 	// construction and overwritten by every use — none of it is state:
-	// the sorted epoch, one cost per candidate and, for the wait-period
-	// replay, a private copy of the weights and every candidate's revenue
-	// on an all-synthetic epoch.
-	curve               auction.Curve
-	costs, simW, synthR []float64
+	// the sorted epoch, one cost (or, in the wait-period replay, factor)
+	// per candidate and the replay's private copy of the weights.
+	curve       auction.Curve
+	costs, simW []float64
 
 	// running statistics
 	revenue     float64
@@ -288,8 +287,8 @@ func New(cfg Config) (*Engine, error) {
 // count, which regridding never changes.
 func (e *Engine) initScratch() {
 	k := len(e.cfg.Candidates)
-	buf := make([]float64, 3*k)
-	e.costs, e.simW, e.synthR = buf[:k:k], buf[k:2*k:2*k], buf[2*k:]
+	buf := make([]float64, 2*k)
+	e.costs, e.simW = buf[:k:k], buf[k:]
 }
 
 // MustNew is New for static configurations; it panics on config errors.
@@ -376,7 +375,7 @@ func (e *Engine) maybeUpdatePrice() {
 // the wait-period replay share: for the epoch loaded in e.curve, priced
 // at chosen, it writes every candidate's cost — its relative revenue
 // difference (R(chosen) - R(p)) / R_opt, Algorithm 1 lines 15-20 — into
-// e.costs, ready for the learner's Update or Step. It reports false,
+// e.costs, ready for the learner's Update or Prepare. It reports false,
 // writing nothing, for an epoch with no positive bid: the cost is
 // undefined and no weight moves.
 func (e *Engine) scoreEpoch(chosen float64) bool {
@@ -522,13 +521,10 @@ func (e *Engine) ComputeWaitPeriod(b float64) int {
 //
 // Every replayed round moves the scratch weights exactly as a live epoch
 // close would: round one goes through scoreEpoch, and every round
-// through the learner's Step, the routine its Update runs, with the
-// learner's own precomputed powers of 1-eta and 1+eta. Rounds two onward
-// see E copies of one value s, whose revenue curve is a closed form —
-// R_opt = E*s, and R(p) = p*E if p <= s, else 0 — so it is read off
-// auction.Curve once per call (no sort, no scan per round) and each later
-// round costs a subtraction and a division per candidate and an Exp per
-// run of equal costs.
+// through the learner's Prepare and Apply, which give each weight
+// Update's bits. Rounds two onward see E copies of one value s, loaded
+// into auction.Curve once per call with no sort; a round then moves only
+// the candidates that earn other than the price it plays.
 func (e *Engine) computeWaitPeriod(b float64) int {
 	synthetic := e.cfg.MinBid
 	if e.cfg.Wait == WaitStable {
@@ -568,41 +564,39 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 	moved := e.scoreEpoch(e.price)
 	simulated := remaining
 
-	// Rounds two onward replay E copies of the synthetic bid, whose
-	// revenues are read off the curve once and tabulated — unless the
-	// live epoch opens with a bid equal to the synthetic value. The
-	// reference replay tested "already all-synthetic" by its first
-	// element alone and so kept re-scoring the round-one epoch in that
-	// case; recorded waits are replayed from journals, so the quirk is
-	// part of the contract (DESIGN.md, "Wait-period computation").
-	keepFirst := len(e.epoch) > 0 && e.epoch[0] == synthetic
-	var synthOpt float64 // R_opt of an all-synthetic epoch
-	if !keepFirst {
+	// Rounds two onward replay E copies of the synthetic bid, loaded into
+	// the curve once — unless the live epoch opens with a bid equal to the
+	// synthetic value. The reference replay tested "already all-synthetic"
+	// by its first element alone and so kept re-scoring the round-one
+	// epoch then; recorded waits are replayed from journals, so the quirk
+	// is part of the contract (DESIGN.md, "Wait-period computation").
+	if keepFirst := len(e.epoch) > 0 && e.epoch[0] == synthetic; !keepFirst {
 		e.curve.Fill(synthetic, size)
-		_, synthOpt = e.curve.Optimal()
-		for i, p := range cands {
-			e.synthR[i] = e.curve.Revenue(p)
-		}
 	}
 
 	w := e.learner.WeightsInto(e.simW)
-	for round := 0; round < e.cfg.maxWaitEpochs(); round++ {
+	var r mw.Round
+	if moved {
+		e.learner.Prepare(&r, w, e.costs)
+	}
+	for round, prepared := 0, -1; round < e.cfg.maxWaitEpochs(); round++ {
+		var likely int
 		if moved {
-			e.learner.Step(w, e.costs)
+			likely = e.learner.Apply(&r, w)
+		} else {
+			likely = mw.ArgMax(w)
 		}
-		likely := mw.ArgMax(w)
 		if b >= cands[likely] {
 			return ceilDiv(simulated, e.cfg.BidsPerPeriod)
 		}
 		// Subsequent epochs are all-synthetic; the replay plays the most
-		// likely price each round (the buyer's best bet, Section 6.2.2).
+		// likely price each round (the buyer's best bet, Section 6.2.2),
+		// and their costs depend on it alone: scored once per run of it.
 		simulated += size
-		if keepFirst {
-			moved = e.scoreEpoch(cands[likely])
-		} else if moved = synthOpt > 0; moved {
-			revenue := e.synthR[likely]
-			for i, r := range e.synthR {
-				e.costs[i] = (revenue - r) / synthOpt
+		if likely != prepared {
+			prepared = likely
+			if moved = e.scoreEpoch(cands[likely]); moved {
+				e.learner.Prepare(&r, w, e.costs)
 			}
 		}
 	}

@@ -530,17 +530,45 @@ func BenchmarkSubmitBid(b *testing.B) {
 	}
 }
 
+// BenchmarkComputeWaitPeriod times one wait replay: on the small test
+// engine, and on marketd's (40 candidates, epochs of 8, floor 1) after
+// 400 epochs of Normal(100, 30) bids, for a bid of 25 — a replay of all
+// or nearly all of the 64 epochs — under Bound, Stable and Bound with
+// fixed-share mixing. The wait is reported so a change that shortens
+// the replay shows.
 func BenchmarkComputeWaitPeriod(b *testing.B) {
-	cfg := testConfig()
-	e := MustNew(cfg)
-	for i := 0; i < 400; i++ {
-		e.SubmitBid(90)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ComputeWaitPeriod(20)
+	serving := Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1, MinBid: 1, Seed: 42}
+	stable, share := serving, serving
+	stable.Wait, share.ShareFraction = WaitStable, 0.05
+	for _, bc := range []struct {
+		name      string
+		cfg       Config
+		teach     func(r *rng.RNG) float64
+		probe     float64
+		teachBids int
+	}{
+		{"small", testConfig(), func(*rng.RNG) float64 { return 90 }, 20, 400},
+		{"serving/Bound", serving, normalBid, 25, 3200},
+		{"serving/Stable", stable, normalBid, 25, 3200},
+		{"serving/Bound-share", share, normalBid, 25, 3200},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := MustNew(bc.cfg)
+			r := rng.New(7)
+			for i := 0; i < bc.teachBids; i++ {
+				e.SubmitBid(bc.teach(r))
+			}
+			var wait int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wait = e.ComputeWaitPeriod(bc.probe)
+			}
+			b.ReportMetric(float64(wait), "wait")
+		})
 	}
 }
+
+func normalBid(r *rng.RNG) float64 { return math.Max(1, r.Normal(100, 30)) }
 
 func TestObserveFeedsEpochWithoutAllocation(t *testing.T) {
 	cfg := testConfig()

@@ -248,22 +248,32 @@ func TestKernelMatchesOracle(t *testing.T) {
 }
 
 // TestKernelMatchesOracleAtServingScale repeats the differential on the
-// engine marketd and the repository benchmark run: 40 candidates, epochs
-// of 8, the bid floor on the cheapest candidate.
+// engine marketd and the repository benchmark run — 40 candidates, epochs
+// of 8, the bid floor on the cheapest candidate — and on its variants
+// with fixed-share mixing (the replay's dense rounds), an adaptive grid,
+// and a floor inside the grid, where a Bound round moves every candidate
+// at or below it.
 func TestKernelMatchesOracleAtServingScale(t *testing.T) {
 	for _, wait := range []WaitStrategy{WaitBound, WaitStable} {
-		cfg := Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1, MinBid: 1, Wait: wait, Seed: 9}
-		if err := runDifferential(cfg, 600); err != nil {
-			t.Errorf("%v: %v", wait, err)
+		for _, share := range []float64{0, 0.05} {
+			for _, regrid := range []int{0, 3} {
+				for _, minBid := range []float64{1, 57} {
+					cfg := Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1,
+						MinBid: minBid, Wait: wait, ShareFraction: share, RegridEvery: regrid, Seed: 9}
+					if err := runDifferential(cfg, 600); err != nil {
+						t.Errorf("%v/share%v/regrid%d/minbid%v: %v", wait, share, regrid, minBid, err)
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestOracleCanary is the differential's mutation canary: one closed-form
 // revenue — what a single candidate earns on an all-synthetic epoch, the
-// case the kernel tabulates once instead of scanning every round — is
-// counted one winner short, and the differential must trip on the wait
-// replay by name. The kernel's table has no seam to perturb, so the
+// case the kernel reads off a filled curve instead of scanning every
+// round — is counted one winner short, and the differential must trip on
+// the wait replay by name. The kernel's curve has no seam to perturb, so the
 // error is planted on the oracle's side of the comparison; a difference
 // is symmetric, and this is the size and place of error a wrong table
 // would make.

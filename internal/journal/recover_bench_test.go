@@ -1,0 +1,81 @@
+package journal
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/core"
+	"github.com/datamarket/shield/internal/market"
+	"github.com/datamarket/shield/internal/rng"
+)
+
+// buildRecoverStore writes, with checkpoints off, the store the
+// repository benchmark's store_recover workload recovers at its full
+// length: marketd's engine (40 candidates over [1, 200], epochs of 8,
+// floor 1), 64 datasets, 4 096 buyers, and 24 000 ops — a Tick every
+// 512th, otherwise a Normal(100, 30) bid walking the (buyer, dataset)
+// pairs. It returns how many records a recovery replays.
+func buildRecoverStore(b *testing.B, dir string) int {
+	b.Helper()
+	const datasets, buyers, ops, tickEvery = 64, 4096, 24000, 512
+	cfg := market.Config{
+		Engine: core.Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1, MinBid: 1},
+		Seed:   3109,
+	}
+	jm, _, err := OpenStore(cfg, dir, StoreConfig{CheckpointEvery: -1, RetainSegments: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = jm.RegisterSeller("seller")
+	for d := 0; err == nil && d < datasets; d++ {
+		err = jm.UploadDataset("seller", market.DatasetID(fmt.Sprintf("ds-%03d", d)))
+	}
+	for k := 0; err == nil && k < buyers; k++ {
+		err = jm.RegisterBuyer(market.BuyerID(fmt.Sprintf("buyer-%04d", k)))
+	}
+	r := rng.New(3109)
+	for i, bids := 0, 0; err == nil && i < ops; i++ {
+		if i%tickEvery == tickEvery-1 {
+			_, err = jm.Tick()
+			continue
+		}
+		k := bids % buyers
+		_, err = jm.SubmitBid(market.BuyerID(fmt.Sprintf("buyer-%04d", k)),
+			market.DatasetID(fmt.Sprintf("ds-%03d", (k+bids/buyers)%datasets)), math.Max(1, r.Normal(100, 30)))
+		bids++
+		if errors.Is(err, market.ErrWaitActive) || errors.Is(err, market.ErrBidTooSoon) || errors.Is(err, market.ErrAlreadyAcquired) {
+			err = nil
+		}
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := int(jm.LastSeq())
+	if err := jm.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return records
+}
+
+// BenchmarkRecoverDir is one cold RecoverDir of buildRecoverStore's store
+// per iteration: the store_recover workload's op without the benchmark
+// harness, so
+//
+//	go test -run xxx -bench RecoverDir -cpuprofile cpu.out ./internal/journal/
+//
+// profiles it in one command.
+func BenchmarkRecoverDir(b *testing.B) {
+	dir := b.TempDir()
+	records := buildRecoverStore(b, dir)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, replayed, err := RecoverDir(dir); err != nil || replayed != records {
+			b.Fatalf("RecoverDir replayed %d of %d records: %v", replayed, records, err)
+		}
+	}
+	b.ReportMetric(float64(b.N*records)/b.Elapsed().Seconds(), "records/s")
+}

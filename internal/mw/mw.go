@@ -30,7 +30,7 @@ type Learner struct {
 	// values and weights are parallel: expert i plays values[i] (for the
 	// pricing algorithm, a candidate posting price) with multiplicative
 	// weight weights[i]. The weights are a bare vector so a caller's
-	// scratch copy takes the same Step and ArgMax as the live weights.
+	// scratch copy takes the same rounds and ArgMax as the live weights.
 	values   []float64
 	weights  []float64
 	eta      float64
@@ -102,7 +102,7 @@ func newLearner(values, weights []float64, eta float64) *Learner {
 		up:      newPowBase(1 + eta),
 		cumCost: make([]float64, len(values)),
 	}
-	renormalize(l.weights)
+	l.settle(l.weights) // no share yet: the rescale alone
 	return l
 }
 
@@ -123,8 +123,8 @@ func (l *Learner) Weights() []float64 { return l.WeightsInto(nil) }
 
 // WeightsInto copies the current weights into dst's storage (grown if
 // too small) and returns the copy: a caller that replays hypothetical
-// rounds with Step keeps one scratch vector instead of a fresh copy per
-// replay.
+// rounds with Prepare and Apply keeps one scratch vector instead of a
+// fresh copy per replay.
 func (l *Learner) WeightsInto(dst []float64) []float64 { return append(dst[:0], l.weights...) }
 
 // Probabilities returns the current weight distribution normalized to sum
@@ -178,40 +178,16 @@ func ArgMax(weights []float64) int {
 	return best
 }
 
-// Update applies Step to the learner's own weights, adding each cost to
-// its expert's regret account in the same pass. incurred is the cost of
-// the expert actually played this round (used only for regret
-// accounting; pass 0 if not tracking regret). Update panics, changing
-// nothing, if the cost vector length mismatches or any cost falls
-// outside [-1, 1].
+// Update applies Algorithm 1 lines 21-24 to the learner's weights — a
+// cost c shrinks a weight by (1-eta)^c, a gain -c grows it by (1+eta)^c —
+// then settles them (mixing, rescale), adding each cost to its expert's
+// regret account in the same pass. incurred is the cost of the expert
+// actually played this round (used only for regret accounting; pass 0 if
+// not tracking regret). Update panics, changing nothing, if the cost
+// vector length mismatches or any cost falls outside [-1, 1].
 func (l *Learner) Update(costs []float64, incurred float64) {
-	l.step(l.weights, costs, l.cumCost)
-	l.cumIncurred += incurred
-	l.rounds++
-}
-
-// Step applies one round of the learner's rule to a bare weight vector
-// (a scratch copy from WeightsInto), in place and without allocating.
-// Positive costs shrink weights by (1-eta)^cost, negative costs (gains)
-// grow them by (1+eta)^(-cost), exactly the two-branch rule of Algorithm
-// 1 lines 21-24; then, with a share set, that fraction of the total
-// weight is redistributed uniformly (see SetShare); then the vector is
-// rescaled if its maximum has left [1e-6, 1e6]. Update runs the same
-// step, so the Time-Shield wait replay moves its copy bit for bit as a
-// live round would. Step panics, changing nothing, if the lengths differ
-// or any cost falls outside [-1, 1].
-func (l *Learner) Step(weights, costs []float64) { l.step(weights, costs, nil) }
-
-// step is Step, adding each clamped cost to cumCost when it is non-nil.
-func (l *Learner) step(weights, costs, cumCost []float64) {
-	if len(costs) != len(weights) {
-		panic(fmt.Sprintf("mw: %d costs for %d experts", len(costs), len(weights)))
-	}
-	for i, c := range costs { // all of them before any weight moves
-		if !(c >= -1-1e-9 && c <= 1+1e-9) { // NaN too
-			panic(fmt.Sprintf("mw: cost[%d] = %v outside [-1, 1]", i, c))
-		}
-	}
+	weights, cum := l.weights, l.cumCost
+	checkCosts(weights, costs)
 	// Runs of equal costs are the common case — every candidate priced
 	// above an epoch's highest bid earns nothing and so costs the same —
 	// so a cost with the previous one's bits reuses its clamp and factor.
@@ -219,17 +195,20 @@ func (l *Learner) step(weights, costs, cumCost []float64) {
 	for i, c := range costs {
 		if bits := math.Float64bits(c); bits != last {
 			last, y = bits, clampCost(c)
-			if y >= 0 {
-				factor = l.down.pow(y)
-			} else {
-				factor = l.up.pow(-y)
-			}
+			factor = l.factor(y)
 		}
 		weights[i] *= factor
-		if cumCost != nil {
-			cumCost[i] += y
-		}
+		cum[i] += y
 	}
+	l.settle(weights)
+	l.cumIncurred += incurred
+	l.rounds++
+}
+
+// settle ends a round whose weights are multiplied: fixed-share mixing
+// (see SetShare), then, if the maximum has left [1e-6, 1e6], a rescale to
+// 1 against under- or overflow, which leaves the distribution as it was.
+func (l *Learner) settle(weights []float64) {
 	if share := l.share; share > 0 {
 		var total float64
 		for _, w := range weights {
@@ -240,7 +219,110 @@ func (l *Learner) step(weights, costs, cumCost []float64) {
 			weights[i] = (1-share)*weights[i] + mix
 		}
 	}
-	renormalize(weights)
+	maxW := 0.0
+	for _, w := range weights {
+		if w > maxW {
+			maxW = w
+		}
+	}
+	if maxW > 1e-6 && maxW < 1e6 {
+		return
+	}
+	for i := range weights {
+		if maxW <= 0 || math.IsInf(maxW, 1) {
+			weights[i] = 1 // degenerate: uniform as a last resort
+		} else {
+			weights[i] /= maxW
+		}
+	}
+}
+
+// Round is a cost vector prepared for a scratch weight vector that takes
+// it again and again, as the Time-Shield wait replay's rounds do.
+type Round struct {
+	factors []float64
+	n       int     // every factor past the first n is exactly 1
+	max     float64 // the largest weight whose factor is 1, -1 if none,
+	best    int     // and its first index
+}
+
+// Prepare turns costs, in place, into the factors Update would multiply
+// weights by and records them in r; it panics as Update does.
+func (l *Learner) Prepare(r *Round, weights, costs []float64) {
+	checkCosts(weights, costs)
+	last, factor := math.Float64bits(math.NaN()), 0.0
+	for i, c := range costs {
+		if bits := math.Float64bits(c); bits != last {
+			last, factor = bits, l.factor(clampCost(c))
+		}
+		costs[i] = factor
+	}
+	r.factors = costs
+	r.cache(weights)
+}
+
+// Apply runs r on the weights it was prepared against, giving each
+// Update's bits, and returns ArgMax of the result. Unmixed, it multiplies
+// only factors other than 1 (x*1 == x) and takes the better of their and
+// the cached maximum, ties to the lower index; a rescale recaches.
+func (l *Learner) Apply(r *Round, weights []float64) int {
+	if l.share > 0 {
+		for i, f := range r.factors {
+			weights[i] *= f
+		}
+		l.settle(weights)
+		return ArgMax(weights)
+	}
+	maxW, best := r.max, r.best
+	for i, f := range r.factors[:r.n] {
+		if f != 1 {
+			w := weights[i] * f
+			weights[i] = w
+			if w > maxW || (w == maxW && i < best) {
+				maxW, best = w, i
+			}
+		}
+	}
+	if maxW > 1e-6 && maxW < 1e6 {
+		return best
+	}
+	l.settle(weights) // unmixed: the rescale alone
+	r.cache(weights)
+	return ArgMax(weights)
+}
+
+// cache records where the factors other than 1 end and the largest of
+// the other experts' weights.
+func (r *Round) cache(weights []float64) {
+	r.n, r.max, r.best = 0, -1, -1
+	for i, f := range r.factors {
+		if f != 1 {
+			r.n = i + 1
+		} else if weights[i] > r.max {
+			r.max, r.best = weights[i], i
+		}
+	}
+}
+
+// checkCosts panics unless costs holds one cost in [-1, 1] per weight.
+func checkCosts(weights, costs []float64) {
+	if len(costs) != len(weights) {
+		panic(fmt.Sprintf("mw: %d costs for %d experts", len(costs), len(weights)))
+	}
+	for i, c := range costs {
+		if !(c >= -1-1e-9 && c <= 1+1e-9) { // NaN too
+			panic(fmt.Sprintf("mw: cost[%d] = %v outside [-1, 1]", i, c))
+		}
+	}
+}
+
+// factor is (1-eta)^y for a clamped loss y >= 0, (1+eta)^-y for a gain.
+func (l *Learner) factor(y float64) float64 {
+	b := &l.down
+	if y < 0 {
+		b, y = &l.up, -y
+	}
+	return b.pow(y)
 }
 
 // powBase is math.Pow(x, y) for one x in [0.5, 1.5] and y in [0, 1],
@@ -269,35 +351,9 @@ func (b *powBase) pow(y float64) float64 {
 	return math.Exp(y * b.ln)
 }
 
-// clampCost pulls a cost inside Step's 1e-9 validation slack back onto
+// clampCost pulls a cost inside checkCosts' 1e-9 validation slack back onto
 // [-1, 1].
 func clampCost(c float64) float64 { return max(-1, min(1, c)) }
-
-// renormalize rescales weights so the maximum is 1, preventing underflow
-// or overflow over long runs. Rescaling all weights by a constant does not
-// change the induced probability distribution, so the algorithm's behavior
-// is unaffected.
-func renormalize(weights []float64) {
-	maxW := 0.0
-	for _, w := range weights {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	switch {
-	case maxW <= 0 || math.IsInf(maxW, 1):
-		// Degenerate: reset to uniform as a last resort.
-		for i := range weights {
-			weights[i] = 1
-		}
-	case maxW > 1e-6 && maxW < 1e6:
-		// Comfortably in range; skip the division.
-	default:
-		for i := range weights {
-			weights[i] /= maxW
-		}
-	}
-}
 
 // BestExpertCumCost returns the minimum cumulative cost across experts —
 // the best expert in hindsight.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,7 +256,8 @@ func TestOptimalEta(t *testing.T) {
 
 // referenceUpdate is the pre-kernel Learner.Update body (expert-struct
 // weights, update and regret accounting in one loop), kept as the
-// oracle TestStepMatchesReference holds Step and Update to.
+// oracle TestStepMatchesReference and FuzzRoundMatchesStep hold Update
+// and the prepared round to.
 func referenceUpdate(weights, cumCost, costs []float64, eta, share float64) {
 	type expert struct{ Weight float64 }
 	experts := make([]expert, len(weights))
@@ -308,18 +310,20 @@ func referenceUpdate(weights, cumCost, costs []float64, eta, share float64) {
 	}
 }
 
-// stepDifferential drives l's Update, l's Step on a bare copy of its
-// weights and the reference through the same long cost sequences — long
-// enough for the rescale branch to fire — and returns the first round
-// where any of the three differ in a bit. Halfway through, l is replaced
-// by a learner rebuilt with Restore from its own snapshot, so the derived
-// powers of 1-eta and 1+eta are checked as a restore recomputes them.
+// stepDifferential drives l's Update, a prepared round on a bare copy of
+// its weights and the reference through the same long cost sequences —
+// long enough for the rescale branch to fire — and returns the first
+// round where any of the three differ in a bit, or where Apply's index is
+// not ArgMax's. Halfway through, l is replaced by a learner rebuilt with
+// Restore from its own snapshot, so the derived powers of 1-eta and 1+eta
+// are checked as a restore recomputes them.
 func stepDifferential(l *Learner, seed uint64) error {
 	r := rng.New(seed)
 	n := l.Len()
 	bare := l.Weights()
 	ref, refCum := l.Weights(), l.Snapshot().CumCost
-	costs := make([]float64, n)
+	costs, factors := make([]float64, n), make([]float64, n)
+	var prep Round
 	const rounds = 2000
 	rescaled := false
 	for round := 0; round < rounds; round++ {
@@ -344,7 +348,9 @@ func stepDifferential(l *Learner, seed uint64) error {
 			}
 		}
 		l.Update(costs, 0)
-		l.Step(bare, costs)
+		copy(factors, costs)
+		l.Prepare(&prep, bare, factors)
+		best := l.Apply(&prep, bare)
 		referenceUpdate(ref, refCum, costs, l.Eta(), l.Share())
 		// No single round grows a weight by more than 1+eta.
 		rescaled = rescaled || ref[ArgMax(ref)] > before*(1+l.Eta())
@@ -352,12 +358,15 @@ func stepDifferential(l *Learner, seed uint64) error {
 		for i := range ref {
 			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) ||
 				math.Float64bits(bare[i]) != math.Float64bits(ref[i]) {
-				return fmt.Errorf("round %d: weight[%d]: Update %v, Step %v, reference %v",
+				return fmt.Errorf("round %d: weight[%d]: Update %v, Apply %v, reference %v",
 					round, i, got[i], bare[i], ref[i])
 			}
 			if math.Float64bits(cum[i]) != math.Float64bits(refCum[i]) {
 				return fmt.Errorf("round %d: cumCost[%d] = %v, reference %v", round, i, cum[i], refCum[i])
 			}
+		}
+		if want := ArgMax(ref); best != want {
+			return fmt.Errorf("round %d: Apply returned %d, ArgMax %d", round, best, want)
 		}
 	}
 	if !rescaled {
@@ -366,10 +375,10 @@ func stepDifferential(l *Learner, seed uint64) error {
 	return nil
 }
 
-// TestStepMatchesReference holds Update and Step to the pre-kernel
-// update (math.Pow per expert) bit for bit, at the default learning rate
-// and two others, with and without fixed-share mixing, across a
-// snapshot-and-restore.
+// TestStepMatchesReference holds Update and a prepared round to the
+// pre-kernel update (math.Pow per expert) bit for bit, at the default
+// learning rate and two others, with and without fixed-share mixing,
+// across a snapshot-and-restore.
 func TestStepMatchesReference(t *testing.T) {
 	for _, eta := range []float64{DefaultEta, 0.3, 0.1} {
 		for _, share := range []float64{0, 0.05} {
@@ -463,9 +472,110 @@ func FuzzPowMatchesMathPow(f *testing.F) {
 	})
 }
 
+// roundDifferential prepares costs once against weights and applies the
+// round rounds times, holding every weight after every round to the
+// per-round reference update by bits and every returned index to ArgMax.
+func roundDifferential(l *Learner, weights, costs []float64, rounds int) error {
+	ref := slices.Clone(weights)
+	var r Round
+	l.Prepare(&r, weights, slices.Clone(costs))
+	for round := 0; round < rounds; round++ {
+		best := l.Apply(&r, weights)
+		referenceUpdate(ref, make([]float64, len(ref)), costs, l.Eta(), l.Share())
+		for i := range ref {
+			if math.Float64bits(weights[i]) != math.Float64bits(ref[i]) {
+				return fmt.Errorf("round %d: weight[%d] = %v, reference %v", round, i, weights[i], ref[i])
+			}
+		}
+		if want := ArgMax(ref); best != want {
+			return fmt.Errorf("round %d: Apply returned %d, ArgMax %d", round, best, want)
+		}
+	}
+	return nil
+}
+
+// roundInputs draws k weights — ties, and a level that puts the maximum
+// near 1, 1e-6 or 1e6, where the next round rescales — and k costs in
+// runs: zeros, the pow special cases, costs inside the validation slack,
+// costs so small their factor rounds to exactly 1, and random ones.
+func roundInputs(seed uint64, k int) (weights, costs []float64) {
+	r := rng.New(seed)
+	level := []float64{1, math.Nextafter(1e-6, 1) * 1.3, math.Nextafter(1e6, 0) / 1.3}[r.Intn(3)]
+	weights, costs = make([]float64, k), make([]float64, 0, k)
+	for i := range weights {
+		switch r.Intn(4) {
+		case 0:
+			weights[i] = level
+		case 1:
+			if i > 0 {
+				weights[i] = weights[i-1]
+				break
+			}
+			fallthrough
+		default:
+			weights[i] = level * r.Uniform(0.25, 1)
+		}
+	}
+	for len(costs) < k {
+		var c float64
+		switch r.Intn(6) {
+		case 0:
+			c = 0
+		case 1:
+			c = float64(r.Intn(5)-2) * 0.5 // -1, -0.5, 0, 0.5, 1
+		case 2:
+			c = float64(2*r.Intn(2)-1) * (1 + 5e-10)
+		case 3:
+			c = float64(2*r.Intn(2)-1) * 1e-20
+		default:
+			c = r.Uniform(-1, 1)
+		}
+		for n := 1 + r.Intn(8); n > 0 && len(costs) < k; n-- {
+			costs = append(costs, c)
+		}
+	}
+	return weights, costs
+}
+
+// FuzzRoundMatchesStep holds a prepared round, applied up to 64 times,
+// to the reference update run round by round: K in [2, 64], eta in
+// (0, 0.5], share 0 or any in [0, 1).
+func FuzzRoundMatchesStep(f *testing.F) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, share := range []float64{0, 0.05} {
+			f.Add(seed, uint8(38+seed), DefaultEta, share, uint8(63))
+			f.Add(seed, uint8(seed), 0.1, share, uint8(8*seed))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, k uint8, eta, share float64, rounds uint8) {
+		if !(eta > 0 && eta <= 0.5) || !(share >= 0 && share < 1) {
+			t.Skip()
+		}
+		l := NewLearner(make([]float64, 2+int(k)%63), eta)
+		l.SetShare(share)
+		weights, costs := roundInputs(seed, l.Len())
+		if err := roundDifferential(l, weights, costs, 1+int(rounds)%64); err != nil {
+			t.Fatalf("eta %v share %v costs %v: %v", eta, share, costs, err)
+		}
+	})
+}
+
+// TestApplyTieBreakCanary: a moving expert lands exactly on the maximum
+// of the experts that stay put, at a lower index, so ArgMax's first-index
+// rule must pick it.
+func TestApplyTieBreakCanary(t *testing.T) {
+	l := NewLearner(make([]float64, 3), 0.5)
+	weights := []float64{2, 1, 0.5}
+	var r Round
+	l.Prepare(&r, weights, []float64{1, 0, -1}) // 2·0.5 ties the still 1
+	if got := l.Apply(&r, weights); got != 0 || ArgMax(weights) != 0 || weights[0] != weights[1] {
+		t.Fatalf("Apply = %d on %v, want 0 (the lower index of the tie)", got, weights)
+	}
+}
+
 // TestBadCostChangesNothing: a cost vector with one bad entry past the
-// first is refused whole — the weights before it are not multiplied and
-// no regret account moves, on the learner or on a scratch vector.
+// first is refused whole — the weights before it are not multiplied, no
+// regret account moves and Prepare turns no cost into a factor.
 func TestBadCostChangesNothing(t *testing.T) {
 	l := newTestLearner(t, 4)
 	l.Update([]float64{0.5, -0.25, 1, 0}, 0.1)
@@ -475,9 +585,10 @@ func TestBadCostChangesNothing(t *testing.T) {
 			costs := []float64{0.5, -0.25, 1, 0}
 			costs[k] = bad
 			scratch := l.Weights()
+			var r Round
 			for name, f := range map[string]func(){
-				"Update": func() { l.Update(costs, 0.3) },
-				"Step":   func() { l.Step(scratch, costs) },
+				"Update":  func() { l.Update(costs, 0.3) },
+				"Prepare": func() { l.Prepare(&r, scratch, costs) },
 			} {
 				func() {
 					defer func() {
@@ -487,6 +598,9 @@ func TestBadCostChangesNothing(t *testing.T) {
 					}()
 					f()
 				}()
+			}
+			if costs[0] != 0.5 || r.factors != nil {
+				t.Fatalf("cost[%d] = %v: Prepare wrote factors: costs %v", k, bad, costs)
 			}
 			after := l.Snapshot()
 			if l.Rounds() != rounds || math.Float64bits(l.Regret()) != math.Float64bits(regret) {
@@ -507,8 +621,9 @@ func TestBadCostChangesNothing(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocs pins the kernel's allocation contract: Update, Step,
-// Draw and WeightsInto a large-enough buffer do not allocate.
+// TestHotPathAllocs pins the kernel's allocation contract: Update,
+// Prepare, Apply, Draw and WeightsInto a large-enough buffer do not
+// allocate.
 func TestHotPathAllocs(t *testing.T) {
 	l := newTestLearner(t, 16)
 	l.SetShare(0.05)
@@ -516,17 +631,20 @@ func TestHotPathAllocs(t *testing.T) {
 	for i := range costs {
 		costs[i] = float64(i%3-1) * 0.4
 	}
-	scratch := make([]float64, 16)
+	scratch, factors := make([]float64, 16), make([]float64, 16)
 	r := rng.New(7)
+	var round Round
 	n := testing.AllocsPerRun(100, func() {
 		l.Update(costs, 0)
 		scratch = l.WeightsInto(scratch)
-		l.Step(scratch, costs)
+		copy(factors, costs)
+		l.Prepare(&round, scratch, factors)
+		_ = l.Apply(&round, scratch)
 		_ = l.Draw(r)
 		_ = ArgMax(scratch)
 	})
 	if n != 0 {
-		t.Fatalf("Update+WeightsInto+Step+Draw allocate %.1f times per round, want 0", n)
+		t.Fatalf("Update+WeightsInto+Prepare+Apply+Draw allocate %.1f times per round, want 0", n)
 	}
 }
 

@@ -162,10 +162,10 @@ func (h *harness) checkTotals() string {
 // checkWaitMonotone probes the Time-Shield guarantee on every reference
 // engine: under the Bound replay strategy, a higher bid must never be
 // assigned a longer wait (Claim 3's optimism is monotone in the bid).
-// The probe is side-effect-free — computeWaitPeriod forks the learner
-// and consumes no randomness. WaitStable replays the bid itself as the
-// synthetic future, which carries no cross-bid ordering guarantee, so
-// the probe only runs under WaitBound.
+// The probe is side-effect-free — computeWaitPeriod replays on a copy
+// of the weights in engine scratch and consumes no randomness. WaitStable
+// replays the bid itself as the synthetic future, which carries no
+// cross-bid ordering guarantee, so the probe only runs under WaitBound.
 func (h *harness) checkWaitMonotone() string {
 	if h.cfg.Engine.DisableWaitPeriods || h.cfg.Engine.Wait != core.WaitBound {
 		return ""
