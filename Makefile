@@ -42,7 +42,7 @@ race:
 	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
 	$(GO) test -race -run 'TestSharedLogAndBitsetsUnderReaders' -count=10 ./internal/market/
-	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity' -count=10 ./internal/wire/
+	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity|TestRecordIsTheRequest' -count=10 ./internal/wire/
 
 test:
 	$(GO) test ./...

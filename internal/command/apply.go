@@ -196,13 +196,14 @@ func ApplyBid(st *State, c SubmitBid) (Event, error) {
 	return st.applyBid(c.Buyer, c.Dataset, c.Amount)
 }
 
-// ApplyEncoded is Apply for a binary-encoded command (a journal record's
-// payload), appending the events to evs. A bid is read by ResolveBid,
-// which allocates nothing when the state has registered both names;
-// other opcodes, and a malformed bid's error, come from DecodeBinary.
+// ApplyEncoded is Apply for a binary-encoded command — a journal record's
+// payload, or a request's body in the commit stage — appending the
+// events to evs. A bid is read by resolveBid, which allocates nothing
+// when the state has registered both names; other opcodes, and a
+// malformed bid's error, come from DecodeBinary.
 func ApplyEncoded(st *State, payload []byte, evs []Event) ([]Event, error) {
 	if len(payload) > 0 && payload[0] == bopBid {
-		if c, err := ResolveBid(st, payload); err == nil {
+		if c, err := resolveBid(st, payload); err == nil {
 			return apply(st, c, evs)
 		}
 	}
@@ -213,11 +214,11 @@ func ApplyEncoded(st *State, payload []byte, evs []Event) ([]Event, error) {
 	return apply(st, cmd, evs)
 }
 
-// ResolveBid reads a bid's binary encoding under the state's spellings,
+// resolveBid reads a bid's binary encoding under the state's spellings,
 // looked up from the bytes (a map index by string(b) copies nothing), or
 // as sent unless both names are registered. It needs Apply's exclusive
-// access; replay and the live market's encoded bids share it.
-func ResolveBid(st *State, payload []byte) (SubmitBid, error) {
+// access.
+func resolveBid(st *State, payload []byte) (SubmitBid, error) {
 	if len(payload) == 0 || payload[0] != bopBid {
 		return SubmitBid{}, fmt.Errorf("%w: not a bid", ErrMalformed)
 	}

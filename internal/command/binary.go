@@ -23,6 +23,11 @@ const (
 	bopSettle
 )
 
+// MaxEncoded bounds the encoding of a command the market applies: its
+// replication record — a type byte, the seq as a uvarint, then these
+// bytes — must fit one wire frame (1 MiB), or no follower can receive it.
+const MaxEncoded = 1<<20 - 16
+
 // EncodeBinary returns cmd's canonical binary encoding.
 func EncodeBinary(cmd Command) ([]byte, error) {
 	return AppendBinary(nil, cmd)
@@ -120,7 +125,10 @@ func (r *binReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
+	// A padded uvarint (a final 0 byte after the first) spells a value
+	// binary.AppendUvarint writes shorter; refusing it makes every
+	// decodable command its own canonical encoding.
+	if n <= 0 || n > 1 && r.data[n-1] == 0 {
 		r.fail()
 		return 0
 	}
@@ -272,3 +280,6 @@ func IsBid(data []byte) (bool, error) {
 	r.bid()
 	return true, r.end()
 }
+
+// IsBatch reports whether data's opcode is a bid_batch's.
+func IsBatch(data []byte) bool { return len(data) > 0 && data[0] == bopBidBatch }

@@ -29,7 +29,10 @@ var codecs = []codec{
 // closed error set {ErrMalformed, ErrUnknownOp}; a successful decode
 // re-encodes canonically and decodes back to the identical command
 // (decode→encode→decode is the identity, and encode∘decode is
-// idempotent on bytes). And the bytes applied as they are, through
+// idempotent on bytes), and every input the binary codec accepts is
+// already its canonical encoding — so a journal record, which is the
+// request's bytes as they arrived, is what re-encoding its command would
+// write. And the bytes applied as they are, through
 // ApplyEncoded, do exactly what DecodeBinary and Apply do: on twin
 // states that know the corpus's participants and datasets, both give
 // the same events, the same error text — an unknown name spelled as sent
@@ -76,7 +79,8 @@ func FuzzCommandDecode(f *testing.F) {
 		{0x08},       // binary tick
 		{0x08, 0x00}, // binary tick + trailing byte
 		{0x01, 0x03, 'b', '0', '0'},
-		{0x01, 0xff}, // length prefix beyond input
+		{0x01, 0xff},                      // length prefix beyond input
+		{0x01, 0x83, 0x00, 'b', '0', '0'}, // length 3 padded to two bytes
 		{0x09, 0x01, 'b', 0x01, 'd', 0, 0, 0, 0, 0, 0, 0x28, 0x40, 0x02}, // settle, bad bool
 		{0xff},
 	} {
@@ -109,6 +113,9 @@ func FuzzCommandDecode(f *testing.F) {
 			}
 			if !reflect.DeepEqual(enc, enc2) {
 				t.Fatalf("%s: encoding is not idempotent:\n  first:  %x\n  second: %x", c.name, enc, enc2)
+			}
+			if c.name == "binary" && !bytes.Equal(enc, data) {
+				t.Fatalf("binary: accepted %x, whose canonical encoding is %x", data, enc)
 			}
 		}
 

@@ -23,15 +23,13 @@ import (
 )
 
 // mutator is the write surface of market.Market and the journaling
-// wrapper journal.Market: ApplyCtx and SubmitBidsCtx are what the wire
-// server drives too, and SubmitBidCtx keeps the bare market's bid path
-// free of boxing. Every write takes the request context, so the obs
-// trace and request ID ride into the journal's commit stage and onto
-// the record.
+// wrapper journal.Market, the one method the wire server drives too: a
+// handler encodes its decoded request once and submits the bytes, which
+// are what the journal records. Every write takes the request context,
+// so the obs trace and request ID ride into the journal's commit stage
+// and onto the record.
 type mutator interface {
-	ApplyCtx(context.Context, command.Command) ([]command.Event, error)
-	SubmitBidCtx(context.Context, market.BuyerID, market.DatasetID, float64) (market.Decision, error)
-	SubmitBidsCtx(context.Context, []market.BidRequest) []market.BidResult
+	ApplyEncodedCtx(ctx context.Context, body []byte, res []market.BidResult) (command.Event, error)
 }
 
 // Server exposes a market.Market over a JSON HTTP API.
@@ -164,7 +162,7 @@ func (s *Server) handleRegisterSeller(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if _, err := s.mut.ApplyCtx(r.Context(), command.RegisterSeller{Seller: market.SellerID(req.ID)}); err != nil {
+	if _, err := s.apply(r.Context(), command.RegisterSeller{Seller: market.SellerID(req.ID)}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -176,7 +174,7 @@ func (s *Server) handleRegisterBuyer(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if _, err := s.mut.ApplyCtx(r.Context(), command.RegisterBuyer{Buyer: market.BuyerID(req.ID)}); err != nil {
+	if _, err := s.apply(r.Context(), command.RegisterBuyer{Buyer: market.BuyerID(req.ID)}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -201,7 +199,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if _, err := s.mut.ApplyCtx(r.Context(), command.UploadDataset{Seller: market.SellerID(req.Seller), Dataset: market.DatasetID(req.ID)}); err != nil {
+	if _, err := s.apply(r.Context(), command.UploadDataset{Seller: market.SellerID(req.Seller), Dataset: market.DatasetID(req.ID)}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -217,7 +215,7 @@ func (s *Server) handleWithdrawDataset(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "missing seller query parameter")
 		return
 	}
-	if _, err := s.mut.ApplyCtx(r.Context(), command.WithdrawDataset{Seller: market.SellerID(seller), Dataset: market.DatasetID(r.PathValue("id"))}); err != nil {
+	if _, err := s.apply(r.Context(), command.WithdrawDataset{Seller: market.SellerID(seller), Dataset: market.DatasetID(r.PathValue("id"))}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -236,7 +234,7 @@ func (s *Server) handleComposeDataset(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Constituents {
 		parts[i] = market.DatasetID(c)
 	}
-	if _, err := s.mut.ApplyCtx(r.Context(), command.ComposeDataset{Dataset: market.DatasetID(req.ID), Constituents: parts}); err != nil {
+	if _, err := s.apply(r.Context(), command.ComposeDataset{Dataset: market.DatasetID(req.ID), Constituents: parts}); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -257,9 +255,10 @@ func (s *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 		// Signature fields, required when the Server runs with -auth:
 		// the amount is then taken from AmountMicros (MACs cover a
 		// canonical integer encoding).
-		AmountMicros int64  `json:"amount_micros,omitempty"`
-		Nonce        uint64 `json:"nonce,omitempty"`
-		MAC          string `json:"mac,omitempty"`
+		AmountMicros int64    `json:"amount_micros,omitempty"`
+		Nonce        uint64   `json:"nonce,omitempty"`
+		MAC          string   `json:"mac,omitempty"`
+		body         [64]byte // the bid's encoding, in storage the (heap) request owns
 	}
 	if !decode(w, r, &req) {
 		return
@@ -284,15 +283,16 @@ func (s *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 		}
 		amount = market.Money(req.AmountMicros).Float()
 	}
-	d, err := s.mut.SubmitBidCtx(r.Context(), market.BuyerID(req.Buyer), market.DatasetID(req.Dataset), amount)
+	body, _ := command.AppendBinary(req.body[:0], command.SubmitBid{Buyer: market.BuyerID(req.Buyer), Dataset: market.DatasetID(req.Dataset), Amount: amount})
+	ev, err := s.mut.ApplyEncodedCtx(r.Context(), body, nil)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, bidResponse{
-		Allocated:   d.Allocated,
-		PricePaid:   d.PricePaid.Float(),
-		WaitPeriods: d.WaitPeriods,
+		Allocated:   ev.Decision.Allocated,
+		PricePaid:   ev.Decision.PricePaid.Float(),
+		WaitPeriods: ev.Decision.WaitPeriods,
 	})
 }
 
@@ -344,7 +344,7 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]batchBidResult, len(req.Bids))
 	// Verify signatures first (when auth is on), so only authenticated
 	// bids reach the market; rejected entries fail in place.
-	reqs := make([]market.BidRequest, 0, len(req.Bids))
+	bids := make([]command.SubmitBid, 0, len(req.Bids))
 	slots := make([]int, 0, len(req.Bids))
 	for i, b := range req.Bids {
 		amount := b.Amount
@@ -367,14 +367,18 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			amount = market.Money(b.AmountMicros).Float()
 		}
-		reqs = append(reqs, market.BidRequest{
+		bids = append(bids, command.SubmitBid{
 			Buyer:   market.BuyerID(b.Buyer),
 			Dataset: market.DatasetID(b.Dataset),
 			Amount:  amount,
 		})
 		slots = append(slots, i)
 	}
-	for j, res := range s.mut.SubmitBidsCtx(r.Context(), reqs) {
+	out := make([]market.BidResult, len(bids))
+	if body, err := command.EncodeBinary(command.BidBatch{Bids: bids}); err == nil { // no bids, no batch
+		_, _ = s.mut.ApplyEncodedCtx(r.Context(), body, out)
+	}
+	for j, res := range out {
 		i := slots[j]
 		if res.Err != nil {
 			code, _ := classify(res.Err)
@@ -391,14 +395,21 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
-	evs, err := s.mut.ApplyCtx(r.Context(), command.Tick{})
+	ev, err := s.apply(r.Context(), command.Tick{})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Period int `json:"period"`
-	}{evs[0].Period})
+	}{ev.Period})
+}
+
+// apply encodes cmd — a handler's command always encodes — and submits
+// the bytes.
+func (s *Server) apply(ctx context.Context, cmd command.Command) (command.Event, error) {
+	body, _ := command.EncodeBinary(cmd)
+	return s.mut.ApplyEncodedCtx(ctx, body, nil)
 }
 
 func (s *Server) handlePeriod(w http.ResponseWriter, _ *http.Request) {

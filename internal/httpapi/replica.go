@@ -60,22 +60,15 @@ func (s *Server) market() (*market.Market, error) {
 	return nil, apierr.ErrReplicaUnavailable
 }
 
-// readOnly rejects every write with the replica sentinel; the generic
-// error path classifies it to CodeReadOnlyReplica / 403.
+// readOnly rejects every write (a batch in every slot) with the replica
+// sentinel, which the error path classifies to CodeReadOnlyReplica / 403.
 type readOnly struct{}
 
-func (readOnly) ApplyCtx(context.Context, command.Command) ([]command.Event, error) {
-	return nil, apierr.ErrReadOnlyReplica
-}
-func (readOnly) SubmitBidCtx(context.Context, market.BuyerID, market.DatasetID, float64) (market.Decision, error) {
-	return market.Decision{}, apierr.ErrReadOnlyReplica
-}
-func (readOnly) SubmitBidsCtx(_ context.Context, reqs []market.BidRequest) []market.BidResult {
-	out := make([]market.BidResult, len(reqs))
-	for i := range out {
-		out[i].Err = apierr.ErrReadOnlyReplica
+func (readOnly) ApplyEncodedCtx(_ context.Context, _ []byte, res []market.BidResult) (command.Event, error) {
+	for i := range res {
+		res[i].Err = apierr.ErrReadOnlyReplica
 	}
-	return out
+	return command.Event{}, apierr.ErrReadOnlyReplica
 }
 
 // handleReplicaReadyz is /readyz on a replica: the usual ready/unready

@@ -68,12 +68,15 @@ func TestReplayBidAllocs(t *testing.T) {
 }
 
 // TestJournaledBidSteadyStateAllocs is TestBidHotPathSteadyStateAllocs
-// (internal/market) through the commit stage: losing bids submitted to
-// a journaled market — applied, framed, written to the sink, published —
-// allocate nothing in the steady state. The bid rides its group as a
-// value and its event comes back as one. Each run pays one Tick, whose
-// event slice is the run's one allocation, and a bid per buyer. Boxing
-// the bid into a command and its event into a slice cost two per bid.
+// (internal/market) through the commit stage, entered as both transports
+// enter it: losing bids submitted to a journaled market as their
+// encodings (ApplyEncodedCtx) — applied, framed, written to the sink,
+// published — allocate nothing in the steady state. The body is applied
+// where it lies and recorded as it arrived, the tick's event lands in the
+// market's scratch, and the bid's comes back by value. Each run pays one
+// tick and a bid per buyer. With the tick's event in a slice of its own
+// this read 1; boxing the bid into a command and its event into a slice
+// cost two per bid.
 func TestJournaledBidSteadyStateAllocs(t *testing.T) {
 	const buyers = 64
 	jm, err := NewMarket(allocConfig(), io.Discard)
@@ -86,28 +89,31 @@ func TestJournaledBidSteadyStateAllocs(t *testing.T) {
 	if err := jm.UploadDataset("s", "d"); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]market.BuyerID, buyers)
-	for i := range ids {
-		ids[i] = market.BuyerID(fmt.Sprintf("buyer-%02d", i))
-		if err := jm.RegisterBuyer(ids[i]); err != nil {
+	bodies := make([][]byte, buyers)
+	for i := range bodies {
+		id := market.BuyerID(fmt.Sprintf("buyer-%02d", i))
+		if err := jm.RegisterBuyer(id); err != nil {
+			t.Fatal(err)
+		}
+		if bodies[i], err = command.EncodeBinary(command.SubmitBid{Buyer: id, Dataset: "d", Amount: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ctx := context.Background()
 	bidAll := func() {
-		if _, err := jm.Tick(); err != nil {
+		if _, err := jm.ApplyEncodedCtx(ctx, tickBody, nil); err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range ids {
-			if d, err := jm.SubmitBidCtx(ctx, id, "d", 5); err != nil || d.Allocated || d.WaitPeriods != 1 {
-				t.Fatalf("bid by %s: %+v, %v; want a loss with a one-period wait", id, d, err)
+		for i, body := range bodies {
+			if ev, err := jm.ApplyEncodedCtx(ctx, body, nil); err != nil || ev.Decision.Allocated || ev.Decision.WaitPeriods != 1 {
+				t.Fatalf("bid %d: %+v, %v; want a loss with a one-period wait", i, ev.Decision, err)
 			}
 		}
 	}
 	bidAll() // every buyer's record on the dataset, the writer's group
 	allocs := testing.AllocsPerRun(100, bidAll)
 	t.Logf("%.2f allocs per tick+%d-bid run", allocs, buyers)
-	if allocs > 1 {
-		t.Fatalf("a journaled tick and %d losing bids allocate %.2f times (%.3f per bid), want <= 1", buyers, allocs, (allocs-1)/buyers)
+	if allocs != 0 {
+		t.Fatalf("a journaled tick and %d losing bids allocate %.2f times (%.3f per bid), want 0", buyers, allocs, allocs/buyers)
 	}
 }

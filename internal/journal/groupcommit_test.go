@@ -335,26 +335,39 @@ func TestGroupCommitFaultFailsWholeGroup(t *testing.T) {
 	}
 }
 
-// TestSubmitLoneCallerAllocs: an uncontended append is a group of one — the common case on the serving path — and must not
-// pay for the machinery of a real group: no done channel (nobody waits),
-// and the group and its members array are recycled, not made. What is
-// left is at most one allocation per append.
+// TestSubmitLoneCallerAllocs: an uncontended write is a group of one —
+// the common case on the serving path — and must not pay for the
+// machinery of a real group: no done channel (nobody waits), and the
+// group and its members array are recycled, not made. A lone tick
+// entering as its encoding, as both transports enter, allocates nothing.
+// Append(Event) has its own budget of 2: the Event's command is boxed
+// into the Command interface, and the command is encoded before it joins
+// a group.
 func TestSubmitLoneCallerAllocs(t *testing.T) {
-	w := NewWriter(io.Discard)
-	if err := w.Genesis(testConfig()); err != nil {
+	jm, err := NewMarket(testConfig(), io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	e := Event{Op: OpBid, Buyer: "buyer-1", Dataset: "dataset", Amount: 42}
 	allocs := testing.AllocsPerRun(500, func() {
-		if err := w.AppendCtx(ctx, e); err != nil {
+		if _, err := jm.ApplyEncodedCtx(ctx, tickBody, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("a lone append allocates %.1f times, want <= 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("a lone write allocates %.1f times, want 0", allocs)
 	}
-	if w.groups != 501+1 || w.maxGroup != 1 || len(w.free) != 1 {
+	if w := jm.w; w.groups != 501+1 || w.maxGroup != 1 || len(w.free) != 1 {
 		t.Fatalf("%d groups, largest %d, %d on the free list; want 502 groups of one sharing one recycled group", w.groups, w.maxGroup, len(w.free))
+	}
+
+	e := Event{Op: OpBid, Buyer: "buyer-1", Dataset: "dataset", Amount: 42}
+	allocs = testing.AllocsPerRun(500, func() {
+		if err := jm.w.AppendCtx(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("a lone Append allocates %.1f times, want <= 2", allocs)
 	}
 }

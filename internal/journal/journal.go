@@ -8,10 +8,10 @@
 // sequence yields the same prices, allocations, waits and ledgers.
 //
 // A record is one checksummed binary frame around the command's
-// command.EncodeBinary bytes (frame.go): the commit stage encodes each
-// command once, and those bytes are what the segment holds, what the
-// replication feed fans out, what a follower's local store appends and
-// what replay applies. Event is the decoded view of a record — what
+// command.EncodeBinary bytes (frame.go): the bytes its request arrived
+// as, which the commit stage applied and are what the segment holds,
+// the replication feed fans out, a follower's local store appends and
+// replay applies. Event is the decoded view of a record — what
 // inspection tooling, `marketctl journal-info -dump` and tests read —
 // and the line format of logs written before v3; CommandFromEvent and
 // EventFromCommand convert between it and the typed command.
@@ -264,15 +264,16 @@ func recovered(t *obs.Telemetry, st *storeState) {
 //
 // # The commit stage
 //
-// Callers hand the writer a command (or, through Append, a raw record).
-// One goroutine at a time — holding stageMu — walks a group of them in
-// arrival order: apply the command to the live market (a rejected
-// command completes with its error, consumes no sequence number and
-// logs nothing), stamp the next sequence number, encode the command —
-// once — as a frame in the group buffer; then one sink Write (and one
-// fsync, WithFsync) for the whole group; then publish the group's
-// effects to the market's read views, run the commit hooks (which see
-// those same encoded bytes), and only then wake the callers. The
+// Callers hand the writer a command's binary encoding (or, through
+// Append, a record to log without applying it). One goroutine at a time
+// — holding stageMu — walks a group of them in arrival order: apply the
+// bytes to the live market as replay would (a rejected command completes
+// with its error, consumes no sequence number and logs nothing), stamp
+// the next sequence number, frame those same bytes in the group buffer;
+// then one sink Write (and one fsync, WithFsync) for the whole group;
+// then publish the group's effects to the market's read views, run the
+// commit hooks (which see the framed bytes), and only then wake the
+// callers. The
 // log is therefore exactly the order the market applied, the market is
 // exactly at the last written seq whenever a hook runs, and no reader
 // sees a command before it reached the sink.
@@ -304,7 +305,7 @@ type Writer struct {
 	// group inside the stage, with the group's last seq and record count
 	// — the store's checkpoint cadence.
 	onGroup func(lastSeq int64, records int)
-	// enter is how a journaled market's commands reach the stage: submit,
+	// enter is how a journaled market's requests reach the stage: submit,
 	// always, except under the torture canary (Market.TestUnorderedCommit).
 	enter func(member) member
 
@@ -340,22 +341,15 @@ type Writer struct {
 // once the stage has run, what came of it.
 type member struct {
 	ctx context.Context
-	// At most one of cmd, bids, rec and head is the request: a command
-	// for the stage to apply and record; a SubmitBids batch, applied
-	// entry by entry with failures skipped and the successes recorded as
-	// one bid_batch; a command to record without applying it (Append);
-	// or a head record; with none, one bid, event in ev — bid, or body
-	// (the caller's bytes, untouched until submit returns) resolved to it.
-	cmd  command.Command
-	bid  command.SubmitBid
-	body []byte
-	bids []market.BidRequest
-	// rec is the command the log records for this member, with the trace
-	// ID it carries — the request itself for Append, otherwise what apply
-	// settled (the trace then is ctx's); nil for a lone bid.
-	rec   command.Command
-	trace string
-	head  *Event
+	// body is the request, a command's binary encoding read only until
+	// submit returns; a batch's per-entry outcomes land in res. logOnly
+	// marks the writer's own records, logged without being applied:
+	// Append's body under its trace, or the genesis head.
+	body    []byte
+	res     []market.BidResult
+	logOnly bool
+	trace   string
+	head    *Event
 
 	// Once logged is set the member's record is seq, framed at
 	// buf[off:end] of the stage's group buffer.
@@ -364,8 +358,7 @@ type member struct {
 	off, end int
 
 	ev  command.Event
-	evs []command.Event
-	res []market.BidResult // per-entry outcomes of bids
+	evs []command.Event // a batch's
 	err error
 }
 
@@ -435,7 +428,7 @@ func (w *Writer) Genesis(cfg market.Config) error {
 		return ErrDoubleStart
 	}
 	head := Event{Op: OpGenesis, V: FormatVersion, Config: &cfg}
-	return w.submit(member{ctx: context.Background(), head: &head}).err
+	return w.submit(member{ctx: context.Background(), head: &head, logOnly: true}).err
 }
 
 // Append journals the command e describes without applying it anywhere
@@ -450,10 +443,14 @@ func (w *Writer) Append(e Event) error {
 // group leader's trace; a follower sees only its queue wait).
 func (w *Writer) AppendCtx(ctx context.Context, e Event) error {
 	cmd, err := CommandFromEvent(e)
+	var body []byte
+	if err == nil {
+		body, err = command.AppendBinary(make([]byte, 0, 64), cmd)
+	}
 	if err != nil {
 		return err
 	}
-	return w.submit(member{ctx: ctx, rec: cmd, trace: e.Trace}).err
+	return w.submit(member{ctx: ctx, body: body, logOnly: true, trace: e.Trace}).err
 }
 
 // submit runs one member through the commit stage as part of the
@@ -559,17 +556,19 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 			break // an earlier group tore the sink, or this one cannot be logged
 		}
 		mb := &g.members[i]
-		applied := mb.rec == nil && mb.head == nil
-		if applied && !mb.apply(live) {
-			continue
+		payload := mb.body
+		if !mb.logOnly {
+			if payload = mb.apply(live); payload == nil {
+				continue
+			}
 		}
 		mb.seq = seq + int64(records) + 1
-		if eerr := w.encode(mb, applied); eerr != nil {
+		if eerr := w.encode(mb, payload); eerr != nil {
 			eerr = fmt.Errorf("journal: encoding event %d: %w", mb.seq, eerr)
-			if applied {
-				err = eerr // the market moved and the log cannot follow
-			} else {
+			if mb.logOnly {
 				mb.err = eerr // nothing happened; the writer stays usable
+			} else {
+				err = eerr // the market moved and the log cannot follow
 			}
 			continue
 		}
@@ -630,82 +629,49 @@ func (w *Writer) stage(g *commitGroup, waitStart time.Time) {
 	}
 }
 
-// encode frames mb's record at the end of the group buffer: the one
-// time a command is encoded on its way to segment, feed and follower,
-// and an applied member's request ID spelled. On error the buffer is
-// left as it was.
-func (w *Writer) encode(mb *member, applied bool) error {
+// encode frames payload as mb's record at the end of the group buffer,
+// spelling an applied member's request ID into it; a head's payload is
+// its Event as JSON. On error the buffer is left as it was.
+func (w *Writer) encode(mb *member, payload []byte) error {
 	kind := kindCommand
 	if mb.head != nil {
-		kind = kindHead
+		mb.head.Seq = mb.seq
+		head, err := json.Marshal(mb.head)
+		if err != nil {
+			return err
+		}
+		kind, payload = kindHead, head
 	}
 	w.id = append(w.id[:0], mb.trace...)
-	if applied {
+	if !mb.logOnly {
 		w.id = obs.AppendRequestID(w.id, mb.ctx)
 	}
 	mb.off = len(w.buf)
-	buf := beginFrame(w.buf, mb.seq, w.id, kind)
-	var err error
-	if mb.head != nil {
-		var head []byte
-		mb.head.Seq = mb.seq
-		if head, err = json.Marshal(mb.head); err == nil {
-			buf = append(buf, head...)
-		}
-	} else if mb.rec == nil { // a lone bid, boxed on this stack
-		buf, err = command.AppendBinary(buf, mb.bid)
-	} else {
-		buf, err = command.AppendBinary(buf, mb.rec)
-	}
-	if err == nil && len(buf)-mb.off-frameHeader > maxFrameBody {
-		err = fmt.Errorf("record of %d bytes exceeds the %d-byte frame limit", len(buf)-mb.off, maxFrameBody)
-	}
-	if err != nil {
-		return err
+	buf := append(beginFrame(w.buf, mb.seq, w.id, kind), payload...)
+	if len(buf)-mb.off-frameHeader > maxFrameBody {
+		return fmt.Errorf("record of %d bytes exceeds the %d-byte frame limit", len(buf)-mb.off, maxFrameBody)
 	}
 	endFrame(buf, mb.off)
 	w.buf, mb.end = buf, len(buf)
 	return nil
 }
 
-// apply runs the member's request through the market and settles what
-// the log records for it; it reports whether there is a record. Every
-// request but a batch is recorded on success only. A batch may partly
-// apply — a BidBatch stops at its first failing bid, a SubmitBids batch
-// skips failures — and the log records exactly the bids that applied,
-// as one bid_batch; the command's own error, if any, still reaches the
-// caller.
-func (mb *member) apply(live market.Stage) bool {
-	switch {
-	case mb.bids != nil:
-		applied := make([]command.SubmitBid, 0, len(mb.bids))
-		for i, r := range mb.bids {
-			bid := command.SubmitBid{Buyer: r.Buyer, Dataset: r.Dataset, Amount: r.Amount}
-			ev, err := live.ApplyBid(mb.ctx, bid)
-			if err != nil {
-				mb.res[i].Err = err
-				continue
-			}
-			mb.res[i].Decision = ev.Decision
-			mb.evs = append(mb.evs, ev)
-			applied = append(applied, bid)
-		}
-		mb.rec = command.BidBatch{Bids: applied}
-		return len(applied) > 0
-	case mb.body != nil:
-		mb.bid, mb.ev, mb.err = live.ApplyEncodedBid(mb.ctx, mb.body)
-		return mb.err == nil
-	case mb.cmd == nil:
-		mb.ev, mb.err = live.ApplyBid(mb.ctx, mb.bid)
-		return mb.err == nil
+// apply runs the member's request through the market and returns the
+// bytes to record: the request itself when it applied, nil when it did
+// not. A batch applies entry by entry, failures skipped
+// (market.Stage.ApplyBatch), and records the entries that applied,
+// re-encoded as one bid_batch — nil when none did.
+func (mb *member) apply(live market.Stage) []byte {
+	if command.IsBatch(mb.body) {
+		var applied []command.SubmitBid
+		mb.evs, applied = live.ApplyBatch(mb.ctx, mb.body, mb.res, nil)
+		rec, _ := command.EncodeBinary(command.BidBatch{Bids: applied})
+		return rec
 	}
-	mb.evs, mb.err = live.Apply(mb.ctx, mb.cmd)
-	mb.rec = mb.cmd
-	if b, ok := mb.cmd.(command.BidBatch); ok {
-		mb.rec = command.BidBatch{Bids: b.Bids[:len(mb.evs)]}
-		return len(mb.evs) > 0
+	if mb.ev, mb.err = live.Apply(mb.ctx, mb.body); mb.err != nil {
+		return nil
 	}
-	return mb.err == nil
+	return mb.body
 }
 
 // write hands the stage's buffer to the sink as one Write and, with
@@ -969,48 +935,71 @@ func NewMarket(cfg market.Config, sink io.Writer, opts ...Option) (*Market, erro
 }
 
 // Apply routes one command through the commit stage; see ApplyCtx. It
-// shadows the embedded market's Apply so command-level callers (the
-// wire server, replay tooling) cannot accidentally mutate state without
+// shadows the embedded market's Apply so command-level callers (replay
+// tooling, the torture harness) cannot accidentally mutate state without
 // persisting it.
 func (m *Market) Apply(cmd command.Command) ([]command.Event, error) {
 	return m.ApplyCtx(context.Background(), cmd)
 }
 
-// ApplyCtx runs cmd through the writer's commit stage (see Writer) and
-// returns once its group has reached the sink and been published. What
-// is logged for a command that fails or partly applies is member.apply's
-// business; a journal failure takes precedence over the command's own
-// error. Every other mutating method but SubmitBidCtx calls this one.
+// ApplyCtx encodes cmd and submits it (ApplyEncodedCtx). A BidBatch is
+// refused: batches go through SubmitBids, which answers entry by entry.
 func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error) {
-	mb := m.w.enter(member{ctx: ctx, cmd: cmd})
-	return mb.evs, mb.err
+	body, err := command.AppendBinary(make([]byte, 0, 64), cmd)
+	if err == nil && command.IsBatch(body) {
+		err = fmt.Errorf("%w: a bid_batch goes through SubmitBids", command.ErrMalformed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ev, err := m.ApplyEncodedCtx(ctx, body, nil)
+	if err != nil {
+		return nil, err
+	}
+	return []command.Event{ev}, nil
+}
+
+// ApplyEncodedCtx is the journaled market's one write path: body, read
+// only until the call returns, runs through the commit stage (see
+// Writer), is recorded as it is if it applied, and the call returns once
+// its group reached the sink and was published; a journal failure takes
+// precedence over the command's own error. A bid_batch body fills res
+// (market.Stage.ApplyBatch), and a journal failure then fails the
+// entries that applied, since none persisted.
+func (m *Market) ApplyEncodedCtx(ctx context.Context, body []byte, res []market.BidResult) (command.Event, error) {
+	mb := m.w.enter(member{ctx: ctx, body: body, res: res})
+	if !command.IsBatch(body) {
+		return mb.ev, mb.err
+	}
+	for i := range res {
+		if res[i].Err == nil {
+			res[i].Err = mb.err
+		}
+	}
+	return command.Event{}, nil
 }
 
 // TestUnorderedCommit reintroduces the defect the commit stage exists
-// to rule out: after it, every command and batch is applied and
-// published on its own (the stage's own member.apply, outside the
-// stage), yield runs, and only then is the settled record queued for a
-// sequence number — so two concurrent commands can be logged in the
-// opposite order to the one they were applied in. It exists for the
-// torture harness's mutation canary, which must catch the resulting
-// replay divergence; production code must never call it. Call it before
-// traffic flows.
+// to rule out: after it, every request is applied and published on its
+// own (the stage's own member.apply, outside the stage), yield runs, and
+// only then is the settled record queued for a sequence number — so two
+// concurrent commands can be logged in the opposite order to the one
+// they were applied in. It exists for the torture harness's mutation
+// canary, which must catch the resulting replay divergence; production
+// code must never call it. Call it before traffic flows.
 func (m *Market) TestUnorderedCommit(yield func()) {
 	m.w.enter = func(mb member) member {
 		live := m.Market.Stage()
 		live.Lock()
-		logged := mb.apply(live)
+		rec := mb.apply(live)
 		live.Publish(mb.ctx, mb.evs...)
 		live.Publish(mb.ctx, mb.ev)
 		live.Unlock()
-		if !logged {
+		if rec == nil {
 			return mb
 		}
 		yield()
-		if mb.rec == nil {
-			mb.rec = mb.bid // a lone bid: the canary may box it
-		}
-		if err := m.w.submit(member{ctx: mb.ctx, rec: mb.rec, trace: obs.RequestIDFrom(mb.ctx)}).err; err != nil {
+		if err := m.w.submit(member{ctx: mb.ctx, body: rec, logOnly: true, trace: obs.RequestIDFrom(mb.ctx)}).err; err != nil {
 			mb.err = err
 		}
 		return mb
@@ -1047,13 +1036,16 @@ func (m *Market) WithdrawDataset(seller market.SellerID, id market.DatasetID) er
 	return err
 }
 
+// tickBody is every tick's encoding.
+var tickBody, _ = command.EncodeBinary(command.Tick{})
+
 // Tick advances the clock and returns the new period.
 func (m *Market) Tick() (int, error) {
-	evs, err := m.Apply(command.Tick{})
+	ev, err := m.ApplyEncodedCtx(context.Background(), tickBody, nil)
 	if err != nil {
 		return 0, err
 	}
-	return evs[0].Period, nil
+	return ev.Period, nil
 }
 
 // SubmitBid places one bid (journaled whether it wins or loses: a
@@ -1062,51 +1054,30 @@ func (m *Market) SubmitBid(buyer market.BuyerID, dataset market.DatasetID, amoun
 	return m.SubmitBidCtx(context.Background(), buyer, dataset, amount)
 }
 
-// SubmitBidCtx is SubmitBid with request context: the obs trace rides
-// through the stage's queue-wait, apply, append, fsync and publish
-// spans, and the journaled event records the request ID so operators
-// can join a log record to its trace. The bid and its event ride the
-// group as values, copied out before the group is recycled.
+// SubmitBidCtx is SubmitBid with request context, which rides into the
+// stage's spans and onto the record; see ApplyEncodedCtx. The bid is
+// encoded as a transport sends it, so an amount no record holds (NaN,
+// ±Inf) is ErrMalformed, as it is over wire.
 func (m *Market) SubmitBidCtx(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
-	mb := m.w.enter(member{ctx: ctx, bid: command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount}})
-	if mb.err != nil {
-		return market.Decision{}, mb.err
+	body, _ := command.AppendBinary(make([]byte, 0, 64), command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
+	ev, err := m.ApplyEncodedCtx(ctx, body, nil)
+	if err != nil {
+		return market.Decision{}, err
 	}
-	return mb.ev.Decision, nil
-}
-
-// SubmitEncodedBidCtx is SubmitBidCtx for a bid's binary encoding, read
-// in the stage (market.Stage.ApplyEncodedBid) and only until it returns.
-func (m *Market) SubmitEncodedBidCtx(ctx context.Context, body []byte) (market.Decision, error) {
-	mb := m.w.enter(member{ctx: ctx, body: body})
-	if mb.err != nil {
-		return market.Decision{}, mb.err
-	}
-	return mb.ev.Decision, nil
+	return ev.Decision, nil
 }
 
 // SubmitBids places a batch of bids in request order and journals the
 // successful ones as a single bid_batch record; one failed bid never
 // aborts the rest of the batch.
 func (m *Market) SubmitBids(reqs []market.BidRequest) []market.BidResult {
-	return m.SubmitBidsCtx(context.Background(), reqs)
-}
-
-// SubmitBidsCtx is SubmitBids with request context; see SubmitBidCtx.
-func (m *Market) SubmitBidsCtx(ctx context.Context, reqs []market.BidRequest) []market.BidResult {
 	out := make([]market.BidResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
+	bids := make([]command.SubmitBid, len(reqs))
+	for i, r := range reqs {
+		bids[i] = command.SubmitBid(r)
 	}
-	if err := m.w.enter(member{ctx: ctx, bids: reqs, res: out}).err; err != nil {
-		// The bids that applied did not persist; surface the journal
-		// failure on each of them so callers know the log is behind the
-		// in-memory state.
-		for i := range out {
-			if out[i].Err == nil {
-				out[i].Err = err
-			}
-		}
+	if body, err := command.EncodeBinary(command.BidBatch{Bids: bids}); err == nil { // no bids, no batch
+		_, _ = m.ApplyEncodedCtx(context.Background(), body, out)
 	}
 	return out
 }

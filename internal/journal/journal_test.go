@@ -2,13 +2,17 @@ package journal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/rng"
@@ -445,6 +449,45 @@ func TestBidBatchJournalRoundTrip(t *testing.T) {
 		if ls != rs {
 			t.Fatalf("stats %s: %+v vs %+v", ds, ls, rs)
 		}
+	}
+}
+
+// TestBatchEdgesOfTheBytesForm pins the two ways a batch is refused
+// whole on a journaled market, journaling nothing. SubmitBids encodes its
+// requests as the wire would send them, so a NaN entry makes a body that
+// does not decode, and every entry fails with ErrMalformed — as the same
+// frame does over wire. And ApplyCtx refuses a BidBatch outright: a batch
+// answers entry by entry, which only SubmitBids (or a bid_batch body
+// through ApplyEncodedCtx) can.
+func TestBatchEdgesOfTheBytesForm(t *testing.T) {
+	m, err := NewMarket(testConfig(), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{m.RegisterSeller("s"), m.UploadDataset("s", "a"), m.RegisterBuyer("b1"), m.RegisterBuyer("b2")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := m.LastSeq()
+	res := m.SubmitBids([]market.BidRequest{
+		{Buyer: "b1", Dataset: "a", Amount: 60},
+		{Buyer: "b2", Dataset: "a", Amount: math.NaN()},
+	})
+	for i, r := range res {
+		if !errors.Is(r.Err, command.ErrMalformed) {
+			t.Errorf("entry %d of a batch with a NaN entry: %+v, want ErrMalformed", i, r)
+		}
+	}
+	_, err = m.ApplyCtx(context.Background(), command.BidBatch{Bids: []command.SubmitBid{{Buyer: "b1", Dataset: "a", Amount: 60}}})
+	if err == nil {
+		t.Error("ApplyCtx took a BidBatch")
+	}
+	if seq := m.LastSeq(); seq != before {
+		t.Fatalf("refused batches moved the journal from seq %d to %d", before, seq)
+	}
+	if s, _ := m.Stats("a"); s.Bids != 0 {
+		t.Fatalf("refused batches reached the engine: %+v", s)
 	}
 }
 

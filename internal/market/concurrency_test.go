@@ -1,14 +1,17 @@
 package market
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
 )
 
@@ -245,6 +248,35 @@ func TestSubmitBidsMatchesSubmitBid(t *testing.T) {
 	}
 	if out := batch.SubmitBids(nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %d results", len(out))
+	}
+}
+
+// TestUndecodableBatchFailsEveryEntry: a bid_batch body that does not
+// decode — a NaN entry, a truncated body — fails every result slot with
+// ErrMalformed and moves nothing. A slot left zero would read as a
+// success.
+func TestUndecodableBatchFailsEveryEntry(t *testing.T) {
+	m := setupBasic(t)
+	body, err := command.EncodeBinary(command.BidBatch{Bids: []command.SubmitBid{
+		{Buyer: "carol", Dataset: "weather", Amount: 150},
+		{Buyer: "carol", Dataset: "traffic", Amount: math.NaN()},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{body, body[:len(body)-1]} {
+		res := make([]BidResult, 2)
+		if _, err := m.ApplyEncodedCtx(context.Background(), b, res); err != nil {
+			t.Fatalf("a batch answered %v; its entries carry its outcome", err)
+		}
+		for i, r := range res {
+			if !errors.Is(r.Err, command.ErrMalformed) {
+				t.Errorf("entry %d of %x: %+v, want ErrMalformed", i, b, r)
+			}
+		}
+	}
+	if s, _ := m.Stats("weather"); s.Bids != 0 {
+		t.Fatalf("an undecodable batch reached the engine: %+v", s)
 	}
 }
 

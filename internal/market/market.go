@@ -32,7 +32,9 @@
 package market
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"sync"
 
 	"github.com/datamarket/shield/internal/command"
@@ -108,6 +110,11 @@ type Market struct {
 	mu sync.Mutex
 	st *command.State
 
+	// evs and entry are the writer's scratch, guarded by mu: the events
+	// Stage.Apply collects, and a batch entry re-encoded as a single bid.
+	evs   []command.Event
+	entry []byte
+
 	// vw holds the lock-free read views.
 	vw views
 
@@ -149,8 +156,8 @@ func MustNew(cfg Config) *Market {
 // itself and must separate applying them from making them visible: the
 // journal's commit stage locks, applies a group of commands in order,
 // makes the group durable, publishes its events, and unlocks. Every
-// method but Lock requires the lock; Market.Apply is the same sequence
-// for one command with nothing in between.
+// method but Lock requires the lock; ApplyEncodedCtx is the same
+// sequence for one request with nothing in between.
 type Stage struct{ m *Market }
 
 // Stage returns the market's writer side.
@@ -162,64 +169,72 @@ func (s Stage) Lock() { s.m.mu.Lock() }
 // Unlock releases the market's writer mutex.
 func (s Stage) Unlock() { s.m.mu.Unlock() }
 
-// Apply runs one command against the state machine and returns the
-// core's events without publishing them: no read observes the command
-// until Publish. When ctx carries an obs trace a bid records an apply
-// span. The context does not cancel the command — a
-// command that reached the market always completes (partial application
-// would desynchronize engines and books).
-func (s Stage) Apply(ctx context.Context, cmd command.Command) ([]command.Event, error) {
-	switch c := cmd.(type) {
-	case command.SubmitBid:
-		ev, err := s.ApplyBid(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		return []command.Event{ev}, nil
-	case command.BidBatch:
-		// A batch applies strictly in order through the same path as
-		// individual bids; the first failure stops it, and the events
-		// returned are the applied prefix.
-		evs := make([]command.Event, 0, len(c.Bids))
-		for _, b := range c.Bids {
-			ev, err := s.ApplyBid(ctx, b)
-			if err != nil {
-				return evs, err
-			}
-			evs = append(evs, ev)
-		}
-		return evs, nil
-	default:
-		return command.Apply(s.m.st, cmd)
+// Apply runs one command's binary encoding, read only until Apply
+// returns, through command.ApplyEncoded — what recovery runs on the
+// record — and returns its one event unpublished: no read observes the
+// command until Publish. A bid_batch (see ApplyBatch) or a body over
+// command.MaxEncoded is refused before anything moves. The apply stage
+// times it, on ctx's trace too. The context does not cancel the command —
+// a command that reached the market always completes (partial
+// application would desynchronize engines and books).
+func (s Stage) Apply(ctx context.Context, body []byte) (command.Event, error) {
+	if err := checkBody(body); err != nil || command.IsBatch(body) {
+		return command.Event{}, cmp.Or(err, fmt.Errorf("%w: a bid_batch applies through ApplyBatch", command.ErrMalformed))
 	}
-}
-
-// ApplyBid is Apply for one bid without boxing it into the Command
-// interface (an allocation per call on the one path that makes millions
-// of them).
-func (s Stage) ApplyBid(ctx context.Context, c command.SubmitBid) (command.Event, error) {
 	m := s.m
 	var applyH *obs.Histogram
 	if m.tel != nil {
 		applyH = m.tel.applyStage
 	}
-	endApply := obs.StageTimer(ctx, applyH, "apply")
-	ev, err := command.ApplyBid(m.st, c)
-	endApply.End()
-	return ev, err
+	end := obs.StageTimer(ctx, applyH, "apply")
+	evs, err := command.ApplyEncoded(m.st, body, m.evs[:0])
+	end.End()
+	if m.evs = evs; err != nil {
+		return command.Event{}, err
+	}
+	return evs[0], nil
 }
 
-// ApplyEncodedBid is ApplyBid for a bid's binary encoding, resolved to
-// the state's spellings (command.ResolveBid), which it returns to record.
-func (s Stage) ApplyEncodedBid(ctx context.Context, body []byte) (bid command.SubmitBid, ev command.Event, err error) {
-	if bid, err = command.ResolveBid(s.m.st, body); err == nil {
-		ev, err = s.ApplyBid(ctx, bid)
+// ApplyBatch applies a bid_batch request entry by entry, each re-encoded
+// as a single bid for Apply: one failed bid never aborts the rest (replay
+// of the record, which holds the entries that applied, stops at its first
+// failure). Each outcome lands in res, one slot per entry; a body that
+// does not decode fails every slot. The applied entries' events are
+// appended to evs, and the entries returned for the record.
+func (s Stage) ApplyBatch(ctx context.Context, body []byte, res []BidResult, evs []command.Event) ([]command.Event, []command.SubmitBid) {
+	cmd, err := command.DecodeBinary(body)
+	batch, _ := cmd.(command.BidBatch)
+	if err = cmp.Or(checkBody(body), err); err == nil && len(batch.Bids) != len(res) {
+		err = fmt.Errorf("%w: a %d-bid batch with %d result slots", command.ErrMalformed, len(batch.Bids), len(res))
 	}
-	return bid, ev, err
+	if err != nil {
+		for i := range res {
+			res[i].Err = err
+		}
+		return evs, nil
+	}
+	var applied []command.SubmitBid
+	for i, bid := range batch.Bids {
+		s.m.entry, _ = command.AppendBinary(s.m.entry[:0], bid)
+		ev, err := s.Apply(ctx, s.m.entry)
+		if res[i] = (BidResult{Decision: ev.Decision, Err: err}); err == nil {
+			evs, applied = append(evs, ev), append(applied, bid)
+		}
+	}
+	return evs, applied
+}
+
+// checkBody refuses a body too long to replicate.
+func checkBody(body []byte) error {
+	if len(body) > command.MaxEncoded {
+		return fmt.Errorf("%w: a %d-byte command, over the %d-byte limit", command.ErrMalformed, len(body), command.MaxEncoded)
+	}
+	return nil
 }
 
 // Publish makes applied events visible to readers. Events must be
-// published in the order Apply returned them.
+// published in the order Apply returned them; a zero Event publishes
+// nothing.
 func (s Stage) Publish(ctx context.Context, evs ...command.Event) {
 	for i := range evs {
 		s.m.publish(ctx, &evs[i])
@@ -229,19 +244,35 @@ func (s Stage) Publish(ctx context.Context, evs ...command.Event) {
 // Snapshot captures the whole market state.
 func (s Stage) Snapshot() Snapshot { return s.m.st.Snapshot() }
 
-// Apply executes one command and publishes its effects. It returns the
-// command core's events. All public mutation methods are wrappers
-// around Apply.
+// ApplyEncodedCtx is the market's one write path: Stage.Apply, then
+// Publish. A bid_batch body (Stage.ApplyBatch) fills res instead, one
+// result per entry.
+func (m *Market) ApplyEncodedCtx(ctx context.Context, body []byte, res []BidResult) (command.Event, error) {
+	s := m.Stage()
+	s.Lock()
+	defer s.Unlock()
+	if command.IsBatch(body) {
+		evs, _ := s.ApplyBatch(ctx, body, res, nil)
+		s.Publish(ctx, evs...)
+		return command.Event{}, nil
+	}
+	ev, err := s.Apply(ctx, body)
+	s.Publish(ctx, ev)
+	return ev, err
+}
+
+// Apply executes one command, as a value — encoding it for
+// ApplyEncodedCtx would cost an allocation — and publishes its events.
 func (m *Market) Apply(cmd command.Command) ([]command.Event, error) {
 	return m.ApplyCtx(context.Background(), cmd)
 }
 
-// ApplyCtx is Apply with request context; see Stage.Apply.
+// ApplyCtx is Apply with request context.
 func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error) {
 	s := m.Stage()
 	s.Lock()
 	defer s.Unlock()
-	evs, err := s.Apply(ctx, cmd)
+	evs, err := command.Apply(m.st, cmd)
 	s.Publish(ctx, evs...)
 	return evs, err
 }
@@ -296,27 +327,11 @@ func (m *Market) Tick() int {
 // sellers whose base datasets back the product. Losers receive a
 // Time-Shield wait and may not bid on this dataset again until it passes.
 func (m *Market) SubmitBid(buyer BuyerID, dataset DatasetID, amount float64) (Decision, error) {
-	return m.SubmitBidCtx(context.Background(), buyer, dataset, amount)
-}
-
-// SubmitBidCtx is SubmitBid with request context; see Stage.Apply.
-func (m *Market) SubmitBidCtx(ctx context.Context, buyer BuyerID, dataset DatasetID, amount float64) (Decision, error) {
 	s := m.Stage()
 	s.Lock()
 	defer s.Unlock()
-	ev, err := s.ApplyBid(ctx, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
-	s.Publish(ctx, ev) // a failed bid's zero Event publishes nothing
-	return ev.Decision, err
-}
-
-// SubmitEncodedBidCtx is SubmitBidCtx for a bid's binary encoding (see
-// Stage.ApplyEncodedBid); body is read only until the call returns.
-func (m *Market) SubmitEncodedBidCtx(ctx context.Context, body []byte) (Decision, error) {
-	s := m.Stage()
-	s.Lock()
-	defer s.Unlock()
-	_, ev, err := s.ApplyEncodedBid(ctx, body)
-	s.Publish(ctx, ev)
+	ev, err := command.ApplyBid(m.st, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
+	s.Publish(context.Background(), ev) // a failed bid's zero Event publishes nothing
 	return ev.Decision, err
 }
 
@@ -324,15 +339,9 @@ func (m *Market) SubmitEncodedBidCtx(ctx context.Context, body []byte) (Decision
 // returned one per request, and one failed bid never aborts the rest of
 // the batch.
 func (m *Market) SubmitBids(reqs []BidRequest) []BidResult {
-	return m.SubmitBidsCtx(context.Background(), reqs)
-}
-
-// SubmitBidsCtx is SubmitBids with request context: a batch request's
-// trace accumulates the spans of all its bids.
-func (m *Market) SubmitBidsCtx(ctx context.Context, reqs []BidRequest) []BidResult {
 	out := make([]BidResult, len(reqs))
 	for i, r := range reqs {
-		out[i].Decision, out[i].Err = m.SubmitBidCtx(ctx, r.Buyer, r.Dataset, r.Amount)
+		out[i].Decision, out[i].Err = m.SubmitBid(r.Buyer, r.Dataset, r.Amount)
 	}
 	return out
 }

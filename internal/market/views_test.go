@@ -158,30 +158,33 @@ func TestOneGroupUploadSaleWithdraw(t *testing.T) {
 	ctx := context.Background()
 	s := m.Stage()
 	s.Lock()
-	var group [][]command.Event
+	var group []command.Event
 	for _, cmd := range []command.Command{
 		command.UploadDataset{Seller: "alice", Dataset: "flash"},
 		command.SubmitBid{Buyer: "carol", Dataset: "flash", Amount: 150},
 		command.WithdrawDataset{Seller: "alice", Dataset: "flash"},
 	} {
-		evs, err := s.Apply(ctx, cmd)
+		body, err := command.EncodeBinary(cmd)
+		if err != nil {
+			s.Unlock()
+			t.Fatal(err)
+		}
+		ev, err := s.Apply(ctx, body)
 		if err != nil {
 			s.Unlock()
 			t.Fatalf("%s: %v", cmd.Op(), err)
 		}
-		group = append(group, evs)
+		group = append(group, ev)
 	}
 	if owns, _ := m.Owns("carol", "flash"); owns || m.TxCount() != 0 {
 		s.Unlock()
 		t.Fatalf("before publication: Owns = %v, TxCount = %d", owns, m.TxCount())
 	}
-	for _, evs := range group {
-		s.Publish(ctx, evs...)
-	}
+	s.Publish(ctx, group...)
 	s.Unlock()
 
-	if !group[1][0].Decision.Allocated {
-		t.Fatalf("the bid lost: %+v", group[1][0].Decision)
+	if !group[1].Decision.Allocated {
+		t.Fatalf("the bid lost: %+v", group[1].Decision)
 	}
 	if owns, err := m.Owns("carol", "flash"); err != nil || !owns {
 		t.Errorf("Owns(carol, flash) = %v, %v; want true", owns, err)

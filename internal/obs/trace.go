@@ -338,7 +338,7 @@ const traceKey ctxKey = iota
 // (an ID held as its number until something spells it), so identity
 // costs no allocation per request.
 //
-// Reuse rests on one invariant: every consumer downstream of ApplyCtx
+// Reuse rests on one invariant: every consumer downstream of ApplyEncodedCtx
 // (journal group members, stage timers, view publication) is done with
 // the context before the request is answered. Nothing may retain a
 // RequestCtx, or a context derived from one, past the call it was

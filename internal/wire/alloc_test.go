@@ -48,19 +48,20 @@ func roundTripAllocs(t *testing.T, b interface {
 }
 
 // TestWireBidRoundTripAllocs is the transport's allocation budget on a
-// plain market. What is left is the tick's event slice — 0.5 per
-// request. A bid costs nothing: it is boxed on the client's stack to be
-// encoded, checked in place on the server and submitted as its bytes,
-// and its event comes back as a value; both request IDs stay numbers.
-// Nothing is spent on the mechanism: no frame header, payload or
-// reader-to-executor handoff, no context links, no encode-then-copy on
-// the client. (With a reader goroutine, a channel and two context links
-// per request this read 12–13; with the bid boxed on the heap at both
-// ends and its event in a slice, 3; with each request's minted ID
-// spelled, 1.5.)
+// plain market: nothing. A command is boxed on the client's stack to be
+// encoded, checked on the server (a bid in place, a tick decoded to a
+// zero-size value) and submitted as its bytes; the stage collects its
+// event in the market's scratch and hands it back as a value; both
+// request IDs stay numbers. Nothing is spent on the mechanism: no frame
+// header, payload or reader-to-executor handoff, no context links, no
+// encode-then-copy on the client. (With a reader goroutine, a channel and
+// two context links per request this read 12–13; with the bid boxed on
+// the heap at both ends and its event in a slice, 3; with each request's
+// minted ID spelled, 1.5; with the tick's event in a slice of its own,
+// 0.5.)
 func TestWireBidRoundTripAllocs(t *testing.T) {
-	if perRequest := roundTripAllocs(t, benchMarket(t), "b", "d"); perRequest > 0.5 {
-		t.Fatalf("a wire round trip allocates %.1f times per request (client + server), want <= 0.5", perRequest)
+	if perRequest := roundTripAllocs(t, benchMarket(t), "b", "d"); perRequest != 0 {
+		t.Fatalf("a wire round trip allocates %.1f times per request (client + server), want 0", perRequest)
 	}
 }
 
@@ -68,9 +69,10 @@ func TestWireBidRoundTripAllocs(t *testing.T) {
 // as the benchmark's, on a journaled market. Go interns one-byte strings,
 // so the test above cannot see a name copied out of the frame; here each
 // would cost one. The commit stage resolves the bid's names against the
-// market's own and records it under them, and its minted request ID is
-// spelled only into the record, so the bid still costs nothing. (With
-// the names decoded into strings and the ID spelled at mint, 2.5.)
+// market's own and records the bytes it received, and its minted request
+// ID is spelled only into the record, so the round trip still costs
+// nothing. (With the names decoded into strings and the ID spelled at
+// mint, 2.5; with the tick's event in a slice of its own, 0.5.)
 func TestWireBidNamesAreNotCopied(t *testing.T) {
 	jm, err := journal.NewMarket(benchConfig(), io.Discard)
 	if err != nil {
@@ -84,7 +86,7 @@ func TestWireBidNamesAreNotCopied(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if perRequest := roundTripAllocs(t, jm, "buyer-0001", "ds-001"); perRequest > 0.5 {
-		t.Fatalf("a journaled wire round trip allocates %.1f times per request (client + server), want <= 0.5", perRequest)
+	if perRequest := roundTripAllocs(t, jm, "buyer-0001", "ds-001"); perRequest != 0 {
+		t.Fatalf("a journaled wire round trip allocates %.1f times per request (client + server), want 0", perRequest)
 	}
 }

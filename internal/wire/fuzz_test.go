@@ -71,6 +71,10 @@ func FuzzWireDecode(f *testing.F) {
 		seed(reqID, []byte{kindCommand}, enc)
 	}
 
+	// A bid whose buyer length is padded to two bytes: decodable by a
+	// lenient reader, and not the canonical encoding it would be recorded as.
+	seed(reqID, []byte{kindCommand, 0x06, 0x81, 0x00, 'b', 0x01, 'd'}, make([]byte, 7), []byte{0x40})
+
 	// Degenerate headers.
 	seed(nil)
 	seed([]byte{0x80}) // unterminated uvarint

@@ -15,14 +15,12 @@ import (
 )
 
 // Backend is the market surface the wire server drives. Both
-// *market.Market and *journal.Market satisfy it: a bid flows through
-// SubmitEncodedBidCtx as its bytes, other commands through ApplyCtx
-// (journaled on a journaled backend), batches through SubmitBidsCtx
-// (per-entry results, journaled successes), queries through the views.
+// *market.Market and *journal.Market satisfy it: every command flows
+// through ApplyEncodedCtx as the bytes it arrived as (journaled on a
+// journaled backend, a batch answered entry by entry in res), queries
+// through the views.
 type Backend interface {
-	ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error)
-	SubmitEncodedBidCtx(ctx context.Context, body []byte) (market.Decision, error)
-	SubmitBidsCtx(ctx context.Context, reqs []market.BidRequest) []market.BidResult
+	ApplyEncodedCtx(ctx context.Context, body []byte, res []market.BidResult) (command.Event, error)
 
 	Period() int
 	Datasets() []market.DatasetID
@@ -374,60 +372,49 @@ func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, version byte, 
 	return resp, tr
 }
 
-// handleCommand decodes and executes one binary command, returning its
-// op name (for telemetry) and the response. A bid is checked in place
-// and submitted as its bytes: nothing on the busiest request is copied.
+// handleCommand checks one binary command at the edge — a bid in place
+// (command.IsBid), anything else by decoding it — and submits its bytes,
+// returning its op name (for telemetry) and the response. A batch is
+// answered entry by entry, like the HTTP batch endpoint.
 func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, []byte) {
 	endDecode := obs.StageTimer(ctx, s.stageDecode, "decode")
-	var cmd command.Command
+	op := "bid"
+	var res []market.BidResult
 	isBid, err := command.IsBid(body)
 	if !isBid {
-		cmd, err = command.DecodeBinary(body)
+		var cmd command.Command
+		if cmd, err = command.DecodeBinary(body); err == nil {
+			op = string(cmd.Op())
+			if batch, ok := cmd.(command.BidBatch); ok {
+				res = make([]market.BidResult, len(batch.Bids))
+			}
+		}
 	}
 	endDecode.End()
 	if err != nil {
 		return "bad_command", appendError(resp, apierr.CodeBadRequest, err.Error())
 	}
-	if isBid {
-		d, err := s.b.SubmitEncodedBidCtx(ctx, body)
-		if err != nil {
-			return "bid", appendFailure(resp, err)
-		}
-		return "bid", appendDecision(append(resp, statusOK), d)
-	}
-	op := string(cmd.Op())
-
-	// Batches take the per-entry path: one failed bid must not abort the
-	// rest, and each entry gets its own envelope, exactly like the HTTP
-	// batch endpoint and the in-process SubmitBids.
-	if batch, ok := cmd.(command.BidBatch); ok {
-		reqs := make([]market.BidRequest, len(batch.Bids))
-		for i, b := range batch.Bids {
-			reqs[i] = market.BidRequest{Buyer: b.Buyer, Dataset: b.Dataset, Amount: b.Amount}
-		}
-		results := s.b.SubmitBidsCtx(ctx, reqs)
+	ev, err := s.b.ApplyEncodedCtx(ctx, body, res)
+	switch {
+	case res != nil:
 		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, uint64(len(results)))
-		for _, res := range results {
-			if res.Err != nil {
-				resp = appendFailure(resp, res.Err)
+		resp = binary.AppendUvarint(resp, uint64(len(res)))
+		for _, r := range res {
+			if r.Err != nil {
+				resp = appendFailure(resp, r.Err)
 				continue
 			}
-			resp = append(resp, statusOK)
-			resp = appendDecision(resp, res.Decision)
+			resp = appendDecision(append(resp, statusOK), r.Decision)
 		}
 		return op, resp
-	}
-
-	evs, err := s.b.ApplyCtx(ctx, cmd)
-	if err != nil {
+	case err != nil:
 		return op, appendFailure(resp, err)
+	case ev.Kind == command.EvBidDecided:
+		return op, appendDecision(append(resp, statusOK), ev.Decision)
+	case ev.Kind == command.EvTicked:
+		return op, binary.AppendUvarint(append(resp, statusOK), uint64(ev.Period))
 	}
-	resp = append(resp, statusOK)
-	if _, ok := cmd.(command.Tick); ok {
-		resp = binary.AppendUvarint(resp, uint64(evs[0].Period))
-	}
-	return op, resp
+	return op, append(resp, statusOK)
 }
 
 // handleQuery executes one read. Queries bypass the command codec and
