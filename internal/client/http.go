@@ -93,6 +93,9 @@ func (c *httpClient) do(ctx context.Context, method, path string, body, dst any)
 		return err
 	}
 	defer resp.Body.Close()
+	// net/http pools a keep-alive connection only once its body has been
+	// read to the end, whatever was decoded from it.
+	defer io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode >= 400 {
 		var e struct {
 			Error *apierr.APIError `json:"error"`
@@ -284,19 +287,7 @@ func (c *httpClient) Transactions(ctx context.Context) ([]market.Transaction, er
 }
 
 func (c *httpClient) Ping(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, "GET", c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.doer.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: health check returned HTTP %d", resp.StatusCode)
-	}
-	return nil
+	return c.do(ctx, "GET", "/healthz", nil, nil)
 }
 
 // Close is a no-op: the HTTP transport holds no persistent connection

@@ -47,7 +47,7 @@ type Snapshot struct {
 // it, which is how a reader tells these bytes from a JSON snapshot.
 const snapshotV1 = 0x01
 
-// snapshotChunk is how much WriteCanonical buffers between writes.
+// snapshotChunk is how much Cut.WriteCanonical buffers between writes.
 const snapshotChunk = 64 << 10
 
 // Canonical returns the snapshot's canonical encoding: the bytes a
@@ -67,15 +67,6 @@ func (s Snapshot) Canonical() ([]byte, error) {
 	c := snapCodec{Codec: binenc.Encoder([]byte{snapshotV1})}
 	c.snapshot(&s)
 	return c.B, nil
-}
-
-// WriteCanonical streams Canonical's bytes to w through one
-// snapshotChunk-sized buffer, so nothing snapshot-sized is ever built.
-func (s Snapshot) WriteCanonical(w io.Writer) error {
-	c := snapCodec{Codec: binenc.Encoder(append(make([]byte, 0, snapshotChunk+4096), snapshotV1)), w: w}
-	c.snapshot(&s)
-	c.flush(0)
-	return c.werr
 }
 
 // DecodeSnapshot parses Canonical's bytes. It accepts only the canonical
@@ -188,6 +179,13 @@ func (c *snapCodec) flush(min int) {
 }
 
 func (c *snapCodec) snapshot(s *Snapshot) {
+	c.head(s)
+	c.buyers = section(c, &s.Buyers, c.buyer)
+	c.transactions(&s.Transactions)
+}
+
+// head walks every section before the buyers.
+func (c *snapCodec) head(s *Snapshot) {
 	s.Config.Engine.Binary(c.Codec)
 	c.Uint64(&s.Config.Seed)
 	binenc.Int(c.Codec, &s.Config.Shards)
@@ -212,19 +210,25 @@ func (c *snapCodec) snapshot(s *Snapshot) {
 			ref(bc, c.datasets, c.datasets.pos[ss.Datasets[i]], &ss.Datasets[i])
 		}
 	})
+}
+
+// buyer walks one buyer's account: its spend and its three maps.
+func (c *snapCodec) buyer(bs *BuyerSnapshot, bc *binenc.Codec) {
 	period := func(bc *binenc.Codec, v int) int { binenc.Int(bc, &v); return v }
 	flag := func(bc *binenc.Codec, v bool) bool { bc.Bool(&v); return v }
-	c.buyers = section(c, &s.Buyers, func(bs *BuyerSnapshot, bc *binenc.Codec) {
-		binenc.Int(bc, &bs.Spent)
-		datasetMap(c, &bs.LastBid, &c.periods, period)
-		datasetMap(c, &bs.BlockedUntil, &c.periods, period)
-		datasetMap(c, &bs.Acquired, &c.flags, flag)
-	})
-	if n := c.Len(len(s.Transactions), 5); c.Decoding() && n > 0 {
-		s.Transactions = make([]Transaction, n)
+	binenc.Int(bc, &bs.Spent)
+	datasetMap(c, &bs.LastBid, &c.periods, period)
+	datasetMap(c, &bs.BlockedUntil, &c.periods, period)
+	datasetMap(c, &bs.Acquired, &c.flags, flag)
+}
+
+// transactions walks the log, the last section, once both tables exist.
+func (c *snapCodec) transactions(txs *[]Transaction) {
+	if n := c.Len(len(*txs), 5); c.Decoding() && n > 0 {
+		*txs = make([]Transaction, n)
 	}
-	for i := range s.Transactions {
-		tx := &s.Transactions[i]
+	for i := range *txs {
+		tx := &(*txs)[i]
 		binenc.Int(c.Codec, &tx.Seq)
 		ref(c.Codec, c.buyers, c.buyers.pos[tx.Buyer], &tx.Buyer)
 		ref(c.Codec, c.datasets, c.datasets.pos[tx.Dataset], &tx.Dataset)

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/datamarket/shield/internal/binenc"
@@ -411,7 +413,9 @@ func TestSnapshotDecodeBoundsCounts(t *testing.T) {
 // state, and the decoder takes no other — and so does the state
 // RestoreState builds from it, when it is a market at all: whatever keys
 // a buyer's three maps held, each gets its own back, and every engine
-// keeps its configuration as recorded, unset defaults included.
+// keeps its configuration as recorded, unset defaults included. The
+// state's cut streams those very bytes too: the checkpoint path and the
+// tree agree.
 func FuzzSnapshotDecode(f *testing.F) {
 	var s command.Snapshot
 	for _, s = range tortureSnapshots(f, 1, 600, 200) {
@@ -426,6 +430,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		es.Config.Eta, es.Config.BidsPerPeriod, es.Config.MaxWaitEpochs, es.Config.AdHocNeighborhood = 0, 0, 0, 0
 		s.Engines[id] = es
 	}
+	f.Add(mustCanonical(f, s))
+	// A buyer blocked on a dataset it has no bid on: a record that only
+	// the BlockedUntil map names, which no live history makes.
+	first := slices.Sorted(maps.Keys(s.Buyers))[0]
+	bs := s.Buyers[first]
+	bs.BlockedUntil = maps.Clone(bs.BlockedUntil)
+	bs.BlockedUntil["only-blocked"] = 9
+	s.Buyers[first] = bs
 	f.Add(mustCanonical(f, s))
 	f.Add(mustCanonical(f, command.Snapshot{}))
 	f.Add([]byte{})
@@ -443,6 +455,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(data), len(enc))
 		}
 		if st, err := command.RestoreState(s); err == nil {
+			var cut bytes.Buffer
+			if err := st.Cut().WriteCanonical(&cut); err != nil || !bytes.Equal(cut.Bytes(), data) {
+				t.Fatalf("restored and cut: WriteCanonical wrote %d bytes (%v) that differ from the %d given", cut.Len(), err, len(data))
+			}
 			if again := st.Snapshot(); !bytes.Equal(mustCanonical(t, again), data) {
 				t.Fatalf("restored and re-snapshotted: %s", s.Diff(again))
 			}

@@ -327,61 +327,7 @@ func (st *State) TestPerturbPrices(f func(price float64) float64) {
 }
 
 // Snapshot captures the whole state.
-func (st *State) Snapshot() Snapshot {
-	s := Snapshot{
-		Config:       st.cfg,
-		Clock:        st.clock,
-		Graph:        st.graph.Snapshot(),
-		Engines:      make(map[DatasetID]core.Snapshot),
-		Owners:       make(map[DatasetID]SellerID, len(st.owners)),
-		Buyers:       make(map[BuyerID]BuyerSnapshot, len(st.buyers)),
-		Sellers:      make(map[SellerID]SellerSnapshot, len(st.sellers)),
-		Transactions: make([]Transaction, len(st.txs)),
-		Revenue:      st.revenue,
-	}
-	for i, eng := range st.engines {
-		if eng != nil {
-			s.Engines[st.names[i]] = eng.Snapshot()
-		}
-	}
-	for id, owner := range st.owners {
-		s.Owners[id] = owner
-	}
-	for id, acct := range st.buyers {
-		var keys [hasAcquired + 1]int // at each has* flag, the records carrying it; at 0, the misses
-		for _, p := range acct.pairs {
-			keys[p.flags&hasLastBid]++
-			keys[p.flags&hasBlockedUntil]++
-			keys[p.flags&hasAcquired]++
-		}
-		bs := BuyerSnapshot{
-			LastBid:      make(map[DatasetID]int, keys[hasLastBid]),
-			BlockedUntil: make(map[DatasetID]int, keys[hasBlockedUntil]),
-			Acquired:     make(map[DatasetID]bool, keys[hasAcquired]),
-			Spent:        acct.spent,
-		}
-		for i, p := range acct.pairs {
-			name := st.names[i]
-			if p.flags&hasLastBid != 0 {
-				bs.LastBid[name] = p.lastBid
-			}
-			if p.flags&hasBlockedUntil != 0 {
-				bs.BlockedUntil[name] = p.blockedUntil
-			}
-			if p.flags&hasAcquired != 0 {
-				bs.Acquired[name] = p.flags&acquired != 0
-			}
-		}
-		s.Buyers[id] = bs
-	}
-	for id, acct := range st.sellers {
-		ss := SellerSnapshot{Balance: acct.balance, Datasets: make([]DatasetID, len(acct.datasets))}
-		copy(ss.Datasets, acct.datasets)
-		s.Sellers[id] = ss
-	}
-	copy(s.Transactions, st.txs)
-	return s
-}
+func (st *State) Snapshot() Snapshot { return st.Cut().Snapshot() }
 
 // RestoreState reconstructs a state from a snapshot, validating
 // cross-references (every engine has a graph node, every owner exists,

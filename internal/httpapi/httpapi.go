@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -100,22 +99,14 @@ type Server struct {
 }
 
 func NewServer(m *market.Market) *Server {
-	return &Server{
-		m: m, mut: m,
-		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
+	return &Server{m: m, mut: m}
 }
 
 // NewJournaled routes writes through the journaling wrapper; /readyz
 // reports the journal writer's health, plus the store's
 // segment/checkpoint inventory when the journal is segmented.
 func NewJournaled(jm *journal.Market) *Server {
-	return &Server{
-		m: jm.Market, mut: jm,
-		ready:  jm.Healthy,
-		store:  jm.Store(),
-		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
+	return &Server{m: jm.Market, mut: jm, ready: jm.Healthy, store: jm.Store()}
 }
 
 // WithAuth enables bid signing.

@@ -23,7 +23,7 @@ func (s *Server) WithTelemetry(t *obs.Telemetry) *Server {
 }
 
 // WithLogger routes the structured request log (one line per request:
-// id, route, status, elapsed) to l. The default logger discards.
+// id, route, status, elapsed) to l. Without one, none is formatted.
 func (s *Server) WithLogger(l *slog.Logger) *Server {
 	s.logger = l
 	return s
@@ -149,13 +149,15 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 		}
 		elapsed := time.Since(start)
 		s.latencyFor(route, st.status).ObserveTrace(elapsed.Seconds(), obs.ExemplarID(&st.ctx))
-		s.logger.LogAttrs(&st.ctx, slog.LevelInfo, "request",
-			slog.String("id", id),
-			slog.String("route", route),
-			slog.Int("status", st.status),
-			slog.Duration("elapsed", elapsed),
-			slog.String("remote", r.RemoteAddr),
-		)
+		if s.logger != nil {
+			s.logger.LogAttrs(&st.ctx, slog.LevelInfo, "request",
+				slog.String("id", id),
+				slog.String("route", route),
+				slog.Int("status", st.status),
+				slog.Duration("elapsed", elapsed),
+				slog.String("remote", r.RemoteAddr),
+			)
+		}
 	})
 }
 

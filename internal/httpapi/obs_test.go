@@ -1,11 +1,15 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -261,5 +265,40 @@ func TestBidTraceRetrievable(t *testing.T) {
 	want := []string{"http.parse", "group_commit.queue_wait", "apply", "group_commit.append", "group_commit.fsync", "publish"}
 	if !slices.Equal(spans, want) {
 		t.Errorf("trace %s spans %v, want %v", bidID, spans, want)
+	}
+}
+
+// TestRequestLog: a server given a logger writes exactly one line per
+// request, carrying the request ID it answered with, the route pattern
+// that matched and the status it sent.
+func TestRequestLog(t *testing.T) {
+	var lines bytes.Buffer
+	h := NewServer(market.MustNew(testConfig())).WithLogger(slog.New(slog.NewJSONHandler(&lines, nil))).Routes()
+	for _, c := range []struct {
+		method, path, body, route string
+		status                    int
+	}{
+		{"GET", "/v1/period", "", "GET /v1/period", http.StatusOK},
+		{"POST", "/v1/sellers", `{"id":"acme"}`, "POST /v1/sellers", http.StatusCreated},
+		{"GET", "/v1/datasets/nope/stats", "", "GET /v1/datasets/{id}/stats", http.StatusNotFound},
+		{"GET", "/nowhere", "", "unmatched", http.StatusNotFound},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		logged := strings.Split(strings.TrimSuffix(lines.String(), "\n"), "\n")
+		lines.Reset()
+		if rec.Code != c.status || len(logged) != 1 {
+			t.Fatalf("%s %s: status %d, %d log lines %q; want %d and one line", c.method, c.path, rec.Code, len(logged), logged, c.status)
+		}
+		var line struct {
+			Msg, ID, Route string
+			Status         int
+		}
+		if err := json.Unmarshal([]byte(logged[0]), &line); err != nil {
+			t.Fatal(err)
+		}
+		if id := rec.Header().Get("X-Request-Id"); line.Msg != "request" || line.ID != id || id == "" || line.Route != c.route || line.Status != c.status {
+			t.Errorf("%s %s logged %s; want request id %q, route %q, status %d", c.method, c.path, logged[0], id, c.route, c.status)
+		}
 	}
 }

@@ -2,8 +2,6 @@ package httpapi
 
 import (
 	"context"
-	"io"
-	"log/slog"
 	"net/http"
 
 	"github.com/datamarket/shield/internal/apierr"
@@ -41,7 +39,6 @@ func NewReplica(src ReplicaSource) *Server {
 		replica: src,
 		mut:     readOnly{},
 		ready:   src.Ready,
-		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 }
 

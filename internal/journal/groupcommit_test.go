@@ -326,8 +326,8 @@ func TestGroupCommitFaultFailsWholeGroup(t *testing.T) {
 	if err := jm.Healthy(); err == nil {
 		t.Fatal("market reports healthy after a failed group flush")
 	}
-	if _, _, err := jm.CommittedSnapshot(); err == nil {
-		t.Fatal("a poisoned journal handed out a snapshot as committed")
+	if _, _, err := jm.CommittedCut(); err == nil {
+		t.Fatal("a poisoned journal handed out a cut as committed")
 	}
 	// Whatever survived is still a clean prefix.
 	if _, _, _, err := Recover(bytes.NewReader(disk.Bytes())); err != nil {

@@ -1087,20 +1087,20 @@ func (m *Market) SubmitBids(reqs []market.BidRequest) []market.BidResult {
 // building the market but before serving traffic.
 func (m *Market) OnCommit(fn func(Record)) { m.w.OnCommit(fn) }
 
-// CommittedSnapshot captures the whole market state together with the
-// sequence number of the record that produced it. It takes the market's
-// writer mutex, which the commit stage holds from a group's first apply
-// to its last hook, so the pair is always aligned; on a poisoned
-// journal, whose market has applied commands the log does not hold, it
-// returns the writer's error instead.
-func (m *Market) CommittedSnapshot() (market.Snapshot, int64, error) {
+// CommittedCut cuts the whole market state together with the sequence
+// number of the record that produced it. It takes the market's writer
+// mutex, which the commit stage holds from a group's first apply to its
+// last hook, so the pair is always aligned; on a poisoned journal, whose
+// market has applied commands the log does not hold, it returns the
+// writer's error instead.
+func (m *Market) CommittedCut() (*command.Cut, int64, error) {
 	live := m.Market.Stage()
 	live.Lock()
 	defer live.Unlock()
 	if err := m.w.Healthy(); err != nil && !errors.Is(err, ErrClosed) {
-		return market.Snapshot{}, 0, err
+		return nil, 0, err
 	}
-	return live.Snapshot(), m.w.LastSeq(), nil
+	return live.Cut(), m.w.LastSeq(), nil
 }
 
 // LastSeq returns the sequence number of the journal's newest record;

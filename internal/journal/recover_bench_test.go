@@ -14,13 +14,25 @@ import (
 
 // buildRecoverStore writes, with checkpoints off, the store the
 // repository benchmark's store_recover workload recovers at its full
-// length: marketd's engine (40 candidates over [1, 200], epochs of 8,
-// floor 1), 64 datasets, 4 096 buyers, and 24 000 ops — a Tick every
-// 512th, otherwise a Normal(100, 30) bid walking the (buyer, dataset)
-// pairs. It returns how many records a recovery replays.
+// length, and returns how many records a recovery replays.
 func buildRecoverStore(b *testing.B, dir string) int {
 	b.Helper()
-	const datasets, buyers, ops, tickEvery = 64, 4096, 24000, 512
+	jm := servingMarket(b, dir, 24000)
+	records := int(jm.LastSeq())
+	if err := jm.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return records
+}
+
+// servingMarket opens a store in dir, with checkpoints off, holding the
+// repository benchmark's market: marketd's engine (40 candidates over
+// [1, 200], epochs of 8, floor 1), 64 datasets, 4 096 buyers, and ops
+// writes — a Tick every 512th, otherwise a Normal(100, 30) bid walking
+// the (buyer, dataset) pairs.
+func servingMarket(b *testing.B, dir string, ops int) *Market {
+	b.Helper()
+	const datasets, buyers, tickEvery = 64, 4096, 512
 	cfg := market.Config{
 		Engine: core.Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1, MinBid: 1},
 		Seed:   3109,
@@ -53,11 +65,7 @@ func buildRecoverStore(b *testing.B, dir string) int {
 	if err != nil {
 		b.Fatal(err)
 	}
-	records := int(jm.LastSeq())
-	if err := jm.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return records
+	return jm
 }
 
 // BenchmarkRecoverDir is one cold RecoverDir of buildRecoverStore's store
@@ -78,4 +86,29 @@ func BenchmarkRecoverDir(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*records)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkCheckpointCapture is what a due checkpoint holds the commit
+// stage for, on the market wire_bid_durable ends with (150 000 writes):
+// cut is the capture the stage takes now, tree the snapshot tree it
+// took before — the one-command profile of the checkpoint stall.
+func BenchmarkCheckpointCapture(b *testing.B) {
+	jm := servingMarket(b, b.TempDir(), 150_000)
+	defer jm.Close()
+	live := jm.Market.Stage()
+	for _, c := range []struct {
+		name    string
+		capture func()
+	}{
+		{"cut", func() { live.Lock(); live.Cut(); live.Unlock() }},
+		{"tree", func() { jm.Snapshot() }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.capture()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/capture")
+		})
+	}
 }

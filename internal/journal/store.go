@@ -43,14 +43,14 @@
 //
 // # Checkpoints and compaction
 //
-// Every CheckpointEvery committed records the store snapshots the
-// serving market from inside the commit stage, right after a group
-// reached the sink — the one applier holds the market there, so the
-// snapshot is exactly the state at that group's last seq — and writes
-// it to a checkpoint file with the temp+rename+dir-fsync discipline: a
+// Every CheckpointEvery committed records the store cuts the serving
+// market (command.Cut) from inside the commit stage, right after a
+// group reached the sink — the one applier holds the market there, so
+// the cut is exactly the state at that group's last seq — and writes it
+// to a checkpoint file with the temp+rename+dir-fsync discipline: a
 // crash leaves either the old checkpoint set or the new one, never a
-// torn checkpoint. The file write runs on a background goroutine; only
-// the in-memory snapshot extraction happens on the commit path. After a
+// torn checkpoint. The encoding and the file write run on a background
+// goroutine; only the cut happens on the commit path. After a
 // checkpoint lands, compaction deletes sealed segments wholly covered
 // by it (keeping RetainSegments spares) and old checkpoint files,
 // while appends keep flowing.
@@ -252,7 +252,7 @@ func (s *Store) Checkpoint() error {
 	}
 	s.ckptDone = make(chan struct{})
 	s.mu.Unlock()
-	snap, seq, err := s.committedSnapshot()
+	cut, seq, err := s.committedCut()
 	if err != nil {
 		s.mu.Lock()
 		close(s.ckptDone)
@@ -264,22 +264,22 @@ func (s *Store) Checkpoint() error {
 	s.sinceCkpt = 0
 	s.mu.Unlock()
 	s.wg.Add(1)
-	s.checkpoint(snap, seq)
+	s.checkpoint(cut, seq)
 	return s.Err()
 }
 
-// committedSnapshot captures the serving market, and the seq it stands
-// at, from outside the commit stage. Holding the market's writer mutex
+// committedCut cuts the serving market, and the seq it stands at, from
+// outside the commit stage. Holding the market's writer mutex
 // keeps the stage out — it holds that mutex from a group's first apply
 // until committed has run — so state and seq are aligned; a store whose
 // sink failed refuses, because its market has applied commands the
 // segments do not hold.
-func (s *Store) committedSnapshot() (market.Snapshot, int64, error) {
+func (s *Store) committedCut() (*command.Cut, int64, error) {
 	s.mu.Lock()
 	m := s.live
 	s.mu.Unlock()
 	if m == nil {
-		return market.Snapshot{}, 0, errors.New("journal: store has no state to snapshot")
+		return nil, 0, errors.New("journal: store has no state to snapshot")
 	}
 	live := m.Stage()
 	live.Lock()
@@ -288,9 +288,9 @@ func (s *Store) committedSnapshot() (market.Snapshot, int64, error) {
 	seq, err := s.appliedSeq, s.err
 	s.mu.Unlock()
 	if err != nil {
-		return market.Snapshot{}, 0, err
+		return nil, 0, err
 	}
-	return live.Snapshot(), seq, nil
+	return live.Cut(), seq, nil
 }
 
 // Write appends one record to the active segment (io.Writer; the
@@ -407,8 +407,8 @@ func createSegment(dir string, index, base int64, truncate bool) (*os.File, int6
 // committed is the store's per-group bookkeeping: records more records
 // have reached the segments, the newest is lastSeq, and the serving
 // market stands exactly there. The caller is the market's one applier
-// and holds its writer mutex, so a due checkpoint snapshots the market
-// on the spot; only the file write moves to a goroutine.
+// and holds its writer mutex, so a due checkpoint cuts the market on the
+// spot; the encoding and the file write move to a goroutine.
 func (s *Store) committed(lastSeq int64, records int) {
 	s.mu.Lock()
 	s.appliedSeq = lastSeq
@@ -422,7 +422,7 @@ func (s *Store) committed(lastSeq int64, records int) {
 	s.mu.Unlock()
 	if due {
 		s.wg.Add(1)
-		go s.checkpoint(live.Stage().Snapshot(), lastSeq)
+		go s.checkpoint(live.Stage().Cut(), lastSeq)
 	}
 }
 
@@ -434,10 +434,10 @@ func (s *Store) shouldCheckpointLocked() bool {
 
 // checkpoint writes one snapshot checkpoint on a background goroutine
 // and, on success, kicks compaction. Group commit keeps running: only
-// the snapshot extraction happened on the commit path.
-func (s *Store) checkpoint(snap market.Snapshot, seq int64) {
+// the cut happened on the commit path.
+func (s *Store) checkpoint(cut *command.Cut, seq int64) {
 	defer s.wg.Done()
-	err := writeCheckpointFile(s.dir, seq, snap.WriteCanonical)
+	err := writeCheckpointFile(s.dir, seq, cut.WriteCanonical)
 	s.mu.Lock()
 	close(s.ckptDone)
 	s.ckptDone = nil
@@ -472,7 +472,7 @@ const (
 // writeCheckpointFile lands dir/<seq>.ckpt atomically: build in a
 // temporary sibling, fsync it, rename into place, fsync the directory.
 // snapshot writes the snapshot's canonical bytes — streamed from a
-// market.Snapshot, or the very bytes a leader sent — and the checksum is
+// command.Cut, or the very bytes a leader sent — and the checksum is
 // kept as they pass, so the checkpoint is never held whole.
 func writeCheckpointFile(dir string, seq int64, snapshot func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(dir, "ckpt-*"+tmpSuffix)

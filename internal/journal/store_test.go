@@ -1041,39 +1041,55 @@ func TestStorePoisonedNeverCheckpoints(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllocsAreFlat: writing a checkpoint streams the snapshot
-// through one buffer, so what it allocates does not grow with the books:
-// a 4 096-buyer market costs at most twice what a 64-buyer one does
-// (JSON cost several allocations per buyer and dataset pair).
+// booksOf returns a market of the given number of buyers, three bids
+// each over eight datasets — wins and losses, so all three of a buyer's
+// per-dataset maps fill — and its cut.
+func booksOf(t *testing.T, buyers int) (*market.Market, *command.Cut) {
+	t.Helper()
+	m := market.MustNew(testConfig())
+	if err := m.RegisterSeller("s"); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 8; d++ {
+		if err := m.UploadDataset("s", market.DatasetID(fmt.Sprintf("d%d", d))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b := 0; b < buyers; b++ {
+		id := market.BuyerID(fmt.Sprintf("buyer-%04d", b))
+		if err := m.RegisterBuyer(id); err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < 3; d++ {
+			if _, err := m.SubmitBid(id, market.DatasetID(fmt.Sprintf("d%d", (b+d)%8)), float64(5+(b*7+d*31)%120)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if snap := m.Snapshot(); len(snap.Buyers) != buyers || len(snap.Transactions) == 0 {
+		t.Fatalf("market of %d buyers snapshots %d buyers and %d sales", buyers, len(snap.Buyers), len(snap.Transactions))
+	}
+	return m, cutOf(m)
+}
+
+func cutOf(m *market.Market) *command.Cut {
+	s := m.Stage()
+	s.Lock()
+	defer s.Unlock()
+	return s.Cut()
+}
+
+// TestCheckpointAllocsAreFlat: writing a checkpoint streams a cut
+// through one buffer and one set of per-buyer maps, so what it allocates
+// does not grow with the books: a 4 096-buyer market costs at most twice
+// what a 64-buyer one does (JSON cost several allocations per buyer and
+// dataset pair).
 func TestCheckpointAllocsAreFlat(t *testing.T) {
 	dir := t.TempDir()
 	checkpointAllocs := func(buyers int) float64 {
-		m := market.MustNew(testConfig())
-		if err := m.RegisterSeller("s"); err != nil {
-			t.Fatal(err)
-		}
-		for d := 0; d < 8; d++ {
-			if err := m.UploadDataset("s", market.DatasetID(fmt.Sprintf("d%d", d))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for b := 0; b < buyers; b++ {
-			id := market.BuyerID(fmt.Sprintf("buyer-%04d", b))
-			if err := m.RegisterBuyer(id); err != nil {
-				t.Fatal(err)
-			}
-			for d := 0; d < 3; d++ { // wins and losses: all three per-buyer maps fill
-				if _, err := m.SubmitBid(id, market.DatasetID(fmt.Sprintf("d%d", (b+d)%8)), float64(5+(b*7+d*31)%120)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		snap := m.Snapshot()
-		if len(snap.Buyers) != buyers || len(snap.Transactions) == 0 {
-			t.Fatalf("market of %d buyers snapshots %d buyers and %d sales", buyers, len(snap.Buyers), len(snap.Transactions))
-		}
+		_, cut := booksOf(t, buyers)
 		return testing.AllocsPerRun(3, func() {
-			if err := writeCheckpointFile(dir, int64(buyers), snap.WriteCanonical); err != nil {
+			if err := writeCheckpointFile(dir, int64(buyers), cut.WriteCanonical); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -1083,4 +1099,20 @@ func TestCheckpointAllocsAreFlat(t *testing.T) {
 		t.Fatalf("checkpointing 4096 buyers allocates %.0f times, 64 buyers %.0f: want within 2x", large, small)
 	}
 	t.Logf("allocations per checkpoint: %.0f at 64 buyers, %.0f at 4096", small, large)
+}
+
+// TestCutAllocsAreFlat: what the commit stage does for a checkpoint —
+// the cut — copies the books into flat slices, so its allocations do
+// not grow with the buyers either (a snapshot tree makes three maps per
+// buyer).
+func TestCutAllocsAreFlat(t *testing.T) {
+	cutAllocs := func(buyers int) float64 {
+		m, _ := booksOf(t, buyers)
+		return testing.AllocsPerRun(3, func() { cutOf(m) })
+	}
+	small, large := cutAllocs(64), cutAllocs(4096)
+	if large > 2*small {
+		t.Fatalf("cutting 4096 buyers allocates %.0f times, 64 buyers %.0f: want within 2x", large, small)
+	}
+	t.Logf("allocations per cut: %.0f at 64 buyers, %.0f at 4096", small, large)
 }

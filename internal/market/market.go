@@ -241,8 +241,8 @@ func (s Stage) Publish(ctx context.Context, evs ...command.Event) {
 	}
 }
 
-// Snapshot captures the whole market state.
-func (s Stage) Snapshot() Snapshot { return s.m.st.Snapshot() }
+// Cut captures the whole market state for serializing after Unlock.
+func (s Stage) Cut() *command.Cut { return s.m.st.Cut() }
 
 // ApplyEncodedCtx is the market's one write path: Stage.Apply, then
 // Publish. A bid_batch body (Stage.ApplyBatch) fills res instead, one

@@ -17,13 +17,14 @@ type (
 	Snapshot = command.Snapshot
 )
 
-// Snapshot captures the whole market state. It takes the writer mutex,
-// so the snapshot is a consistent point-in-time view between two
-// commands — on a journaled market, between two durable groups.
+// Snapshot captures the whole market state: a cut under the writer mutex
+// — a consistent view between two commands, on a journaled market between
+// two durable groups — whose tree is built once the mutex is released.
 func (m *Market) Snapshot() Snapshot {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.st.Snapshot()
+	cut := m.st.Cut()
+	m.mu.Unlock()
+	return cut.Snapshot()
 }
 
 // RestoreSnapshot reconstructs a market from a snapshot, validating

@@ -459,6 +459,9 @@ func Restore(s Snapshot) (*Learner, error) {
 			return nil, fmt.Errorf("mw: snapshot weight[%d] = %v invalid", i, w)
 		}
 	}
+	if maxW := slices.Max(s.Weights); !(maxW > 1e-6 && maxW < 1e6) { // what settle leaves alone
+		return nil, fmt.Errorf("mw: snapshot weights peak at %v, which a learner rescales", maxW)
+	}
 	l := NewLearnerWithWeights(s.Values, s.Weights, s.Eta)
 	l.share = s.Share
 	l.rounds = s.Rounds

@@ -845,6 +845,11 @@ func TestLearnerRestoreValidation(t *testing.T) {
 		"cum mismatch": func(s *Snapshot) { s.CumCost = s.CumCost[:1] },
 		"bad weight":   func(s *Snapshot) { s.Weights[0] = math.NaN() },
 		"zero weight":  func(s *Snapshot) { s.Weights[0] = 0 },
+		// A learner rescales its weights whenever the largest leaves
+		// (1e-6, 1e6): restoring such a vector would rescale it and
+		// re-snapshot to different bytes.
+		"peak too high": func(s *Snapshot) { s.Weights[1] = 1e6 },
+		"peak too low":  func(s *Snapshot) { s.Weights[0], s.Weights[1], s.Weights[2] = 1e-6, 1e-7, 1e-9 },
 	}
 	for name, mutate := range cases {
 		s := good

@@ -14,12 +14,13 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/journal"
-	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/wire"
 )
 
@@ -46,7 +47,7 @@ var ErrFollowerAhead = errors.New("replica: follower ahead of leader")
 // records between that checkpoint and the feed's head preloaded from
 // the segment tail on disk — or, over a plain sink and on a store that
 // has not checkpointed yet, the live market itself
-// (journal.Market.CommittedSnapshot).
+// (journal.Market.CommittedCut).
 //
 // Attach a Feed with NewFeed after building the journaled market and
 // before serving traffic: records committed while no hook is installed
@@ -176,9 +177,11 @@ func (f *Feed) Subscribe(afterSeq int64) (wire.Subscription, error) {
 		snap, snapSeq, err = f.store.CatchupSnapshot()
 	}
 	if snap == nil && err == nil {
-		var s market.Snapshot
-		if s, snapSeq, err = f.jm.CommittedSnapshot(); err == nil {
-			snap, err = s.Canonical()
+		var cut *command.Cut
+		if cut, snapSeq, err = f.jm.CommittedCut(); err == nil {
+			var buf bytes.Buffer
+			err = cut.WriteCanonical(&buf)
+			snap = buf.Bytes()
 		}
 	}
 	if err != nil {

@@ -36,7 +36,7 @@ type leaderRig struct {
 
 // newLeaderRig's store never checkpoints, so a snapshot catch-up takes
 // the feed's other branch: the live market at a committed seq
-// (journal.Market.CommittedSnapshot) rather than a checkpoint file.
+// (journal.Market.CommittedCut) rather than a checkpoint file.
 func newLeaderRig(t *testing.T, ringMax int, opts ...journal.Option) *leaderRig {
 	return leaderRigOver(t, journal.StoreConfig{CheckpointEvery: -1}, ringMax, opts...)
 }
