@@ -53,14 +53,17 @@ test:
 # Every fuzz target gets a short randomized run on each CI pass; real
 # corpus-growing sessions use `go test -fuzz <target> -fuzztime 10m` by
 # hand. Go allows one -fuzz target per invocation, hence the loop. The
-# journal fuzzer's seed corpus holds JSON-line logs, v3 frame logs, mixed
-# line+frame logs, flipped checksums and giant lengths. The snapshot
+# journal reader's seed corpus holds v3 frame logs, torn, with flipped
+# checksums and giant lengths, and the older logs it must refuse by name;
+# the migration's holds those older logs, which it must rewrite record for
+# record. The snapshot
 # fuzzer's seeds are whole market snapshots, kilobytes each, so its
 # minimizer is capped: left alone it spends the whole smoke shrinking the
 # first interesting input.
 FUZZ_TIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzReadNeverPanics$$' -fuzztime $(FUZZ_TIME) ./internal/journal/
+	$(GO) test -run xxx -fuzz '^FuzzMigrateRecords$$' -fuzztime $(FUZZ_TIME) ./internal/journal/
 	$(GO) test -run xxx -fuzz '^FuzzDescriptiveNeverNonsense$$' -fuzztime $(FUZZ_TIME) ./internal/stats/
 	$(GO) test -run xxx -fuzz '^FuzzWilcoxonBounds$$' -fuzztime $(FUZZ_TIME) ./internal/stats/
 	$(GO) test -run xxx -fuzz '^FuzzOptimalPrice$$' -fuzztime $(FUZZ_TIME) ./internal/auction/
@@ -91,7 +94,7 @@ torture-smoke:
 	$(GO) run ./cmd/shieldstorm -hot -seed $(TORTURE_SEED) -seeds 1 -ops 20000
 
 # Integrity gate: 200 seeded stores, a dozen single-bit flips each across
-# frames, checkpoints, segheads and legacy JSON lines. Recovery, a
+# frames, checkpoints and segheads. Recovery, a
 # leader's open, a follower's cold restart and the offline verifier must
 # each name the damage (checksum error with file, seq and offset) or —
 # past bytes they never read — rebuild the builder's market exactly.
@@ -107,12 +110,13 @@ torture-long:
 # and two seeded crash-cut recovery drills, all under a disk ceiling —
 # then the load rig's -compact-every scenario, where checkpointing and
 # compaction run against live load and the bid tail must hold the SLO.
-# First, upgrade-in-place: copies of the frozen stores a version-2 build
-# (JSON-line segments, trailer-less checkpoint) and a version-3 build
-# (frames, JSON checkpoint) wrote must open, append frames, rotate,
-# checkpoint in binary and recover byte-identically.
+# First, the migration: every frozen input an older build left must
+# migrate to the state that build rebuilt, idempotently and crash-safely,
+# be refused by name until it has, and — for the stores a version-2 and a
+# version-3 build wrote — then open, append, rotate, checkpoint and
+# recover byte-identically.
 segment-smoke:
-	$(GO) test -count=1 -run '^TestV[23]StoreUpgradesInPlace$$' ./internal/journal/
+	$(GO) test -count=1 -run '^(TestMigrate.*|TestV[23]StoreUpgradesInPlace)$$' ./internal/journal/
 	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -ops 20000 \
 		-store -segment-records 512 -checkpoint-every 2000 -disk-ceiling-mb 64
 	$(GO) run ./cmd/shieldload -transport both -clients 512 -rate 1500 \

@@ -12,6 +12,7 @@ import (
 
 	"github.com/datamarket/shield/internal/apierr"
 	api "github.com/datamarket/shield/internal/client"
+	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/render"
 )
@@ -107,6 +108,15 @@ func run(c *client, args []string, out io.Writer) error {
 			return err
 		}
 		return journalVerify(rest[0], out)
+	case "journal-migrate":
+		if err := need(1, "journal-migrate <journal-dir|journal-file>"); err != nil {
+			return err
+		}
+		dir, files, err := journal.Migrate(rest[0])
+		if err == nil {
+			fmt.Fprintf(out, "journal %s: %d files rewritten; serve it with marketd -journal-dir %s\n", dir, files, dir)
+		}
+		return err
 	}
 
 	cl, err := c.dial()

@@ -37,7 +37,7 @@ func journalInfo(dir string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  checkpoints (%d):\n", len(inv.Checkpoints))
 	for _, c := range inv.Checkpoints {
-		fmt.Fprintf(out, "    %s  seq %d, %d bytes (%s)\n", c.Name, c.Seq, c.Bytes, c.Encoding)
+		fmt.Fprintf(out, "    %s  seq %d, %d bytes\n", c.Name, c.Seq, c.Bytes)
 	}
 	tail := inv.LastSeq - inv.LastCheckpoint
 	if tail < 0 {
@@ -51,8 +51,8 @@ func journalInfo(dir string, out io.Writer) error {
 // journalDump prints every record of every segment in dir as its JSON
 // Event view, one per line under a line naming the segment — what `cat`
 // showed when records were JSON lines — then every checkpoint's snapshot
-// as one JSON line, binary checkpoints included. It stops at the first
-// damaged record or checkpoint with the error that names it.
+// as one JSON line. It stops at the first damaged record or checkpoint
+// with the error that names it.
 func journalDump(dir string, out io.Writer) error {
 	enc := json.NewEncoder(out)
 	current := ""
@@ -67,7 +67,7 @@ func journalDump(dir string, out io.Writer) error {
 		return err
 	}
 	return journal.ScanCheckpoints(dir, func(c journal.CheckpointInfo, snap market.Snapshot) error {
-		fmt.Fprintf(out, "# %s (%s, %d bytes)\n", c.Name, c.Encoding, c.Bytes)
+		fmt.Fprintf(out, "# %s (%d bytes)\n", c.Name, c.Bytes)
 		return enc.Encode(snap)
 	})
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,15 +67,11 @@ func TestJournalInfoCLI(t *testing.T) {
 		t.Fatalf("journal-info checkpoint %d missing:\n%s", inv.LastCheckpoint, out)
 	}
 
-	// Every checkpoint line names its encoding and size: binary from this
-	// build, JSON in the frozen store a version-3 build left.
+	// Every checkpoint line names its seq and size.
 	for _, c := range inv.Checkpoints {
-		if want := fmt.Sprintf("%s  seq %d, %d bytes (binary)", c.Name, c.Seq, c.Bytes); c.Bytes == 0 || !strings.Contains(out, want) {
+		if want := fmt.Sprintf("%s  seq %d, %d bytes\n", c.Name, c.Seq, c.Bytes); c.Bytes == 0 || !strings.Contains(out, want) {
 			t.Fatalf("journal-info output missing %q:\n%s", want, out)
 		}
-	}
-	if out := runCmd(t, &client{}, "journal-info", "../../internal/journal/testdata/v3store"); !strings.Contains(out, "bytes (json)") {
-		t.Fatalf("journal-info on the v3 fixture does not call its checkpoint JSON:\n%s", out)
 	}
 
 	// A missing directory is a plain error, not a panic.
@@ -94,7 +91,7 @@ func TestJournalDumpCLI(t *testing.T) {
 	inCheckpoint := false
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if strings.HasPrefix(line, "# ") {
-			if inCheckpoint = strings.Contains(line, ".ckpt (binary, "); inCheckpoint {
+			if inCheckpoint = strings.Contains(line, ".ckpt ("); inCheckpoint {
 				checkpoints++
 			} else {
 				segments++
@@ -102,7 +99,7 @@ func TestJournalDumpCLI(t *testing.T) {
 			continue
 		}
 		if inCheckpoint {
-			// A binary checkpoint's snapshot, rendered as JSON: the store
+			// A checkpoint's snapshot, rendered as JSON: the store
 			// registers one buyer per record after the genesis.
 			var snap market.Snapshot
 			if err := json.Unmarshal([]byte(line), &snap); err != nil || len(snap.Buyers) == 0 || len(snap.Engines) != 0 {
@@ -196,5 +193,65 @@ func TestJournalVerifyCLI(t *testing.T) {
 	err = run(&client{}, []string{"journal-verify", dir}, &strings.Builder{})
 	if !errors.Is(err, journal.ErrChecksum) || !errors.As(err, &ce) || ce.File != ckpt.Name || ce.Seq != ckpt.Seq {
 		t.Fatalf("journal-verify on a rotted binary checkpoint: %v, want ErrChecksum naming %s", err, ckpt.Name)
+	}
+}
+
+// TestJournalMigrateCLI: journal-migrate on testdata/parent.flat — a
+// journal file as `marketd -journal FILE` wrote it at the parent of the
+// commit that made every persistent market a store (that build's
+// flat-file opener under marketd's default flags, three rounds of bids
+// and ticks) — makes the store FILE.d, which stands on exactly
+// parent.canonical, that build's Restore(parent.flat).Snapshot().
+// Canonical(). Both fixtures are frozen: no build writes a journal file
+// any more. The file is left as it was, a second run writes nothing, and
+// the store verifies.
+func TestJournalMigrateCLI(t *testing.T) {
+	flatBytes, err := os.ReadFile("testdata/parent.flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/parent.canonical")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := filepath.Join(t.TempDir(), "market.log")
+	if err := os.WriteFile(flat, flatBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := runCmd(t, &client{}, "journal-migrate", flat); !strings.Contains(out, "journal "+flat+".d: 1 files rewritten; serve it with marketd -journal-dir "+flat+".d") {
+		t.Fatalf("journal-migrate output:\n%s", out)
+	}
+	if out := runCmd(t, &client{}, "journal-migrate", flat); !strings.Contains(out, ": 0 files rewritten") {
+		t.Fatalf("second journal-migrate output:\n%s", out)
+	}
+	// The genesis in the log wins over the configuration given, so an
+	// empty one must do.
+	jm, _, err := journal.OpenStore(market.Config{}, flat+".d", journal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := jm.Snapshot().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the migrated store differs from the parent build's Restore of the file")
+	}
+	if got, err := os.ReadFile(flat); err != nil || !bytes.Equal(got, flatBytes) {
+		t.Fatalf("the journal file was touched (err %v)", err)
+	}
+	if out := runCmd(t, &client{}, "journal-verify", flat+".d"); !strings.Contains(out, ": ok") {
+		t.Fatalf("journal-verify of the migrated store:\n%s", out)
+	}
+	// A file that is no journal is refused, naming it.
+	junk := filepath.Join(t.TempDir(), "junk")
+	if err := os.WriteFile(junk, []byte("junk\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&client{}, []string{"journal-migrate", junk}, &strings.Builder{}); !errors.Is(err, journal.ErrBadEvent) || !strings.Contains(err.Error(), "junk: event 1 at byte 0") {
+		t.Fatalf("journal-migrate on a file that is no journal: %v", err)
 	}
 }

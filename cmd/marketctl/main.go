@@ -47,6 +47,10 @@
 //	                                       and covered ones included;
 //	                                       prints the first bad file, seq
 //	                                       and offset and exits nonzero
+//	journal-migrate <journal-dir|file>     offline, once: rewrites what an
+//	                                       older build left in this one's
+//	                                       format, a store in place, a file
+//	                                       as the store <file>.d
 //
 // Examples:
 //

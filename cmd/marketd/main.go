@@ -7,7 +7,7 @@
 //
 //	marketd [-addr :8080] [-epoch 8] [-candidates 40] [-min 1] [-max 200]
 //	        [-seed 2022] [-journal-dir market.d] [-fsync] [-auth]
-//	        [-journal market.log] [-checkpoint-every 10000]
+//	        [-checkpoint-every 10000]
 //	        [-retain-segments 0] [-segment-bytes 8388608]
 //	        [-group-commit-window 0s] [-wire-addr :9090]
 //	        [-follow wire://leader:9090] [-max-lag 5s]
@@ -29,12 +29,8 @@
 // -journal-dir gives the replica a local store so a cold restart resumes
 // from its own disk instead of re-downloading a leader snapshot.
 //
-// -journal FILE names a single-file journal written by an older
-// release. Beside -journal-dir it is migrated into the directory once,
-// verbatim, then the daemon serves from the store. Alone it is a
-// deprecated alias, kept for one release, for "-journal-dir FILE.d
-// -journal FILE", and says so at warn level. Either way FILE is left in
-// place and never written again.
+// A store or journal file an older release wrote is refused, naming the
+// command that rewrites it once, offline: `marketctl journal-migrate PATH`.
 // The journal always coalesces concurrent appends into one write and
 // one fsync without weakening the per-acknowledgment durability
 // guarantee; -group-commit-window bounds how long a group leader waits
@@ -119,7 +115,6 @@ func main() {
 		maxPrice    = flag.Float64("max", 200, "highest candidate price")
 		bpp         = flag.Int("bpp", 1, "expected bids per market period (Time-Shield conversion)")
 		seed        = flag.Uint64("seed", 2022, "pricing randomness seed")
-		journalPath = flag.String("journal", "", "single-file journal of an older release, migrated once into -journal-dir (left in place); alone, a deprecated alias for -journal-dir FILE.d -journal FILE")
 		journalDir  = flag.String("journal-dir", "", "journal directory: rotated segment files plus snapshot checkpoints, recovery replays only the tail past the newest checkpoint")
 		ckptEvery   = flag.Int64("checkpoint-every", 0, "write a snapshot checkpoint every N committed records (0 = default 10000, negative disables)")
 		retainSegs  = flag.Int("retain-segments", 0, "checkpoint-covered sealed segments to keep beyond what recovery needs (negative keeps all)")
@@ -132,7 +127,7 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", "operator-only debug listener with pprof, metrics and traces (off when empty; bind to localhost)")
 		wireAddr    = flag.String("wire-addr", "", "binary wire-protocol listener (off when empty; incompatible with -auth)")
 		gcWindow    = flag.Duration("group-commit-window", 0, "how long a journal group leader waits for followers (0 batches only what is already queued)")
-		follow      = flag.String("follow", "", "run as a read replica of the leader at wire://host:port (read-only HTTP; incompatible with -journal, -wire-addr and -auth)")
+		follow      = flag.String("follow", "", "run as a read replica of the leader at wire://host:port (read-only HTTP; incompatible with -wire-addr and -auth)")
 		maxLag      = flag.Duration("max-lag", replica.DefaultMaxLag, "with -follow: /readyz turns 503 when the replica has not proven currency for this long")
 	)
 	flag.Parse()
@@ -146,12 +141,11 @@ func main() {
 		logger.Error("marketd: -wire-addr is incompatible with -auth (the wire protocol has no bid signing)")
 		os.Exit(1)
 	}
-	if *follow != "" && (*journalPath != "" || *wireAddr != "" || *useAuth) {
-		// A replica has no older journal to migrate (its state is the
-		// leader's), serves no wire protocol, and cannot enroll buyers
+	if *follow != "" && (*wireAddr != "" || *useAuth) {
+		// A replica serves no wire protocol and cannot enroll buyers
 		// (writes are rejected). -journal-dir it does take: its local
 		// store, for cold restarts without a leader snapshot.
-		logger.Error("marketd: -follow is incompatible with -journal, -wire-addr and -auth")
+		logger.Error("marketd: -follow is incompatible with -wire-addr and -auth")
 		os.Exit(1)
 	}
 
@@ -230,7 +224,7 @@ func main() {
 			logger.Info("marketd: replica persists locally", "dir", *journalDir)
 		}
 		logger.Info("marketd: read replica following leader", "leader", *follow, "max_lag", *maxLag)
-	case *journalPath == "" && *journalDir == "":
+	case *journalDir == "":
 		m, err := market.New(cfg)
 		if err != nil {
 			logger.Error("marketd: building market", "err", err)
@@ -244,8 +238,8 @@ func main() {
 			opts = append(opts, journal.WithFsync())
 		}
 		var err error
-		if jm, err = openJournal(cfg, *journalPath, *journalDir, storeCfg, opts, logger); err != nil {
-			logger.Error("marketd: opening journal", "path", *journalPath, "dir", *journalDir, "err", err)
+		if jm, err = openJournal(cfg, *journalDir, storeCfg, opts, logger); err != nil {
+			logger.Error("marketd: opening journal", "dir", *journalDir, "err", err)
 			os.Exit(1)
 		}
 		srvHandler = httpapi.NewJournaled(jm)
@@ -351,32 +345,15 @@ func main() {
 	}
 	if jm != nil {
 		if err := jm.Close(); err != nil {
-			logger.Error("marketd: closing journal", "path", *journalPath, "dir", *journalDir, "err", err)
+			logger.Error("marketd: closing journal", "dir", *journalDir, "err", err)
 			os.Exit(1)
 		}
-		logger.Info("marketd: journal closed cleanly", "path", *journalPath, "dir", *journalDir)
+		logger.Info("marketd: journal closed cleanly", "dir", *journalDir)
 	}
 }
 
-// openJournal opens the daemon's store. flat, when set, is a single-file
-// journal of an older release: it is migrated into dir first — a no-op
-// once dir holds segments — and with no dir given the store lands
-// beside it, in flat+".d".
-func openJournal(cfg market.Config, flat, dir string, sc journal.StoreConfig, opts []journal.Option, logger *slog.Logger) (*journal.Market, error) {
-	if flat != "" {
-		if dir == "" {
-			dir = flat + ".d"
-			logger.Warn("marketd: -journal without -journal-dir is deprecated: the file is migrated once into a store beside it and never written again; start with -journal-dir from now on",
-				"path", flat, "dir", dir)
-		}
-		migrated, err := journal.MigrateFlat(dir, flat)
-		if err != nil {
-			return nil, err
-		}
-		if migrated {
-			logger.Info("marketd: migrated journal file into the store", "path", flat, "dir", dir)
-		}
-	}
+// openJournal opens the daemon's store.
+func openJournal(cfg market.Config, dir string, sc journal.StoreConfig, opts []journal.Option, logger *slog.Logger) (*journal.Market, error) {
 	openStart := time.Now()
 	jm, replayed, err := journal.OpenStore(cfg, dir, sc, opts...)
 	if err != nil {

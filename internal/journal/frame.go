@@ -8,24 +8,23 @@
 // trace is a uvarint length plus bytes. A command record's payload is
 // the command's command.EncodeBinary bytes — the same bytes the
 // replication stream carries — and a head record's payload is the
-// genesis or snapshot Event as JSON. Writers emit only frames. Logs
-// written before v3 hold newline-terminated JSON Events instead; the tag
-// byte can never begin a JSON line, so the reader tells the two apart
-// record by record and a v0/v2 log simply continues with frames after
-// its last line.
+// genesis or snapshot Event as JSON. Logs written before v3 hold
+// newline-terminated JSON Events instead; the reader refuses a record
+// that opens with `{` by name (ErrVersion), and Migrate rewrites such a
+// log as frames once.
 //
 // # Torn versus corrupt
 //
 // A crash leaves a prefix of what was written, so the only damage it can
 // do is an incomplete final record: a frame cut short of its declared
-// length, or a JSON line without its newline. The reader drops that one
-// record and reports it as torn; callers allow it only at the end of a
-// bare log or of a store's final segment. Everything else no crash can
-// produce, and it is a hard error carrying the expected sequence number
-// and byte offset wherever it sits, the tail included: a complete frame
-// whose checksum fails (ErrChecksum), a declared length above
-// maxFrameBody, a first byte that opens neither a frame nor a JSON line,
-// a body that does not parse (ErrBadEvent), a sequence gap (ErrSeqGap).
+// length. The reader drops that one record and reports it as torn;
+// callers allow it only at the end of a bare log or of a store's final
+// segment. Everything else no crash can produce, and it is a hard error
+// carrying the expected sequence number and byte offset wherever it
+// sits, the tail included: a complete frame whose checksum fails
+// (ErrChecksum), a declared length above maxFrameBody, a first byte that
+// does not open a frame, a body that does not parse (ErrBadEvent), a
+// sequence gap (ErrSeqGap).
 // One hole is left. A damaged *length* that makes a frame claim more
 // bytes than the file holds looks like a torn write, and would drop
 // that record and everything after it. The reader closes it for
@@ -171,17 +170,16 @@ func frameChecksum(length, body []byte) uint32 {
 	return crc32.Update(crc32.Checksum(length, table), table, body)
 }
 
-// ScanRecords streams a log record by record: v3 frames and, in logs
-// begun by an older build, JSON lines, which it upgrades to the same
-// Record on the fly. fn is invoked once per complete record, in order;
-// a non-nil fn error aborts the scan and is returned verbatim. The
-// first record's sequence number must be firstSeq and records are
-// contiguous from there (a whole-log scan passes 1, a segment scan the
-// segment's base). It returns the byte length of the durable prefix —
-// through the last complete record — which a caller resuming appends
-// truncates the file to, and whether an incomplete trailing record was
-// dropped; see "Torn versus corrupt" above for what is tolerated and
-// what is a *CorruptError. ScanRecords does not validate the head.
+// ScanRecords streams a log of v3 frames record by record. fn is invoked
+// once per complete record, in order; a non-nil fn error aborts the scan
+// and is returned verbatim. The first record's sequence number must be
+// firstSeq and records are contiguous from there (a whole-log scan
+// passes 1, a segment scan the segment's base). It returns the byte
+// length of the durable prefix — through the last complete record —
+// which a caller resuming appends truncates the file to, and whether an
+// incomplete trailing record was dropped; see "Torn versus corrupt"
+// above for what is tolerated and what is a *CorruptError. ScanRecords
+// does not validate the head.
 //
 // Memory is O(largest record): frames are read into one reused buffer,
 // so a scan allocates nothing per record beyond what fn does.
@@ -190,7 +188,6 @@ func ScanRecords(r io.Reader, firstSeq int64, fn func(Record) error) (durable in
 	var (
 		rec  Record
 		body []byte // reused frame body
-		bin  []byte // reused upgrade buffer for JSON lines
 		hdr  [frameHeader]byte
 	)
 	seq := firstSeq - 1
@@ -225,18 +222,10 @@ func ScanRecords(r io.Reader, firstSeq int64, fn func(Record) error) (durable in
 				return 0, false, corrupt(ErrBadEvent, "%v", perr)
 			}
 			rec.Size = frameHeader + len(body)
-		case tag == '{':
-			_ = br.UnreadByte() // cannot fail right after ReadByte
-			var line []byte
-			if line, rerr = br.ReadBytes('\n'); rerr != nil {
-				break
-			}
-			var uerr error
-			if bin, uerr = upgradeLine(&rec, line, bin); uerr != nil {
-				return 0, false, corrupt(ErrBadEvent, "%v", uerr)
-			}
+		case tag == '{': // an older build's JSON line, torn or not: no crash leaves one
+			return 0, false, errNeedsMigrate(fmt.Sprintf("record %d at byte %d is a JSON line", seq+1, durable), "<file>")
 		default:
-			return 0, false, corrupt(ErrBadEvent, "byte %#02x opens neither a frame nor a JSON line", tag)
+			return 0, false, corrupt(ErrBadEvent, "byte %#02x does not open a frame", tag)
 		}
 		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 			return durable, true, nil // the input ended inside a record
@@ -315,25 +304,4 @@ func parseBody(rec *Record, body []byte) error {
 	rec.Head = body[0] == kindHead
 	rec.Payload = body[1:]
 	return nil
-}
-
-// upgradeLine turns one pre-v3 JSON line into the Record a v3 writer
-// would have framed: a head keeps its JSON as the payload, a body record
-// is re-encoded from its command into bin, which is returned for reuse.
-func upgradeLine(rec *Record, line, bin []byte) ([]byte, error) {
-	var e Event
-	if err := json.Unmarshal(line, &e); err != nil {
-		return bin, err
-	}
-	*rec = Record{Seq: e.Seq, Trace: e.Trace, Size: len(line)}
-	if e.Op == OpGenesis || e.Op == OpSnapshot {
-		rec.Head, rec.Payload = true, line
-		return bin, nil
-	}
-	cmd, err := CommandFromEvent(e)
-	if err == nil {
-		bin, err = command.AppendBinary(bin[:0], cmd)
-	}
-	rec.Payload = bin
-	return bin, err
 }

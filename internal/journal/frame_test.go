@@ -208,30 +208,41 @@ func v2storeScript(t *testing.T, m *market.Market) {
 	}
 }
 
+// migratedCopy copies the frozen store src and migrates the copy, which
+// must take files rewritten files.
+func migratedCopy(t *testing.T, src string, files int) string {
+	t.Helper()
+	dir := copyStoreDir(t, src)
+	if _, n, err := Migrate(dir); err != nil || n != files {
+		t.Fatalf("migrating a copy of %s: %d files rewritten, err %v; want %d", src, n, err, files)
+	}
+	return dir
+}
+
 // TestV2StoreUpgradesInPlace: a store directory written by a version-2
-// build opens under this one with no migration step — trailer-less
-// checkpoint, JSON-line segments and all — then appends (frames after
-// lines in the same segment), rotates, checkpoints and recovers to
+// build — trailer-less checkpoint, JSON-line segments — opens under this
+// one once migrated, then appends, rotates, checkpoints and recovers to
 // exactly the state the same commands build in memory.
 func TestV2StoreUpgradesInPlace(t *testing.T) {
-	dir := copyStoreDir(t, "testdata/v2store")
+	dir := migratedCopy(t, "testdata/v2store", 3)
 	ref := market.MustNew(testConfig())
 	v2storeScript(t, ref)
+	old := mustRead(t, filepath.Join(dir, segName(1)))
 
 	sc := StoreConfig{SegmentRecords: 12, CheckpointEvery: -1, RetainSegments: -1}
 	jm, replayed, err := OpenStore(market.Config{}, dir, sc)
 	if err != nil {
-		t.Fatalf("opening the v2 store: %v", err)
+		t.Fatalf("opening the migrated v2 store: %v", err)
 	}
 	if jm.LastSeq() != 20 || replayed != 9 {
-		t.Fatalf("v2 store opened at seq %d after replaying %d records, want 20 and 9", jm.LastSeq(), replayed)
+		t.Fatalf("migrated v2 store opened at seq %d after replaying %d records, want 20 and 9", jm.LastSeq(), replayed)
 	}
 	if d := jm.Snapshot().Diff(ref.Snapshot()); d != "" {
-		t.Fatalf("v2 store recovered differently from its script: %s", d)
+		t.Fatalf("migrated v2 store recovered differently from its script: %s", d)
 	}
 
 	// Both markets take the same continuation: enough records to finish
-	// segment 1 in frames and rotate, with a checkpoint in the middle.
+	// segment 1 and rotate, with a checkpoint in the middle.
 	step := func(i int) command.Command {
 		switch i % 3 {
 		case 0:
@@ -270,24 +281,15 @@ func TestV2StoreUpgradesInPlace(t *testing.T) {
 	if len(inv.Segments) != 3 || inv.Segments[1].Records != 12 || inv.LastSeq != 35 || inv.LastCheckpoint != 29 {
 		t.Fatalf("upgraded store inventory: %+v", inv)
 	}
-	// Segment 1: the version-2 seghead and lines, then frames.
-	seg1, err := os.ReadFile(filepath.Join(dir, segName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := os.ReadFile(filepath.Join("testdata/v2store", segName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(seg1, old) || seg1[len(old)] != frameTag {
-		t.Fatal("segment 1 is not the v2 segment continued with frames")
+	if seg1 := mustRead(t, filepath.Join(dir, segName(1))); !bytes.HasPrefix(seg1, old) || seg1[len(old)] != frameTag {
+		t.Fatal("segment 1 is not the migrated segment continued with frames")
 	}
 	if err := VerifyDir(dir); err != nil {
 		t.Fatalf("upgraded store does not verify: %v", err)
 	}
 
-	// Recovery from the new checkpoint, and — with it gone — from the v2
-	// checkpoint across lines and frames, both rebuild the same bytes.
+	// Recovery from the new checkpoint, and — with it gone — from the
+	// migrated v2 checkpoint, both rebuild the same bytes.
 	for _, dropNew := range []bool{false, true} {
 		clone := copyStoreDir(t, dir)
 		if dropNew {
@@ -312,29 +314,33 @@ func TestV2StoreUpgradesInPlace(t *testing.T) {
 // TestV3StoreUpgradesInPlace: a store written by the last build that
 // checkpointed in JSON (testdata/v3store: v2storeScript again, two frame
 // segments and one trailer-sealed JSON checkpoint after seq 11, written
-// by commit c8fe02c and frozen) opens under this one with no migration
-// step, appends, checkpoints in binary, and recovers to the same bytes
-// from the new checkpoint and — with it gone — from the JSON one.
+// by commit c8fe02c and frozen) migrates — its checkpoint alone is
+// rewritten — opens, appends, checkpoints, and recovers to the same
+// bytes from the new checkpoint and, with it gone, from the migrated one.
 func TestV3StoreUpgradesInPlace(t *testing.T) {
-	dir := copyStoreDir(t, "testdata/v3store")
+	dir := migratedCopy(t, "testdata/v3store", 1)
+	for _, seg := range []string{segName(0), segName(1)} {
+		if !bytes.Equal(mustRead(t, filepath.Join(dir, seg)), mustRead(t, filepath.Join("testdata/v3store", seg))) {
+			t.Fatalf("migration rewrote %s, which was already current", seg)
+		}
+	}
 	ref := market.MustNew(testConfig())
 	v2storeScript(t, ref)
 
 	sc := StoreConfig{SegmentRecords: 12, CheckpointEvery: -1, RetainSegments: -1}
 	jm, replayed, err := OpenStore(market.Config{}, dir, sc)
 	if err != nil {
-		t.Fatalf("opening the v3 store: %v", err)
+		t.Fatalf("opening the migrated v3 store: %v", err)
 	}
 	if jm.LastSeq() != 20 || replayed != 9 {
-		t.Fatalf("v3 store opened at seq %d after replaying %d records, want 20 and 9", jm.LastSeq(), replayed)
+		t.Fatalf("migrated v3 store opened at seq %d after replaying %d records, want 20 and 9", jm.LastSeq(), replayed)
 	}
 	if d := jm.Snapshot().Diff(ref.Snapshot()); d != "" {
-		t.Fatalf("v3 store recovered differently from its script: %s", d)
+		t.Fatalf("migrated v3 store recovered differently from its script: %s", d)
 	}
-	// A follower attaching now is served from the JSON checkpoint, in
-	// the canonical encoding.
-	if catchup, seq, err := jm.Store().CatchupSnapshot(); err != nil || seq != 11 || len(catchup) == 0 || catchup[0] == '{' {
-		t.Fatalf("CatchupSnapshot over a JSON checkpoint = %.20q at seq %d, %v", catchup, seq, err)
+	// A follower attaching now is served from the migrated checkpoint.
+	if catchup, seq, err := jm.Store().CatchupSnapshot(); err != nil || seq != 11 || len(catchup) == 0 {
+		t.Fatalf("CatchupSnapshot over the migrated checkpoint = %.20q at seq %d, %v", catchup, seq, err)
 	}
 	for i := 0; i < 6; i++ {
 		cmd := command.RegisterBuyer{Buyer: command.BuyerID(fmt.Sprintf("late-%d", i))}
@@ -359,8 +365,7 @@ func TestV3StoreUpgradesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inv.Segments) != 3 || inv.LastSeq != 26 || inv.LastCheckpoint != 24 || len(inv.Checkpoints) != 2 ||
-		inv.Checkpoints[0].Encoding != "json" || inv.Checkpoints[1].Encoding != "binary" {
+	if len(inv.Segments) != 3 || inv.LastSeq != 26 || inv.LastCheckpoint != 24 || len(inv.Checkpoints) != 2 {
 		t.Fatalf("upgraded store inventory: %+v", inv)
 	}
 	if err := VerifyDir(dir); err != nil {
@@ -384,17 +389,14 @@ func TestV3StoreUpgradesInPlace(t *testing.T) {
 }
 
 // TestFutureVersionsRejectedByName: a seghead or checkpoint claiming a
-// format version outside the closed set this build reads fails with
-// ErrVersion and names the file, rather than being read under guessed
-// semantics; the versions that are legal stay legal.
+// format version this build does not read — an older one included —
+// fails with ErrVersion and names the file, rather than being read under
+// guessed semantics.
 func TestFutureVersionsRejectedByName(t *testing.T) {
 	rewrite := func(dir, name, old, new string) {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := mustRead(t, path)
 		if !bytes.Contains(data, []byte(old)) {
 			t.Fatalf("%s does not contain %s", name, old)
 		}
@@ -402,44 +404,45 @@ func TestFutureVersionsRejectedByName(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range []struct{ file, old, new string }{
-		{segName(1), `"v":2`, `"v":4`},
-		{segName(0), `"v":2`, `"v":1`},
-		{ckptName(11), `"v":2`, `"v":5`},
-		{ckptName(11), `"v":2`, `"v":0`}, // checkpoints did not exist before version 2
-	} {
-		dir := copyStoreDir(t, "testdata/v2store")
-		rewrite(dir, tc.file, tc.old, tc.new)
-		_, _, _, err := RecoverDir(dir)
-		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), tc.file) {
-			t.Fatalf("%s with %s: got %v, want ErrVersion naming the file", tc.file, tc.new, err)
+	refused := func(dir, file, what string) {
+		t.Helper()
+		if _, _, _, err := RecoverDir(dir); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), file) {
+			t.Fatalf("%s: got %v, want ErrVersion naming %s", what, err, file)
 		}
+	}
+	for _, tc := range []struct{ file, new string }{
+		{segName(1), `"v":4`},
+		{segName(0), `"v":1`},
+		{segName(1), `"v":2`},
+		{segName(0), `"v":0`},
+	} {
+		dir := migratedCopy(t, "testdata/v2store", 3)
+		rewrite(dir, tc.file, `"v":3`, tc.new)
+		refused(dir, tc.file, "seghead with "+tc.new)
+	}
+	// A JSON checkpoint — version 2 or 3 — is refused as such, before its
+	// checksum is looked at.
+	for _, src := range []string{"testdata/v2store", "testdata/v3store"} {
+		dir := migratedCopy(t, src, map[string]int{"testdata/v2store": 3, "testdata/v3store": 1}[src])
+		if err := os.WriteFile(filepath.Join(dir, ckptName(11)), mustRead(t, filepath.Join(src, ckptName(11))), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(dir, ckptName(11), "JSON checkpoint of "+src)
 	}
 	// A binary checkpoint names its own version: one past ckptVersion,
 	// under a checksum that holds, is refused the same way.
-	dir := copyStoreDir(t, "testdata/v2store")
+	dir := migratedCopy(t, "testdata/v2store", 3)
 	future := binary.LittleEndian.AppendUint64([]byte{ckptTag, ckptVersion + 1}, 11)
 	future = binary.LittleEndian.AppendUint32(future, crc32.Checksum(future, castagnoli()))
 	if err := os.WriteFile(filepath.Join(dir, ckptName(11)), future, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := RecoverDir(dir); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), ckptName(11)) {
-		t.Fatalf("binary checkpoint of version %d: got %v, want ErrVersion naming the file", ckptVersion+1, err)
-	}
-	// A seghead may say 0 (a migrated pre-versioning log) or 3.
-	for _, v := range []string{`"v":0`, `"v":3`} {
-		dir := copyStoreDir(t, "testdata/v2store")
-		rewrite(dir, segName(1), `"v":2`, v)
-		if _, _, _, err := RecoverDir(dir); err != nil {
-			t.Fatalf("seghead with %s: %v", v, err)
-		}
-	}
+	refused(dir, ckptName(11), fmt.Sprintf("binary checkpoint of version %d", ckptVersion+1))
 }
 
 // TestCheckpointTrailer: a checkpoint written by this build is the
-// header, Canonical's bytes and a CRC32C over both; the frozen version-3
-// checkpoint is a JSON line and a CRC32C trailer line. In either, any
-// single flipped bit — tag, seq, body, checksum — fails recovery with
+// header, Canonical's bytes and a CRC32C over both, and any single
+// flipped bit — tag, seq, body, checksum — fails recovery with
 // ErrChecksum naming the checkpoint, never with a market.
 func TestCheckpointTrailer(t *testing.T) {
 	dir := t.TempDir()
@@ -460,50 +463,23 @@ func TestCheckpointTrailer(t *testing.T) {
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, ckptName(seq)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	name := ckptName(seq)
+	data := mustRead(t, filepath.Join(dir, name))
 	if data[0] != ckptTag || !bytes.Equal(data[ckptHeader:len(data)-4], canonical) {
 		t.Fatal("checkpoint body is not the snapshot's canonical bytes")
 	}
-
-	v3 := copyStoreDir(t, "testdata/v3store")
-	v3data, err := os.ReadFile(filepath.Join(v3, ckptName(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	trailer := len(v3data) - ckptTrailerLen
-	if v3data[0] != '{' || !bytes.HasPrefix(v3data[trailer:], []byte(ckptTrailer)) || bytes.Count(v3data, []byte("\n")) != 2 {
-		t.Fatalf("the version-3 fixture is not a body line plus a trailer line: ...%q", v3data[max(0, trailer-8):])
-	}
-
-	for _, tc := range []struct {
-		dir     string
-		seq     int64
-		data    []byte
-		offsets []int
-	}{
-		{dir, seq, data, []int{0, 1, 2, 9, ckptHeader, len(data) / 2, len(data) - 5, len(data) - 4, len(data) - 1}},
-		{v3, 11, v3data, []int{0, 7, trailer / 2, trailer - 1, trailer, trailer + 3, trailer + len(ckptTrailer), len(v3data) - 2, len(v3data) - 1}},
-	} {
-		name := ckptName(tc.seq)
-		if _, err := readCheckpointFile(tc.dir, tc.seq); err != nil {
-			t.Fatal(err)
-		}
-		for _, off := range tc.offsets {
-			for _, bit := range []byte{0x01, 0x20} {
-				clone := copyStoreDir(t, tc.dir)
-				bad := bytes.Clone(tc.data)
-				bad[off] ^= bit
-				if err := os.WriteFile(filepath.Join(clone, name), bad, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				m, _, _, err := RecoverDir(clone)
-				var ce *CorruptError
-				if m != nil || !errors.Is(err, ErrChecksum) || !errors.As(err, &ce) || ce.File != name || ce.Seq != tc.seq {
-					t.Fatalf("bit %#x flipped at byte %d of %d: market %v, err %v; want ErrChecksum naming %s", bit, off, len(tc.data), m != nil, err, name)
-				}
+	for _, off := range []int{0, 1, 2, 9, ckptHeader, len(data) / 2, len(data) - 5, len(data) - 4, len(data) - 1} {
+		for _, bit := range []byte{0x01, 0x20} {
+			clone := copyStoreDir(t, dir)
+			bad := bytes.Clone(data)
+			bad[off] ^= bit
+			if err := os.WriteFile(filepath.Join(clone, name), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m, _, _, err := RecoverDir(clone)
+			var ce *CorruptError
+			if m != nil || !errors.Is(err, ErrChecksum) || !errors.As(err, &ce) || ce.File != name || ce.Seq != seq {
+				t.Fatalf("bit %#x flipped at byte %d of %d: market %v, err %v; want ErrChecksum naming %s", bit, off, len(data), m != nil, err, name)
 			}
 		}
 	}

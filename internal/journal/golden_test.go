@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "regenerate the current-format gol
 const (
 	// The PR-1-era (format version 0) fixture. Frozen: the current
 	// writer can no longer produce it, so -update does not touch it —
-	// it exists precisely to prove old logs stay readable.
+	// it exists precisely to prove old logs still migrate.
 	legacyLogPath  = "testdata/pr1.log"
 	legacySnapPath = "testdata/pr1.snapshot.json"
 	// The version-2 (JSON-lines) fixture. Frozen for the same reason:
@@ -112,27 +114,47 @@ func restoreMatches(t *testing.T, logBytes, want []byte) {
 	}
 }
 
+// migratedLog migrates a copy of the flat log at path and returns the
+// frames its store's segment 0 holds: the log as this build reads it.
+func migratedLog(t *testing.T, path string) []byte {
+	t.Helper()
+	dir, _, err := Migrate(plantFile(t, filepath.Base(path), mustRead(t, path)))
+	if err != nil {
+		t.Fatalf("migrating %s: %v", path, err)
+	}
+	return storeBody(t, dir)
+}
+
+// refusedByName asserts a reader refused an older build's bytes with
+// ErrVersion naming the command that rewrites them.
+func refusedByName(t *testing.T, what string, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "`marketctl journal-migrate ") {
+		t.Fatalf("%s: got %v, want ErrVersion naming marketctl journal-migrate", what, err)
+	}
+}
+
 // TestGoldenPR1JournalReplays is the backward-compatibility gate: the
 // checked-in PR-1-era journal — format version 0, written before the
-// command core existed — must keep restoring to a byte-identical
-// market snapshot through the CommandFromEvent upgrader. If this fails,
-// a change broke replay of logs written by earlier releases — add a
-// migration, don't regenerate the fixture (it is frozen; the current
-// writer cannot produce version-0 logs).
+// command core existed — is refused as it is, and once migrated must
+// keep restoring to a byte-identical market snapshot. If this fails, a
+// change broke the migration of logs written by earlier releases — fix
+// it, don't regenerate the fixture (it is frozen; the current writer
+// cannot produce version-0 logs).
 func TestGoldenPR1JournalReplays(t *testing.T) {
-	logBytes, err := os.ReadFile(legacyLogPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logBytes := mustRead(t, legacyLogPath)
 	if bytes.Contains(logBytes, []byte(`"v":`)) {
 		t.Fatal("legacy fixture carries a version field; it must stay a version-0 log")
 	}
-	events, err := Read(bytes.NewReader(logBytes))
+	_, err := Restore(bytes.NewReader(logBytes))
+	refusedByName(t, "restoring the unmigrated PR-1 journal", err)
+	migrated := migratedLog(t, legacyLogPath)
+	events, err := Read(bytes.NewReader(migrated))
 	if err != nil {
-		t.Fatalf("PR-1 journal no longer parses: %v", err)
+		t.Fatalf("migrated PR-1 journal does not parse: %v", err)
 	}
-	if events[0].V != 0 {
-		t.Fatalf("legacy head decoded version %d, want 0", events[0].V)
+	if events[0].V != FormatVersion {
+		t.Fatalf("migrated head carries version %d, want %d", events[0].V, FormatVersion)
 	}
 	var sawBatch bool
 	for _, e := range events {
@@ -146,34 +168,21 @@ func TestGoldenPR1JournalReplays(t *testing.T) {
 	if !sawBatch {
 		t.Fatal("golden log lost its bid_batch event")
 	}
-	want, err := os.ReadFile(legacySnapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restoreMatches(t, logBytes, want)
+	restoreMatches(t, migrated, mustRead(t, legacySnapPath))
 }
 
 // TestGoldenV2JournalReplays: the checked-in version-2 JSON-lines log —
-// what every store and flat journal written before frames holds — must
-// keep parsing with its stamped version and restoring to its checked-in
-// snapshot. Frozen, like the PR-1 fixture.
+// what every store and flat journal written before frames holds — is
+// refused as it is, and once migrated must keep restoring to its
+// checked-in snapshot. Frozen, like the PR-1 fixture.
 func TestGoldenV2JournalReplays(t *testing.T) {
-	logBytes, err := os.ReadFile(v2LogPath)
-	if err != nil {
-		t.Fatal(err)
+	logBytes := mustRead(t, v2LogPath)
+	if !bytes.Contains(logBytes, []byte(`"v":2`)) {
+		t.Fatal("v2 fixture lost its version field")
 	}
-	events, err := Read(bytes.NewReader(logBytes))
-	if err != nil {
-		t.Fatalf("v2 journal no longer parses: %v", err)
-	}
-	if events[0].V != 2 {
-		t.Fatalf("v2 head carries version %d, want 2", events[0].V)
-	}
-	want, err := os.ReadFile(v2SnapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restoreMatches(t, logBytes, want)
+	_, err := Restore(bytes.NewReader(logBytes))
+	refusedByName(t, "restoring the unmigrated v2 journal", err)
+	restoreMatches(t, migratedLog(t, v2LogPath), mustRead(t, v2SnapPath))
 }
 
 // TestGoldenV3JournalStable pins the current on-disk format: the
@@ -229,17 +238,12 @@ func TestGoldenV3JournalStable(t *testing.T) {
 		t.Fatal("writer output drifted from the v3 on-disk format")
 	}
 
-	// The frame log and the JSON-lines log record the same commands: the
-	// decoded Event views agree but for the head's version.
-	v2Bytes, err := os.ReadFile(v2LogPath)
+	// The frame log and the migrated JSON-lines log record the same
+	// commands: the decoded Event views agree, the head's version included.
+	v2Events, err := Read(bytes.NewReader(migratedLog(t, v2LogPath)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Events, err := Read(bytes.NewReader(v2Bytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Events[0].V = FormatVersion
 	if !reflect.DeepEqual(events, v2Events) {
 		t.Fatalf("v3 and v2 fixtures decode to different events:\n%+v\n%+v", events, v2Events)
 	}
@@ -263,24 +267,25 @@ func TestGoldenFixturesAgree(t *testing.T) {
 	}
 }
 
-// TestUnknownVersionRejected: a head claiming a version this build does
-// not know fails with ErrVersion instead of replaying under guessed
-// semantics.
+// TestUnknownVersionRejected: a head claiming any version but this
+// build's — an older one included — fails with ErrVersion instead of
+// replaying under guessed semantics.
 func TestUnknownVersionRejected(t *testing.T) {
-	logBytes, err := os.ReadFile(v2LogPath)
-	if err != nil {
-		t.Fatal(err)
+	logBytes := mustRead(t, goldenLogPath)
+	bounds := recordBoundaries(t, logBytes, 1)
+	var head Record
+	if err := parseBody(&head, logBytes[frameHeader:bounds[0]]); err != nil || !head.Head {
+		t.Fatalf("golden log does not open with a head frame: %v", err)
 	}
-	for _, v := range []int{1, 4} {
-		bumped := bytes.Replace(logBytes, []byte(`"v":2`), []byte(`"v":`+string(rune('0'+v))), 1)
-		if bytes.Equal(bumped, logBytes) {
-			t.Fatal("fixture head lost its version field")
+	for _, v := range []int{0, 1, 2, 4} {
+		payload := bytes.Replace(head.Payload, []byte(`"v":3`), []byte(fmt.Sprintf(`"v":%d`, v)), 1)
+		if bytes.Equal(payload, head.Payload) {
+			t.Fatal("golden head lost its version field")
 		}
-		_, err := Read(bytes.NewReader(bumped))
-		if !errors.Is(err, ErrVersion) {
-			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
-		}
-		if err == nil || !strings.Contains(err.Error(), "unsupported format version") {
+		bumped := append(endedFrame(beginFrame(nil, 1, nil, kindHead), payload...), logBytes[bounds[0]:]...)
+		_, err := Restore(bytes.NewReader(bumped))
+		refusedByName(t, fmt.Sprintf("head of version %d", v), err)
+		if !strings.Contains(err.Error(), "unsupported format version") {
 			t.Fatalf("version %d: error %v lacks version message", v, err)
 		}
 	}

@@ -22,26 +22,17 @@ type SegmentInfo struct {
 	Covered bool `json:"covered"`
 }
 
-// CheckpointInfo describes one checkpoint file. Encoding is "binary"
-// (version 4) or "json" (what older builds wrote), told by the first byte.
+// CheckpointInfo describes one checkpoint file.
 type CheckpointInfo struct {
-	Name     string `json:"name"`
-	Seq      int64  `json:"seq"`
-	Bytes    int64  `json:"bytes"`
-	Encoding string `json:"encoding"`
+	Name  string `json:"name"`
+	Seq   int64  `json:"seq"`
+	Bytes int64  `json:"bytes"`
 }
 
 func checkpointInfo(dir string, seq int64) CheckpointInfo {
-	ci := CheckpointInfo{Name: ckptName(seq), Seq: seq, Encoding: "binary"}
-	if f, err := os.Open(filepath.Join(dir, ci.Name)); err == nil {
-		defer f.Close()
-		if fi, err := f.Stat(); err == nil {
-			ci.Bytes = fi.Size()
-		}
-		var first [1]byte
-		if n, _ := f.Read(first[:]); n == 1 && first[0] == '{' {
-			ci.Encoding = "json"
-		}
+	ci := CheckpointInfo{Name: ckptName(seq), Seq: seq}
+	if fi, err := os.Stat(filepath.Join(dir, ci.Name)); err == nil {
+		ci.Bytes = fi.Size()
 	}
 	return ci
 }
@@ -249,16 +240,16 @@ func ScanDir(dir string, fn func(segment string, e Event) error) error {
 
 // ScanCheckpoints loads, verifies and decodes every checkpoint in dir,
 // oldest first — the other half of `marketctl journal-info -dump`, which
-// prints each snapshot as JSON whatever its encoding on disk.
+// prints each snapshot as JSON.
 func ScanCheckpoints(dir string, fn func(CheckpointInfo, market.Snapshot) error) error {
 	l, err := listStoreDir(dir)
 	if err != nil {
 		return err
 	}
 	for _, seq := range l.ckptSeqs {
-		ck, err := readCheckpointFile(dir, seq)
+		snap, err := readCheckpointFile(dir, seq)
 		if err == nil {
-			err = fn(checkpointInfo(dir, seq), ck.Snapshot)
+			err = fn(checkpointInfo(dir, seq), snap)
 		}
 		if err != nil {
 			return err

@@ -23,12 +23,11 @@
 // # Format versions
 //
 // The head record carries the format version of the build that started
-// the log in its "v" field; see FormatVersion. Records are
-// self-describing — a frame or a JSON line — so a log begun at version
-// 0 or 2 is read in place and continues with frames: there is no
-// migration step. Heads claiming a version outside the closed set this
-// build knows fail with ErrVersion rather than guessing at future
-// semantics.
+// the log in its "v" field; see FormatVersion. This build reads version 3
+// only: a head, seghead or record of any other version fails with
+// ErrVersion rather than being read under guessed semantics, and what an
+// older build wrote is rewritten once by Migrate (`marketctl
+// journal-migrate`).
 //
 // # Crash safety
 //
@@ -69,23 +68,17 @@ import (
 // FormatVersion is the journal format stamped on the head record of
 // every log written by this release. Version history:
 //
-//	0 — implicit (no "v" field): the PR-1/PR-2 event log. Same record
-//	    shapes, readable through the CommandFromEvent upgrader.
+//	0 — implicit (no "v" field): the PR-1/PR-2 event log, JSON lines.
 //	2 — the command-core log: op names coincide with internal/command
 //	    op names and replay is an Apply loop. Byte-compatible with
 //	    version 0 except for the head's "v" field.
 //	3 — checksummed binary frames (frame.go) instead of JSON lines.
-//	    Versions 0 and 2 stay readable, and a log or store begun under
-//	    them continues in place with frames; a build older than this one
-//	    cannot read what this one appends.
+//	    Migrate rewrites a version-0 or version-2 log or store as
+//	    version 3, record for record (CommandFromEvent).
 //
 // (Version 1 is skipped: a pre-release draft used it and rejecting it
 // outright is safer than guessing which draft wrote a given log.)
 const FormatVersion = 3
-
-// knownVersion reports whether a log head, seghead or checkpoint may
-// carry format version v: the closed set this build reads.
-func knownVersion(v int) bool { return v == 0 || v == 2 || v == 3 }
 
 // Op enumerates journaled operations. Every Op except the two head
 // records (OpGenesis, OpSnapshot) names the internal/command operation
@@ -110,7 +103,7 @@ const (
 	// OpSnapshot heads a compacted flat log: it embeds the full market
 	// state at the moment of compaction, and the remaining events replay
 	// on top of it. No writer produces one any more; readers keep it so
-	// such a log still migrates (MigrateFlat).
+	// such a log, once migrated, still opens.
 	OpSnapshot Op = "snapshot"
 )
 
@@ -773,9 +766,8 @@ func (w *Writer) Close() error {
 }
 
 // Scan is ScanRecords with each record decoded to its Event view: the
-// reader for inspection tooling, legacy callers and tests. Recovery
-// paths use ScanRecords directly and never build an Event for a body
-// record.
+// reader for inspection tooling and tests. Recovery paths use
+// ScanRecords directly and never build an Event for a body record.
 func Scan(r io.Reader, firstSeq int64, fn func(Event) error) (durable int64, torn bool, err error) {
 	return ScanRecords(r, firstSeq, func(rec Record) error {
 		e, err := rec.Event()
@@ -788,12 +780,12 @@ func Scan(r io.Reader, firstSeq int64, fn func(Event) error) (durable int64, tor
 
 // stateFromHead builds the state a log head describes: a genesis head
 // seeds a fresh state from its recorded config, a snapshot head restores
-// full state. Heads carrying a format version this build does not know
-// fail with ErrVersion; anything that is not a well-formed head fails
-// with ErrNoGenesis.
+// full state. A head of any version but FormatVersion fails with
+// ErrVersion; anything that is not a well-formed head fails with
+// ErrNoGenesis.
 func stateFromHead(e Event) (*command.State, error) {
-	if v := e.V; !knownVersion(v) {
-		return nil, fmt.Errorf("%w: %d (this build reads 0, 2 and %d)", ErrVersion, v, FormatVersion)
+	if e.V != FormatVersion && (e.Op == OpGenesis || e.Op == OpSnapshot) {
+		return nil, errNeedsMigrate(fmt.Sprintf("head record %d has version %d", e.Seq, e.V), "<file>")
 	}
 	switch {
 	case e.Op == OpGenesis && e.Config != nil:

@@ -166,11 +166,13 @@ func TestReadValidation(t *testing.T) {
 	if _, err := Read(strings.NewReader(gapped)); !errors.Is(err, ErrSeqGap) {
 		t.Errorf("gapped log: %v", err)
 	}
-	// A record that is neither a frame nor parseable JSON.
-	for _, junk := range []string{"{not json\n", "junk\n"} {
-		if _, err := Read(strings.NewReader(good + junk)); !errors.Is(err, ErrBadEvent) {
-			t.Errorf("log ending in %q: %v", junk, err)
-		}
+	// A record that is not a frame: an older build's JSON line is refused
+	// by name, anything else is malformed.
+	if _, err := Read(strings.NewReader(good + "{not json\n")); !errors.Is(err, ErrVersion) {
+		t.Errorf("log ending in a JSON line: %v", err)
+	}
+	if _, err := Read(strings.NewReader(good + "junk\n")); !errors.Is(err, ErrBadEvent) {
+		t.Errorf("log ending in junk: %v", err)
 	}
 	// Intact log round-trips.
 	events, err := Read(strings.NewReader(good))
@@ -232,9 +234,10 @@ func TestReplayDivergenceDetected(t *testing.T) {
 }
 
 func TestRestoreRejectsBadGenesisConfig(t *testing.T) {
-	log := `{"seq":1,"op":"genesis","config":{"Engine":{"EpochSize":0},"Seed":1}}` + "\n"
-	if _, err := Restore(strings.NewReader(log)); err == nil {
-		t.Fatal("invalid genesis config accepted")
+	head := `{"seq":1,"op":"genesis","v":3,"config":{"Engine":{"EpochSize":0},"Seed":1}}`
+	log := endedFrame(beginFrame(nil, 1, nil, kindHead), []byte(head)...)
+	if _, err := Restore(bytes.NewReader(log)); err == nil || errors.Is(err, ErrVersion) {
+		t.Fatalf("invalid genesis config: %v", err)
 	}
 }
 

@@ -25,8 +25,8 @@ func Recover(r io.Reader) (events []Event, durable int64, torn bool, err error) 
 	return events, durable, torn, nil
 }
 
-// Read is Recover for a log that must open with a well-formed head of a
-// known format version; a single trailing torn record is dropped.
+// Read is Recover for a log that must open with a well-formed head of
+// this build's format version; a single trailing torn record is dropped.
 func Read(r io.Reader) ([]Event, error) {
 	events, _, _, err := Recover(r)
 	if err != nil {
@@ -41,8 +41,8 @@ func Read(r io.Reader) ([]Event, error) {
 	default:
 		return nil, ErrNoGenesis
 	}
-	if v := events[0].V; !knownVersion(v) {
-		return nil, fmt.Errorf("%w: %d (this build reads 0, 2 and %d)", ErrVersion, v, FormatVersion)
+	if v := events[0].V; v != FormatVersion {
+		return nil, fmt.Errorf("%w: %d (this build reads %d)", ErrVersion, v, FormatVersion)
 	}
 	return events, nil
 }

@@ -18,17 +18,16 @@
 // newline-terminated JSON line of store metadata, not a record: it
 // carries the format version of the build that created the segment and
 // the sequence number of the segment's first record, so recovery can
-// chain segments and skip sealed ones without scanning them. A segment
-// begun by a version-2 build holds JSON-line records after its seghead
-// and, once this build appends to it, frames after those. A checkpoint
+// chain segments and skip sealed ones without scanning them. A checkpoint
 // is
 //
 //	tag(1) | version(1) | seq u64 | snapshot | crc32c u32
 //
 // little-endian, the snapshot being market.Snapshot.Canonical's bytes and
-// the CRC32C covering every byte before it. Checkpoints written before
-// version 4 are one JSON line (version 3: plus a CRC32C trailer line)
-// and are still read; the first byte tells the two apart.
+// the CRC32C covering every byte before it. A store an older build left
+// — JSON-line records, a seghead version other than 3, a JSON checkpoint
+// — is refused with ErrVersion until `marketctl journal-migrate` has
+// rewritten it once (migrate.go).
 //
 // # Rotation and durability
 //
@@ -71,7 +70,6 @@ package journal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -80,7 +78,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 
 	"github.com/datamarket/shield/internal/command"
@@ -147,14 +144,6 @@ type segHead struct {
 	V     int    `json:"v"`
 	Base  int64  `json:"base"`
 	Index int64  `json:"index"`
-}
-
-// checkpointFile is a decoded checkpoint: the full market state as of
-// Seq. The JSON tags are the version-2 and version-3 file format.
-type checkpointFile struct {
-	V        int             `json:"v"`
-	Seq      int64           `json:"seq"`
-	Snapshot market.Snapshot `json:"snapshot"`
 }
 
 // segMeta is the store's in-memory bookkeeping for one segment.
@@ -385,12 +374,7 @@ func createSegment(dir string, index, base int64, truncate bool) (*os.File, int6
 	if err != nil {
 		return nil, 0, fmt.Errorf("journal: creating segment: %w", err)
 	}
-	head, err := json.Marshal(segHead{Op: opSegHead, V: FormatVersion, Base: base, Index: index})
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	head = append(head, '\n')
+	head := segHeadLine(index, base)
 	if _, err := f.Write(head); err == nil {
 		err = f.Sync()
 	}
@@ -402,6 +386,13 @@ func createSegment(dir string, index, base int64, truncate bool) (*os.File, int6
 		return nil, 0, fmt.Errorf("journal: writing seghead of %s: %w", segName(index), err)
 	}
 	return f, int64(len(head)), nil
+}
+
+// segHeadLine is the seghead of segment index, whose first record is
+// base, as this build writes it.
+func segHeadLine(index, base int64) []byte {
+	head, _ := json.Marshal(segHead{Op: opSegHead, V: FormatVersion, Base: base, Index: index})
+	return append(head, '\n')
 }
 
 // committed is the store's per-group bookkeeping: records more records
@@ -462,43 +453,45 @@ const (
 	ckptHeader  = 1 + 1 + 8
 )
 
-// ckptTrailer is the last line of a version-3 checkpoint file: the CRC32C
-// of every byte before it, as eight hex digits.
-const (
-	ckptTrailer    = "#crc32c "
-	ckptTrailerLen = len(ckptTrailer) + 8 + 1
-)
-
-// writeCheckpointFile lands dir/<seq>.ckpt atomically: build in a
-// temporary sibling, fsync it, rename into place, fsync the directory.
-// snapshot writes the snapshot's canonical bytes — streamed from a
-// command.Cut, or the very bytes a leader sent — and the checksum is
-// kept as they pass, so the checkpoint is never held whole.
+// writeCheckpointFile lands dir/<seq>.ckpt (writeFileAtomic). snapshot
+// writes the snapshot's canonical bytes — streamed from a command.Cut, or
+// the very bytes a leader sent — and the checksum is kept as they pass,
+// so the checkpoint is never held whole.
 func writeCheckpointFile(dir string, seq int64, snapshot func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(dir, "ckpt-*"+tmpSuffix)
+	return writeFileAtomic(dir, ckptName(seq), func(f io.Writer) error {
+		crc := crc32.New(castagnoli())
+		w := io.MultiWriter(f, crc)
+		if _, err := w.Write(binary.LittleEndian.AppendUint64([]byte{ckptTag, ckptVersion}, uint64(seq))); err != nil {
+			return err
+		}
+		if err := snapshot(w); err != nil {
+			return err
+		}
+		_, err := f.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+		return err
+	})
+}
+
+// writeFileAtomic lands dir/name whole: fill writes it into a temporary
+// sibling, which is fsynced, renamed into place, and the directory
+// fsynced. A crash leaves the old file or the new one, never a torn one;
+// on error the temporary file is removed and dir/name is as it was.
+func writeFileAtomic(dir, name string, fill func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, name+"-*"+tmpSuffix)
 	if err != nil {
 		return err
 	}
-	crc := crc32.New(castagnoli())
-	w := io.MultiWriter(tmp, crc)
-	_, err = w.Write(binary.LittleEndian.AppendUint64([]byte{ckptTag, ckptVersion}, uint64(seq)))
-	if err == nil {
-		err = snapshot(w)
-	}
-	if err == nil {
-		_, err = tmp.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
-	}
+	err = fill(tmp)
 	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ckptName(seq))); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -645,86 +638,56 @@ func (s *Store) CatchupSnapshot() ([]byte, int64, error) {
 	if seq == 0 {
 		return nil, 0, nil
 	}
-	body, legacy, err := readCheckpointBody(s.dir, seq)
-	if legacy != nil { // a JSON checkpoint an older build left
-		body, err = legacy.Snapshot.Canonical()
-	}
+	body, err := readCheckpointBody(s.dir, seq)
 	return body, seq, err
 }
 
 // readCheckpointFile loads, verifies and decodes dir/<seq>.ckpt.
-func readCheckpointFile(dir string, seq int64) (*checkpointFile, error) {
-	body, ck, err := readCheckpointBody(dir, seq)
-	if err != nil || ck != nil {
-		return ck, err
+func readCheckpointFile(dir string, seq int64) (market.Snapshot, error) {
+	body, err := readCheckpointBody(dir, seq)
+	if err != nil {
+		return market.Snapshot{}, err
 	}
 	snap, err := command.DecodeSnapshot(body)
 	if err != nil {
-		return nil, &CorruptError{File: ckptName(seq), Seq: seq, Err: ErrStoreCorrupt, Detail: fmt.Sprintf("checkpoint does not decode: %v", err)}
+		return market.Snapshot{}, &CorruptError{File: ckptName(seq), Seq: seq, Err: ErrStoreCorrupt, Detail: fmt.Sprintf("checkpoint does not decode: %v", err)}
 	}
-	return &checkpointFile{Seq: seq, Snapshot: snap}, nil
+	return snap, nil
 }
 
 // readCheckpointBody loads and verifies dir/<seq>.ckpt and returns the
-// snapshot it holds: still encoded (body) from a version-4 checkpoint,
-// decoded (legacy) from a JSON one. A version-4 checkpoint's CRC32C is
-// checked before anything else is believed, so any damaged bit is
-// ErrChecksum; a version-3 checkpoint fails the same way when its
-// trailer line is damaged or does not match; a version-2 checkpoint has
-// no checksum and is accepted as it is.
-func readCheckpointBody(dir string, seq int64) (body []byte, legacy *checkpointFile, err error) {
+// snapshot's canonical bytes it holds. The CRC32C is checked before
+// anything else is believed, so any damaged bit is ErrChecksum; a JSON
+// checkpoint, which an older build wrote, is refused with ErrVersion
+// first, rather than misreported as a checksum failure.
+func readCheckpointBody(dir string, seq int64) ([]byte, error) {
 	name := ckptName(seq)
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	corrupt := func(sentinel error, format string, args ...any) error {
 		return &CorruptError{File: name, Seq: seq, Err: sentinel, Detail: fmt.Sprintf(format, args...)}
 	}
-	if len(data) == 0 || data[0] != '{' {
-		end := len(data) - 4
-		if end < ckptHeader {
-			return nil, nil, corrupt(ErrChecksum, "%d bytes cannot hold a checkpoint", len(data))
-		}
-		if got, want := crc32.Checksum(data[:end], castagnoli()), binary.LittleEndian.Uint32(data[end:]); got != want && !skipChecksum.Load() {
-			return nil, nil, corrupt(ErrChecksum, "stored %08x, computed %08x", want, got)
-		}
-		switch {
-		case data[0] != ckptTag:
-			return nil, nil, corrupt(ErrStoreCorrupt, "not a checkpoint: opens with %#02x", data[0])
-		case data[1] != ckptVersion:
-			return nil, nil, fmt.Errorf("%w: checkpoint %s has version %d", ErrVersion, name, data[1])
-		case binary.LittleEndian.Uint64(data[2:]) != uint64(seq):
-			return nil, nil, corrupt(ErrStoreCorrupt, "checkpoint records seq %d", binary.LittleEndian.Uint64(data[2:]))
-		}
-		return data[ckptHeader:end], nil, nil
+	end := len(data) - 4
+	switch {
+	case len(data) > 0 && data[0] == '{':
+		return nil, errNeedsMigrate("checkpoint "+name+" is JSON", dir)
+	case end < ckptHeader:
+		return nil, corrupt(ErrChecksum, "%d bytes cannot hold a checkpoint", len(data))
 	}
-	body = data
-	trailer := len(data) - ckptTrailerLen
-	sealed := trailer > 0 && string(data[trailer:trailer+len(ckptTrailer)]) == ckptTrailer && data[len(data)-1] == '\n'
-	if sealed {
-		body = data[:trailer]
-		want, perr := strconv.ParseUint(string(data[trailer+len(ckptTrailer):len(data)-1]), 16, 32)
-		if got := crc32.Checksum(body, castagnoli()); (perr != nil || uint32(want) != got) && !skipChecksum.Load() {
-			return nil, nil, corrupt(ErrChecksum, "trailer %q, computed %08x", data[trailer:len(data)-1], got)
-		}
-	} else if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		body = data[:i+1] // a version-2 checkpoint, or a trailer too damaged to recognize
+	if got, want := crc32.Checksum(data[:end], castagnoli()), binary.LittleEndian.Uint32(data[end:]); got != want && !skipChecksum.Load() {
+		return nil, corrupt(ErrChecksum, "stored %08x, computed %08x", want, got)
 	}
-	var ck checkpointFile
-	if err := json.Unmarshal(body, &ck); err != nil {
-		return nil, nil, corrupt(ErrStoreCorrupt, "checkpoint does not decode: %v", err)
+	switch {
+	case data[0] != ckptTag:
+		return nil, corrupt(ErrStoreCorrupt, "not a checkpoint: opens with %#02x", data[0])
+	case data[1] != ckptVersion:
+		return nil, fmt.Errorf("%w: checkpoint %s has version %d", ErrVersion, name, data[1])
+	case binary.LittleEndian.Uint64(data[2:]) != uint64(seq):
+		return nil, corrupt(ErrStoreCorrupt, "checkpoint records seq %d", binary.LittleEndian.Uint64(data[2:]))
 	}
-	if ck.V != 2 && ck.V != 3 {
-		return nil, nil, fmt.Errorf("%w: checkpoint %s has version %d", ErrVersion, name, ck.V)
-	}
-	if !sealed && ck.V == 3 {
-		return nil, nil, corrupt(ErrChecksum, "checksum trailer missing or damaged")
-	}
-	if ck.Seq != seq {
-		return nil, nil, corrupt(ErrStoreCorrupt, "checkpoint records seq %d", ck.Seq)
-	}
-	return nil, &ck, nil
+	return data[ckptHeader:end], nil
 }
 
 // scanSegment streams one segment's records (seghead skipped) through

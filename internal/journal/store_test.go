@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -337,11 +338,23 @@ func mustRead(t *testing.T, path string) []byte {
 	return data
 }
 
-// migrateAndOpen is the one door a flat log has left: MigrateFlat, then
-// OpenStore on the directory.
-func migrateAndOpen(t *testing.T, dir, flat string) *Market {
+// plantFile writes data as a fresh file named name and returns its path,
+// so a migration of it lands its store in a scratch directory.
+func plantFile(t *testing.T, name string, data []byte) string {
 	t.Helper()
-	if _, err := MigrateFlat(dir, flat); err != nil {
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// migrateAndOpen is the one door a flat log has left: Migrate, then
+// OpenStore on the store it makes, flat+".d".
+func migrateAndOpen(t *testing.T, flat string) *Market {
+	t.Helper()
+	dir, _, err := Migrate(flat)
+	if err != nil {
 		t.Fatalf("migrating %s: %v", flat, err)
 	}
 	sm, _, err := OpenStore(testConfig(), dir, smallStoreConfig())
@@ -356,13 +369,13 @@ func migrateAndOpen(t *testing.T, dir, flat string) *Market {
 // store, and migrating again changes nothing.
 func TestStoreMigrateFlat(t *testing.T) {
 	flatPath, flatBytes, wantSnap := writeFlatLog(t, testConfig(), 3, 120)
-	dir := filepath.Join(t.TempDir(), "flat.log.d") // MigrateFlat creates it
-	sm := migrateAndOpen(t, dir, flatPath)
+	dir := flatPath + ".d"
+	sm := migrateAndOpen(t, flatPath)
 	if d := sm.Snapshot().Diff(wantSnap); d != "" {
 		t.Fatalf("migrated state: %s", d)
 	}
-	// Segment 0 holds the flat log verbatim, under a seghead that says
-	// which format version wrote those bytes.
+	// Segment 0 holds the flat log's frames, re-framed unchanged, under
+	// this build's seghead.
 	if got := storeBody(t, dir); !bytes.Equal(got, flatBytes) {
 		t.Fatal("migrated segment 0 is not the flat log verbatim")
 	}
@@ -379,39 +392,45 @@ func TestStoreMigrateFlat(t *testing.T) {
 		t.Fatal("migration touched the flat file")
 	}
 	// Migrating into a directory that holds segments must NOT re-migrate.
-	sm2 := migrateAndOpen(t, dir, flatPath)
+	if _, files, err := Migrate(flatPath); err != nil || files != 0 {
+		t.Fatalf("second migration wrote %d files, err %v", files, err)
+	}
+	sm2, _, err := OpenStore(testConfig(), dir, smallStoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sm2.Close()
 	if _, err := sm2.BuyerSpend("migrated"); err != nil {
 		t.Fatalf("post-migration append lost on reopen: %v", err)
 	}
 }
 
-// TestStoreMigrateLegacyV0 absorbs the frozen pre-versioning fixture:
-// the v0 bytes ride into segment 0 untouched and replay through the
-// same upgrade path Restore uses.
-func TestStoreMigrateLegacyV0(t *testing.T) { migrateLegacyFixture(t, legacyLogPath, 0) }
+// TestStoreMigrateLegacyV0 migrates the frozen pre-versioning fixture:
+// its JSON lines become the frames this build writes, and the store
+// rebuilds the fixture's snapshot.
+func TestStoreMigrateLegacyV0(t *testing.T) { migrateLegacyFixture(t, legacyLogPath, legacySnapPath) }
 
 // TestStoreMigrateV2ContinuesWithFrames: the frozen version-2 flat log
-// migrates, and the store continues its JSON lines with frames.
-func TestStoreMigrateV2ContinuesWithFrames(t *testing.T) { migrateLegacyFixture(t, v2LogPath, 2) }
+// migrates, and the store continues it with frames.
+func TestStoreMigrateV2ContinuesWithFrames(t *testing.T) {
+	migrateLegacyFixture(t, v2LogPath, v2SnapPath)
+}
 
-func migrateLegacyFixture(t *testing.T, path string, version int) {
+func migrateLegacyFixture(t *testing.T, path, snapPath string) {
 	legacy := mustRead(t, path)
-	want, err := Restore(bytes.NewReader(legacy))
+	flat := plantFile(t, "legacy.log", legacy)
+	sm := migrateAndOpen(t, flat)
+	got, err := json.MarshalIndent(sm.Snapshot(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	sm := migrateAndOpen(t, dir, path)
-	if d := sm.Snapshot().Diff(want.Snapshot()); d != "" {
-		t.Fatalf("legacy migration: %s", d)
+	if !bytes.Equal(append(got, '\n'), mustRead(t, snapPath)) {
+		t.Fatal("migrated legacy log rebuilds a different market than its snapshot fixture")
 	}
-	if got := storeBody(t, dir); !bytes.Equal(got, legacy) {
-		t.Fatal("legacy bytes did not survive migration verbatim")
-	}
-	// The seghead describes the bytes below it, not this build.
-	if head, _, err := readSegHead(dir, 0); err != nil || head.V != version {
-		t.Fatalf("migrated legacy seghead: version %d, err %v; want %d", head.V, err, version)
+	// Record for record, the lines are the frames the v3 writer emits
+	// for the same workload: the golden v3 log, byte for byte.
+	if body := storeBody(t, flat+".d"); !bytes.Equal(body, mustRead(t, goldenLogPath)) {
+		t.Fatal("migrated legacy log is not the v3 golden log")
 	}
 	if err := sm.RegisterBuyer("late"); err != nil {
 		t.Fatal(err)
@@ -420,15 +439,15 @@ func migrateLegacyFixture(t *testing.T, path string, version int) {
 	if err := sm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if mixed := storeBody(t, dir); !bytes.HasPrefix(mixed, legacy) || mixed[len(legacy)] != frameTag {
-		t.Fatal("migrated legacy log was not continued with a frame after its last line")
-	}
-	m, _, _, err := RecoverDir(dir)
+	m, _, _, err := RecoverDir(flat + ".d")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := m.Snapshot().Diff(wantLate); d != "" {
-		t.Fatalf("lines-then-frames store recovers differently: %s", d)
+		t.Fatalf("migrated store continued with frames recovers differently: %s", d)
+	}
+	if !bytes.Equal(mustRead(t, flat), legacy) {
+		t.Fatal("migration touched the legacy file")
 	}
 }
 
@@ -440,10 +459,10 @@ func migrateLegacyFixture(t *testing.T, path string, version int) {
 // compacted.canonical is that build's
 // Restore(...).Snapshot().Canonical() of the same file.
 func TestStoreMigrateCompacted(t *testing.T) {
-	const flat = "testdata/compacted.flat"
+	data := mustRead(t, "testdata/compacted.flat")
 	want := mustRead(t, "testdata/compacted.canonical")
 	head := true
-	if _, _, err := Scan(bytes.NewReader(mustRead(t, flat)), 1, func(e Event) error {
+	if _, _, err := Scan(bytes.NewReader(data), 1, func(e Event) error {
 		if head != (e.Op == OpSnapshot) {
 			t.Fatalf("record %d is a %s", e.Seq, e.Op)
 		}
@@ -452,15 +471,15 @@ func TestStoreMigrateCompacted(t *testing.T) {
 	}); err != nil || head {
 		t.Fatalf("fixture is not a snapshot-headed log: err %v", err)
 	}
-	restored, err := Restore(bytes.NewReader(mustRead(t, flat)))
+	restored, err := Restore(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := canonicalOf(t, "restored", restored.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("Restore of the compacted fixture differs from the build that wrote it")
 	}
-	dir := t.TempDir()
-	sm := migrateAndOpen(t, dir, flat)
+	flat := plantFile(t, "compacted.flat", data)
+	sm := migrateAndOpen(t, flat)
 	if got := canonicalOf(t, "migrated", sm.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("migrated compacted log differs from the build that wrote it")
 	}
@@ -471,7 +490,7 @@ func TestStoreMigrateCompacted(t *testing.T) {
 	if err := sm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sm2 := migrateAndOpen(t, dir, flat)
+	sm2 := migrateAndOpen(t, flat)
 	defer sm2.Close()
 	if got := canonicalOf(t, "reopened", sm2.Snapshot()); !bytes.Equal(got, wantLate) {
 		t.Fatal("store begun from a compacted log reopens differently")
@@ -484,19 +503,10 @@ func TestStoreMigrateCompacted(t *testing.T) {
 func TestStoreMigrateDamagedFlat(t *testing.T) {
 	flatBytes, events := flatReference(t, testConfig(), 5, 60)
 	bounds := recordBoundaries(t, flatBytes, 1)
-	plant := func(t *testing.T, data []byte) string {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "m.log")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
 
 	t.Run("torn final record", func(t *testing.T) {
-		flat := plant(t, flatBytes[:len(flatBytes)-3])
-		dir := t.TempDir()
-		sm := migrateAndOpen(t, dir, flat)
+		flat := plantFile(t, "m.log", flatBytes[:len(flatBytes)-3])
+		sm := migrateAndOpen(t, flat)
 		prefix, err := Bootstrap(events[:len(events)-1])
 		if err != nil {
 			t.Fatal(err)
@@ -504,7 +514,7 @@ func TestStoreMigrateDamagedFlat(t *testing.T) {
 		if d := sm.Snapshot().Diff(prefix.Snapshot()); d != "" {
 			t.Fatalf("store does not hold the durable prefix: %s", d)
 		}
-		if got, want := storeBody(t, dir), flatBytes[:bounds[len(bounds)-2]]; !bytes.Equal(got, want) {
+		if got, want := storeBody(t, flat+".d"), flatBytes[:bounds[len(bounds)-2]]; !bytes.Equal(got, want) {
 			t.Fatalf("segment 0 holds %d bytes, want the %d-byte durable prefix", len(got), len(want))
 		}
 		// Appends land after the prefix and survive a reopen.
@@ -514,7 +524,7 @@ func TestStoreMigrateDamagedFlat(t *testing.T) {
 		if err := sm.Close(); err != nil {
 			t.Fatal(err)
 		}
-		sm2 := migrateAndOpen(t, dir, flat)
+		sm2 := migrateAndOpen(t, flat)
 		defer sm2.Close()
 		if _, err := sm2.BuyerSpend("late"); err != nil {
 			t.Fatalf("append after a migrated torn tail lost on reopen: %v", err)
@@ -526,8 +536,7 @@ func TestStoreMigrateDamagedFlat(t *testing.T) {
 
 	for _, n := range []int{0, 1, 5} {
 		t.Run(fmt.Sprintf("genesis torn at %d bytes", n), func(t *testing.T) {
-			dir := t.TempDir()
-			sm := migrateAndOpen(t, dir, plant(t, flatBytes[:n]))
+			sm := migrateAndOpen(t, plantFile(t, "m.log", flatBytes[:n]))
 			defer sm.Close()
 			if got := sm.LastSeq(); got != 1 {
 				t.Fatalf("fresh store stands at seq %d, want 1 (its own genesis)", got)
@@ -541,26 +550,27 @@ func TestStoreMigrateDamagedFlat(t *testing.T) {
 	t.Run("mid-log corruption", func(t *testing.T) {
 		rotten := append([]byte(nil), flatBytes...)
 		rotten[bounds[3]+frameHeader+2] ^= 0x10 // inside the fifth record's body
-		flat := plant(t, rotten)
-		dir := t.TempDir()
-		_, err := MigrateFlat(dir, flat)
+		flat := plantFile(t, "m.log", rotten)
+		_, _, err := Migrate(flat)
 		var ce *CorruptError
 		if !errors.As(err, &ce) || !errors.Is(err, ErrChecksum) || ce.File != filepath.Base(flat) || ce.Seq != 5 {
 			t.Fatalf("migrating a rotted log: %v", err)
 		}
-		if l, err := listStoreDir(dir); err != nil || len(l.segIdx) != 0 || len(l.tmps) != 0 {
+		if l, err := listStoreDir(flat + ".d"); err != nil || len(l.segIdx) != 0 || len(l.tmps) != 0 {
 			t.Fatalf("refused migration left files behind: %+v (err %v)", l, err)
 		}
 	})
 
 	t.Run("leftover temp of a killed migration", func(t *testing.T) {
-		flat := plant(t, flatBytes)
-		dir := t.TempDir()
-		stray := filepath.Join(dir, "migrate-123.tmp")
+		flat := plantFile(t, "m.log", flatBytes)
+		stray := filepath.Join(flat+".d", segName(0)+"-123.tmp")
+		if err := os.Mkdir(flat+".d", 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(stray, flatBytes[:len(flatBytes)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sm := migrateAndOpen(t, dir, flat)
+		sm := migrateAndOpen(t, flat)
 		defer sm.Close()
 		if got := sm.LastSeq(); got != int64(len(events)) {
 			t.Fatalf("migrated to seq %d, want %d", got, len(events))
@@ -572,8 +582,9 @@ func TestStoreMigrateDamagedFlat(t *testing.T) {
 }
 
 // TestStorePathIsRegularFile: the first mistake a flat-log user makes
-// is to hand the log to the option that wants a directory; both openers
-// say so and name the way out, where MkdirAll says "not a directory".
+// is to hand the log to the option that wants a directory; every store
+// reader says so and names the way out, where MkdirAll says "not a
+// directory".
 func TestStorePathIsRegularFile(t *testing.T) {
 	flat, flatBytes, _ := writeFlatLog(t, testConfig(), 1, 10)
 	for name, open := range map[string]func() error{
@@ -585,12 +596,17 @@ func TestStorePathIsRegularFile(t *testing.T) {
 			_, _, _, err := OpenReplicaStore(flat, smallStoreConfig())
 			return err
 		},
+		"RecoverDir": func() error {
+			_, _, _, err := RecoverDir(flat)
+			return err
+		},
+		"VerifyDir": func() error { return VerifyDir(flat) },
 	} {
 		err := open()
 		if !errors.Is(err, ErrNotStoreDir) {
 			t.Fatalf("%s on a regular file: %v", name, err)
 		}
-		for _, want := range []string{flat, "flat journal", "marketd -journal", "MigrateFlat"} {
+		for _, want := range []string{"`marketctl journal-migrate " + flat + "`", flat + ".d"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error does not mention %q: %v", name, want, err)
 			}
@@ -619,13 +635,14 @@ func TestStoreTornTailSyncFailure(t *testing.T) {
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the tail.
+	// Tear the tail: a tick frame cut short of its last byte.
 	seg := filepath.Join(dir, segName(0))
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"seq":3,"op":"tick"`); err != nil {
+	torn := endedFrame(beginFrame(nil, 3, []byte("torn-tick"), kindCommand), tickBody...)
+	if _, err := f.Write(torn[:len(torn)-1]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -647,7 +664,7 @@ func TestStoreTornTailSyncFailure(t *testing.T) {
 	if got := jm2.LastSeq(); got != 2 {
 		t.Fatalf("reopened at seq %d, want 2", got)
 	}
-	if bytes.Contains(mustRead(t, seg), []byte(`"seq":3,"op":"tick"`)) {
+	if bytes.Contains(mustRead(t, seg), []byte("torn-tick")) {
 		t.Fatal("torn bytes survived repair")
 	}
 }
@@ -937,13 +954,13 @@ func TestStoreCheckpointIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		seq := jm.LastSeq()
-		ck, err := readCheckpointFile(dir, seq)
+		snap, err := readCheckpointFile(dir, seq)
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		ckpt := canonical(stage+": checkpoint", ck.Snapshot)
+		ckpt := canonical(stage+": checkpoint", snap)
 		if live := canonical(stage+": live", jm.Snapshot()); !bytes.Equal(ckpt, live) {
-			t.Fatalf("%s: checkpoint differs from the live market: %s", stage, ck.Snapshot.Diff(jm.Snapshot()))
+			t.Fatalf("%s: checkpoint differs from the live market: %s", stage, snap.Diff(jm.Snapshot()))
 		}
 		m, gotSeq, replayed, err := RecoverDir(dir)
 		if err != nil || gotSeq != seq || replayed != 0 {
@@ -960,7 +977,7 @@ func TestStoreCheckpointIdentity(t *testing.T) {
 			t.Fatalf("%s: full replay = seq %d, %d replayed, %v; want all %d records", stage, gotSeq, replayed, err, seq)
 		}
 		if !bytes.Equal(ckpt, canonical(stage+": replayed", m.Snapshot())) {
-			t.Fatalf("%s: checkpoint differs from a full replay: %s", stage, ck.Snapshot.Diff(m.Snapshot()))
+			t.Fatalf("%s: checkpoint differs from a full replay: %s", stage, snap.Diff(m.Snapshot()))
 		}
 	}
 

@@ -32,7 +32,7 @@ type dirListing struct {
 func listStoreDir(dir string) (*dirListing, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, notStoreDir(dir, err)
 	}
 	var l dirListing
 	for _, ent := range ents {
@@ -86,8 +86,8 @@ func readSegHead(dir string, index int64) (head segHead, torn bool, err error) {
 	if uerr := json.Unmarshal(line, &head); uerr != nil || head.Op != opSegHead {
 		return segHead{}, false, fmt.Errorf("%w: %s has no seghead", ErrStoreCorrupt, name)
 	}
-	if !knownVersion(head.V) {
-		return segHead{}, false, fmt.Errorf("%w: segment %s has version %d (this build reads 0, 2 and %d)", ErrVersion, name, head.V, FormatVersion)
+	if head.V != FormatVersion {
+		return segHead{}, false, errNeedsMigrate(fmt.Sprintf("segment %s has version %d", name, head.V), dir)
 	}
 	if head.Index != index {
 		return segHead{}, false, fmt.Errorf("%w: %s claims index %d", ErrStoreCorrupt, name, head.Index)
@@ -145,16 +145,15 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 	// present-but-undecodable one is corruption, not a crash artifact.
 	var rp replay
 	if n := len(l.ckptSeqs); n > 0 {
-		ck, err := readCheckpointFile(dir, l.ckptSeqs[n-1])
+		st.lastCkpt = l.ckptSeqs[n-1]
+		snap, err := readCheckpointFile(dir, st.lastCkpt)
 		if err != nil {
 			return nil, err
 		}
-		st.lastCkpt = ck.Seq
-		rp.st, err = command.RestoreState(ck.Snapshot)
-		if err != nil {
-			return nil, fmt.Errorf("journal: checkpoint %s: %w", ckptName(ck.Seq), err)
+		if rp.st, err = command.RestoreState(snap); err != nil {
+			return nil, fmt.Errorf("journal: checkpoint %s: %w", ckptName(st.lastCkpt), err)
 		}
-		st.lastSeq = ck.Seq
+		st.lastSeq = st.lastCkpt
 	}
 
 	// Read every seghead up front: base chaining is what lets recovery
@@ -280,8 +279,8 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 // returns the number of tail records replayed.
 func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*Market, int, error) {
 	sc.applyDefaults()
-	if err := makeStoreDir(dir); err != nil {
-		return nil, 0, err
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, 0, notStoreDir(dir, err)
 	}
 	st, err := recoverStoreDir(dir, false)
 	if err != nil {
@@ -325,15 +324,15 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 	return &Market{Market: s.live, w: w, store: s}, st.replayed, nil
 }
 
-// makeStoreDir creates dir if it is missing. A regular file there is
-// almost always a flat journal handed to the option that wants a
-// directory, so that case is named, with the way out, instead of
-// surfacing as MkdirAll's "not a directory".
-func makeStoreDir(dir string) error {
-	if fi, err := os.Stat(dir); err == nil && fi.Mode().IsRegular() {
-		return fmt.Errorf("%w: %s is a regular file — if it is a flat journal, start `marketd -journal %s` once (the store lands in %s.d) or call journal.MigrateFlat, then open the directory", ErrNotStoreDir, dir, dir, dir)
+// notStoreDir explains err, a failure to use dir as a store, when dir is
+// a regular file: almost always a journal file an older build kept,
+// handed to a reader that wants a directory, so the way out is named
+// instead of "not a directory".
+func notStoreDir(dir string, err error) error {
+	if fi, serr := os.Stat(dir); serr == nil && fi.Mode().IsRegular() {
+		return fmt.Errorf("%w: %s is a regular file — if it is a journal file an older build kept, run `marketctl journal-migrate %s` once and open the store it makes, %s.d", ErrNotStoreDir, dir, dir, dir)
 	}
-	return os.MkdirAll(dir, 0o755)
+	return err
 }
 
 // attachTail repairs the recovered chain's final segment and opens it
@@ -378,85 +377,6 @@ func segIndexAfter(segs []segMeta) int64 {
 		return 0
 	}
 	return segs[len(segs)-1].index + 1
-}
-
-// MigrateFlat absorbs a flat journal — the single-file log builds
-// before the store-only release wrote — as segment 0 of the store
-// directory dir, creating dir if need be: a seghead line followed by
-// the flat log's durable bytes, verbatim — v0 records and a compacted
-// log's snapshot head included, so an old log replays byte-identically
-// inside the store. The seghead carries the flat log's own format
-// version, not this build's: it describes the bytes below it. A torn
-// final record is dropped; a log torn inside its first record, an empty
-// one and a missing one migrate nothing, and OpenStore then starts
-// fresh. The segment lands atomically (temp+rename+dir-fsync); the flat
-// file is left untouched. A directory that already holds segments is
-// already migrated: no-op. It reports whether it wrote the segment.
-func MigrateFlat(dir, flat string) (bool, error) {
-	if err := makeStoreDir(dir); err != nil {
-		return false, err
-	}
-	l, err := listStoreDir(dir)
-	if err != nil {
-		return false, err
-	}
-	if len(l.segIdx) > 0 {
-		return false, nil
-	}
-	f, err := os.Open(flat)
-	if os.IsNotExist(err) {
-		return false, nil // nothing to migrate
-	}
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	// Validate, find the durable prefix and learn the log's version.
-	version := 0
-	durable, _, err := ScanRecords(f, 1, func(rec Record) error {
-		if rec.Seq != 1 {
-			return nil
-		}
-		head, err := rec.Event()
-		version = head.V
-		return err
-	})
-	if err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) && ce.File == "" {
-			ce.File = filepath.Base(flat)
-		}
-		return false, fmt.Errorf("journal: migrating %s: %w", flat, err)
-	}
-	if durable == 0 {
-		return false, nil // not even the head survived
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	tmp, err := os.CreateTemp(dir, "migrate-*"+tmpSuffix)
-	if err != nil {
-		return false, err
-	}
-	head, _ := json.Marshal(segHead{Op: opSegHead, V: version, Base: 1, Index: 0})
-	if _, err = tmp.Write(append(head, '\n')); err == nil {
-		_, err = io.Copy(tmp, io.LimitReader(f, durable))
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return false, err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, segName(0))); err != nil {
-		os.Remove(tmp.Name())
-		return false, err
-	}
-	return true, syncDir(dir)
 }
 
 // RecoverDir rebuilds the market a store directory describes without

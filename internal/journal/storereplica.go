@@ -37,8 +37,8 @@ type ReplicaStore struct {
 // and it registers the two recovery gauges and nothing else.
 func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore, *market.Market, int64, error) {
 	sc.applyDefaults()
-	if err := makeStoreDir(dir); err != nil {
-		return nil, nil, 0, err
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, 0, notStoreDir(dir, err)
 	}
 	st, err := recoverStoreDir(dir, false)
 	if err != nil {

@@ -2,7 +2,6 @@ package replica
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -207,16 +206,6 @@ func (f *Follower) stream() error {
 	}
 
 	if canonical := st.Snapshot; canonical != nil {
-		if len(canonical) > 0 && canonical[0] == '{' {
-			// A leader older than the binary snapshot codec sends JSON.
-			var snap market.Snapshot
-			if err = json.Unmarshal(canonical, &snap); err == nil {
-				canonical, err = snap.Canonical()
-			}
-			if err != nil {
-				return fmt.Errorf("replica: decoding leader snapshot: %w", err)
-			}
-		}
 		m, err := f.reseed(canonical, st.StartSeq)
 		if err != nil {
 			return fmt.Errorf("replica: restoring leader snapshot: %w", err)

@@ -327,14 +327,14 @@ func (l jsonLeader) Subscribe(afterSeq int64) (wire.Subscription, error) {
 	return sub, err
 }
 
-// TestFollowerReadsAnOlderLeadersJSONSnapshot: upgrade followers first —
-// a new follower attached to an old leader gets a JSON snapshot, restores
-// it all the same, and lands it locally in the binary encoding.
-func TestFollowerReadsAnOlderLeadersJSONSnapshot(t *testing.T) {
+// TestFollowerRefusesAnOlderLeadersJSONSnapshot: a leader older than the
+// binary snapshot codec sends its snapshot as JSON, which this build does
+// not read. The follower refuses it, stays stateless — its local store
+// untouched — and says why in its readiness reason.
+func TestFollowerRefusesAnOlderLeadersJSONSnapshot(t *testing.T) {
 	r := newStoreLeaderRig(t, 8)
 	r.ws = wire.NewServer(r.jm).WithReplication(jsonLeader{r.feed}).WithHeartbeatInterval(10 * time.Millisecond)
 	appendChurn(t, r, "cua", 60)
-	r.churn(t, 30)
 
 	dir := t.TempDir()
 	f, err := Start(Config{Dial: r.dial, Dir: dir, Store: journal.StoreConfig{CheckpointEvery: -1},
@@ -343,14 +343,20 @@ func TestFollowerReadsAnOlderLeadersJSONSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	waitConverged(t, f, r.feed, 5*time.Second)
-	mustMatchLeader(t, r, f)
-	if err := f.PersistErr(); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		err := f.Ready()
+		if err != nil && strings.Contains(err.Error(), "no state yet") && strings.Contains(err.Error(), "restoring leader snapshot") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Ready() = %v, want the no-state reason naming the refused snapshot", err)
+		}
 	}
-	inv, err := journal.InspectDir(dir)
-	if err != nil || len(inv.Checkpoints) != 1 || inv.Checkpoints[0].Encoding != "binary" {
-		t.Fatalf("follower's local store after a JSON catch-up: %+v, %v", inv, err)
+	if f.Market() != nil {
+		t.Fatal("the follower serves a market restored from a JSON snapshot")
+	}
+	if inv, err := journal.InspectDir(dir); err != nil || len(inv.Checkpoints) != 0 || len(inv.Segments) != 0 {
+		t.Fatalf("follower's local store after a refused JSON catch-up: %+v, %v", inv, err)
 	}
 }
 

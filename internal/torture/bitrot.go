@@ -1,20 +1,17 @@
 // The bit-rot mode: what the crash matrices cannot test. They cut files;
 // this flips bits in them. A seeded store is built (rotated segments,
-// several checkpoints — binary, as this build writes them — optionally a
-// first segment rewritten as the JSON lines a pre-v3 build would have
-// left), then one bit at a seeded offset of a seeded file is flipped in a
-// copy, and every way a store is read — read-only recovery, a leader's
-// open, a follower's cold restart and the offline verifier — must either
-// refuse the directory with the error that names the damage, or (where
-// that reader never touches the damaged bytes, or the flip is in one of
-// the few bytes no checksum covers and happens to change nothing) rebuild
-// the builder's market byte for byte. Never anything else: never a
-// different market.
+// several checkpoints), then one bit at a seeded offset of a seeded file
+// is flipped in a copy, and every way a store is read — read-only
+// recovery, a leader's open, a follower's cold restart and the offline
+// verifier — must either refuse the directory with the error that names
+// the damage, or (where that reader never touches the damaged bytes, or
+// the flip is in one of the few bytes no checksum covers and happens to
+// change nothing) rebuild the builder's market byte for byte. Never
+// anything else: never a different market.
 package torture
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -42,14 +39,7 @@ type BitrotConfig struct {
 	canarySkipChecksum bool
 }
 
-const (
-	bitrotFlips = 12 // flips per run; a constant, so a repro line needs only seed and ops
-	// A legacy JSON line has no checksum: a flipped amount digit replays
-	// as a different bid and nothing can know. Only damage to its opening
-	// `{"seq":` is sure to be either noticed or harmless (JSON keys match
-	// case-insensitively); flips in a legacy segment land there.
-	legacyLinePrefix = 7
-)
+const bitrotFlips = 12 // flips per run; a constant, so a repro line needs only seed and ops
 
 // rotRegion classifies one byte of a store file by who vouches for it.
 type rotRegion int
@@ -58,7 +48,6 @@ const (
 	rotFrameBody   rotRegion = iota // checksum or checksummed bytes of a frame: ErrChecksum
 	rotFrameHeader                  // tag or length of a frame: ErrChecksum or ErrBadEvent
 	rotCheckpoint                   // anywhere in a checkpoint file, header and checksum included: ErrChecksum
-	rotLegacyLine                   // the opening of a JSON-line record: ErrBadEvent or ErrSeqGap, or no effect
 	rotSeghead                      // a seghead line: a named structural error, or no effect
 )
 
@@ -129,8 +118,7 @@ func (b *bitrot) fail(flip int, format string, args ...any) *Failure {
 
 // build drives the hot storm's op mix from one goroutine into a store
 // with small segments, cutting a checkpoint after each of the first
-// three quarters — the last quarter is the tail recovery replays — and
-// on every other seed rewrites segment 0 as legacy JSON lines.
+// three quarters — the last quarter is the tail recovery replays.
 func (b *bitrot) build() (*Report, error) {
 	b.sc = journal.StoreConfig{SegmentRecords: 16, CheckpointEvery: -1, RetainSegments: -1}
 	jm, _, err := journal.OpenStore(market.Config{Engine: DefaultEngine(), Seed: b.cfg.Seed}, b.dir, b.sc)
@@ -159,11 +147,6 @@ func (b *bitrot) build() (*Report, error) {
 	if err := jm.Close(); err != nil {
 		return nil, fmt.Errorf("torture: bit-rot builder: %w", err)
 	}
-	if b.cfg.Seed%2 == 1 {
-		if err := legacify(b.dir); err != nil {
-			return nil, fmt.Errorf("torture: bit-rot builder: rewriting segment 0 as JSON lines: %w", err)
-		}
-	}
 	if b.inv, err = journal.InspectDir(b.dir); err != nil {
 		return nil, fmt.Errorf("torture: bit-rot builder: %w", err)
 	}
@@ -177,39 +160,6 @@ func (b *bitrot) build() (*Report, error) {
 	}
 	rep.StoreSegments, rep.StoreCheckpoints = len(b.inv.Segments), len(b.inv.Checkpoints)
 	return rep, nil
-}
-
-// legacify rewrites segment 0 the way a version-2 build would have
-// written it: the same seghead with "v":2, then each record as a JSON
-// Event line.
-func legacify(dir string) error {
-	name := ""
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	errDone := errors.New("done")
-	err := journal.ScanDir(dir, func(segment string, e journal.Event) error {
-		if name == "" {
-			name = segment
-		}
-		if segment != name {
-			return errDone
-		}
-		if e.V != 0 {
-			e.V = 2
-		}
-		return enc.Encode(e)
-	})
-	if err != nil && err != errDone {
-		return err
-	}
-	path := filepath.Join(dir, name)
-	old, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	seghead := old[:bytes.IndexByte(old, '\n')+1]
-	seghead = bytes.Replace(seghead, []byte(fmt.Sprintf(`"v":%d`, journal.FormatVersion)), []byte(`"v":2`), 1)
-	return os.WriteFile(path, append(seghead, body.Bytes()...), 0o644)
 }
 
 // pick chooses the next flip: a file, a byte in it, a bit in that byte —
@@ -252,14 +202,9 @@ func (b *bitrot) pick() (rotTarget, error) {
 	if err != errFound {
 		return tg, fmt.Errorf("byte %d of %s is in no record (%v)", tg.offset, seg.Name, err)
 	}
-	switch {
-	case data[tg.start] == '{':
-		tg.region = rotLegacyLine
-		tg.offset = tg.start + int64(b.rng.Intn(legacyLinePrefix))
-	case tg.offset < tg.start+5:
+	tg.region = rotFrameBody
+	if tg.offset < tg.start+5 {
 		tg.region = rotFrameHeader
-	default:
-		tg.region = rotFrameBody
 	}
 	return tg, nil
 }
@@ -353,7 +298,7 @@ func (b *bitrot) readers(flip int, dir string, tg *rotTarget) *Failure {
 			switch {
 			case cerr != nil || seq != b.lastSeq || !bytes.Equal(got, b.truth):
 				reason = fmt.Sprintf("returned a different market (seq %d, builder at %d)", seq, b.lastSeq)
-			case reads && tg.region != rotSeghead && tg.region != rotLegacyLine:
+			case reads && tg.region != rotSeghead:
 				reason = "bit rot not detected: the reader returned the market as if nothing were wrong"
 			}
 		}
@@ -386,8 +331,6 @@ func (tg *rotTarget) wrongError(err error) string {
 		ok = is(journal.ErrChecksum)
 	case rotFrameHeader:
 		ok = is(journal.ErrChecksum, journal.ErrBadEvent)
-	case rotLegacyLine:
-		ok = is(journal.ErrBadEvent, journal.ErrSeqGap)
 	case rotSeghead:
 		// No checksum covers a seghead: damage shows up as whichever
 		// structural check it breaks, and needs only to be one of them.

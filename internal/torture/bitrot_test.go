@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestBitrot: seeded single-bit flips across segments (frames, legacy
-// lines, segheads) and checkpoints; every reader refuses the store by
-// name or rebuilds the builder's market, never a different one.
+// TestBitrot: seeded single-bit flips across segments (frames and
+// segheads) and checkpoints; every reader refuses the store by name or
+// rebuilds the builder's market, never a different one.
 func TestBitrot(t *testing.T) {
 	seeds := uint64(12)
 	if testing.Short() {

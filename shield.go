@@ -339,13 +339,12 @@ func OpenJournaledMarket(cfg MarketConfig, dir string) (*JournaledMarket, int, e
 // RestoreMarket rebuilds a market from a journal.
 func RestoreMarket(r io.Reader) (*Market, error) { return journal.Restore(r) }
 
-// MigrateJournalFile absorbs the single-file journal flat, as releases
-// before the store-only one kept it, into the store directory dir for
-// OpenJournaledMarket to open; flat is left untouched, and a directory
-// that already holds a store is left alone.
-func MigrateJournalFile(flat, dir string) error {
-	_, err := journal.MigrateFlat(dir, flat)
-	return err
+// MigrateJournal rewrites what an older release left at path — a store,
+// or a single-file journal, which becomes the store path+".d" — in the
+// format OpenJournaledMarket reads, and returns the store's directory.
+func MigrateJournal(path string) (dir string, err error) {
+	dir, _, err = journal.Migrate(path)
+	return dir, err
 }
 
 // MarketSnapshot is the market's full serializable state; restoring it

@@ -368,15 +368,16 @@ func TestSnapshotAndMigrateFacade(t *testing.T) {
 	if err := jm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := shield.MigrateJournalFile(flat, flat+".d"); err != nil {
-		t.Fatal(err)
+	if _, _, err := shield.OpenJournaledMarket(cfg, flat); err == nil || !strings.Contains(err.Error(), "journal-migrate "+flat) {
+		t.Fatalf("opening the flat file as a store: %v", err)
 	}
-	sm, replayed, err := shield.OpenJournaledMarket(cfg, flat+".d")
+	dir, err := shield.MigrateJournal(flat)
+	if err != nil || dir != flat+".d" {
+		t.Fatalf("migrating: %q, %v", dir, err)
+	}
+	sm, replayed, err := shield.OpenJournaledMarket(cfg, dir)
 	if err != nil || replayed != 2 {
 		t.Fatalf("opening the migrated store: %v, replayed %d", err, replayed)
 	}
 	defer sm.Close()
-	if _, _, err := shield.OpenJournaledMarket(cfg, flat); err == nil || !strings.Contains(err.Error(), "flat journal") {
-		t.Fatalf("opening the flat file as a store: %v", err)
-	}
 }
