@@ -33,9 +33,7 @@ const (
 //   - EvTicked: Period (the new period)
 //   - EvBidDecided: Buyer, Dataset, Amount, Period, Decision, Leaves
 //     (demand-propagation targets, aliasing the provenance query — do
-//     not mutate), and for wins Tx (the recorded sale: the log's own
-//     element, not a copy — legal because the log never rewrites one;
-//     do not write through it) and Paid (the total credited to sellers,
+//     not mutate), and for wins Paid (the total credited to sellers,
 //     which the market's books views apply as an exact balance delta).
 type Event struct {
 	Kind     EventKind
@@ -47,7 +45,6 @@ type Event struct {
 	Amount   float64
 	Decision Decision
 	Leaves   []string
-	Tx       *Transaction
 	Paid     Money
 }
 
@@ -73,7 +70,8 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		if _, ok := st.buyers[c.Buyer]; ok {
 			return evs, fmt.Errorf("%w: buyer %s", ErrDuplicateID, c.Buyer)
 		}
-		st.buyers[c.Buyer] = &buyerAccount{id: c.Buyer, pairs: make(map[uint32]pair)}
+		st.buyers[c.Buyer] = &buyerAccount{id: c.Buyer, index: uint32(len(st.buyerIDs))}
+		st.buyerIDs = append(st.buyerIDs, c.Buyer)
 		return append(evs, Event{Kind: EvBuyerRegistered, Buyer: c.Buyer}), nil
 
 	case RegisterSeller:
@@ -250,8 +248,8 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 	if eng == nil {
 		return Event{}, fmt.Errorf("%w: %s", ErrUnknownDataset, dataset)
 	}
-	// From here on, the spellings the state registered: the event and the
-	// transaction outlive the request, and its strings must not.
+	// From here on, the spellings the state registered: the event
+	// outlives the request, and its strings must not.
 	buyer, dataset = acct.id, st.names[idx]
 
 	// Resolve demand-propagation targets (Figure 1, step 2).
@@ -262,7 +260,7 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 
 	clock := st.clock
 
-	p := acct.pairs[idx]
+	p := acct.record(idx) // a new record passes every check below
 	switch {
 	case p.flags&acquired != 0:
 		return Event{}, fmt.Errorf("%w: %s", ErrAlreadyAcquired, dataset)
@@ -290,26 +288,16 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 	}
 	if !d.Allocated {
 		p.blockedUntil, p.flags = clock+d.Wait, p.flags|hasBlockedUntil
-		acct.pairs[idx] = p
 		ev.Decision = Decision{WaitPeriods: d.Wait}
 		return ev, nil
 	}
 
 	price := FromFloat(d.Price)
 	p.flags |= hasAcquired | acquired
-	acct.pairs[idx] = p
 	acct.spent += price
 	st.revenue += price
 	ev.Paid = st.paySellers(dataset, leaves, price)
-	st.txs = append(st.txs, Transaction{
-		Seq:     len(st.txs) + 1,
-		Buyer:   buyer,
-		Dataset: dataset,
-		Price:   price,
-		Period:  clock,
-	})
-
+	st.txs = append(st.txs, txRec{price, clock, acct.index, idx})
 	ev.Decision = Decision{Allocated: true, PricePaid: price}
-	ev.Tx = &st.txs[len(st.txs)-1]
 	return ev, nil
 }

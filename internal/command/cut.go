@@ -10,26 +10,20 @@ import (
 
 // Cut is the state at one point, cheap to capture inside the commit
 // stage: the small sections copied as a Snapshot's, every buyer's records
-// copied into one pointer-free slice, and views of the add-only dataset
-// names and transaction log. It is immutable: Snapshot and WriteCanonical
-// may run on it at once, and concurrently with Apply on its state.
+// copied into one pointer-free slice, and a TxLog view, which holds the
+// name tables too. It is immutable: Snapshot and WriteCanonical may run
+// on it at once, and concurrently with Apply on its state.
 type Cut struct {
 	head   Snapshot // every section but buyers and transactions
 	buyers []cutBuyer
-	recs   []cutRecord
-	names  []DatasetID
-	txs    []Transaction
+	recs   []pair
+	txs    TxLog
 }
 
 type cutBuyer struct {
 	id       BuyerID
 	spent    Money
 	from, to int // its records, in Cut.recs
-}
-
-type cutRecord struct {
-	dataset uint32
-	pair
 }
 
 // Cut captures the state, buyers in map order: encoding sorts them later.
@@ -45,7 +39,6 @@ func (st *State) Cut() *Cut {
 			Revenue: st.revenue,
 		},
 		buyers: make([]cutBuyer, 0, len(st.buyers)),
-		names:  st.DatasetNames(),
 		txs:    st.TxLog(len(st.txs)),
 	}
 	for i, eng := range st.engines {
@@ -60,12 +53,10 @@ func (st *State) Cut() *Cut {
 	for _, acct := range st.buyers {
 		n += len(acct.pairs)
 	}
-	c.recs = make([]cutRecord, 0, n)
+	c.recs = make([]pair, 0, n)
 	for id, acct := range st.buyers {
 		from := len(c.recs)
-		for i, p := range acct.pairs {
-			c.recs = append(c.recs, cutRecord{i, p})
-		}
+		c.recs = append(c.recs, acct.pairs...)
 		c.buyers = append(c.buyers, cutBuyer{id, acct.spent, from, len(c.recs)})
 	}
 	return c
@@ -78,7 +69,7 @@ func (c *Cut) buyer(b cutBuyer, bs *BuyerSnapshot) {
 	clear(bs.Acquired)
 	bs.Spent = b.spent
 	for _, r := range c.recs[b.from:b.to] {
-		name := c.names[r.dataset]
+		name := c.txs.names[r.dataset]
 		if r.flags&hasLastBid != 0 {
 			bs.LastBid[name] = r.lastBid
 		}
@@ -106,7 +97,7 @@ func (c *Cut) Snapshot() Snapshot {
 		c.buyer(b, &bs)
 		s.Buyers[b.id] = bs
 	}
-	s.Transactions = append(make([]Transaction, 0, len(c.txs)), c.txs...)
+	s.Transactions = c.txs.Append(make([]Transaction, 0, c.txs.Len()))
 	return s
 }
 
@@ -125,7 +116,11 @@ func (c *Cut) WriteCanonical(w io.Writer) error {
 		c.buyer(*b, &bs)
 		sc.buyer(&bs, bc)
 	})
-	sc.transactions(&c.txs)
+	sc.Len(c.txs.Len(), 5)
+	for i := range c.txs.Len() {
+		tx := c.txs.At(i)
+		sc.transaction(&tx)
+	}
 	sc.flush(0)
 	return sc.werr
 }

@@ -111,7 +111,7 @@ func TestDatasetIndicesAreUnobservable(t *testing.T) {
 					}
 				}
 				for _, ev := range want[i].events {
-					kinds[fmt.Sprintf("event %d won=%v leaves=%v", ev.Kind, ev.Tx != nil, len(ev.Leaves) > 0)]++
+					kinds[fmt.Sprintf("event %d won=%v leaves=%v", ev.Kind, ev.Decision.Allocated, len(ev.Leaves) > 0)]++
 				}
 			}
 		}

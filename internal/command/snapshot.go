@@ -228,14 +228,18 @@ func (c *snapCodec) transactions(txs *[]Transaction) {
 		*txs = make([]Transaction, n)
 	}
 	for i := range *txs {
-		tx := &(*txs)[i]
-		binenc.Int(c.Codec, &tx.Seq)
-		ref(c.Codec, c.buyers, c.buyers.pos[tx.Buyer], &tx.Buyer)
-		ref(c.Codec, c.datasets, c.datasets.pos[tx.Dataset], &tx.Dataset)
-		binenc.Int(c.Codec, &tx.Price)
-		binenc.Int(c.Codec, &tx.Period)
-		c.flush(snapshotChunk)
+		c.transaction(&(*txs)[i])
 	}
+}
+
+// transaction walks one sale.
+func (c *snapCodec) transaction(tx *Transaction) {
+	binenc.Int(c.Codec, &tx.Seq)
+	ref(c.Codec, c.buyers, c.buyers.pos[tx.Buyer], &tx.Buyer)
+	ref(c.Codec, c.datasets, c.datasets.pos[tx.Dataset], &tx.Dataset)
+	binenc.Int(c.Codec, &tx.Price)
+	binenc.Int(c.Codec, &tx.Period)
+	c.flush(snapshotChunk)
 }
 
 // section walks a map in sorted key order — decoding refuses any other —

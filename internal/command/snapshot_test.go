@@ -439,6 +439,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	bs.BlockedUntil["only-blocked"] = 9
 	s.Buyers[first] = bs
 	f.Add(mustCanonical(f, s))
+	// A log numbered 1, 3, …: it decodes, and RestoreState must refuse it,
+	// for the state numbers a sale by its position.
+	s.Transactions = slices.Clone(s.Transactions)
+	s.Transactions[1].Seq++
+	f.Add(mustCanonical(f, s))
 	f.Add(mustCanonical(f, command.Snapshot{}))
 	f.Add([]byte{})
 	f.Add([]byte("{}"))

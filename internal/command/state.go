@@ -1,6 +1,7 @@
 package command
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -9,14 +10,14 @@ import (
 	"github.com/datamarket/shield/internal/provenance"
 )
 
-// pair is everything the state remembers about one (buyer, dataset):
-// the bid cadence of §4.1, the Time-Shield wait of §4.2 and the
-// allocation. It holds no pointer, so the collector never scans a
-// buyer's records. The has* flags say which of BuyerSnapshot's three
+// pair is what the state remembers about one (buyer, dataset) — the
+// §4.1 bid cadence, the §4.2 Time-Shield wait, the allocation — in 24
+// pointer-free bytes. The has* flags say which of BuyerSnapshot's three
 // maps hold the dataset's key, so a snapshot round-trips byte for byte.
 type pair struct {
 	lastBid      int // last period with a bid
 	blockedUntil int // first period allowed to bid again
+	dataset      uint32
 	flags        uint8
 }
 
@@ -28,9 +29,27 @@ const (
 )
 
 type buyerAccount struct {
-	id    BuyerID         // as registered: the spelling events and transactions carry
-	pairs map[uint32]pair // by dataset index
+	id    BuyerID // as registered: the spelling events and transactions carry
+	index uint32  // position in State.buyerIDs
+	pairs []pair  // sorted by dataset index
 	spent Money
+}
+
+func byDataset(a, b pair) int { return cmp.Compare(a.dataset, b.dataset) }
+
+// record returns the buyer's record on dataset i, inserted empty if the
+// buyer has none — moving every later record, so a first bid costs time
+// linear in the buyer's records. The pointer is good until the next
+// insertion.
+func (a *buyerAccount) record(i uint32) *pair {
+	k, ok := slices.BinarySearchFunc(a.pairs, pair{dataset: i}, byDataset)
+	if !ok {
+		if cap(a.pairs) == 0 {
+			a.pairs = make([]pair, 0, 8)
+		}
+		a.pairs = slices.Insert(a.pairs, k, pair{dataset: i})
+	}
+	return &a.pairs[k]
 }
 
 type sellerAccount struct {
@@ -74,10 +93,12 @@ type State struct {
 	buyers  map[BuyerID]*buyerAccount
 	sellers map[SellerID]*sellerAccount
 
-	// txs is append-only and never rewrites a transaction: TxLog and
-	// Event.Tx hand out views of it, not copies.
-	txs     []Transaction
-	revenue Money
+	// buyerIDs is the buyers' back-table, by buyerAccount.index, and txs
+	// the sales log, one txRec per sale: both append-only, and no element
+	// is ever rewritten, so TxLog hands out views of them, not copies.
+	buyerIDs []BuyerID
+	txs      []txRec
+	revenue  Money
 
 	// perturb, when non-nil, is installed into every engine as a price
 	// perturbation (test-only; see TestPerturbPrices).
@@ -236,16 +257,16 @@ func (st *State) BuyerIDs() []BuyerID { return sortedKeys(st.buyers) }
 
 // InspectBuyer calls f for every dataset the buyer has a record on —
 // its index (a position in DatasetNames), whether the buyer owns it and
-// the first period the buyer may bid on it again — in no particular
-// order, and returns the buyer's spend; false for an unknown buyer. The
+// the first period the buyer may bid on it again — in index order, and
+// returns the buyer's spend; false for an unknown buyer. The
 // live market builds its read views from it.
 func (st *State) InspectBuyer(id BuyerID, f func(dataset uint32, owned bool, blockedUntil int)) (Money, bool) {
 	acct, ok := st.buyers[id]
 	if !ok {
 		return 0, false
 	}
-	for i, p := range acct.pairs {
-		f(i, p.flags&acquired != 0, p.blockedUntil)
+	for _, p := range acct.pairs {
+		f(p.dataset, p.flags&acquired != 0, p.blockedUntil)
 	}
 	return acct.spent, true
 }
@@ -274,9 +295,46 @@ func (st *State) SellerDatasets(id SellerID) ([]DatasetID, error) {
 // TxCount returns the number of recorded transactions.
 func (st *State) TxCount() int { return len(st.txs) }
 
-// TxLog returns the first n transactions as a read-only view of the log
-// itself, which stays valid and unchanged while Apply goes on appending.
-func (st *State) TxLog(n int) []Transaction { return st.txs[:n:n] }
+// txRec is one sale as the log keeps it: 24 bytes and no pointer. Its
+// Seq is its position + 1; its names are in the state's back-tables.
+type txRec struct {
+	price   Money
+	period  int
+	buyer   uint32 // in State.buyerIDs
+	dataset uint32 // in State.names
+}
+
+// TxLog is a read-only view of the first sales of a state's log, which
+// stays valid and unchanged while Apply goes on appending: it holds
+// [:n:n] prefixes of the add-only log and back-tables, and spells a sale
+// as a Transaction only when it is read.
+type TxLog struct {
+	recs   []txRec
+	buyers []BuyerID
+	names  []DatasetID
+}
+
+// TxLog returns the view of the first n transactions.
+func (st *State) TxLog(n int) TxLog {
+	return TxLog{st.txs[:n:n], st.buyerIDs[:len(st.buyerIDs):len(st.buyerIDs)], st.DatasetNames()}
+}
+
+// Len returns the number of sales in the view.
+func (l TxLog) Len() int { return len(l.recs) }
+
+// At returns the i-th sale, Seq i+1.
+func (l TxLog) At(i int) Transaction {
+	r := l.recs[i]
+	return Transaction{Seq: i + 1, Buyer: l.buyers[r.buyer], Dataset: l.names[r.dataset], Price: r.price, Period: r.period}
+}
+
+// Append appends every sale in the view to dst, in Seq order.
+func (l TxLog) Append(dst []Transaction) []Transaction {
+	for i := range l.recs {
+		dst = append(dst, l.At(i))
+	}
+	return dst
+}
 
 // paySellers splits price across the owners of the base datasets backing
 // dataset, exactly (no micro lost: every leaf's share is price/n, and
@@ -331,7 +389,8 @@ func (st *State) Snapshot() Snapshot { return st.Cut().Snapshot() }
 
 // RestoreState reconstructs a state from a snapshot, validating
 // cross-references (every engine has a graph node, every owner exists,
-// every transaction's parties exist).
+// every transaction's buyer exists) and that the sales are numbered
+// 1..n, as the log numbers the next one.
 func RestoreState(s Snapshot) (*State, error) {
 	if err := s.Config.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("market: snapshot config: %w", err)
@@ -354,7 +413,7 @@ func RestoreState(s Snapshot) (*State, error) {
 		owners:  make(map[DatasetID]SellerID, len(s.Owners)),
 		buyers:  make(map[BuyerID]*buyerAccount, len(s.Buyers)),
 		sellers: make(map[SellerID]*sellerAccount, len(s.Sellers)),
-		txs:     make([]Transaction, len(s.Transactions)),
+		txs:     make([]txRec, len(s.Transactions)),
 		revenue: s.Revenue,
 	}
 	for id, es := range s.Engines {
@@ -380,8 +439,11 @@ func RestoreState(s Snapshot) (*State, error) {
 		st.owners[id] = owner
 	}
 	for id, bs := range s.Buyers {
-		acct := &buyerAccount{id: id, pairs: make(map[uint32]pair, len(bs.LastBid)), spent: bs.Spent}
-		restorePairs(st, acct, bs.LastBid, func(p *pair, v int) { p.lastBid, p.flags = v, p.flags|hasLastBid })
+		acct := &buyerAccount{id: id, index: uint32(len(st.buyerIDs)), pairs: make([]pair, 0, len(bs.LastBid)), spent: bs.Spent}
+		for name, v := range bs.LastBid { // one sort: every record a bid made has a LastBid key
+			acct.pairs = append(acct.pairs, pair{lastBid: v, dataset: st.intern(name), flags: hasLastBid})
+		}
+		slices.SortFunc(acct.pairs, byDataset)
 		restorePairs(st, acct, bs.BlockedUntil, func(p *pair, v int) { p.blockedUntil, p.flags = v, p.flags|hasBlockedUntil })
 		restorePairs(st, acct, bs.Acquired, func(p *pair, v bool) {
 			if p.flags |= hasAcquired; v {
@@ -389,6 +451,7 @@ func RestoreState(s Snapshot) (*State, error) {
 			}
 		})
 		st.buyers[id] = acct
+		st.buyerIDs = append(st.buyerIDs, id)
 	}
 	for id, ss := range s.Sellers {
 		acct := &sellerAccount{balance: ss.Balance, datasets: make([]DatasetID, len(ss.Datasets))}
@@ -396,13 +459,17 @@ func RestoreState(s Snapshot) (*State, error) {
 		st.sellers[id] = acct
 	}
 	for i, tx := range s.Transactions {
+		if tx.Seq != i+1 {
+			return nil, fmt.Errorf("market: snapshot transaction %d has seq %d", i, tx.Seq)
+		}
 		// Transactions are history, not live references: a sold dataset
 		// may have been withdrawn since (buyers keep delivered data), so
 		// only the buyer — who can never deregister — must still exist.
-		if _, ok := st.buyers[tx.Buyer]; !ok {
+		acct, ok := st.buyers[tx.Buyer]
+		if !ok {
 			return nil, fmt.Errorf("market: snapshot transaction %d references unknown buyer %s", i, tx.Buyer)
 		}
-		st.txs[i] = tx
+		st.txs[i] = txRec{tx.Price, tx.Period, acct.index, st.intern(tx.Dataset)}
 	}
 	return st, nil
 }
@@ -411,9 +478,6 @@ func RestoreState(s Snapshot) (*State, error) {
 // records, interning each key: it need not name a dataset on sale.
 func restorePairs[V any](st *State, acct *buyerAccount, m map[DatasetID]V, set func(*pair, V)) {
 	for name, v := range m {
-		i := st.intern(name)
-		p := acct.pairs[i]
-		set(&p, v)
-		acct.pairs[i] = p
+		set(acct.record(st.intern(name)), v)
 	}
 }

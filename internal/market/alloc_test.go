@@ -149,14 +149,16 @@ func liveHeap() uint64 {
 // datasets, the benchmark's engine, a tick every 512 ops, each pair bid
 // on at most once, three bids in four winning). Bytes per decided bid is
 // how many bids one arbiter can remember, so it is budgeted like an
-// allocation count. The change that introduced the pair records measured
-// 116 B per bid here (to ±0.1 B: the history is seeded); the budget is
-// 1.25× that. Its parent — three string-keyed maps per buyer, every
-// acquisition again in a per-buyer sync.Map, the log again in the books
-// view, each request's strings pinned as keys — measured 306 B.
+// allocation count. The history is seeded, so the figure repeats to
+// ±0.1 B. It has read 306 → 116 → 68 B: three string-keyed maps per
+// buyer, every acquisition again in a per-buyer sync.Map, the log again
+// in the books view and each request's strings pinned as keys (306);
+// one map of pointer-free records per buyer and one log of Transactions
+// (116); each buyer's records in one slice sorted by dataset index and
+// each sale in a 24-byte index record (68). The budget is 1.25× the last.
 func TestStateBytesPerDecidedBid(t *testing.T) {
 	const buyers, datasets, bids, tickEvery = 4096, 64, 150_000, 512
-	const measured, budget, parent = 116, 145, 306 // bytes per decided bid
+	const measured, budget = 68, 85 // bytes per decided bid
 	m := MustNew(Config{
 		Engine: core.Config{
 			Candidates:    auction.LinearGrid(1, 200, 40),
@@ -185,7 +187,7 @@ func TestStateBytesPerDecidedBid(t *testing.T) {
 	perBid := float64(liveHeap()-before) / bids
 	t.Logf("%.1f live bytes per decided bid over %d bids, %d of them sales", perBid, bids, m.TxCount())
 	if perBid > budget {
-		t.Fatalf("%.1f live bytes per decided bid, budget %d (1.25 × the %d B the pair records measured; their parent measured %d B)", perBid, budget, measured, parent)
+		t.Fatalf("%.1f live bytes per decided bid, budget %d (1.25 × the %d B the flat records measured)", perBid, budget, measured)
 	}
 	runtime.KeepAlive(m)
 }
@@ -267,5 +269,38 @@ func TestViewReadsDoNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(200, read); n != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, n)
 		}
+	}
+}
+
+// BenchmarkSubmitBidWideBuyer is the time side of the sorted pair
+// records: a first bid on a dataset moves the buyer's later records, so
+// its cost grows with the buyer's record count. One buyer bids once on
+// every dataset of the catalogue, in a seeded random order; when it has
+// bid on them all, a fresh buyer, registered off the clock, takes over.
+// The catalogue is built before the timer.
+func BenchmarkSubmitBidWideBuyer(b *testing.B) {
+	for _, datasets := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("datasets=%d", datasets), func(b *testing.B) {
+			m := MustNew(benchConfig())
+			_, ds := populate(b, m, 0, datasets)
+			order := rng.New(42).Perm(datasets)
+			var buyer BuyerID
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				if k%datasets == 0 {
+					b.StopTimer()
+					buyer = BuyerID(fmt.Sprintf("wide-%d", k/datasets))
+					if err := m.RegisterBuyer(buyer); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := m.SubmitBid(buyer, ds[order[k%datasets]], 50); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/bid")
+		})
 	}
 }

@@ -387,11 +387,13 @@ func TestRegistrationRacesReaders(t *testing.T) {
 
 // TestSharedLogAndBitsetsUnderReaders is the -race check on the two
 // structures readers share with the writer without a copy: the books
-// view, a prefix of the state's own transaction log, and the buyer
-// cells' ownership bitsets. One writer sells every dataset of a
+// view, a prefix of the state's own transaction log and name tables, and
+// the buyer cells' ownership bitsets. One writer sells every dataset of a
 // catalogue that grows from 60 to 200 names mid-storm to 64 buyers —
 // half of whom skip the first 64 datasets, so their first purchase lands
-// past word 0 — while readers loop over Transactions, Totals and Owns.
+// past word 0 — and to one buyer registered per dataset mid-storm, so the
+// buyer table grows under the readers, while readers spell every sale of
+// a view through TxLog.At and loop over Transactions, Totals and Owns.
 // Every books view adds up (Σ price == revenue == spend, over exactly
 // the sales it holds), every observed log is a prefix of the final one,
 // and no ownership bit, once published, is ever lost to a bitset growing
@@ -416,14 +418,15 @@ func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
 				// One view: its sums are the sums of its own log.
 				b := m.vw.books.Load()
 				var sum Money
-				for i, tx := range b.txs {
-					if sum += tx.Price; tx.Seq != i+1 {
-						t.Errorf("view of %d sales: transaction %d has seq %d", len(b.txs), i, tx.Seq)
+				for i := range b.txs.Len() {
+					tx := b.txs.At(i)
+					if sum += tx.Price; tx.Seq != i+1 || tx.Buyer == "" || tx.Dataset == "" {
+						t.Errorf("view of %d sales: transaction %d is %+v", b.txs.Len(), i, tx)
 						return
 					}
 				}
 				if sum != b.revenue || sum != b.spent || sum != b.balances {
-					t.Errorf("view of %d sales: Σ price %v, revenue %v, spend %v, balances %v", len(b.txs), sum, b.revenue, b.spent, b.balances)
+					t.Errorf("view of %d sales: Σ price %v, revenue %v, spend %v, balances %v", b.txs.Len(), sum, b.revenue, b.spent, b.balances)
 					return
 				}
 
@@ -474,6 +477,15 @@ func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
 			}
 			sales++
 		}
+		late := BuyerID(fmt.Sprintf("late-%03d", d)) // the buyer table grows mid-storm
+		if err := m.RegisterBuyer(late); err != nil {
+			t.Error(err)
+			break
+		}
+		if dec, err := m.SubmitBid(late, ds[d], 150); err != nil || !dec.Allocated {
+			t.Errorf("bid by %s on %s: %+v, %v; want a win", late, ds[d], dec, err)
+		}
+		sales++
 	}
 	done.Store(true)
 	wg.Wait()

@@ -139,7 +139,11 @@ func TestRestoreSnapshotValidation(t *testing.T) {
 			s.Owners["weather"] = "ghost"
 		}),
 		"transaction unknown buyer": mutate(func(s *Snapshot) {
-			s.Transactions = append(s.Transactions, Transaction{Buyer: "ghost", Dataset: "weather"})
+			s.Transactions = append(s.Transactions, Transaction{Seq: len(s.Transactions) + 1, Buyer: "ghost", Dataset: "weather"})
+		}),
+		// The next live sale is numbered len+1: a gap would number two the same.
+		"transaction seq gap": mutate(func(s *Snapshot) {
+			s.Transactions = append(s.Transactions, Transaction{Seq: len(s.Transactions) + 2, Buyer: "carol", Dataset: "weather"})
 		}),
 		"cyclic graph": mutate(func(s *Snapshot) {
 			s.Graph["weather"] = []string{"weather+traffic"}
@@ -150,6 +154,11 @@ func TestRestoreSnapshotValidation(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	n := len(good.Transactions)
+	want := fmt.Sprintf("market: snapshot transaction %d has seq %d", n, n+2)
+	if _, err := RestoreSnapshot(cases["transaction seq gap"]); err == nil || err.Error() != want {
+		t.Errorf("transaction seq gap: %v, want %q", err, want)
+	}
 	// The untouched snapshot still restores.
 	if _, err := RestoreSnapshot(good); err != nil {
 		t.Fatalf("good snapshot rejected: %v", err)
@@ -159,7 +168,7 @@ func TestRestoreSnapshotValidation(t *testing.T) {
 	// market that sold-then-withdrew a dataset depends on this).
 	withdrawn := good
 	withdrawn.Transactions = append([]Transaction{}, good.Transactions...)
-	withdrawn.Transactions = append(withdrawn.Transactions, Transaction{Buyer: "carol", Dataset: "long-gone"})
+	withdrawn.Transactions = append(withdrawn.Transactions, Transaction{Seq: len(good.Transactions) + 1, Buyer: "carol", Dataset: "long-gone"})
 	if _, err := RestoreSnapshot(withdrawn); err != nil {
 		t.Fatalf("snapshot with withdrawn-dataset transaction rejected: %v", err)
 	}

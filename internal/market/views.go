@@ -252,15 +252,15 @@ func newSellerCell() *sellerCell {
 }
 
 // booksView is the immutable money view: the three conservation sums
-// and the transaction log they add up — a clipped prefix of the state's
-// own log (command.State.TxLog), not a copy. A view never observes what
-// the state appends behind it and no recorded transaction is ever
+// and the transaction log they add up — a view of the state's own log
+// (command.State.TxLog), not a copy. A view never observes what the
+// state appends behind it and no recorded sale or name is ever
 // rewritten, so sharing the log is safe.
 type booksView struct {
 	revenue  Money
 	spent    Money
 	balances Money
-	txs      []Transaction
+	txs      command.TxLog
 }
 
 // rebuildViews derives every view from the current state. Callers must
@@ -384,7 +384,7 @@ func (m *Market) publishBid(ev *command.Event) {
 		}
 	}
 	cell := m.vw.buyerView(ev.Buyer)
-	if ev.Tx == nil {
+	if !ev.Decision.Allocated {
 		// A zero wait is already over; there is nothing to publish.
 		if cell != nil && ev.Decision.WaitPeriods > 0 {
 			cell.block(ev.Dataset, ev.Period+ev.Decision.WaitPeriods, ev.Period)
@@ -396,10 +396,10 @@ func (m *Market) publishBid(ev *command.Event) {
 	// state's log (the rest of this group may already be on it)...
 	old := m.vw.books.Load()
 	m.vw.books.Store(&booksView{
-		revenue:  old.revenue + ev.Tx.Price,
-		spent:    old.spent + ev.Tx.Price,
+		revenue:  old.revenue + ev.Decision.PricePaid,
+		spent:    old.spent + ev.Decision.PricePaid,
 		balances: old.balances + ev.Paid,
-		txs:      m.st.TxLog(len(old.txs) + 1),
+		txs:      m.st.TxLog(old.txs.Len() + 1),
 	})
 
 	// ...the winner's cell: the won dataset joins the add-only set and
@@ -543,15 +543,13 @@ func (m *Market) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
 }
 
 // TxCount returns the number of completed sales, without copying them.
-func (m *Market) TxCount() int { return len(m.vw.books.Load().txs) }
+func (m *Market) TxCount() int { return m.vw.books.Load().txs.Len() }
 
-// Transactions returns a defensive copy of the transaction log, in
-// sequence order.
+// Transactions returns the transaction log, spelled afresh for the
+// caller, in sequence order.
 func (m *Market) Transactions() []Transaction {
 	txs := m.vw.books.Load().txs
-	out := make([]Transaction, len(txs))
-	copy(out, txs)
-	return out
+	return txs.Append(make([]Transaction, 0, txs.Len()))
 }
 
 // Datasets returns a fresh slice of the registered dataset IDs, sorted.

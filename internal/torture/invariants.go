@@ -123,9 +123,8 @@ func candidateRange(cands []float64) (lo, hi float64) {
 // O(accounts) sweep would make 10⁷-op storms quadratic in ops.
 func (h *harness) checkConservation() string {
 	revenue := h.ref.st.Revenue()
-	for _, tx := range h.ref.st.TxLog(h.ref.st.TxCount())[h.txCount:] {
-		h.txSum += tx.Price
-		h.txCount++
+	for log := h.ref.st.TxLog(h.ref.st.TxCount()); h.txCount < log.Len(); h.txCount++ {
+		h.txSum += log.At(h.txCount).Price
 	}
 	if revenue != h.txSum {
 		return fmt.Sprintf("money not conserved: revenue=%s txsum=%s", revenue, h.txSum)
