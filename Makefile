@@ -69,6 +69,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzOptimalPrice$$' -fuzztime $(FUZZ_TIME) ./internal/auction/
 	$(GO) test -run xxx -fuzz '^FuzzEpochPricerNeverPanics$$' -fuzztime $(FUZZ_TIME) ./internal/auction/
 	$(GO) test -run xxx -fuzz '^FuzzBidBatchDecode$$' -fuzztime $(FUZZ_TIME) ./internal/httpapi/
+	$(GO) test -run xxx -fuzz '^FuzzQueryParamMatchesURLQuery$$' -fuzztime $(FUZZ_TIME) ./internal/httpapi/
+	$(GO) test -run xxx -fuzz '^FuzzDecodeObjectMatchesUnmarshal$$' -fuzztime $(FUZZ_TIME) ./internal/client/
 	$(GO) test -run xxx -fuzz '^FuzzCommandDecode$$' -fuzztime $(FUZZ_TIME) ./internal/command/
 	$(GO) test -run xxx -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 10x ./internal/command/
 	$(GO) test -run xxx -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
@@ -135,11 +137,12 @@ bench:
 # Every microbenchmark — the journal's (BenchmarkRecoverDir is the
 # store_recover profile), the wire protocol's, the MW learner's, the
 # engine's, the auction's, the market's, telemetry's, the RNG's, the
+# HTTP client's reads (BenchmarkHTTPRead), the
 # paper_sim round (BenchmarkPaperRound, the profile the simulated figures
 # are tuned against) and the 21 per-figure ones — compiles and runs one
 # iteration, so none rots between the sessions that use them.
 bench-compile:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/journal/ ./internal/wire/ ./internal/mw/ ./internal/core/ ./internal/auction/ ./internal/market/ ./internal/obs/ ./internal/rng/ ./internal/experiments/ .
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/journal/ ./internal/wire/ ./internal/mw/ ./internal/core/ ./internal/auction/ ./internal/market/ ./internal/obs/ ./internal/rng/ ./internal/client/ ./internal/experiments/ .
 
 # Non-test Go lines, in total and per top-level directory — the figure
 # every PR states — beside PARENT's (default HEAD) and the net.

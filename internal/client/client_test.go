@@ -15,7 +15,7 @@ import (
 	"github.com/datamarket/shield/internal/wire"
 )
 
-func testMarket(t *testing.T) *market.Market {
+func testMarket(t testing.TB) *market.Market {
 	t.Helper()
 	m, err := market.New(market.Config{
 		Engine: core.Config{

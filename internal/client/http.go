@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sync"
 	"sync/atomic"
 
 	"github.com/datamarket/shield/internal/apierr"
@@ -57,10 +58,16 @@ func newHTTP(base string, cfg options) *httpClient {
 	return c
 }
 
-// do performs one JSON round-trip. A non-2xx response decodes the
-// {"error":{code,message}} envelope into an *apierr.APIError; an
-// envelope-less failure becomes a plain error carrying the status.
-func (c *httpClient) do(ctx context.Context, method, path string, body, dst any) error {
+// bodyPool holds the buffers do reads response bodies into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// do performs one JSON round-trip to target. It reads the whole response
+// body, which lets net/http reuse the connection, and decodes it into ms
+// with decodeObject, or else into dst with json.Unmarshal. A non-2xx
+// response decodes the {"error":{code,message}} envelope into an
+// *apierr.APIError; an envelope-less failure becomes a plain error
+// carrying the status.
+func (c *httpClient) do(ctx context.Context, method, target string, body, dst any, ms ...member) error {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -69,7 +76,7 @@ func (c *httpClient) do(ctx context.Context, method, path string, body, dst any)
 		}
 		rd = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, target, rd)
 	if err != nil {
 		return err
 	}
@@ -92,23 +99,28 @@ func (c *httpClient) do(ctx context.Context, method, path string, body, dst any)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	// net/http pools a keep-alive connection only once its body has been
-	// read to the end, whatever was decoded from it.
-	defer io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode >= 400 {
-		var e struct {
-			Error *apierr.APIError `json:"error"`
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	switch {
+	case err != nil: // the read failed: that is the call's error
+	case resp.StatusCode >= 400:
+		var e struct{ Error *apierr.APIError }
+		if json.Unmarshal(buf.Bytes(), &e) == nil && e.Error != nil && e.Error.Message != "" {
+			err = e.Error
+		} else {
+			err = fmt.Errorf("client: HTTP %d from %s %s", resp.StatusCode, method, target)
 		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != nil && e.Error.Message != "" {
-			return e.Error
-		}
-		return fmt.Errorf("client: HTTP %d from %s %s", resp.StatusCode, method, path)
+	case len(ms) > 0:
+		err = decodeObject(buf.Bytes(), ms...)
+	case dst != nil:
+		err = json.Unmarshal(buf.Bytes(), dst)
 	}
-	if dst == nil {
-		return nil
+	if buf.Cap() <= 64<<10 { // not one a Transactions reply grew
+		bodyPool.Put(buf)
 	}
-	return json.NewDecoder(resp.Body).Decode(dst)
+	return err
 }
 
 // httpBid is one bid's request body; a signed one carries amount_micros,
@@ -133,18 +145,18 @@ func (c *httpClient) bidBody(buyer market.BuyerID, dataset market.DatasetID, amo
 
 func (c *httpClient) RegisterBuyer(ctx context.Context, id market.BuyerID) (string, error) {
 	var resp map[string]string
-	if err := c.do(ctx, "POST", "/v1/buyers", map[string]string{"id": string(id)}, &resp); err != nil {
+	if err := c.do(ctx, "POST", c.base+"/v1/buyers", map[string]string{"id": string(id)}, &resp); err != nil {
 		return "", err
 	}
 	return resp["credential"], nil
 }
 
 func (c *httpClient) RegisterSeller(ctx context.Context, id market.SellerID) error {
-	return c.do(ctx, "POST", "/v1/sellers", map[string]string{"id": string(id)}, nil)
+	return c.do(ctx, "POST", c.base+"/v1/sellers", map[string]string{"id": string(id)}, nil)
 }
 
 func (c *httpClient) UploadDataset(ctx context.Context, seller market.SellerID, id market.DatasetID) error {
-	return c.do(ctx, "POST", "/v1/datasets",
+	return c.do(ctx, "POST", c.base+"/v1/datasets",
 		map[string]string{"seller": string(seller), "id": string(id)}, nil)
 }
 
@@ -153,13 +165,13 @@ func (c *httpClient) ComposeDataset(ctx context.Context, id market.DatasetID, co
 	for i, p := range constituents {
 		parts[i] = string(p)
 	}
-	return c.do(ctx, "POST", "/v1/datasets/compose",
+	return c.do(ctx, "POST", c.base+"/v1/datasets/compose",
 		map[string]any{"id": string(id), "constituents": parts}, nil)
 }
 
 func (c *httpClient) WithdrawDataset(ctx context.Context, seller market.SellerID, id market.DatasetID) error {
 	return c.do(ctx, "DELETE",
-		"/v1/datasets/"+url.PathEscape(string(id))+"?seller="+url.QueryEscape(string(seller)), nil, nil)
+		c.base+"/v1/datasets/"+url.PathEscape(string(id))+"?seller="+url.QueryEscape(string(seller)), nil, nil)
 }
 
 // httpDecision is the JSON decision shape shared by /v1/bids and batch
@@ -185,7 +197,8 @@ func (c *httpClient) SubmitBid(ctx context.Context, buyer market.BuyerID, datase
 		return market.Decision{}, err
 	}
 	var resp httpDecision
-	if err := c.do(ctx, "POST", "/v1/bids", body, &resp); err != nil {
+	if err := c.do(ctx, "POST", c.base+"/v1/bids", body, nil,
+		member{"allocated", &resp.Allocated}, member{"price_paid", &resp.PricePaid}, member{"wait_periods", &resp.WaitPeriods}); err != nil {
 		return market.Decision{}, err
 	}
 	return resp.decision(), nil
@@ -206,7 +219,7 @@ func (c *httpClient) SubmitBids(ctx context.Context, reqs []market.BidRequest) (
 	var resp struct {
 		Results []httpDecision `json:"results"`
 	}
-	if err := c.do(ctx, "POST", "/v1/bids/batch", map[string]any{"bids": bids}, &resp); err != nil {
+	if err := c.do(ctx, "POST", c.base+"/v1/bids/batch", map[string]any{"bids": bids}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(reqs) {
@@ -224,24 +237,25 @@ func (c *httpClient) SubmitBids(ctx context.Context, reqs []market.BidRequest) (
 }
 
 func (c *httpClient) Tick(ctx context.Context) (int, error) {
-	var resp struct{ Period int }
-	if err := c.do(ctx, "POST", "/v1/tick", map[string]any{}, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Period, nil
+	return one[int](ctx, c, "POST", c.base+"/v1/tick", map[string]any{}, "period")
 }
 
 func (c *httpClient) Period(ctx context.Context) (int, error) {
-	var resp struct{ Period int }
-	if err := c.do(ctx, "GET", "/v1/period", nil, &resp); err != nil {
+	return one[int](ctx, c, "GET", c.base+"/v1/period", nil, "period")
+}
+
+// one is a call whose answer is an object of one member, key.
+func one[T int | float64](ctx context.Context, c *httpClient, method, target string, body any, key string) (T, error) {
+	var v T
+	if err := c.do(ctx, method, target, body, nil, member{key, &v}); err != nil {
 		return 0, err
 	}
-	return resp.Period, nil
+	return v, nil
 }
 
 func (c *httpClient) Datasets(ctx context.Context) ([]market.DatasetID, error) {
 	var ids []string
-	if err := c.do(ctx, "GET", "/v1/datasets", nil, &ids); err != nil {
+	if err := c.do(ctx, "GET", c.base+"/v1/datasets", nil, &ids); err != nil {
 		return nil, err
 	}
 	out := make([]market.DatasetID, len(ids))
@@ -252,42 +266,35 @@ func (c *httpClient) Datasets(ctx context.Context) ([]market.DatasetID, error) {
 }
 
 func (c *httpClient) Stats(ctx context.Context, dataset market.DatasetID) (market.DatasetStats, error) {
-	var st market.DatasetStats
-	if err := c.do(ctx, "GET", "/v1/datasets/"+url.PathEscape(string(dataset))+"/stats", nil, &st); err != nil {
+	var st market.DatasetStats // untagged: its field names are the keys
+	if err := c.do(ctx, "GET", c.base+"/v1/datasets/"+url.PathEscape(string(dataset))+"/stats", nil, nil,
+		member{"Dataset", (*string)(&st.Dataset)}, member{"Bids", &st.Bids}, member{"Allocations", &st.Allocations},
+		member{"Epochs", &st.Epochs}, member{"Revenue", &st.Revenue}, member{"PostingPrice", &st.PostingPrice},
+		member{"MostLikelyPrice", &st.MostLikelyPrice}); err != nil {
 		return market.DatasetStats{}, err
 	}
 	return st, nil
 }
 
 func (c *httpClient) SellerBalance(ctx context.Context, id market.SellerID) (market.Money, error) {
-	var resp struct{ Balance float64 }
-	if err := c.do(ctx, "GET", "/v1/sellers/"+url.PathEscape(string(id))+"/balance", nil, &resp); err != nil {
-		return 0, err
-	}
-	return market.FromFloat(resp.Balance), nil
+	bal, err := one[float64](ctx, c, "GET", c.base+"/v1/sellers/"+url.PathEscape(string(id))+"/balance", nil, "balance")
+	return market.FromFloat(bal), err
 }
 
 func (c *httpClient) WaitRemaining(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID) (int, error) {
-	var resp struct {
-		WaitPeriods int `json:"wait_periods"`
-	}
-	path := "/v1/buyers/" + url.PathEscape(string(buyer)) + "/wait?dataset=" + url.QueryEscape(string(dataset))
-	if err := c.do(ctx, "GET", path, nil, &resp); err != nil {
-		return 0, err
-	}
-	return resp.WaitPeriods, nil
+	return one[int](ctx, c, "GET", c.base+"/v1/buyers/"+url.PathEscape(string(buyer))+"/wait?dataset="+url.QueryEscape(string(dataset)), nil, "wait_periods")
 }
 
 func (c *httpClient) Transactions(ctx context.Context) ([]market.Transaction, error) {
 	var txs []market.Transaction
-	if err := c.do(ctx, "GET", "/v1/transactions", nil, &txs); err != nil {
+	if err := c.do(ctx, "GET", c.base+"/v1/transactions", nil, &txs); err != nil {
 		return nil, err
 	}
 	return txs, nil
 }
 
 func (c *httpClient) Ping(ctx context.Context) error {
-	return c.do(ctx, "GET", "/healthz", nil, nil)
+	return c.do(ctx, "GET", c.base+"/healthz", nil, nil)
 }
 
 // Close is a no-op: the HTTP transport holds no persistent connection

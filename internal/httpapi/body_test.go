@@ -80,3 +80,38 @@ func TestOversizedBodyIsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestDataAfterTheBodyIsRefused: a request body is one JSON value and
+// whitespace. Anything after it is refused with 400 bad_request before
+// the command runs, where it was ignored — the bid applied, the second
+// registration silently dropped.
+func TestDataAfterTheBodyIsRefused(t *testing.T) {
+	m := market.MustNew(testConfig())
+	h := NewServer(m).Routes()
+	for _, step := range [][2]string{
+		{"/v1/sellers", `{"id":"s1"}`}, {"/v1/datasets", `{"seller":"s1","id":"a"}`},
+		{"/v1/buyers", "{\"id\":\"w\"} \n\t"},
+	} {
+		if rec := serve(h, "POST", step[0], step[1]); rec.Code != http.StatusCreated {
+			t.Fatalf("setup %s %s: %d %s", step[0], step[1], rec.Code, rec.Body)
+		}
+	}
+	for _, tc := range [][2]string{
+		{"/v1/bids", `{"buyer":"w","dataset":"a","amount":150}garbage`},
+		{"/v1/buyers", `{"id":"a"} {"id":"b"}`},
+		{"/v1/buyers", `{"id":"a"}}`},
+	} {
+		rec := serve(h, "POST", tc[0], tc[1])
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"code":"bad_request"`) {
+			t.Errorf("POST %s %s = %d %s, want 400 bad_request", tc[0], tc[1], rec.Code, rec.Body)
+		}
+	}
+	if n := len(m.Transactions()); n != 0 {
+		t.Errorf("a refused bid was applied: %d transactions", n)
+	}
+	for _, id := range []market.BuyerID{"a", "b"} {
+		if _, err := m.WaitRemaining(id, "a"); err == nil {
+			t.Errorf("a refused registration added buyer %q", id)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -64,6 +65,9 @@ func FuzzBidBatchDecode(f *testing.F) {
 		`null`,
 		``,
 		`{"bids":[{"buyer":"b1","dataset":"d1","amount":150,"mystery":1}]}`,
+		// Data after the value: refused, never applied.
+		`{"bids":[{"buyer":"b1","dataset":"d1","amount":150}]}garbage`,
+		`{"bids":[{"buyer":"b1","dataset":"d1","amount":150}]} {"bids":[]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -103,6 +107,9 @@ func FuzzBidBatchDecode(f *testing.F) {
 
 		switch {
 		case rec.Code == http.StatusOK:
+			if !json.Valid(body) {
+				t.Fatalf("200 for a body that is not one JSON value: %q", body)
+			}
 			var resp struct {
 				Results []batchBidResult `json:"results"`
 			}
@@ -142,6 +149,25 @@ func FuzzBidBatchDecode(f *testing.F) {
 			}
 		default:
 			t.Errorf("status %d for body %q: batch decoding must never 5xx", rec.Code, body)
+		}
+	})
+}
+
+// FuzzQueryParamMatchesURLQuery holds queryParam to the map it replaces:
+// for any raw query and key it returns what r.URL.Query().Get(key) does.
+func FuzzQueryParamMatchesURLQuery(f *testing.F) {
+	for _, s := range [][2]string{
+		{"dataset=ds-001", "dataset"}, {"seller=acme&seller=other", "seller"},
+		{"a=1;dataset=x&dataset=y", "dataset"}, {"dataset=%zz&dataset=ok", "dataset"},
+		{"%64ataset=a+b%20c", "dataset"}, {"&=x", ""}, {"id", "id"}, {"", "id"},
+		{"id=req-0000002a&id=", "id"}, {"x=%", "x"}, {"k%3D=v=w", "k="},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		r := &http.Request{URL: &url.URL{RawQuery: raw}}
+		if got, want := queryParam(r, key), r.URL.Query().Get(key); got != want {
+			t.Fatalf("queryParam(%q, %q) = %q, want %q", raw, key, got, want)
 		}
 	})
 }

@@ -10,8 +10,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 
 	"github.com/datamarket/shield/internal/auth"
@@ -201,7 +204,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 // be passed as ?seller= and withdrawal fails while derived products
 // still build on the dataset.
 func (s *Server) handleWithdrawDataset(w http.ResponseWriter, r *http.Request) {
-	seller := r.URL.Query().Get("seller")
+	seller := queryParam(r, "seller")
 	if seller == "" {
 		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "missing seller query parameter")
 		return
@@ -454,7 +457,7 @@ func (s *Server) handleSellerBalance(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBuyerWait(w http.ResponseWriter, r *http.Request) {
-	dataset := r.URL.Query().Get("dataset")
+	dataset := queryParam(r, "dataset")
 	if dataset == "" {
 		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "missing dataset query parameter")
 		return
@@ -489,19 +492,45 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	// wire.MaxFrame; importing wire here would be a cycle.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		status := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			status = http.StatusRequestEntityTooLarge
+	err := dec.Decode(dst)
+	if err == nil { // the value, then only whitespace
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
 		}
-		writeAPIError(w, status, CodeBadRequest, "bad request: "+err.Error())
-		return false
 	}
-	return true
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeAPIError(w, status, CodeBadRequest, "bad request: "+err.Error())
+	return false
 }
 
+// jsonContentType is shared by every JSON response, assigned under the
+// canonical key: no code mutates a header value slice in place.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// queryParam is r.URL.Query().Get(key) without building the map: pairs
+// holding a ';' or a bad escape are skipped, and the first value wins.
+func queryParam(r *http.Request, key string) string {
+	for q := r.URL.RawQuery; q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key || pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }

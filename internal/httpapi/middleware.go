@@ -84,12 +84,13 @@ func (s *Server) latencyFor(route string, status int) *obs.Histogram {
 }
 
 // requestState is the one allocation instrument makes per request: the
-// writer that captures the response status for the latency histogram
-// and the request log, and the request's context.
+// writer that captures the response status for the latency histogram and
+// the request log, the request's context and X-Request-Id's value slice.
 type requestState struct {
 	http.ResponseWriter
 	status int
 	ctx    obs.RequestCtx
+	id     [1]string
 }
 
 func (w *requestState) WriteHeader(code int) {
@@ -133,7 +134,8 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 		st := &requestState{ResponseWriter: w}
 		st.ctx.Context = r.Context()
 		st.ctx.Reset(id, tr)
-		w.Header().Set("X-Request-Id", id)
+		st.id[0] = id
+		w.Header()["X-Request-Id"] = st.id[:] // canonical key; see jsonContentType
 		r = r.WithContext(&st.ctx)
 		mux.ServeHTTP(st, r)
 		// ServeMux writes the matched pattern back onto this request
@@ -235,7 +237,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // stage breakdown — the lookup that /metrics histogram exemplars link
 // to.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("id"); id != "" {
+	if id := queryParam(r, "id"); id != "" {
 		snap, ok := s.tel.Tracer.Find(id)
 		if !ok {
 			writeAPIError(w, http.StatusNotFound, CodeBadRequest,
