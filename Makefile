@@ -46,6 +46,7 @@ race:
 	$(GO) test -race -run 'TestSharedLogAndBitsetsUnderReaders' -count=10 ./internal/market/
 	$(GO) test -race -run 'TestStoreCheckpointsMatchReplayUnderHotDatasetConcurrency' -count=10 ./internal/journal/
 	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity|TestRecordIsTheRequest' -count=10 ./internal/wire/
+	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines' -count=10 ./internal/sim/
 
 test:
 	$(GO) test ./...

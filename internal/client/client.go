@@ -1,6 +1,7 @@
 // Package client is the unified typed client for a marketd server: one
-// Client interface with two interchangeable transports — the HTTP/JSON
-// API and the binary wire protocol (internal/wire). Programs written
+// Client interface with two interchangeable transports — httpClient,
+// over the HTTP/JSON API, and *wire.Conn, the binary wire protocol's
+// connection (internal/wire), which is a Client itself. Programs written
 // against Client switch transports with a dial string; the semantics,
 // the typed results, and the error contract are identical either way.
 //

@@ -9,6 +9,7 @@ import (
 
 	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/httpapi"
 	"github.com/datamarket/shield/internal/market"
@@ -135,6 +136,17 @@ func TestTransportParity(t *testing.T) {
 		for _, res := range batch {
 			record(res.Decision, res.Err)
 		}
+		// One bid past the cap refuses the whole batch, on both transports
+		// with the same code and message, and applies none of it.
+		big := make([]market.BidRequest, command.MaxBatchBids+1)
+		for i := range big {
+			big[i] = market.BidRequest{Buyer: "b", Dataset: "d2", Amount: 1}
+		}
+		batch, err = c.SubmitBids(ctx, big)
+		if len(batch) != 0 {
+			t.Errorf("%s: a %d-bid batch returned %d results", name, len(big), len(batch))
+		}
+		record(market.Decision{}, err)
 
 		if o.period, err = c.Period(ctx); err != nil {
 			t.Fatalf("%s: period: %v", name, err)

@@ -87,7 +87,7 @@ func (c *httpClient) do(ctx context.Context, method, target string, body, dst an
 		req.Header.Set("Authorization", "Bearer "+c.token)
 	}
 	// A context carrying an obs request ID propagates the trace the same
-	// way the wire transport's v2 trace field does: the server executes
+	// way the wire transport's trace field does: the server executes
 	// (and journals) under the caller's ID, continuing a sampled trace.
 	if id := obs.RequestIDFrom(ctx); id != "" {
 		req.Header.Set("X-Trace-ID", id)

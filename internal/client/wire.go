@@ -1,11 +1,6 @@
 package client
 
-import (
-	"context"
-
-	"github.com/datamarket/shield/internal/market"
-	"github.com/datamarket/shield/internal/wire"
-)
+import "github.com/datamarket/shield/internal/wire"
 
 // ErrConnClosed is the wire transport's dead-connection sentinel: every
 // call on a wire client whose stream has failed returns an error
@@ -13,12 +8,9 @@ import (
 // package to branch on it.
 var ErrConnClosed = wire.ErrConnClosed
 
-// wireClient is the binary-protocol transport: a thin adapter over
-// wire.Conn that satisfies Client. The conn serializes round trips;
-// open several clients for connection-level parallelism.
-type wireClient struct {
-	conn *wire.Conn
-}
+// A *wire.Conn is the binary-protocol Client. It serializes round
+// trips; open several for connection-level parallelism.
+var _ Client = (*wire.Conn)(nil)
 
 // DialWire returns a Client speaking the wire protocol to addr
 // ("host:port").
@@ -27,74 +19,5 @@ func DialWire(addr string) (Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &wireClient{conn: conn}, nil
+	return conn, nil
 }
-
-// NewWire wraps an already-dialed wire connection as a Client.
-func NewWire(conn *wire.Conn) Client {
-	return &wireClient{conn: conn}
-}
-
-// RegisterBuyer never returns a credential: the wire protocol serves
-// deployments without bid auth (marketd refuses -auth with -wire-addr).
-func (c *wireClient) RegisterBuyer(ctx context.Context, id market.BuyerID) (string, error) {
-	return "", c.conn.RegisterBuyer(ctx, id)
-}
-
-func (c *wireClient) RegisterSeller(ctx context.Context, id market.SellerID) error {
-	return c.conn.RegisterSeller(ctx, id)
-}
-
-func (c *wireClient) UploadDataset(ctx context.Context, seller market.SellerID, id market.DatasetID) error {
-	return c.conn.UploadDataset(ctx, seller, id)
-}
-
-func (c *wireClient) ComposeDataset(ctx context.Context, id market.DatasetID, constituents ...market.DatasetID) error {
-	return c.conn.ComposeDataset(ctx, id, constituents...)
-}
-
-func (c *wireClient) WithdrawDataset(ctx context.Context, seller market.SellerID, id market.DatasetID) error {
-	return c.conn.WithdrawDataset(ctx, seller, id)
-}
-
-func (c *wireClient) SubmitBid(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
-	return c.conn.SubmitBid(ctx, buyer, dataset, amount)
-}
-
-func (c *wireClient) SubmitBids(ctx context.Context, reqs []market.BidRequest) ([]market.BidResult, error) {
-	return c.conn.SubmitBids(ctx, reqs)
-}
-
-func (c *wireClient) Tick(ctx context.Context) (int, error) {
-	return c.conn.Tick(ctx)
-}
-
-func (c *wireClient) Period(ctx context.Context) (int, error) {
-	return c.conn.Period(ctx)
-}
-
-func (c *wireClient) Datasets(ctx context.Context) ([]market.DatasetID, error) {
-	return c.conn.Datasets(ctx)
-}
-
-func (c *wireClient) Stats(ctx context.Context, dataset market.DatasetID) (market.DatasetStats, error) {
-	return c.conn.Stats(ctx, dataset)
-}
-
-func (c *wireClient) SellerBalance(ctx context.Context, id market.SellerID) (market.Money, error) {
-	return c.conn.SellerBalance(ctx, id)
-}
-
-func (c *wireClient) WaitRemaining(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID) (int, error) {
-	return c.conn.WaitRemaining(ctx, buyer, dataset)
-}
-
-func (c *wireClient) Transactions(ctx context.Context) ([]market.Transaction, error) {
-	return c.conn.Transactions(ctx)
-}
-
-func (c *wireClient) Ping(ctx context.Context) error {
-	return c.conn.Ping(ctx)
-}
-
-func (c *wireClient) Close() error { return c.conn.Close() }

@@ -28,6 +28,12 @@ const (
 // bytes — must fit one wire frame (1 MiB), or no follower can receive it.
 const MaxEncoded = 1<<20 - 16
 
+// MaxBatchBids bounds the bids one batch request may carry, on every
+// transport; larger workloads split across requests. The edges check it,
+// not DecodeBinary: a store written before the cap held everywhere may
+// hold larger bid_batch records, and replay must still read them.
+const MaxBatchBids = 1024
+
 // EncodeBinary returns cmd's canonical binary encoding.
 func EncodeBinary(cmd Command) ([]byte, error) {
 	return AppendBinary(nil, cmd)

@@ -9,6 +9,7 @@ import (
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/auth"
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
@@ -78,7 +79,7 @@ func TestBidBatchEndpoint(t *testing.T) {
 	if env := raw["error"].(map[string]any); env["code"] != CodeBadRequest {
 		t.Fatalf("empty batch code = %v", env["code"])
 	}
-	big := make([]map[string]any, maxBatchBids+1)
+	big := make([]map[string]any, command.MaxBatchBids+1)
 	for i := range big {
 		big[i] = map[string]any{"buyer": "b1", "dataset": "d1", "amount": 1.0}
 	}

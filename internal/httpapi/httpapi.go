@@ -290,10 +290,6 @@ func (s *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxBatchBids bounds one batch request; larger workloads should split
-// across requests rather than hold a connection for an unbounded batch.
-const maxBatchBids = 1024
-
 // batchBidEntry is one bid of a POST /v1/bids/batch request. Signature
 // fields follow the same rules as the single-bid endpoint: required when
 // the server runs with auth, in which case AmountMicros is the bid.
@@ -329,9 +325,9 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "batch must contain at least one bid")
 		return
 	}
-	if len(req.Bids) > maxBatchBids {
+	if len(req.Bids) > command.MaxBatchBids {
 		writeAPIError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("batch exceeds %d bids", maxBatchBids))
+			fmt.Sprintf("batch exceeds %d bids", command.MaxBatchBids))
 		return
 	}
 

@@ -288,7 +288,7 @@ func dialClients(rig *Rig, sc Scenario) ([]client.Client, error) {
 				errs[i] = err
 				return
 			}
-			clients[i] = client.NewWire(conn)
+			clients[i] = conn
 		}(i)
 	}
 	wg.Wait()

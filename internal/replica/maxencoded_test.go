@@ -56,7 +56,7 @@ func TestLargestCommandReachesFollowers(t *testing.T) {
 	// length at this size, and the name.
 	name := func(encoded int) market.BuyerID { return market.BuyerID(strings.Repeat("x", encoded-4)) }
 	largest := name(command.MaxEncoded)
-	if err := c.RegisterBuyer(ctx, largest); err != nil {
+	if _, err := c.RegisterBuyer(ctx, largest); err != nil {
 		t.Fatalf("a %d-byte command (command.MaxEncoded) over wire: %v", command.MaxEncoded, err)
 	}
 	seq := r.jm.LastSeq()
@@ -74,7 +74,7 @@ func TestLargestCommandReachesFollowers(t *testing.T) {
 
 	over := name(command.MaxEncoded + 1)
 	var api *apierr.APIError
-	if err := c.RegisterBuyer(ctx, over); !errors.As(err, &api) || api.Code != apierr.CodeBadRequest {
+	if _, err := c.RegisterBuyer(ctx, over); !errors.As(err, &api) || api.Code != apierr.CodeBadRequest {
 		t.Errorf("a %d-byte command over wire: %v, want %s", command.MaxEncoded+1, err, apierr.CodeBadRequest)
 	}
 	hs := httptest.NewServer(httpapi.NewJournaled(r.jm).Routes())

@@ -104,7 +104,7 @@ func TestRunGridReportsTheSerialError(t *testing.T) {
 
 func TestRunGridLeavesNoGoroutines(t *testing.T) {
 	atGOMAXPROCS(8, func() {
-		before := runtime.NumGoroutine()
+		before := settledGoroutines()
 		if _, err := RunGrid(gridSpecs(), gridFactories()); err != nil {
 			t.Fatal(err)
 		}
@@ -118,6 +118,21 @@ func TestRunGridLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines before RunGrid, %d after", before, after)
 		}
 	})
+}
+
+// settledGoroutines reads runtime.NumGoroutine once it has held still
+// for 20 ms (giving up after 2 s), so a worker an earlier test's RunGrid
+// released, still leaving its deferred Done, is not counted.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(2 * time.Second)
+	for still := time.Now(); time.Since(still) < 20*time.Millisecond && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, time.Now()
+		}
+	}
+	return n
 }
 
 func TestRunGridOfNothing(t *testing.T) {

@@ -250,7 +250,8 @@ func (r *replica) applyWire(op Op) opResult {
 	ctx := context.Background()
 	switch op.Kind {
 	case OpRegisterBuyer:
-		return opResult{err: r.conn.RegisterBuyer(ctx, op.Buyer)}
+		_, err := r.conn.RegisterBuyer(ctx, op.Buyer)
+		return opResult{err: err}
 	case OpRegisterSeller:
 		return opResult{err: r.conn.RegisterSeller(ctx, op.Seller)}
 	case OpUpload:

@@ -244,9 +244,9 @@ func benchBidPath(b *testing.B, sample int, traceID string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var tr *obs.Trace
-		resp, tr = s.handle(rc, bid, resp[:0], Version, readDur)
+		resp, tr = s.handle(rc, bid, resp[:0], readDur)
 		tel.Tracer.Finish(tr)
-		resp, tr = s.handle(rc, tick, resp[:0], Version, readDur)
+		resp, tr = s.handle(rc, tick, resp[:0], readDur)
 		tel.Tracer.Finish(tr)
 	}
 	b.ReportMetric(2, "requests/op")

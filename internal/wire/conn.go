@@ -29,16 +29,15 @@ import (
 // bounds the round trip via the socket's I/O deadline, and cancellation
 // of a deadline-less context interrupts an in-flight call promptly.
 type Conn struct {
-	mu      sync.Mutex
-	nc      net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	version byte // negotiated protocol version
-	nextID  uint64
-	req     []byte        // scratch request payload
-	resp    []byte        // scratch response payload
-	rd      payloadReader // scratch cursor over resp
-	broken  error         // sticky stream failure
+	mu     sync.Mutex
+	nc     net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	nextID uint64
+	req    []byte        // scratch request payload
+	resp   []byte        // scratch response payload
+	rd     payloadReader // scratch cursor over resp
+	broken error         // sticky stream failure
 }
 
 // DefaultBufferSize is the per-direction buffered-I/O size a connection
@@ -96,16 +95,14 @@ func NewConnSize(nc net.Conn, bufSize int) (*Conn, error) {
 	if _, err := io.ReadFull(c.br, answer[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
-	if [3]byte(answer[:3]) != magic || answer[3] == 0 || answer[3] > Version {
+	if [3]byte(answer[:3]) != magic {
 		return nil, ErrHandshake
 	}
-	c.version = answer[3]
+	if answer[3] != Version {
+		return nil, fmt.Errorf("%w: server answered v%d, this client speaks only v%d", ErrHandshake, answer[3], Version)
+	}
 	return c, nil
 }
-
-// ProtocolVersion returns the version the handshake negotiated for this
-// connection (at most Version; lower against an older server).
-func (c *Conn) ProtocolVersion() byte { return c.version }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
@@ -113,15 +110,15 @@ func (c *Conn) Close() error { return c.nc.Close() }
 // roundTrip sends one request payload of the given kind (body appends
 // the payload after the header; if it fails, its error is returned
 // before a byte reaches the stream and the connection stays usable)
-// and, on a statusOK response, decodes
-// the result body with decode while still holding the connection lock —
-// the body aliases the connection's scratch buffer, which the next
-// round trip overwrites. On a version >= 2 connection, a context
-// carrying an obs request ID gets the trace field: the server journals
-// and logs under the caller's ID, and a sampled trace continues
-// server-side. A statusErr envelope comes back as an *apierr.APIError,
-// whose Error() is the server-side error's exact message; decode never
-// runs for it. A nil decode requires an empty result body.
+// and, on a statusOK response, decodes the result body with decode
+// while still holding the connection lock — the body aliases the
+// connection's scratch buffer, which the next round trip overwrites. A
+// context carrying an obs request ID gets the trace field: the server
+// journals and logs under the caller's ID, and a sampled trace
+// continues server-side. A statusErr envelope comes back as an
+// *apierr.APIError, whose Error() is the server-side error's exact
+// message; decode never runs for it. A nil decode requires an empty
+// result body.
 func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) ([]byte, error), decode func(r *payloadReader) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -168,11 +165,7 @@ func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) (
 	c.nextID++
 	id := c.nextID
 	req := binary.AppendUvarint(c.req[:0], id)
-	traceID := ""
-	if c.version >= 2 {
-		traceID = obs.RequestIDFrom(ctx)
-	}
-	if traceID == "" {
+	if traceID := obs.RequestIDFrom(ctx); traceID == "" {
 		req = append(req, kind)
 	} else {
 		req = append(req, kind|kindTraceFlag)
@@ -282,9 +275,11 @@ func (c *Conn) apply(ctx context.Context, cmd command.Command, decode func(r *pa
 	}, decode)
 }
 
-// RegisterBuyer registers a buyer account.
-func (c *Conn) RegisterBuyer(ctx context.Context, id market.BuyerID) error {
-	return c.apply(ctx, command.RegisterBuyer{Buyer: id}, nil)
+// RegisterBuyer registers a buyer account. It never returns a
+// credential: the wire protocol serves deployments without bid auth
+// (marketd refuses -auth with -wire-addr).
+func (c *Conn) RegisterBuyer(ctx context.Context, id market.BuyerID) (string, error) {
+	return "", c.apply(ctx, command.RegisterBuyer{Buyer: id}, nil)
 }
 
 // RegisterSeller registers a seller account.

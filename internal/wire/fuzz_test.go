@@ -94,7 +94,7 @@ func FuzzWireDecode(f *testing.F) {
 	rc := &obs.RequestCtx{Context: context.Background()}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		resp, _ := s.handle(rc, payload, nil, Version, 0)
+		resp, _ := s.handle(rc, payload, nil, 0)
 		r := &payloadReader{data: resp}
 		r.uvarint() // request id (possibly 0 when the header was garbage)
 		status := r.byte()
@@ -131,7 +131,7 @@ func TestHandleBoundsBidBatchDecode(t *testing.T) {
 	rc := &obs.RequestCtx{Context: context.Background()}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	resp, _ := s.handle(rc, payload, nil, Version, 0)
+	resp, _ := s.handle(rc, payload, nil, 0)
 	runtime.ReadMemStats(&after)
 	r := &payloadReader{data: resp}
 	r.uvarint()

@@ -1,6 +1,6 @@
 package wire
 
-// Replication stream (protocol version 3).
+// Replication stream.
 //
 // A follower opens an ordinary connection, handshakes, and sends one
 // kindReplicate request:
@@ -349,9 +349,6 @@ func (c *Conn) OpenReplication(ctx context.Context, afterSeq int64) (*Replicatio
 	defer c.mu.Unlock()
 	if c.broken != nil {
 		return nil, c.broken
-	}
-	if c.version < 3 {
-		return nil, fmt.Errorf("%w: server negotiated v%d, replication needs v3", ErrHandshake, c.version)
 	}
 	if afterSeq < 0 {
 		return nil, fmt.Errorf("wire: negative afterSeq %d", afterSeq)

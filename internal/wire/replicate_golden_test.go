@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -237,53 +236,30 @@ func TestGoldenReplicationSession(t *testing.T) {
 	}
 }
 
-// TestReplicateRejectedOnV2 pins downgrade behavior: a v2 client still
-// handshakes against a replication-enabled v3 server, but a replicate
-// request on the negotiated v2 connection is an ordinary bad-request
-// error — never a stream — because v2 peers cannot speak the grammar.
+// TestReplicateRejectedOnV2: a v2 peer never reaches a replication
+// stream. A replication-enabled server refuses its hello with SHW\x00
+// and ErrHandshake, before any request frame is read.
 func TestReplicateRejectedOnV2(t *testing.T) {
 	srvConn, cliConn := net.Pipe()
 	srv := NewServer(testMarket(t)).
 		WithReplication(scriptedSource{recs: []RepRecord{{Seq: 1}}}).
 		WithHeartbeatInterval(time.Hour)
-	go func() { _ = srv.ServeConn(srvConn) }()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ServeConn(srvConn) }()
 	defer cliConn.Close()
 
-	bw := bufio.NewWriter(cliConn)
-	br := bufio.NewReader(cliConn)
-	if _, err := bw.Write([]byte{'S', 'H', 'W', 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := cliConn.Write([]byte{'S', 'H', 'W', 2}); err != nil {
 		t.Fatal(err)
 	}
 	var answer [4]byte
-	if _, err := io.ReadFull(br, answer[:]); err != nil {
+	if _, err := io.ReadFull(cliConn, answer[:]); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(answer[:], []byte{'S', 'H', 'W', 2}) {
-		t.Fatalf("v2 hello answered %x, want SHW v2", answer)
+	if !bytes.Equal(answer[:], []byte{'S', 'H', 'W', 0}) {
+		t.Fatalf("v2 hello answered %x, want SHW\\x00", answer)
 	}
-
-	if err := writeFrame(bw, []byte{1, kindReplicate, 0}, MaxFrame); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrame(br, nil, MaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &payloadReader{data: payload}
-	if id := r.uvarint(); id != 1 {
-		t.Fatalf("response id %d, want 1", id)
-	}
-	if status := r.byte(); status != statusErr {
-		t.Fatalf("v2 replicate request got status %d, want an error envelope", status)
-	}
-	if code := r.str(); code != "bad_request" {
-		t.Fatalf("v2 replicate request refused with code %q, want bad_request", code)
+	if err := <-errc; !errors.Is(err, ErrHandshake) {
+		t.Fatalf("server returned %v, want ErrHandshake", err)
 	}
 }
 

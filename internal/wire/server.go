@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"time"
@@ -83,7 +84,7 @@ func (s *Server) WithBufferSize(n int) *Server {
 // ID as an exemplar), the wire stages of the durable-bid pipeline
 // (wire.read, decode, ack.flush on shield_stage_seconds), and the live
 // connection count. It also turns on request IDs and tracing — a frame
-// carrying the v2 trace field executes under the client's propagated
+// carrying the trace field executes under the client's propagated
 // ID (continuing its trace when the sampled bit is set), any other
 // frame under a freshly minted, locally sampled ID (a number until a
 // sampled trace or the journal frame spells it) — and a journaled
@@ -159,8 +160,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	br := bufio.NewReaderSize(conn, s.bufSize)
 	bw := bufio.NewWriterSize(conn, s.bufSize)
 
-	version, err := s.handshake(br, bw)
-	if err != nil {
+	if err := s.handshake(br, bw); err != nil {
 		return err
 	}
 
@@ -191,17 +191,15 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		if timed {
 			readDur = time.Since(start)
 		}
-		// A v3 replicate request converts the connection into a one-way
+		// A replicate request converts the connection into a one-way
 		// replication stream; it never returns to the request loop.
-		if version >= 3 {
-			r := &payloadReader{data: payload}
-			id := r.uvarint()
-			if kind := r.byte(); r.err == nil && kind == kindReplicate {
-				return s.serveReplication(conn, br, bw, id, r)
-			}
+		r := &payloadReader{data: payload}
+		id := r.uvarint()
+		if kind := r.byte(); r.err == nil && kind == kindReplicate {
+			return s.serveReplication(conn, br, bw, id, r)
 		}
 		var tr *obs.Trace
-		resp, tr = s.handle(rc, payload, resp[:0], version, readDur)
+		resp, tr = s.handle(rc, payload, resp[:0], readDur)
 		err = writeFrame(bw, resp, MaxFrame)
 		if err == nil && br.Buffered() == 0 {
 			// The input is drained: this flush is the write that makes
@@ -224,35 +222,33 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	}
 }
 
-// handshake validates the client hello and answers it with the
-// negotiated version — the smaller of the client's and this package's —
-// so older clients keep connecting to newer servers. On an unusable
-// hello (version 0) the server answers version 0 and reports
-// ErrHandshake; on a bad magic it answers nothing (the peer is not
-// speaking this protocol).
-func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) (byte, error) {
+// handshake validates the client hello and answers it with Version.
+// A client offering a newer version is answered Version and may fall
+// back to it; one offering an older version is answered version 0 and
+// refused with an ErrHandshake naming both. On a bad magic it answers
+// nothing (the peer is not speaking this protocol).
+func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) error {
 	var hello [4]byte
 	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return 0, err
+		return err
 	}
 	if [3]byte(hello[:3]) != magic {
-		return 0, ErrHandshake
+		return ErrHandshake
 	}
-	version := hello[3]
-	if version > Version {
-		version = Version
+	answer := [4]byte{magic[0], magic[1], magic[2], Version}
+	if hello[3] < Version {
+		answer[3] = 0
 	}
-	answer := [4]byte{magic[0], magic[1], magic[2], version}
 	if _, err := bw.Write(answer[:]); err != nil {
-		return 0, err
+		return err
 	}
 	if err := bw.Flush(); err != nil {
-		return 0, err
+		return err
 	}
-	if version == 0 {
-		return 0, ErrHandshake
+	if answer[3] == 0 {
+		return fmt.Errorf("%w: client offered v%d, this server speaks only v%d", ErrHandshake, hello[3], Version)
 	}
-	return version, nil
+	return nil
 }
 
 // exemplarOf returns the trace's ID when the request is sampled (tr
@@ -297,7 +293,7 @@ func traceName(op string) string {
 // the connection: every per-request failure becomes an error envelope
 // whose code is drawn from the closed apierr set, leaving the stream
 // usable for the requests pipelined behind it.
-func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, version byte, readDur time.Duration) ([]byte, *obs.Trace) {
+func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, readDur time.Duration) ([]byte, *obs.Trace) {
 	r := &payloadReader{data: payload}
 	reqID := r.uvarint()
 	kind := r.byte()
@@ -308,11 +304,10 @@ func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, version byte, 
 			apierr.CodeBadRequest, "malformed request header"), nil
 	}
 
-	// The v2 trace field sits between the kind byte and the body,
-	// flagged on the kind byte. A v1 connection has no such flag: the
-	// bit falls through to the unknown-kind envelope below.
+	// The trace field sits between the kind byte and the body, flagged
+	// on the kind byte.
 	traceID, sampled := "", false
-	if version >= 2 && kind&kindTraceFlag != 0 {
+	if kind&kindTraceFlag != 0 {
 		kind &^= kindTraceFlag
 		traceID = r.str()
 		sampled = r.byte() == 1
@@ -375,7 +370,8 @@ func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, version byte, 
 // handleCommand checks one binary command at the edge — a bid in place
 // (command.IsBid), anything else by decoding it — and submits its bytes,
 // returning its op name (for telemetry) and the response. A batch is
-// answered entry by entry, like the HTTP batch endpoint.
+// answered entry by entry, like the HTTP batch endpoint, and refused
+// whole past command.MaxBatchBids with that endpoint's message.
 func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, []byte) {
 	endDecode := obs.StageTimer(ctx, s.stageDecode, "decode")
 	op := "bid"
@@ -386,6 +382,11 @@ func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, 
 		if cmd, err = command.DecodeBinary(body); err == nil {
 			op = string(cmd.Op())
 			if batch, ok := cmd.(command.BidBatch); ok {
+				if len(batch.Bids) > command.MaxBatchBids {
+					endDecode.End()
+					return op, appendError(resp, apierr.CodeBadRequest,
+						fmt.Sprintf("batch exceeds %d bids", command.MaxBatchBids))
+				}
 				res = make([]market.BidResult, len(batch.Bids))
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -17,50 +18,42 @@ import (
 	"github.com/datamarket/shield/internal/obs"
 )
 
-// TestHandshakeNegotiatesMinVersion drives raw hellos at the server and
-// checks the answer is the smaller of the two sides' versions: a v1
-// client still connects to this v2 server (and the connection runs v1
-// framing), a from-the-future client is answered with our version, and
-// a version-0 hello is refused.
-func TestHandshakeNegotiatesMinVersion(t *testing.T) {
-	cases := []struct {
-		hello      byte
-		want       byte
-		refused    bool
-		frameWorks bool
-	}{
-		{hello: 1, want: 1, frameWorks: true},
-		{hello: Version, want: Version, frameWorks: true},
-		{hello: Version + 5, want: Version, frameWorks: true},
-		{hello: 0, want: 0, refused: true},
-	}
-	for _, tc := range cases {
-		s := NewServer(testMarket(t))
+// TestHandshakeSpeaksOnlyV3 drives every possible hello byte at the
+// server: 0–2 are refused with SHW\x00 and an ErrHandshake naming both
+// versions; 3–255 are answered v3 (a newer client falls back to it) and
+// the connection then serves a ping.
+func TestHandshakeSpeaksOnlyV3(t *testing.T) {
+	s := NewServer(testMarket(t))
+	for v := 0; v < 256; v++ {
+		hello := byte(v)
 		clientEnd, serverEnd := net.Pipe()
 		errc := make(chan error, 1)
 		go func() { errc <- s.ServeConn(serverEnd) }()
 
-		hello := [4]byte{'S', 'H', 'W', tc.hello}
-		if _, err := clientEnd.Write(hello[:]); err != nil {
+		if _, err := clientEnd.Write([]byte{'S', 'H', 'W', hello}); err != nil {
 			t.Fatal(err)
 		}
 		var answer [4]byte
 		if _, err := io.ReadFull(clientEnd, answer[:]); err != nil {
-			t.Fatalf("hello v%d: reading answer: %v", tc.hello, err)
+			t.Fatalf("hello v%d: reading answer: %v", hello, err)
 		}
-		if answer[3] != tc.want {
-			t.Fatalf("hello v%d: server answered v%d, want v%d", tc.hello, answer[3], tc.want)
-		}
-		if tc.refused {
-			if err := <-errc; !errors.Is(err, ErrHandshake) {
-				t.Fatalf("hello v%d: server returned %v, want ErrHandshake", tc.hello, err)
+		if hello < Version {
+			if answer != [4]byte{'S', 'H', 'W', 0} {
+				t.Fatalf("hello v%d: server answered %x, want SHW\\x00", hello, answer)
+			}
+			err := <-errc
+			if !errors.Is(err, ErrHandshake) {
+				t.Fatalf("hello v%d: server returned %v, want ErrHandshake", hello, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("v%d,", hello)) || !strings.Contains(msg, "v3") {
+				t.Fatalf("hello v%d: refusal %q does not name both versions", hello, msg)
 			}
 			clientEnd.Close()
 			continue
 		}
-		// The negotiated connection must serve a plain v1 ping frame
-		// regardless of which version was agreed (v1 framing is a subset
-		// of v2).
+		if answer != [4]byte{'S', 'H', 'W', Version} {
+			t.Fatalf("hello v%d: server answered %x, want SHW v%d", hello, answer, Version)
+		}
 		var req []byte
 		req = binary.AppendUvarint(req, 1)
 		req = append(req, kindQuery, qPing)
@@ -71,7 +64,7 @@ func TestHandshakeNegotiatesMinVersion(t *testing.T) {
 		}
 		var respHdr [4]byte
 		if _, err := io.ReadFull(clientEnd, respHdr[:]); err != nil {
-			t.Fatalf("hello v%d: ping got no response: %v", tc.hello, err)
+			t.Fatalf("hello v%d: ping got no response: %v", hello, err)
 		}
 		resp := make([]byte, binary.LittleEndian.Uint32(respHdr[:]))
 		if _, err := io.ReadFull(clientEnd, resp); err != nil {
@@ -79,68 +72,42 @@ func TestHandshakeNegotiatesMinVersion(t *testing.T) {
 		}
 		r := &payloadReader{data: resp}
 		if id := r.uvarint(); id != 1 || r.byte() != statusOK || !r.done() {
-			t.Fatalf("hello v%d: ping response %x malformed", tc.hello, resp)
+			t.Fatalf("hello v%d: ping response %x malformed", hello, resp)
 		}
 		clientEnd.Close()
-		<-errc
+		if err := <-errc; err != nil {
+			t.Fatalf("hello v%d: server ended with %v", hello, err)
+		}
 	}
 }
 
-// TestClientDowngradesAgainstV1Server fakes an old server that answers
-// version 1 and asserts the client both records the downgrade and stops
-// emitting the trace field — a v1 peer would misparse it as body bytes.
-func TestClientDowngradesAgainstV1Server(t *testing.T) {
-	clientEnd, serverEnd := net.Pipe()
-	defer serverEnd.Close()
-
-	kindSeen := make(chan byte, 1)
-	go func() {
-		var hello [4]byte
-		if _, err := io.ReadFull(serverEnd, hello[:]); err != nil {
-			return
+// TestClientRefusesOtherVersions fakes servers answering v1, v2 and v4:
+// the client speaks only v3, so NewConn fails with an ErrHandshake that
+// names the version it was offered, instead of running a grammar the
+// peer would misparse.
+func TestClientRefusesOtherVersions(t *testing.T) {
+	for _, answer := range []byte{1, 2, 4} {
+		clientEnd, serverEnd := net.Pipe()
+		go func() {
+			var hello [4]byte
+			if _, err := io.ReadFull(serverEnd, hello[:]); err != nil {
+				return
+			}
+			serverEnd.Write([]byte{'S', 'H', 'W', answer})
+		}()
+		c, err := NewConn(clientEnd)
+		if err == nil {
+			c.Close()
+			t.Fatalf("server answering v%d: NewConn succeeded", answer)
 		}
-		answer := [4]byte{'S', 'H', 'W', 1}
-		if _, err := serverEnd.Write(answer[:]); err != nil {
-			return
+		if !errors.Is(err, ErrHandshake) {
+			t.Fatalf("server answering v%d: NewConn returned %v, want ErrHandshake", answer, err)
 		}
-		var hdr [4]byte
-		if _, err := io.ReadFull(serverEnd, hdr[:]); err != nil {
-			return
+		if want := fmt.Sprintf("answered v%d,", answer); !strings.Contains(err.Error(), want) {
+			t.Fatalf("server answering v%d: refusal %q does not name it", answer, err)
 		}
-		payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(serverEnd, payload); err != nil {
-			return
-		}
-		r := &payloadReader{data: payload}
-		id := r.uvarint()
-		kindSeen <- r.byte()
-		// Answer the ping so the round trip completes.
-		var resp []byte
-		resp = binary.AppendUvarint(resp, id)
-		resp = append(resp, statusOK)
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(resp)))
-		serverEnd.Write(append(hdr[:], resp...))
-	}()
-
-	c, err := NewConn(clientEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if v := c.ProtocolVersion(); v != 1 {
-		t.Fatalf("negotiated version %d, want 1", v)
-	}
-
-	// A context that would earn the trace field on a v2 connection.
-	tel := obs.NewTelemetry()
-	id := tel.Tracer.NewRequestID()
-	tr := tel.Tracer.Begin(id, "client")
-	ctx := obs.WithTrace(obs.WithRequestID(context.Background(), id), tr)
-	if err := c.Ping(ctx); err != nil {
-		t.Fatalf("ping over downgraded connection: %v", err)
-	}
-	if kind := <-kindSeen; kind&kindTraceFlag != 0 {
-		t.Fatalf("client sent the v2 trace flag (kind %#x) on a v1 connection", kind)
+		clientEnd.Close()
+		serverEnd.Close()
 	}
 }
 

@@ -8,11 +8,10 @@
 //
 // A connection opens with a 4-byte handshake in each direction: the
 // client sends the 3-byte magic "SHW" plus the highest protocol version
-// it speaks; the server answers with the same magic plus the version
-// the connection will use — the smaller of the two sides' versions — or
-// version 0 (followed by close) if it cannot serve the client at all.
-// A v1 client therefore still connects to a v2 server (the connection
-// runs v1), and a v2 client accepts a v1 server's answer.
+// it speaks; the server answers with the same magic plus Version (3) to
+// any hello of at least 3, and with version 0 (followed by close) to an
+// older one. There is one grammar: a peer that cannot speak v3 is
+// refused by name.
 //
 // After the handshake the stream is a sequence of frames in each
 // direction. A frame is a uint32 little-endian payload length (at least
@@ -24,17 +23,16 @@
 //
 // where kind's low bits are kindCommand (1, body is one
 // command.EncodeBinary encoding) or kindQuery (2, body is a query
-// opcode byte followed by its arguments). On a version >= 2 connection
-// the kind byte may carry the kindTraceFlag bit (0x80): the optional
-// trace field then sits between kind and body —
+// opcode byte followed by its arguments). The kind byte may carry the
+// kindTraceFlag bit (0x80): the optional trace field then sits between
+// kind and body —
 //
 //	trace id (uvarint-length string) | sampled (1 byte, 0 or 1)
 //
 // — propagating the caller's request ID and sampling decision so the
 // server journals the same trace ID the client logged and continues a
 // sampled trace across the process boundary. Requests without a trace
-// context omit the field entirely, byte-identical to v1. A response
-// payload is:
+// context omit the field entirely. A response payload is:
 //
 //	request id (uvarint, echoed) | status (1 byte) | body
 //
@@ -44,10 +42,9 @@
 // from the same closed set internal/apierr defines for the HTTP API and
 // the root package re-exports as shield.ErrCode*).
 //
-// Version 3 adds one request kind, kindReplicate (3), which converts
-// the connection into a one-way replication stream; see replicate.go
-// for the stream grammar, catch-up semantics, and the follower-facing
-// client API.
+// A third request kind, kindReplicate (3), converts the connection into
+// a one-way replication stream; see replicate.go for the stream grammar,
+// catch-up semantics, and the follower-facing client API.
 //
 // Scalars reuse the command codec's conventions: strings are uvarint
 // length + bytes, floats are little-endian IEEE-754 bits, money is the
@@ -76,11 +73,8 @@ import (
 	"math"
 )
 
-// Version is the highest protocol version this package speaks. The
-// handshake negotiates down to the smaller of the two sides' versions:
-// v1 framing is a strict subset of v2 (v2 adds only the optional trace
-// field, flagged on the kind byte), and v3 adds only the kindReplicate
-// request, so either side can run the older grammar unchanged.
+// Version is the one protocol version this package speaks. A client
+// offering a newer one is answered Version; an older one is refused.
 const Version byte = 3
 
 // MaxFrame bounds a frame's payload length in both directions. It
@@ -98,14 +92,14 @@ const MaxSnapshotFrame = 64 << 20
 // magic opens the handshake in both directions.
 var magic = [3]byte{'S', 'H', 'W'}
 
-// Request kinds. The high bit of the kind byte is the version >= 2
-// trace flag; the low bits select the kind.
+// Request kinds. The high bit of the kind byte is the trace flag; the
+// low bits select the kind.
 const (
 	kindCommand byte = 1
 	kindQuery   byte = 2
-	// kindReplicate (version >= 3) converts the connection into a
-	// replication stream; its body is the subscriber's last applied
-	// sequence number as a uvarint. See replicate.go.
+	// kindReplicate converts the connection into a replication stream;
+	// its body is the subscriber's last applied sequence number as a
+	// uvarint. See replicate.go.
 	kindReplicate byte = 3
 
 	// kindTraceFlag marks a request carrying the optional trace field

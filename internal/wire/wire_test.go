@@ -80,7 +80,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := c.ComposeDataset(ctx, "combo", "d1", "d2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RegisterBuyer(ctx, "b"); err != nil {
+	if _, err := c.RegisterBuyer(ctx, "b"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -446,7 +446,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			c := conns[g]
 			buyer := market.BuyerID(string(rune('a' + g)))
-			if err := c.RegisterBuyer(ctx, buyer); err != nil {
+			if _, err := c.RegisterBuyer(ctx, buyer); err != nil {
 				t.Error(err)
 				return
 			}
