@@ -11,8 +11,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# go vet, then one house rule: a binary varint is read and written only
+# by internal/binenc's walkers, so no hand-rolled byte cursor creeps back
+# beside them. Fails listing every non-test call outside binenc.
 vet:
 	$(GO) vet ./...
+	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/binenc/' | \
+		xargs grep -n -E 'binary\.(Append)?Uvarint\(' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "binary.Uvarint/AppendUvarint outside internal/binenc (walk the field with binenc):"; echo "$$out"; exit 1; fi
 
 # Static check over every metric the binaries register: naming
 # conventions (shield_ prefix, unit suffixes), label hygiene, and

@@ -168,14 +168,28 @@ func TestQuantileInterpolation(t *testing.T) {
 }
 
 // TestParseExemplarLine pins the exemplar-suffix parsing the stage
-// table's trace links come from.
+// table's trace links come from. A propagated trace ID is shown as it
+// was sent, runs of blanks and tabs included — an operator pastes it
+// into /debug/traces?id=, where a respelled ID finds nothing.
 func TestParseExemplarLine(t *testing.T) {
-	s, err := parseSampleLine(`shield_stage_seconds_bucket{stage="group_commit.fsync",le="0.002"} 7 # {trace_id="req-00000042"} 0.0015 1722000000.123`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.labels["stage"] != "group_commit.fsync" || s.value != 7 || s.exemplar != "req-00000042" {
-		t.Fatalf("parsed %+v", s)
+	for _, traceID := range []string{"req-00000042", "a  b\tc"} {
+		reg := obs.NewRegistry()
+		reg.HistogramVec("shield_stage_seconds", "Write-path stage latency.", obs.LatencyBuckets(), "stage").
+			With("group_commit.fsync").ObserveTrace(0.0015, traceID)
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if problems := obs.LintExposition(b.String()); len(problems) != 0 {
+			t.Fatalf("trace %q: the exposition does not lint: %v", traceID, problems)
+		}
+		series := parseExposition(b.String(), time.Now()).histograms("shield_stage_seconds")
+		if len(series) != 1 || series[0].labels["stage"] != "group_commit.fsync" || series[0].count != 1 {
+			t.Fatalf("trace %q: parsed %+v", traceID, series)
+		}
+		if got := series[0].tailExemplar(); got != traceID {
+			t.Fatalf("tail exemplar %q, want %q", got, traceID)
+		}
 	}
 	snap := parseExposition(expositionFrame(300), time.Now())
 	series := snap.hists["shield_stage_seconds"]

@@ -7,17 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
-)
 
-// sample is one parsed line of the Prometheus text exposition, plus the
-// trace ID from an OpenMetrics-style exemplar suffix when the line
-// carries one.
-type sample struct {
-	name     string
-	labels   map[string]string
-	value    float64
-	exemplar string
-}
+	"github.com/datamarket/shield/internal/obs"
+)
 
 // bucket is one cumulative histogram bucket.
 type bucket struct {
@@ -128,8 +120,9 @@ func (h *hist) merge(other *hist) {
 
 // parseExposition parses the dialect internal/obs emits — Prometheus
 // text format plus "# {trace_id=\"...\"} value ts" bucket exemplars —
-// into an indexed snapshot. Unparseable lines are skipped: a live
-// dashboard degrades, it does not crash.
+// into an indexed snapshot, each sample read by obs.ParseSample, the
+// linter's own parser. Unparseable lines are skipped: a live dashboard
+// degrades, it does not crash.
 func parseExposition(text string, at time.Time) *snapshot {
 	snap := &snapshot{at: at, scalars: map[string]float64{}, hists: map[string]map[string]*hist{}}
 	for _, line := range strings.Split(text, "\n") {
@@ -137,26 +130,33 @@ func parseExposition(text string, at time.Time) *snapshot {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		s, err := parseSampleLine(line)
+		name, pairs, value, ex, err := obs.ParseSample(line)
 		if err != nil {
 			continue
 		}
+		labels := make(map[string]string, len(pairs))
+		for _, kv := range pairs {
+			labels[kv[0]] = kv[1]
+		}
 		switch {
-		case strings.HasSuffix(s.name, "_bucket"):
-			family := strings.TrimSuffix(s.name, "_bucket")
-			le, err := parseLe(s.labels["le"])
+		case strings.HasSuffix(name, "_bucket"):
+			le, err := parseLe(labels["le"])
 			if err != nil {
 				continue
 			}
-			delete(s.labels, "le")
-			h := snap.histSeries(family, s.labels)
-			h.buckets = append(h.buckets, bucket{le: le, cum: s.value, exemplar: s.exemplar})
-		case strings.HasSuffix(s.name, "_sum"):
-			snap.histSeries(strings.TrimSuffix(s.name, "_sum"), s.labels).sum = s.value
-		case strings.HasSuffix(s.name, "_count"):
-			snap.histSeries(strings.TrimSuffix(s.name, "_count"), s.labels).count = s.value
+			delete(labels, "le")
+			b := bucket{le: le, cum: value}
+			if ex != nil {
+				b.exemplar = ex.TraceID
+			}
+			h := snap.histSeries(strings.TrimSuffix(name, "_bucket"), labels)
+			h.buckets = append(h.buckets, b)
+		case strings.HasSuffix(name, "_sum"):
+			snap.histSeries(strings.TrimSuffix(name, "_sum"), labels).sum = value
+		case strings.HasSuffix(name, "_count"):
+			snap.histSeries(strings.TrimSuffix(name, "_count"), labels).count = value
 		default:
-			snap.scalars[seriesName(s.name, s.labels)] = s.value
+			snap.scalars[seriesName(name, labels)] = value
 		}
 	}
 	for _, m := range snap.hists {
@@ -226,95 +226,4 @@ func parseLe(s string) (float64, error) {
 		return math.Inf(1), nil
 	}
 	return strconv.ParseFloat(s, 64)
-}
-
-// parseSampleLine parses one sample:
-//
-//	name[{labels}] value [# {trace_id="..."} value timestamp]
-func parseSampleLine(line string) (sample, error) {
-	s := sample{labels: map[string]string{}}
-	i := strings.IndexAny(line, "{ ")
-	if i <= 0 {
-		return s, fmt.Errorf("no name in %q", line)
-	}
-	s.name = line[:i]
-	rest := line[i:]
-	if rest[0] == '{' {
-		labels, tail, err := parseLabels(rest)
-		if err != nil {
-			return s, err
-		}
-		s.labels, rest = labels, tail
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return s, fmt.Errorf("no value in %q", line)
-	}
-	v, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return s, fmt.Errorf("bad value in %q: %w", line, err)
-	}
-	s.value = v
-	if len(fields) >= 2 && fields[1] == "#" {
-		ex, _, err := parseLabels(strings.TrimSpace(strings.TrimPrefix(strings.Join(fields[1:], " "), "#")))
-		if err == nil {
-			s.exemplar = ex["trace_id"]
-		}
-	}
-	return s, nil
-}
-
-// parseLabels parses a leading {k="v",...} group and returns the rest
-// of the line after the closing brace.
-func parseLabels(in string) (map[string]string, string, error) {
-	if in == "" || in[0] != '{' {
-		return nil, "", fmt.Errorf("no label block in %q", in)
-	}
-	out := map[string]string{}
-	i := 1
-	for {
-		if i >= len(in) {
-			return nil, "", fmt.Errorf("unterminated labels in %q", in)
-		}
-		if in[i] == '}' {
-			return out, in[i+1:], nil
-		}
-		eq := strings.IndexByte(in[i:], '=')
-		if eq < 0 {
-			return nil, "", fmt.Errorf("no = in labels of %q", in)
-		}
-		key := in[i : i+eq]
-		i += eq + 1
-		if i >= len(in) || in[i] != '"' {
-			return nil, "", fmt.Errorf("unquoted label value in %q", in)
-		}
-		i++
-		var val strings.Builder
-		for {
-			if i >= len(in) {
-				return nil, "", fmt.Errorf("unterminated label value in %q", in)
-			}
-			c := in[i]
-			if c == '\\' && i+1 < len(in) {
-				switch in[i+1] {
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte(in[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				i++
-				break
-			}
-			val.WriteByte(c)
-			i++
-		}
-		out[key] = val.String()
-		if i < len(in) && in[i] == ',' {
-			i++
-		}
-	}
 }

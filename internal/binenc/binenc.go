@@ -1,10 +1,13 @@
-// Package binenc is the field walker under the binary snapshot codec
-// (command.Snapshot.Canonical). A type describes its encoding once, as
-// calls on a Codec in field order, and that one description both writes
-// the fields and reads them back, so the two cannot drift apart. The
-// encoding is canonical — integers are minimal varints, bools 0 or 1,
-// floats their raw IEEE-754 bits — and decoding refuses anything else, so
-// bytes that decode re-encode to themselves.
+// Package binenc is the field walker under every binary grammar the
+// market speaks: the snapshot codec (command.Snapshot.Canonical), the
+// command codec (command.AppendBinary and DecodeBinary), the wire
+// protocol's heads and bodies (internal/wire), and the head of a journal
+// record's body (internal/journal). A type describes its encoding once,
+// as calls on a Codec in field order, and that one description both
+// writes the fields and reads them back, so the two cannot drift apart.
+// The encoding is canonical — integers are minimal varints, bools 0 or
+// 1, floats their raw IEEE-754 bits — and decoding refuses anything
+// else, so bytes that decode re-encode to themselves.
 package binenc
 
 import (
@@ -15,7 +18,7 @@ import (
 )
 
 // ErrMalformed is wrapped by every decoding failure.
-var ErrMalformed = errors.New("malformed binary snapshot")
+var ErrMalformed = errors.New("malformed binary encoding")
 
 // Codec encodes into B, or decodes from it. Encoding only reads the
 // fields it is shown. Decoding, the first failure sticks: later calls
@@ -38,7 +41,16 @@ func (c *Codec) Decoding() bool { return c.dec }
 // Err returns the first decoding failure.
 func (c *Codec) Err() error { return c.err }
 
-// Fail records a decoding failure found by the caller.
+// Done is Err once a walk should have read all of its input: decoding,
+// input left over is a failure too.
+func (c *Codec) Done() error {
+	if c.dec && len(c.B) != 0 {
+		c.Fail("%d trailing bytes", len(c.B))
+	}
+	return c.err
+}
+
+// Fail records a failure found by the caller.
 func (c *Codec) Fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
@@ -47,15 +59,24 @@ func (c *Codec) Fail(format string, args ...any) {
 
 // take consumes n bytes of input, nil once decoding has failed.
 func (c *Codec) take(n int) []byte {
-	if c.err == nil && n > len(c.B) {
+	if c.err != nil || n > len(c.B) {
 		c.Fail("truncated")
-	}
-	if c.err != nil {
 		return nil
 	}
-	b := c.B[:n]
+	b := c.B[:n:n]
 	c.B = c.B[n:]
 	return b
+}
+
+// Byte walks one raw byte.
+func (c *Codec) Byte(v *byte) {
+	if !c.dec {
+		c.B = append(c.B, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
+	} else {
+		*v = 0
+	}
 }
 
 // Uvarint walks an unsigned integer, a varint in its shortest form.
@@ -73,6 +94,18 @@ func (c *Codec) Uvarint(v *uint64) {
 	}
 }
 
+// Uint walks a non-negative integer as a plain Uvarint; decoding refuses
+// a value T cannot hold.
+func Uint[T ~int | ~int64 | ~uint64](c *Codec, v *T) {
+	u := uint64(*v)
+	if c.Uvarint(&u); c.dec {
+		if *v = T(u); *v < 0 || uint64(*v) != u {
+			*v = 0
+			c.Fail("integer %d overflows", u)
+		}
+	}
+}
+
 // Int walks a signed integer, zigzag over Uvarint.
 func Int[T ~int | ~int64](c *Codec, v *T) {
 	u := uint64(*v)<<1 ^ uint64(int64(*v)>>63)
@@ -84,33 +117,34 @@ func Int[T ~int | ~int64](c *Codec, v *T) {
 	}
 }
 
-// Uint64 walks eight little-endian bytes.
-func (c *Codec) Uint64(v *uint64) {
+// Fixed walks eight little-endian bytes.
+func Fixed[T ~uint64 | ~int64](c *Codec, v *T) {
 	if !c.dec {
-		c.B = binary.LittleEndian.AppendUint64(c.B, *v)
+		c.B = binary.LittleEndian.AppendUint64(c.B, uint64(*v))
 	} else if b := c.take(8); b != nil {
-		*v = binary.LittleEndian.Uint64(b)
+		*v = T(binary.LittleEndian.Uint64(b))
+	} else {
+		*v = 0
 	}
 }
 
 // Float walks a float's raw bits.
 func (c *Codec) Float(v *float64) {
 	u := math.Float64bits(*v)
-	if c.Uint64(&u); c.dec {
+	if Fixed(c, &u); c.dec {
 		*v = math.Float64frombits(u)
 	}
 }
 
 // Bool walks one byte, 0 or 1.
 func (c *Codec) Bool(v *bool) {
-	if !c.dec {
-		c.B = append(c.B, 0)
-		if *v {
-			c.B[len(c.B)-1] = 1
-		}
-	} else if b := c.take(1); b != nil {
-		if *v = b[0] == 1; b[0] > 1 {
-			c.Fail("bool byte %d", b[0])
+	b := byte(0)
+	if *v {
+		b = 1
+	}
+	if c.Byte(&b); c.dec {
+		if *v = b == 1; b > 1 {
+			c.Fail("bool byte %d", b)
 		}
 	}
 }
@@ -120,7 +154,7 @@ func (c *Codec) Bool(v *bool) {
 // not hold that many elements of at least elemBytes each.
 func (c *Codec) Len(n, elemBytes int) int {
 	u := uint64(n)
-	if c.Uvarint(&u); c.dec && u > uint64(len(c.B)/elemBytes) {
+	if c.Uvarint(&u); c.dec && (u > uint64(len(c.B)) || u*uint64(elemBytes) > uint64(len(c.B))) {
 		c.Fail("count %d exceeds the %d bytes left", u, len(c.B))
 		return 0
 	}
@@ -137,8 +171,9 @@ func (c *Codec) Floats(v *[]float64) {
 	}
 }
 
-// Str walks a string: a length and the bytes.
-func Str[T ~string](c *Codec, v *T) {
+// Bytes walks a byte string: a length and the bytes. Decoded, a string
+// is a copy, and a byte slice aliases the input.
+func Bytes[T ~string | ~[]byte](c *Codec, v *T) {
 	if n := c.Len(len(*v), 1); c.dec {
 		*v = T(c.take(n))
 	} else {

@@ -220,14 +220,13 @@ func resolveBid(st *State, payload []byte) (SubmitBid, error) {
 	if len(payload) == 0 || payload[0] != bopBid {
 		return SubmitBid{}, fmt.Errorf("%w: not a bid", ErrMalformed)
 	}
-	r := binReader{data: payload[1:]}
-	buyer, dataset, amount := r.bid()
+	buyer, dataset, amount, err := readBid(payload)
 	acct, known := st.buyers[BuyerID(buyer)]
 	i, indexed := st.index[DatasetID(dataset)]
 	if known && indexed {
-		return SubmitBid{Buyer: acct.id, Dataset: st.names[i], Amount: amount}, r.end()
+		return SubmitBid{Buyer: acct.id, Dataset: st.names[i], Amount: amount}, err
 	}
-	return SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}, r.end()
+	return SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}, err
 }
 
 // applyBid is the bid rule: cadence and Time-Shield checks against the

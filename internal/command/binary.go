@@ -1,16 +1,18 @@
 package command
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+
+	"github.com/datamarket/shield/internal/binenc"
 )
 
 // Binary opcode bytes, one per Op, in declaration order. The binary
-// format is: opcode byte, then the op's fields in order — strings as
-// uvarint length + bytes, floats as little-endian IEEE-754 bits, lists
-// as uvarint count + elements, bools as one 0/1 byte. No padding, no
-// framing: one command per buffer, trailing bytes are an error.
+// format is: opcode byte, then the op's fields in order, as its walk
+// method describes them on a binenc.Codec — strings as uvarint length +
+// bytes, floats as little-endian IEEE-754 bits, lists as uvarint count +
+// elements, bools as one 0/1 byte. No padding, no framing: one command
+// per buffer, trailing bytes are an error.
 const (
 	bopRegisterBuyer byte = iota + 1
 	bopRegisterSeller
@@ -45,167 +47,39 @@ func EncodeBinary(cmd Command) ([]byte, error) {
 // On error dst is returned unextended. cmd does not escape, so a caller
 // holding a bid as a value boxes it on its own stack to encode it.
 func AppendBinary(dst []byte, cmd Command) ([]byte, error) {
-	b := dst
-	switch c := cmd.(type) {
+	c := binenc.Encoder(dst)
+	switch v := cmd.(type) {
 	case RegisterBuyer:
-		b = append(b, bopRegisterBuyer)
-		b = appendString(b, string(c.Buyer))
+		v.walk(opcode(c, bopRegisterBuyer))
 	case RegisterSeller:
-		b = append(b, bopRegisterSeller)
-		b = appendString(b, string(c.Seller))
+		v.walk(opcode(c, bopRegisterSeller))
 	case UploadDataset:
-		b = append(b, bopUpload)
-		b = appendString(b, string(c.Seller))
-		b = appendString(b, string(c.Dataset))
+		v.walk(opcode(c, bopUpload))
 	case ComposeDataset:
-		b = append(b, bopCompose)
-		b = appendString(b, string(c.Dataset))
-		b = binary.AppendUvarint(b, uint64(len(c.Constituents)))
-		for _, p := range c.Constituents {
-			b = appendString(b, string(p))
-		}
+		v.walk(opcode(c, bopCompose))
 	case WithdrawDataset:
-		b = append(b, bopWithdraw)
-		b = appendString(b, string(c.Seller))
-		b = appendString(b, string(c.Dataset))
+		v.walk(opcode(c, bopWithdraw))
 	case SubmitBid:
-		b = appendBid(append(b, bopBid), c)
+		v.walk(opcode(c, bopBid))
 	case BidBatch:
-		if len(c.Bids) == 0 {
-			return dst, fmt.Errorf("%w: bid_batch with no bids", ErrMalformed)
-		}
-		b = append(b, bopBidBatch)
-		b = binary.AppendUvarint(b, uint64(len(c.Bids)))
-		for _, bid := range c.Bids {
-			b = appendBid(b, bid)
-		}
+		v.walk(opcode(c, bopBidBatch))
 	case Tick:
-		b = append(b, bopTick)
+		opcode(c, bopTick)
 	case Settle:
-		b = append(b, bopSettle)
-		b = appendBid(b, SubmitBid{Buyer: c.Buyer, Dataset: c.Dataset, Amount: c.Amount})
-		if c.Exante {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		v.walk(opcode(c, bopSettle))
 	default: // not one of the nine; %T would make cmd escape
 		return dst, fmt.Errorf("%w: no command", ErrUnknownOp)
 	}
-	return b, nil
+	if err := c.Err(); err != nil {
+		return dst, fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	return c.B, nil
 }
 
-// appendBid writes the fields a bid, a bid_batch entry and a settlement
-// share — buyer, dataset, amount; binReader.bid reads them back.
-func appendBid(b []byte, c SubmitBid) []byte {
-	b = appendString(b, string(c.Buyer))
-	b = appendString(b, string(c.Dataset))
-	return appendFloat(b, c.Amount)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-// binReader cursors over one encoded command. Every read is bounded by
-// the remaining input, so a corrupted length prefix fails cleanly
-// instead of attempting a giant allocation.
-type binReader struct {
-	data []byte
-	err  error
-}
-
-func (r *binReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated binary command", ErrMalformed)
-	}
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	// A padded uvarint (a final 0 byte after the first) spells a value
-	// binary.AppendUvarint writes shorter; refusing it makes every
-	// decodable command its own canonical encoding.
-	if n <= 0 || n > 1 && r.data[n-1] == 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-// bytes reads a length-prefixed string, aliasing the input.
-func (r *binReader) bytes() []byte {
-	if n := r.uvarint(); r.err == nil && n <= uint64(len(r.data)) {
-		s := r.data[:n:n]
-		r.data = r.data[n:]
-		return s
-	}
-	r.fail()
-	return nil
-}
-
-// bid reads the fields appendBid writes; the names alias the input.
-func (r *binReader) bid() (buyer, dataset []byte, amount float64) {
-	return r.bytes(), r.bytes(), r.float()
-}
-
-// end is the reader's verdict once a command's fields are read: the
-// first failure, or an error for input left over.
-func (r *binReader) end() error {
-	if r.err == nil && len(r.data) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.data))
-	}
-	return r.err
-}
-
-func (r *binReader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 8 {
-		r.fail()
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.data))
-	r.data = r.data[8:]
-	// JSON number literals cannot carry NaN or infinities, so the binary
-	// codec rejects them too: every decodable command has both
-	// encodings, and NaN would break command equality besides.
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: non-finite float", ErrMalformed)
-		}
-		return 0
-	}
-	return f
-}
-
-func (r *binReader) boolByte() bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.data) < 1 {
-		r.fail()
-		return false
-	}
-	v := r.data[0]
-	r.data = r.data[1:]
-	if v > 1 {
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: bool byte %d", ErrMalformed, v)
-		}
-		return false
-	}
-	return v == 1
+// opcode walks a command's opcode, which its fields follow.
+func opcode(c *binenc.Codec, op byte) *binenc.Codec {
+	c.Byte(&op)
+	return c
 }
 
 // DecodeBinary parses one binary-encoded command. Errors wrap
@@ -214,66 +88,130 @@ func DecodeBinary(data []byte) (Command, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty input", ErrMalformed)
 	}
-	r := &binReader{data: data[1:]}
+	c := binenc.Decoder(data[1:])
 	var cmd Command
 	switch data[0] {
 	case bopRegisterBuyer:
-		cmd = RegisterBuyer{Buyer: BuyerID(r.bytes())}
+		cmd = RegisterBuyer{}.walk(c)
 	case bopRegisterSeller:
-		cmd = RegisterSeller{Seller: SellerID(r.bytes())}
+		cmd = RegisterSeller{}.walk(c)
 	case bopUpload:
-		cmd = UploadDataset{Seller: SellerID(r.bytes()), Dataset: DatasetID(r.bytes())}
+		cmd = UploadDataset{}.walk(c)
 	case bopCompose:
-		c := ComposeDataset{Dataset: DatasetID(r.bytes())}
-		n := r.uvarint()
-		// Each constituent needs at least one length byte, so a count
-		// beyond the remaining bytes is unsatisfiable — reject before
-		// allocating for it.
-		if n > uint64(len(r.data)) {
-			r.fail()
-		} else if n > 0 { // leave nil for zero, the canonical absent form
-			c.Constituents = make([]DatasetID, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				c.Constituents = append(c.Constituents, DatasetID(r.bytes()))
-			}
-		}
-		cmd = c
+		cmd = ComposeDataset{}.walk(c)
 	case bopWithdraw:
-		cmd = WithdrawDataset{Seller: SellerID(r.bytes()), Dataset: DatasetID(r.bytes())}
+		cmd = WithdrawDataset{}.walk(c)
 	case bopBid:
-		buyer, dataset, amount := r.bid()
-		cmd = SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}
+		cmd = SubmitBid{}.walk(c)
 	case bopBidBatch:
-		n := r.uvarint()
-		if n == 0 && r.err == nil {
-			return nil, fmt.Errorf("%w: bid_batch with no bids", ErrMalformed)
-		}
-		// Each bid occupies at least 10 bytes (two length prefixes plus
-		// a float64), bounding any claimed count.
-		if n > uint64(len(r.data)/10) {
-			r.fail()
-		}
-		var c BidBatch
-		if r.err == nil {
-			c.Bids = make([]SubmitBid, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				buyer, dataset, amount := r.bid()
-				c.Bids = append(c.Bids, SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount})
-			}
-		}
-		cmd = c
+		cmd = BidBatch{}.walk(c)
 	case bopTick:
 		cmd = Tick{}
 	case bopSettle:
-		buyer, dataset, amount := r.bid()
-		cmd = Settle{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount, Exante: r.boolByte()}
+		cmd = Settle{}.walk(c)
 	default:
 		return nil, fmt.Errorf("%w: opcode %d", ErrUnknownOp, data[0])
 	}
-	if err := r.end(); err != nil {
+	if err := done(c); err != nil {
 		return nil, err
 	}
 	return cmd, nil
+}
+
+// done is a decoding walk's verdict: the codec's, wrapped in ErrMalformed.
+func done(c *binenc.Codec) error {
+	if err := c.Done(); err != nil {
+		return fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	return nil
+}
+
+// The walk methods describe each command's fields after its opcode, for
+// AppendBinary and DecodeBinary alike: encoding, they write v's fields;
+// decoding, they return v with the fields read.
+
+func (v RegisterBuyer) walk(c *binenc.Codec) RegisterBuyer {
+	binenc.Bytes(c, &v.Buyer)
+	return v
+}
+
+func (v RegisterSeller) walk(c *binenc.Codec) RegisterSeller {
+	binenc.Bytes(c, &v.Seller)
+	return v
+}
+
+func (v UploadDataset) walk(c *binenc.Codec) UploadDataset {
+	binenc.Bytes(c, &v.Seller)
+	binenc.Bytes(c, &v.Dataset)
+	return v
+}
+
+func (v WithdrawDataset) walk(c *binenc.Codec) WithdrawDataset {
+	binenc.Bytes(c, &v.Seller)
+	binenc.Bytes(c, &v.Dataset)
+	return v
+}
+
+// walk: a count of constituents, each at least its length byte; none
+// decodes as nil, the canonical absent form.
+func (v ComposeDataset) walk(c *binenc.Codec) ComposeDataset {
+	binenc.Bytes(c, &v.Dataset)
+	if n := c.Len(len(v.Constituents), 1); c.Decoding() && n > 0 {
+		v.Constituents = make([]DatasetID, n)
+	}
+	for i := range v.Constituents {
+		binenc.Bytes(c, &v.Constituents[i])
+	}
+	return v
+}
+
+func (v SubmitBid) walk(c *binenc.Codec) SubmitBid {
+	bidFields(c, &v.Buyer, &v.Dataset, &v.Amount)
+	return v
+}
+
+// walk: a count of bids, never zero, each at least 10 bytes (two length
+// prefixes and a float64), which bounds any claimed count.
+func (v BidBatch) walk(c *binenc.Codec) BidBatch {
+	n := c.Len(len(v.Bids), 10)
+	if n == 0 {
+		c.Fail("bid_batch with no bids")
+	}
+	if c.Decoding() {
+		v.Bids = make([]SubmitBid, n)
+	}
+	for i := range v.Bids {
+		b := &v.Bids[i]
+		bidFields(c, &b.Buyer, &b.Dataset, &b.Amount)
+	}
+	return v
+}
+
+func (v Settle) walk(c *binenc.Codec) Settle {
+	bidFields(c, &v.Buyer, &v.Dataset, &v.Amount)
+	c.Bool(&v.Exante)
+	return v
+}
+
+// bidFields walks the fields a bid, a bid_batch entry and a settlement
+// share: buyer, dataset, amount. Decoded as byte slices, the names alias
+// the input.
+func bidFields[B, D ~string | ~[]byte](c *binenc.Codec, buyer *B, dataset *D, amount *float64) {
+	binenc.Bytes(c, buyer)
+	binenc.Bytes(c, dataset)
+	// JSON number literals cannot carry NaN or infinities, so the binary
+	// codec refuses them too: every decodable command has both
+	// encodings, and NaN would break command equality besides.
+	if c.Float(amount); c.Decoding() && (math.IsNaN(*amount) || math.IsInf(*amount, 0)) {
+		c.Fail("non-finite amount")
+	}
+}
+
+// readBid reads a bid's binary encoding, its names aliasing data.
+func readBid(data []byte) (buyer, dataset []byte, amount float64, err error) {
+	c := binenc.Decoder(data[1:])
+	bidFields(c, &buyer, &dataset, &amount)
+	return buyer, dataset, amount, done(c)
 }
 
 // IsBid reports whether data encodes a bid and, if so, DecodeBinary's
@@ -282,9 +220,8 @@ func IsBid(data []byte) (bool, error) {
 	if len(data) == 0 || data[0] != bopBid {
 		return false, nil
 	}
-	r := binReader{data: data[1:]}
-	r.bid()
-	return true, r.end()
+	_, _, _, err := readBid(data)
+	return true, err
 }
 
 // IsBatch reports whether data's opcode is a bid_batch's.

@@ -79,11 +79,7 @@ func DecodeSnapshot(data []byte) (s Snapshot, err error) {
 		return s, fmt.Errorf("command: snapshot: %w: unknown encoding", binenc.ErrMalformed)
 	}
 	c := snapCodec{Codec: binenc.Decoder(data[1:])}
-	c.snapshot(&s)
-	if c.Err() == nil && len(c.B) != 0 {
-		c.Fail("%d trailing bytes", len(c.B))
-	}
-	if c.Err() != nil {
+	if c.snapshot(&s); c.Done() != nil {
 		return Snapshot{}, fmt.Errorf("command: snapshot: %w", c.Err())
 	}
 	return s, nil
@@ -187,7 +183,7 @@ func (c *snapCodec) snapshot(s *Snapshot) {
 // head walks every section before the buyers.
 func (c *snapCodec) head(s *Snapshot) {
 	s.Config.Engine.Binary(c.Codec)
-	c.Uint64(&s.Config.Seed)
+	binenc.Fixed(c.Codec, &s.Config.Seed)
 	binenc.Int(c.Codec, &s.Config.Shards)
 	binenc.Int(c.Codec, &s.Clock)
 	binenc.Int(c.Codec, &s.Revenue)
@@ -196,11 +192,11 @@ func (c *snapCodec) head(s *Snapshot) {
 			*ps = make([]string, n) // in their recorded order, and never nil
 		}
 		for i := range *ps {
-			binenc.Str(bc, &(*ps)[i])
+			binenc.Bytes(bc, &(*ps)[i])
 		}
 	})
 	c.datasets = section(c, &s.Engines, (*core.Snapshot).Binary)
-	section(c, &s.Owners, func(o *SellerID, bc *binenc.Codec) { binenc.Str(bc, o) })
+	section(c, &s.Owners, func(o *SellerID, bc *binenc.Codec) { binenc.Bytes(bc, o) })
 	section(c, &s.Sellers, func(ss *SellerSnapshot, bc *binenc.Codec) {
 		binenc.Int(bc, &ss.Balance)
 		if n := bc.Len(len(ss.Datasets), 1); bc.Decoding() && n > 0 {
@@ -252,7 +248,7 @@ func section[K ~string, V any](c *snapCodec, m *map[K]V, value func(*V, *binenc.
 	}
 	var v V // one for the whole walk: value is opaque, so it lives on the heap
 	for i := range keys {
-		binenc.Str(c.Codec, &keys[i])
+		binenc.Bytes(c.Codec, &keys[i])
 		if c.Decoding() && i > 0 && keys[i] <= keys[i-1] {
 			c.Fail("keys out of order at %q", keys[i])
 		}
@@ -305,7 +301,7 @@ func datasetMap[V any](c *snapCodec, m *map[DatasetID]V, scratch *[]tableEntry[V
 func ref[K ~string](c *binenc.Codec, t table[K], pos uint64, id *K) uint64 {
 	switch c.Uvarint(&pos); {
 	case pos == 0:
-		if binenc.Str(c, id); c.Decoding() {
+		if binenc.Bytes(c, id); c.Decoding() {
 			if _, found := slices.BinarySearch(t.keys, *id); found {
 				c.Fail("%q spelled out though its table holds it", *id)
 			}

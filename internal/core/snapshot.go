@@ -65,7 +65,7 @@ func (c *Config) Binary(bc *binenc.Codec) {
 	bc.Bool(&c.DisableWaitPeriods)
 	binenc.Int(bc, &c.RegridEvery)
 	bc.Float(&c.ShareFraction)
-	bc.Uint64(&c.Seed)
+	binenc.Fixed(bc, &c.Seed)
 }
 
 // Binary walks the snapshot's fields, in declaration order;

@@ -42,10 +42,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"slices"
 	"sync/atomic"
 
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/command"
 )
 
@@ -147,15 +147,24 @@ func (r Record) Event() (Event, error) {
 	return e, nil
 }
 
+// walkHead walks what a frame body holds before its payload: the
+// record's sequence number, its trace and its kind. beginFrame and
+// parseBody both call it.
+func walkHead(c *binenc.Codec, seq *int64, trace *[]byte, kind *byte) {
+	binenc.Uint(c, seq)
+	binenc.Bytes(c, trace)
+	if c.Byte(kind); c.Decoding() && *kind != kindCommand && *kind != kindHead {
+		c.Fail("bad record kind %d", *kind)
+	}
+}
+
 // beginFrame appends a frame's header (length and checksum still zero)
-// and the body fields that precede the payload. The caller appends the
-// payload and seals the frame with endFrame.
+// and the body's head. The caller appends the payload and seals the
+// frame with endFrame.
 func beginFrame(dst []byte, seq int64, trace []byte, kind byte) []byte {
-	dst = append(dst, frameTag, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = binary.AppendUvarint(dst, uint64(seq))
-	dst = binary.AppendUvarint(dst, uint64(len(trace)))
-	dst = append(dst, trace...)
-	return append(dst, kind)
+	c := binenc.Encoder(append(dst, frameTag, 0, 0, 0, 0, 0, 0, 0, 0))
+	walkHead(c, &seq, &trace, &kind)
+	return c.B
 }
 
 // endFrame fills in the length and checksum of the frame that starts at
@@ -282,26 +291,16 @@ func readFull(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
 // parseBody splits a verified frame body into rec. The trace string is
 // the one allocation, and only on records that carry one.
 func parseBody(rec *Record, body []byte) error {
-	seq, n := binary.Uvarint(body)
-	if n <= 0 || seq > math.MaxInt64 {
-		return errors.New("bad sequence number")
+	var trace []byte
+	var kind byte
+	c := binenc.Decoder(body)
+	if walkHead(c, &rec.Seq, &trace, &kind); c.Err() != nil {
+		return c.Err()
 	}
-	body = body[n:]
-	tlen, n := binary.Uvarint(body)
-	if n <= 0 || tlen > uint64(len(body)-n) {
-		return errors.New("bad trace length")
-	}
-	trace := body[n : n+int(tlen)]
-	body = body[n+int(tlen):]
-	if len(body) == 0 || (body[0] != kindCommand && body[0] != kindHead) {
-		return errors.New("bad record kind")
-	}
-	rec.Seq = int64(seq)
 	rec.Trace = ""
 	if len(trace) > 0 {
 		rec.Trace = string(trace)
 	}
-	rec.Head = body[0] == kindHead
-	rec.Payload = body[1:]
+	rec.Head, rec.Payload = kind == kindHead, c.B
 	return nil
 }

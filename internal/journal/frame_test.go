@@ -127,6 +127,14 @@ func TestTornVersusCorrupt(t *testing.T) {
 	_, _, _, err = scan(append(bytes.Clone(log), 'x'))
 	wantCorrupt(t, "stray tail byte", err, ErrBadEvent, 7, int64(len(log)))
 
+	// A sequence number padded to two bytes, under a checksum that
+	// verifies, is not a second spelling of record 3: the body is refused.
+	padded := append([]byte{frameTag, 0, 0, 0, 0, 0, 0, 0, 0, 0x83, 0x00}, log[bounds[1]+frameHeader+1:bounds[2]]...)
+	endFrame(padded, 0)
+	bad = append(append(bytes.Clone(log[:bounds[1]]), padded...), log[bounds[2]:]...)
+	_, _, _, err = scan(bad)
+	wantCorrupt(t, "padded seq", err, ErrBadEvent, 3, int64(bounds[1]))
+
 	// A dropped record is a sequence gap.
 	gapped := append(bytes.Clone(log[:bounds[2]]), log[bounds[3]:]...)
 	_, _, _, err = scan(gapped)

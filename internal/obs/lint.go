@@ -138,7 +138,7 @@ func (l *linter) meta(n int, kind, name, line string) {
 }
 
 func (l *linter) sample(n int, line string) {
-	name, labels, value, ex, err := parseSample(line)
+	name, labels, value, ex, err := ParseSample(line)
 	if err != nil {
 		l.errf(n, "unparseable sample: %v", err)
 		return
@@ -209,8 +209,8 @@ func (l *linter) sample(n int, line string) {
 		}
 		hs.les = append(hs.les, bound)
 		hs.counts = append(hs.counts, value)
-		if ex != nil && ex.value > bound {
-			l.errf(n, "exemplar value %g exceeds its bucket bound le=%q", ex.value, le)
+		if ex != nil && ex.Value > bound {
+			l.errf(n, "exemplar value %g exceeds its bucket bound le=%q", ex.Value, le)
 		}
 	case "_sum":
 		hs.sum, hs.hasSum = value, true
@@ -249,16 +249,20 @@ func (l *linter) closeFamily() {
 	l.hist = nil
 }
 
-type exemplarParsed struct {
-	traceID string
-	value   float64
-	ts      float64
+// exemplar is a sample's exemplar suffix: the trace it names and the
+// value it observed.
+type exemplar struct {
+	TraceID string
+	Value   float64
 }
 
-// parseSample parses one sample line of the emitted dialect:
+// ParseSample parses one sample line of the dialect this package emits —
+// the linter's reading, and shieldtop's:
 //
 //	name[{labels}] value [# {trace_id="..."} value timestamp]
-func parseSample(line string) (name string, labels [][2]string, value float64, ex *exemplarParsed, err error) {
+//
+// Label values are unescaped; ex is nil on a line without an exemplar.
+func ParseSample(line string) (name string, labels [][2]string, value float64, ex *exemplar, err error) {
 	i := strings.IndexAny(line, "{ ")
 	if i <= 0 {
 		return "", nil, 0, nil, fmt.Errorf("no name/value separator in %q", line)
@@ -288,7 +292,7 @@ func parseSample(line string) (name string, labels [][2]string, value float64, e
 }
 
 // parseExemplar parses the "# {trace_id=\"...\"} value timestamp" tail.
-func parseExemplar(tail string) (*exemplarParsed, error) {
+func parseExemplar(tail string) (*exemplar, error) {
 	rest, ok := strings.CutPrefix(tail, "# ")
 	if !ok || len(rest) == 0 || rest[0] != '{' {
 		return nil, fmt.Errorf("trailing content %q is not an exemplar", tail)
@@ -308,11 +312,10 @@ func parseExemplar(tail string) (*exemplarParsed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exemplar value %q does not parse", fields[0])
 	}
-	ts, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil {
+	if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
 		return nil, fmt.Errorf("exemplar timestamp %q does not parse", fields[1])
 	}
-	return &exemplarParsed{traceID: labels[0][1], value: v, ts: ts}, nil
+	return &exemplar{TraceID: labels[0][1], Value: v}, nil
 }
 
 // parseLabels parses a {k="v",...} block (s starts at '{') with the

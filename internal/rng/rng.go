@@ -94,8 +94,8 @@ func (r *RNG) Snapshot() Snapshot {
 
 // Binary walks the snapshot's fields for the binary snapshot codec.
 func (s *Snapshot) Binary(c *binenc.Codec) {
-	c.Uint64(&s.State)
-	c.Uint64(&s.Inc)
+	binenc.Fixed(c, &s.State)
+	binenc.Fixed(c, &s.Inc)
 	c.Float(&s.Spare)
 	c.Bool(&s.HasSpare)
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/httpapi"
@@ -204,19 +204,18 @@ func BenchmarkTransportWireBidTraced(b *testing.B) {
 // body) exactly as the client encodes it.
 func encodePayload(tb testing.TB, reqID uint64, cmd command.Command, traceID string) []byte {
 	tb.Helper()
-	p := binary.AppendUvarint(nil, reqID)
-	if traceID == "" {
-		p = append(p, kindCommand)
-	} else {
-		p = append(p, kindCommand|kindTraceFlag)
-		p = appendString(p, traceID)
-		p = append(p, 1) // sampled
+	h := reqHead{id: reqID, kind: kindCommand}
+	if traceID != "" {
+		h.kind |= kindTraceFlag
+		h.trace, h.sampled = traceID, true
 	}
-	enc, err := command.EncodeBinary(cmd)
+	c := binenc.Encoder(nil)
+	h.walk(c)
+	p, err := command.AppendBinary(c.B, cmd)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return append(p, enc...)
+	return p
 }
 
 // benchBidPath measures the server-side wire bid path — handle() on
@@ -244,9 +243,9 @@ func benchBidPath(b *testing.B, sample int, traceID string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var tr *obs.Trace
-		resp, tr = s.handle(rc, bid, resp[:0], readDur)
+		resp, tr = handlePayload(s, rc, bid, resp[:0], readDur)
 		tel.Tracer.Finish(tr)
-		resp, tr = s.handle(rc, tick, resp[:0], readDur)
+		resp, tr = handlePayload(s, rc, tick, resp[:0], readDur)
 		tel.Tracer.Finish(tr)
 	}
 	b.ReportMetric(2, "requests/op")

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/datamarket/shield/internal/apierr"
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/obs"
@@ -34,10 +33,10 @@ type Conn struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	nextID uint64
-	req    []byte        // scratch request payload
-	resp   []byte        // scratch response payload
-	rd     payloadReader // scratch cursor over resp
-	broken error         // sticky stream failure
+	req    []byte       // scratch request payload
+	resp   []byte       // scratch response payload
+	rd     binenc.Codec // scratch decoder over resp
+	broken error        // sticky stream failure
 }
 
 // DefaultBufferSize is the per-direction buffered-I/O size a connection
@@ -117,9 +116,9 @@ func (c *Conn) Close() error { return c.nc.Close() }
 // journals and logs under the caller's ID, and a sampled trace
 // continues server-side. A statusErr envelope comes back as an
 // *apierr.APIError, whose Error() is the server-side error's exact
-// message; decode never runs for it. A nil decode requires an empty
-// result body.
-func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) ([]byte, error), decode func(r *payloadReader) error) error {
+// message; decode never runs for it. decode must read the whole result
+// body, and a nil decode requires an empty one.
+func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) ([]byte, error), decode func(r *binenc.Codec)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken != nil {
@@ -163,20 +162,14 @@ func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) (
 	}
 
 	c.nextID++
-	id := c.nextID
-	req := binary.AppendUvarint(c.req[:0], id)
-	if traceID := obs.RequestIDFrom(ctx); traceID == "" {
-		req = append(req, kind)
-	} else {
-		req = append(req, kind|kindTraceFlag)
-		req = appendString(req, traceID)
-		if obs.TraceFrom(ctx) != nil {
-			req = append(req, 1)
-		} else {
-			req = append(req, 0)
-		}
+	h := reqHead{id: c.nextID, kind: kind}
+	if traceID := obs.RequestIDFrom(ctx); traceID != "" {
+		h.kind |= kindTraceFlag
+		h.trace, h.sampled = traceID, obs.TraceFrom(ctx) != nil
 	}
-	req, err := body(req)
+	enc := binenc.Encoder(c.req[:0])
+	h.walk(enc)
+	req, err := body(enc.B)
 	if err != nil {
 		return err
 	}
@@ -188,59 +181,51 @@ func (c *Conn) roundTrip(ctx context.Context, kind byte, body func(req []byte) (
 		return c.fail(ctx, err)
 	}
 
-	r, err := c.readResponse(ctx, id, MaxFrame)
+	r, err := c.readResponse(ctx, h.id, MaxFrame)
 	if err != nil {
 		return err
 	}
-	if decode == nil {
-		if len(r.rest()) != 0 {
-			return c.fail(ctx, fmt.Errorf("wire: unexpected result body"))
-		}
-		return nil
+	if decode != nil {
+		decode(r)
 	}
-	if err := decode(r); err != nil {
-		return c.fail(ctx, err)
-	}
-	if !r.done() {
-		return c.fail(ctx, fmt.Errorf("wire: malformed result body"))
+	if err := r.Done(); err != nil {
+		return c.fail(ctx, fmt.Errorf("wire: malformed result body: %w", err))
 	}
 	return nil
 }
 
 // readResponse reads the response to request id — one frame of at most
 // limit bytes, into the connection's scratch buffer — and opens its
-// envelope: a statusOK response yields the connection's cursor at the
+// envelope: a statusOK response yields the connection's decoder at the
 // result body, a statusErr one the server's *apierr.APIError. Anything
 // else marks the connection dead. The caller holds c.mu.
-func (c *Conn) readResponse(ctx context.Context, id uint64, limit int) (*payloadReader, error) {
+func (c *Conn) readResponse(ctx context.Context, id uint64, limit int) (*binenc.Codec, error) {
 	var err error
 	if c.resp, err = readFrame(c.br, c.resp, limit); err != nil {
 		return nil, c.fail(ctx, err)
 	}
 	r := &c.rd
-	*r = payloadReader{data: c.resp}
-	gotID := r.uvarint()
-	status := r.byte()
-	if r.err != nil {
+	*r = *binenc.Decoder(c.resp)
+	var h respHead
+	if h.walk(r); r.Err() != nil {
 		return nil, c.fail(ctx, fmt.Errorf("wire: malformed response envelope"))
 	}
-	if gotID != id {
+	if h.id != id {
 		// Responses come back in request order on a serialized
 		// connection; a mismatch means the stream is desynchronized.
-		return nil, c.fail(ctx, fmt.Errorf("wire: response id %d for request %d", gotID, id))
+		return nil, c.fail(ctx, fmt.Errorf("wire: response id %d for request %d", h.id, id))
 	}
-	switch status {
+	switch h.status {
 	case statusOK:
 		return r, nil
 	case statusErr:
-		code := r.str()
-		msg := r.str()
-		if r.err != nil {
+		var apiErr error
+		if walkError(r, &apiErr); r.Done() != nil {
 			return nil, c.fail(ctx, fmt.Errorf("wire: malformed error envelope"))
 		}
-		return nil, &apierr.APIError{Code: code, Message: msg}
+		return nil, apiErr
 	default:
-		return nil, c.fail(ctx, fmt.Errorf("wire: unknown response status %d", status))
+		return nil, c.fail(ctx, fmt.Errorf("wire: unknown response status %d", h.status))
 	}
 }
 
@@ -269,7 +254,7 @@ func (c *Conn) fail(ctx context.Context, err error) error {
 
 // apply sends one command, decoding any result body with decode (nil
 // for a command whose success carries none).
-func (c *Conn) apply(ctx context.Context, cmd command.Command, decode func(r *payloadReader) error) error {
+func (c *Conn) apply(ctx context.Context, cmd command.Command, decode func(r *binenc.Codec)) error {
 	return c.roundTrip(ctx, kindCommand, func(req []byte) ([]byte, error) {
 		return command.AppendBinary(req, cmd)
 	}, decode)
@@ -306,13 +291,7 @@ func (c *Conn) WithdrawDataset(ctx context.Context, seller market.SellerID, id m
 func (c *Conn) SubmitBid(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
 	var d market.Decision
 	err := c.apply(ctx, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount},
-		func(r *payloadReader) error {
-			var ok bool
-			if d, ok = readDecision(r); !ok {
-				return fmt.Errorf("wire: malformed decision body")
-			}
-			return nil
-		})
+		func(r *binenc.Codec) { walkDecision(r, &d) })
 	if err != nil {
 		return market.Decision{}, err
 	}
@@ -331,32 +310,10 @@ func (c *Conn) SubmitBids(ctx context.Context, reqs []market.BidRequest) ([]mark
 		bids[i] = command.SubmitBid{Buyer: r.Buyer, Dataset: r.Dataset, Amount: r.Amount}
 	}
 	var out []market.BidResult
-	err := c.apply(ctx, command.BidBatch{Bids: bids}, func(r *payloadReader) error {
-		n := r.uvarint()
-		if r.err != nil || n != uint64(len(reqs)) {
-			return fmt.Errorf("wire: malformed batch body")
+	err := c.apply(ctx, command.BidBatch{Bids: bids}, func(r *binenc.Codec) {
+		if walkResults(r, &out); len(out) != len(reqs) {
+			r.Fail("%d results for %d bids", len(out), len(reqs))
 		}
-		out = make([]market.BidResult, len(reqs))
-		for i := range out {
-			switch r.byte() {
-			case statusOK:
-				d, ok := readDecision(r)
-				if !ok {
-					return fmt.Errorf("wire: malformed batch entry")
-				}
-				out[i].Decision = d
-			case statusErr:
-				code := r.str()
-				msg := r.str()
-				if r.err != nil {
-					return fmt.Errorf("wire: malformed batch entry")
-				}
-				out[i].Err = &apierr.APIError{Code: code, Message: msg}
-			default:
-				return fmt.Errorf("wire: malformed batch entry")
-			}
-		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -366,60 +323,40 @@ func (c *Conn) SubmitBids(ctx context.Context, reqs []market.BidRequest) ([]mark
 
 // Tick advances the market period and returns the new period.
 func (c *Conn) Tick(ctx context.Context) (int, error) {
-	var p uint64
-	err := c.apply(ctx, command.Tick{}, func(r *payloadReader) error {
-		p = r.uvarint()
-		return r.err
-	})
-	if err != nil {
+	var p int
+	if err := c.apply(ctx, command.Tick{}, func(r *binenc.Codec) { binenc.Uint(r, &p) }); err != nil {
 		return 0, err
 	}
-	return int(p), nil
+	return p, nil
 }
 
 // query sends one query frame, decoding the result body with decode.
-func (c *Conn) query(ctx context.Context, op byte, args func(req []byte) []byte, decode func(r *payloadReader) error) error {
+func (c *Conn) query(ctx context.Context, q query, decode func(r *binenc.Codec)) error {
 	return c.roundTrip(ctx, kindQuery, func(req []byte) ([]byte, error) {
-		req = append(req, op)
-		if args != nil {
-			req = args(req)
-		}
-		return req, nil
+		enc := binenc.Encoder(req)
+		q.walk(enc)
+		return enc.B, nil
 	}, decode)
 }
 
 // Ping round-trips an empty query, verifying the connection is alive.
 func (c *Conn) Ping(ctx context.Context) error {
-	return c.query(ctx, qPing, nil, nil)
+	return c.query(ctx, query{op: qPing}, nil)
 }
 
 // Period returns the current market period.
 func (c *Conn) Period(ctx context.Context) (int, error) {
-	var p uint64
-	err := c.query(ctx, qPeriod, nil, func(r *payloadReader) error {
-		p = r.uvarint()
-		return r.err
-	})
-	if err != nil {
+	var p int
+	if err := c.query(ctx, query{op: qPeriod}, func(r *binenc.Codec) { binenc.Uint(r, &p) }); err != nil {
 		return 0, err
 	}
-	return int(p), nil
+	return p, nil
 }
 
 // Datasets returns the ids of all priced datasets.
 func (c *Conn) Datasets(ctx context.Context) ([]market.DatasetID, error) {
 	var out []market.DatasetID
-	err := c.query(ctx, qDatasets, nil, func(r *payloadReader) error {
-		n := r.uvarint()
-		if r.err != nil || n > uint64(len(r.rest())) {
-			return fmt.Errorf("wire: malformed datasets body")
-		}
-		out = make([]market.DatasetID, 0, n)
-		for i := uint64(0); i < n; i++ {
-			out = append(out, market.DatasetID(r.str()))
-		}
-		return r.err
-	})
+	err := c.query(ctx, query{op: qDatasets}, func(r *binenc.Codec) { walkDatasets(r, &out) })
 	if err != nil {
 		return nil, err
 	}
@@ -430,18 +367,7 @@ func (c *Conn) Datasets(ctx context.Context) ([]market.DatasetID, error) {
 // market.DatasetStats).
 func (c *Conn) Stats(ctx context.Context, dataset market.DatasetID) (market.DatasetStats, error) {
 	var st market.DatasetStats
-	err := c.query(ctx, qStats, func(req []byte) []byte {
-		return appendString(req, string(dataset))
-	}, func(r *payloadReader) error {
-		st.Dataset = market.DatasetID(r.str())
-		st.Bids = int(r.uvarint())
-		st.Allocations = int(r.uvarint())
-		st.Epochs = int(r.uvarint())
-		st.Revenue = r.float()
-		st.PostingPrice = r.float()
-		st.MostLikelyPrice = r.float()
-		return r.err
-	})
+	err := c.query(ctx, query{op: qStats, dataset: dataset}, func(r *binenc.Codec) { walkStats(r, &st) })
 	if err != nil {
 		return market.DatasetStats{}, err
 	}
@@ -451,13 +377,7 @@ func (c *Conn) Stats(ctx context.Context, dataset market.DatasetID) (market.Data
 // SellerBalance returns a seller's accumulated revenue.
 func (c *Conn) SellerBalance(ctx context.Context, id market.SellerID) (market.Money, error) {
 	var bal market.Money
-	err := c.query(ctx, qBalance, func(req []byte) []byte {
-		return appendString(req, string(id))
-	}, func(r *payloadReader) error {
-		bal = market.Money(r.int64())
-		return r.err
-	})
-	if err != nil {
+	if err := c.query(ctx, query{op: qBalance, seller: id}, func(r *binenc.Codec) { binenc.Fixed(r, &bal) }); err != nil {
 		return 0, err
 	}
 	return bal, nil
@@ -466,57 +386,19 @@ func (c *Conn) SellerBalance(ctx context.Context, id market.SellerID) (market.Mo
 // WaitRemaining returns how many periods of a Time-Shield wait remain
 // for buyer on dataset (zero when the buyer may bid).
 func (c *Conn) WaitRemaining(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID) (int, error) {
-	var periods uint64
-	err := c.query(ctx, qWait, func(req []byte) []byte {
-		req = appendString(req, string(buyer))
-		return appendString(req, string(dataset))
-	}, func(r *payloadReader) error {
-		periods = r.uvarint()
-		return r.err
-	})
-	if err != nil {
+	var periods int
+	if err := c.query(ctx, query{op: qWait, buyer: buyer, dataset: dataset}, func(r *binenc.Codec) { binenc.Uint(r, &periods) }); err != nil {
 		return 0, err
 	}
-	return int(periods), nil
+	return periods, nil
 }
 
 // Transactions returns the completed-sale log in sequence order.
 func (c *Conn) Transactions(ctx context.Context) ([]market.Transaction, error) {
 	var out []market.Transaction
-	err := c.query(ctx, qTransactions, nil, func(r *payloadReader) error {
-		n := r.uvarint()
-		if r.err != nil || n > uint64(len(r.rest())) {
-			return fmt.Errorf("wire: malformed transactions body")
-		}
-		out = make([]market.Transaction, 0, n)
-		for i := uint64(0); i < n; i++ {
-			out = append(out, market.Transaction{
-				Seq:     int(r.uvarint()),
-				Buyer:   market.BuyerID(r.str()),
-				Dataset: market.DatasetID(r.str()),
-				Price:   market.Money(r.int64()),
-				Period:  int(r.uvarint()),
-			})
-		}
-		return r.err
-	})
+	err := c.query(ctx, query{op: qTransactions}, func(r *binenc.Codec) { walkTransactions(r, &out) })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// readDecision decodes a decision result body.
-func readDecision(r *payloadReader) (market.Decision, bool) {
-	allocated := r.byte()
-	price := r.int64()
-	wait := r.uvarint()
-	if r.err != nil || allocated > 1 {
-		return market.Decision{}, false
-	}
-	return market.Decision{
-		Allocated:   allocated == 1,
-		PricePaid:   market.Money(price),
-		WaitPeriods: int(wait),
-	}, true
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/datamarket/shield/internal/apierr"
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/obs"
 )
@@ -29,6 +31,15 @@ var validCodes = map[string]bool{
 	apierr.CodeInternal:        true,
 }
 
+// handlePayload runs one request payload through handle as ServeConn
+// does: its head walked first.
+func handlePayload(s *Server, rc *obs.RequestCtx, payload, resp []byte, readDur time.Duration) ([]byte, *obs.Trace) {
+	var h reqHead
+	in := binenc.Decoder(payload)
+	h.walk(in)
+	return s.handle(rc, &h, in, resp, readDur)
+}
+
 // FuzzWireDecode throws arbitrary request payloads at the server's
 // frame handler and pins its safety contract: it never panics, always
 // produces a parseable response envelope, and every error envelope
@@ -48,8 +59,8 @@ func FuzzWireDecode(f *testing.F) {
 	// Every query opcode, with and without plausible arguments.
 	for op := byte(0); op <= qTransactions+1; op++ {
 		seed(reqID, []byte{kindQuery, op})
-		seed(reqID, []byte{kindQuery, op}, appendString(nil, "d"))
-		seed(reqID, []byte{kindQuery, op}, appendString(nil, "b"), appendString(nil, "d"))
+		seed(reqID, []byte{kindQuery, op}, []byte{1, 'd'})
+		seed(reqID, []byte{kindQuery, op}, []byte{1, 'b', 1, 'd'})
 	}
 
 	// Every command through the real encoder.
@@ -79,6 +90,8 @@ func FuzzWireDecode(f *testing.F) {
 	seed(nil)
 	seed([]byte{0x80}) // unterminated uvarint
 	seed(reqID, []byte{0xFF})
+	seed([]byte{0x81, 0x00, kindQuery, qPing})                       // request id padded
+	seed(reqID, []byte{kindQuery | kindTraceFlag, 1, 't', 2, qPing}) // sampled byte 2
 
 	m := testMarket(f)
 	if err := m.RegisterSeller("s"); err != nil {
@@ -94,26 +107,23 @@ func FuzzWireDecode(f *testing.F) {
 	rc := &obs.RequestCtx{Context: context.Background()}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		resp, _ := s.handle(rc, payload, nil, 0)
-		r := &payloadReader{data: resp}
-		r.uvarint() // request id (possibly 0 when the header was garbage)
-		status := r.byte()
-		if r.err != nil {
+		resp, _ := handlePayload(s, rc, payload, nil, 0)
+		h, r := response(resp) // the id is 0 when the header was garbage
+		if r.Err() != nil {
 			t.Fatalf("unparseable response envelope for %x", payload)
 		}
-		switch status {
+		switch h.status {
 		case statusOK:
 		case statusErr:
-			code := r.str()
-			r.str() // message
-			if r.err != nil {
+			e := readError(r)
+			if r.Done() != nil {
 				t.Fatalf("unparseable error envelope for %x", payload)
 			}
-			if !validCodes[code] {
+			if code := e.Code; !validCodes[code] {
 				t.Fatalf("error code %q outside the closed set (payload %x)", code, payload)
 			}
 		default:
-			t.Fatalf("response status %d for %x", status, payload)
+			t.Fatalf("response status %d for %x", h.status, payload)
 		}
 	})
 }
@@ -131,12 +141,10 @@ func TestHandleBoundsBidBatchDecode(t *testing.T) {
 	rc := &obs.RequestCtx{Context: context.Background()}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	resp, _ := s.handle(rc, payload, nil, 0)
+	resp, _ := handlePayload(s, rc, payload, nil, 0)
 	runtime.ReadMemStats(&after)
-	r := &payloadReader{data: resp}
-	r.uvarint()
-	if status, code := r.byte(), r.str(); status != statusErr || code != apierr.CodeBadRequest {
-		t.Fatalf("response status %d, code %q; want a %s envelope", status, code, apierr.CodeBadRequest)
+	if h, r := response(resp); h.status != statusErr || readError(r).Code != apierr.CodeBadRequest {
+		t.Fatalf("response %x; want a %s envelope", resp, apierr.CodeBadRequest)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 5*uint64(len(payload)) {
 		t.Fatalf("handling a %d-byte frame allocated %d bytes", len(payload), got)

@@ -108,7 +108,7 @@ func TestRecordIsTheRequest(t *testing.T) {
 	padded := append([]byte{99, kindCommand, enc[0], enc[1] | 0x80, 0}, enc[2:]...)
 	before := jm.LastSeq()
 	c.burst(frameBytes(padded))
-	if code := c.expect(t, 99, statusErr).str(); code != apierr.CodeBadRequest {
+	if code := readError(c.expect(t, 99, statusErr)).Code; code != apierr.CodeBadRequest {
 		t.Fatalf("a padded bid is answered %q, want %s", code, apierr.CodeBadRequest)
 	}
 	if seq := jm.LastSeq(); seq != before {

@@ -46,15 +46,14 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"time"
 
 	"github.com/datamarket/shield/internal/apierr"
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/command"
 )
 
@@ -127,18 +126,45 @@ type ReplicationSource interface {
 	LeaderSeq() int64
 }
 
+// frameHead opens every stream frame: its type, then a sequence number —
+// a record's own, or the leader's in a heartbeat.
+type frameHead struct {
+	typ byte
+	seq int64
+}
+
+func (h *frameHead) walk(c *binenc.Codec) {
+	c.Byte(&h.typ)
+	binenc.Uint(c, &h.seq)
+}
+
+// subHead opens a subscribe response's body: whether a snapshot follows
+// (mode 1) or not (mode 0), and the seq the stream starts from.
+type subHead struct {
+	snapshot bool
+	start    int64
+}
+
+func (h *subHead) walk(c *binenc.Codec) {
+	c.Bool(&h.snapshot)
+	binenc.Uint(c, &h.start)
+}
+
 // AppendRecordFrame appends a record frame payload: cmd must be a
 // command.EncodeBinary encoding.
 func AppendRecordFrame(b []byte, seq int64, cmd []byte) []byte {
-	b = append(b, repRecord)
-	b = binary.AppendUvarint(b, uint64(seq))
-	return append(b, cmd...)
+	c := binenc.Encoder(b)
+	h := frameHead{typ: repRecord, seq: seq}
+	h.walk(c)
+	return append(c.B, cmd...)
 }
 
 // AppendHeartbeatFrame appends a heartbeat frame payload.
 func AppendHeartbeatFrame(b []byte, leaderSeq int64) []byte {
-	b = append(b, repHeartbeat)
-	return binary.AppendUvarint(b, uint64(leaderSeq))
+	c := binenc.Encoder(b)
+	h := frameHead{typ: repHeartbeat, seq: leaderSeq}
+	h.walk(c)
+	return c.B
 }
 
 // DecodeReplicationFrame decodes one replication stream frame payload
@@ -148,42 +174,33 @@ func AppendHeartbeatFrame(b []byte, leaderSeq int64) []byte {
 // that are not exactly lastSeq+1 (out-of-order, duplicate, or gapped)
 // and for heartbeats placing the leader behind the follower.
 func DecodeReplicationFrame(payload []byte, lastSeq int64) (RepFrame, error) {
-	r := &payloadReader{data: payload}
-	switch t := r.byte(); {
-	case r.err != nil:
+	var h frameHead
+	c := binenc.Decoder(payload)
+	h.walk(c)
+	switch {
+	case len(payload) == 0:
 		return RepFrame{}, fmt.Errorf("%w: empty frame", ErrReplicaPayload)
-	case t == repRecord:
-		seq := r.uvarint()
-		if r.err != nil {
-			return RepFrame{}, fmt.Errorf("%w: truncated record header", ErrReplicaPayload)
+	case h.typ != repRecord && h.typ != repHeartbeat:
+		return RepFrame{}, fmt.Errorf("%w: unknown frame type %d", ErrReplicaPayload, h.typ)
+	case c.Err() != nil:
+		return RepFrame{}, fmt.Errorf("%w: frame head: %v", ErrReplicaPayload, c.Err())
+	case h.typ == repHeartbeat:
+		if err := c.Done(); err != nil {
+			return RepFrame{}, fmt.Errorf("%w: heartbeat: %v", ErrReplicaPayload, err)
 		}
-		if seq > math.MaxInt64 {
-			return RepFrame{}, fmt.Errorf("%w: sequence number overflows int64", ErrReplicaPayload)
+		if h.seq < lastSeq {
+			return RepFrame{}, fmt.Errorf("%w: heartbeat places leader at %d behind follower at %d", ErrReplicaSeq, h.seq, lastSeq)
 		}
-		body := r.rest()
-		cmd, err := command.DecodeBinary(body)
-		if err != nil {
-			return RepFrame{}, fmt.Errorf("%w: record %d: %v", ErrReplicaPayload, seq, err)
-		}
-		if int64(seq) != lastSeq+1 {
-			return RepFrame{}, fmt.Errorf("%w: got record seq %d, want %d", ErrReplicaSeq, seq, lastSeq+1)
-		}
-		return RepFrame{Seq: int64(seq), Cmd: cmd, Payload: body}, nil
-	case t == repHeartbeat:
-		seq := r.uvarint()
-		if r.err != nil || !r.done() {
-			return RepFrame{}, fmt.Errorf("%w: malformed heartbeat", ErrReplicaPayload)
-		}
-		if seq > math.MaxInt64 {
-			return RepFrame{}, fmt.Errorf("%w: sequence number overflows int64", ErrReplicaPayload)
-		}
-		if int64(seq) < lastSeq {
-			return RepFrame{}, fmt.Errorf("%w: heartbeat places leader at %d behind follower at %d", ErrReplicaSeq, seq, lastSeq)
-		}
-		return RepFrame{Heartbeat: true, Seq: int64(seq)}, nil
-	default:
-		return RepFrame{}, fmt.Errorf("%w: unknown frame type %d", ErrReplicaPayload, t)
+		return RepFrame{Heartbeat: true, Seq: h.seq}, nil
 	}
+	cmd, err := command.DecodeBinary(c.B)
+	if err != nil {
+		return RepFrame{}, fmt.Errorf("%w: record %d: %v", ErrReplicaPayload, h.seq, err)
+	}
+	if h.seq != lastSeq+1 {
+		return RepFrame{}, fmt.Errorf("%w: got record seq %d, want %d", ErrReplicaSeq, h.seq, lastSeq+1)
+	}
+	return RepFrame{Seq: h.seq, Cmd: cmd, Payload: c.B}, nil
 }
 
 // WithReplication enables the kindReplicate request on this server,
@@ -206,53 +223,50 @@ func (s *Server) WithHeartbeatInterval(d time.Duration) *Server {
 
 // serveReplication converts an established connection into a one-way
 // replication stream, after ServeConn recognized a kindReplicate
-// request. r is positioned after the kind byte. Once the subscription
-// is answered this goroutine only writes, so a watcher — the one
-// goroutine a connection ever starts — takes over the read side: a peer
+// request; body is the request's body, the seq the follower has applied
+// through. Once the subscription is answered this goroutine only
+// writes, so a watcher — the one goroutine a connection ever starts —
+// takes over the read side: a peer
 // close or a protocol-violating client frame surfaces through it and
 // ends the stream. Any return closes the connection (replication
 // failures are never per-request errors, the follower redials) and
 // waits for the watcher to exit.
-func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, id uint64, r *payloadReader) error {
-	refuse := func(code, msg string) error {
-		resp := appendError(binary.AppendUvarint(nil, id), code, msg)
-		if err := writeFrame(bw, resp, MaxFrame); err != nil {
+func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, id uint64, body []byte) error {
+	refuse := func(err error) error {
+		if err := writeFrame(bw, appendError(nil, id, err), MaxFrame); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		return fmt.Errorf("wire: replication refused: %s", msg)
+		return fmt.Errorf("wire: replication refused: %w", err)
 	}
-	after := r.uvarint()
-	if r.err != nil || !r.done() || after > math.MaxInt64 {
-		return refuse(apierr.CodeBadRequest, "malformed replicate request")
+	var after int64
+	in := binenc.Decoder(body)
+	if binenc.Uint(in, &after); in.Done() != nil {
+		return refuse(badRequest("malformed replicate request"))
 	}
 	if s.repl == nil {
-		return refuse(apierr.CodeBadRequest, "replication not enabled on this server")
+		return refuse(badRequest("replication not enabled on this server"))
 	}
-	sub, err := s.repl.Subscribe(int64(after))
+	sub, err := s.repl.Subscribe(after)
 	if err != nil {
-		code, _ := apierr.Classify(err)
-		return refuse(code, err.Error())
+		return refuse(err)
 	}
 	defer sub.Cancel()
 
-	resp := binary.AppendUvarint(nil, id)
-	resp = append(resp, statusOK)
-	if sub.Snapshot != nil {
-		resp = append(resp, 1)
-	} else {
-		resp = append(resp, 0)
-	}
-	resp = binary.AppendUvarint(resp, uint64(sub.StartSeq))
-	if n := len(resp) + len(sub.Snapshot); n > s.snapshotLimit {
+	out := binenc.Encoder(nil)
+	head := respHead{id: id, status: statusOK}
+	head.walk(out)
+	sh := subHead{snapshot: sub.Snapshot != nil, start: sub.StartSeq}
+	sh.walk(out)
+	if n := len(out.B) + len(sub.Snapshot); n > s.snapshotLimit {
 		// Refused like any other subscription, not a dropped connection:
 		// the follower must learn why, or it redials forever and every
 		// attempt costs the leader a snapshot.
-		return refuse(apierr.CodeInternal, fmt.Sprintf("catch-up snapshot makes a %d-byte frame, over the %d-byte limit", n, s.snapshotLimit))
+		return refuse(&apierr.APIError{Code: apierr.CodeInternal, Message: fmt.Sprintf("catch-up snapshot makes a %d-byte frame, over the %d-byte limit", n, s.snapshotLimit)})
 	}
-	resp = append(resp, sub.Snapshot...)
+	resp := append(out.B, sub.Snapshot...)
 	if err := writeFrame(bw, resp, s.snapshotLimit); err != nil {
 		return err
 	}
@@ -364,10 +378,11 @@ func (c *Conn) OpenReplication(ctx context.Context, afterSeq int64) (*Replicatio
 	}
 
 	c.nextID++
-	id := c.nextID
-	req := binary.AppendUvarint(c.req[:0], id)
-	req = append(req, kindReplicate)
-	c.req = binary.AppendUvarint(req, uint64(afterSeq))
+	h := reqHead{id: c.nextID, kind: kindReplicate}
+	enc := binenc.Encoder(c.req[:0])
+	h.walk(enc)
+	binenc.Uint(enc, &afterSeq)
+	c.req = enc.B
 	if err := writeFrame(c.bw, c.req, MaxFrame); err != nil {
 		return nil, c.fail(ctx, err)
 	}
@@ -375,21 +390,20 @@ func (c *Conn) OpenReplication(ctx context.Context, afterSeq int64) (*Replicatio
 		return nil, c.fail(ctx, err)
 	}
 
-	r, err := c.readResponse(ctx, id, MaxSnapshotFrame)
+	r, err := c.readResponse(ctx, h.id, MaxSnapshotFrame)
 	if err != nil {
 		return nil, err
 	}
-	mode := r.byte()
-	start := r.uvarint()
-	if r.err != nil || mode > 1 || start > math.MaxInt64 {
+	var sh subHead
+	if sh.walk(r); r.Err() != nil {
 		return nil, c.fail(ctx, errors.New("wire: malformed replicate response"))
 	}
-	st := &ReplicationStream{c: c, StartSeq: int64(start), lastSeq: int64(start)}
-	if mode == 1 {
+	st := &ReplicationStream{c: c, StartSeq: sh.start, lastSeq: sh.start}
+	if sh.snapshot {
 		// The snapshot escapes to the caller inside the response buffer;
 		// the connection gives it up (the stream reads into its own).
-		st.Snapshot, c.resp = r.rest(), nil
-	} else if !r.done() {
+		st.Snapshot, c.resp = r.B, nil
+	} else if r.Done() != nil {
 		return nil, c.fail(ctx, errors.New("wire: unexpected body on tail-mode response"))
 	}
 	return st, nil

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -16,7 +17,9 @@ import (
 // carrying exactly lastSeq+1 and heartbeats at or ahead of lastSeq, and
 // every rejection wraps exactly one of the closed error set —
 // ErrReplicaPayload for malformed bytes, ErrReplicaSeq for duplicates,
-// reorders, gaps, and regressing heartbeats. Seeds cover realistic
+// reorders, gaps, and regressing heartbeats. A frame it accepts is the
+// one its encoder writes for what it decoded, so a padded seq is
+// refused, not read as a second spelling. Seeds cover realistic
 // record frames built from the torture generator's command corpus plus
 // the interesting sequencing violations, so mutation starts from
 // structurally valid frames.
@@ -46,6 +49,8 @@ func FuzzReplicateDecode(f *testing.F) {
 	f.Add([]byte{1, 0x80}, int64(0))                                 // unterminated seq uvarint
 	f.Add([]byte{2, 0x80}, int64(5))                                 // unterminated heartbeat
 	f.Add(binary.AppendUvarint([]byte{1}, math.MaxUint64), int64(0)) // seq overflows int64
+	f.Add([]byte{1, 0x81, 0x00, 0x08}, int64(0))                     // a tick, its seq padded
+	f.Add([]byte{2, 0x87, 0x00}, int64(7))                           // a heartbeat, its seq padded
 
 	f.Fuzz(func(t *testing.T, payload []byte, lastSeq int64) {
 		fr, err := wire.DecodeReplicationFrame(payload, lastSeq)
@@ -56,6 +61,13 @@ func FuzzReplicateDecode(f *testing.F) {
 				t.Fatalf("error outside the closed set (payload=%t seq=%t): %v for %x", pay, seqv, err, payload)
 			}
 			return
+		}
+		again := wire.AppendRecordFrame(nil, fr.Seq, fr.Payload)
+		if fr.Heartbeat {
+			again = wire.AppendHeartbeatFrame(nil, fr.Seq)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("accepted %x, which re-encodes as %x", payload, again)
 		}
 		if fr.Heartbeat {
 			if fr.Cmd != nil {

@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/datamarket/shield/internal/apierr"
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
@@ -91,19 +93,42 @@ func (c *rawClient) burst(frames ...[]byte) {
 	go func() { _, _ = c.Write(bytes.Join(frames, nil)) }()
 }
 
+// response splits a response payload into its head and a decoder over
+// the body.
+func response(payload []byte) (respHead, *binenc.Codec) {
+	var h respHead
+	r := binenc.Decoder(payload)
+	h.walk(r)
+	return h, r
+}
+
 // expect reads the next response and checks its id and status,
-// returning the cursor over the result body.
-func (c *rawClient) expect(t *testing.T, id uint64, status byte) *payloadReader {
+// returning the decoder over the result body.
+func (c *rawClient) expect(t *testing.T, id uint64, status byte) *binenc.Codec {
 	t.Helper()
 	payload, err := readFrame(c.br, nil, MaxFrame)
 	if err != nil {
 		t.Fatalf("response %d: %v", id, err)
 	}
-	r := &payloadReader{data: payload}
-	if gotID, gotStatus := r.uvarint(), r.byte(); r.err != nil || gotID != id || gotStatus != status {
-		t.Fatalf("response carries id %d status %d (%x), want id %d status %d", gotID, gotStatus, payload, id, status)
+	h, r := response(payload)
+	if r.Err() != nil || h.id != id || h.status != status {
+		t.Fatalf("response carries id %d status %d (%x), want id %d status %d", h.id, h.status, payload, id, status)
 	}
 	return r
+}
+
+// readError reads an error envelope.
+func readError(r *binenc.Codec) *apierr.APIError {
+	var err error
+	walkError(r, &err)
+	return err.(*apierr.APIError)
+}
+
+// readInt reads one Uint result body.
+func readInt(r *binenc.Codec) (int, error) {
+	var n int
+	binenc.Uint(r, &n)
+	return n, r.Done()
 }
 
 // countingConn counts the Write calls made through it, telling onWrite
@@ -140,7 +165,7 @@ func TestFlushBatching(t *testing.T) {
 		}
 		c.burst(frames...)
 		for i := 0; i < n; i++ {
-			if r := c.expect(t, next+uint64(i), statusOK); r.uvarint() != 0 || !r.done() {
+			if p, err := readInt(c.expect(t, next+uint64(i), statusOK)); p != 0 || err != nil {
 				t.Fatalf("burst of %d: response %d is not period 0", n, i)
 			}
 		}
@@ -187,7 +212,9 @@ func TestPayloadBufferDoesNotAlias(t *testing.T) {
 	}
 	c.burst(frames...)
 	for i := range want {
-		if d, ok := readDecision(c.expect(t, uint64(i+1), statusOK)); !ok || !d.Allocated {
+		var d market.Decision
+		r := c.expect(t, uint64(i+1), statusOK)
+		if walkDecision(r, &d); r.Done() != nil || !d.Allocated {
 			t.Fatalf("bid %d did not win: %+v", i, d)
 		}
 	}
@@ -279,8 +306,7 @@ func TestRequestContextDoesNotLeakIdentity(t *testing.T) {
 				defer wg.Done()
 				for i := range frames {
 					payload, err := readFrame(c.br, nil, MaxFrame)
-					r := &payloadReader{data: payload}
-					if id, status := r.uvarint(), r.byte(); err != nil || id != uint64(i+1) || status != statusOK {
+					if h, _ := response(payload); err != nil || h.id != uint64(i+1) || h.status != statusOK {
 						t.Errorf("response %d: %v %x", i+1, err, payload)
 						return
 					}
@@ -355,7 +381,9 @@ func TestReplicationConversionEndsWithItsWatcher(t *testing.T) {
 				WithHeartbeatInterval(time.Hour)
 			c := serveRaw(t, s, nil)
 			c.burst(subscribe)
-			if r := c.expect(t, 1, statusOK); r.byte() != 0 || r.uvarint() != 0 || !r.done() {
+			var sh subHead
+			r := c.expect(t, 1, statusOK)
+			if sh.walk(r); r.Done() != nil || sh != (subHead{}) {
 				t.Fatal("subscribe response is not tail mode from seq 0")
 			}
 			if _, err := readFrame(c.br, nil, MaxFrame); err != nil { // the scripted record
@@ -412,6 +440,32 @@ func TestWriteErrorMidBurstEndsTheConnection(t *testing.T) {
 	<-wrote
 	if err := <-c.served; err == nil {
 		t.Fatal("ServeConn returned nil after a failed response write")
+	}
+}
+
+// TestMalformedHeadsAreRefused: a request head the client's encoder
+// would not write — its id a padded varint, its trace's sampled byte
+// neither 0 nor 1 — is refused with a bad_request envelope naming the
+// part, not read as a second spelling of a valid head; the id is echoed
+// where it was readable, and the connection serves the next request.
+func TestMalformedHeadsAreRefused(t *testing.T) {
+	c := serveRaw(t, NewServer(testMarket(t)), nil)
+	for _, tc := range []struct {
+		payload []byte
+		id      uint64
+		msg     string
+	}{
+		{[]byte{0x81, 0x00, kindQuery, qPing}, 0, "malformed request header"},
+		{[]byte{5, kindQuery | kindTraceFlag, 1, 't', 2, qPing}, 5, "malformed trace field"},
+	} {
+		c.burst(frameBytes(tc.payload))
+		if e := readError(c.expect(t, tc.id, statusErr)); e.Code != apierr.CodeBadRequest || e.Message != tc.msg {
+			t.Fatalf("%x answered %s %q, want %s %q", tc.payload, e.Code, e.Message, apierr.CodeBadRequest, tc.msg)
+		}
+	}
+	c.burst(frameBytes([]byte{6, kindQuery, qPing}))
+	if r := c.expect(t, 6, statusOK); r.Done() != nil {
+		t.Fatalf("ping after the refusals: %v", r.Err())
 	}
 }
 

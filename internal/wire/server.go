@@ -3,13 +3,12 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"time"
 
-	"github.com/datamarket/shield/internal/apierr"
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/obs"
@@ -193,13 +192,13 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		}
 		// A replicate request converts the connection into a one-way
 		// replication stream; it never returns to the request loop.
-		r := &payloadReader{data: payload}
-		id := r.uvarint()
-		if kind := r.byte(); r.err == nil && kind == kindReplicate {
-			return s.serveReplication(conn, br, bw, id, r)
+		var h reqHead
+		in := binenc.Decoder(payload)
+		if h.walk(in); in.Err() == nil && h.kind == kindReplicate {
+			return s.serveReplication(conn, br, bw, h.id, in.B)
 		}
 		var tr *obs.Trace
-		resp, tr = s.handle(rc, payload, resp[:0], readDur)
+		resp, tr = s.handle(rc, &h, in, resp[:0], readDur)
 		err = writeFrame(bw, resp, MaxFrame)
 		if err == nil && br.Buffered() == 0 {
 			// The input is drained: this flush is the write that makes
@@ -284,37 +283,25 @@ func traceName(op string) string {
 	return "wire." + op
 }
 
-// handle executes one request payload and appends the response payload
-// to resp, returning the request's trace (nil when unsampled or
-// uninstrumented) so ServeConn can attach the ack.flush stage before
-// finishing it. An instrumented server rebinds rc, the connection's
-// request context, to this request's ID and trace; an uninstrumented
-// one leaves it blank. handle never panics on malformed input and never closes
-// the connection: every per-request failure becomes an error envelope
-// whose code is drawn from the closed apierr set, leaving the stream
-// usable for the requests pipelined behind it.
-func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, readDur time.Duration) ([]byte, *obs.Trace) {
-	r := &payloadReader{data: payload}
-	reqID := r.uvarint()
-	kind := r.byte()
-	if r.err != nil {
-		// The request id itself was unreadable; echo id 0 so the
-		// envelope still parses as a response.
-		return appendError(binary.AppendUvarint(resp, reqID),
-			apierr.CodeBadRequest, "malformed request header"), nil
-	}
-
-	// The trace field sits between the kind byte and the body, flagged
-	// on the kind byte.
-	traceID, sampled := "", false
-	if kind&kindTraceFlag != 0 {
-		kind &^= kindTraceFlag
-		traceID = r.str()
-		sampled = r.byte() == 1
-		if r.err != nil {
-			return appendError(binary.AppendUvarint(resp, reqID),
-				apierr.CodeBadRequest, "malformed trace field"), nil
+// handle executes one request — h, its head as walked from in, which
+// holds the body after it (or the walk's failure) — and appends the
+// response payload to resp, returning the request's trace (nil when
+// unsampled or uninstrumented) so ServeConn can attach the ack.flush
+// stage before finishing it. An instrumented server rebinds rc, the
+// connection's request context, to this request's ID and trace; an
+// uninstrumented one leaves it blank. handle never panics on malformed
+// input and never closes the connection: every per-request failure
+// becomes an error envelope whose code is drawn from the closed apierr
+// set, leaving the stream usable for the requests pipelined behind it.
+func (s *Server) handle(rc *obs.RequestCtx, h *reqHead, in *binenc.Codec, resp []byte, readDur time.Duration) ([]byte, *obs.Trace) {
+	if in.Err() != nil {
+		// An unreadable request id is echoed as 0, so the envelope still
+		// parses as a response.
+		msg := "malformed request header"
+		if h.kind&kindTraceFlag != 0 {
+			msg = "malformed trace field"
 		}
+		return appendError(resp, h.id, badRequest(msg)), nil
 	}
 
 	op := "unknown"
@@ -325,17 +312,17 @@ func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, readDur time.D
 		// the trace covers the read and the latency histogram charges
 		// transfer time to the request that caused it.
 		start = time.Now().Add(-readDur)
-		if traceID == "" {
+		if h.trace == "" {
 			// No propagated context: mint a local ID and let the local
 			// sampler decide.
 			tr = rc.Mint(s.tel.Tracer, "wire", start)
 		} else {
-			if sampled {
+			if h.sampled {
 				// The client sampled this request; continue its trace here
 				// regardless of the local sampling rate.
-				tr = s.tel.Tracer.Adopt(traceID, "wire", start)
+				tr = s.tel.Tracer.Adopt(h.trace, "wire", start)
 			}
-			rc.Reset(traceID, tr)
+			rc.Reset(h.trace, tr)
 		}
 		if tr != nil {
 			tr.AddSpan("wire.read", start, readDur)
@@ -343,36 +330,52 @@ func (s *Server) handle(rc *obs.RequestCtx, payload, resp []byte, readDur time.D
 		s.stageRead.ObserveTrace(readDur.Seconds(), exemplarOf(tr))
 	}
 
-	resp = binary.AppendUvarint(resp, reqID)
-	switch kind {
+	// The head goes out as statusOK; a failure rewrites its last byte.
+	out := binenc.Encoder(resp)
+	head := respHead{id: h.id, status: statusOK}
+	head.walk(out)
+	status := len(out.B) - 1
+	var err error
+	switch h.kind &^ kindTraceFlag {
 	case kindCommand:
-		op, resp = s.handleCommand(rc, r.rest(), resp)
+		op, err = s.handleCommand(rc, in.B, out)
 	case kindQuery:
-		op, resp = s.handleQuery(r, resp)
+		op, err = s.handleQuery(in.B, out)
 	default:
-		resp = appendError(resp, apierr.CodeBadRequest, "unknown request kind")
+		err = badRequest("unknown request kind")
+	}
+	if err != nil {
+		out.B = append(out.B[:status], statusErr)
+		walkError(out, &err)
 	}
 
 	if s.tel != nil {
 		tr.SetName(traceName(op))
-		status := "ok"
-		// The status byte follows the uvarint request id; scanning from
-		// the front of this response is cheaper than threading a flag
-		// through every arm above.
-		if _, n := binary.Uvarint(resp); n > 0 && n < len(resp) && resp[n] == statusErr {
-			status = "error"
+		result := "ok"
+		if err != nil {
+			result = "error"
 		}
-		s.latencyFor(op, status).ObserveTrace(time.Since(start).Seconds(), exemplarOf(tr))
+		s.latencyFor(op, result).ObserveTrace(time.Since(start).Seconds(), exemplarOf(tr))
 	}
-	return resp, tr
+	return out.B, tr
+}
+
+// appendError appends a whole error response to request id.
+func appendError(resp []byte, id uint64, err error) []byte {
+	out := binenc.Encoder(resp)
+	head := respHead{id: id, status: statusErr}
+	head.walk(out)
+	walkError(out, &err)
+	return out.B
 }
 
 // handleCommand checks one binary command at the edge — a bid in place
 // (command.IsBid), anything else by decoding it — and submits its bytes,
-// returning its op name (for telemetry) and the response. A batch is
-// answered entry by entry, like the HTTP batch endpoint, and refused
-// whole past command.MaxBatchBids with that endpoint's message.
-func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, []byte) {
+// returning its op name (for telemetry) and writing its result body to
+// out, or returning its failure. A batch is answered entry by entry,
+// like the HTTP batch endpoint, and refused whole past
+// command.MaxBatchBids with that endpoint's message.
+func (s *Server) handleCommand(ctx context.Context, body []byte, out *binenc.Codec) (string, error) {
 	endDecode := obs.StageTimer(ctx, s.stageDecode, "decode")
 	op := "bid"
 	var res []market.BidResult
@@ -384,8 +387,7 @@ func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, 
 			if batch, ok := cmd.(command.BidBatch); ok {
 				if len(batch.Bids) > command.MaxBatchBids {
 					endDecode.End()
-					return op, appendError(resp, apierr.CodeBadRequest,
-						fmt.Sprintf("batch exceeds %d bids", command.MaxBatchBids))
+					return op, badRequest(fmt.Sprintf("batch exceeds %d bids", command.MaxBatchBids))
 				}
 				res = make([]market.BidResult, len(batch.Bids))
 			}
@@ -393,150 +395,74 @@ func (s *Server) handleCommand(ctx context.Context, body, resp []byte) (string, 
 	}
 	endDecode.End()
 	if err != nil {
-		return "bad_command", appendError(resp, apierr.CodeBadRequest, err.Error())
+		return "bad_command", badRequest(err.Error())
 	}
 	ev, err := s.b.ApplyEncodedCtx(ctx, body, res)
 	switch {
 	case res != nil:
-		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, uint64(len(res)))
-		for _, r := range res {
-			if r.Err != nil {
-				resp = appendFailure(resp, r.Err)
-				continue
-			}
-			resp = appendDecision(append(resp, statusOK), r.Decision)
-		}
-		return op, resp
+		walkResults(out, &res)
 	case err != nil:
-		return op, appendFailure(resp, err)
+		return op, err
 	case ev.Kind == command.EvBidDecided:
-		return op, appendDecision(append(resp, statusOK), ev.Decision)
+		walkDecision(out, &ev.Decision)
 	case ev.Kind == command.EvTicked:
-		return op, binary.AppendUvarint(append(resp, statusOK), uint64(ev.Period))
+		binenc.Uint(out, &ev.Period)
 	}
-	return op, append(resp, statusOK)
+	return op, nil
 }
 
-// handleQuery executes one read. Queries bypass the command codec and
-// read the market's lock-free views; they are never journaled.
-func (s *Server) handleQuery(r *payloadReader, resp []byte) (string, []byte) {
-	opByte := r.byte()
-	if r.err != nil {
-		return "bad_query", appendError(resp, apierr.CodeBadRequest, "missing query opcode")
-	}
-	switch opByte {
-	case qPing:
-		if !r.done() {
-			return "ping", appendError(resp, apierr.CodeBadRequest, "trailing bytes")
-		}
-		return "ping", append(resp, statusOK)
+// queryOps names each query opcode, for telemetry.
+var queryOps = [...]string{
+	qPing: "ping", qPeriod: "period", qDatasets: "datasets", qStats: "stats",
+	qBalance: "balance", qWait: "wait", qTransactions: "transactions",
+}
 
+// handleQuery executes one read, writing its result body to out.
+// Queries bypass the command codec and read the market's lock-free
+// views; they are never journaled.
+func (s *Server) handleQuery(body []byte, out *binenc.Codec) (string, error) {
+	var q query
+	in := binenc.Decoder(body)
+	q.walk(in)
+	switch {
+	case len(body) == 0:
+		return "bad_query", badRequest("missing query opcode")
+	case int(q.op) >= len(queryOps) || queryOps[q.op] == "":
+		return "bad_query", badRequest("unknown query opcode")
+	}
+	op := queryOps[q.op]
+	if in.Done() != nil {
+		if q.op == qStats || q.op == qBalance || q.op == qWait {
+			return op, badRequest("malformed " + op + " query")
+		}
+		return op, badRequest("trailing bytes")
+	}
+	var err error
+	switch q.op {
 	case qPeriod:
-		if !r.done() {
-			return "period", appendError(resp, apierr.CodeBadRequest, "trailing bytes")
-		}
-		resp = append(resp, statusOK)
-		return "period", binary.AppendUvarint(resp, uint64(s.b.Period()))
-
+		p := s.b.Period()
+		binenc.Uint(out, &p)
 	case qDatasets:
-		if !r.done() {
-			return "datasets", appendError(resp, apierr.CodeBadRequest, "trailing bytes")
-		}
 		ids := s.b.Datasets()
-		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, uint64(len(ids)))
-		for _, id := range ids {
-			resp = appendString(resp, string(id))
-		}
-		return "datasets", resp
-
+		walkDatasets(out, &ids)
 	case qStats:
-		ds := r.str()
-		if !r.done() {
-			return "stats", appendError(resp, apierr.CodeBadRequest, "malformed stats query")
+		var st market.DatasetStats
+		if st, err = s.b.Stats(q.dataset); err == nil {
+			walkStats(out, &st)
 		}
-		st, err := s.b.Stats(market.DatasetID(ds))
-		if err != nil {
-			return "stats", appendFailure(resp, err)
-		}
-		resp = append(resp, statusOK)
-		resp = appendString(resp, string(st.Dataset))
-		resp = binary.AppendUvarint(resp, uint64(st.Bids))
-		resp = binary.AppendUvarint(resp, uint64(st.Allocations))
-		resp = binary.AppendUvarint(resp, uint64(st.Epochs))
-		resp = appendFloat(resp, st.Revenue)
-		resp = appendFloat(resp, st.PostingPrice)
-		resp = appendFloat(resp, st.MostLikelyPrice)
-		return "stats", resp
-
 	case qBalance:
-		seller := r.str()
-		if !r.done() {
-			return "balance", appendError(resp, apierr.CodeBadRequest, "malformed balance query")
+		var bal market.Money
+		if bal, err = s.b.SellerBalance(q.seller); err == nil {
+			binenc.Fixed(out, &bal)
 		}
-		bal, err := s.b.SellerBalance(market.SellerID(seller))
-		if err != nil {
-			return "balance", appendFailure(resp, err)
-		}
-		resp = append(resp, statusOK)
-		return "balance", appendInt64(resp, int64(bal))
-
 	case qWait:
-		buyer := r.str()
-		ds := r.str()
-		if !r.done() {
-			return "wait", appendError(resp, apierr.CodeBadRequest, "malformed wait query")
+		var periods int
+		if periods, err = s.b.WaitRemaining(q.buyer, q.dataset); err == nil {
+			binenc.Uint(out, &periods)
 		}
-		periods, err := s.b.WaitRemaining(market.BuyerID(buyer), market.DatasetID(ds))
-		if err != nil {
-			return "wait", appendFailure(resp, err)
-		}
-		resp = append(resp, statusOK)
-		return "wait", binary.AppendUvarint(resp, uint64(periods))
-
 	case qTransactions:
-		if !r.done() {
-			return "transactions", appendError(resp, apierr.CodeBadRequest, "trailing bytes")
-		}
 		txs := s.b.Transactions()
-		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, uint64(len(txs)))
-		for _, tx := range txs {
-			resp = binary.AppendUvarint(resp, uint64(tx.Seq))
-			resp = appendString(resp, string(tx.Buyer))
-			resp = appendString(resp, string(tx.Dataset))
-			resp = appendInt64(resp, int64(tx.Price))
-			resp = binary.AppendUvarint(resp, uint64(tx.Period))
-		}
-		return "transactions", resp
-
-	default:
-		return "bad_query", appendError(resp, apierr.CodeBadRequest, "unknown query opcode")
+		walkTransactions(out, &txs)
 	}
-}
-
-// appendError appends a statusErr envelope.
-func appendError(resp []byte, code, msg string) []byte {
-	resp = append(resp, statusErr)
-	resp = appendString(resp, code)
-	return appendString(resp, msg)
-}
-
-// appendFailure appends err's statusErr envelope, its code from the
-// closed apierr set.
-func appendFailure(resp []byte, err error) []byte {
-	code, _ := apierr.Classify(err)
-	return appendError(resp, code, err.Error())
-}
-
-// appendDecision appends a bid decision result body.
-func appendDecision(resp []byte, d market.Decision) []byte {
-	if d.Allocated {
-		resp = append(resp, 1)
-	} else {
-		resp = append(resp, 0)
-	}
-	resp = appendInt64(resp, int64(d.PricePaid))
-	return binary.AppendUvarint(resp, uint64(d.WaitPeriods))
+	return op, err
 }

@@ -70,8 +70,7 @@ func TestHandshakeSpeaksOnlyV3(t *testing.T) {
 		if _, err := io.ReadFull(clientEnd, resp); err != nil {
 			t.Fatal(err)
 		}
-		r := &payloadReader{data: resp}
-		if id := r.uvarint(); id != 1 || r.byte() != statusOK || !r.done() {
+		if h, r := response(resp); h != (respHead{id: 1, status: statusOK}) || r.Done() != nil {
 			t.Fatalf("hello v%d: ping response %x malformed", hello, resp)
 		}
 		clientEnd.Close()

@@ -46,9 +46,14 @@
 // a one-way replication stream; see replicate.go for the stream grammar,
 // catch-up semantics, and the follower-facing client API.
 //
-// Scalars reuse the command codec's conventions: strings are uvarint
-// length + bytes, floats are little-endian IEEE-754 bits, money is the
-// int64 micro count as little-endian uint64, counters are uvarints.
+// Every head and body is one walk on a binenc.Codec (reqHead, respHead,
+// walkError, walkDecision, ...) that the side writing it and the side
+// reading it both call, in the command codec's conventions: strings are
+// uvarint length + bytes, floats are little-endian IEEE-754 bits, money
+// is the int64 micro count as little-endian uint64, counters and
+// sequence numbers are uvarints, flags are one byte, 0 or 1. Decoding
+// refuses any other spelling — a padded varint, a flag byte above 1 — so
+// what a peer accepts is exactly what its encoder writes.
 //
 // # Pipelining
 //
@@ -70,7 +75,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+
+	"github.com/datamarket/shield/internal/apierr"
+	"github.com/datamarket/shield/internal/binenc"
+	"github.com/datamarket/shield/internal/market"
 )
 
 // Version is the one protocol version this package speaks. A client
@@ -204,107 +212,149 @@ func readFrameBody(r *bufio.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// --- scalar codec (the command binary codec's conventions) ---
+// --- heads and bodies ---
+//
+// Each is walked once on a binenc.Codec, by the side that writes it and
+// the side that reads it alike.
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+// reqHead opens every request: its id, its kind, and — when the kind
+// carries kindTraceFlag — the trace field.
+type reqHead struct {
+	id      uint64
+	kind    byte
+	trace   string
+	sampled bool
 }
 
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendInt64(b []byte, v int64) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(v))
-}
-
-// errTruncated is the closed parse error for wire payloads.
-var errTruncated = errors.New("wire: truncated payload")
-
-// payloadReader cursors over one frame payload. Every read is bounded
-// by the remaining input, mirroring the command codec's binReader: a
-// corrupted length never provokes a large allocation, and the first
-// failure sticks.
-type payloadReader struct {
-	data []byte
-	err  error
-}
-
-func (r *payloadReader) fail() {
-	if r.err == nil {
-		r.err = errTruncated
+func (h *reqHead) walk(c *binenc.Codec) {
+	c.Uvarint(&h.id)
+	c.Byte(&h.kind)
+	if h.kind&kindTraceFlag != 0 {
+		binenc.Bytes(c, &h.trace)
+		c.Bool(&h.sampled)
 	}
 }
 
-func (r *payloadReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
+// respHead opens every response: the request's id, echoed, and the
+// status.
+type respHead struct {
+	id     uint64
+	status byte
 }
 
-func (r *payloadReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 1 {
-		r.fail()
-		return 0
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b
+func (h *respHead) walk(c *binenc.Codec) {
+	c.Uvarint(&h.id)
+	c.Byte(&h.status)
 }
 
-func (r *payloadReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
+// walkError walks an error envelope: the code, from the closed apierr
+// set, then the message. Encoding, *err is classified, unless it is an
+// *apierr.APIError already; decoded, it is an *apierr.APIError whose
+// Error() is the server-side error's exact message.
+func walkError(c *binenc.Codec, err *error) {
+	var e apierr.APIError
+	if ae, ok := (*err).(*apierr.APIError); ok {
+		e = *ae
+	} else if !c.Decoding() {
+		e.Code, _ = apierr.Classify(*err)
+		e.Message = (*err).Error()
 	}
-	if n > uint64(len(r.data)) {
-		r.fail()
-		return ""
+	binenc.Bytes(c, &e.Code)
+	binenc.Bytes(c, &e.Message)
+	if c.Decoding() {
+		*err = &apierr.APIError{Code: e.Code, Message: e.Message}
 	}
-	s := string(r.data[:n])
-	r.data = r.data[n:]
-	return s
 }
 
-func (r *payloadReader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 8 {
-		r.fail()
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.data))
-	r.data = r.data[8:]
-	return f
+// badRequest is a refusal of the request itself.
+func badRequest(msg string) error {
+	return &apierr.APIError{Code: apierr.CodeBadRequest, Message: msg}
 }
 
-func (r *payloadReader) int64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 8 {
-		r.fail()
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(r.data))
-	r.data = r.data[8:]
-	return v
+// walkDecision walks a bid's result body.
+func walkDecision(c *binenc.Codec, d *market.Decision) {
+	c.Bool(&d.Allocated)
+	binenc.Fixed(c, &d.PricePaid)
+	binenc.Uint(c, &d.WaitPeriods)
 }
 
-// rest returns the unconsumed remainder of the payload.
-func (r *payloadReader) rest() []byte { return r.data }
+// walkResults walks a batch's result body: a count, then per bid a
+// status byte and its decision or its error envelope.
+func walkResults(c *binenc.Codec, res *[]market.BidResult) {
+	if n := c.Len(len(*res), 1); c.Decoding() {
+		*res = make([]market.BidResult, n)
+	}
+	for i := range *res {
+		r := &(*res)[i]
+		status := statusOK
+		if r.Err != nil {
+			status = statusErr
+		}
+		switch c.Byte(&status); status {
+		case statusOK:
+			walkDecision(c, &r.Decision)
+		case statusErr:
+			walkError(c, &r.Err)
+		default:
+			c.Fail("batch entry status %d", status)
+		}
+	}
+}
 
-// done reports whether the payload parsed cleanly to its end.
-func (r *payloadReader) done() bool { return r.err == nil && len(r.data) == 0 }
+// query is a query request's body: the opcode, then the arguments it
+// takes.
+type query struct {
+	op      byte
+	buyer   market.BuyerID
+	seller  market.SellerID
+	dataset market.DatasetID
+}
+
+func (q *query) walk(c *binenc.Codec) {
+	switch c.Byte(&q.op); q.op {
+	case qStats:
+		binenc.Bytes(c, &q.dataset)
+	case qBalance:
+		binenc.Bytes(c, &q.seller)
+	case qWait:
+		binenc.Bytes(c, &q.buyer)
+		binenc.Bytes(c, &q.dataset)
+	}
+}
+
+// walkDatasets walks the datasets result: a count, then each id.
+func walkDatasets(c *binenc.Codec, ids *[]market.DatasetID) {
+	if n := c.Len(len(*ids), 1); c.Decoding() {
+		*ids = make([]market.DatasetID, n)
+	}
+	for i := range *ids {
+		binenc.Bytes(c, &(*ids)[i])
+	}
+}
+
+// walkStats walks the stats result.
+func walkStats(c *binenc.Codec, st *market.DatasetStats) {
+	binenc.Bytes(c, &st.Dataset)
+	binenc.Uint(c, &st.Bids)
+	binenc.Uint(c, &st.Allocations)
+	binenc.Uint(c, &st.Epochs)
+	c.Float(&st.Revenue)
+	c.Float(&st.PostingPrice)
+	c.Float(&st.MostLikelyPrice)
+}
+
+// walkTransactions walks the transactions result: a count, then each
+// sale in at least 12 bytes.
+func walkTransactions(c *binenc.Codec, txs *[]market.Transaction) {
+	if n := c.Len(len(*txs), 12); c.Decoding() {
+		*txs = make([]market.Transaction, n)
+	}
+	for i := range *txs {
+		tx := &(*txs)[i]
+		binenc.Uint(c, &tx.Seq)
+		binenc.Bytes(c, &tx.Buyer)
+		binenc.Bytes(c, &tx.Dataset)
+		binenc.Fixed(c, &tx.Price)
+		binenc.Uint(c, &tx.Period)
+	}
+}

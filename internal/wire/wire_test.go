@@ -322,17 +322,15 @@ func TestPipelining(t *testing.T) {
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		r := &payloadReader{data: payload}
-		id := r.uvarint()
-		status := r.byte()
-		if r.err != nil {
+		h, r := response(payload)
+		if r.Err() != nil {
 			t.Fatalf("response %d: malformed", i)
 		}
-		if id != uint64(i) {
-			t.Fatalf("response %d carries id %d", i, id)
+		if h.id != uint64(i) {
+			t.Fatalf("response %d carries id %d", i, h.id)
 		}
-		if status != statusOK {
-			t.Fatalf("response %d: status %d", i, status)
+		if h.status != statusOK {
+			t.Fatalf("response %d: status %d", i, h.status)
 		}
 	}
 	wrote.Wait()
