@@ -32,9 +32,9 @@ const (
 //   - EvDatasetRemoved: Dataset, Seller
 //   - EvTicked: Period (the new period)
 //   - EvBidDecided: Buyer, Dataset, Amount, Period, Decision, Leaves
-//     (demand-propagation targets, aliasing the provenance query — do
-//     not mutate), and for wins Paid (the total credited to sellers,
-//     which the market's books views apply as an exact balance delta).
+//     (demand-propagation targets, aliasing the state's table — do not
+//     mutate), and for wins Paid (the total credited to sellers, which
+//     the market's books cell applies as an exact balance delta).
 type Event struct {
 	Kind     EventKind
 	Buyer    BuyerID
@@ -121,6 +121,7 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		}
 		i := st.intern(c.Dataset)
 		st.engines[i] = st.newEngine(c.Dataset)
+		st.leaves[i], _ = st.graph.Leaves(string(c.Dataset))
 		return append(evs, Event{Kind: EvDatasetAdded, Dataset: c.Dataset, Derived: true}), nil
 
 	case WithdrawDataset:
@@ -251,11 +252,7 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 	// outlives the request, and its strings must not.
 	buyer, dataset = acct.id, st.names[idx]
 
-	// Resolve demand-propagation targets (Figure 1, step 2).
-	var leaves []string
-	if parts, ok := st.graph.Constituents(string(dataset)); ok && len(parts) > 0 {
-		leaves, _ = st.graph.Leaves(string(dataset))
-	}
+	leaves := st.leaves[idx] // demand-propagation targets (Figure 1, step 2)
 
 	clock := st.clock
 

@@ -89,6 +89,10 @@ type State struct {
 	names   []DatasetID
 	engines []*core.Engine
 
+	// leaves holds a derived dataset's leaves by index, resolved once:
+	// neither it nor a base it uses can be withdrawn. nil for a base.
+	leaves [][]string
+
 	owners  map[DatasetID]SellerID // base datasets only
 	buyers  map[BuyerID]*buyerAccount
 	sellers map[SellerID]*sellerAccount
@@ -141,6 +145,7 @@ func (st *State) intern(id DatasetID) uint32 {
 		st.index[id] = i
 		st.names = append(st.names, id)
 		st.engines = append(st.engines, nil)
+		st.leaves = append(st.leaves, nil)
 	}
 	return i
 }
@@ -306,8 +311,8 @@ type txRec struct {
 
 // TxLog is a read-only view of the first sales of a state's log, which
 // stays valid and unchanged while Apply goes on appending: it holds
-// [:n:n] prefixes of the add-only log and back-tables, and spells a sale
-// as a Transaction only when it is read.
+// prefixes of the add-only log and back-tables, to their arrays' full
+// capacity, and spells a sale as a Transaction only when it is read.
 type TxLog struct {
 	recs   []txRec
 	buyers []BuyerID
@@ -315,8 +320,18 @@ type TxLog struct {
 }
 
 // TxLog returns the view of the first n transactions.
-func (st *State) TxLog(n int) TxLog {
-	return TxLog{st.txs[:n:n], st.buyerIDs[:len(st.buyerIDs):len(st.buyerIDs)], st.DatasetNames()}
+func (st *State) TxLog(n int) TxLog { return TxLog{st.txs[:n], st.buyerIDs, st.names} }
+
+// Holds reports whether l's arrays still back every sale and name of
+// later, a later view of the same state: only an append past cap moves one.
+func (l TxLog) Holds(later TxLog) bool {
+	return cap(l.recs) >= len(later.recs) && cap(l.buyers) >= len(later.buyers) && cap(l.names) >= len(later.names)
+}
+
+// Prefix returns the view of the first n sales written into l's arrays,
+// which must still hold them (Holds), names included.
+func (l TxLog) Prefix(n int) TxLog {
+	return TxLog{l.recs[:n:n], l.buyers[:cap(l.buyers)], l.names[:cap(l.names)]}
 }
 
 // Len returns the number of sales in the view.
@@ -426,6 +441,9 @@ func RestoreState(s Snapshot) (*State, error) {
 		}
 		i := st.intern(id)
 		st.engines[i] = eng
+		if !graph.IsBase(string(id)) {
+			st.leaves[i], _ = graph.Leaves(string(id))
+		}
 	}
 	for id := range s.Graph {
 		if _, ok := s.Engines[DatasetID(id)]; !ok {

@@ -69,16 +69,20 @@ func TestReplayBidAllocs(t *testing.T) {
 
 // TestJournaledBidSteadyStateAllocs is TestBidHotPathSteadyStateAllocs
 // (internal/market) through the commit stage, entered as both transports
-// enter it: losing bids submitted to a journaled market as their
-// encodings (ApplyEncodedCtx) — applied, framed, written to the sink,
-// published — allocate nothing in the steady state. The body is applied
-// where it lies and recorded as it arrived, the tick's event lands in the
-// market's scratch, and the bid's comes back by value. Each run pays one
-// tick and a bid per buyer. With the tick's event in a slice of its own
-// this read 1; boxing the bid into a command and its event into a slice
-// cost two per bid.
+// enter it: bids submitted to a journaled market as their encodings
+// (ApplyEncodedCtx) — applied, framed, written to the sink, published —
+// allocate nothing in the steady state, losing or winning. The body is
+// applied where it lies and recorded as it arrived, the tick's event
+// lands in the market's scratch, the bid's comes back by value, and a
+// sale's books are stored in place. Each losing run pays one tick and a
+// bid per buyer; each winning run a sale per buyer, on a dataset it
+// already has a record on, so no record is inserted. With the tick's
+// event in a slice of its own the losing runs read 1; boxing the bid into
+// a command and its event into a slice cost two per bid, and a fresh
+// books view cost one per sale. The sales log's own growth, amortised,
+// stays under one allocation per run.
 func TestJournaledBidSteadyStateAllocs(t *testing.T) {
-	const buyers = 64
+	const buyers, runs = 64, 40
 	jm, err := NewMarket(allocConfig(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +90,17 @@ func TestJournaledBidSteadyStateAllocs(t *testing.T) {
 	if err := jm.RegisterSeller("s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := jm.UploadDataset("s", "d"); err != nil {
-		t.Fatal(err)
+	datasets := []market.DatasetID{"d"}
+	for k := 0; k <= runs; k++ { // one to win per run, and the warm-up's
+		datasets = append(datasets, market.DatasetID(fmt.Sprintf("w%02d", k)))
+	}
+	for _, d := range datasets {
+		if err := jm.UploadDataset("s", d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bodies := make([][]byte, buyers)
+	wins := make([][][]byte, len(datasets)-1)
 	for i := range bodies {
 		id := market.BuyerID(fmt.Sprintf("buyer-%02d", i))
 		if err := jm.RegisterBuyer(id); err != nil {
@@ -97,6 +108,17 @@ func TestJournaledBidSteadyStateAllocs(t *testing.T) {
 		}
 		if bodies[i], err = command.EncodeBinary(command.SubmitBid{Buyer: id, Dataset: "d", Amount: 5}); err != nil {
 			t.Fatal(err)
+		}
+		for k, d := range datasets[1:] {
+			if dec, err := jm.SubmitBid(id, d, 5); err != nil || dec.Allocated {
+				t.Fatalf("bid by %s on %s: %+v, %v; want a loss", id, d, dec, err)
+			}
+			// Above the grid's top candidate: every bid wins.
+			body, err := command.EncodeBinary(command.SubmitBid{Buyer: id, Dataset: d, Amount: 150})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wins[k] = append(wins[k], body)
 		}
 	}
 	ctx := context.Background()
@@ -115,5 +137,20 @@ func TestJournaledBidSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.2f allocs per tick+%d-bid run", allocs, buyers)
 	if allocs != 0 {
 		t.Fatalf("a journaled tick and %d losing bids allocate %.2f times (%.3f per bid), want 0", buyers, allocs, allocs/buyers)
+	}
+
+	next := 0
+	winAll := func() {
+		for i, body := range wins[next] {
+			if ev, err := jm.ApplyEncodedCtx(ctx, body, nil); err != nil || !ev.Decision.Allocated {
+				t.Fatalf("bid %d on %s: %+v, %v; want a win", i, datasets[next+1], ev.Decision, err)
+			}
+		}
+		next++
+	}
+	allocs = testing.AllocsPerRun(runs, winAll) // the warm-up grows every winner's ownership bitset
+	t.Logf("%.2f allocs per %d-sale run", allocs, buyers)
+	if allocs != 0 {
+		t.Fatalf("%d journaled winning bids allocate %.2f times (%.3f per sale), want 0", buyers, allocs, allocs/buyers)
 	}
 }

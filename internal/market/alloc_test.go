@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -40,13 +41,14 @@ func allocMarket(t testing.TB) *Market {
 	return m
 }
 
-// TestPublishBidZeroAlloc asserts the per-bid view publication — the
-// seqlock stats-cell store and the wait-table write for a losing bid on
-// a base dataset — does not allocate. (A winning bid additionally
-// republishes the books: one small booksView allocation per sale, which
-// is most bids where buyers bid what the data is worth to them — three
-// in four on the repository benchmark — and none for the log, which the
-// view shares with the state.)
+// TestPublishBidZeroAlloc asserts the per-bid view publication
+// allocates nothing: for a losing bid on a base dataset, the seqlock
+// stats-cell store and the wait-table write; for a winning one, on warm
+// cells, also the books cell's in-place store, the winner's ownership
+// bit and spend, and the seller's balance. The books were republished as
+// a fresh view per sale once — one allocation per sale, which is most
+// bids where buyers bid what the data is worth to them (three in four on
+// the repository benchmark).
 func TestPublishBidZeroAlloc(t *testing.T) {
 	m := allocMarket(t)
 	ev := command.Event{
@@ -59,6 +61,74 @@ func TestPublishBidZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { m.publishBid(&ev) }); n != 0 {
 		t.Fatalf("publishBid allocates %.1f times per losing bid, want 0", n)
+	}
+
+	// Every winner already owns a dataset, so its ownership bitset
+	// exists. The measured sales are all on the state's log before the
+	// first is published, as the rest of a group is while its first
+	// events publish; the books catch up one sale per call.
+	const runs = 200
+	if err := m.UploadDataset("s", "e"); err != nil {
+		t.Fatal(err)
+	}
+	wins := make([]command.Event, 0, runs+1)
+	for i := 0; i <= runs; i++ {
+		id := BuyerID(fmt.Sprintf("winner-%03d", i))
+		if err := m.RegisterBuyer(id); err != nil {
+			t.Fatal(err)
+		}
+		// Above the grid's top candidate: every bid wins.
+		if d, err := m.SubmitBid(id, "d", 150); err != nil || !d.Allocated {
+			t.Fatalf("bid by %s on d: %+v, %v; want a win", id, d, err)
+		}
+		ev, err := command.ApplyBid(m.st, command.SubmitBid{Buyer: id, Dataset: "e", Amount: 150})
+		if err != nil || !ev.Decision.Allocated {
+			t.Fatalf("bid by %s on e: %+v, %v; want a win", id, ev.Decision, err)
+		}
+		wins = append(wins, ev)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { m.publishBid(&wins[next]); next++ }); n != 0 {
+		t.Fatalf("publishBid allocates %.1f times per winning bid, want 0", n)
+	}
+	if got, want := m.TxCount(), m.st.TxCount(); got != want {
+		t.Fatalf("%d sales published of the state's %d", got, want)
+	}
+	if revenue, spent, balances := m.Totals(); revenue != m.st.Revenue() || spent != revenue || balances != revenue {
+		t.Fatalf("books: revenue %v, spent %v, balances %v; the state's revenue %v", revenue, spent, balances, m.st.Revenue())
+	}
+}
+
+// TestDerivedBidSteadyStateAllocs: a losing bid on a derived dataset —
+// its demand propagated to every leaf, each leaf's stats republished —
+// allocates nothing once the buyer has a record on it. Resolving the
+// leaves from the provenance graph on every bid cost a copy of the
+// parent list, a seen map, a slice and a closure; a derived dataset's
+// leaves never change, so the state resolves them once. The tick is
+// entered as its encoding, so its event lands in the market's scratch.
+func TestDerivedBidSteadyStateAllocs(t *testing.T) {
+	m := allocMarket(t)
+	if err := m.UploadDataset("s", "e"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ComposeDataset("de", "d", "e"); err != nil {
+		t.Fatal(err)
+	}
+	tick, err := command.EncodeBinary(command.Tick{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := m.ApplyEncodedCtx(context.Background(), tick, nil); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := m.SubmitBid("b", "de", 5); err != nil || d.Allocated || d.WaitPeriods > 1 {
+			t.Fatalf("bid on de: %+v, %v; want a loss with at most a one-period wait", d, err)
+		}
+	}
+	run() // the buyer's record on de
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Fatalf("a tick and a losing bid on a derived dataset allocate %.1f times, want 0", n)
 	}
 }
 

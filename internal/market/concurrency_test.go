@@ -387,17 +387,19 @@ func TestRegistrationRacesReaders(t *testing.T) {
 
 // TestSharedLogAndBitsetsUnderReaders is the -race check on the two
 // structures readers share with the writer without a copy: the books
-// view, a prefix of the state's own transaction log and name tables, and
-// the buyer cells' ownership bitsets. One writer sells every dataset of a
-// catalogue that grows from 60 to 200 names mid-storm to 64 buyers —
-// half of whom skip the first 64 datasets, so their first purchase lands
-// past word 0 — and to one buyer registered per dataset mid-storm, so the
-// buyer table grows under the readers, while readers spell every sale of
-// a view through TxLog.At and loop over Transactions, Totals and Owns.
-// Every books view adds up (Σ price == revenue == spend, over exactly
-// the sales it holds), every observed log is a prefix of the final one,
-// and no ownership bit, once published, is ever lost to a bitset growing
-// or the index mirror being republished.
+// cell, whose consistent read is a prefix of the state's own transaction
+// log and name tables, and the buyer cells' ownership bitsets. One
+// writer sells every dataset of a catalogue that grows from 60 to 200
+// names mid-storm to 64 buyers — half of whom skip the first 64
+// datasets, so their first purchase lands past word 0 — and to one buyer
+// registered per dataset mid-storm, so the buyer table grows under the
+// readers, while readers spell every sale of a read through TxLog.At and
+// loop over Transactions, Totals and Owns. Every read of the books adds
+// up (Σ price == revenue == spend == balances, over exactly the sales it
+// holds) and stays inside its tables (a reader's panic fails the test by
+// name), every observed log is a prefix of the final one, and no
+// ownership bit, once published, is ever lost to a bitset growing or
+// the index mirror being republished.
 func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
 	const buyers, datasets, seeded, readers = 64, 200, 60, 4
 	m := MustNew(benchConfig())
@@ -414,9 +416,14 @@ func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			defer func() { // a view whose tables miss its sales reads out of bounds
+				if p := recover(); p != nil {
+					t.Errorf("reader %d: %v", r, p)
+				}
+			}()
 			for step := 0; !done.Load(); step++ {
-				// One view: its sums are the sums of its own log.
-				b := m.vw.books.Load()
+				// One read of the cell: its sums are the sums of its own log.
+				b := m.vw.books.load()
 				var sum Money
 				for i := range b.txs.Len() {
 					tx := b.txs.At(i)

@@ -38,8 +38,8 @@ import (
 //     moves a bid counter, possibly a posting price, and a loser's
 //     wait) updates a few words in place instead of cloning a map;
 //   - the books (revenue, total spend, total balances, transactions)
-//     change only on sales; one small immutable booksView is republished
-//     per sale, over the state's own transaction log.
+//     change only on sales, and live in one cell too, over the state's
+//     own transaction log.
 type views struct {
 	clock atomic.Int64
 
@@ -67,8 +67,8 @@ type views struct {
 	// SellerID → *sellerCell, read through sellerView.
 	sellers sync.Map
 
-	// books is the money view; readers only Load.
-	books atomic.Pointer[booksView]
+	// books is the money cell, updated in place per sale.
+	books booksCell
 }
 
 // buyerView returns a registered buyer's cell, nil for an unknown buyer.
@@ -88,14 +88,27 @@ func (v *views) sellerView(id SellerID) *sellerCell {
 	return nil
 }
 
-// statsCell publishes one dataset's DatasetStats without allocating: a
-// seqlock over per-field atomics instead of a freshly heap-allocated
-// value behind an atomic pointer. There is one writer at a time, so the
-// sequence only has to make torn reads detectable: store flips it odd,
-// writes every field, flips it even; load retries until it reads the
-// same even sequence on both sides of the copy.
+// seqlock publishes a cell's fields in place, without allocating. With
+// one writer at a time it need only make torn reads detectable: a store
+// adds 1, writes every field, adds 1 again; read retries until it loads
+// the same even sequence on both sides of its copy.
+type seqlock struct{ atomic.Uint64 }
+
+func (l *seqlock) read(load func()) {
+	for {
+		if s := l.Load(); s&1 == 0 {
+			load()
+			if l.Load() == s {
+				return
+			}
+		}
+		runtime.Gosched() // a store is in flight; yield and retry
+	}
+}
+
+// statsCell publishes one dataset's DatasetStats under a seqlock.
 type statsCell struct {
-	seq atomic.Uint64 // odd while a store is in flight
+	seq seqlock // odd while a store is in flight
 
 	bids        atomic.Int64
 	allocations atomic.Int64
@@ -124,25 +137,61 @@ func (c *statsCell) store(ds DatasetStats) {
 	c.seq.Add(1)
 }
 
-func (c *statsCell) load() DatasetStats {
-	for {
-		s := c.seq.Load()
-		if s&1 == 0 {
-			ds := DatasetStats{
-				Dataset:         c.dataset,
-				Bids:            int(c.bids.Load()),
-				Allocations:     int(c.allocations.Load()),
-				Epochs:          int(c.epochs.Load()),
-				Revenue:         math.Float64frombits(c.revenue.Load()),
-				PostingPrice:    math.Float64frombits(c.posting.Load()),
-				MostLikelyPrice: math.Float64frombits(c.mostLikely.Load()),
-			}
-			if c.seq.Load() == s {
-				return ds
-			}
+func (c *statsCell) load() (ds DatasetStats) {
+	c.seq.read(func() {
+		ds = DatasetStats{
+			Dataset:         c.dataset,
+			Bids:            int(c.bids.Load()),
+			Allocations:     int(c.allocations.Load()),
+			Epochs:          int(c.epochs.Load()),
+			Revenue:         math.Float64frombits(c.revenue.Load()),
+			PostingPrice:    math.Float64frombits(c.posting.Load()),
+			MostLikelyPrice: math.Float64frombits(c.mostLikely.Load()),
 		}
-		runtime.Gosched() // a store is in flight; yield and retry
+	})
+	return ds
+}
+
+// booksCell publishes the money books in place, under a seqlock: the
+// three sums, the sale count, and the tables of the state's own log, not
+// a copy — republished only when an append has moved one of their arrays,
+// O(log n) times a run. A read never reaches past the count, behind which
+// the state appends, and no sale or name is ever rewritten.
+type booksCell struct {
+	seq                             seqlock      // odd while a store is in flight
+	revenue, spent, balances, sales atomic.Int64 // three Money sums and the sale count
+	tables                          atomic.Pointer[command.TxLog]
+}
+
+// books is one consistent read of the cell: the sums of exactly txs.
+type books struct {
+	revenue, spent, balances Money
+	txs                      command.TxLog
+}
+
+// store publishes b, whose txs is a view of the state's own log.
+func (c *booksCell) store(b books) {
+	c.seq.Add(1)
+	if t := c.tables.Load(); t == nil || !t.Holds(b.txs) {
+		moved := b.txs
+		c.tables.Store(&moved)
 	}
+	c.revenue.Store(int64(b.revenue))
+	c.spent.Store(int64(b.spent))
+	c.balances.Store(int64(b.balances))
+	c.sales.Store(int64(b.txs.Len()))
+	c.seq.Add(1)
+}
+
+func (c *booksCell) load() (b books) {
+	var tables *command.TxLog
+	var n int64
+	c.seq.read(func() {
+		b.revenue, b.spent, b.balances = Money(c.revenue.Load()), Money(c.spent.Load()), Money(c.balances.Load())
+		n, tables = c.sales.Load(), c.tables.Load()
+	})
+	b.txs = tables.Prefix(int(n))
+	return b
 }
 
 // buyerCell is one buyer's read state. The acquisition set is add-only
@@ -251,18 +300,6 @@ func newSellerCell() *sellerCell {
 	return c
 }
 
-// booksView is the immutable money view: the three conservation sums
-// and the transaction log they add up — a view of the state's own log
-// (command.State.TxLog), not a copy. A view never observes what the
-// state appends behind it and no recorded sale or name is ever
-// rewritten, so sharing the log is safe.
-type booksView struct {
-	revenue  Money
-	spent    Money
-	balances Money
-	txs      command.TxLog
-}
-
 // rebuildViews derives every view from the current state. Callers must
 // have exclusive access (construction, before the market is shared).
 func (m *Market) rebuildViews() {
@@ -302,12 +339,7 @@ func (m *Market) rebuildViews() {
 	}
 
 	revenue, spent, balances := m.st.Totals()
-	m.vw.books.Store(&booksView{
-		revenue:  revenue,
-		spent:    spent,
-		balances: balances,
-		txs:      m.st.TxLog(m.st.TxCount()),
-	})
+	m.vw.books.store(books{revenue, spent, balances, m.st.TxLog(m.st.TxCount())})
 }
 
 // publishNames extends the index mirror to the names the state has
@@ -392,15 +424,10 @@ func (m *Market) publishBid(ev *command.Event) {
 		return
 	}
 
-	// A sale: republish the books, one transaction further along the
+	// A sale: the books, in place, one transaction further along the
 	// state's log (the rest of this group may already be on it)...
-	old := m.vw.books.Load()
-	m.vw.books.Store(&booksView{
-		revenue:  old.revenue + ev.Decision.PricePaid,
-		spent:    old.spent + ev.Decision.PricePaid,
-		balances: old.balances + ev.Paid,
-		txs:      m.st.TxLog(old.txs.Len() + 1),
-	})
+	old, price := m.vw.books.load(), ev.Decision.PricePaid
+	m.vw.books.store(books{old.revenue + price, old.spent + price, old.balances + ev.Paid, m.st.TxLog(old.txs.Len() + 1)})
 
 	// ...the winner's cell: the won dataset joins the add-only set and
 	// spent is republished as the absolute total — O(1) per sale,
@@ -472,18 +499,16 @@ func (m *Market) Period() int {
 }
 
 // Revenue returns the total revenue raised so far.
-func (m *Market) Revenue() Money {
-	return m.vw.books.Load().revenue
-}
+func (m *Market) Revenue() Money { return m.vw.books.load().revenue }
 
 // Totals returns the market's money books in one consistent view:
 // total revenue, the sum of every buyer's spend, and the sum of every
 // seller's balance. In a conserving market all three are equal — the
 // torture harness (internal/torture) asserts exactly that after every
-// operation. The three sums come from one immutable books view
-// published atomically per sale.
+// operation. The three sums come from one consistent read of the books
+// cell.
 func (m *Market) Totals() (revenue, spent, balances Money) {
-	b := m.vw.books.Load()
+	b := m.vw.books.load()
 	return b.revenue, b.spent, b.balances
 }
 
@@ -543,12 +568,12 @@ func (m *Market) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
 }
 
 // TxCount returns the number of completed sales, without copying them.
-func (m *Market) TxCount() int { return m.vw.books.Load().txs.Len() }
+func (m *Market) TxCount() int { return m.vw.books.load().txs.Len() }
 
 // Transactions returns the transaction log, spelled afresh for the
 // caller, in sequence order.
 func (m *Market) Transactions() []Transaction {
-	txs := m.vw.books.Load().txs
+	txs := m.vw.books.load().txs
 	return txs.Append(make([]Transaction, 0, txs.Len()))
 }
 

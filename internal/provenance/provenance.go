@@ -84,18 +84,6 @@ func (g *Graph) IsBase(id string) bool {
 	return ok && len(p) == 0
 }
 
-// Constituents returns the direct constituents of id (nil for base
-// datasets) and whether id exists.
-func (g *Graph) Constituents(id string) ([]string, bool) {
-	p, ok := g.parents[id]
-	if !ok {
-		return nil, false
-	}
-	out := make([]string, len(p))
-	copy(out, p)
-	return out, true
-}
-
 // Leaves resolves id to the distinct base datasets backing it, sorted for
 // determinism. A base dataset resolves to itself.
 func (g *Graph) Leaves(id string) ([]string, error) {

@@ -67,23 +67,6 @@ func TestContainsAndIsBase(t *testing.T) {
 	}
 }
 
-func TestConstituents(t *testing.T) {
-	g := buildGraph(t)
-	cs, ok := g.Constituents("d12")
-	if !ok || len(cs) != 2 || cs[0] != "d1" || cs[1] != "d2" {
-		t.Fatalf("Constituents(d12) = %v, %v", cs, ok)
-	}
-	// Mutating the returned slice must not corrupt the graph.
-	cs[0] = "hacked"
-	cs2, _ := g.Constituents("d12")
-	if cs2[0] != "d1" {
-		t.Fatal("Constituents leaked internal state")
-	}
-	if _, ok := g.Constituents("nope"); ok {
-		t.Fatal("unknown dataset reported constituents")
-	}
-}
-
 func TestLeaves(t *testing.T) {
 	g := buildGraph(t)
 	cases := map[string][]string{
@@ -194,8 +177,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	snap := g.Snapshot()
 	// Mutating the snapshot must not affect the graph.
 	snap["d12"][0] = "hacked"
-	cs, _ := g.Constituents("d12")
-	if cs[0] != "d1" {
+	if g.Snapshot()["d12"][0] != "d1" {
 		t.Fatal("Snapshot leaked internal state")
 	}
 

@@ -10,8 +10,20 @@
 # order flipped every pair, at the run length BENCHMARK.json fixes. Then,
 # for every end-to-end metric BENCHMARK.json gates: each run's value,
 # both sides' quartiles, the spread (q3 - q1) relative to that side's own
-# median, and the pairs the change won (ties count for neither). This is
-# the table benchmark/README "Naming a claim" asks a PR to report.
+# median, the pairs the change won (ties count for neither), and a
+# verdict, the first of these that holds:
+#
+#   gain              the change won at least 9 pairs in 10, and its median
+#                     is better than the parent's by more than the parent's
+#                     q3 - q1
+#   unresolved        a side's (q3 - q1)/median is wider than the metric's
+#                     bound in BENCHMARK.json, and not every change run
+#                     beats every parent run
+#   worse than bound  the change's median is worse than the parent's by more
+#                     than the bound
+#   within bound      otherwise
+#
+# This is the table benchmark/README "Naming a claim" asks a PR to report.
 #
 # A run that fails, or whose result line does not say "correct":true with
 # no failed operations, stops the script: nothing is averaged over it.
@@ -77,17 +89,18 @@ values() {
 	sed -n "s/.*\"$2\":{\"value\":\([^,]*\),.*/\1/p" "$out/$1.results"
 }
 
-# The gated metrics and which way is better, from BENCHMARK.json's
-# end_to_end block.
+# The gated metrics, which way is better and the bound, from
+# BENCHMARK.json's end_to_end block.
 awk '/"end_to_end"/ {on = 1} on && /"name"/ {gsub(/[",]/, ""); name = $2}
-	on && /"better"/ {gsub(/[",]/, ""); print name, $2} on && /\]/ {exit}' BENCHMARK.json |
-	while read -r metric better; do
+	on && /"better"/ {gsub(/[",]/, ""); better = $2}
+	on && /"bound"/ {gsub(/[",]/, ""); print name, better, $2} on && /\]/ {exit}' BENCHMARK.json |
+	while read -r metric better bound; do
 		echo
 		echo "$metric ($better is better)"
 		for side in parent change; do
 			echo "  $side runs: $(values "$side" "$metric" | tr '\n' ' ')"
 		done
-		paste <(values parent "$metric") <(values change "$metric") | awk -v better="$better" '
+		paste <(values parent "$metric") <(values change "$metric") | awk -v better="$better" -v bound="$bound" '
 			function quartile(v, n, p,    pos, lo) {
 				pos = (n - 1) * p; lo = int(pos)
 				return lo + 1 >= n ? v[n] : v[lo + 1] + (pos - lo) * (v[lo + 2] - v[lo + 1])
@@ -95,8 +108,11 @@ awk '/"end_to_end"/ {on = 1} on && /"name"/ {gsub(/[",]/, ""); name = $2}
 			function summary(side, v, n,    q1, med, q3) {
 				q1 = quartile(v, n, 0.25); med = quartile(v, n, 0.5); q3 = quartile(v, n, 0.75)
 				printf "  %-6s q1 %-12.6g median %-12.6g q3 %-12.6g (q3-q1)/median %.1f%%\n", side, q1, med, q3, med ? 100 * (q3 - q1) / med : 0
+				iqr[side] = q3 - q1; spread[side] = med ? (q3 - q1) / med : 0
 				return med
 			}
+			# gain: how much better a is than b, by the metric.
+			function gain(a, b) { return better == "higher" ? a - b : b - a }
 			function sorted(v, n,    i, j, t) {
 				for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
 			}
@@ -109,5 +125,12 @@ awk '/"end_to_end"/ {on = 1} on && /"name"/ {gsub(/[",]/, ""); name = $2}
 				sorted(p, NR); sorted(c, NR)
 				pm = summary("parent", p, NR); cm = summary("change", c, NR)
 				printf "  change wins %d of %d pairs (%d ties); change median / parent median = %.3f\n", wins, NR, ties, pm ? cm / pm : 0
+				# Sorted, so the worst change run against the best parent run.
+				allbetter = better == "higher" ? gain(c[1], p[NR]) > 0 : gain(c[NR], p[1]) > 0
+				if (10 * wins >= 9 * NR && gain(cm, pm) > iqr["parent"]) verdict = "gain"
+				else if ((spread["parent"] > bound || spread["change"] > bound) && !allbetter) verdict = "unresolved"
+				else if (-gain(cm, pm) > bound * (pm < 0 ? -pm : pm)) verdict = "worse than bound"
+				else verdict = "within bound"
+				printf "  verdict: %s (bound %g)\n", verdict, bound
 			}'
 	done
