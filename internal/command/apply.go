@@ -70,7 +70,12 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		if _, ok := st.buyers[c.Buyer]; ok {
 			return evs, fmt.Errorf("%w: buyer %s", ErrDuplicateID, c.Buyer)
 		}
-		st.buyers[c.Buyer] = &buyerAccount{id: c.Buyer, index: uint32(len(st.buyerIDs))}
+		if len(st.spare) == 0 {
+			st.spare = make([]buyerAccount, 64)
+		}
+		acct := &st.spare[0]
+		st.spare, acct.id, acct.index = st.spare[1:], c.Buyer, uint32(len(st.buyerIDs))
+		st.buyers[c.Buyer] = acct
 		st.buyerIDs = append(st.buyerIDs, c.Buyer)
 		return append(evs, Event{Kind: EvBuyerRegistered, Buyer: c.Buyer}), nil
 

@@ -104,6 +104,10 @@ type State struct {
 	txs      []txRec
 	revenue  Money
 
+	// spare is the rest of the chunk of 64 registrations take accounts
+	// from; an account never moves, so buyers points into the chunks.
+	spare []buyerAccount
+
 	// perturb, when non-nil, is installed into every engine as a price
 	// perturbation (test-only; see TestPerturbPrices).
 	perturb func(float64) float64
@@ -257,23 +261,18 @@ func (st *State) BuyerSpend(id BuyerID) (Money, error) {
 	return acct.spent, nil
 }
 
-// BuyerIDs returns the registered buyer IDs, sorted.
-func (st *State) BuyerIDs() []BuyerID { return sortedKeys(st.buyers) }
-
-// InspectBuyer calls f for every dataset the buyer has a record on —
-// its index (a position in DatasetNames), whether the buyer owns it and
-// the first period the buyer may bid on it again — in index order, and
-// returns the buyer's spend; false for an unknown buyer. The
-// live market builds its read views from it.
-func (st *State) InspectBuyer(id BuyerID, f func(dataset uint32, owned bool, blockedUntil int)) (Money, bool) {
-	acct, ok := st.buyers[id]
-	if !ok {
-		return 0, false
+// WalkBuyers calls buyer for each buyer in registration order, each call
+// followed by record for every dataset index (into DatasetNames) the
+// buyer has a record on, ascending: whether it owns the dataset and when
+// it may bid on it again.
+func (st *State) WalkBuyers(buyer func(id BuyerID, spent Money), record func(dataset uint32, owned bool, blockedUntil int)) {
+	for _, id := range st.buyerIDs {
+		acct := st.buyers[id]
+		buyer(id, acct.spent)
+		for _, p := range acct.pairs {
+			record(p.dataset, p.flags&acquired != 0, p.blockedUntil)
+		}
 	}
-	for _, p := range acct.pairs {
-		f(p.dataset, p.flags&acquired != 0, p.blockedUntil)
-	}
-	return acct.spent, true
 }
 
 // SellerIDs returns the registered seller IDs, sorted.
@@ -456,8 +455,10 @@ func RestoreState(s Snapshot) (*State, error) {
 		}
 		st.owners[id] = owner
 	}
+	accts := make([]buyerAccount, len(s.Buyers)) // one allocation for every account
 	for id, bs := range s.Buyers {
-		acct := &buyerAccount{id: id, index: uint32(len(st.buyerIDs)), pairs: make([]pair, 0, len(bs.LastBid)), spent: bs.Spent}
+		acct := &accts[len(st.buyerIDs)]
+		*acct = buyerAccount{id: id, index: uint32(len(st.buyerIDs)), pairs: make([]pair, 0, len(bs.LastBid)), spent: bs.Spent}
 		for name, v := range bs.LastBid { // one sort: every record a bid made has a LastBid key
 			acct.pairs = append(acct.pairs, pair{lastBid: v, dataset: st.intern(name), flags: hasLastBid})
 		}

@@ -185,10 +185,11 @@ func WithGroupCommit(window time.Duration) Option {
 // WithTelemetry instruments the writer: an fsync latency histogram
 // (shield_journal_fsync_seconds, which the repository benchmark counts
 // fsyncs from), a per-record size histogram, group-size and leader-wait
-// histograms, counters for appended bytes and failed appends, two
-// gauges a store sets once when it is opened — how long recovery took
-// and how many records it replayed (shield_journal_recovery_seconds/
-// _records; the only instruments OpenReplicaStore registers) — and the
+// histograms, counters for appended bytes and failed appends, three
+// gauges a store sets once when it is opened — how long recovery took,
+// how much of that deriving the read views took and how many records it
+// replayed (shield_journal_recovery_seconds/_views_seconds/_records; the
+// only instruments OpenReplicaStore registers) — and the
 // journal's stages on the shared shield_stage_seconds family
 // (group_commit.queue_wait/append/fsync), all registered on t's
 // registry.
@@ -246,7 +247,9 @@ func newWriterTelemetry(t *obs.Telemetry) *writerTelemetry {
 func recovered(t *obs.Telemetry, st *storeState) {
 	if t != nil {
 		t.Registry.Gauge("shield_journal_recovery_seconds",
-			"Time this process spent recovering its store when it opened it: checkpoint load plus tail replay.").Set(st.took.Seconds())
+			"Time this process spent recovering its store when it opened it: segment walk, checkpoint load, tail replay and view derivation.").Set(st.took.Seconds())
+		t.Registry.Gauge("shield_journal_recovery_views_seconds",
+			"Time deriving the market's read views from the recovered state took when this process opened its store; part of shield_journal_recovery_seconds.").Set(st.views.Seconds())
 		t.Registry.Gauge("shield_journal_recovery_records",
 			"Records replayed past the checkpoint when this process opened its store.").Set(float64(st.replayed))
 	}

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/command"
+	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/obs"
@@ -407,7 +409,8 @@ func gauge(t *testing.T, tel *obs.Telemetry, name string) float64 {
 
 // TestRecoveryTelemetry: opening a store under WithTelemetry — as a
 // leader or as a follower's replica store — reports, once, how long
-// recovery took and how many records it replayed past the checkpoint.
+// recovery took, how much of it deriving the read views took, and how
+// many records it replayed past the checkpoint.
 func TestRecoveryTelemetry(t *testing.T) {
 	h := writeHistory(t, 3, 600, true)
 	sc := journal.StoreConfig{CheckpointEvery: -1, RetainSegments: -1}
@@ -436,8 +439,116 @@ func TestRecoveryTelemetry(t *testing.T) {
 		if got := gauge(t, tel, "shield_journal_recovery_records"); got != float64(replayed) {
 			t.Errorf("%s: shield_journal_recovery_records = %v, want %d", who, got, replayed)
 		}
-		if got := gauge(t, tel, "shield_journal_recovery_seconds"); got <= 0 || got > 60 {
-			t.Errorf("%s: shield_journal_recovery_seconds = %v, want the open's duration", who, got)
+		total := gauge(t, tel, "shield_journal_recovery_seconds")
+		if total <= 0 || total > 60 {
+			t.Errorf("%s: shield_journal_recovery_seconds = %v, want the open's duration", who, total)
 		}
+		if views := gauge(t, tel, "shield_journal_recovery_views_seconds"); views <= 0 || views > total {
+			t.Errorf("%s: shield_journal_recovery_views_seconds = %v, want a part of the open's %v", who, views, total)
+		}
+	}
+}
+
+// TestRecoveredCellsStayIndependent: a recovered market's buyer cells
+// are carved out of shared slabs — every owner's bitset out of one
+// array, every buyer's running waits out of another — so trading on
+// after the open must never let one buyer's cell write into a
+// neighbour's. Over a history where every buyer owns a dataset and has
+// two waits running, recovered from its log alone and from a checkpoint,
+// the reopened store keeps trading: a losing bid that adds a third wait
+// for every buyer (which must move its waits off the slab), wins,
+// late registrations, and a 65th dataset won by everyone (which must
+// grow every carved one-word bitset). After each phase every read must
+// equal a market that lived the whole history without a restart.
+func TestRecoveredCellsStayIndependent(t *testing.T) {
+	const buyers = 32
+	cfg := market.Config{
+		Engine: core.Config{Candidates: auction.LinearGrid(10, 100, 10), EpochSize: 8, BidsPerPeriod: 1000, MinBid: 1},
+		Seed:   42,
+	}
+	const win, lose = 150, 5 // above the grid's top candidate; below its bottom, so a wait
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir, sc := t.TempDir(), journal.StoreConfig{CheckpointEvery: -1, RetainSegments: -1}
+			jm, _, err := journal.OpenStore(cfg, dir, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := market.MustNew(cfg)
+			var pop population
+			// apply runs cmd on the store and on the market that never
+			// restarts, which must agree on its outcome.
+			apply := func(cmd command.Command) {
+				t.Helper()
+				pop.note(cmd)
+				_, err := live.Apply(cmd)
+				if _, jerr := jm.Apply(cmd); fmt.Sprint(err) != fmt.Sprint(jerr) {
+					t.Fatalf("%+v: the store says %v, the live market %v", cmd, jerr, err)
+				}
+				if err != nil {
+					t.Fatalf("%+v: %v", cmd, err)
+				}
+			}
+			buyer := func(i int) market.BuyerID { return market.BuyerID(fmt.Sprintf("b%02d", i)) }
+			ds := func(i int) market.DatasetID { return market.DatasetID(fmt.Sprintf("d%02d", i)) }
+			bid := func(b, d int, amount float64) {
+				t.Helper()
+				apply(command.SubmitBid{Buyer: buyer(b), Dataset: ds(d), Amount: amount})
+			}
+			compare := func(phase string) {
+				t.Helper()
+				if d := firstDifferingRead(live, jm.Market, &pop); d != "" {
+					t.Fatalf("after %s the recovered market differs from the live one in %s", phase, d)
+				}
+			}
+
+			apply(command.RegisterSeller{Seller: "s"})
+			for d := 0; d < 64; d++ { // one word of bits
+				apply(command.UploadDataset{Seller: "s", Dataset: ds(d)})
+			}
+			for b := 0; b < buyers; b++ {
+				apply(command.RegisterBuyer{Buyer: buyer(b)})
+				bid(b, b, win)
+				bid(b, b+1, lose)
+				bid(b, b+2, lose)
+			}
+			if checkpoint {
+				if err := jm.Store().Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := jm.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if jm, _, err = journal.OpenStore(cfg, dir, sc); err != nil {
+				t.Fatal(err)
+			}
+			defer jm.Close()
+			compare("the reopen")
+			for b := 0; b < buyers; b++ {
+				if wait, err := live.WaitRemaining(buyer(b), ds(b+2)); wait == 0 || err != nil {
+					t.Fatalf("%s waits %d on %s (%v): there are no waits to carve", buyer(b), wait, ds(b+2), err)
+				}
+			}
+
+			for b := 0; b < buyers; b++ {
+				bid(b, b+3, lose)
+			}
+			compare("a third wait for every buyer")
+			for b := 0; b < buyers; b++ {
+				bid(b, b+4, win)
+			}
+			for b := buyers; b < buyers+3; b++ {
+				apply(command.RegisterBuyer{Buyer: buyer(b)})
+				bid(b, b, win)
+				bid(b, b+1, lose)
+			}
+			compare("wins and late registrations")
+			apply(command.UploadDataset{Seller: "s", Dataset: ds(64)})
+			for b := 0; b < buyers+3; b++ {
+				bid(b, 64, win)
+			}
+			compare("every buyer's win on the 65th dataset")
+		})
 	}
 }

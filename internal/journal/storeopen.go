@@ -101,6 +101,7 @@ type storeState struct {
 	lastSeq  int64
 	replayed int           // records streamed through command.ApplyEncoded — the bounded tail
 	took     time.Duration // the walk, checkpoint load and view derivation included
+	views    time.Duration // the view derivation alone (market.FromState)
 	segs     []segMeta
 	ckpts    []int64
 	lastCkpt int64
@@ -263,7 +264,9 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 		st.tailBase = st.lastSeq + 1
 	}
 	if rp.st != nil {
+		derive := time.Now()
 		st.m = market.FromState(rp.st)
+		st.views = time.Since(derive)
 	}
 	st.took = time.Since(start)
 	return st, nil

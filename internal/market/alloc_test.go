@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -372,5 +373,65 @@ func BenchmarkSubmitBidWideBuyer(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/bid")
 		})
+	}
+}
+
+// ownersAndWaiters returns the state of a market of n buyers over eight
+// datasets, each buyer owning two of them and blocked from bidding on two
+// others by running Time-Shield waits.
+func ownersAndWaiters(t *testing.T, n int) *command.State {
+	t.Helper()
+	m := MustNew(benchConfig())
+	bs, ds := populate(t, m, n, 8)
+	for b := range bs {
+		for k, amount := range []float64{150, 150, 5, 5} { // above the grid's top candidate, then below its bottom
+			if _, err := m.SubmitBid(bs[b], ds[(b+k)%len(ds)], amount); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return m.st
+}
+
+// TestFromStateAllocsPerBuyer pins the cost of deriving a recovered
+// market's views: per buyer, no more than the registry entry the buyer's
+// cell needs (its boxed key and its node) and a small margin. Cells,
+// ownership bitsets and waits come from one slab each. While each was
+// allocated on its own, FromState read 7.4 allocations per buyer over
+// these states against the registry's 2.4.
+func TestFromStateAllocsPerBuyer(t *testing.T) {
+	const margin = 0.1 // allocations per buyer
+	for _, n := range []int{1000, 10000} {
+		st := ownersAndWaiters(t, n)
+		var m *Market
+		perBuyer := testing.AllocsPerRun(3, func() { m = FromState(st) }) / float64(n)
+
+		ids, cell := make([]BuyerID, n), new(buyerCell)
+		for i := range ids {
+			ids[i] = BuyerID(fmt.Sprintf("buyer-%04d", i))
+		}
+		registry := testing.AllocsPerRun(3, func() {
+			var reg sync.Map
+			for _, id := range ids {
+				reg.Store(id, cell)
+			}
+		}) / float64(n)
+
+		owners, waiting := 0, 0
+		for b, id := range ids {
+			if owns, _ := m.Owns(id, DatasetID(fmt.Sprintf("ds-%03d", b%8))); owns {
+				owners++
+			}
+			if wait, _ := m.WaitRemaining(id, DatasetID(fmt.Sprintf("ds-%03d", (b+3)%8))); wait > 0 {
+				waiting++
+			}
+		}
+		if owners != n || waiting != n {
+			t.Fatalf("%d buyers: %d own their first dataset and %d wait on their last; want every one", n, owners, waiting)
+		}
+		t.Logf("%d buyers: FromState allocates %.3f times per buyer, the registry alone %.3f", n, perBuyer, registry)
+		if perBuyer > registry+margin {
+			t.Errorf("%d buyers: FromState allocates %.3f times per buyer, budget %.3f (the registry's %.3f + %.1f)", n, perBuyer, registry+margin, registry, margin)
+		}
 	}
 }

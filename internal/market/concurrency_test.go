@@ -400,10 +400,46 @@ func TestRegistrationRacesReaders(t *testing.T) {
 // name), every observed log is a prefix of the final one, and no
 // ownership bit, once published, is ever lost to a bitset growing or
 // the index mirror being republished.
+//
+// The recovered subtest runs the same storm on a market built by
+// FromState over a state in which every buyer already owns a dataset and
+// waits on two more, four names off the sold catalogue: its cells come
+// out of slabs, so the readers race carved one-word bitsets that grow
+// and carved waits that move when the writer gives each buyer a third
+// wait; every reader also checks that the two earlier waits never
+// change.
 func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
+	t.Run("live", func(t *testing.T) { sharedLogAndBitsetsUnderReaders(t, false) })
+	t.Run("recovered", func(t *testing.T) { sharedLogAndBitsetsUnderReaders(t, true) })
+}
+
+func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 	const buyers, datasets, seeded, readers = 64, 200, 60, 4
 	m := MustNew(benchConfig())
 	bs, ds := populate(t, m, buyers, seeded)
+	var held []DatasetID // owned, waited on, waited on, waited on mid-storm
+	waits := make([][2]int, buyers)
+	if recovered {
+		held = []DatasetID{"held-0", "held-1", "held-2", "held-3"}
+		for _, d := range held {
+			if err := m.UploadDataset("s", d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for b := range bs {
+			for k, amount := range []float64{150, 5, 5} { // a win, then two losses
+				if _, err := m.SubmitBid(bs[b], held[k], amount); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := range waits[b] {
+				if waits[b][k], _ = m.WaitRemaining(bs[b], held[k+1]); waits[b][k] == 0 {
+					t.Fatalf("%s has no wait on %s: there is no wait to carve", bs[b], held[k+1])
+				}
+			}
+		}
+		m = FromState(m.st)
+	}
 	for i := seeded; i < datasets; i++ { // uploaded mid-storm
 		ds = append(ds, DatasetID(fmt.Sprintf("late-%03d", i)))
 	}
@@ -462,12 +498,28 @@ func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
 						return
 					}
 				}
+
+				// The held waits, while the third moves each buyer's waits.
+				if j := step % buyers; held != nil {
+					for k, want := range waits[j] {
+						if got, err := m.WaitRemaining(bs[j], held[k+1]); err != nil || got != want {
+							t.Errorf("WaitRemaining(%s, %s) = %d, %v; want %d", bs[j], held[k+1], got, err, want)
+							return
+						}
+					}
+					_, _ = m.WaitRemaining(bs[j], held[3])
+				}
 			}
 		}(r)
 	}
 
-	sales := 0
+	sales := m.TxCount() // the held wins
 	for d := range ds {
+		if held != nil && d < buyers { // a third wait, which moves the buyer's waits
+			if dec, err := m.SubmitBid(bs[d], held[3], 5); err != nil || dec.WaitPeriods == 0 {
+				t.Errorf("bid by %s on %s: %+v, %v; want a loss and a wait", bs[d], held[3], dec, err)
+			}
+		}
 		if d >= seeded {
 			if err := m.UploadDataset("s", ds[d]); err != nil {
 				t.Error(err)
@@ -512,6 +564,15 @@ func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
 			if owns, err := m.Owns(bs[b], ds[d]); err != nil || owns == skips(b, d) {
 				t.Fatalf("Owns(%s, %s) = %v, %v; want %v", bs[b], ds[d], owns, err, !skips(b, d))
 			}
+		}
+		if held == nil {
+			continue
+		}
+		if owns, err := m.Owns(bs[b], held[0]); err != nil || !owns {
+			t.Fatalf("Owns(%s, %s) = %v, %v; want true", bs[b], held[0], owns, err)
+		}
+		if wait, err := m.WaitRemaining(bs[b], held[3]); err != nil || wait == 0 {
+			t.Fatalf("WaitRemaining(%s, %s) = %d, %v; want the mid-storm wait", bs[b], held[3], wait, err)
 		}
 	}
 }

@@ -300,8 +300,9 @@ func newSellerCell() *sellerCell {
 	return c
 }
 
-// rebuildViews derives every view from the current state. Callers must
-// have exclusive access (construction, before the market is shared).
+// rebuildViews derives every view from the current state, the buyers'
+// in registration order. Callers must have exclusive access
+// (construction, before the market is shared).
 func (m *Market) rebuildViews() {
 	m.vw.clock.Store(int64(m.st.Period()))
 
@@ -318,20 +319,46 @@ func (m *Market) rebuildViews() {
 
 	m.vw.index.Store(&map[DatasetID]uint32{})
 	m.publishNames()
+
+	// The buyers' cells, the owners' bitsets (each as wide as the
+	// catalogue) and the running waits come from one slab each, sized by a
+	// counting pass, so their allocations do not grow with the population.
+	// A buyer's waits are capped at their length: a later block that
+	// appends moves them off the slab instead of over the next buyer's.
 	clock, names := m.st.Period(), m.st.DatasetNames()
-	for _, id := range m.st.BuyerIDs() {
-		cell := new(buyerCell)
-		spent, _ := m.st.InspectBuyer(id, func(dataset uint32, owned bool, blockedUntil int) {
-			if owned {
-				cell.acquire(dataset)
-			}
-			if blockedUntil > clock { // a wait that has run out is not worth a slot
-				cell.block(names[dataset], blockedUntil, clock)
-			}
-		})
+	width := (len(names) + 63) / 64
+	var buyers, owners, running int
+	var owns bool
+	m.st.WalkBuyers(func(BuyerID, Money) { buyers, owns = buyers+1, false }, func(_ uint32, owned bool, until int) {
+		if owned && !owns {
+			owners, owns = owners+1, true
+		}
+		if until > clock { // a wait that has run out is not worth a slot
+			running++
+		}
+	})
+
+	cells, words := make([]buyerCell, buyers), make([]atomic.Uint64, owners*width)
+	sets, waits := make([][]atomic.Uint64, 0, owners), make([]wait, 0, running)
+	var cell *buyerCell
+	var first int // the current buyer's first wait in the slab
+	m.st.WalkBuyers(func(id BuyerID, spent Money) {
+		cell, cells, first = &cells[0], cells[1:], len(waits)
 		cell.spent.Store(int64(spent))
 		m.vw.buyers.Store(id, cell)
-	}
+	}, func(dataset uint32, owned bool, until int) {
+		if owned {
+			if cell.acquired.Load() == nil {
+				sets, words = append(sets, words[:width:width]), words[width:]
+				cell.acquired.Store(&sets[len(sets)-1])
+			}
+			cell.acquire(dataset)
+		}
+		if until > clock {
+			waits = append(waits, wait{names[dataset], until})
+			cell.waits = waits[first:len(waits):len(waits)]
+		}
+	})
 
 	for _, id := range m.st.SellerIDs() {
 		m.vw.sellers.Store(id, newSellerCell())
