@@ -11,14 +11,22 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# go vet, then one house rule: a binary varint is read and written only
+# go vet, then two house rules. A binary varint is read and written only
 # by internal/binenc's walkers, so no hand-rolled byte cursor creeps back
-# beside them. Fails listing every non-test call outside binenc.
+# beside them; fails listing every non-test call outside binenc. And the
+# applier's packages import no clock, OS, lock or ambient randomness, so
+# a command's outcome is a function of the state and the command alone
+# and replay rebuilds what was acknowledged; fails naming the package and
+# the import.
+APPLIER_PKGS = command core mw auction rng provenance binenc
 vet:
 	$(GO) vet ./...
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/binenc/' | \
 		xargs grep -n -E 'binary\.(Append)?Uvarint\(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "binary.Uvarint/AppendUvarint outside internal/binenc (walk the field with binenc):"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' $(APPLIER_PKGS:%=./internal/%) | tr -d '[]' | \
+		awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^(time|os|sync|sync\/atomic|math\/rand|math\/rand\/v2)$$/) print $$1 " imports " $$i }')"; \
+		if [ -n "$$out" ]; then echo "clock, OS or concurrency import in an applier package:"; echo "$$out"; exit 1; fi
 
 # Static check over every metric the binaries register: naming
 # conventions (shield_ prefix, unit suffixes), label hygiene, and

@@ -14,8 +14,8 @@
 // Usage:
 //
 //	shieldload [-transport both] [-clients 1024] [-rate 4000] [-ops 16000]
-//	           [-bid-fraction 0.8] [-tick-every 400] [-seed 2022]
-//	           [-datasets 16] [-fsync] [-trace-sample 1]
+//	           [-tick-every 400] [-seed 2022] [-datasets 16]
+//	           [-fsync] [-trace-sample 1]
 //	           [-compact-every 2000] [-segment-records 4096]
 //	           [-followers 2] [-replica-fraction 0.1] [-replica-kill]
 //	           [-slo 'bid.p99<250ms,error_rate<0.1%,replica.lag<2s']
@@ -122,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		clients      = fs.Int("clients", 1024, "concurrent client connections")
 		rate         = fs.Float64("rate", 4000, "open-loop offered load, ops/second across all clients")
 		ops          = fs.Int("ops", 16000, "total operations to schedule")
-		bidFraction  = fs.Float64("bid-fraction", 0.8, "fraction of ops that are bids (rest are reads)")
 		tickEvery    = fs.Int("tick-every", 400, "advance the market period every N ops (0 = never)")
 		seed         = fs.Uint64("seed", 2022, "scenario seed (workload replays bit-identically)")
 		datasets     = fs.Int("datasets", 16, "catalog size to seed")
@@ -132,7 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		inject       = fs.String("inject", "", "artificial latency per op class, e.g. 'bid=2.5s' (gate self-test)")
 		jsonOut      = fs.String("json", "", "also write the report as a JSON artifact")
 		quiet        = fs.Bool("q", false, "suppress the report table (violations still print)")
-		timeout      = fs.Duration("timeout", 5*time.Second, "per-operation deadline")
 		compactEvery = fs.Int64("compact-every", 0, "snapshot-checkpoint and compact the journal store every N committed records (default 10000; negative disables)")
 		segRecords   = fs.Int64("segment-records", 0, "records per journal segment before rotation (default 65536)")
 		followers    = fs.Int("followers", 0, "read replicas to boot beside the leader")
@@ -177,10 +175,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Clients:         *clients,
 		Rate:            *rate,
 		Ops:             *ops,
-		BidFraction:     *bidFraction,
 		TickEvery:       *tickEvery,
 		Seed:            *seed,
-		Timeout:         *timeout,
 		InjectLatency:   injected,
 		ReplicaFraction: *replicaFrac,
 		KillFollower:    *replicaKill,

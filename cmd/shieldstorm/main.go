@@ -54,30 +54,24 @@ import (
 
 func main() {
 	var (
-		seed       = flag.Uint64("seed", 1, "first workload seed")
-		seeds      = flag.Int("seeds", 1, "number of consecutive seeds to run")
-		ops        = flag.Int("ops", 100_000, "operations per seed")
-		hot        = flag.Bool("hot", false, "run the concurrent hot-dataset storm instead of the sequential differential")
-		bitrot     = flag.Bool("bitrot", false, "run the bit-rot mode instead: seeded single-bit flips in a built store, every reader must name the damage")
-		checkEvery = flag.Int("check-every", 0, "ops between full-state checkpoints (default ops/16)")
-		verbose    = flag.Bool("v", false, "print per-checkpoint progress")
+		seed    = flag.Uint64("seed", 1, "first workload seed")
+		seeds   = flag.Int("seeds", 1, "number of consecutive seeds to run")
+		ops     = flag.Int("ops", 100_000, "operations per seed")
+		hot     = flag.Bool("hot", false, "run the concurrent hot-dataset storm instead of the sequential differential")
+		bitrot  = flag.Bool("bitrot", false, "run the bit-rot mode instead: seeded single-bit flips in a built store, every reader must name the damage")
+		verbose = flag.Bool("v", false, "print per-checkpoint progress")
 
 		store      = flag.Bool("store", false, "add a segmented-store twin to the fleet")
 		storeDir   = flag.String("store-dir", "", "store twin directory (default a temp dir, removed after the run)")
 		segRecords = flag.Int64("segment-records", 0, "store twin: records per segment before rotation (default 65536)")
 		ckptEvery  = flag.Int64("checkpoint-every", 0, "store twin: commands between snapshot checkpoints (default 10000; negative disables)")
 		retainSegs = flag.Int("retain-segments", 0, "store twin: covered sealed segments to keep (default 0; negative keeps all)")
-		crashCuts  = flag.Int("crash-cuts", 0, "store twin: seeded mid-run crash-cut recovery drills (default 2; negative disables)")
 		ceilingMB  = flag.Int64("disk-ceiling-mb", 0, "store twin: fail if the store directory exceeds this many MiB (0 = unbounded)")
 	)
 	flag.Parse()
 
 	for s := *seed; s < *seed+uint64(*seeds); s++ {
-		cfg := torture.Config{
-			Seed:       s,
-			Ops:        *ops,
-			CheckEvery: *checkEvery,
-		}
+		cfg := torture.Config{Seed: s, Ops: *ops}
 		if *hot || *bitrot || *store || *storeDir != "" {
 			dir := *storeDir
 			if dir == "" {
@@ -101,7 +95,6 @@ func main() {
 				CheckpointEvery: *ckptEvery,
 				RetainSegments:  *retainSegs,
 			}
-			cfg.StoreCrashCuts = *crashCuts
 			cfg.StoreDiskCeilingBytes = *ceilingMB << 20
 		}
 		if *verbose {

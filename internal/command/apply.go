@@ -235,14 +235,19 @@ func resolveBid(st *State, payload []byte) (SubmitBid, error) {
 	return SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}, err
 }
 
+var errNonFinite = fmt.Errorf("%w: non-finite amount", ErrMalformed)
+
 // applyBid is the bid rule: cadence and Time-Shield checks against the
 // buyer's account, one engine interaction (plus demand propagation to
 // the leaves of a derived dataset), then the money movement of a win.
-// An infinite amount is refused with the non-positive ones: no journal
-// record can carry it, and a bid the log cannot hold must not move
-// state.
+// A NaN or infinite amount is malformed, as every path that encodes the
+// bid finds it: no record can carry it, and a bid the log cannot hold
+// must not move state.
 func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Event, error) {
-	if !(amount > 0) || math.IsInf(amount, 1) {
+	if math.IsNaN(amount) || math.IsInf(amount, 0) {
+		return Event{}, errNonFinite
+	}
+	if !(amount > 0) {
 		return Event{}, ErrBadBid
 	}
 	acct, ok := st.buyers[buyer]

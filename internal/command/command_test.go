@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -231,6 +232,9 @@ func TestApplyErrors(t *testing.T) {
 		{"unknown buyer", command.SubmitBid{Buyer: "ghost", Dataset: "weather", Amount: 10}, command.ErrUnknownBuyer},
 		{"unknown dataset", command.SubmitBid{Buyer: "alice", Dataset: "ghost", Amount: 10}, command.ErrUnknownDataset},
 		{"bad amount", command.SubmitBid{Buyer: "alice", Dataset: "weather", Amount: -1}, command.ErrBadBid},
+		{"NaN amount", command.SubmitBid{Buyer: "alice", Dataset: "weather", Amount: math.NaN()}, command.ErrMalformed},
+		{"+Inf amount", command.SubmitBid{Buyer: "alice", Dataset: "weather", Amount: math.Inf(1)}, command.ErrMalformed},
+		{"-Inf amount", command.SubmitBid{Buyer: "alice", Dataset: "weather", Amount: math.Inf(-1)}, command.ErrMalformed},
 		{"duplicate buyer", command.RegisterBuyer{Buyer: "alice"}, command.ErrDuplicateID},
 		{"duplicate seller", command.RegisterSeller{Seller: "acme"}, command.ErrDuplicateID},
 		{"upload by unknown seller", command.UploadDataset{Seller: "ghost", Dataset: "fresh"}, command.ErrUnknownSeller},

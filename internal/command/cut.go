@@ -101,7 +101,7 @@ func (c *Cut) Snapshot() Snapshot {
 	return s
 }
 
-// WriteCanonical streams Snapshot().Canonical()'s bytes to w through one
+// WriteCanonical streams Snapshot.Canonical's bytes to w through one
 // snapshotChunk-sized buffer, building no tree: each buyer's records pass
 // through one set of maps, reused from buyer to buyer, to the walkers.
 func (c *Cut) WriteCanonical(w io.Writer) error {

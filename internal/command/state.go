@@ -174,9 +174,6 @@ func (st *State) newEngine(id DatasetID) *core.Engine {
 	return eng
 }
 
-// Config returns the configuration the state was built with.
-func (st *State) Config() Config { return st.cfg }
-
 // Period returns the current period.
 func (st *State) Period() int { return st.clock }
 

@@ -1,6 +1,7 @@
 package journal_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -239,8 +240,13 @@ func TestReplayBuildsTheSameViews(t *testing.T) {
 				if d := firstDifferingRead(h.live, recovered, &h.pop); d != "" {
 					t.Errorf("recovered market differs from the live one in %s", d)
 				}
-				if d := firstDifferingRead(oneAtATime(t, h.dir, 0), recovered, &h.pop); d != "" {
+				oneByOne := oneAtATime(t, h.dir, 0)
+				if d := firstDifferingRead(oneByOne, recovered, &h.pop); d != "" {
 					t.Errorf("recovered market differs from one-at-a-time replay in %s", d)
+				}
+				live := canonical(t, h.live)
+				if canonical(t, recovered) != live || canonical(t, oneByOne) != live {
+					t.Error("a replayed market's canonical bytes differ from the live market's")
 				}
 
 				// The canary: views derived before the tail must be told
@@ -250,7 +256,7 @@ func TestReplayBuildsTheSameViews(t *testing.T) {
 					staleAfter = lastSeq * 2 / 3
 				}
 				stale := oneAtATime(t, h.dir, staleAfter)
-				if live, got := canonical(t, h.live), canonical(t, stale); live != got {
+				if canonical(t, stale) != live {
 					t.Fatal("the canary's state is wrong, not just its views")
 				}
 				d := firstDifferingRead(h.live, stale, &h.pop)
@@ -270,11 +276,16 @@ func TestReplayBuildsTheSameViews(t *testing.T) {
 	}
 }
 
+// canonical returns m's canonical bytes, and requires Market.Canonical,
+// which streams them from a cut, to return the snapshot tree's bytes.
 func canonical(t *testing.T, m *market.Market) string {
 	t.Helper()
 	b, err := m.Snapshot().Canonical()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Canonical(), b) {
+		t.Fatal("Market.Canonical differs from Snapshot().Canonical()")
 	}
 	return string(b)
 }

@@ -46,19 +46,17 @@ type RigConfig struct {
 	// records the store snapshots the market and deletes the segments
 	// the checkpoint covers.
 	StoreConfig journal.StoreConfig
-	// WireBufferSize overrides the wire server's per-connection buffer
-	// (bytes). Rigs default to 4KiB so a thousand connections do not
-	// cost 128MiB of idle buffers.
-	WireBufferSize int
 	// Followers boots this many read replicas beside the leader, each a
 	// replica.Follower streaming from the wire listener plus its own
 	// read-only HTTP listener (see Rig.FollowerAddrs). StartRig waits for
 	// every follower's first catch-up before returning.
 	Followers int
-	// FollowerMaxLag is each follower's readiness staleness bound
-	// (default replica.DefaultMaxLag).
-	FollowerMaxLag time.Duration
 }
+
+// wireBufferSize is the per-connection buffer of the rig's wire server
+// and of its followers: 4 KiB, so a thousand connections do not cost
+// 128 MiB of idle buffers.
+const wireBufferSize = 4 << 10
 
 // Rig is a marketd-equivalent server running entirely in-process: one
 // journaled, group-commit market behind both transports — an HTTP API
@@ -116,9 +114,6 @@ func StartRig(rc RigConfig) (*Rig, error) {
 	}
 	if rc.Seed == 0 {
 		rc.Seed = 2022
-	}
-	if rc.WireBufferSize == 0 {
-		rc.WireBufferSize = 4 << 10
 	}
 
 	tmpDir, err := os.MkdirTemp("", "shieldload-")
@@ -187,7 +182,7 @@ func StartRig(rc RigConfig) (*Rig, error) {
 	r.httpSrv = &http.Server{Handler: api.Routes()}
 	go func() { _ = r.httpSrv.Serve(httpLn) }()
 
-	ws := wire.NewServer(jm).WithTelemetry(r.Tel).WithBufferSize(rc.WireBufferSize)
+	ws := wire.NewServer(jm).WithTelemetry(r.Tel).WithBufferSize(wireBufferSize)
 	if rc.Followers > 0 {
 		// The feed must attach before the listener serves: commits made
 		// while no hook is installed never reach its ring.
@@ -220,10 +215,9 @@ func (r *Rig) startFollowers(rc RigConfig) error {
 		f, err := replica.Start(replica.Config{
 			Dial:       func() (net.Conn, error) { return net.Dial("tcp", r.WireAddr) },
 			Name:       fmt.Sprintf("follower-%d", i),
-			MaxLag:     rc.FollowerMaxLag,
 			BackoffMin: 5 * time.Millisecond,
 			BackoffMax: 250 * time.Millisecond,
-			BufSize:    rc.WireBufferSize,
+			BufSize:    wireBufferSize,
 			Telemetry:  ftel,
 		})
 		if err != nil {
@@ -354,10 +348,6 @@ func (r *Rig) CheckInvariants() (string, error) {
 	// records, so the state read back here covers every operation the
 	// clients saw succeed. The replay is checkpoint + tail-segment
 	// recovery — the same bounded-tail path a restarted marketd takes.
-	liveBytes, err := r.Market.Snapshot().Canonical()
-	if err != nil {
-		return "", fmt.Errorf("loadrig: live snapshot: %w", err)
-	}
 	restored, rseq, _, err := journal.RecoverDir(r.JournalDir)
 	if err != nil {
 		return "", fmt.Errorf("loadrig: store recovery: %w", err)
@@ -365,12 +355,9 @@ func (r *Rig) CheckInvariants() (string, error) {
 	if want := r.Market.LastSeq(); rseq != want {
 		return "", fmt.Errorf("loadrig: store recovery reached seq %d, live at %d", rseq, want)
 	}
-	restoredBytes, err := restored.Snapshot().Canonical()
-	if err != nil {
-		return "", fmt.Errorf("loadrig: restored snapshot: %w", err)
-	}
-	if !bytes.Equal(liveBytes, restoredBytes) {
-		return "", errors.New("loadrig: store recovery does not rebuild live state")
+	if !bytes.Equal(r.Market.Canonical(), restored.Canonical()) {
+		return "", fmt.Errorf("loadrig: store recovery does not rebuild live state: %s",
+			r.Market.Snapshot().Diff(restored.Snapshot()))
 	}
 	inv := r.Market.Store().Inventory()
 	replaySummary := fmt.Sprintf("checkpointed recovery rebuilds live state (%d segments, %d checkpoints, %d bytes on disk)",
@@ -403,22 +390,15 @@ func (r *Rig) checkReplicaConvergence() error {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	leaderBytes, err := r.Market.Snapshot().Canonical()
-	if err != nil {
-		return fmt.Errorf("loadrig: leader snapshot: %w", err)
-	}
+	leader := r.Market.Canonical()
 	for i, f := range r.Followers {
 		fm := f.Market()
 		if fm == nil {
 			return fmt.Errorf("loadrig: follower %d has no state", i)
 		}
-		got, err := fm.Snapshot().Canonical()
-		if err != nil {
-			return fmt.Errorf("loadrig: follower %d snapshot: %w", i, err)
-		}
-		if !bytes.Equal(got, leaderBytes) {
-			return fmt.Errorf("loadrig: follower %d snapshot diverges from leader (%d vs %d bytes)",
-				i, len(got), len(leaderBytes))
+		if !bytes.Equal(fm.Canonical(), leader) {
+			return fmt.Errorf("loadrig: follower %d snapshot diverges from leader: %s",
+				i, fm.Snapshot().Diff(r.Market.Snapshot()))
 		}
 	}
 	return nil

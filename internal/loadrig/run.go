@@ -34,18 +34,12 @@ type Scenario struct {
 	Rate float64
 	// Ops is the total number of operations to schedule.
 	Ops int
-	// BidFraction is the fraction of scheduled ops that are bids
-	// (default 0.8); the rest are read queries.
-	BidFraction float64
 	// TickEvery advances the market period every N scheduled ops
 	// (0 = never), so Time-Shield waits expire and buyers re-enter.
 	TickEvery int
 	// Seed derives every worker's RNG stream; a scenario replays
 	// bit-identically from (Seed, Clients, Ops).
 	Seed uint64
-	// Timeout bounds each operation (default 5s). Timed-out ops count
-	// as errors.
-	Timeout time.Duration
 	// InjectLatency adds an artificial delay to the measured latency of
 	// every op of a class before it is recorded — a fault-injection
 	// hook that lets a canary prove the SLO gate actually trips on a
@@ -54,13 +48,22 @@ type Scenario struct {
 	InjectLatency map[string]time.Duration
 	// ReplicaFraction routes this fraction of scheduled ops to the rig's
 	// read replicas as ClassReplica reads (carved out of the query
-	// share, so bid volume is unchanged). Requires RigConfig.Followers.
+	// share, so bid volume is unchanged; at most 1 - bidFraction).
+	// Requires RigConfig.Followers.
 	ReplicaFraction float64
 	// KillFollower drops follower 0's replication connection at the
 	// schedule's midpoint; the follower must redial, catch up, and still
 	// satisfy the replica.lag SLO clause.
 	KillFollower bool
 }
+
+// Every scenario schedules bidFraction of its ops as bids and the rest as
+// reads, and bounds each operation by opTimeout; a timed-out op counts
+// as an error.
+const (
+	bidFraction = 0.8
+	opTimeout   = 5 * time.Second
+)
 
 // job is one scheduled operation.
 type job struct {
@@ -79,21 +82,11 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 	if sc.Clients <= 0 || sc.Ops <= 0 {
 		return nil, fmt.Errorf("loadrig: scenario needs positive Clients and Ops (got %d, %d)", sc.Clients, sc.Ops)
 	}
-	if sc.BidFraction == 0 {
-		sc.BidFraction = 0.8
-	}
-	if sc.BidFraction < 0 || sc.BidFraction > 1 {
-		return nil, fmt.Errorf("loadrig: BidFraction %v outside [0, 1]", sc.BidFraction)
-	}
-	if sc.Timeout <= 0 {
-		sc.Timeout = 5 * time.Second
-	}
 	if sc.Seed == 0 {
 		sc.Seed = 1
 	}
-	if sc.ReplicaFraction < 0 || sc.BidFraction+sc.ReplicaFraction > 1 {
-		return nil, fmt.Errorf("loadrig: BidFraction %v + ReplicaFraction %v outside [0, 1]",
-			sc.BidFraction, sc.ReplicaFraction)
+	if sc.ReplicaFraction < 0 || sc.ReplicaFraction > 1-bidFraction {
+		return nil, fmt.Errorf("loadrig: ReplicaFraction %v outside [0, %v]", sc.ReplicaFraction, 1-bidFraction)
 	}
 	if (sc.ReplicaFraction > 0 || sc.KillFollower) && len(rig.FollowerAddrs) == 0 {
 		return nil, errors.New("loadrig: scenario drives replicas but the rig has no followers (set RigConfig.Followers)")
@@ -121,7 +114,7 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 			_ = cl.Close()
 		}
 	}()
-	if err := warm(append(append([]client.Client(nil), clients...), replicaClients...), sc.Timeout); err != nil {
+	if err := warm(append(append([]client.Client(nil), clients...), replicaClients...)); err != nil {
 		return nil, err
 	}
 
@@ -142,7 +135,6 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 			persona:  Personas[i%len(Personas)],
 			rng:      root.Fork(fmt.Sprintf("worker-%d", i)),
 			datasets: rig.Datasets,
-			timeout:  sc.Timeout,
 			inject:   sc.InjectLatency,
 			rec:      recs[i],
 		}
@@ -169,15 +161,15 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 		}
 		// One RNG draw per op keeps replays of replica-free scenarios
 		// bit-identical to earlier versions of the rig; replica reads
-		// carve their share out of the query band above BidFraction.
+		// carve their share out of the query band above bidFraction.
 		draw := dispatchRNG.Float64()
 		kind := ClassQuery
 		switch {
 		case sc.TickEvery > 0 && i > 0 && i%sc.TickEvery == 0:
 			kind = ClassTick
-		case draw < sc.BidFraction:
+		case draw < bidFraction:
 			kind = ClassBid
-		case draw < sc.BidFraction+sc.ReplicaFraction:
+		case draw < bidFraction+sc.ReplicaFraction:
 			kind = ClassReplica
 		}
 		jobs <- job{due: pacer.Next(), kind: kind}
@@ -307,14 +299,14 @@ func dialClients(rig *Rig, sc Scenario) ([]client.Client, error) {
 // transport connects lazily, so without this the first schedule slots
 // pay the whole fleet's TCP setup and the startup transient reads as
 // server tail latency in the report.
-func warm(clients []client.Client, timeout time.Duration) error {
+func warm(clients []client.Client) error {
 	errs := make([]error, len(clients))
 	var wg sync.WaitGroup
 	for i, cl := range clients {
 		wg.Add(1)
 		go func(i int, cl client.Client) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 			defer cancel()
 			errs[i] = cl.Ping(ctx)
 		}(i, cl)
@@ -371,7 +363,6 @@ type worker struct {
 	persona  Persona
 	rng      *rng.RNG
 	datasets []market.DatasetID
-	timeout  time.Duration
 	inject   map[string]time.Duration
 	rec      *recorder
 }
@@ -387,7 +378,7 @@ func (w *worker) loop(jobs <-chan job) {
 // between the two is exactly the queueing delay coordinated omission
 // would hide.
 func (w *worker) execute(j job) {
-	ctx, cancel := context.WithTimeout(context.Background(), w.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 
 	s := sample{class: j.kind}

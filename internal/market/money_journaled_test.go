@@ -13,20 +13,55 @@ import (
 	"github.com/datamarket/shield/internal/market"
 )
 
+var badAmountConfig = market.Config{
+	Engine: core.Config{
+		Candidates: auction.LinearGrid(10, 100, 8),
+		EpochSize:  4,
+	},
+	Seed: 1,
+}
+
+// badAmounts is every kind of amount a bid must refuse, and the sentinel
+// each is refused with — on a bare market, which applies the bid as a
+// value, and on a journaled one, which applies its encoding, alike. A
+// NaN or infinite amount is malformed: no record can carry it.
+var badAmounts = []struct {
+	amount float64
+	want   error
+}{
+	{0, market.ErrBadBid},
+	{-1, market.ErrBadBid},
+	{-1e300, market.ErrBadBid},
+	{math.NaN(), command.ErrMalformed},
+	{math.Inf(1), command.ErrMalformed},
+	{math.Inf(-1), command.ErrMalformed},
+}
+
+func TestSubmitBidRejectsBadAmounts(t *testing.T) {
+	m := market.MustNew(badAmountConfig)
+	for _, err := range []error{m.RegisterBuyer("b"), m.RegisterSeller("s"), m.UploadDataset("s", "d")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range badAmounts {
+		if _, err := m.SubmitBid("b", "d", c.amount); !errors.Is(err, c.want) {
+			t.Errorf("SubmitBid(amount=%v) err = %v, want %v", c.amount, err, c.want)
+		}
+	}
+	// The rejections must leave no trace in the books.
+	if rev, spent, bal := m.Totals(); rev != 0 || spent != 0 || bal != 0 {
+		t.Errorf("rejected bids moved money: revenue=%d spent=%d balances=%d", rev, spent, bal)
+	}
+}
+
 // TestJournaledSubmitBidRejectsNonFiniteAmounts is
 // TestSubmitBidRejectsBadAmounts on a journaled market, whose bids enter
 // the commit stage as their encodings: a NaN or infinite amount makes a
-// body the decoder refuses, so the bid answers ErrMalformed — as the same
-// bid does over wire — where the bare market, which applies the bid as a
-// value, answers ErrBadBid. Either way nothing moves.
+// body the decoder refuses, ErrMalformed as over wire. Nothing is
+// journaled and nothing reaches the engine.
 func TestJournaledSubmitBidRejectsNonFiniteAmounts(t *testing.T) {
-	jm, err := journal.NewMarket(market.Config{
-		Engine: core.Config{
-			Candidates: auction.LinearGrid(10, 100, 8),
-			EpochSize:  4,
-		},
-		Seed: 1,
-	}, io.Discard)
+	jm, err := journal.NewMarket(badAmountConfig, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +71,9 @@ func TestJournaledSubmitBidRejectsNonFiniteAmounts(t *testing.T) {
 		}
 	}
 	before := jm.LastSeq()
-	for _, amount := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := jm.SubmitBid("b", "d", amount); !errors.Is(err, command.ErrMalformed) {
-			t.Errorf("SubmitBid(amount=%v) err = %v, want ErrMalformed", amount, err)
+	for _, c := range badAmounts {
+		if _, err := jm.SubmitBid("b", "d", c.amount); !errors.Is(err, c.want) {
+			t.Errorf("SubmitBid(amount=%v) err = %v, want %v", c.amount, err, c.want)
 		}
 	}
 	if seq := jm.LastSeq(); seq != before {

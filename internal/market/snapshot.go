@@ -1,6 +1,10 @@
 package market
 
-import "github.com/datamarket/shield/internal/command"
+import (
+	"bytes"
+
+	"github.com/datamarket/shield/internal/command"
+)
 
 // Snapshot types, aliased from the command core, which owns the
 // serializable state since the command-core refactor. The JSON shape is
@@ -21,10 +25,22 @@ type (
 // — a consistent view between two commands, on a journaled market between
 // two durable groups — whose tree is built once the mutex is released.
 func (m *Market) Snapshot() Snapshot {
+	return m.cut().Snapshot()
+}
+
+// Canonical returns the market's canonical bytes — Snapshot.Canonical's
+// — streamed from a cut taken under the writer mutex, with no tree built.
+// Two markets are in the same state exactly when these bytes are equal.
+func (m *Market) Canonical() []byte {
+	var b bytes.Buffer
+	_ = m.cut().WriteCanonical(&b) // a bytes.Buffer never fails a write
+	return b.Bytes()
+}
+
+func (m *Market) cut() *command.Cut {
 	m.mu.Lock()
-	cut := m.st.Cut()
-	m.mu.Unlock()
-	return cut.Snapshot()
+	defer m.mu.Unlock()
+	return m.st.Cut()
 }
 
 // RestoreSnapshot reconstructs a market from a snapshot, validating

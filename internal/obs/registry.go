@@ -297,14 +297,8 @@ func (h *Histogram) ObserveTrace(v float64, traceID string) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since start — the idiom for
-// latency instruments.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Seconds())
-}
-
-// ObserveSinceTrace is ObserveSince with an exemplar trace ID (see
-// ObserveTrace).
+// ObserveSinceTrace records the seconds elapsed since start with an
+// exemplar trace ID (see ObserveTrace).
 func (h *Histogram) ObserveSinceTrace(start time.Time, traceID string) {
 	h.ObserveTrace(time.Since(start).Seconds(), traceID)
 }

@@ -236,14 +236,6 @@ func (r *RNG) ShuffleInts(s []int) {
 	}
 }
 
-// ShuffleFloat64s shuffles s in place (Fisher-Yates).
-func (r *RNG) ShuffleFloat64s(s []float64) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // WeightedIndex samples an index with probability proportional to
 // weights[i]. Negative weights are treated as zero. It panics if the
 // weights sum to zero or the slice is empty.

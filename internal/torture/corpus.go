@@ -55,7 +55,7 @@ func CommandCorpus(seed uint64, ops int) ([][]byte, error) {
 	if minBid <= 0 {
 		minBid = 1
 	}
-	gen, err := newGenerator(cfg.Gen, seed, minBid)
+	gen, err := newGenerator(seed, minBid)
 	if err != nil {
 		return nil, err
 	}

@@ -111,17 +111,9 @@ func (t *followerTwin) check(leader *journal.Market, converge time.Duration) str
 	if fm == nil {
 		return fmt.Sprintf("follower twin converged to seq %d with no state", want)
 	}
-	wantBytes, err := leader.Snapshot().Canonical()
-	if err != nil {
-		return fmt.Sprintf("leader snapshot: %v", err)
-	}
-	gotBytes, err := fm.Snapshot().Canonical()
-	if err != nil {
-		return fmt.Sprintf("follower twin snapshot: %v", err)
-	}
-	if !bytes.Equal(gotBytes, wantBytes) {
-		return fmt.Sprintf("follower twin snapshot diverges from leader at seq %d (%d vs %d bytes)",
-			want, len(gotBytes), len(wantBytes))
+	if !bytes.Equal(fm.Canonical(), leader.Canonical()) {
+		return fmt.Sprintf("follower twin snapshot diverges from leader at seq %d: %s",
+			want, fm.Snapshot().Diff(leader.Snapshot()))
 	}
 	return ""
 }

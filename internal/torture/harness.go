@@ -48,8 +48,6 @@ type Config struct {
 	// boundaries). RegridEvery must be zero: the reference model does
 	// not mirror adaptive regridding.
 	Engine core.Config
-	// Gen configures the workload generator.
-	Gen GenConfig
 	// FollowerKills is how many times the replication follower twin is
 	// killed mid-stream at seeded points: even-numbered events drop the
 	// connection (tail catch-up from the follower's applied seq), odd
@@ -61,7 +59,7 @@ type Config struct {
 	// journaling into rotated segment files with snapshot checkpoints
 	// and background compaction under this directory. The twin is
 	// differentially gated like every other replica, its on-disk chain
-	// is crash-cut and recovered at seeded points (StoreCrashCuts), its
+	// is crash-cut and recovered at storeCrashCuts seeded points, its
 	// recovered state must match its live state at the end of the run,
 	// and with compaction disabled (Store.RetainSegments < 0) its
 	// concatenated segment bodies must be byte-identical to the flat
@@ -71,12 +69,6 @@ type Config struct {
 	// The harness shrinks nothing: pass small SegmentRecords /
 	// CheckpointEvery to force rotation and checkpoint traffic.
 	Store journal.StoreConfig
-	// StoreCrashCuts is how many times the store twin's directory is
-	// copied, torn at a seeded offset in its active segment, and
-	// recovered mid-run (default 2 when StoreDir is set; negative
-	// disables). Each event also recovers an uncut copy, which must
-	// rebuild the live state exactly.
-	StoreCrashCuts int
 	// StoreDiskCeilingBytes fails the run if the store twin's on-disk
 	// footprint (segments + checkpoints + temp files) ever exceeds this
 	// at a checkpoint — the bound compaction is supposed to hold. Zero
@@ -103,6 +95,12 @@ type Config struct {
 	// so a deliberately stalled twin fails fast).
 	followerConverge time.Duration
 }
+
+// storeCrashCuts is how many times the store twin's directory is copied,
+// torn at a seeded offset in its active segment, and recovered mid-run.
+// Each event also recovers an uncut copy, which must rebuild the live
+// state exactly.
+const storeCrashCuts = 2
 
 // DefaultEngine is the engine template used when Config.Engine is zero.
 func DefaultEngine() core.Config {
@@ -138,12 +136,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.followerConverge == 0 {
 		c.followerConverge = 10 * time.Second
-	}
-	if c.StoreDir != "" && c.StoreCrashCuts == 0 {
-		c.StoreCrashCuts = 2
-	}
-	if c.StoreCrashCuts < 0 {
-		c.StoreCrashCuts = 0
 	}
 }
 
@@ -369,7 +361,7 @@ func Run(cfg Config) (*Report, error) {
 		minBid = 1
 	}
 
-	gen, err := newGenerator(cfg.Gen, cfg.Seed, minBid)
+	gen, err := newGenerator(cfg.Seed, minBid)
 	if err != nil {
 		return nil, err
 	}
@@ -409,9 +401,9 @@ func Run(cfg Config) (*Report, error) {
 		}
 		h.storeRep = sr
 		h.replicas = append(h.replicas, sr)
-		if cfg.StoreCrashCuts > 0 && cfg.Ops >= 4 {
+		if cfg.Ops >= 4 {
 			h.cutRNG = rng.New(cfg.Seed).Fork("store-cuts")
-			for k := 0; k < cfg.StoreCrashCuts; k++ {
+			for k := 0; k < storeCrashCuts; k++ {
 				h.cutAt = append(h.cutAt, cfg.Ops/4+h.cutRNG.Intn(cfg.Ops/2))
 			}
 			sort.Ints(h.cutAt)
@@ -654,20 +646,11 @@ func (h *harness) applySettle(op Op) string {
 func (h *harness) checkpoint(opIdx int) *Failure {
 	h.report.Checkpoints++
 	op := Op{Kind: OpTick} // placeholder desc for state-level failures
-	want := h.ref.snapshot()
-	wantBytes, err := want.Canonical()
-	if err != nil {
-		return h.fail(opIdx, op, "reference snapshot: %v", err)
-	}
+	want := h.ref.canonical()
 	for _, r := range h.replicas {
-		got := r.jm.Snapshot()
-		gotBytes, err := got.Canonical()
-		if err != nil {
-			return h.fail(opIdx, op, "replica %s snapshot: %v", r.name, err)
-		}
-		if !bytes.Equal(gotBytes, wantBytes) {
+		if !bytes.Equal(r.jm.Canonical(), want) {
 			return h.fail(opIdx, op, "replica %s snapshot diverges from reference in sections %v",
-				r.name, want.Diff(got))
+				r.name, h.ref.snapshot().Diff(r.jm.Snapshot()))
 		}
 	}
 	if reason := h.checkConservationFull(); reason != "" {
@@ -735,16 +718,9 @@ func (h *harness) finalChecks() *Failure {
 		if err != nil {
 			return h.fail(h.cfg.Ops-1, op, "replica %s journal replay: %v", r.name, err)
 		}
-		liveBytes, err := r.jm.Snapshot().Canonical()
-		if err != nil {
-			return h.fail(h.cfg.Ops-1, op, "replica %s live snapshot: %v", r.name, err)
-		}
-		restoredBytes, err := restored.Snapshot().Canonical()
-		if err != nil {
-			return h.fail(h.cfg.Ops-1, op, "replica %s restored snapshot: %v", r.name, err)
-		}
-		if !bytes.Equal(liveBytes, restoredBytes) {
-			return h.fail(h.cfg.Ops-1, op, "replica %s: journal replay does not rebuild live state", r.name)
+		if !bytes.Equal(r.jm.Canonical(), restored.Canonical()) {
+			return h.fail(h.cfg.Ops-1, op, "replica %s: journal replay does not rebuild live state: %s",
+				r.name, r.jm.Snapshot().Diff(restored.Snapshot()))
 		}
 	}
 	if h.storeRep != nil {

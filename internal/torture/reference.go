@@ -1,6 +1,8 @@
 package torture
 
 import (
+	"bytes"
+
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
@@ -93,4 +95,11 @@ func (r *refMarket) totals() (revenue, spent, balances market.Money) {
 // this state.
 func (r *refMarket) snapshot() market.Snapshot {
 	return r.st.Snapshot()
+}
+
+// canonical returns snapshot's canonical bytes, building no tree.
+func (r *refMarket) canonical() []byte {
+	var b bytes.Buffer
+	_ = r.st.Cut().WriteCanonical(&b) // a bytes.Buffer never fails a write
+	return b.Bytes()
 }

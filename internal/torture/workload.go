@@ -117,89 +117,29 @@ func (o Op) String() string {
 	return b.String()
 }
 
-// MixWeights are the relative frequencies of the steady-state op kinds.
-type MixWeights struct {
-	Bid      int
-	Batch    int
-	Tick     int
-	Upload   int
-	Compose  int
-	Withdraw int
-	Query    int
-	Settle   int
-}
+// The generator's one configuration: the paper's user-study panel
+// bidding on AR(1) valuation series from its §7 grid.
+const (
+	genBuyers          = 24   // buyer accounts, personas drawn from the panel
+	genSellers         = 4    // seller accounts
+	genInitialDatasets = 12   // base datasets uploaded by the setup prologue
+	genMaxDatasets     = 64   // cap on alive base datasets
+	genMaxDerived      = 12   // cap on alive derived datasets
+	genMaxBatch        = 6    // most entries in one batch op
+	genHorizon         = 12   // longest campaign deadline span, in periods
+	genSeriesLen       = 256  // length of each dataset's valuation series
+	genChaos           = 0.05 // chance a steady-state op is a deliberately invalid request
+)
 
-// DefaultMix is a bid-heavy mix with enough churn to keep registration,
-// composition and withdrawal paths hot.
-func DefaultMix() MixWeights {
-	return MixWeights{Bid: 50, Batch: 12, Tick: 14, Upload: 3, Compose: 3, Withdraw: 2, Query: 8, Settle: 8}
-}
-
-// GenConfig configures the workload generator. Zero values select the
-// defaults noted on each field.
-type GenConfig struct {
-	// Buyers is the number of buyer accounts (default 24). Buyer bidding
-	// personas are drawn from the user-study panel distribution.
-	Buyers int
-	// Sellers is the number of seller accounts (default 4).
-	Sellers int
-	// InitialDatasets is the number of base datasets uploaded during the
-	// setup prologue (default 12).
-	InitialDatasets int
-	// MaxDatasets caps alive base datasets (default 64).
-	MaxDatasets int
-	// MaxDerived caps alive derived datasets (default 12).
-	MaxDerived int
-	// MaxBatch is the maximum entries per batch op (default 6).
-	MaxBatch int
-	// Horizon is the maximum campaign deadline span in periods
-	// (default 12).
-	Horizon int
-	// SeriesLen is the length of each dataset's AR(1) valuation series
-	// (default 256).
-	SeriesLen int
-	// Chaos is the probability that a steady-state op is replaced by a
-	// deliberately invalid request (default 0.05). Negative disables.
-	Chaos float64
-	// Mix sets the op-kind frequencies; the zero value selects
-	// DefaultMix.
-	Mix MixWeights
-}
-
-func (c *GenConfig) applyDefaults() {
-	if c.Buyers == 0 {
-		c.Buyers = 24
-	}
-	if c.Sellers == 0 {
-		c.Sellers = 4
-	}
-	if c.InitialDatasets == 0 {
-		c.InitialDatasets = 12
-	}
-	if c.MaxDatasets == 0 {
-		c.MaxDatasets = 64
-	}
-	if c.MaxDerived == 0 {
-		c.MaxDerived = 12
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 6
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 12
-	}
-	if c.SeriesLen == 0 {
-		c.SeriesLen = 256
-	}
-	if c.Chaos == 0 {
-		c.Chaos = 0.05
-	}
-	if c.Chaos < 0 {
-		c.Chaos = 0
-	}
-	if c.Mix == (MixWeights{}) {
-		c.Mix = DefaultMix()
-	}
+// opMix is the relative frequency of each steady-state op kind: a
+// bid-heavy mix with enough churn to keep registration, composition and
+// withdrawal paths hot.
+var opMix = [...]struct {
+	kind   OpKind
+	weight int
+}{
+	{OpBid, 50}, {OpBatch, 12}, {OpTick, 14}, {OpUpload, 3},
+	{OpCompose, 3}, {OpWithdraw, 2}, {OpQuery, 8}, {OpSettle, 8},
 }
 
 // campaign is one buyer's ongoing attempt to acquire one dataset: a
@@ -240,7 +180,6 @@ type genDataset struct {
 // seed and the reference model's outcomes (which are themselves
 // deterministic).
 type generator struct {
-	cfg       GenConfig
 	minBid    float64
 	opRand    *rng.RNG
 	chaosRand *rng.RNG
@@ -271,14 +210,12 @@ type generator struct {
 // newGenerator builds a generator. minBid is the market's bid floor
 // (strategy floors are pinned to it so generated amounts stay positive
 // and mostly plausible).
-func newGenerator(cfg GenConfig, seed uint64, minBid float64) (*generator, error) {
-	cfg.applyDefaults()
+func newGenerator(seed uint64, minBid float64) (*generator, error) {
 	if minBid <= 0 {
 		minBid = 1
 	}
 	root := rng.New(seed)
 	g := &generator{
-		cfg:       cfg,
 		minBid:    minBid,
 		root:      root,
 		opRand:    root.Fork("ops"),
@@ -290,18 +227,18 @@ func newGenerator(cfg GenConfig, seed uint64, minBid float64) (*generator, error
 	// Buyer aggressiveness anchors come from the paper's user-study
 	// panel: RQ1 bids for a valuation of 100 give each simulated
 	// participant's bid-to-valuation ratio.
-	panel := userstudy.NewPanel(cfg.Buyers, root.Fork("panel").Uint64())
+	panel := userstudy.NewPanel(genBuyers, root.Fork("panel").Uint64())
 	ratios, err := panel.RQ1(100)
 	if err != nil {
 		return nil, fmt.Errorf("torture: user-study panel: %w", err)
 	}
 
-	for i := 0; i < cfg.Sellers; i++ {
+	for i := 0; i < genSellers; i++ {
 		id := market.SellerID(fmt.Sprintf("s%d", i))
 		g.sellers = append(g.sellers, id)
 		g.pending = append(g.pending, Op{Kind: OpRegisterSeller, Seller: id})
 	}
-	for i := 0; i < cfg.Buyers; i++ {
+	for i := 0; i < genBuyers; i++ {
 		id := market.BuyerID(fmt.Sprintf("b%02d", i))
 		br := root.Fork("buyer/" + string(id))
 		anchor := ratios[i] / 100
@@ -320,7 +257,7 @@ func newGenerator(cfg GenConfig, seed uint64, minBid float64) (*generator, error
 		})
 		g.pending = append(g.pending, Op{Kind: OpRegisterBuyer, Buyer: id})
 	}
-	for i := 0; i < cfg.InitialDatasets; i++ {
+	for i := 0; i < genInitialDatasets; i++ {
 		g.pending = append(g.pending, g.makeUploadOp())
 	}
 	return g, nil
@@ -352,7 +289,7 @@ func (g *generator) makeSeries(id market.DatasetID) []float64 {
 		Sigma: pick[1],
 		Mean:  mean,
 		Floor: mean * 0.05,
-		N:     g.cfg.SeriesLen,
+		N:     genSeriesLen,
 	}, r)
 	if err != nil {
 		// The config above is static and valid; a failure here is a
@@ -363,7 +300,7 @@ func (g *generator) makeSeries(id market.DatasetID) []float64 {
 }
 
 // Next returns the next op. The setup prologue drains first; afterwards
-// ops are drawn from the configured mix, with a chaos roll that may
+// ops are drawn from opMix, with a chaos roll that may
 // replace the draw with a deliberately invalid request.
 func (g *generator) Next() Op {
 	if len(g.pending) > 0 {
@@ -371,25 +308,22 @@ func (g *generator) Next() Op {
 		g.pending = g.pending[1:]
 		return op
 	}
-	if g.cfg.Chaos > 0 && g.chaosRand.Bool(g.cfg.Chaos) {
+	if g.chaosRand.Bool(genChaos) {
 		return g.makeChaosOp()
 	}
 
-	m := g.cfg.Mix
-	weights := []int{m.Bid, m.Batch, m.Tick, m.Upload, m.Compose, m.Withdraw, m.Query, m.Settle}
-	kinds := []OpKind{OpBid, OpBatch, OpTick, OpUpload, OpCompose, OpWithdraw, OpQuery, OpSettle}
 	total := 0
-	for _, w := range weights {
-		total += w
+	for _, m := range opMix {
+		total += m.weight
 	}
 	roll := g.opRand.Intn(total)
 	var kind OpKind
-	for i, w := range weights {
-		if roll < w {
-			kind = kinds[i]
+	for _, m := range opMix {
+		if roll < m.weight {
+			kind = m.kind
 			break
 		}
-		roll -= w
+		roll -= m.weight
 	}
 
 	switch kind {
@@ -402,7 +336,7 @@ func (g *generator) Next() Op {
 			return op
 		}
 	case OpUpload:
-		if len(g.aliveBase) < g.cfg.MaxDatasets {
+		if len(g.aliveBase) < genMaxDatasets {
 			return g.makeUploadOp()
 		}
 	case OpCompose:
@@ -455,7 +389,7 @@ func (g *generator) bidFor(b *genBuyer, ds *genDataset) (float64, bool) {
 		}
 		camp = &campaign{
 			strat:    g.makeStrategy(b, v),
-			deadline: g.clock + 1 + b.rand.Intn(g.cfg.Horizon),
+			deadline: g.clock + 1 + b.rand.Intn(genHorizon),
 		}
 		b.camps[ds.id] = camp
 	}
@@ -523,10 +457,10 @@ func (g *generator) makeBidOp() (Op, bool) {
 
 func (g *generator) makeBatchOp() (Op, bool) {
 	all := g.aliveAll()
-	if len(all) == 0 || g.cfg.MaxBatch < 2 {
+	if len(all) == 0 {
 		return Op{}, false
 	}
-	want := 2 + g.opRand.Intn(g.cfg.MaxBatch-1)
+	want := 2 + g.opRand.Intn(genMaxBatch-1)
 	used := make(map[string]bool)
 	var specs []BidSpec
 	for attempt := 0; attempt < 4*want && len(specs) < want; attempt++ {
@@ -550,7 +484,7 @@ func (g *generator) makeBatchOp() (Op, bool) {
 }
 
 func (g *generator) makeComposeOp() (Op, bool) {
-	if len(g.aliveDerived) >= g.cfg.MaxDerived || len(g.aliveBase) < 2 {
+	if len(g.aliveDerived) >= genMaxDerived || len(g.aliveBase) < 2 {
 		return Op{}, false
 	}
 	n := 2 + g.opRand.Intn(2)
@@ -631,8 +565,8 @@ func (g *generator) makeSettleOp() (Op, bool) {
 }
 
 // makeChaosOp emits a request that is guaranteed to be rejected given the
-// current state. The chaos RNG is independent of the op RNG so enabling
-// or tuning chaos does not reshuffle the valid traffic.
+// current state. The chaos RNG is independent of the op RNG, so what a
+// chaos op draws never reshuffles the valid traffic.
 func (g *generator) makeChaosOp() Op {
 	all := g.aliveAll()
 	anyBuyer := func() market.BuyerID {

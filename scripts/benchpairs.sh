@@ -24,6 +24,9 @@
 #   within bound      otherwise
 #
 # This is the table benchmark/README "Naming a claim" asks a PR to report.
+# The same figures, with the host the change side ran on (from its first
+# run's host line), both revisions, the workload, seed and pair count, go
+# to .bench_build/pairs/ledger.json.
 #
 # A run that fails, or whose result line does not say "correct":true with
 # no failed operations, stops the script: nothing is averaged over it.
@@ -100,13 +103,14 @@ awk '/"end_to_end"/ {on = 1} on && /"name"/ {gsub(/[",]/, ""); name = $2}
 		for side in parent change; do
 			echo "  $side runs: $(values "$side" "$metric" | tr '\n' ' ')"
 		done
-		paste <(values parent "$metric") <(values change "$metric") | awk -v better="$better" -v bound="$bound" '
+		paste <(values parent "$metric") <(values change "$metric") | awk -v better="$better" -v bound="$bound" -v metric="$metric" -v json="$out/metrics.jsonl" '
 			function quartile(v, n, p,    pos, lo) {
 				pos = (n - 1) * p; lo = int(pos)
 				return lo + 1 >= n ? v[n] : v[lo + 1] + (pos - lo) * (v[lo + 2] - v[lo + 1])
 			}
 			function summary(side, v, n,    q1, med, q3) {
 				q1 = quartile(v, n, 0.25); med = quartile(v, n, 0.5); q3 = quartile(v, n, 0.75)
+				quart[side] = sprintf("\"q1\": %.6g, \"median\": %.6g, \"q3\": %.6g", q1, med, q3)
 				printf "  %-6s q1 %-12.6g median %-12.6g q3 %-12.6g (q3-q1)/median %.1f%%\n", side, q1, med, q3, med ? 100 * (q3 - q1) / med : 0
 				iqr[side] = q3 - q1; spread[side] = med ? (q3 - q1) / med : 0
 				return med
@@ -118,6 +122,8 @@ awk '/"end_to_end"/ {on = 1} on && /"name"/ {gsub(/[",]/, ""); name = $2}
 			}
 			{
 				p[NR] = $1 + 0; c[NR] = $2 + 0
+				runs["parent"] = runs["parent"] (NR > 1 ? ", " : "") $1
+				runs["change"] = runs["change"] (NR > 1 ? ", " : "") $2
 				if (p[NR] == c[NR]) ties++
 				else if ((better == "higher") == (c[NR] > p[NR])) wins++
 			}
@@ -132,5 +138,28 @@ awk '/"end_to_end"/ {on = 1} on && /"name"/ {gsub(/[",]/, ""); name = $2}
 				else if (-gain(cm, pm) > bound * (pm < 0 ? -pm : pm)) verdict = "worse than bound"
 				else verdict = "within bound"
 				printf "  verdict: %s (bound %g)\n", verdict, bound
+				printf "    \"%s\": {\"better\": \"%s\", \"bound\": %s,\n", metric, better, bound >>json
+				printf "      \"parent\": {\"runs\": [%s], %s},\n", runs["parent"], quart["parent"] >>json
+				printf "      \"change\": {\"runs\": [%s], %s},\n", runs["change"], quart["change"] >>json
+				printf "      \"wins\": %d, \"ties\": %d, \"verdict\": \"%s\"}\n", wins, ties, verdict >>json
 			}'
 	done
+
+# host_field <key>: that field of the change side's first host line.
+host_field() {
+	sed -n "s/^host:.* $1=\([^ ]*\).*/\1/p" "$out/change.1.log"
+}
+dirty=$(git diff --quiet HEAD -- || echo "+uncommitted")
+{
+	printf '{\n  "generated_at": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+	printf '  "host": {"nproc": %s, "gomaxprocs": %s, "go_version": "%s", "kernel": "%s", "journal_fs": "%s", "fsync": "%s"},\n' \
+		"$(host_field cores)" "$(host_field gomaxprocs)" "$(host_field go)" "$(host_field kernel)" "$(host_field journal_fs)" "$(host_field fsync)"
+	printf '  "parent": "%s",\n  "change": "%s%s",\n' "$(git rev-parse "$parent_ref")" "$(git rev-parse HEAD)" "$dirty"
+	printf '  "workload": "%s",\n  "seed": %s,\n  "pairs": %s,\n  "seconds": %s,\n' "$workload" "$seed" "$pairs" "$seconds"
+	printf '  "metrics": {\n'
+	# Each metric's block ends in "}"; all but the last take a comma.
+	sed '$!s/^\(      "wins".*}\)$/\1,/' "$out/metrics.jsonl"
+	printf '  }\n}\n'
+} >"$out/ledger.json"
+echo
+echo "benchpairs: wrote $out/ledger.json"
