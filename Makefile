@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race bench bench-compile bench-repo bench-repo-smoke bench-pairs loc fuzz-smoke metrics-lint torture torture-smoke torture-long bitrot-smoke slo-smoke slo-full replica-smoke segment-smoke cover
+.PHONY: ci fmt-check vet build test race bench bench-compile bench-repo bench-repo-smoke bench-pairs ledger-check loc fuzz-smoke metrics-lint torture torture-smoke torture-long bitrot-smoke slo-smoke slo-full replica-smoke segment-smoke cover
 
-ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke bitrot-smoke torture segment-smoke slo-smoke replica-smoke bench-compile bench-repo-smoke
+ci: fmt-check vet metrics-lint build race test fuzz-smoke torture-smoke bitrot-smoke torture segment-smoke slo-smoke replica-smoke bench-compile bench-repo-smoke ledger-check
 
 # Fails (and lists the offenders) if any file is not gofmt-clean.
 fmt-check:
@@ -215,6 +215,13 @@ WORKLOAD ?= store_recover
 PAIRS ?= 10
 bench-pairs:
 	bash scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(or $(SEED),$(BENCH_SEED)) $(PAIRS)
+
+# Every committed pairs ledger (a BENCH_*.json with a "metrics" object)
+# carries its host, revisions, workload, seed, at least 10 pairs and a
+# verdict for each gated metric, and none is "worse than bound"; fails
+# naming the file and the field.
+ledger-check:
+	@bash scripts/ledgercheck.sh
 
 # CI variant: one second per workload, and the last line of each must
 # say "correct":true — so a change that breaks a benchmark correctness

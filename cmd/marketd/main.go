@@ -45,7 +45,8 @@
 // fraction of the per-bid cost. Clients connect with
 // shield.Dial("wire://host:port") or marketctl -server wire://host:port.
 // The wire protocol carries no bid signatures, so -wire-addr refuses to
-// start under -auth.
+// start under -auth, and no operator token, so with -operator-token its
+// stats query answers unauthorized.
 //
 // A journaled daemon with -wire-addr is also a replication leader: read
 // replicas started with
@@ -95,6 +96,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/auth"
 	"github.com/datamarket/shield/internal/core"
@@ -266,9 +268,7 @@ func main() {
 			logger.Info("marketd: generated operator token", "token", *opToken)
 		}
 	}
-	if *opToken != "" {
-		srvHandler = srvHandler.WithOperatorToken(*opToken)
-	}
+	srvHandler = srvHandler.WithOperatorToken(*opToken)
 
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr, tel, logger)
@@ -284,7 +284,8 @@ func main() {
 			os.Exit(1)
 		}
 		wireListener = l
-		ws := wire.NewServer(backend).WithTelemetry(tel)
+		// A closed gate keeps stats off the wire (it carries no credentials).
+		ws := wire.NewServer(backend).WithTelemetry(tel).WithOperatorGate(apierr.NewGate(*useAuth, *opToken))
 		if jm != nil {
 			// A journaled leader with a wire listener is a replication
 			// source: followers subscribe to the committed command stream

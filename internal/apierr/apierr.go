@@ -1,19 +1,28 @@
-// Package apierr is the serving surface's stable error vocabulary,
-// shared by every transport (HTTP/JSON in internal/httpapi, the binary
-// wire protocol in internal/wire). Each failed request carries exactly
-// one machine-readable code from the closed set below; clients branch
-// on the code, never on the message text. The codes are part of the v1
-// API contract and are re-exported from the shield facade.
+// Package apierr is the serving surface's stable error vocabulary and
+// the rules that refuse a request, shared by every transport (HTTP/JSON
+// in internal/httpapi, the binary wire protocol in internal/wire): the
+// operator gate, the batch cap, a replica's refusal of writes. Each
+// failed request carries exactly one machine-readable code from the
+// closed set below; clients branch on the code, never on the message
+// text. The codes are part of the v1 API contract and are re-exported
+// from the shield facade.
 package apierr
 
 import (
+	"context"
+	"crypto/subtle"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"github.com/datamarket/shield/internal/auth"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
+
+// MaxRequest bounds a request's bytes on either transport: an HTTP body
+// (413 past it) and a wire frame's payload (wire.MaxFrame).
+const MaxRequest = 1 << 20
 
 // Stable machine-readable error codes.
 const (
@@ -65,10 +74,84 @@ type APIError struct {
 // in-process caller would (the torture harness pins this).
 func (e *APIError) Error() string { return e.Message }
 
+// BadRequest is a refusal of the request itself, worded where it is found.
+func BadRequest(msg string) error {
+	return &APIError{Code: CodeBadRequest, Message: msg}
+}
+
+// CapBatch refuses a bid batch of n bids, whole, past command.MaxBatchBids.
+func CapBatch(n int) error {
+	if n > command.MaxBatchBids {
+		return BadRequest(fmt.Sprintf("batch exceeds %d bids", command.MaxBatchBids))
+	}
+	return nil
+}
+
+// ReadOnly is a read replica's write path: every write, and every slot
+// of a batch, is refused with ErrReadOnlyReplica.
+type ReadOnly struct{}
+
+func (ReadOnly) ApplyEncodedCtx(_ context.Context, _ []byte, res []market.BidResult) (command.Event, error) {
+	for i := range res {
+		res[i].Err = ErrReadOnlyReplica
+	}
+	return command.Event{}, ErrReadOnlyReplica
+}
+
+// Gate is the operator gate in front of what Uncertainty-Shield keeps
+// from buyers: the posting price in a dataset's stats, and over HTTP the
+// metrics and traces. It is closed when bid auth or an operator token is
+// configured, and a closed gate opens only to the token's bearer (with
+// no token, to nobody); an open gate is a development deployment.
+type Gate struct {
+	closed bool
+	token  string
+}
+
+var (
+	errLocked = errors.New("operator endpoints locked: no operator token configured")
+	errToken  = errors.New("operator token required")
+)
+
+// NewGate returns the gate of a server with bid auth on or off and
+// operator token token ("" for none).
+func NewGate(auth bool, token string) Gate {
+	return Gate{closed: auth || token != "", token: token}
+}
+
+// Admit refuses a request presenting bearer ("" for none) that g does not
+// let pass, comparing in constant time and never telling a wrong token
+// from a missing one.
+func (g Gate) Admit(bearer string) error {
+	switch {
+	case g.closed && g.token == "":
+		return errLocked
+	case g.closed && subtle.ConstantTimeCompare([]byte(bearer), []byte(g.token)) != 1:
+		return errToken
+	}
+	return nil
+}
+
+// Stats is the one operator-only read, on either transport: m's stats of
+// dataset id, for a bearer g admits. The wire protocol carries no
+// credentials, so over wire a closed gate refuses it.
+func (g Gate) Stats(m interface {
+	Stats(market.DatasetID) (market.DatasetStats, error)
+}, bearer string, id market.DatasetID) (market.DatasetStats, error) {
+	if err := g.Admit(bearer); err != nil {
+		return market.DatasetStats{}, err
+	}
+	return m.Stats(id)
+}
+
 // Classify maps an error to its stable code and the HTTP status the
 // JSON transport uses for it (the wire transport carries the code
-// alone).
+// alone). An *APIError keeps its code; over HTTP it is a 400, as the HTTP
+// server builds one only to refuse the request itself (BadRequest).
 func Classify(err error) (code string, status int) {
+	if ae, ok := err.(*APIError); ok {
+		return ae.Code, http.StatusBadRequest
+	}
 	switch {
 	case errors.Is(err, market.ErrUnknownBuyer), errors.Is(err, auth.ErrUnknownBuyer):
 		return CodeUnknownBuyer, http.StatusNotFound
@@ -90,7 +173,8 @@ func Classify(err error) (code string, status int) {
 		return CodeBidTooSoon, http.StatusTooManyRequests
 	case errors.Is(err, market.ErrWaitActive):
 		return CodeBlockedUntil, http.StatusTooManyRequests
-	case errors.Is(err, auth.ErrBadSignature), errors.Is(err, auth.ErrReplay):
+	case errors.Is(err, auth.ErrBadSignature), errors.Is(err, auth.ErrReplay),
+		errors.Is(err, errLocked), errors.Is(err, errToken):
 		return CodeUnauthorized, http.StatusUnauthorized
 	case errors.Is(err, ErrReadOnlyReplica):
 		// 403, not 405: the route exists and the method is right — this

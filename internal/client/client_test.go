@@ -37,10 +37,16 @@ func testMarket(t testing.TB) *market.Market {
 // identically-seeded market, so the parity test can drive the same
 // operation sequence through both and compare everything.
 func transports(t *testing.T) map[string]Client {
+	return gatedTransports(t, "")
+}
+
+// gatedTransports is transports with both servers behind the operator
+// gate of token ("" leaves it open); the clients carry no token.
+func gatedTransports(t *testing.T, token string) map[string]Client {
 	t.Helper()
 	out := make(map[string]Client)
 
-	httpSrv := httptest.NewServer(httpapi.NewServer(testMarket(t)).Routes())
+	httpSrv := httptest.NewServer(httpapi.NewServer(testMarket(t)).WithOperatorToken(token).Routes())
 	t.Cleanup(httpSrv.Close)
 	hc, err := Dial(httpSrv.URL)
 	if err != nil {
@@ -53,7 +59,7 @@ func transports(t *testing.T) map[string]Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() { _ = wire.NewServer(testMarket(t)).Serve(l) }()
+	go func() { _ = wire.NewServer(testMarket(t)).WithOperatorGate(apierr.NewGate(false, token)).Serve(l) }()
 	wc, err := Dial("wire://" + l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +206,32 @@ func TestTransportParity(t *testing.T) {
 		if h.txs[i] != w.txs[i] {
 			t.Errorf("tx %d: http %+v, wire %+v", i, h.txs[i], w.txs[i])
 		}
+	}
+}
+
+// TestTransportParityOperatorGate: with an operator token configured,
+// a stats read without it is refused on both transports with the same
+// code and message — the wire protocol carries no credentials, so over
+// wire a gated server never serves stats.
+func TestTransportParityOperatorGate(t *testing.T) {
+	ctx := context.Background()
+	refusals := map[string]apierr.APIError{}
+	for name, c := range gatedTransports(t, "op-secret") {
+		if err := c.RegisterSeller(ctx, "s"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := c.UploadDataset(ctx, "s", "d1"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		st, err := c.Stats(ctx, "d1")
+		var api *apierr.APIError
+		if !errors.As(err, &api) || api.Code != apierr.CodeUnauthorized {
+			t.Fatalf("%s: stats without the operator token = %+v, %v; want %s", name, st, err, apierr.CodeUnauthorized)
+		}
+		refusals[name] = *api
+	}
+	if refusals["http"] != refusals["wire"] {
+		t.Errorf("refusals differ: http %+v, wire %+v", refusals["http"], refusals["wire"])
 	}
 }
 

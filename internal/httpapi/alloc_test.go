@@ -27,7 +27,7 @@ func TestHTTPInstrumentAllocs(t *testing.T) {
 		WithTelemetry(&obs.Telemetry{Registry: obs.NewRegistry(), Tracer: obs.NewTracer(16, 0, 1)})
 	s.ensureTelemetry()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/period", s.handlePeriod)
+	mux.HandleFunc("GET /v1/period", s.read(readPeriod))
 	req := httptest.NewRequest(http.MethodGet, "/v1/period", nil)
 	allocs := func(h http.Handler) float64 {
 		return testing.AllocsPerRun(200, func() {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/auth"
 	"github.com/datamarket/shield/internal/command"
@@ -58,7 +59,7 @@ func TestBidBatchEndpoint(t *testing.T) {
 			t.Fatalf("entry %d carries error: %v", i, results[i])
 		}
 	}
-	for i, wantCode := range map[int]string{2: CodeUnknownBuyer, 3: CodeUnknownDataset} {
+	for i, wantCode := range map[int]string{2: apierr.CodeUnknownBuyer, 3: apierr.CodeUnknownDataset} {
 		env, ok := results[i]["error"].(map[string]any)
 		if !ok {
 			t.Fatalf("entry %d has no error envelope: %v", i, results[i])
@@ -76,7 +77,7 @@ func TestBidBatchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d, want 400", resp.StatusCode)
 	}
-	if env := raw["error"].(map[string]any); env["code"] != CodeBadRequest {
+	if env := raw["error"].(map[string]any); env["code"] != apierr.CodeBadRequest {
 		t.Fatalf("empty batch code = %v", env["code"])
 	}
 	big := make([]map[string]any, command.MaxBatchBids+1)
@@ -123,7 +124,7 @@ func TestBidBatchAuth(t *testing.T) {
 		t.Fatalf("signed entry lost: %v", results[0])
 	}
 	env, ok := results[1]["error"].(map[string]any)
-	if !ok || env["code"] != CodeUnauthorized {
+	if !ok || env["code"] != apierr.CodeUnauthorized {
 		t.Fatalf("unsigned entry = %v, want unauthorized envelope", results[1])
 	}
 }
@@ -197,22 +198,22 @@ func TestErrorEnvelope(t *testing.T) {
 		code     string
 		exercise func() (*http.Response, map[string]any)
 	}{
-		{"duplicate seller", http.StatusConflict, CodeDuplicateID, func() (*http.Response, map[string]any) {
+		{"duplicate seller", http.StatusConflict, apierr.CodeDuplicateID, func() (*http.Response, map[string]any) {
 			return post(t, ts, "/v1/sellers", map[string]string{"id": "s"})
 		}},
-		{"unknown dataset", http.StatusNotFound, CodeUnknownDataset, func() (*http.Response, map[string]any) {
+		{"unknown dataset", http.StatusNotFound, apierr.CodeUnknownDataset, func() (*http.Response, map[string]any) {
 			return post(t, ts, "/v1/bids", map[string]any{"buyer": "b", "dataset": "nope", "amount": 10.0})
 		}},
-		{"unknown buyer", http.StatusNotFound, CodeUnknownBuyer, func() (*http.Response, map[string]any) {
+		{"unknown buyer", http.StatusNotFound, apierr.CodeUnknownBuyer, func() (*http.Response, map[string]any) {
 			return post(t, ts, "/v1/bids", map[string]any{"buyer": "ghost", "dataset": "d", "amount": 10.0})
 		}},
-		{"bad bid", http.StatusBadRequest, CodeBadBid, func() (*http.Response, map[string]any) {
+		{"bad bid", http.StatusBadRequest, apierr.CodeBadBid, func() (*http.Response, map[string]any) {
 			return post(t, ts, "/v1/bids", map[string]any{"buyer": "b", "dataset": "d", "amount": -5.0})
 		}},
-		{"empty id", http.StatusBadRequest, CodeEmptyID, func() (*http.Response, map[string]any) {
+		{"empty id", http.StatusBadRequest, apierr.CodeEmptyID, func() (*http.Response, map[string]any) {
 			return post(t, ts, "/v1/buyers", map[string]string{"id": ""})
 		}},
-		{"malformed json", http.StatusBadRequest, CodeBadRequest, func() (*http.Response, map[string]any) {
+		{"malformed json", http.StatusBadRequest, apierr.CodeBadRequest, func() (*http.Response, map[string]any) {
 			return post(t, ts, "/v1/sellers", map[string]any{"bogus": 1})
 		}},
 	}
@@ -245,14 +246,14 @@ func TestErrorEnvelope(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second bid in period: %d", resp.StatusCode)
 	}
-	if env := raw["error"].(map[string]any); env["code"] != CodeBidTooSoon {
-		t.Fatalf("second bid code = %v, want %s", env["code"], CodeBidTooSoon)
+	if env := raw["error"].(map[string]any); env["code"] != apierr.CodeBidTooSoon {
+		t.Fatalf("second bid code = %v, want %s", env["code"], apierr.CodeBidTooSoon)
 	}
 	post(t, ts, "/v1/tick", map[string]any{})
 	resp, raw = post(t, ts, "/v1/bids", map[string]any{"buyer": "b", "dataset": "d", "amount": 2.0})
 	if resp.StatusCode == http.StatusTooManyRequests {
-		if env := raw["error"].(map[string]any); env["code"] != CodeBlockedUntil {
-			t.Fatalf("wait-blocked bid code = %v, want %s", env["code"], CodeBlockedUntil)
+		if env := raw["error"].(map[string]any); env["code"] != apierr.CodeBlockedUntil {
+			t.Fatalf("wait-blocked bid code = %v, want %s", env["code"], apierr.CodeBlockedUntil)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"testing"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/market"
@@ -16,19 +17,19 @@ import (
 // knownCodes is the closed set of v1 error codes; every rejection the
 // API produces must carry one of these.
 var knownCodes = map[string]bool{
-	CodeDuplicateID:     true,
-	CodeUnknownBuyer:    true,
-	CodeUnknownSeller:   true,
-	CodeUnknownDataset:  true,
-	CodeBadBid:          true,
-	CodeBidTooSoon:      true,
-	CodeBlockedUntil:    true,
-	CodeAlreadyAcquired: true,
-	CodeDatasetInUse:    true,
-	CodeEmptyID:         true,
-	CodeUnauthorized:    true,
-	CodeBadRequest:      true,
-	CodeInternal:        true,
+	apierr.CodeDuplicateID:     true,
+	apierr.CodeUnknownBuyer:    true,
+	apierr.CodeUnknownSeller:   true,
+	apierr.CodeUnknownDataset:  true,
+	apierr.CodeBadBid:          true,
+	apierr.CodeBidTooSoon:      true,
+	apierr.CodeBlockedUntil:    true,
+	apierr.CodeAlreadyAcquired: true,
+	apierr.CodeDatasetInUse:    true,
+	apierr.CodeEmptyID:         true,
+	apierr.CodeUnauthorized:    true,
+	apierr.CodeBadRequest:      true,
+	apierr.CodeInternal:        true,
 }
 
 // FuzzBidBatchDecode throws arbitrary bodies at POST /v1/bids/batch.

@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -17,6 +16,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/auth"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/journal"
@@ -61,19 +61,17 @@ type mutator interface {
 // and sit behind the bearer-token gate (WithOperatorToken) whenever bid
 // auth or a token is configured.
 //
-// Every request is instrumented: the server mints a request ID (echoed
-// as X-Request-ID), records a sampled bid-lifecycle trace, measures
-// per-route/per-status latency into the shared obs registry, and emits
-// one structured log line (WithLogger).
+// Every request runs through the obs.Requests lifecycle (its ID echoed
+// as X-Request-ID) and, with WithLogger, logs one structured line.
 //
 // Every error response carries the versioned envelope
 // {"error":{"code":"...","message":"..."}} with a stable machine-readable
-// code (see errors.go).
+// code from internal/apierr.
 type Server struct {
 	m   *market.Market // reads (leader mode; nil on a replica)
 	mut mutator        // writes (possibly journaled; read-only on a replica)
 	// replica, when set, makes this a read-replica server: reads resolve
-	// through the follower's current view (see market()), writes are
+	// through the follower's current view (see read), writes are
 	// rejected, and /readyz carries staleness.
 	replica ReplicaSource
 	// verifier, when set, requires every bid to carry a valid HMAC
@@ -89,16 +87,12 @@ type Server struct {
 	// inventory.
 	store *journal.Store
 
-	tel         *obs.Telemetry
-	telOnce     sync.Once
-	httpLatency *obs.Vec[*obs.Histogram]
-	// latencyBy binds each (route, status) latency series on first use —
-	// both sets are closed — so the per-request lookup is a map read,
-	// not strconv plus a label join under the family's mutex.
-	latencyMu sync.RWMutex
-	latencyBy map[routeStatus]*obs.Histogram
-	logger    *slog.Logger
-	opToken   string
+	tel      *obs.Telemetry
+	telOnce  sync.Once
+	requests *obs.Requests
+	logger   *slog.Logger
+	opToken  string
+	gate     apierr.Gate
 }
 
 func NewServer(m *market.Market) *Server {
@@ -112,7 +106,7 @@ func NewJournaled(jm *journal.Market) *Server {
 	return &Server{m: jm.Market, mut: jm, ready: jm.Healthy, store: jm.Store()}
 }
 
-// WithAuth enables bid signing.
+// WithAuth enables bid signing. Must be called before Routes.
 func (s *Server) WithAuth(v *auth.Verifier) *Server {
 	s.verifier = v
 	return s
@@ -138,12 +132,12 @@ func (s *Server) Routes() http.Handler {
 	mux.HandleFunc("POST /v1/bids", s.handleBid)
 	mux.HandleFunc("POST /v1/bids/batch", s.handleBidBatch)
 	mux.HandleFunc("POST /v1/tick", s.handleTick)
-	mux.HandleFunc("GET /v1/period", s.handlePeriod)
-	mux.HandleFunc("GET /v1/datasets", s.handleListDatasets)
-	mux.HandleFunc("GET /v1/datasets/{id}/stats", s.operatorOnly(s.handleDatasetStats))
-	mux.HandleFunc("GET /v1/sellers/{id}/balance", s.handleSellerBalance)
-	mux.HandleFunc("GET /v1/buyers/{id}/wait", s.handleBuyerWait)
-	mux.HandleFunc("GET /v1/transactions", s.handleTransactions)
+	mux.HandleFunc("GET /v1/period", s.read(readPeriod))
+	mux.HandleFunc("GET /v1/datasets", s.read(readDatasets))
+	mux.HandleFunc("GET /v1/datasets/{id}/stats", s.read(s.readStats))
+	mux.HandleFunc("GET /v1/sellers/{id}/balance", s.read(readBalance))
+	mux.HandleFunc("GET /v1/buyers/{id}/wait", s.read(readWait))
+	mux.HandleFunc("GET /v1/transactions", s.read(readTransactions))
 	return s.instrument(mux)
 }
 
@@ -156,11 +150,9 @@ func (s *Server) handleRegisterSeller(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if _, err := s.apply(r.Context(), command.RegisterSeller{Seller: market.SellerID(req.ID)}); err != nil {
-		writeError(w, err)
-		return
+	if _, ok := s.write(w, r, command.RegisterSeller{Seller: market.SellerID(req.ID)}); ok {
+		writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 }
 
 func (s *Server) handleRegisterBuyer(w http.ResponseWriter, r *http.Request) {
@@ -168,8 +160,7 @@ func (s *Server) handleRegisterBuyer(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if _, err := s.apply(r.Context(), command.RegisterBuyer{Buyer: market.BuyerID(req.ID)}); err != nil {
-		writeError(w, err)
+	if _, ok := s.write(w, r, command.RegisterBuyer{Buyer: market.BuyerID(req.ID)}); !ok {
 		return
 	}
 	resp := map[string]string{"id": req.ID}
@@ -193,11 +184,9 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if _, err := s.apply(r.Context(), command.UploadDataset{Seller: market.SellerID(req.Seller), Dataset: market.DatasetID(req.ID)}); err != nil {
-		writeError(w, err)
-		return
+	if _, ok := s.write(w, r, command.UploadDataset{Seller: market.SellerID(req.Seller), Dataset: market.DatasetID(req.ID)}); ok {
+		writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 }
 
 // handleWithdrawDataset removes a base dataset; the owning seller must
@@ -206,14 +195,10 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleWithdrawDataset(w http.ResponseWriter, r *http.Request) {
 	seller := queryParam(r, "seller")
 	if seller == "" {
-		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "missing seller query parameter")
-		return
+		writeError(w, missing("seller"))
+	} else if _, ok := s.write(w, r, command.WithdrawDataset{Seller: market.SellerID(seller), Dataset: market.DatasetID(r.PathValue("id"))}); ok {
+		writeJSON(w, http.StatusOK, map[string]string{"withdrawn": r.PathValue("id")})
 	}
-	if _, err := s.apply(r.Context(), command.WithdrawDataset{Seller: market.SellerID(seller), Dataset: market.DatasetID(r.PathValue("id"))}); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"withdrawn": r.PathValue("id")})
 }
 
 func (s *Server) handleComposeDataset(w http.ResponseWriter, r *http.Request) {
@@ -228,17 +213,20 @@ func (s *Server) handleComposeDataset(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Constituents {
 		parts[i] = market.DatasetID(c)
 	}
-	if _, err := s.apply(r.Context(), command.ComposeDataset{Dataset: market.DatasetID(req.ID), Constituents: parts}); err != nil {
-		writeError(w, err)
-		return
+	if _, ok := s.write(w, r, command.ComposeDataset{Dataset: market.DatasetID(req.ID), Constituents: parts}); ok {
+		writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 }
 
+// bidResponse is a decided bid's body.
 type bidResponse struct {
 	Allocated   bool    `json:"allocated"`
 	PricePaid   float64 `json:"price_paid,omitempty"`
 	WaitPeriods int     `json:"wait_periods,omitempty"`
+}
+
+func responseOf(d market.Decision) bidResponse {
+	return bidResponse{d.Allocated, d.PricePaid.Float(), d.WaitPeriods}
 }
 
 func (s *Server) handleBid(w http.ResponseWriter, r *http.Request) {
@@ -251,7 +239,7 @@ func (s *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 	}
 	amount, err := s.authorize(req.bid)
 	if err != nil {
-		writeAPIError(w, http.StatusUnauthorized, CodeUnauthorized, err.Error())
+		writeAPIError(w, http.StatusUnauthorized, apierr.CodeUnauthorized, err.Error())
 		return
 	}
 	body, _ := command.AppendBinary(req.body[:0], command.SubmitBid{Buyer: market.BuyerID(req.bid.Buyer), Dataset: market.DatasetID(req.bid.Dataset), Amount: amount})
@@ -260,11 +248,7 @@ func (s *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, bidResponse{
-		Allocated:   ev.Decision.Allocated,
-		PricePaid:   ev.Decision.PricePaid.Float(),
-		WaitPeriods: ev.Decision.WaitPeriods,
-	})
+	writeJSON(w, http.StatusOK, responseOf(ev.Decision))
 }
 
 // batchBidEntry is one bid, of POST /v1/bids or of a POST /v1/bids/batch
@@ -304,13 +288,11 @@ func (s *Server) authorize(b batchBidEntry) (float64, error) {
 	return market.Money(b.AmountMicros).Float(), nil
 }
 
-// batchBidResult mirrors bidResponse with a per-entry error envelope:
-// one rejected bid never fails the batch, it fails its slot.
+// batchBidResult is bidResponse with a per-entry error envelope: one
+// rejected bid never fails the batch, it fails its slot.
 type batchBidResult struct {
-	Allocated   bool      `json:"allocated"`
-	PricePaid   float64   `json:"price_paid,omitempty"`
-	WaitPeriods int       `json:"wait_periods,omitempty"`
-	Error       *APIError `json:"error,omitempty"`
+	bidResponse
+	Error *apierr.APIError `json:"error,omitempty"`
 }
 
 // handleBidBatch submits a batch of bids in one request. The response
@@ -324,12 +306,11 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Bids) == 0 {
-		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "batch must contain at least one bid")
+		writeAPIError(w, http.StatusBadRequest, apierr.CodeBadRequest, "batch must contain at least one bid")
 		return
 	}
-	if len(req.Bids) > command.MaxBatchBids {
-		writeAPIError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("batch exceeds %d bids", command.MaxBatchBids))
+	if err := apierr.CapBatch(len(req.Bids)); err != nil {
+		writeError(w, err)
 		return
 	}
 
@@ -341,7 +322,7 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 	for i, b := range req.Bids {
 		amount, err := s.authorize(b)
 		if err != nil {
-			results[i].Error = &APIError{Code: CodeUnauthorized, Message: err.Error()}
+			results[i].Error = &apierr.APIError{Code: apierr.CodeUnauthorized, Message: err.Error()}
 			continue
 		}
 		bids = append(bids, command.SubmitBid{
@@ -358,122 +339,102 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 	for j, res := range out {
 		i := slots[j]
 		if res.Err != nil {
-			code, _ := classify(res.Err)
-			results[i].Error = &APIError{Code: code, Message: res.Err.Error()}
+			code, _ := apierr.Classify(res.Err)
+			results[i].Error = &apierr.APIError{Code: code, Message: res.Err.Error()}
 			continue
 		}
-		results[i] = batchBidResult{
-			Allocated:   res.Decision.Allocated,
-			PricePaid:   res.Decision.PricePaid.Float(),
-			WaitPeriods: res.Decision.WaitPeriods,
-		}
+		results[i].bidResponse = responseOf(res.Decision)
 	}
 	writeJSON(w, http.StatusOK, map[string][]batchBidResult{"results": results})
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
-	ev, err := s.apply(r.Context(), command.Tick{})
-	if err != nil {
-		writeError(w, err)
-		return
+	if ev, ok := s.write(w, r, command.Tick{}); ok {
+		writeJSON(w, http.StatusOK, periodBody{ev.Period})
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Period int `json:"period"`
-	}{ev.Period})
 }
 
-// apply encodes cmd — a handler's command always encodes — and submits
-// the bytes.
-func (s *Server) apply(ctx context.Context, cmd command.Command) (command.Event, error) {
+// write encodes cmd — a handler's command always encodes — submits the
+// bytes and returns the event and whether it applied; a refusal it has
+// answered with the error's envelope.
+func (s *Server) write(w http.ResponseWriter, r *http.Request, cmd command.Command) (command.Event, bool) {
 	body, _ := command.EncodeBinary(cmd)
-	return s.mut.ApplyEncodedCtx(ctx, body, nil)
+	ev, err := s.mut.ApplyEncodedCtx(r.Context(), body, nil)
+	if err != nil {
+		writeError(w, err)
+	}
+	return ev, err == nil
 }
 
-func (s *Server) handlePeriod(w http.ResponseWriter, _ *http.Request) {
-	m, err := s.market()
-	if err != nil {
-		writeError(w, err)
-		return
+// read serves a GET from the request's read view: the JSON of what f
+// reads from it, or the envelope of the view's or f's error. The view is
+// the leader's fixed market, or a replica's current one, which does not
+// exist until the first catch-up completes and is swapped wholesale when
+// a reconnect falls back to snapshot mode: resolve it once per request.
+func (s *Server) read(f func(*market.Market, *http.Request) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		m := s.m
+		if s.replica != nil {
+			m = s.replica.Market()
+		}
+		v, err := any(nil), error(apierr.ErrReplicaUnavailable)
+		if m != nil {
+			v, err = f(m, r)
+		}
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, v)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Period int `json:"period"`
-	}{m.Period()})
 }
 
-func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
-	m, err := s.market()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, m.Datasets())
+type periodBody struct {
+	Period int `json:"period"`
 }
 
-func (s *Server) handleDatasetStats(w http.ResponseWriter, r *http.Request) {
-	m, err := s.market()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	stats, err := m.Stats(market.DatasetID(r.PathValue("id")))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, stats)
+func readPeriod(m *market.Market, _ *http.Request) (any, error) {
+	return periodBody{m.Period()}, nil
 }
 
-func (s *Server) handleSellerBalance(w http.ResponseWriter, r *http.Request) {
-	m, err := s.market()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func readDatasets(m *market.Market, _ *http.Request) (any, error) {
+	return m.Datasets(), nil
+}
+
+func (s *Server) readStats(m *market.Market, r *http.Request) (any, error) {
+	return s.gate.Stats(m, bearer(r), market.DatasetID(r.PathValue("id")))
+}
+
+func readBalance(m *market.Market, r *http.Request) (any, error) {
 	bal, err := m.SellerBalance(market.SellerID(r.PathValue("id")))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
+	return struct {
 		Balance float64 `json:"balance"`
-	}{bal.Float()})
+	}{bal.Float()}, err
 }
 
-func (s *Server) handleBuyerWait(w http.ResponseWriter, r *http.Request) {
+func readWait(m *market.Market, r *http.Request) (any, error) {
 	dataset := queryParam(r, "dataset")
 	if dataset == "" {
-		writeAPIError(w, http.StatusBadRequest, CodeBadRequest, "missing dataset query parameter")
-		return
-	}
-	m, err := s.market()
-	if err != nil {
-		writeError(w, err)
-		return
+		return nil, missing("dataset")
 	}
 	wait, err := m.WaitRemaining(market.BuyerID(r.PathValue("id")), market.DatasetID(dataset))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
+	return struct {
 		WaitPeriods int `json:"wait_periods"`
-	}{wait})
+	}{wait}, err
 }
 
-func (s *Server) handleTransactions(w http.ResponseWriter, _ *http.Request) {
-	m, err := s.market()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, m.Transactions())
+func readTransactions(m *market.Market, _ *http.Request) (any, error) {
+	return m.Transactions(), nil
+}
+
+// missing refuses a request without its query parameter param.
+func missing(param string) error {
+	return apierr.BadRequest("missing " + param + " query parameter")
 }
 
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	defer obs.StartSpan(r.Context(), "http.parse").End()
-	// A body is bounded (413 past it) at the wire protocol's frame limit,
-	// wire.MaxFrame; importing wire here would be a cycle.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, apierr.MaxRequest))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
 	if err == nil { // the value, then only whitespace
@@ -487,8 +448,27 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if errors.As(err, new(*http.MaxBytesError)) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeAPIError(w, status, CodeBadRequest, "bad request: "+err.Error())
+	writeAPIError(w, status, apierr.CodeBadRequest, "bad request: "+err.Error())
 	return false
+}
+
+// errorEnvelope is the versioned error body
+// {"error":{"code":"...","message":"..."}}; its codes are apierr's.
+type errorEnvelope struct {
+	Error apierr.APIError `json:"error"`
+}
+
+// writeError writes err's envelope, with the code and status
+// apierr.Classify gives it.
+func writeError(w http.ResponseWriter, err error) {
+	code, status := apierr.Classify(err)
+	writeAPIError(w, status, code, err.Error())
+}
+
+// writeAPIError writes an envelope with an explicit code and status, for
+// refusals that are no sentinel's (malformed JSON, unsigned bids).
+func writeAPIError(w http.ResponseWriter, status int, code, message string) {
+	writeJSON(w, status, errorEnvelope{Error: apierr.APIError{Code: code, Message: message}})
 }
 
 // jsonContentType is shared by every JSON response, assigned under the

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"crypto/subtle"
 	"log/slog"
 	"net"
 	"net/http"
@@ -9,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/obs"
 )
 
@@ -29,13 +29,9 @@ func (s *Server) WithLogger(l *slog.Logger) *Server {
 	return s
 }
 
-// WithOperatorToken gates the operator-facing endpoints — GET /metrics,
-// GET /debug/traces and GET /v1/datasets/{id}/stats — behind a bearer
-// token: they expose posting prices and per-request traces, exactly the
-// information Uncertainty-Shield keeps from buyers. With bid auth
-// enabled and no token configured the operator endpoints lock shut
-// (fail closed); with neither auth nor a token the server is an open
-// development deployment and they stay open.
+// WithOperatorToken sets the bearer token ("" for none) of the operator
+// gate (apierr.Gate) in front of GET /metrics, GET /debug/traces and GET
+// /v1/datasets/{id}/stats. Must be called before Routes.
 func (s *Server) WithOperatorToken(token string) *Server {
 	s.opToken = token
 	return s
@@ -55,32 +51,11 @@ func (s *Server) ensureTelemetry() {
 		if s.m != nil {
 			s.m.Instrument(s.tel)
 		}
-		s.httpLatency = s.tel.Registry.HistogramVec("shield_http_request_seconds",
+		s.requests = obs.NewRequests(s.tel, "shield_http_request_seconds",
 			"HTTP request latency by route pattern and status code.",
-			obs.LatencyBuckets(), "route", "status")
-		s.latencyBy = map[routeStatus]*obs.Histogram{}
+			"route", "http", "", strconv.Itoa)
+		s.gate = apierr.NewGate(s.verifier != nil, s.opToken)
 	})
-}
-
-// routeStatus keys the bound latency series.
-type routeStatus struct {
-	route  string
-	status int
-}
-
-// latencyFor returns the bound series for route/status (Server.latencyBy).
-func (s *Server) latencyFor(route string, status int) *obs.Histogram {
-	k := routeStatus{route, status}
-	s.latencyMu.RLock()
-	h := s.latencyBy[k]
-	s.latencyMu.RUnlock()
-	if h == nil {
-		h = s.httpLatency.With(route, strconv.Itoa(status))
-		s.latencyMu.Lock()
-		s.latencyBy[k] = h
-		s.latencyMu.Unlock()
-	}
-	return h
 }
 
 // requestState is the one allocation instrument makes per request: the
@@ -107,34 +82,22 @@ func (w *requestState) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// instrument is the outermost middleware: it establishes the request
-// ID, echoes it as X-Request-ID, begins the (possibly sampled-out)
-// trace, threads both through the request context, and on completion
-// records the route/status latency sample (exemplar-stamped when
-// sampled) and one structured log line. A request arriving with an
-// X-Trace-ID header executes under the caller's propagated ID instead
-// of a minted one, and X-Trace-Sampled: 1 continues the caller's
-// sampled trace here regardless of the local sampling rate — the
-// HTTP-side twin of the wire protocol's v2 trace field. The route
-// label is the mux pattern that matched — a bounded set — never the
-// raw URL; the trace takes it as its name once routing has decided it.
+// instrument is the outermost middleware: it runs the request through
+// the obs.Requests lifecycle — an X-Trace-Id header is the caller's
+// propagated ID and X-Trace-Sampled: 1 its sampling decision, the
+// HTTP-side twin of the wire protocol's trace field — echoes the ID as
+// X-Request-ID, and on completion logs one structured line. The route
+// label is the mux pattern that matched — a bounded set — never the raw
+// URL; the trace takes it as its name once routing has decided it.
 func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		var tr *obs.Trace
-		// Header names are spelled canonically (X-Trace-Id), as they are
-		// stored either way: Get and Set then copy no key per request.
-		id := r.Header.Get("X-Trace-Id")
-		if id == "" {
-			id = s.tel.Tracer.NewRequestID()
-			tr = s.tel.Tracer.BeginAt(id, "http", start)
-		} else if r.Header.Get("X-Trace-Sampled") == "1" {
-			tr = s.tel.Tracer.Adopt(id, "http", start)
-		}
 		st := &requestState{ResponseWriter: w}
 		st.ctx.Context = r.Context()
-		st.ctx.Reset(id, tr)
-		st.id[0] = id
+		// Header names are spelled canonically (X-Trace-Id), as they are
+		// stored either way: Get and Set then copy no key per request.
+		tr := s.requests.Begin(&st.ctx, r.Header.Get("X-Trace-Id"), r.Header.Get("X-Trace-Sampled") == "1", start)
+		st.id[0] = obs.RequestIDFrom(&st.ctx)
 		w.Header()["X-Request-Id"] = st.id[:] // canonical key; see jsonContentType
 		r = r.WithContext(&st.ctx)
 		mux.ServeHTTP(st, r)
@@ -144,16 +107,14 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 		if route == "" {
 			route = "unmatched"
 		}
-		tr.SetName(route)
-		s.tel.Tracer.Finish(tr)
 		if st.status == 0 {
 			st.status = http.StatusOK
 		}
-		elapsed := time.Since(start)
-		s.latencyFor(route, st.status).ObserveTrace(elapsed.Seconds(), obs.ExemplarID(&st.ctx))
+		elapsed := s.requests.End(&st.ctx, route, st.status, start)
+		s.tel.Tracer.Finish(tr)
 		if s.logger != nil {
 			s.logger.LogAttrs(&st.ctx, slog.LevelInfo, "request",
-				slog.String("id", id),
+				slog.String("id", st.id[0]),
 				slog.String("route", route),
 				slog.Int("status", st.status),
 				slog.Duration("elapsed", elapsed),
@@ -163,28 +124,24 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 	})
 }
 
-// operatorOnly enforces the operator gate described at
-// WithOperatorToken. Comparison is constant-time; the response never
-// distinguishes a wrong token from a missing one.
+// operatorOnly puts h behind the operator gate (apierr.Gate).
 func (s *Server) operatorOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.verifier == nil && s.opToken == "" {
-			h(w, r)
-			return
-		}
-		if s.opToken == "" {
-			writeAPIError(w, http.StatusUnauthorized, CodeUnauthorized,
-				"operator endpoints locked: no operator token configured")
-			return
-		}
-		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if !ok || subtle.ConstantTimeCompare([]byte(tok), []byte(s.opToken)) != 1 {
-			writeAPIError(w, http.StatusUnauthorized, CodeUnauthorized,
-				"operator token required")
+		if err := s.gate.Admit(bearer(r)); err != nil {
+			writeError(w, err)
 			return
 		}
 		h(w, r)
 	}
+}
+
+// bearer returns the request's bearer token, "" for none.
+func bearer(r *http.Request) string {
+	tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+	if !ok {
+		return ""
+	}
+	return tok
 }
 
 // handleHealthz is liveness: the process is up and serving.
@@ -231,6 +188,19 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
+// handleMetrics serves the shared obs registry in the Prometheus text
+// exposition format. Every family — market books, per-dataset engine
+// diagnostics, HTTP latency, journal durability —
+// is registered on the registry by the layer that owns it, and
+// WritePrometheus owns ordering and escaping; nothing is hand-written
+// here. Like the stats endpoint this is operator-facing: posting prices
+// per dataset must not be reachable by buyers, so the route sits behind
+// the operator gate when auth is configured.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.tel.Registry.WritePrometheus(w)
+}
+
 // handleTraces serves the most recent completed bid-lifecycle traces,
 // newest first, with the count of traces already evicted from the ring.
 // With ?id=req-... it instead resolves one request ID to its full
@@ -240,7 +210,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if id := queryParam(r, "id"); id != "" {
 		snap, ok := s.tel.Tracer.Find(id)
 		if !ok {
-			writeAPIError(w, http.StatusNotFound, CodeBadRequest,
+			writeAPIError(w, http.StatusNotFound, apierr.CodeBadRequest,
 				"no completed trace for id "+id+" (evicted, unsampled, or never seen)")
 			return
 		}

@@ -1,11 +1,9 @@
 package httpapi
 
 import (
-	"context"
 	"net/http"
 
 	"github.com/datamarket/shield/internal/apierr"
-	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
 )
 
@@ -37,35 +35,9 @@ type ReplicaSource interface {
 func NewReplica(src ReplicaSource) *Server {
 	return &Server{
 		replica: src,
-		mut:     readOnly{},
+		mut:     apierr.ReadOnly{},
 		ready:   src.Ready,
 	}
-}
-
-// market resolves the read view for this request. On the leader that is
-// the fixed market the server was built over; on a replica it is the
-// follower's current view, which does not exist until the first
-// catch-up completes (and is swapped wholesale when a reconnect falls
-// back to snapshot mode — resolve once per request, never cache).
-func (s *Server) market() (*market.Market, error) {
-	if s.replica == nil {
-		return s.m, nil
-	}
-	if m := s.replica.Market(); m != nil {
-		return m, nil
-	}
-	return nil, apierr.ErrReplicaUnavailable
-}
-
-// readOnly rejects every write (a batch in every slot) with the replica
-// sentinel, which the error path classifies to CodeReadOnlyReplica / 403.
-type readOnly struct{}
-
-func (readOnly) ApplyEncodedCtx(_ context.Context, _ []byte, res []market.BidResult) (command.Event, error) {
-	for i := range res {
-		res[i].Err = apierr.ErrReadOnlyReplica
-	}
-	return command.Event{}, apierr.ErrReadOnlyReplica
 }
 
 // handleReplicaReadyz is /readyz on a replica: the usual ready/unready

@@ -92,11 +92,7 @@ func (e StageEnd) End() {
 	d := time.Since(e.start)
 	e.tr.AddSpan(e.name, e.start, d)
 	if e.h != nil {
-		id := ""
-		if e.tr != nil {
-			id = e.tr.ID
-		}
-		e.h.ObserveTrace(d.Seconds(), id)
+		e.h.ObserveTrace(d.Seconds(), e.tr.Exemplar())
 	}
 }
 

@@ -86,7 +86,7 @@ func TestAdoptBypassesSamplerButHonorsDisabled(t *testing.T) {
 	// every=1000: the local sampler would almost surely say no, but an
 	// adopted (remotely sampled) trace must record anyway.
 	tr := NewTracer(8, 1000, 1)
-	a := tr.Adopt("req-remote", "wire.bid", time.Now())
+	a := tr.adopt("req-remote", "wire.bid", time.Now())
 	if a == nil {
 		t.Fatal("Adopt returned nil on an enabled tracer")
 	}
@@ -97,7 +97,7 @@ func TestAdoptBypassesSamplerButHonorsDisabled(t *testing.T) {
 	// every=0 disables tracing entirely; Adopt must respect that (the
 	// torture twins depend on a disabled tracer staying inert).
 	off := NewTracer(8, 0, 1)
-	if off.Adopt("req-x", "wire.bid", time.Now()) != nil {
+	if off.adopt("req-x", "wire.bid", time.Now()) != nil {
 		t.Fatal("Adopt recorded on a disabled tracer")
 	}
 }
@@ -106,7 +106,7 @@ func TestBeginAtBackdatesAndAddSpanOffsets(t *testing.T) {
 	tr := NewTracer(8, 1, 1)
 	readDur := 5 * time.Millisecond
 	start := time.Now().Add(-readDur)
-	trace := tr.BeginAt("req-1", "wire.bid", start)
+	trace := tr.beginAt("req-1", "wire.bid", start)
 	trace.AddSpan("wire.read", start, readDur)
 	tr.Finish(trace)
 	snap, ok := tr.Find("req-1")
@@ -135,7 +135,7 @@ func TestOnSlowFiresWithStageBreakdown(t *testing.T) {
 	fast := tr.Begin("req-fast", "bid")
 	tr.Finish(fast)
 
-	slow := tr.BeginAt("req-slow", "bid", time.Now().Add(-20*time.Millisecond))
+	slow := tr.beginAt("req-slow", "bid", time.Now().Add(-20*time.Millisecond))
 	slow.AddSpan("group_commit.fsync", time.Now().Add(-15*time.Millisecond), 15*time.Millisecond)
 	tr.Finish(slow)
 
@@ -148,7 +148,7 @@ func TestOnSlowFiresWithStageBreakdown(t *testing.T) {
 	}
 
 	tr.OnSlow(0, nil) // uninstall
-	again := tr.BeginAt("req-slow-2", "bid", time.Now().Add(-20*time.Millisecond))
+	again := tr.beginAt("req-slow-2", "bid", time.Now().Add(-20*time.Millisecond))
 	tr.Finish(again)
 	if len(got) != 1 {
 		t.Fatal("slow hook fired after uninstall")

@@ -50,7 +50,7 @@ func NewTracer(capacity, every int, seed uint64) *Tracer {
 }
 
 // NewRequestID mints a unique request identifier. Every request gets
-// one, sampled or not; RequestCtx.Mint keeps it a number.
+// one, sampled or not; Requests.Begin keeps a minted one a number.
 func (t *Tracer) NewRequestID() string {
 	var buf [20]byte
 	return string(appendRequestID(buf[:0], t.seq.Add(1)))
@@ -89,27 +89,26 @@ func (t *Tracer) sampled() bool {
 // sampled; it returns nil otherwise. A nil *Trace is safe to use —
 // every method no-ops — so callers thread it unconditionally.
 func (t *Tracer) Begin(id, name string) *Trace {
-	return t.BeginAt(id, name, time.Now())
+	return t.beginAt(id, name, time.Now())
 }
 
-// BeginAt is Begin with an explicit start time, for callers that learn
-// about a request after some of its wall time has already elapsed (the
-// wire server starts the trace after the frame has been read off the
-// socket and backdates it by the read duration).
-func (t *Tracer) BeginAt(id, name string, start time.Time) *Trace {
+// beginAt is Begin with an explicit start time, for a request whose wall
+// time began before it was parsed (the wire server backdates a request
+// by its frame's read).
+func (t *Tracer) beginAt(id, name string, start time.Time) *Trace {
 	if !t.sampled() {
 		return nil
 	}
 	return newTrace(id, name, start)
 }
 
-// Adopt starts a trace for a request whose sampling decision was made
+// adopt starts a trace for a request whose sampling decision was made
 // by the peer that propagated it (the wire/HTTP trace field's sampled
 // bit). It bypasses the local sampler — the originator already spent
 // the sampling budget, and dropping its trace here would leave the
 // propagated ID dangling — but still respects a fully disabled tracer
 // (every <= 0), which is the torture harness's determinism guarantee.
-func (t *Tracer) Adopt(id, name string, start time.Time) *Trace {
+func (t *Tracer) adopt(id, name string, start time.Time) *Trace {
 	if t.every <= 0 { // immutable after NewTracer, same as sampled()
 		return nil
 	}
@@ -260,6 +259,14 @@ func (tr *Trace) AddSpan(name string, start time.Time, d time.Duration) {
 	tr.mu.Unlock()
 }
 
+// Exemplar returns the trace's ID, "" for a nil (unsampled) trace.
+func (tr *Trace) Exemplar() string {
+	if tr == nil {
+		return ""
+	}
+	return tr.ID
+}
+
 // SetName renames the trace (the HTTP middleware starts a trace before
 // routing decides the pattern).
 func (tr *Trace) SetName(name string) {
@@ -334,9 +341,9 @@ const traceKey ctxKey = iota
 
 // RequestCtx is a context.Context carrying one request's identity: its
 // ID and, when the request is sampled, its trace. A serving loop keeps
-// one per connection and rebinds it to each request with Reset, or Mint
-// (an ID held as its number until something spells it), so identity
-// costs no allocation per request.
+// one per connection and rebinds it to each request (Requests.Begin; a
+// minted ID is held as its number until something spells it), so
+// identity costs no allocation per request.
 //
 // Reuse rests on one invariant: every consumer downstream of ApplyEncodedCtx
 // (journal group members, stage timers, view publication) is done with
@@ -360,13 +367,14 @@ func (c *RequestCtx) Reset(id string, tr *Trace) {
 	c.id, c.seq, c.tr = id, 0, tr
 }
 
-// Mint rebinds c to a freshly minted ID and returns its trace when t
+// mint rebinds c to a freshly minted ID and returns its trace when t
 // samples the request, nil otherwise. Only a sampled trace, RequestIDFrom
 // and AppendRequestID (the journal frame) spell the ID.
-func (c *RequestCtx) Mint(t *Tracer, name string, start time.Time) *Trace {
-	c.Reset("", t.BeginAt("", name, start))
+func (c *RequestCtx) mint(t *Tracer, name string, start time.Time) *Trace {
+	c.Reset("", t.beginAt("", name, start))
 	if c.seq = t.seq.Add(1); c.tr != nil {
-		c.tr.ID = string(appendRequestID(nil, c.seq))
+		var buf [20]byte
+		c.tr.ID = string(appendRequestID(buf[:0], c.seq))
 		c.id, c.seq = c.tr.ID, 0
 	}
 	return c.tr
@@ -417,7 +425,8 @@ func RequestIDFrom(ctx context.Context) string {
 	if c, ok := ctx.Value(traceKey).(*RequestCtx); ok && c.seq == 0 {
 		return c.id
 	}
-	return string(AppendRequestID(nil, ctx))
+	var buf [20]byte
+	return string(AppendRequestID(buf[:0], ctx))
 }
 
 // AppendRequestID appends the context's request ID to dst, spelling a
@@ -436,8 +445,5 @@ func AppendRequestID(dst []byte, ctx context.Context) []byte {
 // stamping histogram exemplars: only IDs that resolve in /debug/traces
 // are worth linking from /metrics.
 func ExemplarID(ctx context.Context) string {
-	if tr := TraceFrom(ctx); tr != nil {
-		return tr.ID
-	}
-	return ""
+	return TraceFrom(ctx).Exemplar()
 }

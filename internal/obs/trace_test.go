@@ -151,7 +151,7 @@ func TestConcurrentSpans(t *testing.T) {
 func TestMintedIDIsSpelledOnDemand(t *testing.T) {
 	unsampled, sampled := NewTracer(4, 0, 1), NewTracer(4, 1, 1)
 	rc := &RequestCtx{Context: context.Background()}
-	if tr := rc.Mint(unsampled, "wire", time.Now()); tr != nil {
+	if tr := rc.mint(unsampled, "wire", time.Now()); tr != nil {
 		t.Fatal("a disabled tracer sampled a minted request")
 	}
 	if got := RequestIDFrom(rc); got != "req-00000001" {
@@ -161,7 +161,7 @@ func TestMintedIDIsSpelledOnDemand(t *testing.T) {
 		t.Fatalf("AppendRequestID = %q, want xreq-00000001", got)
 	}
 	sampled.seq.Store(1<<32 - 1)
-	tr := rc.Mint(sampled, "wire", time.Now())
+	tr := rc.mint(sampled, "wire", time.Now())
 	if want := fmt.Sprintf("req-%08x", uint64(1<<32)); tr == nil || tr.ID != want || RequestIDFrom(rc) != want {
 		t.Fatalf("sampled mint: trace %+v, RequestIDFrom %q, want both %q", tr, RequestIDFrom(rc), want)
 	}

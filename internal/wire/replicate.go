@@ -244,10 +244,10 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Wri
 	var after int64
 	in := binenc.Decoder(body)
 	if binenc.Uint(in, &after); in.Done() != nil {
-		return refuse(badRequest("malformed replicate request"))
+		return refuse(apierr.BadRequest("malformed replicate request"))
 	}
 	if s.repl == nil {
-		return refuse(badRequest("replication not enabled on this server"))
+		return refuse(apierr.BadRequest("replication not enabled on this server"))
 	}
 	sub, err := s.repl.Subscribe(after)
 	if err != nil {

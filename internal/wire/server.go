@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/market"
@@ -43,14 +44,10 @@ type Server struct {
 	// snapshotLimit bounds the subscribe response; tests shrink it.
 	snapshotLimit int
 
-	tel     *obs.Telemetry
-	latency *obs.Vec[*obs.Histogram]
-	conns   *obs.Gauge
-
-	// latencyBy pre-binds the latency series for the closed op/status
-	// set, so the per-request lookup is one map read instead of a label
-	// join through the Vec.
-	latencyBy map[opStatus]*obs.Histogram
+	tel      *obs.Telemetry
+	requests *obs.Requests
+	conns    *obs.Gauge
+	gate     apierr.Gate // in front of the stats query
 
 	// Pre-bound shield_stage_seconds series for the wire stages of the
 	// durable-bid pipeline; nil on an uninstrumented server.
@@ -78,50 +75,35 @@ func (s *Server) WithBufferSize(n int) *Server {
 	return s
 }
 
-// WithTelemetry instruments the server on t: per-request latency by
-// operation and status (tail buckets carry the last sampled request's
-// ID as an exemplar), the wire stages of the durable-bid pipeline
-// (wire.read, decode, ack.flush on shield_stage_seconds), and the live
-// connection count. It also turns on request IDs and tracing — a frame
-// carrying the trace field executes under the client's propagated
-// ID (continuing its trace when the sampled bit is set), any other
-// frame under a freshly minted, locally sampled ID (a number until a
-// sampled trace or the journal frame spells it) — and a journaled
-// backend records that ID as the entry's trace. Must be called before
-// the server accepts connections; an uninstrumented server adds
-// nothing to the request context, so its journal entries carry no
-// trace ids (the torture harness relies on this to keep wire-driven
-// journals byte-identical to in-process ones).
+// WithTelemetry instruments the server on t: the obs.Requests lifecycle
+// (request IDs — a frame's trace field propagates one — tracing, and
+// latency by operation and status), the wire stages of the durable-bid
+// pipeline (wire.read, decode, ack.flush on shield_stage_seconds) and
+// the live connection count; a journaled backend records the request ID
+// as the entry's trace. Must be called before the server accepts
+// connections. An uninstrumented server adds nothing to the request
+// context, so its journal entries carry no trace ids (the torture
+// harness relies on this to keep wire-driven journals byte-identical to
+// in-process ones).
 func (s *Server) WithTelemetry(t *obs.Telemetry) *Server {
 	s.tel = t
-	s.latency = t.Registry.HistogramVec("shield_wire_request_seconds",
-		"Wire request latency by operation and status.",
-		obs.LatencyBuckets(), "op", "status")
+	s.requests = obs.NewRequests(t, "shield_wire_request_seconds",
+		"Wire request latency by operation and status.", "op", "wire", "wire.",
+		func(status int) string { return [...]string{statusOK: "ok", statusErr: "error"}[status] })
 	s.conns = t.Registry.Gauge("shield_wire_connections",
 		"Open wire-protocol connections.")
 	s.stageRead = t.Stage("wire.read")
 	s.stageDecode = t.Stage("decode")
 	s.stageFlush = t.Stage("ack.flush")
-	s.latencyBy = map[opStatus]*obs.Histogram{}
-	for op := range traceNames {
-		for _, status := range []string{"ok", "error"} {
-			s.latencyBy[opStatus{op, status}] = s.latency.With(op, status)
-		}
-	}
 	return s
 }
 
-// opStatus keys the pre-bound latency series.
-type opStatus struct{ op, status string }
-
-// latencyFor returns the latency series for op/status without the
-// per-request Vec label join; an op outside the closed set (there are
-// none today) falls through to the Vec.
-func (s *Server) latencyFor(op, status string) *obs.Histogram {
-	if h, ok := s.latencyBy[opStatus{op, status}]; ok {
-		return h
-	}
-	return s.latency.With(op, status)
+// WithOperatorGate puts the stats query behind g, the HTTP server's
+// operator gate; the wire protocol carries no credentials, so a closed
+// gate refuses it. Must be called before the server accepts connections.
+func (s *Server) WithOperatorGate(g apierr.Gate) *Server {
+	s.gate = g
+	return s
 }
 
 // Serve accepts connections on l until it closes, running each
@@ -209,7 +191,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			if timed {
 				d := time.Since(start)
 				tr.AddSpan("ack.flush", start, d)
-				s.stageFlush.ObserveTrace(d.Seconds(), exemplarOf(tr))
+				s.stageFlush.ObserveTrace(d.Seconds(), tr.Exemplar())
 			}
 		}
 		if timed {
@@ -250,49 +232,17 @@ func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) error {
 	return nil
 }
 
-// exemplarOf returns the trace's ID when the request is sampled (tr
-// non-nil) — the exemplar stamped onto wire histograms.
-func exemplarOf(tr *obs.Trace) string {
-	if tr == nil {
-		return ""
-	}
-	return tr.ID
-}
-
-// traceNames precomputes "wire."+op for the closed op set so the
-// per-request trace rename doesn't allocate; an op outside the set
-// (there are none today) falls back to the concatenation.
-var traceNames = func() map[string]string {
-	m := map[string]string{}
-	for _, op := range []string{
-		"register_buyer", "register_seller", "upload", "compose",
-		"withdraw", "bid", "bid_batch", "tick", "settle",
-		"ping", "period", "datasets", "stats", "balance",
-		"wait", "transactions",
-		"unknown", "bad_command", "bad_query",
-	} {
-		m[op] = "wire." + op
-	}
-	return m
-}()
-
-func traceName(op string) string {
-	if n, ok := traceNames[op]; ok {
-		return n
-	}
-	return "wire." + op
-}
-
 // handle executes one request — h, its head as walked from in, which
 // holds the body after it (or the walk's failure) — and appends the
 // response payload to resp, returning the request's trace (nil when
 // unsampled or uninstrumented) so ServeConn can attach the ack.flush
-// stage before finishing it. An instrumented server rebinds rc, the
-// connection's request context, to this request's ID and trace; an
-// uninstrumented one leaves it blank. handle never panics on malformed
-// input and never closes the connection: every per-request failure
-// becomes an error envelope whose code is drawn from the closed apierr
-// set, leaving the stream usable for the requests pipelined behind it.
+// stage before finishing it. An instrumented server runs the request
+// through its obs.Requests lifecycle on rc, the connection's request
+// context; an uninstrumented one leaves rc blank. handle never panics on
+// malformed input and never closes the connection: every per-request
+// failure becomes an error envelope whose code is drawn from the closed
+// apierr set, leaving the stream usable for the requests pipelined
+// behind it.
 func (s *Server) handle(rc *obs.RequestCtx, h *reqHead, in *binenc.Codec, resp []byte, readDur time.Duration) ([]byte, *obs.Trace) {
 	if in.Err() != nil {
 		// An unreadable request id is echoed as 0, so the envelope still
@@ -301,33 +251,20 @@ func (s *Server) handle(rc *obs.RequestCtx, h *reqHead, in *binenc.Codec, resp [
 		if h.kind&kindTraceFlag != 0 {
 			msg = "malformed trace field"
 		}
-		return appendError(resp, h.id, badRequest(msg)), nil
+		return appendError(resp, h.id, apierr.BadRequest(msg)), nil
 	}
 
 	op := "unknown"
 	start := time.Time{}
 	var tr *obs.Trace
-	if s.tel != nil {
+	if s.requests != nil {
 		// Backdate the request to when its payload began arriving, so
 		// the trace covers the read and the latency histogram charges
 		// transfer time to the request that caused it.
 		start = time.Now().Add(-readDur)
-		if h.trace == "" {
-			// No propagated context: mint a local ID and let the local
-			// sampler decide.
-			tr = rc.Mint(s.tel.Tracer, "wire", start)
-		} else {
-			if h.sampled {
-				// The client sampled this request; continue its trace here
-				// regardless of the local sampling rate.
-				tr = s.tel.Tracer.Adopt(h.trace, "wire", start)
-			}
-			rc.Reset(h.trace, tr)
-		}
-		if tr != nil {
-			tr.AddSpan("wire.read", start, readDur)
-		}
-		s.stageRead.ObserveTrace(readDur.Seconds(), exemplarOf(tr))
+		tr = s.requests.Begin(rc, h.trace, h.sampled, start)
+		tr.AddSpan("wire.read", start, readDur)
+		s.stageRead.ObserveTrace(readDur.Seconds(), tr.Exemplar())
 	}
 
 	// The head goes out as statusOK; a failure rewrites its last byte.
@@ -342,20 +279,14 @@ func (s *Server) handle(rc *obs.RequestCtx, h *reqHead, in *binenc.Codec, resp [
 	case kindQuery:
 		op, err = s.handleQuery(in.B, out)
 	default:
-		err = badRequest("unknown request kind")
+		err = apierr.BadRequest("unknown request kind")
 	}
 	if err != nil {
 		out.B = append(out.B[:status], statusErr)
 		walkError(out, &err)
 	}
-
-	if s.tel != nil {
-		tr.SetName(traceName(op))
-		result := "ok"
-		if err != nil {
-			result = "error"
-		}
-		s.latencyFor(op, result).ObserveTrace(time.Since(start).Seconds(), exemplarOf(tr))
+	if s.requests != nil {
+		s.requests.End(rc, op, int(out.B[status]), start)
 	}
 	return out.B, tr
 }
@@ -385,9 +316,9 @@ func (s *Server) handleCommand(ctx context.Context, body []byte, out *binenc.Cod
 		if cmd, err = command.DecodeBinary(body); err == nil {
 			op = string(cmd.Op())
 			if batch, ok := cmd.(command.BidBatch); ok {
-				if len(batch.Bids) > command.MaxBatchBids {
+				if err := apierr.CapBatch(len(batch.Bids)); err != nil {
 					endDecode.End()
-					return op, badRequest(fmt.Sprintf("batch exceeds %d bids", command.MaxBatchBids))
+					return op, err
 				}
 				res = make([]market.BidResult, len(batch.Bids))
 			}
@@ -395,7 +326,7 @@ func (s *Server) handleCommand(ctx context.Context, body []byte, out *binenc.Cod
 	}
 	endDecode.End()
 	if err != nil {
-		return "bad_command", badRequest(err.Error())
+		return "bad_command", apierr.BadRequest(err.Error())
 	}
 	ev, err := s.b.ApplyEncodedCtx(ctx, body, res)
 	switch {
@@ -426,16 +357,16 @@ func (s *Server) handleQuery(body []byte, out *binenc.Codec) (string, error) {
 	q.walk(in)
 	switch {
 	case len(body) == 0:
-		return "bad_query", badRequest("missing query opcode")
+		return "bad_query", apierr.BadRequest("missing query opcode")
 	case int(q.op) >= len(queryOps) || queryOps[q.op] == "":
-		return "bad_query", badRequest("unknown query opcode")
+		return "bad_query", apierr.BadRequest("unknown query opcode")
 	}
 	op := queryOps[q.op]
 	if in.Done() != nil {
 		if q.op == qStats || q.op == qBalance || q.op == qWait {
-			return op, badRequest("malformed " + op + " query")
+			return op, apierr.BadRequest("malformed " + op + " query")
 		}
-		return op, badRequest("trailing bytes")
+		return op, apierr.BadRequest("trailing bytes")
 	}
 	var err error
 	switch q.op {
@@ -447,7 +378,7 @@ func (s *Server) handleQuery(body []byte, out *binenc.Codec) (string, error) {
 		walkDatasets(out, &ids)
 	case qStats:
 		var st market.DatasetStats
-		if st, err = s.b.Stats(q.dataset); err == nil {
+		if st, err = s.gate.Stats(s.b, "", q.dataset); err == nil {
 			walkStats(out, &st)
 		}
 	case qBalance:

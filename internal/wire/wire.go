@@ -89,7 +89,7 @@ const Version byte = 3
 // comfortably exceeds the largest legitimate frame (a multi-thousand-bid
 // batch or a long transaction log) while keeping a hostile length prefix
 // from provoking a giant allocation.
-const MaxFrame = 1 << 20
+const MaxFrame = apierr.MaxRequest
 
 // MaxSnapshotFrame bounds the one oversized frame in the protocol: the
 // replication subscribe response, which may embed a full market
@@ -253,9 +253,7 @@ func (h *respHead) walk(c *binenc.Codec) {
 // Error() is the server-side error's exact message.
 func walkError(c *binenc.Codec, err *error) {
 	var e apierr.APIError
-	if ae, ok := (*err).(*apierr.APIError); ok {
-		e = *ae
-	} else if !c.Decoding() {
+	if !c.Decoding() {
 		e.Code, _ = apierr.Classify(*err)
 		e.Message = (*err).Error()
 	}
@@ -264,11 +262,6 @@ func walkError(c *binenc.Codec, err *error) {
 	if c.Decoding() {
 		*err = &apierr.APIError{Code: e.Code, Message: e.Message}
 	}
-}
-
-// badRequest is a refusal of the request itself.
-func badRequest(msg string) error {
-	return &apierr.APIError{Code: apierr.CodeBadRequest, Message: msg}
 }
 
 // walkDecision walks a bid's result body.

@@ -43,6 +43,7 @@ import (
 	"io"
 	"net/http"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/auth"
 	"github.com/datamarket/shield/internal/buyers"
@@ -200,26 +201,26 @@ var (
 // versioned envelope {"error":{"code":"...","message":"..."}}. Clients
 // should branch on these, never on message text.
 const (
-	ErrCodeDuplicateID     = httpapi.CodeDuplicateID
-	ErrCodeUnknownBuyer    = httpapi.CodeUnknownBuyer
-	ErrCodeUnknownSeller   = httpapi.CodeUnknownSeller
-	ErrCodeUnknownDataset  = httpapi.CodeUnknownDataset
-	ErrCodeBadBid          = httpapi.CodeBadBid
-	ErrCodeBidTooSoon      = httpapi.CodeBidTooSoon
-	ErrCodeBlockedUntil    = httpapi.CodeBlockedUntil
-	ErrCodeAlreadyAcquired = httpapi.CodeAlreadyAcquired
-	ErrCodeDatasetInUse    = httpapi.CodeDatasetInUse
-	ErrCodeEmptyID         = httpapi.CodeEmptyID
-	ErrCodeUnauthorized    = httpapi.CodeUnauthorized
-	ErrCodeBadRequest      = httpapi.CodeBadRequest
-	ErrCodeInternal        = httpapi.CodeInternal
+	ErrCodeDuplicateID     = apierr.CodeDuplicateID
+	ErrCodeUnknownBuyer    = apierr.CodeUnknownBuyer
+	ErrCodeUnknownSeller   = apierr.CodeUnknownSeller
+	ErrCodeUnknownDataset  = apierr.CodeUnknownDataset
+	ErrCodeBadBid          = apierr.CodeBadBid
+	ErrCodeBidTooSoon      = apierr.CodeBidTooSoon
+	ErrCodeBlockedUntil    = apierr.CodeBlockedUntil
+	ErrCodeAlreadyAcquired = apierr.CodeAlreadyAcquired
+	ErrCodeDatasetInUse    = apierr.CodeDatasetInUse
+	ErrCodeEmptyID         = apierr.CodeEmptyID
+	ErrCodeUnauthorized    = apierr.CodeUnauthorized
+	ErrCodeBadRequest      = apierr.CodeBadRequest
+	ErrCodeInternal        = apierr.CodeInternal
 
-	ErrCodeReadOnlyReplica    = httpapi.CodeReadOnlyReplica
-	ErrCodeReplicaUnavailable = httpapi.CodeReplicaUnavailable
+	ErrCodeReadOnlyReplica    = apierr.CodeReadOnlyReplica
+	ErrCodeReplicaUnavailable = apierr.CodeReplicaUnavailable
 )
 
 // APIError is the code/message body of the HTTP error envelope.
-type APIError = httpapi.APIError
+type APIError = apierr.APIError
 
 // ---- Ex-post trading (Section 8) ----
 
@@ -361,20 +362,12 @@ func RestoreMarketSnapshot(s MarketSnapshot) (*Market, error) {
 // NewMarketHandler serves the market over the JSON HTTP API of
 // cmd/marketd. verifier may be nil to accept unsigned bids.
 func NewMarketHandler(m *Market, verifier *BidVerifier) http.Handler {
-	s := httpapi.NewServer(m)
-	if verifier != nil {
-		s = s.WithAuth(verifier)
-	}
-	return s.Routes()
+	return httpapi.NewServer(m).WithAuth(verifier).Routes()
 }
 
 // NewJournaledMarketHandler is NewMarketHandler over a journaled market.
 func NewJournaledMarketHandler(m *JournaledMarket, verifier *BidVerifier) http.Handler {
-	s := httpapi.NewJournaled(m)
-	if verifier != nil {
-		s = s.WithAuth(verifier)
-	}
-	return s.Routes()
+	return httpapi.NewJournaled(m).WithAuth(verifier).Routes()
 }
 
 // ---- Unified client ----
