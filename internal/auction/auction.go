@@ -88,6 +88,16 @@ func (c *Curve) Optimal() (price, revenue float64) {
 	return price, revenue
 }
 
+// Reuse hands the curve buf's storage for its sorted epoch, so an owner
+// can carve it from a larger block. Cap buf's capacity: an epoch that
+// outgrows it moves to storage of its own.
+func (c *Curve) Reuse(buf []float64) { c.asc = buf[:0] }
+
+// Ascending returns the loaded epoch, sorted ascending (NaNs first), for
+// a caller that reads many prices' winners in one walk. It is the
+// curve's storage: read-only, and valid until the next load.
+func (c *Curve) Ascending() []float64 { return c.asc }
+
 // Revenue returns Revenue(bids, p) for the loaded epoch: the winners are
 // the sorted epoch's upper tail, found by binary search.
 func (c *Curve) Revenue(p float64) float64 {
@@ -174,8 +184,6 @@ type StreamPricer interface {
 	PostingPrice() float64
 	// ObserveBid records an incoming bid, possibly updating the price.
 	ObserveBid(b float64)
-	// Reset restores the pricer to its initial state.
-	Reset()
 }
 
 // SummaryFunc reduces an epoch of bids to a posting price.
@@ -189,7 +197,6 @@ type SummaryFunc func(bids []float64) float64
 type EpochPricer struct {
 	epochSize int
 	summarize SummaryFunc
-	initial   float64
 
 	price float64
 	epoch []float64
@@ -208,7 +215,6 @@ func NewEpochPricer(epochSize int, summarize SummaryFunc, initial float64) *Epoc
 	return &EpochPricer{
 		epochSize: epochSize,
 		summarize: summarize,
-		initial:   initial,
 		price:     initial,
 		epoch:     make([]float64, 0, epochSize),
 	}
@@ -227,12 +233,6 @@ func (e *EpochPricer) ObserveBid(b float64) {
 	e.epoch = e.epoch[:0]
 }
 
-// Reset implements StreamPricer.
-func (e *EpochPricer) Reset() {
-	e.price = e.initial
-	e.epoch = e.epoch[:0]
-}
-
 // AvgSummary prices the next epoch at the mean of the current epoch's bids
 // (the "avg" baseline of Section 7.3.1).
 func AvgSummary(bids []float64) float64 {
@@ -247,18 +247,18 @@ func AvgSummary(bids []float64) float64 {
 }
 
 // MedianSummary prices the next epoch at the median bid (the "p50"
-// baseline of Section 7.3.1).
+// baseline of Section 7.3.1). It sorts bids in place: an EpochPricer
+// discards the epoch once it is summarized.
 func MedianSummary(bids []float64) float64 {
 	n := len(bids)
 	if n == 0 {
 		return 0
 	}
-	sorted := slices.Clone(bids)
-	slices.Sort(sorted)
+	slices.Sort(bids)
 	if n%2 == 1 {
-		return sorted[n/2]
+		return bids[n/2]
 	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
+	return (bids[n/2-1] + bids[n/2]) / 2
 }
 
 // OptimalSummary prices the next epoch at the revenue-optimal price of the
@@ -276,7 +276,6 @@ type RandomPricer struct {
 	candidates []float64
 	epochSize  int
 	rng        *rng.RNG
-	seed       uint64
 
 	price float64
 	seen  int
@@ -293,8 +292,8 @@ func NewRandomPricer(candidates []float64, epochSize int, seed uint64) *RandomPr
 	}
 	cp := make([]float64, len(candidates))
 	copy(cp, candidates)
-	p := &RandomPricer{candidates: cp, epochSize: epochSize, seed: seed}
-	p.Reset()
+	p := &RandomPricer{candidates: cp, epochSize: epochSize, rng: rng.New(seed)}
+	p.price = cp[p.rng.Intn(len(cp))]
 	return p
 }
 
@@ -309,13 +308,6 @@ func (p *RandomPricer) ObserveBid(float64) {
 	}
 }
 
-// Reset implements StreamPricer.
-func (p *RandomPricer) Reset() {
-	p.rng = rng.New(p.seed)
-	p.seen = 0
-	p.price = p.candidates[p.rng.Intn(len(p.candidates))]
-}
-
 // FixedPricer posts a constant price forever; OfflineOptimalPricer built
 // from a full bid trace is the paper's "Opt" baseline.
 type FixedPricer struct{ P float64 }
@@ -325,9 +317,6 @@ func (f FixedPricer) PostingPrice() float64 { return f.P }
 
 // ObserveBid implements StreamPricer.
 func (FixedPricer) ObserveBid(float64) {}
-
-// Reset implements StreamPricer.
-func (FixedPricer) Reset() {}
 
 // OfflineOptimalPricer returns the Opt baseline: the fixed posting price
 // that is revenue-optimal in hindsight for the whole bid trace

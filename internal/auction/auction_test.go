@@ -202,25 +202,6 @@ func TestEpochPricerUpdatesOncePerEpoch(t *testing.T) {
 	}
 }
 
-func TestEpochPricerReset(t *testing.T) {
-	p := NewEpochPricer(2, MedianSummary, 50)
-	p.ObserveBid(1)
-	p.ObserveBid(2)
-	if p.PostingPrice() == 50 {
-		t.Fatal("price did not move")
-	}
-	p.Reset()
-	if p.PostingPrice() != 50 {
-		t.Fatalf("reset price = %v", p.PostingPrice())
-	}
-	// Epoch buffer must be cleared: one more bid must not trigger an update
-	// computed from stale bids.
-	p.ObserveBid(10)
-	if p.PostingPrice() != 50 {
-		t.Fatal("stale epoch bids survived Reset")
-	}
-}
-
 func TestSummaries(t *testing.T) {
 	bids := []float64{1, 2, 3, 10}
 	if got := AvgSummary(bids); got != 4 {
@@ -274,17 +255,17 @@ func TestRandomPricerDrawsFromCandidates(t *testing.T) {
 	}
 }
 
-func TestRandomPricerDeterministicAcrossReset(t *testing.T) {
+func TestRandomPricerDeterministicBySeed(t *testing.T) {
 	p := NewRandomPricer([]float64{1, 2, 3, 4}, 1, 7)
 	var first []float64
 	for i := 0; i < 20; i++ {
 		first = append(first, p.PostingPrice())
 		p.ObserveBid(0)
 	}
-	p.Reset()
+	p = NewRandomPricer([]float64{1, 2, 3, 4}, 1, 7)
 	for i := 0; i < 20; i++ {
 		if got := p.PostingPrice(); got != first[i] {
-			t.Fatalf("after Reset, draw %d = %v, want %v", i, got, first[i])
+			t.Fatalf("second pricer's draw %d = %v, want %v", i, got, first[i])
 		}
 		p.ObserveBid(0)
 	}
@@ -315,10 +296,6 @@ func TestOfflineOptimalPricer(t *testing.T) {
 	p.ObserveBid(1000) // fixed pricers ignore bids
 	if p.PostingPrice() != 20 {
 		t.Fatal("FixedPricer moved")
-	}
-	p.Reset()
-	if p.PostingPrice() != 20 {
-		t.Fatal("FixedPricer reset changed price")
 	}
 }
 

@@ -87,14 +87,15 @@ func TestSubmitBidZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestNewAllocs pins what building an engine allocates — the engine, its
-// learner and their slices, the RNG, the candidates, the epoch buffer and
-// one scratch block — so no per-engine storage is added unnoticed: a
-// market holds one engine per dataset.
+// TestNewAllocs pins what building an engine allocates — the engine
+// (its RNG held by value), one block for the candidates, the epoch and
+// the kernel's scratch, the learner and one block for its slices — so no
+// per-engine storage is added unnoticed: a market holds one engine per
+// dataset, and a simulated figure builds one per pricer and series.
 func TestNewAllocs(t *testing.T) {
 	for _, c := range allocConfigs(8, WaitBound) {
-		if n := testing.AllocsPerRun(100, func() { MustNew(c.cfg) }); n != 9 {
-			t.Errorf("%+v: New allocates %v times, want 9", c.cfg, n)
+		if n := testing.AllocsPerRun(100, func() { MustNew(c.cfg) }); n != 4 {
+			t.Errorf("%+v: New allocates %v times, want 4", c.cfg, n)
 		}
 	}
 }

@@ -170,7 +170,7 @@ type Decision struct {
 type Engine struct {
 	cfg          Config
 	learner      *mw.Learner
-	rand         *rng.RNG
+	rand         rng.RNG
 	minCandidate float64
 	// origCandidates and the original grid bounds anchor adaptive
 	// regridding and Reset.
@@ -180,10 +180,11 @@ type Engine struct {
 	price float64
 	epoch []float64
 
-	// Scratch of the epoch-scoring kernel (see scoreEpoch), sized once at
-	// construction and overwritten by every use — none of it is state:
-	// the sorted epoch, one cost (or, in the wait-period replay, factor)
-	// per candidate and the replay's private copy of the weights.
+	// Scratch of the epoch-scoring kernel (see scoreEpoch), carved with
+	// the candidates and the epoch from one block (see carve) and
+	// overwritten by every use — none of it is state: the sorted epoch,
+	// one cost (or, in the wait-period replay, factor) per candidate and
+	// the replay's private copy of the weights.
 	curve       auction.Curve
 	costs, simW []float64
 
@@ -260,22 +261,14 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
+	e := &Engine{cfg: cfg, rand: *rng.New(cfg.Seed)}
+	e.carve()
 	// No candidate slice is ever written in place — regrid and Reset
 	// replace it — so the grid in force and its anchor start as one copy.
-	cands := slices.Clone(cfg.Candidates)
-	cfg.Candidates = cands
-	minCand, maxCand := slices.Min(cands), slices.Max(cands)
-	e := &Engine{
-		cfg:            cfg,
-		learner:        mw.NewLearner(cfg.Candidates, cfg.Eta),
-		rand:           rng.New(cfg.Seed),
-		minCandidate:   minCand,
-		origCandidates: cands,
-		origLo:         minCand,
-		origHi:         maxCand,
-		epoch:          make([]float64, 0, cfg.EpochSize),
-	}
-	e.initScratch()
+	cands := e.cfg.Candidates
+	e.origCandidates, e.origLo, e.origHi = cands, slices.Min(cands), slices.Max(cands)
+	e.minCandidate = e.origLo
+	e.learner = mw.NewLearner(cands, cfg.Eta)
 	if cfg.ShareFraction > 0 {
 		e.learner.SetShare(cfg.ShareFraction)
 	}
@@ -283,12 +276,18 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// initScratch sizes the kernel's scratch for the engine's candidate
-// count, which regridding never changes.
-func (e *Engine) initScratch() {
-	k := len(e.cfg.Candidates)
-	buf := make([]float64, 2*k)
-	e.costs, e.simW = buf[:k:k], buf[k:]
+// carve cuts a copy of the candidates, the empty epoch and the kernel's
+// scratch, sized for a candidate count regridding never changes, from
+// one block. Every piece's capacity is capped, so no append spills into
+// its neighbour.
+func (e *Engine) carve() {
+	k, n := len(e.cfg.Candidates), e.cfg.EpochSize
+	buf := make([]float64, 3*k+2*n)
+	cut := func(m int) []float64 { s := buf[:m:m]; buf = buf[m:]; return s }
+	e.cfg.Candidates = append(cut(k)[:0], e.cfg.Candidates...)
+	e.epoch = cut(n)[:0]
+	e.costs, e.simW = cut(k), cut(k)
+	e.curve.Reuse(cut(n))
 }
 
 // MustNew is New for static configurations; it panics on config errors.
@@ -378,14 +377,32 @@ func (e *Engine) maybeUpdatePrice() {
 // e.costs, ready for the learner's Update or Prepare. It reports false,
 // writing nothing, for an epoch with no positive bid: the cost is
 // undefined and no weight moves.
+//
+// One walk over the sorted epoch reads every candidate's winners, the
+// bids >= p: the tail index j moves from where the previous candidate
+// left it, so an ascending grid costs O(K+E) and any other order still
+// finds each candidate's own tail. Every candidate above the top bid
+// wins nothing and shares one cost.
 func (e *Engine) scoreEpoch(chosen float64) bool {
 	_, optR := e.curve.Optimal()
 	if optR <= 0 {
 		return false
 	}
 	revenue := e.curve.Revenue(chosen)
+	asc, j := e.curve.Ascending(), 0
+	top, above := asc[len(asc)-1], revenue/optR
 	for i, p := range e.cfg.Candidates {
-		e.costs[i] = (revenue - e.curve.Revenue(p)) / optR
+		if p > top {
+			e.costs[i] = above
+			continue
+		}
+		for j > 0 && asc[j-1] >= p {
+			j--
+		}
+		for j < len(asc) && !(asc[j] >= p) { // NaN bids sort first and never win
+			j++
+		}
+		e.costs[i] = (revenue - p*float64(len(asc)-j)) / optR
 	}
 	return true
 }
@@ -493,7 +510,7 @@ func (e *Engine) drawPrice() float64 {
 	case DrawRandom:
 		p = e.cfg.Candidates[e.rand.Intn(len(e.cfg.Candidates))]
 	default: // DrawMW
-		p = e.learner.DrawValue(e.rand)
+		p = e.learner.DrawValue(&e.rand)
 	}
 	if e.perturb != nil {
 		p = e.perturb(p)
@@ -637,7 +654,7 @@ func (e *Engine) Reset() {
 		}
 	}
 	e.learner.Reset()
-	e.rand = rng.New(e.cfg.Seed)
+	e.rand = *rng.New(e.cfg.Seed)
 	e.epoch = e.epoch[:0]
 	e.revenue = 0
 	e.bids = 0

@@ -206,11 +206,22 @@ func runDifferential(cfg Config, bids int) error {
 	return nil
 }
 
+// oracleGrids are the candidate orders the differential runs: the
+// ascending grid LinearGrid and regridding build, and orders a journal's
+// genesis or a shield.NewEngine caller may pass, which the scoring
+// walk must price alike.
+var oracleGrids = map[string][]float64{
+	"ascending":  auction.LinearGrid(10, 100, 10),
+	"descending": {100, 90, 80, 70, 60, 50, 40, 30, 20, 10},
+	"shuffled":   {40, 90, 10, 70, 20, 100, 60, 30, 80, 50},
+	"duplicates": {50, 20, 90, 20, 100, 50, 10, 70, 50, 40},
+}
+
 // oracleConfigs is the differential's matrix: seeds x wait strategy x
 // fixed-share x regrid x bid floor (below the grid, where Bound clamps,
 // and inside it, where the synthetic bid splits the candidates) x epoch
-// size (1 makes every bid an epoch close).
-func oracleConfigs() []Config {
+// size (1 makes every bid an epoch close), on the grid named.
+func oracleConfigs(grid string) []Config {
 	var out []Config
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, wait := range []WaitStrategy{WaitBound, WaitStable} {
@@ -219,7 +230,7 @@ func oracleConfigs() []Config {
 					for _, minBid := range []float64{1, 37} {
 						for _, size := range []int{1, 5, 8} {
 							out = append(out, Config{
-								Candidates:    auction.LinearGrid(10, 100, 10),
+								Candidates:    oracleGrids[grid],
 								EpochSize:     size,
 								Wait:          wait,
 								ShareFraction: share,
@@ -238,11 +249,13 @@ func oracleConfigs() []Config {
 }
 
 func TestKernelMatchesOracle(t *testing.T) {
-	for _, cfg := range oracleConfigs() {
-		name := fmt.Sprintf("seed%d/%v/share%v/regrid%d/minbid%v/E%d",
-			cfg.Seed, cfg.Wait, cfg.ShareFraction, cfg.RegridEvery, cfg.MinBid, cfg.EpochSize)
-		if err := runDifferential(cfg, 40*cfg.EpochSize+40); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for grid := range oracleGrids {
+		for _, cfg := range oracleConfigs(grid) {
+			name := fmt.Sprintf("%s/seed%d/%v/share%v/regrid%d/minbid%v/E%d",
+				grid, cfg.Seed, cfg.Wait, cfg.ShareFraction, cfg.RegridEvery, cfg.MinBid, cfg.EpochSize)
+			if err := runDifferential(cfg, 40*cfg.EpochSize+40); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
 		}
 	}
 }

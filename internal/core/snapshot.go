@@ -119,10 +119,9 @@ func RestoreSnapshot(s Snapshot) (*Engine, error) {
 		}
 	}
 
-	// Kept as recorded (see Config.eta). The original grid, unlike the
-	// validated candidates, is scanned: a NaN there is skipped, not taken.
-	cfg := s.Config
-	cfg.Candidates = slices.Clone(cfg.Candidates)
+	// The config is kept as recorded (see Config.eta). The original grid,
+	// unlike the validated candidates, is scanned: a NaN there is skipped,
+	// not taken.
 	orig := slices.Clone(s.OrigCandidates)
 	origLo, origHi := orig[0], orig[0]
 	for _, c := range orig[1:] {
@@ -134,20 +133,20 @@ func RestoreSnapshot(s Snapshot) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:            cfg,
+		cfg:            s.Config,
 		learner:        learner,
-		rand:           rng.Restore(s.Rand),
-		minCandidate:   slices.Min(cfg.Candidates),
+		rand:           *rng.Restore(s.Rand),
+		minCandidate:   slices.Min(s.Config.Candidates),
 		origCandidates: orig,
 		origLo:         origLo,
 		origHi:         origHi,
 		price:          s.Price,
-		epoch:          append(make([]float64, 0, cfg.EpochSize), s.Epoch...),
 		revenue:        s.Revenue,
 		bids:           s.Bids,
 		allocations:    s.Allocations,
 		epochs:         s.Epochs,
 	}
-	e.initScratch()
+	e.carve()
+	e.epoch = append(e.epoch, s.Epoch...)
 	return e, nil
 }

@@ -120,8 +120,8 @@ func (p *LaplacePricer) ObserveBid(b float64) {
 	p.epoch = p.epoch[:0]
 }
 
-// Reset implements auction.StreamPricer, replaying the same noise stream
-// from the configured seed.
+// Reset restores the initial posting price, replaying the same noise
+// stream from the configured seed.
 func (p *LaplacePricer) Reset() {
 	p.rand = rng.New(p.cfg.Seed)
 	p.price = p.cfg.InitialPrice

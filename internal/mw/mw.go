@@ -67,7 +67,7 @@ const DefaultEta = 0.5
 // (Algorithm 1 line 1). It panics on an empty value set or eta outside
 // (0, 0.5].
 func NewLearner(values []float64, eta float64) *Learner {
-	return newLearner(values, slices.Repeat([]float64{1}, len(values)), eta)
+	return newLearner(values, nil, eta)
 }
 
 // NewLearnerWithWeights builds a learner with explicit initial weights —
@@ -75,16 +75,17 @@ func NewLearner(values []float64, eta float64) *Learner {
 // expert set. Weights must be positive and finite; regret accounting
 // starts fresh. It panics on invalid input.
 func NewLearnerWithWeights(values, weights []float64, eta float64) *Learner {
-	return newLearner(values, slices.Clone(weights), eta)
+	if len(weights) != len(values) {
+		panic(fmt.Sprintf("mw: %d weights for %d experts", len(weights), len(values)))
+	}
+	return newLearner(values, weights, eta)
 }
 
-// newLearner is NewLearnerWithWeights taking ownership of weights.
+// newLearner builds a learner over copies of values and weights (nil
+// for all 1), cut from one block with every piece's capacity capped.
 func newLearner(values, weights []float64, eta float64) *Learner {
 	if len(values) == 0 {
 		panic("mw: NewLearner with no experts")
-	}
-	if len(weights) != len(values) {
-		panic(fmt.Sprintf("mw: %d weights for %d experts", len(weights), len(values)))
 	}
 	if eta <= 0 || eta > 0.5 {
 		panic(fmt.Sprintf("mw: eta %v outside (0, 0.5]", eta))
@@ -94,13 +95,20 @@ func newLearner(values, weights []float64, eta float64) *Learner {
 			panic(fmt.Sprintf("mw: weight[%d] = %v must be positive and finite", i, w))
 		}
 	}
+	k := len(values)
+	buf := make([]float64, 3*k)
 	l := &Learner{
-		values:  slices.Clone(values),
-		weights: weights,
+		values:  buf[:k:k],
+		weights: buf[k : 2*k : 2*k],
 		eta:     eta,
 		down:    newPowBase(1 - eta),
 		up:      newPowBase(1 + eta),
-		cumCost: make([]float64, len(values)),
+		cumCost: buf[2*k:],
+	}
+	copy(l.values, values)
+	copy(l.weights, weights)
+	if weights == nil {
+		l.Reset() // every weight 1
 	}
 	l.settle(l.weights) // no share yet: the rescale alone
 	return l

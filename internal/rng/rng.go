@@ -229,7 +229,11 @@ func (r *RNG) Perm(n int) []int {
 }
 
 // ShuffleInts shuffles s in place (Fisher-Yates).
-func (r *RNG) ShuffleInts(s []int) {
+func (r *RNG) ShuffleInts(s []int) { Shuffle(r, s) }
+
+// Shuffle shuffles s in place (Fisher-Yates), taking ShuffleInts' draws:
+// any slice of the same length is permuted alike.
+func Shuffle[T any](r *RNG, s []T) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]

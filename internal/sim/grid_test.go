@@ -11,7 +11,10 @@ import (
 )
 
 // gridSpecs is a sweep with uneven Series, truthful and windowed
-// strategic points.
+// strategic points. The windowed strategic point has siblings that
+// share its draws (another beta, a floor above beta*v, KeepWonBids),
+// listed after a point of another group, and one that must not: the
+// same point at another horizon.
 func gridSpecs() []Spec {
 	truthful := testSpec()
 	truthful.Series = 1
@@ -22,7 +25,12 @@ func gridSpecs() []Spec {
 	paper := strategic
 	paper.Strategic.PCT = 0.9
 	paper.Series = 0 // the paper's 100
-	return []Spec{truthful, strategic, paper}
+	beta, floor, keep, horizon := strategic, strategic, strategic, strategic
+	beta.Strategic.Beta = 0.6
+	floor.Strategic.Floor = 40
+	keep.KeepWonBids = true
+	horizon.Strategic.Horizon = 2
+	return []Spec{truthful, strategic, paper, beta, floor, keep, horizon}
 }
 
 func gridFactories() map[string]PricerFactory {
@@ -51,7 +59,7 @@ func TestRunGridIsTheSerialSweep(t *testing.T) {
 			}
 		}
 	})
-	for i, n := range []int{1, 3, 100} {
+	for i, n := range []int{1, 3, 100, 3, 3, 3, 3} {
 		for name, rs := range want[i] {
 			if len(rs) != n {
 				t.Fatalf("spec %d %s: %d results, want %d", i, name, len(rs), n)
@@ -68,6 +76,43 @@ func TestRunGridIsTheSerialSweep(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d: the grid differs from one serial Run per spec", procs)
 			}
 		})
+	}
+}
+
+// TestWorkerAllocatesOnlyWhatFactoriesBuild holds a worker's later
+// units to the pricers their factories build: once its buffers have
+// grown to the largest series, drawing, rebidding and replaying a group
+// allocate nothing of their own.
+func TestWorkerAllocatesOnlyWhatFactoriesBuild(t *testing.T) {
+	specs, group := gridSpecs(), []int{1, 3, 4, 5} // strategic and its siblings
+	var fixed Pricer = StreamPricerAdapter{P: auction.FixedPricer{P: 50}}
+	factories := map[string]PricerFactory{
+		"mw":    EngineFactory(testEngineConfig()),
+		"opt":   OptFactory(),
+		"fixed": func(uint64, []float64) Pricer { return fixed },
+	}
+	out, err := RunGrid(specs, factories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hindsight := []float64{20, 80, 140}
+	var built float64
+	for name, mk := range factories {
+		n := testing.AllocsPerRun(20, func() { mk(1, hindsight) })
+		t.Logf("%s builds with %v allocations", name, n)
+		built += n
+	}
+	var w worker
+	for s := range 3 {
+		w.run(specs, group, s, factories, out)
+	}
+	s := 0
+	got := testing.AllocsPerRun(30, func() {
+		w.run(specs, group, s%3, factories, out)
+		s++
+	})
+	if want := float64(len(group)) * built; got != want {
+		t.Fatalf("a unit of %d specs allocates %v times, want %v: what its factories build", len(group), got, want)
 	}
 }
 

@@ -5,12 +5,13 @@
 // configuration into the percentile boxes the figures report.
 //
 // A figure is a sweep of Specs, each over independent random series:
-// RunGrid spreads the (spec, series) pairs over GOMAXPROCS cores and
-// returns a serial walk's result bit for bit (DESIGN.md §4, "Parallel
-// sweeps").
+// RunGrid draws each series once for all the specs that differ only in
+// the bid level, spreads those units over GOMAXPROCS cores and returns a
+// serial walk's result bit for bit (DESIGN.md §4, "Parallel sweeps").
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -33,8 +34,6 @@ type Pricer interface {
 	// Decide evaluates one bid, returning the allocation decision and the
 	// posting price it was evaluated against, and updates internal state.
 	Decide(bid float64) (allocated bool, price float64)
-	// Reset restores the initial state (same randomness).
-	Reset()
 }
 
 // EnginePricer adapts a core.Engine to Pricer.
@@ -45,9 +44,6 @@ func (p EnginePricer) Decide(bid float64) (bool, float64) {
 	d := p.E.SubmitBid(bid)
 	return d.Allocated, d.Price
 }
-
-// Reset implements Pricer.
-func (p EnginePricer) Reset() { p.E.Reset() }
 
 // StreamPricerAdapter adapts an auction.StreamPricer (avg, p50, Random,
 // Opt, the DP mechanism) to Pricer using posting-price semantics: bids at
@@ -62,9 +58,6 @@ func (a StreamPricerAdapter) Decide(bid float64) (bool, float64) {
 	a.P.ObserveBid(bid)
 	return allocated, price
 }
-
-// Reset implements Pricer.
-func (a StreamPricerAdapter) Reset() { a.P.Reset() }
 
 // Result measures one replay.
 type Result struct {
@@ -84,14 +77,20 @@ type Result struct {
 // largest: Buyer must be >= 0 and is expected to be what
 // timeseries.Transform produces, an index into the valuation series.
 func Replay(p Pricer, stream []timeseries.Bid, skipWon bool) Result {
+	res, _ := replay(p, stream, skipWon, nil)
+	return res
+}
+
+// replay is Replay keeping the winners in won's storage, grown when too
+// small, which it returns for the next replay.
+func replay(p Pricer, stream []timeseries.Bid, skipWon bool, won []bool) (Result, []bool) {
 	var res Result
-	var won []bool
 	if skipWon {
 		last := -1
 		for _, b := range stream {
 			last = max(last, b.Buyer)
 		}
-		won = make([]bool, last+1)
+		won = cleared(won, last+1)
 	}
 	for _, b := range stream {
 		if skipWon && won[b.Buyer] {
@@ -108,7 +107,7 @@ func Replay(p Pricer, stream []timeseries.Bid, skipWon bool) Result {
 			}
 		}
 	}
-	return res
+	return res, won
 }
 
 // Spec describes one simulated market configuration: the valuation
@@ -136,7 +135,8 @@ type Spec struct {
 // PricerFactory builds a fresh pricer for one series. seed is unique per
 // (factory, series) pair; hindsight is the full bid stream the pricer
 // will face, supplied so the Opt baseline can compute the optimal fixed
-// posting price in hindsight — online pricers must ignore it.
+// posting price in hindsight — online pricers must ignore it. It is
+// valid during the call only: RunGrid reuses its storage.
 type PricerFactory func(seed uint64, hindsight []float64) Pricer
 
 // Run is RunGrid over the one spec.
@@ -153,65 +153,68 @@ func Run(spec Spec, factories map[string]PricerFactory) (map[string][]Result, er
 // Results in series order. Every factory faces the identical stream for
 // a given (spec, series) pair.
 //
-// The pairs are independent, each seeded on its own, so GOMAXPROCS
-// goroutines — the caller one of them, all returned before RunGrid is —
-// claim them one at a time and call the factories concurrently. A pair
-// writes only its own slots of the pre-sized output, and the error is
-// the lowest failing pair's, so result and error are a serial walk's at
-// any core count. Give a sweep's points to one call, not to a Run each:
-// every fan-out strands goroutine descriptors on the other Ps (DESIGN.md
-// §4, "Parallel sweeps").
+// No draw depends on Strategic.Beta, Strategic.Floor or KeepWonBids, so
+// specs that differ only in those share a group, and a unit of work is
+// one (group, series): its valuations, strategic choices, riffle and
+// window shuffle are drawn once, then each spec rebids the low bids at
+// its own LowBid and replays. Units are independent, each seeded on its
+// own, so GOMAXPROCS goroutines — the caller one of them, all returned
+// before RunGrid is — claim them one at a time, keep their buffers
+// across the units they claim and call the factories concurrently. A
+// unit writes only its own slots of the pre-sized output, and every spec
+// is validated before any unit runs, so result and error are a serial
+// walk's at any core count. Give a sweep's points to one call, not to a
+// Run each: every fan-out strands goroutine descriptors on the other Ps
+// (DESIGN.md §4, "Parallel sweeps").
 func RunGrid(specs []Spec, factories map[string]PricerFactory) ([]map[string][]Result, error) {
 	if len(factories) == 0 {
 		return nil, errors.New("sim: no pricer factories")
 	}
 	out := make([]map[string][]Result, len(specs))
-	// Pairs first[i] to first[i+1]-1 are spec i's series.
-	first := make([]int, len(specs)+1)
+	// Group g's specs are groups[g], its units first[g] to first[g+1]-1.
+	var groups [][]int
+	first := []int{0}
+	index := make(map[Spec]int, len(specs))
 	for i, spec := range specs {
-		series := spec.Series
-		if series == 0 {
-			series = 100
-		}
+		series := cmp.Or(spec.Series, 100)
 		if series < 1 {
 			return nil, errors.New("sim: Series must be >= 1")
 		}
-		first[i+1] = first[i] + series
+		// A config error fails every series of its spec alike, so
+		// series 0's is the lowest failing pair's.
+		if err := cmp.Or(spec.AR.Validate(), spec.Strategic.Validate()); err != nil {
+			return nil, fmt.Errorf("sim: series 0: %w", err)
+		}
 		out[i] = make(map[string][]Result, len(factories))
 		for name := range factories {
 			out[i][name] = make([]Result, series)
 		}
+		key := spec
+		key.Strategic.Beta, key.Strategic.Floor, key.KeepWonBids = 0, 0, false
+		g, ok := index[key]
+		if !ok {
+			g = len(groups)
+			index[key] = g
+			groups = append(groups, nil)
+			first = append(first, first[g]+series)
+		}
+		groups[g] = append(groups[g], i)
 	}
-	pairs := first[len(specs)]
-	// Pairs are claimed in rising order, so when one fails every pair
-	// below it is already claimed and will finish: the lowest failure
-	// seen is the lowest there is.
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		failedAt = pairs
-		failure  error
-	)
+	units := first[len(groups)]
+	var next atomic.Int64
 	work := func() {
+		var w worker
 		for {
-			pair := int(next.Add(1)) - 1
-			if pair >= pairs {
+			u := int(next.Add(1)) - 1
+			if u >= units {
 				return
 			}
-			i := sort.SearchInts(first, pair+1) - 1
-			if err := runPair(specs[i], pair-first[i], factories, out[i]); err != nil {
-				next.Store(int64(pairs))
-				mu.Lock()
-				if pair < failedAt {
-					failedAt, failure = pair, err
-				}
-				mu.Unlock()
-				return
-			}
+			g := sort.SearchInts(first, u+1) - 1
+			w.run(specs, groups[g], u-first[g], factories, out)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), pairs); w > 1; w-- {
+	for n := min(runtime.GOMAXPROCS(0), units); n > 1; n-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -220,25 +223,30 @@ func RunGrid(specs []Spec, factories map[string]PricerFactory) ([]map[string][]R
 	}
 	work()
 	wg.Wait()
-	if failure != nil {
-		return nil, failure
-	}
 	return out, nil
 }
 
-// runPair generates series s of spec and writes every factory's replay
-// of it to out[name][s].
-func runPair(spec Spec, s int, factories map[string]PricerFactory, out map[string][]Result) error {
+// worker is one goroutine's storage, kept across the units it claims.
+type worker struct {
+	vals      []float64
+	stream    []timeseries.Bid
+	hindsight []float64
+	flags     []bool // AppendTransform's scratch, then replay's winners
+}
+
+// run draws series s for the specs of group — the first one's draws are
+// every one's — and writes each factory's replay of each spec's stream
+// to out[spec][name][s].
+func (w *worker) run(specs []Spec, group []int, s int, factories map[string]PricerFactory, out []map[string][]Result) {
+	spec := specs[group[0]]
 	seed := spec.BaseSeed + uint64(s)*2654435761
 	genR := rng.New(seed)
-	vals, err := timeseries.GenerateValuations(spec.AR, genR)
-	if err != nil {
-		return fmt.Errorf("sim: series %d: %w", s, err)
-	}
-	stream, err := timeseries.Transform(vals, spec.Strategic, genR.Split())
-	if err != nil {
-		return fmt.Errorf("sim: series %d: %w", s, err)
-	}
+	// RunGrid validated every spec: neither call can fail.
+	w.vals, _ = timeseries.AppendValuations(w.vals[:0], spec.AR, genR)
+	w.flags = cleared(w.flags, len(w.vals))
+	// rng.New(genR.Uint64()) is genR.Split() with the split on the stack.
+	w.stream, _ = timeseries.AppendTransform(w.stream[:0], w.flags, w.vals, spec.Strategic, rng.New(genR.Uint64()))
+	stream := w.stream
 	if spec.Window > 0 && len(stream) > spec.Window {
 		// A window is a stationary snapshot of an ongoing market:
 		// the buyers observed mid-window are at arbitrary phases of
@@ -246,23 +254,31 @@ func runPair(spec Spec, s int, factories map[string]PricerFactory, out map[strin
 		// finish after it). Shuffle fully before truncating so the
 		// window composition matches the steady-state bid mix rather
 		// than the transient where every buyer has just arrived.
-		shuf := rng.New(seed ^ 0x9e3779b97f4a7c15)
-		shuffleBids(stream, shuf)
+		rng.Shuffle(rng.New(seed^0x9e3779b97f4a7c15), stream)
 		stream = stream[:spec.Window]
 	}
-	hindsight := timeseries.Amounts(stream)
-	for name, mk := range factories {
-		out[name][s] = Replay(mk(seed, hindsight), stream, !spec.KeepWonBids)
+	for _, i := range group {
+		spec := specs[i]
+		for j := range stream {
+			if b := &stream[j]; b.Strategic && !b.Final {
+				b.Amount = spec.Strategic.LowBid(b.Valuation)
+			}
+		}
+		w.hindsight = timeseries.AppendAmounts(w.hindsight[:0], stream)
+		for name, mk := range factories {
+			out[i][name][s], w.flags = replay(mk(seed, w.hindsight), stream, !spec.KeepWonBids, w.flags)
+		}
 	}
-	return nil
 }
 
-// shuffleBids is a Fisher-Yates shuffle over a bid stream.
-func shuffleBids(s []timeseries.Bid, r *rng.RNG) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
+// cleared returns buf's storage, grown when too small, as n cleared flags.
+func cleared(buf []bool, n int) []bool {
+	if cap(buf) < n {
+		return make([]bool, n)
 	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Revenues projects the revenue samples out of results.

@@ -62,7 +62,6 @@ func TestReplaySkipWon(t *testing.T) {
 	if res.Bids != 1 || res.Allocations != 1 || res.Revenue != 50 {
 		t.Fatalf("skipWon result = %+v", res)
 	}
-	p.Reset()
 	res = Replay(p, stream, false)
 	if res.Bids != 2 || res.Allocations != 2 || res.Revenue != 100 {
 		t.Fatalf("keep result = %+v", res)
@@ -77,10 +76,6 @@ func TestEnginePricerAdapts(t *testing.T) {
 	alloc, price := p.Decide(1000)
 	if !alloc || price <= 0 {
 		t.Fatalf("Decide = %v, %v", alloc, price)
-	}
-	p.Reset()
-	if e.Bids() != 0 {
-		t.Fatal("Reset did not reach engine")
 	}
 }
 
