@@ -48,16 +48,16 @@ build:
 # torture harness's concurrent storm with its ordering canary, and the
 # simulation path — sim.RunGrid's workers share the output slots, the
 # failure record and every factory a figure hands them, and each
-# experiment and marketsim formatter runs on top of it. Three races that
+# experiment and marketsim formatter runs on top of it. The races that
 # need many tries repeat ten times: the market's shared log and bitsets
-# under readers, a checkpoint encoding the cut's shared name and
-# transaction views while the stage appends to them, and a wire bid's
-# body, read by the commit stage from the connection's payload buffer
-# while the connection waits.
+# under readers, its participant registries doubling under readers, a
+# checkpoint encoding the cut's shared name and transaction views while
+# the stage appends to them, and a wire bid's body, read by the commit
+# stage from the connection's payload buffer while the connection waits.
 race:
 	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
-	$(GO) test -race -run 'TestSharedLogAndBitsetsUnderReaders' -count=10 ./internal/market/
+	$(GO) test -race -run 'TestSharedLogAndBitsetsUnderReaders|TestRegistryGrowsUnderReaders' -count=10 ./internal/market/
 	$(GO) test -race -run 'TestStoreCheckpointsMatchReplayUnderHotDatasetConcurrency' -count=10 ./internal/journal/
 	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity|TestRecordIsTheRequest' -count=10 ./internal/wire/
 	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines' -count=10 ./internal/sim/

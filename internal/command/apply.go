@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/provenance"
 )
 
@@ -168,7 +169,7 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		return append(evs, Event{Kind: EvTicked, Period: st.clock}), nil
 
 	case SubmitBid:
-		ev, err := st.applyBid(c.Buyer, c.Dataset, c.Amount)
+		ev, err := ApplyBid(st, c)
 		if err != nil {
 			return evs, err
 		}
@@ -176,7 +177,7 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 
 	case BidBatch:
 		for _, b := range c.Bids {
-			ev, err := st.applyBid(b.Buyer, b.Dataset, b.Amount)
+			ev, err := ApplyBid(st, b)
 			if err != nil {
 				return evs, err
 			}
@@ -195,72 +196,99 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 // ApplyBid is Apply for one SubmitBid without boxing the command into
 // the Command interface or its event into a slice — each a heap
 // allocation per call, on the one path the market takes millions of
-// times a second.
+// times a second. It resolves the bid's names and runs the bid rule.
 func ApplyBid(st *State, c SubmitBid) (Event, error) {
-	return st.applyBid(c.Buyer, c.Dataset, c.Amount)
+	i, indexed := st.index[c.Dataset]
+	return st.applyBid(c, st.buyers[c.Buyer], i, indexed)
 }
 
 // ApplyEncoded is Apply for a binary-encoded command — a journal record's
 // payload, or a request's body in the commit stage — appending the
-// events to evs. A bid is read by resolveBid, which allocates nothing
-// when the state has registered both names; other opcodes, and a
-// malformed bid's error, come from DecodeBinary.
+// events to evs. Every opcode decodes into its concrete command, which
+// apply takes boxed on the stack, so a registration allocates only the
+// names the state keeps. Errors are DecodeBinary's, then Apply's.
 func ApplyEncoded(st *State, payload []byte, evs []Event) ([]Event, error) {
-	if len(payload) > 0 && payload[0] == bopBid {
-		if c, err := resolveBid(st, payload); err == nil {
-			return apply(st, c, evs)
-		}
+	if len(payload) == 0 {
+		_, err := DecodeBinary(payload)
+		return evs, err
 	}
-	cmd, err := DecodeBinary(payload)
-	if err != nil {
+	var cmd Command
+	c := binenc.Decoder(payload[1:])
+	switch payload[0] {
+	case bopBid:
+		ev, err := applyEncodedBid(st, payload)
+		if err != nil {
+			return evs, err
+		}
+		return append(evs, ev), nil
+	case bopRegisterBuyer:
+		cmd = RegisterBuyer{}.walk(c)
+	case bopRegisterSeller:
+		cmd = RegisterSeller{}.walk(c)
+	case bopUpload:
+		cmd = UploadDataset{}.walk(c)
+	case bopCompose:
+		cmd = ComposeDataset{}.walk(c)
+	case bopWithdraw:
+		cmd = WithdrawDataset{}.walk(c)
+	case bopBidBatch:
+		cmd = BidBatch{}.walk(c)
+	case bopTick:
+		cmd = Tick{}
+	case bopSettle:
+		cmd = Settle{}.walk(c)
+	default:
+		return evs, fmt.Errorf("%w: opcode %d", ErrUnknownOp, payload[0])
+	}
+	if err := done(c); err != nil {
 		return evs, err
 	}
 	return apply(st, cmd, evs)
 }
 
-// resolveBid reads a bid's binary encoding under the state's spellings,
-// looked up from the bytes (a map index by string(b) copies nothing), or
-// as sent unless both names are registered. It needs Apply's exclusive
-// access.
-func resolveBid(st *State, payload []byte) (SubmitBid, error) {
-	if len(payload) == 0 || payload[0] != bopBid {
-		return SubmitBid{}, fmt.Errorf("%w: not a bid", ErrMalformed)
-	}
+// applyEncodedBid runs the bid rule on a bid's binary encoding, its
+// names looked up from the bytes (a map index by string(b) copies
+// nothing) and copied only for a refusal to spell. It needs Apply's
+// exclusive access.
+func applyEncodedBid(st *State, payload []byte) (Event, error) {
 	buyer, dataset, amount, err := readBid(payload)
-	acct, known := st.buyers[BuyerID(buyer)]
-	i, indexed := st.index[DatasetID(dataset)]
-	if known && indexed {
-		return SubmitBid{Buyer: acct.id, Dataset: st.names[i], Amount: amount}, err
+	if err != nil {
+		return Event{}, err
 	}
-	return SubmitBid{Buyer: BuyerID(buyer), Dataset: DatasetID(dataset), Amount: amount}, err
+	acct, c := st.buyers[BuyerID(buyer)], SubmitBid{Amount: amount}
+	i, indexed := st.index[DatasetID(dataset)]
+	if acct == nil || !indexed || st.engines[i] == nil {
+		c.Buyer, c.Dataset = BuyerID(buyer), DatasetID(dataset)
+	}
+	return st.applyBid(c, acct, i, indexed)
 }
 
 var errNonFinite = fmt.Errorf("%w: non-finite amount", ErrMalformed)
 
-// applyBid is the bid rule: cadence and Time-Shield checks against the
-// buyer's account, one engine interaction (plus demand propagation to
-// the leaves of a derived dataset), then the money movement of a win.
-// A NaN or infinite amount is malformed, as every path that encodes the
-// bid finds it: no record can carry it, and a bid the log cannot hold
-// must not move state.
-func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Event, error) {
-	if math.IsNaN(amount) || math.IsInf(amount, 0) {
+// applyBid is the bid rule, on names the caller resolved: acct is the
+// buyer's account, nil if unregistered, and idx the dataset's index if
+// indexed; c's names only spell a refusal. Cadence and Time-Shield
+// checks against the account, one engine interaction (plus demand
+// propagation to the leaves of a derived dataset), then the money
+// movement of a win. A NaN or infinite amount is malformed, as every
+// path that encodes the bid finds it: no record can carry it, and a bid
+// the log cannot hold must not move state.
+func (st *State) applyBid(c SubmitBid, acct *buyerAccount, idx uint32, indexed bool) (Event, error) {
+	if math.IsNaN(c.Amount) || math.IsInf(c.Amount, 0) {
 		return Event{}, errNonFinite
 	}
-	if !(amount > 0) {
+	if !(c.Amount > 0) {
 		return Event{}, ErrBadBid
 	}
-	acct, ok := st.buyers[buyer]
-	if !ok {
-		return Event{}, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
+	if acct == nil {
+		return Event{}, fmt.Errorf("%w: %s", ErrUnknownBuyer, c.Buyer)
 	}
-	idx, eng := st.engine(dataset)
-	if eng == nil {
-		return Event{}, fmt.Errorf("%w: %s", ErrUnknownDataset, dataset)
+	if !indexed || st.engines[idx] == nil {
+		return Event{}, fmt.Errorf("%w: %s", ErrUnknownDataset, c.Dataset)
 	}
 	// From here on, the spellings the state registered: the event
 	// outlives the request, and its strings must not.
-	buyer, dataset = acct.id, st.names[idx]
+	buyer, dataset := acct.id, st.names[idx]
 
 	leaves := st.leaves[idx] // demand-propagation targets (Figure 1, step 2)
 
@@ -277,10 +305,10 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 	}
 	p.lastBid, p.flags = clock, p.flags|hasLastBid
 
-	d := eng.SubmitBid(amount)
+	d := st.engines[idx].SubmitBid(c.Amount)
 	for _, leaf := range leaves {
 		if _, le := st.engine(DatasetID(leaf)); le != nil {
-			le.Observe(amount)
+			le.Observe(c.Amount)
 		}
 	}
 
@@ -288,7 +316,7 @@ func (st *State) applyBid(buyer BuyerID, dataset DatasetID, amount float64) (Eve
 		Kind:    EvBidDecided,
 		Buyer:   buyer,
 		Dataset: dataset,
-		Amount:  amount,
+		Amount:  c.Amount,
 		Period:  clock,
 		Leaves:  leaves,
 	}

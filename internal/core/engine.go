@@ -596,7 +596,7 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 	if moved {
 		e.learner.Prepare(&r, w, e.costs)
 	}
-	for round, prepared := 0, -1; round < e.cfg.maxWaitEpochs(); round++ {
+	for round, prepared, rounds := 0, -1, e.cfg.maxWaitEpochs(); round < rounds; round++ {
 		var likely int
 		if moved {
 			likely = e.learner.Apply(&r, w)

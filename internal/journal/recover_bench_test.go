@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -74,18 +75,24 @@ func servingMarket(b *testing.B, dir string, ops int) *Market {
 //
 //	go test -run xxx -bench RecoverDir -cpuprofile cpu.out ./internal/journal/
 //
-// profiles it in one command.
+// profiles it in one command (-memprofile for what it allocates), and
+// allocs/record is the count store_recover reports as allocs_per_op.
 func BenchmarkRecoverDir(b *testing.B) {
 	dir := b.TempDir()
 	records := buildRecoverStore(b, dir)
+	var before, after runtime.MemStats
 	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, replayed, err := RecoverDir(dir); err != nil || replayed != records {
 			b.Fatalf("RecoverDir replayed %d of %d records: %v", replayed, records, err)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.N*records)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*records), "allocs/record")
 }
 
 // BenchmarkCheckpointCapture is what a due checkpoint holds the commit

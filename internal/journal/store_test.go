@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -1116,6 +1117,51 @@ func TestCheckpointAllocsAreFlat(t *testing.T) {
 		t.Fatalf("checkpointing 4096 buyers allocates %.0f times, 64 buyers %.0f: want within 2x", large, small)
 	}
 	t.Logf("allocations per checkpoint: %.0f at 64 buyers, %.0f at 4096", small, large)
+}
+
+// TestRecoverAllocsPerBuyer: a recovery allocates, per registered buyer,
+// only the ID string the state keeps — the account comes from a chunk,
+// the view cell from a slab, and the registry is sized once for the
+// population — so stores that hold the same bids and 64 or 4 096 buyers
+// differ by at most 1.1 allocations per extra buyer. A sync.Map registry
+// and a boxed command per registration read about 4.6.
+func TestRecoverAllocsPerBuyer(t *testing.T) {
+	recoverAllocs := func(buyers int) float64 {
+		dir := t.TempDir()
+		jm, _, err := OpenStore(testConfig(), dir, StoreConfig{CheckpointEvery: -1, RetainSegments: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = jm.RegisterSeller("s")
+		for d := 0; err == nil && d < 8; d++ {
+			err = jm.UploadDataset("s", market.DatasetID(fmt.Sprintf("d%d", d)))
+		}
+		for b := 0; err == nil && b < buyers; b++ {
+			err = jm.RegisterBuyer(market.BuyerID(fmt.Sprintf("buyer-%04d", b)))
+		}
+		for b := 0; err == nil && b < 64; b++ { // the same bids in both stores
+			for d := 0; err == nil && d < 3; d++ {
+				_, err = jm.SubmitBid(market.BuyerID(fmt.Sprintf("buyer-%04d", b)), market.DatasetID(fmt.Sprintf("d%d", (b+d)%8)), float64(5+(b*7+d*31)%120))
+			}
+		}
+		records := int(jm.LastSeq())
+		if err = cmp.Or(err, jm.Close()); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if m, _, replayed, err := RecoverDir(dir); err != nil || replayed != records {
+				t.Fatalf("recovering %d buyers replayed %d records: %v", buyers, replayed, err)
+			} else if _, err := m.BuyerSpend(market.BuyerID(fmt.Sprintf("buyer-%04d", buyers-1))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := recoverAllocs(64), recoverAllocs(4096)
+	perBuyer := (large - small) / (4096 - 64)
+	t.Logf("allocations per recovery: %.0f at 64 buyers, %.0f at 4096; %.3f per extra buyer", small, large, perBuyer)
+	if perBuyer > 1.1 {
+		t.Fatalf("recovery allocates %.3f times per extra buyer, budget 1.1 (the ID string)", perBuyer)
+	}
 }
 
 // TestCutAllocsAreFlat: what the commit stage does for a checkpoint —

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -383,6 +384,69 @@ func TestRegistrationRacesReaders(t *testing.T) {
 			t.Fatalf("participant %d missing after the writer finished (buyer %v, seller %v)", i, b, s)
 		}
 	}
+}
+
+// TestRegistryGrowsUnderReaders is the -race check on the registry's
+// growth: one writer registers 2 048 buyers and as many sellers, so each
+// table doubles from its first 8 slots to 4 096, while readers sweep,
+// without the writer mutex, every name registered before their sweep
+// began and must find each one, whether a probe lands in the table being
+// replaced or in the doubled one, and probe names the writer is about to
+// register. A slot filled by a plain store trips the race detector; a
+// doubled table published before it holds every cell fails this test by
+// name.
+func TestRegistryGrowsUnderReaders(t *testing.T) {
+	const n, readers = 2048, 2
+	m := MustNew(benchConfig())
+	buyers, sellers := make([]BuyerID, n), make([]SellerID, n)
+	for i := range buyers {
+		buyers[i], sellers[i] = BuyerID(fmt.Sprintf("b%d", i)), SellerID(fmt.Sprintf("s%d", i))
+	}
+	var registered atomic.Int64
+	var sweeps atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := false; !done; sweeps.Add(1) {
+				k := int(registered.Load())
+				done = k == n
+				for i := range k {
+					if _, err := m.BuyerSpend(buyers[i]); err != nil {
+						t.Errorf("buyer %d of %d registered: %v", i, k, err)
+						return
+					}
+					if _, err := m.SellerBalance(sellers[i]); err != nil {
+						t.Errorf("seller %d of %d registered: %v", i, k, err)
+						return
+					}
+					// A name past the frontier, found or not: its probe
+					// meets the slots the writer is filling.
+					if j := k + i%8; j < n {
+						m.BuyerSpend(buyers[j])
+						m.SellerBalance(sellers[j])
+					}
+				}
+			}
+		}()
+	}
+	var first int
+	for i := 0; i < n; i++ {
+		if err := cmp.Or(m.RegisterBuyer(buyers[i]), m.RegisterSeller(sellers[i])); err != nil {
+			registered.Store(n) // release the readers
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = len(*m.vw.buyers.slots.Load())
+		}
+		registered.Store(int64(i + 1))
+	}
+	wg.Wait()
+	if last := len(*m.vw.buyers.slots.Load()); last < 8*first {
+		t.Fatalf("the buyer table grew from %d to %d slots: want at least three doublings", first, last)
+	}
+	t.Logf("%d sweeps by %d readers", sweeps.Load(), readers)
 }
 
 // TestSharedLogAndBitsetsUnderReaders is the -race check on the two

@@ -3,8 +3,10 @@ package market
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -27,9 +29,9 @@ import (
 // Granularity is chosen per write rate and per population:
 //
 //   - buyers and sellers only ever join, and there are as many of them as
-//     the market has participants — the system's scale axis. Each outer
-//     map is an add-only concurrent registry (a sync.Map of cells), so a
-//     registration publishes one cell, whatever the population;
+//     the market has participants — the system's scale axis. Each is an
+//     add-only registry the writer fills in place, so a registration
+//     publishes one cell, whatever the population, and allocates no more;
 //   - the outer stats map is catalogue-sized and changes only on upload,
 //     compose and withdraw, and a scrape (StatsAll, Datasets) is promised
 //     one point-in-time population: it stays copy-on-write;
@@ -58,34 +60,71 @@ type views struct {
 	// allocates nothing.
 	stats atomic.Pointer[map[DatasetID]*statsCell]
 
-	// buyers maps each registered buyer to its view cell: BuyerID →
-	// *buyerCell, add-only (nobody deregisters), read through buyerView.
-	// Cells are updated in place.
-	buyers sync.Map
+	// buyers holds each registered buyer's view cell, add-only (nobody
+	// deregisters). Cells are updated in place.
+	buyers registry[BuyerID, buyerCell, *buyerCell]
 
-	// sellers maps each registered seller to its view cell, like buyers:
-	// SellerID → *sellerCell, read through sellerView.
-	sellers sync.Map
+	// sellers holds each registered seller's view cell, like buyers.
+	sellers registry[SellerID, sellerCell, *sellerCell]
 
 	// books is the money cell, updated in place per sale.
 	books booksCell
 }
 
-// buyerView returns a registered buyer's cell, nil for an unknown buyer.
-func (v *views) buyerView(id BuyerID) *buyerCell {
-	if c, ok := v.buyers.Load(id); ok {
-		return c.(*buyerCell)
-	}
-	return nil
+// registry is an add-only map from a participant's ID to its cell, with
+// one writer — the holder of Market.mu — and lock-free readers: linear
+// probing over a power-of-two array of cell pointers hashed with maphash,
+// each cell holding its own ID. A slot is filled by one atomic store and
+// never emptied, so a probe meets a whole cell or the nil that ends it.
+// At most half full, the array grows by the writer filling a doubled one
+// and publishing it with one atomic store; a reader still probing the old
+// one finds everything it held. rebuildViews sizes it first.
+type registry[K ~string, C any, P interface {
+	*C
+	key() K
+}] struct {
+	slots atomic.Pointer[[]atomic.Pointer[C]]
+	table []atomic.Pointer[C] // what slots holds, for the writer
+	n     int                 // cells held, the writer's
 }
 
-// sellerView returns a registered seller's cell, nil for an unknown
-// seller.
-func (v *views) sellerView(id SellerID) *sellerCell {
-	if c, ok := v.sellers.Load(id); ok {
-		return c.(*sellerCell)
+var registrySeed = maphash.MakeSeed()
+
+// get returns id's cell, nil if none was added.
+func (r *registry[K, C, P]) get(id K) P { return P(r.probe(*r.slots.Load(), id).Load()) }
+
+// add inserts c, whose ID the registry does not hold yet.
+func (r *registry[K, C, P]) add(c P) {
+	r.n++
+	r.reserve(r.n)
+	r.probe(r.table, c.key()).Store(c)
+}
+
+// reserve grows the array, unless it already can, to hold n cells at
+// most half full.
+func (r *registry[K, C, P]) reserve(n int) {
+	if r.table != nil && 2*n <= len(r.table) {
+		return
 	}
-	return nil
+	grown := make([]atomic.Pointer[C], max(8, 1<<bits.Len(uint(2*n-1))))
+	for i := range r.table {
+		if c := P(r.table[i].Load()); c != nil {
+			r.probe(grown, c.key()).Store(c)
+		}
+	}
+	r.table = grown
+	r.slots.Store(&grown)
+}
+
+// probe returns the slot of s holding id's cell, else the empty slot
+// that ends id's probe.
+func (r *registry[K, C, P]) probe(s []atomic.Pointer[C], id K) *atomic.Pointer[C] {
+	for i := maphash.String(registrySeed, string(id)); ; i++ {
+		slot := &s[i&uint64(len(s)-1)]
+		if c := P(slot.Load()); c == nil || c.key() == id {
+			return slot
+		}
+	}
 }
 
 // seqlock publishes a cell's fields in place, without allocating. With
@@ -205,20 +244,23 @@ func (c *booksCell) load() (b books) {
 //
 // waits is the buyer's running Time-Shield waits — per dataset, the
 // first period the buyer may bid again — rewritten by every losing bid,
-// so its publication must not allocate (a sync.Map would box every
-// stored value). It is a short slice under a mutex of the cell's
-// own: a wait that has run out is a free slot, so the slice is
-// as long as the most waits the buyer ever had running at once, not as
-// long as its history. The mutex is held for one scan, by the publisher
-// or by a WaitRemaining call on this same buyer, and never across
-// anything that can block.
+// so its publication must not allocate, nor may finding the cell (the
+// registry compares the ID the cell holds). It is a short slice under a
+// mutex of the cell's own: a wait that has run out is a free slot, so
+// the slice is as long as the most waits the buyer ever had running at
+// once, not its history. The mutex is held for one scan, by the
+// publisher or by a WaitRemaining call on this same buyer, and never
+// across anything that can block.
 type buyerCell struct {
+	id       BuyerID                         // immutable: the state's own spelling
 	acquired atomic.Pointer[[]atomic.Uint64] // bit i: owns the dataset of index i
 	spent    atomic.Int64                    // Money
 
 	waitMu sync.Mutex
 	waits  []wait
 }
+
+func (c *buyerCell) key() BuyerID { return c.id }
 
 type wait struct {
 	dataset DatasetID
@@ -287,18 +329,12 @@ func (c *buyerCell) blockedUntil(dataset DatasetID) int {
 // total, and the uploaded datasets as an immutable slice replaced on
 // upload and withdrawal.
 type sellerCell struct {
+	id       SellerID     // immutable: the state's own spelling
 	balance  atomic.Int64 // Money
 	datasets atomic.Pointer[[]DatasetID]
 }
 
-// newSellerCell returns the cell of a seller who has just registered —
-// no datasets, no balance — so the registry never holds a cell a reader
-// cannot use.
-func newSellerCell() *sellerCell {
-	c := new(sellerCell)
-	c.datasets.Store(new([]DatasetID))
-	return c
-}
+func (c *sellerCell) key() SellerID { return c.id }
 
 // rebuildViews derives every view from the current state, the buyers'
 // in registration order. Callers must have exclusive access
@@ -338,14 +374,16 @@ func (m *Market) rebuildViews() {
 		}
 	})
 
+	m.vw.buyers.reserve(buyers)
 	cells, words := make([]buyerCell, buyers), make([]atomic.Uint64, owners*width)
 	sets, waits := make([][]atomic.Uint64, 0, owners), make([]wait, 0, running)
 	var cell *buyerCell
 	var first int // the current buyer's first wait in the slab
 	m.st.WalkBuyers(func(id BuyerID, spent Money) {
 		cell, cells, first = &cells[0], cells[1:], len(waits)
+		cell.id = id
 		cell.spent.Store(int64(spent))
-		m.vw.buyers.Store(id, cell)
+		m.vw.buyers.add(cell)
 	}, func(dataset uint32, owned bool, until int) {
 		if owned {
 			if cell.acquired.Load() == nil {
@@ -360,9 +398,11 @@ func (m *Market) rebuildViews() {
 		}
 	})
 
-	for _, id := range m.st.SellerIDs() {
-		m.vw.sellers.Store(id, newSellerCell())
-		m.publishSeller(id)
+	sellers := m.st.SellerIDs()
+	m.vw.sellers.reserve(len(sellers))
+	for _, id := range sellers {
+		m.vw.sellers.add(&sellerCell{id: id})
+		m.publishSeller(id) // before any reader: the cell gets its datasets
 	}
 
 	revenue, spent, balances := m.st.Totals()
@@ -403,11 +443,12 @@ func (m *Market) publish(ctx context.Context, ev *command.Event) {
 		m.vw.clock.Store(int64(ev.Period))
 
 	case command.EvBuyerRegistered:
-		m.vw.buyers.Store(ev.Buyer, new(buyerCell))
+		m.vw.buyers.add(&buyerCell{id: ev.Buyer})
 
 	case command.EvSellerRegistered:
-		m.vw.sellers.Store(ev.Seller, newSellerCell())
-		m.publishSeller(ev.Seller)
+		cell := &sellerCell{id: ev.Seller}    // no datasets, no balance
+		cell.datasets.Store(new([]DatasetID)) // before a reader can meet the cell
+		m.vw.sellers.add(cell)
 
 	case command.EvDatasetAdded:
 		m.publishNames() // before anything can return: a sale of it may follow in this group
@@ -442,7 +483,7 @@ func (m *Market) publishBid(ev *command.Event) {
 			m.publishStats(DatasetID(leaf))
 		}
 	}
-	cell := m.vw.buyerView(ev.Buyer)
+	cell := m.vw.buyers.get(ev.Buyer)
 	if !ev.Decision.Allocated {
 		// A zero wait is already over; there is nothing to publish.
 		if cell != nil && ev.Decision.WaitPeriods > 0 {
@@ -498,7 +539,7 @@ func (m *Market) publishStats(id DatasetID) {
 // publishBalance republishes one seller's balance as the absolute
 // total.
 func (m *Market) publishBalance(id SellerID) {
-	cell := m.vw.sellerView(id)
+	cell := m.vw.sellers.get(id)
 	if cell == nil {
 		return
 	}
@@ -510,7 +551,7 @@ func (m *Market) publishBalance(id SellerID) {
 // publishSeller republishes a seller's dataset list (the state hands
 // back a fresh copy) and balance.
 func (m *Market) publishSeller(id SellerID) {
-	cell := m.vw.sellerView(id)
+	cell := m.vw.sellers.get(id)
 	if cell == nil {
 		return
 	}
@@ -541,7 +582,7 @@ func (m *Market) Totals() (revenue, spent, balances Money) {
 
 // SellerBalance returns a seller's accumulated compensation.
 func (m *Market) SellerBalance(id SellerID) (Money, error) {
-	cell := m.vw.sellerView(id)
+	cell := m.vw.sellers.get(id)
 	if cell == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownSeller, id)
 	}
@@ -550,7 +591,7 @@ func (m *Market) SellerBalance(id SellerID) (Money, error) {
 
 // SellerDatasets returns the base datasets a seller has uploaded.
 func (m *Market) SellerDatasets(id SellerID) ([]DatasetID, error) {
-	cell := m.vw.sellerView(id)
+	cell := m.vw.sellers.get(id)
 	if cell == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSeller, id)
 	}
@@ -562,7 +603,7 @@ func (m *Market) SellerDatasets(id SellerID) ([]DatasetID, error) {
 
 // BuyerSpend returns the total a buyer has paid.
 func (m *Market) BuyerSpend(id BuyerID) (Money, error) {
-	cell := m.vw.buyerView(id)
+	cell := m.vw.buyers.get(id)
 	if cell == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, id)
 	}
@@ -571,7 +612,7 @@ func (m *Market) BuyerSpend(id BuyerID) (Money, error) {
 
 // Owns reports whether the buyer has acquired the dataset.
 func (m *Market) Owns(buyer BuyerID, dataset DatasetID) (bool, error) {
-	cell := m.vw.buyerView(buyer)
+	cell := m.vw.buyers.get(buyer)
 	if cell == nil {
 		return false, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
 	}
@@ -583,7 +624,7 @@ func (m *Market) Owns(buyer BuyerID, dataset DatasetID) (bool, error) {
 // WaitRemaining returns how many periods remain before the buyer may bid
 // on the dataset again (0 when unblocked).
 func (m *Market) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
-	cell := m.vw.buyerView(buyer)
+	cell := m.vw.buyers.get(buyer)
 	if cell == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
 	}
