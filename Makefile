@@ -52,8 +52,10 @@ build:
 # need many tries repeat ten times: the market's shared log and bitsets
 # under readers, its participant registries doubling under readers, a
 # checkpoint encoding the cut's shared name and transaction views while
-# the stage appends to them, and a wire bid's body, read by the commit
-# stage from the connection's payload buffer while the connection waits.
+# the stage appends to them, a wire bid's body, read by the commit
+# stage from the connection's payload buffer while the connection waits,
+# and ScanRecords' reader goroutine, stopped and gone on every way a
+# scan ends.
 race:
 	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
@@ -61,6 +63,7 @@ race:
 	$(GO) test -race -run 'TestStoreCheckpointsMatchReplayUnderHotDatasetConcurrency' -count=10 ./internal/journal/
 	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity|TestRecordIsTheRequest' -count=10 ./internal/wire/
 	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines' -count=10 ./internal/sim/
+	$(GO) test -race -run 'TestScanRecordsLeavesNoGoroutines' -count=10 ./internal/journal/
 
 test:
 	$(GO) test ./...

@@ -95,6 +95,44 @@ func BenchmarkRecoverDir(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*records), "allocs/record")
 }
 
+// BenchmarkScanRecords reads buildRecoverStore's store as RecoverDir
+// does, segment by segment, with an fn that does nothing: the reader
+// stage's own ceiling — framing, checksums, head parses — to set beside
+// BenchmarkRecoverDir's, which applies each record as well.
+//
+//	go test -run xxx -bench 'RecoverDir$|ScanRecords$' -cpuprofile cpu.out ./internal/journal/
+func BenchmarkScanRecords(b *testing.B) {
+	dir := b.TempDir()
+	records := buildRecoverStore(b, dir)
+	l, err := listStoreDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanned := 0
+		for _, idx := range l.segIdx {
+			head, _, err := readSegHead(dir, idx)
+			if err == nil {
+				_, _, err = scanSegment(dir, idx, head.Base, func(Record) error { scanned++; return nil })
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if scanned != records {
+			b.Fatalf("scanned %d of %d records", scanned, records)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.N*records)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*records), "allocs/record")
+}
+
 // BenchmarkCheckpointCapture is what a due checkpoint holds the commit
 // stage for, on the market wire_bid_durable ends with (150 000 writes):
 // cut is the capture the stage takes now, tree the snapshot tree it
