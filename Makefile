@@ -54,8 +54,9 @@ build:
 # checkpoint encoding the cut's shared name and transaction views while
 # the stage appends to them, a wire bid's body, read by the commit
 # stage from the connection's payload buffer while the connection waits,
-# and ScanRecords' reader goroutine, stopped and gone on every way a
-# scan ends.
+# ScanRecords' reader goroutine, stopped and gone on every way a scan
+# ends, and a follower's catch-up scan of the leader's segments, which
+# holds no leader lock and splices in the ring exactly once.
 race:
 	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
@@ -64,6 +65,7 @@ race:
 	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity|TestRecordIsTheRequest' -count=10 ./internal/wire/
 	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines' -count=10 ./internal/sim/
 	$(GO) test -race -run 'TestScanRecordsLeavesNoGoroutines' -count=10 ./internal/journal/
+	$(GO) test -race -run 'TestCatchupScanHoldsNoLeaderLock|TestCatchupSpliceIsExactlyOnce' -count=10 ./internal/replica/
 
 test:
 	$(GO) test ./...
@@ -109,7 +111,8 @@ torture:
 	$(GO) run ./cmd/shieldstorm -hot -seed $(TORTURE_SEED) -seeds 2 -ops 100000
 
 # Quick concurrent pass — catches an ordering bug in the commit stage in
-# seconds before ci pays for the full runs.
+# seconds before ci pays for the full runs. Its follower that joins
+# mid-storm catches up from the leader's segments while writers commit.
 torture-smoke:
 	$(GO) run ./cmd/shieldstorm -hot -seed $(TORTURE_SEED) -seeds 1 -ops 20000
 

@@ -296,6 +296,7 @@ func main() {
 				logger.Error("marketd: building replication feed", "err", err)
 				os.Exit(1)
 			}
+			feed.Instrument(tel)
 			ws = ws.WithReplication(feed)
 			logger.Info("marketd: replication enabled", "addr", *wireAddr)
 		}

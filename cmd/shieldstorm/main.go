@@ -12,7 +12,10 @@
 // follower attached; at every quiescent checkpoint the journal replayed
 // from genesis, the store recovered from its newest checkpoint, and the
 // follower's snapshot must each equal the leader byte for byte, and the
-// books must balance.
+// books must balance. In its second round a second follower joins from
+// a fresh checkpoint once the feed's ring has moved past it, so its
+// catch-up reads the leader's segments while the writers commit; every
+// stream it is sent must be gapless and it, too, must equal the leader.
 //
 // The -shards flag is gone: the market has one applier, so there is no
 // shard matrix to run. Drop the flag; -hot is the concurrency test.

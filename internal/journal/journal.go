@@ -830,9 +830,43 @@ func (rp *replay) record(rec Record) error {
 	}
 	var err error
 	if rp.evs, err = command.ApplyEncoded(rp.st, rec.Payload, rp.evs[:0]); err != nil {
-		return fmt.Errorf("%w: event %d: %v", ErrReplay, rec.Seq, err)
+		return fmt.Errorf("%w: event %d: %w", ErrReplay, rec.Seq, err)
 	}
 	return nil
+}
+
+// Replayer is a serving market that keeps applying log records the way
+// recovery does (replay), under the market's writer lock and followed
+// by Publish: a replication follower's market.
+type Replayer struct {
+	*market.Market
+	rp replay
+}
+
+// NewReplayer restores a Replayer from Snapshot.Canonical's bytes.
+func NewReplayer(canonical []byte) (*Replayer, error) {
+	snap, err := command.DecodeSnapshot(canonical)
+	if err != nil {
+		return nil, err
+	}
+	st, err := command.RestoreState(snap)
+	if err != nil {
+		return nil, err
+	}
+	return &Replayer{Market: market.FromState(st), rp: replay{st: st}}, nil
+}
+
+// ApplyRecord applies one record's payload, batches included, and
+// publishes its events. It returns them — they alias scratch the next
+// call reuses — and on error the state holds exactly those: a payload
+// that does not decode changes nothing.
+func (r *Replayer) ApplyRecord(seq int64, payload []byte) ([]command.Event, error) {
+	live := r.Stage()
+	live.Lock()
+	defer live.Unlock()
+	err := r.rp.record(Record{Seq: seq, Payload: payload})
+	live.Publish(context.Background(), r.rp.evs...)
+	return r.rp.evs, err
 }
 
 // Restore reads a log and rebuilds the market it describes in one

@@ -583,29 +583,43 @@ var errStopScan = errors.New("journal: stop scan")
 
 // TailRecords streams the records with afterSeq < seq <= uptoSeq from
 // the store's segments, in order — the replication feed's catch-up
-// read, which forwards each payload as it sits on disk. It holds the
-// store lock for the duration, so appends stall while a subscriber
-// catches up from disk; the records it reads are bounded by the
-// checkpoint cadence.
+// read, which forwards each payload as it sits on disk. The store lock
+// is held only to read the written seq, which bounds uptoSeq, and to
+// open the segments the scan needs; the scan holds no lock, so appends
+// keep flowing. An open segment outlives compaction's unlink, and a
+// record an append has half written lies past the written seq.
 func (s *Store) TailRecords(afterSeq, uptoSeq int64, fn func(Record) error) error {
+	var files []*os.File
+	var bases []int64
+	var err error
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if uptoSeq <= afterSeq {
-		return nil
+	if n := len(s.segs); n > 0 {
+		uptoSeq = min(uptoSeq, s.segs[n-1].maxSeq()) // the written seq
 	}
 	for _, seg := range s.segs {
-		if seg.maxSeq() <= afterSeq {
-			continue
-		}
-		if seg.base > uptoSeq {
+		if seg.base > uptoSeq || afterSeq >= uptoSeq || err != nil {
 			break
 		}
-		_, _, err := scanSegment(s.dir, seg.index, seg.base, func(rec Record) error {
+		if seg.maxSeq() > afterSeq {
+			if len(files) == 0 && seg.base > afterSeq+1 {
+				err = fmt.Errorf("%w: the records after seq %d are compacted away", ErrSegmentMissing, afterSeq)
+				break
+			}
+			f, oerr := os.Open(filepath.Join(s.dir, segName(seg.index)))
+			if err = oerr; err == nil {
+				defer f.Close()
+				files, bases = append(files, f), append(bases, seg.base)
+			}
+		}
+	}
+	s.mu.Unlock()
+	for i, f := range files {
+		if err != nil {
+			break
+		}
+		_, _, err = scanSegmentFile(f, bases[i], func(rec Record) error {
 			if rec.Seq <= afterSeq {
 				return nil
-			}
-			if rec.Seq > uptoSeq {
-				return errStopScan
 			}
 			if err := fn(rec); err != nil {
 				return err
@@ -615,14 +629,11 @@ func (s *Store) TailRecords(afterSeq, uptoSeq int64, fn func(Record) error) erro
 			}
 			return nil
 		})
-		if errors.Is(err, errStopScan) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	if errors.Is(err, errStopScan) {
+		return nil
+	}
+	return err
 }
 
 // CatchupSnapshot returns the newest durable checkpoint as canonical
@@ -697,12 +708,17 @@ func readCheckpointBody(dir string, seq int64) ([]byte, error) {
 // tail here is only legal in the store's final segment — callers decide.
 // Damage is reported as a *CorruptError naming the segment file.
 func scanSegment(dir string, index, base int64, fn func(Record) error) (durable int64, torn bool, err error) {
-	name := segName(index)
-	f, err := os.Open(filepath.Join(dir, name))
+	f, err := os.Open(filepath.Join(dir, segName(index)))
 	if err != nil {
 		return 0, false, err
 	}
 	defer f.Close()
+	return scanSegmentFile(f, base, fn)
+}
+
+// scanSegmentFile is scanSegment on a segment already open.
+func scanSegmentFile(f *os.File, base int64, fn func(Record) error) (durable int64, torn bool, err error) {
+	name := filepath.Base(f.Name())
 	br := bufio.NewReaderSize(f, 64<<10)
 	head, err := br.ReadBytes('\n')
 	if err != nil {

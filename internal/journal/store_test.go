@@ -695,8 +695,12 @@ func TestReplicaStoreRoundTrip(t *testing.T) {
 	if m0 != nil || applied != 0 {
 		t.Fatalf("empty replica store returned market=%v applied=%d", m0, applied)
 	}
-	m, err := rs.Reset(canonicalOf(t, "leader", snap), 10)
+	canonical := canonicalOf(t, "leader", snap)
+	m, err := NewReplayer(canonical)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Reset(canonical, 10, m); err != nil {
 		t.Fatal(err)
 	}
 	// Apply + persist a tail of records, crossing a rotation.
@@ -713,7 +717,10 @@ func TestReplicaStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rs.AppliedSeq(); got != 20 {
+	rs.st.mu.Lock()
+	got := rs.st.appliedSeq
+	rs.st.mu.Unlock()
+	if got != 20 {
 		t.Fatalf("applied seq %d, want 20", got)
 	}
 	wantSnap := m.Snapshot()
@@ -1178,4 +1185,50 @@ func TestCutAllocsAreFlat(t *testing.T) {
 		t.Fatalf("cutting 4096 buyers allocates %.0f times, 64 buyers %.0f: want within 2x", large, small)
 	}
 	t.Logf("allocations per cut: %.0f at 64 buyers, %.0f at 4096", small, large)
+}
+
+// TestTailRecords: the catch-up read delivers exactly the records after
+// afterSeq through uptoSeq, across segments, stopping at the written
+// seq when asked for more; and once compaction has deleted a segment
+// holding records it was asked for, it says so instead of starting later.
+func TestTailRecords(t *testing.T) {
+	jm, _, err := OpenStore(testConfig(), t.TempDir(), StoreConfig{SegmentRecords: 4, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jm.Close()
+	for i := 0; i < 30; i++ {
+		if err := jm.RegisterBuyer(market.BuyerID(fmt.Sprintf("b%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, last := jm.Store(), jm.LastSeq()
+	tail := func(after, upto int64) ([]int64, error) {
+		var seqs []int64
+		err := st.TailRecords(after, upto, func(rec Record) error {
+			seqs = append(seqs, rec.Seq)
+			return nil
+		})
+		return seqs, err
+	}
+	for _, c := range []struct{ after, upto, from, to int64 }{
+		{5, 17, 6, 17},                       // across segments
+		{last - 3, last + 9, last - 2, last}, // past the written seq
+		{9, 9, 0, -1},                        // empty
+	} {
+		seqs, err := tail(c.after, c.upto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.to - c.from + 1; int64(len(seqs)) != n || n > 0 && (seqs[0] != c.from || seqs[n-1] != c.to) {
+			t.Fatalf("TailRecords(%d, %d) read %v, want %d through %d", c.after, c.upto, seqs, c.from, c.to)
+		}
+	}
+
+	if err := st.Checkpoint(); err != nil { // compacts the sealed segments it covers
+		t.Fatal(err)
+	}
+	if _, err := tail(5, last); !errors.Is(err, ErrSegmentMissing) {
+		t.Fatalf("TailRecords over compacted segments: %v, want ErrSegmentMissing", err)
+	}
 }

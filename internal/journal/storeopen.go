@@ -98,6 +98,7 @@ func readSegHead(dir string, index int64) (head segHead, torn bool, err error) {
 // storeState is what recovery learned about a directory.
 type storeState struct {
 	m        *market.Market // nil when the store holds no durable state
+	state    *command.State // the state m wraps
 	lastSeq  int64
 	replayed int           // records streamed through command.ApplyEncoded — the bounded tail
 	took     time.Duration // the walk, checkpoint load and view derivation included
@@ -265,7 +266,7 @@ func recoverStoreDir(dir string, readonly bool) (*storeState, error) {
 	}
 	if rp.st != nil {
 		derive := time.Now()
-		st.m = market.FromState(rp.st)
+		st.m, st.state = market.FromState(rp.st), rp.st
 		st.views = time.Since(derive)
 	}
 	st.took = time.Since(start)

@@ -13,8 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"github.com/datamarket/shield/internal/market"
 )
 
 // ReplicaStore is a follower's local segmented store. Append and Reset
@@ -35,7 +33,7 @@ type ReplicaStore struct {
 // catch-up will Reset it) and the seq of the newest durable record. A
 // follower has no journal Writer — of opts only WithTelemetry matters,
 // and it registers the two recovery gauges and nothing else.
-func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore, *market.Market, int64, error) {
+func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore, *Replayer, int64, error) {
 	sc.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, notStoreDir(dir, err)
@@ -63,25 +61,21 @@ func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore
 	s.appliedSeq = st.lastSeq
 	s.sinceCkpt = st.lastSeq - st.lastCkpt
 	rs.next = st.lastSeq + 1
-	return rs, st.m, st.lastSeq, nil
+	return rs, &Replayer{Market: st.m, rp: replay{st: st.state}}, st.lastSeq, nil
 }
 
 // Reset wipes the store and reseeds it from a leader snapshot —
-// canonical, the market.Snapshot.Canonical bytes the leader sent: every
-// segment and checkpoint is deleted, those bytes land synchronously as
-// the checkpoint at seq, and a fresh segment 0 opens at seq+1. It
-// returns the restored market, which the follower serves and the store
-// checkpoints.
-func (rs *ReplicaStore) Reset(canonical []byte, seq int64) (*market.Market, error) {
-	m, err := market.RestoreCanonical(canonical)
-	if err != nil {
-		return nil, err
-	}
+// canonical, the market.Snapshot.Canonical bytes the leader sent, and
+// r, the market the follower restored from them, serves and the store
+// checkpoints: every segment and checkpoint is deleted, those bytes
+// land synchronously as the checkpoint at seq, and a fresh segment 0
+// opens at seq+1.
+func (rs *ReplicaStore) Reset(canonical []byte, seq int64, r *Replayer) error {
 	s := rs.st
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if s.active != nil {
 		s.active.Close()
@@ -89,7 +83,7 @@ func (rs *ReplicaStore) Reset(canonical []byte, seq int64) (*market.Market, erro
 	}
 	l, err := listStoreDir(s.dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, idx := range l.segIdx {
 		os.Remove(filepath.Join(s.dir, segName(idx)))
@@ -101,31 +95,31 @@ func (rs *ReplicaStore) Reset(canonical []byte, seq int64) (*market.Market, erro
 		os.Remove(filepath.Join(s.dir, tmp))
 	}
 	if err := syncDir(s.dir); err != nil {
-		return nil, err
+		return err
 	}
 	err = writeCheckpointFile(s.dir, seq, func(w io.Writer) error {
 		_, err := w.Write(canonical)
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("journal: replica reset checkpoint: %w", err)
+		return fmt.Errorf("journal: replica reset checkpoint: %w", err)
 	}
 	f, headLen, err := createSegment(s.dir, 0, seq+1, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.segs = []segMeta{{index: 0, base: seq + 1, bytes: headLen}}
 	s.active = f
 	s.ckpts = []int64{seq}
 	s.lastCkpt = seq
-	s.live = m
+	s.live = r.Market
 	s.appliedSeq = seq
 	s.sinceCkpt = 0
 	s.err = nil
 	rs.mu.Lock()
 	rs.next = seq + 1
 	rs.mu.Unlock()
-	return m, nil
+	return nil
 }
 
 // Append persists one replicated record after the follower applied it
@@ -160,14 +154,6 @@ func (rs *ReplicaStore) Append(seq int64, payload []byte) error {
 	rs.st.committed(seq, 1)
 	live.Unlock()
 	return nil
-}
-
-// AppliedSeq returns the seq of the newest record the store accepted
-// (0 when empty).
-func (rs *ReplicaStore) AppliedSeq() int64 {
-	rs.st.mu.Lock()
-	defer rs.st.mu.Unlock()
-	return rs.st.appliedSeq
 }
 
 // Err surfaces the store's sticky failure; see Store.Err.

@@ -191,6 +191,7 @@ func StartRig(rc RigConfig) (*Rig, error) {
 			_ = r.Close()
 			return nil, fmt.Errorf("loadrig: replication feed: %w", err)
 		}
+		feed.Instrument(r.Tel)
 		r.Feed = feed
 		ws = ws.WithReplication(feed)
 	}

@@ -53,14 +53,3 @@ func RestoreSnapshot(s Snapshot) (*Market, error) {
 	}
 	return FromState(st), nil
 }
-
-// RestoreCanonical reconstructs a market from Snapshot.Canonical's bytes
-// — a checkpoint's body, a leader's catch-up snapshot — through the same
-// validation as RestoreSnapshot.
-func RestoreCanonical(data []byte) (*Market, error) {
-	s, err := command.DecodeSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	return RestoreSnapshot(s)
-}

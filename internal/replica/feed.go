@@ -18,9 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/journal"
+	"github.com/datamarket/shield/internal/obs"
 	"github.com/datamarket/shield/internal/wire"
 )
 
@@ -69,8 +71,13 @@ type Feed struct {
 	// subs maps each subscriber channel to its floor seq: records at or
 	// below the floor are not fanned out to that subscriber (they are
 	// already inside its catch-up snapshot or preloaded tail).
-	subs map[chan wire.RepRecord]int64
-	err  error // sticky feed failure (a record the hook could not frame or order)
+	subs     map[chan wire.RepRecord]int64
+	err      error // sticky feed failure (a record the hook could not frame or order)
+	dropSeam bool  // the seam canary (TestDropSeam)
+
+	// Disk-tail catch-up telemetry; nil until Instrument.
+	scans, scanRecords *obs.Counter
+	scanSeconds        *obs.Histogram
 }
 
 // NewFeed builds a feed over jm and installs it as the journal's
@@ -157,22 +164,22 @@ func (f *Feed) commit(r journal.Record) {
 // served as a tail (the missed records are preloaded onto the
 // channel); anything older gets a canonical snapshot — the store's
 // newest checkpoint, or the live market at a committed seq — plus the
-// records committed since.
+// records committed since, from the ring or, past it, the store's
+// segments.
 func (f *Feed) Subscribe(afterSeq int64) (wire.Subscription, error) {
 	f.mu.Lock()
-	if sub, ok, err := f.attachLocked(afterSeq, nil); ok || err != nil {
-		f.mu.Unlock()
+	sub, ok, err := f.attachLocked(afterSeq, nil, nil)
+	f.mu.Unlock()
+	if ok || err != nil {
 		return sub, err
 	}
-	f.mu.Unlock()
 
 	// The gap predates the ring: snapshot catch-up, taken with mu
 	// released (see Feed.mu). Commits keep flowing meanwhile; whatever
-	// lands between the snapshot and the attach below comes out of the
-	// ring or, on a store, the segment tail.
+	// lands between the snapshot and the attach comes out of the ring
+	// or, on a store, the segment tail.
 	var snap []byte
 	var snapSeq int64
-	var err error
 	if f.store != nil {
 		snap, snapSeq, err = f.store.CatchupSnapshot()
 	}
@@ -189,52 +196,84 @@ func (f *Feed) Subscribe(afterSeq int64) (wire.Subscription, error) {
 	}
 
 	f.mu.Lock()
+	sub, ok, err = f.attachLocked(snapSeq, snap, nil)
+	upto := f.lastSeq
+	f.mu.Unlock()
+	if ok || err != nil {
+		return sub, err
+	}
+	var ch chan wire.RepRecord
+	if f.store != nil {
+		// The snapshot predates the ring too: read the records after it
+		// from the store's segments with no lock held — the leader keeps
+		// committing — straight into the subscription's channel, sized
+		// so that the ring's splice below always fits.
+		start := time.Now()
+		ch = make(chan wire.RepRecord, upto-snapSeq+2*int64(f.ringMax)+subSlack)
+		err = catchupScan(f.store, snapSeq, upto, func(r journal.Record) error {
+			rec, err := recordFrame(r)
+			ch <- rec
+			return err
+		})
+		if f.scans != nil {
+			f.scans.Inc()
+			f.scanRecords.Add(uint64(len(ch)))
+			f.scanSeconds.Observe(time.Since(start).Seconds())
+		}
+		if err != nil {
+			return sub, fmt.Errorf("replica: reading segment tail: %w", err)
+		}
+	}
+	f.mu.Lock()
 	defer f.mu.Unlock()
-	sub, ok, err := f.attachLocked(snapSeq, snap)
+	sub, ok, err = f.attachLocked(snapSeq, snap, ch)
 	if err == nil && !ok {
-		// Only a ring smaller than one commit burst gets here; the
-		// follower redials and tries again.
+		// Only a ring smaller than what commits during one catch-up gets
+		// here; the follower redials and tries again.
 		err = fmt.Errorf("replica: %d records committed during catch-up, past the ring", f.lastSeq-snapSeq)
 	}
 	return sub, err
 }
 
+// catchupScan is the disk-tail read of a snapshot catch-up; the stall
+// test swaps it to park a scan mid-read.
+var catchupScan = (*journal.Store).TailRecords
+
 // attachLocked registers a subscriber that will hold state through
 // fromSeq (its own applied seq when snap is nil, the snapshot's seq
-// otherwise), preloading the records between fromSeq and the feed's
-// head. ok is false, with nothing attached, when those records are no
-// longer at hand. Callers hold mu.
-func (f *Feed) attachLocked(fromSeq int64, snap []byte) (sub wire.Subscription, ok bool, err error) {
+// otherwise), with ch, when non-nil, already holding the records after
+// fromSeq that a disk-tail scan read. It queues the rest through the
+// feed's head from the ring; ok is false, with nothing attached, when
+// they are no longer there. Callers hold mu.
+func (f *Feed) attachLocked(fromSeq int64, snap []byte, ch chan wire.RepRecord) (sub wire.Subscription, ok bool, err error) {
 	if f.err != nil {
 		return sub, false, f.err
 	}
 	if snap == nil && fromSeq > f.lastSeq {
 		return sub, false, fmt.Errorf("%w: follower at seq %d, leader at %d", ErrFollowerAhead, fromSeq, f.lastSeq)
 	}
-	var pending []wire.RepRecord
+	disk := ch != nil
+	have := fromSeq + int64(len(ch)) // ch holds fromSeq+1 through have, unread
+	if f.dropSeam && disk {
+		have++
+	}
+	var rest []wire.RepRecord
 	floor := f.lastSeq
 	switch {
-	case fromSeq >= f.lastSeq:
+	case have >= f.lastSeq:
 		// Current — or a checkpoint that landed ahead of the commit hook,
 		// in which case the floor keeps live fanout duplicate-free.
-		floor = fromSeq
-	case len(f.ring) > 0 && fromSeq+1 >= f.ringBase:
-		pending = f.ring[fromSeq+1-f.ringBase:]
-	case snap != nil && f.store != nil:
-		err = f.store.TailRecords(fromSeq, f.lastSeq, func(r journal.Record) error {
-			rec, err := recordFrame(r)
-			pending = append(pending, rec)
-			return err
-		})
-		if err != nil {
-			return sub, false, fmt.Errorf("replica: reading segment tail: %w", err)
-		}
+		floor = have
+	case len(f.ring) > 0 && have+1 >= f.ringBase:
+		rest = f.ring[have+1-f.ringBase:]
 	default:
 		return sub, false, nil
 	}
-
-	ch := make(chan wire.RepRecord, len(pending)+subSlack)
-	for _, rec := range pending {
+	if !disk {
+		ch = make(chan wire.RepRecord, len(rest)+subSlack)
+	}
+	f.dropSeam = f.dropSeam && !disk
+	for _, rec := range rest {
 		ch <- rec
 	}
 	f.subs[ch] = floor
@@ -258,19 +297,35 @@ func (f *Feed) LeaderSeq() int64 {
 	return f.lastSeq
 }
 
-// Healthy returns nil while the feed can serve subscribers, and the
-// sticky poisoning error after a record arrived out of order or could
-// not be framed.
-func (f *Feed) Healthy() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
 // Subscribers returns the number of attached replication consumers
-// (diagnostics and tests).
+// (the shield_feed_subscribers gauge).
 func (f *Feed) Subscribers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.subs)
+}
+
+// Instrument registers the feed's families on t's registry: attached
+// subscribers, and the disk-tail scans snapshot catch-ups read — how
+// many, their records and how long each took. Call it before the feed
+// serves a subscriber.
+func (f *Feed) Instrument(t *obs.Telemetry) {
+	r := t.Registry
+	r.Collect("shield_feed_subscribers", "Replication subscribers attached to the leader's feed.",
+		obs.KindGauge, func(emit func(float64, ...string)) { emit(float64(f.Subscribers())) })
+	f.scans = r.Counter("shield_feed_catchup_scans_total",
+		"Snapshot catch-ups that read the records after their snapshot from the store's segments.")
+	f.scanRecords = r.Counter("shield_feed_catchup_records_total",
+		"Records catch-up scans read from the store's segments.")
+	f.scanSeconds = r.Histogram("shield_feed_catchup_scan_seconds",
+		"Duration of one catch-up scan of the store's segments; no leader lock is held across it.", obs.LatencyBuckets())
+}
+
+// TestDropSeam makes the next disk-tail catch-up lose the first record
+// after the tail — the seam canary: the follower's stream must break on
+// the gap, and the torture join that watches it must say so.
+func (f *Feed) TestDropSeam() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.dropSeam = true
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/obs"
@@ -67,10 +68,10 @@ type Follower struct {
 	cfg Config
 
 	mu          sync.Mutex
-	m           *market.Market // nil until the first snapshot lands
-	applied     int64          // newest applied journal seq
-	leader      int64          // newest leader seq seen (records + heartbeats)
-	lastAdvance time.Time      // last time applied advanced or was proven current
+	r           *journal.Replayer // nil until the first snapshot lands
+	applied     int64             // newest applied journal seq
+	leader      int64             // newest leader seq seen (records + heartbeats)
+	lastAdvance time.Time         // last time applied advanced or was proven current
 	connected   bool
 	nc          net.Conn // current transport, for Kill/Close interrupts
 	diverged    error    // sticky fatal apply failure
@@ -80,7 +81,9 @@ type Follower struct {
 	// rs is the local segmented store when Config.Dir is set. A
 	// persistence failure is sticky (persistErr): the follower keeps
 	// serving and replicating in memory, but stops appending — a
-	// half-written local chain must not masquerade as durable.
+	// half-written local chain must not masquerade as durable. Only the
+	// apply loop writes either (rs before it starts), so it reads them
+	// without mu.
 	rs         *journal.ReplicaStore
 	persistErr error
 
@@ -122,15 +125,15 @@ func Start(cfg Config) (*Follower, error) {
 		if cfg.Telemetry != nil {
 			opts = append(opts, journal.WithTelemetry(cfg.Telemetry))
 		}
-		rs, m, lastSeq, err := journal.OpenReplicaStore(cfg.Dir, cfg.Store, opts...)
+		rs, r, lastSeq, err := journal.OpenReplicaStore(cfg.Dir, cfg.Store, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("replica: opening local store %s: %w", cfg.Dir, err)
 		}
 		f.rs = rs
-		if m != nil {
+		if r != nil {
 			// Cold restart: serve the locally recovered state right away
 			// and rejoin the stream from the local durable seq.
-			f.m = m
+			f.r = r
 			f.applied = lastSeq
 			f.leader = lastSeq
 		}
@@ -160,10 +163,7 @@ func (f *Follower) run() {
 			return
 		case <-time.After(backoff):
 		}
-		backoff *= 2
-		if backoff > f.cfg.BackoffMax {
-			backoff = f.cfg.BackoffMax
-		}
+		backoff = min(2*backoff, f.cfg.BackoffMax)
 	}
 }
 
@@ -205,34 +205,24 @@ func (f *Follower) stream() error {
 		return err
 	}
 
-	if canonical := st.Snapshot; canonical != nil {
-		m, err := f.reseed(canonical, st.StartSeq)
+	if st.Snapshot != nil {
+		r, err := f.reseed(st.Snapshot, st.StartSeq)
 		if err != nil {
 			return fmt.Errorf("replica: restoring leader snapshot: %w", err)
 		}
 		f.mu.Lock()
-		f.m = m
-		f.applied = st.StartSeq
-		if st.StartSeq > f.leader {
-			f.leader = st.StartSeq
-		}
-		f.lastAdvance = time.Now()
-		f.connected = true
+		f.r, f.applied, f.lastAdvance = r, st.StartSeq, time.Now()
 		f.mu.Unlock()
-	} else {
-		f.mu.Lock()
-		hasState := f.m != nil
-		if st.StartSeq > f.leader {
-			f.leader = st.StartSeq
-		}
-		f.connected = true
-		f.mu.Unlock()
-		if !hasState {
-			return errors.New("replica: leader offered tail catch-up to a stateless follower")
-		}
-		if st.StartSeq != after {
-			return fmt.Errorf("replica: tail catch-up from seq %d, subscribed at %d", st.StartSeq, after)
-		}
+	} else if st.StartSeq != after {
+		return fmt.Errorf("replica: tail catch-up from seq %d, subscribed at %d", st.StartSeq, after)
+	}
+	f.mu.Lock()
+	hasState := f.r != nil
+	f.leader = max(f.leader, st.StartSeq)
+	f.connected = true
+	f.mu.Unlock()
+	if !hasState {
+		return errors.New("replica: leader offered tail catch-up to a stateless follower")
 	}
 
 	for {
@@ -251,49 +241,43 @@ func (f *Follower) stream() error {
 }
 
 // reseed builds the follower's market from a leader snapshot's
-// canonical bytes, decoded once. With a local store it runs through
+// canonical bytes, decoded once. With a local store it then runs
 // ReplicaStore.Reset, which wipes the old chain and lands the bytes as
-// received as a durable checkpoint; a store failure falls back to a
-// purely in-memory restore with the sticky persistErr recording why
-// local durability is gone.
-func (f *Follower) reseed(canonical []byte, seq int64) (*market.Market, error) {
-	f.mu.Lock()
-	rs := f.rs
-	broken := f.persistErr != nil
-	f.mu.Unlock()
-	if rs != nil && !broken {
-		m, err := rs.Reset(canonical, seq)
-		if err == nil {
-			return m, nil
-		}
-		f.mu.Lock()
-		f.persistErr = fmt.Errorf("replica: local store reseed: %w", err)
-		f.mu.Unlock()
+// received as a durable checkpoint; a store failure leaves the market
+// purely in memory, with the sticky persistErr recording why local
+// durability is gone.
+func (f *Follower) reseed(canonical []byte, seq int64) (*journal.Replayer, error) {
+	r, err := journal.NewReplayer(canonical)
+	if err != nil {
+		return nil, err
 	}
-	return market.RestoreCanonical(canonical)
+	if f.rs != nil && f.persistErr == nil {
+		if err := f.rs.Reset(canonical, seq, r); err != nil {
+			f.mu.Lock()
+			f.persistErr = fmt.Errorf("replica: local store reseed: %w", err)
+			f.mu.Unlock()
+		}
+	}
+	return r, nil
 }
 
 // persist appends one applied record to the local store, if one is
 // attached and still healthy. Failures are sticky but non-fatal: the
 // follower keeps serving from memory.
 func (f *Follower) persist(fr wire.RepFrame) {
-	f.mu.Lock()
-	rs := f.rs
-	broken := f.persistErr != nil
-	f.mu.Unlock()
-	if rs == nil || broken {
+	if f.rs == nil || f.persistErr != nil {
 		return
 	}
-	if err := rs.Append(fr.Seq, fr.Payload); err != nil {
+	if err := f.rs.Append(fr.Seq, fr.Payload); err != nil {
 		f.mu.Lock()
-		if f.persistErr == nil {
-			f.persistErr = fmt.Errorf("replica: local store append seq %d: %w", fr.Seq, err)
-		}
+		f.persistErr = fmt.Errorf("replica: local store append seq %d: %w", fr.Seq, err)
 		f.mu.Unlock()
 	}
 }
 
-// applyRecord applies one replicated command. An apply failure is
+// applyRecord applies one replicated record's bytes as recovery applies
+// them (journal.Replayer). A body that does not decode changes nothing
+// and ends the stream, as a malformed frame does; any other refusal is
 // divergence — sticky and fatal, surfaced through Ready.
 func (f *Follower) applyRecord(fr wire.RepFrame) error {
 	// The stall canary: freeze here (applied stops advancing, lag
@@ -306,7 +290,7 @@ func (f *Follower) applyRecord(fr wire.RepFrame) error {
 	}
 
 	f.mu.Lock()
-	m := f.m
+	r := f.r
 	drop := f.dropSeq == fr.Seq
 	if drop {
 		f.dropSeq = 0
@@ -314,9 +298,12 @@ func (f *Follower) applyRecord(fr wire.RepFrame) error {
 	f.mu.Unlock()
 
 	if !drop {
-		if _, err := m.Apply(fr.Cmd); err != nil {
+		if evs, err := r.ApplyRecord(fr.Seq, fr.Payload); err != nil {
+			if len(evs) == 0 && (errors.Is(err, command.ErrMalformed) || errors.Is(err, command.ErrUnknownOp)) {
+				return fmt.Errorf("%w: %v", wire.ErrReplicaPayload, err)
+			}
 			f.mu.Lock()
-			f.diverged = fmt.Errorf("%w: seq %d (%s): %v", errDiverged, fr.Seq, fr.Cmd.Op(), err)
+			f.diverged = fmt.Errorf("%w: seq %d (opcode %d): %v", errDiverged, fr.Seq, fr.Payload[0], err)
 			err = f.diverged
 			f.mu.Unlock()
 			return err
@@ -328,11 +315,7 @@ func (f *Follower) applyRecord(fr wire.RepFrame) error {
 	f.persist(fr)
 
 	f.mu.Lock()
-	f.applied = fr.Seq
-	if fr.Seq > f.leader {
-		f.leader = fr.Seq
-	}
-	f.lastAdvance = time.Now()
+	f.applied, f.leader, f.lastAdvance = fr.Seq, max(f.leader, fr.Seq), time.Now()
 	f.mu.Unlock()
 	return nil
 }
@@ -343,9 +326,7 @@ func (f *Follower) applyRecord(fr wire.RepFrame) error {
 func (f *Follower) observeLeader(seq int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if seq > f.leader {
-		f.leader = seq
-	}
+	f.leader = max(f.leader, seq)
 	if f.applied >= f.leader {
 		f.lastAdvance = time.Now()
 	}
@@ -356,7 +337,10 @@ func (f *Follower) observeLeader(seq int64) {
 func (f *Follower) Market() *market.Market {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.m
+	if f.r == nil {
+		return nil
+	}
+	return f.r.Market
 }
 
 // Applied returns the newest journal sequence number the follower has
@@ -389,7 +373,7 @@ func (f *Follower) Staleness() (applied, leader int64, lagSeconds float64, conne
 func (f *Follower) Ready() error {
 	f.mu.Lock()
 	diverged, lastErr := f.diverged, f.lastErr
-	hasState := f.m != nil
+	hasState := f.r != nil
 	f.mu.Unlock()
 	if diverged != nil {
 		return diverged
@@ -420,14 +404,6 @@ func (f *Follower) PersistErr() error {
 		return f.rs.Err()
 	}
 	return nil
-}
-
-// LocalStore returns the follower's local segmented store (nil when
-// Config.Dir was empty), for inventory reporting.
-func (f *Follower) LocalStore() *journal.ReplicaStore {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.rs
 }
 
 // Kill drops the follower's current connection, simulating a leader
@@ -505,42 +481,22 @@ func (f *Follower) TestResume() {
 // gauges: applied/leader seq, lag in records and seconds, and stream
 // connectedness.
 func (f *Follower) register(r *obs.Registry) {
-	r.Collect("shield_replica_applied_seq",
-		"Newest journal sequence number this replica has applied.",
-		obs.KindGauge, func(emit func(float64, ...string)) {
-			applied, _, _, _ := f.Staleness()
-			emit(float64(applied))
-		})
-	r.Collect("shield_replica_leader_seq",
-		"Newest leader sequence number this replica has observed.",
-		obs.KindGauge, func(emit func(float64, ...string)) {
-			_, leader, _, _ := f.Staleness()
-			emit(float64(leader))
-		})
-	r.Collect("shield_replica_lag_records",
-		"Records the replica is behind the leader (observed leader seq minus applied seq).",
-		obs.KindGauge, func(emit func(float64, ...string)) {
-			applied, leader, _, _ := f.Staleness()
-			lag := leader - applied
-			if lag < 0 {
-				lag = 0
-			}
-			emit(float64(lag))
-		})
-	r.Collect("shield_replica_lag_seconds",
-		"Replication staleness: 0 while connected and current, else time since the replica last advanced.",
-		obs.KindGauge, func(emit func(float64, ...string)) {
-			_, _, lag, _ := f.Staleness()
-			emit(lag)
-		})
-	r.Collect("shield_replica_connected",
-		"Whether a replication stream to the leader is established (1) or down (0).",
-		obs.KindGauge, func(emit func(float64, ...string)) {
-			_, _, _, connected := f.Staleness()
+	gauge := func(name, help string, value func(applied, leader int64, lag float64, connected bool) float64) {
+		r.Collect(name, help, obs.KindGauge, func(emit func(float64, ...string)) { emit(value(f.Staleness())) })
+	}
+	gauge("shield_replica_applied_seq", "Newest journal sequence number this replica has applied.",
+		func(applied, _ int64, _ float64, _ bool) float64 { return float64(applied) })
+	gauge("shield_replica_leader_seq", "Newest leader sequence number this replica has observed.",
+		func(_, leader int64, _ float64, _ bool) float64 { return float64(leader) })
+	gauge("shield_replica_lag_records", "Records the replica is behind the leader (observed leader seq minus applied seq).",
+		func(applied, leader int64, _ float64, _ bool) float64 { return float64(max(leader-applied, 0)) })
+	gauge("shield_replica_lag_seconds", "Replication staleness: 0 while connected and current, else time since the replica last advanced.",
+		func(_, _ int64, lag float64, _ bool) float64 { return lag })
+	gauge("shield_replica_connected", "Whether a replication stream to the leader is established (1) or down (0).",
+		func(_, _ int64, _ float64, connected bool) float64 {
 			if connected {
-				emit(1)
-			} else {
-				emit(0)
+				return 1
 			}
+			return 0
 		})
 }

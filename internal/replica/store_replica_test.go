@@ -256,7 +256,7 @@ func TestOnePayloadFromStageToFollower(t *testing.T) {
 	if !sawTrace {
 		t.Fatal("the traced bid's record does not carry its request ID")
 	}
-	follower := segmentPayloads(f.LocalStore().Store())
+	follower := segmentPayloads(f.rs.Store())
 	for seq := first; seq <= last; seq++ {
 		rec := <-sub.Records
 		fr, err := wire.DecodeReplicationFrame(rec.Payload, seq-1)

@@ -262,12 +262,15 @@ func (b *bitrot) readers(flip int, dir string, tg *rotTarget) *Failure {
 			return jm.Market, jm.LastSeq(), nil
 		}},
 		{"OpenReplicaStore", false, func(dir string) (*market.Market, int64, error) {
-			rs, m, seq, err := journal.OpenReplicaStore(dir, ro)
+			rs, r, seq, err := journal.OpenReplicaStore(dir, ro)
 			if err != nil {
 				return nil, 0, err
 			}
 			defer rs.Close()
-			return m, seq, nil
+			if r == nil {
+				return nil, seq, nil
+			}
+			return r.Market, seq, nil
 		}},
 	} {
 		own := filepath.Join(filepath.Dir(dir), "copy-"+rd.name)

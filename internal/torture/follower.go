@@ -30,11 +30,12 @@ type followerTwin struct {
 	kills int
 }
 
-// newFollowerTwin attaches a replication feed to the lead replica and
-// boots the follower. Must run before the first op so the feed's
-// commit hook never misses a record.
-func newFollowerTwin(cfg Config, leader *journal.Market) (*followerTwin, error) {
-	feed, err := replication.NewFeed(leader, 0)
+// newFollowerTwin attaches a replication feed with a ring of ringMax
+// records (0 for the default) to the lead replica and boots the
+// follower. Must run before the first op so the feed's commit hook
+// never misses a record.
+func newFollowerTwin(cfg Config, leader *journal.Market, ringMax int) (*followerTwin, error) {
+	feed, err := replication.NewFeed(leader, ringMax)
 	if err != nil {
 		return nil, err
 	}

@@ -421,7 +421,7 @@ func Run(cfg Config) (*Report, error) {
 	// the first op so no commit slips past it. Kill points are seeded,
 	// spread over the middle half of the run, and consumed in the op
 	// loop — reports stay deterministic per (seed, ops).
-	h.twin, err = newFollowerTwin(cfg, h.replicas[0].jm)
+	h.twin, err = newFollowerTwin(cfg, h.replicas[0].jm, 0)
 	if err != nil {
 		return nil, fmt.Errorf("torture: follower twin: %w", err)
 	}

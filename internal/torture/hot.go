@@ -40,8 +40,11 @@ type HotConfig struct {
 
 	// canaryUnordered reintroduces the unlock-before-append window
 	// (journal.Market.TestUnorderedCommit); the journal-replay check
-	// must trip. In-package test hook.
+	// must trip. canarySeam makes the feed lose the first record after
+	// the joiner's disk tail (replica.Feed.TestDropSeam); the
+	// join-mid-storm check must trip. In-package test hooks.
 	canaryUnordered bool
+	canarySeam      bool
 }
 
 const (
@@ -56,6 +59,7 @@ const (
 	hotBatchShare    = 0.03 // of ops, a three-bid SubmitBids batch
 	hotRecentBuyers  = 24   // bids come from a goroutine's newest buyers
 	hotCheckpoints   = 8    // quiescent checkpoints per storm
+	hotJoinRound     = 1    // the round a follower joins in (join.go)
 )
 
 // hotWorker is one goroutine's persistent state across rounds.
@@ -87,13 +91,18 @@ func RunHot(cfg HotConfig) (*Report, error) {
 		return nil, fmt.Errorf("torture: hot leader: %w", err)
 	}
 	defer jm.Close()
-	twin, err := newFollowerTwin(Config{}, jm)
+	twin, err := newFollowerTwin(Config{}, jm, hotRing)
 	if err != nil {
 		return nil, fmt.Errorf("torture: hot follower twin: %w", err)
 	}
 	defer twin.close()
+	join := newJoiner(twin.feed)
+	defer join.close()
+	if cfg.canarySeam {
+		twin.feed.TestDropSeam()
+	}
 
-	h := &hotStorm{cfg: cfg, jm: jm, dir: dir, twin: twin}
+	h := &hotStorm{cfg: cfg, jm: jm, dir: dir, twin: twin, join: join}
 	if err := h.seed(); err != nil {
 		return nil, err
 	}
@@ -112,8 +121,15 @@ func RunHot(cfg HotConfig) (*Report, error) {
 	}
 
 	rep := &Report{Seed: cfg.Seed, Ops: cfg.Ops}
-	for issued := 0; issued < cfg.Ops; {
+	for r, issued := 0, 0; issued < cfg.Ops; r++ {
 		round := min(max(cfg.Ops/hotCheckpoints, 512), cfg.Ops-issued)
+		if r == hotJoinRound {
+			// The joiner's snapshot is a checkpoint taken here; it
+			// subscribes once the ring has moved past it, mid-storm.
+			if err := join.start(jm); err != nil {
+				return nil, h.fail(issued, "join-mid-storm: checkpoint: %v", err)
+			}
+		}
 		errs := make([]error, len(workers))
 		var wg sync.WaitGroup
 		for g, w := range workers {
@@ -142,6 +158,17 @@ func RunHot(cfg HotConfig) (*Report, error) {
 			cfg.Logf("op %d/%d: seq=%d period=%d revenue=%s", issued, cfg.Ops, jm.LastSeq(), jm.Period(), jm.Revenue())
 		}
 	}
+	// The joiner may have joined after the last checkpoint looked.
+	if join.f.Load() == nil {
+		return nil, h.fail(cfg.Ops, "join-mid-storm: the storm ended before the joiner joined, %d records after round %d's checkpoint (raise -ops)",
+			2*hotRing, hotJoinRound)
+	}
+	if reason := join.check(jm, 10*time.Second); reason != "" {
+		return nil, h.fail(cfg.Ops, "%s", reason)
+	}
+	if err := join.close(); err != nil {
+		return nil, h.fail(cfg.Ops, "join-mid-storm: starting the joiner: %v", err)
+	}
 	for _, w := range workers {
 		rep.Rejections += w.reject
 	}
@@ -155,6 +182,7 @@ type hotStorm struct {
 	jm   *journal.Market
 	dir  string
 	twin *followerTwin
+	join *joiner
 }
 
 func (h *hotStorm) fail(opIdx int, format string, args ...any) *Failure {
@@ -245,7 +273,8 @@ func isRejection(err error) bool {
 // checkpoint runs with every goroutine parked. In order: the books
 // balance; replaying the whole journal (checkpoints deleted) rebuilds
 // the leader; recovering the store (newest checkpoint plus tail)
-// rebuilds the leader; the follower twin has converged on the leader.
+// rebuilds the leader; the follower twin, and the joiner once it has
+// joined, have converged on the leader.
 func (h *hotStorm) checkpoint(opIdx int) *Failure {
 	revenue, spent, balances := h.jm.Totals()
 	var txSum market.Money
@@ -280,6 +309,9 @@ func (h *hotStorm) checkpoint(opIdx int) *Failure {
 		}
 	}
 	if reason := h.twin.check(h.jm, 10*time.Second); reason != "" {
+		return h.fail(opIdx, "%s", reason)
+	}
+	if reason := h.join.check(h.jm, 10*time.Second); reason != "" {
 		return h.fail(opIdx, "%s", reason)
 	}
 	return nil

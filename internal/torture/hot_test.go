@@ -41,3 +41,20 @@ func TestHotStormUnorderedCanary(t *testing.T) {
 		t.Fatalf("failure lacks the hot repro line:\n%s", f.Error())
 	}
 }
+
+// TestHotStormSeamCanary makes the feed lose the first record after the
+// joiner's disk tail (replica.Feed.TestDropSeam) and requires the storm
+// to catch it as a broken join, by name, with the hot repro line.
+func TestHotStormSeamCanary(t *testing.T) {
+	_, err := RunHot(HotConfig{Seed: 11, Ops: 6000, Dir: t.TempDir(), canarySeam: true})
+	var f *Failure
+	if !errors.As(err, &f) {
+		t.Fatalf("a feed that loses a record at the seam passed the storm (err = %v)", err)
+	}
+	if !strings.Contains(f.Reason, "join-mid-storm: the joiner's catch-up broke at the disk-tail/ring seam") {
+		t.Fatalf("canary tripped the wrong check: %s", f.Reason)
+	}
+	if !strings.Contains(f.Error(), "repro: shieldstorm -hot -seed 11 -ops 6000") {
+		t.Fatalf("failure lacks the hot repro line:\n%s", f.Error())
+	}
+}

@@ -54,7 +54,6 @@ import (
 
 	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/binenc"
-	"github.com/datamarket/shield/internal/command"
 )
 
 // Replication stream frame types.
@@ -71,7 +70,8 @@ const DefaultHeartbeat = 250 * time.Millisecond
 // DecodeReplicationFrame wraps exactly one of these.
 var (
 	// ErrReplicaPayload reports a malformed replication frame: unknown
-	// frame type, truncated header, or an undecodable command body.
+	// frame type or truncated header — or, from the follower, a record
+	// body that does not decode.
 	ErrReplicaPayload = errors.New("wire: malformed replication frame")
 	// ErrReplicaSeq reports a sequencing violation: a record whose seq
 	// is not exactly the follower's last applied seq + 1 (duplicates and
@@ -90,15 +90,15 @@ type RepRecord struct {
 }
 
 // RepFrame is one decoded replication stream frame. For records, Seq
-// is the record's journal sequence number, Cmd its command and Payload
-// the command's command.EncodeBinary bytes as received (they alias the
-// frame buffer: a ReplicationStream reuses it on the next call to
-// Next); for heartbeats, Seq is the leader's current sequence number
-// and Cmd and Payload are nil.
+// is the record's journal sequence number and Payload the command's
+// command.EncodeBinary bytes as received, undecoded — the follower
+// applies them as recovery applies a record's (they alias the frame
+// buffer: a ReplicationStream reuses it on the next call to Next); for
+// heartbeats, Seq is the leader's current sequence number and Payload
+// is nil.
 type RepFrame struct {
 	Heartbeat bool
 	Seq       int64
-	Cmd       command.Command
 	Payload   []byte
 }
 
@@ -170,7 +170,8 @@ func AppendHeartbeatFrame(b []byte, leaderSeq int64) []byte {
 // DecodeReplicationFrame decodes one replication stream frame payload
 // against the follower's last applied sequence number. It never
 // panics, and every rejection wraps one of the closed error set:
-// ErrReplicaPayload for malformed bytes, ErrReplicaSeq for records
+// ErrReplicaPayload for a malformed frame head (a record's body is the
+// follower's to decode, as it applies it), ErrReplicaSeq for records
 // that are not exactly lastSeq+1 (out-of-order, duplicate, or gapped)
 // and for heartbeats placing the leader behind the follower.
 func DecodeReplicationFrame(payload []byte, lastSeq int64) (RepFrame, error) {
@@ -193,14 +194,10 @@ func DecodeReplicationFrame(payload []byte, lastSeq int64) (RepFrame, error) {
 		}
 		return RepFrame{Heartbeat: true, Seq: h.seq}, nil
 	}
-	cmd, err := command.DecodeBinary(c.B)
-	if err != nil {
-		return RepFrame{}, fmt.Errorf("%w: record %d: %v", ErrReplicaPayload, h.seq, err)
-	}
 	if h.seq != lastSeq+1 {
 		return RepFrame{}, fmt.Errorf("%w: got record seq %d, want %d", ErrReplicaSeq, h.seq, lastSeq+1)
 	}
-	return RepFrame{Seq: h.seq, Cmd: cmd, Payload: c.B}, nil
+	return RepFrame{Seq: h.seq, Payload: c.B}, nil
 }
 
 // WithReplication enables the kindReplicate request on this server,
@@ -298,31 +295,22 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Wri
 	for {
 		select {
 		case rec, ok := <-sub.Records:
-			if !ok {
-				return errors.New("wire: replication subscriber fell behind and was dropped")
-			}
-			if err := writeFrame(bw, rec.Payload, MaxFrame); err != nil {
-				return err
-			}
-			// Drain the already-queued burst before paying for a flush.
-			for n := len(sub.Records); n > 0; n-- {
-				rec, ok = <-sub.Records
+			// Write the already-queued burst too before paying for a flush.
+			for n := len(sub.Records); ; n-- {
 				if !ok {
 					return errors.New("wire: replication subscriber fell behind and was dropped")
 				}
 				if err := writeFrame(bw, rec.Payload, MaxFrame); err != nil {
 					return err
 				}
-			}
-			if err := bw.Flush(); err != nil {
-				return err
+				if n == 0 {
+					break
+				}
+				rec, ok = <-sub.Records
 			}
 		case <-ticker.C:
 			scratch = AppendHeartbeatFrame(scratch[:0], s.repl.LeaderSeq())
 			if err := writeFrame(bw, scratch, MaxFrame); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
 				return err
 			}
 		case err := <-peer:
@@ -333,6 +321,9 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Wri
 				return err
 			}
 			return errors.New("wire: unexpected frame from replication subscriber")
+		}
+		if err := bw.Flush(); err != nil {
+			return err
 		}
 	}
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Checks every committed benchmark ledger (a BENCH_*.json at the root of
-# the repo with a "metrics" object — what scripts/benchpairs.sh writes):
+# the repo with a "metrics" object — what scripts/benchpairs.sh writes),
+# and that every claim EXPERIMENTS.md makes is held by one:
 #
 #   scripts/ledgercheck.sh
 #   make ledger-check
@@ -9,8 +10,21 @@
 # kernel, journal_fs, fsync), parent, change, workload and seed, at least
 # 10 pairs, and, for each end-to-end metric of BENCHMARK.json, a verdict
 # from the set benchpairs.sh prints. A "worse than bound" verdict fails it.
-# Every failure names the file and the field; the exit status is 1 if any
-# ledger fails.
+#
+# Every EXPERIMENTS.md entry from X34 on carries exactly one claim line,
+#
+#   claim: none [why]
+#   claim: <workload> <metric> BENCH_<pr>.json @<code-commit>
+#
+# where <code-commit> is the last commit of the claiming change that
+# edits Go. A claim holds only if the ledger is a committed pairs ledger
+# of <workload> whose verdict for <metric> is "gain", and whose change
+# revision has the Go files of <code-commit> (git diff --quiet <change>
+# <code-commit> -- '*.go'): a ledger measured before a later code edit,
+# or on uncommitted code, cannot hold it.
+#
+# Every failure names the file, or the entry, and the field; the exit
+# status is 1 if any ledger or claim fails.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -95,4 +109,40 @@ for f in $(git ls-files -co --exclude-standard -- 'BENCH_*.json'); do
 	fi
 	[ "$ok" -eq 1 ] || status=1
 done
+
+# claims: one "<entry><TAB><claim text>" line per claim line of an entry
+# from X34 on, and "<entry><TAB>!<n>" for one with n != 1 claim lines.
+claims=$(awk '
+	/^## / { id = ($2 ~ /^X[0-9]+$/ && substr($2, 2) + 0 >= 34) ? $2 : ""; if (id != "") n[id] = 0; next }
+	id != "" && /^claim: / { print id "\t" substr($0, 8); n[id]++ }
+	END { for (id in n) if (n[id] != 1) print id "\t!" n[id] }' EXPERIMENTS.md)
+while IFS=$'\t' read -r entry claim; do
+	f="EXPERIMENTS.md $entry"
+	ok=1
+	read -r workload metric ledger commit rest <<<"$claim"
+	if [[ $claim == !* ]]; then
+		bad "${claim#!} claim lines, want 1"
+	elif [ "$workload" = none ]; then
+		: # claims nothing
+	elif [ -z "$commit" ] || [ -n "$rest" ] || [[ $commit != @* ]]; then
+		bad "claim \"$claim\" is not <workload> <metric> BENCH_<pr>.json @<code-commit>"
+	elif ! git ls-files --error-unmatch -- "$ledger" >/dev/null 2>&1 || ! flat=$(flatten "$ledger"); then
+		bad "claim names $ledger, which is not a committed ledger"
+	else
+		commit=${commit#@} change=$(field change)
+		if [ "$(field workload)" != "$workload" ]; then
+			bad "claim names $ledger, a ledger of $(field workload), not $workload"
+		elif [ "$(field "metrics.$metric.verdict")" != gain ]; then
+			bad "claim names $ledger, whose $metric verdict is \"$(field "metrics.$metric.verdict")\", not \"gain\""
+		elif ! git rev-parse -q --verify "$commit^{commit}" >/dev/null; then
+			bad "claim names code commit $commit, which is not a commit"
+		elif ! git rev-parse -q --verify "$change^{commit}" >/dev/null; then
+			bad "$ledger measured $change, not a commit: the code it ran is not the code that shipped"
+		elif ! git diff --quiet "$change" "$commit" -- '*.go'; then
+			bad "$ledger measured $change, whose Go differs from the code commit $commit: a later edit is unmeasured"
+		fi
+	fi
+	[ "$ok" -eq 0 ] || echo "ledger-check: $f ok"
+	[ "$ok" -eq 1 ] || status=1
+done <<<"$claims"
 exit "$status"
