@@ -331,7 +331,7 @@ func (st *State) applyBid(c SubmitBid, acct *buyerAccount, idx uint32, indexed b
 	acct.spent += price
 	st.revenue += price
 	ev.Paid = st.paySellers(dataset, leaves, price)
-	st.txs = append(st.txs, txRec{price, clock, acct.index, idx})
+	st.appendSale(txRec{price, acct.index, idx}, clock)
 	ev.Decision = Decision{Allocated: true, PricePaid: price}
 	return ev, nil
 }

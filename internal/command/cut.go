@@ -117,8 +117,7 @@ func (c *Cut) WriteCanonical(w io.Writer) error {
 		sc.buyer(&bs, bc)
 	})
 	sc.Len(c.txs.Len(), 5)
-	for i := range c.txs.Len() {
-		tx := c.txs.At(i)
+	for tx := range c.txs.All() {
 		sc.transaction(&tx)
 	}
 	sc.flush(0)

@@ -439,6 +439,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	bs.BlockedUntil["only-blocked"] = 9
 	s.Buyers[first] = bs
 	f.Add(mustCanonical(f, s))
+	f.Add(mustCanonical(f, unorderedPeriods(s)))
 	// A log numbered 1, 3, …: it decodes, and RestoreState must refuse it,
 	// for the state numbers a sale by its position.
 	s.Transactions = slices.Clone(s.Transactions)
@@ -469,4 +470,48 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// unorderedPeriods returns s with its sales' periods going down as well
+// as up, one period repeated apart and others repeated in a row: no Apply
+// logs them so, but a snapshot may hold them.
+func unorderedPeriods(s command.Snapshot) command.Snapshot {
+	s.Transactions = slices.Clone(s.Transactions)
+	for i := range s.Transactions {
+		s.Transactions[i].Period = [...]int{4, 2, 2, 9, 2, 0, 0, 7}[i%8]
+	}
+	return s
+}
+
+// TestSalePeriodsInAnyOrderRoundTrip: the state's run table keeps a log
+// whose periods come in any order sale for sale. RestoreState → Cut →
+// WriteCanonical gives back the bytes restored, the tree agrees, and the
+// log spells every sale's period, read at random or walked.
+func TestSalePeriodsInAnyOrderRoundTrip(t *testing.T) {
+	snaps := tortureSnapshots(t, 1, 600, 600)
+	s := unorderedPeriods(snaps[len(snaps)-1])
+	if len(s.Transactions) < 16 {
+		t.Fatalf("the history made %d sales: too few to cover the periods twice", len(s.Transactions))
+	}
+	want := mustCanonical(t, s)
+	st, err := command.RestoreState(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut bytes.Buffer
+	if err := st.Cut().WriteCanonical(&cut); err != nil || !bytes.Equal(cut.Bytes(), want) {
+		t.Fatalf("restored and cut: WriteCanonical wrote %d bytes (%v) that differ from the %d restored", cut.Len(), err, len(want))
+	}
+	if again := st.Snapshot(); !bytes.Equal(mustCanonical(t, again), want) {
+		t.Fatalf("restored and re-snapshotted: %s", s.Diff(again))
+	}
+	log := st.TxLog(st.TxCount())
+	for i, tx := range s.Transactions {
+		if got := log.At(i); got != tx {
+			t.Fatalf("At(%d) = %+v, want %+v", i, got, tx)
+		}
+	}
+	if got := log.Append(nil); !slices.Equal(got, s.Transactions) {
+		t.Fatalf("Append spells %d sales that differ from the %d restored", len(got), len(s.Transactions))
+	}
 }

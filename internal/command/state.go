@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"slices"
 
 	"github.com/datamarket/shield/internal/core"
@@ -97,11 +98,12 @@ type State struct {
 	buyers  map[BuyerID]*buyerAccount
 	sellers map[SellerID]*sellerAccount
 
-	// buyerIDs is the buyers' back-table, by buyerAccount.index, and txs
-	// the sales log, one txRec per sale: both append-only, and no element
-	// is ever rewritten, so TxLog hands out views of them, not copies.
+	// buyerIDs is the buyers' back-table, by buyerAccount.index, txs the
+	// sales log, one txRec per sale, and runs a txRun per change of period
+	// along it: append-only, never rewritten, so TxLog hands out views.
 	buyerIDs []BuyerID
 	txs      []txRec
+	runs     []txRun
 	revenue  Money
 
 	// spare is the rest of the chunk of 64 registrations take accounts
@@ -296,53 +298,88 @@ func (st *State) SellerDatasets(id SellerID) ([]DatasetID, error) {
 // TxCount returns the number of recorded transactions.
 func (st *State) TxCount() int { return len(st.txs) }
 
-// txRec is one sale as the log keeps it: 24 bytes and no pointer. Its
-// Seq is its position + 1; its names are in the state's back-tables.
+// txRec is one sale as the log keeps it: 16 bytes and no pointer. Its Seq
+// is its position + 1, its names are in the back-tables, its period in a run.
 type txRec struct {
 	price   Money
-	period  int
 	buyer   uint32 // in State.buyerIDs
 	dataset uint32 // in State.names
 }
 
+// txRun starts the sales from first to the next run's, all made in
+// period: runs follow the log, so periods may come in any order.
+type txRun struct{ first, period int }
+
+func byFirst(r txRun, i int) int { return cmp.Compare(r.first, i) }
+
+// appendSale logs a sale, starting a run unless the last sale's period is its.
+func (st *State) appendSale(rec txRec, period int) {
+	if n := len(st.runs); n == 0 || st.runs[n-1].period != period {
+		st.runs = append(st.runs, txRun{len(st.txs), period})
+	}
+	st.txs = append(st.txs, rec)
+}
+
 // TxLog is a read-only view of the first sales of a state's log, which
 // stays valid and unchanged while Apply goes on appending: it holds
-// prefixes of the add-only log and back-tables, to their arrays' full
-// capacity, and spells a sale as a Transaction only when it is read.
+// prefixes of the add-only log, runs and back-tables, to their arrays'
+// full capacity, and spells a sale as a Transaction only when read.
 type TxLog struct {
 	recs   []txRec
+	runs   []txRun
 	buyers []BuyerID
 	names  []DatasetID
 }
 
-// TxLog returns the view of the first n transactions.
-func (st *State) TxLog(n int) TxLog { return TxLog{st.txs[:n], st.buyerIDs, st.names} }
+// TxLog returns the view of the first n transactions and their runs.
+func (st *State) TxLog(n int) TxLog {
+	r, _ := slices.BinarySearchFunc(st.runs, n, byFirst)
+	return TxLog{st.txs[:n], st.runs[:r], st.buyerIDs, st.names}
+}
 
-// Holds reports whether l's arrays still back every sale and name of
-// later, a later view of the same state: only an append past cap moves one.
+// Holds reports whether l's arrays still back all of later, a later view
+// of the same state: only an append past cap moves one.
 func (l TxLog) Holds(later TxLog) bool {
-	return cap(l.recs) >= len(later.recs) && cap(l.buyers) >= len(later.buyers) && cap(l.names) >= len(later.names)
+	return cap(l.recs) >= len(later.recs) && cap(l.runs) >= len(later.runs) && cap(l.buyers) >= len(later.buyers) && cap(l.names) >= len(later.names)
 }
 
-// Prefix returns the view of the first n sales written into l's arrays,
-// which must still hold them (Holds), names included.
-func (l TxLog) Prefix(n int) TxLog {
-	return TxLog{l.recs[:n:n], l.buyers[:cap(l.buyers)], l.names[:cap(l.names)]}
+// Prefix returns the view of the first n sales and r runs written into
+// l's arrays, which must still hold them (Holds), names included.
+func (l TxLog) Prefix(n, r int) TxLog {
+	return TxLog{l.recs[:n:n], l.runs[:r:r], l.buyers[:cap(l.buyers)], l.names[:cap(l.names)]}
 }
 
-// Len returns the number of sales in the view.
-func (l TxLog) Len() int { return len(l.recs) }
+// Len and Runs count the view's sales and the runs that hold them.
+func (l TxLog) Len() int  { return len(l.recs) }
+func (l TxLog) Runs() int { return len(l.runs) }
 
-// At returns the i-th sale, Seq i+1.
+// At returns the i-th sale, Seq i+1, whose run it finds by binary search.
 func (l TxLog) At(i int) Transaction {
+	k, _ := slices.BinarySearchFunc(l.runs, i+1, byFirst) // the first run after i's
 	r := l.recs[i]
-	return Transaction{Seq: i + 1, Buyer: l.buyers[r.buyer], Dataset: l.names[r.dataset], Price: r.price, Period: r.period}
+	return Transaction{Seq: i + 1, Buyer: l.buyers[r.buyer], Dataset: l.names[r.dataset], Price: r.price, Period: l.runs[k-1].period}
+}
+
+// All yields the view's sales in Seq order, walking runs and sales together.
+func (l TxLog) All() iter.Seq[Transaction] {
+	return func(yield func(Transaction) bool) {
+		k := 0
+		for i := range l.recs {
+			if k+1 < len(l.runs) && l.runs[k+1].first == i {
+				k++
+			}
+			r := l.recs[i]
+			if !yield(Transaction{Seq: i + 1, Buyer: l.buyers[r.buyer], Dataset: l.names[r.dataset], Price: r.price, Period: l.runs[k].period}) {
+				return
+			}
+		}
+	}
 }
 
 // Append appends every sale in the view to dst, in Seq order.
 func (l TxLog) Append(dst []Transaction) []Transaction {
-	for i := range l.recs {
-		dst = append(dst, l.At(i))
+	for tx := range l.All() {
+		dst = append(dst, tx)
 	}
 	return dst
 }
@@ -424,7 +461,7 @@ func RestoreState(s Snapshot) (*State, error) {
 		owners:  make(map[DatasetID]SellerID, len(s.Owners)),
 		buyers:  make(map[BuyerID]*buyerAccount, len(s.Buyers)),
 		sellers: make(map[SellerID]*sellerAccount, len(s.Sellers)),
-		txs:     make([]txRec, len(s.Transactions)),
+		txs:     make([]txRec, 0, len(s.Transactions)),
 		revenue: s.Revenue,
 	}
 	for id, es := range s.Engines {
@@ -485,7 +522,7 @@ func RestoreState(s Snapshot) (*State, error) {
 		if !ok {
 			return nil, fmt.Errorf("market: snapshot transaction %d references unknown buyer %s", i, tx.Buyer)
 		}
-		st.txs[i] = txRec{tx.Price, tx.Period, acct.index, st.intern(tx.Dataset)}
+		st.appendSale(txRec{tx.Price, acct.index, st.intern(tx.Dataset)}, tx.Period)
 	}
 	return st, nil
 }

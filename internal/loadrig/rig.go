@@ -53,11 +53,6 @@ type RigConfig struct {
 	Followers int
 }
 
-// wireBufferSize is the per-connection buffer of the rig's wire server
-// and of its followers: 4 KiB, so a thousand connections do not cost
-// 128 MiB of idle buffers.
-const wireBufferSize = 4 << 10
-
 // Rig is a marketd-equivalent server running entirely in-process: one
 // journaled, group-commit market behind both transports — an HTTP API
 // listener and a wire-protocol listener on 127.0.0.1 — sharing one
@@ -182,7 +177,7 @@ func StartRig(rc RigConfig) (*Rig, error) {
 	r.httpSrv = &http.Server{Handler: api.Routes()}
 	go func() { _ = r.httpSrv.Serve(httpLn) }()
 
-	ws := wire.NewServer(jm).WithTelemetry(r.Tel).WithBufferSize(wireBufferSize)
+	ws := wire.NewServer(jm).WithTelemetry(r.Tel)
 	if rc.Followers > 0 {
 		// The feed must attach before the listener serves: commits made
 		// while no hook is installed never reach its ring.
@@ -218,7 +213,6 @@ func (r *Rig) startFollowers(rc RigConfig) error {
 			Name:       fmt.Sprintf("follower-%d", i),
 			BackoffMin: 5 * time.Millisecond,
 			BackoffMax: 250 * time.Millisecond,
-			BufSize:    wireBufferSize,
 			Telemetry:  ftel,
 		})
 		if err != nil {

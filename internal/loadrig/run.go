@@ -12,7 +12,6 @@ import (
 	"github.com/datamarket/shield/internal/client"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/rng"
-	"github.com/datamarket/shield/internal/wire"
 )
 
 // Transports a scenario can drive.
@@ -234,8 +233,7 @@ func sampleReplicaLag(rig *Rig) (chan<- struct{}, <-chan lagSample) {
 }
 
 // dialClients opens the scenario's connections, split across transports
-// for TransportBoth. Wire connections use small buffers: at thousands
-// of connections the default 64KiB pairs dominate the rig's footprint.
+// for TransportBoth.
 func dialClients(rig *Rig, sc Scenario) ([]client.Client, error) {
 	httpCount := 0
 	switch sc.Transport {
@@ -273,14 +271,9 @@ func dialClients(rig *Rig, sc Scenario) ([]client.Client, error) {
 			defer func() { <-sem }()
 			if i < httpCount {
 				clients[i], errs[i] = client.Dial(rig.HTTPAddr, client.WithHTTPDoer(doer))
-				return
+			} else {
+				clients[i], errs[i] = client.DialWire(rig.WireAddr)
 			}
-			conn, err := wire.DialSize(rig.WireAddr, 4<<10)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			clients[i] = conn
 		}(i)
 	}
 	wg.Wait()

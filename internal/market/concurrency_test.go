@@ -452,26 +452,30 @@ func TestRegistryGrowsUnderReaders(t *testing.T) {
 // TestSharedLogAndBitsetsUnderReaders is the -race check on the two
 // structures readers share with the writer without a copy: the books
 // cell, whose consistent read is a prefix of the state's own transaction
-// log and name tables, and the buyer cells' ownership bitsets. One
-// writer sells every dataset of a catalogue that grows from 60 to 200
-// names mid-storm to 64 buyers — half of whom skip the first 64
-// datasets, so their first purchase lands past word 0 — and to one buyer
-// registered per dataset mid-storm, so the buyer table grows under the
-// readers, while readers spell every sale of a read through TxLog.At and
-// loop over Transactions, Totals and Owns. Every read of the books adds
-// up (Σ price == revenue == spend == balances, over exactly the sales it
+// log, run table and name tables, and the buyer cells' ownership
+// bitsets. One writer sells every dataset of a catalogue that grows from
+// 60 to 200 names mid-storm to 64 buyers — half of whom skip the first
+// 64 datasets, so their first purchase lands past word 0 — and to one
+// buyer registered per dataset mid-storm, so the buyer table grows under
+// the readers; from the 65th dataset on it ticks before each one, so the
+// sales span 137 periods and the run table grows and moves under the
+// readers too. Readers spell every sale of a read through TxLog.At, spin
+// on the newest sale of a fresh read between those sweeps, and loop over
+// Transactions, Totals and Owns. Every read of the books adds up
+// (Σ price == revenue == spend == balances, over exactly the sales it
 // holds) and stays inside its tables (a reader's panic fails the test by
-// name), every observed log is a prefix of the final one, and no
-// ownership bit, once published, is ever lost to a bitset growing or
-// the index mirror being republished.
+// name), every observed log — At-spelled or copied — is a prefix of the
+// final one, every newest sale a reader spun on has the final log's
+// period, and no ownership bit, once published, is ever lost to a
+// bitset growing or the index mirror being republished.
 //
 // The recovered subtest runs the same storm on a market built by
 // FromState over a state in which every buyer already owns a dataset and
 // waits on two more, four names off the sold catalogue: its cells come
 // out of slabs, so the readers race carved one-word bitsets that grow
 // and carved waits that move when the writer gives each buyer a third
-// wait; every reader also checks that the two earlier waits never
-// change.
+// wait, before the ticks; every reader also checks that the two earlier
+// waits never change, as the clock runs past them.
 func TestSharedLogAndBitsetsUnderReaders(t *testing.T) {
 	t.Run("live", func(t *testing.T) { sharedLogAndBitsetsUnderReaders(t, false) })
 	t.Run("recovered", func(t *testing.T) { sharedLogAndBitsetsUnderReaders(t, true) })
@@ -481,8 +485,8 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 	const buyers, datasets, seeded, readers = 64, 200, 60, 4
 	m := MustNew(benchConfig())
 	bs, ds := populate(t, m, buyers, seeded)
-	var held []DatasetID // owned, waited on, waited on, waited on mid-storm
-	waits := make([][2]int, buyers)
+	var held []DatasetID            // owned, waited on, waited on, waited on mid-storm
+	until := make([][3]int, buyers) // per buyer, the first period it may bid on held[1:] again
 	if recovered {
 		held = []DatasetID{"held-0", "held-1", "held-2", "held-3"}
 		for _, d := range held {
@@ -496,8 +500,9 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 					t.Fatal(err)
 				}
 			}
-			for k := range waits[b] {
-				if waits[b][k], _ = m.WaitRemaining(bs[b], held[k+1]); waits[b][k] == 0 {
+			for k := range 2 {
+				wait, _ := m.WaitRemaining(bs[b], held[k+1])
+				if until[b][k] = m.Period() + wait; wait == 0 {
 					t.Fatalf("%s has no wait on %s: there is no wait to carve", bs[b], held[k+1])
 				}
 			}
@@ -512,6 +517,28 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	longest := make([][]Transaction, readers)
+	newest := make([][]int, readers) // per sale, 1 + the period a reader spun on, 0 if none
+	// spin is what the odd readers do: fresh reads in a tight loop, each
+	// spelling its newest sale — the reads that meet a sale the instant
+	// it is published, with its run.
+	spin := func(r int) {
+		for !done.Load() {
+			b := m.vw.books.load()
+			n := b.txs.Len()
+			if n == 0 {
+				continue
+			}
+			for len(newest[r]) < n {
+				newest[r] = append(newest[r], 0)
+			}
+			p := b.txs.At(n-1).Period + 1
+			if q := newest[r][n-1]; q != 0 && q != p {
+				t.Errorf("reader %d read sale %d in period %d, then in %d", r, n, q-1, p-1)
+				return
+			}
+			newest[r][n-1] = p
+		}
+	}
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -521,19 +548,45 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 					t.Errorf("reader %d: %v", r, p)
 				}
 			}()
+			// keep holds a log to the longest one seen: on their common
+			// prefix they agree, and the longer is kept.
+			keep := func(log []Transaction, how string) bool {
+				short, long := log, longest[r]
+				if len(short) > len(long) {
+					short, long = long, short
+				}
+				if !slices.Equal(short, long[:len(short)]) {
+					t.Errorf("a log of %d sales and one of %d disagree on their common prefix (%s)", len(log), len(longest[r]), how)
+					return false
+				}
+				if len(log) > len(longest[r]) {
+					longest[r] = slices.Clone(log)
+				}
+				return true
+			}
+			if r%2 == 1 {
+				spin(r)
+				return
+			}
+			var spelled []Transaction
 			for step := 0; !done.Load(); step++ {
 				// One read of the cell: its sums are the sums of its own log.
 				b := m.vw.books.load()
 				var sum Money
+				spelled = spelled[:0]
 				for i := range b.txs.Len() {
 					tx := b.txs.At(i)
 					if sum += tx.Price; tx.Seq != i+1 || tx.Buyer == "" || tx.Dataset == "" {
 						t.Errorf("view of %d sales: transaction %d is %+v", b.txs.Len(), i, tx)
 						return
 					}
+					spelled = append(spelled, tx)
 				}
 				if sum != b.revenue || sum != b.spent || sum != b.balances {
 					t.Errorf("view of %d sales: Σ price %v, revenue %v, spend %v, balances %v", b.txs.Len(), sum, b.revenue, b.spent, b.balances)
+					return
+				}
+				if !keep(spelled, "At") {
 					return
 				}
 
@@ -543,15 +596,9 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 					t.Errorf("revenue went back from %v to %v", sum, revenue)
 					return
 				}
-				short, long := txs, longest[r]
-				if len(short) > len(long) {
-					short, long = long, short
-				}
-				if !slices.Equal(short, long[:len(short)]) {
-					t.Errorf("a log of %d sales and one of %d disagree on their common prefix", len(short), len(long))
+				if !keep(txs, "Transactions") {
 					return
 				}
-				longest[r] = long
 
 				// Every sale but the newest is published whole — the books
 				// come first, the winner's bit after — so a stride of them,
@@ -563,11 +610,16 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 					}
 				}
 
-				// The held waits, while the third moves each buyer's waits.
+				// The held waits, while the third moves each buyer's waits
+				// and the clock runs: what remains is what was set, less
+				// the periods gone by around the read.
 				if j := step % buyers; held != nil {
-					for k, want := range waits[j] {
-						if got, err := m.WaitRemaining(bs[j], held[k+1]); err != nil || got != want {
-							t.Errorf("WaitRemaining(%s, %s) = %d, %v; want %d", bs[j], held[k+1], got, err, want)
+					for k := range 2 {
+						before := m.Period()
+						got, err := m.WaitRemaining(bs[j], held[k+1])
+						after := m.Period()
+						if err != nil || got < max(0, until[j][k]-after) || got > max(0, until[j][k]-before) {
+							t.Errorf("WaitRemaining(%s, %s) = %d, %v in periods %d to %d; want the wait until %d", bs[j], held[k+1], got, err, before, after, until[j][k])
 							return
 						}
 					}
@@ -580,9 +632,14 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 	sales := m.TxCount() // the held wins
 	for d := range ds {
 		if held != nil && d < buyers { // a third wait, which moves the buyer's waits
-			if dec, err := m.SubmitBid(bs[d], held[3], 5); err != nil || dec.WaitPeriods == 0 {
+			dec, err := m.SubmitBid(bs[d], held[3], 5)
+			if err != nil || dec.WaitPeriods == 0 {
 				t.Errorf("bid by %s on %s: %+v, %v; want a loss and a wait", bs[d], held[3], dec, err)
 			}
+			until[d][2] = m.Period() + dec.WaitPeriods
+		}
+		if d >= buyers { // a new period: the next sales start a run
+			m.Tick()
 		}
 		if d >= seeded {
 			if err := m.UploadDataset("s", ds[d]); err != nil {
@@ -617,12 +674,25 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 	if len(final) != sales || m.TxCount() != sales {
 		t.Fatalf("%d transactions (TxCount %d) after %d sales", len(final), m.TxCount(), sales)
 	}
+	if periods := final[len(final)-1].Period - final[0].Period + 1; periods != datasets-buyers+1 {
+		t.Fatalf("the sales span %d periods, want %d", periods, datasets-buyers+1)
+	}
+	spun := 0
 	for r, log := range longest {
 		if !slices.Equal(log, final[:len(log)]) {
 			t.Errorf("reader %d's longest log, %d sales, is not a prefix of the final one", r, len(log))
 		}
+		for i, p := range newest[r] {
+			if p != 0 && p-1 != final[i].Period {
+				t.Errorf("reader %d read sale %d, the newest, in period %d; the final log has %d", r, i+1, p-1, final[i].Period)
+			}
+			if p != 0 {
+				spun++
+			}
+		}
 	}
-	t.Logf("readers' longest logs: %d %d %d %d of %d sales", len(longest[0]), len(longest[1]), len(longest[2]), len(longest[3]), sales)
+	t.Logf("readers' longest logs: %d %d %d %d of %d sales; %d newest sales spun on", len(longest[0]), len(longest[1]), len(longest[2]), len(longest[3]), sales, spun)
+	index := *m.vw.index.Load()
 	for b := range bs {
 		for d := range ds {
 			if owns, err := m.Owns(bs[b], ds[d]); err != nil || owns == skips(b, d) {
@@ -635,8 +705,10 @@ func sharedLogAndBitsetsUnderReaders(t *testing.T, recovered bool) {
 		if owns, err := m.Owns(bs[b], held[0]); err != nil || !owns {
 			t.Fatalf("Owns(%s, %s) = %v, %v; want true", bs[b], held[0], owns, err)
 		}
-		if wait, err := m.WaitRemaining(bs[b], held[3]); err != nil || wait == 0 {
-			t.Fatalf("WaitRemaining(%s, %s) = %d, %v; want the mid-storm wait", bs[b], held[3], wait, err)
+		for k, want := range until[b] {
+			if got := m.vw.buyers.get(bs[b]).blockedUntil(index[held[k+1]]); got != want {
+				t.Fatalf("%s may bid on %s again from period %d; want %d", bs[b], held[k+1], got, want)
+			}
 		}
 	}
 }

@@ -192,14 +192,14 @@ func (c *statsCell) load() (ds DatasetStats) {
 }
 
 // booksCell publishes the money books in place, under a seqlock: the
-// three sums, the sale count, and the tables of the state's own log, not
-// a copy — republished only when an append has moved one of their arrays,
-// O(log n) times a run. A read never reaches past the count, behind which
-// the state appends, and no sale or name is ever rewritten.
+// three sums, the sale and run counts, and the tables of the state's own
+// log, not a copy — republished only when an append has moved one of
+// their arrays, O(log n) times a run. A read never reaches past the
+// counts, behind which the state appends, and nothing is ever rewritten.
 type booksCell struct {
-	seq                             seqlock      // odd while a store is in flight
-	revenue, spent, balances, sales atomic.Int64 // three Money sums and the sale count
-	tables                          atomic.Pointer[command.TxLog]
+	seq                                   seqlock      // odd while a store is in flight
+	revenue, spent, balances, sales, runs atomic.Int64 // three Money sums, the sale and run counts
+	tables                                atomic.Pointer[command.TxLog]
 }
 
 // books is one consistent read of the cell: the sums of exactly txs.
@@ -219,17 +219,18 @@ func (c *booksCell) store(b books) {
 	c.spent.Store(int64(b.spent))
 	c.balances.Store(int64(b.balances))
 	c.sales.Store(int64(b.txs.Len()))
+	c.runs.Store(int64(b.txs.Runs()))
 	c.seq.Add(1)
 }
 
 func (c *booksCell) load() (b books) {
 	var tables *command.TxLog
-	var n int64
+	var n, r int64
 	c.seq.read(func() {
 		b.revenue, b.spent, b.balances = Money(c.revenue.Load()), Money(c.spent.Load()), Money(c.balances.Load())
-		n, tables = c.sales.Load(), c.tables.Load()
+		n, r, tables = c.sales.Load(), c.runs.Load(), c.tables.Load()
 	})
-	b.txs = tables.Prefix(int(n))
+	b.txs = tables.Prefix(int(n), int(r))
 	return b
 }
 
@@ -242,9 +243,9 @@ func (c *booksCell) load() (b books) {
 // absolute total. The readers are single-field lookups, so no
 // cross-field consistency is needed.
 //
-// waits is the buyer's running Time-Shield waits — per dataset, the
-// first period the buyer may bid again — rewritten by every losing bid,
-// so its publication must not allocate, nor may finding the cell (the
+// waits is the buyer's running Time-Shield waits — per dataset index,
+// the first period the buyer may bid again — rewritten by every losing
+// bid, so its publication must not allocate, nor may finding the cell (the
 // registry compares the ID the cell holds). It is a short slice under a
 // mutex of the cell's own: a wait that has run out is a free slot, so
 // the slice is as long as the most waits the buyer ever had running at
@@ -263,8 +264,8 @@ type buyerCell struct {
 func (c *buyerCell) key() BuyerID { return c.id }
 
 type wait struct {
-	dataset DatasetID
-	until   int
+	index uint32 // in views.index, as the bitset's bits are
+	until int
 }
 
 // owned returns the ownership bitset, nil before the first purchase.
@@ -290,36 +291,36 @@ func (c *buyerCell) acquire(i uint32) {
 	ws[word].Store(ws[word].Load() | 1<<(i%64))
 }
 
-// block publishes a wait decided at period clock, over the buyer's
-// earlier wait on the same dataset or else over one that has run out.
-func (c *buyerCell) block(dataset DatasetID, until, clock int) {
+// block publishes a wait on the dataset of index i decided at period
+// clock, over the buyer's earlier wait on it or else one that has run out.
+func (c *buyerCell) block(i uint32, until, clock int) {
 	c.waitMu.Lock()
 	defer c.waitMu.Unlock()
 	free := -1
-	for i := range c.waits {
-		if c.waits[i].dataset == dataset {
-			free = i
+	for k := range c.waits {
+		if c.waits[k].index == i {
+			free = k
 			break
 		}
-		if free < 0 && c.waits[i].until <= clock {
-			free = i
+		if free < 0 && c.waits[k].until <= clock {
+			free = k
 		}
 	}
 	if free < 0 {
 		c.waits = append(c.waits, wait{})
 		free = len(c.waits) - 1
 	}
-	c.waits[free] = wait{dataset, until}
+	c.waits[free] = wait{i, until}
 }
 
-// blockedUntil returns the first period the buyer may bid on dataset
+// blockedUntil returns the first period the buyer may bid on dataset i
 // again; 0 when no wait was ever published or its slot was reused.
-func (c *buyerCell) blockedUntil(dataset DatasetID) int {
+func (c *buyerCell) blockedUntil(i uint32) int {
 	c.waitMu.Lock()
 	defer c.waitMu.Unlock()
-	for i := range c.waits {
-		if c.waits[i].dataset == dataset {
-			return c.waits[i].until
+	for k := range c.waits {
+		if c.waits[k].index == i {
+			return c.waits[k].until
 		}
 	}
 	return 0
@@ -361,8 +362,7 @@ func (m *Market) rebuildViews() {
 	// counting pass, so their allocations do not grow with the population.
 	// A buyer's waits are capped at their length: a later block that
 	// appends moves them off the slab instead of over the next buyer's.
-	clock, names := m.st.Period(), m.st.DatasetNames()
-	width := (len(names) + 63) / 64
+	clock, width := m.st.Period(), (len(m.st.DatasetNames())+63)/64
 	var buyers, owners, running int
 	var owns bool
 	m.st.WalkBuyers(func(BuyerID, Money) { buyers, owns = buyers+1, false }, func(_ uint32, owned bool, until int) {
@@ -393,7 +393,7 @@ func (m *Market) rebuildViews() {
 			cell.acquire(dataset)
 		}
 		if until > clock {
-			waits = append(waits, wait{names[dataset], until})
+			waits = append(waits, wait{dataset, until})
 			cell.waits = waits[first:len(waits):len(waits)]
 		}
 	})
@@ -484,10 +484,11 @@ func (m *Market) publishBid(ev *command.Event) {
 		}
 	}
 	cell := m.vw.buyers.get(ev.Buyer)
+	i, indexed := (*m.vw.index.Load())[ev.Dataset]
 	if !ev.Decision.Allocated {
 		// A zero wait is already over; there is nothing to publish.
-		if cell != nil && ev.Decision.WaitPeriods > 0 {
-			cell.block(ev.Dataset, ev.Period+ev.Decision.WaitPeriods, ev.Period)
+		if cell != nil && indexed && ev.Decision.WaitPeriods > 0 {
+			cell.block(i, ev.Period+ev.Decision.WaitPeriods, ev.Period)
 		}
 		return
 	}
@@ -501,7 +502,7 @@ func (m *Market) publishBid(ev *command.Event) {
 	// spent is republished as the absolute total — O(1) per sale,
 	// independent of how many datasets the buyer already owns...
 	if cell != nil {
-		if i, ok := (*m.vw.index.Load())[ev.Dataset]; ok {
+		if indexed {
 			cell.acquire(i)
 		}
 		if spent, err := m.st.BuyerSpend(ev.Buyer); err == nil {
@@ -628,8 +629,8 @@ func (m *Market) WaitRemaining(buyer BuyerID, dataset DatasetID) (int, error) {
 	if cell == nil {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBuyer, buyer)
 	}
-	until := cell.blockedUntil(dataset)
-	if clock := m.Period(); clock < until {
+	i, ok := (*m.vw.index.Load())[dataset]
+	if until, clock := cell.blockedUntil(i), m.Period(); ok && clock < until {
 		return until - clock, nil
 	}
 	return 0, nil

@@ -41,8 +41,6 @@ type Config struct {
 	// leader. Defaults DefaultBackoffMin/DefaultBackoffMax.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// BufSize is the wire connection buffer size (0 = default).
-	BufSize int
 	// Dir, when set, gives the follower a local segmented store: every
 	// applied record is persisted there (snapshot catch-ups reseed it),
 	// so a cold restart recovers the market from local disk and rejoins
@@ -194,7 +192,7 @@ func (f *Follower) stream() error {
 		f.mu.Unlock()
 	}()
 
-	conn, err := wire.NewConnSize(nc, f.cfg.BufSize)
+	conn, err := wire.NewConn(nc)
 	if err != nil {
 		return err
 	}

@@ -177,6 +177,46 @@ func TestFollowerSnapshotCatchUpThenStream(t *testing.T) {
 	}
 }
 
+// TestFollowerCatchesUpOverTCP: a follower dialing the leader over
+// loopback TCP catches up from a snapshot frame bigger than the 4 KiB
+// buffers its connection opens with, lands the leader's bytes, then
+// streams on the 64 KiB buffers the connection switches to.
+func TestFollowerCatchesUpOverTCP(t *testing.T) {
+	r := newLeaderRig(t, 0)
+	for i := range 600 {
+		if err := r.jm.RegisterBuyer(market.BuyerID(fmt.Sprintf("buyer-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := r.feed.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.Cancel()
+	if n := len(sub.Snapshot); n <= 4<<10 {
+		t.Fatalf("the catch-up snapshot is %d bytes: not over the 4 KiB buffer", n)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() { _ = r.ws.Serve(l) }()
+	f, err := Start(Config{
+		Dial:       func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) },
+		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitConverged(t, f, r.feed, 5*time.Second)
+	mustMatchLeader(t, r, f)
+	r.churn(t, 200)
+	waitConverged(t, f, r.feed, 5*time.Second)
+	mustMatchLeader(t, r, f)
+}
+
 func TestFollowerKillReconnectsAndConverges(t *testing.T) {
 	r := newLeaderRig(t, 0)
 	f, err := Start(Config{Dial: r.dial, BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})

@@ -39,49 +39,35 @@ type Conn struct {
 	broken error        // sticky stream failure
 }
 
-// DefaultBufferSize is the per-direction buffered-I/O size a connection
-// uses unless overridden: generous enough to absorb a deep pipeline or
-// a large batch in one syscall.
-const DefaultBufferSize = 64 << 10
+// A request/response connection, client or server, buffers 4 KiB each
+// way: its frames are tens of bytes, a burst of them still fits, and
+// bufio hands a frame bigger than the buffer straight to the socket. A
+// connection converted to a replication stream, a one-way burst of
+// records, switches to 64 KiB at both ends: the server's writer and the
+// client's reader.
+const connBufferSize, streamBufferSize = 4 << 10, 64 << 10
 
 // Dial connects to a wire server at addr ("host:port") and performs the
 // handshake.
 func Dial(addr string) (*Conn, error) {
-	return DialSize(addr, DefaultBufferSize)
-}
-
-// DialSize is Dial with an explicit per-direction buffer size. Rigs
-// holding thousands of mostly idle connections in one process shrink
-// the buffers to keep memory linear in connections, not in
-// connections × DefaultBufferSize.
-func DialSize(addr string, bufSize int) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewConnSize(nc, bufSize)
+	c, err := NewConn(nc)
 	if err != nil {
 		nc.Close()
-		return nil, err
 	}
-	return c, nil
+	return c, err
 }
 
 // NewConn wraps an established stream (a TCP connection, a net.Pipe
 // end) as a client connection, performing the handshake.
 func NewConn(nc net.Conn) (*Conn, error) {
-	return NewConnSize(nc, DefaultBufferSize)
-}
-
-// NewConnSize is NewConn with an explicit per-direction buffer size.
-func NewConnSize(nc net.Conn, bufSize int) (*Conn, error) {
-	if bufSize <= 0 {
-		bufSize = DefaultBufferSize
-	}
 	c := &Conn{
 		nc: nc,
-		br: bufio.NewReaderSize(nc, bufSize),
-		bw: bufio.NewWriterSize(nc, bufSize),
+		br: bufio.NewReaderSize(nc, connBufferSize),
+		bw: bufio.NewWriterSize(nc, connBufferSize),
 	}
 	hello := [4]byte{magic[0], magic[1], magic[2], Version}
 	if _, err := c.bw.Write(hello[:]); err != nil {

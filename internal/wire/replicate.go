@@ -251,6 +251,11 @@ func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, bw *bufio.Wri
 		return refuse(err)
 	}
 	defer sub.Cancel()
+	// A stream from here: what is buffered goes first, then a stream's buffer.
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	bw = bufio.NewWriterSize(conn, streamBufferSize)
 
 	out := binenc.Encoder(nil)
 	head := respHead{id: id, status: statusOK}
@@ -389,6 +394,7 @@ func (c *Conn) OpenReplication(ctx context.Context, afterSeq int64) (*Replicatio
 	if sh.walk(r); r.Err() != nil {
 		return nil, c.fail(ctx, errors.New("wire: malformed replicate response"))
 	}
+	c.br = bufio.NewReaderSize(c.br, streamBufferSize) // a stream's, over what the old one holds
 	st := &ReplicationStream{c: c, StartSeq: sh.start, lastSeq: sh.start}
 	if sh.snapshot {
 		// The snapshot escapes to the caller inside the response buffer;

@@ -116,6 +116,9 @@ func captureReplicationSession(t *testing.T) (c2s, s2c []byte) {
 	if st.Snapshot != nil || st.StartSeq != 0 {
 		t.Fatalf("golden session changed shape: snapshot=%v startSeq=%d", st.Snapshot != nil, st.StartSeq)
 	}
+	if n := conn.br.Size(); n != streamBufferSize {
+		t.Fatalf("the stream reads through a %d-byte buffer, want %d", n, streamBufferSize)
+	}
 	for i := range recs {
 		fr, err := st.Next(ctx)
 		if err != nil {

@@ -419,7 +419,9 @@ func TestWriteErrorMidBurstEndsTheConnection(t *testing.T) {
 	// server's second write (the first is its handshake answer) is that
 	// moment.
 	stuck := make(chan struct{})
-	c := serveRaw(t, NewServer(testMarket(t)).WithBufferSize(16), func(nc net.Conn) net.Conn {
+	s := NewServer(testMarket(t))
+	s.bufSize = 16
+	c := serveRaw(t, s, func(nc net.Conn) net.Conn {
 		return &countingConn{Conn: nc, onWrite: func(n int64) {
 			if n == 2 {
 				close(stuck)

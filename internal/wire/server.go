@@ -35,7 +35,7 @@ type Backend interface {
 type Server struct {
 	b Backend
 
-	bufSize int
+	bufSize int // per direction, connBufferSize; tests shrink it
 
 	// repl, when set (WithReplication), serves kindReplicate requests;
 	// heartbeat overrides the idle stream heartbeat interval.
@@ -58,21 +58,7 @@ type Server struct {
 
 // NewServer returns a wire server over b.
 func NewServer(b Backend) *Server {
-	return &Server{b: b, bufSize: DefaultBufferSize, snapshotLimit: MaxSnapshotFrame}
-}
-
-// WithBufferSize sets the per-connection read and write buffer size in
-// bytes (default DefaultBufferSize). Rigs holding thousands of
-// connections in one process shrink it — two 64KiB buffers per
-// connection is 128MiB at 1k connections before a single frame flows.
-// Sizes below one frame header still work; bufio grows reads as needed
-// and large frames bypass the write buffer. Must be called before the
-// server accepts connections.
-func (s *Server) WithBufferSize(n int) *Server {
-	if n > 0 {
-		s.bufSize = n
-	}
-	return s
+	return &Server{b: b, bufSize: connBufferSize, snapshotLimit: MaxSnapshotFrame}
 }
 
 // WithTelemetry instruments the server on t: the obs.Requests lifecycle

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -464,4 +466,107 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// byteCounter counts the bytes a client reads and writes through it.
+type byteCounter struct {
+	net.Conn
+	read, wrote int
+}
+
+func (c *byteCounter) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read += n
+	return n, err
+}
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.wrote += n
+	return n, err
+}
+
+// TestFramesBiggerThanTheBuffer: over loopback TCP, where client and
+// server buffer 4 KiB each way, a 1 024-bid batch request and a
+// Transactions reply over 64 KiB each round-trip exactly — every result
+// and every sale as a twin market answers in process — though neither
+// frame fits a buffer.
+func TestFramesBiggerThanTheBuffer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	m, twin := testMarket(t), testMarket(t)
+	go func() { _ = NewServer(m).Serve(l) }()
+	nc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &byteCounter{Conn: nc}
+	c, err := NewConn(counted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	if err := c.RegisterSeller(ctx, "s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.RegisterSeller("s"); err != nil {
+		t.Fatal(err)
+	}
+	datasets := []market.DatasetID{"d1", "d2", "d3", "d4"}
+	for _, d := range datasets {
+		if err := c.UploadDataset(ctx, "s", d); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.UploadDataset("s", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bids := make([]market.BidRequest, command.MaxBatchBids)
+	for i := range bids {
+		bids[i].Buyer = market.BuyerID(fmt.Sprintf("buyer-%04d", i))
+		if _, err := c.RegisterBuyer(ctx, bids[i].Buyer); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.RegisterBuyer(bids[i].Buyer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range datasets {
+		for i := range bids {
+			bids[i].Dataset, bids[i].Amount = d, float64(5+i%150) // wins and losses
+		}
+		bids[7].Buyer = "nobody" // and a refusal
+		wrote := counted.wrote
+		got, err := c.SubmitBids(ctx, bids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := counted.wrote - wrote; n <= connBufferSize {
+			t.Fatalf("a %d-bid batch request took %d bytes: not over the %d-byte buffer", len(bids), n, connBufferSize)
+		}
+		want := twin.SubmitBids(bids)
+		for i := range want {
+			if got[i].Decision != want[i].Decision || fmt.Sprint(got[i].Err) != fmt.Sprint(want[i].Err) {
+				t.Fatalf("%s bid %d: %+v, want %+v", d, i, got[i], want[i])
+			}
+		}
+		bids[7].Buyer = "buyer-0007"
+	}
+
+	read := counted.read
+	got, err := c.Transactions(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := counted.read - read; n <= streamBufferSize {
+		t.Fatalf("a reply of %d sales took %d bytes: not over 64 KiB", len(got), n)
+	}
+	if want := twin.Transactions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d transactions over the wire, %d in process: they differ", len(got), len(want))
+	}
 }

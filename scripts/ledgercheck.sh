@@ -10,6 +10,9 @@
 # kernel, journal_fs, fsync), parent, change, workload and seed, at least
 # 10 pairs, and, for each end-to-end metric of BENCHMARK.json, a verdict
 # from the set benchpairs.sh prints. A "worse than bound" verdict fails it.
+# A ledger with a "health" block has its worst run's steal share printed,
+# and is named, not failed, when that is above 10 %: its runs shared the
+# host. A ledger without the block passes as before.
 #
 # Every EXPERIMENTS.md entry from X34 on carries exactly one claim line,
 #
@@ -105,6 +108,13 @@ for f in $(git ls-files -co --exclude-standard -- 'BENCH_*.json'); do
 				bad "metrics.$m.verdict is \"worse than bound\""
 			fi
 		done
+		steal=$(sed -n 's/^health\.[a-z]*\.steal\[[0-9]*\]\t//p' <<<"$flat" | sort -g | tail -1)
+		if [ -n "$steal" ]; then
+			echo "ledger-check: $f worst steal $(awk -v s="$steal" 'BEGIN { printf "%.1f %%", 100 * s }')"
+			if awk -v s="$steal" 'BEGIN { exit !(s > 0.10) }'; then
+				echo "ledger-check: $f: a run lost more than 10 % of the host to steal; its figures are suspect"
+			fi
+		fi
 		[ "$ok" -eq 0 ] || echo "ledger-check: $f ok"
 	fi
 	[ "$ok" -eq 1 ] || status=1
