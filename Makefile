@@ -11,19 +11,26 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# go vet, then two house rules. A binary varint is read and written only
-# by internal/binenc's walkers, so no hand-rolled byte cursor creeps back
-# beside them; fails listing every non-test call outside binenc. And the
-# applier's packages import no clock, OS, lock or ambient randomness, so
-# a command's outcome is a function of the state and the command alone
-# and replay rebuilds what was acknowledged; fails naming the package and
-# the import.
+# go vet, then three house rules. A binary varint is read and written
+# only by internal/binenc's walkers, so no hand-rolled byte cursor creeps
+# back beside them; fails listing every non-test call outside binenc.
+# Every write reaches the state as bytes, through market.Market's
+# methods (and a journal's route), so nothing but the command core, the
+# torture reference model and the benchmark's bare rung calls the typed
+# command.Apply; fails listing file:line. And the applier's packages
+# import no clock, OS, lock or ambient randomness, so a command's
+# outcome is a function of the state and the command alone and replay
+# rebuilds what was acknowledged; fails naming the package and the
+# import.
 APPLIER_PKGS = command core mw auction rng provenance binenc
 vet:
 	$(GO) vet ./...
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/binenc/' | \
 		xargs grep -n -E 'binary\.(Append)?Uvarint\(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "binary.Uvarint/AppendUvarint outside internal/binenc (walk the field with binenc):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/command/' -e '^internal/torture/reference\.go$$' -e '^benchmark/' | \
+		xargs grep -n -F 'command.Apply(' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "command.Apply outside the command core, the torture reference and benchmark/ (write through market.Market):"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' $(APPLIER_PKGS:%=./internal/%) | tr -d '[]' | \
 		awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^(time|os|sync|sync\/atomic|math\/rand|math\/rand\/v2)$$/) print $$1 " imports " $$i }')"; \
 		if [ -n "$$out" ]; then echo "clock, OS or concurrency import in an applier package:"; echo "$$out"; exit 1; fi

@@ -50,10 +50,6 @@ func run(stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer rig.Close()
-	// The rig instruments the market, journal and both transports;
-	// runtime self-metrics are marketd's extra families, registered here
-	// so the lint covers the daemon's full scrape surface.
-	obs.RegisterRuntimeMetrics(rig.Tel.Registry)
 
 	// Real traffic over both transports populates every request and
 	// stage histogram — with sampling 1, each gets bucket exemplars,

@@ -169,7 +169,7 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		return append(evs, Event{Kind: EvTicked, Period: st.clock}), nil
 
 	case SubmitBid:
-		ev, err := ApplyBid(st, c)
+		ev, err := st.submitBid(c)
 		if err != nil {
 			return evs, err
 		}
@@ -177,7 +177,7 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 
 	case BidBatch:
 		for _, b := range c.Bids {
-			ev, err := ApplyBid(st, b)
+			ev, err := st.submitBid(b)
 			if err != nil {
 				return evs, err
 			}
@@ -193,11 +193,8 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 	}
 }
 
-// ApplyBid is Apply for one SubmitBid without boxing the command into
-// the Command interface or its event into a slice — each a heap
-// allocation per call, on the one path the market takes millions of
-// times a second. It resolves the bid's names and runs the bid rule.
-func ApplyBid(st *State, c SubmitBid) (Event, error) {
+// submitBid resolves a bid's names and runs the bid rule.
+func (st *State) submitBid(c SubmitBid) (Event, error) {
 	i, indexed := st.index[c.Dataset]
 	return st.applyBid(c, st.buyers[c.Buyer], i, indexed)
 }

@@ -301,9 +301,6 @@ type Writer struct {
 	// group inside the stage, with the group's last seq and record count
 	// — the store's checkpoint cadence.
 	onGroup func(lastSeq int64, records int)
-	// enter is how a journaled market's requests reach the stage: submit,
-	// always, except under the torture canary (Market.TestUnorderedCommit).
-	enter func(member) member
 
 	// stageMu is held across one whole commit stage, so groups are
 	// applied, written and published in formation order. buf is the
@@ -374,7 +371,6 @@ type commitGroup struct {
 // NewWriter wraps w. Call Genesis before any other append.
 func NewWriter(w io.Writer, opts ...Option) *Writer {
 	jw := &Writer{sink: w}
-	jw.enter = jw.submit
 	for _, o := range opts {
 		o(jw)
 	}
@@ -660,7 +656,7 @@ func (w *Writer) encode(mb *member, payload []byte) error {
 func (mb *member) apply(live market.Stage) []byte {
 	if command.IsBatch(mb.body) {
 		var applied []command.SubmitBid
-		mb.evs, applied = live.ApplyBatch(mb.ctx, mb.body, mb.res, nil)
+		mb.evs, applied = live.ApplyBatch(mb.ctx, mb.body, mb.res)
 		rec, _ := command.EncodeBinary(command.BidBatch{Bids: applied})
 		return rec
 	}
@@ -931,10 +927,11 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Market is a market.Market whose every mutating operation goes through
-// the journal's commit stage: applied, logged and published in one
-// order. Reads pass through to the embedded market's views, which the
-// stage publishes only after a command's group reached the sink.
+// Market is a market.Market whose every write method goes through the
+// journal's commit stage (market.SetRoute): applied, logged and
+// published in one order. Reads pass through to the embedded market's
+// views, which the stage publishes only after a command's group reached
+// the sink.
 type Market struct {
 	*market.Market
 	w *Writer
@@ -960,56 +957,37 @@ func NewMarket(cfg market.Config, sink io.Writer, opts ...Option) (*Market, erro
 	if err := w.Genesis(cfg); err != nil {
 		return nil, err
 	}
-	return &Market{Market: m, w: w}, nil
+	return journaled(m, w, nil), nil
 }
 
-// Apply routes one command through the commit stage; see ApplyCtx. It
-// shadows the embedded market's Apply so command-level callers (replay
-// tooling, the torture harness) cannot accidentally mutate state without
-// persisting it.
-func (m *Market) Apply(cmd command.Command) ([]command.Event, error) {
-	return m.ApplyCtx(context.Background(), cmd)
+// journaled routes m's writes through w's commit stage.
+func journaled(m *market.Market, w *Writer, s *Store) *Market {
+	market.SetRoute(m, func(ctx context.Context, body []byte, res []market.BidResult) (command.Event, error) {
+		return w.submit(member{ctx: ctx, body: body, res: res}).answer()
+	})
+	return &Market{Market: m, w: w, store: s}
 }
 
-// ApplyCtx encodes cmd and submits it (ApplyEncodedCtx). A BidBatch is
-// refused: batches go through SubmitBids, which answers entry by entry.
-func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error) {
-	body, err := command.AppendBinary(make([]byte, 0, 64), cmd)
-	if err == nil && command.IsBatch(body) {
-		err = fmt.Errorf("%w: a bid_batch goes through SubmitBids", command.ErrMalformed)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ev, err := m.ApplyEncodedCtx(ctx, body, nil)
-	if err != nil {
-		return nil, err
-	}
-	return []command.Event{ev}, nil
-}
-
-// ApplyEncodedCtx is the journaled market's one write path: body, read
-// only until the call returns, runs through the commit stage (see
-// Writer), is recorded as it is if it applied, and the call returns once
-// its group reached the sink and was published; a journal failure takes
-// precedence over the command's own error. A bid_batch body fills res
-// (market.Stage.ApplyBatch), and a journal failure then fails the
-// entries that applied, since none persisted.
-func (m *Market) ApplyEncodedCtx(ctx context.Context, body []byte, res []market.BidResult) (command.Event, error) {
-	mb := m.w.enter(member{ctx: ctx, body: body, res: res})
-	if !command.IsBatch(body) {
+// answer is a routed write's reply once the stage has run: body, read
+// only until the write returns, was recorded as it is if it applied,
+// and a journal failure takes precedence over the command's own error.
+// A bid_batch's entries were answered in res (market.Stage.ApplyBatch),
+// and a journal failure then fails the entries that applied, since none
+// persisted.
+func (mb member) answer() (command.Event, error) {
+	if !command.IsBatch(mb.body) {
 		return mb.ev, mb.err
 	}
-	for i := range res {
-		if res[i].Err == nil {
-			res[i].Err = mb.err
+	for i := range mb.res {
+		if mb.res[i].Err == nil {
+			mb.res[i].Err = mb.err
 		}
 	}
 	return command.Event{}, nil
 }
 
 // TestUnorderedCommit reintroduces the defect the commit stage exists
-// to rule out: after it, every request is applied and published on its
+// to rule out: after it, every write is applied and published on its
 // own (the stage's own member.apply, outside the stage), yield runs, and
 // only then is the settled record queued for a sequence number — so two
 // concurrent commands can be logged in the opposite order to the one
@@ -1017,98 +995,35 @@ func (m *Market) ApplyEncodedCtx(ctx context.Context, body []byte, res []market.
 // canary, which must catch the resulting replay divergence; production
 // code must never call it. Call it before traffic flows.
 func (m *Market) TestUnorderedCommit(yield func()) {
-	m.w.enter = func(mb member) member {
+	market.SetRoute(m.Market, func(ctx context.Context, body []byte, res []market.BidResult) (command.Event, error) {
+		mb := member{ctx: ctx, body: body, res: res}
 		live := m.Market.Stage()
 		live.Lock()
 		rec := mb.apply(live)
-		live.Publish(mb.ctx, mb.evs...)
-		live.Publish(mb.ctx, mb.ev)
+		live.Publish(ctx, mb.evs...)
+		live.Publish(ctx, mb.ev)
 		live.Unlock()
-		if rec == nil {
-			return mb
+		if rec != nil {
+			yield()
+			if err := m.w.submit(member{ctx: ctx, body: rec, logOnly: true, trace: obs.RequestIDFrom(ctx)}).err; err != nil {
+				mb.err = err
+			}
 		}
-		yield()
-		if err := m.w.submit(member{ctx: mb.ctx, body: rec, logOnly: true, trace: obs.RequestIDFrom(mb.ctx)}).err; err != nil {
-			mb.err = err
-		}
-		return mb
-	}
-}
-
-// RegisterBuyer adds a buyer.
-func (m *Market) RegisterBuyer(id market.BuyerID) error {
-	_, err := m.Apply(command.RegisterBuyer{Buyer: id})
-	return err
-}
-
-// RegisterSeller adds a seller.
-func (m *Market) RegisterSeller(id market.SellerID) error {
-	_, err := m.Apply(command.RegisterSeller{Seller: id})
-	return err
-}
-
-// UploadDataset registers a base dataset.
-func (m *Market) UploadDataset(seller market.SellerID, id market.DatasetID) error {
-	_, err := m.Apply(command.UploadDataset{Seller: seller, Dataset: id})
-	return err
-}
-
-// ComposeDataset registers a derived dataset.
-func (m *Market) ComposeDataset(id market.DatasetID, constituents ...market.DatasetID) error {
-	_, err := m.Apply(command.ComposeDataset{Dataset: id, Constituents: constituents})
-	return err
-}
-
-// WithdrawDataset removes a base dataset.
-func (m *Market) WithdrawDataset(seller market.SellerID, id market.DatasetID) error {
-	_, err := m.Apply(command.WithdrawDataset{Seller: seller, Dataset: id})
-	return err
+		return mb.answer()
+	})
 }
 
 // tickBody is every tick's encoding.
 var tickBody, _ = command.EncodeBinary(command.Tick{})
 
-// Tick advances the clock and returns the new period.
+// Tick advances the clock and returns the new period, or the journal's
+// error.
 func (m *Market) Tick() (int, error) {
 	ev, err := m.ApplyEncodedCtx(context.Background(), tickBody, nil)
 	if err != nil {
 		return 0, err
 	}
 	return ev.Period, nil
-}
-
-// SubmitBid places one bid (journaled whether it wins or loses: a
-// losing bid moves engine and wait state).
-func (m *Market) SubmitBid(buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
-	return m.SubmitBidCtx(context.Background(), buyer, dataset, amount)
-}
-
-// SubmitBidCtx is SubmitBid with request context, which rides into the
-// stage's spans and onto the record; see ApplyEncodedCtx. The bid is
-// encoded as a transport sends it, so an amount no record holds (NaN,
-// ±Inf) is ErrMalformed, as it is over wire.
-func (m *Market) SubmitBidCtx(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
-	body, _ := command.AppendBinary(make([]byte, 0, 64), command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
-	ev, err := m.ApplyEncodedCtx(ctx, body, nil)
-	if err != nil {
-		return market.Decision{}, err
-	}
-	return ev.Decision, nil
-}
-
-// SubmitBids places a batch of bids in request order and journals the
-// successful ones as a single bid_batch record; one failed bid never
-// aborts the rest of the batch.
-func (m *Market) SubmitBids(reqs []market.BidRequest) []market.BidResult {
-	out := make([]market.BidResult, len(reqs))
-	bids := make([]command.SubmitBid, len(reqs))
-	for i, r := range reqs {
-		bids[i] = command.SubmitBid(r)
-	}
-	if body, err := command.EncodeBinary(command.BidBatch{Bids: bids}); err == nil { // no bids, no batch
-		_, _ = m.ApplyEncodedCtx(context.Background(), body, out)
-	}
-	return out
 }
 
 // OnCommit installs fn as the journal's commit hook; see Writer.OnCommit.

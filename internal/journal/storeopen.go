@@ -325,7 +325,7 @@ func OpenStore(cfg market.Config, dir string, sc StoreConfig, opts ...Option) (*
 	} else {
 		w.started, w.seq = true, st.lastSeq // the log continues after its last record
 	}
-	return &Market{Market: s.live, w: w, store: s}, st.replayed, nil
+	return journaled(s.live, w, s), st.replayed, nil
 }
 
 // notStoreDir explains err, a failure to use dir as a store, when dir is

@@ -174,7 +174,7 @@ func StartRig(rc RigConfig) (*Rig, error) {
 	r.WireAddr = wireLn.Addr().String()
 
 	api := httpapi.NewJournaled(jm).WithTelemetry(r.Tel)
-	r.httpSrv = &http.Server{Handler: api.Routes()}
+	r.httpSrv = serveHTTP(api, r.Tel.Registry)
 	go func() { _ = r.httpSrv.Serve(httpLn) }()
 
 	ws := wire.NewServer(jm).WithTelemetry(r.Tel)
@@ -224,7 +224,7 @@ func (r *Rig) startFollowers(rc RigConfig) error {
 		if err != nil {
 			return fmt.Errorf("loadrig: follower %d listener: %w", i, err)
 		}
-		srv := &http.Server{Handler: httpapi.NewReplica(f).WithTelemetry(ftel).Routes()}
+		srv := serveHTTP(httpapi.NewReplica(f).WithTelemetry(ftel), ftel.Registry)
 		go func() { _ = srv.Serve(ln) }()
 		r.followerLns = append(r.followerLns, ln)
 		r.followerSrvs = append(r.followerSrvs, srv)
@@ -241,6 +241,17 @@ func (r *Rig) startFollowers(rc RigConfig) error {
 		}
 	}
 	return nil
+}
+
+// serveHTTP is api's HTTP server as marketd runs it: its open
+// connections counted and the process's runtime self-metrics on reg,
+// so the rig's /metrics carries every family the daemon's does.
+func serveHTTP(api *httpapi.Server, reg *obs.Registry) *http.Server {
+	obs.RegisterRuntimeMetrics(reg)
+	return &http.Server{
+		Handler:   api.Routes(),
+		ConnState: httpapi.ConnCountHook(reg.Gauge("shield_http_connections", "Open HTTP connections.")),
+	}
 }
 
 // KillFollower drops follower i's replication connection mid-run; the

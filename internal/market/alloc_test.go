@@ -81,11 +81,12 @@ func TestPublishBidZeroAlloc(t *testing.T) {
 		if d, err := m.SubmitBid(id, "d", 150); err != nil || !d.Allocated {
 			t.Fatalf("bid by %s on d: %+v, %v; want a win", id, d, err)
 		}
-		ev, err := command.ApplyBid(m.st, command.SubmitBid{Buyer: id, Dataset: "e", Amount: 150})
-		if err != nil || !ev.Decision.Allocated {
-			t.Fatalf("bid by %s on e: %+v, %v; want a win", id, ev.Decision, err)
+		body, _ := command.EncodeBinary(command.SubmitBid{Buyer: id, Dataset: "e", Amount: 150})
+		evs, err := command.ApplyEncoded(m.st, body, nil)
+		if err != nil || !evs[0].Decision.Allocated {
+			t.Fatalf("bid by %s on e: %+v, %v; want a win", id, evs, err)
 		}
-		wins = append(wins, ev)
+		wins = append(wins, evs[0])
 	}
 	next := 0
 	if n := testing.AllocsPerRun(runs, func() { m.publishBid(&wins[next]); next++ }); n != 0 {
@@ -136,8 +137,7 @@ func TestDerivedBidSteadyStateAllocs(t *testing.T) {
 // check, engine evaluation with the full Time-Shield wait-period replay,
 // an epoch close every eighth bid, view publication — through SubmitBid
 // and asserts the steady state is allocation-free per bid. Each run
-// pays one Tick (its event slice is the only tolerated allocation) and
-// then bids once per buyer.
+// pays one Tick and then bids once per buyer.
 func TestBidHotPathSteadyStateAllocs(t *testing.T) {
 	const buyers, teachers = 64, 4000
 	cfg := Config{
@@ -190,10 +190,10 @@ func TestBidHotPathSteadyStateAllocs(t *testing.T) {
 	bidAll() // warms every per-buyer map
 	before, _ := m.Stats("d")
 	allocs := testing.AllocsPerRun(100, bidAll)
-	// Budget: 1 for the Tick's event slice plus slack. Anything above ~2
-	// means a per-bid allocation crept back into the shell or the engine.
+	// Budget: slack over the zero a run needs. Anything above ~2 means a
+	// per-bid allocation crept back into the shell or the engine.
 	if allocs > 3 {
-		perBid := (allocs - 1) / buyers
+		perBid := allocs / buyers
 		t.Fatalf("hot path allocates %.2f per tick+%d bids (%.3f per bid), want <= 3 per run", allocs, buyers, perBid)
 	}
 	t.Logf("%.2f allocs per tick+%d-bid run", allocs, buyers)

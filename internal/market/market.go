@@ -7,14 +7,16 @@
 // datasets back each product via the provenance graph (the paper's
 // Section 2 model).
 //
-// All market rules live in command.Apply — this package adds exactly
-// two things on top of the state machine:
+// All market rules live in the command core, which applies a command's
+// binary encoding (command.ApplyEncoded) — every write method encodes
+// its command and this package adds exactly two things on top:
 //
 //   - one writer at a time: a single mutex turns concurrent requests
-//     into the one-at-a-time Apply calls the core requires. A caller
-//     that orders commands itself — the journal's commit stage, which
-//     applies a whole group, writes it, and only then publishes — takes
-//     the same mutex through Stage and splits apply from publication;
+//     into the one-at-a-time applies the core requires. A caller that
+//     orders commands itself — the journal's commit stage, which applies
+//     a whole group, writes it, and only then publishes — routes the
+//     market's writes to itself (SetRoute), takes the same mutex through
+//     Stage and splits apply from publication;
 //   - lock-free reads: every read method is served from immutable or
 //     atomically-updated views published after Apply, never from the
 //     state machine, so reads never wait for a writer and never see a
@@ -110,10 +112,14 @@ type Market struct {
 	mu sync.Mutex
 	st *command.State
 
-	// evs and entry are the writer's scratch, guarded by mu: the events
-	// Stage.Apply collects, and a batch entry re-encoded as a single bid.
-	evs   []command.Event
-	entry []byte
+	// evs, entry and enc are the writer's scratch, guarded by mu: the
+	// events Stage.Apply collects, a batch entry re-encoded as a single
+	// bid, and a write method's command encoded.
+	evs        []command.Event
+	entry, enc []byte
+
+	// route, when set (SetRoute), carries every write instead of mu.
+	route func(ctx context.Context, body []byte, res []BidResult) (command.Event, error)
 
 	// vw holds the lock-free read views.
 	vw views
@@ -200,8 +206,8 @@ func (s Stage) Apply(ctx context.Context, body []byte) (command.Event, error) {
 // of the record, which holds the entries that applied, stops at its first
 // failure). Each outcome lands in res, one slot per entry; a body that
 // does not decode fails every slot. The applied entries' events are
-// appended to evs, and the entries returned for the record.
-func (s Stage) ApplyBatch(ctx context.Context, body []byte, res []BidResult, evs []command.Event) ([]command.Event, []command.SubmitBid) {
+// returned, and the entries, for the record.
+func (s Stage) ApplyBatch(ctx context.Context, body []byte, res []BidResult) (evs []command.Event, applied []command.SubmitBid) {
 	cmd, err := command.DecodeBinary(body)
 	batch, _ := cmd.(command.BidBatch)
 	if err = cmp.Or(checkBody(body), err); err == nil && len(batch.Bids) != len(res) {
@@ -211,9 +217,8 @@ func (s Stage) ApplyBatch(ctx context.Context, body []byte, res []BidResult, evs
 		for i := range res {
 			res[i].Err = err
 		}
-		return evs, nil
+		return nil, nil
 	}
-	var applied []command.SubmitBid
 	for i, bid := range batch.Bids {
 		s.m.entry, _ = command.AppendBinary(s.m.entry[:0], bid)
 		ev, err := s.Apply(ctx, s.m.entry)
@@ -244,15 +249,35 @@ func (s Stage) Publish(ctx context.Context, evs ...command.Event) {
 // Cut captures the whole market state for serializing after Unlock.
 func (s Stage) Cut() *command.Cut { return s.m.st.Cut() }
 
-// ApplyEncodedCtx is the market's one write path: Stage.Apply, then
-// Publish. A bid_batch body (Stage.ApplyBatch) fills res instead, one
-// result per entry.
+// SetRoute makes route the way m's writes reach the state, in place of
+// the market's own writer mutex: every write method encodes its command
+// and hands the bytes to route, which must apply them through m's Stage
+// (the journal's commit stage is the one route). Set it before the
+// market serves traffic. It is a function, not a method, so the
+// facade's Market does not offer it.
+func SetRoute(m *Market, route func(ctx context.Context, body []byte, res []BidResult) (command.Event, error)) {
+	m.route = route
+}
+
+// ApplyEncodedCtx is the market's one write path: body, read only until
+// the call returns, goes to the route when one is set, and otherwise
+// through Stage.Apply, then Publish. A bid_batch body (Stage.ApplyBatch)
+// fills res instead, one result per entry.
 func (m *Market) ApplyEncodedCtx(ctx context.Context, body []byte, res []BidResult) (command.Event, error) {
+	if m.route != nil {
+		return m.route(ctx, body, res)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.applyLocked(ctx, body, res)
+}
+
+// applyLocked is ApplyEncodedCtx on an unrouted market, under its
+// writer mutex.
+func (m *Market) applyLocked(ctx context.Context, body []byte, res []BidResult) (command.Event, error) {
 	s := m.Stage()
-	s.Lock()
-	defer s.Unlock()
 	if command.IsBatch(body) {
-		evs, _ := s.ApplyBatch(ctx, body, res, nil)
+		evs, _ := s.ApplyBatch(ctx, body, res)
 		s.Publish(ctx, evs...)
 		return command.Event{}, nil
 	}
@@ -261,38 +286,74 @@ func (m *Market) ApplyEncodedCtx(ctx context.Context, body []byte, res []BidResu
 	return ev, err
 }
 
-// Apply executes one command, as a value — encoding it for
-// ApplyEncodedCtx would cost an allocation — and publishes its events.
+// write encodes cmd once and applies it as ApplyEncodedCtx does. An
+// unrouted market encodes into its writer's scratch under the writer
+// mutex, so a plain write allocates nothing of its own.
+func (m *Market) write(ctx context.Context, cmd command.Command, res []BidResult) (command.Event, error) {
+	if m.route != nil {
+		body, err := command.AppendBinary(make([]byte, 0, 64), cmd)
+		if err != nil {
+			return command.Event{}, err
+		}
+		return m.route(ctx, body, res)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var err error
+	if m.enc, err = command.AppendBinary(m.enc[:0], cmd); err != nil {
+		return command.Event{}, err
+	}
+	return m.applyLocked(ctx, m.enc, res)
+}
+
+// Apply executes one command, given as a value, and publishes its
+// events; see ApplyCtx.
 func (m *Market) Apply(cmd command.Command) ([]command.Event, error) {
 	return m.ApplyCtx(context.Background(), cmd)
 }
 
-// ApplyCtx is Apply with request context.
+// ApplyCtx is Apply with request context. A BidBatch applies as replay
+// applies its record, until its first failed bid, returning the events
+// of the bids before it — on an unrouted market; a routed one refuses
+// it, since a journal answers a batch entry by entry (SubmitBids).
 func (m *Market) ApplyCtx(ctx context.Context, cmd command.Command) ([]command.Event, error) {
-	s := m.Stage()
-	s.Lock()
-	defer s.Unlock()
-	evs, err := command.Apply(m.st, cmd)
-	s.Publish(ctx, evs...)
+	if _, ok := cmd.(command.BidBatch); !ok {
+		ev, err := m.write(ctx, cmd, nil)
+		if err != nil {
+			return nil, err
+		}
+		return []command.Event{ev}, nil
+	}
+	if m.route != nil {
+		return nil, fmt.Errorf("%w: a bid_batch goes through SubmitBids", command.ErrMalformed)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	body, err := command.EncodeBinary(cmd)
+	if err = cmp.Or(err, checkBody(body)); err != nil {
+		return nil, err
+	}
+	evs, err := command.ApplyEncoded(m.st, body, nil)
+	m.Stage().Publish(ctx, evs...)
 	return evs, err
 }
 
 // RegisterBuyer adds a buyer.
 func (m *Market) RegisterBuyer(id BuyerID) error {
-	_, err := m.Apply(command.RegisterBuyer{Buyer: id})
+	_, err := m.write(context.Background(), command.RegisterBuyer{Buyer: id}, nil)
 	return err
 }
 
 // RegisterSeller adds a seller.
 func (m *Market) RegisterSeller(id SellerID) error {
-	_, err := m.Apply(command.RegisterSeller{Seller: id})
+	_, err := m.write(context.Background(), command.RegisterSeller{Seller: id}, nil)
 	return err
 }
 
 // UploadDataset registers a base dataset shared by seller (Figure 1,
 // step 1) and starts pricing it.
 func (m *Market) UploadDataset(seller SellerID, id DatasetID) error {
-	_, err := m.Apply(command.UploadDataset{Seller: seller, Dataset: id})
+	_, err := m.write(context.Background(), command.UploadDataset{Seller: seller, Dataset: id}, nil)
 	return err
 }
 
@@ -300,7 +361,7 @@ func (m *Market) UploadDataset(seller SellerID, id DatasetID) error {
 // existing datasets (Figure 1, step 3) and starts pricing it. Sale
 // revenue will flow to the sellers of the base datasets backing it.
 func (m *Market) ComposeDataset(id DatasetID, constituents ...DatasetID) error {
-	_, err := m.Apply(command.ComposeDataset{Dataset: id, Constituents: constituents})
+	_, err := m.write(context.Background(), command.ComposeDataset{Dataset: id, Constituents: constituents}, nil)
 	return err
 }
 
@@ -311,15 +372,19 @@ func (m *Market) ComposeDataset(id DatasetID, constituents ...DatasetID) error {
 // earned. Buyers who purchased the dataset keep it: data is nonrival and
 // already delivered.
 func (m *Market) WithdrawDataset(seller SellerID, id DatasetID) error {
-	_, err := m.Apply(command.WithdrawDataset{Seller: seller, Dataset: id})
+	_, err := m.write(context.Background(), command.WithdrawDataset{Seller: seller, Dataset: id}, nil)
 	return err
 }
 
+// tickBody is every tick's encoding.
+var tickBody, _ = command.EncodeBinary(command.Tick{})
+
 // Tick advances the market clock by one period and returns the new
-// period. Buyers may bid once per period per dataset.
+// period, 0 if a route refused the tick. Buyers may bid once per period
+// per dataset.
 func (m *Market) Tick() int {
-	evs, _ := m.Apply(command.Tick{})
-	return evs[0].Period
+	ev, _ := m.ApplyEncodedCtx(context.Background(), tickBody, nil)
+	return ev.Period
 }
 
 // SubmitBid places buyer's bid on dataset at the current period. Winners
@@ -327,22 +392,32 @@ func (m *Market) Tick() int {
 // sellers whose base datasets back the product. Losers receive a
 // Time-Shield wait and may not bid on this dataset again until it passes.
 func (m *Market) SubmitBid(buyer BuyerID, dataset DatasetID, amount float64) (Decision, error) {
-	s := m.Stage()
-	s.Lock()
-	defer s.Unlock()
-	ev, err := command.ApplyBid(m.st, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount})
-	s.Publish(context.Background(), ev) // a failed bid's zero Event publishes nothing
-	return ev.Decision, err
+	return m.SubmitBidCtx(context.Background(), buyer, dataset, amount)
 }
 
-// SubmitBids places a batch of bids in request order. Results are
-// returned one per request, and one failed bid never aborts the rest of
-// the batch.
+// SubmitBidCtx is SubmitBid with request context, which rides into the
+// apply stage's spans (and a journal's record). The bid is encoded as a
+// transport sends it, so an amount no record holds (NaN, ±Inf) is
+// command.ErrMalformed.
+func (m *Market) SubmitBidCtx(ctx context.Context, buyer BuyerID, dataset DatasetID, amount float64) (Decision, error) {
+	ev, err := m.write(ctx, command.SubmitBid{Buyer: buyer, Dataset: dataset, Amount: amount}, nil)
+	if err != nil {
+		return Decision{}, err
+	}
+	return ev.Decision, nil
+}
+
+// SubmitBids places a batch of bids in request order as one bid_batch
+// command. Results are returned one per request, and one failed bid
+// never aborts the rest of the batch; a batch that does not decode (an
+// amount no record holds) fails every slot.
 func (m *Market) SubmitBids(reqs []BidRequest) []BidResult {
 	out := make([]BidResult, len(reqs))
+	bids := make([]command.SubmitBid, len(reqs))
 	for i, r := range reqs {
-		out[i].Decision, out[i].Err = m.SubmitBid(r.Buyer, r.Dataset, r.Amount)
+		bids[i] = command.SubmitBid(r)
 	}
+	_, _ = m.write(context.Background(), command.BidBatch{Bids: bids}, out) // no bids, no batch
 	return out
 }
 
