@@ -43,10 +43,16 @@ func transports(t *testing.T) map[string]Client {
 // gatedTransports is transports with both servers behind the operator
 // gate of token ("" leaves it open); the clients carry no token.
 func gatedTransports(t *testing.T, token string) map[string]Client {
+	return servedTransports(t, token, testMarket)
+}
+
+// servedTransports is gatedTransports with each server's market built by
+// newMarket.
+func servedTransports(t *testing.T, token string, newMarket func(testing.TB) *market.Market) map[string]Client {
 	t.Helper()
 	out := make(map[string]Client)
 
-	httpSrv := httptest.NewServer(httpapi.NewServer(testMarket(t)).WithOperatorToken(token).Routes())
+	httpSrv := httptest.NewServer(httpapi.NewServer(newMarket(t)).WithOperatorToken(token).Routes())
 	t.Cleanup(httpSrv.Close)
 	hc, err := Dial(httpSrv.URL)
 	if err != nil {
@@ -59,7 +65,7 @@ func gatedTransports(t *testing.T, token string) map[string]Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() { _ = wire.NewServer(testMarket(t)).WithOperatorGate(apierr.NewGate(false, token)).Serve(l) }()
+	go func() { _ = wire.NewServer(newMarket(t)).WithOperatorGate(apierr.NewGate(false, token)).Serve(l) }()
 	wc, err := Dial("wire://" + l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +233,38 @@ func TestTransportParityOperatorGate(t *testing.T) {
 		var api *apierr.APIError
 		if !errors.As(err, &api) || api.Code != apierr.CodeUnauthorized {
 			t.Fatalf("%s: stats without the operator token = %+v, %v; want %s", name, st, err, apierr.CodeUnauthorized)
+		}
+		refusals[name] = *api
+	}
+	if refusals["http"] != refusals["wire"] {
+		t.Errorf("refusals differ: http %+v, wire %+v", refusals["http"], refusals["wire"])
+	}
+}
+
+// TestTransportParityClockExhausted: a tick at the clock's last period
+// is refused on both transports with the same code and message —
+// internal, as no apierr code names command.ErrClockExhausted — and the
+// period stays where it was.
+func TestTransportParityClockExhausted(t *testing.T) {
+	ctx := context.Background()
+	lastPeriod := func(tb testing.TB) *market.Market {
+		s := testMarket(tb).Snapshot()
+		s.Clock = command.MaxPeriod - 1
+		m, err := market.RestoreSnapshot(s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return m
+	}
+	refusals := map[string]apierr.APIError{}
+	for name, c := range servedTransports(t, "", lastPeriod) {
+		p, err := c.Tick(ctx)
+		var api *apierr.APIError
+		if !errors.As(err, &api) || api.Code != apierr.CodeInternal {
+			t.Fatalf("%s: a tick at MaxPeriod-1 = %d, %v; want %s", name, p, err, apierr.CodeInternal)
+		}
+		if p, err := c.Period(ctx); err != nil || p != command.MaxPeriod-1 {
+			t.Fatalf("%s: after the refused tick the period is %d, %v", name, p, err)
 		}
 		refusals[name] = *api
 	}

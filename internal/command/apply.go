@@ -165,6 +165,9 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		return append(evs, Event{Kind: EvDatasetRemoved, Seller: c.Seller, Dataset: c.Dataset}), nil
 
 	case Tick:
+		if st.clock >= MaxPeriod-1 {
+			return evs, ErrClockExhausted
+		}
 		st.clock++
 		return append(evs, Event{Kind: EvTicked, Period: st.clock}), nil
 
@@ -295,12 +298,12 @@ func (st *State) applyBid(c SubmitBid, acct *buyerAccount, idx uint32, indexed b
 	switch {
 	case p.flags&acquired != 0:
 		return Event{}, fmt.Errorf("%w: %s", ErrAlreadyAcquired, dataset)
-	case p.flags&hasLastBid != 0 && p.lastBid == clock:
+	case p.flags&hasLastBid != 0 && int(p.lastBid) == clock:
 		return Event{}, fmt.Errorf("%w: period %d", ErrBidTooSoon, clock)
-	case clock < p.blockedUntil:
-		return Event{}, fmt.Errorf("%w: %d periods remain", ErrWaitActive, p.blockedUntil-clock)
+	case clock < int(p.blockedUntil):
+		return Event{}, fmt.Errorf("%w: %d periods remain", ErrWaitActive, int(p.blockedUntil)-clock)
 	}
-	p.lastBid, p.flags = clock, p.flags|hasLastBid
+	p.lastBid, p.flags = int32(clock), p.flags|hasLastBid
 
 	d := st.engines[idx].SubmitBid(c.Amount)
 	for _, leaf := range leaves {
@@ -318,7 +321,7 @@ func (st *State) applyBid(c SubmitBid, acct *buyerAccount, idx uint32, indexed b
 		Leaves:  leaves,
 	}
 	if !d.Allocated {
-		p.blockedUntil, p.flags = clock+d.Wait, p.flags|hasBlockedUntil
+		p.blockedUntil, p.flags = WaitEnd(clock, d.Wait), p.flags|hasBlockedUntil
 		ev.Decision = Decision{WaitPeriods: d.Wait}
 		return ev, nil
 	}

@@ -71,10 +71,10 @@ func (c *Cut) buyer(b cutBuyer, bs *BuyerSnapshot) {
 	for _, r := range c.recs[b.from:b.to] {
 		name := c.txs.names[r.dataset]
 		if r.flags&hasLastBid != 0 {
-			bs.LastBid[name] = r.lastBid
+			bs.LastBid[name] = int(r.lastBid)
 		}
 		if r.flags&hasBlockedUntil != 0 {
-			bs.BlockedUntil[name] = r.blockedUntil
+			bs.BlockedUntil[name] = int(r.blockedUntil)
 		}
 		if r.flags&hasAcquired != 0 {
 			bs.Acquired[name] = r.flags&acquired != 0

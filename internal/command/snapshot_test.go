@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/datamarket/shield/internal/binenc"
@@ -415,7 +416,7 @@ func TestSnapshotDecodeBoundsCounts(t *testing.T) {
 // a buyer's three maps held, each gets its own back, and every engine
 // keeps its configuration as recorded, unset defaults included. The
 // state's cut streams those very bytes too: the checkpoint path and the
-// tree agree.
+// tree agree. A restored clock is below MaxPeriod.
 func FuzzSnapshotDecode(f *testing.F) {
 	var s command.Snapshot
 	for _, s = range tortureSnapshots(f, 1, 600, 200) {
@@ -440,6 +441,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	s.Buyers[first] = bs
 	f.Add(mustCanonical(f, s))
 	f.Add(mustCanonical(f, unorderedPeriods(s)))
+	for _, past := range periodsPastInt32(s, first) { // each decodes; RestoreState refuses it
+		f.Add(mustCanonical(f, past))
+	}
 	// A log numbered 1, 3, …: it decodes, and RestoreState must refuse it,
 	// for the state numbers a sale by its position.
 	s.Transactions = slices.Clone(s.Transactions)
@@ -461,6 +465,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(data), len(enc))
 		}
 		if st, err := command.RestoreState(s); err == nil {
+			if st.Period() >= command.MaxPeriod {
+				t.Fatalf("restored a clock at %d, which no tick reaches", st.Period())
+			}
 			var cut bytes.Buffer
 			if err := st.Cut().WriteCanonical(&cut); err != nil || !bytes.Equal(cut.Bytes(), data) {
 				t.Fatalf("restored and cut: WriteCanonical wrote %d bytes (%v) that differ from the %d given", cut.Len(), err, len(data))
@@ -470,6 +477,45 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// periodsPastInt32 returns three edits of s, each holding one period no
+// state can: the clock at MaxPeriod, then buyer's last bid at 2³¹ and
+// its wait ending at −2³¹−1 on a dataset named "past-int32".
+func periodsPastInt32(s command.Snapshot, buyer command.BuyerID) []command.Snapshot {
+	var out []command.Snapshot
+	for _, edit := range []func(*command.Snapshot, *command.BuyerSnapshot){
+		func(s *command.Snapshot, _ *command.BuyerSnapshot) { s.Clock = command.MaxPeriod },
+		func(_ *command.Snapshot, bs *command.BuyerSnapshot) { bs.LastBid["past-int32"] = 1 << 31 },
+		func(_ *command.Snapshot, bs *command.BuyerSnapshot) { bs.BlockedUntil["past-int32"] = -1<<31 - 1 },
+	} {
+		past, bs := s, s.Buyers[buyer]
+		past.Buyers, bs.LastBid, bs.BlockedUntil = maps.Clone(s.Buyers), maps.Clone(bs.LastBid), maps.Clone(bs.BlockedUntil)
+		edit(&past, &bs)
+		past.Buyers[buyer] = bs
+		out = append(out, past)
+	}
+	return out
+}
+
+// TestRestoreRefusesPeriodsPastInt32: RestoreState refuses a clock at
+// MaxPeriod, and a buyer's period outside int32 naming the buyer, the
+// dataset and the map, where a record would narrow it.
+func TestRestoreRefusesPeriodsPastInt32(t *testing.T) {
+	s := drive(t).Snapshot()
+	buyer := slices.Sorted(maps.Keys(s.Buyers))[0]
+	if _, err := command.RestoreState(s); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{
+		"clock 2147483647",
+		"buyer " + string(buyer) + " dataset past-int32: LastBid 2147483648",
+		"buyer " + string(buyer) + " dataset past-int32: BlockedUntil -2147483649",
+	} {
+		if _, err := command.RestoreState(periodsPastInt32(s, buyer)[i]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("edit %d: RestoreState = %v, want an error naming %q", i, err, want)
+		}
+	}
 }
 
 // unorderedPeriods returns s with its sales' periods going down as well

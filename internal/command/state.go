@@ -12,12 +12,13 @@ import (
 )
 
 // pair is what the state remembers about one (buyer, dataset) — the
-// §4.1 bid cadence, the §4.2 Time-Shield wait, the allocation — in 24
-// pointer-free bytes. The has* flags say which of BuyerSnapshot's three
-// maps hold the dataset's key, so a snapshot round-trips byte for byte.
+// §4.1 bid cadence, the §4.2 Time-Shield wait, the allocation — in 16
+// pointer-free bytes, its periods int32 as MaxPeriod bounds them. The
+// has* flags say which of BuyerSnapshot's maps hold its key, so a
+// snapshot round-trips byte for byte.
 type pair struct {
-	lastBid      int // last period with a bid
-	blockedUntil int // first period allowed to bid again
+	lastBid      int32 // last period with a bid
+	blockedUntil int32 // first period allowed to bid again
 	dataset      uint32
 	flags        uint8
 }
@@ -269,7 +270,7 @@ func (st *State) WalkBuyers(buyer func(id BuyerID, spent Money), record func(dat
 		acct := st.buyers[id]
 		buyer(id, acct.spent)
 		for _, p := range acct.pairs {
-			record(p.dataset, p.flags&acquired != 0, p.blockedUntil)
+			record(p.dataset, p.flags&acquired != 0, int(p.blockedUntil))
 		}
 	}
 }
@@ -437,14 +438,17 @@ func (st *State) Snapshot() Snapshot { return st.Cut().Snapshot() }
 
 // RestoreState reconstructs a state from a snapshot, validating
 // cross-references (every engine has a graph node, every owner exists,
-// every transaction's buyer exists) and that the sales are numbered
-// 1..n, as the log numbers the next one.
+// every transaction's buyer exists), that the sales are numbered 1..n,
+// as the log numbers the next one, and that every period fits a record.
 func RestoreState(s Snapshot) (*State, error) {
 	if err := s.Config.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("market: snapshot config: %w", err)
 	}
 	if s.Clock < 0 || s.Revenue < 0 {
 		return nil, fmt.Errorf("market: snapshot clock/revenue negative")
+	}
+	if s.Clock >= MaxPeriod {
+		return nil, fmt.Errorf("market: snapshot clock %d: %w", s.Clock, ErrClockExhausted)
 	}
 	graph, err := provenance.FromSnapshot(s.Graph)
 	if err != nil {
@@ -493,16 +497,27 @@ func RestoreState(s Snapshot) (*State, error) {
 	for id, bs := range s.Buyers {
 		acct := &accts[len(st.buyerIDs)]
 		*acct = buyerAccount{id: id, index: uint32(len(st.buyerIDs)), pairs: make([]pair, 0, len(bs.LastBid)), spent: bs.Spent}
+		// Every key is interned: it need not name a dataset on sale.
 		for name, v := range bs.LastBid { // one sort: every record a bid made has a LastBid key
-			acct.pairs = append(acct.pairs, pair{lastBid: v, dataset: st.intern(name), flags: hasLastBid})
+			if v != int(int32(v)) {
+				return nil, fmt.Errorf("market: snapshot buyer %s dataset %s: LastBid %d is not an int32", id, name, v)
+			}
+			acct.pairs = append(acct.pairs, pair{lastBid: int32(v), dataset: st.intern(name), flags: hasLastBid})
 		}
 		slices.SortFunc(acct.pairs, byDataset)
-		restorePairs(st, acct, bs.BlockedUntil, func(p *pair, v int) { p.blockedUntil, p.flags = v, p.flags|hasBlockedUntil })
-		restorePairs(st, acct, bs.Acquired, func(p *pair, v bool) {
+		for name, v := range bs.BlockedUntil {
+			if v != int(int32(v)) {
+				return nil, fmt.Errorf("market: snapshot buyer %s dataset %s: BlockedUntil %d is not an int32", id, name, v)
+			}
+			p := acct.record(st.intern(name))
+			p.blockedUntil, p.flags = int32(v), p.flags|hasBlockedUntil
+		}
+		for name, v := range bs.Acquired {
+			p := acct.record(st.intern(name))
 			if p.flags |= hasAcquired; v {
 				p.flags |= acquired
 			}
-		})
+		}
 		st.buyers[id] = acct
 		st.buyerIDs = append(st.buyerIDs, id)
 	}
@@ -525,12 +540,4 @@ func RestoreState(s Snapshot) (*State, error) {
 		st.appendSale(txRec{tx.Price, acct.index, st.intern(tx.Dataset)}, tx.Period)
 	}
 	return st, nil
-}
-
-// restorePairs folds one of a BuyerSnapshot's maps into the account's
-// records, interning each key: it need not name a dataset on sale.
-func restorePairs[V any](st *State, acct *buyerAccount, m map[DatasetID]V, set func(*pair, V)) {
-	for name, v := range m {
-		set(acct.record(st.intern(name)), v)
-	}
 }

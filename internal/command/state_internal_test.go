@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/core"
@@ -121,5 +122,14 @@ func TestPaySellersSplitsExactly(t *testing.T) {
 	}
 	if bal, err := st.SellerBalance("s"); err != nil || bal != 0 {
 		t.Errorf("former owner's balance = %v, %v; want 0", bal, err)
+	}
+}
+
+// TestPairIs16Bytes pins the (buyer, dataset) record at 16 bytes: two
+// int32 periods, the dataset index and the flags. A field that re-pads
+// it fails here by name.
+func TestPairIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(pair{}); n != 16 {
+		t.Fatalf("pair is %d bytes, want 16", n)
 	}
 }

@@ -2,6 +2,7 @@ package command
 
 import (
 	"errors"
+	"math"
 
 	"github.com/datamarket/shield/internal/core"
 )
@@ -21,7 +22,20 @@ var (
 	ErrAlreadyAcquired = errors.New("market: buyer already owns this dataset")
 	ErrEmptyID         = errors.New("market: empty identifier")
 	ErrDatasetInUse    = errors.New("market: dataset backs derived products")
+	ErrClockExhausted  = errors.New("market: the clock is at its last period")
 )
+
+// MaxPeriod bounds the periods a state holds, so that a (buyer, dataset)
+// record keeps its two in 32 bits: the clock stops one short of it (a
+// Tick there is ErrClockExhausted), and a wait that would end at or past
+// it ends at it, which refuses exactly the bids the longer wait would.
+const MaxPeriod = math.MaxInt32
+
+// WaitEnd is the first period a buyer that lost at clock with the given
+// wait may bid again, held at MaxPeriod.
+func WaitEnd(clock, wait int) int32 {
+	return int32(min(clock+min(wait, MaxPeriod), MaxPeriod))
+}
 
 // ErrNotMarket is returned by Apply for commands that are part of the
 // codec but do not target market state (today: Settle, which belongs to

@@ -380,8 +380,8 @@ func (m *Market) WithdrawDataset(seller SellerID, id DatasetID) error {
 var tickBody, _ = command.EncodeBinary(command.Tick{})
 
 // Tick advances the market clock by one period and returns the new
-// period, 0 if a route refused the tick. Buyers may bid once per period
-// per dataset.
+// period, 0 if the tick was refused (by a route, or at the clock's last
+// period). Buyers may bid once per period per dataset.
 func (m *Market) Tick() int {
 	ev, _ := m.ApplyEncodedCtx(context.Background(), tickBody, nil)
 	return ev.Period

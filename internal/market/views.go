@@ -265,7 +265,7 @@ func (c *buyerCell) key() BuyerID { return c.id }
 
 type wait struct {
 	index uint32 // in views.index, as the bitset's bits are
-	until int
+	until int32  // as the state's record holds it (command.WaitEnd)
 }
 
 // owned returns the ownership bitset, nil before the first purchase.
@@ -293,7 +293,7 @@ func (c *buyerCell) acquire(i uint32) {
 
 // block publishes a wait on the dataset of index i decided at period
 // clock, over the buyer's earlier wait on it or else one that has run out.
-func (c *buyerCell) block(i uint32, until, clock int) {
+func (c *buyerCell) block(i uint32, until int32, clock int) {
 	c.waitMu.Lock()
 	defer c.waitMu.Unlock()
 	free := -1
@@ -302,7 +302,7 @@ func (c *buyerCell) block(i uint32, until, clock int) {
 			free = k
 			break
 		}
-		if free < 0 && c.waits[k].until <= clock {
+		if free < 0 && int(c.waits[k].until) <= clock {
 			free = k
 		}
 	}
@@ -320,7 +320,7 @@ func (c *buyerCell) blockedUntil(i uint32) int {
 	defer c.waitMu.Unlock()
 	for k := range c.waits {
 		if c.waits[k].index == i {
-			return c.waits[k].until
+			return int(c.waits[k].until)
 		}
 	}
 	return 0
@@ -393,7 +393,7 @@ func (m *Market) rebuildViews() {
 			cell.acquire(dataset)
 		}
 		if until > clock {
-			waits = append(waits, wait{dataset, until})
+			waits = append(waits, wait{dataset, int32(until)}) // a record's int32
 			cell.waits = waits[first:len(waits):len(waits)]
 		}
 	})
@@ -488,7 +488,7 @@ func (m *Market) publishBid(ev *command.Event) {
 	if !ev.Decision.Allocated {
 		// A zero wait is already over; there is nothing to publish.
 		if cell != nil && indexed && ev.Decision.WaitPeriods > 0 {
-			cell.block(i, ev.Period+ev.Decision.WaitPeriods, ev.Period)
+			cell.block(i, command.WaitEnd(ev.Period, ev.Decision.WaitPeriods), ev.Period)
 		}
 		return
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark runs, parent against this tree:
 #
-#   bash scripts/benchpairs.sh <parent-ref> <workload> <seed> [pairs]
+#   bash scripts/benchpairs.sh [-aa] <parent-ref> <workload> <seed> [pairs]
 #   make bench-pairs PARENT=<ref> WORKLOAD=<w> SEED=<n> PAIRS=10
 #
 # Extracts <parent-ref> with `git archive` under .bench_build/parent/ and
@@ -28,6 +28,12 @@
 # run's host line), both revisions, the workload, seed and pair count, go
 # to .bench_build/pairs/ledger.json.
 #
+# With -aa the parent's tree runs on both sides (an A/A run): the same
+# table and ledger, whose "change" is the parent too, measure the noise
+# floor, and the ledger is also written to BENCH_noise_<workload>.json at
+# the root of the repo, where scripts/ledgercheck.sh holds every claim on
+# that workload to exceed it.
+#
 # Each run's host health goes to the ledger's "health" block too: the
 # share of CPU time the hypervisor stole from the host while it ran
 # (/proc/stat) and the 1-minute load when it ended (/proc/loadavg). The
@@ -39,6 +45,11 @@
 # Numbers are this host's, and only runs taken in one session compare.
 set -euo pipefail
 
+aa=
+if [ "${1:-}" = -aa ]; then
+	aa=1
+	shift
+fi
 if [ $# -lt 3 ]; then
 	sed -n '2,5p' "$0" >&2
 	exit 2
@@ -67,7 +78,7 @@ cpu_times() {
 # closing load to <side>.steal and <side>.load1.
 run() {
 	local side=$1 pair=$2 dir=$root log total0 steal0 total1 steal1 load1
-	[ "$side" = parent ] && dir=$parent
+	if [ "$side" = parent ] || [ -n "$aa" ]; then dir=$parent; fi
 	log="$out/$side.$pair.log"
 	read -r total0 steal0 < <(cpu_times)
 	if ! (cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) >"$log" 2>&1; then
@@ -96,7 +107,9 @@ run() {
 # list <file>: its lines as a JSON array's elements.
 list() { paste -sd, "$1" | sed 's/,/, /g'; }
 
-echo "benchpairs: $workload seed=$seed seconds=$seconds pairs=$pairs parent=$(git rev-parse --short "$parent_ref") change=working tree at $(git rev-parse --short HEAD)"
+change_rev=$(git rev-parse HEAD)$(git diff --quiet HEAD -- || echo "+uncommitted")
+[ -z "$aa" ] || change_rev=$(git rev-parse "$parent_ref")
+echo "benchpairs: $workload seed=$seed seconds=$seconds pairs=$pairs parent=$(git rev-parse --short "$parent_ref") change=${aa:+the parent again (A/A), }$change_rev"
 for pair in $(seq 1 "$pairs"); do
 	if [ $((pair % 2)) -eq 1 ]; then
 		run parent "$pair"
@@ -169,12 +182,11 @@ awk '/"end_to_end"/ {on = 1} on && /"name"/ {gsub(/[",]/, ""); name = $2}
 host_field() {
 	sed -n "s/^host:.* $1=\([^ ]*\).*/\1/p" "$out/change.1.log"
 }
-dirty=$(git diff --quiet HEAD -- || echo "+uncommitted")
 {
 	printf '{\n  "generated_at": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 	printf '  "host": {"nproc": %s, "gomaxprocs": %s, "go_version": "%s", "kernel": "%s", "journal_fs": "%s", "fsync": "%s"},\n' \
 		"$(host_field cores)" "$(host_field gomaxprocs)" "$(host_field go)" "$(host_field kernel)" "$(host_field journal_fs)" "$(host_field fsync)"
-	printf '  "parent": "%s",\n  "change": "%s%s",\n' "$(git rev-parse "$parent_ref")" "$(git rev-parse HEAD)" "$dirty"
+	printf '  "parent": "%s",\n  "change": "%s",\n' "$(git rev-parse "$parent_ref")" "$change_rev"
 	printf '  "workload": "%s",\n  "seed": %s,\n  "pairs": %s,\n  "seconds": %s,\n' "$workload" "$seed" "$pairs" "$seconds"
 	printf '  "health": {\n'
 	printf '    "parent": {"steal": [%s], "load1": [%s]},\n' "$(list "$out/parent.steal")" "$(list "$out/parent.load1")"
@@ -186,3 +198,7 @@ dirty=$(git diff --quiet HEAD -- || echo "+uncommitted")
 } >"$out/ledger.json"
 echo
 echo "benchpairs: wrote $out/ledger.json"
+if [ -n "$aa" ]; then
+	cp "$out/ledger.json" "BENCH_noise_$workload.json"
+	echo "benchpairs: wrote BENCH_noise_$workload.json"
+fi
