@@ -91,8 +91,8 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		return append(evs, Event{Kind: EvSellerRegistered, Seller: c.Seller}), nil
 
 	case UploadDataset:
-		if c.Dataset == "" {
-			return evs, ErrEmptyID
+		if err := st.checkName(c.Dataset); err != nil {
+			return evs, err
 		}
 		acct, ok := st.sellers[c.Seller]
 		if !ok {
@@ -108,8 +108,8 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		return append(evs, Event{Kind: EvDatasetAdded, Seller: c.Seller, Dataset: c.Dataset}), nil
 
 	case ComposeDataset:
-		if c.Dataset == "" {
-			return evs, ErrEmptyID
+		if err := st.checkName(c.Dataset); err != nil {
+			return evs, err
 		}
 		parts := make([]string, len(c.Constituents))
 		for i, p := range c.Constituents {
@@ -296,14 +296,14 @@ func (st *State) applyBid(c SubmitBid, acct *buyerAccount, idx uint32, indexed b
 
 	p := acct.record(idx) // a new record passes every check below
 	switch {
-	case p.flags&acquired != 0:
+	case p.key&acquired != 0:
 		return Event{}, fmt.Errorf("%w: %s", ErrAlreadyAcquired, dataset)
-	case p.flags&hasLastBid != 0 && int(p.lastBid) == clock:
+	case p.key&hasLastBid != 0 && int(p.lastBid) == clock:
 		return Event{}, fmt.Errorf("%w: period %d", ErrBidTooSoon, clock)
 	case clock < int(p.blockedUntil):
 		return Event{}, fmt.Errorf("%w: %d periods remain", ErrWaitActive, int(p.blockedUntil)-clock)
 	}
-	p.lastBid, p.flags = int32(clock), p.flags|hasLastBid
+	p.lastBid, p.key = int32(clock), p.key|hasLastBid
 
 	d := st.engines[idx].SubmitBid(c.Amount)
 	for _, leaf := range leaves {
@@ -321,13 +321,13 @@ func (st *State) applyBid(c SubmitBid, acct *buyerAccount, idx uint32, indexed b
 		Leaves:  leaves,
 	}
 	if !d.Allocated {
-		p.blockedUntil, p.flags = WaitEnd(clock, d.Wait), p.flags|hasBlockedUntil
+		p.blockedUntil, p.key = WaitEnd(clock, d.Wait), p.key|hasBlockedUntil
 		ev.Decision = Decision{WaitPeriods: d.Wait}
 		return ev, nil
 	}
 
 	price := FromFloat(d.Price)
-	p.flags |= hasAcquired | acquired
+	p.key |= hasAcquired | acquired
 	acct.spent += price
 	st.revenue += price
 	ev.Paid = st.paySellers(dataset, leaves, price)

@@ -69,15 +69,15 @@ func (c *Cut) buyer(b cutBuyer, bs *BuyerSnapshot) {
 	clear(bs.Acquired)
 	bs.Spent = b.spent
 	for _, r := range c.recs[b.from:b.to] {
-		name := c.txs.names[r.dataset]
-		if r.flags&hasLastBid != 0 {
+		name := c.txs.names[r.key>>8]
+		if r.key&hasLastBid != 0 {
 			bs.LastBid[name] = int(r.lastBid)
 		}
-		if r.flags&hasBlockedUntil != 0 {
+		if r.key&hasBlockedUntil != 0 {
 			bs.BlockedUntil[name] = int(r.blockedUntil)
 		}
-		if r.flags&hasAcquired != 0 {
-			bs.Acquired[name] = r.flags&acquired != 0
+		if r.key&hasAcquired != 0 {
+			bs.Acquired[name] = r.key&acquired != 0
 		}
 	}
 }
@@ -89,9 +89,9 @@ func (c *Cut) Snapshot() Snapshot {
 	for _, b := range c.buyers {
 		var n [hasAcquired + 1]int // at each has* flag, the records carrying it; at 0, the misses
 		for _, r := range c.recs[b.from:b.to] {
-			n[r.flags&hasLastBid]++
-			n[r.flags&hasBlockedUntil]++
-			n[r.flags&hasAcquired]++
+			n[r.key&hasLastBid]++
+			n[r.key&hasBlockedUntil]++
+			n[r.key&hasAcquired]++
 		}
 		bs := BuyerSnapshot{LastBid: make(map[DatasetID]int, n[hasLastBid]), BlockedUntil: make(map[DatasetID]int, n[hasBlockedUntil]), Acquired: make(map[DatasetID]bool, n[hasAcquired])}
 		c.buyer(b, &bs)

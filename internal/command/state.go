@@ -12,19 +12,18 @@ import (
 )
 
 // pair is what the state remembers about one (buyer, dataset) — the
-// §4.1 bid cadence, the §4.2 Time-Shield wait, the allocation — in 16
+// §4.1 bid cadence, the §4.2 Time-Shield wait, the allocation — in 12
 // pointer-free bytes, its periods int32 as MaxPeriod bounds them. The
-// has* flags say which of BuyerSnapshot's maps hold its key, so a
-// snapshot round-trips byte for byte.
+// has* flags, in key's low byte under the dataset index, say which of
+// BuyerSnapshot's maps hold its key, so a snapshot round-trips byte for byte.
 type pair struct {
-	lastBid      int32 // last period with a bid
-	blockedUntil int32 // first period allowed to bid again
-	dataset      uint32
-	flags        uint8
+	lastBid      int32  // last period with a bid
+	blockedUntil int32  // first period allowed to bid again
+	key          uint32 // dataset index << 8 | flags
 }
 
 const (
-	hasLastBid uint8 = 1 << iota
+	hasLastBid uint32 = 1 << iota
 	hasBlockedUntil
 	hasAcquired // Acquired holds the key...
 	acquired    // ...and this is its value
@@ -37,19 +36,19 @@ type buyerAccount struct {
 	spent Money
 }
 
-func byDataset(a, b pair) int { return cmp.Compare(a.dataset, b.dataset) }
+func byDataset(a, b pair) int { return cmp.Compare(a.key>>8, b.key>>8) } // a probe's flags are 0
 
 // record returns the buyer's record on dataset i, inserted empty if the
 // buyer has none — moving every later record, so a first bid costs time
 // linear in the buyer's records. The pointer is good until the next
 // insertion.
 func (a *buyerAccount) record(i uint32) *pair {
-	k, ok := slices.BinarySearchFunc(a.pairs, pair{dataset: i}, byDataset)
+	k, ok := slices.BinarySearchFunc(a.pairs, pair{key: i << 8}, byDataset)
 	if !ok {
 		if cap(a.pairs) == 0 {
 			a.pairs = make([]pair, 0, 8)
 		}
-		a.pairs = slices.Insert(a.pairs, k, pair{dataset: i})
+		a.pairs = slices.Insert(a.pairs, k, pair{key: i << 8})
 	}
 	return &a.pairs[k]
 }
@@ -155,6 +154,17 @@ func (st *State) intern(id DatasetID) uint32 {
 		st.leaves = append(st.leaves, nil)
 	}
 	return i
+}
+
+// checkName refuses an empty dataset name, and a new one past maxDatasets.
+func (st *State) checkName(id DatasetID) error {
+	if id == "" {
+		return ErrEmptyID
+	}
+	if _, ok := st.index[id]; !ok && len(st.names) >= maxDatasets {
+		return fmt.Errorf("%w: %d datasets", ErrCatalogFull, len(st.names))
+	}
+	return nil
 }
 
 // engine returns the dataset's index and engine, nil when not on sale.
@@ -270,7 +280,7 @@ func (st *State) WalkBuyers(buyer func(id BuyerID, spent Money), record func(dat
 		acct := st.buyers[id]
 		buyer(id, acct.spent)
 		for _, p := range acct.pairs {
-			record(p.dataset, p.flags&acquired != 0, int(p.blockedUntil))
+			record(p.key>>8, p.key&acquired != 0, int(p.blockedUntil))
 		}
 	}
 }
@@ -439,7 +449,7 @@ func (st *State) Snapshot() Snapshot { return st.Cut().Snapshot() }
 // RestoreState reconstructs a state from a snapshot, validating
 // cross-references (every engine has a graph node, every owner exists,
 // every transaction's buyer exists), that the sales are numbered 1..n,
-// as the log numbers the next one, and that every period fits a record.
+// as the log numbers the next one, and that periods and indices fit a record.
 func RestoreState(s Snapshot) (*State, error) {
 	if err := s.Config.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("market: snapshot config: %w", err)
@@ -502,7 +512,7 @@ func RestoreState(s Snapshot) (*State, error) {
 			if v != int(int32(v)) {
 				return nil, fmt.Errorf("market: snapshot buyer %s dataset %s: LastBid %d is not an int32", id, name, v)
 			}
-			acct.pairs = append(acct.pairs, pair{lastBid: int32(v), dataset: st.intern(name), flags: hasLastBid})
+			acct.pairs = append(acct.pairs, pair{lastBid: int32(v), key: st.intern(name)<<8 | hasLastBid})
 		}
 		slices.SortFunc(acct.pairs, byDataset)
 		for name, v := range bs.BlockedUntil {
@@ -510,12 +520,12 @@ func RestoreState(s Snapshot) (*State, error) {
 				return nil, fmt.Errorf("market: snapshot buyer %s dataset %s: BlockedUntil %d is not an int32", id, name, v)
 			}
 			p := acct.record(st.intern(name))
-			p.blockedUntil, p.flags = int32(v), p.flags|hasBlockedUntil
+			p.blockedUntil, p.key = int32(v), p.key|hasBlockedUntil
 		}
 		for name, v := range bs.Acquired {
 			p := acct.record(st.intern(name))
-			if p.flags |= hasAcquired; v {
-				p.flags |= acquired
+			if p.key |= hasAcquired; v {
+				p.key |= acquired
 			}
 		}
 		st.buyers[id] = acct
@@ -538,6 +548,9 @@ func RestoreState(s Snapshot) (*State, error) {
 			return nil, fmt.Errorf("market: snapshot transaction %d references unknown buyer %s", i, tx.Buyer)
 		}
 		st.appendSale(txRec{tx.Price, acct.index, st.intern(tx.Dataset)}, tx.Period)
+	}
+	if len(st.names) > maxDatasets {
+		return nil, fmt.Errorf("market: snapshot names %d datasets: %w", len(st.names), ErrCatalogFull)
 	}
 	return st, nil
 }

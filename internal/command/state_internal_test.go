@@ -1,8 +1,11 @@
 package command
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -125,11 +128,69 @@ func TestPaySellersSplitsExactly(t *testing.T) {
 	}
 }
 
-// TestPairIs16Bytes pins the (buyer, dataset) record at 16 bytes: two
-// int32 periods, the dataset index and the flags. A field that re-pads
-// it fails here by name.
-func TestPairIs16Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(pair{}); n != 16 {
-		t.Fatalf("pair is %d bytes, want 16", n)
+// TestPairIs12Bytes pins the (buyer, dataset) record at 12 bytes: two
+// int32 periods and the dataset index over the flags. A field that
+// re-pads it fails here by name.
+func TestPairIs12Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(pair{}); n != 12 {
+		t.Fatalf("pair is %d bytes, want 12", n)
+	}
+}
+
+// TestCatalogFull lowers the catalog's cap to three names. A fourth, by
+// upload or compose, is ErrCatalogFull and moves nothing; bids on the
+// three still decide; and RestoreState takes a snapshot naming three but
+// refuses one naming four, giving the count.
+func TestCatalogFull(t *testing.T) {
+	defer func(n int) { maxDatasets = n }(maxDatasets)
+	maxDatasets = 3
+	cfg := Config{Engine: core.Config{Candidates: auction.LinearGrid(10, 100, 10), EpochSize: 4, MinBid: 1}, Seed: 7}
+	canonical := func(st *State) []byte {
+		t.Helper()
+		b, err := st.Snapshot().Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	st := MustNewState(cfg)
+	for _, cmd := range []Command{
+		RegisterSeller{Seller: "s"}, RegisterBuyer{Buyer: "b"},
+		UploadDataset{Seller: "s", Dataset: "x"}, UploadDataset{Seller: "s", Dataset: "y"},
+		ComposeDataset{Dataset: "xy", Constituents: []DatasetID{"x", "y"}},
+	} {
+		if _, err := Apply(st, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := canonical(st)
+	for _, cmd := range []Command{
+		UploadDataset{Seller: "s", Dataset: "z"},
+		ComposeDataset{Dataset: "xz", Constituents: []DatasetID{"x"}},
+	} {
+		if _, err := Apply(st, cmd); !errors.Is(err, ErrCatalogFull) {
+			t.Fatalf("%#v on a full catalog: %v, want ErrCatalogFull", cmd, err)
+		}
+		if !bytes.Equal(canonical(st), full) {
+			t.Fatalf("a refused %#v moved the state", cmd)
+		}
+	}
+	for _, d := range []DatasetID{"x", "xy"} {
+		if evs, err := Apply(st, SubmitBid{Buyer: "b", Dataset: d, Amount: 50}); err != nil || evs[0].Kind != EvBidDecided {
+			t.Fatalf("a bid on %s in a full catalog: %v, %v", d, evs, err)
+		}
+	}
+	if _, err := RestoreState(st.Snapshot()); err != nil {
+		t.Fatalf("a snapshot naming as many datasets as the cap: %v", err)
+	}
+
+	maxDatasets = 4
+	if _, err := Apply(st, UploadDataset{Seller: "s", Dataset: "z"}); err != nil {
+		t.Fatal(err)
+	}
+	maxDatasets = 3
+	_, err := RestoreState(st.Snapshot())
+	if !errors.Is(err, ErrCatalogFull) || !strings.Contains(err.Error(), "names 4 datasets") {
+		t.Fatalf("a snapshot naming 4 datasets past a cap of 3: %v, want ErrCatalogFull giving the count", err)
 	}
 }

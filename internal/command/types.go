@@ -23,6 +23,7 @@ var (
 	ErrEmptyID         = errors.New("market: empty identifier")
 	ErrDatasetInUse    = errors.New("market: dataset backs derived products")
 	ErrClockExhausted  = errors.New("market: the clock is at its last period")
+	ErrCatalogFull     = errors.New("market: the catalog has no dataset index left")
 )
 
 // MaxPeriod bounds the periods a state holds, so that a (buyer, dataset)
@@ -30,6 +31,12 @@ var (
 // Tick there is ErrClockExhausted), and a wait that would end at or past
 // it ends at it, which refuses exactly the bids the longer wait would.
 const MaxPeriod = math.MaxInt32
+
+// MaxDatasets bounds the names a state interns, withdrawn ones included,
+// so a record keeps the index in 24 bits: a new name past it is ErrCatalogFull.
+const MaxDatasets = 1 << 24
+
+var maxDatasets = MaxDatasets // tests lower it
 
 // WaitEnd is the first period a buyer that lost at clock with the given
 // wait may bid again, held at MaxPeriod.

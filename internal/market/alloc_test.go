@@ -220,19 +220,20 @@ func liveHeap() uint64 {
 // on at most once, three bids in four winning). Bytes per decided bid is
 // how many bids one arbiter can remember, so it is budgeted like an
 // allocation count. The history is seeded, so the figure repeats to
-// ±0.1 B. It has read 306 → 116 → 68 → 59 → 43 B: three string-keyed maps
-// per buyer, every acquisition again in a per-buyer sync.Map, the log
-// again in the books view and each request's strings pinned as keys
-// (306); one map of pointer-free records per buyer and one log of
+// ±0.1 B. It has read 306 → 116 → 68 → 59 → 43 → 36 B: three
+// string-keyed maps per buyer, every acquisition again in a per-buyer
+// sync.Map, the log again in the books view and each request's strings
+// pinned as keys (306); one map of pointer-free records per buyer and one log of
 // Transactions (116); each buyer's records in one slice sorted by
 // dataset index and each sale in a 24-byte index record (68); each sale
 // in 16 bytes, its period in a run table, and each running wait keyed
 // by dataset index (59); each record's two periods and each running
-// wait's end in 32 bits, bounded by command.MaxPeriod (43). The budget
-// is 1.25× the last.
+// wait's end in 32 bits, bounded by command.MaxPeriod (43); the dataset
+// index in 24 bits beside the record's flags, bounded by
+// command.MaxDatasets (36). The budget is 1.25× the last.
 func TestStateBytesPerDecidedBid(t *testing.T) {
 	const buyers, datasets, bids, tickEvery = 4096, 64, 150_000, 512
-	const measured, budget = 43, 54 // bytes per decided bid
+	const measured, budget = 36, 45 // bytes per decided bid
 	m := MustNew(Config{
 		Engine: core.Config{
 			Candidates:    auction.LinearGrid(1, 200, 40),
@@ -261,7 +262,7 @@ func TestStateBytesPerDecidedBid(t *testing.T) {
 	perBid := float64(liveHeap()-before) / bids
 	t.Logf("%.1f live bytes per decided bid over %d bids, %d of them sales", perBid, bids, m.TxCount())
 	if perBid > budget {
-		t.Fatalf("%.1f live bytes per decided bid, budget %d (1.25 × the %d B the 32-bit periods measured)", perBid, budget, measured)
+		t.Fatalf("%.1f live bytes per decided bid, budget %d (1.25 × the %d B the 12-byte record measured)", perBid, budget, measured)
 	}
 	runtime.KeepAlive(m)
 }

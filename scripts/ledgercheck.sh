@@ -29,7 +29,8 @@
 # the claim's gap — how much better the change's median is than the
 # parent's — must also exceed the A/A run's median gap on that metric,
 # taken either way; a claim on a workload without one is printed, not
-# failed.
+# failed. A claim that holds above a noise floor has its margin printed,
+# never failed: its gap over the A/A gap.
 #
 # Every failure names the file, or the entry, and the field; the exit
 # status is 1 if any ledger or claim fails.
@@ -174,7 +175,7 @@ while IFS=$'\t' read -r entry claim; do
 		else
 			claimed=$(gap "$flat" "$metric") floor=${floor#-}
 			if awk -v g="$claimed" -v f="$floor" 'BEGIN { exit !(g > f) }'; then
-				echo "ledger-check: $f: $metric gap $claimed exceeds the A/A gap $floor ($noise)"
+				echo "ledger-check: $f: $metric gap $claimed exceeds the A/A gap $floor ($noise), margin $(awk -v g="$claimed" -v f="$floor" 'BEGIN { if (f > 0) printf "%.1fx", g / f; else print "unbounded (A/A gap 0)" }')"
 			else
 				bad "$metric gap $claimed in $ledger does not exceed the A/A gap $floor in $noise"
 			fi
