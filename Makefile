@@ -17,11 +17,15 @@ fmt-check:
 # Every write reaches the state as bytes, through market.Market's
 # methods (and a journal's route), so nothing but the command core, the
 # torture reference model and the benchmark's bare rung calls the typed
-# command.Apply; fails listing file:line. And the applier's packages
-# import no clock, OS, lock or ambient randomness, so a command's
-# outcome is a function of the state and the command alone and replay
-# rebuilds what was acknowledged; fails naming the package and the
-# import.
+# command.Apply; fails listing file:line. One assembly builds a server:
+# outside internal/node (what marketd and the load rig start), the
+# torture harness, shield.go's handlers and benchmark/, nothing builds a
+# wire or HTTP server, a follower or a replication feed by hand, so the
+# rig cannot drift from the daemon; fails listing file:line. And the
+# applier's packages import no clock, OS, lock or ambient randomness, so
+# a command's outcome is a function of the state and the command alone
+# and replay rebuilds what was acknowledged; fails naming the package
+# and the import.
 APPLIER_PKGS = command core mw auction rng provenance binenc
 vet:
 	$(GO) vet ./...
@@ -31,6 +35,9 @@ vet:
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/command/' -e '^internal/torture/reference\.go$$' -e '^benchmark/' | \
 		xargs grep -n -F 'command.Apply(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "command.Apply outside the command core, the torture reference and benchmark/ (write through market.Market):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/node/' -e '^internal/torture/' -e '^shield\.go$$' -e '^benchmark/' | \
+		xargs grep -n -E '(wire\.NewServer|httpapi\.New(Server|Journaled|Replica)|replica\.(Start|NewFeed))\(' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "a server assembled outside internal/node, the torture harness, shield.go and benchmark/ (start it with node.Start):"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' $(APPLIER_PKGS:%=./internal/%) | tr -d '[]' | \
 		awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^(time|os|sync|sync\/atomic|math\/rand|math\/rand\/v2)$$/) print $$1 " imports " $$i }')"; \
 		if [ -n "$$out" ]; then echo "clock, OS or concurrency import in an applier package:"; echo "$$out"; exit 1; fi
@@ -178,7 +185,7 @@ loc:
 	@bash scripts/loc.sh $(PARENT)
 
 # Cluster-in-process load rig with SLO gates (cmd/shieldload): one
-# process boots a real marketd-equivalent server (HTTP + wire over a
+# process boots marketd's own server (internal/node: HTTP + wire over a
 # group-commit journaled market), drives 1k+ persona clients open-loop,
 # and fails on an SLO, money-conservation, or journal-replay violation.
 # The smoke thresholds are deliberately loose — they gate against order-

@@ -1,6 +1,6 @@
-// Command shieldload is the cluster-in-process load rig: it boots a
-// real marketd-equivalent server — HTTP and wire transports over one
-// journaled market with full telemetry — inside this process, seeds a
+// Command shieldload is the cluster-in-process load rig: it boots
+// marketd's own server (internal/node; HTTP and wire transports over one
+// journaled market with full telemetry) inside this process, seeds a
 // catalog, and drives thousands of concurrent persona-driven client
 // connections at an open-loop target rate.
 // Latency is measured from each operation's scheduled send time

@@ -570,6 +570,35 @@ func BenchmarkComputeWaitPeriod(b *testing.B) {
 
 func normalBid(r *rng.RNG) float64 { return math.Max(1, r.Normal(100, 30)) }
 
+// BenchmarkSubmitBidConverged times SubmitBid on marketd's default
+// engine after 20 000 Normal(100, 30) bids (2 500 epochs), against
+// BenchmarkSubmitBid's fresh one. By then most of the 40 weights are
+// subnormal, and a losing bid's Bound wait replay runs its round cap
+// multiplying the floor candidate's subnormal weight; the subnormal
+// count is reported so a change that keeps weights normal shows.
+func BenchmarkSubmitBidConverged(b *testing.B) {
+	e := MustNew(Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1, MinBid: 1, Seed: 2022})
+	r := rng.New(7)
+	for i := 0; i < 20000; i++ {
+		e.SubmitBid(normalBid(r))
+	}
+	bids := make([]float64, 4096)
+	for i := range bids {
+		bids[i] = normalBid(r)
+	}
+	subnormal := 0
+	for _, w := range e.Weights() {
+		if w != 0 && math.Abs(w) < 0x1p-1022 {
+			subnormal++
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.SubmitBid(bids[i%len(bids)])
+	}
+	b.ReportMetric(float64(subnormal), "subnormal")
+}
+
 func TestObserveFeedsEpochWithoutAllocation(t *testing.T) {
 	cfg := testConfig()
 	cfg.EpochSize = 3

@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"log/slog"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -201,6 +200,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.tel.Registry.WritePrometheus(w)
 }
 
+// OperatorRoutes adds the operator reads, GET /metrics and GET
+// /debug/traces, to mux without the operator gate, for a listener only
+// the operator reaches (marketd -debug-addr). Call it after Routes.
+func (s *Server) OperatorRoutes(mux *http.ServeMux) {
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /debug/traces", s.handleTraces)
+}
+
 // handleTraces serves the most recent completed bid-lifecycle traces,
 // newest first, with the count of traces already evicted from the ring.
 // With ?id=req-... it instead resolves one request ID to its full
@@ -221,19 +228,4 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		"dropped": s.tel.Tracer.Dropped(),
 		"traces":  s.tel.Tracer.Recent(64),
 	})
-}
-
-// ConnCountHook returns an http.Server.ConnState hook that tracks the
-// live connection count in g — the HTTP-side twin of the wire server's
-// shield_wire_connections gauge. Wire it as srv.ConnState when building
-// the daemon's http.Server.
-func ConnCountHook(g *obs.Gauge) func(net.Conn, http.ConnState) {
-	return func(_ net.Conn, st http.ConnState) {
-		switch st {
-		case http.StateNew:
-			g.Add(1)
-		case http.StateClosed, http.StateHijacked:
-			g.Add(-1)
-		}
-	}
 }

@@ -1,5 +1,5 @@
-// Package loadrig is the cluster-in-process load rig: it boots a real
-// marketd-equivalent server (HTTP and wire transports over one
+// Package loadrig is the cluster-in-process load rig: it boots
+// marketd's own server (node.Start: HTTP and wire transports over one
 // journaled, group-committed market with telemetry), seeds a catalog,
 // and drives thousands of concurrent persona-driven client connections
 // at an open-loop target rate, measuring end-to-end latency per

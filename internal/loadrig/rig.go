@@ -4,20 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/core"
-	"github.com/datamarket/shield/internal/httpapi"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
+	"github.com/datamarket/shield/internal/node"
 	"github.com/datamarket/shield/internal/obs"
 	"github.com/datamarket/shield/internal/replica"
-	"github.com/datamarket/shield/internal/wire"
 )
 
 // RigConfig sizes the in-process cluster a rig boots.
@@ -47,23 +44,23 @@ type RigConfig struct {
 	// the checkpoint covers.
 	StoreConfig journal.StoreConfig
 	// Followers boots this many read replicas beside the leader, each a
-	// replica.Follower streaming from the wire listener plus its own
-	// read-only HTTP listener (see Rig.FollowerAddrs). StartRig waits for
-	// every follower's first catch-up before returning.
+	// follower node streaming from the leader's wire listener and serving
+	// its own read-only HTTP listener (see Rig.FollowerAddrs). StartRig
+	// waits for every follower to converge on the seeded state.
 	Followers int
 }
 
-// Rig is a marketd-equivalent server running entirely in-process: one
-// journaled, group-commit market behind both transports — an HTTP API
-// listener and a wire-protocol listener on 127.0.0.1 — sharing one
-// telemetry registry, exactly the production topology minus the network
-// between machines. Tests and cmd/shieldload boot one, point thousands
-// of clients at the two addresses, and interrogate the same registry
-// the /metrics endpoint serves.
+// Rig is marketd's server running entirely in-process: one leader
+// node — a journaled, group-commit market behind an HTTP API listener
+// and a wire-protocol listener on 127.0.0.1, with its replication feed —
+// plus RigConfig.Followers follower nodes, each started by node.Start as
+// marketd starts one. Tests and cmd/shieldload boot one, point thousands
+// of clients at the addresses, and interrogate the same registry the
+// /metrics endpoint serves.
 type Rig struct {
-	// Market is the journaled market both listeners share.
+	// Market is the journaled market both leader listeners share.
 	Market *journal.Market
-	// Tel is the process-wide telemetry; server histograms
+	// Tel is the leader's telemetry; server histograms
 	// (shield_http_request_seconds, shield_wire_request_seconds) live
 	// in Tel.Registry.
 	Tel *obs.Telemetry
@@ -77,29 +74,24 @@ type Rig struct {
 	Buyers []market.BuyerID
 	// JournalDir is the store directory backing Market.
 	JournalDir string
-	// Feed is the leader's replication feed, non-nil when the rig runs
-	// followers.
-	Feed *replica.Feed
 	// Followers are the read replicas, in boot order; FollowerAddrs are
 	// their read-only HTTP dial targets ("http://127.0.0.1:port").
 	Followers     []*replica.Follower
 	FollowerAddrs []string
 
-	httpSrv      *http.Server
-	httpLn       net.Listener
-	wireLn       net.Listener
-	followerSrvs []*http.Server
-	followerLns  []net.Listener
-	tmpDir       string // JournalDir's parent, removed on Close
+	nodes  []*node.Node // the leader first
+	tmpDir string       // JournalDir's parent, removed on Close
 }
 
 // Seller is the account owning every seeded dataset.
 const Seller = market.SellerID("rig-seller")
 
-// StartRig boots the in-process cluster: journaled market, HTTP and
-// wire listeners on ephemeral localhost ports, shared telemetry, and a
-// seeded catalog of rc.Datasets datasets and rc.Buyers registered
-// buyers. Callers must Close the rig.
+// StartRig boots the in-process cluster: the leader node on ephemeral
+// localhost ports over a store in a temporary directory, a seeded
+// catalog of rc.Datasets datasets and rc.Buyers registered buyers, and
+// rc.Followers follower nodes, each converged on the seeded state before
+// StartRig returns so runs never measure the boot transient as replica
+// read errors. Callers must Close the rig.
 func StartRig(rc RigConfig) (*Rig, error) {
 	if rc.Datasets <= 0 {
 		rc.Datasets = 16
@@ -116,142 +108,57 @@ func StartRig(rc RigConfig) (*Rig, error) {
 		return nil, fmt.Errorf("loadrig: store dir: %w", err)
 	}
 	r := &Rig{tmpDir: tmpDir, JournalDir: filepath.Join(tmpDir, "store")}
-
-	// The engine configuration mirrors marketd's defaults: a linear
-	// candidate grid spanning the personas' bid range, so lowball bids
-	// shield and aggressive bids allocate.
-	cfg := market.Config{
-		Engine: core.Config{
-			Candidates:    auction.LinearGrid(1, 200, 40),
-			EpochSize:     8,
-			BidsPerPeriod: 1,
-			MinBid:        1,
+	// The engine configuration is marketd's default: a linear candidate
+	// grid spanning the personas' bid range, so lowball bids shield and
+	// aggressive bids allocate. Tracing defaults off (RigConfig.TraceSample
+	// 0): the rig measures, it does not sample.
+	cfg := node.Config{
+		Market: market.Config{
+			Engine: core.Config{
+				Candidates:    auction.LinearGrid(1, 200, 40),
+				EpochSize:     8,
+				BidsPerPeriod: 1,
+				MinBid:        1,
+			},
+			Seed:   rc.Seed,
+			Shards: market.DefaultShards,
 		},
-		Seed:   rc.Seed,
-		Shards: market.DefaultShards,
+		JournalDir:  r.JournalDir,
+		Store:       rc.StoreConfig,
+		Fsync:       rc.Fsync,
+		TraceSample: rc.TraceSample,
+		Addr:        "127.0.0.1:0",
+		WireAddr:    "127.0.0.1:0",
 	}
-
-	// Tracing defaults off (every=0): the rig measures, it does not
-	// sample. RigConfig.TraceSample opts in for runs that verify the
-	// tracing pipeline itself.
-	r.Tel = &obs.Telemetry{
-		Registry: obs.NewRegistry(),
-		Tracer:   obs.NewTracer(256, rc.TraceSample, rc.Seed),
-	}
-
-	opts := []journal.Option{journal.WithTelemetry(r.Tel)}
-	if rc.Fsync {
-		opts = append(opts, journal.WithFsync())
-	}
-	jm, _, err := journal.OpenStore(cfg, r.JournalDir, rc.StoreConfig, opts...)
+	leader, err := node.Start(cfg)
 	if err != nil {
 		r.cleanupTmp()
-		return nil, fmt.Errorf("loadrig: opening journal: %w", err)
+		return nil, fmt.Errorf("loadrig: leader: %w", err)
 	}
-	r.Market = jm
-
+	r.nodes = append(r.nodes, leader)
+	r.Market, r.Tel = leader.Market, leader.Tel
+	r.HTTPAddr, r.WireAddr = "http://"+leader.HTTPAddr, leader.WireAddr
 	if err := r.seed(rc); err != nil {
-		_ = jm.Close()
-		r.cleanupTmp()
+		_ = r.Close()
 		return nil, err
 	}
 
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = jm.Close()
-		r.cleanupTmp()
-		return nil, fmt.Errorf("loadrig: http listener: %w", err)
-	}
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = httpLn.Close()
-		_ = jm.Close()
-		r.cleanupTmp()
-		return nil, fmt.Errorf("loadrig: wire listener: %w", err)
-	}
-	r.httpLn, r.wireLn = httpLn, wireLn
-	r.HTTPAddr = "http://" + httpLn.Addr().String()
-	r.WireAddr = wireLn.Addr().String()
-
-	api := httpapi.NewJournaled(jm).WithTelemetry(r.Tel)
-	r.httpSrv = serveHTTP(api, r.Tel.Registry)
-	go func() { _ = r.httpSrv.Serve(httpLn) }()
-
-	ws := wire.NewServer(jm).WithTelemetry(r.Tel)
-	if rc.Followers > 0 {
-		// The feed must attach before the listener serves: commits made
-		// while no hook is installed never reach its ring.
-		feed, err := replica.NewFeed(jm, 0)
+	cfg.JournalDir, cfg.WireAddr, cfg.Follow = "", "", "wire://"+r.WireAddr
+	for i := 0; i < rc.Followers; i++ {
+		f, err := node.Start(cfg)
 		if err != nil {
 			_ = r.Close()
-			return nil, fmt.Errorf("loadrig: replication feed: %w", err)
+			return nil, fmt.Errorf("loadrig: follower %d: %w", i, err)
 		}
-		feed.Instrument(r.Tel)
-		r.Feed = feed
-		ws = ws.WithReplication(feed)
+		r.nodes = append(r.nodes, f)
+		r.Followers = append(r.Followers, f.Follower)
+		r.FollowerAddrs = append(r.FollowerAddrs, "http://"+f.HTTPAddr)
 	}
-	go func() { _ = ws.Serve(wireLn) }()
-
-	if err := r.startFollowers(rc); err != nil {
+	if err := r.checkReplicaConvergence(); err != nil {
 		_ = r.Close()
 		return nil, err
 	}
 	return r, nil
-}
-
-// startFollowers boots rc.Followers read replicas — each a follower
-// streaming from the rig's wire listener plus a read-only HTTP listener
-// — and waits for their first catch-up, so runs never measure the boot
-// transient as replica read errors.
-func (r *Rig) startFollowers(rc RigConfig) error {
-	for i := 0; i < rc.Followers; i++ {
-		// One registry per follower: the shield_replica_* families refuse
-		// double registration by design.
-		ftel := obs.NewTelemetry()
-		f, err := replica.Start(replica.Config{
-			Dial:       func() (net.Conn, error) { return net.Dial("tcp", r.WireAddr) },
-			Name:       fmt.Sprintf("follower-%d", i),
-			BackoffMin: 5 * time.Millisecond,
-			BackoffMax: 250 * time.Millisecond,
-			Telemetry:  ftel,
-		})
-		if err != nil {
-			return fmt.Errorf("loadrig: starting follower %d: %w", i, err)
-		}
-		r.Followers = append(r.Followers, f)
-
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("loadrig: follower %d listener: %w", i, err)
-		}
-		srv := serveHTTP(httpapi.NewReplica(f).WithTelemetry(ftel), ftel.Registry)
-		go func() { _ = srv.Serve(ln) }()
-		r.followerLns = append(r.followerLns, ln)
-		r.followerSrvs = append(r.followerSrvs, srv)
-		r.FollowerAddrs = append(r.FollowerAddrs, "http://"+ln.Addr().String())
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for _, f := range r.Followers {
-		for f.Ready() != nil {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("loadrig: follower never caught up: %v", f.Ready())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	return nil
-}
-
-// serveHTTP is api's HTTP server as marketd runs it: its open
-// connections counted and the process's runtime self-metrics on reg,
-// so the rig's /metrics carries every family the daemon's does.
-func serveHTTP(api *httpapi.Server, reg *obs.Registry) *http.Server {
-	obs.RegisterRuntimeMetrics(reg)
-	return &http.Server{
-		Handler:   api.Routes(),
-		ConnState: httpapi.ConnCountHook(reg.Gauge("shield_http_connections", "Open HTTP connections.")),
-	}
 }
 
 // KillFollower drops follower i's replication connection mid-run; the
@@ -287,40 +194,20 @@ func (r *Rig) seed(rc RigConfig) error {
 	return nil
 }
 
-// Close stops both listeners, closes the journal (final sync), and
-// removes the rig-owned journal directory.
+// Close stops the followers, then the leader (its journal closes with
+// a final sync), and removes the rig-owned journal directory.
 func (r *Rig) Close() error {
 	var errs []error
-	for _, srv := range r.followerSrvs {
-		errs = append(errs, srv.Close())
-	}
-	for _, f := range r.Followers {
-		f.Close()
-	}
-	if r.httpSrv != nil {
-		errs = append(errs, r.httpSrv.Close())
-	}
-	if r.wireLn != nil {
-		errs = append(errs, r.wireLn.Close())
-	}
-	if r.Market != nil {
-		errs = append(errs, r.Market.Close())
+	for i := len(r.nodes) - 1; i >= 0; i-- {
+		errs = append(errs, r.nodes[i].Close())
 	}
 	r.cleanupTmp()
-	// Listener-close races with in-flight accepts surface as
-	// net.ErrClosed; a rig teardown is not a failure.
-	var real []error
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, net.ErrClosed) {
-			real = append(real, err)
-		}
-	}
-	return errors.Join(real...)
+	return errors.Join(errs...)
 }
 
 func (r *Rig) cleanupTmp() { _ = os.RemoveAll(r.tmpDir) }
 
-// CheckInvariants verifies the two whole-system invariants after a run,
+// CheckInvariants verifies the whole-system invariants after a run,
 // while the rig is still serving:
 //
 //  1. Money conservation — market revenue equals total buyer spend,
@@ -384,13 +271,13 @@ func (r *Rig) CheckInvariants() (string, error) {
 // the leader's newest seq, then pins each follower snapshot
 // byte-identical to the leader's canonical snapshot.
 func (r *Rig) checkReplicaConvergence() error {
-	want := r.Feed.LeaderSeq()
+	want := r.Market.LastSeq()
 	deadline := time.Now().Add(10 * time.Second)
 	for i, f := range r.Followers {
 		for f.Applied() < want {
 			if time.Now().After(deadline) {
 				applied, leader, lag, connected := f.Staleness()
-				return fmt.Errorf("loadrig: follower %d never converged: applied %d, leader %d (feed %d), lag %.2fs, connected %v",
+				return fmt.Errorf("loadrig: follower %d never converged: applied %d, leader %d (journal %d), lag %.2fs, connected %v",
 					i, applied, leader, want, lag, connected)
 			}
 			time.Sleep(2 * time.Millisecond)

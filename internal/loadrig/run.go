@@ -95,7 +95,17 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 		return nil, err
 	}
 
-	clients, err := dialClients(rig, sc)
+	// One HTTP transport sized to the client count, so every HTTP worker
+	// keeps a persistent connection instead of churning through
+	// http.DefaultClient's two idle slots per host. Its idle connections
+	// close after the run: a server's graceful shutdown waits on a
+	// connection that never sent a request.
+	doer := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        2*sc.Clients + 16,
+		MaxIdleConnsPerHost: sc.Clients + 8,
+	}}
+	defer doer.CloseIdleConnections()
+	clients, err := dialClients(rig, sc, doer)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +114,7 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 			_ = cl.Close()
 		}
 	}()
-	replicaClients, err := dialReplicaClients(rig, sc)
+	replicaClients, err := dialReplicaClients(rig, sc, doer)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +244,7 @@ func sampleReplicaLag(rig *Rig) (chan<- struct{}, <-chan lagSample) {
 
 // dialClients opens the scenario's connections, split across transports
 // for TransportBoth.
-func dialClients(rig *Rig, sc Scenario) ([]client.Client, error) {
+func dialClients(rig *Rig, sc Scenario, doer *http.Client) ([]client.Client, error) {
 	httpCount := 0
 	switch sc.Transport {
 	case TransportHTTP:
@@ -244,17 +254,6 @@ func dialClients(rig *Rig, sc Scenario) ([]client.Client, error) {
 		httpCount = sc.Clients / 2
 	default:
 		return nil, fmt.Errorf("loadrig: unknown transport %q (want http, wire, or both)", sc.Transport)
-	}
-
-	// One transport sized to the client count, so every HTTP worker
-	// keeps a persistent connection instead of churning through
-	// http.DefaultClient's two idle slots per host.
-	var doer *http.Client
-	if httpCount > 0 {
-		doer = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        httpCount + 8,
-			MaxIdleConnsPerHost: httpCount + 8,
-		}}
 	}
 
 	clients := make([]client.Client, sc.Clients)
@@ -313,14 +312,10 @@ func warm(clients []client.Client) error {
 
 // dialReplicaClients opens one HTTP connection per worker to the rig's
 // followers, round-robin, when the scenario drives ClassReplica reads.
-func dialReplicaClients(rig *Rig, sc Scenario) ([]client.Client, error) {
+func dialReplicaClients(rig *Rig, sc Scenario, doer *http.Client) ([]client.Client, error) {
 	if sc.ReplicaFraction <= 0 {
 		return nil, nil
 	}
-	doer := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        sc.Clients + 8,
-		MaxIdleConnsPerHost: sc.Clients + 8,
-	}}
 	clients := make([]client.Client, sc.Clients)
 	errs := make([]error, sc.Clients)
 	var wg sync.WaitGroup

@@ -72,7 +72,7 @@ func NewLearner(values []float64, eta float64) *Learner {
 
 // NewLearnerWithWeights builds a learner with explicit initial weights —
 // used when an adaptive candidate grid transfers learned mass onto a new
-// expert set. Weights must be positive and finite; regret accounting
+// expert set. Weights must be non-negative and finite; regret accounting
 // starts fresh. It panics on invalid input.
 func NewLearnerWithWeights(values, weights []float64, eta float64) *Learner {
 	if len(weights) != len(values) {
@@ -91,8 +91,8 @@ func newLearner(values, weights []float64, eta float64) *Learner {
 		panic(fmt.Sprintf("mw: eta %v outside (0, 0.5]", eta))
 	}
 	for i, w := range weights {
-		if !(w > 0) || math.IsInf(w, 1) {
-			panic(fmt.Sprintf("mw: weight[%d] = %v must be positive and finite", i, w))
+		if !(w >= 0) || math.IsInf(w, 1) {
+			panic(fmt.Sprintf("mw: weight[%d] = %v must be non-negative and finite", i, w))
 		}
 	}
 	k := len(values)
@@ -462,8 +462,10 @@ func Restore(s Snapshot) (*Learner, error) {
 	if len(s.CumCost) != len(s.Values) {
 		return nil, fmt.Errorf("mw: snapshot has %d cum costs for %d experts", len(s.CumCost), len(s.Values))
 	}
+	// Update can reach a zero weight: a factor of exactly 0.5 rounds the
+	// smallest subnormal to 0, so a state Update reaches is restored.
 	for i, w := range s.Weights {
-		if !(w > 0) || math.IsInf(w, 1) || math.IsNaN(w) {
+		if !(w >= 0) || math.IsInf(w, 1) {
 			return nil, fmt.Errorf("mw: snapshot weight[%d] = %v invalid", i, w)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -141,6 +142,27 @@ func TestNoUnderflowOverLongRuns(t *testing.T) {
 	}
 	if math.Abs(probs[2]-1) > 1e-6 {
 		t.Errorf("rewarded expert probability %v, want ~1", probs[2])
+	}
+}
+
+// TestZeroWeightRoundTrips: a factor of exactly 1-eta = 0.5 rounds the
+// smallest subnormal weight to 0, and the learner that reaches that
+// state snapshots and restores to itself, and both go on alike.
+func TestZeroWeightRoundTrips(t *testing.T) {
+	l := NewLearner([]float64{1, 2, 3}, 0.5)
+	for l.Weights()[0] != 0 {
+		l.Update([]float64{1, 0, 0}, 0)
+	}
+	r, err := Restore(l.Snapshot())
+	if err != nil {
+		t.Fatalf("restoring a state Update reached: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		l.Update([]float64{0, 1, 0}, 0)
+		r.Update([]float64{0, 1, 0}, 0)
+	}
+	if got, want := r.Snapshot(), l.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored learner went on to %+v, the original to %+v", got, want)
 	}
 }
 
@@ -844,7 +866,10 @@ func TestLearnerRestoreValidation(t *testing.T) {
 		"neg rounds":   func(s *Snapshot) { s.Rounds = -1 },
 		"cum mismatch": func(s *Snapshot) { s.CumCost = s.CumCost[:1] },
 		"bad weight":   func(s *Snapshot) { s.Weights[0] = math.NaN() },
-		"zero weight":  func(s *Snapshot) { s.Weights[0] = 0 },
+		"neg weight":   func(s *Snapshot) { s.Weights[0] = -1 },
+		"inf weight":   func(s *Snapshot) { s.Weights[0] = math.Inf(1) },
+		// A zero weight is not here: Update reaches one (see
+		// TestZeroWeightRoundTrips), so Restore takes it.
 		// A learner rescales its weights whenever the largest leaves
 		// (1e-6, 1e6): restoring such a vector would rescale it and
 		// re-snapshot to different bytes.

@@ -30,7 +30,8 @@
 # parent's — must also exceed the A/A run's median gap on that metric,
 # taken either way; a claim on a workload without one is printed, not
 # failed. A claim that holds above a noise floor has its margin printed,
-# never failed: its gap over the A/A gap.
+# never failed: its gap over the A/A gap, or "deterministic" when every
+# A/A run of the metric, on both sides, read the same value.
 #
 # Every failure names the file, or the entry, and the field; the exit
 # status is 1 if any ledger or claim fails.
@@ -170,12 +171,19 @@ while IFS=$'\t' read -r entry claim; do
 			bad "$ledger measured $change, whose Go differs from the code commit $commit: a later edit is unmeasured"
 		elif noise=BENCH_noise_$workload.json && [ ! -f "$noise" ]; then
 			echo "ledger-check: $f: no $noise, so its gap is not held to a noise floor"
-		elif ! floor=$(gap "$(flatten "$noise")" "$metric") || [ -z "$floor" ]; then
+		elif ! noiseflat=$(flatten "$noise") || ! floor=$(gap "$noiseflat" "$metric") || [ -z "$floor" ]; then
 			bad "$noise has no $metric medians to take a noise floor from"
 		else
 			claimed=$(gap "$flat" "$metric") floor=${floor#-}
+			# Distinct values among the A/A runs of the metric, both sides.
+			distinct=$(sed -n "s/^metrics\.$metric\.\(parent\|change\)\.runs\[[0-9]*\]\t//p" <<<"$noiseflat" | sort -u | wc -l)
 			if awk -v g="$claimed" -v f="$floor" 'BEGIN { exit !(g > f) }'; then
-				echo "ledger-check: $f: $metric gap $claimed exceeds the A/A gap $floor ($noise), margin $(awk -v g="$claimed" -v f="$floor" 'BEGIN { if (f > 0) printf "%.1fx", g / f; else print "unbounded (A/A gap 0)" }')"
+				if [ "$distinct" -eq 1 ]; then
+					margin=deterministic
+				else
+					margin="margin $(awk -v g="$claimed" -v f="$floor" 'BEGIN { if (f > 0) printf "%.1fx", g / f; else print "unbounded (A/A gap 0)" }')"
+				fi
+				echo "ledger-check: $f: $metric gap $claimed exceeds the A/A gap $floor ($noise), $margin"
 			else
 				bad "$metric gap $claimed in $ledger does not exceed the A/A gap $floor in $noise"
 			fi
