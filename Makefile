@@ -11,7 +11,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# go vet, then three house rules. A binary varint is read and written
+# go vet, then five house rules. A binary varint is read and written
 # only by internal/binenc's walkers, so no hand-rolled byte cursor creeps
 # back beside them; fails listing every non-test call outside binenc.
 # Every write reaches the state as bytes, through market.Market's
@@ -21,11 +21,14 @@ fmt-check:
 # outside internal/node (what marketd and the load rig start), the
 # torture harness, shield.go's handlers and benchmark/, nothing builds a
 # wire or HTTP server, a follower or a replication feed by hand, so the
-# rig cannot drift from the daemon; fails listing file:line. And the
-# applier's packages import no clock, OS, lock or ambient randomness, so
-# a command's outcome is a function of the state and the command alone
-# and replay rebuilds what was acknowledged; fails naming the package
-# and the import.
+# rig cannot drift from the daemon; fails listing file:line. A store's
+# segment chain is read by one walker, internal/journal/chain.go, so
+# recovery, journal-verify, journal-info and its dump refuse the same
+# broken chains: nothing else reads a seghead or scans a segment by
+# name; fails listing file:line. And the applier's packages import no
+# clock, OS, lock or ambient randomness, so a command's outcome is a
+# function of the state and the command alone and replay rebuilds what
+# was acknowledged; fails naming the package and the import.
 APPLIER_PKGS = command core mw auction rng provenance binenc
 vet:
 	$(GO) vet ./...
@@ -38,6 +41,9 @@ vet:
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/node/' -e '^internal/torture/' -e '^shield\.go$$' -e '^benchmark/' | \
 		xargs grep -n -E '(wire\.NewServer|httpapi\.New(Server|Journaled|Replica)|replica\.(Start|NewFeed))\(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "a server assembled outside internal/node, the torture harness, shield.go and benchmark/ (start it with node.Start):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/journal/chain\.go$$' | \
+		xargs grep -n -E '(readSegHead|scanSegment)\(' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "a segment chain read outside internal/journal/chain.go (walk it with walkChain):"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' $(APPLIER_PKGS:%=./internal/%) | tr -d '[]' | \
 		awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^(time|os|sync|sync\/atomic|math\/rand|math\/rand\/v2)$$/) print $$1 " imports " $$i }')"; \
 		if [ -n "$$out" ]; then echo "clock, OS or concurrency import in an applier package:"; echo "$$out"; exit 1; fi
@@ -69,8 +75,10 @@ build:
 # the stage appends to them, a wire bid's body, read by the commit
 # stage from the connection's payload buffer while the connection waits,
 # ScanRecords' reader goroutine, stopped and gone on every way a scan
-# ends, and a follower's catch-up scan of the leader's segments, which
-# holds no leader lock and splices in the ring exactly once.
+# ends, a follower's catch-up scan of the leader's segments, which
+# holds no leader lock and splices in the ring exactly once, and a
+# node's Close, which closes the connections its HTTP servers' hooks
+# track while they accept and serve.
 race:
 	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
@@ -80,6 +88,7 @@ race:
 	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines' -count=10 ./internal/sim/
 	$(GO) test -race -run 'TestScanRecordsLeavesNoGoroutines' -count=10 ./internal/journal/
 	$(GO) test -race -run 'TestCatchupScanHoldsNoLeaderLock|TestCatchupSpliceIsExactlyOnce' -count=10 ./internal/replica/
+	$(GO) test -race -run 'TestCloseDropsIdleConnections' -count=10 ./cmd/marketd/
 
 test:
 	$(GO) test ./...

@@ -1,16 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/loadrig"
@@ -52,6 +56,85 @@ func TestStartRefusals(t *testing.T) {
 		if _, err := start(t, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...); !errors.Is(err, tc.want) {
 			t.Errorf("marketd %s: %v; want %v", strings.Join(tc.args, " "), err, tc.want)
 		}
+	}
+}
+
+// TestBusyAddrLeavesNoStore: a start refused because -addr is taken
+// binds before it opens the store, so a fresh -journal-dir is not made.
+func TestBusyAddrLeavesNoStore(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	dir := filepath.Join(t.TempDir(), "store")
+	if _, err := start(t, "-addr", busy.Addr().String(), "-journal-dir", dir); err == nil {
+		t.Fatal("marketd started on a busy -addr")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a start refused for its -addr left %s behind (%v)", dir, err)
+	}
+}
+
+// TestCloseDropsIdleConnections: a connection that has sent no request
+// does not hold up Close, while a request in flight when Close begins
+// still completes.
+func TestCloseDropsIdleConnections(t *testing.T) {
+	cfg, err := parseFlags(flag.NewFlagSet("marketd", flag.ContinueOnError), []string{"-addr", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := node.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := net.Dial("tcp", n.HTTPAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// The request's handler is running once the server asks for the body.
+	busy, err := net.Dial("tcp", n.HTTPAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	body := `{"id":"acme"}`
+	if _, err := fmt.Fprintf(busy, "POST /v1/sellers HTTP/1.1\r\nHost: marketd\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n", len(body)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(busy)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusContinue {
+		t.Fatalf("want 100 Continue, got %v (%v)", resp, err)
+	}
+
+	start := time.Now()
+	closed := make(chan error, 1)
+	go func() { closed <- n.Close() }()
+	for { // Close has begun once the listener refuses
+		c, err := net.Dial("tcp", n.HTTPAddr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := io.WriteString(busy, body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("the request in flight when Close began: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		t.Fatalf("the request in flight when Close began: %s", resp.Status)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("Close took %v with an idle connection open", took)
 	}
 }
 

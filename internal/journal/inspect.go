@@ -3,7 +3,6 @@
 package journal
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -58,6 +57,31 @@ func (s *Store) Inventory() Inventory {
 	lastCkpt := s.lastCkpt
 	dir := s.dir
 	s.mu.Unlock()
+	return inventory(dir, segs, ckpts, lastCkpt)
+}
+
+// InspectDir builds a store directory's inventory offline, without
+// recovering any market state: the chain reader counts every segment's
+// records (a torn trailing record in the final segment is not counted,
+// matching what recovery keeps) and refuses, naming the file, a damaged
+// record or a chain recovery would refuse. The backing tool is
+// `marketctl journal-info`.
+func InspectDir(dir string) (*Inventory, error) {
+	l, err := listStoreDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	c, err := walkChain(dir, l, true, func(int64, Record) error { return nil })
+	if err != nil {
+		return nil, err
+	}
+	inv := inventory(dir, c.segs, l.ckptSeqs, l.lastCkpt)
+	return &inv, nil
+}
+
+// inventory accounts for a chain of segments and the checkpoints beside
+// it, the newest at lastCkpt.
+func inventory(dir string, segs []segMeta, ckpts []int64, lastCkpt int64) Inventory {
 	inv := Inventory{Dir: dir, LastCheckpoint: lastCkpt}
 	for i, m := range segs {
 		inv.Segments = append(inv.Segments, SegmentInfo{
@@ -74,77 +98,17 @@ func (s *Store) Inventory() Inventory {
 		})
 		inv.TotalBytes += m.bytes
 	}
-	if len(segs) > 0 {
-		inv.FirstSeq = segs[0].base
-		if last := segs[len(segs)-1]; last.records > 0 {
-			inv.LastSeq = last.maxSeq()
-		} else if len(segs) > 1 {
-			inv.LastSeq = segs[len(segs)-2].maxSeq()
-		}
+	if n := len(segs); n > 0 {
+		// An empty final segment's maxSeq is its base-1: the seq before it.
+		inv.FirstSeq, inv.LastSeq = segs[0].base, segs[n-1].maxSeq()
 	}
-	if inv.LastSeq < lastCkpt {
-		inv.LastSeq = lastCkpt
-	}
+	inv.LastSeq = max(inv.LastSeq, lastCkpt)
 	for _, seq := range ckpts {
 		ci := checkpointInfo(dir, seq)
 		inv.Checkpoints = append(inv.Checkpoints, ci)
 		inv.TotalBytes += ci.Bytes
 	}
 	return inv
-}
-
-// InspectDir builds a store directory's inventory offline, without
-// recovering any market state: seghead chaining gives each segment's
-// base, and record counts come from the record scanner (a torn trailing
-// record in the final segment is not counted, matching what recovery
-// would keep; a damaged record fails the inspection by name). The
-// backing tool is `marketctl journal-info`.
-func InspectDir(dir string) (*Inventory, error) {
-	l, err := listStoreDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	inv := &Inventory{Dir: dir}
-	if n := len(l.ckptSeqs); n > 0 {
-		inv.LastCheckpoint = l.ckptSeqs[n-1]
-	}
-	for i, idx := range l.segIdx {
-		name := segName(idx)
-		si := SegmentInfo{Name: name, Sealed: i < len(l.segIdx)-1}
-		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			si.Bytes = fi.Size()
-		}
-		head, torn, err := readSegHead(dir, idx)
-		if err != nil {
-			return nil, err
-		}
-		if !torn {
-			si.Base = head.Base
-			var n int64
-			if _, _, err := scanSegment(dir, idx, head.Base, func(Record) error { n++; return nil }); err != nil {
-				return nil, err
-			}
-			si.Records = n
-			if n > 0 {
-				si.Covered = si.Sealed && si.Base+n-1 <= inv.LastCheckpoint
-				inv.LastSeq = si.Base + n - 1
-			}
-		}
-		if i == 0 {
-			inv.FirstSeq = si.Base
-		}
-		inv.TotalBytes += si.Bytes
-		inv.Segments = append(inv.Segments, si)
-	}
-	if inv.LastSeq < inv.LastCheckpoint {
-		inv.LastSeq = inv.LastCheckpoint
-	}
-	for _, seq := range l.ckptSeqs {
-		ci := checkpointInfo(dir, seq)
-		inv.TotalBytes += ci.Bytes
-		inv.Checkpoints = append(inv.Checkpoints, ci)
-	}
-	return inv, nil
 }
 
 // DiskBytes sums the store directory's on-disk footprint — segments,
@@ -165,77 +129,46 @@ func (s *Store) DiskBytes() (int64, error) {
 }
 
 // VerifyDir checks every byte a store directory holds, including the
-// ones recovery never reads: each segment — sealed and checkpoint-
-// covered ones too — is scanned record by record (checksums, framing,
-// sequence continuity from its seghead; a torn tail only in the final
-// segment), every checkpoint is loaded, its checksum verified and its
-// snapshot decoded, and
-// finally the chain is recovered read-only, which catches what no
-// single file shows (a missing segment, bases that do not chain). It
-// returns the first damage found — a *CorruptError naming file, seq and
-// offset when a record or checkpoint is bad. The backing tool is
-// `marketctl journal-verify`.
+// ones recovery never reads, in one walk: every checkpoint is loaded,
+// its checksum verified and its snapshot decoded, and the chain is
+// recovered read-only with every segment scanned record by record —
+// sealed and checkpoint-covered ones too (checksums, framing, sequence
+// continuity from its seghead) — and the tail replayed onto the newest
+// checkpoint. It returns the first damage found — a *CorruptError
+// naming file, seq and offset when a record or checkpoint is bad. The
+// backing tool is `marketctl journal-verify`.
 func VerifyDir(dir string) error {
 	l, err := listStoreDir(dir)
 	if err != nil {
 		return err
 	}
-	for i, idx := range l.segIdx {
-		final := i == len(l.segIdx)-1
-		head, torn, err := readSegHead(dir, idx)
-		if err != nil {
-			return err
-		}
-		if !torn {
-			_, torn, err = scanSegment(dir, idx, head.Base, func(Record) error { return nil })
-			if err != nil {
-				return err
-			}
-		}
-		if torn && !final {
-			return fmt.Errorf("%w: sealed segment %s is torn", ErrStoreCorrupt, segName(idx))
-		}
-	}
-	for _, seq := range l.ckptSeqs {
+	for _, seq := range l.ckptSeqs[:max(len(l.ckptSeqs)-1, 0)] { // recovery loads the newest
 		if _, err := readCheckpointFile(dir, seq); err != nil {
 			return err
 		}
 	}
-	if len(l.segIdx) == 0 {
-		return nil
-	}
-	_, err = recoverStoreDir(dir, true)
+	_, err = recoverStoreDir(dir, l, true)
 	return err
 }
 
 // ScanDir streams every record of every segment in dir, oldest segment
 // first, as its decoded Event view, naming the segment each came from —
 // the read behind `marketctl journal-info -dump`. It stops at the first
-// damaged record with the error that locates it.
+// damaged record, or at a chain recovery would refuse, with the error
+// that locates it.
 func ScanDir(dir string, fn func(segment string, e Event) error) error {
 	l, err := listStoreDir(dir)
 	if err != nil {
 		return err
 	}
-	for _, idx := range l.segIdx {
-		head, torn, err := readSegHead(dir, idx)
+	_, err = walkChain(dir, l, true, func(seg int64, rec Record) error {
+		e, err := rec.Event()
 		if err != nil {
 			return err
 		}
-		if torn {
-			continue // a rotation cut before its seghead landed: no records
-		}
-		if _, _, err := scanSegment(dir, idx, head.Base, func(rec Record) error {
-			e, err := rec.Event()
-			if err != nil {
-				return err
-			}
-			return fn(segName(idx), e)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(segName(seg), e)
+	})
+	return err
 }
 
 // ScanCheckpoints loads, verifies and decodes every checkpoint in dir,

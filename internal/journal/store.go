@@ -701,21 +701,6 @@ func readCheckpointBody(dir string, seq int64) ([]byte, error) {
 	return data[ckptHeader:end], nil
 }
 
-// scanSegment streams one segment's records (seghead skipped) through
-// fn, enforcing seq continuity from base; durable and torn are
-// ScanRecords', with durable counting from the start of the file.
-// Sealed segments are fsynced before the next one is created, so a torn
-// tail here is only legal in the store's final segment — callers decide.
-// Damage is reported as a *CorruptError naming the segment file.
-func scanSegment(dir string, index, base int64, fn func(Record) error) (durable int64, torn bool, err error) {
-	f, err := os.Open(filepath.Join(dir, segName(index)))
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	return scanSegmentFile(f, base, fn)
-}
-
 // scanSegmentFile is scanSegment on a segment already open.
 func scanSegmentFile(f *os.File, base int64, fn func(Record) error) (durable int64, torn bool, err error) {
 	name := filepath.Base(f.Name())

@@ -34,32 +34,16 @@ type ReplicaStore struct {
 // follower has no journal Writer — of opts only WithTelemetry matters,
 // and it registers the two recovery gauges and nothing else.
 func OpenReplicaStore(dir string, sc StoreConfig, opts ...Option) (*ReplicaStore, *Replayer, int64, error) {
-	sc.applyDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, notStoreDir(dir, err)
-	}
-	st, err := recoverStoreDir(dir, false)
+	s, st, err := openStore(dir, sc, opts)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	var w Writer
-	for _, o := range opts {
-		o(&w)
-	}
-	recovered(w.telemetry, st)
-	s := &Store{dir: dir, sc: sc, segs: st.segs, ckpts: st.ckpts, lastCkpt: st.lastCkpt}
 	rs := &ReplicaStore{st: s}
 	if st.m == nil {
 		// Empty (or unrecoverable-fresh) store: no active segment yet;
 		// Reset creates the chain once the first snapshot arrives.
 		return rs, nil, 0, nil
 	}
-	if err := s.attachTail(st); err != nil {
-		return nil, nil, 0, err
-	}
-	s.live = st.m
-	s.appliedSeq = st.lastSeq
-	s.sinceCkpt = st.lastSeq - st.lastCkpt
 	rs.next = st.lastSeq + 1
 	return rs, &Replayer{Market: st.m, rp: replay{st: st.state}}, st.lastSeq, nil
 }

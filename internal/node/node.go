@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/datamarket/shield/internal/apierr"
@@ -99,12 +100,19 @@ type Node struct {
 	logger  *slog.Logger
 	servers []*http.Server
 	wireLn  net.Listener
+	// fresh holds the accepted HTTP connections yet to begin a request,
+	// which Close closes: http.Server.Shutdown counts one idle only once
+	// it is 5 s old. nil once Close has begun, when one is closed as it
+	// is accepted.
+	connMu sync.Mutex
+	fresh  map[net.Conn]bool
 }
 
-// Start validates cfg, opens or follows the market and serves it on
-// every listener cfg names. The replication feed attaches before the
-// wire listener accepts, so it never misses a commit. On an error
-// nothing is left running.
+// Start validates cfg, binds every listener cfg names, opens or follows
+// the market and serves it on them. The replication feed attaches
+// before the wire listener accepts, so it never misses a commit. On an
+// error nothing is left running, and a listener that cannot bind is
+// refused before the market opens, so it leaves no new store directory.
 func Start(cfg Config) (_ *Node, err error) {
 	target, _ := strings.CutPrefix(cfg.Follow, "wire://")
 	switch {
@@ -117,18 +125,38 @@ func Start(cfg Config) (_ *Node, err error) {
 	case cfg.TraceSample < 0:
 		return nil, fmt.Errorf("%w, not %d", ErrTraceSample, cfg.TraceSample)
 	}
-	n := &Node{dir: cfg.JournalDir, logger: cfg.Logger, Tel: &obs.Telemetry{
+	n := &Node{dir: cfg.JournalDir, logger: cfg.Logger, fresh: map[net.Conn]bool{}, Tel: &obs.Telemetry{
 		Registry: obs.NewRegistry(),
 		Tracer:   obs.NewTracer(256, cfg.TraceSample, cfg.Market.Seed),
 	}}
 	if n.logger == nil {
 		n.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	var httpLn, debugLn net.Listener // Close closes them only once they serve
 	defer func() {
 		if err != nil {
+			for _, ln := range []net.Listener{httpLn, debugLn} {
+				if ln != nil {
+					_ = ln.Close()
+				}
+			}
 			_ = n.Close()
 		}
 	}()
+	if cfg.DebugAddr != "" {
+		if debugLn, err = net.Listen("tcp", cfg.DebugAddr); err != nil {
+			return nil, fmt.Errorf("node: debug listener: %w", err)
+		}
+	}
+	if cfg.WireAddr != "" {
+		if n.wireLn, err = net.Listen("tcp", cfg.WireAddr); err != nil {
+			return nil, fmt.Errorf("node: wire listener: %w", err)
+		}
+	}
+	if httpLn, err = net.Listen("tcp", cfg.Addr); err != nil {
+		return nil, fmt.Errorf("node: http listener: %w", err)
+	}
+
 	obs.RegisterRuntimeMetrics(n.Tel.Registry)
 	if cfg.SlowOp > 0 {
 		// A tail-latency spike names the stage that caused it without a
@@ -203,16 +231,11 @@ func Start(cfg Config) (_ *Node, err error) {
 	}
 	routes := api.WithOperatorToken(cfg.OperatorToken).Routes()
 
-	if cfg.DebugAddr != "" {
-		if n.DebugAddr, err = n.serve(cfg.DebugAddr, &http.Server{Handler: debugMux(api)}); err != nil {
-			return nil, fmt.Errorf("node: debug listener: %w", err)
-		}
+	if debugLn != nil {
+		n.DebugAddr = n.serve(debugLn, &http.Server{Handler: debugMux(api)})
 		n.logger.Info("marketd: debug listener", "addr", n.DebugAddr)
 	}
-	if cfg.WireAddr != "" {
-		if n.wireLn, err = net.Listen("tcp", cfg.WireAddr); err != nil {
-			return nil, fmt.Errorf("node: wire listener: %w", err)
-		}
+	if n.wireLn != nil {
 		n.WireAddr = n.wireLn.Addr().String()
 		// A closed gate keeps stats off the wire (it carries no credentials).
 		ws := wire.NewServer(backend).WithTelemetry(n.Tel).WithOperatorGate(apierr.NewGate(cfg.Auth, cfg.OperatorToken))
@@ -233,46 +256,63 @@ func Start(cfg Config) (_ *Node, err error) {
 		n.logger.Info("marketd: wire protocol listening", "addr", n.WireAddr, "replication", n.Feed != nil)
 	}
 	conns := n.Tel.Registry.Gauge("shield_http_connections", "Open HTTP connections.")
-	if n.HTTPAddr, err = n.serve(cfg.Addr, &http.Server{Handler: routes, ConnState: func(_ net.Conn, st http.ConnState) {
+	n.HTTPAddr = n.serve(httpLn, &http.Server{Handler: routes, ConnState: func(_ net.Conn, st http.ConnState) {
 		switch st {
 		case http.StateNew:
 			conns.Add(1)
 		case http.StateClosed, http.StateHijacked:
 			conns.Add(-1)
 		}
-	}}); err != nil {
-		return nil, fmt.Errorf("node: http listener: %w", err)
-	}
+	}})
 	n.logger.Info("marketd: listening", "addr", n.HTTPAddr)
 	return n, nil
 }
 
-// serve binds addr and serves srv on it until Close, returning the
-// bound address.
-func (n *Node) serve(addr string, srv *http.Server) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
+// serve serves srv on ln until Close, returning the bound address.
+func (n *Node) serve(ln net.Listener, srv *http.Server) string {
 	srv.ReadHeaderTimeout = 5 * time.Second
+	hook := srv.ConnState
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		n.connMu.Lock()
+		switch {
+		case st != http.StateNew:
+			delete(n.fresh, c)
+		case n.fresh == nil:
+			_ = c.Close()
+		default:
+			n.fresh[c] = true
+		}
+		n.connMu.Unlock()
+		if hook != nil {
+			hook(c, st)
+		}
+	}
 	n.servers = append(n.servers, srv)
+	addr := ln.Addr().String()
 	go func() {
 		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			n.logger.Error("marketd: serve", "addr", addr, "err", err)
 		}
 	}()
-	return ln.Addr().String(), nil
+	return addr
 }
 
-// Close stops the node gracefully: the listeners stop accepting and
-// in-flight HTTP requests drain (for up to ten seconds), then the
-// follower stops and the journal closes. Closing the journal syncs the
-// log to disk, so a clean stop loses nothing even without Fsync.
+// Close stops the node gracefully: the listeners stop accepting, a
+// connection that has not begun a request is closed, and in-flight HTTP
+// requests drain (for up to ten seconds), then the follower stops and
+// the journal closes. Closing the journal syncs the log to disk, so a
+// clean stop loses nothing even without Fsync.
 func (n *Node) Close() error {
 	var errs []error
 	if n.wireLn != nil {
 		_ = n.wireLn.Close()
 	}
+	n.connMu.Lock()
+	for c := range n.fresh {
+		_ = c.Close()
+	}
+	n.fresh = nil
+	n.connMu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, srv := range n.servers {

@@ -27,10 +27,12 @@
 # or on uncommitted code, cannot hold it. When the workload has a noise
 # ledger, BENCH_noise_<workload>.json (an A/A run, benchpairs.sh -aa),
 # the claim's gap — how much better the change's median is than the
-# parent's — must also exceed the A/A run's median gap on that metric,
-# taken either way; a claim on a workload without one is printed, not
+# parent's — must also exceed that run's noise floor on the metric: the
+# larger of its median gap, taken either way, and the distance between
+# the quartiles of its parent side (a median gap alone can read 0 over
+# runs that spread); a claim on a workload without one is printed, not
 # failed. A claim that holds above a noise floor has its margin printed,
-# never failed: its gap over the A/A gap, or "deterministic" when every
+# never failed: its gap over the floor, or "deterministic" when every
 # A/A run of the metric, on both sides, read the same value.
 #
 # Every failure names the file, or the entry, and the field; the exit
@@ -171,21 +173,22 @@ while IFS=$'\t' read -r entry claim; do
 			bad "$ledger measured $change, whose Go differs from the code commit $commit: a later edit is unmeasured"
 		elif noise=BENCH_noise_$workload.json && [ ! -f "$noise" ]; then
 			echo "ledger-check: $f: no $noise, so its gap is not held to a noise floor"
-		elif ! noiseflat=$(flatten "$noise") || ! floor=$(gap "$noiseflat" "$metric") || [ -z "$floor" ]; then
-			bad "$noise has no $metric medians to take a noise floor from"
+		elif ! noiseflat=$(flatten "$noise") || ! floor=$(gap "$noiseflat" "$metric") || [ -z "$floor" ] ||
+			! iqr=$(sed -n "s/^metrics\.$metric\.parent\.q[13]\t//p" <<<"$noiseflat" | awk 'NR == 1 { q1 = $1 } NR == 2 { printf "%.6g\n", $1 - q1 }') || [ -z "$iqr" ]; then
+			bad "$noise has no $metric medians and parent quartiles to take a noise floor from"
 		else
-			claimed=$(gap "$flat" "$metric") floor=${floor#-}
+			claimed=$(gap "$flat" "$metric") floor=$(awk -v g="${floor#-}" -v q="$iqr" 'BEGIN { printf "%.6g\n", (g > q ? g : q) }')
 			# Distinct values among the A/A runs of the metric, both sides.
 			distinct=$(sed -n "s/^metrics\.$metric\.\(parent\|change\)\.runs\[[0-9]*\]\t//p" <<<"$noiseflat" | sort -u | wc -l)
 			if awk -v g="$claimed" -v f="$floor" 'BEGIN { exit !(g > f) }'; then
 				if [ "$distinct" -eq 1 ]; then
 					margin=deterministic
 				else
-					margin="margin $(awk -v g="$claimed" -v f="$floor" 'BEGIN { if (f > 0) printf "%.1fx", g / f; else print "unbounded (A/A gap 0)" }')"
+					margin="margin $(awk -v g="$claimed" -v f="$floor" 'BEGIN { if (f > 0) printf "%.1fx", g / f; else print "unbounded (noise floor 0)" }')"
 				fi
-				echo "ledger-check: $f: $metric gap $claimed exceeds the A/A gap $floor ($noise), $margin"
+				echo "ledger-check: $f: $metric gap $claimed exceeds the noise floor $floor ($noise), $margin"
 			else
-				bad "$metric gap $claimed in $ledger does not exceed the A/A gap $floor in $noise"
+				bad "$metric gap $claimed in $ledger does not exceed the noise floor $floor in $noise"
 			fi
 		fi
 	fi
