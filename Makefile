@@ -11,7 +11,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# go vet, then five house rules. A binary varint is read and written
+# go vet, then six house rules. A binary varint is read and written
 # only by internal/binenc's walkers, so no hand-rolled byte cursor creeps
 # back beside them; fails listing every non-test call outside binenc.
 # Every write reaches the state as bytes, through market.Market's
@@ -25,10 +25,14 @@ fmt-check:
 # segment chain is read by one walker, internal/journal/chain.go, so
 # recovery, journal-verify, journal-info and its dump refuse the same
 # broken chains: nothing else reads a seghead or scans a segment by
-# name; fails listing file:line. And the applier's packages import no
-# clock, OS, lock or ambient randomness, so a command's outcome is a
-# function of the state and the command alone and replay rebuilds what
-# was acknowledged; fails naming the package and the import.
+# name; fails listing file:line. One open-loop driver paces live
+# traffic, internal/loadrig's (cmd/shieldload, its -addr a running
+# server), so outside it and benchmark/'s probes nothing calls
+# loadrig.NewPacer to grow a second; fails listing file:line. And the
+# applier's packages import no clock, OS, lock or ambient randomness, so
+# a command's outcome is a function of the state and the command alone
+# and replay rebuilds what was acknowledged; fails naming the package
+# and the import.
 APPLIER_PKGS = command core mw auction rng provenance binenc
 vet:
 	$(GO) vet ./...
@@ -44,6 +48,9 @@ vet:
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/journal/chain\.go$$' | \
 		xargs grep -n -E '(readSegHead|scanSegment)\(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "a segment chain read outside internal/journal/chain.go (walk it with walkChain):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/loadrig/' -e '^benchmark/' | \
+		xargs grep -n -F 'loadrig.NewPacer(' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "an open-loop driver outside internal/loadrig and benchmark/ (drive a server with shieldload -addr):"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' $(APPLIER_PKGS:%=./internal/%) | tr -d '[]' | \
 		awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^(time|os|sync|sync\/atomic|math\/rand|math\/rand\/v2)$$/) print $$1 " imports " $$i }')"; \
 		if [ -n "$$out" ]; then echo "clock, OS or concurrency import in an applier package:"; echo "$$out"; exit 1; fi

@@ -1,7 +1,8 @@
 // Command bidgen emits simulated bid streams as CSV: the AR(1) valuation
 // process of the paper's Section 7.2.1, optionally run through the
-// strategic-buyer transform <PCT, beta, H>. Useful for feeding external
-// tools or replaying workloads against a live marketd.
+// strategic-buyer transform <PCT, beta, H>, for feeding external tools.
+// Live traffic against a running marketd is cmd/shieldload's -addr and
+// -wire-addr.
 //
 // Usage:
 //
@@ -9,16 +10,6 @@
 //	bidgen -n 250 -pct 0.5 -beta 0.25 -horizon 4 -seed 7 > attack.csv
 //
 // Output columns: index, buyer, valuation, bid, strategic, final.
-//
-// With -target the stream is driven against a live marketd instead of
-// printed: bidgen registers the seller, dataset and buyers, then
-// submits every bid open-loop at -rate bids per second (0 = as fast as
-// -workers allow) and reports throughput and latency percentiles on
-// stderr. The target accepts every scheme shield.Dial does, so the
-// same workload runs over HTTP ("http://host:8080") or the binary wire
-// protocol ("wire://host:9090"):
-//
-//	bidgen -n 10000 -target wire://localhost:9090 -rate 5000 -tick-every 100
 package main
 
 import (
@@ -45,13 +36,6 @@ func main() {
 		beta    = flag.Float64("beta", 0, "strategic bid multiplier (0 = bid the floor)")
 		horizon = flag.Int("horizon", 4, "strategic horizon H (total opportunities)")
 		seed    = flag.Uint64("seed", 2022, "generator seed")
-
-		target    = flag.String("target", "", "drive the stream against a live marketd (http://..., wire://... or host:port) instead of printing CSV")
-		rate      = flag.Float64("rate", 0, "offered load in bids/second with -target (0 = closed loop)")
-		dataset   = flag.String("dataset", "bidgen", "dataset every driven bid targets")
-		seller    = flag.String("seller", "bidgen-seller", "seller registered to own -dataset")
-		tickEvery = flag.Int("tick-every", 0, "advance the market period every N driven bids (0 = never)")
-		workers   = flag.Int("workers", 4, "concurrent in-flight bids with -target")
 	)
 	flag.Parse()
 
@@ -67,21 +51,6 @@ func main() {
 	}, r.Split())
 	if err != nil {
 		log.Fatalf("bidgen: %v", err)
-	}
-
-	if *target != "" {
-		err := drive(driveConfig{
-			target:    *target,
-			rate:      *rate,
-			dataset:   *dataset,
-			seller:    *seller,
-			tickEvery: *tickEvery,
-			workers:   *workers,
-		}, stream)
-		if err != nil {
-			log.Fatalf("bidgen: %v", err)
-		}
-		return
 	}
 
 	w := csv.NewWriter(os.Stdout)

@@ -54,15 +54,28 @@
 // under load. A replica.lag<2s clause bounds the worst staleness any
 // follower showed (sampled at 25ms), and the post-run invariants pin
 // every follower snapshot byte-identical to the leader's.
+//
+// -addr and -wire-addr drive a running marketd instead of booting one:
+// the rig seeds it through a client, as it seeds its own leader (an
+// account a second run finds registered is kept), and drives the
+// transports -transport names, each of which needs its address. The
+// flags that configure the in-process server exit 2. With no server in
+// this process the invariants are not checked and clauses on server
+// stages read as unmeasured. The target must run without -auth: rig
+// clients sign no bids.
+//
+//	shieldload -addr 127.0.0.1:8080 -wire-addr 127.0.0.1:9090 -slo 'error_rate<0.1%'
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -136,23 +149,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		followers    = fs.Int("followers", 0, "read replicas to boot beside the leader")
 		replicaFrac  = fs.Float64("replica-fraction", 0, "fraction of ops served by replicas (carved from the read share; needs -followers)")
 		replicaKill  = fs.Bool("replica-kill", false, "drop follower 0's replication connection at the schedule midpoint (needs -followers)")
+		addr         = fs.String("addr", "", "drive the running server whose HTTP API listens here (host:port or http://host:port) instead of booting one")
+		wireAddr     = fs.String("wire-addr", "", "drive the running server whose wire protocol listens here (host:port) instead of booting one")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	slo, err := loadrig.ParseSLO(*sloSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "shieldload: %v\n", err)
-		return 2
-	}
-	injected, err := parseInject(*inject)
+	remote := *addr != "" || *wireAddr != ""
+	slo, sloErr := loadrig.ParseSLO(*sloSpec)
+	injected, injectErr := parseInject(*inject)
+	err := errors.Join(remoteFlags(fs, remote, *transport, *addr, *wireAddr), sloErr, injectErr)
 	if err != nil {
 		fmt.Fprintf(stderr, "shieldload: %v\n", err)
 		return 2
 	}
 
-	rig, err := loadrig.StartRig(loadrig.RigConfig{
+	rc := loadrig.RigConfig{
 		Datasets:    *datasets,
 		Buyers:      *clients,
 		Seed:        *seed,
@@ -163,7 +175,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			SegmentRecords:  *segRecords,
 			CheckpointEvery: *compactEvery,
 		},
-	})
+	}
+	var rig *loadrig.Rig
+	if remote {
+		rig, err = loadrig.DialRig(*addr, *wireAddr, rc)
+	} else {
+		rig, err = loadrig.StartRig(rc)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "shieldload: %v\n", err)
 		return 2
@@ -223,6 +241,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
+// serverFlags configure the in-process server, so a remote run refuses
+// them.
+var serverFlags = []string{"fsync", "trace-sample", "compact-every", "segment-records", "followers", "replica-fraction", "replica-kill"}
+
+// remoteFlags refuses a remote run that sets a server flag or drives a
+// transport whose address is missing.
+func remoteFlags(fs *flag.FlagSet, remote bool, transport, addr, wireAddr string) (err error) {
+	switch {
+	case !remote:
+	case transport != loadrig.TransportWire && addr == "":
+		err = fmt.Errorf("-transport %s needs -addr", transport)
+	case transport != loadrig.TransportHTTP && wireAddr == "":
+		err = fmt.Errorf("-transport %s needs -wire-addr", transport)
+	default:
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && slices.Contains(serverFlags, f.Name) {
+				err = fmt.Errorf("-%s configures the in-process server; drop it with -addr or -wire-addr", f.Name)
+			}
+		})
+	}
+	return err
+}
+
 // parseInject parses 'class=dur[,class=dur]' fault-injection specs.
 func parseInject(spec string) (map[string]time.Duration, error) {
 	if strings.TrimSpace(spec) == "" {
@@ -246,6 +287,7 @@ func parseInject(spec string) (map[string]time.Duration, error) {
 func writeArtifact(path string, rep *loadrig.Report, transport string, clients int, rate float64, ops int, seed uint64, slo string, violations []loadrig.Violation) error {
 	art := artifact{
 		GeneratedAt:      time.Now().UTC().Format(time.RFC3339),
+		GoVersion:        runtime.Version(),
 		Transport:        transport,
 		Clients:          clients,
 		TargetRate:       rate,
@@ -260,9 +302,6 @@ func writeArtifact(path string, rep *loadrig.Report, transport string, clients i
 		ReplicaMaxLagSec: rep.ReplicaMaxLag,
 		Invariants:       rep.Invariants,
 		SLO:              slo,
-	}
-	if v, err := exec.Command("go", "version").Output(); err == nil {
-		art.GoVersion = strings.TrimSpace(string(v))
 	}
 	for name, st := range rep.Classes {
 		art.Classes[name] = classStats{

@@ -2,8 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/core"
+	"github.com/datamarket/shield/internal/market"
+	"github.com/datamarket/shield/internal/node"
 )
 
 // small keeps test runs quick while still driving both transports
@@ -73,6 +81,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-slo", "bid.p42<5ms"},
 		{"-inject", "bid=oops"},
 		{"-transport", "carrier-pigeon", "-clients", "4", "-ops", "10"},
+		{"-addr", "127.0.0.1:1", "-transport", "http", "-followers", "1"},
+		{"-addr", "127.0.0.1:1", "-transport", "wire"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {
@@ -90,5 +100,47 @@ func TestRunWritesArtifact(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "wrote "+path) {
 		t.Errorf("stdout missing artifact confirmation:\n%s", out.String())
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art artifact
+	if err := json.Unmarshal(buf, &art); err != nil {
+		t.Fatal(err)
+	}
+	if art.GoVersion != runtime.Version() {
+		t.Errorf("go_version %q, want %q", art.GoVersion, runtime.Version())
+	}
+}
+
+// TestRunDrivesARunningServer: -addr and -wire-addr drive a marketd node
+// started outside the rig over each transport, with ticks, and a rerun
+// against the same server keeps the accounts the first run registered.
+func TestRunDrivesARunningServer(t *testing.T) {
+	n, err := node.Start(node.Config{
+		Market: market.Config{
+			Engine: core.Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1, MinBid: 1},
+			Seed:   9,
+		},
+		Addr:     "127.0.0.1:0",
+		WireAddr: "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	target := []string{"-addr", n.HTTPAddr, "-wire-addr", "wire://" + n.WireAddr, "-slo", "error_rate<0.1%"}
+	for _, transport := range []string{"http", "wire", "both", "both"} {
+		var out, errOut bytes.Buffer
+		args := append(append([]string{"-transport", transport}, target...), small...)
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("-transport %s: exit %d\nstdout:\n%s\nstderr:\n%s", transport, code, out.String(), errOut.String())
+		}
+		for _, want := range []string{"tick ", "invariants: not checked", "SLO satisfied"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("-transport %s: stdout has no %q:\n%s", transport, want, out.String())
+			}
+		}
 	}
 }

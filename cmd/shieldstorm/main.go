@@ -17,9 +17,6 @@
 // catch-up reads the leader's segments while the writers commit; every
 // stream it is sent must be gapless and it, too, must equal the leader.
 //
-// The -shards flag is gone: the market has one applier, so there is no
-// shard matrix to run. Drop the flag; -hot is the concurrency test.
-//
 // With -bitrot it runs the bit-rot mode: a seeded store is built, single
 // bits are flipped at seeded offsets of its segments and checkpoints, and
 // recovery, a leader's open, a follower's cold restart and the offline

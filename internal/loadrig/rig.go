@@ -2,13 +2,17 @@ package loadrig
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
+	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/client"
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
@@ -56,7 +60,8 @@ type RigConfig struct {
 // plus RigConfig.Followers follower nodes, each started by node.Start as
 // marketd starts one. Tests and cmd/shieldload boot one, point thousands
 // of clients at the addresses, and interrogate the same registry the
-// /metrics endpoint serves.
+// /metrics endpoint serves. A rig DialRig returns holds a remote
+// server's addresses and no nodes: Market, Tel and JournalDir are unset.
 type Rig struct {
 	// Market is the journaled market both leader listeners share.
 	Market *journal.Market
@@ -86,13 +91,7 @@ type Rig struct {
 // Seller is the account owning every seeded dataset.
 const Seller = market.SellerID("rig-seller")
 
-// StartRig boots the in-process cluster: the leader node on ephemeral
-// localhost ports over a store in a temporary directory, a seeded
-// catalog of rc.Datasets datasets and rc.Buyers registered buyers, and
-// rc.Followers follower nodes, each converged on the seeded state before
-// StartRig returns so runs never measure the boot transient as replica
-// read errors. Callers must Close the rig.
-func StartRig(rc RigConfig) (*Rig, error) {
+func (rc *RigConfig) defaults() {
 	if rc.Datasets <= 0 {
 		rc.Datasets = 16
 	}
@@ -102,7 +101,16 @@ func StartRig(rc RigConfig) (*Rig, error) {
 	if rc.Seed == 0 {
 		rc.Seed = 2022
 	}
+}
 
+// StartRig boots the in-process cluster: the leader node on ephemeral
+// localhost ports over a store in a temporary directory, a seeded
+// catalog of rc.Datasets datasets and rc.Buyers registered buyers, and
+// rc.Followers follower nodes, each converged on the seeded state before
+// StartRig returns so runs never measure the boot transient as replica
+// read errors. Callers must Close the rig.
+func StartRig(rc RigConfig) (*Rig, error) {
+	rc.defaults()
 	tmpDir, err := os.MkdirTemp("", "shieldload-")
 	if err != nil {
 		return nil, fmt.Errorf("loadrig: store dir: %w", err)
@@ -161,6 +169,24 @@ func StartRig(rc RigConfig) (*Rig, error) {
 	return r, nil
 }
 
+// DialRig seeds a running server, as StartRig seeds its leader, and
+// returns a rig that holds its addresses and no nodes. httpAddr is
+// "host:port" or "http://host:port", wireAddr "host:port" or
+// "wire://host:port"; either may be empty, which leaves that transport
+// undriven. Only rc.Datasets and rc.Buyers apply. Registrations the
+// server already holds, from an earlier run, are kept.
+func DialRig(httpAddr, wireAddr string, rc RigConfig) (*Rig, error) {
+	rc.defaults()
+	r := &Rig{HTTPAddr: httpAddr, WireAddr: strings.TrimPrefix(wireAddr, "wire://")}
+	if httpAddr != "" && !strings.Contains(httpAddr, "://") {
+		r.HTTPAddr = "http://" + httpAddr
+	}
+	if err := r.seed(rc); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // KillFollower drops follower i's replication connection mid-run; the
 // follower redials with backoff and catches up from its applied seq.
 func (r *Rig) KillFollower(i int) {
@@ -169,16 +195,28 @@ func (r *Rig) KillFollower(i int) {
 	}
 }
 
-// seed registers the seller, catalog and buyer accounts directly on the
-// journaled market, so every run starts from the same journaled state.
+// seed registers the seller, the catalog and the buyer accounts through
+// one client, in that order, so every run starts from the same state on
+// an in-process leader and on a remote server alike. A registration the
+// server already holds is not an error.
 func (r *Rig) seed(rc RigConfig) error {
-	if err := r.Market.RegisterSeller(Seller); err != nil {
+	target := r.WireAddr
+	if target == "" {
+		target = r.HTTPAddr
+	}
+	cl, err := client.Dial(target)
+	if err != nil {
+		return fmt.Errorf("loadrig: seeding: %w", err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	if err := held(cl.RegisterSeller(ctx, Seller)); err != nil {
 		return fmt.Errorf("loadrig: seeding seller: %w", err)
 	}
 	r.Datasets = make([]market.DatasetID, rc.Datasets)
 	for i := range r.Datasets {
 		id := market.DatasetID(fmt.Sprintf("ds-%03d", i))
-		if err := r.Market.UploadDataset(Seller, id); err != nil {
+		if err := held(cl.UploadDataset(ctx, Seller, id)); err != nil {
 			return fmt.Errorf("loadrig: seeding dataset %s: %w", id, err)
 		}
 		r.Datasets[i] = id
@@ -186,12 +224,22 @@ func (r *Rig) seed(rc RigConfig) error {
 	r.Buyers = make([]market.BuyerID, rc.Buyers)
 	for i := range r.Buyers {
 		id := market.BuyerID(fmt.Sprintf("buyer-%04d", i))
-		if err := r.Market.RegisterBuyer(id); err != nil {
+		if _, err := cl.RegisterBuyer(ctx, id); held(err) != nil {
 			return fmt.Errorf("loadrig: seeding buyer %s: %w", id, err)
 		}
 		r.Buyers[i] = id
 	}
 	return nil
+}
+
+// held drops the duplicate_id error a server answers a registration it
+// already holds with, as on a second run against one server.
+func held(err error) error {
+	var ae *apierr.APIError
+	if errors.As(err, &ae) && ae.Code == apierr.CodeDuplicateID {
+		return nil
+	}
+	return err
 }
 
 // Close stops the followers, then the leader (its journal closes with
@@ -224,8 +272,12 @@ func (r *Rig) cleanupTmp() { _ = os.RemoveAll(r.tmpDir) }
 //     replicated command fails the byte comparison.
 //
 // It returns a human-readable summary for the report, or an error
-// naming the violated invariant.
+// naming the violated invariant. A remote rig holds no state to check,
+// and its summary says so.
 func (r *Rig) CheckInvariants() (string, error) {
+	if r.Market == nil {
+		return "not checked: the server runs in another process", nil
+	}
 	revenue, spent, balances := r.Market.Totals()
 	var txSum market.Money
 	txs := r.Market.Transactions()

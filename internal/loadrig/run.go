@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -76,7 +77,7 @@ type job struct {
 // scheduled times age in the queue and the measured latency includes
 // every queued microsecond (see the package comment on coordinated
 // omission). Server-side histogram quantiles for the bid path are
-// attached for cross-checking.
+// attached for cross-checking when the rig holds the server's registry.
 func Run(rig *Rig, sc Scenario) (*Report, error) {
 	if sc.Clients <= 0 || sc.Ops <= 0 {
 		return nil, fmt.Errorf("loadrig: scenario needs positive Clients and Ops (got %d, %d)", sc.Clients, sc.Ops)
@@ -109,20 +110,19 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, cl := range clients {
-			_ = cl.Close()
+	defer closeAll(clients)
+	var replicaClients []client.Client
+	if sc.ReplicaFraction > 0 {
+		// One HTTP connection per worker to the followers, round-robin.
+		targets := make([]string, sc.Clients)
+		for i := range targets {
+			targets[i] = rig.FollowerAddrs[i%len(rig.FollowerAddrs)]
 		}
-	}()
-	replicaClients, err := dialReplicaClients(rig, sc, doer)
-	if err != nil {
-		return nil, err
+		if replicaClients, err = dialAll(targets, doer); err != nil {
+			return nil, err
+		}
 	}
-	defer func() {
-		for _, cl := range replicaClients {
-			_ = cl.Close()
-		}
-	}()
+	defer closeAll(replicaClients)
 	if err := warm(append(append([]client.Client(nil), clients...), replicaClients...)); err != nil {
 		return nil, err
 	}
@@ -190,8 +190,10 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 	lag := <-lagResult
 
 	rep := buildReport(recs, duration)
-	rep.ServerQuantiles = serverQuantiles(rig)
-	rep.ServerStages = serverStages(rig)
+	if rig.Tel != nil { // a remote rig reads no server registry
+		rep.ServerQuantiles = serverQuantiles(rig)
+		rep.ServerStages = serverStages(rig)
+	}
 	rep.ReplicaMaxLag = lag.max
 	rep.ReplicaLagSamples = lag.samples
 	return rep, nil
@@ -255,36 +257,52 @@ func dialClients(rig *Rig, sc Scenario, doer *http.Client) ([]client.Client, err
 	default:
 		return nil, fmt.Errorf("loadrig: unknown transport %q (want http, wire, or both)", sc.Transport)
 	}
+	targets := make([]string, sc.Clients)
+	for i := range targets {
+		targets[i] = rig.WireAddr
+		if i < httpCount {
+			targets[i] = rig.HTTPAddr
+		}
+	}
+	return dialAll(targets, doer)
+}
 
-	clients := make([]client.Client, sc.Clients)
-	errs := make([]error, sc.Clients)
-	// Dialing serially at 1k+ connections takes whole seconds; a
-	// bounded dial pool keeps startup off the measured clock.
+// dialAll opens one client per target: an "http://" target on doer's
+// connections, any other a wire address. Dialing serially at 1k+
+// connections takes whole seconds; a bounded dial pool keeps startup off
+// the measured clock. On any failure it closes what it opened.
+func dialAll(targets []string, doer *http.Client) ([]client.Client, error) {
+	clients := make([]client.Client, len(targets))
+	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 64)
-	for i := range clients {
+	for i, target := range targets {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if i < httpCount {
-				clients[i], errs[i] = client.Dial(rig.HTTPAddr, client.WithHTTPDoer(doer))
+			if strings.HasPrefix(target, "http") {
+				clients[i], errs[i] = client.Dial(target, client.WithHTTPDoer(doer))
 			} else {
-				clients[i], errs[i] = client.DialWire(rig.WireAddr)
+				clients[i], errs[i] = client.DialWire(target)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		for _, cl := range clients {
-			if cl != nil {
-				_ = cl.Close()
-			}
-		}
-		return nil, fmt.Errorf("loadrig: dialing %d clients: %w", sc.Clients, err)
+		closeAll(clients)
+		return nil, fmt.Errorf("loadrig: dialing %d clients: %w", len(targets), err)
 	}
 	return clients, nil
+}
+
+func closeAll(clients []client.Client) {
+	for _, cl := range clients {
+		if cl != nil {
+			_ = cl.Close()
+		}
+	}
 }
 
 // warm pings every client before the schedule's clock starts. The HTTP
@@ -308,38 +326,6 @@ func warm(clients []client.Client) error {
 		return fmt.Errorf("loadrig: warming %d clients: %w", len(clients), err)
 	}
 	return nil
-}
-
-// dialReplicaClients opens one HTTP connection per worker to the rig's
-// followers, round-robin, when the scenario drives ClassReplica reads.
-func dialReplicaClients(rig *Rig, sc Scenario, doer *http.Client) ([]client.Client, error) {
-	if sc.ReplicaFraction <= 0 {
-		return nil, nil
-	}
-	clients := make([]client.Client, sc.Clients)
-	errs := make([]error, sc.Clients)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 64)
-	for i := range clients {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			addr := rig.FollowerAddrs[i%len(rig.FollowerAddrs)]
-			clients[i], errs[i] = client.Dial(addr, client.WithHTTPDoer(doer))
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		for _, cl := range clients {
-			if cl != nil {
-				_ = cl.Close()
-			}
-		}
-		return nil, fmt.Errorf("loadrig: dialing %d replica clients: %w", sc.Clients, err)
-	}
-	return clients, nil
 }
 
 // worker executes jobs on one connection, as one buyer, under one

@@ -15,16 +15,15 @@ package wire
 //
 // mode 1 (snapshot catch-up): the body carries the leader's canonical
 // market snapshot (command.Snapshot.Canonical's bytes — opaque here; a
-// leader older than that codec sends the snapshot as JSON) representing
-// the state after startSeq; the follower restores it and resumes from
-// there. This is
-// the one frame in the protocol allowed past MaxFrame, bounded by
-// MaxSnapshotFrame. mode 0 (tail catch-up): no snapshot; startSeq
-// echoes afterSeq and the missed records stream as ordinary record
-// frames. A statusErr envelope (closed apierr code set) means the
-// subscription was refused — replication not enabled, the follower
-// claims a seq ahead of the leader, or the snapshot does not fit
-// MaxSnapshotFrame.
+// leader older than that codec sends the snapshot as JSON, which the
+// follower refuses) representing the state after startSeq; the follower
+// restores it and resumes from there. This is the one frame in the
+// protocol allowed past MaxFrame, bounded by MaxSnapshotFrame. mode 0
+// (tail catch-up): no snapshot; startSeq echoes afterSeq and the missed
+// records stream as ordinary record frames. A statusErr envelope
+// (closed apierr code set) means the subscription was refused —
+// replication not enabled, the follower claims a seq ahead of the
+// leader, or the snapshot does not fit MaxSnapshotFrame.
 //
 // After the response the stream is one-way, server to client, framed
 // exactly like every other frame:
