@@ -83,9 +83,11 @@ build:
 # stage from the connection's payload buffer while the connection waits,
 # ScanRecords' reader goroutine, stopped and gone on every way a scan
 # ends, a follower's catch-up scan of the leader's segments, which
-# holds no leader lock and splices in the ring exactly once, and a
-# node's Close, which closes the connections its HTTP servers' hooks
-# track while they accept and serve.
+# holds no leader lock and splices in the ring exactly once, the
+# convergence check every driver shares, which polls a follower's
+# applied seq while it applies, and a node's Close, which closes the
+# connections its HTTP servers' hooks track while they accept and
+# serve.
 race:
 	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
@@ -94,7 +96,7 @@ race:
 	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity|TestRecordIsTheRequest' -count=10 ./internal/wire/
 	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines' -count=10 ./internal/sim/
 	$(GO) test -race -run 'TestScanRecordsLeavesNoGoroutines' -count=10 ./internal/journal/
-	$(GO) test -race -run 'TestCatchupScanHoldsNoLeaderLock|TestCatchupSpliceIsExactlyOnce' -count=10 ./internal/replica/
+	$(GO) test -race -run 'TestCatchupScanHoldsNoLeaderLock|TestCatchupSpliceIsExactlyOnce|TestAwaitConverged' -count=10 ./internal/replica/
 	$(GO) test -race -run 'TestCloseDropsIdleConnections' -count=10 ./cmd/marketd/
 
 test:

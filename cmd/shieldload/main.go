@@ -6,8 +6,9 @@
 // Latency is measured from each operation's scheduled send time
 // (coordinated omission cannot hide queueing delay), cross-checked
 // against the server's own latency histograms, and the run is gated on
-// a declarative SLO plus the market's whole-system invariants: money
-// conservation and journal-replay fidelity. A violated gate exits
+// a declarative SLO plus the market's whole-system invariants: the books
+// balance, store recovery rebuilds the live market, and every follower
+// converges on it. A violated gate exits
 // nonzero naming the violation, so `make slo-smoke` fails CI on a
 // latency or correctness regression.
 //
@@ -60,9 +61,9 @@
 // account a second run finds registered is kept), and drives the
 // transports -transport names, each of which needs its address. The
 // flags that configure the in-process server exit 2. With no server in
-// this process the invariants are not checked and clauses on server
-// stages read as unmeasured. The target must run without -auth: rig
-// clients sign no bids.
+// this process the invariants are not checked and a clause on a server
+// stage is violated as "not measured". The target must run without
+// -auth: rig clients sign no bids.
 //
 //	shieldload -addr 127.0.0.1:8080 -wire-addr 127.0.0.1:9090 -slo 'error_rate<0.1%'
 package main

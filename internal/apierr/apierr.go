@@ -182,9 +182,8 @@ func Classify(err error) (code string, status int) {
 		return CodeReadOnlyReplica, http.StatusForbidden
 	case errors.Is(err, ErrReplicaUnavailable):
 		return CodeReplicaUnavailable, http.StatusServiceUnavailable
-	case errors.Is(err, command.ErrNotMarket), errors.Is(err, command.ErrMalformed), errors.Is(err, command.ErrUnknownOp):
-		// Codec-level rejections and commands that do not target market
-		// state (Settle) are client mistakes, not server faults.
+	case errors.Is(err, command.ErrMalformed), errors.Is(err, command.ErrUnknownOp):
+		// Codec-level rejections are client mistakes, not server faults.
 		return CodeBadRequest, http.StatusBadRequest
 	default:
 		return CodeInternal, http.StatusInternalServerError

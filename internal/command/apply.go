@@ -188,10 +188,7 @@ func apply(st *State, cmd Command, evs []Event) ([]Event, error) {
 		}
 		return evs, nil
 
-	case Settle:
-		return evs, ErrNotMarket
-
-	default: // not one of the nine; %T would make cmd escape
+	default: // not one of the eight; %T would make cmd escape
 		return evs, fmt.Errorf("%w: no command", ErrUnknownOp)
 	}
 }
@@ -235,8 +232,6 @@ func ApplyEncoded(st *State, payload []byte, evs []Event) ([]Event, error) {
 		cmd = BidBatch{}.walk(c)
 	case bopTick:
 		cmd = Tick{}
-	case bopSettle:
-		cmd = Settle{}.walk(c)
 	default:
 		return evs, fmt.Errorf("%w: opcode %d", ErrUnknownOp, payload[0])
 	}

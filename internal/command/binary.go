@@ -21,8 +21,7 @@ const (
 	bopWithdraw
 	bopBid
 	bopBidBatch
-	bopTick
-	bopSettle
+	bopTick // 9, once an ex-post settlement, stays unassigned
 )
 
 // MaxEncoded bounds the encoding of a command the market applies: its
@@ -65,9 +64,7 @@ func AppendBinary(dst []byte, cmd Command) ([]byte, error) {
 		v.walk(opcode(c, bopBidBatch))
 	case Tick:
 		opcode(c, bopTick)
-	case Settle:
-		v.walk(opcode(c, bopSettle))
-	default: // not one of the nine; %T would make cmd escape
+	default: // not one of the eight; %T would make cmd escape
 		return dst, fmt.Errorf("%w: no command", ErrUnknownOp)
 	}
 	if err := c.Err(); err != nil {
@@ -107,8 +104,6 @@ func DecodeBinary(data []byte) (Command, error) {
 		cmd = BidBatch{}.walk(c)
 	case bopTick:
 		cmd = Tick{}
-	case bopSettle:
-		cmd = Settle{}.walk(c)
 	default:
 		return nil, fmt.Errorf("%w: opcode %d", ErrUnknownOp, data[0])
 	}
@@ -187,15 +182,8 @@ func (v BidBatch) walk(c *binenc.Codec) BidBatch {
 	return v
 }
 
-func (v Settle) walk(c *binenc.Codec) Settle {
-	bidFields(c, &v.Buyer, &v.Dataset, &v.Amount)
-	c.Bool(&v.Exante)
-	return v
-}
-
-// bidFields walks the fields a bid, a bid_batch entry and a settlement
-// share: buyer, dataset, amount. Decoded as byte slices, the names alias
-// the input.
+// bidFields walks the fields a bid and a bid_batch entry share: buyer,
+// dataset, amount. Decoded as byte slices, the names alias the input.
 func bidFields[B, D ~string | ~[]byte](c *binenc.Codec, buyer *B, dataset *D, amount *float64) {
 	binenc.Bytes(c, buyer)
 	binenc.Bytes(c, dataset)

@@ -40,7 +40,6 @@ type wire struct {
 	Constituents []DatasetID `json:"constituents,omitempty"`
 	Amount       float64     `json:"amount,omitempty"`
 	Bids         []wireBid   `json:"bids,omitempty"`
-	Exante       bool        `json:"exante,omitempty"`
 }
 
 // EncodeJSON returns cmd's canonical JSON encoding.
@@ -69,8 +68,6 @@ func EncodeJSON(cmd Command) ([]byte, error) {
 		}
 	case Tick:
 		w = wire{Op: c.Op()}
-	case Settle:
-		w = wire{Op: c.Op(), Buyer: c.Buyer, Dataset: c.Dataset, Amount: c.Amount, Exante: c.Exante}
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnknownOp, cmd)
 	}
@@ -125,8 +122,6 @@ func fromWire(w wire) (Command, error) {
 		return BidBatch{Bids: bids}, nil
 	case OpTick:
 		return Tick{}, nil
-	case OpSettle:
-		return Settle{Buyer: w.Buyer, Dataset: w.Dataset, Amount: w.Amount, Exante: w.Exante}, nil
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownOp, w.Op)
 	}

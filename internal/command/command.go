@@ -33,10 +33,7 @@ package command
 // Op() agree by construction.
 type Op string
 
-// The closed command set. OpSettle is part of the codec (settlements
-// travel through the same wire format) but does not target market
-// state: Apply rejects it with ErrNotMarket and callers route it to the
-// ex-post arbiter (internal/expost).
+// The closed command set.
 const (
 	OpRegisterBuyer  Op = "register_buyer"
 	OpRegisterSeller Op = "register_seller"
@@ -46,11 +43,10 @@ const (
 	OpBid            Op = "bid"
 	OpBidBatch       Op = "bid_batch"
 	OpTick           Op = "tick"
-	OpSettle         Op = "settle"
 )
 
 // Command is one market mutation. The set of implementations is closed:
-// exactly the nine types below, one per Op value.
+// exactly the eight types below, one per Op value.
 type Command interface {
 	// Op returns the command's kind name (also its wire name).
 	Op() Op
@@ -104,20 +100,6 @@ type BidBatch struct {
 // Tick advances the market clock by one period.
 type Tick struct{}
 
-// Settle is an ex-post settlement instruction (a bid or a request/pay
-// round against the ex-post arbiter). It shares the command codec so
-// settlement streams can be recorded and replayed alongside market
-// commands, but it does not mutate market state: Apply returns
-// ErrNotMarket and the caller routes it to internal/expost.
-type Settle struct {
-	Buyer   BuyerID
-	Dataset DatasetID
-	Amount  float64
-	// Exante selects the ex-ante bid path; otherwise the settlement runs
-	// the ex-post request/pay protocol.
-	Exante bool
-}
-
 // Op implements Command.
 func (RegisterBuyer) Op() Op   { return OpRegisterBuyer }
 func (RegisterSeller) Op() Op  { return OpRegisterSeller }
@@ -127,7 +109,6 @@ func (WithdrawDataset) Op() Op { return OpWithdraw }
 func (SubmitBid) Op() Op       { return OpBid }
 func (BidBatch) Op() Op        { return OpBidBatch }
 func (Tick) Op() Op            { return OpTick }
-func (Settle) Op() Op          { return OpSettle }
 
 func (RegisterBuyer) isCommand()   {}
 func (RegisterSeller) isCommand()  {}
@@ -137,4 +118,3 @@ func (WithdrawDataset) isCommand() {}
 func (SubmitBid) isCommand()       {}
 func (BidBatch) isCommand()        {}
 func (Tick) isCommand()            {}
-func (Settle) isCommand()          {}

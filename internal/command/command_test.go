@@ -40,7 +40,6 @@ func allCommands() []command.Command {
 			{Buyer: "bob", Dataset: "traffic", Amount: 70.5},
 		}},
 		command.Tick{},
-		command.Settle{Buyer: "alice", Dataset: "weather", Amount: 12.5, Exante: true},
 	}
 }
 
@@ -102,8 +101,8 @@ func TestDecodeErrorsAreClosedSet(t *testing.T) {
 		{"binary truncated string", command.DecodeBinary, []byte{0x01, 0x05, 'a'}, command.ErrMalformed},
 		{"binary trailing bytes", command.DecodeBinary, []byte{0x08, 0x00}, command.ErrMalformed},
 		{"binary empty batch", command.DecodeBinary, []byte{0x07, 0x00}, command.ErrMalformed},
-		{"binary bad bool", command.DecodeBinary, append([]byte{0x09, 0x01, 'b', 0x01, 'd'},
-			0, 0, 0, 0, 0, 0, 0x28, 0x40, 2), command.ErrMalformed},
+		{"binary opcode 9 unassigned", command.DecodeBinary, append([]byte{0x09, 0x01, 'b', 0x01, 'd'},
+			0, 0, 0, 0, 0, 0, 0x28, 0x40, 1), command.ErrUnknownOp},
 		{"binary nan amount", command.DecodeBinary, append([]byte{0x06, 0x01, 'b', 0x01, 'd'},
 			0, 0, 0, 0, 0, 0, 0xf8, 0x7f), command.ErrMalformed},
 	}
@@ -240,7 +239,6 @@ func TestApplyErrors(t *testing.T) {
 		{"upload by unknown seller", command.UploadDataset{Seller: "ghost", Dataset: "fresh"}, command.ErrUnknownSeller},
 		{"withdraw by non-owner", command.WithdrawDataset{Seller: "globex", Dataset: "weather"}, command.ErrUnknownSeller},
 		{"withdraw dataset in use", command.WithdrawDataset{Seller: "acme", Dataset: "weather"}, command.ErrDatasetInUse},
-		{"settle is not a market command", command.Settle{Buyer: "alice", Dataset: "weather", Amount: 5}, command.ErrNotMarket},
 	}
 	for _, tc := range cases {
 		if _, err := command.Apply(st, tc.cmd); !errors.Is(err, tc.want) {

@@ -44,11 +44,6 @@ func WaitEnd(clock, wait int) int32 {
 	return int32(min(clock+min(wait, MaxPeriod), MaxPeriod))
 }
 
-// ErrNotMarket is returned by Apply for commands that are part of the
-// codec but do not target market state (today: Settle, which belongs to
-// the ex-post arbiter).
-var ErrNotMarket = errors.New("command: not a market-state command")
-
 // BuyerID identifies a registered buyer.
 type BuyerID string
 

@@ -48,9 +48,7 @@ func CommandFromEvent(e Event) (command.Command, error) {
 // EventFromCommand encodes a command as the journal record that
 // replays it, the inverse of CommandFromEvent (modulo Seq and Trace,
 // which the writer and request context own). Head records have no
-// command form, and Settle is settled off-market (the ex-post layer
-// journals nothing), so only market-state commands encode; anything
-// else fails with ErrBadEvent.
+// command form; anything else fails with ErrBadEvent.
 func EventFromCommand(cmd command.Command) (Event, error) {
 	switch c := cmd.(type) {
 	case command.RegisterBuyer:

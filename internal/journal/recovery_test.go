@@ -145,8 +145,6 @@ func writeHistory(t *testing.T, seed uint64, ops int, checkpoint bool) *history 
 		}
 		h.pop.note(cmd)
 		switch c := cmd.(type) {
-		case command.Settle:
-			// Not a market command.
 		case command.BidBatch:
 			// As the transports submit one: failures skipped, the rest
 			// logged as a single bid_batch.

@@ -1232,3 +1232,34 @@ func TestTailRecords(t *testing.T) {
 		t.Fatalf("TailRecords over compacted segments: %v, want ErrSegmentMissing", err)
 	}
 }
+
+// TestCheckRecovery: a store's recovery rebuilds its live market, and a
+// store whose live market priced through perturbed engines
+// (TestPerturbPrices, before any bid) — so its records replay to other
+// prices — is refused by name, with the sections that differ.
+func TestCheckRecovery(t *testing.T) {
+	sc := smallStoreConfig()
+	sc.CheckpointEvery = -1 // replay every record, so each perturbed sale is re-priced
+	for _, perturb := range []bool{false, true} {
+		dir := t.TempDir()
+		jm, _, err := OpenStore(testConfig(), dir, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jm.Close()
+		if perturb {
+			jm.Market.TestPerturbPrices(func(p float64) float64 { return p + 1 })
+		}
+		driveWorkload(t, jm, 7, 400)
+		if jm.TxCount() == 0 {
+			t.Fatal("no sales: a perturbed price would change nothing")
+		}
+		err = CheckRecovery(dir, jm)
+		switch {
+		case !perturb && err != nil:
+			t.Fatal(err)
+		case perturb && (err == nil || !strings.Contains(err.Error(), "recovery does not rebuild live state: snapshots differ in:")):
+			t.Fatalf("perturbed live market: %v, want recovery does not rebuild live state", err)
+		}
+	}
+}

@@ -5,6 +5,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -273,4 +274,22 @@ func RecoverDir(dir string) (*market.Market, int64, int, error) {
 		return nil, 0, 0, ErrNoGenesis
 	}
 	return st.m, st.lastSeq, st.replayed, nil
+}
+
+// CheckRecovery recovers dir read-only, as RecoverDir does, and checks
+// that it rebuilds live exactly: the same newest seq and the same
+// canonical bytes. live must be quiescent. Only a mismatch builds the
+// two snapshot trees, to name the sections that differ.
+func CheckRecovery(dir string, live *Market) error {
+	m, seq, _, err := RecoverDir(dir)
+	if err != nil {
+		return fmt.Errorf("journal: recovery failed: %w", err)
+	}
+	if want := live.LastSeq(); seq != want {
+		return fmt.Errorf("journal: recovery reached seq %d, live at %d", seq, want)
+	}
+	if !bytes.Equal(m.Canonical(), live.Canonical()) {
+		return fmt.Errorf("journal: recovery does not rebuild live state: %s", m.Snapshot().Diff(live.Snapshot()))
+	}
+	return nil
 }

@@ -20,10 +20,10 @@
 // # SLO gates
 //
 // A scenario carries a spec like "bid.p99<5ms,error_rate<0.1%"; after
-// the run (and the post-run money-conservation and journal-replay
-// invariant checks) the spec is evaluated against the measured report
-// and violations are returned by name, so cmd/shieldload can exit
-// nonzero and fail CI on a latency regression.
+// the run (and the post-run books, recovery and convergence checks)
+// the spec is evaluated against the measured report and violations are
+// returned by name, so cmd/shieldload can exit nonzero and fail CI on a
+// latency regression.
 package loadrig
 
 import (

@@ -1,7 +1,6 @@
 package loadrig
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -162,7 +161,7 @@ func StartRig(rc RigConfig) (*Rig, error) {
 		r.Followers = append(r.Followers, f.Follower)
 		r.FollowerAddrs = append(r.FollowerAddrs, "http://"+f.HTTPAddr)
 	}
-	if err := r.checkReplicaConvergence(); err != nil {
+	if err := r.awaitFollowers(); err != nil {
 		_ = r.Close()
 		return nil, err
 	}
@@ -256,20 +255,19 @@ func (r *Rig) Close() error {
 func (r *Rig) cleanupTmp() { _ = os.RemoveAll(r.tmpDir) }
 
 // CheckInvariants verifies the whole-system invariants after a run,
-// while the rig is still serving:
+// while the rig is still serving, each with the check its package owns:
 //
-//  1. Money conservation — market revenue equals total buyer spend,
-//     equals total seller balances, equals the sum of transaction-log
-//     prices. A lost or double-counted sale under concurrent load
-//     breaks at least one equality.
-//  2. Journal replay — restoring the on-disk journal rebuilds a market
-//     whose canonical snapshot is byte-identical to the live one, so
-//     everything the rig acknowledged is durably reconstructible.
-//  3. Replica convergence (when the rig runs followers) — every
-//     follower catches up to the leader's newest committed seq within a
-//     bounded wait and its canonical snapshot is byte-identical to the
-//     leader's. A follower that skipped, duplicated, or misapplied one
-//     replicated command fails the byte comparison.
+//  1. The books balance (market.Market.CheckBooks) — revenue equals
+//     total buyer spend, equals total seller balances, equals the sum of
+//     sale prices.
+//  2. Recovery rebuilds the live market (journal.CheckRecovery) — the
+//     store's checkpoint + tail recovery, the path a restarted marketd
+//     takes, reaches the live seq with byte-identical canonical state,
+//     so everything the rig acknowledged is durably reconstructible.
+//  3. Replica convergence, when the rig runs followers
+//     (replica.Follower.AwaitConverged) — every follower applies the
+//     leader's newest seq within a bounded wait and is byte-identical to
+//     the leader.
 //
 // It returns a human-readable summary for the report, or an error
 // naming the violated invariant. A remote rig holds no state to check,
@@ -278,72 +276,33 @@ func (r *Rig) CheckInvariants() (string, error) {
 	if r.Market == nil {
 		return "not checked: the server runs in another process", nil
 	}
-	revenue, spent, balances := r.Market.Totals()
-	var txSum market.Money
-	txs := r.Market.Transactions()
-	for _, tx := range txs {
-		txSum += tx.Price
+	if err := r.Market.CheckBooks(); err != nil {
+		return "", fmt.Errorf("loadrig: %w", err)
 	}
-	if revenue != spent || revenue != balances || revenue != txSum {
-		return "", fmt.Errorf("loadrig: money not conserved: revenue=%v spent=%v balances=%v txsum=%v",
-			revenue, spent, balances, txSum)
-	}
-
 	// The journal's group-commit writer acknowledges only written
-	// records, so the state read back here covers every operation the
-	// clients saw succeed. The replay is checkpoint + tail-segment
-	// recovery — the same bounded-tail path a restarted marketd takes.
-	restored, rseq, _, err := journal.RecoverDir(r.JournalDir)
-	if err != nil {
-		return "", fmt.Errorf("loadrig: store recovery: %w", err)
+	// records, so the state read back covers every operation the clients
+	// saw succeed.
+	if err := journal.CheckRecovery(r.JournalDir, r.Market); err != nil {
+		return "", fmt.Errorf("loadrig: %w", err)
 	}
-	if want := r.Market.LastSeq(); rseq != want {
-		return "", fmt.Errorf("loadrig: store recovery reached seq %d, live at %d", rseq, want)
-	}
-	if !bytes.Equal(r.Market.Canonical(), restored.Canonical()) {
-		return "", fmt.Errorf("loadrig: store recovery does not rebuild live state: %s",
-			r.Market.Snapshot().Diff(restored.Snapshot()))
+	if err := r.awaitFollowers(); err != nil {
+		return "", err
 	}
 	inv := r.Market.Store().Inventory()
-	replaySummary := fmt.Sprintf("checkpointed recovery rebuilds live state (%d segments, %d checkpoints, %d bytes on disk)",
-		len(inv.Segments), len(inv.Checkpoints), inv.TotalBytes)
-
-	summary := fmt.Sprintf("money conserved (revenue=%v over %d transactions); %s",
-		revenue, len(txs), replaySummary)
+	summary := fmt.Sprintf("money conserved (revenue=%v over %d transactions); checkpointed recovery rebuilds live state (%d segments, %d checkpoints, %d bytes on disk)",
+		r.Market.Revenue(), r.Market.TxCount(), len(inv.Segments), len(inv.Checkpoints), inv.TotalBytes)
 	if len(r.Followers) > 0 {
-		if err := r.checkReplicaConvergence(); err != nil {
-			return "", err
-		}
 		summary += fmt.Sprintf("; %d replicas converged byte-identical to the leader", len(r.Followers))
 	}
 	return summary, nil
 }
 
-// checkReplicaConvergence waits (bounded) for every follower to apply
-// the leader's newest seq, then pins each follower snapshot
-// byte-identical to the leader's canonical snapshot.
-func (r *Rig) checkReplicaConvergence() error {
-	want := r.Market.LastSeq()
-	deadline := time.Now().Add(10 * time.Second)
+// awaitFollowers gives every follower ten seconds to converge on the
+// leader.
+func (r *Rig) awaitFollowers() error {
 	for i, f := range r.Followers {
-		for f.Applied() < want {
-			if time.Now().After(deadline) {
-				applied, leader, lag, connected := f.Staleness()
-				return fmt.Errorf("loadrig: follower %d never converged: applied %d, leader %d (journal %d), lag %.2fs, connected %v",
-					i, applied, leader, want, lag, connected)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	leader := r.Market.Canonical()
-	for i, f := range r.Followers {
-		fm := f.Market()
-		if fm == nil {
-			return fmt.Errorf("loadrig: follower %d has no state", i)
-		}
-		if !bytes.Equal(fm.Canonical(), leader) {
-			return fmt.Errorf("loadrig: follower %d snapshot diverges from leader: %s",
-				i, fm.Snapshot().Diff(r.Market.Snapshot()))
+		if err := f.AwaitConverged(r.Market, 10*time.Second); err != nil {
+			return fmt.Errorf("loadrig: follower %d %w", i, err)
 		}
 	}
 	return nil

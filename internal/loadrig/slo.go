@@ -168,15 +168,21 @@ func parseFraction(s string) (float64, error) {
 }
 
 // A Violation is one SLO clause the measured run failed, with both
-// sides of the comparison rendered for the report.
+// sides of the comparison rendered for the report. Unmeasured marks a
+// clause the run produced no value for; Measured is then meaningless.
 type Violation struct {
-	Clause   SLOClause
-	Measured float64
+	Clause     SLOClause
+	Measured   float64
+	Unmeasured bool
 }
 
 // String renders the violation with the clause as written, e.g.
-// "bid.p99<5ms violated: measured 12.4ms".
+// "bid.p99<5ms violated: measured 12.4ms", or "bid.fsync.p99<1s
+// violated: not measured".
 func (v Violation) String() string {
+	if v.Unmeasured {
+		return v.Clause.Text + " violated: not measured"
+	}
 	measured := formatMeasured(v.Clause.Metric, v.Measured)
 	return fmt.Sprintf("%s violated: measured %s", v.Clause.Text, measured)
 }
@@ -193,16 +199,17 @@ func formatMeasured(metric string, val float64) string {
 }
 
 // Evaluate checks the report against every clause and returns the
-// violations in clause order (empty means the SLO holds). Clauses over
-// an op class the run never exercised are violations too — an SLO on a
-// class that produced zero samples is a misconfigured gate, and a gate
-// that silently passes is worse than one that fails loudly.
+// violations in clause order (empty means the SLO holds). Clauses the
+// run never measured — an op class it never exercised, a server stage it
+// did not run or could not see — are unmeasured violations: an SLO on a
+// quantity with zero samples is a misconfigured gate, and a gate that
+// silently passes is worse than one that fails loudly.
 func (s SLO) Evaluate(r *Report) []Violation {
 	var out []Violation
 	for _, c := range s.Clauses {
 		measured, ok := r.metric(c.Class, c.Metric)
 		if !ok {
-			out = append(out, Violation{Clause: c, Measured: measured})
+			out = append(out, Violation{Clause: c, Unmeasured: true})
 			continue
 		}
 		if !compare(measured, c.Op, c.Bound) {

@@ -4,6 +4,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/core"
+	"github.com/datamarket/shield/internal/market"
+	"github.com/datamarket/shield/internal/node"
 )
 
 func TestParseSLO(t *testing.T) {
@@ -128,5 +133,60 @@ func TestEvaluateUnmeasuredClassIsViolation(t *testing.T) {
 	}
 	if v := slo.Evaluate(r); len(v) != 1 {
 		t.Fatalf("SLO over an unexercised class passed silently: %v", v)
+	}
+}
+
+// TestUnmeasuredClauseSaysSo: a clause over a quantity the run never
+// measured is a violation that says "not measured" rather than printing
+// a zero as if it had been measured — in-process, a fsync stage clause
+// on a run without fsync; against a running server, any stage clause,
+// since the rig cannot read a remote server's stages.
+func TestUnmeasuredClauseSaysSo(t *testing.T) {
+	sc := Scenario{Transport: TransportWire, Clients: 8, Rate: 4000, Ops: 200, Seed: 3}
+	inProcess := func(t *testing.T) *Rig { return startTestRig(t, RigConfig{Datasets: 4, Buyers: 16}) }
+	dialed := func(t *testing.T) *Rig {
+		n, err := node.Start(node.Config{
+			Market: market.Config{
+				Engine: core.Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1, MinBid: 1},
+				Seed:   3,
+			},
+			Addr:     "127.0.0.1:0",
+			WireAddr: "127.0.0.1:0",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		rig, err := DialRig(n.HTTPAddr, n.WireAddr, RigConfig{Datasets: 4, Buyers: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rig
+	}
+	for _, tc := range []struct {
+		name   string
+		rig    func(*testing.T) *Rig
+		clause string
+	}{
+		{"fsync stage without fsync", inProcess, "bid.fsync.p99<1s"},
+		{"stage clause on a dialed server", dialed, "bid.apply.p99<1s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := Run(tc.rig(t), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slo, err := ParseSLO("bid.p99<10s," + tc.clause)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := slo.Evaluate(rep)
+			if len(v) != 1 || !v[0].Unmeasured {
+				t.Fatalf("violations %v, want exactly one unmeasured (%s)", v, tc.clause)
+			}
+			if got, want := v[0].String(), tc.clause+" violated: not measured"; got != want {
+				t.Fatalf("violation reads %q, want %q", got, want)
+			}
+		})
 	}
 }

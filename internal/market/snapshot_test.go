@@ -3,6 +3,7 @@ package market
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/datamarket/shield/internal/rng"
@@ -171,5 +172,28 @@ func TestRestoreSnapshotValidation(t *testing.T) {
 	withdrawn.Transactions = append(withdrawn.Transactions, Transaction{Seq: len(good.Transactions) + 1, Buyer: "carol", Dataset: "long-gone"})
 	if _, err := RestoreSnapshot(withdrawn); err != nil {
 		t.Fatalf("snapshot with withdrawn-dataset transaction rejected: %v", err)
+	}
+}
+
+// TestCheckBooks: a driven market's books balance, and a restored
+// snapshot whose revenue was raised by one micro — RestoreState does
+// not check the books — is refused by name.
+func TestCheckBooks(t *testing.T) {
+	live := driveSnapshotMarket(t)
+	if live.TxCount() == 0 {
+		t.Fatal("no sales: the books check would read nothing")
+	}
+	if err := live.CheckBooks(); err != nil {
+		t.Fatal(err)
+	}
+	snap := live.Snapshot()
+	snap.Revenue++
+	cooked, err := RestoreSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cooked.CheckBooks()
+	if err == nil || !strings.Contains(err.Error(), "money not conserved") {
+		t.Fatalf("books with one micro of revenue too many: %v, want money not conserved", err)
 	}
 }

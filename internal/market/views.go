@@ -581,6 +581,28 @@ func (m *Market) Totals() (revenue, spent, balances Money) {
 	return b.revenue, b.spent, b.balances
 }
 
+// CheckBooks checks the books against the sales they sum, from one read
+// of the books cell: revenue equals total buyer spend, equals total
+// seller balances (provenance splits are exact in Money), equals the sum
+// of sale prices, and the sales carry seqs 1..n in order. A lost,
+// double-counted or reordered sale breaks one of them.
+func (m *Market) CheckBooks() error {
+	b := m.vw.books.load()
+	var txSum Money
+	i := 0
+	for tx := range b.txs.All() {
+		if i++; tx.Seq != i {
+			return fmt.Errorf("market: transaction log has seq %d at position %d", tx.Seq, i)
+		}
+		txSum += tx.Price
+	}
+	if b.revenue != b.spent || b.revenue != b.balances || b.revenue != txSum {
+		return fmt.Errorf("market: money not conserved: revenue=%s spent=%s balances=%s txsum=%s",
+			b.revenue, b.spent, b.balances, txSum)
+	}
+	return nil
+}
+
 // SellerBalance returns a seller's accumulated compensation.
 func (m *Market) SellerBalance(id SellerID) (Money, error) {
 	cell := m.vw.sellers.get(id)

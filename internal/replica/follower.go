@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -347,6 +348,30 @@ func (f *Follower) Applied() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.applied
+}
+
+// AwaitConverged waits up to within for the follower to apply leader's
+// newest seq, then checks that its canonical bytes are the leader's. A
+// follower that skipped, duplicated or misapplied one replicated command
+// fails the comparison; one that stopped applying fails the wait. leader
+// must be quiescent.
+func (f *Follower) AwaitConverged(leader *journal.Market, within time.Duration) error {
+	want := leader.LastSeq()
+	for deadline := time.Now().Add(within); f.Applied() < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			applied, observed, lag, connected := f.Staleness()
+			return fmt.Errorf("never converged: replication lag gate tripped: applied %d < leader %d after %s (observed leader %d, lag %.2fs, connected %v)",
+				applied, want, within, observed, lag, connected)
+		}
+	}
+	fm := f.Market()
+	if fm == nil {
+		return fmt.Errorf("converged to seq %d with no state", want)
+	}
+	if !bytes.Equal(fm.Canonical(), leader.Canonical()) {
+		return fmt.Errorf("snapshot diverges from leader at seq %d: %s", want, fm.Snapshot().Diff(leader.Snapshot()))
+	}
+	return nil
 }
 
 // Staleness reports the follower's replication position: applied and

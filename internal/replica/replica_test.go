@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,20 +122,49 @@ func waitConverged(t *testing.T, f *Follower, feed *Feed, within time.Duration) 
 // leader's.
 func mustMatchLeader(t *testing.T, r *leaderRig, f *Follower) {
 	t.Helper()
-	want, err := r.jm.Snapshot().Canonical()
-	if err != nil {
+	if err := f.AwaitConverged(r.jm, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fm := f.Market()
-	if fm == nil {
-		t.Fatal("follower has no market")
-	}
-	got, err := fm.Snapshot().Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("follower snapshot diverges from leader:\nleader: %d bytes\nfollower: %d bytes", len(want), len(got))
+}
+
+// TestAwaitConverged: a follower applying a leader's churn converges
+// on it; one that skipped a replicated command (TestDropSeq) is named as
+// diverged, and one whose apply loop froze (TestStall) trips the lag
+// gate. Run it under -race: it polls Applied while the follower applies.
+func TestAwaitConverged(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		within time.Duration
+		hook   func(f *Follower, next int64)
+		want   string
+	}{
+		{"converges", 5 * time.Second, nil, ""},
+		{"dropped seq", 5 * time.Second, func(f *Follower, next int64) { f.TestDropSeq(next) }, "snapshot diverges from leader at seq "},
+		{"stalled", 100 * time.Millisecond, func(f *Follower, _ int64) { f.TestStall() }, "never converged: replication lag gate tripped: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newLeaderRig(t, 0)
+			f, err := Start(Config{Dial: r.dial, BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			defer f.TestResume()
+			if err := f.AwaitConverged(r.jm, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if tc.hook != nil {
+				tc.hook(f, r.jm.LastSeq()+1)
+			}
+			r.churn(t, 50)
+			err = f.AwaitConverged(r.jm, tc.within)
+			if tc.want == "" && err != nil {
+				t.Fatal(err)
+			}
+			if tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)) {
+				t.Fatalf("AwaitConverged: %v, want an error beginning %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package torture
 
 import (
-	"bytes"
-	"fmt"
 	"net"
 	"time"
 
@@ -92,29 +90,13 @@ func (t *followerTwin) close() {
 	t.f.Close()
 }
 
-// check is the checkpoint gate for the replication twin: wait
-// (bounded) for the follower to reach the leader's newest committed
-// seq, then pin its snapshot byte-identical to the leader's. It returns
+// check is the checkpoint gate for the replication twin: the lag gate
+// and the divergence gate of replica.Follower.AwaitConverged. It returns
 // "" on success and the failure reason otherwise. The leader must be
 // quiescent.
 func (t *followerTwin) check(leader *journal.Market, converge time.Duration) string {
-	want := t.feed.LeaderSeq()
-	deadline := time.Now().Add(converge)
-	for t.f.Applied() < want {
-		if time.Now().After(deadline) {
-			applied, observed, lag, connected := t.f.Staleness()
-			return fmt.Sprintf("follower twin: replication lag gate tripped: applied %d < leader %d after %s (observed leader %d, lag %.2fs, connected %v)",
-				applied, want, converge, observed, lag, connected)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fm := t.f.Market()
-	if fm == nil {
-		return fmt.Sprintf("follower twin converged to seq %d with no state", want)
-	}
-	if !bytes.Equal(fm.Canonical(), leader.Canonical()) {
-		return fmt.Sprintf("follower twin snapshot diverges from leader at seq %d: %s",
-			want, fm.Snapshot().Diff(leader.Snapshot()))
+	if err := t.f.AwaitConverged(leader, converge); err != nil {
+		return "follower twin " + err.Error()
 	}
 	return ""
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/expost"
 	"github.com/datamarket/shield/internal/journal"
@@ -269,33 +270,6 @@ func (r *replica) applyWire(op Op) opResult {
 	}
 }
 
-func applyRef(r *refMarket, op Op) opResult {
-	switch op.Kind {
-	case OpRegisterBuyer:
-		return opResult{err: r.registerBuyer(op.Buyer)}
-	case OpRegisterSeller:
-		return opResult{err: r.registerSeller(op.Seller)}
-	case OpUpload:
-		return opResult{err: r.uploadDataset(op.Seller, op.Dataset)}
-	case OpCompose:
-		return opResult{err: r.composeDataset(op.Dataset, op.Constituents...)}
-	case OpWithdraw:
-		return opResult{err: r.withdrawDataset(op.Seller, op.Dataset)}
-	case OpTick:
-		return opResult{tick: r.tick()}
-	case OpBid:
-		d, err := r.submitBid(op.Buyer, op.Dataset, op.Amount)
-		return opResult{dec: d, err: err}
-	case OpBatch:
-		return opResult{batch: r.submitBids(bidRequests(op))}
-	case OpQuery:
-		s, err := r.stats(op.Dataset)
-		return opResult{stats: s, err: err}
-	default:
-		return opResult{}
-	}
-}
-
 func bidRequests(op Op) []market.BidRequest {
 	reqs := make([]market.BidRequest, len(op.Bids))
 	for i, b := range op.Bids {
@@ -308,7 +282,7 @@ func bidRequests(op Op) []market.BidRequest {
 type harness struct {
 	cfg      Config
 	gen      *generator
-	ref      *refMarket
+	ref      *command.State
 	replicas []*replica
 
 	// twin is the replication follower streaming replicas[0]'s command
@@ -369,7 +343,7 @@ func Run(cfg Config) (*Report, error) {
 	h := &harness{
 		cfg:     cfg,
 		gen:     gen,
-		ref:     newRefMarket(market.Config{Engine: cfg.Engine, Seed: cfg.Seed}),
+		ref:     command.MustNewState(market.Config{Engine: cfg.Engine, Seed: cfg.Seed}),
 		maxWait: ceilDiv(eng.EpochSize*(1+eng.MaxWaitEpochs), eng.BidsPerPeriod),
 		report:  Report{Seed: cfg.Seed, Ops: cfg.Ops, OpCounts: make(map[string]int)},
 	}
@@ -463,9 +437,9 @@ func Run(cfg Config) (*Report, error) {
 			return nil, f
 		}
 		if cfg.Logf != nil && (i+1)%cfg.CheckEvery == 0 {
-			rev, _, _ := h.ref.totals()
+			rev, _, _ := h.ref.Totals()
 			cfg.Logf("op %d/%d: clock=%d datasets=%d revenue=%s",
-				i+1, cfg.Ops, h.gen.clock, h.ref.st.NumDatasets(), rev)
+				i+1, cfg.Ops, h.gen.clock, h.ref.NumDatasets(), rev)
 		}
 	}
 	if f := h.checkpoint(cfg.Ops - 1); f != nil {
@@ -475,9 +449,9 @@ func Run(cfg Config) (*Report, error) {
 		return nil, f
 	}
 
-	rev, _, _ := h.ref.totals()
+	rev, _, _ := h.ref.Totals()
 	h.report.Revenue = rev
-	h.report.Allocations = h.ref.st.TxCount()
+	h.report.Allocations = h.ref.TxCount()
 	if h.storeRep != nil {
 		inv := h.storeRep.jm.Store().Inventory()
 		h.report.StoreSegments = len(inv.Segments)
@@ -646,11 +620,12 @@ func (h *harness) applySettle(op Op) string {
 func (h *harness) checkpoint(opIdx int) *Failure {
 	h.report.Checkpoints++
 	op := Op{Kind: OpTick} // placeholder desc for state-level failures
-	want := h.ref.canonical()
+	var want bytes.Buffer
+	_ = h.ref.Cut().WriteCanonical(&want) // a bytes.Buffer never fails a write
 	for _, r := range h.replicas {
-		if !bytes.Equal(r.jm.Canonical(), want) {
+		if !bytes.Equal(r.jm.Canonical(), want.Bytes()) {
 			return h.fail(opIdx, op, "replica %s snapshot diverges from reference in sections %v",
-				r.name, h.ref.snapshot().Diff(r.jm.Snapshot()))
+				r.name, h.ref.Snapshot().Diff(r.jm.Snapshot()))
 		}
 	}
 	if reason := h.checkConservationFull(); reason != "" {

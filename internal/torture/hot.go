@@ -276,16 +276,8 @@ func isRejection(err error) bool {
 // rebuilds the leader; the follower twin, and the joiner once it has
 // joined, have converged on the leader.
 func (h *hotStorm) checkpoint(opIdx int) *Failure {
-	revenue, spent, balances := h.jm.Totals()
-	var txSum market.Money
-	for i, tx := range h.jm.Transactions() {
-		if tx.Seq != i+1 {
-			return h.fail(opIdx, "transaction log has seq %d at position %d", tx.Seq, i+1)
-		}
-		txSum += tx.Price
-	}
-	if revenue != spent || revenue != balances || revenue != txSum {
-		return h.fail(opIdx, "money not conserved: revenue=%s spent=%s balances=%s txsum=%s", revenue, spent, balances, txSum)
+	if err := h.jm.CheckBooks(); err != nil {
+		return h.fail(opIdx, "%v", err)
 	}
 
 	scratch, err := os.MkdirTemp(h.cfg.Dir, "check-*")
@@ -304,8 +296,8 @@ func (h *hotStorm) checkpoint(opIdx int) *Failure {
 				os.Remove(c)
 			}
 		}
-		if reason := recoveryDiff(copied, h.jm); reason != "" {
-			return h.fail(opIdx, "%s does not rebuild the leader: %s", what, reason)
+		if err := journal.CheckRecovery(copied, h.jm); err != nil {
+			return h.fail(opIdx, "%s does not rebuild the leader: %v", what, err)
 		}
 	}
 	if reason := h.twin.check(h.jm, 10*time.Second); reason != "" {

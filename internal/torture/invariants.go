@@ -122,8 +122,8 @@ func candidateRange(cands []float64) (lo, hi float64) {
 // personas grow the account population with the run, so an every-op
 // O(accounts) sweep would make 10⁷-op storms quadratic in ops.
 func (h *harness) checkConservation() string {
-	revenue := h.ref.st.Revenue()
-	for log := h.ref.st.TxLog(h.ref.st.TxCount()); h.txCount < log.Len(); h.txCount++ {
+	revenue := h.ref.Revenue()
+	for log := h.ref.TxLog(h.ref.TxCount()); h.txCount < log.Len(); h.txCount++ {
 		h.txSum += log.At(h.txCount).Price
 	}
 	if revenue != h.txSum {
@@ -136,7 +136,7 @@ func (h *harness) checkConservation() string {
 // total buyer spend, equals total seller balances (provenance splits
 // are exact in Money), equals the sum of ledger transaction prices.
 func (h *harness) checkConservationFull() string {
-	revenue, spent, balances := h.ref.totals()
+	revenue, spent, balances := h.ref.Totals()
 	if revenue != spent || revenue != balances || revenue != h.txSum {
 		return fmt.Sprintf("money not conserved: revenue=%s spent=%s balances=%s txsum=%s",
 			revenue, spent, balances, h.txSum)
@@ -147,7 +147,7 @@ func (h *harness) checkConservationFull() string {
 // checkTotals cross-checks the real replicas' ledger totals against the
 // reference at checkpoints.
 func (h *harness) checkTotals() string {
-	wantRev, wantSpent, wantBal := h.ref.totals()
+	wantRev, wantSpent, wantBal := h.ref.Totals()
 	for _, r := range h.replicas {
 		rev, spent, bal := r.jm.Totals()
 		if rev != wantRev || spent != wantSpent || bal != wantBal {
@@ -170,7 +170,7 @@ func (h *harness) checkWaitMonotone() string {
 		return ""
 	}
 	// Deterministic engine order: DatasetIDs is sorted.
-	ids := h.ref.st.DatasetIDs()
+	ids := h.ref.DatasetIDs()
 
 	lo, hi := candidateRange(h.cfg.Engine.Candidates)
 	ladder := append([]float64{lo / 2}, h.cfg.Engine.Candidates...)
@@ -181,7 +181,7 @@ func (h *harness) checkWaitMonotone() string {
 		prev := -1
 		prevBid := 0.0
 		for i, b := range ladder {
-			w, err := h.ref.st.ComputeWait(id, b)
+			w, err := h.ref.ComputeWait(id, b)
 			if err != nil {
 				return fmt.Sprintf("dataset %s: wait probe: %v", id, err)
 			}

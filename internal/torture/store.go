@@ -56,8 +56,8 @@ func (h *harness) storeCrashCut(opIdx int) *Failure {
 	if err := copyDir(r.dir, whole); err != nil {
 		return h.fail(opIdx, op, "store crash-cut copy: %v", err)
 	}
-	if reason := recoveryDiff(whole, r.jm); reason != "" {
-		return h.fail(opIdx, op, "store uncut recovery %s", reason)
+	if err := journal.CheckRecovery(whole, r.jm); err != nil {
+		return h.fail(opIdx, op, "store uncut copy: %v", err)
 	}
 	liveSnap := r.jm.Snapshot()
 
@@ -100,23 +100,6 @@ func (h *harness) storeCrashCut(opIdx int) *Failure {
 	return nil
 }
 
-// recoveryDiff recovers a store directory read-only and returns "" when
-// that rebuilds the quiescent leader exactly — same seq, same snapshot
-// — and what went wrong otherwise.
-func recoveryDiff(dir string, leader *journal.Market) string {
-	m, seq, _, err := journal.RecoverDir(dir)
-	if err != nil {
-		return fmt.Sprintf("failed: %v", err)
-	}
-	if live := leader.LastSeq(); seq != live {
-		return fmt.Sprintf("reached seq %d, live at %d", seq, live)
-	}
-	if d := m.Snapshot().Diff(leader.Snapshot()); d != "" {
-		return fmt.Sprintf("diverges from live state in sections %v", d)
-	}
-	return ""
-}
-
 // checkStoreDisk enforces the disk ceiling at checkpoints and tracks
 // the peak footprint for the report.
 func (h *harness) checkStoreDisk(opIdx int) *Failure {
@@ -145,8 +128,8 @@ func (h *harness) checkStoreDisk(opIdx int) *Failure {
 func (h *harness) storeFinalChecks(flatTail []byte) *Failure {
 	op := Op{Kind: OpTick}
 	r := h.storeRep
-	if reason := recoveryDiff(r.dir, r.jm); reason != "" {
-		return h.fail(h.cfg.Ops-1, op, "store twin recovery %s", reason)
+	if err := journal.CheckRecovery(r.dir, r.jm); err != nil {
+		return h.fail(h.cfg.Ops-1, op, "store twin: %v", err)
 	}
 	if h.cfg.Store.RetainSegments < 0 {
 		body, err := storeBodyBytes(r.dir)

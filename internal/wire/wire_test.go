@@ -219,13 +219,14 @@ func TestErrorsMirrorInProcess(t *testing.T) {
 		}
 	}
 
-	// Settle is in the codec but not a market command.
-	if err := c.apply(ctx, command.Settle{Buyer: "b", Dataset: "d", Amount: 5}, nil); err == nil {
-		t.Fatal("settle over wire succeeded, want error")
+	// Opcode 9 is assigned to no command.
+	unassigned := func(req []byte) ([]byte, error) { return append(req, 9, 1, 'b', 1, 'd'), nil }
+	if err := c.roundTrip(ctx, kindCommand, unassigned, nil); err == nil {
+		t.Fatal("opcode 9 over wire succeeded, want error")
 	} else {
 		var api *apierr.APIError
 		if !errors.As(err, &api) || api.Code != apierr.CodeBadRequest {
-			t.Fatalf("settle error %v, want bad_request envelope", err)
+			t.Fatalf("opcode 9 error %v, want bad_request envelope", err)
 		}
 	}
 }
