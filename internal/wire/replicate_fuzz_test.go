@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/torture"
 	"github.com/datamarket/shield/internal/wire"
 )
@@ -22,19 +21,25 @@ import (
 // padded seq is refused, not read as a second spelling, and a record's
 // body comes out as the bytes it went in as (the follower decodes it as
 // it applies it: TestFollowerRefusesAnUndecodableRecord). Seeds cover realistic
-// record frames built from the torture generator's command corpus plus
-// the interesting sequencing violations, so mutation starts from
-// structurally valid frames.
+// record frames built from the torture generator's command and retired
+// settlement corpora plus the interesting sequencing violations, so
+// mutation starts from structurally valid frames.
 func FuzzReplicateDecode(f *testing.F) {
 	corpus, err := torture.CommandCorpus(1, 200)
 	if err != nil {
 		f.Fatal(err)
 	}
+	settles, err := torture.SettleCorpus(1, 200)
+	if err != nil {
+		f.Fatal(err)
+	}
 	seq := int64(0)
-	for _, enc := range corpus {
-		// The corpus mixes JSON and binary encodings; record frames
-		// carry binary only, but both make useful seed bodies.
-		if _, err := command.DecodeBinary(enc); err == nil {
+	for i, enc := range append(corpus, settles...) {
+		// Both corpora alternate JSON and binary encodings; record
+		// frames carry binary only, but both make useful seed bodies.
+		// A retired settlement's opcode 9 frames like any other body:
+		// the frame decoder does not read it, the follower refuses it.
+		if i%2 == 1 {
 			seq++
 			f.Add(wire.AppendRecordFrame(nil, seq, enc), seq-1) // in order: accepted
 			f.Add(wire.AppendRecordFrame(nil, seq, enc), seq)   // duplicate: ErrReplicaSeq
