@@ -25,7 +25,8 @@ fmt-check:
 # segment chain is read by one walker, internal/journal/chain.go, so
 # recovery, journal-verify, journal-info and its dump refuse the same
 # broken chains: nothing else reads a seghead or scans a segment by
-# name; fails listing file:line. One open-loop driver paces live
+# name, and outside internal/journal and benchmark/ nothing names the
+# segment suffix to list segment files itself; fails listing file:line. One open-loop driver paces live
 # traffic, internal/loadrig's (cmd/shieldload, its -addr a running
 # server), so outside it and benchmark/'s probes nothing calls
 # loadrig.NewPacer to grow a second; fails listing file:line. And the
@@ -48,6 +49,9 @@ vet:
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/journal/chain\.go$$' | \
 		xargs grep -n -E '(readSegHead|scanSegment)\(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "a segment chain read outside internal/journal/chain.go (walk it with walkChain):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/journal/' -e '^benchmark/' | \
+		xargs grep -n -F '.seg"' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "segment files named outside internal/journal and benchmark/ (read a store with journal's readers):"; echo "$$out"; exit 1; fi
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/loadrig/' -e '^benchmark/' | \
 		xargs grep -n -F 'loadrig.NewPacer(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "an open-loop driver outside internal/loadrig and benchmark/ (drive a server with shieldload -addr):"; echo "$$out"; exit 1; fi
@@ -131,8 +135,9 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzRoundMatchesStep$$' -fuzztime $(FUZZ_TIME) ./internal/mw/
 
 # Model-based torture, two halves. The sequential differential: seeded
-# workloads against the reference model through direct, instrumented,
-# wire and follower twins. The concurrent storm (-hot): goroutines piled
+# workloads against the reference model through direct, instrumented
+# and wire twins, each a store checked by the shared recovery and books
+# checks, and a follower twin. The concurrent storm (-hot): goroutines piled
 # onto one dataset of a store-backed journaled market, with journal
 # replay, store recovery and the follower pinned byte-identical to the
 # leader at every checkpoint. Failures print a `shieldstorm [-hot] -seed
@@ -160,9 +165,10 @@ bitrot-smoke:
 torture-long:
 	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -seeds 16 -ops 250000 -v
 
-# Segmented-store gate: a differential storm with the store twin riding
-# along — segment rotation, snapshot checkpoints, background compaction
-# and two seeded crash-cut recovery drills, all under a disk ceiling —
+# Segmented-store gate: a differential storm whose direct twin's store
+# rotates small segments — segment rotation, snapshot checkpoints,
+# background compaction and two seeded crash-cut recovery drills, all
+# under a disk ceiling —
 # then the load rig's -compact-every scenario, where checkpointing and
 # compaction run against live load and the bid tail must hold the SLO.
 # First, the migration: every frozen input an older build left must
@@ -173,7 +179,7 @@ torture-long:
 segment-smoke:
 	$(GO) test -count=1 -run '^(TestMigrate.*|TestV[23]StoreUpgradesInPlace)$$' ./internal/journal/
 	$(GO) run ./cmd/shieldstorm -seed $(TORTURE_SEED) -ops 20000 \
-		-store -segment-records 512 -checkpoint-every 2000 -disk-ceiling-mb 64
+		-segment-records 512 -checkpoint-every 2000 -disk-ceiling-mb 64
 	$(GO) run ./cmd/shieldload -transport both -clients 512 -rate 1500 \
 		-ops 6000 -tick-every 400 -compact-every 1000 -segment-records 512 \
 		-slo 'bid.p99<1s,error_rate<0.1%,throughput>=500'

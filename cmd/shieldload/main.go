@@ -20,7 +20,7 @@
 //	           [-compact-every 2000] [-segment-records 4096]
 //	           [-followers 2] [-replica-fraction 0.1] [-replica-kill]
 //	           [-slo 'bid.p99<250ms,error_rate<0.1%,replica.lag<2s']
-//	           [-inject 'bid=2.5s'] [-json BENCH_7.json] [-q]
+//	           [-json BENCH_7.json] [-q]
 //
 // -slo is a comma-separated list of clauses over the measured report:
 // per-class latency bounds (bid.p99<5ms, query.p999<20ms, bid.max<1s),
@@ -31,11 +31,6 @@
 // disk got slow" from "the market got slow". Business rejections —
 // Time-Shield waits, per-period bid limits — are the market working as
 // designed and never count toward error rates.
-//
-// -inject adds an artificial latency to every recorded sample of an op
-// class ('bid=2.5s'). It exists so the gate can be proven to fail: the
-// mutation-canary test injects a regression and asserts shieldload
-// exits nonzero naming the violated clause.
 //
 // The rig runs on a journal store in a temporary directory (the marketd
 // -journal-dir configuration): segment files rotated every
@@ -77,7 +72,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strings"
 	"time"
 
 	"github.com/datamarket/shield/internal/journal"
@@ -142,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fsync        = fs.Bool("fsync", false, "fsync every journal flush (durable production configuration)")
 		traceSample  = fs.Int("trace-sample", 0, "trace every Nth request (0 = tracing off; 1 = every request)")
 		sloSpec      = fs.String("slo", "", "SLO gate, e.g. 'bid.p99<250ms,error_rate<0.1%' (empty = report only)")
-		inject       = fs.String("inject", "", "artificial latency per op class, e.g. 'bid=2.5s' (gate self-test)")
 		jsonOut      = fs.String("json", "", "also write the report as a JSON artifact")
 		quiet        = fs.Bool("q", false, "suppress the report table (violations still print)")
 		compactEvery = fs.Int64("compact-every", 0, "snapshot-checkpoint and compact the journal store every N committed records (default 10000; negative disables)")
@@ -158,8 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	remote := *addr != "" || *wireAddr != ""
 	slo, sloErr := loadrig.ParseSLO(*sloSpec)
-	injected, injectErr := parseInject(*inject)
-	err := errors.Join(remoteFlags(fs, remote, *transport, *addr, *wireAddr), sloErr, injectErr)
+	err := errors.Join(remoteFlags(fs, remote, *transport, *addr, *wireAddr), sloErr)
 	if err != nil {
 		fmt.Fprintf(stderr, "shieldload: %v\n", err)
 		return 2
@@ -196,7 +188,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Ops:             *ops,
 		TickEvery:       *tickEvery,
 		Seed:            *seed,
-		InjectLatency:   injected,
 		ReplicaFraction: *replicaFrac,
 		KillFollower:    *replicaKill,
 	})
@@ -263,26 +254,6 @@ func remoteFlags(fs *flag.FlagSet, remote bool, transport, addr, wireAddr string
 		})
 	}
 	return err
-}
-
-// parseInject parses 'class=dur[,class=dur]' fault-injection specs.
-func parseInject(spec string) (map[string]time.Duration, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	out := map[string]time.Duration{}
-	for _, term := range strings.Split(spec, ",") {
-		class, val, ok := strings.Cut(strings.TrimSpace(term), "=")
-		if !ok || class == "" {
-			return nil, fmt.Errorf("bad -inject term %q (want class=duration)", term)
-		}
-		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("bad -inject duration in %q", term)
-		}
-		out[class] = d
-	}
-	return out, nil
 }
 
 func writeArtifact(path string, rep *loadrig.Report, transport string, clients int, rate float64, ops int, seed uint64, slo string, violations []loadrig.Violation) error {

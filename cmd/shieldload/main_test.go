@@ -34,22 +34,21 @@ func TestRunGatePasses(t *testing.T) {
 	}
 }
 
-// TestRunMutationCanary proves the gate can fail: injecting an
-// artificial latency regression into the bid class must exit nonzero
-// and name the violated clause on stderr.
+// TestRunMutationCanary proves the gate can fail: a bid bound below any
+// real round trip must exit nonzero and name the violated clause, with
+// its measured value, on stderr.
 func TestRunMutationCanary(t *testing.T) {
 	var out, errOut bytes.Buffer
 	args := append([]string{
-		"-slo", "bid.p99<250ms,query.p99<10s",
-		"-inject", "bid=2.5s",
+		"-slo", "bid.p99<1ns,query.p99<10s",
 	}, small...)
 	code := run(args, &out, &errOut)
 	if code != 1 {
-		t.Fatalf("exit %d with injected regression, want 1\nstdout:\n%s\nstderr:\n%s",
+		t.Fatalf("exit %d with a 1ns bid bound, want 1\nstdout:\n%s\nstderr:\n%s",
 			code, out.String(), errOut.String())
 	}
-	if !strings.Contains(errOut.String(), "bid.p99<250ms violated") {
-		t.Errorf("stderr does not name the violated clause:\n%s", errOut.String())
+	if !strings.Contains(errOut.String(), "bid.p99<1ns violated: measured") {
+		t.Errorf("stderr does not name the violated clause with a measured value:\n%s", errOut.String())
 	}
 	if strings.Contains(errOut.String(), "query.p99") {
 		t.Errorf("untouched class reported as violated:\n%s", errOut.String())
@@ -79,7 +78,6 @@ func TestRunStoreGate(t *testing.T) {
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-slo", "bid.p42<5ms"},
-		{"-inject", "bid=oops"},
 		{"-transport", "carrier-pigeon", "-clients", "4", "-ops", "10"},
 		{"-addr", "127.0.0.1:1", "-transport", "http", "-followers", "1"},
 		{"-addr", "127.0.0.1:1", "-transport", "wire"},

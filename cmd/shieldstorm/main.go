@@ -1,10 +1,10 @@
 // Command shieldstorm runs the deterministic model-based torture
 // harness (internal/torture) from the command line: a seeded workload
-// replays against a sequential reference model and real journaled
-// markets (direct, instrumented, over the wire), checking decision
-// equivalence, canonical snapshot equality, journal replayability and
-// ledger invariants at every step. Failures print a one-line
-// reproduction command and exit non-zero.
+// replays against a sequential reference model and real store-backed
+// journaled markets (direct, instrumented, over the wire), checking
+// decision equivalence, canonical snapshot equality, record-stream
+// identity, store recovery and ledger invariants. Failures print a
+// one-line reproduction command and exit non-zero.
 //
 // With -hot it runs the concurrent storm instead: eight goroutines
 // on one store-backed journaled market, four bids in five on the same
@@ -24,19 +24,18 @@
 // that names file, seq and offset — or, where a reader never touches the
 // damaged bytes, rebuild the builder's market byte for byte.
 //
-// With -store the fleet gains a segmented-store twin: a replica whose
-// journal is a directory of rotated segment files with snapshot
-// checkpoints and background compaction. The twin joins every
-// differential check, runs seeded crash-cut recovery drills mid-run,
-// and -disk-ceiling-mb turns the run into a bounded-footprint gate:
-// if compaction ever lets the store directory grow past the ceiling,
-// the run fails with a repro line.
+// Every twin is a store directory. -segment-records, -checkpoint-every
+// and -retain-segments tune the direct twin's, which rotates,
+// checkpoints and compacts as told and runs seeded crash-cut recovery
+// drills mid-run; -disk-ceiling-mb turns the run into a
+// bounded-footprint gate: if compaction ever lets the direct twin's
+// directory grow past the ceiling, the run fails with a repro line.
 //
 //	shieldstorm -seed 1 -ops 100000
 //	shieldstorm -seed 1 -seeds 16 -ops 250000     # nightly soak
 //	shieldstorm -hot -seed 7 -ops 100000
 //	shieldstorm -bitrot -seed 1 -seeds 200 -ops 400
-//	shieldstorm -seed 1 -ops 10000000 -store -checkpoint-every 500000 -disk-ceiling-mb 1024
+//	shieldstorm -seed 1 -ops 10000000 -checkpoint-every 500000 -disk-ceiling-mb 1024
 package main
 
 import (
@@ -61,28 +60,38 @@ func main() {
 		bitrot  = flag.Bool("bitrot", false, "run the bit-rot mode instead: seeded single-bit flips in a built store, every reader must name the damage")
 		verbose = flag.Bool("v", false, "print per-checkpoint progress")
 
-		store      = flag.Bool("store", false, "add a segmented-store twin to the fleet")
-		storeDir   = flag.String("store-dir", "", "store twin directory (default a temp dir, removed after the run)")
-		segRecords = flag.Int64("segment-records", 0, "store twin: records per segment before rotation (default 65536)")
-		ckptEvery  = flag.Int64("checkpoint-every", 0, "store twin: commands between snapshot checkpoints (default 10000; negative disables)")
-		retainSegs = flag.Int("retain-segments", 0, "store twin: covered sealed segments to keep (default 0; negative keeps all)")
-		ceilingMB  = flag.Int64("disk-ceiling-mb", 0, "store twin: fail if the store directory exceeds this many MiB (0 = unbounded)")
+		storeDir   = flag.String("store-dir", "", "directory for the twins' stores (default a temp dir, removed after the run)")
+		segRecords = flag.Int64("segment-records", 0, "direct twin: records per segment before rotation (default 65536)")
+		ckptEvery  = flag.Int64("checkpoint-every", 0, "direct twin: commands between snapshot checkpoints (default 10000; negative disables)")
+		retainSegs = flag.Int("retain-segments", 0, "direct twin: covered sealed segments to keep (default 0; negative keeps all)")
+		ceilingMB  = flag.Int64("disk-ceiling-mb", 0, "direct twin: fail if its store directory exceeds this many MiB (0 = unbounded)")
 	)
 	flag.Parse()
 
 	for s := *seed; s < *seed+uint64(*seeds); s++ {
-		cfg := torture.Config{Seed: s, Ops: *ops}
-		if *hot || *bitrot || *store || *storeDir != "" {
-			dir := *storeDir
-			if dir == "" {
-				tmp, err := os.MkdirTemp("", "shieldstorm-store-*")
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "shieldstorm:", err)
-					os.Exit(2)
-				}
-				defer os.RemoveAll(tmp)
-				dir = tmp
+		cfg := torture.Config{
+			Seed: s,
+			Ops:  *ops,
+			Store: journal.StoreConfig{
+				SegmentRecords:  *segRecords,
+				CheckpointEvery: *ckptEvery,
+				RetainSegments:  *retainSegs,
+			},
+			StoreDiskCeilingBytes: *ceilingMB << 20,
+		}
+		// The sequential run makes its own temporary directory; the hot
+		// storm and bit rot need one named.
+		dir := *storeDir
+		if dir == "" && (*hot || *bitrot) {
+			tmp, err := os.MkdirTemp("", "shieldstorm-store-*")
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "shieldstorm:", err)
+				os.Exit(2)
 			}
+			defer os.RemoveAll(tmp)
+			dir = tmp
+		}
+		if dir != "" {
 			// One subdirectory per seed: a store directory is a
 			// journal, and each seed is a fresh history.
 			cfg.StoreDir = filepath.Join(dir, fmt.Sprintf("seed-%d", s))
@@ -90,12 +99,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "shieldstorm:", err)
 				os.Exit(2)
 			}
-			cfg.Store = journal.StoreConfig{
-				SegmentRecords:  *segRecords,
-				CheckpointEvery: *ckptEvery,
-				RetainSegments:  *retainSegs,
-			}
-			cfg.StoreDiskCeilingBytes = *ceilingMB << 20
 		}
 		if *verbose {
 			cfg.Logf = func(format string, args ...any) {
@@ -126,11 +129,9 @@ func main() {
 		if *hot || *bitrot {
 			continue
 		}
-		if cfg.StoreDir != "" {
-			fmt.Printf("seed %d: store twin %d segments, %d snapshot checkpoints, %d crash cuts, disk peak %.1f MiB\n",
-				s, rep.StoreSegments, rep.StoreCheckpoints, rep.StoreCrashCuts,
-				float64(rep.StoreDiskPeak)/(1<<20))
-		}
+		fmt.Printf("seed %d: direct twin store %d segments, %d snapshot checkpoints, %d crash cuts, disk peak %.1f MiB\n",
+			s, rep.StoreSegments, rep.StoreCheckpoints, rep.StoreCrashCuts,
+			float64(rep.StoreDiskPeak)/(1<<20))
 		if *verbose {
 			kinds := make([]string, 0, len(rep.OpCounts))
 			for k := range rep.OpCounts {

@@ -40,12 +40,6 @@ type Scenario struct {
 	// Seed derives every worker's RNG stream; a scenario replays
 	// bit-identically from (Seed, Clients, Ops).
 	Seed uint64
-	// InjectLatency adds an artificial delay to the measured latency of
-	// every op of a class before it is recorded — a fault-injection
-	// hook that lets a canary prove the SLO gate actually trips on a
-	// latency regression (the measurement, evaluation, and exit-code
-	// path all run for real).
-	InjectLatency map[string]time.Duration
 	// ReplicaFraction routes this fraction of scheduled ops to the rig's
 	// read replicas as ClassReplica reads (carved out of the query
 	// share, so bid volume is unchanged; at most 1 - bidFraction).
@@ -144,7 +138,6 @@ func Run(rig *Rig, sc Scenario) (*Report, error) {
 			persona:  Personas[i%len(Personas)],
 			rng:      root.Fork(fmt.Sprintf("worker-%d", i)),
 			datasets: rig.Datasets,
-			inject:   sc.InjectLatency,
 			rec:      recs[i],
 		}
 		if len(replicaClients) > 0 {
@@ -337,7 +330,6 @@ type worker struct {
 	persona  Persona
 	rng      *rng.RNG
 	datasets []market.DatasetID
-	inject   map[string]time.Duration
 	rec      *recorder
 }
 
@@ -374,9 +366,6 @@ func (w *worker) execute(j job) {
 	}
 
 	s.latency = time.Since(j.due)
-	if d := w.inject[j.kind]; d > 0 {
-		s.latency += d
-	}
 	w.rec.record(s)
 }
 

@@ -3,7 +3,6 @@ package loadrig
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // startTestRig boots a small rig and registers cleanup.
@@ -77,10 +76,11 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestMutationCanary is the gate's self-test: inject a 10x artificial
-// latency into exactly one op class and assert the SLO evaluation trips
-// on that class, by name, while the untouched class still passes. A
-// load rig whose gate cannot fail is a rubber stamp.
+// TestMutationCanary is the gate's self-test: bound one op class's
+// latency below any real round trip and assert the SLO evaluation trips
+// on that class, by name and on a measured value, while the untouched
+// class still passes. A load rig whose gate cannot fail is a rubber
+// stamp.
 func TestMutationCanary(t *testing.T) {
 	rig := startTestRig(t, RigConfig{Datasets: 4, Buyers: 32})
 	sc := Scenario{
@@ -89,31 +89,30 @@ func TestMutationCanary(t *testing.T) {
 		Rate:      4000,
 		Ops:       1200,
 		Seed:      11,
-		// The uninjected p99 of a local wire round trip is far below
-		// 250ms; 10x of it stays far below too. Injecting a flat 2.5s
-		// into the bid class pushes bid.p99 over any such bound by
-		// construction, regardless of machine speed.
-		InjectLatency: map[string]time.Duration{ClassBid: 2500 * time.Millisecond},
 	}
 	rep, err := Run(rig, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bystander clause proves the injection trips bid.p99 and only
-	// that clause, so its bound has to sit below the 2.5s injection — and
-	// nowhere near the host's speed: at 250ms it was a host-speed
-	// assertion in disguise, and a query p99 above that under a full
-	// parallel `go test ./...` failed the canary with two violations.
-	slo, err := ParseSLO("bid.p99<250ms,query.p99<2s")
+	// No round trip takes under a nanosecond, so bid.p99 trips on any
+	// host. The bystander clause proves it trips only that clause, so
+	// its bound sits nowhere near the host's speed: at 250ms it was a
+	// host-speed assertion in disguise, and a query p99 above that under
+	// a full parallel `go test ./...` failed the canary with two
+	// violations.
+	slo, err := ParseSLO("bid.p99<1ns,query.p99<2s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := slo.Evaluate(rep)
 	if len(v) != 1 {
-		t.Fatalf("injected bid latency produced %d violations, want exactly 1 (bid.p99): %v", len(v), v)
+		t.Fatalf("a 1ns bid bound produced %d violations, want exactly 1 (bid.p99): %v", len(v), v)
 	}
-	if !strings.Contains(v[0].String(), "bid.p99<250ms violated") {
-		t.Fatalf("violation %q does not name the injected class's clause", v[0])
+	if !strings.Contains(v[0].String(), "bid.p99<1ns violated") {
+		t.Fatalf("violation %q does not name the bid clause", v[0])
+	}
+	if v[0].Unmeasured {
+		t.Fatalf("violation %q was not measured", v[0])
 	}
 }
 

@@ -177,15 +177,7 @@ func Skewness(xs []float64) float64 {
 	if n < 3 {
 		return math.NaN()
 	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
+	m2, m3, _ := centralMoments(xs)
 	if m2 == 0 {
 		return math.NaN()
 	}
@@ -200,21 +192,28 @@ func ExcessKurtosis(xs []float64) float64 {
 	if n < 4 {
 		return math.NaN()
 	}
-	m := Mean(xs)
-	var m2, m4 float64
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m4 /= n
+	m2, _, m4 := centralMoments(xs)
 	if m2 == 0 {
 		return math.NaN()
 	}
 	g2 := m4/(m2*m2) - 3
 	return ((n+1)*g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
+}
+
+// centralMoments returns the second, third and fourth central moments
+// of xs (the mean of the squared, cubed and fourth-power deviations
+// from the mean), the sums behind every skewness and kurtosis here.
+func centralMoments(xs []float64) (m2, m3, m4 float64) {
+	n := float64(len(xs))
+	m := Mean(xs)
+	for _, x := range xs {
+		d := x - m
+		d2 := d * d
+		m2 += d2
+		m3 += d2 * d
+		m4 += d2 * d2
+	}
+	return m2 / n, m3 / n, m4 / n
 }
 
 // Normalize scales xs so its maximum is 1, returning a new slice. If the

@@ -28,15 +28,7 @@ func DAgostinoPearson(xs []float64) (TestResult, error) {
 // approximately standard normal statistic.
 func skewnessZ(xs []float64) (float64, bool) {
 	n := float64(len(xs))
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
+	m2, m3, _ := centralMoments(xs)
 	if m2 == 0 {
 		return 0, false
 	}
@@ -56,16 +48,7 @@ func skewnessZ(xs []float64) (float64, bool) {
 // kurtosisZ is the Anscombe-Glynn kurtosis test transformation.
 func kurtosisZ(xs []float64) (float64, bool) {
 	n := float64(len(xs))
-	m := Mean(xs)
-	var m2, m4 float64
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m4 /= n
+	m2, _, m4 := centralMoments(xs)
 	if m2 == 0 {
 		return 0, false
 	}

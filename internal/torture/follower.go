@@ -37,18 +37,7 @@ func newFollowerTwin(cfg Config, leader *journal.Market, ringMax int) (*follower
 	if err != nil {
 		return nil, err
 	}
-	ws := wire.NewServer(leader).WithReplication(feed).
-		WithHeartbeatInterval(10 * time.Millisecond)
-	rcfg := replication.Config{
-		Dial: func() (net.Conn, error) {
-			srv, cli := net.Pipe()
-			go func() { _ = ws.ServeConn(srv) }()
-			return cli, nil
-		},
-		Name:       "torture-follower",
-		BackoffMin: time.Millisecond,
-		BackoffMax: 20 * time.Millisecond,
-	}
+	rcfg := pipeFollower("torture-follower", leader, feed)
 	f, err := replication.Start(rcfg)
 	if err != nil {
 		return nil, err
@@ -60,6 +49,24 @@ func newFollowerTwin(cfg Config, leader *journal.Market, ringMax int) (*follower
 		f.TestStall()
 	}
 	return &followerTwin{feed: feed, f: f, rcfg: rcfg}, nil
+}
+
+// pipeFollower configures an in-process follower called name: each dial
+// opens a net.Pipe to a wire server over leader that streams src, with
+// a heartbeat and redial backoff short enough for checkpoint gates.
+func pipeFollower(name string, leader *journal.Market, src wire.ReplicationSource) replication.Config {
+	ws := wire.NewServer(leader).WithReplication(src).
+		WithHeartbeatInterval(10 * time.Millisecond)
+	return replication.Config{
+		Dial: func() (net.Conn, error) {
+			srv, cli := net.Pipe()
+			go func() { _ = ws.ServeConn(srv) }()
+			return cli, nil
+		},
+		Name:       name,
+		BackoffMin: time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
+	}
 }
 
 // chaos injects one seeded kill: alternately a connection drop (the

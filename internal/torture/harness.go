@@ -4,21 +4,22 @@
 // price queries, ex-post settlements) driven by the buyer personas of
 // internal/buyers and AR(1) valuation series from internal/timeseries.
 // Every history is applied simultaneously to a single-goroutine
-// reference model (reference.go) and to real journaled markets — called
-// directly, instrumented with telemetry, and reached over the wire
-// protocol; decisions, errors, canonical snapshots, journals, and ledger
-// invariants must all agree at every step. The harness drives every
-// replica from one goroutine; what concurrency does to the journaled
-// market is RunHot's subject (hot.go). Any failure reports a one-line
+// reference model (reference.go) and to real store-backed journaled
+// markets — called directly, instrumented with telemetry, and reached
+// over the wire protocol; decisions, errors, canonical snapshots, record
+// streams, recovery and ledger invariants must all agree. The harness
+// drives every replica from one goroutine; what concurrency does to the
+// journaled market is RunHot's subject (hot.go). Any failure reports a one-line
 // reproduction command: shieldstorm -seed N -ops M.
 package torture
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -46,8 +47,9 @@ type Config struct {
 	CheckEvery int
 	// Engine is the pricing-engine template (default: a 12-candidate
 	// linear grid with small epochs, tuned so a run exercises many epoch
-	// boundaries). RegridEvery must be zero: the reference model does
-	// not mirror adaptive regridding.
+	// boundaries). RegridEvery must be zero: checkBidInvariants and
+	// checkWaitMonotone read the template's fixed candidate grid, which
+	// adaptive regridding replaces.
 	Engine core.Config
 	// FollowerKills is how many times the replication follower twin is
 	// killed mid-stream at seeded points: even-numbered events drop the
@@ -56,21 +58,18 @@ type Config struct {
 	// Zero means the default of 2; negative disables chaos (the twin
 	// still runs and is still gated at every checkpoint).
 	FollowerKills int
-	// StoreDir, when non-empty, adds a segmented-store twin: a replica
-	// journaling into rotated segment files with snapshot checkpoints
-	// and background compaction under this directory. The twin is
-	// differentially gated like every other replica, its on-disk chain
-	// is crash-cut and recovered at storeCrashCuts seeded points, its
-	// recovered state must match its live state at the end of the run,
-	// and with compaction disabled (Store.RetainSegments < 0) its
-	// concatenated segment bodies must be byte-identical to the flat
-	// replicas' journal tails.
+	// StoreDir holds the twins' store directories, one per twin. Empty
+	// means a temporary directory, removed when Run returns.
 	StoreDir string
-	// Store tunes the store twin (zero values take journal defaults).
-	// The harness shrinks nothing: pass small SegmentRecords /
-	// CheckpointEvery to force rotation and checkpoint traffic.
+	// Store tunes the direct twin's store (zero values take journal
+	// defaults): its segments rotate, checkpoint and compact as
+	// configured, and its chain is crash-cut and recovered at
+	// storeCrashCuts seeded points. The harness shrinks nothing: pass
+	// small SegmentRecords / CheckpointEvery to force rotation and
+	// checkpoint traffic. The other twins keep their whole history
+	// (fullHistory).
 	Store journal.StoreConfig
-	// StoreDiskCeilingBytes fails the run if the store twin's on-disk
+	// StoreDiskCeilingBytes fails the run if the direct twin's on-disk
 	// footprint (segments + checkpoints + temp files) ever exceeds this
 	// at a checkpoint — the bound compaction is supposed to hold. Zero
 	// disables the gate.
@@ -97,7 +96,7 @@ type Config struct {
 	followerConverge time.Duration
 }
 
-// storeCrashCuts is how many times the store twin's directory is copied,
+// storeCrashCuts is how many times the direct twin's directory is copied,
 // torn at a seeded offset in its active segment, and recovered mid-run.
 // Each event also recovers an uncut copy, which must rebuild the live
 // state exactly.
@@ -152,10 +151,9 @@ type Report struct {
 	// FollowerKills counts the chaos events injected into the
 	// replication follower twin (connection drops + cold restarts).
 	FollowerKills int
-	// Store twin accounting (zero when Config.StoreDir was empty):
-	// segments and checkpoints on disk at the end of the run, the peak
-	// on-disk footprint observed at any checkpoint, and how many
-	// crash-cut recoveries ran.
+	// The direct twin's store: segments and checkpoints on disk at the
+	// end of the run, the peak on-disk footprint observed at any
+	// checkpoint, and how many crash-cut recoveries ran.
 	StoreSegments    int
 	StoreCheckpoints int
 	StoreDiskPeak    int64
@@ -192,17 +190,23 @@ type opResult struct {
 	stats market.DatasetStats
 }
 
-// replica is one real journaled market under test. When conn is set,
-// every op reaches the market through the binary wire protocol instead
-// of direct method calls — the codec round trip must be invisible.
+// replica is one real store-backed journaled market under test. When
+// conn is set, every op reaches the market through the binary wire
+// protocol instead of direct method calls — the codec round trip must
+// be invisible. full marks a store that keeps every record, whose
+// stream the end checks compare.
 type replica struct {
 	name  string
 	jm    *journal.Market
-	buf   *bytes.Buffer // flat journal bytes; nil for the store twin
-	dir   string        // segmented-store directory; "" for flat replicas
+	full  bool
 	conn  *wire.Conn
 	close func()
 }
+
+// fullHistory is the store of every twin but the direct one: no
+// checkpoint and no compaction, so its segments hold the whole record
+// stream and its recovery replays from genesis.
+var fullHistory = journal.StoreConfig{CheckpointEvery: -1, RetainSegments: -1}
 
 func (r *replica) apply(op Op) opResult {
 	if r.conn != nil {
@@ -290,11 +294,10 @@ type harness struct {
 	twin   *followerTwin
 	killAt []int
 
-	// storeRep is the segmented-store twin (also in replicas); cutAt
-	// holds the seeded op indexes of its crash-cut recovery drills.
-	storeRep *replica
-	cutAt    []int
-	cutRNG   *rng.RNG
+	// cutAt holds the seeded op indexes of the direct twin's crash-cut
+	// recovery drills.
+	cutAt  []int
+	cutRNG *rng.RNG
 
 	// maxWait bounds any legal Time-Shield wait, derived from the
 	// defaults-applied engine template.
@@ -319,7 +322,15 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("torture: engine config: %w", err)
 	}
 	if cfg.Engine.RegridEvery > 0 {
-		return nil, fmt.Errorf("torture: RegridEvery is not supported: the reference model does not mirror adaptive regridding")
+		return nil, fmt.Errorf("torture: RegridEvery is not supported: the bid and wait invariants read the template's fixed candidate grid")
+	}
+	if cfg.StoreDir == "" {
+		dir, err := os.MkdirTemp("", "torture-*")
+		if err != nil {
+			return nil, fmt.Errorf("torture: %w", err)
+		}
+		defer os.RemoveAll(dir)
+		cfg.StoreDir = dir
 	}
 
 	// Mirror core's defaulting to size the wait bound.
@@ -348,48 +359,33 @@ func Run(cfg Config) (*Report, error) {
 		report:  Report{Seed: cfg.Seed, Ops: cfg.Ops, OpCounts: make(map[string]int)},
 	}
 
-	// The instrumented twin runs with live telemetry: metrics and
-	// tracing must never perturb market state.
-	for _, instrument := range []bool{false, true} {
-		r, err := newReplica(cfg, instrument)
+	defer func() {
+		for _, r := range h.replicas {
+			r.close()
+		}
+	}()
+	// The direct twin's store rotates, checkpoints and compacts as
+	// cfg.Store says; its crash-cut drills run at seeded op indexes,
+	// spread over the middle half like the follower kills. The
+	// instrumented twin runs with live telemetry: metrics and tracing
+	// must never perturb market state. The wire twin reaches its market
+	// only through the binary wire protocol: every decision, error
+	// string, record and snapshot must still match the in-process twins
+	// byte for byte.
+	for _, name := range []string{"direct", "telemetry", "wire"} {
+		r, err := newReplica(cfg, name)
 		if err != nil {
 			return nil, err
 		}
 		h.replicas = append(h.replicas, r)
 	}
-	// The wire twin reaches its journaled market only through the binary
-	// wire protocol: every decision, error string, journal record and
-	// snapshot must still match the in-process replicas byte for byte.
-	wt, err := newWireReplica(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.Ops >= 4 {
+		h.cutRNG = rng.New(cfg.Seed).Fork("store-cuts")
+		for k := 0; k < storeCrashCuts; k++ {
+			h.cutAt = append(h.cutAt, cfg.Ops/4+h.cutRNG.Intn(cfg.Ops/2))
+		}
+		sort.Ints(h.cutAt)
 	}
-	h.replicas = append(h.replicas, wt)
-	if cfg.StoreDir != "" {
-		// The segmented-store twin journals into rotated segments with
-		// checkpoints; its crash-cut drills run at seeded op indexes,
-		// spread over the middle half like the follower kills.
-		sr, err := newStoreReplica(cfg)
-		if err != nil {
-			return nil, err
-		}
-		h.storeRep = sr
-		h.replicas = append(h.replicas, sr)
-		if cfg.Ops >= 4 {
-			h.cutRNG = rng.New(cfg.Seed).Fork("store-cuts")
-			for k := 0; k < storeCrashCuts; k++ {
-				h.cutAt = append(h.cutAt, cfg.Ops/4+h.cutRNG.Intn(cfg.Ops/2))
-			}
-			sort.Ints(h.cutAt)
-		}
-	}
-	defer func() {
-		for _, r := range h.replicas {
-			if r.close != nil {
-				r.close()
-			}
-		}
-	}()
 	// The replication follower twin streams replicas[0]'s committed
 	// command log over the real wire protocol; the feed attaches before
 	// the first op so no commit slips past it. Kill points are seeded,
@@ -452,11 +448,9 @@ func Run(cfg Config) (*Report, error) {
 	rev, _, _ := h.ref.Totals()
 	h.report.Revenue = rev
 	h.report.Allocations = h.ref.TxCount()
-	if h.storeRep != nil {
-		inv := h.storeRep.jm.Store().Inventory()
-		h.report.StoreSegments = len(inv.Segments)
-		h.report.StoreCheckpoints = len(inv.Checkpoints)
-	}
+	inv := h.replicas[0].jm.Store().Inventory()
+	h.report.StoreSegments = len(inv.Segments)
+	h.report.StoreCheckpoints = len(inv.Checkpoints)
 	return &h.report, nil
 }
 
@@ -468,17 +462,23 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-func newReplica(cfg Config, instrument bool) (*replica, error) {
-	name := "direct"
-	if instrument {
-		name = "telemetry"
+// newReplica opens the twin called name under cfg.StoreDir: "direct"
+// on cfg.Store, "telemetry" (instrumented) and "wire" on fullHistory.
+// The wire twin is reached only through a wire client over an in-memory
+// pipe to an uninstrumented wire server. The server mints no request
+// IDs, so its records carry empty traces exactly like the direct-call
+// twins' and the streams stay comparable.
+func newReplica(cfg Config, name string) (*replica, error) {
+	sc := fullHistory
+	if name == "direct" {
+		sc = cfg.Store
 	}
-	buf := &bytes.Buffer{}
-	jm, err := journal.NewMarket(market.Config{Engine: cfg.Engine, Seed: cfg.Seed}, buf)
+	jm, _, err := journal.OpenStore(market.Config{Engine: cfg.Engine, Seed: cfg.Seed},
+		filepath.Join(cfg.StoreDir, name), sc)
 	if err != nil {
 		return nil, fmt.Errorf("torture: replica %s: %w", name, err)
 	}
-	if instrument {
+	if name == "telemetry" {
 		jm.Market.Instrument(obs.NewTelemetry())
 	}
 	if cfg.canaryPerturb != nil {
@@ -486,27 +486,19 @@ func newReplica(cfg Config, instrument bool) (*replica, error) {
 		// reference — the differential must notice.
 		jm.Market.TestPerturbPrices(cfg.canaryPerturb)
 	}
-	return &replica{name: name, jm: jm, buf: buf}, nil
-}
-
-// newWireReplica builds a journaled replica reached exclusively through
-// the wire protocol: a wire client over an in-memory pipe to an
-// uninstrumented wire server backed by the journaled market. The server
-// mints no request IDs, so journaled events carry empty traces exactly
-// like the direct-call replicas and the tails stay comparable.
-func newWireReplica(cfg Config) (*replica, error) {
-	r, err := newReplica(cfg, false)
-	if err != nil {
-		return nil, err
+	r := &replica{name: name, jm: jm, full: sc.RetainSegments < 0, close: func() { _ = jm.Close() }}
+	if name != "wire" {
+		return r, nil
 	}
 	srvConn, cliConn := net.Pipe()
-	go func() { _ = wire.NewServer(r.jm).ServeConn(srvConn) }()
+	go func() { _ = wire.NewServer(jm).ServeConn(srvConn) }()
 	conn, err := wire.NewConn(cliConn)
 	if err != nil {
 		srvConn.Close()
+		r.close()
 		return nil, fmt.Errorf("torture: wire replica handshake: %w", err)
 	}
-	r.name, r.conn, r.close = "wire", conn, func() { _ = conn.Close() }
+	r.conn, r.close = conn, func() { _ = conn.Close(); _ = jm.Close() }
 	return r, nil
 }
 
@@ -628,11 +620,13 @@ func (h *harness) checkpoint(opIdx int) *Failure {
 				r.name, h.ref.Snapshot().Diff(r.jm.Snapshot()))
 		}
 	}
-	if reason := h.checkConservationFull(); reason != "" {
-		return h.fail(opIdx, op, "%s", reason)
-	}
 	if reason := h.checkTotals(); reason != "" {
 		return h.fail(opIdx, op, "%s", reason)
+	}
+	for _, r := range h.replicas {
+		if err := r.jm.CheckBooks(); err != nil {
+			return h.fail(opIdx, op, "replica %s: %v", r.name, err)
+		}
 	}
 	if reason := h.checkWaitMonotone(); reason != "" {
 		return h.fail(opIdx, op, "%s", reason)
@@ -646,62 +640,51 @@ func (h *harness) checkpoint(opIdx int) *Failure {
 	return nil
 }
 
-// journalTail returns a journal's bytes past its first record, the
-// config-bearing genesis head.
-func journalTail(log []byte) ([]byte, error) {
-	stop := errors.New("stop")
-	head := -1
-	_, _, err := journal.ScanRecords(bytes.NewReader(log), 1, func(rec journal.Record) error {
-		head = rec.Size
-		return stop
-	})
-	if err != stop {
-		if err == nil {
-			err = errors.New("no genesis record")
-		}
-		return nil, err
-	}
-	return log[head:], nil
-}
-
-// finalChecks verifies journal equivalence: the journal tails (everything
-// after the config-bearing genesis record) must be byte-identical across
-// replicas, and replaying any journal must rebuild the exact live
-// state.
+// finalChecks verifies every twin's store at the end of a run:
+// recovery from its directory rebuilds its live state, and each twin
+// that keeps its whole history wrote the same record stream — seq,
+// trace, head flag and payload, genesis included — as the first such.
 func (h *harness) finalChecks() *Failure {
-	op := Op{Kind: OpTick}
-	var tail []byte
-	for i, r := range h.replicas {
-		if r.buf == nil {
-			// The store twin's durable chain is checked against the flat
-			// tail (and recovered from disk) in storeFinalChecks below.
+	last, op := h.cfg.Ops-1, Op{Kind: OpTick}
+	var want []journal.Record
+	var wantName string
+	for _, r := range h.replicas {
+		if err := journal.CheckRecovery(r.jm.Store().Dir(), r.jm); err != nil {
+			return h.fail(last, op, "replica %s: %v", r.name, err)
+		}
+		if !r.full {
 			continue
 		}
-		b := r.buf.Bytes()
-		t, err := journalTail(b)
+		got, err := records(r.jm)
 		if err != nil {
-			return h.fail(h.cfg.Ops-1, op, "replica %s journal: %v", r.name, err)
+			return h.fail(last, op, "replica %s records: %v", r.name, err)
 		}
-		if i == 0 {
-			tail = t
-		} else if !bytes.Equal(tail, t) {
-			return h.fail(h.cfg.Ops-1, op, "journal tails diverge between %s and %s",
-				h.replicas[0].name, r.name)
+		if want == nil {
+			want, wantName = got, r.name
+			continue
 		}
-
-		restored, err := journal.Restore(bytes.NewReader(b))
-		if err != nil {
-			return h.fail(h.cfg.Ops-1, op, "replica %s journal replay: %v", r.name, err)
+		for i := 0; i < min(len(want), len(got)); i++ {
+			w, g := want[i], got[i]
+			if w.Seq != g.Seq || w.Trace != g.Trace || w.Head != g.Head || !bytes.Equal(w.Payload, g.Payload) {
+				return h.fail(last, op, "record streams of %s and %s diverge at record %d (seq %d)",
+					wantName, r.name, i+1, w.Seq)
+			}
 		}
-		if !bytes.Equal(r.jm.Canonical(), restored.Canonical()) {
-			return h.fail(h.cfg.Ops-1, op, "replica %s: journal replay does not rebuild live state: %s",
-				r.name, r.jm.Snapshot().Diff(restored.Snapshot()))
-		}
-	}
-	if h.storeRep != nil {
-		if f := h.storeFinalChecks(tail); f != nil {
-			return f
+		if len(want) != len(got) {
+			return h.fail(last, op, "record streams diverge: %s wrote %d records, %s %d",
+				wantName, len(want), r.name, len(got))
 		}
 	}
 	return nil
+}
+
+// records reads a store's whole record stream, payloads copied.
+func records(jm *journal.Market) ([]journal.Record, error) {
+	var recs []journal.Record
+	err := jm.Store().TailRecords(0, jm.LastSeq(), func(rec journal.Record) error {
+		rec.Payload = bytes.Clone(rec.Payload)
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, err
 }

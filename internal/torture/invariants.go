@@ -118,9 +118,11 @@ func candidateRange(cands []float64) (lo, hi float64) {
 // checkConservation enforces ledger-level money conservation on the
 // reference books after every op: market revenue must equal the running
 // sum of transaction prices. The whole-books sweep over buyer and
-// seller accounts is checkConservationFull, run at checkpoints — churn
-// personas grow the account population with the run, so an every-op
-// O(accounts) sweep would make 10⁷-op storms quadratic in ops.
+// seller accounts is each twin's CheckBooks, run at checkpoints after
+// checkTotals (which, with the canonical snapshots equal, carries it
+// over to the reference) — churn personas grow the account population
+// with the run, so an every-op O(accounts) sweep would make 10⁷-op
+// storms quadratic in ops.
 func (h *harness) checkConservation() string {
 	revenue := h.ref.Revenue()
 	for log := h.ref.TxLog(h.ref.TxCount()); h.txCount < log.Len(); h.txCount++ {
@@ -128,18 +130,6 @@ func (h *harness) checkConservation() string {
 	}
 	if revenue != h.txSum {
 		return fmt.Sprintf("money not conserved: revenue=%s txsum=%s", revenue, h.txSum)
-	}
-	return ""
-}
-
-// checkConservationFull is the whole-books sweep: market revenue equals
-// total buyer spend, equals total seller balances (provenance splits
-// are exact in Money), equals the sum of ledger transaction prices.
-func (h *harness) checkConservationFull() string {
-	revenue, spent, balances := h.ref.Totals()
-	if revenue != spent || revenue != balances || revenue != h.txSum {
-		return fmt.Sprintf("money not conserved: revenue=%s spent=%s balances=%s txsum=%s",
-			revenue, spent, balances, h.txSum)
 	}
 	return ""
 }

@@ -3,7 +3,6 @@ package torture
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -101,18 +100,7 @@ func (j *joiner) start(leader *journal.Market) error {
 			case <-time.After(20 * time.Microsecond):
 			}
 		}
-		ws := wire.NewServer(leader).WithReplication(seamCheck{j}).
-			WithHeartbeatInterval(10 * time.Millisecond)
-		f, err := replication.Start(replication.Config{
-			Dial: func() (net.Conn, error) {
-				srv, cli := net.Pipe()
-				go func() { _ = ws.ServeConn(srv) }()
-				return cli, nil
-			},
-			Name:       "torture-joiner",
-			BackoffMin: time.Millisecond,
-			BackoffMax: 20 * time.Millisecond,
-		})
+		f, err := replication.Start(pipeFollower("torture-joiner", leader, seamCheck{j}))
 		j.f.Store(f)
 		j.done <- err
 	}()

@@ -7,8 +7,8 @@ import (
 	"github.com/datamarket/shield/internal/journal"
 )
 
-// storeSmall is small() plus a segmented-store twin with aggressive
-// rotation, checkpointing and compaction.
+// storeSmall is small() with the direct twin's store under a test
+// directory, on aggressive rotation, checkpointing and compaction.
 func storeSmall(t *testing.T, seed uint64, ops int) Config {
 	cfg := small(seed, ops)
 	cfg.StoreDir = t.TempDir()
@@ -16,9 +16,10 @@ func storeSmall(t *testing.T, seed uint64, ops int) Config {
 	return cfg
 }
 
-// TestStoreTwinDifferential: the store twin rides a full differential
-// run — rotation, checkpoints, compaction and two seeded crash-cut
-// recovery drills, all while matching the reference on every op.
+// TestStoreTwinDifferential: the direct twin's store rides a full
+// differential run — rotation, checkpoints, compaction and two seeded
+// crash-cut recovery drills, all while matching the reference on every
+// op.
 func TestStoreTwinDifferential(t *testing.T) {
 	rep, err := Run(storeSmall(t, 3, 4000))
 	if err != nil {
@@ -36,9 +37,9 @@ func TestStoreTwinDifferential(t *testing.T) {
 	}
 }
 
-// TestStoreTwinByteEquivalence: with compaction off the twin's
-// concatenated segment bodies must be byte-identical to the flat
-// replicas' journal tail.
+// TestStoreTwinByteEquivalence: with compaction off the direct twin
+// keeps its whole history, and its record stream must equal the
+// full-history twins' record for record.
 func TestStoreTwinByteEquivalence(t *testing.T) {
 	cfg := storeSmall(t, 11, 2500)
 	cfg.Store.RetainSegments = -1
@@ -68,7 +69,7 @@ func TestStoreTwinDiskCeiling(t *testing.T) {
 }
 
 // TestStoreTwinMutationCanary: perturbing only the live replicas'
-// prices must still be caught with the store twin in the fleet.
+// prices must still be caught with the direct twin compacting.
 func TestStoreTwinMutationCanary(t *testing.T) {
 	cfg := storeSmall(t, 9, 2000)
 	cfg.canaryPerturb = func(p float64) float64 { return p + 1 }

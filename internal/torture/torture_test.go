@@ -125,6 +125,6 @@ func TestRegridRejected(t *testing.T) {
 	cfg.Engine = DefaultEngine()
 	cfg.Engine.RegridEvery = 4
 	if _, err := Run(cfg); err == nil {
-		t.Fatal("RegridEvery accepted; the reference cannot mirror it")
+		t.Fatal("RegridEvery accepted; the bid and wait invariants read the fixed candidate grid")
 	}
 }
