@@ -11,7 +11,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# go vet, then six house rules. A binary varint is read and written
+# go vet, then seven house rules. A binary varint is read and written
 # only by internal/binenc's walkers, so no hand-rolled byte cursor creeps
 # back beside them; fails listing every non-test call outside binenc.
 # Every write reaches the state as bytes, through market.Market's
@@ -33,7 +33,10 @@ fmt-check:
 # applier's packages import no clock, OS, lock or ambient randomness, so
 # a command's outcome is a function of the state and the command alone
 # and replay rebuilds what was acknowledged; fails naming the package
-# and the import.
+# and the import. And an HTTP request's shield-side state lives in its
+# one requestState, whose context handlers read through stateOf, so no
+# non-test internal/httpapi code copies a request with WithContext;
+# fails listing file:line.
 APPLIER_PKGS = command core mw auction rng provenance binenc
 vet:
 	$(GO) vet ./...
@@ -58,6 +61,9 @@ vet:
 	@out="$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' $(APPLIER_PKGS:%=./internal/%) | tr -d '[]' | \
 		awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^(time|os|sync|sync\/atomic|math\/rand|math\/rand\/v2)$$/) print $$1 " imports " $$i }')"; \
 		if [ -n "$$out" ]; then echo "clock, OS or concurrency import in an applier package:"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- 'internal/httpapi/*.go' | grep -v '_test\.go$$' | \
+		xargs grep -n -F '.WithContext(' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "a request copied in internal/httpapi (read its context from requestState with stateOf):"; echo "$$out"; exit 1; fi
 
 # Static check over every metric the binaries register: naming
 # conventions (shield_ prefix, unit suffixes), label hygiene, and
@@ -274,9 +280,11 @@ ledger-check:
 # compares it against its parent ever runs it. The two serving
 # workloads must also report replay_identical=1: the benchmark only
 # reports that bit (its clients are concurrent), this gate requires it.
+# Each run is its own process group (scripts/rungroup.sh): a run that
+# leaves a process alive fails, naming it, and the group is stopped.
 bench-repo-smoke:
 	@for w in $(BENCH_WORKLOADS); do \
-		out="$$(bash benchmark/run.sh --workload $$w --seed $(BENCH_SEED) --seconds 1 --trace 0)"; status=$$?; \
+		out="$$(bash scripts/rungroup.sh bash benchmark/run.sh --workload $$w --seed $(BENCH_SEED) --seconds 1 --trace 0)"; status=$$?; \
 		if [ $$status -ne 0 ] || ! printf '%s\n' "$$out" | tail -1 | grep -q '"correct":true'; then \
 			printf '%s\n' "$$out" | tail -25; \
 			echo "bench-repo-smoke: $$w failed (exit $$status, or last line lacks \"correct\":true)"; exit 1; \

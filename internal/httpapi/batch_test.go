@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,11 +12,54 @@ import (
 	"github.com/datamarket/shield/internal/apierr"
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/auth"
+	"github.com/datamarket/shield/internal/client"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
+	"github.com/datamarket/shield/internal/obs"
 )
+
+// TestBidsJournalTheirRequestID: a bid and a bid batch journal the ID
+// they executed under as their record's trace, as every other HTTP write
+// does (TestWritesJournalTheirRequestID): their handlers read it from the
+// request's state, not from the request.
+func TestBidsJournalTheirRequestID(t *testing.T) {
+	var sink bytes.Buffer
+	jm, err := journal.NewMarket(testConfig(), &sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewJournaled(jm).Routes())
+	defer ts.Close()
+	c := client.NewHTTP(ts.URL)
+	ctx := context.Background()
+	_, err = c.RegisterBuyer(ctx, "b")
+	for _, e := range []error{err, c.RegisterSeller(ctx, "s"), c.UploadDataset(ctx, "s", "d1"), c.UploadDataset(ctx, "s", "d2")} {
+		if e != nil {
+			t.Fatal(e)
+		}
+	}
+	if _, err := c.SubmitBid(obs.WithRequestID(ctx, "req-peer-bid"), "b", "d1", 50); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitBids(obs.WithRequestID(ctx, "req-peer-batch"), []market.BidRequest{{Buyer: "b", Dataset: "d2", Amount: 50}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var traces []string
+	if _, _, err := journal.Scan(bytes.NewReader(sink.Bytes()), 1, func(e journal.Event) error {
+		traces = append(traces, e.Trace)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := traces[len(traces)-2:]; got[0] != "req-peer-bid" || got[1] != "req-peer-batch" {
+		t.Errorf("the bid and the batch journal traces %q, want their requests' IDs", got)
+	}
+}
 
 // postBatch posts a batch request and decodes the results array.
 func postBatch(t *testing.T, ts *httptest.Server, bids []map[string]any) (*http.Response, []map[string]any) {

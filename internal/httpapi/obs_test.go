@@ -77,6 +77,36 @@ func TestOperatorEndpointsGated(t *testing.T) {
 	}
 }
 
+// TestBearerSchemeIsCaseInsensitive: the Authorization scheme matches
+// in any case (RFC 9110 §11.1), so "bearer <token>" reads /metrics; the
+// token itself still has to be right.
+func TestBearerSchemeIsCaseInsensitive(t *testing.T) {
+	m := market.MustNew(testConfig())
+	ts := httptest.NewServer(NewServer(m).WithAuth(auth.NewVerifier(nil)).WithOperatorToken("sekrit").Routes())
+	defer ts.Close()
+	for header, want := range map[string]int{
+		"bearer sekrit": http.StatusOK,
+		"BEARER sekrit": http.StatusOK,
+		"bearer wrong":  http.StatusUnauthorized,
+		"Basic sekrit":  http.StatusUnauthorized,
+		"bearersekrit":  http.StatusUnauthorized,
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", header)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET /metrics with Authorization %q = %d, want %d", header, resp.StatusCode, want)
+		}
+	}
+}
+
 // TestOperatorEndpointsFailClosed: auth on but no operator token
 // configured means the operator endpoints lock shut rather than open.
 func TestOperatorEndpointsFailClosed(t *testing.T) {

@@ -42,6 +42,8 @@
 #
 # A run that fails, or whose result line does not say "correct":true with
 # no failed operations, stops the script: nothing is averaged over it.
+# Each run is its own process group (scripts/rungroup.sh), and a run that
+# leaves a process of its group alive fails too, naming it.
 # Numbers are this host's, and only runs taken in one session compare.
 set -euo pipefail
 
@@ -81,7 +83,7 @@ run() {
 	if [ "$side" = parent ] || [ -n "$aa" ]; then dir=$parent; fi
 	log="$out/$side.$pair.log"
 	read -r total0 steal0 < <(cpu_times)
-	if ! (cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) >"$log" 2>&1; then
+	if ! (cd "$dir" && bash "$root/scripts/rungroup.sh" bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) >"$log" 2>&1; then
 		tail -20 "$log" >&2
 		echo "benchpairs: $side run of pair $pair failed (see $log)" >&2
 		exit 1
