@@ -11,7 +11,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# go vet, then seven house rules. A binary varint is read and written
+# go vet, then eight house rules. A binary varint is read and written
 # only by internal/binenc's walkers, so no hand-rolled byte cursor creeps
 # back beside them; fails listing every non-test call outside binenc.
 # Every write reaches the state as bytes, through market.Market's
@@ -36,8 +36,17 @@ fmt-check:
 # and the import. And an HTTP request's shield-side state lives in its
 # one requestState, whose context handlers read through stateOf, so no
 # non-test internal/httpapi code copies a request with WithContext;
-# fails listing file:line.
+# fails listing file:line. And each mechanism has one implementation, the
+# one the program runs: every exported package-level function under
+# internal/ is named by some non-test Go file (declarations and comment
+# lines do not count), so no second copy lives on for its own tests;
+# fails listing file: name. UNCALLED_OK names the exceptions.
 APPLIER_PKGS = command core mw auction rng provenance binenc
+# faultfs.NewSeeded, obs.WithRequestID and obs.WithTrace: other
+# packages' tests call them. torture.CommandCorpus and SettleCorpus:
+# the fuzz targets' seeds. mw.OptimalEta: the regret-bound learning
+# rate, kept for ROADMAP item 12.
+UNCALLED_OK = faultfs.NewSeeded obs.WithRequestID obs.WithTrace torture.CommandCorpus torture.SettleCorpus mw.OptimalEta
 vet:
 	$(GO) vet ./...
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/binenc/' | \
@@ -64,6 +73,13 @@ vet:
 	@out="$$(git ls-files -co --exclude-standard -- 'internal/httpapi/*.go' | grep -v '_test\.go$$' | \
 		xargs grep -n -F '.WithContext(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "a request copied in internal/httpapi (read its context from requestState with stateOf):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- 'internal/*.go' | grep -v '_test\.go$$' | \
+		xargs grep -H -o -E '^func [A-Z][A-Za-z0-9_]*' | sed 's/:func / /' | while read -r f n; do \
+		d="$${f%/*}"; case " $(UNCALLED_OK) " in *" $${d##*/}.$$n "*) continue ;; esac; \
+		git grep --untracked -n -w "$$n" -- '*.go' ':!*_test.go' | \
+			grep -v -E -e ":func $$n[[(]" -e ':[0-9]+:[[:space:]]*//' | grep -q . || echo "$$f: $$n"; done)"; \
+		if [ -n "$$out" ]; then \
+		echo "an exported function under internal/ that only tests call (delete it, or call the one the program runs):"; echo "$$out"; exit 1; fi
 
 # Static check over every metric the binaries register: naming
 # conventions (shield_ prefix, unit suffixes), label hygiene, and

@@ -1,8 +1,9 @@
 // Package auction implements digital-goods auction primitives from the
 // paper's Section 2.3: the offline optimal posting price (Equation 2), the
 // posting-price revenue function, candidate price grids, and the simple
-// baseline update algorithms (average, median, random) the evaluation
-// compares the multiplicative-weights engine against (Figures 4a, 5a).
+// baseline update algorithms (average, median) the evaluation compares
+// the multiplicative-weights engine against (Figure 5a). Figure 4a's
+// Random baseline is the engine's own core.DrawRandom rule.
 //
 // Data is nonrival: a posting price p allocates to every bid >= p and each
 // winner pays exactly p, so revenue at price p is p times the number of
@@ -12,8 +13,6 @@ package auction
 import (
 	"math"
 	"slices"
-
-	"github.com/datamarket/shield/internal/rng"
 )
 
 // Revenue returns the revenue a posting price p extracts from bids: p for
@@ -116,27 +115,6 @@ func (c *Curve) Revenue(p float64) float64 {
 	return p * float64(len(c.asc)-lo)
 }
 
-// OptimalRevenue returns only M(b̄) from Equation 2.
-func OptimalRevenue(bids []float64) float64 {
-	_, r := OptimalPrice(bids)
-	return r
-}
-
-// BestCandidate returns the candidate price with maximum revenue on bids
-// and that revenue (the best expert in hindsight for an MW engine whose
-// experts are candidates). Ties break toward the larger price. An empty
-// candidate set yields (0, 0).
-func BestCandidate(bids, candidates []float64) (price, revenue float64) {
-	for _, c := range candidates {
-		r := Revenue(bids, c)
-		if r > revenue || (r == revenue && c > price) {
-			revenue = r
-			price = c
-		}
-	}
-	return price, revenue
-}
-
 // LinearGrid returns n evenly spaced candidate prices spanning [lo, hi]
 // inclusive. It panics if n < 2 or hi <= lo. Posting-price candidates for
 // the MW engine are typically built with this.
@@ -191,9 +169,7 @@ type SummaryFunc func(bids []float64) float64
 
 // EpochPricer updates its posting price once per epoch of E bids by
 // applying a summary function to the epoch's bids. With Avg or Median
-// summaries it is the strawman update algorithm of Section 3.2/7.3.1; with
-// the OptimalSummary it is the Epoch-Shield update rule (price = b_k of the
-// last epoch) without multiplicative weights.
+// summaries it is the strawman update algorithm of Section 3.2/7.3.1.
 type EpochPricer struct {
 	epochSize int
 	summarize SummaryFunc
@@ -259,53 +235,6 @@ func MedianSummary(bids []float64) float64 {
 		return bids[n/2]
 	}
 	return (bids[n/2-1] + bids[n/2]) / 2
-}
-
-// OptimalSummary prices the next epoch at the revenue-optimal price of the
-// current epoch (Equation 2 applied per epoch — the Epoch-Shield update
-// algorithm of Section 3.2 without multiplicative weights).
-func OptimalSummary(bids []float64) float64 {
-	p, _ := OptimalPrice(bids)
-	return p
-}
-
-// RandomPricer draws a fresh uniformly random candidate price after every
-// epoch, ignoring bids entirely (the "Random" baseline of Figure 4a: full
-// protection, no learning).
-type RandomPricer struct {
-	candidates []float64
-	epochSize  int
-	rng        *rng.RNG
-
-	price float64
-	seen  int
-}
-
-// NewRandomPricer returns a RandomPricer drawing from candidates every
-// epochSize bids, seeded deterministically.
-func NewRandomPricer(candidates []float64, epochSize int, seed uint64) *RandomPricer {
-	if len(candidates) == 0 {
-		panic("auction: RandomPricer needs candidates")
-	}
-	if epochSize < 1 {
-		panic("auction: epoch size must be >= 1")
-	}
-	cp := make([]float64, len(candidates))
-	copy(cp, candidates)
-	p := &RandomPricer{candidates: cp, epochSize: epochSize, rng: rng.New(seed)}
-	p.price = cp[p.rng.Intn(len(cp))]
-	return p
-}
-
-// PostingPrice implements StreamPricer.
-func (p *RandomPricer) PostingPrice() float64 { return p.price }
-
-// ObserveBid implements StreamPricer.
-func (p *RandomPricer) ObserveBid(float64) {
-	p.seen++
-	if p.seen%p.epochSize == 0 {
-		p.price = p.candidates[p.rng.Intn(len(p.candidates))]
-	}
 }
 
 // FixedPricer posts a constant price forever; OfflineOptimalPricer built

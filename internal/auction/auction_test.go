@@ -94,49 +94,12 @@ func TestClaim1PartitionSuperadditivity(t *testing.T) {
 			bids[i] = r.Uniform(0.01, 100)
 		}
 		cut := 1 + rr.Intn(n-1)
-		whole := OptimalRevenue(bids)
-		left := OptimalRevenue(bids[:cut])
-		right := OptimalRevenue(bids[cut:])
+		_, whole := OptimalPrice(bids)
+		_, left := OptimalPrice(bids[:cut])
+		_, right := OptimalPrice(bids[cut:])
 		return whole <= left+right+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBestCandidate(t *testing.T) {
-	bids := []float64{10, 20, 30}
-	p, r := BestCandidate(bids, []float64{5, 18, 25})
-	// 5 -> 15, 18 -> 36, 25 -> 25.
-	if p != 18 || r != 36 {
-		t.Errorf("BestCandidate = (%v, %v), want (18, 36)", p, r)
-	}
-	if p, r := BestCandidate(bids, nil); p != 0 || r != 0 {
-		t.Errorf("no candidates: (%v, %v)", p, r)
-	}
-}
-
-func TestBestCandidateNeverBeatenByMembers(t *testing.T) {
-	r := rng.New(13)
-	f := func(seed uint64) bool {
-		rr := rng.New(seed)
-		bids := make([]float64, 1+rr.Intn(30))
-		for i := range bids {
-			bids[i] = r.Uniform(0, 50)
-		}
-		cands := make([]float64, 1+rr.Intn(10))
-		for i := range cands {
-			cands[i] = r.Uniform(0, 50)
-		}
-		_, best := BestCandidate(bids, cands)
-		for _, c := range cands {
-			if Revenue(bids, c) > best+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -213,10 +176,6 @@ func TestSummaries(t *testing.T) {
 	if got := MedianSummary([]float64{5, 1, 9}); got != 5 {
 		t.Errorf("odd MedianSummary = %v", got)
 	}
-	if got := OptimalSummary(bids); got != 10 {
-		// k*b_k: 10, 6, 6, 4 -> price 10.
-		t.Errorf("OptimalSummary = %v", got)
-	}
 	if AvgSummary(nil) != 0 || MedianSummary(nil) != 0 {
 		t.Error("empty summaries not zero")
 	}
@@ -226,55 +185,6 @@ func TestEpochPricerPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"bad epoch":   func() { NewEpochPricer(0, AvgSummary, 1) },
 		"nil summary": func() { NewEpochPricer(1, nil, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestRandomPricerDrawsFromCandidates(t *testing.T) {
-	cands := []float64{1, 2, 3}
-	p := NewRandomPricer(cands, 2, 42)
-	seen := map[float64]bool{}
-	for i := 0; i < 200; i++ {
-		price := p.PostingPrice()
-		if price != 1 && price != 2 && price != 3 {
-			t.Fatalf("price %v not a candidate", price)
-		}
-		seen[price] = true
-		p.ObserveBid(10)
-	}
-	if len(seen) != 3 {
-		t.Errorf("only saw candidates %v", seen)
-	}
-}
-
-func TestRandomPricerDeterministicBySeed(t *testing.T) {
-	p := NewRandomPricer([]float64{1, 2, 3, 4}, 1, 7)
-	var first []float64
-	for i := 0; i < 20; i++ {
-		first = append(first, p.PostingPrice())
-		p.ObserveBid(0)
-	}
-	p = NewRandomPricer([]float64{1, 2, 3, 4}, 1, 7)
-	for i := 0; i < 20; i++ {
-		if got := p.PostingPrice(); got != first[i] {
-			t.Fatalf("second pricer's draw %d = %v, want %v", i, got, first[i])
-		}
-		p.ObserveBid(0)
-	}
-}
-
-func TestRandomPricerPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"no candidates": func() { NewRandomPricer(nil, 1, 1) },
-		"bad epoch":     func() { NewRandomPricer([]float64{1}, 0, 1) },
 	} {
 		func() {
 			defer func() {

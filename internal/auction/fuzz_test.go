@@ -47,7 +47,9 @@ func FuzzOptimalPrice(f *testing.F) {
 		// Claim 1: splitting never lowers total optimal revenue.
 		if len(bids) >= 2 {
 			mid := len(bids) / 2
-			if OptimalRevenue(bids[:mid])+OptimalRevenue(bids[mid:]) < revenue-1e-6 {
+			_, left := OptimalPrice(bids[:mid])
+			_, right := OptimalPrice(bids[mid:])
+			if left+right < revenue-1e-6 {
 				t.Fatal("partition superadditivity violated")
 			}
 		}
@@ -60,7 +62,8 @@ func FuzzEpochPricerNeverPanics(f *testing.F) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		for _, summarize := range []SummaryFunc{AvgSummary, MedianSummary, OptimalSummary} {
+		optimal := func(bids []float64) float64 { p, _ := OptimalPrice(bids); return p }
+		for _, summarize := range []SummaryFunc{AvgSummary, MedianSummary, optimal} {
 			p := NewEpochPricer(3, summarize, 10)
 			for _, b := range decodeBids(data) {
 				p.ObserveBid(b)

@@ -50,7 +50,7 @@ func oracleMaybeUpdatePrice(e *Engine) {
 		return
 	}
 	e.epochs++
-	optR := auction.OptimalRevenue(e.epoch)
+	_, optR := auction.OptimalPrice(e.epoch)
 	if optR > 0 {
 		revenue := oracleRevenue(e.epoch, e.price)
 		costs := make([]float64, e.learner.Len())
@@ -122,7 +122,7 @@ func oracleComputeWaitPeriod(e *Engine, b float64) (wait int, simWeights []float
 }
 
 func oracleApplyEpoch(l *mw.Learner, epoch []float64, chosen float64) {
-	optR := auction.OptimalRevenue(epoch)
+	_, optR := auction.OptimalPrice(epoch)
 	if optR <= 0 {
 		return
 	}

@@ -153,13 +153,14 @@ func (s *Server) operatorOnly(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // bearer returns the request's bearer token, "" for none. The scheme is
-// matched in any case (RFC 9110 §11.1).
+// matched in any case (RFC 9110 §11.1) and may be followed by more than
+// one space (§11.3's 1*SP).
 func bearer(r *http.Request) string {
 	scheme, tok, ok := strings.Cut(r.Header.Get("Authorization"), " ")
 	if !ok || !strings.EqualFold(scheme, "Bearer") {
 		return ""
 	}
-	return tok
+	return strings.TrimLeft(tok, " ")
 }
 
 // handleHealthz is liveness: the process is up and serving.

@@ -78,18 +78,20 @@ func TestOperatorEndpointsGated(t *testing.T) {
 }
 
 // TestBearerSchemeIsCaseInsensitive: the Authorization scheme matches
-// in any case (RFC 9110 §11.1), so "bearer <token>" reads /metrics; the
-// token itself still has to be right.
+// in any case (RFC 9110 §11.1), and more than one space may follow it
+// (§11.3), so "bearer <token>" reads /metrics; the token itself still
+// has to be right.
 func TestBearerSchemeIsCaseInsensitive(t *testing.T) {
 	m := market.MustNew(testConfig())
 	ts := httptest.NewServer(NewServer(m).WithAuth(auth.NewVerifier(nil)).WithOperatorToken("sekrit").Routes())
 	defer ts.Close()
 	for header, want := range map[string]int{
-		"bearer sekrit": http.StatusOK,
-		"BEARER sekrit": http.StatusOK,
-		"bearer wrong":  http.StatusUnauthorized,
-		"Basic sekrit":  http.StatusUnauthorized,
-		"bearersekrit":  http.StatusUnauthorized,
+		"bearer sekrit":  http.StatusOK,
+		"BEARER sekrit":  http.StatusOK,
+		"Bearer  sekrit": http.StatusOK,
+		"bearer wrong":   http.StatusUnauthorized,
+		"Basic sekrit":   http.StatusUnauthorized,
+		"bearersekrit":   http.StatusUnauthorized,
 	} {
 		req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
 		if err != nil {

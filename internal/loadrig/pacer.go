@@ -83,6 +83,3 @@ func (p *Pacer) Next() time.Time {
 	}
 	return due
 }
-
-// Interval returns the schedule spacing (1/rate).
-func (p *Pacer) Interval() time.Duration { return p.interval }

@@ -93,7 +93,7 @@ func TestPacerHoldsTargetRate(t *testing.T) {
 		last = p.Next()
 	}
 	elapsed := time.Since(begin)
-	scheduled := time.Duration(slots-1) * p.Interval()
+	scheduled := time.Duration(slots-1) * p.interval
 	if elapsed < scheduled {
 		t.Fatalf("finished %d slots in %v, faster than the %v schedule", slots, elapsed, scheduled)
 	}

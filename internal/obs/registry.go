@@ -183,32 +183,18 @@ func (v *Vec[T]) With(labelValues ...string) T {
 	return s
 }
 
-// Counter is a monotonically increasing value. Integer increments take
-// the single-atomic fast path; fractional amounts fall back to a CAS
-// loop. The exposed value is the sum of both.
-type Counter struct {
-	intCount  atomic.Uint64
-	floatBits atomic.Uint64
-}
+// Counter is a monotonically increasing integer count, one atomic add
+// per increment.
+type Counter struct{ n atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.intCount.Add(1) }
+func (c *Counter) Inc() { c.n.Add(1) }
 
-// Add adds n (the fast path for integer counts).
-func (c *Counter) Add(n uint64) { c.intCount.Add(n) }
-
-// AddFloat adds v, which must be non-negative (counters never go down).
-func (c *Counter) AddFloat(v float64) {
-	if v < 0 || math.IsNaN(v) {
-		panic(fmt.Sprintf("obs: counter decrement %v", v))
-	}
-	addFloatBits(&c.floatBits, v)
-}
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.n.Add(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 {
-	return float64(c.intCount.Load()) + math.Float64frombits(c.floatBits.Load())
-}
+func (c *Counter) Value() float64 { return float64(c.n.Load()) }
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }

@@ -112,23 +112,6 @@ func (g *Graph) Leaves(id string) ([]string, error) {
 	return leaves, nil
 }
 
-// Shares returns each base dataset's revenue share of a sale of id: an
-// equal split across the distinct base datasets backing it. (The paper
-// delegates finer-grained revenue allocation, e.g. Shapley-value splits,
-// to the related work it cites; an equal split keeps the ledger exact.)
-func (g *Graph) Shares(id string) (map[string]float64, error) {
-	leaves, err := g.Leaves(id)
-	if err != nil {
-		return nil, err
-	}
-	share := 1 / float64(len(leaves))
-	out := make(map[string]float64, len(leaves))
-	for _, l := range leaves {
-		out[l] = share
-	}
-	return out, nil
-}
-
 // Dependents returns every registered dataset whose leaf set includes
 // base (including base itself if registered as base), sorted. It answers
 // "which products does this seller's dataset participate in?".

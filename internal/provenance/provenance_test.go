@@ -116,35 +116,6 @@ func TestLeavesDeduplicatesSharedConstituents(t *testing.T) {
 	}
 }
 
-func TestShares(t *testing.T) {
-	g := buildGraph(t)
-	shares, err := g.Shares("d123")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shares) != 3 {
-		t.Fatalf("shares = %v", shares)
-	}
-	var total float64
-	for id, s := range shares {
-		if s <= 0 || s > 1 {
-			t.Fatalf("share of %s = %v", id, s)
-		}
-		total += s
-	}
-	if total < 0.999999 || total > 1.000001 {
-		t.Fatalf("shares sum to %v", total)
-	}
-	// Base dataset keeps the full sale.
-	own, err := g.Shares("d1")
-	if err != nil || own["d1"] != 1 {
-		t.Fatalf("base shares = %v, %v", own, err)
-	}
-	if _, err := g.Shares("nope"); err == nil {
-		t.Fatal("unknown shares accepted")
-	}
-}
-
 func TestDependents(t *testing.T) {
 	g := buildGraph(t)
 	deps, err := g.Dependents("d1")

@@ -25,19 +25,11 @@ func RuleFactory(cfg core.Config, rule core.DrawRule) PricerFactory {
 	return EngineFactory(cfg)
 }
 
-// EpochSummaryFactory returns a factory for the avg/p50/optimal-per-epoch
-// baselines of Section 7.3.1.
+// EpochSummaryFactory returns a factory for the avg/p50 baselines of
+// Section 7.3.1.
 func EpochSummaryFactory(epochSize int, summarize auction.SummaryFunc, initial float64) PricerFactory {
 	return func(uint64, []float64) Pricer {
 		return StreamPricerAdapter{P: auction.NewEpochPricer(epochSize, summarize, initial)}
-	}
-}
-
-// RandomPricerFactory returns a factory for the price-ignoring Random
-// baseline drawing uniformly from candidates.
-func RandomPricerFactory(candidates []float64, epochSize int) PricerFactory {
-	return func(seed uint64, _ []float64) Pricer {
-		return StreamPricerAdapter{P: auction.NewRandomPricer(candidates, epochSize, seed)}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/timeseries"
 )
 
@@ -38,7 +39,7 @@ func gridFactories() map[string]PricerFactory {
 		"mw":     EngineFactory(testEngineConfig()),
 		"opt":    OptFactory(),
 		"avg":    EpochSummaryFactory(8, auction.AvgSummary, 100),
-		"random": RandomPricerFactory(auction.LinearGrid(1, 200, 25), 8),
+		"random": RuleFactory(testEngineConfig(), core.DrawRandom),
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"github.com/datamarket/shield/internal/core"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/rng"
-	"github.com/datamarket/shield/internal/stats"
 	"github.com/datamarket/shield/internal/timeseries"
 )
 
@@ -295,32 +294,6 @@ func Surpluses(rs []Result) []float64 {
 	out := make([]float64, len(rs))
 	for i, r := range rs {
 		out[i] = r.Surplus
-	}
-	return out
-}
-
-// NormalizeAcross rescales every sample in the map by the single largest
-// sample across all keys, mirroring the paper's "normalized to the
-// maximum value" presentation. It returns a new map.
-func NormalizeAcross(samples map[string][]float64) map[string][]float64 {
-	var max float64
-	for _, xs := range samples {
-		if m := stats.Max(xs); m > max {
-			max = m
-		}
-	}
-	out := make(map[string][]float64, len(samples))
-	for k, xs := range samples {
-		out[k] = stats.NormalizeBy(xs, max)
-	}
-	return out
-}
-
-// SummarizeAll computes the box-plot summary per key.
-func SummarizeAll(samples map[string][]float64) map[string]stats.Summary {
-	out := make(map[string]stats.Summary, len(samples))
-	for k, xs := range samples {
-		out[k] = stats.Summarize(xs)
 	}
 	return out
 }

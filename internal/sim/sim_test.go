@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"github.com/datamarket/shield/internal/auction"
@@ -229,24 +228,13 @@ func TestLargerEpochResistsAttackBetter(t *testing.T) {
 	}
 }
 
-func TestProjectionsAndNormalization(t *testing.T) {
+func TestProjections(t *testing.T) {
 	rs := []Result{{Revenue: 10, Surplus: 5}, {Revenue: 20, Surplus: 2}}
 	if rev := Revenues(rs); rev[0] != 10 || rev[1] != 20 {
 		t.Fatalf("Revenues = %v", rev)
 	}
 	if sur := Surpluses(rs); sur[0] != 5 || sur[1] != 2 {
 		t.Fatalf("Surpluses = %v", sur)
-	}
-	norm := NormalizeAcross(map[string][]float64{
-		"a": {10, 20},
-		"b": {40},
-	})
-	if norm["b"][0] != 1 || norm["a"][1] != 0.5 || norm["a"][0] != 0.25 {
-		t.Fatalf("NormalizeAcross = %v", norm)
-	}
-	sums := SummarizeAll(map[string][]float64{"a": {1, 2, 3}})
-	if sums["a"].N != 3 || math.Abs(sums["a"].Mean-2) > 1e-12 {
-		t.Fatalf("SummarizeAll = %+v", sums)
 	}
 }
 
@@ -272,7 +260,7 @@ func TestRandomPricerFactoryRuns(t *testing.T) {
 	spec := testSpec()
 	spec.Series = 3
 	results, err := Run(spec, map[string]PricerFactory{
-		"random": RandomPricerFactory(auction.LinearGrid(10, 200, 20), 8),
+		"random": RuleFactory(testEngineConfig(), core.DrawRandom),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -170,36 +170,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Skewness returns the adjusted Fisher-Pearson sample skewness (g1 with the
-// bias correction), NaN for n < 3 or zero variance.
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 3 {
-		return math.NaN()
-	}
-	m2, m3, _ := centralMoments(xs)
-	if m2 == 0 {
-		return math.NaN()
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
-}
-
-// ExcessKurtosis returns the sample excess kurtosis with bias correction
-// (the G2 statistic), NaN for n < 4 or zero variance.
-func ExcessKurtosis(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 4 {
-		return math.NaN()
-	}
-	m2, _, m4 := centralMoments(xs)
-	if m2 == 0 {
-		return math.NaN()
-	}
-	g2 := m4/(m2*m2) - 3
-	return ((n+1)*g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
-}
-
 // centralMoments returns the second, third and fourth central moments
 // of xs (the mean of the squared, cubed and fourth-power deviations
 // from the mean), the sums behind every skewness and kurtosis here.
@@ -214,22 +184,6 @@ func centralMoments(xs []float64) (m2, m3, m4 float64) {
 		m4 += d2 * d2
 	}
 	return m2 / n, m3 / n, m4 / n
-}
-
-// Normalize scales xs so its maximum is 1, returning a new slice. If the
-// maximum is not positive the values are returned unchanged (copied). This
-// mirrors the paper's "normalized to the maximum value" presentation.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	m := Max(xs)
-	if !(m > 0) {
-		copy(out, xs)
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / m
-	}
-	return out
 }
 
 // NormalizeBy divides each element by denom, returning a new slice. A

@@ -126,42 +126,29 @@ func TestPercentileMonotoneInP(t *testing.T) {
 }
 
 func TestSkewnessSymmetricNearZero(t *testing.T) {
+	// D'Agostino's skewness and kurtosis statistics are approximately
+	// standard normal on a normal sample.
 	r := rng.New(5)
 	xs := make([]float64, 50000)
 	for i := range xs {
 		xs[i] = r.Normal(0, 1)
 	}
-	if sk := Skewness(xs); math.Abs(sk) > 0.05 {
-		t.Errorf("normal skewness = %v, want ~0", sk)
+	if z, ok := skewnessZ(xs); !ok || math.Abs(z) > 3 {
+		t.Errorf("normal skewness z = %v (ok %v), want ~N(0,1)", z, ok)
 	}
-	if ku := ExcessKurtosis(xs); math.Abs(ku) > 0.1 {
-		t.Errorf("normal excess kurtosis = %v, want ~0", ku)
+	if z, ok := kurtosisZ(xs); !ok || math.Abs(z) > 3 {
+		t.Errorf("normal kurtosis z = %v (ok %v), want ~N(0,1)", z, ok)
 	}
 }
 
 func TestSkewnessSign(t *testing.T) {
 	rightSkewed := []float64{1, 1, 1, 2, 2, 3, 10, 20}
-	if sk := Skewness(rightSkewed); sk <= 0 {
-		t.Errorf("right-skewed data has skewness %v", sk)
+	if z, _ := skewnessZ(rightSkewed); !(z > 0) {
+		t.Errorf("right-skewed data has skewness z %v", z)
 	}
 	leftSkewed := []float64{-20, -10, -3, -2, -2, -1, -1, -1}
-	if sk := Skewness(leftSkewed); sk >= 0 {
-		t.Errorf("left-skewed data has skewness %v", sk)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 8})
-	want := []float64{0.25, 0.5, 1}
-	for i := range want {
-		if !almostEqual(out[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	// Non-positive max: copy through.
-	out = Normalize([]float64{-1, 0})
-	if out[0] != -1 || out[1] != 0 {
-		t.Errorf("Normalize with non-positive max = %v", out)
+	if z, _ := skewnessZ(leftSkewed); !(z < 0) {
+		t.Errorf("left-skewed data has skewness z %v", z)
 	}
 }
 

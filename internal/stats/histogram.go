@@ -40,18 +40,6 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
 	return h
 }
 
-// Fractions returns each bin's share of the total mass (zeros when empty).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.Total)
-	}
-	return out
-}
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.Width

@@ -258,20 +258,8 @@ func TestHistogramBinning(t *testing.T) {
 		t.Errorf("Total = %d", h.Total)
 	}
 	// -3 clamps to bin 0; 10 and 42 clamp into last bin.
-	if h.Counts[0] != 4 { // 0, 0.5, -3 -> bin0? 0 and 0.5 and -3 => 3... plus 1? bin0 covers [0,1): 0, 0.5, -3 = 3
-		// recompute: bins width 1: bin0:[0,1) holds 0, 0.5, -3(clamped) = 3; bin1 holds 1; bin4 holds 4.9; bin5 holds 5; bin9 holds 9.99, 10(clamped), 42(clamped) = 3
-		t.Logf("counts = %v", h.Counts)
-	}
 	if h.Counts[0] != 3 || h.Counts[1] != 1 || h.Counts[4] != 1 || h.Counts[5] != 1 || h.Counts[9] != 3 {
 		t.Errorf("counts = %v", h.Counts)
-	}
-	fr := h.Fractions()
-	var sum float64
-	for _, f := range fr {
-		sum += f
-	}
-	if !almostEqual(sum, 1, 1e-12) {
-		t.Errorf("fractions sum to %v", sum)
 	}
 	if got := h.BinCenter(0); !almostEqual(got, 0.5, 1e-12) {
 		t.Errorf("BinCenter(0) = %v", got)
