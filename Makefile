@@ -102,7 +102,8 @@ build:
 # simulation path — sim.RunGrid's workers share the output slots, the
 # failure record and every factory a figure hands them, and each
 # experiment and marketsim formatter runs on top of it. The races that
-# need many tries repeat ten times: the market's shared log and bitsets
+# need many tries repeat ten times: RunGrid's recycled pricers, each
+# kept by one worker, the market's shared log and bitsets
 # under readers, its participant registries doubling under readers, a
 # checkpoint encoding the cut's shared name and transaction views while
 # the stage appends to them, a wire bid's body, read by the commit
@@ -120,7 +121,7 @@ race:
 	$(GO) test -race -run 'TestSharedLogAndBitsetsUnderReaders|TestRegistryGrowsUnderReaders' -count=10 ./internal/market/
 	$(GO) test -race -run 'TestStoreCheckpointsMatchReplayUnderHotDatasetConcurrency' -count=10 ./internal/journal/
 	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity|TestRecordIsTheRequest' -count=10 ./internal/wire/
-	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines' -count=10 ./internal/sim/
+	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines|TestRunGridIsTheSerialSweep' -count=10 ./internal/sim/
 	$(GO) test -race -run 'TestScanRecordsLeavesNoGoroutines' -count=10 ./internal/journal/
 	$(GO) test -race -run 'TestCatchupScanHoldsNoLeaderLock|TestCatchupSpliceIsExactlyOnce|TestAwaitConverged' -count=10 ./internal/replica/
 	$(GO) test -race -run 'TestCloseDropsIdleConnections' -count=10 ./cmd/marketd/

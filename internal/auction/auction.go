@@ -173,6 +173,7 @@ type SummaryFunc func(bids []float64) float64
 type EpochPricer struct {
 	epochSize int
 	summarize SummaryFunc
+	initial   float64
 
 	price float64
 	epoch []float64
@@ -191,6 +192,7 @@ func NewEpochPricer(epochSize int, summarize SummaryFunc, initial float64) *Epoc
 	return &EpochPricer{
 		epochSize: epochSize,
 		summarize: summarize,
+		initial:   initial,
 		price:     initial,
 		epoch:     make([]float64, 0, epochSize),
 	}
@@ -208,6 +210,10 @@ func (e *EpochPricer) ObserveBid(b float64) {
 	e.price = e.summarize(e.epoch)
 	e.epoch = e.epoch[:0]
 }
+
+// Reset restores the initial posting price and empties the epoch,
+// keeping its storage.
+func (e *EpochPricer) Reset() { e.price, e.epoch = e.initial, e.epoch[:0] }
 
 // AvgSummary prices the next epoch at the mean of the current epoch's bids
 // (the "avg" baseline of Section 7.3.1).
@@ -237,8 +243,8 @@ func MedianSummary(bids []float64) float64 {
 	return (bids[n/2-1] + bids[n/2]) / 2
 }
 
-// FixedPricer posts a constant price forever; OfflineOptimalPricer built
-// from a full bid trace is the paper's "Opt" baseline.
+// FixedPricer posts a constant price forever; at Equation 2's price for
+// a full bid trace it is the paper's "Opt" baseline (sim.OptFactory).
 type FixedPricer struct{ P float64 }
 
 // PostingPrice implements StreamPricer.
@@ -246,11 +252,3 @@ func (f FixedPricer) PostingPrice() float64 { return f.P }
 
 // ObserveBid implements StreamPricer.
 func (FixedPricer) ObserveBid(float64) {}
-
-// OfflineOptimalPricer returns the Opt baseline: the fixed posting price
-// that is revenue-optimal in hindsight for the whole bid trace
-// (Equation 2 applied to all bids at once).
-func OfflineOptimalPricer(allBids []float64) FixedPricer {
-	p, _ := OptimalPrice(allBids)
-	return FixedPricer{P: p}
-}

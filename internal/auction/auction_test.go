@@ -197,18 +197,6 @@ func TestEpochPricerPanics(t *testing.T) {
 	}
 }
 
-func TestOfflineOptimalPricer(t *testing.T) {
-	bids := []float64{10, 20, 30}
-	p := OfflineOptimalPricer(bids)
-	if p.PostingPrice() != 20 {
-		t.Fatalf("Opt price = %v, want 20", p.PostingPrice())
-	}
-	p.ObserveBid(1000) // fixed pricers ignore bids
-	if p.PostingPrice() != 20 {
-		t.Fatal("FixedPricer moved")
-	}
-}
-
 func TestOptBeatsOnlineBaselinesInHindsight(t *testing.T) {
 	// Sanity: on any trace, the offline optimal single price collects at
 	// least as much as any single candidate price; spot-check against the

@@ -65,6 +65,10 @@ func newHTTP(base string, cfg options) *httpClient {
 // bodyPool holds the buffers do reads response bodies into.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// bidPool holds the bids SubmitBid marshals, already on the heap, so
+// handing one to send's any boxes nothing.
+var bidPool = sync.Pool{New: func() any { return new(httpBid) }}
+
 // send is do with v's JSON as the request body.
 func (c *httpClient) send(ctx context.Context, method, target string, v, dst any, ms ...member) error {
 	body, err := json.Marshal(v)
@@ -202,8 +206,10 @@ func (d httpDecision) decision() market.Decision {
 }
 
 func (c *httpClient) SubmitBid(ctx context.Context, buyer market.BuyerID, dataset market.DatasetID, amount float64) (market.Decision, error) {
-	body, err := c.bidBody(buyer, dataset, amount)
-	if err != nil {
+	body := bidPool.Get().(*httpBid)
+	defer bidPool.Put(body)
+	var err error
+	if *body, err = c.bidBody(buyer, dataset, amount); err != nil {
 		return market.Decision{}, err
 	}
 	var resp httpDecision

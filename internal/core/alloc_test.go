@@ -91,11 +91,16 @@ func TestSubmitBidZeroAlloc(t *testing.T) {
 // (its RNG held by value), one block for the candidates, the epoch and
 // the kernel's scratch, the learner and one block for its slices — so no
 // per-engine storage is added unnoticed: a market holds one engine per
-// dataset, and a simulated figure builds one per pricer and series.
+// dataset. Reset, which a simulated figure's workers call once per pricer
+// and series, allocates nothing.
 func TestNewAllocs(t *testing.T) {
 	for _, c := range allocConfigs(8, WaitBound) {
 		if n := testing.AllocsPerRun(100, func() { MustNew(c.cfg) }); n != 4 {
 			t.Errorf("%+v: New allocates %v times, want 4", c.cfg, n)
+		}
+		e := allocEngine(c.cfg)
+		if n := testing.AllocsPerRun(100, func() { e.Reset(9) }); n != 0 {
+			t.Errorf("%+v: Reset allocates %v times, want 0", c.cfg, n)
 		}
 	}
 }

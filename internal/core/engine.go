@@ -641,10 +641,10 @@ func (e *Engine) MostLikelyPrice() float64 {
 	return e.cfg.Candidates[e.learner.ArgMax()]
 }
 
-// Reset restores the engine to its initial state (including the original
-// candidate grid), replaying the same random stream from the configured
-// seed.
-func (e *Engine) Reset() {
+// Reset leaves the engine as New builds it from its configuration with
+// Seed set to seed, in the storage it has: the carved block and, unless
+// RegridEvery lets the grid move, the learner.
+func (e *Engine) Reset(seed uint64) {
 	if e.cfg.RegridEvery > 0 {
 		e.cfg.Candidates = e.origCandidates
 		e.minCandidate = e.origLo
@@ -654,11 +654,13 @@ func (e *Engine) Reset() {
 		}
 	}
 	e.learner.Reset()
-	e.rand = *rng.New(e.cfg.Seed)
+	e.cfg.Seed = seed
+	e.rand = *rng.New(seed)
 	e.epoch = e.epoch[:0]
 	e.revenue = 0
 	e.bids = 0
 	e.allocations = 0
 	e.epochs = 0
+	e.perturb = nil
 	e.price = e.drawPrice()
 }

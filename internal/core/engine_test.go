@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"github.com/datamarket/shield/internal/auction"
+	"github.com/datamarket/shield/internal/binenc"
 	"github.com/datamarket/shield/internal/rng"
 )
 
@@ -451,7 +453,7 @@ func TestResetRestoresInitialBehaviour(t *testing.T) {
 	for _, b := range bids {
 		first = append(first, e.SubmitBid(b))
 	}
-	e.Reset()
+	e.Reset(testConfig().Seed)
 	if e.Revenue() != 0 || e.Bids() != 0 || e.Allocations() != 0 || e.Epochs() != 0 {
 		t.Fatal("Reset left statistics behind")
 	}
@@ -460,6 +462,59 @@ func TestResetRestoresInitialBehaviour(t *testing.T) {
 			t.Fatalf("decision %d diverged after Reset: %+v != %+v", i, d, first[i])
 		}
 	}
+}
+
+// TestResetMatchesNew holds Reset to New: an engine driven through 300
+// bids and reset to a seed decides every later bid as an engine New
+// builds with that seed does, and snapshots to the same bytes.
+func TestResetMatchesNew(t *testing.T) {
+	r := rng.New(9)
+	bids := make([]float64, 600)
+	for i := range bids {
+		bids[i] = r.Uniform(0, 120)
+	}
+	variants := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"plain", func(*Config) {}},
+		{"share", func(c *Config) { c.ShareFraction = 0.05 }},
+		{"regrid", func(c *Config) { c.RegridEvery = 3 }},
+	}
+	for _, rule := range []DrawRule{DrawMW, DrawMWMax, DrawAdHoc, DrawRandom} {
+		for _, waits := range []bool{true, false} {
+			for _, v := range variants {
+				cfg := testConfig()
+				cfg.Rule, cfg.DisableWaitPeriods = rule, !waits
+				v.set(&cfg)
+				t.Run(fmt.Sprintf("%v/waits=%v/%s", rule, waits, v.name), func(t *testing.T) {
+					e := MustNew(cfg)
+					for _, b := range bids[:300] {
+						e.SubmitBid(b)
+					}
+					cfg.Seed = 7
+					e.Reset(cfg.Seed)
+					fresh := MustNew(cfg)
+					for i, b := range bids {
+						if i%100 == 0 && !bytes.Equal(snapshotBytes(e), snapshotBytes(fresh)) {
+							t.Fatalf("after Reset and %d bids, the snapshot differs from New's", i)
+						}
+						if got, want := e.SubmitBid(b), fresh.SubmitBid(b); got != want {
+							t.Fatalf("bid %d after Reset: %+v, New's engine %+v", i, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// snapshotBytes is e's snapshot in the binary codec.
+func snapshotBytes(e *Engine) []byte {
+	s := e.Snapshot()
+	c := binenc.Encoder(nil)
+	s.Binary(c)
+	return c.B
 }
 
 func TestDeterministicAcrossInstances(t *testing.T) {

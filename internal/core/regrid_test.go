@@ -111,7 +111,7 @@ func TestRegridResetRestoresOriginalGrid(t *testing.T) {
 	if moved[0] == cfg.Candidates[0] && moved[len(moved)-1] == cfg.Candidates[len(cfg.Candidates)-1] {
 		t.Fatal("grid never moved; regrid not exercised")
 	}
-	e.Reset()
+	e.Reset(cfg.Seed)
 	restored := e.Config().Candidates
 	for i, c := range cfg.Candidates {
 		if restored[i] != c {
@@ -120,7 +120,7 @@ func TestRegridResetRestoresOriginalGrid(t *testing.T) {
 	}
 	// And the engine replays identically after reset.
 	d1 := e.SubmitBid(60)
-	e.Reset()
+	e.Reset(cfg.Seed)
 	d2 := e.SubmitBid(60)
 	if d1 != d2 {
 		t.Fatalf("post-reset decisions diverged: %+v vs %+v", d1, d2)

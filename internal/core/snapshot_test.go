@@ -74,7 +74,7 @@ func TestEngineSnapshotWithRegrid(t *testing.T) {
 		}
 	}
 	// Reset still restores the ORIGINAL grid.
-	restored.Reset()
+	restored.Reset(cfg.Seed)
 	rc = restored.Config().Candidates
 	for i, c := range cfg.Candidates {
 		if rc[i] != c {

@@ -61,9 +61,10 @@ func (c Config) Sensitivity() float64 { return c.MaxBid - c.MinBid }
 // same StreamPricer shape as the baselines in internal/auction.
 type LaplacePricer struct {
 	cfg   Config
-	rand  *rng.RNG
+	rand  rng.RNG
 	price float64
 	epoch []float64
+	curve auction.Curve // the epoch sorted, in storage kept across epochs
 }
 
 // New builds a LaplacePricer from cfg.
@@ -73,7 +74,7 @@ func New(cfg Config) (*LaplacePricer, error) {
 	}
 	return &LaplacePricer{
 		cfg:   cfg,
-		rand:  rng.New(cfg.Seed),
+		rand:  *rng.New(cfg.Seed),
 		price: cfg.InitialPrice,
 		epoch: make([]float64, 0, cfg.EpochSize),
 	}, nil
@@ -105,7 +106,8 @@ func (p *LaplacePricer) ObserveBid(b float64) {
 	if len(p.epoch) < p.cfg.EpochSize {
 		return
 	}
-	base, _ := auction.OptimalPrice(p.epoch)
+	p.curve.Sort(p.epoch)
+	base, _ := p.curve.Optimal()
 	noise := p.rand.Laplace(0, p.cfg.Sensitivity()/p.cfg.Epsilon)
 	price := base + noise
 	// Clamp into the valid range: a negative posting price would allocate
@@ -120,10 +122,11 @@ func (p *LaplacePricer) ObserveBid(b float64) {
 	p.epoch = p.epoch[:0]
 }
 
-// Reset restores the initial posting price, replaying the same noise
-// stream from the configured seed.
-func (p *LaplacePricer) Reset() {
-	p.rand = rng.New(p.cfg.Seed)
+// Reset restores the initial posting price and reseeds the noise stream
+// with seed, leaving the pricer as New builds it with that Seed.
+func (p *LaplacePricer) Reset(seed uint64) {
+	p.cfg.Seed = seed
+	p.rand = *rng.New(seed)
 	p.price = p.cfg.InitialPrice
 	p.epoch = p.epoch[:0]
 }

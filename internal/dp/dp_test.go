@@ -139,7 +139,7 @@ func TestResetReplaysNoise(t *testing.T) {
 		p.ObserveBid(b)
 		first = append(first, p.PostingPrice())
 	}
-	p.Reset()
+	p.Reset(testConfig().Seed)
 	if p.PostingPrice() != 50 {
 		t.Fatal("Reset did not restore initial price")
 	}

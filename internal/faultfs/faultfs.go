@@ -133,8 +133,5 @@ func (w *Writer) Sync() error {
 	return nil
 }
 
-// Tripped reports whether the fault point has been reached.
-func (w *Writer) Tripped() bool { return w.tripped }
-
 // Kind returns the configured fault kind.
 func (w *Writer) Kind() Kind { return w.kind }

@@ -16,8 +16,8 @@ func TestTruncateDropsSilently(t *testing.T) {
 	if got := buf.String(); got != "hello" {
 		t.Fatalf("durable bytes %q, want %q", got, "hello")
 	}
-	if !w.Tripped() {
-		t.Fatal("writer not tripped")
+	if err := w.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Sync after the fault = %v, want ErrInjected: the writer did not trip", err)
 	}
 	// Later writes keep vanishing.
 	if n, err := w.Write([]byte("more")); err != nil || n != 4 {
@@ -70,8 +70,8 @@ func TestExactBoundaryIsNotAFault(t *testing.T) {
 	if n, err := w.Write([]byte("abcd")); err != nil || n != 4 {
 		t.Fatalf("boundary write reported (%d, %v)", n, err)
 	}
-	if w.Tripped() {
-		t.Fatal("tripped before any byte past the offset")
+	if err := w.Sync(); err != nil {
+		t.Fatalf("Sync = %v: tripped before any byte past the offset", err)
 	}
 	if n, err := w.Write([]byte("e")); !errors.Is(err, ErrInjected) || n != 0 {
 		t.Fatalf("first post-boundary write reported (%d, %v)", n, err)

@@ -170,7 +170,7 @@ func TestLoopbackAllocs(t *testing.T) {
 		{name: "period", server: 24, client: 49, call: func(c client.Client) error { _, err := c.Period(ctx); return err }},
 		{name: "stats", server: 25, client: 50, call: func(c client.Client) error { _, err := c.Stats(ctx, "d"); return err }},
 		{name: "balance", server: 25, client: 50, call: func(c client.Client) error { _, err := c.SellerBalance(ctx, "s"); return err }},
-		{name: "bid", server: 40, client: 61, call: func(c client.Client) error { _, err := c.SubmitBid(ctx, b0, "d", 2); return err }},
+		{name: "bid", server: 40, client: 60, call: func(c client.Client) error { _, err := c.SubmitBid(ctx, b0, "d", 2); return err }},
 		{name: "wait", server: 25, client: 51, call: func(c client.Client) error { _, err := c.WaitRemaining(ctx, b0, "d"); return err }},
 	}
 	rec.take()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -157,8 +158,27 @@ func TestExemplarTimestampIsObservationTime(t *testing.T) {
 	h := r.Histogram("shield_test_seconds", "x", []float64{1})
 	before := time.Now().Add(-time.Second)
 	h.ObserveTrace(0.5, "req-1")
-	e := h.BucketExemplar(0)
-	if e == nil || e.Time.Before(before) || e.Time.After(time.Now().Add(time.Second)) {
-		t.Fatalf("exemplar timestamp implausible: %+v", e)
+	after := time.Now().Add(time.Second)
+	for _, line := range exposition(t, r) {
+		if !strings.Contains(line, ` # {trace_id="req-1"} `) {
+			continue
+		}
+		fields := strings.Fields(line)
+		ts, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if at := time.UnixMilli(int64(ts * 1000)); err != nil || at.Before(before) || at.After(after) {
+			t.Fatalf("exemplar timestamp implausible: %s", line)
+		}
+		return
 	}
+	t.Fatal("no exemplar on /metrics")
+}
+
+// exposition is r's /metrics text, line by line.
+func exposition(t *testing.T, r *Registry) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(b.String(), "\n")
 }

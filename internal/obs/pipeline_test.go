@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ func TestTracerConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				id := tr.NewRequestID()
+				id := string(appendRequestID(nil, uint64(g*500+i+1)))
 				trace := tr.Begin(id, "hammer")
 				trace.AddSpan("stage", time.Now(), 0)
 				trace.AddSpan("external", time.Now(), time.Microsecond)
@@ -48,7 +49,7 @@ func TestSeededSamplingIsReproducible(t *testing.T) {
 		tr := NewTracer(64, 3, seed)
 		var out []int
 		for i := 0; i < 200; i++ {
-			if tr.Begin(tr.NewRequestID(), "req") != nil {
+			if tr.Begin("req", "req") != nil {
 				out = append(out, i)
 			}
 		}
@@ -168,19 +169,10 @@ func TestStageTimerObservesHistogramAndSpan(t *testing.T) {
 		t.Fatalf("stage histogram count = %d, want 1", h.Count())
 	}
 	// The observation must carry the request ID as its bucket exemplar.
-	found := false
-	for i := 0; ; i++ {
-		e := h.BucketExemplar(i)
-		if i > 64 {
-			break
-		}
-		if e != nil && e.TraceID == "req-1" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no bucket exemplar carries the sampled request id")
+	if !slices.ContainsFunc(exposition(t, tel.Registry), func(line string) bool {
+		return strings.Contains(line, `stage="decode"`) && strings.Contains(line, ` # {trace_id="req-1"} `)
+	}) {
+		t.Fatal("no decode bucket exemplar carries the sampled request id")
 	}
 	snap, ok := tel.Tracer.Find("req-1")
 	if !ok || len(snap.Spans) != 1 || snap.Spans[0].Name != "decode" {
@@ -193,9 +185,9 @@ func TestStageTimerObservesHistogramAndSpan(t *testing.T) {
 	if h2.Count() != 1 {
 		t.Fatalf("unsampled stage observation lost: count = %d", h2.Count())
 	}
-	for i := 0; i <= 64; i++ {
-		if h2.BucketExemplar(i) != nil {
-			t.Fatal("unsampled observation stamped an exemplar")
+	for _, line := range exposition(t, tel.Registry) {
+		if strings.Contains(line, `stage="apply"`) && strings.Contains(line, " # ") {
+			t.Fatalf("unsampled observation stamped an exemplar: %s", line)
 		}
 	}
 }

@@ -289,15 +289,6 @@ func (h *Histogram) ObserveSinceTrace(start time.Time, traceID string) {
 	h.ObserveTrace(time.Since(start).Seconds(), traceID)
 }
 
-// BucketExemplar returns bucket i's current exemplar (i indexes the
-// ascending upper bounds, len(buckets)-1 being +Inf), or nil.
-func (h *Histogram) BucketExemplar(i int) *Exemplar {
-	if i < 0 || i >= len(h.exemplars) {
-		return nil
-	}
-	return h.exemplars[i].Load()
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var n uint64

@@ -49,15 +49,9 @@ func NewTracer(capacity, every int, seed uint64) *Tracer {
 	}
 }
 
-// NewRequestID mints a unique request identifier. Every request gets
-// one, sampled or not; Requests.Begin keeps a minted one a number.
-func (t *Tracer) NewRequestID() string {
-	var buf [20]byte
-	return string(appendRequestID(buf[:0], t.seq.Add(1)))
-}
-
 // appendRequestID spells request n as "req-%08x", by hand: it runs once
-// per request on the hot path.
+// per request on the hot path. Every request gets an ID, sampled or not;
+// Requests.Begin keeps a minted one a number until a reader spells it.
 func appendRequestID(dst []byte, n uint64) []byte {
 	const hexdigits = "0123456789abcdef"
 	dst = append(dst, "req-"...)

@@ -10,7 +10,7 @@ import (
 
 func TestTraceSpansThroughContext(t *testing.T) {
 	tr := NewTracer(16, 1, 42)
-	id := tr.NewRequestID()
+	id := string(appendRequestID(nil, 1))
 	trace := tr.Begin(id, "POST /v1/bids")
 	if trace == nil {
 		t.Fatal("sample-every-1 tracer skipped a request")
@@ -50,7 +50,7 @@ func TestTraceSpansThroughContext(t *testing.T) {
 // working no-op spans, so instrumented code never branches on sampling.
 func TestSpanOnUnsampledRequestIsFree(t *testing.T) {
 	tr := NewTracer(4, 0, 1) // sampling disabled
-	if trace := tr.Begin(tr.NewRequestID(), "x"); trace != nil {
+	if trace := tr.Begin("req-x", "x"); trace != nil {
 		t.Fatal("disabled tracer sampled a request")
 	}
 	end := StartSpan(context.Background(), "anything")
@@ -125,7 +125,7 @@ func TestSamplingDeterministicAndProportional(t *testing.T) {
 // batch-bid fan-out shape) is race-free under -race.
 func TestConcurrentSpans(t *testing.T) {
 	tr := NewTracer(8, 1, 3)
-	trace := tr.Begin(tr.NewRequestID(), "batch")
+	trace := tr.Begin("req-batch", "batch")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -145,8 +145,8 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 // TestMintedIDIsSpelledOnDemand: a minted ID is a number in the request
-// context, and every reader that needs text spells it as NewRequestID
-// would have — "req-%08x" past 32 bits too — while a sampled request's
+// context, and every reader that needs text spells it as appendRequestID
+// does — "req-%08x" past 32 bits too — while a sampled request's
 // trace carries it from the start.
 func TestMintedIDIsSpelledOnDemand(t *testing.T) {
 	unsampled, sampled := NewTracer(4, 0, 1), NewTracer(4, 1, 1)

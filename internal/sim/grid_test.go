@@ -8,6 +8,7 @@ import (
 
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/core"
+	"github.com/datamarket/shield/internal/dp"
 	"github.com/datamarket/shield/internal/timeseries"
 )
 
@@ -40,6 +41,7 @@ func gridFactories() map[string]PricerFactory {
 		"opt":    OptFactory(),
 		"avg":    EpochSummaryFactory(8, auction.AvgSummary, 100),
 		"random": RuleFactory(testEngineConfig(), core.DrawRandom),
+		"dp":     DPFactory(dp.Config{Epsilon: 1, MaxBid: 300, EpochSize: 8, InitialPrice: 100}),
 	}
 }
 
@@ -49,22 +51,19 @@ func atGOMAXPROCS(n int, f func()) {
 	f()
 }
 
+// TestRunGridIsTheSerialSweep holds RunGrid, whose workers recycle
+// their pricers across units, to a walk that gives every factory
+// prev == nil for every (spec, series) pair, at any core count.
 func TestRunGridIsTheSerialSweep(t *testing.T) {
 	specs, factories := gridSpecs(), gridFactories()
 	want := make([]map[string][]Result, len(specs))
-	atGOMAXPROCS(1, func() {
-		for i, spec := range specs {
-			var err error
-			if want[i], err = Run(spec, factories); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
 	for i, n := range []int{1, 3, 100, 3, 3, 3, 3} {
-		for name, rs := range want[i] {
-			if len(rs) != n {
-				t.Fatalf("spec %d %s: %d results, want %d", i, name, len(rs), n)
-			}
+		want[i] = make(map[string][]Result, len(factories))
+		for name := range factories {
+			want[i][name] = make([]Result, n)
+		}
+		for s := range n {
+			new(worker).run(specs, []int{i}, s, factories, want)
 		}
 	}
 	for _, procs := range []int{1, 2, 3, 8} {
@@ -74,34 +73,22 @@ func TestRunGridIsTheSerialSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("GOMAXPROCS %d: the grid differs from one serial Run per spec", procs)
+				t.Errorf("GOMAXPROCS %d: the grid differs from a new pricer per series", procs)
 			}
 		})
 	}
 }
 
 // TestWorkerAllocatesOnlyWhatFactoriesBuild holds a worker's later
-// units to the pricers their factories build: once its buffers have
-// grown to the largest series, drawing, rebidding and replaying a group
-// allocate nothing of their own.
+// units to nothing: once its buffers have grown to the largest series
+// and every factory has built the pricer it recycles, drawing, rebidding,
+// resetting and replaying a group allocate nothing.
 func TestWorkerAllocatesOnlyWhatFactoriesBuild(t *testing.T) {
 	specs, group := gridSpecs(), []int{1, 3, 4, 5} // strategic and its siblings
-	var fixed Pricer = StreamPricerAdapter{P: auction.FixedPricer{P: 50}}
-	factories := map[string]PricerFactory{
-		"mw":    EngineFactory(testEngineConfig()),
-		"opt":   OptFactory(),
-		"fixed": func(uint64, []float64) Pricer { return fixed },
-	}
+	factories := gridFactories()
 	out, err := RunGrid(specs, factories)
 	if err != nil {
 		t.Fatal(err)
-	}
-	hindsight := []float64{20, 80, 140}
-	var built float64
-	for name, mk := range factories {
-		n := testing.AllocsPerRun(20, func() { mk(1, hindsight) })
-		t.Logf("%s builds with %v allocations", name, n)
-		built += n
 	}
 	var w worker
 	for s := range 3 {
@@ -112,8 +99,8 @@ func TestWorkerAllocatesOnlyWhatFactoriesBuild(t *testing.T) {
 		w.run(specs, group, s%3, factories, out)
 		s++
 	})
-	if want := float64(len(group)) * built; got != want {
-		t.Fatalf("a unit of %d specs allocates %v times, want %v: what its factories build", len(group), got, want)
+	if got != 0 {
+		t.Fatalf("a unit of %d specs allocates %v times, want 0", len(group), got)
 	}
 }
 

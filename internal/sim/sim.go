@@ -131,12 +131,15 @@ type Spec struct {
 	Window int
 }
 
-// PricerFactory builds a fresh pricer for one series. seed is unique per
-// (factory, series) pair; hindsight is the full bid stream the pricer
-// will face, supplied so the Opt baseline can compute the optimal fixed
-// posting price in hindsight — online pricers must ignore it. It is
-// valid during the call only: RunGrid reuses its storage.
-type PricerFactory func(seed uint64, hindsight []float64) Pricer
+// PricerFactory returns the pricer for one series, which must decide as
+// one newly built for seed would. seed is unique per (factory, series)
+// pair; hindsight is the full bid stream the pricer will face, supplied
+// so the Opt baseline can compute the optimal fixed posting price in
+// hindsight — online pricers must ignore it. It is valid during the call
+// only: RunGrid reuses its storage. prev is nil on a sweep worker's first
+// series; after that it is the pricer the factory returned to the same
+// worker, its replay finished, which the factory may reset and return.
+type PricerFactory func(prev Pricer, seed uint64, hindsight []float64) Pricer
 
 // Run is RunGrid over the one spec.
 func Run(spec Spec, factories map[string]PricerFactory) (map[string][]Result, error) {
@@ -158,11 +161,11 @@ func Run(spec Spec, factories map[string]PricerFactory) (map[string][]Result, er
 // window shuffle are drawn once, then each spec rebids the low bids at
 // its own LowBid and replays. Units are independent, each seeded on its
 // own, so GOMAXPROCS goroutines — the caller one of them, all returned
-// before RunGrid is — claim them one at a time, keep their buffers
-// across the units they claim and call the factories concurrently. A
-// unit writes only its own slots of the pre-sized output, and every spec
-// is validated before any unit runs, so result and error are a serial
-// walk's at any core count. Give a sweep's points to one call, not to a
+// before RunGrid is — claim them one at a time, keep their buffers and
+// pricers across the units they claim and call the factories
+// concurrently. A unit writes only its own slots of the pre-sized
+// output, and every spec is validated before any unit runs, so result
+// and error are a serial walk's at any core count. Give a sweep's points to one call, not to a
 // Run each: every fan-out strands goroutine descriptors on the other Ps
 // (DESIGN.md §4, "Parallel sweeps").
 func RunGrid(specs []Spec, factories map[string]PricerFactory) ([]map[string][]Result, error) {
@@ -230,13 +233,17 @@ type worker struct {
 	vals      []float64
 	stream    []timeseries.Bid
 	hindsight []float64
-	flags     []bool // AppendTransform's scratch, then replay's winners
+	flags     []bool            // AppendTransform's scratch, then replay's winners
+	pricers   map[string]Pricer // each factory's last, its prev
 }
 
 // run draws series s for the specs of group — the first one's draws are
 // every one's — and writes each factory's replay of each spec's stream
 // to out[spec][name][s].
 func (w *worker) run(specs []Spec, group []int, s int, factories map[string]PricerFactory, out []map[string][]Result) {
+	if w.pricers == nil {
+		w.pricers = make(map[string]Pricer, len(factories))
+	}
 	spec := specs[group[0]]
 	seed := spec.BaseSeed + uint64(s)*2654435761
 	genR := rng.New(seed)
@@ -265,7 +272,9 @@ func (w *worker) run(specs []Spec, group []int, s int, factories map[string]Pric
 		}
 		w.hindsight = timeseries.AppendAmounts(w.hindsight[:0], stream)
 		for name, mk := range factories {
-			out[i][name][s], w.flags = replay(mk(seed, w.hindsight), stream, !spec.KeepWonBids, w.flags)
+			p := mk(w.pricers[name], seed, w.hindsight)
+			w.pricers[name] = p
+			out[i][name][s], w.flags = replay(p, stream, !spec.KeepWonBids, w.flags)
 		}
 	}
 }

@@ -78,6 +78,19 @@ func TestEnginePricerAdapts(t *testing.T) {
 	}
 }
 
+func TestOptFactoryPricesInHindsight(t *testing.T) {
+	opt := OptFactory()
+	p := opt(nil, 0, []float64{10, 20, 30})
+	for range 2 { // a fixed price ignores bids
+		if allocated, price := p.Decide(1000); !allocated || price != 20 {
+			t.Fatalf("Decide = %v, %v, want a sale at Equation 2's 20", allocated, price)
+		}
+	}
+	if _, price := opt(p, 0, []float64{5}).Decide(1); price != 5 {
+		t.Fatalf("a recycled Opt posts %v for the stream {5}, want 5", price)
+	}
+}
+
 func TestRunProducesSamplesPerFactory(t *testing.T) {
 	results, err := Run(testSpec(), map[string]PricerFactory{
 		"mw":  EngineFactory(testEngineConfig()),

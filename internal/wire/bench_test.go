@@ -174,7 +174,7 @@ func BenchmarkTransportWireBidTraced(b *testing.B) {
 	b.ResetTimer()
 	requests := 0
 	for i := 0; i < b.N; i++ {
-		id := clientTel.Tracer.NewRequestID()
+		id := fmt.Sprintf("req-%08x", i+1)
 		tr := clientTel.Tracer.Begin(id, "bench.bid")
 		ctx := obs.WithRequestID(context.Background(), id)
 		if tr != nil {

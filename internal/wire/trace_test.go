@@ -128,7 +128,7 @@ func TestTracePropagatesAcrossWire(t *testing.T) {
 	c := pipeClient(t, NewServer(m).WithTelemetry(serverTel))
 
 	clientTel := obs.NewTelemetry()
-	id := clientTel.Tracer.NewRequestID()
+	const id = "req-00000001"
 	tr := clientTel.Tracer.Begin(id, "client.bid")
 	ctx := obs.WithTrace(obs.WithRequestID(context.Background(), id), tr)
 	if _, err := c.SubmitBid(ctx, "b", "d", 5); err != nil {
