@@ -90,8 +90,15 @@ type registry[K ~string, C any, P interface {
 
 var registrySeed = maphash.MakeSeed()
 
-// get returns id's cell, nil if none was added.
-func (r *registry[K, C, P]) get(id K) P { return P(r.probe(*r.slots.Load(), id).Load()) }
+// get returns id's cell, nil if none was added. The slot is loaded again
+// after the probe, so its key is checked again: the empty slot that ended
+// the probe may hold another ID's cell by then.
+func (r *registry[K, C, P]) get(id K) P {
+	if c := P(r.probe(*r.slots.Load(), id).Load()); c != nil && c.key() == id {
+		return c
+	}
+	return nil
+}
 
 // add inserts c, whose ID the registry does not hold yet.
 func (r *registry[K, C, P]) add(c P) {
