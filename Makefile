@@ -156,6 +156,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzReplicateDecode$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzPowMatchesMathPow$$' -fuzztime $(FUZZ_TIME) ./internal/mw/
 	$(GO) test -run xxx -fuzz '^FuzzRoundMatchesStep$$' -fuzztime $(FUZZ_TIME) ./internal/mw/
+	$(GO) test -run xxx -fuzz '^FuzzWaitMatchesOracle$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 
 # Model-based torture, two halves. The sequential differential: seeded
 # workloads against the reference model through direct, instrumented

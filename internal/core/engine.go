@@ -536,12 +536,12 @@ func (e *Engine) ComputeWaitPeriod(b float64) int {
 // strategies are optimistic for the buyer, so a truthful losing buyer
 // cannot have won before the wait expires (Claim 3).
 //
-// Every replayed round moves the scratch weights exactly as a live epoch
-// close would: round one goes through scoreEpoch, and every round
-// through the learner's Prepare and Apply, which give each weight
-// Update's bits. Rounds two onward see E copies of one value s, loaded
-// into auction.Curve once per call with no sort; a round then moves only
-// the candidates that earn other than the price it plays.
+// Every replayed round moves weights exactly as a live epoch close
+// would, giving each Update's bits. Unmixed, with later rounds of E
+// copies of a synthetic s <= b, leadRounds computes only the weights that
+// can decide the answer. Otherwise round one goes through scoreEpoch and
+// every round through the learner's Prepare and Apply, rounds two onward
+// on E copies of s loaded into auction.Curve once per call with no sort.
 func (e *Engine) computeWaitPeriod(b float64) int {
 	synthetic := e.cfg.MinBid
 	if e.cfg.Wait == WaitStable {
@@ -554,9 +554,9 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 		synthetic = e.minCandidate
 	}
 
-	cands, size := e.cfg.Candidates, e.cfg.EpochSize
+	cands, size, lead := e.cfg.Candidates, e.cfg.EpochSize, e.learner.ArgMax()
 	remaining := size - len(e.epoch)
-	if b >= cands[e.learner.ArgMax()] {
+	if b >= cands[lead] {
 		// The bid already matches the most likely price; it lost only to
 		// draw randomness. The earliest new opportunity is the next
 		// price draw, i.e. the end of the current epoch.
@@ -578,7 +578,6 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 		first = append(first, synthetic)
 	}
 	e.curve.Sort(first)
-	moved := e.scoreEpoch(e.price)
 	simulated := remaining
 
 	// Rounds two onward replay E copies of the synthetic bid, loaded into
@@ -587,7 +586,12 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 	// by its first element alone and so kept re-scoring the round-one
 	// epoch then; recorded waits are replayed from journals, so the quirk
 	// is part of the contract (DESIGN.md, "Wait-period computation").
-	if keepFirst := len(e.epoch) > 0 && e.epoch[0] == synthetic; !keepFirst {
+	keepFirst := len(e.epoch) > 0 && e.epoch[0] == synthetic
+	if e.cfg.ShareFraction == 0 && !keepFirst && b >= synthetic {
+		return ceilDiv(simulated+size*e.leadRounds(b, synthetic, lead), e.cfg.BidsPerPeriod)
+	}
+	moved := e.scoreEpoch(e.price)
+	if !keepFirst {
 		e.curve.Fill(synthetic, size)
 	}
 
@@ -620,6 +624,90 @@ func (e *Engine) computeWaitPeriod(b float64) int {
 	// Never became competitive within the cap: per Section 4.2, waiting
 	// cannot harm a buyer whose bid would never have won; return the cap.
 	return ceilDiv(simulated, e.cfg.BidsPerPeriod)
+}
+
+// Mutation seams for TestWaitPruneCanary and TestWaitTieBreakCanary:
+// the cost whose factor bounds every gain, and ArgMax's rule for a tie.
+var pruneCost, leadsTie = -1.0, func(i, j int) bool { return i < j }
+
+// leadRounds is computeWaitPeriod's replay (round one in the curve) for
+// an unmixed learner whose later rounds are E copies of s <= b: the round,
+// 0 for round one, after which b is competitive, or the cap. A later
+// round plays the leader, above b, so only M, the candidates at or below
+// s and all competitive, move, each by a fixed gain. So only M and the
+// best other weight after round one count, and of the others only
+// contenders are scored: weights that, times the largest factor their
+// cost allows (1 for a loss, 1 + y·eta for a gain y by Bernoulli, and
+// some ulps), reach the best so far. The cut is a quotient: no pruned
+// weight, on an old engine mostly subnormal, is multiplied.
+func (e *Engine) leadRounds(b, s float64, lead int) int {
+	cands, w := e.cfg.Candidates, e.learner.WeightsInto(e.simW)
+	_, optR := e.curve.Optimal() // > 0: round one pads with s
+	revenue := e.curve.Revenue(e.price)
+	cost := func(p float64) float64 { return (revenue - e.curve.Revenue(p)) / optR } // scoreEpoch's
+	top, best := w[lead]*e.learner.Factor(cost(cands[lead])), lead
+	eta := e.learner.Factor(pruneCost) - 1 // as the learner rounds 1+eta
+	cut := top / ((1 + eta) * (1 + 0x1p-49))
+	for i, p := range cands {
+		if p <= s || i == lead || w[i] < cut {
+			continue
+		}
+		if c := cost(p); w[i]*(1+max(0, -c)*eta)*(1+0x1p-49) >= top {
+			if v := w[i] * e.learner.Factor(c); v > top || v == top && leadsTie(i, best) {
+				top, best, cut = v, i, v/((1+eta)*(1+0x1p-49))
+			}
+		}
+	}
+	// M after round one, packed in index order: weights in w[:m], prices
+	// in e.costs[:m]; the first lo take the leader's place on a tie.
+	m, lo := 0, 0
+	for i, p := range cands {
+		if p > s {
+			continue
+		}
+		if w[m] = w[i] * e.learner.Factor(cost(p)); w[m] > top || w[m] == top && leadsTie(i, best) {
+			return 0
+		}
+		if e.costs[m], m = p, m+1; leadsTie(i, best) {
+			lo = m
+		}
+	}
+	if b >= cands[best] {
+		return 0
+	}
+	if wL := top; !(top > 1e-6 && top < 1e6) { // round one's rescale
+		for k := range w[:m] {
+			w[k] /= wL
+		}
+		top = 1
+	}
+	// Later rounds cost (0 - p·E)/(E·s) for p in M, Optimal being E·s.
+	// Where they could cost much (many or subnormal products) a bound on
+	// M's reach in the n rounds left comes first: a product rounds up by
+	// at most half an ulp or half the subnormal spacing, so (W +
+	// n·2⁻¹⁰⁷⁴)·(G(1+2⁻⁵²))ⁿ for the largest weight W and gain G, in logs
+	// (no n overflows them) with a margin far above their error.
+	size, rounds := float64(e.cfg.EpochSize), e.cfg.maxWaitEpochs()
+	g, maxW, maxG := e.costs[:m], 0.0, 1.0
+	for k, p := range g {
+		g[k] = e.learner.Factor((0 - p*size) / (size * s))
+		maxW, maxG = max(maxW, w[k]), max(maxG, g[k])
+	}
+	if n := float64(rounds - 1); maxW < 0x1p-1022 || float64(m)*n > 256 {
+		reach, ln := math.Log(maxW+n*0x1p-1074)+n*math.Log(maxG*(1+0x1p-52)), math.Log(top)
+		if reach+1e-9*(1+math.Abs(reach)+math.Abs(ln)) < ln {
+			return rounds
+		}
+	}
+	first := rounds // each of M runs alone to its lead, or the earliest yet
+	for k, f := range g {
+		for r, v := 1, w[k]; r < first; r++ {
+			if v *= f; v > top || v == top && k < lo {
+				first = r
+			}
+		}
+	}
+	return first
 }
 
 func ceilDiv(a, b int) int {

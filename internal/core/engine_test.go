@@ -589,8 +589,9 @@ func BenchmarkSubmitBid(b *testing.B) {
 // engine, and on marketd's (40 candidates, epochs of 8, floor 1) after
 // 400 epochs of Normal(100, 30) bids, for a bid of 25 — a replay of all
 // or nearly all of the 64 epochs — under Bound, Stable and Bound with
-// fixed-share mixing. The wait is reported so a change that shortens
-// the replay shows.
+// fixed-share mixing; and under Bound at 46 epochs (the age of
+// store_recover's engines) and 2 500 (BenchmarkSubmitBidConverged's).
+// The wait is reported so a change that shortens the replay shows.
 func BenchmarkComputeWaitPeriod(b *testing.B) {
 	serving := Config{Candidates: auction.LinearGrid(1, 200, 40), EpochSize: 8, BidsPerPeriod: 1, MinBid: 1, Seed: 42}
 	stable, share := serving, serving
@@ -606,6 +607,8 @@ func BenchmarkComputeWaitPeriod(b *testing.B) {
 		{"serving/Bound", serving, normalBid, 25, 3200},
 		{"serving/Stable", stable, normalBid, 25, 3200},
 		{"serving/Bound-share", share, normalBid, 25, 3200},
+		{"serving/Bound-young", serving, normalBid, 25, 46 * 8},
+		{"serving/Bound-converged", serving, normalBid, 25, 2500 * 8},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := MustNew(bc.cfg)

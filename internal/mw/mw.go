@@ -247,12 +247,7 @@ func (l *Learner) settle(weights []float64) {
 
 // Round is a cost vector prepared for a scratch weight vector that takes
 // it again and again, as the Time-Shield wait replay's rounds do.
-type Round struct {
-	factors []float64
-	n       int     // every factor past the first n is exactly 1
-	max     float64 // the largest weight whose factor is 1, -1 if none,
-	best    int     // and its first index
-}
+type Round struct{ factors []float64 }
 
 // Prepare turns costs, in place, into the factors Update would multiply
 // weights by and records them in r; it panics as Update does.
@@ -266,51 +261,25 @@ func (l *Learner) Prepare(r *Round, weights, costs []float64) {
 		costs[i] = factor
 	}
 	r.factors = costs
-	r.cache(weights)
 }
 
 // Apply runs r on the weights it was prepared against, giving each
-// Update's bits, and returns ArgMax of the result. Unmixed, it multiplies
-// only factors other than 1 (x*1 == x) and takes the better of their and
-// the cached maximum, ties to the lower index; a rescale recaches.
+// Update's bits, and returns ArgMax of the result. A factor of exactly 1
+// is skipped (x*1 == x): on a converged learner most weights it leaves
+// are subnormal, and a subnormal product costs tens of nanoseconds.
 func (l *Learner) Apply(r *Round, weights []float64) int {
-	if l.share > 0 {
-		for i, f := range r.factors {
+	for i, f := range r.factors {
+		if f != 1 {
 			weights[i] *= f
 		}
-		l.settle(weights)
-		return ArgMax(weights)
 	}
-	maxW, best := r.max, r.best
-	for i, f := range r.factors[:r.n] {
-		if f != 1 {
-			w := weights[i] * f
-			weights[i] = w
-			if w > maxW || (w == maxW && i < best) {
-				maxW, best = w, i
-			}
-		}
-	}
-	if maxW > 1e-6 && maxW < 1e6 {
-		return best
-	}
-	l.settle(weights) // unmixed: the rescale alone
-	r.cache(weights)
+	l.settle(weights)
 	return ArgMax(weights)
 }
 
-// cache records where the factors other than 1 end and the largest of
-// the other experts' weights.
-func (r *Round) cache(weights []float64) {
-	r.n, r.max, r.best = 0, -1, -1
-	for i, f := range r.factors {
-		if f != 1 {
-			r.n = i + 1
-		} else if weights[i] > r.max {
-			r.max, r.best = weights[i], i
-		}
-	}
-}
+// Factor returns the factor Update multiplies an expert's weight by for
+// cost c, bit for bit. Unlike Update it does not refuse a bad cost.
+func (l *Learner) Factor(c float64) float64 { return l.factor(clampCost(c)) }
 
 // checkCosts panics unless costs holds one cost in [-1, 1] per weight.
 func checkCosts(weights, costs []float64) {

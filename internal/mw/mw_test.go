@@ -582,19 +582,6 @@ func FuzzRoundMatchesStep(f *testing.F) {
 	})
 }
 
-// TestApplyTieBreakCanary: a moving expert lands exactly on the maximum
-// of the experts that stay put, at a lower index, so ArgMax's first-index
-// rule must pick it.
-func TestApplyTieBreakCanary(t *testing.T) {
-	l := NewLearner(make([]float64, 3), 0.5)
-	weights := []float64{2, 1, 0.5}
-	var r Round
-	l.Prepare(&r, weights, []float64{1, 0, -1}) // 2·0.5 ties the still 1
-	if got := l.Apply(&r, weights); got != 0 || ArgMax(weights) != 0 || weights[0] != weights[1] {
-		t.Fatalf("Apply = %d on %v, want 0 (the lower index of the tie)", got, weights)
-	}
-}
-
 // TestBadCostChangesNothing: a cost vector with one bad entry past the
 // first is refused whole — the weights before it are not multiplied, no
 // regret account moves and Prepare turns no cost into a factor.
