@@ -11,7 +11,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# go vet, then eight house rules. A binary varint is read and written
+# go vet, then the house rules. A binary varint is read and written
 # only by internal/binenc's walkers, so no hand-rolled byte cursor creeps
 # back beside them; fails listing every non-test call outside binenc.
 # Every write reaches the state as bytes, through market.Market's
@@ -29,7 +29,12 @@ fmt-check:
 # segment suffix to list segment files itself; fails listing file:line. One open-loop driver paces live
 # traffic, internal/loadrig's (cmd/shieldload, its -addr a running
 # server), so outside it and benchmark/'s probes nothing calls
-# loadrig.NewPacer to grow a second; fails listing file:line. And the
+# loadrig.NewPacer to grow a second; fails listing file:line. Records
+# are framed by the commit stage alone (and by migration), and a
+# market's writer side is taken only in internal/journal and
+# internal/market, so a follower cannot grow a second writer of the
+# record format or an apply path beside the stage again; each fails
+# listing file:line. And the
 # applier's packages import no clock, OS, lock or ambient randomness, so
 # a command's outcome is a function of the state and the command alone
 # and replay rebuilds what was acknowledged; fails naming the package
@@ -67,6 +72,12 @@ vet:
 	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/loadrig/' -e '^benchmark/' | \
 		xargs grep -n -F 'loadrig.NewPacer(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "an open-loop driver outside internal/loadrig and benchmark/ (drive a server with shieldload -addr):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/journal/\(journal\|frame\|migrate\)\.go$$' | \
+		xargs grep -n -F 'beginFrame(' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "a record framed outside the commit stage and migration (a follower's records go through journal.Market's stage too):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '^internal/journal/' -e '^internal/market/' | \
+		xargs grep -n -F '.Stage()' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "a market's writer side taken outside internal/journal and internal/market (write through journal.Market):"; echo "$$out"; exit 1; fi
 	@out="$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' $(APPLIER_PKGS:%=./internal/%) | tr -d '[]' | \
 		awk '{ for (i = 2; i <= NF; i++) if ($$i ~ /^(time|os|sync|sync\/atomic|math\/rand|math\/rand\/v2)$$/) print $$1 " imports " $$i }')"; \
 		if [ -n "$$out" ]; then echo "clock, OS or concurrency import in an applier package:"; echo "$$out"; exit 1; fi
@@ -106,7 +117,8 @@ build:
 # kept by one worker, the market's shared log and bitsets
 # under readers, its participant registries doubling under readers, a
 # checkpoint encoding the cut's shared name and transaction views while
-# the stage appends to them, a wire bid's body, read by the commit
+# the stage appends to them, a follower's reseed, which waits out a
+# checkpoint still being written, a wire bid's body, read by the commit
 # stage from the connection's payload buffer while the connection waits,
 # ScanRecords' reader goroutine, stopped and gone on every way a scan
 # ends, a follower's catch-up scan of the leader's segments, which
@@ -119,7 +131,7 @@ race:
 	$(GO) test -race ./internal/market/... ./internal/command/... ./internal/httpapi/... ./internal/journal/... ./internal/obs/... ./internal/wire/... ./internal/client/... ./internal/replica/... ./internal/loadrig/... ./cmd/shieldtop/... ./cmd/metricslint/... ./internal/sim/... ./internal/experiments/... ./cmd/marketsim/...
 	$(GO) test -race -run 'TestHotStorm' ./internal/torture/
 	$(GO) test -race -run 'TestSharedLogAndBitsetsUnderReaders|TestRegistryGrowsUnderReaders' -count=10 ./internal/market/
-	$(GO) test -race -run 'TestStoreCheckpointsMatchReplayUnderHotDatasetConcurrency' -count=10 ./internal/journal/
+	$(GO) test -race -run 'TestStoreCheckpointsMatchReplayUnderHotDatasetConcurrency|TestFollowerReseedWaitsOutAnInFlightCheckpoint' -count=10 ./internal/journal/
 	$(GO) test -race -run 'TestRequestContextDoesNotLeakIdentity|TestRecordIsTheRequest' -count=10 ./internal/wire/
 	$(GO) test -race -run 'TestRunGridLeavesNoGoroutines|TestRunGridIsTheSerialSweep' -count=10 ./internal/sim/
 	$(GO) test -race -run 'TestScanRecordsLeavesNoGoroutines' -count=10 ./internal/journal/

@@ -182,10 +182,10 @@ func chainReaders(sc StoreConfig) map[string]func(dir string) error {
 			}
 			return err
 		},
-		"OpenReplicaStore": func(dir string) error {
-			rs, _, _, err := OpenReplicaStore(dir, sc)
-			if err == nil {
-				rs.Close()
+		"OpenFollower": func(dir string) error {
+			m, err := OpenFollower(dir, sc)
+			if m != nil {
+				m.Close()
 			}
 			return err
 		},

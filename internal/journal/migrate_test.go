@@ -129,10 +129,10 @@ func TestMigrateRefusalByName(t *testing.T) {
 			_, _, _, err := RecoverDir(path)
 			return err
 		},
-		"OpenReplicaStore": func(path string) error {
-			rs, _, _, err := OpenReplicaStore(path, smallStoreConfig())
-			if err == nil {
-				rs.Close()
+		"OpenFollower": func(path string) error {
+			m, err := OpenFollower(path, smallStoreConfig())
+			if m != nil {
+				m.Close()
 			}
 			return err
 		},

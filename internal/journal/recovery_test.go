@@ -417,7 +417,7 @@ func gauge(t *testing.T, tel *obs.Telemetry, name string) float64 {
 }
 
 // TestRecoveryTelemetry: opening a store under WithTelemetry — as a
-// leader or as a follower's replica store — reports, once, how long
+// leader or as a follower's store — reports, once, how long
 // recovery took, how much of it deriving the read views took, and how
 // many records it replayed past the checkpoint.
 func TestRecoveryTelemetry(t *testing.T) {
@@ -433,18 +433,19 @@ func TestRecoveryTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtel := obs.NewTelemetry()
-	rs, _, lastSeq, err := journal.OpenReplicaStore(h.dir, sc, journal.WithTelemetry(rtel))
+	fm, err := journal.OpenFollower(h.dir, sc, journal.WithTelemetry(rtel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Close(); err != nil {
+	lastSeq := fm.LastSeq()
+	if err := fm.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	if want := int(lastSeq - h.ckpt); replayed != want || replayed == 0 {
 		t.Fatalf("OpenStore replayed %d records, want the %d past checkpoint %d", replayed, want, h.ckpt)
 	}
-	for who, tel := range map[string]*obs.Telemetry{"OpenStore": tel, "OpenReplicaStore": rtel} {
+	for who, tel := range map[string]*obs.Telemetry{"OpenStore": tel, "OpenFollower": rtel} {
 		if got := gauge(t, tel, "shield_journal_recovery_records"); got != float64(replayed) {
 			t.Errorf("%s: shield_journal_recovery_records = %v, want %d", who, got, replayed)
 		}

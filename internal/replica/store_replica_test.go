@@ -2,10 +2,12 @@ package replica
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
@@ -151,10 +153,60 @@ func TestFollowerPersistentColdRestart(t *testing.T) {
 	}
 }
 
+// TestFollowerKeepsServingWhenItsStoreFails: the local-store failure
+// policy. A follower whose store directory is removed mid-stream fails
+// the next rotation's segment creation; the failure is sticky and
+// non-fatal — PersistErr names it, the follower stays ready and keeps
+// converging in memory, and the store takes no further record or
+// checkpoint.
+func TestFollowerKeepsServingWhenItsStoreFails(t *testing.T) {
+	r := newLeaderRig(t, 0)
+	dir := filepath.Join(t.TempDir(), "follower")
+	f, err := Start(Config{Dial: r.dial, Dir: dir, Store: journal.StoreConfig{SegmentRecords: 4, CheckpointEvery: 6},
+		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	appendChurn(t, r, "pa", 10)
+	mustMatchLeader(t, r, f)
+	st := f.m.Store()
+	if err := cmp.Or(f.PersistErr(), st.Checkpoint()); err != nil {
+		t.Fatal(err) // healthy so far; no checkpoint is left in flight
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	appendChurn(t, r, "pb", 8) // two segments' worth: the rotation must fail
+	mustMatchLeader(t, r, f)
+	perr := f.PersistErr()
+	if !errors.Is(perr, fs.ErrNotExist) || !strings.Contains(perr.Error(), dir) {
+		t.Fatalf("PersistErr() = %v, want the failed segment creation in %s", perr, dir)
+	}
+	if err := f.Ready(); err != nil {
+		t.Fatalf("a follower whose store failed turned unready: %v", err)
+	}
+
+	ckpt := st.LastCheckpoint()
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	appendChurn(t, r, "pc", 20)
+	mustMatchLeader(t, r, f)
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 || st.LastCheckpoint() != ckpt {
+		t.Fatalf("the failed store took more: files %v (%v), checkpoint %d → %d", ents, err, ckpt, st.LastCheckpoint())
+	}
+	if got := f.PersistErr(); got == nil || got.Error() != perr.Error() {
+		t.Fatalf("PersistErr() moved from %v to %v", perr, got)
+	}
+}
+
 // TestFollowerRegistersOnlyRecoveryGauges: a follower with a local
-// store has no journal writer, so of the journal's families its
-// registry — the /metrics of `marketd -follow -journal-dir` — holds the
-// two recovery gauges and nothing that would sit at zero forever.
+// store has an uninstrumented journal writer, so of the journal's
+// families its registry — the /metrics of `marketd -follow
+// -journal-dir` — holds the two recovery gauges and nothing that would
+// sit at zero forever.
 func TestFollowerRegistersOnlyRecoveryGauges(t *testing.T) {
 	r := newLeaderRig(t, 0)
 	tel := obs.NewTelemetry()
@@ -256,7 +308,7 @@ func TestOnePayloadFromStageToFollower(t *testing.T) {
 	if !sawTrace {
 		t.Fatal("the traced bid's record does not carry its request ID")
 	}
-	follower := segmentPayloads(f.rs.Store())
+	follower := segmentPayloads(f.m.Store())
 	for seq := first; seq <= last; seq++ {
 		rec := <-sub.Records
 		fr, err := wire.DecodeReplicationFrame(rec.Payload, seq-1)

@@ -261,16 +261,13 @@ func (b *bitrot) readers(flip int, dir string, tg *rotTarget) *Failure {
 			defer jm.Close()
 			return jm.Market, jm.LastSeq(), nil
 		}},
-		{"OpenReplicaStore", false, func(dir string) (*market.Market, int64, error) {
-			rs, r, seq, err := journal.OpenReplicaStore(dir, ro)
-			if err != nil {
+		{"OpenFollower", false, func(dir string) (*market.Market, int64, error) {
+			jm, err := journal.OpenFollower(dir, ro)
+			if jm == nil {
 				return nil, 0, err
 			}
-			defer rs.Close()
-			if r == nil {
-				return nil, seq, nil
-			}
-			return r.Market, seq, nil
+			defer jm.Close()
+			return jm.Market, jm.LastSeq(), nil
 		}},
 	} {
 		own := filepath.Join(filepath.Dir(dir), "copy-"+rd.name)
