@@ -229,6 +229,12 @@ func (s Stage) ApplyBatch(ctx context.Context, body []byte, res []BidResult) (ev
 	return evs, applied
 }
 
+// Replay applies a logged record's payload whole, as recovery does
+// (command.ApplyEncoded), appending its events to evs unpublished.
+func (s Stage) Replay(body []byte, evs []command.Event) ([]command.Event, error) {
+	return command.ApplyEncoded(s.m.st, body, evs)
+}
+
 // checkBody refuses a body too long to replicate.
 func checkBody(body []byte) error {
 	if len(body) > command.MaxEncoded {
