@@ -41,7 +41,10 @@ fmt-check:
 # and the import. And an HTTP request's shield-side state lives in its
 # one requestState, whose context handlers read through stateOf, so no
 # non-test internal/httpapi code copies a request with WithContext;
-# fails listing file:line. And each mechanism has one implementation, the
+# fails listing file:line. And the torture harness drives the served
+# market only: no non-test internal/torture file imports internal/expost,
+# whose arbiter's determinism is its own package's test; fails listing
+# file:line. And each mechanism has one implementation, the
 # one the program runs: every exported package-level function under
 # internal/ is named by some non-test Go file (declarations and comment
 # lines do not count), so no second copy lives on for its own tests;
@@ -49,7 +52,8 @@ fmt-check:
 APPLIER_PKGS = command core mw auction rng provenance binenc
 # faultfs.NewSeeded, obs.WithRequestID and obs.WithTrace: other
 # packages' tests call them. torture.CommandCorpus and SettleCorpus:
-# the fuzz targets' seeds. mw.OptimalEta: the regret-bound learning
+# the fuzz targets' seeds, the second the workload's bids spelled as the
+# retired settlement (opcode 9, JSON "settle"). mw.OptimalEta: the regret-bound learning
 # rate, kept for ROADMAP item 12.
 UNCALLED_OK = faultfs.NewSeeded obs.WithRequestID obs.WithTrace torture.CommandCorpus torture.SettleCorpus mw.OptimalEta
 vet:
@@ -84,6 +88,9 @@ vet:
 	@out="$$(git ls-files -co --exclude-standard -- 'internal/httpapi/*.go' | grep -v '_test\.go$$' | \
 		xargs grep -n -F '.WithContext(' /dev/null)"; if [ -n "$$out" ]; then \
 		echo "a request copied in internal/httpapi (read its context from requestState with stateOf):"; echo "$$out"; exit 1; fi
+	@out="$$(git ls-files -co --exclude-standard -- 'internal/torture/*.go' | grep -v '_test\.go$$' | \
+		xargs grep -n -F 'internal/expost"' /dev/null)"; if [ -n "$$out" ]; then \
+		echo "internal/expost imported by the torture harness (it drives the served market; the arbiter's determinism is internal/expost's test):"; echo "$$out"; exit 1; fi
 	@out="$$(git ls-files -co --exclude-standard -- 'internal/*.go' | grep -v '_test\.go$$' | \
 		xargs grep -H -o -E '^func [A-Z][A-Za-z0-9_]*' | sed 's/:func / /' | while read -r f n; do \
 		d="$${f%/*}"; case " $(UNCALLED_OK) " in *" $${d##*/}.$$n "*) continue ;; esac; \

@@ -24,6 +24,10 @@ type ReplicaSource interface {
 	// of the leader's seq, seconds since it last proved currency, and
 	// whether the replication stream is currently connected.
 	Staleness() (applied, leader int64, lagSeconds float64, connected bool)
+	// PersistErr reports why the follower's local store stopped taking
+	// records, nil while it is healthy or when there is none. The
+	// follower serves on from memory, so it leaves Ready alone.
+	PersistErr() error
 }
 
 // NewReplica builds a read-only Server over a replication follower.
@@ -41,8 +45,9 @@ func NewReplica(src ReplicaSource) *Server {
 }
 
 // handleReplicaReadyz is /readyz on a replica: the usual ready/unready
-// verdict plus the staleness numbers operators alert on. The same
-// numbers are exported as shield_replica_* gauges; this endpoint is the
+// verdict plus the staleness numbers operators alert on, and
+// "persist_error" when the local store has failed. The same numbers are
+// exported as shield_replica_* gauges; this endpoint is the
 // per-instance view a load balancer's health check reads.
 func (s *Server) handleReplicaReadyz(w http.ResponseWriter) {
 	applied, leader, lag, connected := s.replica.Staleness()
@@ -52,6 +57,9 @@ func (s *Server) handleReplicaReadyz(w http.ResponseWriter) {
 		"leader_seq":  leader,
 		"lag_seconds": lag,
 		"connected":   connected,
+	}
+	if err := s.replica.PersistErr(); err != nil {
+		body["persist_error"] = err.Error()
 	}
 	if err := s.replica.Ready(); err != nil {
 		body["status"] = "unready"

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -21,10 +22,12 @@ type fakeReplica struct {
 	leader   int64
 	lag      float64
 	connstat bool
+	persist  error
 }
 
 func (f *fakeReplica) Market() *market.Market { return f.m }
 func (f *fakeReplica) Ready() error           { return f.ready }
+func (f *fakeReplica) PersistErr() error      { return f.persist }
 func (f *fakeReplica) Staleness() (int64, int64, float64, bool) {
 	return f.applied, f.leader, f.lag, f.connstat
 }
@@ -162,5 +165,32 @@ func TestReplicaReadyzCarriesStaleness(t *testing.T) {
 	}
 	if unready["status"] != "unready" || unready["reason"] == "" {
 		t.Fatalf("unready readyz body: %v", unready)
+	}
+}
+
+// TestReplicaReadyzNamesAFailedStore: a replica whose local store has
+// failed stays ready — it serves on from memory — and its /readyz body
+// carries the failure as "persist_error"; a healthy one's has no such
+// field.
+func TestReplicaReadyzNamesAFailedStore(t *testing.T) {
+	src := &fakeReplica{m: replicaMarket(t), applied: 7, leader: 7, connstat: true}
+	ts := httptest.NewServer(NewReplica(src).Routes())
+	defer ts.Close()
+
+	var healthy map[string]any
+	if resp := get(t, ts, "/readyz", &healthy); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz: %d (%v)", resp.StatusCode, healthy)
+	}
+	if _, ok := healthy["persist_error"]; ok {
+		t.Fatalf("a healthy store's readyz names a failure: %v", healthy)
+	}
+
+	src.persist = errors.New("replica: local store: open seg: no such file or directory")
+	var failed map[string]any
+	if resp := get(t, ts, "/readyz", &failed); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz with a failed store: %d (%v)", resp.StatusCode, failed)
+	}
+	if failed["status"] != "ready" || failed["persist_error"] != src.persist.Error() {
+		t.Fatalf("readyz with a failed store: %v, want status ready and persist_error %q", failed, src.persist)
 	}
 }

@@ -498,8 +498,8 @@ func (f *Follower) TestResume() {
 }
 
 // register exposes the follower's replication position as scrape-time
-// gauges: applied/leader seq, lag in records and seconds, and stream
-// connectedness.
+// gauges: applied/leader seq, lag in records and seconds, stream
+// connectedness, and whether its local store has failed.
 func (f *Follower) register(r *obs.Registry) {
 	gauge := func(name, help string, value func(applied, leader int64, lag float64, connected bool) float64) {
 		r.Collect(name, help, obs.KindGauge, func(emit func(float64, ...string)) { emit(value(f.Staleness())) })
@@ -518,5 +518,13 @@ func (f *Follower) register(r *obs.Registry) {
 				return 1
 			}
 			return 0
+		})
+	r.Collect("shield_replica_store_failed", "Whether the replica's local store has failed (1), leaving it serving from memory, or not (0).",
+		obs.KindGauge, func(emit func(float64, ...string)) {
+			if f.PersistErr() != nil {
+				emit(1)
+				return
+			}
+			emit(0)
 		})
 }

@@ -158,12 +158,13 @@ func TestFollowerPersistentColdRestart(t *testing.T) {
 // the next rotation's segment creation; the failure is sticky and
 // non-fatal — PersistErr names it, the follower stays ready and keeps
 // converging in memory, and the store takes no further record or
-// checkpoint.
+// checkpoint. Its shield_replica_store_failed gauge reads 1 from then on.
 func TestFollowerKeepsServingWhenItsStoreFails(t *testing.T) {
 	r := newLeaderRig(t, 0)
 	dir := filepath.Join(t.TempDir(), "follower")
+	tel := obs.NewTelemetry()
 	f, err := Start(Config{Dial: r.dial, Dir: dir, Store: journal.StoreConfig{SegmentRecords: 4, CheckpointEvery: 6},
-		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+		Telemetry: tel, BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +175,17 @@ func TestFollowerKeepsServingWhenItsStoreFails(t *testing.T) {
 	if err := cmp.Or(f.PersistErr(), st.Checkpoint()); err != nil {
 		t.Fatal(err) // healthy so far; no checkpoint is left in flight
 	}
+	storeFailed := func(want string) {
+		t.Helper()
+		var text strings.Builder
+		if err := tel.Registry.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		if line := "\nshield_replica_store_failed " + want + "\n"; !strings.Contains(text.String(), line) {
+			t.Fatalf("exposition lacks %q", strings.TrimSpace(line))
+		}
+	}
+	storeFailed("0")
 
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
@@ -187,6 +199,7 @@ func TestFollowerKeepsServingWhenItsStoreFails(t *testing.T) {
 	if err := f.Ready(); err != nil {
 		t.Fatalf("a follower whose store failed turned unready: %v", err)
 	}
+	storeFailed("1")
 
 	ckpt := st.LastCheckpoint()
 	if err := os.Mkdir(dir, 0o755); err != nil {

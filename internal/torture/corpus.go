@@ -11,8 +11,8 @@ import (
 )
 
 // commandFromOp converts one generated workload op into its typed
-// command. Query ops are reads and settle ops go to the ex-post twins —
-// neither has a command form — so ok is false for them.
+// command. Query ops are reads, with no command form, so ok is false
+// for them.
 func commandFromOp(op Op) (command.Command, bool) {
 	switch op.Kind {
 	case OpRegisterBuyer:
@@ -50,26 +50,22 @@ func commandFromOp(op Op) (command.Command, bool) {
 // determinism makes the corpus stable across runs of the same seed.
 func CommandCorpus(seed uint64, ops int) ([][]byte, error) { return corpus(seed, ops, false) }
 
-// SettleCorpus replays the same workload and returns its settle ops as
-// the command codec spelled them before settlements left it for the
-// ex-post twins: JSON op "settle" and binary opcode 9, each op's JSON
-// then its binary as in CommandCorpus. Every decoder must refuse them as
-// an unknown op; they seed the decode fuzzers with that refusal in the
-// shapes earlier clients wrote.
+// SettleCorpus replays the same workload and spells each of its
+// non-chaos bids as the command codec spelled a settlement before
+// settlements left it: JSON op "settle" and binary opcode 9, each op's
+// JSON then its binary as in CommandCorpus, the exante flag set at even
+// op indexes. Every decoder must refuse them as an unknown op; they seed
+// the decode fuzzers with that refusal in the shapes earlier clients
+// wrote.
 func SettleCorpus(seed uint64, ops int) ([][]byte, error) { return corpus(seed, ops, true) }
 
 func corpus(seed uint64, ops int, settles bool) ([][]byte, error) {
-	cfg := Config{Seed: seed, Ops: ops}
-	cfg.applyDefaults()
-	minBid := cfg.Engine.MinBid
-	if minBid <= 0 {
-		minBid = 1
-	}
-	gen, err := newGenerator(seed, minBid)
+	eng := DefaultEngine()
+	gen, err := newGenerator(seed, eng.MinBid)
 	if err != nil {
 		return nil, err
 	}
-	ref := command.MustNewState(market.Config{Engine: cfg.Engine, Seed: seed})
+	ref := command.MustNewState(market.Config{Engine: eng, Seed: seed})
 
 	var out [][]byte
 	for i := 0; i < ops; i++ {
@@ -84,8 +80,8 @@ func corpus(seed uint64, ops int, settles bool) ([][]byte, error) {
 				return nil, fmt.Errorf("torture: corpus op %d (%s): binary: %w", i, op, err)
 			}
 			out = append(out, j, b)
-		} else if op.Kind == OpSettle && settles {
-			j, b, err := retiredSettle(op)
+		} else if settles && op.Kind == OpBid && !op.chaos {
+			j, b, err := retiredSettle(op, i%2 == 0)
 			if err != nil {
 				return nil, fmt.Errorf("torture: corpus op %d (%s): %w", i, op, err)
 			}
@@ -97,21 +93,21 @@ func corpus(seed uint64, ops int, settles bool) ([][]byte, error) {
 	return out, nil
 }
 
-// retiredSettle spells a settle op in the retired settlement encoding:
+// retiredSettle spells a bid op in the retired settlement encoding:
 // JSON op "settle" with the fields it carried, and binary opcode 9 with
 // a bid's buyer, dataset and amount then the exante flag's byte.
-func retiredSettle(op Op) (j, b []byte, err error) {
+func retiredSettle(op Op, exante bool) (j, b []byte, err error) {
 	j, err = json.Marshal(struct {
 		Op      string           `json:"op"`
 		Buyer   market.BuyerID   `json:"buyer,omitempty"`
 		Dataset market.DatasetID `json:"dataset,omitempty"`
 		Amount  float64          `json:"amount,omitempty"`
 		Exante  bool             `json:"exante,omitempty"`
-	}{"settle", op.Buyer, op.Dataset, op.Amount, op.Exante})
+	}{"settle", op.Buyer, op.Dataset, op.Amount, exante})
 	c := binenc.Encoder([]byte{9})
 	binenc.Bytes(c, &op.Buyer)
 	binenc.Bytes(c, &op.Dataset)
 	c.Float(&op.Amount)
-	c.Bool(&op.Exante)
+	c.Bool(&exante)
 	return j, c.B, errors.Join(err, c.Err())
 }

@@ -1,8 +1,8 @@
 // Package torture is a deterministic model-based torture harness for
 // the data market. A seeded workload generator produces a reproducible
 // stream of market operations (bids, batches, ticks, dataset churn,
-// price queries, ex-post settlements) driven by the buyer personas of
-// internal/buyers and AR(1) valuation series from internal/timeseries.
+// price queries) driven by the buyer personas of internal/buyers and
+// AR(1) valuation series from internal/timeseries.
 // Every history is applied simultaneously to a single-goroutine
 // reference model (reference.go) and to real store-backed journaled
 // markets — called directly, instrumented with telemetry, and reached
@@ -26,7 +26,6 @@ import (
 	"github.com/datamarket/shield/internal/auction"
 	"github.com/datamarket/shield/internal/command"
 	"github.com/datamarket/shield/internal/core"
-	"github.com/datamarket/shield/internal/expost"
 	"github.com/datamarket/shield/internal/journal"
 	"github.com/datamarket/shield/internal/market"
 	"github.com/datamarket/shield/internal/obs"
@@ -308,9 +307,6 @@ type harness struct {
 	txSum   market.Money
 	txCount int
 
-	twinA, twinB      *expost.Arbiter
-	lastExpostRevenue market.Money
-
 	report Report
 }
 
@@ -341,12 +337,8 @@ func Run(cfg Config) (*Report, error) {
 	if eng.MaxWaitEpochs == 0 {
 		eng.MaxWaitEpochs = 64
 	}
-	minBid := eng.MinBid
-	if minBid <= 0 {
-		minBid = 1
-	}
 
-	gen, err := newGenerator(cfg.Seed, minBid)
+	gen, err := newGenerator(cfg.Seed, cfg.Engine.MinBid)
 	if err != nil {
 		return nil, err
 	}
@@ -402,15 +394,6 @@ func Run(cfg Config) (*Report, error) {
 			h.killAt = append(h.killAt, cfg.Ops/4+chaos.Intn(cfg.Ops/2))
 		}
 		sort.Ints(h.killAt)
-	}
-
-	// Two identically-seeded ex-post arbiters: the settle stream must be
-	// bit-for-bit deterministic across instances.
-	for _, a := range []**expost.Arbiter{&h.twinA, &h.twinB} {
-		*a, err = expost.New(expost.Config{Engine: cfg.Engine, Seed: cfg.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("torture: ex-post arbiter: %w", err)
-		}
 	}
 
 	for i := 0; i < cfg.Ops; i++ {
@@ -516,17 +499,6 @@ func (h *harness) fail(opIdx int, op Op, format string, args ...any) *Failure {
 func (h *harness) step(i int, op Op) *Failure {
 	h.report.OpCounts[op.Kind.String()]++
 
-	if op.Kind == OpSettle {
-		if reason := h.applySettle(op); reason != "" {
-			return h.fail(i, op, "%s", reason)
-		}
-		h.gen.Observe(op, opResult{})
-		if (i+1)%h.cfg.CheckEvery == 0 {
-			return h.checkpoint(i)
-		}
-		return nil
-	}
-
 	refRes := applyRef(h.ref, op)
 	if refRes.err != nil {
 		h.report.Rejections++
@@ -549,63 +521,12 @@ func (h *harness) step(i int, op Op) *Failure {
 		return h.fail(i, op, "%s", reason)
 	}
 
-	// Mirror market membership into the ex-post twins so settles have
-	// participants to act on.
-	switch {
-	case op.Kind == OpRegisterBuyer && refRes.err == nil:
-		if e1, e2 := h.twinA.RegisterBuyer(string(op.Buyer)), h.twinB.RegisterBuyer(string(op.Buyer)); e1 != nil || e2 != nil {
-			return h.fail(i, op, "ex-post twin registration: %v / %v", e1, e2)
-		}
-	case op.Kind == OpUpload && refRes.err == nil:
-		if e1, e2 := h.twinA.AddDataset(string(op.Dataset)), h.twinB.AddDataset(string(op.Dataset)); e1 != nil || e2 != nil {
-			return h.fail(i, op, "ex-post twin dataset: %v / %v", e1, e2)
-		}
-	case op.Kind == OpTick:
-		h.twinA.Tick()
-		h.twinB.Tick()
-	}
-
 	h.gen.Observe(op, refRes)
 
 	if (i+1)%h.cfg.CheckEvery == 0 {
 		return h.checkpoint(i)
 	}
 	return nil
-}
-
-// applySettle drives the ex-post arbiter twins and returns a non-empty
-// reason on any divergence between them.
-func (h *harness) applySettle(op Op) string {
-	buyer, dataset := string(op.Buyer), string(op.Dataset)
-	if op.Exante {
-		ra, ea := h.twinA.Bid(buyer, dataset, op.Amount)
-		rb, eb := h.twinB.Bid(buyer, dataset, op.Amount)
-		if ra != rb || errString(ea) != errString(eb) {
-			return fmt.Sprintf("ex-post twins diverge on bid: %+v (%v) vs %+v (%v)", ra, ea, rb, eb)
-		}
-	} else {
-		ga, ea := h.twinA.Request(buyer, dataset)
-		gb, eb := h.twinB.Request(buyer, dataset)
-		if ga != gb || errString(ea) != errString(eb) {
-			return fmt.Sprintf("ex-post twins diverge on request: %d (%v) vs %d (%v)", ga, ea, gb, eb)
-		}
-		if ea == nil {
-			pa, e1 := h.twinA.Pay(ga, op.Amount)
-			pb, e2 := h.twinB.Pay(gb, op.Amount)
-			if pa != pb || errString(e1) != errString(e2) {
-				return fmt.Sprintf("ex-post twins diverge on pay: %+v (%v) vs %+v (%v)", pa, e1, pb, e2)
-			}
-		}
-	}
-	revA, revB := h.twinA.Revenue(), h.twinB.Revenue()
-	if revA != revB {
-		return fmt.Sprintf("ex-post twin revenues diverge: %s vs %s", revA, revB)
-	}
-	if revA < h.lastExpostRevenue {
-		return fmt.Sprintf("ex-post revenue decreased: %s -> %s", h.lastExpostRevenue, revA)
-	}
-	h.lastExpostRevenue = revA
-	return ""
 }
 
 // checkpoint runs the expensive whole-state invariants.

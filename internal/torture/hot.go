@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -213,7 +214,8 @@ func (h *hotStorm) seed() error {
 // drive issues n ops from one goroutine. A business rejection is
 // traffic; any other error ends the storm.
 func (h *hotStorm) drive(w *hotWorker, n int) error {
-	lo, hi := candidateRange(DefaultEngine().Candidates)
+	cands := DefaultEngine().Candidates
+	lo, hi := slices.Min(cands), slices.Max(cands)
 	bid := func() market.BidRequest {
 		// Recent buyers only: an old hand owns the hot dataset or is
 		// sitting out a wait on it, and a storm of refusals tests nothing.

@@ -2,6 +2,7 @@ package torture
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/datamarket/shield/internal/core"
@@ -72,7 +73,7 @@ func (h *harness) checkBidInvariants(op Op, res opResult) string {
 			if paid > market.FromFloat(amount) {
 				return fmt.Sprintf("winner paid %s above its bid %v", paid, amount)
 			}
-			lo, hi := candidateRange(h.cfg.Engine.Candidates)
+			lo, hi := slices.Min(h.cfg.Engine.Candidates), slices.Max(h.cfg.Engine.Candidates)
 			if paid < market.FromFloat(lo) || paid > market.FromFloat(hi) {
 				return fmt.Sprintf("price paid %s outside candidate range [%v, %v]", paid, lo, hi)
 			}
@@ -100,19 +101,6 @@ func (h *harness) checkBidInvariants(op Op, res opResult) string {
 		}
 	}
 	return ""
-}
-
-func candidateRange(cands []float64) (lo, hi float64) {
-	lo, hi = cands[0], cands[0]
-	for _, c := range cands[1:] {
-		if c < lo {
-			lo = c
-		}
-		if c > hi {
-			hi = c
-		}
-	}
-	return lo, hi
 }
 
 // checkConservation enforces ledger-level money conservation on the
@@ -162,7 +150,7 @@ func (h *harness) checkWaitMonotone() string {
 	// Deterministic engine order: DatasetIDs is sorted.
 	ids := h.ref.DatasetIDs()
 
-	lo, hi := candidateRange(h.cfg.Engine.Candidates)
+	lo, hi := slices.Min(h.cfg.Engine.Candidates), slices.Max(h.cfg.Engine.Candidates)
 	ladder := append([]float64{lo / 2}, h.cfg.Engine.Candidates...)
 	sort.Float64s(ladder)
 	ladder = append(ladder, hi+1)

@@ -24,16 +24,12 @@ import (
 // applyRef applies one op to the reference state as the live replicas
 // answer it: a query reads the state, and a batch applies its bids
 // strictly one at a time, in request order, each answered on its own.
-// Ops with no command form (settles) leave the state alone.
 func applyRef(st *command.State, op Op) opResult {
 	if op.Kind == OpQuery {
 		s, err := st.Stats(op.Dataset)
 		return opResult{stats: s, err: err}
 	}
-	cmd, ok := commandFromOp(op)
-	if !ok {
-		return opResult{}
-	}
+	cmd, _ := commandFromOp(op) // every op but a query has one
 	if batch, ok := cmd.(command.BidBatch); ok {
 		res := opResult{batch: make([]market.BidResult, len(batch.Bids))}
 		for i, b := range batch.Bids {

@@ -33,7 +33,7 @@ func TestDifferentialSmallRun(t *testing.T) {
 		t.Error("no rejections: chaos ops never exercised the error paths")
 	}
 	// Every steady-state op kind must appear in a run this long.
-	for _, kind := range []OpKind{OpBid, OpBatch, OpTick, OpUpload, OpCompose, OpWithdraw, OpQuery, OpSettle} {
+	for _, kind := range []OpKind{OpBid, OpBatch, OpTick, OpUpload, OpCompose, OpWithdraw, OpQuery} {
 		if rep.OpCounts[kind.String()] == 0 {
 			t.Errorf("op kind %s never generated", kind)
 		}

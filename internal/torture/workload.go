@@ -24,7 +24,6 @@ const (
 	OpBid
 	OpBatch
 	OpQuery
-	OpSettle
 )
 
 // String implements fmt.Stringer.
@@ -48,8 +47,6 @@ func (k OpKind) String() string {
 		return "batch"
 	case OpQuery:
 		return "query"
-	case OpSettle:
-		return "settle"
 	default:
 		return fmt.Sprintf("op(%d)", int(k))
 	}
@@ -75,9 +72,6 @@ type Op struct {
 	Constituents []market.DatasetID
 	Amount       float64
 	Bids         []BidSpec
-	// Exante selects the ex-ante bid path for settle ops; otherwise the
-	// op runs the ex-post request/pay protocol.
-	Exante bool
 
 	chaos bool
 }
@@ -107,12 +101,6 @@ func (o Op) String() string {
 		fmt.Fprintf(&b, " of %d", len(o.Bids))
 	case OpQuery:
 		fmt.Fprintf(&b, " %s", o.Dataset)
-	case OpSettle:
-		mode := "expost"
-		if o.Exante {
-			mode = "exante"
-		}
-		fmt.Fprintf(&b, " %s %s on %s pay %.4f", mode, o.Buyer, o.Dataset, o.Amount)
 	}
 	return b.String()
 }
@@ -139,7 +127,7 @@ var opMix = [...]struct {
 	weight int
 }{
 	{OpBid, 50}, {OpBatch, 12}, {OpTick, 14}, {OpUpload, 3},
-	{OpCompose, 3}, {OpWithdraw, 2}, {OpQuery, 8}, {OpSettle, 8},
+	{OpCompose, 3}, {OpWithdraw, 2}, {OpQuery, 8},
 }
 
 // campaign is one buyer's ongoing attempt to acquire one dataset: a
@@ -193,9 +181,6 @@ type generator struct {
 	aliveBase    []market.DatasetID
 	aliveDerived []market.DatasetID
 	withdrawn    []market.DatasetID
-	// expostDatasets lists every base dataset ever uploaded successfully:
-	// the ex-post arbiter twins never remove datasets.
-	expostDatasets []market.DatasetID
 
 	// lastPrice is the most recent winning price per dataset, leaked to
 	// LeakReactive buyers (-1 when no sale has happened yet).
@@ -272,7 +257,6 @@ func (g *generator) makeUploadOp() Op {
 	seller := g.sellers[g.opRand.Intn(len(g.sellers))]
 	g.datasets[id] = &genDataset{id: id, seller: seller, series: g.makeSeries(id)}
 	g.aliveBase = append(g.aliveBase, id)
-	g.expostDatasets = append(g.expostDatasets, id)
 	return Op{Kind: OpUpload, Seller: seller, Dataset: id}
 }
 
@@ -350,10 +334,6 @@ func (g *generator) Next() Op {
 	case OpQuery:
 		if ds, ok := g.pickAliveDataset(); ok {
 			return Op{Kind: OpQuery, Dataset: ds}
-		}
-	case OpSettle:
-		if op, ok := g.makeSettleOp(); ok {
-			return op
 		}
 	}
 	// Infeasible draw (everyone blocked, caps reached, ...): advance time
@@ -545,23 +525,6 @@ func (g *generator) makeWithdrawOp() (Op, bool) {
 		delete(b.camps, id)
 	}
 	return Op{Kind: OpWithdraw, Seller: ds.seller, Dataset: id}, true
-}
-
-func (g *generator) makeSettleOp() (Op, bool) {
-	if len(g.expostDatasets) == 0 {
-		return Op{}, false
-	}
-	ds := g.expostDatasets[g.opRand.Intn(len(g.expostDatasets))]
-	b := g.buyers[g.opRand.Intn(len(g.buyers))]
-	series := g.datasets[ds].series
-	amount := series[g.clock%len(series)] * g.opRand.Uniform(0.3, 1.2)
-	return Op{
-		Kind:    OpSettle,
-		Buyer:   b.id,
-		Dataset: ds,
-		Amount:  amount,
-		Exante:  g.opRand.Bool(0.4),
-	}, true
 }
 
 // makeChaosOp emits a request that is guaranteed to be rejected given the
